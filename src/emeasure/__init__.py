@@ -27,8 +27,6 @@ from .evidence import (
     EvidenceError,
     classify,
     close,
-    closure_bruteforce,
-    closure_fast,
     dirac_measure,
     extend_to_powerset,
     merge_convex,

@@ -32,7 +32,6 @@ EXIT_INPUT = 2
 @dataclass(frozen=True)
 class Caps:
     model: int = MODEL_POINT_CAP
-    members: int = ev.BRUTE_FORCE_MEMBER_CAP
     powerset: int = ev.POWERSET_POINT_CAP
     depth: int = kn.TREE_DEPTH_CAP
     branching: int = kn.TREE_BRANCHING_CAP
@@ -120,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_clo = sub.add_parser("closure", help="close an evidence table")
     p_clo.add_argument("--space", required=True)
     p_clo.add_argument("--evidence", required=True)
-    p_clo.add_argument("--cap-members", type=int, default=None)
     common(p_clo)
 
     p_chk = sub.add_parser("check", help="run validity-style checks on a kernel")
@@ -213,8 +211,7 @@ def cmd_closure(args, caps: Caps) -> int:
         e = ev.classify(sf.space, table)
     except EvidenceError as exc:
         raise fileio.SchemaError(args.evidence, str(exc)) from None
-    cap = args.cap_members if args.cap_members is not None else caps.members
-    closed = ev.close(e, member_cap=cap)
+    closed = ev.close(e)
     changed = 0
     for hid in range(len(sf.space.family)):
         before, after = e.values[hid], closed.values[hid]

@@ -181,7 +181,8 @@ def build_consequence_class(table: ConsequenceTable) -> Space:
     for d in range(len(table.decisions)):
         for c in table.cspace.elements:
             bits = hypothesis_for_bound(table, d, c).bits
-            assert bits in space.family, "bound hypothesis escaped the induced class"
+            if bits not in space.family:
+                raise DecisionError("bound hypothesis escaped the induced class")
     return space
 
 

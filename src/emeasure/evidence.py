@@ -3,7 +3,10 @@
 Three strengths of table are distinguished: a bare evidence function only
 assigns maximal evidence to the empty hypothesis; a capacity is also
 antitone under inclusion; a measure additionally turns unions into
-infimums. Closing a table upgrades it to the smallest dominating measure.
+infimums. Both laws are tested against the family's join-irreducible
+members only. Closing a table upgrades it to the smallest dominating
+measure, read off the most evidence each point can claim (the min/max form
+of maxitive measures).
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .spaces import HypothesisClass, Space
-from .xvalue import INF, ONE, XValue, as_xvalue, inf_of, sup_of
+from .xvalue import INF, ONE, ZERO, XValue, as_xvalue, inf_of
 
-BRUTE_FORCE_MEMBER_CAP = 16
 POWERSET_POINT_CAP = 16
 
 
@@ -63,31 +65,22 @@ class EFunction:
         return dict(enumerate(self.values))
 
 
-def _antitone(space: Space, values: Sequence[XValue]) -> bool:
-    # Checking along Hasse covers suffices; inclusions compose from covers.
-    return all(values[parent] <= values[child] for child, parent in space.cover_edges())
+def _strength(space: Space, values: Sequence[XValue]) -> EClass:
+    """Strongest class the values satisfy, tested along the family's joins.
 
-
-def _measure_law(space: Space, values: Sequence[XValue]) -> bool:
-    family = space.family
-    if space.intersection_closed:
-        # Equivalent to the union law here: every member is the union of the
-        # least hypotheses of its points.
-        least = space.least_ids()
-        for hid, member in enumerate(family.members):
-            expect = inf_of(values[least[i]] for i in member.indices())
-            if values[hid] != expect:
-                return False
-        return True
-    bits_to_id = {m.bits: i for i, m in enumerate(family.members)}
-    n = len(family.members)
-    for i in range(n):
-        for j in range(i, n):
-            union_id = bits_to_id[family.members[i].bits | family.members[j].bits]
-            lo = values[i] if values[i] <= values[j] else values[j]
-            if values[union_id] != lo:
-                return False
-    return True
+    A join adds a join-irreducible J to a member A. Inclusions are chains of
+    joins, so e(A | J) <= e(A) on every join gives antitonicity; unions are
+    built from joins, so e(A | J) = min(e(A), e(J)) gives the union law.
+    """
+    eclass = EClass.MEASURE
+    for a, j, joined in space.family.joins():
+        va, vj, vu = values[a], values[j], values[joined]
+        if vu == (va if va <= vj else vj):
+            continue
+        if not vu <= va:
+            return EClass.FUNCTION
+        eclass = EClass.CAPACITY
+    return eclass
 
 
 def classify(space: Space, table: Mapping[int, object]) -> EFunction:
@@ -99,80 +92,35 @@ def classify(space: Space, table: Mapping[int, object]) -> EFunction:
     values = tuple(as_xvalue(table[hid]) for hid in range(n))
     if not values[space.family.empty_id].is_inf:
         raise NotAnEFunction("the empty hypothesis must carry infinite evidence")
-    eclass = EClass.FUNCTION
-    if _antitone(space, values):
-        eclass = EClass.CAPACITY
-        if _measure_law(space, values):
-            eclass = EClass.MEASURE
-    return EFunction(space, values, eclass)
+    return EFunction(space, values, _strength(space, values))
 
 
 def from_values(space: Space, values: Sequence[object]) -> EFunction:
     return classify(space, dict(enumerate(values)))
 
 
-def closure_bruteforce(e: EFunction, member_cap: int = BRUTE_FORCE_MEMBER_CAP) -> EFunction:
-    """Smallest dominating measure, by searching all covers.
+def close(e: EFunction) -> EFunction:
+    """Smallest dominating measure of any table.
 
-    For every member H the result is the best lower bound forced by the
-    union law: the supremum over covers of H of the cover's least evidence.
-    Cost is exponential in the family size, hence the cap; large
-    intersection-closed spaces should use :func:`closure_fast`.
+    Each point p claims c(p), the most evidence of a member containing it;
+    the closure of H is the least claim among H's points, and INF for the
+    empty set. That is the best lower bound the union law forces on H: a
+    cover of H by members can do no better than pick, for each point, the
+    member behind its claim. On an intersection-closed space a capacity's
+    claims sit on the least hypotheses, which the closure leaves untouched.
     """
-    family = e.space.family
-    if len(family) > member_cap:
-        raise CapExceeded(
-            f"{len(family)} members exceed the brute-force cap {member_cap}; "
-            "closure_fast handles intersection-closed spaces of any size"
-        )
-    nonempty = family.nonempty_ids()  # the empty member never helps a cover
-    profiles: list[tuple[int, XValue]] = [(0, INF)]  # the empty cover
-    for hid in nonempty:
-        bits = family.member(hid).bits
-        val = e.values[hid]
-        with_hid = [
-            (u_bits | bits, u_val if u_val <= val else val)
-            for u_bits, u_val in profiles
-        ]
-        profiles.extend(with_hid)
-    out = []
-    for member in family.members:
-        out.append(
-            sup_of(val for u_bits, val in profiles if member.bits & ~u_bits == 0)
-        )
-    closed = from_values(e.space, out)
-    if closed.eclass is not EClass.MEASURE:
-        raise EvidenceError("closure did not verify as a measure")
-    return closed
-
-
-def closure_fast(e: EFunction) -> EFunction:
-    """Closure via least hypotheses: evidence at H is the least evidence
-    among the least hypotheses of H's points.
-
-    Needs a capacity on an intersection-closed space; agrees with the
-    brute-force closure there and leaves least hypotheses untouched.
-    """
-    if e.eclass < EClass.CAPACITY:
-        raise ClassMismatch("fast closure needs at least a capacity")
     space = e.space
-    space.require_intersection_closed()
-    least = space.least_ids()
-    out = [
-        inf_of(e.values[least[i]] for i in member.indices())
-        for member in space.family.members
-    ]
-    closed = from_values(space, out)
+    claim: list[XValue] = [ZERO] * space.model.size
+    for member, value in zip(space.family.members, e.values):
+        for i in member.indices():
+            if value > claim[i]:
+                claim[i] = value
+    closed = from_values(
+        space, [inf_of(claim[i] for i in m.indices()) for m in space.family.members]
+    )
     if closed.eclass is not EClass.MEASURE:
         raise EvidenceError("closure did not verify as a measure")
     return closed
-
-
-def close(e: EFunction, member_cap: int = BRUTE_FORCE_MEMBER_CAP) -> EFunction:
-    """Fast path when available, brute force under the cap otherwise."""
-    if e.eclass >= EClass.CAPACITY and e.space.intersection_closed:
-        return closure_fast(e)
-    return closure_bruteforce(e, member_cap)
 
 
 def merge_convex(functions: Sequence[EFunction], weights: Sequence[Fraction | int]) -> EFunction:
@@ -225,9 +173,11 @@ def extend_to_powerset(e: EFunction, point_cap: int = POWERSET_POINT_CAP) -> EFu
     for member in full.family.members:
         out.append(inf_of(e.values[least[i]] for i in member.indices()))
     extension = from_values(full, out)
-    assert extension.eclass is EClass.MEASURE
+    if extension.eclass is not EClass.MEASURE:
+        raise EvidenceError("power-set extension did not verify as a measure")
     for hid, member in enumerate(space.family.members):
-        assert extension.value_of(member) == e.values[hid]
+        if extension.value_of(member) != e.values[hid]:
+            raise EvidenceError("power-set extension disagrees with the measure")
     return extension
 
 
@@ -237,7 +187,8 @@ def dirac_measure(space: Space, point: int | str) -> EFunction:
         point = space.model.index(point)
     out = [ONE if point in m else INF for m in space.family.members]
     f = from_values(space, out)
-    assert f.eclass is EClass.MEASURE
+    if f.eclass is not EClass.MEASURE:
+        raise EvidenceError("Dirac table did not verify as a measure")
     return f
 
 
@@ -245,5 +196,6 @@ def unit_measure(space: Space) -> EFunction:
     """Constant evidence 1 on every nonempty hypothesis."""
     out = [INF if m.is_empty else ONE for m in space.family.members]
     f = from_values(space, out)
-    assert f.eclass is EClass.MEASURE
+    if f.eclass is not EClass.MEASURE:
+        raise EvidenceError("unit table did not verify as a measure")
     return f

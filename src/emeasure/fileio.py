@@ -22,6 +22,7 @@ from .spaces import (
     PointSet,
     Preorder,
     Space,
+    SpaceError,
     union_closure,
 )
 from .xvalue import XValue, parse_xvalue
@@ -100,34 +101,34 @@ def load_space(path: Path | str, *, point_cap: int = MODEL_POINT_CAP) -> SpaceFi
     if "generators" in data:
         gens = data["generators"]
         if isinstance(gens, dict):
-            named = {str(k): list(v) for k, v in gens.items()}
-            generators = list(named.values())
-            names = named
+            names = {str(k): v for k, v in gens.items()}
+            generators = list(names.values())
         elif isinstance(gens, list):
-            generators = [list(g) for g in gens]
+            generators = gens
         else:
             raise SchemaError(path, "'generators' must be a list or a mapping")
         sets = []
         for g in generators:
+            if not isinstance(g, list):
+                raise SchemaError(path, f"generator {g!r} is not a list of point labels")
             try:
                 sets.append(PointSet.of(model, g))
             except Exception:
                 raise SchemaError(path, f"generator {g!r} uses unknown points") from None
         space = Space(model, union_closure(model.size, sets))
     elif "preorder" in data:
+        entries = data["preorder"]
+        if not isinstance(entries, list):
+            raise SchemaError(path, "'preorder' must be a list of pairs")
         pairs = []
-        for pair in data["preorder"]:
+        for pair in entries:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SchemaError(path, f"preorder entry {pair!r} is not a pair")
-            i, j = pair
-            i = model.index(i) if isinstance(i, str) else int(i)
-            j = model.index(j) if isinstance(j, str) else int(j)
-            pairs.append((i, j))
+            pairs.append(tuple(_point_index(path, model, p) for p in pair))
         from .spaces import class_from_preorder
 
-        pre = Preorder.from_pairs(model.size, pairs)
         try:
-            space = class_from_preorder(model, pre)
+            space = class_from_preorder(model, Preorder.from_pairs(model.size, pairs))
         except Exception as exc:
             raise SchemaError(path, str(exc)) from None
     else:
@@ -136,6 +137,18 @@ def load_space(path: Path | str, *, point_cap: int = MODEL_POINT_CAP) -> SpaceFi
     for name, labels in names.items():
         name_ids[name] = space.family.id_of(PointSet.of(model, labels).bits)
     return SpaceFile(space, name_ids)
+
+
+def _point_index(path, model: Model, raw) -> int:
+    """A point label or a plain integer index; the range is the preorder's check."""
+    if isinstance(raw, str):
+        try:
+            return model.index(raw)
+        except SpaceError:
+            raise SchemaError(path, f"unknown point label {raw!r}") from None
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise SchemaError(path, f"{raw!r} is neither a point label nor an integer index")
 
 
 def load_evidence(path: Path | str, sf: SpaceFile) -> dict[int, XValue]:

@@ -222,8 +222,9 @@ def check_validity(k: EKernel, pa: ProbabilityAssignment) -> ValidityReport:
 
 def close_kernel(k: EKernel) -> EKernel:
     """Close every outcome's table; validity is neither gained nor lost."""
-    closed = EKernel(k.space, k.sample, [ev.closure_fast(col) for col in k.columns])
-    assert closed.dominates(k)
+    closed = EKernel(k.space, k.sample, [ev.close(col) for col in k.columns])
+    if not closed.dominates(k):
+        raise EvidenceError("closed kernel does not dominate its input")
     return closed
 
 
@@ -388,7 +389,7 @@ def eposterior_closed(
     if prior.eclass < EClass.CAPACITY or k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("updating needs capacities")
     k.space.require_intersection_closed()
-    cols = [ev.closure_fast(col) for col in _product_columns(prior, k)]
+    cols = [ev.close(col) for col in _product_columns(prior, k)]
     post = EKernel(k.space, k.sample, cols)
     least = k.space.least_ids()
     entries = []
@@ -587,7 +588,8 @@ def check_anytime_validity(
 def close_process(proc: EProcess) -> EProcess:
     """Close every step; domination is checked, validity is untouched."""
     closed = EProcess(proc.tree, [close_kernel(k) for k in proc.kernels])
-    assert closed.dominates(proc)
+    if not closed.dominates(proc):
+        raise EvidenceError("closed process does not dominate its input")
     return closed
 
 

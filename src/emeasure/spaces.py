@@ -141,27 +141,45 @@ class HypothesisClass:
         self.width = width
         self.members = _canonical(width, (m.bits for m in members))
         self._index = {m.bits: i for i, m in enumerate(self.members)}
+        self._irreducible: Optional[tuple[int, ...]] = None
+        self._joins: Optional[tuple[tuple[int, int, int], ...]] = None
         if check:
-            missing = self._union_gap()
-            if missing is not None:
-                a, b = missing
+            _, irreducible, gap = _worklist((m.bits for m in self.members), self._index)
+            if gap is not None:
+                a, b = gap
                 raise NotUnionClosed(
                     f"family is not union-closed: {a:#x} | {b:#x} is not a member"
                 )
+            self._irreducible = tuple(irreducible)
 
     @classmethod
     def from_bits(cls, width: int, bitsets: Iterable[int], *, check: bool = True) -> "HypothesisClass":
         return cls(width, [PointSet(width, b) for b in bitsets], check=check)
 
-    def _union_gap(self) -> Optional[tuple[int, int]]:
-        # Pairwise unions generate all finite unions, so a pairwise scan suffices.
-        bits = [m.bits for m in self.members]
-        present = set(bits)
-        for i, a in enumerate(bits):
-            for b in bits[i + 1:]:
-                if a | b not in present:
-                    return a, b
-        return None
+    def irreducible_ids(self) -> tuple[int, ...]:
+        """Ids of the join-irreducible members: the nonempty members that are
+        not a union of smaller ones. Every member is a union of them."""
+        if self._irreducible is None:
+            _, irreducible, _ = _worklist(m.bits for m in self.members)
+            self._irreducible = tuple(irreducible)
+        return self._irreducible
+
+    def joins(self) -> tuple[tuple[int, int, int], ...]:
+        """(member id, irreducible id, id of their union) for every member and
+        every join-irreducible member not inside it.
+
+        Every strict inclusion between members is a chain of such joins, and
+        every member is the union of the irreducibles it contains.
+        """
+        if self._joins is None:
+            irreducible = [(j, self.members[j].bits) for j in self.irreducible_ids()]
+            self._joins = tuple(
+                (a, j, self._index[m.bits | bits])
+                for a, m in enumerate(self.members)
+                for j, bits in irreducible
+                if bits & ~m.bits
+            )
+        return self._joins
 
     def __len__(self) -> int:
         return len(self.members)
@@ -201,29 +219,44 @@ class HypothesisClass:
         return tuple(i for i, m in enumerate(self.members) if not m.is_empty)
 
 
+def _worklist(
+    bitsets: Iterable[int], members: Optional[Mapping[int, int]] = None
+) -> tuple[set[int], list[int], Optional[tuple[int, int]]]:
+    """Union closure of the bitsets and the empty set, in one pass.
+
+    A bitset not yet generated by the earlier ones joins every set generated
+    so far. Returns the closure, the positions of those new bitsets and, when
+    ``members`` is given, the first join ``(generated, new)`` that falls
+    outside it; the pass stops there. Walked in canonical order, a family's
+    new bitsets are its join-irreducible members, since every proper subset
+    of a member comes before it.
+    """
+    generated = {0}
+    new: list[int] = []
+    for pos, bits in enumerate(bitsets):
+        if bits in generated:
+            continue
+        new.append(pos)
+        for a in list(generated):
+            joined = a | bits
+            if members is not None and joined not in members:
+                return generated, new, (a, bits)
+            generated.add(joined)
+    return generated, new, None
+
+
 def union_closure(width: int, generators: Iterable[PointSet]) -> HypothesisClass:
     """Smallest union-closed family containing the generators and the empty set.
 
-    Computed as a pairwise-union fixpoint; idempotent and monotone in the
-    generator set.
+    Each new generator joins every set generated before it, so the cost is
+    O(members x generators); idempotent and monotone in the generator set.
     """
-    current = {0}
-    for g in generators:
+    gens = list(generators)
+    for g in gens:
         if g.width != width:
             raise WidthMismatch(f"generator width {g.width}, expected {width}")
-        current.add(g.bits)
-    while True:
-        fresh = set()
-        items = list(current)
-        for i, a in enumerate(items):
-            for b in items[i:]:
-                u = a | b
-                if u not in current:
-                    fresh.add(u)
-        if not fresh:
-            break
-        current |= fresh
-    return HypothesisClass.from_bits(width, current, check=False)
+    closure, _, _ = _worklist(g.bits for g in gens)
+    return HypothesisClass.from_bits(width, closure, check=False)
 
 
 @dataclass(frozen=True)
@@ -236,6 +269,8 @@ class Preorder:
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "Preorder":
         mat = [[i == j for j in range(size)] for i in range(size)]
         for i, j in pairs:
+            if not (0 <= i < size and 0 <= j < size):
+                raise NotAPreorder(f"pair ({i}, {j}) is outside points 0..{size - 1}")
             mat[i][j] = True
         return cls(tuple(tuple(row) for row in mat))
 
@@ -300,32 +335,22 @@ class Space:
         self.model = model
         self.family = family
         self._least_ids: Optional[tuple[Optional[int], ...]] = None
-        self._flags: Optional[tuple[bool, bool]] = None
-        self._cover_edges: Optional[tuple[tuple[int, int], ...]] = None
 
     # -- structure ----------------------------------------------------
 
-    def _closure_flags(self) -> tuple[bool, bool]:
-        if self._flags is None:
-            bits = [m.bits for m in self.family.members]
-            present = set(bits)
-            closed = True
-            for i, a in enumerate(bits):
-                for b in bits[i + 1:]:
-                    if a & b not in present:
-                        closed = False
-                        break
-                if not closed:
-                    break
-            full = (1 << self.model.size) - 1 in present
-            self._flags = (closed, full)
-        return self._flags
+    def _meets_closed(self) -> bool:
+        # In a union-closed family this is closure under intersection: the
+        # meet of two members is the union of its points' least members.
+        least = self.least_ids()
+        return all(least[i] is not None for i in self.family.members[-1].indices())
+
+    def _has_full_model(self) -> bool:
+        return (1 << self.model.size) - 1 in self.family
 
     @property
     def intersection_closed(self) -> bool:
         """Closed under intersections with the full model present."""
-        closed, full = self._closure_flags()
-        return closed and full
+        return self._has_full_model() and self._meets_closed()
 
     def least_ids(self) -> tuple[Optional[int], ...]:
         """Per point, the id of the smallest member containing it (if any)."""
@@ -356,7 +381,7 @@ class Space:
         return hid
 
     def analyze(self) -> SpaceReport:
-        closed, full = self._closure_flags()
+        closed, full = self._meets_closed(), self._has_full_model()
         least = None
         if closed and full:
             least = {
@@ -393,36 +418,6 @@ class Space:
                 acc |= self.family.member(self.least_id(i)).bits
         return self.family.id_of(acc)
 
-    def cover_edges(self) -> tuple[tuple[int, int], ...]:
-        """Hasse covers (child id, parent id) of the member lattice under inclusion.
-
-        Checking antitonicity along covers is enough because any inclusion
-        decomposes into a chain of covers inside a finite family.
-        """
-        if self._cover_edges is None:
-            members = self.family.members
-            n = len(members)
-            by_count: dict[int, list[int]] = {}
-            for i, m in enumerate(members):
-                by_count.setdefault(m.popcount, []).append(i)
-            edges: list[tuple[int, int]] = []
-            for i, child in enumerate(members):
-                supersets = [
-                    j
-                    for j in range(n)
-                    if j != i and child.bits & ~members[j].bits == 0
-                ]
-                for j in supersets:
-                    if not any(
-                        k != j
-                        and members[k].bits & ~members[j].bits == 0
-                        and child.bits & ~members[k].bits == 0
-                        for k in supersets
-                    ):
-                        edges.append((i, j))
-            self._cover_edges = tuple(edges)
-        return self._cover_edges
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Space)
@@ -457,7 +452,8 @@ def class_from_preorder(model: Model, pre: Preorder) -> Space:
         uppers.append(PointSet(model.size, bits))
     space = Space(model, union_closure(model.size, uppers))
     for i, up in enumerate(uppers):
-        assert space.least_id(i) == space.family.id_of(up)
+        if space.least_id(i) != space.family.id_of(up):
+            raise SpaceError(f"point {model.points[i]!r} is not least in its upper set")
     return space
 
 

@@ -15,6 +15,7 @@ from emeasure import (
     INF,
     Model,
     Pmf,
+    PointSet,
     Preorder,
     ProbabilityAssignment,
     SampleSpace,
@@ -25,6 +26,7 @@ from emeasure import (
     classify,
     inf_of,
     sup_of,
+    union_closure,
 )
 
 
@@ -53,6 +55,17 @@ def rand_ic_space(r, max_points=4, max_members=None, min_points=1):
         n = r.randint(min_points, max_points)
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
         space = class_from_preorder(model, rand_preorder(r, n))
+        if max_members is None or len(space.family) <= max_members:
+            return space
+
+
+def rand_uc_space(r, max_points=4, max_members=None):
+    """Union closure of a few random generators; rarely intersection-closed."""
+    while True:
+        n = r.randint(1, max_points)
+        model = Model(tuple(f"P{i + 1}" for i in range(n)))
+        gens = [PointSet(n, r.randrange(1, 1 << n)) for _ in range(r.randint(1, 4))]
+        space = Space(model, union_closure(n, gens))
         if max_members is None or len(space.family) <= max_members:
             return space
 
@@ -256,23 +269,28 @@ def oracle_least_bits(space, point):
 
 def oracle_closure(e):
     """Unrestricted cover search: best over all subsets of the family."""
-    members = e.space.family.members
-    n = len(members)
-    out = []
-    for m in members:
-        best = ZERO
-        for mask in range(1 << n):
-            union = 0
-            lowest = INF
-            for j in range(n):
-                if mask >> j & 1:
-                    union |= members[j].bits
-                    if e.values[j] < lowest:
-                        lowest = e.values[j]
-            if m.bits & ~union == 0 and lowest > best:
-                best = lowest
-        out.append(best)
-    return out
+    covers = [(0, INF)]  # (union, least evidence) of each subset of the family
+    for member, value in zip(e.space.family.members, e.values):
+        covers += [(u | member.bits, low if low <= value else value) for u, low in covers]
+    return [
+        sup_of(low for u, low in covers if m.bits & ~u == 0)
+        for m in e.space.family.members
+    ]
+
+
+def oracle_eclass(space, values):
+    """Strongest class by the definitions, over every pair of members."""
+    members = [m.bits for m in space.family.members]
+    pairs = [(a, b) for a in range(len(members)) for b in range(len(members))]
+    if any(
+        members[a] & ~members[b] == 0 and values[b] > values[a] for a, b in pairs
+    ):
+        return EClass.FUNCTION
+    union_law = all(
+        values[space.family.id_of(members[a] | members[b])] == inf_of([values[a], values[b]])
+        for a, b in pairs
+    )
+    return EClass.MEASURE if union_law else EClass.CAPACITY
 
 
 def oracle_expectation(pmf, values):

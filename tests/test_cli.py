@@ -1,0 +1,47 @@
+"""The command line end to end: exit codes and records output on a fixed corpus."""
+
+from pathlib import Path
+
+import pytest
+import yaml
+
+from emeasure import cli
+
+DATA = Path(__file__).parent / "data"
+CASES = yaml.safe_load((DATA / "cli_cases.yaml").read_text())
+
+
+def run(capsys, argv):
+    code = cli.main([*argv, "--format", "records"])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_corpus_exit_codes_and_records(capsys, case):
+    argv = [str(DATA / a) if a.endswith(".yaml") else a for a in case["argv"]]
+    assert run(capsys, argv) == (case["exit"], case["records"])
+
+
+MALFORMED_SPACES = {
+    "preorder-negative-index": "points: [a, b]\npreorder: [[-1, 0]]\n",
+    "preorder-fractional-index": "points: [a, b]\npreorder: [[1.5, 0]]\n",
+    "preorder-bool-index": "points: [a, b]\npreorder: [[true, 0]]\n",
+    "preorder-unknown-label": "points: [a, b]\npreorder: [[a, z]]\n",
+    "preorder-not-a-list": "points: [a, b]\npreorder: 5\n",
+    "preorder-not-pairs": "points: [a, b]\npreorder: [[0, 1, 1]]\n",
+    "generators-list-of-strings": "points: [a, b, c]\ngenerators: [ab, c]\n",
+    "generators-mapping-to-string": "points: [a, b, c]\ngenerators: {g: ab}\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_SPACES.values(), ids=MALFORMED_SPACES.keys())
+def test_malformed_space_files_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "space.yaml"
+    path.write_text(text)
+    assert run(capsys, ["space", "--space", str(path)]) == (cli.EXIT_INPUT, "")
+
+
+def test_unknown_cap_key_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("EMEASURE_CAPS", "members=64")
+    argv = ["space", "--space", str(DATA / "space_gens_ic.yaml")]
+    assert run(capsys, argv) == (cli.EXIT_INPUT, "")

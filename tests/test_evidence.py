@@ -12,15 +12,14 @@ from emeasure import (
     PointSet,
     XValue,
     classify,
-    closure_bruteforce,
-    closure_fast,
+    close,
     dirac_measure,
     extend_to_powerset,
     merge_convex,
     space_from_generators,
     unit_measure,
 )
-from emeasure.evidence import CapExceeded, ClassMismatch, NotAnEFunction, from_values
+from emeasure.evidence import ClassMismatch, NotAnEFunction, from_values
 from emeasure import golden
 
 
@@ -58,9 +57,24 @@ def test_classify_detects_plain_function():
     assert e.eclass is EClass.FUNCTION
 
 
+def test_classify_matches_pairwise_definitions_on_random_tables():
+    r = helpers.rng(19)
+    seen = set()
+    for _ in range(40):
+        space = helpers.rand_uc_space(r, max_points=5)
+        raw = {hid: helpers.rand_xvalue(r) for hid in range(len(space.family))}
+        raw[space.family.empty_id] = INF
+        e = classify(space, raw)
+        for table in (e, helpers.rand_capacity(r, space), close(e)):
+            assert table.eclass is helpers.oracle_eclass(space, table.values)
+            seen.add(table.eclass)
+    assert seen == set(EClass)
+
+
 def test_closure_bruteforce_two_point_example():
     space, e = two_point_capacity()
-    closed = closure_bruteforce(e)
+    closed = close(e)
+    assert list(closed.values) == helpers.oracle_closure(e)
     full = space.family.id_of(PointSet.full(2).bits)
     assert closed.values[full] == XValue(2)
     for hid in range(len(space.family)):
@@ -74,8 +88,7 @@ def test_closure_fixes_measures():
     for _ in range(10):
         space = helpers.rand_ic_space(r)
         m = helpers.rand_measure(r, space)
-        assert closure_bruteforce(m).values == m.values
-        assert closure_fast(m).values == m.values
+        assert close(m).values == m.values
 
 
 def test_closure_bruteforce_matches_unrestricted_cover_oracle():
@@ -85,13 +98,15 @@ def test_closure_bruteforce_matches_unrestricted_cover_oracle():
         raw = {hid: helpers.rand_xvalue(r) for hid in range(len(space.family))}
         raw[space.family.empty_id] = INF
         e = classify(space, raw)
-        assert list(closure_bruteforce(e).values) == helpers.oracle_closure(e)
+        assert list(close(e).values) == helpers.oracle_closure(e)
 
 
 def test_closure_fast_agrees_with_bruteforce_and_examples():
     space, e = two_point_capacity()
-    assert closure_fast(e).values == closure_bruteforce(e).values
-    assert closure_fast(unit_measure(space)).values == unit_measure(space).values
+    not_capacity = from_values(space, ["inf", 1, 1, 5])
+    for table in (e, unit_measure(space), not_capacity):
+        assert list(close(table).values) == helpers.oracle_closure(table)
+    assert close(unit_measure(space)).values == unit_measure(space).values
 
 
 def test_closure_fast_equals_bruteforce_on_random_capacities():
@@ -99,7 +114,13 @@ def test_closure_fast_equals_bruteforce_on_random_capacities():
     for _ in range(25):
         space = helpers.rand_ic_space(r, max_members=12)
         e = helpers.rand_capacity(r, space)
-        assert closure_fast(e).values == closure_bruteforce(e).values
+        assert list(close(e).values) == helpers.oracle_closure(e)
+    for _ in range(25):
+        space = helpers.rand_uc_space(r, max_members=12)
+        raw = {hid: helpers.rand_xvalue(r) for hid in range(len(space.family))}
+        raw[space.family.empty_id] = INF
+        for e in (classify(space, raw), helpers.rand_capacity(r, space)):
+            assert list(close(e).values) == helpers.oracle_closure(e)
 
 
 def test_closure_dominates_and_is_idempotent():
@@ -107,9 +128,9 @@ def test_closure_dominates_and_is_idempotent():
     for _ in range(25):
         space = helpers.rand_ic_space(r, max_members=12)
         e = helpers.rand_capacity(r, space)
-        closed = closure_fast(e)
+        closed = close(e)
         assert closed.dominates(e)
-        assert closure_fast(closed).values == closed.values
+        assert close(closed).values == closed.values
 
 
 def test_closure_minimality_among_sampled_dominating_measures():
@@ -120,19 +141,34 @@ def test_closure_minimality_among_sampled_dominating_measures():
         e = helpers.rand_capacity(r, space)
         m = helpers.rand_measure(r, space)
         if m.dominates(e):
-            assert m.dominates(closure_fast(e))
+            assert m.dominates(close(e))
             found += 1
 
 
-def test_closure_preconditions():
-    space = helpers.power_space(2)
-    not_capacity = from_values(space, ["inf", 1, 1, 5])
-    with pytest.raises(ClassMismatch):
-        closure_fast(not_capacity)
-    big = helpers.power_space(5)
-    e = unit_measure(big)
-    with pytest.raises(CapExceeded):
-        closure_bruteforce(e, member_cap=16)
+def test_close_certificate_on_a_large_family_without_least_hypotheses():
+    """Too many members for the cover oracle, so check what pins the result.
+
+    A dominating measure is the smallest one when, for every H, the members
+    with e >= closure(H) cover H: any dominating measure m then has
+    m(H) >= m(union of that cover) = min of m over it >= closure(H).
+    """
+    r = helpers.rng(53)
+    model = Model(tuple(f"P{i + 1}" for i in range(7)))
+    generators = [PointSet(7, 0b11 << i) for i in range(6)] + [PointSet(7, 0b1000001)]
+    space = space_from_generators(model, [g.labels(model) for g in generators])
+    assert len(space.family) >= 40 and not space.intersection_closed
+    raw = {hid: helpers.rand_xvalue(r) for hid in range(len(space.family))}
+    raw[space.family.empty_id] = INF
+    for e in (classify(space, raw), helpers.rand_capacity(r, space)):
+        closed = close(e)
+        assert closed.eclass is EClass.MEASURE
+        assert closed.dominates(e)
+        for hid, member in enumerate(space.family.members):
+            reach = 0
+            for m, value in zip(space.family.members, e.values):
+                if value >= closed.values[hid]:
+                    reach |= m.bits
+            assert member.bits & ~reach == 0
 
 
 def test_merge_single_input_is_identity():
@@ -156,7 +192,7 @@ def test_merge_then_close_restores_the_measure_law():
     m1 = from_values(space, ["inf", 4, 2, 2])
     m2 = from_values(space, ["inf", 2, 4, 2])
     merged = merge_convex([m1, m2], [Fraction(1, 2), Fraction(1, 2)])
-    assert closure_fast(merged).eclass is EClass.MEASURE
+    assert close(merged).eclass is EClass.MEASURE
 
 
 def test_merge_validates_weights_and_classes():

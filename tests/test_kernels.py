@@ -31,6 +31,7 @@ from emeasure import (
     merge_convex_kernels,
     pushforward_kernel,
     rejection_set,
+    space_from_generators,
     unit_measure,
 )
 from emeasure.evidence import from_values
@@ -94,20 +95,19 @@ def test_constant_two_kernel_is_invalid_with_witness():
 
 
 def test_close_kernel_keeps_measures_and_matches_bruteforce():
-    from emeasure import closure_bruteforce
-
-    space = helpers.power_space(2)
     sample = SampleSpace(("x1", "x2"))
-    capacity = from_values(space, ["inf", 4, 2, 1])
-    k = constant_kernel(space, sample, capacity)
-    closed = close_kernel(k)
-    brute = closure_bruteforce(capacity)
-    for col in closed.columns:
-        assert col.values == brute.values
-    measure_kernel = constant_kernel(space, sample, brute)
-    again = close_kernel(measure_kernel)
-    for a, b in zip(again.columns, measure_kernel.columns):
-        assert a.values == b.values
+    ic = helpers.power_space(2)
+    tangled = space_from_generators(Model(("P1", "P2", "P3")), [["P1", "P2"], ["P2", "P3"]])
+    assert not tangled.intersection_closed
+    for space, values in ((ic, ["inf", 4, 2, 1]), (tangled, ["inf", 3, 2, 5])):
+        table = from_values(space, values)
+        closed = close_kernel(constant_kernel(space, sample, table))
+        for col in closed.columns:
+            assert list(col.values) == helpers.oracle_closure(table)
+        measure_kernel = constant_kernel(space, sample, closed.columns[0])
+        again = close_kernel(measure_kernel)
+        for a, b in zip(again.columns, measure_kernel.columns):
+            assert a.values == b.values
 
 
 def test_close_kernel_preserves_validity_verdict():

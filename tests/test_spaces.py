@@ -241,3 +241,40 @@ def test_width_mismatch_is_reported():
     model = Model(("P1", "P2"))
     with pytest.raises(SpaceError):
         Space(model, HypothesisClass.from_bits(3, [0], check=False))
+
+
+def test_preorder_pairs_outside_the_points_are_rejected():
+    for pair in [(0, 5), (2, 0), (-1, 0), (0, -2)]:
+        with pytest.raises(NotAPreorder):
+            Preorder.from_pairs(2, [pair])
+
+
+def test_family_constructor_checks_every_pair_of_members():
+    r = helpers.rng(13)
+    for _ in range(60):
+        width = r.randint(1, 5)
+        bits = {0} | {r.randrange(1 << width) for _ in range(r.randint(1, 6))}
+        if all(a | b in bits for a in bits for b in bits):
+            HypothesisClass.from_bits(width, bits)
+        else:
+            with pytest.raises(NotUnionClosed):
+                HypothesisClass.from_bits(width, bits)
+
+
+def test_irreducible_members_are_not_unions_of_smaller_ones():
+    r = helpers.rng(17)
+    for _ in range(40):
+        width = r.randint(1, 5)
+        gens = [r.randrange(1 << width) for _ in range(r.randint(0, 5))]
+        bits = helpers.oracle_union_closure(gens)
+        expect = set()
+        for m in bits:
+            below = 0
+            for s in bits:
+                if s != m and s & ~m == 0:
+                    below |= s
+            if m and below != m:
+                expect.add(m)
+        for check in (True, False):
+            family = HypothesisClass.from_bits(width, bits, check=check)
+            assert {family.member(j).bits for j in family.irreducible_ids()} == expect
