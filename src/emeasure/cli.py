@@ -32,10 +32,6 @@ EXIT_INPUT = 2
 @dataclass(frozen=True)
 class Caps:
     model: int = MODEL_POINT_CAP
-    powerset: int = ev.POWERSET_POINT_CAP
-    depth: int = kn.TREE_DEPTH_CAP
-    branching: int = kn.TREE_BRANCHING_CAP
-    stops: int = kn.STOPPING_RULE_CAP
 
 
 def caps_from_env(env: Optional[str]) -> Caps:
@@ -291,7 +287,7 @@ def cmd_check(args, caps: Caps) -> int:
         if args.rule == "canonical" or args.rule is None:
             rule = "canonical"
         else:
-            level = fileio.parse_xvalue(args.rule)
+            level = fileio._xvalue("--rule", args.rule)
             rule = {x: level for x in kernel.sample.outcomes}
         report = kn.check_posthoc_validity(kernel, pa, rule)
         _report_entries(out, "posthoc", report.entries, sf.space)
@@ -323,14 +319,16 @@ def cmd_check(args, caps: Caps) -> int:
         def to_shape(node):
             if isinstance(node, str):
                 return node
+            if not isinstance(node, list) or not node:
+                raise fileio.SchemaError(
+                    args.tree, f"tree node {node!r} is neither an outcome label "
+                    "nor a non-empty list of nodes"
+                )
             return [to_shape(c) for c in node]
 
         tree = kn.FiltrationTree(pa.sample, to_shape(shape))
         proc = kn.EProcess(tree, kernels)
-        report = kn.check_anytime_validity(
-            proc, pa, rule_cap=caps.stops, depth_cap=caps.depth,
-            branching_cap=caps.branching,
-        )
+        report = kn.check_anytime_validity(proc, pa)
         out.record(
             "anytime", rules=report.rules_checked, valid=report.valid,
         )

@@ -17,10 +17,6 @@ from .evidence import EClass, EFunction, EvidenceError
 from .spaces import HypothesisClass, Model, Space, SpaceError
 from .xvalue import INF, ONE, XValue, as_xvalue, inf_of, sup_of
 
-STOPPING_RULE_CAP = 100_000
-TREE_DEPTH_CAP = 4
-TREE_BRANCHING_CAP = 3
-
 
 class KernelError(EvidenceError):
     pass
@@ -280,16 +276,8 @@ def _resolve_rule(k: EKernel, rule: LevelRule) -> Callable[[int, str], XValue]:
 
 
 @dataclass(frozen=True)
-class PosthocEntry:
-    hid: int
-    point: str
-    stat: XValue
-    ok: bool
-
-
-@dataclass(frozen=True)
 class PosthocReport:
-    entries: tuple[PosthocEntry, ...]
+    entries: tuple[ValidityEntry, ...]
     holds: bool
     matches_validity_stat: Optional[bool] = None
 
@@ -323,7 +311,7 @@ def check_posthoc_validity(
             if canonical and stat != k.expectation(hid, pmf):
                 matches = False
             entries.append(
-                PosthocEntry(hid=hid, point=k.space.model.points[pi], stat=stat, ok=ok)
+                ValidityEntry(hid=hid, point=k.space.model.points[pi], stat=stat, ok=ok)
             )
     return PosthocReport(
         entries=tuple(entries),
@@ -450,12 +438,6 @@ class FiltrationTree:
             return 0
         return 1 + max(FiltrationTree._depth(c) for c in shape)
 
-    @staticmethod
-    def _branching(shape: TreeShape) -> int:
-        if isinstance(shape, str):
-            return 1
-        return max(len(shape), *(FiltrationTree._branching(c) for c in shape))
-
     def _atoms(self, shape: TreeShape, t: int) -> list[tuple[int, ...]]:
         if isinstance(shape, str) or t == 0:
             return [tuple(self.sample.index(x) for x in self._leaves(shape))]
@@ -465,6 +447,9 @@ class FiltrationTree:
         return out
 
     def count_stopping_times(self) -> int:
+        """Number of adapted stopping rules: cuts through the tree that meet
+        each root-to-leaf path exactly once."""
+
         def count(shape: TreeShape) -> int:
             if isinstance(shape, str):
                 return 1
@@ -474,35 +459,6 @@ class FiltrationTree:
             return 1 + prod
 
         return count(self.shape)
-
-    def stopping_times(self, cap: int = STOPPING_RULE_CAP) -> list[tuple[int, ...]]:
-        """Every adapted stopping rule, as a stop depth per outcome.
-
-        A rule is a cut through the tree: each root-to-leaf path stops at
-        exactly one node, so the decision at time t uses only level-t
-        information.
-        """
-        total = self.count_stopping_times()
-        if total > cap:
-            raise ev.CapExceeded(
-                f"{total} stopping rules exceed the enumeration cap {cap}"
-            )
-
-        def cuts(shape: TreeShape, depth: int) -> list[dict[int, int]]:
-            mine = {self.sample.index(x): depth for x in self._leaves(shape)}
-            if isinstance(shape, str):
-                return [mine]
-            options = [mine]
-            partial: list[dict[int, int]] = [{}]
-            for child in shape:
-                child_cuts = cuts(child, depth + 1)
-                partial = [{**p, **c} for p in partial for c in child_cuts]
-            options.extend(partial)
-            return options
-
-        return [
-            tuple(c[i] for i in range(self.sample.size)) for c in cuts(self.shape, 0)
-        ]
 
 
 class EProcess:
@@ -534,10 +490,6 @@ class EProcess:
                             break
         return out
 
-    def stopped_kernel(self, rule: tuple[int, ...]) -> EKernel:
-        cols = [self.kernels[t].columns[xi] for xi, t in enumerate(rule)]
-        return EKernel(self.space, self.tree.sample, cols)
-
     @property
     def eclass(self) -> EClass:
         return min(k.eclass for k in self.kernels)
@@ -553,20 +505,18 @@ class AnytimeReport:
     first_violation: Optional[tuple[tuple[int, ...], ValidityEntry]]
 
 
-def check_anytime_validity(
-    proc: EProcess,
-    pa: ProbabilityAssignment,
-    *,
-    rule_cap: int = STOPPING_RULE_CAP,
-    depth_cap: int = TREE_DEPTH_CAP,
-    branching_cap: int = TREE_BRANCHING_CAP,
-) -> AnytimeReport:
-    """Check every stopped kernel of the process, one stopping rule at a time."""
-    if proc.tree.depth > depth_cap:
-        raise ev.CapExceeded(f"tree depth {proc.tree.depth} exceeds cap {depth_cap}")
-    branching = FiltrationTree._branching(proc.tree.shape)
-    if branching > branching_cap:
-        raise ev.CapExceeded(f"branching {branching} exceeds cap {branching_cap}")
+def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> AnytimeReport:
+    """Largest expected stopped evidence of every pair, by backward induction.
+
+    For each (nonempty hypothesis, contained point) pair the sup of
+    E_P[e_tau(H)] over adapted stopping rules tau is the Snell envelope at
+    the root, in unnormalised masses: W(node) = max(P(node) e_t(H | node),
+    sum of W over the children), and a leaf's W is its own stop value.
+    Zero-mass nodes contribute 0 even against infinite evidence. The
+    maximising rule stops at every node where stopping attains W (ties
+    stop); the first violating pair, in check_validity order, is reported
+    with that rule. rules_checked counts the rules the sup ranges over.
+    """
     violations = proc.measurability_violations()
     if violations:
         t, atom, hid = violations[0]
@@ -575,14 +525,41 @@ def check_anytime_validity(
         )
     first = None
     valid = True
-    rules = proc.tree.stopping_times(rule_cap)
-    for rule in rules:
-        report = check_validity(proc.stopped_kernel(rule), pa)
-        if not report.valid:
-            valid = False
-            if first is None:
-                first = (rule, report.first_violation())
-    return AnytimeReport(rules_checked=len(rules), valid=valid, first_violation=first)
+    for hid in proc.space.family.nonempty_ids():
+        for pi in proc.space.family.member(hid).indices():
+            stat, rule = _envelope(proc, hid, pa.pmfs[pi].mass)
+            if stat > ONE:
+                valid = False
+                if first is None:
+                    point = proc.space.model.points[pi]
+                    first = (rule, ValidityEntry(hid=hid, point=point, stat=stat, ok=False))
+    return AnytimeReport(
+        rules_checked=proc.tree.count_stopping_times(), valid=valid, first_violation=first
+    )
+
+
+def _envelope(
+    proc: EProcess, hid: int, mass: Sequence[Fraction]
+) -> tuple[XValue, tuple[int, ...]]:
+    """Snell envelope at the root and its rule, as a stop depth per outcome."""
+
+    def walk(shape: TreeShape, t: int, lo: int):
+        # Returns (W, the node's mass, stop depths of its leaves, next leaf).
+        if isinstance(shape, str):
+            hi, node_mass, cont = lo + 1, mass[lo], None
+        else:
+            hi, node_mass, cont, rule = lo, Fraction(0), XValue(0), ()
+            for child in shape:
+                w, m, r, hi = walk(child, t + 1, hi)
+                node_mass, cont, rule = node_mass + m, cont + w, rule + r
+        # Measurability makes e_t constant on the node, so its first leaf stands in.
+        stop = XValue(node_mass) * proc.kernels[t].columns[lo].values[hid]
+        if cont is None or stop >= cont:
+            return stop, node_mass, (t,) * (hi - lo), hi
+        return cont, node_mass, rule, hi
+
+    w, _, rule, _ = walk(proc.tree.shape, 0, 0)
+    return w, rule
 
 
 def close_process(proc: EProcess) -> EProcess:
@@ -655,18 +632,12 @@ def check_predictive_validity(k: EKernel, pmfs: Iterable[Pmf]) -> PredictiveRepo
 # -- pushforwards ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PushforwardReport:
-    entries: tuple[ValidityEntry, ...]
-    valid: bool
-
-
 def pushforward_kernel(
     k: EKernel,
     mapping: Mapping[str, str],
     target: Space,
     pa: Optional[ProbabilityAssignment] = None,
-) -> tuple[EKernel, Optional[PushforwardReport]]:
+) -> tuple[EKernel, Optional[ValidityReport]]:
     """Evidence on a coarser space via preimages of its hypotheses.
 
     Fails if some target hypothesis has a preimage outside the source
@@ -707,5 +678,5 @@ def pushforward_kernel(
                 ok = stat <= ONE
                 ok_all = ok_all and ok
                 entries.append(ValidityEntry(hid=gid, point=p, stat=stat, ok=ok))
-        report = PushforwardReport(entries=tuple(entries), valid=ok_all)
+        report = ValidityReport(entries=tuple(entries), valid=ok_all)
     return pushed, report

@@ -472,20 +472,13 @@ class AvgOverSelection(PhiSpec):
         return total / denom
 
 
-class SupOverSelections(PhiSpec):
+class SupOverSelections(SupOverTrue):
     """Best case over every selection out of the family; equals sup-over-true."""
 
+    # The average over a selection is maximized by the singleton with the
+    # largest true evidence, so the sup over selections is the sup over
+    # true hypotheses.
     name = "sup-over-selections"
-
-    def value(self, space, point, table):
-        # The average over a selection is maximized by the singleton with the
-        # largest true evidence, so the sup over selections is the sup over
-        # true hypotheses.
-        return sup_of(
-            table[hid]
-            for hid in space.family.nonempty_ids()
-            if point in space.family.member(hid)
-        )
 
 
 class CustomPhi(PhiSpec):

@@ -12,6 +12,8 @@ from fractions import Fraction
 from emeasure import (
     EClass,
     EKernel,
+    EProcess,
+    FiltrationTree,
     INF,
     Model,
     Pmf,
@@ -178,6 +180,38 @@ def scaled_kernel(k, factor):
     return EKernel(k.space, k.sample, cols)
 
 
+def rand_tree(r, max_depth=3, max_branching=3, max_rules=200):
+    """Random filtration tree on outcomes x1..xn; shallow leaves make it uneven."""
+    while True:
+        leaves = []
+
+        def node(depth):
+            if depth == max_depth or (depth > 0 and r.random() < 0.3):
+                leaves.append(f"x{len(leaves) + 1}")
+                return leaves[-1]
+            return [node(depth + 1) for _ in range(r.randint(1, max_branching))]
+
+        shape = node(0)
+        tree = FiltrationTree(SampleSpace(tuple(leaves)), shape)
+        if tree.count_stopping_times() <= max_rules:
+            return tree
+
+
+def rand_process(r, space, tree, allow_inf=True):
+    """Random adapted process: one scaled random capacity per atom and step."""
+    kernels = []
+    for atoms in tree.levels:
+        cols = [None] * tree.sample.size
+        for atom in atoms:
+            fn = rand_capacity(r, space, allow_inf)
+            scale = XValue(Fraction(1, r.randint(1, 6)))
+            fn = classify(space, {hid: v * scale for hid, v in enumerate(fn.values)})
+            for xi in atom:
+                cols[xi] = fn
+        kernels.append(EKernel(space, tree.sample, cols))
+    return EProcess(tree, kernels)
+
+
 def rand_order_measurable(r, space, max_levels=3, allow_inf=True):
     """Random order-measurable function: levels stacked on a member chain.
 
@@ -303,3 +337,45 @@ def oracle_expectation(pmf, values):
             return INF
         total += mass * v.as_fraction()
     return XValue(total)
+
+
+def oracle_stopping_times(tree):
+    """Every adapted stopping rule, as a stop depth per outcome.
+
+    A rule is a cut through the tree: each root-to-leaf path stops at
+    exactly one node, so the decision at time t uses only level-t
+    information. Enumerates every cut, one per rule.
+    """
+
+    def leaves(shape):
+        return [shape] if isinstance(shape, str) else [x for c in shape for x in leaves(c)]
+
+    def cuts(shape, depth):
+        mine = {tree.sample.index(x): depth for x in leaves(shape)}
+        if isinstance(shape, str):
+            return [mine]
+        partial = [{}]
+        for child in shape:
+            partial = [{**p, **c} for p in partial for c in cuts(child, depth + 1)]
+        return [mine, *partial]
+
+    return [tuple(c[i] for i in range(tree.sample.size)) for c in cuts(tree.shape, 0)]
+
+
+def stopped_kernel(proc, rule):
+    """The kernel that reads each outcome's table at its stop depth."""
+    cols = [proc.kernels[t].columns[xi] for xi, t in enumerate(rule)]
+    return EKernel(proc.space, proc.tree.sample, cols)
+
+
+def oracle_anytime(proc, pa):
+    """Largest expected stopped evidence per (hid, point index), over every rule."""
+    best = {}
+    for rule in oracle_stopping_times(proc.tree):
+        k = stopped_kernel(proc, rule)
+        for hid in proc.space.family.nonempty_ids():
+            for pi in proc.space.family.member(hid).indices():
+                stat = oracle_expectation(pa.pmfs[pi], k.variable(hid))
+                if (hid, pi) not in best or stat > best[hid, pi]:
+                    best[hid, pi] = stat
+    return best

@@ -41,7 +41,33 @@ def test_malformed_space_files_exit_2(capsys, tmp_path, text):
     assert run(capsys, ["space", "--space", str(path)]) == (cli.EXIT_INPUT, "")
 
 
-def test_unknown_cap_key_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("EMEASURE_CAPS", "members=64")
+@pytest.mark.parametrize("key", ["members", "depth", "branching", "stops", "powerset"])
+def test_unknown_cap_key_exits_2(capsys, monkeypatch, key):
+    monkeypatch.setenv("EMEASURE_CAPS", f"{key}=64")
     argv = ["space", "--space", str(DATA / "space_gens_ic.yaml")]
+    assert run(capsys, argv) == (cli.EXIT_INPUT, "")
+
+
+COIN = ["--space", str(DATA / "space_coin.yaml"), "--model", str(DATA / "model_coin.yaml")]
+COIN_KERNELS = [str(DATA / f"kernel_coin_t{t}.yaml") for t in range(3)]
+
+MALFORMED_TREES = {
+    "number": "tree: 5\n",
+    "number-leaf": "tree: [[HH, HT], [TH, 7]]\n",
+    "empty-subtree": "tree: [[HH, HT], [TH, TT], []]\n",
+    "empty-root": "tree: []\n",
+    "mapping": "tree: {HH: HT}\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_TREES.values(), ids=MALFORMED_TREES.keys())
+def test_malformed_tree_files_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "tree.yaml"
+    path.write_text(text)
+    argv = ["check", "--check", "anytime", *COIN, "--tree", str(path), "--kernel", *COIN_KERNELS]
+    assert run(capsys, argv) == (cli.EXIT_INPUT, "")
+
+
+def test_unparsable_posthoc_rule_exits_2(capsys):
+    argv = ["check", "--check", "posthoc", *COIN, "--kernel", COIN_KERNELS[1], "--rule", "abc"]
     assert run(capsys, argv) == (cli.EXIT_INPUT, "")

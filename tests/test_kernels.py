@@ -35,7 +35,7 @@ from emeasure import (
     unit_measure,
 )
 from emeasure.evidence import from_values
-from emeasure.kernels import KernelError, MeasurabilityError
+from emeasure.kernels import KernelError, MeasurabilityError, _envelope
 from emeasure import golden
 
 
@@ -283,7 +283,7 @@ def test_tree_levels_and_stopping_times():
     assert tree.levels[0] == ((0, 1, 2, 3),)
     assert tree.levels[1] == ((0, 1), (2, 3))
     assert tree.levels[2] == ((0,), (1,), (2,), (3,))
-    rules = tree.stopping_times()
+    rules = helpers.oracle_stopping_times(tree)
     assert len(rules) == tree.count_stopping_times() == 1 + (1 + 1) * (1 + 1)
     assert (0, 0, 0, 0) in rules and (2, 2, 2, 2) in rules and (1, 1, 2, 2) in rules
 
@@ -294,7 +294,9 @@ def test_uneven_tree_keeps_shallow_leaves_as_atoms():
     assert tree.depth == 2
     assert tree.levels[1] == ((0,), (1, 2))
     assert tree.levels[2] == ((0,), (1,), (2,))
-    assert set(tree.stopping_times()) == {(0, 0, 0), (1, 1, 1), (1, 2, 2)}
+    rules = helpers.oracle_stopping_times(tree)
+    assert set(rules) == {(0, 0, 0), (1, 1, 1), (1, 2, 2)}
+    assert len(rules) == tree.count_stopping_times() == 3
 
 
 def test_constant_one_process_is_anytime_valid():
@@ -306,6 +308,17 @@ def test_constant_one_process_is_anytime_valid():
     proc = EProcess(tree, [one, one, one])
     report = check_anytime_validity(proc, pa)
     assert report.valid and report.rules_checked == 5
+
+
+def test_constant_two_process_stops_at_the_root_on_ties():
+    tree = depth2_binary_tree()
+    space = helpers.power_space(2)
+    pa = helpers.rand_pa(helpers.rng(57), space.model, tree.sample)
+    two = helpers.constant_two_kernel(space, tree.sample)
+    report = check_anytime_validity(EProcess(tree, [two, two, two]), pa)
+    rule, entry = report.first_violation
+    assert not report.valid and rule == (0, 0, 0, 0)
+    assert (entry.hid, entry.point, entry.stat) == (1, "P1", XValue(2))
 
 
 def coin_pa(sample, heads_probs):
@@ -371,6 +384,115 @@ def test_peeking_process_fails_measurability_before_validity():
     assert proc.measurability_violations()
     with pytest.raises(MeasurabilityError):
         check_anytime_validity(proc, pa)
+
+
+def random_processes(seed, count):
+    """Seeded (process, distributions) pairs on random, often uneven trees;
+    some outcomes carry zero mass and some evidence is infinite."""
+    r = helpers.rng(seed)
+    for _ in range(count):
+        space = helpers.rand_uc_space(r, max_points=3, max_members=6)
+        tree = helpers.rand_tree(r)
+        proc = helpers.rand_process(r, space, tree, allow_inf=r.random() < 0.4)
+        pa = helpers.rand_pa(r, space.model, tree.sample, full_support=r.random() < 0.5)
+        yield proc, pa
+
+
+def leaf_depths(shape, t=0):
+    return [t] if isinstance(shape, str) else [d for c in shape for d in leaf_depths(c, t + 1)]
+
+
+def test_envelope_equals_the_max_over_every_stopping_rule():
+    verdicts, uneven, zero_mass = set(), 0, 0
+    for proc, pa in random_processes(101, 120):
+        best = helpers.oracle_anytime(proc, pa)
+        for (hid, pi), stat in best.items():
+            assert _envelope(proc, hid, pa.pmfs[pi].mass)[0] == stat
+        report = check_anytime_validity(proc, pa)
+        assert report.valid == all(stat <= 1 for stat in best.values())
+        assert report.rules_checked == len(helpers.oracle_stopping_times(proc.tree))
+        verdicts.add(report.valid)
+        uneven += len(set(leaf_depths(proc.tree.shape))) > 1
+        zero_mass += any(0 in pmf.mass for pmf in pa.pmfs)
+    assert verdicts == {True, False} and uneven and zero_mass
+
+
+def test_witness_rule_reproduces_the_first_violating_pair():
+    witnesses = 0
+    for proc, pa in random_processes(103, 60):
+        report = check_anytime_validity(proc, pa)
+        if report.valid:
+            assert report.first_violation is None
+            continue
+        rule, entry = report.first_violation
+        best = helpers.oracle_anytime(proc, pa)
+        first = next(key for key, stat in best.items() if stat > 1)
+        pi = proc.space.model.index(entry.point)
+        assert (entry.hid, pi) == first and entry.stat == best[first] and not entry.ok
+        stopped = check_validity(helpers.stopped_kernel(proc, rule), pa)
+        assert any(
+            (e.hid, e.point, e.stat) == (entry.hid, entry.point, entry.stat)
+            for e in stopped.entries
+        )
+        witnesses += 1
+    assert witnesses
+
+
+def ternary_ratio_process(depth, scale_at=None):
+    """Likelihood ratio against a uniform three-way reference, per point,
+    on a complete ternary tree; the step at scale_at is scaled by 3/2."""
+    steps = [(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+             (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))]
+    words = [""]
+    for _ in range(depth):
+        words = [w + s for w in words for s in "HMT"]
+
+    def shape(prefix):
+        return prefix if len(prefix) == depth else [shape(prefix + s) for s in "HMT"]
+
+    tree = FiltrationTree(SampleSpace(tuple(words)), shape(""))
+    space = helpers.power_space(2)
+    model_pmfs = []
+    for step in steps:
+        masses = []
+        for w in words:
+            m = Fraction(1)
+            for s in w:
+                m *= step["HMT".index(s)]
+            masses.append(m)
+        model_pmfs.append(Pmf(tree.sample, tuple(masses)))
+    pa = ProbabilityAssignment(space.model, tuple(model_pmfs))
+    kernels = []
+    for t in range(depth + 1):
+        factor = Fraction(3, 2) if t == scale_at else Fraction(1)
+        cols = []
+        for w in words:
+            ratios = []
+            for step in steps:
+                v = factor
+                for s in w[:t]:
+                    v *= Fraction(1, 3) / step["HMT".index(s)]
+                ratios.append(v)
+            cols.append(from_values(space, ["inf", ratios[0], ratios[1], min(ratios)]))
+        kernels.append(EKernel(space, tree.sample, cols))
+    return EProcess(tree, kernels), pa
+
+
+def test_ternary_depth_five_tree_past_the_enumeration_reach():
+    """243 outcomes and about 5.9e25 stopping rules: far past any enumeration."""
+    proc, pa = ternary_ratio_process(5)
+    report = check_anytime_validity(proc, pa)
+    assert report.valid and report.first_violation is None
+    rules = 1
+    for _ in range(5):
+        rules = 1 + rules ** 3  # stop at the root, or follow a rule in each subtree
+    assert report.rules_checked == rules
+    bad_proc, pa = ternary_ratio_process(5, scale_at=2)
+    report = check_anytime_validity(bad_proc, pa)
+    assert not report.valid
+    rule, entry = report.first_violation
+    assert rule == (2,) * 243
+    assert (entry.hid, entry.point, entry.stat) == (1, "P1", XValue(Fraction(3, 2)))
 
 
 def test_close_process_keeps_measures_and_verdicts():
