@@ -22,7 +22,7 @@ from . import multiplicity as mtp
 from . import decisions as dec
 from .evidence import EClass, EvidenceError
 from .spaces import MODEL_POINT_CAP, PointSet, SpaceError
-from .xvalue import ONE, XValue
+from .xvalue import ONE, XValue, decimal_text
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -50,11 +50,14 @@ def caps_from_env(env: Optional[str]) -> Caps:
     return replace(caps, **updates)
 
 
-def _fraction_arg(raw: str) -> Fraction:
+def _level_arg(raw: str) -> Fraction:
     try:
-        return Fraction(raw)
-    except ValueError:
+        level = Fraction(raw)
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {raw!r}")
+    if level <= 0:
+        raise argparse.ArgumentTypeError(f"a level must be positive, got {raw!r}")
+    return level
 
 
 class Printer:
@@ -77,9 +80,12 @@ def _render(value) -> str:
     if isinstance(value, XValue):
         return value.record()
     if isinstance(value, Fraction):
-        return str(value) if value.denominator > 1 else str(value.numerator)
+        text = decimal_text(value.numerator)
+        return f"{text}/{decimal_text(value.denominator)}" if value.denominator > 1 else text
     if isinstance(value, bool):
         return "yes" if value else "no"
+    if isinstance(value, int):
+        return decimal_text(value)
     if value is None:
         return "-"
     return str(value)
@@ -126,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("validity", "fwe", "fer", "anytime", "posthoc", "predictive"),
         default="validity",
     )
-    p_chk.add_argument("--alpha", type=_fraction_arg, default=None)
+    p_chk.add_argument("--alpha", type=_level_arg, default=None)
     p_chk.add_argument("--rule", default=None, help="'canonical' or a fixed level")
     p_chk.add_argument("--tree", default=None, help="tree file for --check anytime")
     p_chk.add_argument("--family", default=None, help="comma-separated hypothesis labels")
@@ -137,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mtp.add_argument("--evidence", default=None)
     p_mtp.add_argument("--kernel", default=None)
     p_mtp.add_argument("--model", default=None)
-    p_mtp.add_argument("--alpha", type=_fraction_arg, default=Fraction(1, 20))
+    p_mtp.add_argument("--alpha", type=_level_arg, default=Fraction(1, 20))
     p_mtp.add_argument("--family", default=None)
     p_mtp.add_argument(
         "--procedure",
@@ -152,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--decisions", required=True)
     p_dec.add_argument("--kernel", required=True)
     p_dec.add_argument("--model", required=True)
-    p_dec.add_argument("--alpha", type=_fraction_arg, default=Fraction(1, 20))
+    p_dec.add_argument("--alpha", type=_level_arg, default=Fraction(1, 20))
     p_dec.add_argument(
         "--bound", choices=("econsequence", "grunwald", "probability"), default="econsequence"
     )
@@ -332,7 +338,7 @@ def cmd_check(args, caps: Caps) -> int:
         out.record(
             "anytime", rules=report.rules_checked, valid=report.valid,
         )
-        out.text(f"stopping rules checked: {report.rules_checked}")
+        out.text(f"stopping rules checked: {_render(report.rules_checked)}")
         out.text(f"anytime valid: {_render(report.valid)}")
         if report.first_violation is not None:
             rule, entry = report.first_violation

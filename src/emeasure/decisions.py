@@ -275,6 +275,7 @@ def check_posthoc_consequence_bound(
     reproduces the uniform bound statistic exactly."""
     induced = _require_order_measurable(k.space, table)
     canonical = rule == "canonical"
+    level_of = None if canonical else kn._resolve_rule(k, rule)
     entries = []
     holds = True
     for label, qi in _distinct_rows(table):
@@ -295,10 +296,8 @@ def check_posthoc_consequence_bound(
             for xi, x in enumerate(k.sample.outcomes):
                 if canonical:
                     level = ONE / sup_var[xi]
-                elif callable(rule):
-                    level = as_xvalue(rule(qi, x))
                 else:
-                    level = as_xvalue(rule[x])
+                    level = as_xvalue(level_of(qi, x))
                 missed = any(
                     k.value(hid, xi) >= ONE / level for hid in bound_ids
                 )

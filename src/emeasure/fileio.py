@@ -52,14 +52,14 @@ def _fraction(path, raw) -> Fraction:
         if isinstance(raw, float):
             return Fraction(str(raw))
         return Fraction(raw)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError):
         raise SchemaError(path, f"not a rational number: {raw!r}") from None
 
 
 def _xvalue(path, raw) -> XValue:
     try:
         return parse_xvalue(raw)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, ZeroDivisionError):
         raise SchemaError(path, f"not an evidence value: {raw!r}") from None
 
 

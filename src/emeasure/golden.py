@@ -114,7 +114,7 @@ def compute_reference_table(
     selection = mtp.self_consistent_selection(base, gids, alpha)
     inflated = mtp.postprocess_efunction(base, selection.selected)
     stepup = mtp.ebh(base, gids, alpha)
-    closed = mtp.closed_ebh(base, gids, alpha)
+    _, closed = mtp._binary_rejection_table(space, selection.selected, Fraction(alpha))
 
     ids = {label: row_id(space, label) for label in ROW_LABELS}
     fsp: dict[str, Optional[Fraction]] = {}
@@ -136,7 +136,7 @@ def compute_reference_table(
         inflated={lab: inflated.values[ids[lab]] for lab in ROW_LABELS},
         fsp=fsp,
         stepup={lab: stepup.table.values[ids[lab]] for lab in ROW_LABELS},
-        closed_stepup={lab: closed.table.values[ids[lab]] for lab in ROW_LABELS},
+        closed_stepup={lab: closed.values[ids[lab]] for lab in ROW_LABELS},
     )
 
 

@@ -272,6 +272,9 @@ def _resolve_rule(k: EKernel, rule: LevelRule) -> Callable[[int, str], XValue]:
     if callable(rule):
         return rule
     table = {x: as_xvalue(v) for x, v in rule.items()}
+    for x, level in table.items():
+        if level.is_zero or level.is_inf:
+            raise KernelError(f"level {level} at outcome {x!r} is outside (0, inf)")
     return lambda hid, x: table[x]
 
 

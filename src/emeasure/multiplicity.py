@@ -5,7 +5,9 @@ variant, and the general disutility-based notion that nests them all.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -15,7 +17,7 @@ from .evidence import EClass, EFunction, EvidenceError
 from .kernels import EKernel, ProbabilityAssignment, SampleSpace, check_validity
 from .xvalue import INF, ONE, XValue, as_xvalue, inf_of, sup_of
 
-SELECTION_FAMILY_CAP = 20
+SELECTION_SUBSET_CAP = 1 << 20
 
 
 class MultiplicityError(EvidenceError):
@@ -284,6 +286,7 @@ class SelectionResult:
     selected: tuple[int, ...]
     witness: dict[int, XValue]
     is_fixed_point: bool
+    subsets_tried: int
 
 
 def self_consistent_selection(
@@ -291,29 +294,74 @@ def self_consistent_selection(
 ) -> SelectionResult:
     """Largest selection that equals its own post-processed rejection set.
 
-    Searches subsets by descending cardinality, canonical order inside a
-    cardinality; the first fixed point wins, which makes ties
+    A selection S of size k rejects the candidate g when its inflated value
+    inf over p in g of e(H_p) / (c_S(p) / k) reaches 1/alpha, where c_S(p)
+    counts the members of S containing p (0/0 = 0, c/0 = inf); this is g's
+    value in ``postprocess_efunction(e, S)``. Every point of a selected g
+    has c_S(p) >= 1, so g can belong to a fixed point of size k only if
+    k * e(H_p) >= 1/alpha for every p in g; each size enumerates only the
+    candidates that pass. Sizes are searched in descending order, canonical
+    order inside a size; the first fixed point wins, which makes ties
     deterministic. If no subset is a fixed point the empty selection is
     returned and flagged.
+
+    The search tries at most 1 + sum over k >= 1 of C(n_k, k) subsets, n_k
+    being the number of candidates that pass at size k; past
+    SELECTION_SUBSET_CAP it raises CapExceeded before trying any.
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise MultiplicityError("alpha must be positive")
+    space = e.space
+    space.require_intersection_closed()
     ids = sorted(family_ids)
-    if len(ids) > SELECTION_FAMILY_CAP:
-        raise ev.CapExceeded(
-            f"{len(ids)} candidate hypotheses exceed the enumeration cap "
-            f"{SELECTION_FAMILY_CAP}"
-        )
+    big_k = len(ids)
+    points = [tuple(space.family.member(g).indices()) for g in ids]
+    least_value = [e.values[hid] for hid in space.least_ids()]
     threshold = ONE / XValue(alpha)
-    for size in range(len(ids), -1, -1):
-        for combo in itertools.combinations(ids, size):
-            inflated = postprocess_efunction(e, combo)
-            rejected = tuple(g for g in ids if inflated.values[g] >= threshold)
-            if rejected == combo:
-                witness = {g: inflated.values[g] for g in ids}
-                return SelectionResult(selected=combo, witness=witness, is_fixed_point=True)
-    return SelectionResult(selected=(), witness={}, is_fixed_point=False)
+
+    # Smallest selection size each candidate can belong to; big_k + 1 is never.
+    min_size = []
+    for pts in points:
+        need = threshold / inf_of(least_value[p] for p in pts)  # 0 for inf, inf for 0
+        min_size.append(big_k + 1 if need.is_inf else max(1, math.ceil(need.as_fraction())))
+    ranked = sorted(min_size)
+    eligible = [bisect.bisect_right(ranked, size) for size in range(big_k + 1)]
+    cost = sum(math.comb(eligible[size], size) for size in range(big_k + 1))
+    if cost > SELECTION_SUBSET_CAP:
+        raise ev.CapExceeded(
+            f"the selection search over {big_k} candidates would try {cost} "
+            f"subsets, over the cap {SELECTION_SUBSET_CAP}"
+        )
+
+    def inflated(i: int, count: list[int], shares: list[XValue]) -> XValue:
+        return inf_of(least_value[p] / shares[count[p]] for p in points[i])
+
+    tried = 0
+    for size in range(big_k, -1, -1):
+        if eligible[size] < size:
+            continue
+        pool = [i for i in range(big_k) if min_size[i] <= size]
+        # shares[c] is the selection share c / size of a point in c members
+        shares = [XValue(Fraction(c, max(size, 1))) for c in range(size + 1)]
+        for combo in itertools.combinations(pool, size):
+            tried += 1
+            count = [0] * space.model.size
+            for i in combo:
+                for p in points[i]:
+                    count[p] += 1
+            chosen = set(combo)
+            if all(
+                (inflated(i, count, shares) >= threshold) == (i in chosen)
+                for i in range(big_k)
+            ):
+                return SelectionResult(
+                    selected=tuple(ids[i] for i in combo),
+                    witness={ids[i]: inflated(i, count, shares) for i in range(big_k)},
+                    is_fixed_point=True,
+                    subsets_tried=tried,
+                )
+    return SelectionResult(selected=(), witness={}, is_fixed_point=False, subsets_tried=tried)
 
 
 # -- e-value step-up rejections --------------------------------------------

@@ -144,12 +144,29 @@ class XValue:
         """Exact text form used by structured output: 'inf', 'n' or 'p/q'."""
         if self._frac is None:
             return "inf"
-        if self._frac.denominator == 1:
-            return str(self._frac.numerator)
-        return f"{self._frac.numerator}/{self._frac.denominator}"
+        num, den = self._frac.numerator, self._frac.denominator
+        try:
+            return str(num) if den == 1 else f"{num}/{den}"
+        except ValueError:  # str() refuses ints past 4300 digits
+            return decimal_text(num) if den == 1 else f"{decimal_text(num)}/{decimal_text(den)}"
 
     def to_float(self) -> float:
         return math.inf if self._frac is None else float(self._frac)
+
+
+_DIGIT_CHUNK = 10 ** 1000
+
+
+def decimal_text(n: int) -> str:
+    """Exact decimal digits of any int; str() refuses ints past 4300 digits."""
+    if n < 0:
+        return "-" + decimal_text(-n)
+    chunks = []
+    while n >= _DIGIT_CHUNK:
+        n, low = divmod(n, _DIGIT_CHUNK)
+        chunks.append(f"{low:01000d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
 
 
 INF = XValue(_INF_MARK)

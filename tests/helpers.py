@@ -6,6 +6,7 @@ intersection, unions by subset enumeration. They were written against the
 definitions, not against the implementation.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from emeasure import (
     class_from_preorder,
     classify,
     inf_of,
+    postprocess_efunction,
     sup_of,
     union_closure,
 )
@@ -94,10 +96,17 @@ def rand_capacity(r, space, allow_inf=True):
     return e
 
 
-def rand_measure(r, space):
-    """Random density on the least hypotheses, spread by the union law."""
+def rand_measure(r, space, zero_chance=0):
+    """Random density on the least hypotheses, spread by the union law.
+
+    Each density is 0 with probability zero_chance, on top of the zeros
+    rand_xvalue draws itself.
+    """
     least = space.least_ids()
-    density = {lid: rand_xvalue(r) for lid in set(least)}
+    density = {
+        lid: ZERO if zero_chance and r.random() < zero_chance else rand_xvalue(r)
+        for lid in set(least)
+    }
     values = {
         hid: inf_of(density[least[i]] for i in m.indices())
         for hid, m in enumerate(space.family.members)
@@ -379,3 +388,21 @@ def oracle_anytime(proc, pa):
                 if (hid, pi) not in best or stat > best[hid, pi]:
                     best[hid, pi] = stat
     return best
+
+
+def oracle_self_consistent(e, family_ids, alpha):
+    """Largest self-consistent selection by trying every subset of the candidates.
+
+    Each subset, by descending size and canonical order inside a size, gets
+    a full post-processed table; the first whose rejections at 1/alpha are
+    the subset itself wins. Returns (selected, witness, is_fixed_point).
+    """
+    ids = sorted(family_ids)
+    threshold = XValue(1) / XValue(alpha)
+    for size in range(len(ids), -1, -1):
+        for combo in itertools.combinations(ids, size):
+            inflated = postprocess_efunction(e, combo)
+            rejected = tuple(g for g in ids if inflated.values[g] >= threshold)
+            if rejected == combo:
+                return combo, {g: inflated.values[g] for g in ids}, True
+    return (), {}, False

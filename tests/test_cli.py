@@ -1,11 +1,13 @@
 """The command line end to end: exit codes and records output on a fixed corpus."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import yaml
 
-from emeasure import cli
+from emeasure import XValue, cli
+from emeasure import kernels as kn
 
 DATA = Path(__file__).parent / "data"
 CASES = yaml.safe_load((DATA / "cli_cases.yaml").read_text())
@@ -71,3 +73,61 @@ def test_malformed_tree_files_exit_2(capsys, tmp_path, text):
 def test_unparsable_posthoc_rule_exits_2(capsys):
     argv = ["check", "--check", "posthoc", *COIN, "--kernel", COIN_KERNELS[1], "--rule", "abc"]
     assert run(capsys, argv) == (cli.EXIT_INPUT, "")
+
+
+@pytest.mark.parametrize("rule", ["0", "inf"])
+def test_posthoc_level_outside_0_and_inf_exits_2(capsys, rule):
+    argv = ["check", "--check", "posthoc", *COIN, "--kernel", COIN_KERNELS[1], "--rule", rule]
+    code = cli.main([*argv, "--format", "records"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INPUT, "")
+    assert "outside (0, inf)" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--check", "posthoc", *COIN, "--kernel", COIN_KERNELS[1], "--rule", "1/0"],
+        ["check", "--check", "fwe", *COIN, "--kernel", COIN_KERNELS[1], "--alpha", "1/0"],
+    ],
+    ids=["rule", "alpha"],
+)
+def test_zero_denominator_exits_2(capsys, argv):
+    try:
+        code = cli.main([*argv, "--format", "records"])
+    except SystemExit as exc:
+        code = exc.code
+    assert (code, capsys.readouterr().out) == (cli.EXIT_INPUT, "")
+
+
+DECIDE = [
+    "decide", *COIN, "--kernel", COIN_KERNELS[2],
+    "--decisions", str(DATA / "decisions_coin.yaml"), "--bound", "probability",
+]
+NONPOSITIVE_ALPHA = {
+    "decide-zero": [*DECIDE, "--alpha", "0"],
+    "decide-negative": [*DECIDE, "--alpha", "-1"],
+    "mtp-negative": ["mtp", "--golden", "table1", "--alpha", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", NONPOSITIVE_ALPHA.values(), ids=NONPOSITIVE_ALPHA.keys())
+def test_nonpositive_alpha_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--format", "records"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (cli.EXIT_INPUT, "")
+    assert "a level must be positive" in captured.err
+
+
+def test_counts_past_the_int_string_limit_render_exactly(capsys, monkeypatch):
+    # A complete ternary tree of depth 10 has more stopping rules than this.
+    count = 10 ** 4400 + 7
+    digits = "1" + "0" * 4399 + "7"
+    assert cli._render(count) == digits
+    assert cli._render(XValue(Fraction(count, 3))) == f"{digits}/3"
+    monkeypatch.setattr(kn.FiltrationTree, "count_stopping_times", lambda self: count)
+    argv = ["check", "--check", "anytime", *COIN, "--tree", str(DATA / "tree_coin.yaml"),
+            "--kernel", *COIN_KERNELS]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert f"stopping rules checked: {digits}\n" in capsys.readouterr().out

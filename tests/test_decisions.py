@@ -36,6 +36,7 @@ from emeasure import (
 )
 from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
 from emeasure.evidence import from_values
+from emeasure.kernels import KernelError
 
 
 def rand_numeric_loss(r, model, n_decisions=2, allow_inf=False):
@@ -287,6 +288,8 @@ def test_posthoc_consequence_bound_catches_invalid_kernels():
     bad = helpers.constant_two_kernel(space, sample)
     rule = {x: XValue(Fraction(1, 2)) for x in sample.outcomes}
     assert not check_posthoc_consequence_bound(bad, pa, table, rule).holds
+    with pytest.raises(KernelError, match="outside"):
+        check_posthoc_consequence_bound(bad, pa, table, {x: XValue(0) for x in sample.outcomes})
 
 
 def test_grunwald_bound_constant_losses():

@@ -202,6 +202,14 @@ def test_posthoc_adversarial_rule_flags_invalid_kernel():
     assert not report.holds
 
 
+@pytest.mark.parametrize("level", [XValue(0), INF], ids=["zero", "inf"])
+def test_posthoc_fixed_level_must_lie_strictly_between_0_and_inf(level):
+    _, space, sample, pa = small_setup(31)
+    k = helpers.constant_two_kernel(space, sample)
+    with pytest.raises(KernelError, match="outside"):
+        check_posthoc_validity(k, pa, {x: level for x in sample.outcomes})
+
+
 def test_eposterior_raw_with_unit_prior_is_plain_validity():
     r, space, sample, pa = small_setup(37)
     k = helpers.valid_capacity_kernel(r, space, pa)

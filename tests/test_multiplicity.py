@@ -11,8 +11,11 @@ from emeasure import (
     EClass,
     EKernel,
     INF,
+    Model,
+    PointSet,
     SampleSpace,
     SelectionRule,
+    Space,
     SupOverSelections,
     SupOverTrue,
     XValue,
@@ -28,9 +31,11 @@ from emeasure import (
     postprocess_efunction,
     postprocess_selection,
     self_consistent_selection,
+    union_closure,
     unit_measure,
 )
-from emeasure.evidence import from_values
+from emeasure.evidence import CapExceeded, from_values
+from emeasure.spaces import NotIntersectionClosed
 from emeasure.multiplicity import PhiFlagViolation
 from emeasure import golden
 
@@ -263,6 +268,67 @@ def test_self_consistent_fixed_point_property_on_random_instances():
                 g for g in sorted(fam) if inflated.values[g] >= XValue(1) / XValue(alpha)
             )
             assert rejected == result.selected
+
+
+def test_self_consistent_selection_matches_the_exhaustive_oracle():
+    r = helpers.rng(404)
+    alphas = [Fraction(1, 20), Fraction(1, 8), Fraction(1, 3), Fraction(1), Fraction(5, 2)]
+    seen = {"equivalent": 0, "zero": 0, "inf": 0, "subset": 0, "none": 0, "pruned": 0}
+    for trial in range(400):
+        space = helpers.rand_ic_space(r, max_points=4, max_members=12)
+        if trial % 3 == 0:
+            e = helpers.rand_measure(r, space, zero_chance=Fraction(1, 2))
+        elif trial % 3 == 1:
+            e = helpers.rand_measure(r, space)
+        else:
+            e = helpers.rand_capacity(r, space)
+        ids = list(space.family.nonempty_ids())
+        fam = r.sample(ids, r.randint(0, min(len(ids), 6)))
+        if fam and r.random() < 0.1:
+            fam.append(fam[0])
+        alpha = alphas[trial % len(alphas)]
+        result = self_consistent_selection(e, fam, alpha)
+        selected, witness, fixed = helpers.oracle_self_consistent(e, fam, alpha)
+        assert (result.selected, result.witness, result.is_fixed_point) == (
+            selected, witness, fixed,
+        ), (trial, fam, alpha)
+        least = space.least_ids()
+        least_values = [e.values[hid] for hid in least]
+        seen["equivalent"] += len(set(least)) < len(least)
+        seen["zero"] += any(v.is_zero for v in least_values)
+        seen["inf"] += any(v.is_inf for v in least_values)
+        seen["subset"] += fixed and 0 < len(selected) < len(fam)
+        seen["none"] += not fixed
+        seen["pruned"] += result.subsets_tried < 2 ** len(fam)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_no_eligible_candidate_tries_only_the_empty_selection():
+    space = helpers.power_space(4)
+    fam = list(space.family.nonempty_ids())[:12]
+    result = self_consistent_selection(unit_measure(space), fam, Fraction(1, 20))
+    assert (result.selected, result.is_fixed_point, result.subsets_tried) == ((), False, 1)
+
+
+def test_selection_cost_is_refused_before_the_search():
+    space = helpers.power_space(5)
+    e = from_values(space, [INF] * len(space.family))
+    ids = list(space.family.nonempty_ids())
+    with pytest.raises(CapExceeded, match=f"would try {2 ** 21} subsets"):
+        self_consistent_selection(e, ids[:21], Fraction(1, 20))
+    # 20 candidates fit the cap; all of them are the first subset tried.
+    result = self_consistent_selection(e, ids[:20], Fraction(1, 20))
+    assert (result.selected, result.subsets_tried) == (tuple(sorted(ids[:20])), 1)
+
+
+def test_selection_needs_an_intersection_closed_space():
+    # {a,b} and {b,c} meet in {b}, which is not a member.
+    model = Model(("a", "b", "c"))
+    tangled = Space(model, union_closure(3, [PointSet.of(model, "ab"), PointSet.of(model, "bc")]))
+    e = unit_measure(tangled)
+    for fam in ([], list(tangled.family.nonempty_ids())):
+        with pytest.raises(NotIntersectionClosed):
+            self_consistent_selection(e, fam, Fraction(1, 20))
 
 
 def test_stepup_on_the_toy_values():
