@@ -21,8 +21,8 @@ from . import kernels as kn
 from . import multiplicity as mtp
 from . import decisions as dec
 from .evidence import EClass, EvidenceError
-from .spaces import MODEL_POINT_CAP, PointSet, SpaceError
-from .xvalue import ONE, XValue, decimal_text
+from .spaces import MODEL_POINT_CAP, SpaceError
+from .xvalue import XValue, decimal_text
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -132,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("validity", "fwe", "fer", "anytime", "posthoc", "predictive"),
         default="validity",
     )
-    p_chk.add_argument("--alpha", type=_level_arg, default=None)
     p_chk.add_argument("--rule", default=None, help="'canonical' or a fixed level")
     p_chk.add_argument("--tree", default=None, help="tree file for --check anytime")
     p_chk.add_argument("--family", default=None, help="comma-separated hypothesis labels")
@@ -143,7 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mtp.add_argument("--evidence", default=None)
     p_mtp.add_argument("--kernel", default=None)
     p_mtp.add_argument("--model", default=None)
-    p_mtp.add_argument("--alpha", type=_level_arg, default=Fraction(1, 20))
+    p_mtp.add_argument(
+        "--alpha", type=_level_arg, default=Fraction(1, 20),
+        help="level of ebh, closed-ebh, self-consistent and --golden; fer and fwe do not read it",
+    )
     p_mtp.add_argument("--family", default=None)
     p_mtp.add_argument(
         "--procedure",
@@ -244,6 +246,36 @@ def _report_entries(out: Printer, kind: str, entries, space) -> None:
         )
 
 
+def _report_fwe(out: Printer, kernel, pa) -> int:
+    report = mtp.check_fwe(kernel, pa)
+    for entry in report.entries:
+        out.record("fwe", point=entry.point, stat=entry.stat, ok=entry.ok)
+        out.text(f"  {entry.point}: expected familywise evidence {entry.stat}")
+    out.text(f"familywise evidence controlled: {_render(report.controlled)}")
+    return EXIT_OK if report.controlled else EXIT_VIOLATION
+
+
+def _report_fer(out: Printer, args, sf, kernel, pa) -> int:
+    """The rule selects the --family members at every outcome; without
+    --family every singleton rule is checked (uniform mode)."""
+    rule = None
+    if args.family:
+        ids = [sf.resolve(args.space, lab) for lab in _split_labels(args.family)]
+        rule = mtp.SelectionRule.fixed(kernel.sample, ids)
+    report = mtp.check_fer(kernel, pa, rule, uniform=rule is None)
+    out.record(
+        "fer",
+        pointwise=report.pointwise_holds,
+        rate=report.fer,
+        controlled=report.fer_controlled,
+    )
+    out.text(f"pointwise bound holds: {_render(report.pointwise_holds)}")
+    out.text(f"false evidence rate: {_render(report.fer)}")
+    ok = report.pointwise_holds and report.fer_controlled
+    out.text(f"controlled: {_render(ok)}")
+    return EXIT_OK if ok else EXIT_VIOLATION
+
+
 def cmd_check(args, caps: Caps) -> int:
     out = Printer(args.format)
     sf = fileio.load_space(args.space, point_cap=caps.model)
@@ -264,30 +296,10 @@ def cmd_check(args, caps: Caps) -> int:
         return EXIT_OK if report.valid else EXIT_VIOLATION
 
     if args.check == "fwe":
-        report = mtp.check_fwe(kernel, pa)
-        for entry in report.entries:
-            out.record("fwe", point=entry.point, stat=entry.stat, ok=entry.ok)
-            out.text(f"  {entry.point}: expected familywise evidence {entry.stat}")
-        out.text(f"familywise evidence controlled: {_render(report.controlled)}")
-        return EXIT_OK if report.controlled else EXIT_VIOLATION
+        return _report_fwe(out, kernel, pa)
 
     if args.check == "fer":
-        rule = None
-        if args.family:
-            ids = [sf.resolve(args.space, lab) for lab in _split_labels(args.family)]
-            rule = mtp.SelectionRule.fixed(kernel.sample, ids)
-        report = mtp.check_fer(kernel, pa, rule, uniform=rule is None)
-        out.record(
-            "fer",
-            pointwise=report.pointwise_holds,
-            rate=report.fer,
-            controlled=report.fer_controlled,
-        )
-        out.text(f"pointwise bound holds: {_render(report.pointwise_holds)}")
-        out.text(f"false evidence rate: {_render(report.fer)}")
-        ok = report.pointwise_holds and bool(report.fer_controlled)
-        out.text(f"controlled: {_render(ok)}")
-        return EXIT_OK if ok else EXIT_VIOLATION
+        return _report_fer(out, args, sf, kernel, pa)
 
     if args.check == "posthoc":
         if args.rule == "canonical" or args.rule is None:
@@ -407,22 +419,8 @@ def cmd_mtp(args, caps: Caps) -> int:
         pa = fileio.load_pmfs(args.model, sf.space.model)
         kernel = fileio.load_kernel(args.kernel, sf, pa.sample)
         if args.procedure == "fwe":
-            report = mtp.check_fwe(kernel, pa)
-            for entry in report.entries:
-                out.record("fwe", point=entry.point, stat=entry.stat, ok=entry.ok)
-            out.text(f"familywise evidence controlled: {_render(report.controlled)}")
-            return EXIT_OK if report.controlled else EXIT_VIOLATION
-        rule = None
-        if args.family:
-            ids = [sf.resolve(args.space, lab) for lab in _split_labels(args.family)]
-            rule = mtp.SelectionRule.fixed(kernel.sample, ids)
-        report = mtp.check_fer(kernel, pa, rule, uniform=rule is None)
-        out.record("fer", pointwise=report.pointwise_holds, rate=report.fer,
-                   controlled=report.fer_controlled)
-        out.text(f"false evidence rate: {_render(report.fer)}")
-        ok = report.pointwise_holds and bool(report.fer_controlled)
-        out.text(f"controlled: {_render(ok)}")
-        return EXIT_OK if ok else EXIT_VIOLATION
+            return _report_fwe(out, kernel, pa)
+        return _report_fer(out, args, sf, kernel, pa)
     if args.evidence is None:
         raise fileio.SchemaError("<args>", "mtp needs --evidence for this procedure")
     table = fileio.load_evidence(args.evidence, sf)
@@ -554,6 +552,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handlers[args.command](args, caps)
     except (fileio.SchemaError, SpaceError, EvidenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as exc:  # exit 1 is reserved for statistical violations
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

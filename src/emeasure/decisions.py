@@ -8,10 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from . import evidence as ev
 from . import kernels as kn
 from .evidence import EClass, EFunction, EvidenceError
-from .integration import OrderMeasurableFn, shilkret_integral
+from .integration import OrderMeasurabilityViolation, OrderMeasurableFn, shilkret_integral
 from .kernels import EKernel, ProbabilityAssignment, pushforward_kernel
 from .spaces import (
     HypothesisClass,
@@ -19,7 +18,6 @@ from .spaces import (
     PointSet,
     Preorder,
     Space,
-    SpaceError,
     class_from_preorder,
     union_closure,
 )
@@ -27,10 +25,6 @@ from .xvalue import ONE, XValue, as_xvalue, sup_of
 
 
 class DecisionError(EvidenceError):
-    pass
-
-
-class OrderMeasurabilityViolation(DecisionError):
     pass
 
 
@@ -217,6 +211,15 @@ def _distinct_rows(table: ConsequenceTable) -> list[tuple[str, int]]:
     return [(table.model.points[pi], pi) for pi in seen.values()]
 
 
+def _bound_ids(space: Space, table: ConsequenceTable, qi: int) -> list[int]:
+    """Per decision, the id of the bound hypothesis at point qi's consequence:
+    the points whose consequence is at least as bad."""
+    return [
+        space.family.id_of(hypothesis_for_bound(table, d, table.entries[qi][d]).bits)
+        for d in range(len(table.decisions))
+    ]
+
+
 @dataclass(frozen=True)
 class BoundEntry:
     benchmark: str
@@ -242,12 +245,7 @@ def check_econsequence_bound(
     holds = True
     for label, qi in _distinct_rows(table):
         h_row = induced.family.member(induced.least_id(qi))
-        bound_ids = [
-            k.space.family.id_of(
-                hypothesis_for_bound(table, d, table.entries[qi][d]).bits
-            )
-            for d in range(len(table.decisions))
-        ]
+        bound_ids = _bound_ids(k.space, table, qi)
         for pi in h_row.indices():
             sup_var = [
                 sup_of(k.value(hid, xi) for hid in bound_ids)
@@ -280,12 +278,7 @@ def check_posthoc_consequence_bound(
     holds = True
     for label, qi in _distinct_rows(table):
         h_row = induced.family.member(induced.least_id(qi))
-        bound_ids = [
-            k.space.family.id_of(
-                hypothesis_for_bound(table, d, table.entries[qi][d]).bits
-            )
-            for d in range(len(table.decisions))
-        ]
+        bound_ids = _bound_ids(k.space, table, qi)
         sup_var = [
             sup_of(k.value(hid, xi) for hid in bound_ids)
             for xi in range(k.sample.size)
@@ -387,22 +380,7 @@ def check_grunwald_bound(
             [shilkret_integral(fn, k.columns[xi]) for xi in range(k.sample.size)]
         )
 
-    bound_ids = [
-        [
-            k.space.family.id_of(
-                PointSet.from_indices(
-                    model.size,
-                    [
-                        qi
-                        for qi in range(model.size)
-                        if loss.entries[qi][d] >= loss.entries[pi][d]
-                    ],
-                ).bits
-            )
-            for d in range(n_dec)
-        ]
-        for pi in range(model.size)
-    ]
+    bound_ids = [_bound_ids(k.space, table, pi) for pi in range(model.size)]
 
     entries = []
     holds = True

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .spaces import HypothesisClass, Space
-from .xvalue import INF, ONE, ZERO, XValue, as_xvalue, inf_of
+from .xvalue import INF, ONE, XValue, as_xvalue, inf_of, sup_of
 
 POWERSET_POINT_CAP = 16
 
@@ -99,6 +99,28 @@ def from_values(space: Space, values: Sequence[object]) -> EFunction:
     return classify(space, dict(enumerate(values)))
 
 
+def measure_from_density(space: Space, density: Sequence[XValue]) -> EFunction:
+    """The measure fixed by one value per model point: e(H) is the least
+    density among H's points, and INF on the empty set.
+
+    Infimums turn unions into minimums, so the result obeys the union law
+    on any union-closed family.
+    """
+    measure = from_values(
+        space, [inf_of(density[i] for i in m.indices()) for m in space.family.members]
+    )
+    if measure.eclass is not EClass.MEASURE:
+        raise EvidenceError("table built from a point density did not verify as a measure")
+    return measure
+
+
+def sup_over_true(space: Space, values: Sequence[XValue], point: int | str) -> XValue:
+    """Largest evidence among the hypotheses containing the point."""
+    if isinstance(point, str):
+        point = space.model.index(point)
+    return sup_of(v for m, v in zip(space.family.members, values) if point in m)
+
+
 def close(e: EFunction) -> EFunction:
     """Smallest dominating measure of any table.
 
@@ -109,18 +131,9 @@ def close(e: EFunction) -> EFunction:
     member behind its claim. On an intersection-closed space a capacity's
     claims sit on the least hypotheses, which the closure leaves untouched.
     """
-    space = e.space
-    claim: list[XValue] = [ZERO] * space.model.size
-    for member, value in zip(space.family.members, e.values):
-        for i in member.indices():
-            if value > claim[i]:
-                claim[i] = value
-    closed = from_values(
-        space, [inf_of(claim[i] for i in m.indices()) for m in space.family.members]
+    return measure_from_density(
+        e.space, [sup_over_true(e.space, e.values, i) for i in range(e.space.model.size)]
     )
-    if closed.eclass is not EClass.MEASURE:
-        raise EvidenceError("closure did not verify as a measure")
-    return closed
 
 
 def merge_convex(functions: Sequence[EFunction], weights: Sequence[Fraction | int]) -> EFunction:
@@ -169,12 +182,7 @@ def extend_to_powerset(e: EFunction, point_cap: int = POWERSET_POINT_CAP) -> EFu
         raise CapExceeded(f"model size {size} exceeds power-set cap {point_cap}")
     least = space.least_ids()
     full = Space(space.model, HypothesisClass.from_bits(size, range(1 << size), check=False))
-    out = []
-    for member in full.family.members:
-        out.append(inf_of(e.values[least[i]] for i in member.indices()))
-    extension = from_values(full, out)
-    if extension.eclass is not EClass.MEASURE:
-        raise EvidenceError("power-set extension did not verify as a measure")
+    extension = measure_from_density(full, [e.values[least[i]] for i in range(size)])
     for hid, member in enumerate(space.family.members):
         if extension.value_of(member) != e.values[hid]:
             raise EvidenceError("power-set extension disagrees with the measure")
@@ -185,17 +193,11 @@ def dirac_measure(space: Space, point: int | str) -> EFunction:
     """Unit evidence on hypotheses containing the point, infinite elsewhere."""
     if isinstance(point, str):
         point = space.model.index(point)
-    out = [ONE if point in m else INF for m in space.family.members]
-    f = from_values(space, out)
-    if f.eclass is not EClass.MEASURE:
-        raise EvidenceError("Dirac table did not verify as a measure")
-    return f
+    return measure_from_density(
+        space, [ONE if i == point else INF for i in range(space.model.size)]
+    )
 
 
 def unit_measure(space: Space) -> EFunction:
     """Constant evidence 1 on every nonempty hypothesis."""
-    out = [INF if m.is_empty else ONE for m in space.family.members]
-    f = from_values(space, out)
-    if f.eclass is not EClass.MEASURE:
-        raise EvidenceError("unit table did not verify as a measure")
-    return f
+    return measure_from_density(space, [ONE] * space.model.size)

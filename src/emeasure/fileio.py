@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional
 
 import yaml
 
 from .decisions import ConsequenceSpace, ConsequenceTable, NumericLoss
-from .integration import OrderMeasurableFn
 from .kernels import EKernel, Pmf, ProbabilityAssignment, SampleSpace
 from .spaces import (
     MODEL_POINT_CAP,
@@ -225,22 +224,6 @@ def load_kernel(
                 raise SchemaError(path, f"hypothesis id {hid} misses outcome {x!r}")
     try:
         return EKernel.from_table(sf.space, sample, rows)
-    except Exception as exc:
-        raise SchemaError(path, str(exc)) from None
-
-
-def load_function(path: Path | str, space: Space) -> OrderMeasurableFn:
-    data = _load_yaml(path)
-    table = data.get("function")
-    if not isinstance(table, dict):
-        raise SchemaError(path, "'function' must map point labels to values")
-    values = []
-    for p in space.model.points:
-        if p not in table:
-            raise SchemaError(path, f"no value for point {p!r}")
-        values.append(_xvalue(path, table[p]))
-    try:
-        return OrderMeasurableFn(space, tuple(values))
     except Exception as exc:
         raise SchemaError(path, str(exc)) from None
 

@@ -16,7 +16,7 @@ from . import evidence as ev
 from . import multiplicity as mtp
 from .evidence import EFunction
 from .spaces import Model, PointSet, Space, union_closure
-from .xvalue import INF, XValue, inf_of
+from .xvalue import INF, XValue
 
 CELLS = ("c1", "c2", "c3", "c12", "c13", "c23", "c123", "cOut")
 
@@ -76,14 +76,7 @@ def base_efunction(
     """The bundled cell evidence closed over the whole family."""
     space = space or toy_space()
     cell_evidence = cell_evidence or CELL_EVIDENCE
-    density = {
-        space.least_id(c): cell_evidence[c] for c in CELLS
-    }
-    values = [
-        inf_of(density[space.least_id(i)] for i in member.indices())
-        for member in space.family.members
-    ]
-    return ev.from_values(space, values)
+    return ev.measure_from_density(space, [cell_evidence[c] for c in space.model.points])
 
 
 @dataclass(frozen=True)
@@ -117,17 +110,11 @@ def compute_reference_table(
     _, closed = mtp._binary_rejection_table(space, selection.selected, Fraction(alpha))
 
     ids = {label: row_id(space, label) for label in ROW_LABELS}
-    fsp: dict[str, Optional[Fraction]] = {}
-    denom = max(len(selection.selected), 1)
-    for label in ROW_LABELS:
-        if label.startswith("G"):
-            fsp[label] = None
-            continue
-        cell_point = space.model.index(_ROW_CELLS[label][0])
-        count = sum(
-            1 for g in selection.selected if cell_point in space.family.member(g)
-        )
-        fsp[label] = Fraction(count, denom)
+    shares = mtp.selection_shares(space, selection.selected)
+    fsp: dict[str, Optional[Fraction]] = {
+        label: None if label.startswith("G") else shares[space.model.index(_ROW_CELLS[label][0])]
+        for label in ROW_LABELS
+    }
 
     return ReferenceTable(
         alpha=alpha,

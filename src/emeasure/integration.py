@@ -9,7 +9,7 @@ computed exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .evidence import EClass, EFunction, EvidenceError
 from .spaces import Space
@@ -17,9 +17,12 @@ from .xvalue import INF, XValue, as_xvalue, sup_of
 
 
 class OrderMeasurabilityViolation(EvidenceError):
-    def __init__(self, level: XValue):
+    """A set the computation needs is not a hypothesis of the space; for a
+    function's super-level set, ``level`` names the threshold."""
+
+    def __init__(self, message: str, level: Optional[XValue] = None):
         self.level = level
-        super().__init__(f"super-level set at {level} is not a hypothesis")
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,9 @@ class OrderMeasurableFn:
             raise EvidenceError("one value per model point is required")
         for level in self.positive_levels():
             if self.superlevel_bits(level) not in self.space.family:
-                raise OrderMeasurabilityViolation(level)
+                raise OrderMeasurabilityViolation(
+                    f"super-level set at {level} is not a hypothesis", level
+                )
 
     @classmethod
     def of(cls, space: Space, values: Sequence[object]) -> "OrderMeasurableFn":

@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
-from .spaces import HypothesisClass, Model, Space, SpaceError
-from .xvalue import INF, ONE, XValue, as_xvalue, inf_of, sup_of
+from .spaces import Model, Space, SpaceError, preimages
+from .xvalue import ONE, XValue, as_xvalue, sup_of
 
 
 class KernelError(EvidenceError):
@@ -161,22 +161,19 @@ def constant_kernel(space: Space, sample: SampleSpace, fn: EFunction) -> EKernel
 def likelihood_kernel(space: Space, pa: ProbabilityAssignment, reference: Pmf) -> EKernel:
     """Inverse-likelihood kernel relative to a reference distribution.
 
-    Evidence against a point's least hypothesis at outcome x is
-    reference(x) / P(x); the rest of the family is filled in by closure.
-    Valid whenever the reference is a probability mass function.
+    Each point p carries reference(x) / P_p(x) at outcome x, and a
+    hypothesis gets the least ratio among its points. Valid whenever the
+    reference is a probability mass function: under P_p the expectation of
+    e(H) for H containing p is at most that of p's own ratio, which sums
+    the reference over the outcomes P_p charges.
     """
     space.require_intersection_closed()
-    least = space.least_ids()
     cols = []
     for xi in range(reference.sample.size):
-        density = {}
-        for pi in range(space.model.size):
-            density[least[pi]] = XValue(reference.mass[xi]) / XValue(pa.pmfs[pi].mass[xi])
-        values = [
-            inf_of(density[least[i]] for i in member.indices())
-            for member in space.family.members
-        ]
-        cols.append(ev.from_values(space, values))
+        ref = XValue(reference.mass[xi])
+        cols.append(
+            ev.measure_from_density(space, [ref / XValue(pmf.mass[xi]) for pmf in pa.pmfs])
+        )
     return EKernel(space, reference.sample, cols)
 
 
@@ -604,12 +601,7 @@ def check_predictive_validity(k: EKernel, pmfs: Iterable[Pmf]) -> PredictiveRepo
     least_var = []
     for xi, x in enumerate(k.sample.outcomes):
         col = k.columns[xi]
-        true_ids = [
-            hid
-            for hid in k.space.family.nonempty_ids()
-            if xi in k.space.family.member(hid)
-        ]
-        sup_val = sup_of(col.values[hid] for hid in true_ids)
+        sup_val = ev.sup_over_true(k.space, col.values, xi)
         least_val = col.values[least[xi]]
         ok = sup_val == least_val
         identity_ok = identity_ok and ok
@@ -649,33 +641,24 @@ def pushforward_kernel(
     their image.
     """
     source = k.space
-    target_idx = {lab: i for i, lab in enumerate(target.model.points)}
-    preimages = []
-    for member in target.family.members:
-        bits = 0
-        for pi, p in enumerate(source.model.points):
-            img = mapping[p]
-            if img not in target_idx:
-                raise SpaceError(f"{img!r} is not a point of the target model")
-            if member.bits >> target_idx[img] & 1:
-                bits |= 1 << pi
+    bitsets = preimages(source.model, mapping, target)
+    for member, bits in zip(target.family.members, bitsets):
         if bits not in source.family:
             raise MeasurabilityError(
                 f"preimage of {member.labels(target.model)} is not a source hypothesis"
             )
-        preimages.append(source.family.id_of(bits))
+    preimage_ids = [source.family.id_of(bits) for bits in bitsets]
     cols = []
     for col in k.columns:
-        cols.append(ev.from_values(target, [col.values[pid] for pid in preimages]))
+        cols.append(ev.from_values(target, [col.values[pid] for pid in preimage_ids]))
     pushed = EKernel(target, k.sample, cols)
     report = None
     if pa is not None:
         entries = []
         ok_all = True
         for gid in target.family.nonempty_ids():
-            member = target.family.member(gid)
             for pi, p in enumerate(source.model.points):
-                if target_idx[mapping[p]] not in member:
+                if not bitsets[gid] >> pi & 1:
                     continue
                 stat = pushed.expectation(gid, pa.pmfs[pi])
                 ok = stat <= ONE

@@ -47,14 +47,7 @@ class SelectionRule:
 
 def familywise_evidence(k: EKernel, point: int | str, x: int | str) -> XValue:
     """Largest evidence among hypotheses containing the point, at outcome x."""
-    if isinstance(point, str):
-        point = k.space.model.index(point)
-    col = k.column(x)
-    return sup_of(
-        col.values[hid]
-        for hid in k.space.family.nonempty_ids()
-        if point in k.space.family.member(hid)
-    )
+    return ev.sup_over_true(k.space, k.column(x).values, point)
 
 
 @dataclass(frozen=True)
@@ -130,8 +123,8 @@ class FerPointwise:
 class FerReport:
     pointwise: tuple[FerPointwise, ...]
     pointwise_holds: bool
-    fer: Optional[XValue]
-    fer_controlled: Optional[bool]
+    fer: XValue
+    fer_controlled: bool
     premise: Optional[XValue]
     premise_holds: Optional[bool]
     uniform_matches_validity: Optional[bool]
@@ -171,8 +164,12 @@ def check_fer(
 
     pointwise = []
     pointwise_holds = True
+    fer_stats = []
+    premise_stats = []
     for r in rules:
         for pi in range(model.size):
+            fep_var = []
+            bound_var = []
             for xi, x in enumerate(k.sample.outcomes):
                 pair = fep_fsp(k, pi, r, xi)
                 least_val = k.value(least[pi], xi)
@@ -189,45 +186,24 @@ def check_fer(
                         ok=ok,
                     )
                 )
+                fep_var.append(pair.fep)
+                bound_var.append(bound)
+            fer_stats.append(pa.pmfs[pi].expectation(fep_var))
+            if not uniform:
+                premise_stats.append(pa.pmfs[pi].expectation(bound_var))
 
-    fer = premise = None
-    fer_controlled = premise_holds = None
-    uniform_matches = None
-    if not uniform:
-        r = rules[0]
-        fer = sup_of(
-            pa.pmfs[pi].expectation(
-                [fep_fsp(k, pi, r, xi).fep for xi in range(k.sample.size)]
-            )
-            for pi in range(model.size)
-        )
-        premise = sup_of(
-            pa.pmfs[pi].expectation(
-                [
-                    XValue(fep_fsp(k, pi, r, xi).fsp) * k.value(least[pi], xi)
-                    for xi in range(k.sample.size)
-                ]
-            )
-            for pi in range(model.size)
-        )
-        fer_controlled = fer <= ONE
-        premise_holds = premise <= ONE
+    fer = sup_of(fer_stats)
+    premise = premise_holds = uniform_matches = None
+    if uniform:
+        uniform_matches = (fer <= ONE) == check_validity(k, pa).valid
     else:
-        worst = sup_of(
-            pa.pmfs[pi].expectation(
-                [fep_fsp(k, pi, r, xi).fep for xi in range(k.sample.size)]
-            )
-            for r in rules
-            for pi in range(model.size)
-        )
-        fer = worst
-        fer_controlled = worst <= ONE
-        uniform_matches = fer_controlled == check_validity(k, pa).valid
+        premise = sup_of(premise_stats)
+        premise_holds = premise <= ONE
     return FerReport(
         pointwise=tuple(pointwise),
         pointwise_holds=pointwise_holds,
         fer=fer,
-        fer_controlled=fer_controlled,
+        fer_controlled=fer <= ONE,
         premise=premise,
         premise_holds=premise_holds,
         uniform_matches_validity=uniform_matches,
@@ -237,19 +213,14 @@ def check_fer(
 # -- selection post-processing -------------------------------------------
 
 
-def _inflated_column(col: EFunction, fsp_of_point: Sequence[Fraction]) -> EFunction:
-    """Divide the least-hypothesis density by the selection share, re-close."""
-    space = col.space
-    least = space.least_ids()
-    density = {
-        least[pi]: col.values[least[pi]] / XValue(fsp_of_point[pi])
+def selection_shares(space, selected: Sequence[int]) -> list[Fraction]:
+    """Per point, the share of the selected hypotheses that contain it."""
+    denom = max(len(selected), 1)
+    members = space.family
+    return [
+        Fraction(sum(1 for hid in selected if pi in members.member(hid)), denom)
         for pi in range(space.model.size)
-    }
-    values = [
-        inf_of(density[least[i]] for i in member.indices())
-        for member in space.family.members
     ]
-    return ev.from_values(space, values)
 
 
 def postprocess_selection(k: EKernel, rule: SelectionRule) -> EKernel:
@@ -258,27 +229,22 @@ def postprocess_selection(k: EKernel, rule: SelectionRule) -> EKernel:
     """
     if k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("post-processing needs a capacity kernel")
-    k.space.require_intersection_closed()
-    cols = []
-    for xi in range(k.sample.size):
-        fsp = [
-            fep_fsp(k, pi, rule, xi).fsp for pi in range(k.space.model.size)
-        ]
-        cols.append(_inflated_column(k.columns[xi], fsp))
+    cols = [postprocess_efunction(col, rule.at(xi)) for xi, col in enumerate(k.columns)]
     return EKernel(k.space, k.sample, cols)
 
 
 def postprocess_efunction(e: EFunction, selected: Sequence[int]) -> EFunction:
-    """Single-table version of the selection inflation (data already fixed)."""
+    """Single-table version of the selection inflation (data already fixed):
+    each point's least-hypothesis evidence divided by its selection share,
+    spread by the union law."""
     space = e.space
     space.require_intersection_closed()
-    denom = max(len(selected), 1)
-    members = space.family
-    fsp = []
-    for pi in range(space.model.size):
-        count = sum(1 for hid in selected if pi in members.member(hid))
-        fsp.append(Fraction(count, denom))
-    return _inflated_column(e, fsp)
+    least = space.least_ids()
+    shares = selection_shares(space, selected)
+    return ev.measure_from_density(
+        space,
+        [e.values[least[pi]] / XValue(share) for pi, share in enumerate(shares)],
+    )
 
 
 @dataclass(frozen=True)
@@ -381,25 +347,19 @@ def _binary_rejection_table(e_space, rejected_g: Sequence[int], alpha: Fraction)
     rejected family member; the rest of the family follows by closure.
     """
     space = e_space
+    space.require_intersection_closed()
     level = ONE / XValue(alpha)
     members = space.family
-    least_ids = sorted({space.least_id(pi) for pi in range(space.model.size)})
+    least = space.least_ids()
     rejected_cells = tuple(
         cell
-        for cell in least_ids
+        for cell in sorted(set(least))
         if any(
             members.member(cell).issubset(members.member(g)) for g in rejected_g
         )
     )
-    cell_value = {
-        cell: (level if cell in rejected_cells else XValue(0)) for cell in least_ids
-    }
-    least = space.least_ids()
-    values = [
-        inf_of(cell_value[least[i]] for i in member.indices())
-        for member in members.members
-    ]
-    return rejected_cells, ev.from_values(space, values)
+    density = [level if cell in rejected_cells else XValue(0) for cell in least]
+    return rejected_cells, ev.measure_from_density(space, density)
 
 
 def ebh(e: EFunction, family_ids: Sequence[int], alpha: Fraction) -> StepUpResult:
@@ -464,7 +424,6 @@ class PhiSpec:
 
     def verify_flags(self, space, samples: Sequence[Sequence[XValue]]) -> None:
         scalars = [XValue(0), XValue(Fraction(1, 3)), XValue(2)]
-        n = len(space.family)
         for table in samples:
             table = tuple(as_xvalue(v) for v in table)
             for point in range(space.model.size):
@@ -496,11 +455,7 @@ class SupOverTrue(PhiSpec):
     name = "sup-over-true"
 
     def value(self, space, point, table):
-        return sup_of(
-            table[hid]
-            for hid in space.family.nonempty_ids()
-            if point in space.family.member(hid)
-        )
+        return ev.sup_over_true(space, table, point)
 
 
 class AvgOverSelection(PhiSpec):

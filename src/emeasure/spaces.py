@@ -8,7 +8,7 @@ references stay O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 MODEL_POINT_CAP = 24
@@ -409,15 +409,6 @@ class Space:
         cover = sorted({self.least_id(i) for i in member.indices()})
         return tuple(cover)
 
-    def smallest_member_containing(self, bits: int) -> int:
-        """Id of the smallest member that contains the given point set."""
-        self.require_intersection_closed()
-        acc = 0
-        for i in range(self.model.size):
-            if bits >> i & 1:
-                acc |= self.family.member(self.least_id(i)).bits
-        return self.family.id_of(acc)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Space)
@@ -468,22 +459,32 @@ def preorder_from_class(space: Space) -> Preorder:
     return Preorder(tuple(rows))
 
 
+def preimages(
+    source_model: Model,
+    mapping: Mapping[str, str] | Callable[[str], str],
+    target: Space,
+) -> tuple[int, ...]:
+    """Bitset of the source points mapped into each target member, in target id order."""
+    get = mapping.__getitem__ if isinstance(mapping, Mapping) else mapping
+    target_idx = {lab: i for i, lab in enumerate(target.model.points)}
+    images = []
+    for p in source_model.points:
+        img = get(p)
+        if img not in target_idx:
+            raise SpaceError(f"{img!r} is not a point of the target model")
+        images.append(target_idx[img])
+    return tuple(
+        sum(1 << i for i, t in enumerate(images) if t in member)
+        for member in target.family.members
+    )
+
+
 def preimage_class(
     source_model: Model,
     mapping: Mapping[str, str] | Callable[[str], str],
     target: Space,
 ) -> HypothesisClass:
     """Family of preimages of the target members; union-closed for free."""
-    get = mapping.__getitem__ if isinstance(mapping, Mapping) else mapping
-    images = [get(p) for p in source_model.points]
-    target_idx = {lab: i for i, lab in enumerate(target.model.points)}
-    bitsets = []
-    for member in target.family.members:
-        bits = 0
-        for i, img in enumerate(images):
-            if img not in target_idx:
-                raise SpaceError(f"{img!r} is not a point of the target model")
-            if member.bits >> target_idx[img] & 1:
-                bits |= 1 << i
-        bitsets.append(bits)
-    return HypothesisClass.from_bits(source_model.size, bitsets, check=False)
+    return HypothesisClass.from_bits(
+        source_model.size, preimages(source_model, mapping, target), check=False
+    )

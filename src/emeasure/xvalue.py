@@ -202,13 +202,6 @@ def sup_of(values: Iterable[Rationalish]) -> XValue:
     return best
 
 
-def sum_of(values: Iterable[Rationalish]) -> XValue:
-    total = ZERO
-    for v in values:
-        total = total + _coerce(v)
-    return total
-
-
 def parse_xvalue(raw: object) -> XValue:
     """Lenient parser for file input: ints, 'p/q' strings, 'inf', floats.
 

@@ -88,7 +88,7 @@ def test_posthoc_level_outside_0_and_inf_exits_2(capsys, rule):
     "argv",
     [
         ["check", "--check", "posthoc", *COIN, "--kernel", COIN_KERNELS[1], "--rule", "1/0"],
-        ["check", "--check", "fwe", *COIN, "--kernel", COIN_KERNELS[1], "--alpha", "1/0"],
+        ["mtp", "--golden", "table1", "--alpha", "1/0"],
     ],
     ids=["rule", "alpha"],
 )
@@ -131,3 +131,22 @@ def test_counts_past_the_int_string_limit_render_exactly(capsys, monkeypatch):
             "--kernel", *COIN_KERNELS]
     assert cli.main(argv) == cli.EXIT_OK
     assert f"stopping rules checked: {digits}\n" in capsys.readouterr().out
+
+
+def test_unexpected_errors_exit_2_with_one_line(capsys, monkeypatch):
+    def broken(args, caps):
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setattr(cli, "cmd_space", broken)
+    code = cli.main(["space", "--space", str(DATA / "space_gens_ic.yaml")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INPUT, "")
+    assert captured.err == "error: unexpected RuntimeError: handler failed\n"
+
+
+def test_check_has_no_alpha_option(capsys):
+    argv = ["check", "--check", "fwe", *COIN, "--kernel", COIN_KERNELS[1], "--alpha", "1/2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "unrecognized arguments: --alpha" in capsys.readouterr().err

@@ -85,6 +85,31 @@ def test_likelihood_kernel_is_valid_with_equality_on_singletons():
         assert k.expectation(hid, pa.pmfs[pi]) == XValue(1)
 
 
+def test_likelihood_kernel_is_valid_when_points_share_a_least_hypothesis():
+    # a and b share the least hypothesis {a, b}; each keeps its own ratio.
+    model = Model(("a", "b", "c"))
+    space = space_from_generators(model, [["a", "b"], ["c"]])
+    sample = SampleSpace(("x1", "x2"))
+
+    def pmf(*masses):
+        return Pmf(sample, tuple(Fraction(m) for m in masses))
+
+    pa = ProbabilityAssignment(model, (pmf("1/2", "1/2"), pmf("9/10", "1/10"), pmf("1/4", "3/4")))
+    report = check_validity(likelihood_kernel(space, pa, pmf("1/2", "1/2")), pa)
+    ab = space.family.id_of(0b011)
+    stats = {(e.hid, e.point): e.stat for e in report.entries}
+    assert stats[ab, "a"] == XValue(Fraction(7, 9))
+    assert stats[ab, "b"] == XValue(Fraction(3, 5))
+    assert report.valid
+    for seed in range(100):
+        r = helpers.rng(seed)
+        space = helpers.rand_ic_space(r, max_points=4)
+        sample = helpers.rand_sample(r)
+        pa = helpers.rand_pa(r, space.model, sample, full_support=seed % 2 == 0)
+        reference = helpers.rand_pmf(r, sample, full_support=seed % 3 == 0)
+        assert check_validity(likelihood_kernel(space, pa, reference), pa).valid
+
+
 def test_constant_two_kernel_is_invalid_with_witness():
     _, space, sample, pa = small_setup(11)
     k = helpers.constant_two_kernel(space, sample)

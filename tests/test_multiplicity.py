@@ -169,6 +169,50 @@ def test_fer_pointwise_bound_and_rate():
         assert report.premise_holds and report.fer_controlled
 
 
+def test_fer_rate_and_premise_match_their_definitions():
+    """rate = max over p of E_p[sum of e(g|x) over selected g containing p / |S(x)|],
+    premise = max over p of E_p[share of S(x) containing p * e(H_p|x)]; uniform
+    mode takes the rate over every singleton rule."""
+    r = helpers.rng(131)
+    for case in range(40):
+        space = helpers.rand_ic_space(r, max_points=3)
+        sample = helpers.rand_sample(r)
+        pa = helpers.rand_pa(r, space.model, sample, full_support=case % 2 == 0)
+        if case % 4 == 3:
+            k = helpers.scaled_kernel(helpers.valid_capacity_kernel(r, space, pa), XValue(3))
+        else:
+            k = helpers.valid_capacity_kernel(r, space, pa)
+        ids = list(space.family.nonempty_ids())
+        rule = SelectionRule(
+            sample, tuple(tuple(r.sample(ids, r.randint(0, len(ids)))) for _ in range(sample.size))
+        )
+
+        def rate(selected_at):
+            return max(
+                helpers.oracle_expectation(pa.pmfs[p], [
+                    sum((k.value(g, x) for g in selected_at(x) if p in space.family.member(g)),
+                        XValue(0)) / XValue(max(len(selected_at(x)), 1))
+                    for x in range(sample.size)
+                ])
+                for p in range(space.model.size)
+            )
+
+        premise = max(
+            helpers.oracle_expectation(pa.pmfs[p], [
+                XValue(Fraction(sum(p in space.family.member(g) for g in rule.at(x)),
+                                max(len(rule.at(x)), 1)))
+                * k.value(space.least_id(p), x)
+                for x in range(sample.size)
+            ])
+            for p in range(space.model.size)
+        )
+        report = check_fer(k, pa, rule)
+        assert (report.fer, report.premise) == (rate(rule.at), premise)
+        uniform = check_fer(k, pa, uniform=True)
+        assert uniform.fer == max(rate(lambda x, h=h: (h,)) for h in ids)
+        assert uniform.premise is None
+
+
 def test_fer_singleton_rules_and_uniform_equivalence():
     r = helpers.rng(127)
     space = helpers.rand_ic_space(r, max_points=3)
