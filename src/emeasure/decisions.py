@@ -21,7 +21,7 @@ from .spaces import (
     class_from_preorder,
     union_closure,
 )
-from .xvalue import ONE, XValue, as_xvalue, sup_of
+from .xvalue import ONE, ZERO, XValue, as_xvalue, sup_of
 
 
 class DecisionError(EvidenceError):
@@ -283,18 +283,16 @@ def check_posthoc_consequence_bound(
             sup_of(k.value(hid, xi) for hid in bound_ids)
             for xi in range(k.sample.size)
         ]
+        contribution = []
+        for xi, x in enumerate(k.sample.outcomes):
+            if canonical:
+                level = ONE / sup_var[xi]
+            else:
+                level = as_xvalue(level_of(qi, x))
+            missed = any(k.value(hid, xi) >= ONE / level for hid in bound_ids)
+            contribution.append((ONE if missed else ZERO) / level)
         for pi in h_row.indices():
-            pmf = pa.pmfs[pi]
-            stat = XValue(0)
-            for xi, x in enumerate(k.sample.outcomes):
-                if canonical:
-                    level = ONE / sup_var[xi]
-                else:
-                    level = as_xvalue(level_of(qi, x))
-                missed = any(
-                    k.value(hid, xi) >= ONE / level for hid in bound_ids
-                )
-                stat = stat + XValue(pmf.mass[xi]) * ((ONE if missed else XValue(0)) / level)
+            stat = pa.pmfs[pi].expectation(contribution)
             ok = stat <= ONE
             holds = holds and ok
             entries.append(

@@ -33,10 +33,15 @@ class SchemaError(Exception):
         super().__init__(f"{path}: {message}")
 
 
+# libyaml's parser where PyYAML was built with it; both build the same
+# Python objects through the same safe constructor.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_yaml(path: Path | str) -> dict:
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
     except yaml.YAMLError as exc:

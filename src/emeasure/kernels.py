@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
 from .spaces import Model, Space, SpaceError, preimages
-from .xvalue import ONE, XValue, as_xvalue, sup_of
+from .xvalue import ONE, ZERO, XValue, as_xvalue, expectation, sup_of
 
 
 class KernelError(EvidenceError):
@@ -75,10 +75,7 @@ class Pmf:
 
     def expectation(self, values: Sequence[XValue]) -> XValue:
         """Exact expectation; infinite values against zero mass contribute 0."""
-        total = XValue(0)
-        for m, v in zip(self.mass, values):
-            total = total + XValue(m) * v
-        return total
+        return expectation(self.mass, values)
 
 
 @dataclass(frozen=True)
@@ -162,12 +159,12 @@ def likelihood_kernel(space: Space, pa: ProbabilityAssignment, reference: Pmf) -
     """Inverse-likelihood kernel relative to a reference distribution.
 
     Each point p carries reference(x) / P_p(x) at outcome x, and a
-    hypothesis gets the least ratio among its points. Valid whenever the
-    reference is a probability mass function: under P_p the expectation of
-    e(H) for H containing p is at most that of p's own ratio, which sums
-    the reference over the outcomes P_p charges.
+    hypothesis gets the least ratio among its points. Valid on every
+    union-closed space whenever the reference is a probability mass
+    function: under P_p the expectation of e(H) for H containing p is at
+    most that of p's own ratio, which sums the reference over the outcomes
+    P_p charges.
     """
-    space.require_intersection_closed()
     cols = []
     for xi in range(reference.sample.size):
         ref = XValue(reference.mass[xi])
@@ -297,15 +294,14 @@ def check_posthoc_validity(
     holds = True
     matches = True
     for hid in k.space.family.nonempty_ids():
-        member = k.space.family.member(hid)
-        for pi in member.indices():
+        contribution = []
+        for xi, x in enumerate(k.sample.outcomes):
+            level = as_xvalue(level_of(hid, x))
+            missed = k.value(hid, xi) >= ONE / level
+            contribution.append((ONE if missed else ZERO) / level)
+        for pi in k.space.family.member(hid).indices():
             pmf = pa.pmfs[pi]
-            stat = XValue(0)
-            for xi, x in enumerate(k.sample.outcomes):
-                level = as_xvalue(level_of(hid, x))
-                missed = k.value(hid, xi) >= ONE / level
-                contribution = (ONE if missed else XValue(0)) / level
-                stat = stat + XValue(pmf.mass[xi]) * contribution
+            stat = pmf.expectation(contribution)
             ok = stat <= ONE
             holds = holds and ok
             if canonical and stat != k.expectation(hid, pmf):

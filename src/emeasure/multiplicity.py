@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
-from .kernels import EKernel, ProbabilityAssignment, SampleSpace, check_validity
+from .kernels import EKernel, ProbabilityAssignment, SampleSpace
 from .xvalue import INF, ONE, XValue, as_xvalue, inf_of, sup_of
 
 SELECTION_SUBSET_CAP = 1 << 20
@@ -61,32 +61,20 @@ class FweEntry:
 class FweReport:
     entries: tuple[FweEntry, ...]
     controlled: bool
-    agrees_with_least: Optional[bool]
 
 
 def check_fwe(k: EKernel, pa: ProbabilityAssignment) -> FweReport:
-    """Expected familywise evidence per point, via the exhaustive supremum.
-
-    On intersection-closed spaces the supremum is re-derived from the least
-    hypotheses and the agreement is reported, so both routes stay honest.
-    """
+    """Expected familywise evidence per point, via the exhaustive supremum."""
     model = k.space.model
     entries = []
     controlled = True
-    agrees: Optional[bool] = None
-    if k.space.intersection_closed and k.eclass >= EClass.CAPACITY:
-        agrees = True
     for pi in range(model.size):
         sup_var = [familywise_evidence(k, pi, xi) for xi in range(k.sample.size)]
         stat = pa.pmfs[pi].expectation(sup_var)
         ok = stat <= ONE
         controlled = controlled and ok
-        if agrees is not None:
-            least = k.space.least_id(pi)
-            if any(sup_var[xi] != k.value(least, xi) for xi in range(k.sample.size)):
-                agrees = False
         entries.append(FweEntry(point=model.points[pi], stat=stat, ok=ok))
-    return FweReport(entries=tuple(entries), controlled=controlled, agrees_with_least=agrees)
+    return FweReport(entries=tuple(entries), controlled=controlled)
 
 
 @dataclass(frozen=True)
@@ -127,7 +115,6 @@ class FerReport:
     fer_controlled: bool
     premise: Optional[XValue]
     premise_holds: Optional[bool]
-    uniform_matches_validity: Optional[bool]
 
 
 def check_fer(
@@ -141,9 +128,9 @@ def check_fer(
 
     Always verifies the pointwise chain FEP <= FSP * e(H_P|x) <= e(H_P|x)
     for the supplied rule (or all singleton rules in uniform mode). With a
-    fixed rule the rate and the weaker premise expectation are reported;
-    in uniform mode the singleton rules decide equivalence with plain
-    validity.
+    fixed rule the rate and the weaker premise expectation are reported.
+    In uniform mode the rate is the largest validity statistic, so
+    `fer <= 1` holds exactly when the kernel is valid.
     """
     if k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("the false-evidence bound needs a capacity kernel")
@@ -193,10 +180,8 @@ def check_fer(
                 premise_stats.append(pa.pmfs[pi].expectation(bound_var))
 
     fer = sup_of(fer_stats)
-    premise = premise_holds = uniform_matches = None
-    if uniform:
-        uniform_matches = (fer <= ONE) == check_validity(k, pa).valid
-    else:
+    premise = premise_holds = None
+    if not uniform:
         premise = sup_of(premise_stats)
         premise_holds = premise <= ONE
     return FerReport(
@@ -206,7 +191,6 @@ def check_fer(
         fer_controlled=fer <= ONE,
         premise=premise,
         premise_holds=premise_holds,
-        uniform_matches_validity=uniform_matches,
     )
 
 

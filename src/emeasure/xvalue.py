@@ -25,6 +25,7 @@ from typing import Iterable, Union
 Rationalish = Union[int, str, Fraction, "XValue"]
 
 _INF_MARK = object()
+_INF_TEXTS = ("inf", "Inf", "INF", "∞")
 
 
 class XValue:
@@ -41,15 +42,10 @@ class XValue:
             return
         if isinstance(value, float):
             raise TypeError("floats are inexact; pass int, Fraction or 'p/q' string")
-        if isinstance(value, str):
-            if value.strip() in ("inf", "Inf", "INF", "∞"):
-                self._frac = None
-                return
-            value = Fraction(value)
-        frac = Fraction(value)
-        if frac < 0:
-            raise ValueError(f"evidence values are non-negative, got {frac}")
-        self._frac = frac
+        if isinstance(value, str) and value.strip() in _INF_TEXTS:
+            self._frac = None
+            return
+        self._frac = _nonnegative(Fraction(value))
 
     # -- predicates ---------------------------------------------------
 
@@ -72,7 +68,7 @@ class XValue:
         other = _coerce(other)
         if self._frac is None or other._frac is None:
             return INF
-        return XValue(self._frac + other._frac)
+        return _exact(self._frac + other._frac)
 
     __radd__ = __add__
 
@@ -82,7 +78,7 @@ class XValue:
             return ZERO  # 0 * inf = 0
         if self._frac is None or other._frac is None:
             return INF
-        return XValue(self._frac * other._frac)
+        return _exact(self._frac * other._frac)
 
     __rmul__ = __mul__
 
@@ -94,7 +90,7 @@ class XValue:
             return ZERO if self._frac == 0 else INF  # 0/0 = 0, c/0 = inf
         if self._frac is None:
             return INF
-        return XValue(self._frac / other._frac)
+        return _exact(self._frac / other._frac)
 
     def __rtruediv__(self, other: Rationalish) -> "XValue":
         return _coerce(other) / self
@@ -169,6 +165,24 @@ def decimal_text(n: int) -> str:
     return "".join(reversed(chunks))
 
 
+def _nonnegative(frac: Fraction) -> Fraction:
+    if frac < 0:
+        raise ValueError(f"evidence values are non-negative, got {frac}")
+    return frac
+
+
+def _exact(frac: Fraction) -> XValue:
+    """Wrap a Fraction already known to be non-negative, skipping the checks.
+
+    Sums, products and quotients of two values in [0, inf] stay there, so
+    arithmetic results come through here, as do fractions whose sign was
+    just checked; every other construction goes through ``XValue(...)``.
+    """
+    out = object.__new__(XValue)
+    out._frac = frac
+    return out
+
+
 INF = XValue(_INF_MARK)
 ZERO = XValue(0)
 ONE = XValue(1)
@@ -180,6 +194,21 @@ def _coerce(value: Rationalish) -> XValue:
 
 def as_xvalue(value: Rationalish) -> XValue:
     return _coerce(value)
+
+
+def expectation(masses: Iterable[Fraction], values: Iterable[XValue]) -> XValue:
+    """Exact sum of mass * value over the non-negative masses of a distribution.
+
+    Zero mass contributes 0, also against inf; a positive mass against inf
+    makes the sum inf. The sum is kept as one Fraction and wrapped once.
+    """
+    total = Fraction(0)
+    for m, v in zip(masses, values):
+        if m:
+            if v._frac is None:
+                return INF
+            total += m * v._frac
+    return _exact(_nonnegative(total))
 
 
 def inf_of(values: Iterable[Rationalish]) -> XValue:
@@ -209,12 +238,12 @@ def parse_xvalue(raw: object) -> XValue:
     """
     if isinstance(raw, XValue):
         return raw
-    if isinstance(raw, bool):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, Fraction, str)):
         raise ValueError(f"not an evidence value: {raw!r}")
     if isinstance(raw, float):
         if math.isinf(raw):
             return INF
-        return XValue(Fraction(str(raw)))
-    if isinstance(raw, (int, Fraction, str)):
-        return XValue(raw)
-    raise ValueError(f"not an evidence value: {raw!r}")
+        raw = str(raw)
+    elif isinstance(raw, str) and raw.strip() in _INF_TEXTS:
+        return INF
+    return _exact(_nonnegative(Fraction(raw)))

@@ -110,6 +110,23 @@ def test_likelihood_kernel_is_valid_when_points_share_a_least_hypothesis():
         assert check_validity(likelihood_kernel(space, pa, reference), pa).valid
 
 
+def test_likelihood_kernel_is_valid_on_spaces_that_are_not_intersection_closed():
+    tested = 0
+    for seed in range(300):
+        r = helpers.rng(seed)
+        space = helpers.rand_uc_space(r, max_points=4)
+        if space.intersection_closed:
+            continue
+        sample = helpers.rand_sample(r)
+        pa = helpers.rand_pa(r, space.model, sample, full_support=seed % 2 == 0)
+        reference = helpers.rand_pmf(r, sample, full_support=seed % 3 == 0)
+        k = likelihood_kernel(space, pa, reference)
+        assert k.eclass is EClass.MEASURE
+        assert check_validity(k, pa).valid
+        tested += 1
+    assert tested >= 100
+
+
 def test_constant_two_kernel_is_invalid_with_witness():
     _, space, sample, pa = small_setup(11)
     k = helpers.constant_two_kernel(space, sample)

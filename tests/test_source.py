@@ -41,3 +41,29 @@ def test_every_imported_name_is_used_in_its_module():
         for entry in _unused_imports(ast.parse(path.read_text()))
     ]
     assert SOURCES and not found
+
+
+def _yaml_uses(tree: ast.Module) -> tuple[bool, list[str]]:
+    """Whether the module imports yaml, and the safe_load names it touches."""
+    imports = False
+    loads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports |= any(a.name.split(".")[0] == "yaml" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "yaml":
+            imports = True
+            loads += [a.name for a in node.names if a.name.startswith("safe_load")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("safe_load"):
+            loads.append(f"{node.attr}:{node.lineno}")
+    return imports, loads
+
+
+def test_yaml_is_read_only_through_the_fileio_loader():
+    """One loader for every file read: fileio's, never the pure-Python safe_load."""
+    found = []
+    for path in SOURCES:
+        imports, loads = _yaml_uses(ast.parse(path.read_text()))
+        if imports and path.name != "fileio.py":
+            found.append(f"{path.name} imports yaml")
+        found += [f"{path.name} calls {name}" for name in loads]
+    assert SOURCES and not found

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import helpers
 from emeasure import INF, ONE, XValue, ZERO, as_xvalue, inf_of, parse_xvalue, sup_of
+from emeasure.xvalue import expectation
 
 fractions = st.fractions(min_value=0, max_value=100)
 
@@ -106,3 +108,80 @@ def test_as_xvalue_coercion():
     assert as_xvalue(3) == XValue(3)
     assert as_xvalue(Fraction(1, 3)) == XValue(Fraction(1, 3))
     assert as_xvalue(INF) is INF
+
+
+operands = st.one_of(fractions, st.just(Fraction(0)), st.none())  # None stands for inf
+
+
+def xv(frac):
+    return INF if frac is None else XValue(frac)
+
+
+def expected_sum(a, b):
+    return None if a is None or b is None else a + b
+
+
+def expected_product(a, b):
+    if a == 0 or b == 0:
+        return Fraction(0)
+    return None if a is None or b is None else a * b
+
+
+def expected_quotient(a, b):
+    if b is None:
+        return Fraction(0)
+    if b == 0:
+        return Fraction(0) if a == 0 else None
+    return None if a is None else a / b
+
+
+@pytest.mark.parametrize(
+    "op, expected",
+    [
+        (lambda x, y: x + y, expected_sum),
+        (lambda x, y: x * y, expected_product),
+        (lambda x, y: x / y, expected_quotient),
+    ],
+    ids=["add", "mul", "div"],
+)
+@given(a=operands, b=operands)
+def test_arithmetic_results_are_checked_values(op, expected, a, b):
+    result = op(xv(a), xv(b))
+    assert type(result) is XValue
+    assert result._frac is None or type(result._frac) is Fraction
+    assert result == xv(expected(a, b))
+
+
+def termwise_expectation(masses, values):
+    """The expectation as one checked XValue product and sum per term."""
+    total = XValue(0)
+    for m, v in zip(masses, values):
+        total = total + XValue(m) * v
+    return total
+
+
+@given(st.lists(st.tuples(st.one_of(st.just(Fraction(0)), fractions), operands), max_size=6))
+def test_expectation_matches_the_termwise_sum(terms):
+    masses = [m for m, _ in terms]
+    values = [xv(v) for _, v in terms]
+    result = expectation(masses, values)
+    assert result == termwise_expectation(masses, values)
+    assert result._frac is None or type(result._frac) is Fraction
+
+
+def test_expectation_of_a_pmf_matches_the_termwise_sum():
+    r = helpers.rng(5)
+    seen_zero_against_inf = 0
+    for _ in range(300):
+        sample = helpers.rand_sample(r, max_outcomes=4)
+        pmf = helpers.rand_pmf(r, sample, full_support=False)
+        values = [helpers.rand_xvalue(r) for _ in sample.outcomes]
+        seen_zero_against_inf += any(m == 0 and v.is_inf for m, v in zip(pmf.mass, values))
+        assert pmf.expectation(values) == termwise_expectation(pmf.mass, values)
+    assert seen_zero_against_inf >= 10
+
+
+def test_zero_mass_against_inf_contributes_nothing():
+    assert expectation([Fraction(1), Fraction(0)], [XValue(2), INF]) == XValue(2)
+    assert expectation([Fraction(1, 2), Fraction(1, 2)], [XValue(2), INF]) == INF
+    assert expectation([], []) == ZERO
