@@ -310,11 +310,6 @@ def cmd_check(args, caps: Caps) -> int:
         report = kn.check_posthoc_validity(kernel, pa, rule)
         _report_entries(out, "posthoc", report.entries, sf.space)
         out.text(f"post-hoc bound holds: {_render(report.holds)}")
-        if report.matches_validity_stat is not None:
-            out.text(
-                "canonical level reproduces the validity statistic: "
-                f"{_render(report.matches_validity_stat)}"
-            )
         return EXIT_OK if report.holds else EXIT_VIOLATION
 
     if args.check == "predictive":

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .spaces import HypothesisClass, Space
-from .xvalue import INF, ONE, XValue, as_xvalue, inf_of, sup_of
+from .xvalue import INF, ONE, ZERO, XValue, as_xvalue, order_keys, sup_of
 
 POWERSET_POINT_CAP = 16
 
@@ -71,13 +71,15 @@ def _strength(space: Space, values: Sequence[XValue]) -> EClass:
     A join adds a join-irreducible J to a member A. Inclusions are chains of
     joins, so e(A | J) <= e(A) on every join gives antitonicity; unions are
     built from joins, so e(A | J) = min(e(A), e(J)) gives the union law.
+    Both laws only compare values, so the walk runs on their order keys.
     """
+    keys = order_keys(values)
     eclass = EClass.MEASURE
     for a, j, joined in space.family.joins():
-        va, vj, vu = values[a], values[j], values[joined]
-        if vu == (va if va <= vj else vj):
+        ka, kj, ku = keys[a], keys[j], keys[joined]
+        if ku == (ka if ka <= kj else kj):
             continue
-        if not vu <= va:
+        if ku > ka:
             return EClass.FUNCTION
         eclass = EClass.CAPACITY
     return eclass
@@ -104,11 +106,15 @@ def measure_from_density(space: Space, density: Sequence[XValue]) -> EFunction:
     density among H's points, and INF on the empty set.
 
     Infimums turn unions into minimums, so the result obeys the union law
-    on any union-closed family.
+    on any union-closed family. Each member's least point is found on the
+    density's order keys.
     """
-    measure = from_values(
-        space, [inf_of(density[i] for i in m.indices()) for m in space.family.members]
-    )
+    keys = order_keys(density)
+    values = []
+    for m in space.family.members:
+        least = min(m.indices(), key=keys.__getitem__, default=None)
+        values.append(INF if least is None else density[least])
+    measure = from_values(space, values)
     if measure.eclass is not EClass.MEASURE:
         raise EvidenceError("table built from a point density did not verify as a measure")
     return measure
@@ -130,10 +136,17 @@ def close(e: EFunction) -> EFunction:
     cover of H by members can do no better than pick, for each point, the
     member behind its claim. On an intersection-closed space a capacity's
     claims sit on the least hypotheses, which the closure leaves untouched.
+    The claims are found in one sweep over the members, on the table's
+    order keys; a point no member contains claims 0.
     """
-    return measure_from_density(
-        e.space, [sup_over_true(e.space, e.values, i) for i in range(e.space.model.size)]
-    )
+    keys = order_keys(e.values)
+    best = [-1] * e.space.model.size  # per point, the member with the largest key so far
+    for hid, m in enumerate(e.space.family.members):
+        key = keys[hid]
+        for i in m.indices():
+            if best[i] < 0 or key > keys[best[i]]:
+                best[i] = hid
+    return measure_from_density(e.space, [ZERO if b < 0 else e.values[b] for b in best])
 
 
 def merge_convex(functions: Sequence[EFunction], weights: Sequence[Fraction | int]) -> EFunction:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import yaml
 
@@ -65,6 +65,28 @@ def _xvalue(path, raw) -> XValue:
         return parse_xvalue(raw)
     except (ValueError, TypeError, ZeroDivisionError):
         raise SchemaError(path, f"not an evidence value: {raw!r}") from None
+
+
+def _xvalue_reader(path) -> Callable[[object], XValue]:
+    """``_xvalue`` for one file read, parsing each distinct scalar once.
+
+    The memo is keyed by type as well as value: YAML ``true`` equals and
+    hashes like ``1``, and must still be refused. Unhashable values skip the
+    memo and are refused by ``_xvalue``.
+    """
+    memo: dict[tuple[type, object], XValue] = {}
+
+    def read(raw) -> XValue:
+        key = (type(raw), raw)
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = _xvalue(path, raw)
+            return value
+        except TypeError:
+            return _xvalue(path, raw)
+
+    return read
 
 
 class SpaceFile:
@@ -160,10 +182,11 @@ def load_evidence(path: Path | str, sf: SpaceFile) -> dict[int, XValue]:
     table = data.get("evidence")
     if not isinstance(table, dict):
         raise SchemaError(path, "'evidence' must map hypothesis labels to values")
+    read = _xvalue_reader(path)
     out: dict[int, XValue] = {}
     for label, raw in table.items():
-        out[sf.resolve(path, str(label))] = _xvalue(path, raw)
-    out.setdefault(sf.space.family.empty_id, _xvalue(path, "inf"))
+        out[sf.resolve(path, str(label))] = read(raw)
+    out.setdefault(sf.space.family.empty_id, read("inf"))
     return out
 
 
@@ -208,14 +231,15 @@ def load_kernel(
                 path, "'outcomes' list is required when no model file fixes them"
             )
         sample = SampleSpace(tuple(str(x) for x in declared))
+    read = _xvalue_reader(path)
     rows: dict[int, dict[str, XValue]] = {}
     for label, row in table.items():
         if not isinstance(row, dict):
             raise SchemaError(path, f"row for {label!r} must be a mapping")
         hid = sf.resolve(path, str(label))
-        rows[hid] = {str(x): _xvalue(path, v) for x, v in row.items()}
+        rows[hid] = {str(x): read(v) for x, v in row.items()}
     empty = sf.space.family.empty_id
-    rows.setdefault(empty, {x: _xvalue(path, "inf") for x in sample.outcomes})
+    rows.setdefault(empty, {x: read("inf") for x in sample.outcomes})
     n = len(sf.space.family)
     missing = [hid for hid in range(n) if hid not in rows]
     if missing:

@@ -276,7 +276,6 @@ def _resolve_rule(k: EKernel, rule: LevelRule) -> Callable[[int, str], XValue]:
 class PosthocReport:
     entries: tuple[ValidityEntry, ...]
     holds: bool
-    matches_validity_stat: Optional[bool] = None
 
 
 def check_posthoc_validity(
@@ -286,13 +285,11 @@ def check_posthoc_validity(
 
     For each pair the statistic is the expectation of
     1{e(H|X) >= 1/level(X)} / level(X); for the canonical rule it collapses
-    to the plain validity statistic, which the report cross-checks.
+    to the plain validity statistic.
     """
     level_of = _resolve_rule(k, rule)
-    canonical = rule == "canonical"
     entries = []
     holds = True
-    matches = True
     for hid in k.space.family.nonempty_ids():
         contribution = []
         for xi, x in enumerate(k.sample.outcomes):
@@ -300,20 +297,13 @@ def check_posthoc_validity(
             missed = k.value(hid, xi) >= ONE / level
             contribution.append((ONE if missed else ZERO) / level)
         for pi in k.space.family.member(hid).indices():
-            pmf = pa.pmfs[pi]
-            stat = pmf.expectation(contribution)
+            stat = pa.pmfs[pi].expectation(contribution)
             ok = stat <= ONE
             holds = holds and ok
-            if canonical and stat != k.expectation(hid, pmf):
-                matches = False
             entries.append(
                 ValidityEntry(hid=hid, point=k.space.model.points[pi], stat=stat, ok=ok)
             )
-    return PosthocReport(
-        entries=tuple(entries),
-        holds=holds,
-        matches_validity_stat=matches if canonical else None,
-    )
+    return PosthocReport(entries=tuple(entries), holds=holds)
 
 
 # -- updating -----------------------------------------------------------

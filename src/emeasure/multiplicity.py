@@ -256,8 +256,10 @@ def self_consistent_selection(
     returned and flagged.
 
     The search tries at most 1 + sum over k >= 1 of C(n_k, k) subsets, n_k
-    being the number of candidates that pass at size k; past
-    SELECTION_SUBSET_CAP it raises CapExceeded before trying any.
+    being the number of candidates that pass at size k. That sum is added up
+    from k = 0 and stops as soon as it passes SELECTION_SUBSET_CAP; then
+    CapExceeded names the partial sum as a lower bound, before any subset
+    is tried.
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
@@ -277,12 +279,14 @@ def self_consistent_selection(
         min_size.append(big_k + 1 if need.is_inf else max(1, math.ceil(need.as_fraction())))
     ranked = sorted(min_size)
     eligible = [bisect.bisect_right(ranked, size) for size in range(big_k + 1)]
-    cost = sum(math.comb(eligible[size], size) for size in range(big_k + 1))
-    if cost > SELECTION_SUBSET_CAP:
-        raise ev.CapExceeded(
-            f"the selection search over {big_k} candidates would try {cost} "
-            f"subsets, over the cap {SELECTION_SUBSET_CAP}"
-        )
+    cost = 0
+    for size in range(big_k + 1):
+        cost += math.comb(eligible[size], size)
+        if cost > SELECTION_SUBSET_CAP:
+            raise ev.CapExceeded(
+                f"the selection search over {big_k} candidates would try at least "
+                f"{cost} subsets, over the cap {SELECTION_SUBSET_CAP}"
+            )
 
     def inflated(i: int, count: list[int], shares: list[XValue]) -> XValue:
         return inf_of(least_value[p] / shares[count[p]] for p in points[i])

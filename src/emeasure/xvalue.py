@@ -14,13 +14,19 @@ nowhere else:
 
 Floats are rejected on construction; inexact values only ever appear in
 CLI text rendering, via :meth:`XValue.to_float`.
+
+The hot paths work on plain ints, never through ``Fraction``'s operators:
+comparisons cross-multiply numerators and denominators, :func:`order_keys`
+scales a table to one common denominator so that its values order as
+integers, and :func:`expectation` sums one integer numerator/denominator
+pair and builds a single ``Fraction`` at the end. All of it is exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rationalish = Union[int, str, Fraction, "XValue"]
 
@@ -100,27 +106,39 @@ class XValue:
 
     # -- ordering -----------------------------------------------------
 
+    # A Fraction is kept in lowest terms with a positive denominator, so two
+    # are equal when both parts are, and p/q <= r/s when p*s <= r*q.
+
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not XValue:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = XValue(other)
-        if not isinstance(other, XValue):
-            return NotImplemented
-        return self._frac == other._frac
+        a, b = self._frac, other._frac
+        if a is None or b is None:
+            return a is b
+        return a._numerator == b._numerator and a._denominator == b._denominator
 
     def __hash__(self) -> int:
         return hash(self._frac)
 
     def __le__(self, other: Rationalish) -> bool:
-        other = _coerce(other)
-        if other._frac is None:
+        b = _coerce(other)._frac
+        if b is None:
             return True
-        if self._frac is None:
+        a = self._frac
+        if a is None:
             return False
-        return self._frac <= other._frac
+        return a._numerator * b._denominator <= b._numerator * a._denominator
 
     def __lt__(self, other: Rationalish) -> bool:
-        other = _coerce(other)
-        return self <= other and self != other
+        b = _coerce(other)._frac
+        a = self._frac
+        if a is None:
+            return False
+        if b is None:
+            return True
+        return a._numerator * b._denominator < b._numerator * a._denominator
 
     def __ge__(self, other: Rationalish) -> bool:
         return _coerce(other) <= self
@@ -166,7 +184,7 @@ def decimal_text(n: int) -> str:
 
 
 def _nonnegative(frac: Fraction) -> Fraction:
-    if frac < 0:
+    if frac._numerator < 0:
         raise ValueError(f"evidence values are non-negative, got {frac}")
     return frac
 
@@ -200,15 +218,37 @@ def expectation(masses: Iterable[Fraction], values: Iterable[XValue]) -> XValue:
     """Exact sum of mass * value over the non-negative masses of a distribution.
 
     Zero mass contributes 0, also against inf; a positive mass against inf
-    makes the sum inf. The sum is kept as one Fraction and wrapped once.
+    makes the sum inf. The sum is kept as one integer numerator/denominator
+    pair, reduced once when it is wrapped.
     """
-    total = Fraction(0)
+    num, den = 0, 1
     for m, v in zip(masses, values):
         if m:
-            if v._frac is None:
+            f = v._frac
+            if f is None:
                 return INF
-            total += m * v._frac
-    return _exact(_nonnegative(total))
+            if type(m) is not Fraction:
+                m = Fraction(m)
+            term_num = m._numerator * f._numerator
+            term_den = m._denominator * f._denominator
+            if term_den == den:
+                num += term_num
+            else:
+                num, den = num * term_den + term_num * den, den * term_den
+    return _exact(_nonnegative(Fraction(num, den)))
+
+
+def order_keys(values: Sequence[XValue]) -> list[int]:
+    """One int per value that orders as the values do, equal on equal values.
+
+    Finite values are scaled to the least common denominator of the finite
+    ones; inf gets one more than the largest finite key.
+    """
+    fracs = [v._frac for v in values]
+    common = math.lcm(*{f._denominator for f in fracs if f is not None})
+    keys = [None if f is None else f._numerator * (common // f._denominator) for f in fracs]
+    top = max((k for k in keys if k is not None), default=0) + 1
+    return [top if k is None else k for k in keys]
 
 
 def inf_of(values: Iterable[Rationalish]) -> XValue:
@@ -242,6 +282,8 @@ def parse_xvalue(raw: object) -> XValue:
         raise ValueError(f"not an evidence value: {raw!r}")
     if isinstance(raw, float):
         if math.isinf(raw):
+            if raw < 0:
+                raise ValueError(f"evidence values are non-negative, got {raw}")
             return INF
         raw = str(raw)
     elif isinstance(raw, str) and raw.strip() in _INF_TEXTS:

@@ -69,3 +69,31 @@ def test_bad_yaml_exits_2_with_the_pure_python_loader(capsys, monkeypatch):
     monkeypatch.setattr(fileio, "_LOADER", yaml.SafeLoader)
     code = cli.main(["space", "--space", str(DATA / "bad_yaml.yaml"), "--format", "records"])
     assert (code, capsys.readouterr().out) == (cli.EXIT_INPUT, "")
+
+
+SPACE = DATA / "space_gens_ic.yaml"
+
+
+@pytest.mark.parametrize("late", ["true", "[1]"], ids=["bool", "list"])
+def test_scalar_memo_refuses_what_follows_a_cached_int_one(tmp_path, late):
+    sf = fileio.load_space(SPACE)
+    evidence = tmp_path / "evidence.yaml"
+    evidence.write_text(f"evidence:\n  a: 1\n  c: {late}\n")
+    with pytest.raises(fileio.SchemaError, match="not an evidence value"):
+        fileio.load_evidence(evidence, sf)
+    kernel = tmp_path / "kernel.yaml"
+    rows = "".join(f'  "{h}": {{x: 1, y: {late}}}\n' for h in ("a", "c", "a,b", "a,c"))
+    kernel.write_text(f"outcomes: [x, y]\nkernel:\n{rows}")
+    with pytest.raises(fileio.SchemaError, match="not an evidence value"):
+        fileio.load_kernel(kernel, sf)
+
+
+def test_scalar_memo_parses_each_distinct_scalar_once_per_file(tmp_path):
+    sf = fileio.load_space(SPACE)
+    evidence = tmp_path / "evidence.yaml"
+    evidence.write_text('evidence:\n  a: 1/3\n  c: 1/3\n  "a,b": 1\n  "a,c": 1.0\n')
+    table = fileio.load_evidence(evidence, sf)
+    ids = [sf.resolve(evidence, label) for label in ("a", "c", "a,b", "a,c")]
+    assert table[ids[0]] is table[ids[1]]
+    assert table[ids[2]] == table[ids[3]] and table[ids[2]] is not table[ids[3]]
+    assert fileio.load_evidence(evidence, sf)[ids[0]] is not table[ids[0]]

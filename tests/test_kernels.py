@@ -230,11 +230,20 @@ def test_posthoc_constant_rule_reduces_to_coverage():
 
 
 def test_posthoc_canonical_rule_matches_validity_statistic():
-    r, space, sample, pa = small_setup(29)
-    for _ in range(10):
-        k = helpers.valid_capacity_kernel(r, space, pa)
-        report = check_posthoc_validity(k, pa, "canonical")
-        assert report.holds and report.matches_validity_stat
+    """At level 1/e(H|x) every outcome misses, so each entry is the validity one."""
+    verdicts = set()
+    for seed in range(29, 37):
+        r, space, sample, pa = small_setup(seed, full_support=seed % 2 == 0)
+        for trial in range(4):
+            k = helpers.valid_capacity_kernel(r, space, pa)
+            if trial % 2:
+                k = helpers.scaled_kernel(k, XValue(4))
+            report = check_posthoc_validity(k, pa, "canonical")
+            validity = check_validity(k, pa)
+            assert report.entries == validity.entries
+            assert report.holds == validity.valid
+            verdicts.add(validity.valid)
+    assert verdicts == {True, False}
 
 
 def test_posthoc_adversarial_rule_flags_invalid_kernel():

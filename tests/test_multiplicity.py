@@ -1,5 +1,7 @@
 """Familywise evidence, false evidence rate, step-up procedures, disutilities."""
 
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -358,11 +360,23 @@ def test_selection_cost_is_refused_before_the_search():
     space = helpers.power_space(5)
     e = from_values(space, [INF] * len(space.family))
     ids = list(space.family.nonempty_ids())
-    with pytest.raises(CapExceeded, match=f"would try {2 ** 21} subsets"):
+    # C(21, 0) + ... + C(21, 11) = 1401292 is the first partial sum past 2^20.
+    with pytest.raises(CapExceeded, match="would try at least 1401292 subsets"):
         self_consistent_selection(e, ids[:21], Fraction(1, 20))
     # 20 candidates fit the cap; all of them are the first subset tried.
     result = self_consistent_selection(e, ids[:20], Fraction(1, 20))
     assert (result.selected, result.subsets_tried) == (tuple(sorted(ids[:20])), 1)
+
+
+def test_selection_over_thousands_of_candidates_is_refused_without_the_full_count():
+    space = helpers.power_space(12)
+    e = from_values(space, [INF] * len(space.family))
+    ids = list(space.family.nonempty_ids())  # 4095 candidates, all eligible at size 1
+    with pytest.raises(CapExceeded) as refused:
+        self_consistent_selection(e, ids, Fraction(1, 20))
+    bound = int(re.search(r"would try at least (\d+) subsets", str(refused.value)).group(1))
+    # 1 + 4095 + C(4095, 2): the sum stops at size 2 instead of adding up to 2^4095.
+    assert bound == 1 + 4095 + math.comb(4095, 2)
 
 
 def test_selection_needs_an_intersection_closed_space():

@@ -67,3 +67,18 @@ def test_yaml_is_read_only_through_the_fileio_loader():
             found.append(f"{path.name} imports yaml")
         found += [f"{path.name} calls {name}" for name in loads]
     assert SOURCES and not found
+
+
+PRIVATE_PARTS = ("_frac", "_numerator", "_denominator")
+
+
+def test_private_rational_parts_are_read_only_in_xvalue():
+    """The integer fast paths on XValue and Fraction internals stay in one module."""
+    found = [
+        f"{path.name}:{node.lineno} reads .{node.attr}"
+        for path in SOURCES
+        if path.name != "xvalue.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE_PARTS
+    ]
+    assert SOURCES and not found

@@ -1,5 +1,6 @@
 """The extended-arithmetic conventions, pinned one by one."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 from emeasure import INF, ONE, XValue, ZERO, as_xvalue, inf_of, parse_xvalue, sup_of
-from emeasure.xvalue import expectation
+from emeasure.xvalue import expectation, order_keys
 
 fractions = st.fractions(min_value=0, max_value=100)
 
@@ -185,3 +186,119 @@ def test_zero_mass_against_inf_contributes_nothing():
     assert expectation([Fraction(1), Fraction(0)], [XValue(2), INF]) == XValue(2)
     assert expectation([Fraction(1, 2), Fraction(1, 2)], [XValue(2), INF]) == INF
     assert expectation([], []) == ZERO
+
+
+# -- the integer paths against Fraction's own arithmetic -------------------
+
+HUGE = 10**4400  # past the 4300 digits str() will print
+
+finite = st.one_of(
+    st.just(Fraction(0)),
+    fractions,
+    st.fractions(min_value=0, max_denominator=10**6),
+    st.builds(
+        Fraction,
+        st.integers(min_value=0, max_value=HUGE * 10),
+        st.integers(min_value=1, max_value=HUGE),
+    ),
+)
+extended = st.one_of(finite, st.none())  # None stands for inf
+pairs = st.one_of(
+    st.tuples(extended, extended),
+    extended.map(lambda v: (v, v)),
+    finite.map(lambda v: (v, v + Fraction(1, HUGE))),
+)
+
+
+def fresh(frac):
+    """A new XValue holding a new Fraction, so equal values share no object."""
+    return INF if frac is None else XValue(Fraction(frac.numerator, frac.denominator))
+
+
+def rank(frac):
+    """Oracle order of the extended half-line: inf above every fraction."""
+    return (1, 0) if frac is None else (0, frac)
+
+
+COMPARISONS = {
+    "eq": lambda x, y: x == y,
+    "ne": lambda x, y: x != y,
+    "lt": lambda x, y: x < y,
+    "le": lambda x, y: x <= y,
+    "gt": lambda x, y: x > y,
+    "ge": lambda x, y: x >= y,
+}
+
+
+@pytest.mark.parametrize("op", COMPARISONS.values(), ids=COMPARISONS.keys())
+@given(pair=pairs)
+def test_comparisons_agree_with_fraction_order(op, pair):
+    a, b = pair
+    expected = op(rank(a), rank(b))
+    assert op(fresh(a), fresh(b)) is expected
+    if b is not None:  # a plain Fraction on the right is coerced first
+        assert op(fresh(a), Fraction(b.numerator, b.denominator)) is expected
+
+
+@given(st.lists(extended, max_size=12).flatmap(lambda xs: st.permutations(xs + xs[:3])))
+def test_order_keys_keep_order_and_equality(values):
+    xs = [fresh(v) for v in values]
+    keys = order_keys(xs)
+    assert all(type(k) is int for k in keys)
+    for (ka, a), (kb, b) in itertools.product(zip(keys, values), repeat=2):
+        assert (ka < kb) == (rank(a) < rank(b))
+        assert (ka == kb) == (rank(a) == rank(b))
+
+
+def test_order_keys_put_inf_one_past_the_largest_finite_key():
+    keys = order_keys([XValue(Fraction(1, 2)), INF, ZERO, XValue(3), INF])
+    assert keys == [1, 7, 0, 6, 7]
+    assert order_keys([INF]) == [1] and order_keys([]) == []
+
+
+def first_primes(count):
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def test_order_keys_over_pairwise_coprime_denominators():
+    r = helpers.rng(17)
+    fracs = [Fraction(r.randint(1, max(p - 1, 1)), p) for p in first_primes(1024)]
+    xs = [XValue(f) for f in fracs] + [INF]
+    keys = order_keys(xs)
+    by_value = sorted(range(len(fracs)), key=fracs.__getitem__) + [len(fracs)]  # inf last
+    assert all(keys[i] < keys[j] for i, j in zip(by_value, by_value[1:]))
+
+
+mixed_masses = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.fractions(min_value=0, max_value=1, max_denominator=97),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(mixed_masses, st.fractions(min_value=0, max_denominator=10**6)), max_size=8
+    )
+)
+def test_integer_expectation_equals_the_fraction_sum(terms):
+    masses, values = [m for m, _ in terms], [XValue(v) for _, v in terms]
+    result = expectation(masses, values)
+    assert result == termwise_expectation(masses, values)
+    exact = sum((Fraction(m) * v for m, v in terms), Fraction(0))
+    assert type(result._frac) is Fraction
+    assert (result._frac.numerator, result._frac.denominator) == (
+        exact.numerator,
+        exact.denominator,
+    )
+
+
+def test_parse_refuses_negative_infinity():
+    assert parse_xvalue(float("inf")) == INF
+    with pytest.raises(ValueError):
+        parse_xvalue(float("-inf"))
