@@ -212,10 +212,7 @@ def check_validity(k: EKernel, pa: ProbabilityAssignment) -> ValidityReport:
 
 def close_kernel(k: EKernel) -> EKernel:
     """Close every outcome's table; validity is neither gained nor lost."""
-    closed = EKernel(k.space, k.sample, [ev.close(col) for col in k.columns])
-    if not closed.dominates(k):
-        raise EvidenceError("closed kernel does not dominate its input")
-    return closed
+    return EKernel(k.space, k.sample, [ev.close(col) for col in k.columns])
 
 
 def merge_convex_kernels(kernels: Sequence[EKernel], weights: Sequence[Fraction | int]) -> EKernel:
@@ -549,11 +546,8 @@ def _envelope(
 
 
 def close_process(proc: EProcess) -> EProcess:
-    """Close every step; domination is checked, validity is untouched."""
-    closed = EProcess(proc.tree, [close_kernel(k) for k in proc.kernels])
-    if not closed.dominates(proc):
-        raise EvidenceError("closed process does not dominate its input")
-    return closed
+    """Close every step; the closure dominates its input, validity is untouched."""
+    return EProcess(proc.tree, [close_kernel(k) for k in proc.kernels])
 
 
 # -- predictive kernels ---------------------------------------------------
@@ -564,18 +558,16 @@ class PredictiveReport:
     sup_identity: tuple[tuple[str, XValue, XValue, bool], ...]
     identity_holds: bool
     sup_stats: tuple[XValue, ...]
-    least_stats: tuple[XValue, ...]
     sup_valid: bool
-    least_valid: bool
-    verdicts_agree: bool
 
 
 def check_predictive_validity(k: EKernel, pmfs: Iterable[Pmf]) -> PredictiveReport:
     """Prediction-style validity when hypotheses are sets of outcomes.
 
     Per outcome, the largest evidence among true hypotheses must match the
-    evidence against the outcome's least hypothesis; validity of the sup
-    criterion then coincides with validity of that single variable.
+    evidence against the outcome's least hypothesis; where it does, the sup
+    variable is that single variable, so its statistics decide both
+    criteria.
     """
     if k.space.model.points != k.sample.outcomes:
         raise SpaceError("predictive checks need the model to be the sample space")
@@ -584,7 +576,6 @@ def check_predictive_validity(k: EKernel, pmfs: Iterable[Pmf]) -> PredictiveRepo
     identity = []
     identity_ok = True
     sup_var = []
-    least_var = []
     for xi, x in enumerate(k.sample.outcomes):
         col = k.columns[xi]
         sup_val = ev.sup_over_true(k.space, col.values, xi)
@@ -593,20 +584,12 @@ def check_predictive_validity(k: EKernel, pmfs: Iterable[Pmf]) -> PredictiveRepo
         identity_ok = identity_ok and ok
         identity.append((x, sup_val, least_val, ok))
         sup_var.append(sup_val)
-        least_var.append(least_val)
-    pmfs = list(pmfs)
     sup_stats = tuple(p.expectation(sup_var) for p in pmfs)
-    least_stats = tuple(p.expectation(least_var) for p in pmfs)
-    sup_valid = all(s <= ONE for s in sup_stats)
-    least_valid = all(s <= ONE for s in least_stats)
     return PredictiveReport(
         sup_identity=tuple(identity),
         identity_holds=identity_ok,
         sup_stats=sup_stats,
-        least_stats=least_stats,
-        sup_valid=sup_valid,
-        least_valid=least_valid,
-        verdicts_agree=sup_valid == least_valid,
+        sup_valid=all(s <= ONE for s in sup_stats),
     )
 
 

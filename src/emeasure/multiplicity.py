@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
-from .kernels import EKernel, ProbabilityAssignment, SampleSpace
+from .kernels import EKernel, ProbabilityAssignment, SampleSpace, check_validity
 from .xvalue import INF, ONE, XValue, as_xvalue, inf_of, sup_of
 
 SELECTION_SUBSET_CAP = 1 << 20
@@ -98,19 +98,7 @@ def fep_fsp(k: EKernel, point: int | str, rule: SelectionRule, x: int | str) -> 
 
 
 @dataclass(frozen=True)
-class FerPointwise:
-    point: str
-    outcome: str
-    fep: XValue
-    fsp_bound: XValue
-    least_value: XValue
-    ok: bool
-
-
-@dataclass(frozen=True)
 class FerReport:
-    pointwise: tuple[FerPointwise, ...]
-    pointwise_holds: bool
     fer: XValue
     fer_controlled: bool
     premise: Optional[XValue]
@@ -118,79 +106,40 @@ class FerReport:
 
 
 def check_fer(
-    k: EKernel,
-    pa: ProbabilityAssignment,
-    rule: Optional[SelectionRule] = None,
-    *,
-    uniform: bool = False,
+    k: EKernel, pa: ProbabilityAssignment, rule: Optional[SelectionRule] = None
 ) -> FerReport:
-    """False-evidence-rate control.
+    """False-evidence-rate control of a fixed selection rule, or of every
+    singleton rule when no rule is given (uniform mode).
 
-    Always verifies the pointwise chain FEP <= FSP * e(H_P|x) <= e(H_P|x)
-    for the supplied rule (or all singleton rules in uniform mode). With a
-    fixed rule the rate and the weaker premise expectation are reported.
-    In uniform mode the rate is the largest validity statistic, so
-    `fer <= 1` holds exactly when the kernel is valid.
+    With a rule, the rate is the largest expected FEP over the points and
+    the premise the largest expected FSP * e(H_P|x); on a capacity kernel
+    FEP <= FSP * e(H_P|x) <= e(H_P|x) pointwise. The singleton rule {H} has
+    FEP e(H|x) on H's points and 0 elsewhere, so the uniform rate is the
+    largest validity statistic and `fer <= 1` holds exactly when the kernel
+    is valid.
     """
     if k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("the false-evidence bound needs a capacity kernel")
     k.space.require_intersection_closed()
-    model = k.space.model
+    if rule is None:
+        fer = sup_of(entry.stat for entry in check_validity(k, pa).entries)
+        return FerReport(fer=fer, fer_controlled=fer <= ONE, premise=None, premise_holds=None)
     least = k.space.least_ids()
-
-    rules: list[SelectionRule]
-    if uniform:
-        rules = [
-            SelectionRule.fixed(k.sample, [hid])
-            for hid in k.space.family.nonempty_ids()
-        ]
-    elif rule is not None:
-        rules = [rule]
-    else:
-        raise MultiplicityError("supply a selection rule or set uniform=True")
-
-    pointwise = []
-    pointwise_holds = True
     fer_stats = []
     premise_stats = []
-    for r in rules:
-        for pi in range(model.size):
-            fep_var = []
-            bound_var = []
-            for xi, x in enumerate(k.sample.outcomes):
-                pair = fep_fsp(k, pi, r, xi)
-                least_val = k.value(least[pi], xi)
-                bound = XValue(pair.fsp) * least_val
-                ok = pair.fep <= bound and bound <= least_val
-                pointwise_holds = pointwise_holds and ok
-                pointwise.append(
-                    FerPointwise(
-                        point=model.points[pi],
-                        outcome=x,
-                        fep=pair.fep,
-                        fsp_bound=bound,
-                        least_value=least_val,
-                        ok=ok,
-                    )
-                )
-                fep_var.append(pair.fep)
-                bound_var.append(bound)
-            fer_stats.append(pa.pmfs[pi].expectation(fep_var))
-            if not uniform:
-                premise_stats.append(pa.pmfs[pi].expectation(bound_var))
-
+    for pi, pmf in enumerate(pa.pmfs):
+        fep_var = []
+        bound_var = []
+        for xi in range(k.sample.size):
+            pair = fep_fsp(k, pi, rule, xi)
+            fep_var.append(pair.fep)
+            bound_var.append(XValue(pair.fsp) * k.value(least[pi], xi))
+        fer_stats.append(pmf.expectation(fep_var))
+        premise_stats.append(pmf.expectation(bound_var))
     fer = sup_of(fer_stats)
-    premise = premise_holds = None
-    if not uniform:
-        premise = sup_of(premise_stats)
-        premise_holds = premise <= ONE
+    premise = sup_of(premise_stats)
     return FerReport(
-        pointwise=tuple(pointwise),
-        pointwise_holds=pointwise_holds,
-        fer=fer,
-        fer_controlled=fer <= ONE,
-        premise=premise,
-        premise_holds=premise_holds,
+        fer=fer, fer_controlled=fer <= ONE, premise=premise, premise_holds=premise <= ONE
     )
 
 

@@ -12,8 +12,8 @@ nowhere else:
     0 / 0   -> 0
     0 * inf -> 0
 
-Floats are rejected on construction; inexact values only ever appear in
-CLI text rendering, via :meth:`XValue.to_float`.
+Floats are rejected on construction, and no value is ever turned into
+one: rendering, ordering and ranking all work on the exact value.
 
 The hot paths work on plain ints, never through ``Fraction``'s operators:
 comparisons cross-multiply numerators and denominators, :func:`order_keys`
@@ -163,9 +163,6 @@ class XValue:
             return str(num) if den == 1 else f"{num}/{den}"
         except ValueError:  # str() refuses ints past 4300 digits
             return decimal_text(num) if den == 1 else f"{decimal_text(num)}/{decimal_text(den)}"
-
-    def to_float(self) -> float:
-        return math.inf if self._frac is None else float(self._frac)
 
 
 _DIGIT_CHUNK = 10 ** 1000

@@ -150,3 +150,39 @@ def test_check_has_no_alpha_option(capsys):
         cli.main(argv)
     assert exc.value.code == cli.EXIT_INPUT
     assert "unrecognized arguments: --alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["validity", "fwe", "fer", "posthoc", "predictive"])
+def test_only_anytime_reads_more_than_one_kernel(capsys, check):
+    argv = ["check", "--check", check, *COIN, "--kernel", COIN_KERNELS[1], COIN_KERNELS[2]]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INPUT, "")
+    assert captured.err == f"error: <args>: --check {check} reads one --kernel, got 2\n"
+
+
+def test_decide_rankings_follow_exact_values_not_names(capsys, tmp_path):
+    """1/3 and (10^20 + 1) / (3 * 10^20) round to one float; the rankings
+    must still order them by value, against the order of the names."""
+    near = "100000000000000000001/300000000000000000000"
+    outcomes = ("HH", "HT", "TH", "TT")
+    rows = {"p": near, "q": "1/3", "p,q": "1/3"}
+    (tmp_path / "kernel.yaml").write_text("kernel:\n" + "".join(
+        f'  "{h}": {{{", ".join(f"{x}: {v}" for x in outcomes)}}}\n' for h, v in rows.items()
+    ))
+    # a is best at p and b at q: e(a's set) = near > e(b's set) = 1/3,
+    # and a's integrated loss 1 / e({q}) = 3 exceeds b's 1 / e({p}) < 3
+    (tmp_path / "decisions.yaml").write_text(
+        "decisions: [a, b]\nloss:\n  p: {a: 0, b: 1}\n  q: {a: 1, b: 0}\n"
+    )
+    argv = ["decide", *COIN, "--kernel", str(tmp_path / "kernel.yaml"),
+            "--decisions", str(tmp_path / "decisions.yaml"), "--outcome", "HT"]
+    code, out = run(capsys, argv)
+    assert code == cli.EXIT_OK
+    ranked = [line for line in out.splitlines() if line.startswith(("eloss", "optimality"))]
+    assert ranked == [
+        "eloss decision=b value=300000000000000000000/100000000000000000001",
+        "eloss decision=a value=3",
+        "optimality decision=b value=1/3",
+        f"optimality decision=a value={near}",
+    ]

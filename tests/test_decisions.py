@@ -12,6 +12,7 @@ from emeasure import (
     INF,
     Model,
     NumericLoss,
+    OrderMeasurableFn,
     Pmf,
     Preorder,
     ProbabilityAssignment,
@@ -27,11 +28,13 @@ from emeasure import (
     e_integrated_loss,
     evidence_against_optimality,
     hypothesis_for_bound,
+    integral_least_true,
     likelihood_kernel,
     optimality_class,
     preimage_class,
     class_from_preorder,
     preorder_from_class,
+    shilkret_integral,
     unit_measure,
 )
 from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
@@ -93,6 +96,10 @@ def test_induced_class_equals_preimage_of_row_upper_sets():
         loss = rand_numeric_loss(r, model)
         table = loss.to_consequence_table()
         space = build_consequence_class(table)
+        # every bound hypothesis is an upper set of the dominance preorder
+        for d in range(len(table.decisions)):
+            for c in table.cspace.elements:
+                assert hypothesis_for_bound(table, d, c).bits in space.family
         # build the row space: one point per distinct row, uniform-dominance order
         rows = sorted({table.entries[pi] for pi in range(n)})
         row_model = Model(tuple(f"r{i}" for i in range(len(rows))))
@@ -149,6 +156,8 @@ def test_integrated_loss_worked_examples():
 
 
 def test_integrated_loss_forms_agree_on_random_instances():
+    """The Shilkret integral equals its least-hypothesis form and the sup of
+    loss / e(bound hypothesis) over the levels the loss takes."""
     r = helpers.rng(167)
     for _ in range(20):
         n = r.randint(1, 4)
@@ -157,7 +166,13 @@ def test_integrated_loss_forms_agree_on_random_instances():
         space = build_consequence_class(loss.to_consequence_table())
         e = helpers.rand_measure(r, space)
         for d in loss.decisions:
-            e_integrated_loss(loss, e, d)  # raises if the evaluations disagree
+            column = loss.column(d)
+            by_least = integral_least_true(OrderMeasurableFn(space, column), e)
+            bound_bits = [
+                sum(1 << qi for qi in range(n) if column[qi] >= column[pi]) for pi in range(n)
+            ]
+            by_bounds = helpers.sup_of(column[pi] / e.value_of(bound_bits[pi]) for pi in range(n))
+            assert e_integrated_loss(loss, e, d) == by_least == by_bounds
 
 
 def one_decision_setup(seed):
@@ -292,6 +307,21 @@ def test_posthoc_consequence_bound_catches_invalid_kernels():
         check_posthoc_consequence_bound(bad, pa, table, {x: XValue(0) for x in sample.outcomes})
 
 
+def assert_markov_ratios(k, loss):
+    """loss / integrated loss <= e(bound hypothesis | x) at every (point,
+    outcome, decision): the integral is a sup over levels of c / e({f >= c})."""
+    table = loss.to_consequence_table()
+    space = k.space
+    for d in range(len(loss.decisions)):
+        fn = OrderMeasurableFn(space, loss.column(d))
+        for xi in range(k.sample.size):
+            integrated = shilkret_integral(fn, k.columns[xi])
+            for pi in range(space.model.size):
+                bound = hypothesis_for_bound(table, d, table.entries[pi][d]).bits
+                ratio = loss.entries[pi][d] / integrated
+                assert ratio <= k.value(space.family.id_of(bound), xi)
+
+
 def test_grunwald_bound_constant_losses():
     r, model, loss, space, sample, pa, k = one_decision_setup(197)
     const = NumericLoss(
@@ -299,9 +329,8 @@ def test_grunwald_bound_constant_losses():
     )
     cspace = build_consequence_class(const.to_consequence_table())
     kk = helpers.valid_capacity_kernel(r, model and cspace, pa)
-    report = check_grunwald_bound(kk, pa, const)
-    assert report.holds
-    assert all(e.markov_ok and e.within_econsequence for e in report.entries)
+    assert_markov_ratios(kk, const)
+    assert check_grunwald_bound(kk, pa, const).holds
 
 
 def test_grunwald_bound_random_and_slack():
@@ -314,9 +343,8 @@ def test_grunwald_bound_random_and_slack():
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
-        report = check_grunwald_bound(k, pa, loss)
-        assert report.holds
-        assert all(e.markov_ok and e.within_econsequence for e in report.entries)
+        assert_markov_ratios(k, loss)
+        assert check_grunwald_bound(k, pa, loss).holds
 
 
 def test_admissibility_identical_and_dominated_columns():
@@ -445,7 +473,7 @@ def test_mle_instance_groups_are_singletons_and_argmax_matches():
     assert len(result.space.family) == 8
     for xi, x in enumerate(sample.outcomes):
         best_by_evidence = min(
-            model.points, key=lambda p: kernel.value(space.least_id(p), xi).to_float()
+            model.points, key=lambda p: kernel.value(space.least_id(p), xi)
         )
         best_by_likelihood = max(model.points, key=lambda p: masses[p][xi])
         assert best_by_evidence == best_by_likelihood

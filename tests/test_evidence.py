@@ -19,7 +19,7 @@ from emeasure import (
     space_from_generators,
     unit_measure,
 )
-from emeasure.evidence import ClassMismatch, NotAnEFunction, from_values
+from emeasure.evidence import ClassMismatch, NotAnEFunction, from_values, measure_from_density
 from emeasure import golden
 
 
@@ -176,6 +176,25 @@ def test_merge_single_input_is_identity():
     assert merge_convex([e], [1]).values == e.values
 
 
+def test_merge_of_capacities_is_a_capacity():
+    """Non-negative weights keep antitonicity, so the convex combination of
+    capacities is a capacity; its tag is the class by the definitions."""
+    r = helpers.rng(41)
+    for case in range(30):
+        space = helpers.rand_uc_space(r) if case % 2 else helpers.rand_ic_space(r)
+        inputs = [helpers.rand_capacity(r, space) for _ in range(r.randint(1, 3))]
+        weights = [Fraction(r.randint(0, 3)) for _ in inputs]
+        if not sum(weights):
+            weights[0] = Fraction(1)
+        weights = [w / sum(weights) for w in weights]
+        merged = merge_convex(inputs, weights)
+        assert merged.values == tuple(
+            sum((f.values[hid] * XValue(w) for f, w in zip(inputs, weights)), XValue(0))
+            for hid in range(len(space.family))
+        )
+        assert merged.eclass == helpers.oracle_eclass(space, merged.values) >= EClass.CAPACITY
+
+
 def test_merge_of_measures_can_break_the_union_law():
     space = helpers.power_space(2)
     m1 = from_values(space, ["inf", 4, 2, 2])
@@ -275,6 +294,23 @@ def test_powerset_extension_is_dominated_by_sampled_capacity_extensions():
             for hid, member in enumerate(space.family.members):
                 assert other.value_of(member.bits) == m.values[hid]
             assert other.dominates(ext)
+
+
+def test_measure_from_density_is_the_least_density_measure():
+    """e(H) is the least density among H's points and inf on the empty set;
+    minimums turn unions into minimums, so the table is a measure by the
+    definitions on every union-closed family, intersection-closed or not."""
+    r = helpers.rng(37)
+    for case in range(40):
+        space = helpers.rand_uc_space(r) if case % 2 else helpers.rand_ic_space(r)
+        density = [helpers.rand_xvalue(r) for _ in range(space.model.size)]
+        m = measure_from_density(space, density)
+        assert m.values == tuple(
+            helpers.inf_of(density[i] for i in member.indices())
+            for member in space.family.members
+        )
+        assert m.values[space.family.empty_id] == INF
+        assert m.eclass is EClass.MEASURE is helpers.oracle_eclass(space, m.values)
 
 
 def test_dirac_and_unit_tables():

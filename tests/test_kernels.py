@@ -152,6 +152,25 @@ def test_close_kernel_keeps_measures_and_matches_bruteforce():
             assert a.values == b.values
 
 
+def test_close_kernel_dominates_any_input():
+    """Closing raises every table to its smallest dominating measure, so the
+    closed kernel dominates its input whether or not that is a capacity."""
+    r = helpers.rng(11)
+    for case in range(20):
+        space = helpers.rand_uc_space(r) if case % 2 else helpers.rand_ic_space(r)
+        sample = helpers.rand_sample(r)
+        cols = []
+        for _ in sample.outcomes:
+            raw = {hid: helpers.rand_xvalue(r) for hid in range(len(space.family))}
+            raw[space.family.empty_id] = INF
+            cols.append(helpers.classify(space, raw))
+        k = EKernel(space, sample, cols)
+        closed = close_kernel(k)
+        assert closed.dominates(k)
+        for col, before in zip(closed.columns, k.columns):
+            assert list(col.values) == helpers.oracle_closure(before)
+
+
 def test_close_kernel_preserves_validity_verdict():
     r, space, sample, pa = small_setup(13)
     for _ in range(20):
@@ -625,7 +644,32 @@ def test_predictive_identity_reduces_to_diagonal_on_power_set():
         assert report.identity_holds
         for xi, (x, sup_val, least_val, ok) in enumerate(report.sup_identity):
             assert ok and least_val == k.value(space.family.id_of(1 << xi), xi)
-        assert report.verdicts_agree
+        # the identity makes the sup variable the least-hypothesis variable
+        least_var = [k.value(space.least_id(xi), xi) for xi in range(sample.size)]
+        least_stats = tuple(helpers.oracle_expectation(pmf, least_var) for pmf in pmfs)
+        assert report.sup_stats == least_stats
+        assert report.sup_valid == all(s <= XValue(1) for s in least_stats)
+
+
+def test_predictive_identity_fails_off_capacities():
+    """A table that is not antitone can put more evidence on a true superset
+    than on the outcome's least hypothesis; the identity then reports it."""
+    r, space, sample, pmfs = predictive_setup(77)
+    failures = 0
+    for _ in range(20):
+        raw = {hid: helpers.rand_xvalue(r) for hid in range(len(space.family))}
+        raw[space.family.empty_id] = INF
+        k = EKernel(space, sample, [helpers.classify(space, raw)] * sample.size)
+        report = check_predictive_validity(k, pmfs)
+        expected = [
+            helpers.sup_of(v for m, v in zip(space.family.members, k.columns[xi].values)
+                           if xi in m) == k.value(space.least_id(xi), xi)
+            for xi in range(sample.size)
+        ]
+        assert [ok for *_, ok in report.sup_identity] == expected
+        assert report.identity_holds == all(expected)
+        failures += not report.identity_holds
+    assert failures
 
 
 def test_predictive_binary_prediction_set_coverage():
@@ -639,15 +683,17 @@ def test_predictive_binary_prediction_set_coverage():
             if m.is_empty:
                 values[hid] = INF
             else:
-                values[hid] = XValue(0) if (m.bits >> 0 & 1) == 0 else XValue(1) / XValue(alpha)
-        # evidence must not charge the observed outcome's singleton beyond validity:
+                # only the claim "the outcome is P1" is rejected; the table stays antitone
+                values[hid] = XValue(1) / XValue(alpha) if m.bits == 0b001 else XValue(0)
         cols.append(helpers.classify(space, values))
     k = EKernel(space, sample, cols)
+    assert k.eclass >= EClass.CAPACITY
     report = check_predictive_validity(k, pmfs)
-    # the diagonal variable is 1/alpha exactly when the true outcome is P1
-    for pmf, stat in zip(pmfs, report.least_stats):
+    # the sup variable is 1/alpha exactly when the true outcome is P1
+    assert report.identity_holds
+    for pmf, stat in zip(pmfs, report.sup_stats, strict=True):
         assert stat == XValue(pmf.mass[0] / alpha)
-        assert report.sup_valid == report.least_valid
+    assert report.sup_valid == all(pmf.mass[0] <= alpha for pmf in pmfs)
 
 
 def test_predictive_requires_matching_spaces():

@@ -13,7 +13,6 @@ from emeasure import (
     EClass,
     EKernel,
     INF,
-    ONE,
     Model,
     PointSet,
     SampleSpace,
@@ -158,17 +157,31 @@ def test_binary_kernel_fep_is_fsp_over_alpha():
 
 
 def test_fer_pointwise_bound_and_rate():
+    """On a capacity kernel over an intersection-closed space every selected
+    true hypothesis contains the point's least hypothesis, so
+    FEP <= FSP * e(H_P|x) <= e(H_P|x) at every (rule, point, outcome), valid
+    kernel or not; valid kernels keep the premise and the rate at most 1."""
     r = helpers.rng(113)
-    for _ in range(15):
+    for case in range(30):
         space = helpers.rand_ic_space(r)
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, space.model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
+        if case % 3 == 2:
+            k = helpers.scaled_kernel(k, XValue(3))
+        assert k.eclass >= EClass.CAPACITY
         ids = list(space.family.nonempty_ids())
-        rule = SelectionRule.fixed(sample, ids[: r.randint(0, len(ids))])
-        report = check_fer(k, pa, rule)
-        assert report.pointwise_holds
-        assert report.premise_holds and report.fer_controlled
+        rule = SelectionRule(
+            sample, tuple(tuple(r.sample(ids, r.randint(0, len(ids)))) for _ in range(sample.size))
+        )
+        for pi in range(space.model.size):
+            for xi in range(sample.size):
+                pair = fep_fsp(k, pi, rule, xi)
+                least_value = k.value(space.least_id(pi), xi)
+                assert pair.fep <= XValue(pair.fsp) * least_value <= least_value
+        if case % 3 != 2:
+            report = check_fer(k, pa, rule)
+            assert report.premise_holds and report.fer_controlled
 
 
 def test_fer_rate_and_premise_match_their_definitions():
@@ -210,28 +223,43 @@ def test_fer_rate_and_premise_match_their_definitions():
         )
         report = check_fer(k, pa, rule)
         assert (report.fer, report.premise) == (rate(rule.at), premise)
-        uniform = check_fer(k, pa, uniform=True)
+        uniform = check_fer(k, pa)
         assert uniform.fer == max(rate(lambda x, h=h: (h,)) for h in ids)
         assert uniform.premise is None
 
 
 def test_fer_singleton_rules_and_uniform_equivalence():
+    """The singleton rule {H} has FEP e(H|x) on H's points and 0 elsewhere, so
+    the uniform rate, the largest rate over singleton rules, is the largest
+    validity statistic, on valid and violating kernels alike."""
     r = helpers.rng(127)
-    space = helpers.rand_ic_space(r, max_points=3)
-    sample = helpers.rand_sample(r)
-    pa = helpers.rand_pa(r, space.model, sample)
-    k = helpers.valid_capacity_kernel(r, space, pa)
-    # singleton selection: the proportion-weighted evidence is the evidence
-    for hid in space.family.nonempty_ids():
-        rule = SelectionRule.fixed(sample, [hid])
-        member = space.family.member(hid)
-        for pi in member.indices():
-            for xi in range(sample.size):
-                assert fep_fsp(k, pi, rule, xi).fep == k.value(hid, xi)
-    report = check_fer(k, pa, uniform=True)
-    assert (report.fer <= ONE) == check_validity(k, pa).valid
-    bad = helpers.constant_two_kernel(space, sample)
-    assert (check_fer(bad, pa, uniform=True).fer <= ONE) == check_validity(bad, pa).valid
+    for case in range(24):
+        space = helpers.rand_ic_space(r, max_points=3)
+        sample = helpers.rand_sample(r)
+        pa = helpers.rand_pa(r, space.model, sample, full_support=case % 2 == 0)
+        k = helpers.valid_capacity_kernel(r, space, pa)
+        if case % 4 == 1:
+            k = helpers.scaled_kernel(k, XValue(3))
+        elif case % 4 == 3:
+            k = helpers.constant_two_kernel(space, sample)
+        singleton_rates = []
+        for hid in space.family.nonempty_ids():
+            rule = SelectionRule.fixed(sample, [hid])
+            member = space.family.member(hid)
+            for pi in range(space.model.size):
+                feps = [fep_fsp(k, pi, rule, xi).fep for xi in range(sample.size)]
+                assert feps == [k.value(hid, xi) if pi in member else XValue(0)
+                                for xi in range(sample.size)]
+                singleton_rates.append(helpers.oracle_expectation(pa.pmfs[pi], feps))
+        largest_validity_stat = max(
+            helpers.oracle_expectation(pa.pmfs[pi], k.variable(hid))
+            for hid in space.family.nonempty_ids()
+            for pi in space.family.member(hid).indices()
+        )
+        report = check_fer(k, pa)
+        assert report.fer == max(singleton_rates) == largest_validity_stat
+        assert report.fer_controlled == check_validity(k, pa).valid
+        assert report.premise is None and report.premise_holds is None
 
 
 def test_fer_first_inequality_tight_for_disjoint_least_selections():

@@ -82,3 +82,26 @@ def test_private_rational_parts_are_read_only_in_xvalue():
         if isinstance(node, ast.Attribute) and node.attr in PRIVATE_PARTS
     ]
     assert SOURCES and not found
+
+
+def _float_calls(tree: ast.Module) -> list[int]:
+    """Lines that call the builtin float or any attribute named to_float."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "float")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "to_float")
+        )
+    ]
+
+
+def test_no_module_turns_a_value_into_a_float():
+    """Every result is an exact rational; no rendering or ordering goes through floats."""
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _float_calls(ast.parse(path.read_text()))
+    ]
+    assert SOURCES and not found
