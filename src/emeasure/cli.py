@@ -9,9 +9,7 @@ is line-delimited with exact rationals as 'p/q' strings and 'inf'.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -21,33 +19,12 @@ from . import kernels as kn
 from . import multiplicity as mtp
 from . import decisions as dec
 from .evidence import EClass, EvidenceError
-from .spaces import MODEL_POINT_CAP, SpaceError
+from .spaces import SpaceError
 from .xvalue import XValue, decimal_text
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
-
-
-@dataclass(frozen=True)
-class Caps:
-    model: int = MODEL_POINT_CAP
-
-
-def caps_from_env(env: Optional[str]) -> Caps:
-    caps = Caps()
-    if not env:
-        return caps
-    updates = {}
-    for part in env.split(","):
-        if not part.strip():
-            continue
-        key, _, raw = part.partition("=")
-        key = key.strip()
-        if key not in Caps.__dataclass_fields__:
-            raise ValueError(f"unknown cap {key!r} in EMEASURE_CAPS")
-        updates[key] = int(raw)
-    return replace(caps, **updates)
 
 
 def _level_arg(raw: str) -> Fraction:
@@ -132,9 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("validity", "fwe", "fer", "anytime", "posthoc", "predictive"),
         default="validity",
     )
-    p_chk.add_argument("--rule", default=None, help="'canonical' or a fixed level")
+    p_chk.add_argument(
+        "--rule", default=None, help="'canonical' or a fixed level, for --check posthoc"
+    )
     p_chk.add_argument("--tree", default=None, help="tree file for --check anytime")
-    p_chk.add_argument("--family", default=None, help="comma-separated hypothesis labels")
+    p_chk.add_argument(
+        "--family", default=None, help="comma-separated hypothesis labels, for --check fer"
+    )
     common(p_chk)
 
     p_mtp = sub.add_parser("mtp", help="multiplicity procedures")
@@ -173,9 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_space(args, caps: Caps) -> int:
+def cmd_space(args) -> int:
     out = Printer(args.format)
-    sf = fileio.load_space(args.space, point_cap=caps.model)
+    sf = fileio.load_space(args.space)
     report = sf.space.analyze()
     out.text(f"points: {', '.join(sf.space.model.points)}")
     out.text(f"members: {len(sf.space.family)}")
@@ -207,9 +188,9 @@ def cmd_space(args, caps: Caps) -> int:
     return EXIT_OK
 
 
-def cmd_closure(args, caps: Caps) -> int:
+def cmd_closure(args) -> int:
     out = Printer(args.format)
-    sf = fileio.load_space(args.space, point_cap=caps.model)
+    sf = fileio.load_space(args.space)
     table = fileio.load_evidence(args.evidence, sf)
     try:
         e = ev.classify(sf.space, table)
@@ -235,65 +216,77 @@ def cmd_closure(args, caps: Caps) -> int:
     return EXIT_OK
 
 
-def _report_entries(out: Printer, kind: str, entries, space) -> None:
-    for entry in entries:
-        out.record(
-            kind,
-            hypothesis=_member_label(space, entry.hid),
-            point=entry.point,
-            stat=entry.stat,
-            ok=entry.ok,
-        )
-
-
-def _report_fwe(out: Printer, kernel, pa) -> int:
-    report = mtp.check_fwe(kernel, pa)
+def _report_entries(
+    out: Printer, kind: str, report: kn.Report, space, text: Optional[str] = None
+) -> None:
+    """One record per entry; with `text`, also one `  point: text stat` line."""
+    labels = {}  # a hypothesis recurs once per point it contains
     for entry in report.entries:
-        out.record("fwe", point=entry.point, stat=entry.stat, ok=entry.ok)
-        out.text(f"  {entry.point}: expected familywise evidence {entry.stat}")
-    out.text(f"familywise evidence controlled: {_render(report.controlled)}")
-    return EXIT_OK if report.controlled else EXIT_VIOLATION
+        fields = {}
+        if entry.hid is not None:
+            if entry.hid not in labels:
+                labels[entry.hid] = _member_label(space, entry.hid)
+            fields["hypothesis"] = labels[entry.hid]
+        if entry.case is not None:
+            fields["benchmark"] = entry.case
+        out.record(kind, **fields, point=entry.point, stat=entry.stat, ok=entry.ok)
+        if text is not None:
+            out.text(f"  {entry.point}: {text} {entry.stat}")
+
+
+def _verdict(out: Printer, label: str, ok: bool) -> int:
+    out.text(f"{label}: {_render(ok)}")
+    return EXIT_OK if ok else EXIT_VIOLATION
+
+
+def _report_fwe(out: Printer, kernel, pa, space) -> int:
+    report = mtp.check_fwe(kernel, pa)
+    _report_entries(out, "fwe", report, space, text="expected familywise evidence")
+    return _verdict(out, "familywise evidence controlled", report.ok)
 
 
 def _report_fer(out: Printer, args, sf, kernel, pa) -> int:
     """The rule selects the --family members at every outcome; without
-    --family every singleton rule is checked (uniform mode)."""
+    --family the rate comes from one validity pass."""
     rule = None
     if args.family:
         ids = [sf.resolve(args.space, lab) for lab in _split_labels(args.family)]
         rule = mtp.SelectionRule.fixed(kernel.sample, ids)
     report = mtp.check_fer(kernel, pa, rule)
-    out.record("fer", rate=report.fer, controlled=report.fer_controlled)
-    out.text(f"false evidence rate: {_render(report.fer)}")
-    out.text(f"controlled: {_render(report.fer_controlled)}")
-    return EXIT_OK if report.fer_controlled else EXIT_VIOLATION
+    rate = report.worst().stat
+    out.record("fer", rate=rate, controlled=report.ok)
+    out.text(f"false evidence rate: {_render(rate)}")
+    return _verdict(out, "controlled", report.ok)
 
 
-def cmd_check(args, caps: Caps) -> int:
+def cmd_check(args) -> int:
     out = Printer(args.format)
     if args.check != "anytime" and len(args.kernel) > 1:
         raise fileio.SchemaError(
             "<args>", f"--check {args.check} reads one --kernel, got {len(args.kernel)}"
         )
-    sf = fileio.load_space(args.space, point_cap=caps.model)
+    for option, reader in (("rule", "posthoc"), ("family", "fer"), ("tree", "anytime")):
+        if getattr(args, option) is not None and args.check != reader:
+            raise fileio.SchemaError("<args>", f"--check {args.check} does not read --{option}")
+    sf = fileio.load_space(args.space)
     pa = fileio.load_pmfs(args.model, sf.space.model)
     kernels = [fileio.load_kernel(p, sf, pa.sample) for p in args.kernel]
     kernel = kernels[0]
 
     if args.check == "validity":
         report = kn.check_validity(kernel, pa)
-        _report_entries(out, "validity", report.entries, sf.space)
+        _report_entries(out, "validity", report, sf.space)
+        code = _verdict(out, "hypothesis-wise valid", report.ok)
         witness = report.first_violation()
-        out.text(f"hypothesis-wise valid: {_render(report.valid)}")
         if witness is not None:
             out.text(
                 f"first violation: {{{_member_label(sf.space, witness.hid)}}} under "
                 f"{witness.point}: expectation {witness.stat}"
             )
-        return EXIT_OK if report.valid else EXIT_VIOLATION
+        return code
 
     if args.check == "fwe":
-        return _report_fwe(out, kernel, pa)
+        return _report_fwe(out, kernel, pa, sf.space)
 
     if args.check == "fer":
         return _report_fer(out, args, sf, kernel, pa)
@@ -305,18 +298,16 @@ def cmd_check(args, caps: Caps) -> int:
             level = fileio._xvalue("--rule", args.rule)
             rule = {x: level for x in kernel.sample.outcomes}
         report = kn.check_posthoc_validity(kernel, pa, rule)
-        _report_entries(out, "posthoc", report.entries, sf.space)
-        out.text(f"post-hoc bound holds: {_render(report.holds)}")
-        return EXIT_OK if report.holds else EXIT_VIOLATION
+        _report_entries(out, "posthoc", report, sf.space)
+        return _verdict(out, "post-hoc bound holds", report.ok)
 
     if args.check == "predictive":
         report = kn.check_predictive_validity(kernel, pa.pmfs)
         for x, sup_val, least_val, ok in report.sup_identity:
             out.record("predictive", outcome=x, sup=sup_val, least=least_val, ok=ok)
         out.text(f"sup identity holds: {_render(report.identity_holds)}")
-        out.text(f"predictively valid: {_render(report.sup_valid)}")
-        ok = report.identity_holds and report.sup_valid
-        return EXIT_OK if ok else EXIT_VIOLATION
+        code = _verdict(out, "predictively valid", report.stats.ok)
+        return code if report.identity_holds else EXIT_VIOLATION
 
     if args.check == "anytime":
         if args.tree is None:
@@ -339,18 +330,16 @@ def cmd_check(args, caps: Caps) -> int:
         tree = kn.FiltrationTree(pa.sample, to_shape(shape))
         proc = kn.EProcess(tree, kernels)
         report = kn.check_anytime_validity(proc, pa)
-        out.record(
-            "anytime", rules=report.rules_checked, valid=report.valid,
-        )
+        out.record("anytime", rules=report.rules_checked, valid=report.stats.ok)
         out.text(f"stopping rules checked: {_render(report.rules_checked)}")
-        out.text(f"anytime valid: {_render(report.valid)}")
-        if report.first_violation is not None:
-            rule, entry = report.first_violation
+        code = _verdict(out, "anytime valid", report.stats.ok)
+        witness = report.stats.first_violation()
+        if witness is not None:
             out.text(
-                f"first violation at stop depths {rule}: "
-                f"{{{_member_label(sf.space, entry.hid)}}} under {entry.point}"
+                f"first violation at stop depths {report.rule}: "
+                f"{{{_member_label(sf.space, witness.hid)}}} under {witness.point}"
             )
-        return EXIT_OK if report.valid else EXIT_VIOLATION
+        return code
 
     raise fileio.SchemaError("<args>", f"unknown check {args.check!r}")
 
@@ -398,20 +387,22 @@ def _golden_table1(args, out: Printer) -> int:
     return EXIT_OK if not diffs else EXIT_VIOLATION
 
 
-def cmd_mtp(args, caps: Caps) -> int:
+def cmd_mtp(args) -> int:
     out = Printer(args.format)
     if args.golden == "table1":
         return _golden_table1(args, out)
     if args.space is None:
         raise fileio.SchemaError("<args>", "mtp needs --space (or --golden)")
-    sf = fileio.load_space(args.space, point_cap=caps.model)
+    if args.procedure == "fwe" and args.family is not None:
+        raise fileio.SchemaError("<args>", "--procedure fwe does not read --family")
+    sf = fileio.load_space(args.space)
     if args.procedure in ("fer", "fwe"):
         if args.kernel is None or args.model is None:
             raise fileio.SchemaError("<args>", f"{args.procedure} needs --kernel and --model")
         pa = fileio.load_pmfs(args.model, sf.space.model)
         kernel = fileio.load_kernel(args.kernel, sf, pa.sample)
         if args.procedure == "fwe":
-            return _report_fwe(out, kernel, pa)
+            return _report_fwe(out, kernel, pa, sf.space)
         return _report_fer(out, args, sf, kernel, pa)
     if args.evidence is None:
         raise fileio.SchemaError("<args>", "mtp needs --evidence for this procedure")
@@ -447,9 +438,9 @@ def cmd_mtp(args, caps: Caps) -> int:
     return EXIT_OK
 
 
-def cmd_decide(args, caps: Caps) -> int:
+def cmd_decide(args) -> int:
     out = Printer(args.format)
-    sf = fileio.load_space(args.space, point_cap=caps.model) if args.space else None
+    sf = fileio.load_space(args.space) if args.space else None
     if sf is None:
         raise fileio.SchemaError("<args>", "decide needs --space")
     pa = fileio.load_pmfs(args.model, sf.space.model)
@@ -471,17 +462,9 @@ def cmd_decide(args, caps: Caps) -> int:
     except dec.OrderMeasurabilityViolation as exc:
         raise fileio.SchemaError(args.decisions, str(exc)) from None
 
-    if args.bound == "grunwald":
-        for entry in report.entries:
-            out.record("bound", point=entry.point, stat=entry.stat, ok=entry.ok)
-            out.text(f"  {entry.point}: ratio expectation {entry.stat}")
-    else:
-        for entry in report.entries:
-            out.record(
-                "bound", benchmark=entry.benchmark, point=entry.point,
-                stat=entry.stat, ok=entry.ok,
-            )
-    out.text(f"bound holds: {_render(report.holds)}")
+    ratio = "ratio expectation" if args.bound == "grunwald" else None
+    _report_entries(out, "bound", report, sf.space, text=ratio)
+    code = _verdict(out, "bound holds", report.ok)
 
     if loss is not None and args.outcome is not None:
         slice_fn = kernel.column(args.outcome)
@@ -518,17 +501,12 @@ def cmd_decide(args, caps: Caps) -> int:
     except dec.OrderMeasurabilityViolation as exc:
         out.text(f"admissibility skipped: {exc}")
 
-    return EXIT_OK if report.holds else EXIT_VIOLATION
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        caps = caps_from_env(os.environ.get("EMEASURE_CAPS"))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     handlers = {
         "space": cmd_space,
         "closure": cmd_closure,
@@ -537,7 +515,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "decide": cmd_decide,
     }
     try:
-        return handlers[args.command](args, caps)
+        return handlers[args.command](args)
     except (fileio.SchemaError, SpaceError, EvidenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

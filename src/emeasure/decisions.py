@@ -11,7 +11,7 @@ from typing import Mapping, Optional, Sequence
 from . import kernels as kn
 from .evidence import EClass, EFunction, EvidenceError
 from .integration import OrderMeasurabilityViolation, OrderMeasurableFn, shilkret_integral
-from .kernels import EKernel, ProbabilityAssignment, pushforward_kernel
+from .kernels import EKernel, Entry, ProbabilityAssignment, Report, pushforward_kernel
 from .spaces import (
     HypothesisClass,
     Model,
@@ -215,46 +215,25 @@ def _bound_ids(space: Space, table: ConsequenceTable, qi: int) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    benchmark: str
-    point: str
-    stat: XValue
-    ok: bool
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    entries: tuple[BoundEntry, ...]
-    holds: bool
-
-
 def check_econsequence_bound(
     k: EKernel, pa: ProbabilityAssignment, table: ConsequenceTable
-) -> BoundReport:
-    """Uniform consequence bound: for each benchmark row and each point whose
-    row dominates it, the expected worst evidence across decisions is at
-    most one."""
+) -> Report:
+    """Uniform consequence bound: for each benchmark row (an entry's case)
+    and each point whose row dominates it, the expected worst evidence
+    across decisions is at most one."""
     induced = _require_order_measurable(k.space, table)
     entries = []
-    holds = True
     for label, qi in _distinct_rows(table):
         h_row = induced.family.member(induced.least_id(qi))
         bound_ids = _bound_ids(k.space, table, qi)
+        sup_var = [
+            sup_of(k.value(hid, xi) for hid in bound_ids)
+            for xi in range(k.sample.size)
+        ]
         for pi in h_row.indices():
-            sup_var = [
-                sup_of(k.value(hid, xi) for hid in bound_ids)
-                for xi in range(k.sample.size)
-            ]
             stat = pa.pmfs[pi].expectation(sup_var)
-            ok = stat <= ONE
-            holds = holds and ok
-            entries.append(
-                BoundEntry(
-                    benchmark=label, point=k.space.model.points[pi], stat=stat, ok=ok
-                )
-            )
-    return BoundReport(entries=tuple(entries), holds=holds)
+            entries.append(Entry(k.space.model.points[pi], stat, case=label))
+    return Report(tuple(entries))
 
 
 def check_posthoc_consequence_bound(
@@ -262,7 +241,7 @@ def check_posthoc_consequence_bound(
     pa: ProbabilityAssignment,
     table: ConsequenceTable,
     rule: kn.LevelRule,
-) -> BoundReport:
+) -> Report:
     """Post-hoc version: expected miss rate of the per-decision confidence
     sets under a data-dependent level. The canonical level 1/worst-evidence
     reproduces the uniform bound statistic exactly."""
@@ -270,7 +249,6 @@ def check_posthoc_consequence_bound(
     canonical = rule == "canonical"
     level_of = None if canonical else kn._resolve_rule(k, rule)
     entries = []
-    holds = True
     for label, qi in _distinct_rows(table):
         h_row = induced.family.member(induced.least_id(qi))
         bound_ids = _bound_ids(k.space, table, qi)
@@ -288,14 +266,8 @@ def check_posthoc_consequence_bound(
             contribution.append((ONE if missed else ZERO) / level)
         for pi in h_row.indices():
             stat = pa.pmfs[pi].expectation(contribution)
-            ok = stat <= ONE
-            holds = holds and ok
-            entries.append(
-                BoundEntry(
-                    benchmark=label, point=k.space.model.points[pi], stat=stat, ok=ok
-                )
-            )
-    return BoundReport(entries=tuple(entries), holds=holds)
+            entries.append(Entry(k.space.model.points[pi], stat, case=label))
+    return Report(tuple(entries))
 
 
 def e_integrated_loss(loss: NumericLoss, e: EFunction, decision: int | str) -> XValue:
@@ -311,22 +283,9 @@ def e_integrated_loss(loss: NumericLoss, e: EFunction, decision: int | str) -> X
     return shilkret_integral(OrderMeasurableFn(e.space, loss.column(decision)), e)
 
 
-@dataclass(frozen=True)
-class GrunwaldEntry:
-    point: str
-    stat: XValue
-    ok: bool
-
-
-@dataclass(frozen=True)
-class GrunwaldReport:
-    entries: tuple[GrunwaldEntry, ...]
-    holds: bool
-
-
 def check_grunwald_bound(
     k: EKernel, pa: ProbabilityAssignment, loss: NumericLoss
-) -> GrunwaldReport:
+) -> Report:
     """Integrated-loss ratio bound.
 
     Per point the expectation of the worst ratio loss/integrated-loss must
@@ -347,17 +306,13 @@ def check_grunwald_bound(
         )
 
     entries = []
-    holds = True
     for pi in range(model.size):
         ratio_var = [
             sup_of(loss.entries[pi][d] / integrated[d][xi] for d in range(n_dec))
             for xi in range(k.sample.size)
         ]
-        stat = pa.pmfs[pi].expectation(ratio_var)
-        ok = stat <= ONE
-        holds = holds and ok
-        entries.append(GrunwaldEntry(point=model.points[pi], stat=stat, ok=ok))
-    return GrunwaldReport(entries=tuple(entries), holds=holds)
+        entries.append(Entry(model.points[pi], pa.pmfs[pi].expectation(ratio_var)))
+    return Report(tuple(entries))
 
 
 @dataclass(frozen=True)

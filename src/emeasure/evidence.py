@@ -174,7 +174,7 @@ def merge_convex(functions: Sequence[EFunction], weights: Sequence[Fraction | in
     return from_values(space, out)
 
 
-def extend_to_powerset(e: EFunction, point_cap: int = POWERSET_POINT_CAP) -> EFunction:
+def extend_to_powerset(e: EFunction) -> EFunction:
     """Canonical extension of a measure to every subset of the model.
 
     A subset's evidence is the least evidence among the least hypotheses of
@@ -186,8 +186,8 @@ def extend_to_powerset(e: EFunction, point_cap: int = POWERSET_POINT_CAP) -> EFu
     space = e.space
     space.require_intersection_closed()
     size = space.model.size
-    if size > point_cap:
-        raise CapExceeded(f"model size {size} exceeds power-set cap {point_cap}")
+    if size > POWERSET_POINT_CAP:
+        raise CapExceeded(f"model size {size} exceeds power-set cap {POWERSET_POINT_CAP}")
     least = space.least_ids()
     full = Space(space.model, HypothesisClass.from_bits(size, range(1 << size), check=False))
     return measure_from_density(full, [e.values[least[i]] for i in range(size)])

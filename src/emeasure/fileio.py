@@ -113,14 +113,14 @@ class SpaceFile:
         return self.space.family.id_of(bits)
 
 
-def load_space(path: Path | str, *, point_cap: int = MODEL_POINT_CAP) -> SpaceFile:
+def load_space(path: Path | str) -> SpaceFile:
     data = _load_yaml(path)
     points = data.get("points")
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise SchemaError(path, "'points' must be a list of labels")
-    if len(points) > point_cap:
+    if len(points) > MODEL_POINT_CAP:
         raise SchemaError(
-            path, f"{len(points)} points exceed the model cap {point_cap}"
+            path, f"{len(points)} points exceed the model cap {MODEL_POINT_CAP}"
         )
     model = Model(tuple(points))
     names: dict[str, list[str]] = {}

@@ -8,14 +8,14 @@ expectations; nothing here is simulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
 from .spaces import Model, Space, SpaceError, preimages
-from .xvalue import ONE, ZERO, XValue, as_xvalue, expectation, sup_of
+from .xvalue import ONE, ZERO, XValue, as_xvalue, expectation
 
 
 class KernelError(EvidenceError):
@@ -174,40 +174,56 @@ def likelihood_kernel(space: Space, pa: ProbabilityAssignment, reference: Pmf) -
     return EKernel(space, reference.sample, cols)
 
 
+# -- one report shape for every expectation held against a bound -----------
+
+
+@dataclass(frozen=True)
+class Entry:
+    """One statistic held against its bound at a point (None for a statistic
+    per distribution). Pair checks name the hypothesis id, others may name a
+    case such as a benchmark row or an outcome."""
+
+    point: Optional[str]
+    stat: XValue
+    bound: XValue = ONE
+    hid: Optional[int] = None
+    case: Optional[str] = None
+    ok: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.stat <= self.bound)
+
+
+@dataclass(frozen=True)
+class Report:
+    """A check's entries; it holds when every entry does."""
+
+    entries: tuple[Entry, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(e.ok for e in self.entries)
+
+    def first_violation(self) -> Optional[Entry]:
+        return next((e for e in self.entries if not e.ok), None)
+
+    def worst(self) -> Optional[Entry]:
+        """The entry with the largest statistic, the first one on ties."""
+        return max(self.entries, key=lambda e: e.stat, default=None)
+
+
 # -- hypothesis-wise validity ------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidityEntry:
-    hid: int
-    point: str
-    stat: XValue
-    ok: bool
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    entries: tuple[ValidityEntry, ...]
-    valid: bool
-
-    def first_violation(self) -> Optional[ValidityEntry]:
-        return next((e for e in self.entries if not e.ok), None)
-
-
-def check_validity(k: EKernel, pa: ProbabilityAssignment) -> ValidityReport:
+def check_validity(k: EKernel, pa: ProbabilityAssignment) -> Report:
     """Exact expectation of every (nonempty hypothesis, contained point) pair."""
+    points = k.space.model.points
     entries = []
-    ok_all = True
     for hid in k.space.family.nonempty_ids():
-        member = k.space.family.member(hid)
-        for pi in member.indices():
-            stat = k.expectation(hid, pa.pmfs[pi])
-            ok = stat <= ONE
-            ok_all = ok_all and ok
-            entries.append(
-                ValidityEntry(hid=hid, point=k.space.model.points[pi], stat=stat, ok=ok)
-            )
-    return ValidityReport(entries=tuple(entries), valid=ok_all)
+        var = k.variable(hid)
+        for pi in k.space.family.member(hid).indices():
+            entries.append(Entry(points[pi], pa.pmfs[pi].expectation(var), hid=hid))
+    return Report(tuple(entries))
 
 
 def close_kernel(k: EKernel) -> EKernel:
@@ -269,15 +285,9 @@ def _resolve_rule(k: EKernel, rule: LevelRule) -> Callable[[int, str], XValue]:
     return lambda hid, x: table[x]
 
 
-@dataclass(frozen=True)
-class PosthocReport:
-    entries: tuple[ValidityEntry, ...]
-    holds: bool
-
-
 def check_posthoc_validity(
     k: EKernel, pa: ProbabilityAssignment, rule: LevelRule
-) -> PosthocReport:
+) -> Report:
     """Expected miss rate of the level-rule confidence sets, at the rule's level.
 
     For each pair the statistic is the expectation of
@@ -286,7 +296,6 @@ def check_posthoc_validity(
     """
     level_of = _resolve_rule(k, rule)
     entries = []
-    holds = True
     for hid in k.space.family.nonempty_ids():
         contribution = []
         for xi, x in enumerate(k.sample.outcomes):
@@ -295,30 +304,11 @@ def check_posthoc_validity(
             contribution.append((ONE if missed else ZERO) / level)
         for pi in k.space.family.member(hid).indices():
             stat = pa.pmfs[pi].expectation(contribution)
-            ok = stat <= ONE
-            holds = holds and ok
-            entries.append(
-                ValidityEntry(hid=hid, point=k.space.model.points[pi], stat=stat, ok=ok)
-            )
-    return PosthocReport(entries=tuple(entries), holds=holds)
+            entries.append(Entry(k.space.model.points[pi], stat, hid=hid))
+    return Report(tuple(entries))
 
 
 # -- updating -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PosteriorEntry:
-    hid: int
-    point: Optional[str]
-    stat: XValue
-    bound: XValue
-    ok: bool
-
-
-@dataclass(frozen=True)
-class PosteriorReport:
-    entries: tuple[PosteriorEntry, ...]
-    holds: bool
 
 
 def _product_columns(prior: EFunction, k: EKernel) -> list[EFunction]:
@@ -331,31 +321,31 @@ def _product_columns(prior: EFunction, k: EKernel) -> list[EFunction]:
 
 def eposterior_raw(
     prior: EFunction, k: EKernel, pa: ProbabilityAssignment
-) -> tuple[EKernel, PosteriorReport]:
+) -> tuple[EKernel, Report]:
     """Hypothesis-wise product of a prior table with a kernel.
 
     The product stays a capacity, and the worst expectation over the
-    points of each hypothesis is bounded by the prior's evidence there.
+    points of each hypothesis is bounded by the prior's evidence there;
+    each entry names the point attaining it, the first in member order on
+    ties.
     """
     if prior.eclass < EClass.CAPACITY or k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("updating needs capacities")
     post = EKernel(k.space, k.sample, _product_columns(prior, k))
     entries = []
-    holds = True
     for hid in k.space.family.nonempty_ids():
         member = k.space.family.member(hid)
-        stat = sup_of(post.expectation(hid, pa.pmfs[pi]) for pi in member.indices())
-        ok = stat <= prior.values[hid]
-        holds = holds and ok
+        stats = {pi: post.expectation(hid, pa.pmfs[pi]) for pi in member.indices()}
+        pi = max(stats, key=stats.__getitem__)
         entries.append(
-            PosteriorEntry(hid=hid, point=None, stat=stat, bound=prior.values[hid], ok=ok)
+            Entry(k.space.model.points[pi], stats[pi], bound=prior.values[hid], hid=hid)
         )
-    return post, PosteriorReport(entries=tuple(entries), holds=holds)
+    return post, Report(tuple(entries))
 
 
 def eposterior_closed(
     prior: EFunction, k: EKernel, pa: ProbabilityAssignment
-) -> tuple[EKernel, PosteriorReport]:
+) -> tuple[EKernel, Report]:
     """Product followed by per-outcome closure; bounds go through least hypotheses."""
     if prior.eclass < EClass.CAPACITY or k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("updating needs capacities")
@@ -363,25 +353,12 @@ def eposterior_closed(
     cols = [ev.close(col) for col in _product_columns(prior, k)]
     post = EKernel(k.space, k.sample, cols)
     least = k.space.least_ids()
-    entries = []
-    holds = True
-    for hid in k.space.family.nonempty_ids():
-        member = k.space.family.member(hid)
-        for pi in member.indices():
-            stat = post.expectation(hid, pa.pmfs[pi])
-            bound = prior.values[least[pi]]
-            ok = stat <= bound
-            holds = holds and ok
-            entries.append(
-                PosteriorEntry(
-                    hid=hid,
-                    point=k.space.model.points[pi],
-                    stat=stat,
-                    bound=bound,
-                    ok=ok,
-                )
-            )
-    return post, PosteriorReport(entries=tuple(entries), holds=holds)
+    points = k.space.model.points
+    return post, Report(tuple(
+        Entry(points[pi], post.expectation(hid, pa.pmfs[pi]), prior.values[least[pi]], hid)
+        for hid in k.space.family.nonempty_ids()
+        for pi in k.space.family.member(hid).indices()
+    ))
 
 
 # -- finite-horizon processes -------------------------------------------
@@ -483,9 +460,13 @@ class EProcess:
 
 @dataclass(frozen=True)
 class AnytimeReport:
+    """Per pair, the largest expected stopped evidence over the
+    `rules_checked` stopping rules; `rule` attains it at the first violating
+    pair, as a stop depth per outcome (None when every pair holds)."""
+
     rules_checked: int
-    valid: bool
-    first_violation: Optional[tuple[tuple[int, ...], ValidityEntry]]
+    stats: Report
+    rule: Optional[tuple[int, ...]]
 
 
 def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> AnytimeReport:
@@ -498,7 +479,7 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
     Zero-mass nodes contribute 0 even against infinite evidence. The
     maximising rule stops at every node where stopping attains W (ties
     stop); the first violating pair, in check_validity order, is reported
-    with that rule. rules_checked counts the rules the sup ranges over.
+    with that rule.
     """
     violations = proc.measurability_violations()
     if violations:
@@ -506,19 +487,15 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
         raise MeasurabilityError(
             f"step {t} varies inside atom {atom} at hypothesis {hid}"
         )
-    first = None
-    valid = True
+    entries = []
+    witness = None
     for hid in proc.space.family.nonempty_ids():
         for pi in proc.space.family.member(hid).indices():
             stat, rule = _envelope(proc, hid, pa.pmfs[pi].mass)
-            if stat > ONE:
-                valid = False
-                if first is None:
-                    point = proc.space.model.points[pi]
-                    first = (rule, ValidityEntry(hid=hid, point=point, stat=stat, ok=False))
-    return AnytimeReport(
-        rules_checked=proc.tree.count_stopping_times(), valid=valid, first_violation=first
-    )
+            entries.append(Entry(proc.space.model.points[pi], stat, hid=hid))
+            if witness is None and not entries[-1].ok:
+                witness = rule
+    return AnytimeReport(proc.tree.count_stopping_times(), Report(tuple(entries)), witness)
 
 
 def _envelope(
@@ -555,10 +532,15 @@ def close_process(proc: EProcess) -> EProcess:
 
 @dataclass(frozen=True)
 class PredictiveReport:
+    """Per outcome, (outcome, sup over true hypotheses, least-hypothesis
+    value, whether they agree); per distribution, the expected sup."""
+
     sup_identity: tuple[tuple[str, XValue, XValue, bool], ...]
-    identity_holds: bool
-    sup_stats: tuple[XValue, ...]
-    sup_valid: bool
+    stats: Report
+
+    @property
+    def identity_holds(self) -> bool:
+        return all(ok for *_, ok in self.sup_identity)
 
 
 def check_predictive_validity(k: EKernel, pmfs: Iterable[Pmf]) -> PredictiveReport:
@@ -574,23 +556,15 @@ def check_predictive_validity(k: EKernel, pmfs: Iterable[Pmf]) -> PredictiveRepo
     k.space.require_intersection_closed()
     least = k.space.least_ids()
     identity = []
-    identity_ok = True
     sup_var = []
     for xi, x in enumerate(k.sample.outcomes):
         col = k.columns[xi]
         sup_val = ev.sup_over_true(k.space, col.values, xi)
         least_val = col.values[least[xi]]
-        ok = sup_val == least_val
-        identity_ok = identity_ok and ok
-        identity.append((x, sup_val, least_val, ok))
+        identity.append((x, sup_val, least_val, sup_val == least_val))
         sup_var.append(sup_val)
-    sup_stats = tuple(p.expectation(sup_var) for p in pmfs)
-    return PredictiveReport(
-        sup_identity=tuple(identity),
-        identity_holds=identity_ok,
-        sup_stats=sup_stats,
-        sup_valid=all(s <= ONE for s in sup_stats),
-    )
+    stats = Report(tuple(Entry(None, p.expectation(sup_var)) for p in pmfs))
+    return PredictiveReport(tuple(identity), stats)
 
 
 # -- pushforwards ----------------------------------------------------------
@@ -601,7 +575,7 @@ def pushforward_kernel(
     mapping: Mapping[str, str],
     target: Space,
     pa: Optional[ProbabilityAssignment] = None,
-) -> tuple[EKernel, Optional[ValidityReport]]:
+) -> tuple[EKernel, Optional[Report]]:
     """Evidence on a coarser space via preimages of its hypotheses.
 
     Fails if some target hypothesis has a preimage outside the source
@@ -623,15 +597,10 @@ def pushforward_kernel(
     pushed = EKernel(target, k.sample, cols)
     report = None
     if pa is not None:
-        entries = []
-        ok_all = True
-        for gid in target.family.nonempty_ids():
-            for pi, p in enumerate(source.model.points):
-                if not bitsets[gid] >> pi & 1:
-                    continue
-                stat = pushed.expectation(gid, pa.pmfs[pi])
-                ok = stat <= ONE
-                ok_all = ok_all and ok
-                entries.append(ValidityEntry(hid=gid, point=p, stat=stat, ok=ok))
-        report = ValidityReport(entries=tuple(entries), valid=ok_all)
+        report = Report(tuple(
+            Entry(p, pushed.expectation(gid, pa.pmfs[pi]), hid=gid)
+            for gid in target.family.nonempty_ids()
+            for pi, p in enumerate(source.model.points)
+            if bitsets[gid] >> pi & 1
+        ))
     return pushed, report

@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
-from .kernels import EKernel, ProbabilityAssignment, SampleSpace, check_validity
-from .xvalue import INF, ONE, XValue, as_xvalue, inf_of, sup_of
+from .kernels import EKernel, Entry, ProbabilityAssignment, Report, SampleSpace, check_validity
+from .xvalue import INF, ONE, XValue, as_xvalue, inf_of
 
 SELECTION_SUBSET_CAP = 1 << 20
 
@@ -50,31 +50,14 @@ def familywise_evidence(k: EKernel, point: int | str, x: int | str) -> XValue:
     return ev.sup_over_true(k.space, k.column(x).values, point)
 
 
-@dataclass(frozen=True)
-class FweEntry:
-    point: str
-    stat: XValue
-    ok: bool
-
-
-@dataclass(frozen=True)
-class FweReport:
-    entries: tuple[FweEntry, ...]
-    controlled: bool
-
-
-def check_fwe(k: EKernel, pa: ProbabilityAssignment) -> FweReport:
+def check_fwe(k: EKernel, pa: ProbabilityAssignment) -> Report:
     """Expected familywise evidence per point, via the exhaustive supremum."""
-    model = k.space.model
-    entries = []
-    controlled = True
-    for pi in range(model.size):
-        sup_var = [familywise_evidence(k, pi, xi) for xi in range(k.sample.size)]
-        stat = pa.pmfs[pi].expectation(sup_var)
-        ok = stat <= ONE
-        controlled = controlled and ok
-        entries.append(FweEntry(point=model.points[pi], stat=stat, ok=ok))
-    return FweReport(entries=tuple(entries), controlled=controlled)
+    return Report(tuple(
+        Entry(point, pa.pmfs[pi].expectation(
+            [familywise_evidence(k, pi, xi) for xi in range(k.sample.size)]
+        ))
+        for pi, point in enumerate(k.space.model.points)
+    ))
 
 
 @dataclass(frozen=True)
@@ -97,50 +80,28 @@ def fep_fsp(k: EKernel, point: int | str, rule: SelectionRule, x: int | str) -> 
     return FepFsp(fep=total / denom, fsp=Fraction(len(true_ids), denom))
 
 
-@dataclass(frozen=True)
-class FerReport:
-    fer: XValue
-    fer_controlled: bool
-    premise: Optional[XValue]
-    premise_holds: Optional[bool]
-
-
 def check_fer(
     k: EKernel, pa: ProbabilityAssignment, rule: Optional[SelectionRule] = None
-) -> FerReport:
+) -> Report:
     """False-evidence-rate control of a fixed selection rule, or of every
-    singleton rule when no rule is given (uniform mode).
+    singleton rule when no rule is given; the rate is the largest statistic.
 
-    With a rule, the rate is the largest expected FEP over the points and
-    the premise the largest expected FSP * e(H_P|x); on a capacity kernel
-    FEP <= FSP * e(H_P|x) <= e(H_P|x) pointwise. The singleton rule {H} has
-    FEP e(H|x) on H's points and 0 elsewhere, so the uniform rate is the
-    largest validity statistic and `fer <= 1` holds exactly when the kernel
-    is valid.
+    With a rule, each point's statistic is its expected FEP. The singleton
+    rule {H} has FEP e(H|x) on H's points and 0 elsewhere, so with no rule
+    the report is one validity pass: the rate is the largest validity
+    statistic and it is controlled exactly when the kernel is valid.
     """
     if k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("the false-evidence bound needs a capacity kernel")
     k.space.require_intersection_closed()
     if rule is None:
-        fer = sup_of(entry.stat for entry in check_validity(k, pa).entries)
-        return FerReport(fer=fer, fer_controlled=fer <= ONE, premise=None, premise_holds=None)
-    least = k.space.least_ids()
-    fer_stats = []
-    premise_stats = []
-    for pi, pmf in enumerate(pa.pmfs):
-        fep_var = []
-        bound_var = []
-        for xi in range(k.sample.size):
-            pair = fep_fsp(k, pi, rule, xi)
-            fep_var.append(pair.fep)
-            bound_var.append(XValue(pair.fsp) * k.value(least[pi], xi))
-        fer_stats.append(pmf.expectation(fep_var))
-        premise_stats.append(pmf.expectation(bound_var))
-    fer = sup_of(fer_stats)
-    premise = sup_of(premise_stats)
-    return FerReport(
-        fer=fer, fer_controlled=fer <= ONE, premise=premise, premise_holds=premise <= ONE
-    )
+        return check_validity(k, pa)
+    return Report(tuple(
+        Entry(point, pa.pmfs[pi].expectation(
+            [fep_fsp(k, pi, rule, xi).fep for xi in range(k.sample.size)]
+        ))
+        for pi, point in enumerate(k.space.model.points)
+    ))
 
 
 # -- selection post-processing -------------------------------------------
@@ -430,26 +391,6 @@ class CustomPhi(PhiSpec):
         return self._fn(point, table)
 
 
-@dataclass(frozen=True)
-class PhiPointwise:
-    point: str
-    outcome: str
-    phi_value: XValue
-    bound: XValue
-    ok: bool
-
-
-@dataclass(frozen=True)
-class PhiReport:
-    pointwise: tuple[PhiPointwise, ...]
-    pointwise_holds: bool
-    premise_stats: tuple[XValue, ...]
-    general_stats: tuple[XValue, ...]
-    premise_holds: bool
-    valid: bool
-    implication_ok: bool
-
-
 def _phi_samples(space, k: EKernel) -> list[tuple[XValue, ...]]:
     n = len(space.family)
     grid = [XValue(0), XValue(1), XValue(2), INF]
@@ -460,51 +401,26 @@ def _phi_samples(space, k: EKernel) -> list[tuple[XValue, ...]]:
 
 def check_phi_validity(
     k: EKernel, pa: ProbabilityAssignment, phi: PhiSpec
-) -> PhiReport:
+) -> tuple[Report, Report]:
     """Disutility-based validity via the least-hypothesis bound.
 
-    Verifies the pointwise inequality phi(e(.|x)) <= e(H_P|x) * phi(1_P)
-    for every point and outcome, then the expectation form on both sides.
-    Refuses disutilities that fail a sampled structural flag.
+    The first report holds phi(e(.|x)) against e(H_P|x) * phi(1_P) for
+    every point and outcome (the outcome is each entry's case), the second
+    E_P[phi] against 1 per point. Refuses disutilities that fail a sampled
+    structural flag.
     """
     if k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("the least-hypothesis bound needs a capacity kernel")
     k.space.require_intersection_closed()
     phi.verify_flags(k.space, _phi_samples(k.space, k))
-    model = k.space.model
     least = k.space.least_ids()
     pointwise = []
-    holds = True
-    premise_stats = []
-    general_stats = []
-    for pi in range(model.size):
+    general = []
+    for pi, point in enumerate(k.space.model.points):
         factor = phi.phi_one(k.space, pi)
-        phi_var = []
-        premise_var = []
+        phi_var = [phi.value(k.space, pi, col.values) for col in k.columns]
         for xi, x in enumerate(k.sample.outcomes):
-            col = k.columns[xi]
-            val = phi.value(k.space, pi, col.values)
             bound = k.value(least[pi], xi) * factor
-            ok = val <= bound
-            holds = holds and ok
-            pointwise.append(
-                PhiPointwise(
-                    point=model.points[pi], outcome=x, phi_value=val, bound=bound, ok=ok
-                )
-            )
-            phi_var.append(val)
-            premise_var.append(bound)
-        premise_stats.append(pa.pmfs[pi].expectation(premise_var))
-        general_stats.append(pa.pmfs[pi].expectation(phi_var))
-    premise_ok = all(s <= ONE for s in premise_stats)
-    valid = all(s <= ONE for s in general_stats)
-    implication_ok = (not premise_ok) or valid
-    return PhiReport(
-        pointwise=tuple(pointwise),
-        pointwise_holds=holds,
-        premise_stats=tuple(premise_stats),
-        general_stats=tuple(general_stats),
-        premise_holds=premise_ok,
-        valid=valid,
-        implication_ok=implication_ok,
-    )
+            pointwise.append(Entry(point, phi_var[xi], bound, case=x))
+        general.append(Entry(point, pa.pmfs[pi].expectation(phi_var)))
+    return Report(tuple(pointwise)), Report(tuple(general))

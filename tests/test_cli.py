@@ -1,4 +1,4 @@
-"""The command line end to end: exit codes and records output on a fixed corpus."""
+"""The command line end to end: exit codes, records and text output on a fixed corpus."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -18,10 +18,22 @@ def run(capsys, argv):
     return code, capsys.readouterr().out
 
 
+TEXT_CASES = [c for c in CASES if "text" in c]
+
+
+def corpus_argv(case):
+    return [str(DATA / a) if a.endswith(".yaml") else a for a in case["argv"]]
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_corpus_exit_codes_and_records(capsys, case):
-    argv = [str(DATA / a) if a.endswith(".yaml") else a for a in case["argv"]]
-    assert run(capsys, argv) == (case["exit"], case["records"])
+    assert run(capsys, corpus_argv(case)) == (case["exit"], case["records"])
+
+
+@pytest.mark.parametrize("case", TEXT_CASES, ids=[c["name"] for c in TEXT_CASES])
+def test_corpus_text_output(capsys, case):
+    code = cli.main(corpus_argv(case))
+    assert (code, capsys.readouterr().out) == (case["exit"], case["text"])
 
 
 MALFORMED_SPACES = {
@@ -41,13 +53,6 @@ def test_malformed_space_files_exit_2(capsys, tmp_path, text):
     path = tmp_path / "space.yaml"
     path.write_text(text)
     assert run(capsys, ["space", "--space", str(path)]) == (cli.EXIT_INPUT, "")
-
-
-@pytest.mark.parametrize("key", ["members", "depth", "branching", "stops", "powerset"])
-def test_unknown_cap_key_exits_2(capsys, monkeypatch, key):
-    monkeypatch.setenv("EMEASURE_CAPS", f"{key}=64")
-    argv = ["space", "--space", str(DATA / "space_gens_ic.yaml")]
-    assert run(capsys, argv) == (cli.EXIT_INPUT, "")
 
 
 COIN = ["--space", str(DATA / "space_coin.yaml"), "--model", str(DATA / "model_coin.yaml")]
@@ -134,7 +139,7 @@ def test_counts_past_the_int_string_limit_render_exactly(capsys, monkeypatch):
 
 
 def test_unexpected_errors_exit_2_with_one_line(capsys, monkeypatch):
-    def broken(args, caps):
+    def broken(args):
         raise RuntimeError("handler failed")
 
     monkeypatch.setattr(cli, "cmd_space", broken)
@@ -159,6 +164,28 @@ def test_only_anytime_reads_more_than_one_kernel(capsys, check):
     captured = capsys.readouterr()
     assert (code, captured.out) == (cli.EXIT_INPUT, "")
     assert captured.err == f"error: <args>: --check {check} reads one --kernel, got 2\n"
+
+
+UNREAD_OPTIONS = {
+    "validity-rule": (["check", "--check", "validity", "--rule", "1/2"], "rule"),
+    "validity-family": (["check", "--check", "validity", "--family", "p"], "family"),
+    "validity-tree": (["check", "--check", "validity", "--tree", "tree_coin.yaml"], "tree"),
+    "fwe-family": (["check", "--check", "fwe", "--family", "p"], "family"),
+    "fer-rule": (["check", "--check", "fer", "--rule", "canonical"], "rule"),
+    "posthoc-tree": (["check", "--check", "posthoc", "--tree", "tree_coin.yaml"], "tree"),
+    "anytime-family": (["check", "--check", "anytime", "--tree", "tree_coin.yaml", "--family", "p"],
+                       "family"),
+    "mtp-fwe-family": (["mtp", "--procedure", "fwe", "--family", "p"], "family"),
+}
+
+
+@pytest.mark.parametrize("argv, option", UNREAD_OPTIONS.values(), ids=UNREAD_OPTIONS.keys())
+def test_options_the_selected_check_does_not_read_exit_2(capsys, argv, option):
+    files = [str(DATA / a) if a.endswith(".yaml") else a for a in argv]
+    code = cli.main([*files, *COIN, "--kernel", COIN_KERNELS[1]])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INPUT, "")
+    assert captured.err == f"error: <args>: {argv[1]} {argv[2]} does not read --{option}\n"
 
 
 def test_decide_rankings_follow_exact_values_not_names(capsys, tmp_path):

@@ -193,12 +193,12 @@ def test_single_decision_bound_reduces_to_plain_validity():
     _, model, loss, space, sample, pa, k = one_decision_setup(173)
     table = loss.to_consequence_table()
     report = check_econsequence_bound(k, pa, table)
-    assert report.holds
+    assert report.ok
     validity = check_validity(k, pa)
     # every bound statistic appears among the validity statistics
     stats = {(e.hid, e.point): e.stat for e in validity.entries}
     for entry in report.entries:
-        qi = model.index(entry.benchmark)
+        qi = model.index(entry.case)
         hid = k.space.family.id_of(hypothesis_for_bound(table, 0, table.entries[qi][0]).bits)
         assert entry.stat == stats[(hid, entry.point)]
 
@@ -213,7 +213,7 @@ def test_econsequence_bound_on_random_valid_instances():
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
-        assert check_econsequence_bound(k, pa, loss.to_consequence_table()).holds
+        assert check_econsequence_bound(k, pa, loss.to_consequence_table()).ok
 
 
 def test_order_measurability_violation_names_the_missing_hypothesis():
@@ -261,7 +261,7 @@ def test_binary_kernel_bound_is_exact_coverage():
         return
     report = check_econsequence_bound(k, pa, table)
     for entry in report.entries:
-        qi = model.index(entry.benchmark)
+        qi = model.index(entry.case)
         pi = model.index(entry.point)
         miss = Fraction(0)
         for xi in range(sample.size):
@@ -285,9 +285,9 @@ def test_posthoc_consequence_bound_rules():
         pa = helpers.rand_pa(r, model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
         const = {x: XValue(Fraction(1, 3)) for x in sample.outcomes}
-        assert check_posthoc_consequence_bound(k, pa, table, const).holds
+        assert check_posthoc_consequence_bound(k, pa, table, const).ok
         canonical = check_posthoc_consequence_bound(k, pa, table, "canonical")
-        assert canonical.holds
+        assert canonical.ok
         uniform = check_econsequence_bound(k, pa, table)
         assert [e.stat for e in canonical.entries] == [e.stat for e in uniform.entries]
 
@@ -302,7 +302,7 @@ def test_posthoc_consequence_bound_catches_invalid_kernels():
     pa = helpers.rand_pa(r, model, sample)
     bad = helpers.constant_two_kernel(space, sample)
     rule = {x: XValue(Fraction(1, 2)) for x in sample.outcomes}
-    assert not check_posthoc_consequence_bound(bad, pa, table, rule).holds
+    assert not check_posthoc_consequence_bound(bad, pa, table, rule).ok
     with pytest.raises(KernelError, match="outside"):
         check_posthoc_consequence_bound(bad, pa, table, {x: XValue(0) for x in sample.outcomes})
 
@@ -330,7 +330,7 @@ def test_grunwald_bound_constant_losses():
     cspace = build_consequence_class(const.to_consequence_table())
     kk = helpers.valid_capacity_kernel(r, model and cspace, pa)
     assert_markov_ratios(kk, const)
-    assert check_grunwald_bound(kk, pa, const).holds
+    assert check_grunwald_bound(kk, pa, const).ok
 
 
 def test_grunwald_bound_random_and_slack():
@@ -344,7 +344,7 @@ def test_grunwald_bound_random_and_slack():
         pa = helpers.rand_pa(r, model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
         assert_markov_ratios(k, loss)
-        assert check_grunwald_bound(k, pa, loss).holds
+        assert check_grunwald_bound(k, pa, loss).ok
 
 
 def test_admissibility_identical_and_dominated_columns():
@@ -483,7 +483,7 @@ def test_mle_energy_bound_and_pushforward():
     model, sample, pa, loss, space, kernel, masses, reference = mle_instance()
     # E-consequence bound on the divergence to the data-picked decision
     report = check_econsequence_bound(kernel, pa, loss.to_consequence_table())
-    assert report.holds
+    assert report.ok
     table = loss.to_consequence_table()
     for pi, p in enumerate(model.points):
         stat = XValue(0)
@@ -496,7 +496,7 @@ def test_mle_energy_bound_and_pushforward():
             stat = stat + XValue(pa.pmfs[pi].mass[xi]) * kernel.value(hid, xi)
         assert stat <= XValue(1)
     pushed, report = evidence_against_optimality(kernel, loss, pa)
-    assert report.valid
+    assert report.ok
     for xi in range(sample.size):
         for pi, p in enumerate(model.points):
             target_hid = pushed.space.family.id_of(1 << pi)

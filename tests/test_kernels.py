@@ -18,6 +18,8 @@ from emeasure import (
     Space,
     XValue,
     check_anytime_validity,
+    check_fer,
+    check_fwe,
     check_posthoc_validity,
     check_predictive_validity,
     check_validity,
@@ -35,7 +37,7 @@ from emeasure import (
     unit_measure,
 )
 from emeasure.evidence import from_values
-from emeasure.kernels import KernelError, MeasurabilityError, _envelope
+from emeasure.kernels import Entry, KernelError, MeasurabilityError, Report, _envelope
 from emeasure import golden
 
 
@@ -65,7 +67,7 @@ def test_constant_one_kernel_is_valid():
     _, space, sample, pa = small_setup(3)
     k = constant_kernel(space, sample, unit_measure(space))
     report = check_validity(k, pa)
-    assert report.valid
+    assert report.ok
     assert all(e.stat <= XValue(1) for e in report.entries)
 
 
@@ -78,7 +80,7 @@ def test_likelihood_kernel_is_valid_with_equality_on_singletons():
     k = likelihood_kernel(space, pa, reference)
     assert k.eclass is EClass.MEASURE
     report = check_validity(k, pa)
-    assert report.valid
+    assert report.ok
     # On a singleton the expectation telescopes to the reference total mass.
     for pi, p in enumerate(space.model.points):
         hid = space.family.id_of(1 << pi)
@@ -100,14 +102,14 @@ def test_likelihood_kernel_is_valid_when_points_share_a_least_hypothesis():
     stats = {(e.hid, e.point): e.stat for e in report.entries}
     assert stats[ab, "a"] == XValue(Fraction(7, 9))
     assert stats[ab, "b"] == XValue(Fraction(3, 5))
-    assert report.valid
+    assert report.ok
     for seed in range(100):
         r = helpers.rng(seed)
         space = helpers.rand_ic_space(r, max_points=4)
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, space.model, sample, full_support=seed % 2 == 0)
         reference = helpers.rand_pmf(r, sample, full_support=seed % 3 == 0)
-        assert check_validity(likelihood_kernel(space, pa, reference), pa).valid
+        assert check_validity(likelihood_kernel(space, pa, reference), pa).ok
 
 
 def test_likelihood_kernel_is_valid_on_spaces_that_are_not_intersection_closed():
@@ -122,7 +124,7 @@ def test_likelihood_kernel_is_valid_on_spaces_that_are_not_intersection_closed()
         reference = helpers.rand_pmf(r, sample, full_support=seed % 3 == 0)
         k = likelihood_kernel(space, pa, reference)
         assert k.eclass is EClass.MEASURE
-        assert check_validity(k, pa).valid
+        assert check_validity(k, pa).ok
         tested += 1
     assert tested >= 100
 
@@ -131,9 +133,54 @@ def test_constant_two_kernel_is_invalid_with_witness():
     _, space, sample, pa = small_setup(11)
     k = helpers.constant_two_kernel(space, sample)
     report = check_validity(k, pa)
-    assert not report.valid
+    assert not report.ok
     witness = report.first_violation()
     assert witness is not None and witness.stat == XValue(2)
+
+
+def test_entry_holds_its_statistic_against_its_bound():
+    assert Entry("p", XValue(1)).ok and not Entry("p", XValue(Fraction(3, 2))).ok
+    assert Entry("p", XValue(2), bound=XValue(2)).ok and not Entry("p", INF, bound=XValue(9)).ok
+    assert Report(()).ok and Report(()).worst() is None and Report(()).first_violation() is None
+
+
+def test_every_report_gives_its_verdict_and_worst_entry():
+    """On valid, scaled x3 and constant-two kernels: the verdict is every
+    entry's, worst() is the first entry with the largest statistic, and the
+    rate of uniform FER names the (H, p) pair of the largest validity
+    statistic, found here by the definition."""
+    verdicts, ties = set(), 0
+    for seed in range(24):
+        r, space, sample, pa = small_setup(400 + seed, full_support=seed % 2 == 0)
+        k = helpers.valid_capacity_kernel(r, space, pa)
+        if seed % 3 == 1:
+            k = helpers.scaled_kernel(k, XValue(3))
+        elif seed % 3 == 2:
+            k = helpers.constant_two_kernel(space, sample)
+        reports = [
+            check_validity(k, pa),
+            check_posthoc_validity(k, pa, "canonical"),
+            check_fwe(k, pa),
+            check_fer(k, pa),
+            eposterior_closed(helpers.rand_capacity(r, space, allow_inf=False), k, pa)[1],
+        ]
+        for report in reports:
+            assert report.ok == all(e.ok for e in report.entries)
+            assert report.first_violation() == next((e for e in report.entries if not e.ok), None)
+            largest = max(e.stat for e in report.entries)
+            attaining = [e for e in report.entries if e.stat == largest]
+            assert report.worst() is attaining[0]
+            ties += len(attaining) > 1
+            verdicts.add(report.ok)
+        pairs = [
+            (hid, pi, helpers.oracle_expectation(pa.pmfs[pi], k.variable(hid)))
+            for hid in space.family.nonempty_ids()
+            for pi in space.family.member(hid).indices()
+        ]
+        hid, pi, stat = max(pairs, key=lambda pair: pair[2])
+        worst = check_fer(k, pa).worst()
+        assert (worst.hid, worst.point, worst.stat) == (hid, space.model.points[pi], stat)
+    assert verdicts == {True, False} and ties
 
 
 def test_close_kernel_keeps_measures_and_matches_bruteforce():
@@ -177,9 +224,9 @@ def test_close_kernel_preserves_validity_verdict():
         k = helpers.valid_capacity_kernel(r, space, pa)
         closed = close_kernel(k)
         assert closed.eclass is EClass.MEASURE
-        assert check_validity(closed, pa).valid == check_validity(k, pa).valid
+        assert check_validity(closed, pa).ok == check_validity(k, pa).ok
     bad = helpers.constant_two_kernel(space, sample)
-    assert check_validity(close_kernel(bad), pa).valid == check_validity(bad, pa).valid
+    assert check_validity(close_kernel(bad), pa).ok == check_validity(bad, pa).ok
 
 
 def test_merged_valid_kernels_stay_valid():
@@ -189,7 +236,7 @@ def test_merged_valid_kernels_stay_valid():
         k2 = helpers.valid_measure_kernel(r, space, pa)
         merged = merge_convex_kernels([k1, k2], [Fraction(1, 4), Fraction(3, 4)])
         assert merged.eclass >= EClass.CAPACITY
-        assert check_validity(merged, pa).valid
+        assert check_validity(merged, pa).ok
 
 
 def test_confidence_set_thresholds():
@@ -237,7 +284,7 @@ def test_posthoc_constant_rule_reduces_to_coverage():
     alpha = Fraction(1, 5)
     rule = {x: XValue(alpha) for x in sample.outcomes}
     report = check_posthoc_validity(k, pa, rule)
-    assert report.holds
+    assert report.ok
     # statistic equals P(H not in C_alpha)/alpha entry by entry
     for entry in report.entries:
         pi = space.model.index(entry.point)
@@ -260,8 +307,8 @@ def test_posthoc_canonical_rule_matches_validity_statistic():
             report = check_posthoc_validity(k, pa, "canonical")
             validity = check_validity(k, pa)
             assert report.entries == validity.entries
-            assert report.holds == validity.valid
-            verdicts.add(validity.valid)
+            assert report.ok == validity.ok
+            verdicts.add(validity.ok)
     assert verdicts == {True, False}
 
 
@@ -269,7 +316,7 @@ def test_posthoc_adversarial_rule_flags_invalid_kernel():
     _, space, sample, pa = small_setup(31)
     k = helpers.constant_two_kernel(space, sample)
     report = check_posthoc_validity(k, pa, {x: XValue(Fraction(1, 2)) for x in sample.outcomes})
-    assert not report.holds
+    assert not report.ok
 
 
 @pytest.mark.parametrize("level", [XValue(0), INF], ids=["zero", "inf"])
@@ -287,7 +334,32 @@ def test_eposterior_raw_with_unit_prior_is_plain_validity():
     post, report = eposterior_raw(prior, k, pa)
     for a, b in zip(post.columns, k.columns):
         assert a.values == b.values
-    assert report.holds
+    assert report.ok
+
+
+def test_eposterior_raw_names_the_point_attaining_each_bound():
+    """Each entry's statistic is the largest expectation of the product over
+    its hypothesis' points, and its point the first one attaining it."""
+    ties = 0
+    for seed in range(20):
+        r, space, sample, pa = small_setup(500 + seed, full_support=seed % 2 == 0)
+        k = helpers.valid_capacity_kernel(r, space, pa)
+        if seed % 2:
+            k = helpers.constant_two_kernel(space, sample)
+        prior = helpers.rand_capacity(r, space, allow_inf=False)
+        post, report = eposterior_raw(prior, k, pa)
+        assert [e.hid for e in report.entries] == list(space.family.nonempty_ids())
+        for entry in report.entries:
+            stats = [
+                (helpers.oracle_expectation(pa.pmfs[pi], post.variable(entry.hid)), pi)
+                for pi in space.family.member(entry.hid).indices()
+            ]
+            largest = max(stat for stat, _ in stats)
+            attaining = [pi for stat, pi in stats if stat == largest]
+            assert (entry.point, entry.stat) == (space.model.points[attaining[0]], largest)
+            assert entry.bound == prior.values[entry.hid]
+            ties += len(attaining) > 1
+    assert ties
 
 
 def test_eposterior_raw_scaled_atom_prior():
@@ -303,7 +375,7 @@ def test_eposterior_raw_scaled_atom_prior():
     prior = from_values(space, values)
     assert prior.eclass >= EClass.CAPACITY
     post, report = eposterior_raw(prior, k, pa)
-    assert report.holds
+    assert report.ok
     entry = next(e for e in report.entries if e.hid == atom)
     assert entry.bound == XValue(3)
 
@@ -331,7 +403,7 @@ def test_eposterior_closed_bounds_and_domination():
         prior = helpers.rand_capacity(r, space, allow_inf=False)
         raw, _ = eposterior_raw(prior, k, pa)
         closed, report = eposterior_closed(prior, k, pa)
-        assert report.holds
+        assert report.ok
         assert all(col.eclass is EClass.MEASURE for col in closed.columns)
         assert closed.dominates(raw)
 
@@ -344,7 +416,7 @@ def test_eposterior_closed_on_toy_space_with_nonuniform_prior():
     k = helpers.valid_measure_kernel(r, space, pa)
     prior = golden.base_efunction(space)
     closed, report = eposterior_closed(prior, k, pa)
-    assert report.holds
+    assert report.ok
 
 
 # -- processes ---------------------------------------------------------
@@ -385,7 +457,7 @@ def test_constant_one_process_is_anytime_valid():
     one = constant_kernel(space, tree.sample, unit_measure(space))
     proc = EProcess(tree, [one, one, one])
     report = check_anytime_validity(proc, pa)
-    assert report.valid and report.rules_checked == 5
+    assert report.stats.ok and report.rules_checked == 5
 
 
 def test_constant_two_process_stops_at_the_root_on_ties():
@@ -394,8 +466,8 @@ def test_constant_two_process_stops_at_the_root_on_ties():
     pa = helpers.rand_pa(helpers.rng(57), space.model, tree.sample)
     two = helpers.constant_two_kernel(space, tree.sample)
     report = check_anytime_validity(EProcess(tree, [two, two, two]), pa)
-    rule, entry = report.first_violation
-    assert not report.valid and rule == (0, 0, 0, 0)
+    entry = report.stats.first_violation()
+    assert not report.stats.ok and report.rule == (0, 0, 0, 0)
     assert (entry.hid, entry.point, entry.stat) == (1, "P1", XValue(2))
 
 
@@ -445,7 +517,7 @@ def test_likelihood_ratio_process_is_anytime_valid():
     proc = EProcess(tree, kernels)
     assert not proc.measurability_violations()
     report = check_anytime_validity(proc, pa)
-    assert report.valid
+    assert report.stats.ok
 
 
 def test_peeking_process_fails_measurability_before_validity():
@@ -487,9 +559,9 @@ def test_envelope_equals_the_max_over_every_stopping_rule():
         for (hid, pi), stat in best.items():
             assert _envelope(proc, hid, pa.pmfs[pi].mass)[0] == stat
         report = check_anytime_validity(proc, pa)
-        assert report.valid == all(stat <= 1 for stat in best.values())
+        assert report.stats.ok == all(stat <= 1 for stat in best.values())
         assert report.rules_checked == len(helpers.oracle_stopping_times(proc.tree))
-        verdicts.add(report.valid)
+        verdicts.add(report.stats.ok)
         uneven += len(set(leaf_depths(proc.tree.shape))) > 1
         zero_mass += any(0 in pmf.mass for pmf in pa.pmfs)
     assert verdicts == {True, False} and uneven and zero_mass
@@ -499,10 +571,10 @@ def test_witness_rule_reproduces_the_first_violating_pair():
     witnesses = 0
     for proc, pa in random_processes(103, 60):
         report = check_anytime_validity(proc, pa)
-        if report.valid:
-            assert report.first_violation is None
+        if report.stats.ok:
+            assert report.rule is None
             continue
-        rule, entry = report.first_violation
+        rule, entry = report.rule, report.stats.first_violation()
         best = helpers.oracle_anytime(proc, pa)
         first = next(key for key, stat in best.items() if stat > 1)
         pi = proc.space.model.index(entry.point)
@@ -560,16 +632,16 @@ def test_ternary_depth_five_tree_past_the_enumeration_reach():
     """243 outcomes and about 5.9e25 stopping rules: far past any enumeration."""
     proc, pa = ternary_ratio_process(5)
     report = check_anytime_validity(proc, pa)
-    assert report.valid and report.first_violation is None
+    assert report.stats.ok and report.rule is None
     rules = 1
     for _ in range(5):
         rules = 1 + rules ** 3  # stop at the root, or follow a rule in each subtree
     assert report.rules_checked == rules
     bad_proc, pa = ternary_ratio_process(5, scale_at=2)
     report = check_anytime_validity(bad_proc, pa)
-    assert not report.valid
-    rule, entry = report.first_violation
-    assert rule == (2,) * 243
+    assert not report.stats.ok
+    entry = report.stats.first_violation()
+    assert report.rule == (2,) * 243
     assert (entry.hid, entry.point, entry.stat) == (1, "P1", XValue(Fraction(3, 2)))
 
 
@@ -595,7 +667,7 @@ def test_close_process_keeps_measures_and_verdicts():
         assert closed.eclass is EClass.MEASURE
         before = check_anytime_validity(proc, pa)
         after = check_anytime_validity(closed, pa)
-        assert before.valid == after.valid
+        assert before.stats.ok == after.stats.ok
 
 
 def test_closed_process_equals_pointwise_infimum_family():
@@ -647,8 +719,8 @@ def test_predictive_identity_reduces_to_diagonal_on_power_set():
         # the identity makes the sup variable the least-hypothesis variable
         least_var = [k.value(space.least_id(xi), xi) for xi in range(sample.size)]
         least_stats = tuple(helpers.oracle_expectation(pmf, least_var) for pmf in pmfs)
-        assert report.sup_stats == least_stats
-        assert report.sup_valid == all(s <= XValue(1) for s in least_stats)
+        assert tuple(e.stat for e in report.stats.entries) == least_stats
+        assert report.stats.ok == all(s <= XValue(1) for s in least_stats)
 
 
 def test_predictive_identity_fails_off_capacities():
@@ -691,9 +763,9 @@ def test_predictive_binary_prediction_set_coverage():
     report = check_predictive_validity(k, pmfs)
     # the sup variable is 1/alpha exactly when the true outcome is P1
     assert report.identity_holds
-    for pmf, stat in zip(pmfs, report.sup_stats, strict=True):
-        assert stat == XValue(pmf.mass[0] / alpha)
-    assert report.sup_valid == all(pmf.mass[0] <= alpha for pmf in pmfs)
+    for pmf, entry in zip(pmfs, report.stats.entries, strict=True):
+        assert entry.stat == XValue(pmf.mass[0] / alpha)
+    assert report.stats.ok == all(pmf.mass[0] <= alpha for pmf in pmfs)
 
 
 def test_predictive_requires_matching_spaces():
@@ -715,7 +787,7 @@ def test_pushforward_identity_is_the_same_kernel():
     pushed, report = pushforward_kernel(k, mapping, space, pa)
     for a, b in zip(pushed.columns, k.columns):
         assert a.values == b.values
-    assert report.valid == check_validity(k, pa).valid
+    assert report.ok == check_validity(k, pa).ok
 
 
 def test_pushforward_collapsing_two_points():
@@ -727,7 +799,7 @@ def test_pushforward_collapsing_two_points():
     target = helpers.power_space(2)
     mapping = {"P1": "P1", "P2": "P1", "P3": "P2"}
     pushed, report = pushforward_kernel(k, mapping, target, pa)
-    assert report.valid
+    assert report.ok
     # evidence on a target hypothesis equals evidence on its preimage
     for gid, member in enumerate(target.family.members):
         pre_bits = 0

@@ -91,13 +91,13 @@ def test_check_fwe_matches_validity_verdict():
         pa = helpers.rand_pa(r, space.model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
         report = check_fwe(k, pa)
-        assert report.controlled == check_validity(k, pa).valid
+        assert report.ok == check_validity(k, pa).ok
     space = helpers.rand_ic_space(r)
     sample = helpers.rand_sample(r)
     pa = helpers.rand_pa(r, space.model, sample)
     bad = helpers.constant_two_kernel(space, sample)
     report = check_fwe(bad, pa)
-    assert not report.controlled
+    assert not report.ok
     assert any(not e.ok for e in report.entries)
 
 
@@ -160,7 +160,7 @@ def test_fer_pointwise_bound_and_rate():
     """On a capacity kernel over an intersection-closed space every selected
     true hypothesis contains the point's least hypothesis, so
     FEP <= FSP * e(H_P|x) <= e(H_P|x) at every (rule, point, outcome), valid
-    kernel or not; valid kernels keep the premise and the rate at most 1."""
+    kernel or not; valid kernels keep the rate at most 1."""
     r = helpers.rng(113)
     for case in range(30):
         space = helpers.rand_ic_space(r)
@@ -180,14 +180,15 @@ def test_fer_pointwise_bound_and_rate():
                 least_value = k.value(space.least_id(pi), xi)
                 assert pair.fep <= XValue(pair.fsp) * least_value <= least_value
         if case % 3 != 2:
-            report = check_fer(k, pa, rule)
-            assert report.premise_holds and report.fer_controlled
+            assert check_fer(k, pa, rule).ok
 
 
 def test_fer_rate_and_premise_match_their_definitions():
-    """rate = max over p of E_p[sum of e(g|x) over selected g containing p / |S(x)|],
-    premise = max over p of E_p[share of S(x) containing p * e(H_p|x)]; uniform
-    mode takes the rate over every singleton rule."""
+    """Per point, the FER statistic is E_p[sum of e(g|x) over selected g
+    containing p / |S(x)|] and the premise E_p[share of S(x) containing p *
+    e(H_p|x)]. On a capacity kernel over an intersection-closed space
+    FER <= premise <= the validity statistic at H_p, point by point, valid
+    kernel or not. With no rule the rate is the largest singleton-rule rate."""
     r = helpers.rng(131)
     for case in range(40):
         space = helpers.rand_ic_space(r, max_points=3)
@@ -198,34 +199,35 @@ def test_fer_rate_and_premise_match_their_definitions():
         else:
             k = helpers.valid_capacity_kernel(r, space, pa)
         ids = list(space.family.nonempty_ids())
+        points = range(space.model.size)
         rule = SelectionRule(
             sample, tuple(tuple(r.sample(ids, r.randint(0, len(ids)))) for _ in range(sample.size))
         )
 
-        def rate(selected_at):
-            return max(
-                helpers.oracle_expectation(pa.pmfs[p], [
-                    sum((k.value(g, x) for g in selected_at(x) if p in space.family.member(g)),
-                        XValue(0)) / XValue(max(len(selected_at(x)), 1))
-                    for x in range(sample.size)
-                ])
-                for p in range(space.model.size)
-            )
+        def fer_stat(p, selected_at):
+            return helpers.oracle_expectation(pa.pmfs[p], [
+                sum((k.value(g, x) for g in selected_at(x) if p in space.family.member(g)),
+                    XValue(0)) / XValue(max(len(selected_at(x)), 1))
+                for x in range(sample.size)
+            ])
 
-        premise = max(
-            helpers.oracle_expectation(pa.pmfs[p], [
+        def premise(p):
+            return helpers.oracle_expectation(pa.pmfs[p], [
                 XValue(Fraction(sum(p in space.family.member(g) for g in rule.at(x)),
                                 max(len(rule.at(x)), 1)))
                 * k.value(space.least_id(p), x)
                 for x in range(sample.size)
             ])
-            for p in range(space.model.size)
-        )
+
         report = check_fer(k, pa, rule)
-        assert (report.fer, report.premise) == (rate(rule.at), premise)
+        assert [e.stat for e in report.entries] == [fer_stat(p, rule.at) for p in points]
+        for p, entry in zip(points, report.entries, strict=True):
+            least_stat = helpers.oracle_expectation(pa.pmfs[p], k.variable(space.least_id(p)))
+            assert entry.stat <= premise(p) <= least_stat
         uniform = check_fer(k, pa)
-        assert uniform.fer == max(rate(lambda x, h=h: (h,)) for h in ids)
-        assert uniform.premise is None
+        assert uniform.worst().stat == max(
+            fer_stat(p, lambda x, h=h: (h,)) for h in ids for p in points
+        )
 
 
 def test_fer_singleton_rules_and_uniform_equivalence():
@@ -257,9 +259,8 @@ def test_fer_singleton_rules_and_uniform_equivalence():
             for pi in space.family.member(hid).indices()
         )
         report = check_fer(k, pa)
-        assert report.fer == max(singleton_rates) == largest_validity_stat
-        assert report.fer_controlled == check_validity(k, pa).valid
-        assert report.premise is None and report.premise_holds is None
+        assert report.worst().stat == max(singleton_rates) == largest_validity_stat
+        assert report.ok == check_validity(k, pa).ok
 
 
 def test_fer_first_inequality_tight_for_disjoint_least_selections():
@@ -302,8 +303,7 @@ def test_postprocess_preserves_fer_under_the_rule():
         ids = list(space.family.nonempty_ids())
         rule = SelectionRule.fixed(sample, ids[: r.randint(1, len(ids))])
         processed = postprocess_selection(k, rule)
-        report = check_fer(processed, pa, rule)
-        assert report.fer_controlled
+        assert check_fer(processed, pa, rule).ok
 
 
 def test_self_consistent_selection_on_the_toy_family():
@@ -467,11 +467,9 @@ def test_phi_sup_over_true_recovers_familywise():
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, space.model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
-        report = check_phi_validity(k, pa, SupOverTrue())
-        fwe = check_fwe(k, pa)
-        assert report.pointwise_holds
-        assert report.valid == fwe.controlled
-        assert report.general_stats == tuple(e.stat for e in fwe.entries)
+        pointwise, general = check_phi_validity(k, pa, SupOverTrue())
+        assert pointwise.ok
+        assert general == check_fwe(k, pa)
 
 
 def test_phi_avg_over_selection_recovers_fer():
@@ -484,8 +482,8 @@ def test_phi_avg_over_selection_recovers_fer():
         ids = list(space.family.nonempty_ids())
         selected = ids[: r.randint(1, len(ids))]
         phi = AvgOverSelection(selected)
-        report = check_phi_validity(k, pa, phi)
-        assert report.pointwise_holds
+        pointwise, _ = check_phi_validity(k, pa, phi)
+        assert pointwise.ok
         rule = SelectionRule.fixed(sample, selected)
         for pi in range(space.model.size):
             for xi in range(sample.size):
@@ -500,9 +498,9 @@ def test_phi_sup_over_selections_equals_sup_over_true():
     sample = helpers.rand_sample(r)
     pa = helpers.rand_pa(r, space.model, sample)
     k = helpers.valid_capacity_kernel(r, space, pa)
-    a = check_phi_validity(k, pa, SupOverSelections())
-    b = check_phi_validity(k, pa, SupOverTrue())
-    assert a.general_stats == b.general_stats
+    _, a = check_phi_validity(k, pa, SupOverSelections())
+    _, b = check_phi_validity(k, pa, SupOverTrue())
+    assert a == b
 
 
 def test_phi_compound_validity_sums_to_family_size():
@@ -510,14 +508,57 @@ def test_phi_compound_validity_sums_to_family_size():
     pa = uniform_toy_pa(space, k.sample)
     gids = list(golden.group_ids(space))
     phi = AvgOverSelection(gids)
-    report = check_phi_validity(k, pa, phi)
+    _, general = check_phi_validity(k, pa, phi)
     # |G| * E[phi] equals the summed expectations over the true members
     for pi in range(space.model.size):
         total = XValue(0)
         for g in gids:
             if pi in space.family.member(g):
                 total = total + k.expectation(g, pa.pmfs[pi])
-        assert report.general_stats[pi] * XValue(len(gids)) == total
+        assert general.entries[pi].stat * XValue(len(gids)) == total
+
+
+def test_phi_entries_and_premise_match_their_definitions():
+    """Pointwise entries hold phi(e(.|x)) against e(H_p|x) * phi(1_p) and
+    general entries E_p[phi] against 1. The premise E_p[e(H_p|x) * phi(1_p)]
+    then bounds E_p[phi] by monotonicity of expectation, so a premise at most
+    1 implies validity, on valid and violating kernels alike."""
+    r = helpers.rng(163)
+    implied = violated = 0
+    for case in range(30):
+        space = helpers.rand_ic_space(r, max_points=3)
+        sample = helpers.rand_sample(r)
+        pa = helpers.rand_pa(r, space.model, sample, full_support=case % 2 == 0)
+        k = helpers.valid_capacity_kernel(r, space, pa)
+        if case % 3 == 1:
+            k = helpers.scaled_kernel(k, XValue(3))
+        elif case % 3 == 2:
+            k = helpers.constant_two_kernel(space, sample)
+        ids = list(space.family.nonempty_ids())
+        phis = (SupOverTrue(), SupOverSelections(),
+                AvgOverSelection(r.sample(ids, r.randint(1, len(ids)))))
+        for phi in phis:
+            pointwise, general = check_phi_validity(k, pa, phi)
+            rows = [
+                (p, x, phi.value(space, pi, k.columns[xi].values),
+                 k.value(space.least_id(pi), xi) * phi.phi_one(space, pi))
+                for pi, p in enumerate(space.model.points)
+                for xi, x in enumerate(sample.outcomes)
+            ]
+            assert [(e.point, e.case, e.stat, e.bound) for e in pointwise.entries] == rows
+            assert pointwise.ok
+            for pi, entry in enumerate(general.entries):
+                phi_var = [row[2] for row in rows[pi * sample.size:(pi + 1) * sample.size]]
+                premise = helpers.oracle_expectation(
+                    pa.pmfs[pi], [row[3] for row in rows[pi * sample.size:(pi + 1) * sample.size]]
+                )
+                assert entry.stat == helpers.oracle_expectation(pa.pmfs[pi], phi_var)
+                assert entry.stat <= premise
+                if premise <= XValue(1):
+                    assert entry.ok
+                    implied += 1
+                violated += not entry.ok
+    assert implied and violated
 
 
 def test_phi_flag_violation_is_refused_with_detail():

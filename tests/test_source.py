@@ -105,3 +105,27 @@ def test_no_module_turns_a_value_into_a_float():
         for line in _float_calls(ast.parse(path.read_text()))
     ]
     assert SOURCES and not found
+
+
+def _dataclass_names(tree: ast.Module) -> list[str]:
+    def is_dataclass(decorator) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return isinstance(target, ast.Name) and target.id == "dataclass"
+
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+    ]
+
+
+def test_one_entry_shape_for_every_check():
+    """Every statistic held against a bound is a kernels.Entry; no check
+    defines its own entry dataclass."""
+    found = [
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in _dataclass_names(ast.parse(path.read_text()))
+        if name.endswith("Entry")
+    ]
+    assert found == ["kernels.py:Entry"]
