@@ -81,73 +81,98 @@ def _split_labels(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(sep) if part.strip()]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="emeasure",
-        description="Evidence calculus over finite hypothesis lattices",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _space_options(p):
+    p.add_argument("--space", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "records"), default="text")
 
-    p_space = sub.add_parser("space", help="analyze a hypothesis space file")
-    p_space.add_argument("--space", required=True)
-    common(p_space)
+def _closure_options(p):
+    p.add_argument("--space", required=True)
+    p.add_argument("--evidence", required=True)
 
-    p_clo = sub.add_parser("closure", help="close an evidence table")
-    p_clo.add_argument("--space", required=True)
-    p_clo.add_argument("--evidence", required=True)
-    common(p_clo)
 
-    p_chk = sub.add_parser("check", help="run validity-style checks on a kernel")
-    p_chk.add_argument("--space", required=True)
-    p_chk.add_argument("--kernel", required=True, nargs="+")
-    p_chk.add_argument("--model", required=True)
-    p_chk.add_argument(
+def _check_options(p):
+    p.add_argument("--space", required=True)
+    p.add_argument("--kernel", required=True, nargs="+")
+    p.add_argument("--model", required=True)
+    p.add_argument(
         "--check",
         choices=("validity", "fwe", "fer", "anytime", "posthoc", "predictive"),
         default="validity",
     )
-    p_chk.add_argument(
+    p.add_argument(
         "--rule", default=None, help="'canonical' or a fixed level, for --check posthoc"
     )
-    p_chk.add_argument("--tree", default=None, help="tree file for --check anytime")
-    p_chk.add_argument(
+    p.add_argument("--tree", default=None, help="tree file for --check anytime")
+    p.add_argument(
         "--family", default=None, help="comma-separated hypothesis labels, for --check fer"
     )
-    common(p_chk)
 
-    p_mtp = sub.add_parser("mtp", help="multiplicity procedures")
-    p_mtp.add_argument("--space", default=None)
-    p_mtp.add_argument("--evidence", default=None)
-    p_mtp.add_argument("--kernel", default=None)
-    p_mtp.add_argument("--model", default=None)
-    p_mtp.add_argument(
-        "--alpha", type=_level_arg, default=Fraction(1, 20),
-        help="level of ebh, closed-ebh, self-consistent and --golden; fer and fwe do not read it",
-    )
-    p_mtp.add_argument("--family", default=None)
-    p_mtp.add_argument(
-        "--procedure",
-        choices=("ebh", "closed-ebh", "self-consistent", "fer", "fwe"),
-        default=None,
-    )
-    p_mtp.add_argument("--golden", choices=("table1",), default=None)
-    common(p_mtp)
 
-    p_dec = sub.add_parser("decide", help="consequence bounds and rankings")
-    p_dec.add_argument("--space", default=None)
-    p_dec.add_argument("--decisions", required=True)
-    p_dec.add_argument("--kernel", required=True)
-    p_dec.add_argument("--model", required=True)
-    p_dec.add_argument("--alpha", type=_level_arg, default=Fraction(1, 20))
-    p_dec.add_argument(
+def _mtp_options(p):
+    p.add_argument("--space", default=None)
+    p.add_argument("--evidence", default=None)
+    p.add_argument("--kernel", default=None)
+    p.add_argument("--model", default=None)
+    p.add_argument(
+        "--alpha", type=_level_arg, default=None,
+        help="level of ebh, closed-ebh, self-consistent and --golden (default 1/20); "
+        "fer and fwe do not read it",
+    )
+    p.add_argument("--family", default=None)
+    p.add_argument("--procedure", choices=tuple(_MTP_READS), default=None)
+    p.add_argument("--golden", choices=("table1",), default=None)
+
+
+def _decide_options(p):
+    p.add_argument("--space", default=None)
+    p.add_argument("--decisions", required=True)
+    p.add_argument("--kernel", required=True)
+    p.add_argument("--model", required=True)
+    p.add_argument("--alpha", type=_level_arg, default=Fraction(1, 20))
+    p.add_argument(
         "--bound", choices=("econsequence", "grunwald", "probability"), default="econsequence"
     )
-    p_dec.add_argument("--outcome", default=None)
-    common(p_dec)
+    p.add_argument("--outcome", default=None)
 
+
+def _subcommands():
+    """(name, help, add_options, handler) for each subcommand, in help order.
+
+    Built per call, so the handlers are the module's current functions."""
+    return (
+        ("space", "analyze a hypothesis space file", _space_options, cmd_space),
+        ("closure", "close an evidence table", _closure_options, cmd_closure),
+        ("check", "run validity-style checks on a kernel", _check_options, cmd_check),
+        ("mtp", "multiplicity procedures", _mtp_options, cmd_mtp),
+        ("decide", "consequence bounds and rankings", _decide_options, cmd_decide),
+    )
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone when it names a subcommand, else of all five.
+
+    Both print the same usage line, help and errors for an argv that starts
+    with `command`."""
+    table = _subcommands()
+    names = [name for name, *_ in table]
+    if command not in names:
+        command = None
+    parser = argparse.ArgumentParser(
+        prog="emeasure",
+        description="Evidence calculus over finite hypothesis lattices",
+    )
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:  # the usage line still lists every subcommand
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(names) + "}"
+        )
+    for name, help_text, add_options, handler in table:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_options(p)
+            p.add_argument("--format", choices=("text", "records"), default="text")
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -259,15 +284,34 @@ def _report_fer(out: Printer, args, sf, kernel, pa) -> int:
     return _verdict(out, "controlled", report.ok)
 
 
+def _refuse_unread(args, reader: str, options: tuple[str, ...], reads: tuple[str, ...]) -> None:
+    """Exit 2 on the first of `options` that is given but that `reader` does not read."""
+    for option in options:
+        if getattr(args, option) is not None and option not in reads:
+            raise fileio.SchemaError("<args>", f"{reader} does not read --{option}")
+
+
+# Which of the options that depend on --check or on --procedure each one reads.
+_CHECK_OPTIONS = ("rule", "family", "tree")
+_CHECK_READS = {"posthoc": ("rule",), "fer": ("family",), "anytime": ("tree",)}
+_MTP_OPTIONS = ("space", "evidence", "kernel", "model", "family", "alpha")
+_SELECTION_READS = ("space", "evidence", "family", "alpha")
+_MTP_READS = {
+    "ebh": _SELECTION_READS,
+    "closed-ebh": _SELECTION_READS,
+    "self-consistent": _SELECTION_READS,
+    "fer": ("space", "kernel", "model", "family"),
+    "fwe": ("space", "kernel", "model"),
+}
+
+
 def cmd_check(args) -> int:
     out = Printer(args.format)
     if args.check != "anytime" and len(args.kernel) > 1:
         raise fileio.SchemaError(
             "<args>", f"--check {args.check} reads one --kernel, got {len(args.kernel)}"
         )
-    for option, reader in (("rule", "posthoc"), ("family", "fer"), ("tree", "anytime")):
-        if getattr(args, option) is not None and args.check != reader:
-            raise fileio.SchemaError("<args>", f"--check {args.check} does not read --{option}")
+    _refuse_unread(args, f"--check {args.check}", _CHECK_OPTIONS, _CHECK_READS.get(args.check, ()))
     sf = fileio.load_space(args.space)
     pa = fileio.load_pmfs(args.model, sf.space.model)
     kernels = [fileio.load_kernel(p, sf, pa.sample) for p in args.kernel]
@@ -344,13 +388,13 @@ def cmd_check(args) -> int:
     raise fileio.SchemaError("<args>", f"unknown check {args.check!r}")
 
 
-def _golden_table1(args, out: Printer) -> int:
-    computed = golden.compute_reference_table(args.alpha)
-    is_golden = args.alpha == golden.DEFAULT_ALPHA
+def _golden_table1(alpha: Fraction, out: Printer) -> int:
+    computed = golden.compute_reference_table(alpha)
+    is_golden = alpha == golden.DEFAULT_ALPHA
     header = ("row", "e", "e_selected", "fsp", "step_up", "closed_step_up")
     out.text(
         "built-in three-circle family"
-        + ("" if is_golden else f" (recomputed at alpha={args.alpha}; not the golden level)")
+        + ("" if is_golden else f" (recomputed at alpha={alpha}; not the golden level)")
     )
     out.text(" | ".join(f"{h:>14}" for h in header))
     for row in computed.rows:
@@ -390,11 +434,14 @@ def _golden_table1(args, out: Printer) -> int:
 def cmd_mtp(args) -> int:
     out = Printer(args.format)
     if args.golden == "table1":
-        return _golden_table1(args, out)
+        _refuse_unread(args, "--golden", ("procedure", *_MTP_OPTIONS), ("alpha",))
+        return _golden_table1(args.alpha or golden.DEFAULT_ALPHA, out)
+    if args.procedure is None:
+        raise fileio.SchemaError("<args>", "mtp needs --procedure (or --golden)")
+    reader = f"--procedure {args.procedure}"
+    _refuse_unread(args, reader, _MTP_OPTIONS, _MTP_READS[args.procedure])
     if args.space is None:
         raise fileio.SchemaError("<args>", "mtp needs --space (or --golden)")
-    if args.procedure == "fwe" and args.family is not None:
-        raise fileio.SchemaError("<args>", "--procedure fwe does not read --family")
     sf = fileio.load_space(args.space)
     if args.procedure in ("fer", "fwe"):
         if args.kernel is None or args.model is None:
@@ -411,13 +458,10 @@ def cmd_mtp(args) -> int:
     if args.family is None:
         raise fileio.SchemaError("<args>", "mtp needs --family")
     gids = [sf.resolve(args.space, lab) for lab in _split_labels(args.family)]
+    alpha = args.alpha or golden.DEFAULT_ALPHA
 
-    if args.procedure == "ebh":
-        result = mtp.ebh(e, gids, args.alpha)
-    elif args.procedure == "closed-ebh":
-        result = mtp.closed_ebh(e, gids, args.alpha)
-    elif args.procedure == "self-consistent":
-        sel = mtp.self_consistent_selection(e, gids, args.alpha)
+    if args.procedure == "self-consistent":
+        sel = mtp.self_consistent_selection(e, gids, alpha)
         out.text(f"largest self-consistent selection: "
                  f"{[ _member_label(sf.space, g) for g in sel.selected ]}")
         for g in gids:
@@ -425,8 +469,8 @@ def cmd_mtp(args) -> int:
                        selected=g in sel.selected,
                        inflated=sel.witness.get(g))
         return EXIT_OK
-    else:
-        raise fileio.SchemaError("<args>", "mtp needs --procedure (or --golden)")
+    procedure = mtp.ebh if args.procedure == "ebh" else mtp.closed_ebh
+    result = procedure(e, gids, alpha)
     names = [_member_label(sf.space, g) for g in result.rejected]
     out.text(f"rejected: {names or 'nothing'}")
     for g in gids:
@@ -505,17 +549,15 @@ def cmd_decide(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "space": cmd_space,
-        "closure": cmd_closure,
-        "check": cmd_check,
-        "mtp": cmd_mtp,
-        "decide": cmd_decide,
-    }
+    """Run one command line and return its exit code.
+
+    Only the named subcommand's parser is built; an argv that names none
+    (empty, `-h` or a typo) gets the parser of all five, for its usage text.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (fileio.SchemaError, SpaceError, EvidenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -3,6 +3,19 @@
 Schema errors carry the file path and the offending key so the CLI can
 fail with context. Numeric values are parsed with decimal semantics
 (97.5 -> 195/2) and 'inf' marks infinite evidence.
+
+A file becomes Python objects exactly as ``yaml.safe_load`` would make them.
+``_LOADER`` (libyaml's parser where PyYAML has it) composes the document into
+nodes, resolving the tag of each distinct plain scalar once per read. The
+tree is then built from the nodes directly: string scalars are their text,
+maps and sequences are a dict and a list, and every other scalar goes through
+the loader's safe constructor. A document with an alias of a map or sequence,
+a merge ``<<`` or value ``=`` key, a map or sequence as a key, any other
+collection tag (``!!set``, ``!!omap``, ``!!pairs``, local tags) or a scalar
+tagged as a collection is instead built whole by PyYAML's
+``construct_document``. A table that names one hypothesis twice, a kernel
+row with an outcome the model lacks and a distribution for a point outside
+the space are schema errors.
 """
 
 from __future__ import annotations
@@ -33,15 +46,79 @@ class SchemaError(Exception):
         super().__init__(f"{path}: {message}")
 
 
-# libyaml's parser where PyYAML was built with it; both build the same
-# Python objects through the same safe constructor.
+# libyaml's parser where PyYAML was built with it; both compose the same
+# nodes and resolve the same implicit tags.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+_STR = "tag:yaml.org,2002:str"
+_SEQ = "tag:yaml.org,2002:seq"
+_MAP = "tag:yaml.org,2002:map"
+_MERGE_OR_VALUE = ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
+
+
+class _Fallback(Exception):
+    """The document needs PyYAML's own constructor."""
+
+
+def _memoise_resolve(loader) -> None:
+    """Resolve each distinct plain scalar of this read once.
+
+    A plain scalar's tag depends on its text alone: safe loaders have no
+    path resolvers. Quoted scalars and collections match no pattern."""
+    resolve = loader.resolve
+    memo: dict[str, str] = {}
+
+    def resolve_once(kind, value, implicit):
+        if kind is not yaml.ScalarNode or not implicit[0]:
+            return resolve(kind, value, implicit)
+        try:
+            return memo[value]
+        except KeyError:
+            tag = memo[value] = resolve(kind, value, implicit)
+            return tag
+
+    loader.resolve = resolve_once
+
+
+def _build(loader, node, seen: set):
+    """The Python object of `node`, as ``yaml.safe_load`` builds it.
+
+    Plain maps, sequences and strings are built here; other scalars go
+    through the loader's constructor. `seen` holds the maps and sequences
+    built so far. Anything else raises ``_Fallback``.
+    """
+    tag = node.tag
+    if isinstance(node, yaml.ScalarNode):
+        return node.value if tag == _STR else loader.construct_object(node)
+    if node in seen or tag not in (_SEQ, _MAP):
+        raise _Fallback  # an alias, or a set, omap, pairs or local tag
+    seen.add(node)
+    if tag == _SEQ:
+        return [_build(loader, item, seen) for item in node.value]
+    out = {}
+    for key, value in node.value:
+        if not isinstance(key, yaml.ScalarNode) or key.tag in _MERGE_OR_VALUE:
+            raise _Fallback  # an unhashable key, '<<' or '='
+        out[_build(loader, key, seen)] = _build(loader, value, seen)
+    return out
 
 
 def _load_yaml(path: Path | str) -> dict:
     try:
         with open(path) as fh:
-            data = yaml.load(fh, Loader=_LOADER)
+            loader = _LOADER(fh)
+            _memoise_resolve(loader)
+            try:
+                root = loader.get_single_node()
+                try:
+                    data = None if root is None else _build(loader, root, set())
+                    if loader.state_generators:  # a scalar tagged as a collection
+                        raise _Fallback
+                except _Fallback:
+                    data = loader.construct_document(root)
+            finally:
+                del loader.resolve  # the memo refers back to the loader
+                loader.dispose()
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
     except yaml.YAMLError as exc:
@@ -111,6 +188,24 @@ class SpaceFile:
         if bits not in self.space.family:
             raise SchemaError(path, f"{label!r} is not a member of the family")
         return self.space.family.id_of(bits)
+
+
+class _LabelReader:
+    """Resolves the hypothesis labels of one table, refusing a member named twice."""
+
+    def __init__(self, path, sf: SpaceFile):
+        self.path = path
+        self.sf = sf
+        self.seen: dict[int, str] = {}
+
+    def resolve(self, label) -> int:
+        label = str(label)
+        hid = self.sf.resolve(self.path, label)
+        if hid in self.seen:
+            first = self.seen[hid]
+            raise SchemaError(self.path, f"{first!r} and {label!r} name the same hypothesis")
+        self.seen[hid] = label
+        return hid
 
 
 def load_space(path: Path | str) -> SpaceFile:
@@ -183,9 +278,10 @@ def load_evidence(path: Path | str, sf: SpaceFile) -> dict[int, XValue]:
     if not isinstance(table, dict):
         raise SchemaError(path, "'evidence' must map hypothesis labels to values")
     read = _xvalue_reader(path)
+    hypotheses = _LabelReader(path, sf)
     out: dict[int, XValue] = {}
     for label, raw in table.items():
-        out[sf.resolve(path, str(label))] = read(raw)
+        out[hypotheses.resolve(label)] = read(raw)
     out.setdefault(sf.space.family.empty_id, read("inf"))
     return out
 
@@ -208,6 +304,9 @@ def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
         )
     if outcomes is None:
         raise SchemaError(path, "'pmf' is empty")
+    unknown = [p for p in pmfs if p not in model.points]
+    if unknown:
+        raise SchemaError(path, f"distributions for points not in the space: {unknown}")
     missing = [p for p in model.points if p not in pmfs]
     if missing:
         raise SchemaError(path, f"no distribution for points {missing}")
@@ -232,11 +331,12 @@ def load_kernel(
             )
         sample = SampleSpace(tuple(str(x) for x in declared))
     read = _xvalue_reader(path)
+    hypotheses = _LabelReader(path, sf)
     rows: dict[int, dict[str, XValue]] = {}
     for label, row in table.items():
         if not isinstance(row, dict):
             raise SchemaError(path, f"row for {label!r} must be a mapping")
-        hid = sf.resolve(path, str(label))
+        hid = hypotheses.resolve(label)
         rows[hid] = {str(x): read(v) for x, v in row.items()}
     empty = sf.space.family.empty_id
     rows.setdefault(empty, {x: read("inf") for x in sample.outcomes})
@@ -251,6 +351,11 @@ def load_kernel(
         for x in sample.outcomes:
             if x not in row:
                 raise SchemaError(path, f"hypothesis id {hid} misses outcome {x!r}")
+        if len(row) > len(sample.outcomes):  # every outcome is there, and more
+            unknown = [x for x in row if x not in sample.outcomes]
+            raise SchemaError(
+                path, f"row for {hypotheses.seen[hid]!r} has unknown outcomes {unknown}"
+            )
     try:
         return EKernel.from_table(sf.space, sample, rows)
     except Exception as exc:

@@ -176,6 +176,11 @@ UNREAD_OPTIONS = {
     "anytime-family": (["check", "--check", "anytime", "--tree", "tree_coin.yaml", "--family", "p"],
                        "family"),
     "mtp-fwe-family": (["mtp", "--procedure", "fwe", "--family", "p"], "family"),
+    "mtp-fwe-evidence": (["mtp", "--procedure", "fwe", "--evidence", "e.yaml"], "evidence"),
+    "mtp-fer-alpha": (["mtp", "--procedure", "fer", "--alpha", "1/2"], "alpha"),
+    "mtp-ebh-kernel": (["mtp", "--procedure", "ebh", "--evidence", "e.yaml"], "kernel"),
+    "mtp-closed-ebh-kernel": (["mtp", "--procedure", "closed-ebh"], "kernel"),
+    "mtp-self-consistent-kernel": (["mtp", "--procedure", "self-consistent"], "kernel"),
 }
 
 
@@ -213,3 +218,90 @@ def test_decide_rankings_follow_exact_values_not_names(capsys, tmp_path):
         "optimality decision=b value=1/3",
         f"optimality decision=a value={near}",
     ]
+
+
+GOLDEN_UNREAD = {
+    "procedure": "ebh", "space": "s.yaml", "evidence": "e.yaml", "kernel": "k.yaml",
+    "model": "m.yaml", "family": "x",
+}
+
+
+@pytest.mark.parametrize("option, value", GOLDEN_UNREAD.items(), ids=GOLDEN_UNREAD.keys())
+def test_mtp_golden_reads_only_alpha(capsys, option, value):
+    code = cli.main(["mtp", "--golden", "table1", "--alpha", "1/2", f"--{option}", value])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INPUT, "")
+    assert captured.err == f"error: <args>: --golden does not read --{option}\n"
+
+
+def test_mtp_alpha_defaults_to_one_twentieth_where_it_is_read(capsys):
+    golden = run(capsys, ["mtp", "--golden", "table1"])
+    assert golden == run(capsys, ["mtp", "--golden", "table1", "--alpha", "1/20"])
+    assert "golden matched=44 total=44" in golden[1]
+    selection = ["mtp", "--procedure", "ebh", "--space", str(DATA / "space_gens_ic.yaml"),
+                 "--evidence", str(DATA / "evidence_ic_large.yaml"), "--family", "a|c|a,b|c,d"]
+    assert run(capsys, selection) == run(capsys, [*selection, "--alpha", "1/20"])
+    assert run(capsys, selection) != run(capsys, [*selection, "--alpha", "1/10"])
+
+
+def outcome(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+SPACE_ARGS = ["--space", str(DATA / "space_coin.yaml")]
+PARSER_ARGV = {
+    "bare": [],
+    "help": ["-h"],
+    "typo": ["chek", "--space", "x.yaml"],
+    "option-first": ["--format", "records", "space", *SPACE_ARGS],
+    "space": ["space", *SPACE_ARGS],
+    "space-help": ["space", "--help"],
+    "space-missing": ["space"],
+    "space-unknown-option": ["space", *SPACE_ARGS, "--alpha", "1/2"],
+    "space-extra-positional": ["space", *SPACE_ARGS, "extra"],
+    "closure-help": ["closure", "-h"],
+    "closure-missing": ["closure", *SPACE_ARGS],
+    "check-help": ["check", "-h"],
+    "check-bad-choice": ["check", "--check", "valid", *COIN, "--kernel", COIN_KERNELS[1]],
+    "check-bad-format": ["check", *COIN, "--kernel", COIN_KERNELS[1], "--format", "json"],
+    "check-unknown-option": ["check", *COIN, "--kernel", COIN_KERNELS[1], "--alpha", "1/2"],
+    "check": ["check", *COIN, "--kernel", COIN_KERNELS[1]],
+    "mtp-help": ["mtp", "-h"],
+    "mtp-bad-procedure": ["mtp", "--procedure", "bh"],
+    "mtp-bad-alpha": ["mtp", "--golden", "table1", "--alpha", "0"],
+    "mtp-golden": ["mtp", "--golden", "table1"],
+    "decide-help": ["decide", "-h"],
+    "decide-missing": ["decide", *COIN],
+    "decide-bad-bound": DECIDE[:-1] + ["chernoff"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV.values(), ids=PARSER_ARGV.keys())
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    """Same exit code, stdout and stderr as with all five subcommands built."""
+    lean = outcome(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert lean == outcome(capsys, argv)
+
+
+def test_each_run_builds_its_own_parser_of_its_subcommand(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["space", *SPACE_ARGS], ["space", *SPACE_ARGS], ["chek"]):
+        outcome(capsys, argv)
+    assert built == ["space", "space", "chek"]
+    others = ("close an evidence table", "multiplicity procedures")
+    assert not any(text in build("space").format_help() for text in others)
+    assert all(text in build("chek").format_help() for text in others)

@@ -1,5 +1,7 @@
 """YAML input: the fast loader reads exactly what the safe pure-Python loader reads."""
 
+import gc
+import re
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,151 @@ def test_scalar_memo_parses_each_distinct_scalar_once_per_file(tmp_path):
     assert table[ids[0]] is table[ids[1]]
     assert table[ids[2]] == table[ids[3]] and table[ids[2]] is not table[ids[3]]
     assert fileio.load_evidence(evidence, sf)[ids[0]] is not table[ids[0]]
+
+
+# Documents the node-level builder hands to PyYAML's own constructor, or
+# must read exactly as it does: aliases, merge and value keys, unhashable
+# keys, collection and scalar tags, odd keys and odd files.
+PITFALLS = {
+    "shared-anchor": "a: &x {p: 1, q: [2, 3]}\nb: *x\nc: [*x, *x]\n",
+    "shared-scalar-anchor": "a: &x 3/4\nb: *x\n",
+    "merge-key": "base: &b {x: 1, y: 1}\nderived: {<<: *b, y: 2}\n",
+    "merge-key-top": "<<: {x: 1}\ny: 2\n",
+    "merge-key-list": "a: &a {x: 1}\nb: &b {y: 2}\nc: {<<: [*a, *b], z: 3}\n",
+    "merge-key-scalar": "a: {<<: 5}\n",
+    "value-key": "a: {=: 5, b: 1}\n",
+    "unhashable-key": "? [a, b]\n: 1\n",
+    "mapping-key": "? {a: 1}\n: 1\n",
+    "set": "a: !!set {p: null, q: null}\n",
+    "omap": "a: !!omap [p: 1, q: 2]\n",
+    "pairs": "a: !!pairs [p: 1, p: 2]\n",
+    "explicit-str": "a: !!str 1\nb: !!str yes\n",
+    "explicit-int": "a: !!int '3'\nb: !!float '1'\nc: !!bool 'yes'\nd: !!null ''\n",
+    "binary": "a: !!binary aGVsbG8=\n",
+    "timestamps": "a: 2001-12-14\nb: 2001-12-14t21:59:43.10-05:00\nc: 2001-12-15 2:59:43.10\n",
+    "local-tag-scalar": "a: !foo bar\n",
+    "local-tag-mapping": "a: !foo {b: 1}\n",
+    "scalar-tagged-map": "a: !!map foo\n",
+    "scalar-tagged-seq": "a: !!seq foo\n",
+    "null-key": "~: 1\nnull: 2\n",
+    "bool-and-number-keys": "yes: a\n1: b\n1.0: c\nno: d\n0: e\n",
+    "duplicate-keys": "a: 1\nb: 2\na: 3\n",
+    "empty": "",
+    "comment-only": "# nothing\n",
+    "top-level-list": "- a\n- b\n",
+    "top-level-scalar": "3/4\n",
+    "multi-document": "a: 1\n---\nb: 2\n",
+    "explicit-single-document": "---\na: 1\n...\n",
+    "nested": "tree: [[HH, [HT, TH]], [TT]]\nk: {'p,q': {HH: .inf, HT: -1, TH: 1e3, TT: 0o17}}\n",
+}
+
+
+@pytest.mark.parametrize("text", PITFALLS.values(), ids=PITFALLS.keys())
+def test_pitfall_documents_read_as_safe_load_reads_them(tmp_path, text):
+    path = tmp_path / "doc.yaml"
+    path.write_text(text)
+    expected = safe_load_or_error(path)
+    if expected is None:
+        with pytest.raises(fileio.SchemaError):
+            fileio._load_yaml(path)
+    else:
+        assert typed(fileio._load_yaml(path)) == typed(expected)
+
+
+def test_a_recursive_alias_builds_the_same_cycle(tmp_path):
+    path = tmp_path / "doc.yaml"
+    path.write_text("a: &x [1, *x]\n")
+    data = fileio._load_yaml(path)
+    assert data["a"][0] == 1 and data["a"][1] is data["a"]
+
+
+def test_a_shared_anchor_is_one_object_as_in_safe_load(tmp_path):
+    path = tmp_path / "doc.yaml"
+    path.write_text(PITFALLS["shared-anchor"])
+    data = fileio._load_yaml(path)
+    assert data["a"] is data["b"] is data["c"][0] is data["c"][1]
+
+
+def test_two_reads_of_one_file_share_no_memo(tmp_path, monkeypatch):
+    """Each read resolves every distinct scalar itself and builds new objects."""
+    path = tmp_path / "doc.yaml"
+    path.write_text("k: {p: [3/4, 3/4, 1], q: [3/4, 1, o1], r: o1}\n")
+    resolved = []
+    resolve = fileio._LOADER.resolve
+
+    def counting(self, kind, value, implicit):
+        resolved.append(value)
+        return resolve(self, kind, value, implicit)
+
+    monkeypatch.setattr(fileio._LOADER, "resolve", counting)
+    first = fileio._load_yaml(path)
+    per_read = list(resolved)
+    second = fileio._load_yaml(path)
+    assert resolved == per_read * 2
+    scalars = [v for v in per_read if v is not None]
+    assert sorted(scalars) == sorted({"k", "p", "q", "r", "3/4", "1", "o1"})
+    assert first == second and first["k"] is not second["k"]
+
+
+def test_a_read_leaves_nothing_for_the_cycle_collector(tmp_path):
+    """The loader, its tag memo and the nodes are freed when a read returns."""
+    paths = [p for p in DATA_FILES if safe_load_or_error(p) is not None]
+    for name in ("merge-key", "shared-anchor", "timestamps"):
+        paths.append(tmp_path / f"{name}.yaml")
+        paths[-1].write_text(PITFALLS[name])
+    gc.collect()
+    gc.disable()
+    try:
+        for path in paths:
+            fileio._load_yaml(path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+PAIR_SPACE = DATA / "space_coin.yaml"
+TWICE = {"point-lists": ("p,q", "q,p"), "padded": ("p,q", "q, p"), "empty": ("empty", "{}")}
+
+
+@pytest.mark.parametrize("first, second", TWICE.values(), ids=TWICE.keys())
+def test_a_hypothesis_given_twice_is_refused_naming_both_labels(tmp_path, first, second):
+    sf = fileio.load_space(PAIR_SPACE)
+    message = re.escape(f"'{first}' and '{second}' name the same hypothesis")
+    evidence = tmp_path / "evidence.yaml"
+    evidence.write_text(f'evidence:\n  p: 2\n  q: 3\n  "{first}": 1\n  "{second}": 7\n')
+    with pytest.raises(fileio.SchemaError, match=message):
+        fileio.load_evidence(evidence, sf)
+    kernel = tmp_path / "kernel.yaml"
+    rows = "".join(f'  "{h}": {{x: 1, y: 1}}\n' for h in ("p", "q", first, second))
+    kernel.write_text(f"outcomes: [x, y]\nkernel:\n{rows}")
+    with pytest.raises(fileio.SchemaError, match=message):
+        fileio.load_kernel(kernel, sf)
+
+
+def test_a_declared_name_and_its_point_list_are_one_hypothesis(tmp_path):
+    sf = fileio.load_space(DATA / "space_gens_named.yaml")
+    evidence = tmp_path / "evidence.yaml"
+    evidence.write_text('evidence:\n  left: 3\n  right: 2\n  "a,b,c": 2\n  "a,b": 5\n')
+    with pytest.raises(fileio.SchemaError, match="'left' and 'a,b' name the same hypothesis"):
+        fileio.load_evidence(evidence, sf)
+
+
+def test_a_kernel_outcome_the_model_lacks_is_refused():
+    sf = fileio.load_space(PAIR_SPACE)
+    pa = fileio.load_pmfs(DATA / "model_coin.yaml", sf.space.model)
+    with pytest.raises(fileio.SchemaError, match=r"row for 'p' has unknown outcomes \['XX'\]"):
+        fileio.load_kernel(DATA / "kernel_coin_unknown_outcome.yaml", sf, pa.sample)
+
+
+def test_a_declared_outcome_list_bounds_the_kernel_rows_too(tmp_path):
+    sf = fileio.load_space(PAIR_SPACE)
+    kernel = tmp_path / "kernel.yaml"
+    kernel.write_text('outcomes: [x]\nkernel:\n  p: {x: 1}\n  q: {x: 1, y: 2}\n  "p,q": {x: 1}\n')
+    with pytest.raises(fileio.SchemaError, match=r"row for 'q' has unknown outcomes \['y'\]"):
+        fileio.load_kernel(kernel, sf)
+
+
+def test_a_distribution_for_a_point_outside_the_space_is_refused():
+    model = fileio.load_space(PAIR_SPACE).space.model
+    with pytest.raises(fileio.SchemaError, match=r"points not in the space: \['r'\]"):
+        fileio.load_pmfs(DATA / "model_coin_unknown_point.yaml", model)
