@@ -356,22 +356,7 @@ def cmd_check(args) -> int:
     if args.check == "anytime":
         if args.tree is None:
             raise fileio.SchemaError("<args>", "--check anytime needs --tree")
-        data = fileio._load_yaml(args.tree)
-        shape = data.get("tree")
-        if shape is None:
-            raise fileio.SchemaError(args.tree, "need a 'tree' entry")
-
-        def to_shape(node):
-            if isinstance(node, str):
-                return node
-            if not isinstance(node, list) or not node:
-                raise fileio.SchemaError(
-                    args.tree, f"tree node {node!r} is neither an outcome label "
-                    "nor a non-empty list of nodes"
-                )
-            return [to_shape(c) for c in node]
-
-        tree = kn.FiltrationTree(pa.sample, to_shape(shape))
+        tree = fileio.load_tree(args.tree, pa.sample)
         proc = kn.EProcess(tree, kernels)
         report = kn.check_anytime_validity(proc, pa)
         out.record("anytime", rules=report.rules_checked, valid=report.stats.ok)

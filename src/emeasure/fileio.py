@@ -5,21 +5,36 @@ fail with context. Numeric values are parsed with decimal semantics
 (97.5 -> 195/2) and 'inf' marks infinite evidence.
 
 A file becomes Python objects exactly as ``yaml.safe_load`` would make them.
-``_LOADER`` (libyaml's parser where PyYAML has it) composes the document into
-nodes, resolving the tag of each distinct plain scalar once per read. The
-tree is then built from the nodes directly: string scalars are their text,
-maps and sequences are a dict and a list, and every other scalar goes through
-the loader's safe constructor. A document with an alias of a map or sequence,
-a merge ``<<`` or value ``=`` key, a map or sequence as a key, any other
-collection tag (``!!set``, ``!!omap``, ``!!pairs``, local tags) or a scalar
-tagged as a collection is instead built whole by PyYAML's
-``construct_document``. A table that names one hypothesis twice, a kernel
-row with an outcome the model lacks and a distribution for a point outside
+Table, model, space and tree files share one shape, which a line reader
+(``_read_table``) reads without a YAML parser:
+
+- a top-level block mapping, its keys at column 0;
+- each value on its key's line, or a block mapping one level deeper whose
+  lines share one indentation and carry their values on the line;
+- each value a plain scalar, or a flow list or mapping of plain scalars on
+  one line, nested or not;
+- keys plain, or double-quoted with no escape; a key in a flow mapping is
+  plain and is followed by ": ";
+- a plain scalar without spaces, made of ASCII letters, digits and
+  ``_ . ~ / + - :``, where ':' sits only between two other such characters
+  and a leading '-' is followed by one;
+- no key or plain scalar longer than 1000 characters;
+- lines of printable ASCII; blank lines and whole-line '#' comments.
+
+Each distinct plain scalar of a read gets its tag from the loader's resolver
+and, unless it is a string, its value from PyYAML's ``SafeConstructor``.
+Every other file, from anchors, tags, quoted values and tabs to documents
+that are no YAML at all, goes whole to ``yaml.load`` with ``_LOADER``
+(libyaml's parser where PyYAML has it), so its errors name the file.
+
+A table that names one hypothesis twice, a row with an outcome, point or
+decision its file does not declare, and a distribution for a point outside
 the space are schema errors.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
@@ -27,7 +42,7 @@ from typing import Callable, Optional
 import yaml
 
 from .decisions import ConsequenceSpace, ConsequenceTable, NumericLoss
-from .kernels import EKernel, Pmf, ProbabilityAssignment, SampleSpace
+from .kernels import EKernel, FiltrationTree, Pmf, ProbabilityAssignment, SampleSpace
 from .spaces import (
     MODEL_POINT_CAP,
     Model,
@@ -46,79 +61,162 @@ class SchemaError(Exception):
         super().__init__(f"{path}: {message}")
 
 
-# libyaml's parser where PyYAML was built with it; both compose the same
-# nodes and resolve the same implicit tags.
+# libyaml's parser where PyYAML was built with it: the full-YAML path.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
+# Builds the non-string scalars of the line reader; its scalar constructors
+# keep no state.
+_CONSTRUCTOR = yaml.constructor.SafeConstructor()
 _STR = "tag:yaml.org,2002:str"
-_SEQ = "tag:yaml.org,2002:seq"
-_MAP = "tag:yaml.org,2002:map"
-_MERGE_OR_VALUE = ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
+
+# A plain scalar here has no spaces: one or more of the characters of `_C`,
+# where a ':' may sit only between two of them and a leading '-' must be
+# followed by one. So in block and in flow context it holds no indicator.
+_C = r"[A-Za-z0-9_.~/+-]"
+_PLAIN = re.compile(rf"(?!-(?!{_C})){_C}+(?::{_C}+)*")
+# Structure is matched with this looser class; each distinct scalar is then
+# checked against `_PLAIN` when it is first typed.
+_S = r"[A-Za-z0-9_.~/+:-]+"
+# A block-mapping line: indentation, a plain or escape-free double-quoted
+# key, and an optional value. The value is a plain scalar, a flat flow
+# mapping or sequence (plain scalars one ": " or ", " apart: kernel and model
+# rows, split without the tokenizer), or any other flow collection.
+_ENTRY = re.compile(
+    rf'( *)(?:({_S})|"([ !#-\[\]-~]*)"):(?: +(?:({_S})'
+    rf"|\{{({_S}: {_S}(?:, {_S}: {_S})*)\}}|\[({_S}(?:, {_S})*)\]|([\[{{].*[\]}}])))? *"
+)
+_BLANK = re.compile(r" *(?:#[ -~]*)?")
+# One token of a flow collection; group 4 is a character no token starts with.
+_FLOW_TOKEN = re.compile(rf" *(?:([\[\]{{}},])|({_C}+(?::{_C}+)*)(: )?|(.))")
+# A longer implicit key is no key to a YAML scanner, which gives up at 1024.
+_KEY_MAX = 1000
+_NONE = object()
 
 
-class _Fallback(Exception):
-    """The document needs PyYAML's own constructor."""
+class _Scalars(dict):
+    """The value of each distinct plain scalar of one read, as safe_load
+    builds it: the tag comes from the loader's resolver and a non-string
+    is built by the safe constructor. A text that is no plain scalar of the
+    line reader raises KeyError."""
+
+    def __missing__(self, text):
+        if len(text) > _KEY_MAX or not _PLAIN.fullmatch(text):
+            raise KeyError(text)
+        # A safe loader's resolver reads only class attributes.
+        tag = _LOADER.resolve(_LOADER, yaml.ScalarNode, text, (True, False))
+        if tag == _STR:
+            value = text
+        else:
+            node = yaml.ScalarNode(tag, text)
+            value = _CONSTRUCTOR.yaml_constructors[tag](_CONSTRUCTOR, node)
+        self[text] = value
+        return value
 
 
-def _memoise_resolve(loader) -> None:
-    """Resolve each distinct plain scalar of this read once.
+def _flow(text: str, scalars: _Scalars):
+    """The list or dict of a one-line flow collection of plain scalars, or
+    None if `text` is not one."""
+    stack: list = []  # the open collections, innermost last
+    root = key = _NONE  # key: a mapping key read, awaiting its value
+    after = False  # an item was read: a ',' or a closing bracket comes next
+    for punct, plain, colon, other in _FLOW_TOKEN.findall(text):
+        if other or (root is not _NONE and not stack):
+            return None  # no token, or a token after the root closed
+        if punct == ",":
+            if not after:
+                return None
+            after = False
+        elif punct in ("]", "}"):
+            top = stack.pop()
+            if key is not _NONE or (punct == "]") != (type(top) is list):
+                return None
+            after = True
+        elif after:
+            return None
+        elif stack and type(stack[-1]) is dict and key is _NONE:
+            if not colon:  # a collection, or a scalar with no ": ", as a key
+                return None
+            key = scalars[plain]
+        elif colon:
+            return None
+        else:
+            item = scalars[plain] if plain else [] if punct == "[" else {}
+            if not stack:
+                root = item
+            elif type(stack[-1]) is list:
+                stack[-1].append(item)
+            else:
+                stack[-1][key] = item
+                key = _NONE
+            if plain:
+                after = True
+            else:
+                stack.append(item)
+    return None if stack else root
 
-    A plain scalar's tag depends on its text alone: safe loaders have no
-    path resolvers. Quoted scalars and collections match no pattern."""
-    resolve = loader.resolve
-    memo: dict[str, str] = {}
 
-    def resolve_once(kind, value, implicit):
-        if kind is not yaml.ScalarNode or not implicit[0]:
-            return resolve(kind, value, implicit)
-        try:
-            return memo[value]
-        except KeyError:
-            tag = memo[value] = resolve(kind, value, implicit)
-            return tag
-
-    loader.resolve = resolve_once
-
-
-def _build(loader, node, seen: set):
-    """The Python object of `node`, as ``yaml.safe_load`` builds it.
-
-    Plain maps, sequences and strings are built here; other scalars go
-    through the loader's constructor. `seen` holds the maps and sequences
-    built so far. Anything else raises ``_Fallback``.
-    """
-    tag = node.tag
-    if isinstance(node, yaml.ScalarNode):
-        return node.value if tag == _STR else loader.construct_object(node)
-    if node in seen or tag not in (_SEQ, _MAP):
-        raise _Fallback  # an alias, or a set, omap, pairs or local tag
-    seen.add(node)
-    if tag == _SEQ:
-        return [_build(loader, item, seen) for item in node.value]
-    out = {}
-    for key, value in node.value:
-        if not isinstance(key, yaml.ScalarNode) or key.tag in _MERGE_OR_VALUE:
-            raise _Fallback  # an unhashable key, '<<' or '='
-        out[_build(loader, key, seen)] = _build(loader, value, seen)
-    return out
+def _read_table(text: str):
+    """The document as ``yaml.safe_load`` builds it, if it has the table
+    shape (see the module docstring); else None."""
+    scalars = _Scalars()
+    get = scalars.__getitem__
+    top: dict = {}
+    open_key = _NONE  # the top-level key whose value may be a nested mapping
+    inner = None  # that nested mapping, once its first line is read
+    width = 0  # its indentation
+    try:
+        for line in text.split("\n"):
+            m = _ENTRY.fullmatch(line)
+            if m is None:
+                if _BLANK.fullmatch(line):
+                    continue
+                return None
+            indent, plain_key, quoted_key, plain, pairs, items, flow = m.groups()
+            if plain_key is not None:
+                key = get(plain_key)
+            elif len(quoted_key) > _KEY_MAX:
+                return None
+            else:
+                key = quoted_key
+            if plain is not None:
+                value = get(plain)
+            elif pairs is not None:
+                cells = list(map(get, pairs.replace(": ", ", ").split(", ")))
+                value = dict(zip(cells[::2], cells[1::2]))
+            elif items is not None:
+                value = list(map(get, items.split(", ")))
+            elif flow is not None:
+                value = _flow(flow, scalars)
+                if value is None:
+                    return None
+            elif indent:
+                return None  # a nested key with its value on later lines
+            else:
+                value = _NONE  # null, or the nested mapping that follows
+            if not indent:
+                open_key = key if value is _NONE else _NONE
+                top[key] = None if value is _NONE else value
+                inner = None
+            elif inner is None:
+                if open_key is _NONE:
+                    return None  # a continuation line, or a deeper block
+                inner = top[open_key] = {key: value}
+                width = len(indent)
+            elif len(indent) != width:
+                return None
+            else:
+                inner[key] = value
+    except KeyError:  # a scalar that is not plain
+        return None
+    return top or None
 
 
 def _load_yaml(path: Path | str) -> dict:
     try:
         with open(path) as fh:
-            loader = _LOADER(fh)
-            _memoise_resolve(loader)
-            try:
-                root = loader.get_single_node()
-                try:
-                    data = None if root is None else _build(loader, root, set())
-                    if loader.state_generators:  # a scalar tagged as a collection
-                        raise _Fallback
-                except _Fallback:
-                    data = loader.construct_document(root)
-            finally:
-                del loader.resolve  # the memo refers back to the loader
-                loader.dispose()
+            data = _read_table(fh.read())
+            if data is None:
+                fh.seek(0)
+                data = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
     except yaml.YAMLError as exc:
@@ -164,6 +262,13 @@ def _xvalue_reader(path) -> Callable[[object], XValue]:
             return _xvalue(path, raw)
 
     return read
+
+
+def _refuse_unknown(path, message: str, names, known) -> None:
+    """Refuse the `names` that are not in `known`, listing them after `message`."""
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise SchemaError(path, f"{message} {unknown}")
 
 
 class SpaceFile:
@@ -296,17 +401,15 @@ def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
     for point, masses in table.items():
         if not isinstance(masses, dict):
             raise SchemaError(path, f"masses for {point!r} must be a mapping")
+        row = {str(x): _fraction(path, m) for x, m in masses.items()}
         if outcomes is None:
-            outcomes = tuple(str(x) for x in masses.keys())
+            outcomes = tuple(row)
             sample = SampleSpace(outcomes)
-        pmfs[str(point)] = Pmf.of(
-            sample, {str(x): _fraction(path, m) for x, m in masses.items()}
-        )
+        _refuse_unknown(path, f"row for {point!r} has unknown outcomes", row, outcomes)
+        pmfs[str(point)] = Pmf.of(sample, row)
     if outcomes is None:
         raise SchemaError(path, "'pmf' is empty")
-    unknown = [p for p in pmfs if p not in model.points]
-    if unknown:
-        raise SchemaError(path, f"distributions for points not in the space: {unknown}")
+    _refuse_unknown(path, "distributions for points not in the space:", pmfs, model.points)
     missing = [p for p in model.points if p not in pmfs]
     if missing:
         raise SchemaError(path, f"no distribution for points {missing}")
@@ -352,14 +455,43 @@ def load_kernel(
             if x not in row:
                 raise SchemaError(path, f"hypothesis id {hid} misses outcome {x!r}")
         if len(row) > len(sample.outcomes):  # every outcome is there, and more
-            unknown = [x for x in row if x not in sample.outcomes]
-            raise SchemaError(
-                path, f"row for {hypotheses.seen[hid]!r} has unknown outcomes {unknown}"
-            )
+            label = hypotheses.seen[hid]
+            _refuse_unknown(path, f"row for {label!r} has unknown outcomes", row, sample.outcomes)
     try:
         return EKernel.from_table(sf.space, sample, rows)
     except Exception as exc:
         raise SchemaError(path, str(exc)) from None
+
+
+def load_tree(path: Path | str, sample: SampleSpace) -> FiltrationTree:
+    """The filtration tree of a 'tree' entry, whose leaves are the outcomes."""
+    shape = _load_yaml(path).get("tree")
+    if shape is None:
+        raise SchemaError(path, "need a 'tree' entry")
+    return FiltrationTree(sample, _tree_shape(path, shape))
+
+
+def _tree_shape(path, node):
+    if isinstance(node, str):
+        return node
+    if not isinstance(node, list) or not node:
+        raise SchemaError(
+            path, f"tree node {node!r} is neither an outcome label nor a non-empty list of nodes"
+        )
+    return [_tree_shape(path, child) for child in node]
+
+
+def _decision_rows(path, table: dict, model: Model, decisions) -> dict[str, dict]:
+    """The rows of a `loss` or `table` entry by point label, each keyed by
+    decision; a point outside the space or an undeclared decision is refused."""
+    rows = {}
+    for point, row in table.items():
+        if not isinstance(row, dict):
+            raise SchemaError(path, f"row for {point!r} must map decisions to entries")
+        rows[str(point)] = cells = {str(d): v for d, v in row.items()}
+        _refuse_unknown(path, f"row for {point!r} has unknown decisions", cells, decisions)
+    _refuse_unknown(path, "rows for points not in the space:", rows, model.points)
+    return rows
 
 
 def load_decision_problem(path: Path | str, model: Model):
@@ -373,14 +505,12 @@ def load_decision_problem(path: Path | str, model: Model):
         table = data["loss"]
         if not isinstance(table, dict):
             raise SchemaError(path, "'loss' must map points to decision losses")
+        rows = _decision_rows(path, table, model, decisions)
         try:
             loss = NumericLoss.of(
                 model,
                 decisions,
-                {
-                    str(p): {str(d): _xvalue(path, v) for d, v in row.items()}
-                    for p, row in table.items()
-                },
+                {p: {d: _xvalue(path, v) for d, v in row.items()} for p, row in rows.items()},
             )
         except KeyError as exc:
             raise SchemaError(path, f"loss table misses entry {exc}") from None
@@ -404,13 +534,14 @@ def load_decision_problem(path: Path | str, model: Model):
             raise SchemaError(path, f"order pair {pair!r} uses unknown elements")
         pairs.append((idx[a], idx[b]))
     pre = Preorder.from_pairs(len(elements), pairs).transitive_closure()
+    rows = _decision_rows(path, table, model, decisions)
     try:
         cspace = ConsequenceSpace(elements, pre)
         ctable = ConsequenceTable.of(
             model,
             decisions,
             cspace,
-            {str(p): {str(d): str(c) for d, c in row.items()} for p, row in table.items()},
+            {p: {d: str(c) for d, c in row.items()} for p, row in rows.items()},
         )
     except Exception as exc:
         raise SchemaError(path, str(exc)) from None

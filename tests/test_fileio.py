@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emeasure import cli, fileio
 
@@ -247,3 +249,186 @@ def test_a_distribution_for_a_point_outside_the_space_is_refused():
     model = fileio.load_space(PAIR_SPACE).space.model
     with pytest.raises(fileio.SchemaError, match=r"points not in the space: \['r'\]"):
         fileio.load_pmfs(DATA / "model_coin_unknown_point.yaml", model)
+
+
+# -- the line reader against safe_load ---------------------------------------
+
+# YAML 1.1 scalars a reader that guessed types would get wrong, and labels.
+EDGE = ["yes", "No", "~", "null", "0x1F", "0o17", "1_000", "+1", "-0", ".inf",
+        "1e3", "1.0e+3", "1:30", "2001-12-14"]
+LABELS = ["p", "o1", "HH", "3/4", "inf", "-7", "97.5", "a:b", "---", "..."]
+QUOTED = ['"p,q"', '"a, b"', '"p q"', '"x"', '"1"']
+# Text outside the reader's shape; some of it is not YAML at all.
+JUNK = ["", "'q'", "a b", "-", "x:", "&a", "*a", "!!str 1", "<<", "=", "a#b", "1:",
+        "a,b", ":x", '"e\\x"', '"\u00e9"', "\u00e9", '"t\tb"']
+# Edits that take one line of a document out of the reader's shape.
+LINE_JUNK = [
+    lambda line: line + " # trailing",
+    lambda line: line + ",",
+    lambda line: line + "\rz: 1",
+    lambda line: line + "\u0085z: 1",
+    lambda line: line + " x: 1",
+    lambda line: line + " [x]",
+    lambda line: line + "]",
+    lambda line: line.replace(" ", "\t", 1),
+    lambda line: line.replace(": ", ":", 1),
+    lambda line: line.replace(", ", ", , ", 1),
+    lambda line: " " + line,
+    lambda line: "   " + line.lstrip(" "),
+    lambda line: "- " + line,
+    lambda line: "--- " + line,
+    lambda line: "---",
+]
+
+
+def rarely(junk, clean, bad):
+    """`clean`, or with `junk` one time in sixteen `bad`, so most documents
+    that have junk have one piece of it."""
+    if not junk:
+        return clean
+    return st.integers(0, 15).flatmap(lambda n: bad if n == 0 else clean)
+
+
+@st.composite
+def flow(draw, scalars, depth=2):
+    """A one-line flow list or mapping, possibly nested, and its spacing."""
+    comma = draw(st.sampled_from([", ", ",", " , "]))
+    if depth and draw(st.booleans()):
+        items = draw(st.lists(flow(scalars, depth - 1) | scalars, max_size=3))
+    else:
+        items = draw(st.lists(scalars, max_size=4))
+    trailing = "," if items and draw(st.booleans()) else ""
+    if draw(st.booleans()):
+        keys = draw(st.lists(scalars, min_size=len(items), max_size=len(items)))
+        return "{" + comma.join(f"{k}: {v}" for k, v in zip(keys, items)) + trailing + "}"
+    return "[" + comma.join(items) + trailing + "]"
+
+
+@st.composite
+def table_documents(draw, junk=True):
+    """Documents of the line reader's shape, or (with `junk`, half of them)
+    near it: one line edited out of the shape, and now and then a junk
+    scalar or a quoted value."""
+    junk = junk and draw(st.booleans())
+    plain = rarely(junk, st.sampled_from(EDGE + LABELS), st.sampled_from(JUNK))
+    keys = plain | st.sampled_from(QUOTED)
+    values = plain | flow(plain) | rarely(junk, plain, st.sampled_from(QUOTED))
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        key = draw(keys)
+        if draw(st.booleans()):
+            lines.append(f"{key}: {draw(values)}")
+            continue
+        lines.append(f"{key}:")
+        indent = draw(st.sampled_from(["  ", " ", "    "]))
+        for _ in range(draw(st.integers(0, 3))):
+            lines.append(f"{indent}{draw(keys)}: {draw(values)}")
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "# a comment", "   # indented, too", "  "])))
+    if junk:
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = draw(st.sampled_from(LINE_JUNK))(lines[at])
+    return "\n".join(lines) + "\n"
+
+
+def read_or_refuse(load, path):
+    """`typed` of what `load` reads at `path`, or None if it is no mapping."""
+    try:
+        data = load(path)
+    except (yaml.YAMLError, fileio.SchemaError):
+        return None
+    return typed(data) if isinstance(data, dict) else None
+
+
+def assert_reads_as_yaml(path, text):
+    """``_load_yaml`` reads `text` as libyaml reads it and, where the line
+    reader takes it, as safe_load reads it; or all of them refuse it.
+
+    Where the reader passes a document on, libyaml and the pure-Python
+    parser may differ: libyaml reads "a:\tb" as {'a': 'b'} and refuses
+    "a: [1:]", and safe_load does the opposite."""
+    path.write_text(text)
+    got = read_or_refuse(fileio._load_yaml, path)
+    assert got == read_or_refuse(lambda p: yaml.load(p.read_text(), fileio._LOADER), path), text
+    if fileio._read_table(text) is not None:
+        assert got == read_or_refuse(lambda p: yaml.safe_load(p.read_text()), path), text
+
+
+@settings(max_examples=400)
+@given(table_documents())
+def test_the_line_reader_reads_what_safe_load_reads(tmp_path_factory, text):
+    assert_reads_as_yaml(tmp_path_factory.getbasetemp() / "differential.yaml", text)
+
+
+TABLE = [
+    "# a comment",
+    "points: [a, b]",
+    "kernel:",
+    '  "p,q": {HH: 1/3, TT: .inf}',
+    "  p: [1, [2, 3]]",
+    "",
+    "  # an indented comment",
+    "  q: yes",
+    "tree: [[HH, HT], [TH, TT]]",
+    "empty:",
+]
+SCALAR_SLOTS = [
+    "{}: 1", "a: {}", "a: [x, {}]", "a: {{{}: 1}}", "a: {{x: {}}}", "a: [[{}], y]",
+    "a:\n  {}: 1", "a:\n  b: {}",
+]
+
+
+def test_each_line_edit_of_a_table_reads_as_yaml_reads_it(tmp_path):
+    for at in range(len(TABLE)):
+        for edit in LINE_JUNK:
+            lines = list(TABLE)
+            lines[at] = edit(lines[at])
+            assert_reads_as_yaml(tmp_path / "doc.yaml", "\n".join(lines) + "\n")
+
+
+def test_each_scalar_in_each_place_reads_as_yaml_reads_it(tmp_path):
+    for slot in SCALAR_SLOTS:
+        for scalar in EDGE + LABELS + QUOTED + JUNK:
+            assert_reads_as_yaml(tmp_path / "doc.yaml", slot.format(scalar) + "\n")
+
+
+@given(table_documents(junk=False))
+def test_documents_of_the_table_shape_take_the_line_reader(text):
+    data = fileio._read_table(text)
+    assert data is not None and typed(data) == typed(yaml.safe_load(text))
+
+
+TABLE_FILES = [p for p in DATA_FILES if safe_load_or_error(p) is not None]
+
+
+@pytest.mark.parametrize("path", TABLE_FILES, ids=[p.name for p in TABLE_FILES])
+def test_no_table_file_takes_the_full_yaml_path(monkeypatch, path):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{path.name} went to yaml.load")
+
+    monkeypatch.setattr(fileio.yaml, "load", refuse)
+    fileio._load_yaml(path)
+
+
+def test_a_model_outcome_the_first_row_lacks_is_refused():
+    model = fileio.load_space(PAIR_SPACE).space.model
+    with pytest.raises(fileio.SchemaError, match=r"row for 'q' has unknown outcomes \['XX'\]"):
+        fileio.load_pmfs(DATA / "model_coin_unknown_outcome.yaml", model)
+
+
+UNKNOWN_POINT = r"rows for points not in the space: \['r'\]"
+UNKNOWN_DECISION = r"row for 'p' has unknown decisions \['wait'\]"
+DECISION_FILES = {
+    "loss-point": ("decisions_coin_unknown_point.yaml", UNKNOWN_POINT),
+    "loss-decision": ("decisions_coin_unknown_decision.yaml", UNKNOWN_DECISION),
+    "table-point": ("decisions_coin_table_unknown_point.yaml", UNKNOWN_POINT),
+    "table-decision": ("decisions_coin_table_unknown_decision.yaml", UNKNOWN_DECISION),
+}
+
+
+@pytest.mark.parametrize("name, message", DECISION_FILES.values(), ids=DECISION_FILES.keys())
+def test_a_decision_row_outside_the_space_or_the_decisions_is_refused(name, message):
+    model = fileio.load_space(PAIR_SPACE).space.model
+    with pytest.raises(fileio.SchemaError, match=message):
+        fileio.load_decision_problem(DATA / name, model)

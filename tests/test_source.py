@@ -58,14 +58,28 @@ def _yaml_uses(tree: ast.Module) -> tuple[bool, list[str]]:
     return imports, loads
 
 
+def _private_loader_uses(tree: ast.Module) -> list[int]:
+    """Lines that reach fileio's private ``_load_yaml``, by attribute or import."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "_load_yaml")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "_load_yaml" for a in node.names))
+    ]
+
+
 def test_yaml_is_read_only_through_the_fileio_loader():
-    """One loader for every file read: fileio's, never the pure-Python safe_load."""
+    """One loader for every file read: fileio's, never the pure-Python
+    safe_load, and other modules read files through the public fileio.load_*."""
     found = []
     for path in SOURCES:
-        imports, loads = _yaml_uses(ast.parse(path.read_text()))
+        tree = ast.parse(path.read_text())
+        imports, loads = _yaml_uses(tree)
         if imports and path.name != "fileio.py":
             found.append(f"{path.name} imports yaml")
         found += [f"{path.name} calls {name}" for name in loads]
+        if path.name != "fileio.py":
+            found += [f"{path.name}:{line} calls fileio._load_yaml" for line in _private_loader_uses(tree)]
     assert SOURCES and not found
 
 
