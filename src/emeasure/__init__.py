@@ -32,15 +32,7 @@ from .evidence import (
     merge_convex,
     unit_measure,
 )
-from .integration import (
-    OrderMeasurableFn,
-    e_markov_check,
-    integral_least_true,
-    pointwise_sup,
-    posthoc_markov_identity,
-    shilkret_integral,
-    sup_interchange_check,
-)
+from .integration import OrderMeasurableFn, shilkret_integral
 from .kernels import (
     EKernel,
     EProcess,
@@ -67,7 +59,6 @@ from .multiplicity import (
     AvgOverSelection,
     CustomPhi,
     SelectionRule,
-    SupOverSelections,
     SupOverTrue,
     check_fer,
     check_fwe,

@@ -128,7 +128,10 @@ def _decide_options(p):
     p.add_argument("--decisions", required=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--alpha", type=_level_arg, default=Fraction(1, 20))
+    p.add_argument(
+        "--alpha", type=_level_arg, default=None,
+        help="level of --bound probability (default 1/20); the other bounds do not read it",
+    )
     p.add_argument(
         "--bound", choices=("econsequence", "grunwald", "probability"), default="econsequence"
     )
@@ -216,11 +219,7 @@ def cmd_space(args) -> int:
 def cmd_closure(args) -> int:
     out = Printer(args.format)
     sf = fileio.load_space(args.space)
-    table = fileio.load_evidence(args.evidence, sf)
-    try:
-        e = ev.classify(sf.space, table)
-    except EvidenceError as exc:
-        raise fileio.SchemaError(args.evidence, str(exc)) from None
+    e = fileio.load_evidence(args.evidence, sf)
     closed = ev.close(e)
     changed = 0
     for hid in range(len(sf.space.family)):
@@ -438,8 +437,7 @@ def cmd_mtp(args) -> int:
         return _report_fer(out, args, sf, kernel, pa)
     if args.evidence is None:
         raise fileio.SchemaError("<args>", "mtp needs --evidence for this procedure")
-    table = fileio.load_evidence(args.evidence, sf)
-    e = ev.classify(sf.space, table)
+    e = fileio.load_evidence(args.evidence, sf)
     if args.family is None:
         raise fileio.SchemaError("<args>", "mtp needs --family")
     gids = [sf.resolve(args.space, lab) for lab in _split_labels(args.family)]
@@ -469,6 +467,8 @@ def cmd_mtp(args) -> int:
 
 def cmd_decide(args) -> int:
     out = Printer(args.format)
+    reads = ("alpha",) if args.bound == "probability" else ()
+    _refuse_unread(args, f"--bound {args.bound}", ("alpha",), reads)
     sf = fileio.load_space(args.space) if args.space else None
     if sf is None:
         raise fileio.SchemaError("<args>", "decide needs --space")
@@ -480,7 +480,8 @@ def cmd_decide(args) -> int:
         if args.bound == "econsequence":
             report = dec.check_econsequence_bound(kernel, pa, ctable)
         elif args.bound == "probability":
-            rule = {x: XValue(args.alpha) for x in kernel.sample.outcomes}
+            alpha = XValue(args.alpha or golden.DEFAULT_ALPHA)
+            rule = {x: alpha for x in kernel.sample.outcomes}
             report = dec.check_posthoc_consequence_bound(kernel, pa, ctable, rule)
         else:
             if loss is None:
@@ -505,22 +506,17 @@ def cmd_decide(args) -> int:
             for value, d in ranking:
                 out.text(f"  {d}: {value}")
                 out.record("eloss", decision=d, value=value)
-        opt = dec.optimality_class(loss)
-        if opt.optimal is not None:
-            rows = []
-            measurable = True
-            for d in loss.decisions:
-                bits = opt.decision_sets[d].bits
-                if bits not in sf.space.family:
-                    measurable = False
-                    break
-                rows.append((slice_fn.values[sf.space.family.id_of(bits)], d))
-            if measurable:
-                rows.sort()
-                out.text("optimality-evidence ranking (least evidence first):")
-                for value, d in rows:
-                    out.text(f"  {d}: {value}")
-                    out.record("optimality", decision=d, value=value)
+        try:
+            pushed, _ = dec.evidence_against_optimality(kernel, loss)
+        except (dec.DecisionError, kn.MeasurabilityError):
+            pass  # ties, or a decision set outside the family: no ranking
+        else:
+            column = pushed.column(args.outcome)
+            rows = sorted((column.value_of(1 << i), d) for i, d in enumerate(loss.decisions))
+            out.text("optimality-evidence ranking (least evidence first):")
+            for value, d in rows:
+                out.text(f"  {d}: {value}")
+                out.record("optimality", decision=d, value=value)
 
     adm_source = kernel.column(args.outcome) if args.outcome is not None else kernel.columns[0]
     try:

@@ -21,7 +21,7 @@ from .spaces import (
     class_from_preorder,
     union_closure,
 )
-from .xvalue import ONE, ZERO, XValue, as_xvalue, sup_of
+from .xvalue import XValue, as_xvalue, sup_of
 
 
 class DecisionError(EvidenceError):
@@ -221,19 +221,7 @@ def check_econsequence_bound(
     """Uniform consequence bound: for each benchmark row (an entry's case)
     and each point whose row dominates it, the expected worst evidence
     across decisions is at most one."""
-    induced = _require_order_measurable(k.space, table)
-    entries = []
-    for label, qi in _distinct_rows(table):
-        h_row = induced.family.member(induced.least_id(qi))
-        bound_ids = _bound_ids(k.space, table, qi)
-        sup_var = [
-            sup_of(k.value(hid, xi) for hid in bound_ids)
-            for xi in range(k.sample.size)
-        ]
-        for pi in h_row.indices():
-            stat = pa.pmfs[pi].expectation(sup_var)
-            entries.append(Entry(k.space.model.points[pi], stat, case=label))
-    return Report(tuple(entries))
+    return _consequence_report(k, pa, table, None)
 
 
 def check_posthoc_consequence_bound(
@@ -243,29 +231,33 @@ def check_posthoc_consequence_bound(
     rule: kn.LevelRule,
 ) -> Report:
     """Post-hoc version: expected miss rate of the per-decision confidence
-    sets under a data-dependent level. The canonical level 1/worst-evidence
-    reproduces the uniform bound statistic exactly."""
+    sets under a data-dependent level. A decision misses when the row's
+    worst evidence does, so the canonical level 1/worst-evidence is the
+    uniform bound itself."""
+    if rule == "canonical":
+        return check_econsequence_bound(k, pa, table)
+    return _consequence_report(k, pa, table, rule)
+
+
+def _consequence_report(
+    k: EKernel,
+    pa: ProbabilityAssignment,
+    table: ConsequenceTable,
+    rule: Optional[Mapping[str, object]],
+) -> Report:
+    """Per benchmark row, the worst evidence across its bound hypotheses, or
+    with a fixed `rule` its miss rate, in expectation at each dominating point."""
     induced = _require_order_measurable(k.space, table)
-    canonical = rule == "canonical"
-    level_of = None if canonical else kn._resolve_rule(k, rule)
+    levels = None if rule is None else kn.outcome_levels(k, rule)
     entries = []
     for label, qi in _distinct_rows(table):
         h_row = induced.family.member(induced.least_id(qi))
         bound_ids = _bound_ids(k.space, table, qi)
-        sup_var = [
-            sup_of(k.value(hid, xi) for hid in bound_ids)
-            for xi in range(k.sample.size)
-        ]
-        contribution = []
-        for xi, x in enumerate(k.sample.outcomes):
-            if canonical:
-                level = ONE / sup_var[xi]
-            else:
-                level = as_xvalue(level_of(qi, x))
-            missed = any(k.value(hid, xi) >= ONE / level for hid in bound_ids)
-            contribution.append((ONE if missed else ZERO) / level)
+        var = [sup_of(col.values[hid] for hid in bound_ids) for col in k.columns]
+        if levels is not None:
+            var = [kn.miss_rate(v, level) for v, level in zip(var, levels)]
         for pi in h_row.indices():
-            stat = pa.pmfs[pi].expectation(contribution)
+            stat = pa.pmfs[pi].expectation(var)
             entries.append(Entry(k.space.model.points[pi], stat, case=label))
     return Report(tuple(entries))
 

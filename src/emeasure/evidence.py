@@ -61,9 +61,6 @@ class EFunction:
     def dominates(self, other: "EFunction") -> bool:
         return all(a >= b for a, b in zip(self.values, other.values))
 
-    def table(self) -> dict[int, XValue]:
-        return dict(enumerate(self.values))
-
 
 def _strength(space: Space, values: Sequence[XValue]) -> EClass:
     """Strongest class the values satisfy, tested along the family's joins.

@@ -4,9 +4,9 @@ Schema errors carry the file path and the offending key so the CLI can
 fail with context. Numeric values are parsed with decimal semantics
 (97.5 -> 195/2) and 'inf' marks infinite evidence.
 
-A file becomes Python objects exactly as ``yaml.safe_load`` would make them.
 Table, model, space and tree files share one shape, which a line reader
-(``_read_table``) reads without a YAML parser:
+(``_read_table``) reads without a YAML parser, into exactly the Python
+objects ``yaml.safe_load`` makes of it:
 
 - a top-level block mapping, its keys at column 0;
 - each value on its key's line, or a block mapping one level deeper whose
@@ -24,12 +24,16 @@ Table, model, space and tree files share one shape, which a line reader
 Each distinct plain scalar of a read gets its tag from the loader's resolver
 and, unless it is a string, its value from PyYAML's ``SafeConstructor``.
 Every other file, from anchors, tags, quoted values and tabs to documents
-that are no YAML at all, goes whole to ``yaml.load`` with ``_LOADER``
-(libyaml's parser where PyYAML has it), so its errors name the file.
+that are no YAML at all, goes whole to ``yaml.load`` with ``_LOADER``, so
+its errors name the file. Where PyYAML has libyaml, ``_LOADER`` is libyaml's
+parser, which differs from ``yaml.safe_load`` on a few documents: it reads
+a tab after a key's colon, which safe_load refuses, and refuses
+``a: [1:]``, which safe_load reads.
 
 A table that names one hypothesis twice, a row with an outcome, point or
-decision its file does not declare, and a distribution for a point outside
-the space are schema errors.
+decision its file does not declare, a distribution for a point outside the
+space, a model or decision list naming a label twice and an evidence table
+that does not classify are schema errors, named by their file.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from typing import Callable, Optional
 import yaml
 
 from .decisions import ConsequenceSpace, ConsequenceTable, NumericLoss
+from .evidence import EFunction, EvidenceError, classify
 from .kernels import EKernel, FiltrationTree, Pmf, ProbabilityAssignment, SampleSpace
 from .spaces import (
     MODEL_POINT_CAP,
@@ -322,7 +327,10 @@ def load_space(path: Path | str) -> SpaceFile:
         raise SchemaError(
             path, f"{len(points)} points exceed the model cap {MODEL_POINT_CAP}"
         )
-    model = Model(tuple(points))
+    try:
+        model = Model(tuple(points))
+    except SpaceError as exc:
+        raise SchemaError(path, str(exc)) from None
     names: dict[str, list[str]] = {}
     if "generators" in data:
         gens = data["generators"]
@@ -377,7 +385,8 @@ def _point_index(path, model: Model, raw) -> int:
     raise SchemaError(path, f"{raw!r} is neither a point label nor an integer index")
 
 
-def load_evidence(path: Path | str, sf: SpaceFile) -> dict[int, XValue]:
+def load_evidence(path: Path | str, sf: SpaceFile) -> EFunction:
+    """The evidence table, classified; the empty hypothesis defaults to inf."""
     data = _load_yaml(path)
     table = data.get("evidence")
     if not isinstance(table, dict):
@@ -388,7 +397,10 @@ def load_evidence(path: Path | str, sf: SpaceFile) -> dict[int, XValue]:
     for label, raw in table.items():
         out[hypotheses.resolve(label)] = read(raw)
     out.setdefault(sf.space.family.empty_id, read("inf"))
-    return out
+    try:
+        return classify(sf.space, out)
+    except EvidenceError as exc:
+        raise SchemaError(path, str(exc)) from None
 
 
 def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
@@ -501,6 +513,8 @@ def load_decision_problem(path: Path | str, model: Model):
     if not isinstance(decisions, list) or not decisions:
         raise SchemaError(path, "'decisions' must be a non-empty list")
     decisions = tuple(str(d) for d in decisions)
+    if len(set(decisions)) != len(decisions):
+        raise SchemaError(path, "decision labels must be unique")
     if "loss" in data:
         table = data["loss"]
         if not isinstance(table, dict):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
@@ -265,24 +265,22 @@ def rejection_set(k: EKernel, alpha: Fraction | int, x: int | str) -> tuple[int,
     )
 
 
-LevelRule = Union[Mapping[str, XValue], Callable[[int, str], XValue], str]
+LevelRule = Union[str, Mapping[str, XValue]]
 
 
-def canonical_level_rule(k: EKernel) -> Callable[[int, str], XValue]:
-    """The data-dependent level that matches the evidence: 1 / e(H | x)."""
-    return lambda hid, x: ONE / k.value(hid, x)
-
-
-def _resolve_rule(k: EKernel, rule: LevelRule) -> Callable[[int, str], XValue]:
-    if rule == "canonical":
-        return canonical_level_rule(k)
-    if callable(rule):
-        return rule
+def outcome_levels(k: EKernel, rule: Mapping[str, object]) -> list[XValue]:
+    """A fixed rule's level per outcome, in outcome order; each lies in (0, inf)."""
     table = {x: as_xvalue(v) for x, v in rule.items()}
     for x, level in table.items():
         if level.is_zero or level.is_inf:
             raise KernelError(f"level {level} at outcome {x!r} is outside (0, inf)")
-    return lambda hid, x: table[x]
+    return [table[x] for x in k.sample.outcomes]
+
+
+def miss_rate(value: XValue, level: XValue) -> XValue:
+    """1{value >= 1/level} / level: a miss of the confidence set at `level`,
+    weighted by the level's reciprocal."""
+    return (ONE if value >= ONE / level else ZERO) / level
 
 
 def check_posthoc_validity(
@@ -291,20 +289,18 @@ def check_posthoc_validity(
     """Expected miss rate of the level-rule confidence sets, at the rule's level.
 
     For each pair the statistic is the expectation of
-    1{e(H|X) >= 1/level(X)} / level(X); for the canonical rule it collapses
-    to the plain validity statistic.
+    1{e(H|X) >= 1/level(X)} / level(X). At the canonical level 1/e(H|x) the
+    integrand is e(H|x) itself, 0 and inf included, so the canonical rule is
+    the plain validity pass.
     """
-    level_of = _resolve_rule(k, rule)
+    if rule == "canonical":
+        return check_validity(k, pa)
+    levels = outcome_levels(k, rule)
     entries = []
     for hid in k.space.family.nonempty_ids():
-        contribution = []
-        for xi, x in enumerate(k.sample.outcomes):
-            level = as_xvalue(level_of(hid, x))
-            missed = k.value(hid, xi) >= ONE / level
-            contribution.append((ONE if missed else ZERO) / level)
+        var = [miss_rate(v, level) for v, level in zip(k.variable(hid), levels)]
         for pi in k.space.family.member(hid).indices():
-            stat = pa.pmfs[pi].expectation(contribution)
-            entries.append(Entry(k.space.model.points[pi], stat, hid=hid))
+            entries.append(Entry(k.space.model.points[pi], pa.pmfs[pi].expectation(var), hid=hid))
     return Report(tuple(entries))
 
 

@@ -373,15 +373,6 @@ class AvgOverSelection(PhiSpec):
         return total / denom
 
 
-class SupOverSelections(SupOverTrue):
-    """Best case over every selection out of the family; equals sup-over-true."""
-
-    # The average over a selection is maximized by the singleton with the
-    # largest true evidence, so the sup over selections is the sup over
-    # true hypotheses.
-    name = "sup-over-selections"
-
-
 class CustomPhi(PhiSpec):
     def __init__(self, fn: Callable[[int, Sequence[XValue]], XValue], name: str = "custom"):
         self._fn = fn

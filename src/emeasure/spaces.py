@@ -83,13 +83,6 @@ class PointSet:
             bits |= 1 << model.index(lab)
         return cls(model.size, bits)
 
-    @classmethod
-    def from_indices(cls, width: int, indices: Iterable[int]) -> "PointSet":
-        bits = 0
-        for i in indices:
-            bits |= 1 << i
-        return cls(width, bits)
-
     def __contains__(self, index: int) -> bool:
         return bool(self.bits >> index & 1)
 
@@ -402,13 +395,6 @@ class Space:
                 "operation needs an intersection-closed hypothesis space"
             )
 
-    def canonical_cover(self, hid: int) -> tuple[int, ...]:
-        """Ids of the least hypotheses of the members' points; their union is the member."""
-        self.require_intersection_closed()
-        member = self.family.member(hid)
-        cover = sorted({self.least_id(i) for i in member.indices()})
-        return tuple(cover)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Space)
@@ -441,11 +427,7 @@ def class_from_preorder(model: Model, pre: Preorder) -> Space:
             if pre.holds(i, j):
                 bits |= 1 << j
         uppers.append(PointSet(model.size, bits))
-    space = Space(model, union_closure(model.size, uppers))
-    for i, up in enumerate(uppers):
-        if space.least_id(i) != space.family.id_of(up):
-            raise SpaceError(f"point {model.points[i]!r} is not least in its upper set")
-    return space
+    return Space(model, union_closure(model.size, uppers))
 
 
 def preorder_from_class(space: Space) -> Preorder:

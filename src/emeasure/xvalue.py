@@ -101,9 +101,6 @@ class XValue:
     def __rtruediv__(self, other: Rationalish) -> "XValue":
         return _coerce(other) / self
 
-    def reciprocal(self) -> "XValue":
-        return ONE / self
-
     # -- ordering -----------------------------------------------------
 
     # A Fraction is kept in lowest terms with a positive denominator, so two

@@ -283,7 +283,23 @@ def rand_order_measurable_pair(r, space, max_levels=3):
     return build(f_levels), build(g_levels)
 
 
+def indicator(space, hid):
+    """The indicator of one member, as an order-measurable function."""
+    from emeasure import OrderMeasurableFn
+
+    member = space.family.member(hid)
+    return OrderMeasurableFn.of(space, [1 if i in member else 0 for i in range(space.model.size)])
+
+
 # -- independent oracles ---------------------------------------------------
+
+
+def integral_least_true(f, e):
+    """The integral against a measure on an intersection-closed space,
+    through least hypotheses: sup over points P of f(P) / e(H_P)."""
+    assert e.eclass is EClass.MEASURE and e.space.intersection_closed
+    least = e.space.least_ids()
+    return sup_of(f.values[i] / e.values[least[i]] for i in range(e.space.model.size))
 
 
 def oracle_union_closure(gen_bits):

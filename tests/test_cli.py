@@ -36,6 +36,16 @@ def test_corpus_text_output(capsys, case):
     assert (code, capsys.readouterr().out) == (case["exit"], case["text"])
 
 
+ERROR_CASES = [c for c in CASES if "error" in c]
+
+
+@pytest.mark.parametrize("case", ERROR_CASES, ids=[c["name"] for c in ERROR_CASES])
+def test_corpus_error_line(capsys, case):
+    code = cli.main(corpus_argv(case))
+    err = capsys.readouterr().err.replace(f"{DATA}/", "")
+    assert (code, err) == (case["exit"], case["error"] + "\n")
+
+
 MALFORMED_SPACES = {
     "preorder-negative-index": "points: [a, b]\npreorder: [[-1, 0]]\n",
     "preorder-fractional-index": "points: [a, b]\npreorder: [[1.5, 0]]\n",
@@ -242,6 +252,20 @@ def test_mtp_alpha_defaults_to_one_twentieth_where_it_is_read(capsys):
                  "--evidence", str(DATA / "evidence_ic_large.yaml"), "--family", "a|c|a,b|c,d"]
     assert run(capsys, selection) == run(capsys, [*selection, "--alpha", "1/20"])
     assert run(capsys, selection) != run(capsys, [*selection, "--alpha", "1/10"])
+
+
+def test_decide_alpha_defaults_to_one_twentieth_for_the_probability_bound(capsys, tmp_path):
+    """Evidence exactly 20 at HH misses at level 1/20 and at 1/19, not at 1/21."""
+    kernel = tmp_path / "kernel.yaml"
+    kernel.write_text("kernel:\n" + "".join(
+        f'  "{h}": {{HH: 20, HT: 0, TH: 0, TT: 0}}\n' for h in ("p", "q", "p,q")
+    ))
+    argv = [*DECIDE[:6], str(kernel), *DECIDE[7:]]
+    default = run(capsys, argv)
+    assert default == run(capsys, [*argv, "--alpha", "1/20"])
+    assert "bound benchmark=p point=p stat=5 ok=no" in default[1]
+    assert default != run(capsys, [*argv, "--alpha", "1/19"])
+    assert default != run(capsys, [*argv, "--alpha", "1/21"])
 
 
 def outcome(capsys, argv):

@@ -9,6 +9,7 @@ from emeasure import (
     ConsequenceSpace,
     ConsequenceTable,
     EClass,
+    EKernel,
     INF,
     Model,
     NumericLoss,
@@ -28,7 +29,6 @@ from emeasure import (
     e_integrated_loss,
     evidence_against_optimality,
     hypothesis_for_bound,
-    integral_least_true,
     likelihood_kernel,
     optimality_class,
     preimage_class,
@@ -167,7 +167,7 @@ def test_integrated_loss_forms_agree_on_random_instances():
         e = helpers.rand_measure(r, space)
         for d in loss.decisions:
             column = loss.column(d)
-            by_least = integral_least_true(OrderMeasurableFn(space, column), e)
+            by_least = helpers.integral_least_true(OrderMeasurableFn(space, column), e)
             bound_bits = [
                 sum(1 << qi for qi in range(n) if column[qi] >= column[pi]) for pi in range(n)
             ]
@@ -273,23 +273,93 @@ def test_binary_kernel_bound_is_exact_coverage():
         assert entry.stat == XValue(miss / alpha)
 
 
+def consequence_entries(k, pa, table, integrand):
+    """(benchmark, point, stat) of each consequence-bound entry, by the
+    definitions: one benchmark per distinct row, named by its first point;
+    one entry per point whose row dominates it; at outcome x the integrand
+    gets the evidence against each decision's bound hypothesis, the points
+    whose consequence is at least as bad as the benchmark's."""
+    model, n = table.model, table.model.size
+    firsts = {}
+    for qi in range(n):
+        firsts.setdefault(table.entries[qi], qi)
+    out = []
+    for qi in firsts.values():
+        bound_ids = [
+            k.space.family.id_of(sum(
+                1 << pj for pj in range(n)
+                if table.cspace.at_least(table.entries[pj][d], table.entries[qi][d])
+            ))
+            for d in range(len(table.decisions))
+        ]
+        var = [integrand([k.value(h, xi) for h in bound_ids], xi) for xi in range(k.sample.size)]
+        for pi in range(n):
+            if table.row_dominates(pi, qi):
+                stat = helpers.oracle_expectation(pa.pmfs[pi], var)
+                out.append((model.points[qi], model.points[pi], stat))
+    return out
+
+
+def miss_rate(values, level):
+    """1{some value >= 1/level} / level: a miss of any decision's confidence set."""
+    missed = any(v >= XValue(1) / level for v in values)
+    return (XValue(1) if missed else XValue(0)) / level
+
+
+def consequence_instance(r, n_decisions=2):
+    n = r.randint(1, 3)
+    model = Model(tuple(f"P{i + 1}" for i in range(n)))
+    table = rand_numeric_loss(r, model, n_decisions=n_decisions).to_consequence_table()
+    space = build_consequence_class(table)
+    sample = helpers.rand_sample(r)
+    return table, space, sample
+
+
 def test_posthoc_consequence_bound_rules():
+    """The canonical level 1/(worst evidence) makes each entry the uniform
+    bound's; a constant level 1/3 keeps a valid kernel's bound."""
     r = helpers.rng(191)
-    for _ in range(10):
-        n = r.randint(1, 3)
-        model = Model(tuple(f"P{i + 1}" for i in range(n)))
-        loss = rand_numeric_loss(r, model, n_decisions=2)
-        table = loss.to_consequence_table()
-        space = build_consequence_class(table)
-        sample = helpers.rand_sample(r)
-        pa = helpers.rand_pa(r, model, sample)
+    zeros = infs = 0
+    for case in range(16):
+        table, space, sample = consequence_instance(r)
+        pa = helpers.rand_pa(r, table.model, sample, full_support=case % 2 == 0)
         k = helpers.valid_capacity_kernel(r, space, pa)
         const = {x: XValue(Fraction(1, 3)) for x in sample.outcomes}
         assert check_posthoc_consequence_bound(k, pa, table, const).ok
         canonical = check_posthoc_consequence_bound(k, pa, table, "canonical")
         assert canonical.ok
-        uniform = check_econsequence_bound(k, pa, table)
-        assert [e.stat for e in canonical.entries] == [e.stat for e in uniform.entries]
+        expected = consequence_entries(
+            k, pa, table, lambda values, xi: miss_rate(values, XValue(1) / max(values))
+        )
+        assert [(e.case, e.point, e.stat) for e in canonical.entries] == expected
+        values = [v for col in k.columns for v in col.values[1:]]
+        zeros += any(v.is_zero for v in values)
+        infs += any(v.is_inf for v in values)
+    assert zeros and infs
+
+
+def test_fixed_level_consequence_bound_matches_its_definition():
+    """Per outcome level: a miss is any bound hypothesis of a decision at or
+    above 1/level, weighted by 1/level; on tables with zero and infinite
+    evidence and with values exactly at 1/level."""
+    r = helpers.rng(197)
+    grid = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2)]
+    zeros = infs = ties = 0
+    for _ in range(30):
+        table, space, sample = consequence_instance(r, n_decisions=r.randint(1, 3))
+        pa = helpers.rand_pa(r, table.model, sample, full_support=False)
+        k = EKernel(space, sample, [helpers.rand_capacity(r, space) for _ in sample.outcomes])
+        levels = [XValue(r.choice(grid)) for _ in sample.outcomes]
+        rule = dict(zip(sample.outcomes, levels))
+        report = check_posthoc_consequence_bound(k, pa, table, rule)
+        expected = consequence_entries(k, pa, table, lambda values, xi: miss_rate(values, levels[xi]))
+        assert [(e.case, e.point, e.stat) for e in report.entries] == expected
+        zeros += any(v.is_zero for col in k.columns for v in col.values)
+        infs += any(v.is_inf for col in k.columns for v in col.values[1:])
+        ties += any(
+            v == XValue(1) / level for col, level in zip(k.columns, levels) for v in col.values
+        )
+    assert zeros and infs and ties
 
 
 def test_posthoc_consequence_bound_catches_invalid_kernels():

@@ -95,7 +95,10 @@ def test_scalar_memo_refuses_what_follows_a_cached_int_one(tmp_path, late):
 def test_scalar_memo_parses_each_distinct_scalar_once_per_file(tmp_path):
     sf = fileio.load_space(SPACE)
     evidence = tmp_path / "evidence.yaml"
-    evidence.write_text('evidence:\n  a: 1/3\n  c: 1/3\n  "a,b": 1\n  "a,c": 1.0\n')
+    evidence.write_text(
+        'evidence:\n  a: 1/3\n  c: 1/3\n  "a,b": 1\n  "a,c": 1.0\n'
+        '  "c,d": 0\n  "a,b,c": 0\n  "a,c,d": 0\n  "a,b,c,d": 0\n'
+    )
     table = fileio.load_evidence(evidence, sf)
     ids = [sf.resolve(evidence, label) for label in ("a", "c", "a,b", "a,c")]
     assert table[ids[0]] is table[ids[1]]

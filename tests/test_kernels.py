@@ -295,9 +295,16 @@ def test_posthoc_constant_rule_reduces_to_coverage():
         assert entry.stat == XValue(miss / alpha)
 
 
+def canonical_miss_rate(v):
+    """1{v >= 1/level} / level at the canonical level 1/v, in XValue arithmetic."""
+    level = XValue(1) / v
+    return (XValue(1) if v >= XValue(1) / level else XValue(0)) / level
+
+
 def test_posthoc_canonical_rule_matches_validity_statistic():
-    """At level 1/e(H|x) every outcome misses, so each entry is the validity one."""
-    verdicts = set()
+    """Each (H, p) entry is E_p of 1{e(H|X) >= 1/level} / level at the
+    level 1/e(H|X), which is e(H|X) itself, zero and infinite values too."""
+    verdicts, zeros, infs = set(), 0, 0
     for seed in range(29, 37):
         r, space, sample, pa = small_setup(seed, full_support=seed % 2 == 0)
         for trial in range(4):
@@ -305,11 +312,19 @@ def test_posthoc_canonical_rule_matches_validity_statistic():
             if trial % 2:
                 k = helpers.scaled_kernel(k, XValue(4))
             report = check_posthoc_validity(k, pa, "canonical")
-            validity = check_validity(k, pa)
-            assert report.entries == validity.entries
-            assert report.ok == validity.ok
-            verdicts.add(validity.ok)
-    assert verdicts == {True, False}
+            expected = [
+                (space.model.points[pi], hid, helpers.oracle_expectation(
+                    pa.pmfs[pi], [canonical_miss_rate(v) for v in k.variable(hid)]
+                ))
+                for hid in space.family.nonempty_ids()
+                for pi in space.family.member(hid).indices()
+            ]
+            assert [(e.point, e.hid, e.stat) for e in report.entries] == expected
+            verdicts.add(report.ok)
+            values = [v for col in k.columns for v in col.values[1:]]
+            zeros += any(v.is_zero for v in values)
+            infs += any(v.is_inf for v in values)
+    assert verdicts == {True, False} and zeros and infs
 
 
 def test_posthoc_adversarial_rule_flags_invalid_kernel():

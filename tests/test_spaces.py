@@ -116,13 +116,17 @@ def test_least_matches_brute_intersection_oracle():
             assert space.family.member(space.least_id(pi)).bits == expected
 
 
+def least_cover(space, hid):
+    """The least hypotheses of a member's points, as ids."""
+    return {space.least_id(i) for i in space.family.member(hid).indices()}
+
+
 def test_canonical_cover_trivial_and_overlap():
     model = Model(("P1", "P2", "P3"))
     space = space_from_generators(model, [["P1"], ["P1", "P2"], ["P1", "P3"]])
-    assert space.canonical_cover(space.family.empty_id) == ()
+    assert least_cover(space, space.family.empty_id) == set()
     full = space.family.id_of(bits_of(space, ["P1", "P2", "P3"]))
-    cover = space.canonical_cover(full)
-    cover_bits = {space.family.member(h).bits for h in cover}
+    cover_bits = {space.family.member(h).bits for h in least_cover(space, full)}
     assert cover_bits == {
         bits_of(space, ["P1"]),
         bits_of(space, ["P1", "P2"]),
@@ -131,15 +135,28 @@ def test_canonical_cover_trivial_and_overlap():
 
 
 def test_canonical_cover_union_law_on_random_spaces():
+    """On an intersection-closed space every member is the union of the
+    least hypotheses of its points."""
     r = helpers.rng(5)
     for _ in range(30):
         space = helpers.rand_ic_space(r)
         for hid, member in enumerate(space.family.members):
-            cover = space.canonical_cover(hid)
             union = 0
-            for h in cover:
+            for h in least_cover(space, hid):
                 union |= space.family.member(h).bits
             assert union == member.bits
+
+
+def test_class_from_preorder_least_is_the_principal_upper_set():
+    """The least hypothesis of point i is {j : i <= j}, on seeded preorders."""
+    r = helpers.rng(7)
+    for _ in range(40):
+        n = r.randint(1, 5)
+        pre = helpers.rand_preorder(r, n)
+        space = class_from_preorder(Model(tuple(f"P{i + 1}" for i in range(n))), pre)
+        for i in range(n):
+            upper = sum(1 << j for j in range(n) if pre.holds(i, j))
+            assert space.family.member(space.least_id(i)).bits == upper
 
 
 def test_class_from_identity_preorder_is_power_set():
