@@ -506,13 +506,13 @@ def cmd_decide(args) -> int:
             for value, d in ranking:
                 out.text(f"  {d}: {value}")
                 out.record("eloss", decision=d, value=value)
-        try:
-            pushed, _ = dec.evidence_against_optimality(kernel, loss)
-        except (dec.DecisionError, kn.MeasurabilityError):
-            pass  # ties, or a decision set outside the family: no ranking
-        else:
-            column = pushed.column(args.outcome)
-            rows = sorted((column.value_of(1 << i), d) for i, d in enumerate(loss.decisions))
+        # Each decision's own set, read off the family in linear time; the
+        # pushforward of evidence_against_optimality would build the power set
+        # of the decisions. Ties, or a set outside the family: no ranking.
+        opt, family = dec.optimality_class(loss), sf.space.family
+        sets = [(opt.decision_sets[d].bits, d) for d in loss.decisions]
+        if opt.optimal is not None and all(bits in family for bits, _ in sets):
+            rows = sorted((slice_fn.values[family.id_of(bits)], d) for bits, d in sets)
             out.text("optimality-evidence ranking (least evidence first):")
             for value, d in rows:
                 out.text(f"  {d}: {value}")

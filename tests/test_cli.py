@@ -1,5 +1,9 @@
 """The command line end to end: exit codes, records and text output on a fixed corpus."""
 
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +14,7 @@ from emeasure import XValue, cli
 from emeasure import kernels as kn
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(cli.__file__).parents[1]
 CASES = yaml.safe_load((DATA / "cli_cases.yaml").read_text())
 
 
@@ -228,6 +233,35 @@ def test_decide_rankings_follow_exact_values_not_names(capsys, tmp_path):
         "optimality decision=b value=1/3",
         f"optimality decision=a value={near}",
     ]
+
+
+def test_decide_optimality_ranking_is_linear_in_the_decisions(tmp_path):
+    """Thirty decisions, d0 best at p and d1 at q, the other 28 best nowhere.
+
+    The ranking reads each decision's own set, so the run stays small; a pass
+    over the 2^30 sets of decisions exhausts the memory cap or the time limit.
+    """
+    names = [f"d{i}" for i in range(30)]
+    loss = {"p": {"d0": 0, "d1": 1}, "q": {"d0": 1, "d1": 0}}
+    (tmp_path / "decisions.yaml").write_text(f"decisions: [{', '.join(names)}]\nloss:\n" + "".join(
+        f"  {p}: {{{', '.join(f'{d}: {row.get(d, i + 2)}' for i, d in enumerate(names))}}}\n"
+        for p, row in loss.items()
+    ))
+    argv = ["decide", *COIN, "--kernel", COIN_KERNELS[1], "--decisions",
+            str(tmp_path / "decisions.yaml"), "--outcome", "HT", "--format", "records"]
+    cap = 512 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "emeasure.cli", *argv], capture_output=True, text=True,
+        timeout=60, preexec_fn=limit, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (run.returncode, run.stderr) == (cli.EXIT_OK, "")
+    ranked = [line for line in run.stdout.splitlines() if line.startswith("optimality")]
+    assert len(ranked) == 30
+    assert {line.split()[1] for line in ranked} == {f"decision={d}" for d in names}
 
 
 GOLDEN_UNREAD = {
