@@ -38,6 +38,9 @@ def _level_arg(raw: str) -> Fraction:
 
 
 class Printer:
+    """Writes the lines of one format to the current `sys.stdout`, as they
+    come; the other format's lines are dropped."""
+
     def __init__(self, fmt: str):
         self.records = fmt == "records"
 
@@ -46,11 +49,17 @@ class Printer:
             parts = [kind]
             for key, value in fields.items():
                 parts.append(f"{key}={_render(value)}")
-            print(" ".join(parts))
+            _write([" ".join(parts)])
 
     def text(self, line: str = ""):
         if not self.records:
-            print(line)
+            _write([line])
+
+
+def _write(lines: list[str]) -> None:
+    """One write of whole lines to the current stdout."""
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _render(value) -> str:
@@ -66,13 +75,6 @@ def _render(value) -> str:
     if value is None:
         return "-"
     return str(value)
-
-
-def _member_label(space, hid: int) -> str:
-    member = space.family.member(hid)
-    if member.is_empty:
-        return "{}"
-    return ",".join(member.labels(space.model))
 
 
 def _split_labels(raw: str) -> list[str]:
@@ -203,8 +205,8 @@ def cmd_space(args) -> int:
         out.text("least hypotheses:")
         for point in sf.space.model.points:
             hid = report.least[point]
-            out.text(f"  {point}: {{{_member_label(sf.space, hid)}}}")
-            out.record("least", point=point, hypothesis=_member_label(sf.space, hid))
+            out.text(f"  {point}: {{{sf.space.label(hid)}}}")
+            out.record("least", point=point, hypothesis=sf.space.label(hid))
         from .spaces import preorder_from_class
 
         pre = preorder_from_class(sf.space)
@@ -221,17 +223,19 @@ def cmd_closure(args) -> int:
     sf = fileio.load_space(args.space)
     e = fileio.load_evidence(args.evidence, sf)
     closed = ev.close(e)
+    lines = []
     changed = 0
-    for hid in range(len(sf.space.family)):
-        before, after = e.values[hid], closed.values[hid]
-        label = _member_label(sf.space, hid)
-        if before != after:
-            changed += 1
-            out.text(f"  {{{label}}}: {before} -> {after}")
-        out.record(
-            "closure", hypothesis=label, before=before, after=after,
-            changed=before != after,
-        )
+    for hid, (before, after) in enumerate(zip(e.values, closed.values)):
+        moved = before != after
+        changed += moved
+        if out.records:
+            lines.append(
+                f"closure hypothesis={sf.space.label(hid)} before={before.record()} "
+                f"after={after.record()} changed={'yes' if moved else 'no'}"
+            )
+        elif moved:
+            lines.append(f"  {{{sf.space.label(hid)}}}: {before} -> {after}")
+    _write(lines)
     if changed == 0:
         out.text("no change: table is already a measure")
     else:
@@ -243,19 +247,23 @@ def cmd_closure(args) -> int:
 def _report_entries(
     out: Printer, kind: str, report: kn.Report, space, text: Optional[str] = None
 ) -> None:
-    """One record per entry; with `text`, also one `  point: text stat` line."""
-    labels = {}  # a hypothesis recurs once per point it contains
-    for entry in report.entries:
-        fields = {}
-        if entry.hid is not None:
-            if entry.hid not in labels:
-                labels[entry.hid] = _member_label(space, entry.hid)
-            fields["hypothesis"] = labels[entry.hid]
-        if entry.case is not None:
-            fields["benchmark"] = entry.case
-        out.record(kind, **fields, point=entry.point, stat=entry.stat, ok=entry.ok)
-        if text is not None:
-            out.text(f"  {entry.point}: {text} {entry.stat}")
+    """One record per entry; with `text`, also one `  point: text stat` line.
+    The report's lines go out in one write."""
+    if out.records:
+        lines = []
+        for entry in report.entries:
+            head = kind
+            if entry.hid is not None:
+                head += " hypothesis=" + space.label(entry.hid)
+            if entry.case is not None:
+                head += " benchmark=" + entry.case
+            lines.append(
+                f"{head} point={entry.point} stat={entry.stat.record()} "
+                f"ok={'yes' if entry.ok else 'no'}"
+            )
+        _write(lines)
+    elif text is not None:
+        _write([f"  {entry.point}: {text} {entry.stat}" for entry in report.entries])
 
 
 def _verdict(out: Printer, label: str, ok: bool) -> int:
@@ -323,7 +331,7 @@ def cmd_check(args) -> int:
         witness = report.first_violation()
         if witness is not None:
             out.text(
-                f"first violation: {{{_member_label(sf.space, witness.hid)}}} under "
+                f"first violation: {{{sf.space.label(witness.hid)}}} under "
                 f"{witness.point}: expectation {witness.stat}"
             )
         return code
@@ -365,7 +373,7 @@ def cmd_check(args) -> int:
         if witness is not None:
             out.text(
                 f"first violation at stop depths {report.rule}: "
-                f"{{{_member_label(sf.space, witness.hid)}}} under {witness.point}"
+                f"{{{sf.space.label(witness.hid)}}} under {witness.point}"
             )
         return code
 
@@ -446,19 +454,19 @@ def cmd_mtp(args) -> int:
     if args.procedure == "self-consistent":
         sel = mtp.self_consistent_selection(e, gids, alpha)
         out.text(f"largest self-consistent selection: "
-                 f"{[ _member_label(sf.space, g) for g in sel.selected ]}")
+                 f"{[sf.space.label(g) for g in sel.selected]}")
         for g in gids:
-            out.record("selection", hypothesis=_member_label(sf.space, g),
+            out.record("selection", hypothesis=sf.space.label(g),
                        selected=g in sel.selected,
                        inflated=sel.witness.get(g))
         return EXIT_OK
     procedure = mtp.ebh if args.procedure == "ebh" else mtp.closed_ebh
     result = procedure(e, gids, alpha)
-    names = [_member_label(sf.space, g) for g in result.rejected]
+    names = [sf.space.label(g) for g in result.rejected]
     out.text(f"rejected: {names or 'nothing'}")
     for g in gids:
         out.record(
-            "rejection", hypothesis=_member_label(sf.space, g),
+            "rejection", hypothesis=sf.space.label(g),
             rejected=g in result.rejected,
             value=result.table.values[g],
         )
@@ -474,6 +482,7 @@ def cmd_decide(args) -> int:
         raise fileio.SchemaError("<args>", "decide needs --space")
     pa = fileio.load_pmfs(args.model, sf.space.model)
     kernel = fileio.load_kernel(args.kernel, sf, pa.sample)
+    slice_fn = kernel.column(args.outcome) if args.outcome is not None else None
     ctable, loss = fileio.load_decision_problem(args.decisions, sf.space.model)
 
     try:
@@ -496,8 +505,7 @@ def cmd_decide(args) -> int:
     _report_entries(out, "bound", report, sf.space, text=ratio)
     code = _verdict(out, "bound holds", report.ok)
 
-    if loss is not None and args.outcome is not None:
-        slice_fn = kernel.column(args.outcome)
+    if loss is not None and slice_fn is not None:
         if slice_fn.eclass is EClass.MEASURE and sf.space.intersection_closed:
             ranking = sorted(
                 (dec.e_integrated_loss(loss, slice_fn, d), d) for d in loss.decisions
@@ -518,9 +526,8 @@ def cmd_decide(args) -> int:
                 out.text(f"  {d}: {value}")
                 out.record("optimality", decision=d, value=value)
 
-    adm_source = kernel.column(args.outcome) if args.outcome is not None else kernel.columns[0]
     try:
-        adm = dec.admissible_decisions(adm_source, ctable)
+        adm = dec.admissible_decisions(kernel.columns[0] if slice_fn is None else slice_fn, ctable)
         out.text(f"admissible decisions: {', '.join(adm.admissible)}")
         out.record("admissible", decisions="|".join(adm.admissible))
     except dec.OrderMeasurabilityViolation as exc:
@@ -540,11 +547,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.handler(args)
     except (fileio.SchemaError, SpaceError, EvidenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        message = str(exc)
     except Exception as exc:  # exit 1 is reserved for statistical violations
-        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        message = f"unexpected {type(exc).__name__}: {exc}"
+    sys.stdout.flush()  # what the handler wrote comes before the error line
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

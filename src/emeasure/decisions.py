@@ -251,12 +251,11 @@ def _consequence_report(
     levels = None if rule is None else kn.outcome_levels(k, rule)
     entries = []
     for label, qi in _distinct_rows(table):
-        h_row = induced.family.member(induced.least_id(qi))
         bound_ids = _bound_ids(k.space, table, qi)
         var = [sup_of(col.values[hid] for hid in bound_ids) for col in k.columns]
         if levels is not None:
             var = [kn.miss_rate(v, level) for v, level in zip(var, levels)]
-        for pi in h_row.indices():
+        for pi in induced.family.indices(induced.least_id(qi)):
             stat = pa.pmfs[pi].expectation(var)
             entries.append(Entry(k.space.model.points[pi], stat, case=label))
     return Report(tuple(entries))
@@ -399,8 +398,6 @@ def evidence_against_optimality(
     target_model = Model(tuple(loss.decisions))
     target = Space(
         target_model,
-        HypothesisClass.from_bits(
-            target_model.size, range(1 << target_model.size), check=False
-        ),
+        HypothesisClass(target_model.size, range(1 << target_model.size), check=False),
     )
     return pushforward_kernel(k, result.optimal, target, pa)

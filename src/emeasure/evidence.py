@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .spaces import HypothesisClass, Space
-from .xvalue import INF, ONE, ZERO, XValue, as_xvalue, order_keys, sup_of
+from .xvalue import INF, ONE, ZERO, XValue, as_xvalue, order_keys
 
 POWERSET_POINT_CAP = 16
 
@@ -108,18 +108,45 @@ def measure_from_density(space: Space, density: Sequence[XValue]) -> EFunction:
     density's order keys.
     """
     keys = order_keys(density)
+    family = space.family
     values = []
-    for m in space.family.members:
-        least = min(m.indices(), key=keys.__getitem__, default=None)
+    for hid in range(len(family)):
+        least = min(family.indices(hid), key=keys.__getitem__, default=None)
         values.append(INF if least is None else density[least])
     return EFunction(space, tuple(values), EClass.MEASURE)
 
 
+def _claims(space: Space, values: Sequence[XValue]) -> list[XValue]:
+    """Per point, the most evidence of a member containing it (its claim);
+    0 for a point no member contains.
+
+    Members are visited from the largest value down, on the table's order
+    keys, and each point takes the first one that contains it; the visit
+    stops once every point has its claim.
+    """
+    keys = order_keys(values)
+    members = space.family.members
+    out = [ZERO] * space.model.size
+    left = (1 << space.model.size) - 1
+    for hid in sorted(range(len(members)), key=keys.__getitem__, reverse=True):
+        new = members[hid].bits & left
+        if new:
+            left ^= new
+            value = values[hid]
+            while new:
+                low = new & -new
+                out[low.bit_length() - 1] = value
+                new ^= low
+            if not left:
+                break
+    return out
+
+
 def sup_over_true(space: Space, values: Sequence[XValue], point: int | str) -> XValue:
-    """Largest evidence among the hypotheses containing the point."""
+    """Largest evidence among the hypotheses containing the point: its claim."""
     if isinstance(point, str):
         point = space.model.index(point)
-    return sup_of(v for m, v in zip(space.family.members, values) if point in m)
+    return _claims(space, values)[point]
 
 
 def close(e: EFunction) -> EFunction:
@@ -131,17 +158,8 @@ def close(e: EFunction) -> EFunction:
     cover of H by members can do no better than pick, for each point, the
     member behind its claim. On an intersection-closed space a capacity's
     claims sit on the least hypotheses, which the closure leaves untouched.
-    The claims are found in one sweep over the members, on the table's
-    order keys; a point no member contains claims 0.
     """
-    keys = order_keys(e.values)
-    best = [-1] * e.space.model.size  # per point, the member with the largest key so far
-    for hid, m in enumerate(e.space.family.members):
-        key = keys[hid]
-        for i in m.indices():
-            if best[i] < 0 or key > keys[best[i]]:
-                best[i] = hid
-    return measure_from_density(e.space, [ZERO if b < 0 else e.values[b] for b in best])
+    return measure_from_density(e.space, _claims(e.space, e.values))
 
 
 def merge_convex(functions: Sequence[EFunction], weights: Sequence[Fraction | int]) -> EFunction:
@@ -186,7 +204,7 @@ def extend_to_powerset(e: EFunction) -> EFunction:
     if size > POWERSET_POINT_CAP:
         raise CapExceeded(f"model size {size} exceeds power-set cap {POWERSET_POINT_CAP}")
     least = space.least_ids()
-    full = Space(space.model, HypothesisClass.from_bits(size, range(1 << size), check=False))
+    full = Space(space.model, HypothesisClass(size, range(1 << size), check=False))
     return measure_from_density(full, [e.values[least[i]] for i in range(size)])
 
 

@@ -30,6 +30,15 @@ parser, which differs from ``yaml.safe_load`` on a few documents: it reads
 a tab after a key's colon, which safe_load refuses, and refuses
 ``a: [1:]``, which safe_load reads.
 
+A hypothesis label, a key of an evidence or kernel table or an item of
+``--family``, is a name declared under ``generators``, ``empty`` or ``{}``
+for the empty member, or the member's points as a comma-separated list of
+point labels in any order, with or without spaces after the commas
+(``a,b`` or ``b, a``). The command line prints each member as its points in
+the order of ``points``, joined by ',' with no spaces, and ``{}`` for the
+empty member. A label naming a point the space does not declare, or a set
+of points that is not a member, is a schema error.
+
 A table that names one hypothesis twice, a row with an outcome, point or
 decision its file does not declare, a distribution for a point outside the
 space, a model or decision list naming a label twice and an evidence table
@@ -282,14 +291,17 @@ class SpaceFile:
     def __init__(self, space: Space, names: dict[str, int]):
         self.space = space
         self.names = names
+        self._printed: Optional[dict[str, int]] = None
 
     def resolve(self, path, label: str) -> int:
-        """A hypothesis label is a declared name, 'empty', or a comma-separated
-        list of point labels."""
+        """The id of a hypothesis label (see the module docstring)."""
         if label in self.names:
             return self.names[label]
         if label in ("empty", "{}"):
             return self.space.family.empty_id
+        hid = self._printed_ids().get(label)
+        if hid is not None:
+            return hid
         parts = [p.strip() for p in str(label).split(",") if p.strip()]
         try:
             bits = PointSet.of(self.space.model, parts).bits
@@ -298,6 +310,18 @@ class SpaceFile:
         if bits not in self.space.family:
             raise SchemaError(path, f"{label!r} is not a member of the family")
         return self.space.family.id_of(bits)
+
+    def _printed_ids(self) -> dict[str, int]:
+        """Each member's printed label (``Space.label``) to its id, built on
+        first use. Left empty when a point label is empty, holds a ',' or
+        has surrounding spaces: the comma list would then be read otherwise."""
+        if self._printed is None:
+            space = self.space
+            if all(p and "," not in p and p.strip() == p for p in space.model.points):
+                self._printed = {space.label(hid): hid for hid in range(len(space.family))}
+            else:
+                self._printed = {}
+        return self._printed
 
 
 class _LabelReader:
@@ -458,9 +482,7 @@ def load_kernel(
     n = len(sf.space.family)
     missing = [hid for hid in range(n) if hid not in rows]
     if missing:
-        labels = [
-            ",".join(sf.space.family.member(h).labels(sf.space.model)) for h in missing
-        ]
+        labels = [sf.space.label(h) for h in missing]
         raise SchemaError(path, f"kernel misses hypotheses: {labels}")
     for hid, row in rows.items():
         for x in sample.outcomes:

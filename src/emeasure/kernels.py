@@ -217,11 +217,11 @@ class Report:
 
 def check_validity(k: EKernel, pa: ProbabilityAssignment) -> Report:
     """Exact expectation of every (nonempty hypothesis, contained point) pair."""
-    points = k.space.model.points
+    points, family = k.space.model.points, k.space.family
     entries = []
-    for hid in k.space.family.nonempty_ids():
+    for hid in family.nonempty_ids():
         var = k.variable(hid)
-        for pi in k.space.family.member(hid).indices():
+        for pi in family.indices(hid):
             entries.append(Entry(points[pi], pa.pmfs[pi].expectation(var), hid=hid))
     return Report(tuple(entries))
 
@@ -296,11 +296,12 @@ def check_posthoc_validity(
     if rule == "canonical":
         return check_validity(k, pa)
     levels = outcome_levels(k, rule)
+    points, family = k.space.model.points, k.space.family
     entries = []
-    for hid in k.space.family.nonempty_ids():
+    for hid in family.nonempty_ids():
         var = [miss_rate(v, level) for v, level in zip(k.variable(hid), levels)]
-        for pi in k.space.family.member(hid).indices():
-            entries.append(Entry(k.space.model.points[pi], pa.pmfs[pi].expectation(var), hid=hid))
+        for pi in family.indices(hid):
+            entries.append(Entry(points[pi], pa.pmfs[pi].expectation(var), hid=hid))
     return Report(tuple(entries))
 
 
@@ -330,8 +331,7 @@ def eposterior_raw(
     post = EKernel(k.space, k.sample, _product_columns(prior, k))
     entries = []
     for hid in k.space.family.nonempty_ids():
-        member = k.space.family.member(hid)
-        stats = {pi: post.expectation(hid, pa.pmfs[pi]) for pi in member.indices()}
+        stats = {pi: post.expectation(hid, pa.pmfs[pi]) for pi in k.space.family.indices(hid)}
         pi = max(stats, key=stats.__getitem__)
         entries.append(
             Entry(k.space.model.points[pi], stats[pi], bound=prior.values[hid], hid=hid)
@@ -353,7 +353,7 @@ def eposterior_closed(
     return post, Report(tuple(
         Entry(points[pi], post.expectation(hid, pa.pmfs[pi]), prior.values[least[pi]], hid)
         for hid in k.space.family.nonempty_ids()
-        for pi in k.space.family.member(hid).indices()
+        for pi in k.space.family.indices(hid)
     ))
 
 
@@ -486,7 +486,7 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
     entries = []
     witness = None
     for hid in proc.space.family.nonempty_ids():
-        for pi in proc.space.family.member(hid).indices():
+        for pi in proc.space.family.indices(hid):
             stat, rule = _envelope(proc, hid, pa.pmfs[pi].mass)
             entries.append(Entry(proc.space.model.points[pi], stat, hid=hid))
             if witness is None and not entries[-1].ok:

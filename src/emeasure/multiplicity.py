@@ -51,11 +51,11 @@ def familywise_evidence(k: EKernel, point: int | str, x: int | str) -> XValue:
 
 
 def check_fwe(k: EKernel, pa: ProbabilityAssignment) -> Report:
-    """Expected familywise evidence per point, via the exhaustive supremum."""
+    """Expected familywise evidence per point; each outcome's familywise
+    evidence of every point comes from one sweep, as in the closure."""
+    sups = [ev._claims(k.space, col.values) for col in k.columns]
     return Report(tuple(
-        Entry(point, pa.pmfs[pi].expectation(
-            [familywise_evidence(k, pi, xi) for xi in range(k.sample.size)]
-        ))
+        Entry(point, pa.pmfs[pi].expectation([sup[pi] for sup in sups]))
         for pi, point in enumerate(k.space.model.points)
     ))
 
@@ -178,7 +178,7 @@ def self_consistent_selection(
     space.require_intersection_closed()
     ids = sorted(family_ids)
     big_k = len(ids)
-    points = [tuple(space.family.member(g).indices()) for g in ids]
+    points = [space.family.indices(g) for g in ids]
     least_value = [e.values[hid] for hid in space.least_ids()]
     threshold = ONE / XValue(alpha)
 

@@ -9,7 +9,7 @@ references stay O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 MODEL_POINT_CAP = 24
 
@@ -103,7 +103,12 @@ class PointSet:
         return self.bits & ~other.bits == 0
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.width) if self.bits >> i & 1)
+        out, bits = [], self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(out)
 
     def labels(self, model: Model) -> tuple[str, ...]:
         return tuple(model.points[i] for i in self.indices())
@@ -116,24 +121,22 @@ class PointSet:
     def is_empty(self) -> bool:
         return self.bits == 0
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.popcount, self.bits)
-
 
 def _canonical(width: int, bitsets: Iterable[int]) -> tuple[PointSet, ...]:
-    uniq = sorted(set(bitsets) | {0})
-    sets = [PointSet(width, b) for b in uniq]
-    sets.sort(key=PointSet.sort_key)
-    return tuple(sets)
+    """The distinct bitsets and the empty one, by popcount then value."""
+    uniq = sorted(set(bitsets) | {0}, key=lambda b: (b.bit_count(), b))
+    return tuple([PointSet(width, b) for b in uniq])
 
 
 class HypothesisClass:
     """Deduplicated, union-closed family of point sets including the empty one."""
 
-    def __init__(self, width: int, members: Sequence[PointSet], *, check: bool = True):
+    def __init__(self, width: int, bitsets: Iterable[int], *, check: bool = True):
         self.width = width
-        self.members = _canonical(width, (m.bits for m in members))
+        self.members = _canonical(width, bitsets)
         self._index = {m.bits: i for i, m in enumerate(self.members)}
+        self._indices: list[Optional[tuple[int, ...]]] = [None] * len(self.members)
+        self._nonempty: Optional[tuple[int, ...]] = None
         self._irreducible: Optional[tuple[int, ...]] = None
         self._joins: Optional[tuple[tuple[int, int, int], ...]] = None
         if check:
@@ -144,10 +147,6 @@ class HypothesisClass:
                     f"family is not union-closed: {a:#x} | {b:#x} is not a member"
                 )
             self._irreducible = tuple(irreducible)
-
-    @classmethod
-    def from_bits(cls, width: int, bitsets: Iterable[int], *, check: bool = True) -> "HypothesisClass":
-        return cls(width, [PointSet(width, b) for b in bitsets], check=check)
 
     def irreducible_ids(self) -> tuple[int, ...]:
         """Ids of the join-irreducible members: the nonempty members that are
@@ -204,12 +203,21 @@ class HypothesisClass:
     def member(self, hid: int) -> PointSet:
         return self.members[hid]
 
+    def indices(self, hid: int) -> tuple[int, ...]:
+        """The member's point indices in increasing order, computed once."""
+        found = self._indices[hid]
+        if found is None:
+            found = self._indices[hid] = self.members[hid].indices()
+        return found
+
     @property
     def empty_id(self) -> int:
         return self._index[0]
 
     def nonempty_ids(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.members) if not m.is_empty)
+        if self._nonempty is None:
+            self._nonempty = tuple(i for i, m in enumerate(self.members) if m.bits)
+        return self._nonempty
 
 
 def _worklist(
@@ -249,7 +257,7 @@ def union_closure(width: int, generators: Iterable[PointSet]) -> HypothesisClass
         if g.width != width:
             raise WidthMismatch(f"generator width {g.width}, expected {width}")
     closure, _, _ = _worklist(g.bits for g in gens)
-    return HypothesisClass.from_bits(width, closure, check=False)
+    return HypothesisClass(width, closure, check=False)
 
 
 @dataclass(frozen=True)
@@ -328,6 +336,16 @@ class Space:
         self.model = model
         self.family = family
         self._least_ids: Optional[tuple[Optional[int], ...]] = None
+        self._labels: list[Optional[str]] = [None] * len(family)
+
+    def label(self, hid: int) -> str:
+        """The member's point labels in index order joined by ",", and "{}"
+        for the empty member; each label is built on first use."""
+        label = self._labels[hid]
+        if label is None:
+            points, indices = self.model.points, self.family.indices(hid)
+            label = self._labels[hid] = ",".join([points[i] for i in indices]) if indices else "{}"
+        return label
 
     # -- structure ----------------------------------------------------
 
@@ -335,7 +353,7 @@ class Space:
         # In a union-closed family this is closure under intersection: the
         # meet of two members is the union of its points' least members.
         least = self.least_ids()
-        return all(least[i] is not None for i in self.family.members[-1].indices())
+        return all(least[i] is not None for i in self.family.indices(len(self.family) - 1))
 
     def _has_full_model(self) -> bool:
         return (1 << self.model.size) - 1 in self.family
@@ -467,6 +485,5 @@ def preimage_class(
     target: Space,
 ) -> HypothesisClass:
     """Family of preimages of the target members; union-closed for free."""
-    return HypothesisClass.from_bits(
-        source_model.size, preimages(source_model, mapping, target), check=False
-    )
+    bitsets = preimages(source_model, mapping, target)
+    return HypothesisClass(source_model.size, bitsets, check=False)

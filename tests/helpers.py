@@ -78,7 +78,7 @@ def power_space(n):
     model = Model(tuple(f"P{i + 1}" for i in range(n)))
     from emeasure import HypothesisClass
 
-    return Space(model, HypothesisClass.from_bits(n, range(1 << n), check=False))
+    return Space(model, HypothesisClass(n, range(1 << n), check=False))
 
 
 def rand_capacity(r, space, allow_inf=True):
@@ -292,6 +292,15 @@ def indicator(space, hid):
 
 
 # -- independent oracles ---------------------------------------------------
+
+
+def member_label(space, hid):
+    """A member's label by its definition: its point labels in index order
+    joined by ',', and '{}' for the empty member."""
+    member = space.family.member(hid)
+    if member.is_empty:
+        return "{}"
+    return ",".join(member.labels(space.model))
 
 
 def integral_least_true(f, e):

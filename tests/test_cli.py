@@ -1,5 +1,6 @@
 """The command line end to end: exit codes, records and text output on a fixed corpus."""
 
+import io
 import os
 import resource
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from emeasure import XValue, cli
+import helpers
+from emeasure import XValue, cli, fileio
 from emeasure import kernels as kn
 
 DATA = Path(__file__).parent / "data"
@@ -162,6 +164,83 @@ def test_unexpected_errors_exit_2_with_one_line(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (code, captured.out) == (cli.EXIT_INPUT, "")
     assert captured.err == "error: unexpected RuntimeError: handler failed\n"
+
+
+def _records_then_refusal(args):
+    out = cli.Printer(args.format)
+    out.record("first", n=1)
+    out.text("a text line the records format drops")
+    out.record("second", n=2)
+    raise fileio.SchemaError("in.yaml", "refused after two records")
+
+
+def test_lines_written_before_an_error_are_printed_in_order(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_space", _records_then_refusal)
+    code = cli.main(["space", "--space", "in.yaml", "--format", "records"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INPUT, "first n=1\nsecond n=2\n")
+    assert captured.err == "error: in.yaml: refused after two records\n"
+
+
+def test_lines_written_before_an_error_come_first_on_a_shared_pipe():
+    """stdout and stderr on one pipe, with stdout block-buffered as it is on
+    a pipe unless PYTHONUNBUFFERED is set."""
+    script = (
+        "import sys\n"
+        "from emeasure import cli\n"
+        "from test_cli import _records_then_refusal\n"
+        "cli.cmd_space = _records_then_refusal\n"
+        "sys.exit(cli.main(['space', '--space', 'in.yaml', '--format', 'records']))\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(Path(__file__).parent)])
+    run = subprocess.run(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, timeout=60, env=env,
+    )
+    assert (run.returncode, run.stdout) == (
+        cli.EXIT_INPUT, "first n=1\nsecond n=2\nerror: in.yaml: refused after two records\n"
+    )
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _power_set_validity_argv(directory, n):
+    """`check --check validity` of the constant-one kernel on the power set of n points."""
+    space = helpers.power_space(n)
+    points = ", ".join(space.model.points)
+    directory.mkdir()
+    (directory / "space.yaml").write_text(
+        f"points: [{points}]\ngenerators: [{', '.join(f'[{p}]' for p in space.model.points)}]\n"
+    )
+    (directory / "model.yaml").write_text(
+        "pmf:\n" + "".join(f"  {p}: {{x: 1/2, y: 1/2}}\n" for p in space.model.points)
+    )
+    (directory / "kernel.yaml").write_text("kernel:\n" + "".join(
+        f'  "{helpers.member_label(space, hid)}": {{x: 1, y: 1}}\n'
+        for hid in space.family.nonempty_ids()
+    ))
+    return ["check", "--check", "validity", "--format", "records",
+            *(f"--{name}={directory / name}.yaml" for name in ("space", "model", "kernel"))]
+
+
+def test_a_report_takes_as_many_writes_on_256_members_as_on_16(tmp_path, monkeypatch):
+    writes = {}
+    for n in (4, 8):
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(_power_set_validity_argv(tmp_path / str(n), n)) == cli.EXIT_OK
+        assert len(stdout.getvalue().splitlines()) == n << (n - 1)  # one record per pair
+        writes[n] = stdout.writes
+    assert writes[8] == writes[4]
 
 
 def test_check_has_no_alpha_option(capsys):

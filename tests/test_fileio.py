@@ -9,7 +9,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emeasure import cli, fileio
+import helpers
+from emeasure import Model, PointSet, Space, cli, fileio, union_closure
 
 DATA = Path(__file__).parent / "data"
 DATA_FILES = sorted(DATA.glob("*.yaml"))
@@ -231,6 +232,62 @@ def test_a_declared_name_and_its_point_list_are_one_hypothesis(tmp_path):
     evidence.write_text('evidence:\n  left: 3\n  right: 2\n  "a,b,c": 2\n  "a,b": 5\n')
     with pytest.raises(fileio.SchemaError, match="'left' and 'a,b' name the same hypothesis"):
         fileio.load_evidence(evidence, sf)
+
+
+def _seeded_spaces():
+    r = helpers.rng(13)
+    return (
+        [helpers.power_space(n) for n in (1, 3, 5)]
+        + [helpers.rand_ic_space(r, max_points=6) for _ in range(12)]
+        + [helpers.rand_uc_space(r, max_points=6) for _ in range(12)]
+    )
+
+
+def test_each_member_label_reads_back_as_that_member():
+    """The printed label, its points reversed and its points ', '-spaced all
+    resolve to the member; an unknown point and a non-member keep their
+    messages."""
+    for space in _seeded_spaces():
+        sf = fileio.SpaceFile(space, {})
+        for hid in range(len(space.family)):
+            label = space.label(hid)
+            assert label == helpers.member_label(space, hid)
+            parts = [] if hid == space.family.empty_id else label.split(",")
+            for spelling in (label, ",".join(reversed(parts)), ", ".join(parts)):
+                assert sf.resolve("t.yaml", spelling or "{}") == hid
+            unknown = ",".join([*parts, "Z"])
+            with pytest.raises(fileio.SchemaError) as exc:
+                sf.resolve("t.yaml", unknown)
+            assert str(exc.value) == f"t.yaml: unknown hypothesis label {unknown!r}"
+        outside = [b for b in range(1 << space.model.size) if b not in space.family]
+        for bits in outside[:3]:
+            label = ",".join(PointSet(space.model.size, bits).labels(space.model))
+            with pytest.raises(fileio.SchemaError) as exc:
+                sf.resolve("t.yaml", label)
+            assert str(exc.value) == f"t.yaml: {label!r} is not a member of the family"
+
+
+# Point labels that make a comma list read as another set than the one it
+# joins: (points, generators as bitsets, label, the set it reads as).
+AMBIGUOUS_POINTS = {
+    "comma": (("a", "b", "a,b"), [0b100], "a,b", 0b011),
+    "padded": ((" a", "a"), [0b01, 0b10], " a", 0b10),
+    "empty": (("", "b"), [0b01, 0b10], "", 0),
+}
+
+
+@pytest.mark.parametrize(
+    "points, generators, label, bits", AMBIGUOUS_POINTS.values(), ids=AMBIGUOUS_POINTS.keys()
+)
+def test_a_label_is_read_as_a_comma_list_of_points(points, generators, label, bits):
+    n = len(points)
+    space = Space(Model(points), union_closure(n, [PointSet(n, b) for b in generators]))
+    sf = fileio.SpaceFile(space, {})
+    if bits in space.family:
+        assert sf.resolve("t.yaml", label) == space.family.id_of(bits)
+    else:
+        with pytest.raises(fileio.SchemaError, match=re.escape(f"{label!r} is not a member")):
+            sf.resolve("t.yaml", label)
 
 
 def test_a_kernel_outcome_the_model_lacks_is_refused():

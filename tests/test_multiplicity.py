@@ -101,6 +101,37 @@ def test_check_fwe_matches_validity_verdict():
     assert any(not e.ok for e in report.entries)
 
 
+def test_fwe_is_the_expected_largest_true_evidence_by_definition():
+    """On plain tables, where a large member can outrun the small ones, and
+    on families that leave points outside every member (familywise evidence 0)."""
+    r = helpers.rng(113)
+    uncovered = outrun = 0
+    for _ in range(30):
+        space = helpers.rand_uc_space(r, max_points=5)
+        sample = helpers.rand_sample(r)
+        pa = helpers.rand_pa(r, space.model, sample, full_support=False)
+        n = len(space.family)
+        k = EKernel(space, sample, [
+            from_values(space, [INF] + [helpers.rand_xvalue(r) for _ in range(n - 1)])
+            for _ in sample.outcomes
+        ])
+        report = check_fwe(k, pa)
+        assert [e.point for e in report.entries] == list(space.model.points)
+        for pi, entry in enumerate(report.entries):
+            sups = [
+                helpers.sup_of(v for m, v in zip(space.family.members, col.values) if pi in m)
+                for col in k.columns
+            ]
+            assert [familywise_evidence(k, pi, xi) for xi in range(sample.size)] == sups
+            assert entry.stat == helpers.oracle_expectation(pa.pmfs[pi], sups)
+            uncovered += all(pi not in m for m in space.family.members)
+            least = space.least_ids()[pi]
+            outrun += least is not None and any(
+                v > k.value(least, xi) for xi, v in enumerate(sups)
+            )
+    assert uncovered and outrun
+
+
 def test_binary_kernel_fwe_is_classical_familywise_error_over_alpha():
     r = helpers.rng(109)
     space = helpers.power_space(2)

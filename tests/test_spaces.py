@@ -68,7 +68,7 @@ def test_partition_of_eight_cells_closes_to_256_members():
 
 def test_family_constructor_rejects_union_gaps():
     with pytest.raises(NotUnionClosed):
-        HypothesisClass.from_bits(2, [0, 0b01, 0b10])
+        HypothesisClass(2, [0, 0b01, 0b10])
 
 
 def test_analyze_overlap_example():
@@ -257,7 +257,7 @@ def test_preimage_constant_map_collapses_to_trivial():
 def test_width_mismatch_is_reported():
     model = Model(("P1", "P2"))
     with pytest.raises(SpaceError):
-        Space(model, HypothesisClass.from_bits(3, [0], check=False))
+        Space(model, HypothesisClass(3, [0], check=False))
 
 
 def test_preorder_pairs_outside_the_points_are_rejected():
@@ -272,10 +272,10 @@ def test_family_constructor_checks_every_pair_of_members():
         width = r.randint(1, 5)
         bits = {0} | {r.randrange(1 << width) for _ in range(r.randint(1, 6))}
         if all(a | b in bits for a in bits for b in bits):
-            HypothesisClass.from_bits(width, bits)
+            HypothesisClass(width, bits)
         else:
             with pytest.raises(NotUnionClosed):
-                HypothesisClass.from_bits(width, bits)
+                HypothesisClass(width, bits)
 
 
 def test_irreducible_members_are_not_unions_of_smaller_ones():
@@ -293,5 +293,5 @@ def test_irreducible_members_are_not_unions_of_smaller_ones():
             if m and below != m:
                 expect.add(m)
         for check in (True, False):
-            family = HypothesisClass.from_bits(width, bits, check=check)
+            family = HypothesisClass(width, bits, check=check)
             assert {family.member(j).bits for j in family.irreducible_ids()} == expect
