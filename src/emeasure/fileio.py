@@ -241,12 +241,14 @@ def _load_yaml(path: Path | str) -> dict:
 
 
 def _fraction(path, raw) -> Fraction:
+    """A rational from an int, a 'p/q' string or a decimal float; a YAML
+    boolean is refused, as ``parse_xvalue`` refuses it."""
     try:
-        if isinstance(raw, float):
-            return Fraction(str(raw))
-        return Fraction(raw)
+        if not isinstance(raw, bool):
+            return Fraction(str(raw) if isinstance(raw, float) else raw)
     except (ValueError, TypeError, ZeroDivisionError):
-        raise SchemaError(path, f"not a rational number: {raw!r}") from None
+        pass
+    raise SchemaError(path, f"not a rational number: {raw!r}")
 
 
 def _xvalue(path, raw) -> XValue:
@@ -559,6 +561,8 @@ def load_decision_problem(path: Path | str, model: Model):
     order_pairs = cons.get("order", [])
     if not isinstance(elements, list) or not elements:
         raise SchemaError(path, "'consequences.elements' must be a non-empty list")
+    if not isinstance(order_pairs, list):
+        raise SchemaError(path, "'consequences.order' must be a list of pairs")
     elements = tuple(str(e) for e in elements)
     idx = {e: i for i, e in enumerate(elements)}
     pairs = []

@@ -70,13 +70,10 @@ def group_ids(space: Space) -> tuple[int, ...]:
     return tuple(row_id(space, g) for g in ("G_1", "G_2", "G_3"))
 
 
-def base_efunction(
-    space: Optional[Space] = None, cell_evidence: Optional[dict[str, XValue]] = None
-) -> EFunction:
+def base_efunction(space: Optional[Space] = None) -> EFunction:
     """The bundled cell evidence closed over the whole family."""
     space = space or toy_space()
-    cell_evidence = cell_evidence or CELL_EVIDENCE
-    return ev.measure_from_density(space, [cell_evidence[c] for c in space.model.points])
+    return ev.measure_from_density(space, [CELL_EVIDENCE[c] for c in space.model.points])
 
 
 @dataclass(frozen=True)
@@ -95,22 +92,18 @@ class ReferenceTable:
         return getattr(self, column)[row]
 
 
-def compute_reference_table(
-    alpha: Fraction = DEFAULT_ALPHA,
-    cell_evidence: Optional[dict[str, XValue]] = None,
-) -> ReferenceTable:
+def compute_reference_table(alpha: Fraction = DEFAULT_ALPHA) -> ReferenceTable:
     """Recompute every column from the eight cell values alone."""
     space = toy_space()
-    base = base_efunction(space, cell_evidence)
+    base = base_efunction(space)
     gids = group_ids(space)
 
-    selection = mtp.self_consistent_selection(base, gids, alpha)
-    inflated = mtp.postprocess_efunction(base, selection.selected)
     stepup = mtp.ebh(base, gids, alpha)
-    _, closed = mtp._binary_rejection_table(space, selection.selected, Fraction(alpha))
+    closed = mtp.closed_ebh(base, gids, alpha)
+    inflated = mtp.postprocess_efunction(base, closed.rejected)
 
     ids = {label: row_id(space, label) for label in ROW_LABELS}
-    shares = mtp.selection_shares(space, selection.selected)
+    shares = mtp.selection_shares(space, closed.rejected)
     fsp: dict[str, Optional[Fraction]] = {
         label: None if label.startswith("G") else shares[space.model.index(_ROW_CELLS[label][0])]
         for label in ROW_LABELS
@@ -123,7 +116,7 @@ def compute_reference_table(
         inflated={lab: inflated.values[ids[lab]] for lab in ROW_LABELS},
         fsp=fsp,
         stepup={lab: stepup.table.values[ids[lab]] for lab in ROW_LABELS},
-        closed_stepup={lab: closed.values[ids[lab]] for lab in ROW_LABELS},
+        closed_stepup={lab: closed.table.values[ids[lab]] for lab in ROW_LABELS},
     )
 
 

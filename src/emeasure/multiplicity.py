@@ -5,9 +5,6 @@ variant, and the general disutility-based notion that nests them all.
 
 from __future__ import annotations
 
-import bisect
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -16,8 +13,6 @@ from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
 from .kernels import EKernel, Entry, ProbabilityAssignment, Report, SampleSpace, check_validity
 from .xvalue import INF, ONE, XValue, as_xvalue, inf_of
-
-SELECTION_SUBSET_CAP = 1 << 20
 
 
 class MultiplicityError(EvidenceError):
@@ -146,30 +141,30 @@ class SelectionResult:
     selected: tuple[int, ...]
     witness: dict[int, XValue]
     is_fixed_point: bool
-    subsets_tried: int
 
 
 def self_consistent_selection(
     e: EFunction, family_ids: Sequence[int], alpha: Fraction
 ) -> SelectionResult:
-    """Largest selection that equals its own post-processed rejection set.
+    """The selection that equals its own post-processed rejection set.
 
-    A selection S of size k rejects the candidate g when its inflated value
-    inf over p in g of e(H_p) / (c_S(p) / k) reaches 1/alpha, where c_S(p)
+    A selection S rejects the candidate g when its inflated value
+    inf over p in g of e(H_p) / (c_S(p) / |S|) reaches 1/alpha, where c_S(p)
     counts the members of S containing p (0/0 = 0, c/0 = inf); this is g's
-    value in ``postprocess_efunction(e, S)``. Every point of a selected g
-    has c_S(p) >= 1, so g can belong to a fixed point of size k only if
-    k * e(H_p) >= 1/alpha for every p in g; each size enumerates only the
-    candidates that pass. Sizes are searched in descending order, canonical
-    order inside a size; the first fixed point wins, which makes ties
-    deterministic. If no subset is a fixed point the empty selection is
-    returned and flagged.
+    value in ``postprocess_efunction(e, S)``. Such a fixed point S = R(S) is
+    unique when it exists, and is S*, the candidates with no point p of
+    e(H_p) = 0:
+    - a candidate with such a point has inflated value 0 under every S, so
+      no fixed point holds it;
+    - every other candidate is rejected by any fixed point S. A point in no
+      member of S has the term e(H_p)/0 = inf; a point in a selected member
+      has the same term as in that member, which S rejects, so the term is
+      at least 1/alpha.
 
-    The search tries at most 1 + sum over k >= 1 of C(n_k, k) subsets, n_k
-    being the number of candidates that pass at size k. That sum is added up
-    from k = 0 and stops as soon as it passes SELECTION_SUBSET_CAP; then
-    CapExceeded names the partial sum as a lower bound, before any subset
-    is tried.
+    One pass counts c_{S*} and computes every candidate's inflated value,
+    the witness. If each member of S* reaches 1/alpha it is returned;
+    otherwise no selection is a fixed point, and the empty selection is
+    returned and flagged.
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
@@ -177,55 +172,24 @@ def self_consistent_selection(
     space = e.space
     space.require_intersection_closed()
     ids = sorted(family_ids)
-    big_k = len(ids)
     points = [space.family.indices(g) for g in ids]
     least_value = [e.values[hid] for hid in space.least_ids()]
+    chosen = [i for i, pts in enumerate(points) if not any(least_value[p].is_zero for p in pts)]
+    count = [0] * space.model.size
+    for i in chosen:
+        for p in points[i]:
+            count[p] += 1
+    size = max(len(chosen), 1)
+    term = [v / XValue(Fraction(c, size)) for v, c in zip(least_value, count)]
+    inflated = [inf_of(term[p] for p in pts) for pts in points]
     threshold = ONE / XValue(alpha)
-
-    # Smallest selection size each candidate can belong to; big_k + 1 is never.
-    min_size = []
-    for pts in points:
-        need = threshold / inf_of(least_value[p] for p in pts)  # 0 for inf, inf for 0
-        min_size.append(big_k + 1 if need.is_inf else max(1, math.ceil(need.as_fraction())))
-    ranked = sorted(min_size)
-    eligible = [bisect.bisect_right(ranked, size) for size in range(big_k + 1)]
-    cost = 0
-    for size in range(big_k + 1):
-        cost += math.comb(eligible[size], size)
-        if cost > SELECTION_SUBSET_CAP:
-            raise ev.CapExceeded(
-                f"the selection search over {big_k} candidates would try at least "
-                f"{cost} subsets, over the cap {SELECTION_SUBSET_CAP}"
-            )
-
-    def inflated(i: int, count: list[int], shares: list[XValue]) -> XValue:
-        return inf_of(least_value[p] / shares[count[p]] for p in points[i])
-
-    tried = 0
-    for size in range(big_k, -1, -1):
-        if eligible[size] < size:
-            continue
-        pool = [i for i in range(big_k) if min_size[i] <= size]
-        # shares[c] is the selection share c / size of a point in c members
-        shares = [XValue(Fraction(c, max(size, 1))) for c in range(size + 1)]
-        for combo in itertools.combinations(pool, size):
-            tried += 1
-            count = [0] * space.model.size
-            for i in combo:
-                for p in points[i]:
-                    count[p] += 1
-            chosen = set(combo)
-            if all(
-                (inflated(i, count, shares) >= threshold) == (i in chosen)
-                for i in range(big_k)
-            ):
-                return SelectionResult(
-                    selected=tuple(ids[i] for i in combo),
-                    witness={ids[i]: inflated(i, count, shares) for i in range(big_k)},
-                    is_fixed_point=True,
-                    subsets_tried=tried,
-                )
-    return SelectionResult(selected=(), witness={}, is_fixed_point=False, subsets_tried=tried)
+    if any(inflated[i] < threshold for i in chosen):
+        return SelectionResult(selected=(), witness={}, is_fixed_point=False)
+    return SelectionResult(
+        selected=tuple(ids[i] for i in chosen),
+        witness=dict(zip(ids, inflated)),
+        is_fixed_point=True,
+    )
 
 
 # -- e-value step-up rejections --------------------------------------------
@@ -234,30 +198,23 @@ def self_consistent_selection(
 @dataclass(frozen=True)
 class StepUpResult:
     rejected: tuple[int, ...]
-    rejected_cells: tuple[int, ...]
     table: EFunction
 
 
-def _binary_rejection_table(e_space, rejected_g: Sequence[int], alpha: Fraction) -> tuple[tuple[int, ...], EFunction]:
+def _binary_rejection_table(space, rejected_g: Sequence[int], alpha: Fraction) -> EFunction:
     """Binary table implied by G-level rejections.
 
-    A least hypothesis is rejected exactly when it is contained in some
-    rejected family member; the rest of the family follows by closure.
+    The least hypothesis of a point lies in a member exactly when the point
+    does, so it is rejected when some rejected member holds its point; the
+    rest of the family follows by closure.
     """
-    space = e_space
     space.require_intersection_closed()
     level = ONE / XValue(alpha)
-    members = space.family
-    least = space.least_ids()
-    rejected_cells = tuple(
-        cell
-        for cell in sorted(set(least))
-        if any(
-            members.member(cell).issubset(members.member(g)) for g in rejected_g
-        )
-    )
-    density = [level if cell in rejected_cells else XValue(0) for cell in least]
-    return rejected_cells, ev.measure_from_density(space, density)
+    rejected = set()
+    for g in rejected_g:
+        rejected.update(space.family.indices(g))
+    density = [level if p in rejected else XValue(0) for p in range(space.model.size)]
+    return ev.measure_from_density(space, density)
 
 
 def ebh(e: EFunction, family_ids: Sequence[int], alpha: Fraction) -> StepUpResult:
@@ -279,15 +236,17 @@ def ebh(e: EFunction, family_ids: Sequence[int], alpha: Fraction) -> StepUpResul
         if e.values[g] >= XValue(Fraction(big_k, 1)) / XValue(alpha * kth):
             best_k = kth
     rejected = tuple(sorted(ranked[:best_k]))
-    cells, table = _binary_rejection_table(e.space, rejected, alpha)
-    return StepUpResult(rejected=rejected, rejected_cells=cells, table=table)
+    return StepUpResult(rejected=rejected, table=_binary_rejection_table(e.space, rejected, alpha))
 
 
 def closed_ebh(e: EFunction, family_ids: Sequence[int], alpha: Fraction) -> StepUpResult:
-    """Reject the largest self-consistent selection instead of the step-up set."""
-    selection = self_consistent_selection(e, family_ids, alpha)
-    cells, table = _binary_rejection_table(e.space, selection.selected, Fraction(alpha))
-    return StepUpResult(rejected=selection.selected, rejected_cells=cells, table=table)
+    """Reject the self-consistent selection instead of the step-up set.
+
+    The rejections are the fixed point of ``self_consistent_selection``, or
+    nothing when there is none, rendered as a binary table like ``ebh``'s.
+    """
+    selected = self_consistent_selection(e, family_ids, alpha).selected
+    return StepUpResult(rejected=selected, table=_binary_rejection_table(e.space, selected, Fraction(alpha)))
 
 
 # -- general disutility-based validity --------------------------------------

@@ -415,12 +415,12 @@ def oracle_anytime(proc, pa):
     return best
 
 
-def oracle_self_consistent(e, family_ids, alpha):
-    """Largest self-consistent selection by trying every subset of the candidates.
+def oracle_fixed_points(e, family_ids, alpha):
+    """Every subset of the candidates whose rejections at 1/alpha are the
+    subset itself, each with its post-processed values on the candidates.
 
-    Each subset, by descending size and canonical order inside a size, gets
-    a full post-processed table; the first whose rejections at 1/alpha are
-    the subset itself wins. Returns (selected, witness, is_fixed_point).
+    Subsets are tried by descending size and canonical order inside a size,
+    each with a full post-processed table.
     """
     ids = sorted(family_ids)
     threshold = XValue(1) / XValue(alpha)
@@ -429,5 +429,13 @@ def oracle_self_consistent(e, family_ids, alpha):
             inflated = postprocess_efunction(e, combo)
             rejected = tuple(g for g in ids if inflated.values[g] >= threshold)
             if rejected == combo:
-                return combo, {g: inflated.values[g] for g in ids}, True
+                yield combo, {g: inflated.values[g] for g in ids}
+
+
+def oracle_self_consistent(e, family_ids, alpha):
+    """Largest self-consistent selection by trying every subset of the
+    candidates: the first of ``oracle_fixed_points``. Returns (selected,
+    witness, is_fixed_point)."""
+    for combo, witness in oracle_fixed_points(e, family_ids, alpha):
+        return combo, witness, True
     return (), {}, False

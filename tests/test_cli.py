@@ -1,5 +1,6 @@
 """The command line end to end: exit codes, records and text output on a fixed corpus."""
 
+import dataclasses
 import io
 import os
 import resource
@@ -12,7 +13,7 @@ import pytest
 import yaml
 
 import helpers
-from emeasure import XValue, cli, fileio
+from emeasure import XValue, cli, fileio, golden
 from emeasure import kernels as kn
 
 DATA = Path(__file__).parent / "data"
@@ -365,6 +366,31 @@ def test_mtp_alpha_defaults_to_one_twentieth_where_it_is_read(capsys):
                  "--evidence", str(DATA / "evidence_ic_large.yaml"), "--family", "a|c|a,b|c,d"]
     assert run(capsys, selection) == run(capsys, [*selection, "--alpha", "1/20"])
     assert run(capsys, selection) != run(capsys, [*selection, "--alpha", "1/10"])
+
+
+def test_mtp_golden_reports_each_mismatched_cell(capsys, monkeypatch):
+    """An expected table off in one evidence cell and one share: 43/44 cells
+    match, and each differing cell gets a MISMATCH line and a record."""
+    expected = golden.expected_reference_table()
+    altered = dataclasses.replace(
+        expected,
+        base={**expected.base, "H_C": XValue(6)},
+        fsp={**expected.fsp, "H_1": Fraction(1, 2)},
+    )
+    monkeypatch.setattr(golden, "expected_reference_table", lambda: altered)
+    code, records = run(capsys, ["mtp", "--golden", "table1"])
+    assert code == cli.EXIT_VIOLATION
+    assert records.splitlines()[-3:] == [
+        "golden matched=43 total=44 fsp_diffs=1",
+        "mismatch row=H_C column=base computed=5 expected=6",
+        "mismatch row=H_1 column=fsp computed=1/3 expected=1/2",
+    ]
+    assert cli.main(["mtp", "--golden", "table1"]) == cli.EXIT_VIOLATION
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "golden diff: 43/44 evidence cells match",
+        "  MISMATCH H_C.base: computed 5, expected 6",
+        "  MISMATCH H_1.fsp: computed 1/3, expected 1/2",
+    ]
 
 
 def test_decide_alpha_defaults_to_one_twentieth_for_the_probability_bound(capsys, tmp_path):

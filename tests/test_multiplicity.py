@@ -1,8 +1,7 @@
 """Familywise evidence, false evidence rate, step-up procedures, disutilities."""
 
 import itertools
-import math
-import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,7 +35,7 @@ from emeasure import (
     union_closure,
     unit_measure,
 )
-from emeasure.evidence import CapExceeded, from_values
+from emeasure.evidence import from_values, measure_from_density
 from emeasure.spaces import NotIntersectionClosed
 from emeasure.multiplicity import PhiFlagViolation
 from emeasure import golden
@@ -378,7 +377,7 @@ def test_self_consistent_fixed_point_property_on_random_instances():
 def test_self_consistent_selection_matches_the_exhaustive_oracle():
     r = helpers.rng(404)
     alphas = [Fraction(1, 20), Fraction(1, 8), Fraction(1, 3), Fraction(1), Fraction(5, 2)]
-    seen = {"equivalent": 0, "zero": 0, "inf": 0, "subset": 0, "none": 0, "pruned": 0}
+    seen = {"equivalent": 0, "zero": 0, "inf": 0, "subset": 0, "none": 0}
     for trial in range(400):
         space = helpers.rand_ic_space(r, max_points=4, max_members=12)
         if trial % 3 == 0:
@@ -404,7 +403,6 @@ def test_self_consistent_selection_matches_the_exhaustive_oracle():
         seen["inf"] += any(v.is_inf for v in least_values)
         seen["subset"] += fixed and 0 < len(selected) < len(fam)
         seen["none"] += not fixed
-        seen["pruned"] += result.subsets_tried < 2 ** len(fam)
     assert min(seen.values()) >= 10, seen
 
 
@@ -412,30 +410,55 @@ def test_no_eligible_candidate_tries_only_the_empty_selection():
     space = helpers.power_space(4)
     fam = list(space.family.nonempty_ids())[:12]
     result = self_consistent_selection(unit_measure(space), fam, Fraction(1, 20))
-    assert (result.selected, result.is_fixed_point, result.subsets_tried) == ((), False, 1)
+    assert (result.selected, result.is_fixed_point) == ((), False)
 
 
-def test_selection_cost_is_refused_before_the_search():
-    space = helpers.power_space(5)
-    e = from_values(space, [INF] * len(space.family))
-    ids = list(space.family.nonempty_ids())
-    # C(21, 0) + ... + C(21, 11) = 1401292 is the first partial sum past 2^20.
-    with pytest.raises(CapExceeded, match="would try at least 1401292 subsets"):
-        self_consistent_selection(e, ids[:21], Fraction(1, 20))
-    # 20 candidates fit the cap; all of them are the first subset tried.
-    result = self_consistent_selection(e, ids[:20], Fraction(1, 20))
-    assert (result.selected, result.subsets_tried) == (tuple(sorted(ids[:20])), 1)
+def test_the_one_possible_fixed_point_holds_the_candidates_without_zero_evidence():
+    """Every subset of the candidates, tried with the oracle's rule: at most
+    one is a fixed point, and it is the candidates with no point p of
+    e(H_p) = 0."""
+    r = helpers.rng(414)
+    alphas = [Fraction(1, 20), Fraction(1, 8), Fraction(1, 3), Fraction(1), Fraction(5, 2)]
+    seen = {"fixed": 0, "subset": 0, "none": 0, "empty member": 0, "five or more": 0}
+    for trial in range(240):
+        if trial % 3 == 0:
+            space = helpers.power_space(r.randint(2, 3))
+        else:
+            space = helpers.rand_ic_space(r, min_points=3, max_points=5, max_members=16)
+        if trial % 2:
+            e = helpers.rand_measure(r, space, zero_chance=Fraction(1, 3))
+        else:
+            e = helpers.rand_capacity(r, space)
+        ids = list(space.family.nonempty_ids())
+        fam = r.sample(ids, r.randint(0, min(len(ids), 7)))
+        if r.random() < 0.1:
+            fam.append(space.family.empty_id)
+        alpha = alphas[trial % len(alphas)]
+        fixed = [combo for combo, _ in helpers.oracle_fixed_points(e, fam, alpha)]
+        assert len(fixed) <= 1, (trial, fam, alpha, fixed)
+        least = space.least_ids()
+        nonzero = tuple(
+            g for g in sorted(fam)
+            if not any(e.values[least[p]].is_zero for p in space.family.indices(g))
+        )
+        if fixed:
+            assert fixed[0] == nonzero, (trial, fam, alpha)
+        seen["fixed"] += bool(fixed)
+        seen["subset"] += bool(fixed) and len(nonzero) < len(fam)
+        seen["none"] += not fixed
+        seen["empty member"] += space.family.empty_id in fam
+        seen["five or more"] += len(fam) >= 5
+    assert min(seen.values()) >= 10, seen
 
 
-def test_selection_over_thousands_of_candidates_is_refused_without_the_full_count():
+def test_selection_over_thousands_of_candidates_takes_one_pass():
     space = helpers.power_space(12)
     e = from_values(space, [INF] * len(space.family))
-    ids = list(space.family.nonempty_ids())  # 4095 candidates, all eligible at size 1
-    with pytest.raises(CapExceeded) as refused:
-        self_consistent_selection(e, ids, Fraction(1, 20))
-    bound = int(re.search(r"would try at least (\d+) subsets", str(refused.value)).group(1))
-    # 1 + 4095 + C(4095, 2): the sum stops at size 2 instead of adding up to 2^4095.
-    assert bound == 1 + 4095 + math.comb(4095, 2)
+    ids = list(space.family.nonempty_ids())  # 4095 candidates, 2^4095 subsets
+    start = time.perf_counter()
+    result = self_consistent_selection(e, ids, Fraction(1, 20))
+    assert time.perf_counter() - start < 1
+    assert (result.selected, result.is_fixed_point) == (tuple(sorted(ids)), True)
 
 
 def test_selection_needs_an_intersection_closed_space():
@@ -463,8 +486,7 @@ def test_stepup_on_the_toy_values():
 
 def test_stepup_rejects_nothing_on_zero_evidence():
     space = golden.toy_space()
-    zero_cells = {c: XValue(0) for c in golden.CELLS}
-    base = golden.base_efunction(space, zero_cells)
+    base = measure_from_density(space, [XValue(0)] * space.model.size)
     result = ebh(base, golden.group_ids(space), Fraction(1, 20))
     assert result.rejected == ()
     assert all(
