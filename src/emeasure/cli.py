@@ -240,7 +240,8 @@ def cmd_closure(args) -> int:
         out.text("no change: table is already a measure")
     else:
         out.text(f"{changed} entries raised")
-    out.text(f"input class: {e.eclass.name.lower()}; output class: {closed.eclass.name.lower()}")
+    if not out.records:  # only the text names the class, so records never compute it
+        out.text(f"input class: {e.eclass.name.lower()}; output class: {closed.eclass.name.lower()}")
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from .spaces import (
     class_from_preorder,
     union_closure,
 )
-from .xvalue import XValue, as_xvalue, sup_of
+from .xvalue import XValue, as_xvalue, dot, scale, sup_of
 
 
 class DecisionError(EvidenceError):
@@ -248,15 +248,16 @@ def _consequence_report(
     """Per benchmark row, the worst evidence across its bound hypotheses, or
     with a fixed `rule` its miss rate, in expectation at each dominating point."""
     induced = _require_order_measurable(k.space, table)
-    levels = None if rule is None else kn.outcome_levels(k, rule)
+    thresholds = None if rule is None else kn.outcome_thresholds(k, rule)
     entries = []
     for label, qi in _distinct_rows(table):
         bound_ids = _bound_ids(k.space, table, qi)
         var = [sup_of(col.values[hid] for hid in bound_ids) for col in k.columns]
-        if levels is not None:
-            var = [kn.miss_rate(v, level) for v, level in zip(var, levels)]
+        if thresholds is not None:
+            var = map(kn.miss_rate, var, thresholds)
+        var = scale(var)
         for pi in induced.family.indices(induced.least_id(qi)):
-            stat = pa.pmfs[pi].expectation(var)
+            stat = dot(pa.pmfs[pi].scaled, var)
             entries.append(Entry(k.space.model.points[pi], stat, case=label))
     return Report(tuple(entries))
 

@@ -12,9 +12,10 @@ of maxitive measures).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .spaces import HypothesisClass, Space
 from .xvalue import INF, ONE, ZERO, XValue, as_xvalue, order_keys
@@ -46,11 +47,19 @@ class EClass(enum.IntEnum):
 
 @dataclass(frozen=True)
 class EFunction:
-    """Evidence per hypothesis id, tagged with its verified strength."""
+    """Evidence per hypothesis id and its strength, the strongest class the
+    values satisfy. The strength is computed when ``eclass`` is first read,
+    unless it was given; equality compares the space and the values."""
 
     space: Space
     values: tuple[XValue, ...]
-    eclass: EClass
+    _eclass: Optional[EClass] = field(default=None, repr=False, compare=False)
+
+    @property
+    def eclass(self) -> EClass:
+        if self._eclass is None:
+            object.__setattr__(self, "_eclass", _strength(self.space, self.values))
+        return self._eclass
 
     def __getitem__(self, hid: int) -> XValue:
         return self.values[hid]
@@ -83,19 +92,32 @@ def _strength(space: Space, values: Sequence[XValue]) -> EClass:
 
 
 def classify(space: Space, table: Mapping[int, object]) -> EFunction:
-    """Wrap a raw value table, verifying the strongest class it satisfies."""
+    """Wrap a raw value table; its class is verified when first read.
+
+    A table that misses a hypothesis id, or gives the empty hypothesis a
+    finite value, is refused here.
+    """
     n = len(space.family)
     missing = [hid for hid in range(n) if hid not in table]
     if missing:
         raise NotAnEFunction(f"table misses hypothesis ids {missing}")
-    values = tuple(as_xvalue(table[hid]) for hid in range(n))
+    return _wrap(space, [table[hid] for hid in range(n)])
+
+
+def from_values(space: Space, values: Iterable[object]) -> EFunction:
+    """``classify`` of a table given as one value per hypothesis id, in order."""
+    n = len(space.family)
+    values = tuple(islice(values, n))
+    if len(values) < n:
+        raise NotAnEFunction(f"table misses hypothesis ids {list(range(len(values), n))}")
+    return _wrap(space, values)
+
+
+def _wrap(space: Space, values: Sequence[object]) -> EFunction:
+    values = tuple(map(as_xvalue, values))
     if not values[space.family.empty_id].is_inf:
         raise NotAnEFunction("the empty hypothesis must carry infinite evidence")
-    return EFunction(space, values, _strength(space, values))
-
-
-def from_values(space: Space, values: Sequence[object]) -> EFunction:
-    return classify(space, dict(enumerate(values)))
+    return EFunction(space, values)
 
 
 def measure_from_density(space: Space, density: Sequence[XValue]) -> EFunction:

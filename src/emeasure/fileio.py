@@ -55,7 +55,7 @@ from typing import Callable, Optional
 import yaml
 
 from .decisions import ConsequenceSpace, ConsequenceTable, NumericLoss
-from .evidence import EFunction, EvidenceError, classify
+from .evidence import EFunction, EvidenceError, classify, from_values
 from .kernels import EKernel, FiltrationTree, Pmf, ProbabilityAssignment, SampleSpace
 from .spaces import (
     MODEL_POINT_CAP,
@@ -235,6 +235,13 @@ def _load_yaml(path: Path | str) -> dict:
         raise SchemaError(path, "file not found") from None
     except yaml.YAMLError as exc:
         raise SchemaError(path, f"not valid YAML: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"not text: {exc}") from None
+    except ValueError as exc:
+        # PyYAML's constructors refuse a scalar they cannot build, such as an
+        # int of more than 4300 digits or a date that does not exist; the
+        # advice after ';' is about the interpreter, not the file.
+        raise SchemaError(path, f"value out of range: {str(exc).partition(';')[0]}") from None
     if not isinstance(data, dict):
         raise SchemaError(path, "top level must be a mapping")
     return data
@@ -473,28 +480,49 @@ def load_kernel(
         sample = SampleSpace(tuple(str(x) for x in declared))
     read = _xvalue_reader(path)
     hypotheses = _LabelReader(path, sf)
-    rows: dict[int, dict[str, XValue]] = {}
+    family = sf.space.family
+    outcomes = sample.outcomes
+    outcome_ids = {x: xi for xi, x in enumerate(outcomes)}
+    full = (1 << sample.size) - 1
+    # Cells go straight into one column per outcome, indexed by hypothesis id.
+    columns: list[list] = [[None] * len(family) for _ in outcomes]
+    # The first row, in file order, that misses an outcome or names an unknown
+    # one; it is refused after a missing hypothesis would be.
+    bad_row = None
     for label, row in table.items():
         if not isinstance(row, dict):
             raise SchemaError(path, f"row for {label!r} must be a mapping")
         hid = hypotheses.resolve(label)
-        rows[hid] = {str(x): read(v) for x, v in row.items()}
-    empty = sf.space.family.empty_id
-    rows.setdefault(empty, {x: read("inf") for x in sample.outcomes})
-    n = len(sf.space.family)
-    missing = [hid for hid in range(n) if hid not in rows]
+        got, unknown = 0, False
+        for x, raw in row.items():
+            value = read(raw)
+            xi = outcome_ids.get(str(x))
+            if xi is None:
+                unknown = True
+            else:
+                columns[xi][hid] = value
+                got |= 1 << xi
+        if bad_row is None and (got != full or unknown):
+            bad_row = (hid, got, row)
+    empty = family.empty_id
+    if empty not in hypotheses.seen:
+        inf = read("inf")
+        for column in columns:
+            column[empty] = inf
+    missing = [hid for hid in range(len(family)) if hid not in hypotheses.seen and hid != empty]
     if missing:
         labels = [sf.space.label(h) for h in missing]
         raise SchemaError(path, f"kernel misses hypotheses: {labels}")
-    for hid, row in rows.items():
-        for x in sample.outcomes:
-            if x not in row:
-                raise SchemaError(path, f"hypothesis id {hid} misses outcome {x!r}")
-        if len(row) > len(sample.outcomes):  # every outcome is there, and more
-            label = hypotheses.seen[hid]
-            _refuse_unknown(path, f"row for {label!r} has unknown outcomes", row, sample.outcomes)
+    if bad_row is not None:
+        hid, got, row = bad_row
+        if got != full:
+            x = next(x for xi, x in enumerate(outcomes) if not got >> xi & 1)
+            raise SchemaError(path, f"hypothesis id {hid} misses outcome {x!r}")
+        label = hypotheses.seen[hid]
+        names = dict.fromkeys(str(x) for x in row)
+        _refuse_unknown(path, f"row for {label!r} has unknown outcomes", names, outcomes)
     try:
-        return EKernel.from_table(sf.space, sample, rows)
+        return EKernel(sf.space, sample, [from_values(sf.space, column) for column in columns])
     except Exception as exc:
         raise SchemaError(path, str(exc)) from None
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
 from .spaces import Model, Space, SpaceError, preimages
-from .xvalue import ONE, ZERO, XValue, as_xvalue, expectation
+from .xvalue import ONE, ZERO, Scaled, XValue, as_xvalue, dot, scale
 
 
 class KernelError(EvidenceError):
@@ -49,24 +49,31 @@ class SampleSpace:
 
 @dataclass(frozen=True)
 class Pmf:
-    """Probability mass function over a sample space; masses sum to one exactly."""
+    """Probability mass function over a sample space; masses sum to one exactly.
+
+    The masses are scaled to their common denominator once, here (`scaled`),
+    and every expectation is a dot product with that scaled table.
+    """
 
     sample: SampleSpace
     mass: tuple[Fraction, ...]
+    scaled: Scaled = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.mass) != self.sample.size:
             raise KernelError("one mass per outcome is required")
-        if any(m < 0 for m in self.mass):
+        scaled = scale(self.mass)
+        den, nums, _ = scaled
+        if any(n < 0 for n in nums):
             raise KernelError("masses must be non-negative")
-        if sum(self.mass) != 1:
-            raise KernelError(f"masses sum to {sum(self.mass)}, expected 1")
+        if sum(nums) != den:
+            raise KernelError(f"masses sum to {Fraction(sum(nums), den)}, expected 1")
+        object.__setattr__(self, "scaled", scaled)
 
     @classmethod
     def of(cls, sample: SampleSpace, table: Mapping[str, object]) -> "Pmf":
-        return cls(
-            sample, tuple(Fraction(table.get(x, 0)) for x in sample.outcomes)
-        )
+        masses = (table.get(x, 0) for x in sample.outcomes)
+        return cls(sample, tuple(m if type(m) is Fraction else Fraction(m) for m in masses))
 
     def __call__(self, x: int | str) -> Fraction:
         if isinstance(x, str):
@@ -75,7 +82,7 @@ class Pmf:
 
     def expectation(self, values: Sequence[XValue]) -> XValue:
         """Exact expectation; infinite values against zero mass contribute 0."""
-        return expectation(self.mass, values)
+        return dot(self.scaled, scale(values))
 
 
 @dataclass(frozen=True)
@@ -118,15 +125,6 @@ class EKernel:
         self.space = space
         self.sample = sample
         self.columns = tuple(columns)
-
-    @classmethod
-    def from_table(
-        cls, space: Space, sample: SampleSpace, table: Mapping[int, Mapping[str, object]]
-    ) -> "EKernel":
-        cols = []
-        for x in sample.outcomes:
-            cols.append(ev.classify(space, {h: row[x] for h, row in table.items()}))
-        return cls(space, sample, cols)
 
     @property
     def eclass(self) -> EClass:
@@ -177,11 +175,12 @@ def likelihood_kernel(space: Space, pa: ProbabilityAssignment, reference: Pmf) -
 # -- one report shape for every expectation held against a bound -----------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Entry:
     """One statistic held against its bound at a point (None for a statistic
     per distribution). Pair checks name the hypothesis id, others may name a
-    case such as a benchmark row or an outcome."""
+    case such as a benchmark row or an outcome. One is built per pair, so
+    the class is slotted and not frozen, which makes it cheaper to build."""
 
     point: Optional[str]
     stat: XValue
@@ -191,7 +190,7 @@ class Entry:
     ok: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ok", self.stat <= self.bound)
+        self.ok = self.stat <= self.bound
 
 
 @dataclass(frozen=True)
@@ -220,9 +219,9 @@ def check_validity(k: EKernel, pa: ProbabilityAssignment) -> Report:
     points, family = k.space.model.points, k.space.family
     entries = []
     for hid in family.nonempty_ids():
-        var = k.variable(hid)
+        var = scale(k.variable(hid))
         for pi in family.indices(hid):
-            entries.append(Entry(points[pi], pa.pmfs[pi].expectation(var), hid=hid))
+            entries.append(Entry(points[pi], dot(pa.pmfs[pi].scaled, var), hid=hid))
     return Report(tuple(entries))
 
 
@@ -268,19 +267,20 @@ def rejection_set(k: EKernel, alpha: Fraction | int, x: int | str) -> tuple[int,
 LevelRule = Union[str, Mapping[str, XValue]]
 
 
-def outcome_levels(k: EKernel, rule: Mapping[str, object]) -> list[XValue]:
-    """A fixed rule's level per outcome, in outcome order; each lies in (0, inf)."""
+def outcome_thresholds(k: EKernel, rule: Mapping[str, object]) -> list[XValue]:
+    """1/level of a fixed rule's level per outcome, in outcome order; each
+    level lies in (0, inf)."""
     table = {x: as_xvalue(v) for x, v in rule.items()}
     for x, level in table.items():
         if level.is_zero or level.is_inf:
             raise KernelError(f"level {level} at outcome {x!r} is outside (0, inf)")
-    return [table[x] for x in k.sample.outcomes]
+    return [ONE / table[x] for x in k.sample.outcomes]
 
 
-def miss_rate(value: XValue, level: XValue) -> XValue:
-    """1{value >= 1/level} / level: a miss of the confidence set at `level`,
-    weighted by the level's reciprocal."""
-    return (ONE if value >= ONE / level else ZERO) / level
+def miss_rate(value: XValue, threshold: XValue) -> XValue:
+    """1{value >= 1/level} / level, given threshold = 1/level: a miss of the
+    confidence set at `level`, weighted by the level's reciprocal."""
+    return threshold if value >= threshold else ZERO
 
 
 def check_posthoc_validity(
@@ -295,13 +295,13 @@ def check_posthoc_validity(
     """
     if rule == "canonical":
         return check_validity(k, pa)
-    levels = outcome_levels(k, rule)
+    thresholds = outcome_thresholds(k, rule)
     points, family = k.space.model.points, k.space.family
     entries = []
     for hid in family.nonempty_ids():
-        var = [miss_rate(v, level) for v, level in zip(k.variable(hid), levels)]
+        var = scale(map(miss_rate, k.variable(hid), thresholds))
         for pi in family.indices(hid):
-            entries.append(Entry(points[pi], pa.pmfs[pi].expectation(var), hid=hid))
+            entries.append(Entry(points[pi], dot(pa.pmfs[pi].scaled, var), hid=hid))
     return Report(tuple(entries))
 
 
@@ -331,7 +331,8 @@ def eposterior_raw(
     post = EKernel(k.space, k.sample, _product_columns(prior, k))
     entries = []
     for hid in k.space.family.nonempty_ids():
-        stats = {pi: post.expectation(hid, pa.pmfs[pi]) for pi in k.space.family.indices(hid)}
+        var = scale(post.variable(hid))
+        stats = {pi: dot(pa.pmfs[pi].scaled, var) for pi in k.space.family.indices(hid)}
         pi = max(stats, key=stats.__getitem__)
         entries.append(
             Entry(k.space.model.points[pi], stats[pi], bound=prior.values[hid], hid=hid)
@@ -350,11 +351,14 @@ def eposterior_closed(
     post = EKernel(k.space, k.sample, cols)
     least = k.space.least_ids()
     points = k.space.model.points
-    return post, Report(tuple(
-        Entry(points[pi], post.expectation(hid, pa.pmfs[pi]), prior.values[least[pi]], hid)
-        for hid in k.space.family.nonempty_ids()
-        for pi in k.space.family.indices(hid)
-    ))
+    entries = []
+    for hid in k.space.family.nonempty_ids():
+        var = scale(post.variable(hid))
+        for pi in k.space.family.indices(hid):
+            entries.append(
+                Entry(points[pi], dot(pa.pmfs[pi].scaled, var), prior.values[least[pi]], hid)
+            )
+    return post, Report(tuple(entries))
 
 
 # -- finite-horizon processes -------------------------------------------
@@ -593,10 +597,11 @@ def pushforward_kernel(
     pushed = EKernel(target, k.sample, cols)
     report = None
     if pa is not None:
-        report = Report(tuple(
-            Entry(p, pushed.expectation(gid, pa.pmfs[pi]), hid=gid)
-            for gid in target.family.nonempty_ids()
-            for pi, p in enumerate(source.model.points)
-            if bitsets[gid] >> pi & 1
-        ))
+        entries = []
+        for gid in target.family.nonempty_ids():
+            var = scale(pushed.variable(gid))
+            for pi, p in enumerate(source.model.points):
+                if bitsets[gid] >> pi & 1:
+                    entries.append(Entry(p, dot(pa.pmfs[pi].scaled, var), hid=gid))
+        report = Report(tuple(entries))
     return pushed, report

@@ -16,16 +16,22 @@ Floats are rejected on construction, and no value is ever turned into
 one: rendering, ordering and ranking all work on the exact value.
 
 The hot paths work on plain ints, never through ``Fraction``'s operators:
-comparisons cross-multiply numerators and denominators, :func:`order_keys`
+comparisons cross-multiply numerators and denominators, and :func:`order_keys`
 scales a table to one common denominator so that its values order as
-integers, and :func:`expectation` sums one integer numerator/denominator
-pair and builds a single ``Fraction`` at the end. All of it is exact.
+integers. Expectations work on scaled tables: :func:`scale` turns a table
+into its least common denominator, one integer numerator per position (0
+where the value is inf) and a bit mask of the infinite positions. The
+expectation of two scaled tables is their :func:`dot`: one integer sum of
+products, one gcd when the result is wrapped, and zero mass against inf
+giving 0. A distribution is scaled once, when it is built, and a variable
+once for all the distributions it is held against. All of it is exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rationalish = Union[int, str, Fraction, "XValue"]
@@ -208,28 +214,50 @@ def as_xvalue(value: Rationalish) -> XValue:
     return _coerce(value)
 
 
-def expectation(masses: Iterable[Fraction], values: Iterable[XValue]) -> XValue:
-    """Exact sum of mass * value over the non-negative masses of a distribution.
+# A scaled table: (common denominator, numerators, mask of infinite positions).
+Scaled = tuple[int, tuple[int, ...], int]
 
-    Zero mass contributes 0, also against inf; a positive mass against inf
-    makes the sum inf. The sum is kept as one integer numerator/denominator
-    pair, reduced once when it is wrapped.
+
+def scale(table: Iterable[Rationalish]) -> Scaled:
+    """A table of masses or values over its least common denominator.
+
+    Each position gets the integer numerator of its value at that
+    denominator, and 0 with its bit set in the mask where the value is inf.
     """
-    num, den = 0, 1
-    for m, v in zip(masses, values):
-        if m:
-            f = v._frac
-            if f is None:
-                return INF
-            if type(m) is not Fraction:
-                m = Fraction(m)
-            term_num = m._numerator * f._numerator
-            term_den = m._denominator * f._denominator
-            if term_den == den:
-                num += term_num
-            else:
-                num, den = num * term_den + term_num * den, den * term_den
-    return _exact(_nonnegative(Fraction(num, den)))
+    nums, dens, inf = [], [], 0
+    for i, v in enumerate(table):
+        f = v._frac if type(v) is XValue else v if type(v) is Fraction else Fraction(v)
+        if f is None:
+            inf |= 1 << i
+            nums.append(0)
+            dens.append(1)
+        else:
+            nums.append(f._numerator)
+            dens.append(f._denominator)
+    common = math.lcm(*dens)
+    if common != 1:
+        nums = [n * (common // d) for n, d in zip(nums, dens)]
+    return common, tuple(nums), inf
+
+
+def dot(a: Scaled, b: Scaled) -> XValue:
+    """Exact sum of the products of two scaled tables of one length,
+    position by position.
+
+    A product of 0 and inf is 0; a positive value against inf makes the sum
+    inf. The finite products are summed as integers and the sum is reduced
+    once, when it is wrapped.
+    """
+    a_den, a_nums, a_inf = a
+    b_den, b_nums, b_inf = b
+    either = a_inf | b_inf
+    while either:
+        low = either & -either
+        i = low.bit_length() - 1
+        if (a_nums[i] or a_inf & low) and (b_nums[i] or b_inf & low):
+            return INF
+        either ^= low
+    return _exact(_nonnegative(Fraction(sum(map(mul, a_nums, b_nums)), a_den * b_den)))
 
 
 def order_keys(values: Sequence[XValue]) -> list[int]:

@@ -373,6 +373,25 @@ def oracle_expectation(pmf, values):
     return XValue(total)
 
 
+def termwise_expectation(masses, values):
+    """The expectation term by term, as one integer numerator/denominator
+    pair cross-multiplied at each term and reduced once at the end; zero
+    mass against inf contributes 0."""
+    num, den = 0, 1
+    for m, v in zip(masses, values):
+        if m:
+            if v.is_inf:
+                return INF
+            m, f = Fraction(m), v.as_fraction()
+            term_num = m.numerator * f.numerator
+            term_den = m.denominator * f.denominator
+            if term_den == den:
+                num += term_num
+            else:
+                num, den = num * term_den + term_num * den, den * term_den
+    return XValue(Fraction(num, den))
+
+
 def oracle_stopping_times(tree):
     """Every adapted stopping rule, as a stop depth per outcome.
 

@@ -1,7 +1,9 @@
 """The command line end to end: exit codes, records and text output on a fixed corpus."""
 
+import codecs
 import dataclasses
 import io
+import locale
 import os
 import resource
 import subprocess
@@ -14,6 +16,7 @@ import yaml
 
 import helpers
 from emeasure import XValue, cli, fileio, golden
+from emeasure import evidence as ev
 from emeasure import kernels as kn
 
 DATA = Path(__file__).parent / "data"
@@ -214,19 +217,22 @@ class CountingStdout(io.StringIO):
         return super().write(text)
 
 
-def _power_set_validity_argv(directory, n):
-    """`check --check validity` of the constant-one kernel on the power set of n points."""
+def _power_set_validity_argv(directory, n, outcomes=("x", "y")):
+    """`check --check validity` of the constant-one kernel on the power set of
+    n points, with a uniform distribution over the outcomes at every point."""
     space = helpers.power_space(n)
     points = ", ".join(space.model.points)
     directory.mkdir()
     (directory / "space.yaml").write_text(
         f"points: [{points}]\ngenerators: [{', '.join(f'[{p}]' for p in space.model.points)}]\n"
     )
+    masses = ", ".join(f"{x}: 1/{len(outcomes)}" for x in outcomes)
     (directory / "model.yaml").write_text(
-        "pmf:\n" + "".join(f"  {p}: {{x: 1/2, y: 1/2}}\n" for p in space.model.points)
+        "pmf:\n" + "".join(f"  {p}: {{{masses}}}\n" for p in space.model.points)
     )
+    ones = ", ".join(f"{x}: 1" for x in outcomes)
     (directory / "kernel.yaml").write_text("kernel:\n" + "".join(
-        f'  "{helpers.member_label(space, hid)}": {{x: 1, y: 1}}\n'
+        f'  "{helpers.member_label(space, hid)}": {{{ones}}}\n'
         for hid in space.family.nonempty_ids()
     ))
     return ["check", "--check", "validity", "--format", "records",
@@ -242,6 +248,136 @@ def test_a_report_takes_as_many_writes_on_256_members_as_on_16(tmp_path, monkeyp
         assert len(stdout.getvalue().splitlines()) == n << (n - 1)  # one record per pair
         writes[n] = stdout.writes
     assert writes[8] == writes[4]
+
+
+BIG = "7" * 4301  # one digit past what int() reads from text
+
+
+def _big_number_argv(directory, kind):
+    """A run that reads BIG from one input file of the given kind, and that file."""
+    space, model = DATA / "space_coin.yaml", DATA / "model_coin.yaml"
+    kernel, evidence = COIN_KERNELS[1], DATA / "evidence_ic_function.yaml"
+    path = directory / f"{kind}.yaml"
+    if kind == "kernel":
+        path.write_text(f"kernel:\n  p: {{HH: {BIG}, HT: 1, TH: 1, TT: 1}}\n")
+        kernel = path
+    elif kind == "evidence":
+        path.write_text(f"evidence:\n  a: {BIG}\n")
+        evidence = path
+    elif kind == "pmf":
+        path.write_text(f"pmf:\n  p: {{HH: {BIG}, HT: 0, TH: 0, TT: 0}}\n")
+        model = path
+    else:
+        path.write_text(f"points: [p, q]\npreorder:\n  - [p, {BIG}]\n")
+        space = path
+    if kind == "evidence":
+        argv = ["closure", "--space", str(DATA / "space_gens_ic.yaml"), "--evidence", str(evidence)]
+    else:
+        argv = ["check", "--check", "validity", "--space", str(space), "--model", str(model),
+                "--kernel", str(kernel)]
+    return argv, path
+
+
+@pytest.mark.parametrize("kind", ["kernel", "evidence", "pmf", "preorder"])
+def test_a_number_past_4300_digits_is_a_schema_error_naming_its_file(tmp_path, capsys, kind):
+    argv, path = _big_number_argv(tmp_path, kind)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INPUT, "")
+    assert captured.err == (
+        f"error: {path}: value out of range: Exceeds the limit (4300 digits) for integer "
+        "string conversion: value has 4301 digits\n"
+    )
+
+
+def test_a_date_that_does_not_exist_is_a_schema_error_naming_its_file(tmp_path, capsys):
+    path = tmp_path / "space.yaml"
+    path.write_text("points: [p, q]\npreorder:\n  - [p, 2020-13-45]\n")
+    code = cli.main(["space", "--space", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INPUT, "")
+    assert captured.err == f"error: {path}: value out of range: month must be in 1..12\n"
+
+
+def _counting_strength(monkeypatch):
+    """Count the calls of `evidence._strength`, the class computation."""
+    calls = []
+    strength = ev._strength
+    monkeypatch.setattr(ev, "_strength", lambda space, values: calls.append(1) or strength(space, values))
+    return calls
+
+
+@pytest.mark.parametrize("check, options, most", [
+    ("validity", [], 0),
+    ("posthoc", [], 0),
+    ("posthoc", ["--rule", "1/2"], 0),
+    ("fwe", [], 0),
+    ("predictive", [], 0),
+    ("fer", [], 8),  # at most once per outcome's column
+])
+def test_checks_classify_only_the_columns_they_read(tmp_path, monkeypatch, capsys, check, options, most):
+    """On a 256-member kernel whose outcomes are its 8 points."""
+    points = helpers.power_space(8).model.points
+    argv = _power_set_validity_argv(tmp_path / "files", 8, outcomes=points)
+    argv[argv.index("validity")] = check
+    calls = _counting_strength(monkeypatch)
+    assert cli.main(argv + options) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(calls) <= most
+
+
+def _no_class(space, values):
+    raise AssertionError("the class was computed")
+
+
+CLOSURE_CASES = [
+    ["closure", "--space", str(DATA / space), "--evidence", str(DATA / evidence)]
+    for space, evidence in [
+        ("space_gens_ic.yaml", "evidence_ic_capacity.yaml"),
+        ("space_gens_ic.yaml", "evidence_ic_function.yaml"),
+        ("space_gens_named.yaml", "evidence_named_measure.yaml"),
+        ("space_tangled.yaml", "evidence_tangled.yaml"),
+    ]
+]
+
+
+@pytest.mark.parametrize("argv", CLOSURE_CASES, ids=lambda argv: Path(argv[-1]).stem)
+def test_closure_records_compute_no_class(monkeypatch, capsys, argv):
+    argv = argv + ["--format", "records"]
+    assert cli.main(argv) == cli.EXIT_OK
+    expected = capsys.readouterr()
+    monkeypatch.setattr(ev, "_strength", _no_class)
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["closure", "--space", "space_gens_ic.yaml", "--evidence", "evidence_missing_member.yaml"],
+     "evidence_missing_member.yaml: table misses hypothesis ids [6]"),
+    (["closure", "--space", "space_gens_ic.yaml", "--evidence", "evidence_ic_empty_finite.yaml"],
+     "evidence_ic_empty_finite.yaml: the empty hypothesis must carry infinite evidence"),
+], ids=["missing-member", "empty-finite"])
+def test_a_table_is_refused_before_its_class_is_computed(monkeypatch, capsys, argv, error):
+    monkeypatch.setattr(ev, "_strength", _no_class)
+    argv = [str(DATA / arg) if arg.endswith(".yaml") else arg for arg in argv]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INPUT, "")
+    assert captured.err == f"error: {DATA / error}\n"
+
+
+@pytest.mark.skipif(
+    codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+    reason="input files are read in the locale's encoding",
+)
+def test_a_file_that_is_not_text_is_a_schema_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "space.yaml"
+    path.write_bytes(b"points: [caf\xe9]\n")
+    code = cli.main(["space", "--space", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INPUT, "")
+    assert captured.err.startswith(f"error: {path}: not text: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_check_has_no_alpha_option(capsys):

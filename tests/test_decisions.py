@@ -18,12 +18,18 @@ from emeasure import (
     Preorder,
     ProbabilityAssignment,
     SampleSpace,
+    SelectionRule,
     XValue,
     admissible_decisions,
     build_consequence_class,
     check_econsequence_bound,
+    check_fer,
+    check_fwe,
     check_grunwald_bound,
     check_posthoc_consequence_bound,
+    check_posthoc_validity,
+    check_predictive_validity,
+    check_validity,
     constant_kernel,
     dirac_measure,
     e_integrated_loss,
@@ -35,6 +41,7 @@ from emeasure import (
     class_from_preorder,
     preorder_from_class,
     shilkret_integral,
+    sup_of,
     unit_measure,
 )
 from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
@@ -360,6 +367,91 @@ def test_fixed_level_consequence_bound_matches_its_definition():
             v == XValue(1) / level for col, level in zip(k.columns, levels) for v in col.values
         )
     assert zeros and infs and ties
+
+
+LEVELS = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2)]
+
+
+def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
+    """Validity, fixed-level post-hoc, FWE, FER, predictive and the three
+    decide bounds: each variable is built here from the definitions, and
+    each entry is its plain Fraction expectation. Distributions have zero
+    masses and tables have zero and infinite values."""
+    r = helpers.rng(211)
+    zero_against_inf = 0
+    for _ in range(25):
+        space = helpers.rand_ic_space(r, max_points=4)
+        members, points = space.family.members, space.model.points
+        sample = SampleSpace(points)  # predictive checks read points as outcomes
+        pa = helpers.rand_pa(r, space.model, sample, full_support=False)
+        k = EKernel(space, sample, [helpers.rand_capacity(r, space) for _ in points])
+        expect = helpers.oracle_expectation
+        pairs = [(hid, pi) for hid in space.family.nonempty_ids() for pi in members[hid].indices()]
+        zero_against_inf += any(
+            m == 0 and v.is_inf for hid, pi in pairs for m, v in zip(pa.pmfs[pi].mass, k.variable(hid))
+        )
+
+        def stats(report):
+            return [(e.point, e.hid, e.stat) for e in report.entries]
+
+        assert stats(check_validity(k, pa)) == [
+            (points[pi], hid, expect(pa.pmfs[pi], k.variable(hid))) for hid, pi in pairs
+        ]
+        levels = [XValue(r.choice(LEVELS)) for _ in points]
+        cuts = [XValue(1) / level for level in levels]
+        miss = {hid: [c if v >= c else XValue(0) for v, c in zip(k.variable(hid), cuts)]
+                for hid, _ in pairs}
+        assert stats(check_posthoc_validity(k, pa, dict(zip(points, levels)))) == [
+            (points[pi], hid, expect(pa.pmfs[pi], miss[hid])) for hid, pi in pairs
+        ]
+        true_ids = [[hid for hid, m in enumerate(members) if pi in m] for pi in range(len(points))]
+        sup_true = [[sup_of(col.values[h] for h in ids) for col in k.columns] for ids in true_ids]
+        assert stats(check_fwe(k, pa)) == [
+            (p, None, expect(pa.pmfs[pi], sup_true[pi])) for pi, p in enumerate(points)
+        ]
+        selected = [hid for hid, _ in pairs if r.random() < 0.5]
+        rule = SelectionRule.fixed(sample, selected)
+        fep = [
+            [sum((col.values[h] for h in selected if pi in members[h]), XValue(0))
+             / XValue(max(len(selected), 1)) for col in k.columns]
+            for pi in range(len(points))
+        ]
+        assert stats(check_fer(k, pa, rule)) == [
+            (p, None, expect(pa.pmfs[pi], fep[pi])) for pi, p in enumerate(points)
+        ]
+        sup_at_outcome = [sup_true[xi][xi] for xi in range(len(points))]
+        assert stats(check_predictive_validity(k, pa.pmfs).stats) == [
+            (None, None, expect(pmf, sup_at_outcome)) for pmf in pa.pmfs
+        ]
+
+        table, cspace, csample = consequence_instance(r)
+        cpa = helpers.rand_pa(r, table.model, csample, full_support=False)
+        ck = EKernel(cspace, csample, [helpers.rand_capacity(r, cspace) for _ in csample.outcomes])
+        report = check_econsequence_bound(ck, cpa, table)
+        assert [(e.case, e.point, e.stat) for e in report.entries] == consequence_entries(
+            ck, cpa, table, lambda values, xi: sup_of(values)
+        )
+        clevels = [XValue(r.choice(LEVELS)) for _ in csample.outcomes]
+        report = check_posthoc_consequence_bound(ck, cpa, table, dict(zip(csample.outcomes, clevels)))
+        assert [(e.case, e.point, e.stat) for e in report.entries] == consequence_entries(
+            ck, cpa, table, lambda values, xi: miss_rate(values, clevels[xi])
+        )
+        loss = rand_numeric_loss(r, table.model)
+        lspace = build_consequence_class(loss.to_consequence_table())
+        lk = EKernel(lspace, csample, [helpers.rand_capacity(r, lspace) for _ in csample.outcomes])
+        integrated = [
+            [shilkret_integral(OrderMeasurableFn(lspace, loss.column(d)), col) for col in lk.columns]
+            for d in range(len(loss.decisions))
+        ]
+        ratios = [
+            [sup_of(loss.entries[pi][d] / integrated[d][xi] for d in range(len(loss.decisions)))
+             for xi in range(csample.size)]
+            for pi in range(table.model.size)
+        ]
+        assert [(e.point, e.stat) for e in check_grunwald_bound(lk, cpa, loss).entries] == [
+            (p, expect(cpa.pmfs[pi], ratios[pi])) for pi, p in enumerate(table.model.points)
+        ]
+    assert zero_against_inf >= 5
 
 
 def test_posthoc_consequence_bound_catches_invalid_kernels():

@@ -20,6 +20,7 @@ from emeasure import (
     unit_measure,
 )
 from emeasure.evidence import ClassMismatch, NotAnEFunction, from_values, measure_from_density
+from emeasure import evidence as ev
 from emeasure import golden
 
 
@@ -69,6 +70,46 @@ def test_classify_matches_pairwise_definitions_on_random_tables():
             assert table.eclass is helpers.oracle_eclass(space, table.values)
             seen.add(table.eclass)
     assert seen == set(EClass)
+
+
+def test_the_class_is_computed_when_first_read_and_matches_the_definitions(monkeypatch):
+    """Function, capacity and measure tables over intersection-closed and
+    union-closed spaces: wrapping one computes no class, and the class read
+    later is the one the pairwise definitions give."""
+    calls = []
+    strength = ev._strength
+    monkeypatch.setattr(ev, "_strength", lambda space, values: calls.append(1) or strength(space, values))
+    r = helpers.rng(23)
+    seen = set()
+    for i in range(60):
+        space = helpers.rand_ic_space(r) if i % 2 else helpers.rand_uc_space(r, max_points=5)
+        raw = {hid: helpers.rand_xvalue(r) for hid in range(len(space.family))}
+        raw[space.family.empty_id] = INF
+        capacity = helpers.rand_capacity(r, space).values
+        tables = [raw, dict(enumerate(capacity))]
+        if space.intersection_closed:
+            tables.append(dict(enumerate(helpers.rand_measure(r, space).values)))
+        for table in tables:
+            calls.clear()
+            e = classify(space, table)
+            assert calls == []
+            assert e.eclass is helpers.oracle_eclass(space, e.values)
+            assert e.eclass is e.eclass and len(calls) == 1  # computed once
+            seen.add((space.intersection_closed, e.eclass))
+    assert seen == {(ic, eclass) for ic in (False, True) for eclass in EClass}
+
+
+def test_refusals_come_before_any_class_is_computed(monkeypatch):
+    def refuse(space, values):
+        raise AssertionError("the class was computed")
+
+    monkeypatch.setattr(ev, "_strength", refuse)
+    space = helpers.power_space(2)
+    with pytest.raises(NotAnEFunction, match=r"table misses hypothesis ids \[3\]"):
+        classify(space, {0: INF, 1: 1, 2: 1})
+    with pytest.raises(NotAnEFunction, match="the empty hypothesis must carry infinite evidence"):
+        from_values(space, [5, 4, 2, 1])
+    assert classify(space, {0: INF, 1: 1, 2: 1, 3: 1}).values[3] == XValue(1)
 
 
 def test_closure_bruteforce_two_point_example():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 from emeasure import INF, ONE, XValue, ZERO, as_xvalue, inf_of, parse_xvalue, sup_of
-from emeasure.xvalue import expectation, order_keys
+from emeasure.xvalue import dot, order_keys, scale
 
 fractions = st.fractions(min_value=0, max_value=100)
 
@@ -153,7 +153,12 @@ def test_arithmetic_results_are_checked_values(op, expected, a, b):
     assert result == xv(expected(a, b))
 
 
-def termwise_expectation(masses, values):
+def expectation(masses, values):
+    """The package's expectation: the dot product of the two scaled tables."""
+    return dot(scale(masses), scale(values))
+
+
+def xvalue_sum_expectation(masses, values):
     """The expectation as one checked XValue product and sum per term."""
     total = XValue(0)
     for m, v in zip(masses, values):
@@ -166,7 +171,7 @@ def test_expectation_matches_the_termwise_sum(terms):
     masses = [m for m, _ in terms]
     values = [xv(v) for _, v in terms]
     result = expectation(masses, values)
-    assert result == termwise_expectation(masses, values)
+    assert result == xvalue_sum_expectation(masses, values)
     assert result._frac is None or type(result._frac) is Fraction
 
 
@@ -178,7 +183,7 @@ def test_expectation_of_a_pmf_matches_the_termwise_sum():
         pmf = helpers.rand_pmf(r, sample, full_support=False)
         values = [helpers.rand_xvalue(r) for _ in sample.outcomes]
         seen_zero_against_inf += any(m == 0 and v.is_inf for m, v in zip(pmf.mass, values))
-        assert pmf.expectation(values) == termwise_expectation(pmf.mass, values)
+        assert pmf.expectation(values) == xvalue_sum_expectation(pmf.mass, values)
     assert seen_zero_against_inf >= 10
 
 
@@ -289,13 +294,60 @@ mixed_masses = st.one_of(
 def test_integer_expectation_equals_the_fraction_sum(terms):
     masses, values = [m for m, _ in terms], [XValue(v) for _, v in terms]
     result = expectation(masses, values)
-    assert result == termwise_expectation(masses, values)
+    assert result == xvalue_sum_expectation(masses, values)
     exact = sum((Fraction(m) * v for m, v in terms), Fraction(0))
     assert type(result._frac) is Fraction
     assert (result._frac.numerator, result._frac.denominator) == (
         exact.numerator,
         exact.denominator,
     )
+
+
+def _rand_term(r):
+    """A (mass, value) term: masses as int or Fraction, zero or not; values
+    0, inf, or with denominators up to 10**6 or past 4300 digits."""
+    kind = r.randrange(4)
+    if kind == 0:
+        mass = r.randint(0, 2)
+    elif kind == 1:
+        mass = Fraction(0)
+    else:
+        mass = Fraction(r.randint(0, 9), r.randint(1, 10**6 if kind == 2 else 9))
+    pick = r.random()
+    if pick < 0.15:
+        value = INF
+    elif pick < 0.25:
+        value = ZERO
+    elif pick < 0.4:
+        value = XValue(Fraction(r.randint(0, HUGE), r.randint(HUGE // 10, HUGE)))
+    else:
+        value = XValue(Fraction(r.randint(0, 10**7), r.randint(1, 10**6)))
+    return mass, value
+
+
+def test_dot_equals_the_termwise_expectation():
+    r = helpers.rng(151)
+    seen = {"zero mass against inf": 0, "positive mass against inf": 0,
+            "int mass": 0, "past 4300 digits": 0}
+    for _ in range(600):
+        terms = [_rand_term(r) for _ in range(r.randint(0, 6))]
+        masses, values = [m for m, _ in terms], [v for _, v in terms]
+        result = dot(scale(masses), scale(values))
+        assert result == helpers.termwise_expectation(masses, values)
+        assert result._frac is None or type(result._frac) is Fraction
+        seen["zero mass against inf"] += any(not m and v.is_inf for m, v in terms)
+        seen["positive mass against inf"] += any(m and v.is_inf for m, v in terms)
+        seen["int mass"] += any(type(m) is int for m in masses)
+        seen["past 4300 digits"] += any(
+            not v.is_inf and v.as_fraction().denominator > 10**4300 for v in values
+        )
+    assert min(seen.values()) >= 30, seen
+
+
+def test_scale_puts_every_table_over_one_denominator():
+    den, nums, inf = scale([Fraction(1, 2), INF, XValue(Fraction(2, 3)), 1, ZERO])
+    assert (den, nums, inf) == (6, (3, 0, 4, 6, 0), 0b10)
+    assert scale([]) == (1, (), 0)
 
 
 def test_parse_refuses_negative_infinity():
