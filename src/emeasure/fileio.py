@@ -535,14 +535,20 @@ def load_tree(path: Path | str, sample: SampleSpace) -> FiltrationTree:
     return FiltrationTree(sample, _tree_shape(path, shape))
 
 
-def _tree_shape(path, node):
-    if isinstance(node, str):
-        return node
-    if not isinstance(node, list) or not node:
-        raise SchemaError(
-            path, f"tree node {node!r} is neither an outcome label nor a non-empty list of nodes"
-        )
-    return [_tree_shape(path, child) for child in node]
+def _tree_shape(path, shape):
+    """The shape, once each of its nodes, visited in pre-order without
+    recursion, is an outcome label or a non-empty list of nodes."""
+    todo = [shape]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            continue
+        if not isinstance(node, list) or not node:
+            raise SchemaError(
+                path, f"tree node {node!r} is neither an outcome label nor a non-empty list of nodes"
+            )
+        todo.extend(reversed(node))
+    return shape
 
 
 def _decision_rows(path, table: dict, model: Model, decisions) -> dict[str, dict]:

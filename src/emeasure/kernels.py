@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
 from .spaces import Model, Space, SpaceError, preimages
-from .xvalue import ONE, ZERO, Scaled, XValue, as_xvalue, dot, scale
+from .xvalue import INF, ONE, ZERO, Scaled, XValue, as_xvalue, dot, ratio, scale
 
 
 class KernelError(EvidenceError):
@@ -365,60 +366,69 @@ def eposterior_closed(
 
 TreeShape = Union[str, Sequence["TreeShape"]]
 
+# A tree node: its depth t, its outcomes lo..hi-1 and its children's indices
+# in the node list.
+TreeNode = tuple[int, int, int, tuple[int, ...]]
+
 
 class FiltrationTree:
     """Finite rooted tree whose leaves are the outcomes; depth is the horizon.
 
-    Level t of the filtration groups outcomes by their depth-t ancestor;
-    a leaf shallower than t stays its own atom from its depth onward.
+    The tree is flattened once, without recursion, into `nodes` in
+    post-order: every child comes before its parent and the root is last.
+    At step t the filtration's atoms are the depth-t nodes; a leaf shallower
+    than t stays its own atom from its depth onward.
     """
 
     def __init__(self, sample: SampleSpace, shape: TreeShape):
         self.sample = sample
         self.shape = shape
-        leaves = list(self._leaves(shape))
+        self.nodes, leaves = _flatten(shape)
         if tuple(leaves) != sample.outcomes:
             raise KernelError("tree leaves must enumerate the outcomes in order")
-        self.depth = self._depth(shape)
-        self.levels = tuple(
-            tuple(self._atoms(shape, t)) for t in range(self.depth + 1)
-        )
-
-    @staticmethod
-    def _leaves(shape: TreeShape):
-        if isinstance(shape, str):
-            yield shape
-        else:
-            for child in shape:
-                yield from FiltrationTree._leaves(child)
-
-    @staticmethod
-    def _depth(shape: TreeShape) -> int:
-        if isinstance(shape, str):
-            return 0
-        return 1 + max(FiltrationTree._depth(c) for c in shape)
-
-    def _atoms(self, shape: TreeShape, t: int) -> list[tuple[int, ...]]:
-        if isinstance(shape, str) or t == 0:
-            return [tuple(self.sample.index(x) for x in self._leaves(shape))]
-        out = []
-        for child in shape:
-            out.extend(self._atoms(child, t - 1))
-        return out
+        self.depth = max(t for t, _, _, _ in self.nodes)
 
     def count_stopping_times(self) -> int:
         """Number of adapted stopping rules: cuts through the tree that meet
         each root-to-leaf path exactly once."""
-
-        def count(shape: TreeShape) -> int:
-            if isinstance(shape, str):
-                return 1
+        counts = []
+        for _, _, _, children in self.nodes:
             prod = 1
-            for child in shape:
-                prod *= count(child)
-            return 1 + prod
+            for c in children:
+                prod *= counts[c]
+            counts.append(1 + prod if children else 1)
+        return counts[-1]
 
-        return count(self.shape)
+
+_CLOSE = object()
+
+
+def _flatten(shape: TreeShape) -> tuple[list[TreeNode], list[str]]:
+    """The post-order nodes of a tree shape and its leaves, left to right."""
+    nodes: list[TreeNode] = []
+    leaves: list[str] = []
+    # The internal nodes not yet closed, as (depth, first leaf, child
+    # indices); the bottom entry collects the root.
+    opened: list[tuple[int, int, list[int]]] = [(0, 0, [])]
+    todo = [(shape, 0)]
+    while todo:
+        node, t = todo.pop()
+        if node is _CLOSE:
+            t, lo, kids = opened.pop()
+            node = (t, lo, len(leaves), tuple(kids))
+        elif isinstance(node, str):
+            leaves.append(node)
+            node = (t, len(leaves) - 1, len(leaves), ())
+        elif not node:
+            raise KernelError("a tree node needs an outcome label or at least one child")
+        else:
+            opened.append((t, len(leaves), []))
+            todo.append((_CLOSE, t))
+            todo.extend((child, t + 1) for child in reversed(node))
+            continue
+        opened[-1][2].append(len(nodes))
+        nodes.append(node)
+    return nodes, leaves
 
 
 class EProcess:
@@ -435,20 +445,24 @@ class EProcess:
         self.kernels = tuple(kernels)
         self.space = space
 
-    def measurability_violations(self) -> list[tuple[int, tuple[int, ...], int]]:
-        """(t, atom, hid) triples where a step peeks beyond its information."""
-        out = []
-        for t, atoms in enumerate(self.tree.levels):
-            k = self.kernels[t]
-            for atom in atoms:
-                base = k.columns[atom[0]].values
-                for xi in atom[1:]:
-                    other = k.columns[xi].values
-                    for hid, (a, b) in enumerate(zip(base, other)):
-                        if a != b:
-                            out.append((t, atom, hid))
-                            break
-        return out
+    def require_measurable(self) -> None:
+        """Raise MeasurabilityError at the first step, in time and then
+        outcome order, whose tables differ inside one of its atoms."""
+        outcomes = self.tree.sample.outcomes
+        for t, lo, hi, children in sorted(self.tree.nodes):
+            if not children:
+                continue  # a leaf is a one-outcome atom
+            columns = self.kernels[t].columns
+            base = columns[lo].values
+            for xi in range(lo + 1, hi):
+                other = columns[xi].values
+                if other != base:
+                    hid = next(h for h, (a, b) in enumerate(zip(base, other)) if a != b)
+                    raise MeasurabilityError(
+                        f"step {t} gives hypothesis {self.space.label(hid)} different "
+                        f"values at outcomes {outcomes[lo]} and {outcomes[xi]}, "
+                        f"which share one atom at that step"
+                    )
 
     @property
     def eclass(self) -> EClass:
@@ -461,8 +475,9 @@ class EProcess:
 @dataclass(frozen=True)
 class AnytimeReport:
     """Per pair, the largest expected stopped evidence over the
-    `rules_checked` stopping rules; `rule` attains it at the first violating
-    pair, as a stop depth per outcome (None when every pair holds)."""
+    `rules_checked` stopping rules, computed by one integer walk of the
+    tree; `rule` attains it at the first violating pair, as a stop depth per
+    outcome (None when every pair holds). Only that pair's rule is built."""
 
     rules_checked: int
     stats: Report
@@ -476,50 +491,82 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
     E_P[e_tau(H)] over adapted stopping rules tau is the Snell envelope at
     the root, in unnormalised masses: W(node) = max(P(node) e_t(H | node),
     sum of W over the children), and a leaf's W is its own stop value.
-    Zero-mass nodes contribute 0 even against infinite evidence. The
-    maximising rule stops at every node where stopping attains W (ties
-    stop); the first violating pair, in check_validity order, is reported
-    with that rule.
+
+    The walk is in ints: node masses are slice sums of each point's scaled
+    distribution, and each hypothesis's step values on the nodes are scaled
+    once (measurability makes e_t constant on a depth-t node, so its first
+    outcome stands in). A stop value is the product of two numerators, and
+    the root's W over the two denominators is the pair's one exact value.
+    Zero mass against inf gives 0; positive mass against inf makes the
+    pair's value inf. The maximising rule stops wherever stopping attains W
+    (ties stop); it is built only for the first violating pair, in
+    check_validity order.
     """
-    violations = proc.measurability_violations()
-    if violations:
-        t, atom, hid = violations[0]
-        raise MeasurabilityError(
-            f"step {t} varies inside atom {atom} at hypothesis {hid}"
-        )
+    proc.require_measurable()
+    nodes = proc.tree.nodes
+    children = [c for _, _, _, c in nodes]
+    steps = [proc.kernels[t].columns[lo].values for t, lo, _, _ in nodes]
+    # Per point: its distribution's denominator, its node mass numerators and
+    # the bit mask of the nodes it charges.
+    masses = []
+    for pmf in pa.pmfs:
+        den, nums, _ = pmf.scaled
+        mass = [sum(nums[lo:hi]) for _, lo, hi, _ in nodes]
+        charged = sum(1 << i for i, m in enumerate(mass) if m)
+        masses.append((den, mass, charged))
+    points, family = proc.space.model.points, proc.space.family
     entries = []
     witness = None
-    for hid in proc.space.family.nonempty_ids():
-        for pi in proc.space.family.indices(hid):
-            stat, rule = _envelope(proc, hid, pa.pmfs[pi].mass)
-            entries.append(Entry(proc.space.model.points[pi], stat, hid=hid))
+    for hid in family.nonempty_ids():
+        vden, values, inf = scale([step[hid] for step in steps])
+        for pi in family.indices(hid):
+            mden, mass, charged = masses[pi]
+            stop = list(map(mul, mass, values))
+            w = _snell(children, stop)
+            blown = inf & charged
+            stat = INF if blown else ratio(w[-1], mden * vden)
+            entries.append(Entry(points[pi], stat, hid=hid))
             if witness is None and not entries[-1].ok:
-                witness = rule
+                witness = _stop_rule(nodes, stop, w, blown)
     return AnytimeReport(proc.tree.count_stopping_times(), Report(tuple(entries)), witness)
 
 
-def _envelope(
-    proc: EProcess, hid: int, mass: Sequence[Fraction]
-) -> tuple[XValue, tuple[int, ...]]:
-    """Snell envelope at the root and its rule, as a stop depth per outcome."""
+def _snell(children: Sequence[tuple[int, ...]], stop: Sequence[int]) -> list[int]:
+    """W per node in post-order: max(stop, sum of the children's W)."""
+    w: list[int] = []
+    get = w.__getitem__
+    for s, kids in zip(stop, children):
+        if kids:
+            cont = sum(map(get, kids))
+            if cont > s:
+                s = cont
+        w.append(s)
+    return w
 
-    def walk(shape: TreeShape, t: int, lo: int):
-        # Returns (W, the node's mass, stop depths of its leaves, next leaf).
-        if isinstance(shape, str):
-            hi, node_mass, cont = lo + 1, mass[lo], None
+
+def _stop_rule(
+    nodes: Sequence[TreeNode], stop: Sequence[int], w: Sequence[int], blown: int
+) -> tuple[int, ...]:
+    """The rule that stops where stopping attains W, as a stop depth per outcome.
+
+    `blown` marks the nodes where positive mass meets infinite evidence.
+    Their stop value and every W above them is inf, which the int arrays do
+    not hold: such a node stops, and a node with one below it continues.
+    """
+    inf_below = []  # per node, whether it or a node below it is blown
+    for i, (_, _, _, kids) in enumerate(nodes):
+        inf_below.append(bool(blown >> i & 1) or any(inf_below[k] for k in kids))
+    rule = [0] * nodes[-1][2]
+    todo = [len(nodes) - 1]
+    while todo:
+        i = todo.pop()
+        t, lo, hi, kids = nodes[i]
+        stops = blown >> i & 1 if inf_below[i] else stop[i] == w[i]
+        if stops or not kids:
+            rule[lo:hi] = [t] * (hi - lo)
         else:
-            hi, node_mass, cont, rule = lo, Fraction(0), XValue(0), ()
-            for child in shape:
-                w, m, r, hi = walk(child, t + 1, hi)
-                node_mass, cont, rule = node_mass + m, cont + w, rule + r
-        # Measurability makes e_t constant on the node, so its first leaf stands in.
-        stop = XValue(node_mass) * proc.kernels[t].columns[lo].values[hid]
-        if cont is None or stop >= cont:
-            return stop, node_mass, (t,) * (hi - lo), hi
-        return cont, node_mass, rule, hi
-
-    w, _, rule, _ = walk(proc.tree.shape, 0, 0)
-    return w, rule
+            todo.extend(kids)
+    return tuple(rule)
 
 
 def close_process(proc: EProcess) -> EProcess:

@@ -24,7 +24,11 @@ where the value is inf) and a bit mask of the infinite positions. The
 expectation of two scaled tables is their :func:`dot`: one integer sum of
 products, one gcd when the result is wrapped, and zero mass against inf
 giving 0. A distribution is scaled once, when it is built, and a variable
-once for all the distributions it is held against. All of it is exact.
+once for all the distributions it is held against. The anytime check walks
+its tree on the same scaled tables: node masses are slice sums of a scaled
+distribution, a hypothesis's step values on the nodes are scaled once, and
+each (hypothesis, point) pair is one loop of int products, sums and maxima
+whose root value :func:`ratio` wraps. All of it is exact.
 """
 
 from __future__ import annotations
@@ -257,7 +261,13 @@ def dot(a: Scaled, b: Scaled) -> XValue:
         if (a_nums[i] or a_inf & low) and (b_nums[i] or b_inf & low):
             return INF
         either ^= low
-    return _exact(_nonnegative(Fraction(sum(map(mul, a_nums, b_nums)), a_den * b_den)))
+    return ratio(sum(map(mul, a_nums, b_nums)), a_den * b_den)
+
+
+def ratio(num: int, den: int) -> XValue:
+    """The exact value num/den of an int num >= 0 and an int den > 0,
+    reduced once, here."""
+    return _exact(_nonnegative(Fraction(num, den)))
 
 
 def order_keys(values: Sequence[XValue]) -> list[int]:

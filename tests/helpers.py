@@ -206,10 +206,26 @@ def rand_tree(r, max_depth=3, max_branching=3, max_rules=200):
             return tree
 
 
+def tree_levels(tree):
+    """The filtration's atoms per step 0..depth, each a tuple of outcome
+    indices: level t groups the outcomes by their depth-t ancestor, and a
+    leaf shallower than t stays its own atom from its depth onward."""
+
+    def leaves(shape):
+        return [shape] if isinstance(shape, str) else [x for c in shape for x in leaves(c)]
+
+    def atoms(shape, t):
+        if isinstance(shape, str) or t == 0:
+            return [tuple(tree.sample.index(x) for x in leaves(shape))]
+        return [atom for child in shape for atom in atoms(child, t - 1)]
+
+    return tuple(tuple(atoms(tree.shape, t)) for t in range(tree.depth + 1))
+
+
 def rand_process(r, space, tree, allow_inf=True):
     """Random adapted process: one scaled random capacity per atom and step."""
     kernels = []
-    for atoms in tree.levels:
+    for atoms in tree_levels(tree):
         cols = [None] * tree.sample.size
         for atom in atoms:
             fn = rand_capacity(r, space, allow_inf)
@@ -433,6 +449,29 @@ def oracle_anytime(proc, pa):
                     best[hid, pi] = stat
     return best
 
+
+
+def oracle_stop_rule(proc, hid, mass):
+    """The rule attaining the Snell envelope of one pair, as a stop depth per
+    outcome: recursively, in XValue, a node stops when its stop value
+    P(node) e_t(H | node) is at least the sum of its children's envelopes
+    (ties stop), and a leaf always stops."""
+
+    def walk(shape, t, lo):
+        # Returns (W, the node's mass, stop depths of its leaves, next leaf).
+        if isinstance(shape, str):
+            hi, node_mass, cont, rule = lo + 1, mass[lo], None, ()
+        else:
+            hi, node_mass, cont, rule = lo, Fraction(0), XValue(0), ()
+            for child in shape:
+                w, m, r, hi = walk(child, t + 1, hi)
+                node_mass, cont, rule = node_mass + m, cont + w, rule + r
+        stop = XValue(node_mass) * proc.kernels[t].columns[lo].values[hid]
+        if cont is None or stop >= cont:
+            return stop, node_mass, (t,) * (hi - lo), hi
+        return cont, node_mass, rule, hi
+
+    return walk(proc.tree.shape, 0, 0)[2]
 
 def oracle_fixed_points(e, family_ids, alpha):
     """Every subset of the candidates whose rejections at 1/alpha are the

@@ -37,7 +37,8 @@ from emeasure import (
     unit_measure,
 )
 from emeasure.evidence import from_values
-from emeasure.kernels import Entry, KernelError, MeasurabilityError, Report, _envelope
+from emeasure import kernels as kn
+from emeasure.kernels import Entry, KernelError, MeasurabilityError, Report
 from emeasure import golden
 
 
@@ -445,9 +446,10 @@ def depth2_binary_tree():
 def test_tree_levels_and_stopping_times():
     tree = depth2_binary_tree()
     assert tree.depth == 2
-    assert tree.levels[0] == ((0, 1, 2, 3),)
-    assert tree.levels[1] == ((0, 1), (2, 3))
-    assert tree.levels[2] == ((0,), (1,), (2,), (3,))
+    levels = helpers.tree_levels(tree)
+    assert levels[0] == ((0, 1, 2, 3),)
+    assert levels[1] == ((0, 1), (2, 3))
+    assert levels[2] == ((0,), (1,), (2,), (3,))
     rules = helpers.oracle_stopping_times(tree)
     assert len(rules) == tree.count_stopping_times() == 1 + (1 + 1) * (1 + 1)
     assert (0, 0, 0, 0) in rules and (2, 2, 2, 2) in rules and (1, 1, 2, 2) in rules
@@ -457,11 +459,24 @@ def test_uneven_tree_keeps_shallow_leaves_as_atoms():
     sample = SampleSpace(("a", "b", "c"))
     tree = FiltrationTree(sample, ["a", ["b", "c"]])
     assert tree.depth == 2
-    assert tree.levels[1] == ((0,), (1, 2))
-    assert tree.levels[2] == ((0,), (1,), (2,))
+    levels = helpers.tree_levels(tree)
+    assert levels[1] == ((0,), (1, 2))
+    assert levels[2] == ((0,), (1,), (2,))
     rules = helpers.oracle_stopping_times(tree)
     assert set(rules) == {(0, 0, 0), (1, 1, 1), (1, 2, 2)}
     assert len(rules) == tree.count_stopping_times() == 3
+    with pytest.raises(KernelError, match="at least one child"):
+        FiltrationTree(sample, ["a", ["b", "c", []]])
+
+
+def test_a_5000_deep_chain_flattens_and_counts_without_recursion():
+    shape = "x"
+    for _ in range(5000):
+        shape = [shape]
+    tree = FiltrationTree(SampleSpace(("x",)), shape)
+    assert tree.depth == 5000 and len(tree.nodes) == 5001
+    assert tree.nodes[0] == (5000, 0, 1, ()) and tree.nodes[-1] == (0, 0, 1, (4999,))
+    assert tree.count_stopping_times() == 5001
 
 
 def test_constant_one_process_is_anytime_valid():
@@ -530,7 +545,7 @@ def test_likelihood_ratio_process_is_anytime_valid():
             cols.append(helpers.classify(space, values))
         kernels.append(EKernel(space, sample, cols))
     proc = EProcess(tree, kernels)
-    assert not proc.measurability_violations()
+    proc.require_measurable()
     report = check_anytime_validity(proc, pa)
     assert report.stats.ok
 
@@ -546,8 +561,10 @@ def test_peeking_process_fails_measurability_before_validity():
     peek_cols[0] = from_values(space, ["inf", 2, 1, 1])
     peeking = EKernel(space, tree.sample, peek_cols)
     proc = EProcess(tree, [peeking, one, one])
-    assert proc.measurability_violations()
-    with pytest.raises(MeasurabilityError):
+    message = "step 0 gives hypothesis P1 different values at outcomes HH and HT"
+    with pytest.raises(MeasurabilityError, match=message):
+        proc.require_measurable()
+    with pytest.raises(MeasurabilityError, match=message):
         check_anytime_validity(proc, pa)
 
 
@@ -567,13 +584,18 @@ def leaf_depths(shape, t=0):
     return [t] if isinstance(shape, str) else [d for c in shape for d in leaf_depths(c, t + 1)]
 
 
+def stats_by_pair(proc, report):
+    """A report's statistics keyed as helpers.oracle_anytime keys them."""
+    points = proc.space.model.points
+    return {(e.hid, points.index(e.point)): e.stat for e in report.stats.entries}
+
+
 def test_envelope_equals_the_max_over_every_stopping_rule():
     verdicts, uneven, zero_mass = set(), 0, 0
     for proc, pa in random_processes(101, 120):
         best = helpers.oracle_anytime(proc, pa)
-        for (hid, pi), stat in best.items():
-            assert _envelope(proc, hid, pa.pmfs[pi].mass)[0] == stat
         report = check_anytime_validity(proc, pa)
+        assert stats_by_pair(proc, report) == best
         assert report.stats.ok == all(stat <= 1 for stat in best.values())
         assert report.rules_checked == len(helpers.oracle_stopping_times(proc.tree))
         verdicts.add(report.stats.ok)
@@ -582,8 +604,39 @@ def test_envelope_equals_the_max_over_every_stopping_rule():
     assert verdicts == {True, False} and uneven and zero_mass
 
 
+def test_the_walk_does_no_xvalue_arithmetic(monkeypatch):
+    """Every tree node is walked in ints: with XValue's + and * refused, the
+    check still returns the oracle's values."""
+    cases = [(proc, pa, helpers.oracle_anytime(proc, pa)) for proc, pa in random_processes(107, 40)]
+
+    def refuse(*args):
+        raise AssertionError("XValue arithmetic in the anytime walk")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(XValue, name, refuse)
+    verdicts = set()
+    for proc, pa, best in cases:
+        report = check_anytime_validity(proc, pa)
+        assert stats_by_pair(proc, report) == best
+        verdicts.add(report.stats.ok)
+    assert verdicts == {True, False}
+
+
+def test_the_witness_rule_is_built_once_per_check_at_most(monkeypatch):
+    builds = []
+    build = kn._stop_rule
+    monkeypatch.setattr(kn, "_stop_rule", lambda *args: builds.append(args) or build(*args))
+    most_violations = 0
+    for proc, pa in random_processes(109, 60):
+        builds.clear()
+        report = check_anytime_validity(proc, pa)
+        assert len(builds) == (not report.stats.ok)
+        most_violations = max(most_violations, sum(not e.ok for e in report.stats.entries))
+    assert most_violations > 1
+
+
 def test_witness_rule_reproduces_the_first_violating_pair():
-    witnesses = 0
+    witnesses, infinite, zero_against_inf = 0, 0, 0
     for proc, pa in random_processes(103, 60):
         report = check_anytime_validity(proc, pa)
         if report.stats.ok:
@@ -594,13 +647,21 @@ def test_witness_rule_reproduces_the_first_violating_pair():
         first = next(key for key, stat in best.items() if stat > 1)
         pi = proc.space.model.index(entry.point)
         assert (entry.hid, pi) == first and entry.stat == best[first] and not entry.ok
+        mass = pa.pmfs[pi].mass
+        assert rule == helpers.oracle_stop_rule(proc, entry.hid, mass)
         stopped = check_validity(helpers.stopped_kernel(proc, rule), pa)
         assert any(
             (e.hid, e.point, e.stat) == (entry.hid, entry.point, entry.stat)
             for e in stopped.entries
         )
         witnesses += 1
-    assert witnesses
+        infinite += entry.stat == INF
+        zero_against_inf += any(
+            m == 0 and k.columns[xi].values[entry.hid] == INF
+            for k in proc.kernels
+            for xi, m in enumerate(mass)
+        )
+    assert witnesses and infinite and zero_against_inf
 
 
 def ternary_ratio_process(depth, scale_at=None):
@@ -665,15 +726,16 @@ def test_close_process_keeps_measures_and_verdicts():
     space = helpers.power_space(2)
     r = helpers.rng(61)
     pa = helpers.rand_pa(r, space.model, tree.sample)
+    levels = helpers.tree_levels(tree)
     for _ in range(10):
         kernels = []
         for t in range(3):
             fn_by_atom = {}
             cols = []
-            for atom in tree.levels[t]:
+            for atom in levels[t]:
                 fn_by_atom[atom] = helpers.rand_capacity(r, space)
             for xi in range(tree.sample.size):
-                atom = next(a for a in tree.levels[t] if xi in a)
+                atom = next(a for a in levels[t] if xi in a)
                 cols.append(fn_by_atom[atom])
             kernels.append(EKernel(space, tree.sample, cols))
         proc = EProcess(tree, kernels)
@@ -692,11 +754,12 @@ def test_closed_process_equals_pointwise_infimum_family():
     space = helpers.power_space(2)
     r = helpers.rng(67)
     kernels = []
+    levels = helpers.tree_levels(tree)
     for t in range(3):
-        fn_by_atom = {atom: helpers.rand_capacity(r, space) for atom in tree.levels[t]}
+        fn_by_atom = {atom: helpers.rand_capacity(r, space) for atom in levels[t]}
         cols = []
         for xi in range(tree.sample.size):
-            atom = next(a for a in tree.levels[t] if xi in a)
+            atom = next(a for a in levels[t] if xi in a)
             cols.append(fn_by_atom[atom])
         kernels.append(EKernel(space, tree.sample, cols))
     proc = EProcess(tree, kernels)

@@ -1,0 +1,328 @@
+"""Differential of the `emeasure` command line between a git revision and this tree.
+
+    python3 tools/differential.py REV [--seeds 11 23] [--cycles 2] [--expect NAME ...]
+
+The sources of REV are exported with `git archive` into a temporary
+directory. Each side runs in its own interpreter, which imports that side's
+`src/emeasure` and runs `emeasure.cli.main` on one argv at a time. Both
+sides get the same inputs:
+
+- every case of this tree's `tests/data/cli_cases.yaml`, in the records and
+  in the text format (named `corpus:NAME`);
+- the jobs that perfbench's generators write for every workload, for each
+  seed and the first cycles, imported from `perfbench/` without changing it
+  (named `WORKLOAD/SEED/JOB`);
+- 720 seeded random `decide` inputs: spaces, models, kernels and decision
+  problems with every `--bound`, with and without `--outcome` (named
+  `decide/N`).
+
+A job agrees when its exit code, stdout and stderr are equal on both sides.
+The first difference that no `--expect NAME` names is printed with its argv
+and a diff, and the exit status is 1. Otherwise the script prints how many
+jobs ran and which expected differences occurred, and exits 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import difflib
+import io
+import json
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
+from typing import Callable, Iterable, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+DECIDE_INPUTS = 720  # random `decide` inputs, from the first seed
+
+# What one run of an argv gives: exit code, stdout and stderr.
+Result = tuple[object, str, str]
+
+
+@dataclass(frozen=True)
+class Job:
+    name: str
+    argv: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Difference:
+    job: Job
+    base: Result
+    change: Result
+
+    def describe(self) -> str:
+        """The job's name and argv, then what differs, as a unified diff."""
+        lines = [f"difference in {self.job.name}", "argv: " + " ".join(self.job.argv)]
+        if self.base[0] != self.change[0]:
+            lines.append(f"exit code: {self.base[0]!r} -> {self.change[0]!r}")
+        for stream, a, b in (("stdout", self.base[1], self.change[1]), ("stderr", self.base[2], self.change[2])):
+            lines += difflib.unified_diff(
+                a.splitlines(), b.splitlines(), f"base {stream}", f"change {stream}", lineterm=""
+            )
+        return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class Outcome:
+    jobs: int  # jobs run on both sides
+    expected: frozenset[str]  # names that differed as expected
+    first: Optional[Difference]  # the first unexpected difference, which ends the run
+
+
+def compare(
+    jobs: Iterable[Job],
+    base: Callable[[tuple[str, ...]], Result],
+    change: Callable[[tuple[str, ...]], Result],
+    expected: Iterable[str] = (),
+) -> Outcome:
+    """Run each job on both sides until the first difference not in `expected`."""
+    expected = frozenset(expected)
+    seen = set()
+    count = 0
+    for job in jobs:
+        a, b = base(job.argv), change(job.argv)
+        count += 1
+        if a == b:
+            continue
+        if job.name not in expected:
+            return Outcome(count, frozenset(seen), Difference(job, a, b))
+        seen.add(job.name)
+    return Outcome(count, frozenset(seen), None)
+
+
+# -- the two sides ---------------------------------------------------------
+
+
+def serve(src: str) -> None:
+    """Run argvs read as JSON lines from stdin with the `emeasure` under
+    `src`, and write each result as one JSON line."""
+    sys.path.insert(0, src)
+    from emeasure import cli
+
+    channel = sys.stdout
+    for line in sys.stdin:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(json.loads(line))
+            except SystemExit as exc:  # argparse refusing an argv
+                code = exc.code
+            except Exception as exc:  # reported as the job's result
+                code = f"raised {type(exc).__name__}: {exc}"
+        channel.write(json.dumps([code, out.getvalue(), err.getvalue()]) + "\n")
+        channel.flush()
+
+
+class Side:
+    """One tree's `emeasure` in its own interpreter; calling it runs one argv."""
+
+    def __init__(self, src: Path, cwd: Path):
+        self.process = subprocess.Popen(
+            [sys.executable, __file__, "--serve", str(src)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, cwd=cwd,
+        )
+
+    def __call__(self, argv: tuple[str, ...]) -> Result:
+        self.process.stdin.write(json.dumps(list(argv)) + "\n")
+        self.process.stdin.flush()
+        line = self.process.stdout.readline()
+        if not line:
+            raise RuntimeError(f"the worker for {argv} exited with {self.process.wait()}")
+        return tuple(json.loads(line))
+
+    def close(self) -> None:
+        self.process.stdin.close()
+        self.process.stdout.close()
+        self.process.wait()
+
+
+def export(rev: str, into: Path) -> Path:
+    """The `src` tree of `rev`, written under `into`; returns its path."""
+    tar = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        if hasattr(tarfile, "data_filter"):  # Python 3.10.12, 3.11.4 and later
+            archive.extractall(into, filter="data")
+        else:
+            archive.extractall(into)
+    return into / "src"
+
+
+# -- the inputs ----------------------------------------------------------------
+
+
+def corpus_jobs() -> list[Job]:
+    import yaml
+
+    jobs = []
+    for case in yaml.safe_load((DATA / "cli_cases.yaml").read_text()):
+        argv = tuple(str(DATA / a) if a.endswith(".yaml") else a for a in case["argv"])
+        name = f"corpus:{case['name']}"
+        jobs += [Job(name, argv + ("--format", "records")), Job(name, argv)]
+    return jobs
+
+
+def _perfbench():
+    """perfbench's oracles and generators, imported from this tree."""
+    path = str(ROOT / "perfbench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
+    import oracles
+    import workloads
+
+    return oracles, workloads
+
+
+def perfbench_jobs(inputs: Path, seeds: Iterable[int], cycles: int) -> list[Job]:
+    _, workloads = _perfbench()
+    jobs = []
+    for workload, cycle in sorted(workloads.CYCLES.items()):
+        for seed in seeds:
+            workdir = inputs / f"{workload}-{seed}"
+            workdir.mkdir()
+            corpus = workloads.Corpus(workdir, workload, seed)
+            for index in range(cycles):
+                for job in cycle(corpus, index):
+                    name = f"{workload}/{seed}/{job.kind}#{len(jobs)}"
+                    jobs.append(Job(name, tuple(job.argv)))
+    return jobs
+
+
+def _value(rng: random.Random, inf: object) -> object:
+    roll = rng.random()
+    if roll < 0.08:
+        return inf
+    if roll < 0.16:
+        return 0
+    return Fraction(rng.randint(1, 12), rng.randint(1, 6))
+
+
+def decide_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
+    """Random decision problems over power sets, chain spaces and random
+    union-closed spaces. The kernel is the pointwise minimum of per-point
+    weights, which are likelihood ratios against a reference (a valid
+    capacity) or random values, or one time in five any table."""
+    orc, w = _perfbench()
+    rng = random.Random(f"decide/{seed}")
+    inputs = inputs / f"decide-{seed}"
+    inputs.mkdir()
+    jobs = []
+    for n in range(count):
+        width = rng.randint(2, 3)
+        if rng.random() < 0.5:
+            sp = w.power_space(width)
+        elif rng.random() < 0.5:
+            sp = w.chain_space(rng, rng.choice(((2, 1), (1, 1, 1), (3,), (2,))))
+        else:  # any union-closed family, often not intersection-closed
+            points = [f"p{i + 1}" for i in range(width)]
+            gens = sorted({rng.randint(1, (1 << width) - 1) for _ in range(width + 1)})
+            text = f"points: {w._yaml_list(points)}\ngenerators: " + w._yaml_list(
+                w._yaml_list(points[i] for i in orc.bits_of(g, width)) for g in gens
+            )
+            sp = w.SpaceSpec(points, orc.canonical(orc.union_closure(gens)), text + "\n")
+        points, width = sp.points, sp.width
+        outcomes = [f"x{i + 1}" for i in range(rng.randint(2, 4))]
+        pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in points]
+        roll = rng.random()
+        if roll < 0.4:  # likelihood ratios against a reference: valid
+            ref = w.rand_pmf(rng, len(outcomes))
+            weights = [[r / m for r, m in zip(ref, pmf)] for pmf in pmfs]
+        else:
+            weights = [[_value(rng, orc.INF) for _ in outcomes] for _ in points]
+        if roll < 0.8:
+            columns = [
+                {b: w.min_over(b, width, lambda p: weights[p][xi]) for b in sp.family}
+                for xi in range(len(outcomes))
+            ]
+        else:
+            columns = [{b: _value(rng, orc.INF) for b in sp.family} for _ in outcomes]
+        decisions = [f"d{i + 1}" for i in range(rng.randint(2, 4))]
+        if rng.random() < 0.5:
+            rows = [
+                f"  {p}: {{" + ", ".join(f"{d}: {rng.randint(0, 3)}" for d in decisions) + "}"
+                for p in points
+            ]
+            problem = f"decisions: {w._yaml_list(decisions)}\nloss:\n" + "\n".join(rows) + "\n"
+        else:
+            grades = ["bad", "fair", "good"]
+            rows = [
+                f"  {p}: {{" + ", ".join(f"{d}: {rng.choice(grades)}" for d in decisions) + "}"
+                for p in points
+            ]
+            problem = (
+                f"decisions: {w._yaml_list(decisions)}\nconsequences:\n"
+                "  elements: [bad, fair, good]\n  order: [[bad, fair], [fair, good]]\n"
+                "table:\n" + "\n".join(rows) + "\n"
+            )
+        files = {
+            "space": sp.text,
+            "model": w.model_yaml(points, outcomes, pmfs),
+            "kernel": w.kernel_yaml(sp, outcomes, columns),
+            "decisions": problem,
+        }
+        paths = {}
+        for kind, text in files.items():
+            paths[kind] = inputs / f"d{n:04d}_{kind}.yaml"
+            paths[kind].write_text(text)
+        bound = rng.choice(("econsequence", "probability", "grunwald"))
+        argv = ["decide", "--bound", bound] + [
+            arg for kind, path in paths.items() for arg in (f"--{kind}", str(path))
+        ]
+        if bound == "probability" and rng.random() < 0.5:
+            argv += ["--alpha", f"1/{rng.randint(2, 20)}"]
+        if rng.random() < 0.5:
+            argv += ["--outcome", rng.choice(outcomes)]
+        jobs.append(Job(f"decide/{n}", tuple(argv)))
+    return jobs
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--serve"]:
+        serve(argv[1])
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="the git revision to compare this tree against")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[11, 23])
+    parser.add_argument("--cycles", type=int, default=2, help="perfbench cycles per workload and seed")
+    parser.add_argument("--expect", action="append", default=[], metavar="NAME",
+                        help="a job expected to differ; repeat for more")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
+        tmp = Path(tmp)
+        base_src = export(args.rev, tmp / "base")
+        inputs = tmp / "inputs"
+        inputs.mkdir()
+        jobs = corpus_jobs() + perfbench_jobs(inputs, args.seeds, args.cycles)
+        jobs += decide_jobs(inputs, args.seeds[0], DECIDE_INPUTS)
+        base, change = Side(base_src, inputs), Side(ROOT / "src", inputs)
+        try:
+            outcome = compare(jobs, base, change, args.expect)
+        finally:
+            base.close()
+            change.close()
+    print(f"{outcome.jobs} of {len(jobs)} jobs run against {args.rev}")
+    for name in sorted(outcome.expected):
+        print(f"expected difference: {name}")
+    if outcome.first is not None:
+        print(outcome.first.describe())
+        return 1
+    for name in sorted(set(args.expect) - outcome.expected):
+        print(f"expected difference did not occur: {name}")
+    print("no unexpected difference")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
