@@ -21,7 +21,7 @@ from .spaces import (
     class_from_preorder,
     union_closure,
 )
-from .xvalue import XValue, as_xvalue, dot, scale, sup_of
+from .xvalue import XValue, as_xvalue, dot_at_most, scale, sup_of
 
 
 class DecisionError(EvidenceError):
@@ -187,13 +187,19 @@ def hypothesis_for_bound(table: ConsequenceTable, decision: int | str, c: str) -
     return PointSet(table.model.size, bits)
 
 
+def _member_text(model: Model, bits: int) -> str:
+    """A set of points as ``Space.label`` prints a member: its point labels
+    in index order joined by ','."""
+    return ",".join(PointSet(model.size, bits).labels(model))
+
+
 def _require_order_measurable(space: Space, table: ConsequenceTable) -> Space:
     induced = build_consequence_class(table)
     for member in induced.family.members:
         if member.bits not in space.family:
             raise OrderMeasurabilityViolation(
                 "kernel space misses the bound hypothesis "
-                f"{member.labels(table.model)}"
+                f"{_member_text(table.model, member.bits)}"
             )
     return induced
 
@@ -249,16 +255,16 @@ def _consequence_report(
     with a fixed `rule` its miss rate, in expectation at each dominating point."""
     induced = _require_order_measurable(k.space, table)
     thresholds = None if rule is None else kn.outcome_thresholds(k, rule)
+    points = k.space.model.points
     entries = []
     for label, qi in _distinct_rows(table):
-        bound_ids = _bound_ids(k.space, table, qi)
-        var = [sup_of(col.values[hid] for hid in bound_ids) for col in k.columns]
+        bound_rows = [k.rows[hid] for hid in _bound_ids(k.space, table, qi)]
+        var = scale([sup_of(values) for values in zip(*bound_rows)])
         if thresholds is not None:
-            var = map(kn.miss_rate, var, thresholds)
-        var = scale(var)
+            var = kn.miss_variable(kn.miss_mask(var, thresholds), thresholds)
         for pi in induced.family.indices(induced.least_id(qi)):
-            stat = dot(pa.pmfs[pi].scaled, var)
-            entries.append(Entry(k.space.model.points[pi], stat, case=label))
+            stat, ok = dot_at_most(pa.pmfs[pi].scaled, var)
+            entries.append(Entry(points[pi], stat, case=label, ok=ok))
     return Report(tuple(entries))
 
 
@@ -329,8 +335,9 @@ def admissible_decisions(e: EFunction, table: ConsequenceTable) -> Admissibility
             bits = hypothesis_for_bound(table, d, c).bits
             if bits not in e.space.family:
                 raise OrderMeasurabilityViolation(
-                    f"evidence is undefined on the bound hypothesis for "
-                    f"decision {table.decisions[d]!r} at consequence {c!r}"
+                    f"evidence is undefined on the bound hypothesis "
+                    f"{_member_text(table.model, bits)} for decision "
+                    f"{table.decisions[d]!r} at consequence {c!r}"
                 )
             row.append(e.value_of(bits))
         evidence_at.append(row)

@@ -43,6 +43,14 @@ A table that names one hypothesis twice, a row with an outcome, point or
 decision its file does not declare, a distribution for a point outside the
 space, a model or decision list naming a label twice and an evidence table
 that does not classify are schema errors, named by their file.
+
+A kernel file is read as it is laid out, one row of outcome values per
+hypothesis, into the kernel's rows in file order (``EKernel.from_rows``). A
+row that lists the outcomes in their declared order is read in one pass,
+any other row cell by cell. Its refusals come in one order: a value that is
+no evidence value as it is read, then a missing hypothesis, then the first
+row in file order that misses an outcome or names an unknown one, then a
+finite value of the empty member.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from typing import Callable, Optional
 import yaml
 
 from .decisions import ConsequenceSpace, ConsequenceTable, NumericLoss
-from .evidence import EFunction, EvidenceError, classify, from_values
+from .evidence import EFunction, EvidenceError, classify
 from .kernels import EKernel, FiltrationTree, Pmf, ProbabilityAssignment, SampleSpace
 from .spaces import (
     MODEL_POINT_CAP,
@@ -300,15 +308,11 @@ class SpaceFile:
     def __init__(self, space: Space, names: dict[str, int]):
         self.space = space
         self.names = names
-        self._printed: Optional[dict[str, int]] = None
+        self._ids: Optional[dict[str, int]] = None
 
     def resolve(self, path, label: str) -> int:
         """The id of a hypothesis label (see the module docstring)."""
-        if label in self.names:
-            return self.names[label]
-        if label in ("empty", "{}"):
-            return self.space.family.empty_id
-        hid = self._printed_ids().get(label)
+        hid = self.label_ids().get(label)
         if hid is not None:
             return hid
         parts = [p.strip() for p in str(label).split(",") if p.strip()]
@@ -320,17 +324,22 @@ class SpaceFile:
             raise SchemaError(path, f"{label!r} is not a member of the family")
         return self.space.family.id_of(bits)
 
-    def _printed_ids(self) -> dict[str, int]:
-        """Each member's printed label (``Space.label``) to its id, built on
-        first use. Left empty when a point label is empty, holds a ',' or
-        has surrounding spaces: the comma list would then be read otherwise."""
-        if self._printed is None:
+    def label_ids(self) -> dict[str, int]:
+        """The labels read without parsing them, each to its id, built on
+        first use: each member's printed label (``Space.label``), then
+        ``empty`` and ``{}``, then the declared names, each overriding what
+        comes before it. Printed labels are left out when a point label is
+        empty, holds a ',' or has surrounding spaces: the comma list would
+        then be read otherwise."""
+        if self._ids is None:
             space = self.space
+            ids = {}
             if all(p and "," not in p and p.strip() == p for p in space.model.points):
-                self._printed = {space.label(hid): hid for hid in range(len(space.family))}
-            else:
-                self._printed = {}
-        return self._printed
+                ids = {space.label(hid): hid for hid in range(len(space.family))}
+            ids["empty"] = ids["{}"] = space.family.empty_id
+            ids.update(self.names)
+            self._ids = ids
+        return self._ids
 
 
 class _LabelReader:
@@ -339,11 +348,14 @@ class _LabelReader:
     def __init__(self, path, sf: SpaceFile):
         self.path = path
         self.sf = sf
+        self.ids = sf.label_ids()
         self.seen: dict[int, str] = {}
 
     def resolve(self, label) -> int:
         label = str(label)
-        hid = self.sf.resolve(self.path, label)
+        hid = self.ids.get(label)
+        if hid is None:
+            hid = self.sf.resolve(self.path, label)
         if hid in self.seen:
             first = self.seen[hid]
             raise SchemaError(self.path, f"{first!r} and {label!r} name the same hypothesis")
@@ -484,8 +496,11 @@ def load_kernel(
     outcomes = sample.outcomes
     outcome_ids = {x: xi for xi, x in enumerate(outcomes)}
     full = (1 << sample.size) - 1
-    # Cells go straight into one column per outcome, indexed by hypothesis id.
-    columns: list[list] = [[None] * len(family) for _ in outcomes]
+    # One row of values per hypothesis id, filled in file order; rows of the
+    # same scalars, in order, are one tuple. The key holds the scalars'
+    # types too, as YAML `true` equals 1.
+    rows: list = [None] * len(family)
+    read_rows: dict[tuple, tuple] = {}
     # The first row, in file order, that misses an outcome or names an unknown
     # one; it is refused after a missing hypothesis would be.
     bad_row = None
@@ -493,6 +508,17 @@ def load_kernel(
         if not isinstance(row, dict):
             raise SchemaError(path, f"row for {label!r} must be a mapping")
         hid = hypotheses.resolve(label)
+        if tuple(row) == outcomes:  # the outcomes in order: one pass
+            raws = tuple(row.values())
+            key = (raws, tuple(map(type, raws)))
+            try:
+                rows[hid] = read_rows[key]
+            except KeyError:
+                rows[hid] = read_rows[key] = tuple(map(read, raws))
+            except TypeError:  # an unhashable scalar, which `read` refuses
+                rows[hid] = tuple(map(read, raws))
+            continue
+        cells: list = [None] * sample.size
         got, unknown = 0, False
         for x, raw in row.items():
             value = read(raw)
@@ -500,15 +526,14 @@ def load_kernel(
             if xi is None:
                 unknown = True
             else:
-                columns[xi][hid] = value
+                cells[xi] = value
                 got |= 1 << xi
+        rows[hid] = tuple(cells)
         if bad_row is None and (got != full or unknown):
             bad_row = (hid, got, row)
     empty = family.empty_id
     if empty not in hypotheses.seen:
-        inf = read("inf")
-        for column in columns:
-            column[empty] = inf
+        rows[empty] = (read("inf"),) * sample.size
     missing = [hid for hid in range(len(family)) if hid not in hypotheses.seen and hid != empty]
     if missing:
         labels = [sf.space.label(h) for h in missing]
@@ -522,8 +547,8 @@ def load_kernel(
         names = dict.fromkeys(str(x) for x in row)
         _refuse_unknown(path, f"row for {label!r} has unknown outcomes", names, outcomes)
     try:
-        return EKernel(sf.space, sample, [from_values(sf.space, column) for column in columns])
-    except Exception as exc:
+        return EKernel.from_rows(sf.space, sample, rows)
+    except EvidenceError as exc:
         raise SchemaError(path, str(exc)) from None
 
 

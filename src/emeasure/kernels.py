@@ -1,22 +1,29 @@
 """Data-indexed evidence tables and every expectation-based check.
 
 An E-kernel assigns an evidence table to each outcome of a finite sample
-space. Validity of a kernel (and of stopped processes, posteriors,
-pushforwards, predictive kernels) is decided by exact rational
-expectations; nothing here is simulated.
+space. It is stored as a kernel file lists it: one row per hypothesis, the
+evidence against it as a function of the outcome. Validity of a kernel
+(and of stopped processes, posteriors, pushforwards, predictive kernels)
+is decided by exact rational expectations of those rows; nothing here is
+simulated. Each row is scaled to integers once per kernel
+(``EKernel.scaled``), and every (hypothesis, point) pair's verdict is
+decided on integers before its one exact value is built. The per-outcome
+tables are built only for the checks that read one outcome at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from operator import le, mul
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
 from .spaces import Model, Space, SpaceError, preimages
-from .xvalue import INF, ONE, ZERO, Scaled, XValue, as_xvalue, dot, ratio, scale
+from .xvalue import (
+    INF, ONE, Scaled, XValue, as_xvalue, dot, dot_at_most, order_keys, ratio, scale,
+)
 
 
 class KernelError(EvidenceError):
@@ -115,7 +122,18 @@ class ProbabilityAssignment:
 
 
 class EKernel:
-    """Per-outcome evidence tables sharing one hypothesis space."""
+    """Evidence against each hypothesis as a function of the outcome.
+
+    `rows[hid]` holds one value per outcome, in outcome order, for each
+    hypothesis id of one space. The rows are the stored form: a kernel file
+    lists them and ``fileio.load_kernel`` fills them in file order, with one
+    tuple for the rows that list the same values. Each row is scaled once
+    per kernel, when a check first reads it (`scaled`):
+    its least common denominator, its integer numerators and the mask of
+    its infinite outcomes. The per-outcome tables (`columns`) are built on
+    first read, for the checks and callers that work on one outcome at a
+    time. `is_capacity` tests antitonicity once per kernel, on the rows.
+    """
 
     def __init__(self, space: Space, sample: SampleSpace, columns: Sequence[EFunction]):
         if len(columns) != sample.size:
@@ -123,13 +141,68 @@ class EKernel:
         for col in columns:
             if col.space != space:
                 raise KernelError("all outcome tables must share the space")
+        self._set(space, sample, tuple(zip(*(col.values for col in columns))))
+        self._columns = tuple(columns)
+
+    @classmethod
+    def from_rows(
+        cls, space: Space, sample: SampleSpace, rows: Sequence[Sequence[XValue]]
+    ) -> "EKernel":
+        """The kernel of one row of values per hypothesis id, in id order;
+        the empty hypothesis must carry inf at every outcome."""
+        rows = tuple(map(tuple, rows))
+        if len(rows) != len(space.family) or {*map(len, rows)} != {sample.size}:
+            raise KernelError("one row of one value per outcome per hypothesis is required")
+        if not all(v.is_inf for v in rows[space.family.empty_id]):
+            raise ev.NotAnEFunction("the empty hypothesis must carry infinite evidence")
+        k = cls.__new__(cls)
+        k._set(space, sample, rows)
+        return k
+
+    def _set(self, space: Space, sample: SampleSpace, rows: tuple[tuple[XValue, ...], ...]):
         self.space = space
         self.sample = sample
-        self.columns = tuple(columns)
+        self.rows = rows
+        self._scaled: dict[int, Scaled] = {}  # by the id of a row object
+        self._columns: Optional[tuple[EFunction, ...]] = None
+        self._capacity: Optional[bool] = None
+
+    def scaled(self, hid: int) -> Scaled:
+        """The row of one hypothesis as a scaled table, scaled on first use.
+        Rows that are one object, as equal rows of a kernel file are, are
+        scaled once."""
+        row = self.rows[hid]
+        found = self._scaled.get(id(row))
+        if found is None:
+            found = self._scaled[id(row)] = scale(row)
+        return found
+
+    @property
+    def columns(self) -> tuple[EFunction, ...]:
+        """One evidence table per outcome, built on first read."""
+        if self._columns is None:
+            self._columns = tuple(EFunction(self.space, values) for values in zip(*self.rows))
+        return self._columns
 
     @property
     def eclass(self) -> EClass:
         return min(col.eclass for col in self.columns)
+
+    @property
+    def is_capacity(self) -> bool:
+        """Whether every outcome's table is antitone, tested once per kernel.
+
+        Every inclusion between members is a chain of the family's joins,
+        so it is enough that at each join the row of the union is at most
+        the row of the member it extends, outcome by outcome. The rows are
+        compared on each outcome's order keys.
+        """
+        if self._capacity is None:
+            keys = list(zip(*(order_keys(values) for values in zip(*self.rows))))
+            self._capacity = all(
+                all(map(le, keys[joined], keys[a])) for a, _, joined in self.space.family.joins()
+            )
+        return self._capacity
 
     def column(self, x: int | str) -> EFunction:
         if isinstance(x, str):
@@ -137,17 +210,17 @@ class EKernel:
         return self.columns[x]
 
     def value(self, hid: int, x: int | str) -> XValue:
-        return self.column(x).values[hid]
-
-    def variable(self, hid: int) -> tuple[XValue, ...]:
-        """The evidence against one hypothesis as a function of the outcome."""
-        return tuple(col.values[hid] for col in self.columns)
+        if isinstance(x, str):
+            x = self.sample.index(x)
+        return self.rows[hid][x]
 
     def expectation(self, hid: int, pmf: Pmf) -> XValue:
-        return pmf.expectation(self.variable(hid))
+        return dot(pmf.scaled, self.scaled(hid))
 
     def dominates(self, other: "EKernel") -> bool:
-        return all(a.dominates(b) for a, b in zip(self.columns, other.columns))
+        return all(
+            a >= b for mine, theirs in zip(self.rows, other.rows) for a, b in zip(mine, theirs)
+        )
 
 
 def constant_kernel(space: Space, sample: SampleSpace, fn: EFunction) -> EKernel:
@@ -181,17 +254,20 @@ class Entry:
     """One statistic held against its bound at a point (None for a statistic
     per distribution). Pair checks name the hypothesis id, others may name a
     case such as a benchmark row or an outcome. One is built per pair, so
-    the class is slotted and not frozen, which makes it cheaper to build."""
+    the class is slotted and not frozen, which makes it cheaper to build.
+    `ok` is whether the statistic is at most the bound; a check that has
+    decided it on integers passes it in."""
 
     point: Optional[str]
     stat: XValue
     bound: XValue = ONE
     hid: Optional[int] = None
     case: Optional[str] = None
-    ok: bool = field(init=False)
+    ok: Optional[bool] = None
 
     def __post_init__(self):
-        self.ok = self.stat <= self.bound
+        if self.ok is None:
+            self.ok = self.stat <= self.bound
 
 
 @dataclass(frozen=True)
@@ -217,12 +293,34 @@ class Report:
 
 def check_validity(k: EKernel, pa: ProbabilityAssignment) -> Report:
     """Exact expectation of every (nonempty hypothesis, contained point) pair."""
+    return _pair_report(k, pa, k.scaled)
+
+
+def _pair_report(
+    k: EKernel, pa: ProbabilityAssignment, variable: Callable[[int], Scaled]
+) -> Report:
+    """One entry per (nonempty hypothesis, contained point) pair: the
+    expectation of the hypothesis's scaled `variable` under the point's
+    distribution, held against 1.
+
+    Hypotheses whose variables are equal, such as the members of a measure
+    that share their least point at every outcome, share their statistics:
+    each is computed once per (variable, point).
+    """
     points, family = k.space.model.points, k.space.family
+    masses = [pmf.scaled for pmf in pa.pmfs]
+    held: dict[Scaled, dict[int, tuple[XValue, bool]]] = {}
     entries = []
     for hid in family.nonempty_ids():
-        var = scale(k.variable(hid))
+        var = variable(hid)
+        by_point = held.get(var)
+        if by_point is None:
+            by_point = held[var] = {}
         for pi in family.indices(hid):
-            entries.append(Entry(points[pi], dot(pa.pmfs[pi].scaled, var), hid=hid))
+            found = by_point.get(pi)
+            if found is None:
+                found = by_point[pi] = dot_at_most(masses[pi], var)
+            entries.append(Entry(points[pi], found[0], hid=hid, ok=found[1]))
     return Report(tuple(entries))
 
 
@@ -268,20 +366,32 @@ def rejection_set(k: EKernel, alpha: Fraction | int, x: int | str) -> tuple[int,
 LevelRule = Union[str, Mapping[str, XValue]]
 
 
-def outcome_thresholds(k: EKernel, rule: Mapping[str, object]) -> list[XValue]:
-    """1/level of a fixed rule's level per outcome, in outcome order; each
-    level lies in (0, inf)."""
+def outcome_thresholds(k: EKernel, rule: Mapping[str, object]) -> Scaled:
+    """1/level of a fixed rule's level per outcome, in outcome order, as a
+    scaled table; each level lies in (0, inf)."""
     table = {x: as_xvalue(v) for x, v in rule.items()}
     for x, level in table.items():
         if level.is_zero or level.is_inf:
             raise KernelError(f"level {level} at outcome {x!r} is outside (0, inf)")
-    return [ONE / table[x] for x in k.sample.outcomes]
+    return scale([ONE / table[x] for x in k.sample.outcomes])
 
 
-def miss_rate(value: XValue, threshold: XValue) -> XValue:
-    """1{value >= 1/level} / level, given threshold = 1/level: a miss of the
-    confidence set at `level`, weighted by the level's reciprocal."""
-    return threshold if value >= threshold else ZERO
+def miss_mask(var: Scaled, thresholds: Scaled) -> int:
+    """The outcomes where a scaled variable reaches its threshold 1/level:
+    where the level's confidence set misses."""
+    den, nums, mask = var
+    t_den, t_nums, _ = thresholds
+    for i, (n, t) in enumerate(zip(nums, t_nums)):
+        if n * t_den >= t * den:
+            mask |= 1 << i
+    return mask
+
+
+def miss_variable(mask: int, thresholds: Scaled) -> Scaled:
+    """1{miss} / level as a scaled table: the threshold where `mask` misses
+    and 0 elsewhere."""
+    den, nums, _ = thresholds
+    return den, tuple(n if mask >> i & 1 else 0 for i, n in enumerate(nums)), 0
 
 
 def check_posthoc_validity(
@@ -292,29 +402,25 @@ def check_posthoc_validity(
     For each pair the statistic is the expectation of
     1{e(H|X) >= 1/level(X)} / level(X). At the canonical level 1/e(H|x) the
     integrand is e(H|x) itself, 0 and inf included, so the canonical rule is
-    the plain validity pass.
+    the plain validity pass. At a fixed rule the integrand depends only on
+    the outcomes where H misses, so hypotheses with one miss mask share
+    their statistics.
     """
     if rule == "canonical":
         return check_validity(k, pa)
     thresholds = outcome_thresholds(k, rule)
-    points, family = k.space.model.points, k.space.family
-    entries = []
-    for hid in family.nonempty_ids():
-        var = scale(map(miss_rate, k.variable(hid), thresholds))
-        for pi in family.indices(hid):
-            entries.append(Entry(points[pi], dot(pa.pmfs[pi].scaled, var), hid=hid))
-    return Report(tuple(entries))
+    return _pair_report(
+        k, pa, lambda hid: miss_variable(miss_mask(k.scaled(hid), thresholds), thresholds)
+    )
 
 
 # -- updating -----------------------------------------------------------
 
 
-def _product_columns(prior: EFunction, k: EKernel) -> list[EFunction]:
-    cols = []
-    for col in k.columns:
-        values = [p * v for p, v in zip(prior.values, col.values)]
-        cols.append(ev.from_values(k.space, values))
-    return cols
+def _product(prior: EFunction, k: EKernel) -> EKernel:
+    """The kernel of prior(H) * e(H|x), one row per hypothesis."""
+    rows = [tuple(p * v for v in row) for p, row in zip(prior.values, k.rows)]
+    return EKernel.from_rows(k.space, k.sample, rows)
 
 
 def eposterior_raw(
@@ -327,12 +433,12 @@ def eposterior_raw(
     each entry names the point attaining it, the first in member order on
     ties.
     """
-    if prior.eclass < EClass.CAPACITY or k.eclass < EClass.CAPACITY:
+    if prior.eclass < EClass.CAPACITY or not k.is_capacity:
         raise ev.ClassMismatch("updating needs capacities")
-    post = EKernel(k.space, k.sample, _product_columns(prior, k))
+    post = _product(prior, k)
     entries = []
     for hid in k.space.family.nonempty_ids():
-        var = scale(post.variable(hid))
+        var = post.scaled(hid)
         stats = {pi: dot(pa.pmfs[pi].scaled, var) for pi in k.space.family.indices(hid)}
         pi = max(stats, key=stats.__getitem__)
         entries.append(
@@ -345,20 +451,19 @@ def eposterior_closed(
     prior: EFunction, k: EKernel, pa: ProbabilityAssignment
 ) -> tuple[EKernel, Report]:
     """Product followed by per-outcome closure; bounds go through least hypotheses."""
-    if prior.eclass < EClass.CAPACITY or k.eclass < EClass.CAPACITY:
+    if prior.eclass < EClass.CAPACITY or not k.is_capacity:
         raise ev.ClassMismatch("updating needs capacities")
     k.space.require_intersection_closed()
-    cols = [ev.close(col) for col in _product_columns(prior, k)]
-    post = EKernel(k.space, k.sample, cols)
+    post = close_kernel(_product(prior, k))
     least = k.space.least_ids()
     points = k.space.model.points
     entries = []
     for hid in k.space.family.nonempty_ids():
-        var = scale(post.variable(hid))
+        var = post.scaled(hid)
         for pi in k.space.family.indices(hid):
-            entries.append(
-                Entry(points[pi], dot(pa.pmfs[pi].scaled, var), prior.values[least[pi]], hid)
-            )
+            bound = prior.values[least[pi]]
+            stat, ok = dot_at_most(pa.pmfs[pi].scaled, var, bound)
+            entries.append(Entry(points[pi], stat, bound, hid, ok=ok))
     return post, Report(tuple(entries))
 
 
@@ -449,13 +554,14 @@ class EProcess:
         """Raise MeasurabilityError at the first step, in time and then
         outcome order, whose tables differ inside one of its atoms."""
         outcomes = self.tree.sample.outcomes
+        # Per step, the values at each outcome: one transpose of the rows.
+        by_outcome = [tuple(zip(*k.rows)) for k in self.kernels]
         for t, lo, hi, children in sorted(self.tree.nodes):
             if not children:
                 continue  # a leaf is a one-outcome atom
-            columns = self.kernels[t].columns
-            base = columns[lo].values
+            base = by_outcome[t][lo]
             for xi in range(lo + 1, hi):
-                other = columns[xi].values
+                other = by_outcome[t][xi]
                 if other != base:
                     hid = next(h for h, (a, b) in enumerate(zip(base, other)) if a != b)
                     raise MeasurabilityError(
@@ -505,7 +611,9 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
     proc.require_measurable()
     nodes = proc.tree.nodes
     children = [c for _, _, _, c in nodes]
-    steps = [proc.kernels[t].columns[lo].values for t, lo, _, _ in nodes]
+    # Per node, the values of its step at its first outcome, by hypothesis.
+    by_outcome = [tuple(zip(*k.rows)) for k in proc.kernels]
+    steps = [by_outcome[t][lo] for t, lo, _, _ in nodes]
     # Per point: its distribution's denominator, its node mass numerators and
     # the bit mask of the nodes it charges.
     masses = []
@@ -637,18 +745,17 @@ def pushforward_kernel(
             raise MeasurabilityError(
                 f"preimage of {member.labels(target.model)} is not a source hypothesis"
             )
-    preimage_ids = [source.family.id_of(bits) for bits in bitsets]
-    cols = []
-    for col in k.columns:
-        cols.append(ev.from_values(target, [col.values[pid] for pid in preimage_ids]))
-    pushed = EKernel(target, k.sample, cols)
+    pushed = EKernel.from_rows(
+        target, k.sample, [k.rows[source.family.id_of(bits)] for bits in bitsets]
+    )
     report = None
     if pa is not None:
         entries = []
         for gid in target.family.nonempty_ids():
-            var = scale(pushed.variable(gid))
+            var = pushed.scaled(gid)
             for pi, p in enumerate(source.model.points):
                 if bitsets[gid] >> pi & 1:
-                    entries.append(Entry(p, dot(pa.pmfs[pi].scaled, var), hid=gid))
+                    stat, ok = dot_at_most(pa.pmfs[pi].scaled, var)
+                    entries.append(Entry(p, stat, hid=gid, ok=ok))
         report = Report(tuple(entries))
     return pushed, report

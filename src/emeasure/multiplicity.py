@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import evidence as ev
-from .evidence import EClass, EFunction, EvidenceError
+from .evidence import EFunction, EvidenceError
 from .kernels import EKernel, Entry, ProbabilityAssignment, Report, SampleSpace, check_validity
 from .xvalue import INF, ONE, XValue, as_xvalue, inf_of
 
@@ -86,7 +86,7 @@ def check_fer(
     the report is one validity pass: the rate is the largest validity
     statistic and it is controlled exactly when the kernel is valid.
     """
-    if k.eclass < EClass.CAPACITY:
+    if not k.is_capacity:
         raise ev.ClassMismatch("the false-evidence bound needs a capacity kernel")
     k.space.require_intersection_closed()
     if rule is None:
@@ -116,7 +116,7 @@ def postprocess_selection(k: EKernel, rule: SelectionRule) -> EKernel:
     """Trade uniform validity for selection-specific validity by inflating
     the least-hypothesis evidence with the reciprocal selection share.
     """
-    if k.eclass < EClass.CAPACITY:
+    if not k.is_capacity:
         raise ev.ClassMismatch("post-processing needs a capacity kernel")
     cols = [postprocess_efunction(col, rule.at(xi)) for xi, col in enumerate(k.columns)]
     return EKernel(k.space, k.sample, cols)
@@ -359,7 +359,7 @@ def check_phi_validity(
     E_P[phi] against 1 per point. Refuses disutilities that fail a sampled
     structural flag.
     """
-    if k.eclass < EClass.CAPACITY:
+    if not k.is_capacity:
         raise ev.ClassMismatch("the least-hypothesis bound needs a capacity kernel")
     k.space.require_intersection_closed()
     phi.verify_flags(k.space, _phi_samples(k.space, k))

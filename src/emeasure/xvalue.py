@@ -23,9 +23,11 @@ into its least common denominator, one integer numerator per position (0
 where the value is inf) and a bit mask of the infinite positions. The
 expectation of two scaled tables is their :func:`dot`: one integer sum of
 products, one gcd when the result is wrapped, and zero mass against inf
-giving 0. A distribution is scaled once, when it is built, and a variable
-once for all the distributions it is held against. The anytime check walks
-its tree on the same scaled tables: node masses are slice sums of a scaled
+giving 0. :func:`dot_at_most` also holds that sum against a bound, on the
+ints, before it is wrapped. A distribution is scaled once, when it is
+built, and a kernel's row of evidence against one hypothesis once per
+kernel, the first time a check reads it. The anytime check walks its tree
+on the same scaled tables: node masses are slice sums of a scaled
 distribution, a hypothesis's step values on the nodes are scaled once, and
 each (hypothesis, point) pair is one loop of int products, sums and maxima
 whose root value :func:`ratio` wraps. All of it is exact.
@@ -228,20 +230,22 @@ def scale(table: Iterable[Rationalish]) -> Scaled:
     Each position gets the integer numerator of its value at that
     denominator, and 0 with its bit set in the mask where the value is inf.
     """
-    nums, dens, inf = [], [], 0
-    for i, v in enumerate(table):
-        f = v._frac if type(v) is XValue else v if type(v) is Fraction else Fraction(v)
-        if f is None:
-            inf |= 1 << i
-            nums.append(0)
-            dens.append(1)
-        else:
-            nums.append(f._numerator)
-            dens.append(f._denominator)
+    fracs = [
+        v._frac if type(v) is XValue else v if type(v) is Fraction else Fraction(v)
+        for v in table
+    ]
+    try:
+        dens = [f._denominator for f in fracs]
+    except AttributeError:  # some value is inf, whose _frac is None
+        inf = sum(1 << i for i, f in enumerate(fracs) if f is None)
+        fracs = [ZERO._frac if f is None else f for f in fracs]
+        dens = [f._denominator for f in fracs]
+    else:
+        inf = 0
     common = math.lcm(*dens)
-    if common != 1:
-        nums = [n * (common // d) for n, d in zip(nums, dens)]
-    return common, tuple(nums), inf
+    if common == 1:
+        return 1, tuple([f._numerator for f in fracs]), inf
+    return common, tuple([f._numerator * (common // d) for f, d in zip(fracs, dens)]), inf
 
 
 def dot(a: Scaled, b: Scaled) -> XValue:
@@ -252,6 +256,16 @@ def dot(a: Scaled, b: Scaled) -> XValue:
     inf. The finite products are summed as integers and the sum is reduced
     once, when it is wrapped.
     """
+    return dot_at_most(a, b)[0]
+
+
+def dot_at_most(a: Scaled, b: Scaled, bound: XValue = ONE) -> tuple[XValue, bool]:
+    """``dot(a, b)`` and whether it is at most `bound`.
+
+    The verdict is decided on the integer sum over its denominator,
+    num * bound_den <= bound_num * den, before the sum is wrapped.
+    """
+    limit = bound._frac
     a_den, a_nums, a_inf = a
     b_den, b_nums, b_inf = b
     either = a_inf | b_inf
@@ -259,15 +273,17 @@ def dot(a: Scaled, b: Scaled) -> XValue:
         low = either & -either
         i = low.bit_length() - 1
         if (a_nums[i] or a_inf & low) and (b_nums[i] or b_inf & low):
-            return INF
+            return INF, limit is None
         either ^= low
-    return ratio(sum(map(mul, a_nums, b_nums)), a_den * b_den)
+    num, den = sum(map(mul, a_nums, b_nums)), a_den * b_den
+    ok = limit is None or num * limit._denominator <= limit._numerator * den
+    return ratio(num, den), ok
 
 
 def ratio(num: int, den: int) -> XValue:
     """The exact value num/den of an int num >= 0 and an int den > 0,
-    reduced once, here."""
-    return _exact(_nonnegative(Fraction(num, den)))
+    reduced once, here; the signs are the caller's to keep."""
+    return _exact(Fraction(num, den))
 
 
 def order_keys(values: Sequence[XValue]) -> list[int]:

@@ -307,6 +307,41 @@ def indicator(space, hid):
     return OrderMeasurableFn.of(space, [1 if i in member else 0 for i in range(space.model.size)])
 
 
+# -- input files --------------------------------------------------------------
+
+
+def space_yaml(space):
+    """A space file whose generators are every nonempty member."""
+    members = [m.labels(space.model) for m in space.family.members if not m.is_empty]
+    return f"points: [{', '.join(space.model.points)}]\ngenerators: [" + ", ".join(
+        f"[{', '.join(labels)}]" for labels in members
+    ) + "]\n"
+
+
+def model_yaml(pa):
+    """A model file of one distribution per point."""
+    rows = []
+    for point, pmf in zip(pa.model.points, pa.pmfs):
+        masses = ", ".join(f"{x}: {XValue(m).record()}" for x, m in zip(pmf.sample.outcomes, pmf.mass))
+        rows.append(f"  {point}: {{{masses}}}\n")
+    return "pmf:\n" + "".join(rows)
+
+
+def kernel_yaml(k, r=None, empty=True):
+    """A kernel file of one row per member, labelled as the command line
+    prints it; with a random source `r`, each row lists its outcomes in a
+    shuffled order. The empty member's row is written when `empty` is set."""
+    rows = []
+    for hid, row in enumerate(k.rows):
+        if hid == k.space.family.empty_id and not empty:
+            continue
+        cells = [f"{x}: {v.record()}" for x, v in zip(k.sample.outcomes, row)]
+        if r is not None:
+            r.shuffle(cells)
+        rows.append(f'  "{member_label(k.space, hid)}": {{{", ".join(cells)}}}\n')
+    return "kernel:\n" + "".join(rows)
+
+
 # -- independent oracles ---------------------------------------------------
 
 
@@ -444,7 +479,7 @@ def oracle_anytime(proc, pa):
         k = stopped_kernel(proc, rule)
         for hid in proc.space.family.nonempty_ids():
             for pi in proc.space.family.member(hid).indices():
-                stat = oracle_expectation(pa.pmfs[pi], k.variable(hid))
+                stat = oracle_expectation(pa.pmfs[pi], k.rows[hid])
                 if (hid, pi) not in best or stat > best[hid, pi]:
                     best[hid, pi] = stat
     return best

@@ -18,6 +18,8 @@ import helpers
 from emeasure import XValue, cli, fileio, golden
 from emeasure import evidence as ev
 from emeasure import kernels as kn
+from emeasure import multiplicity as mtp
+from emeasure import xvalue
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(cli.__file__).parents[1]
@@ -324,6 +326,63 @@ def test_checks_classify_only_the_columns_they_read(tmp_path, monkeypatch, capsy
     assert cli.main(argv + options) == cli.EXIT_OK
     capsys.readouterr()
     assert len(calls) <= most
+
+
+def _counting_work(monkeypatch):
+    """Count the per-outcome tables built, the class computations and the
+    tables scaled to integers."""
+    counts = {"tables": [], "classes": _counting_strength(monkeypatch), "scaled": []}
+    init = ev.EFunction.__init__
+    monkeypatch.setattr(
+        ev.EFunction, "__init__", lambda self, *args: counts["tables"].append(1) or init(self, *args)
+    )
+    scale = xvalue.scale
+    counting = lambda table: counts["scaled"].append(1) or scale(table)
+    monkeypatch.setattr(xvalue, "scale", counting)
+    monkeypatch.setattr(kn, "scale", counting)
+    return counts
+
+
+@pytest.mark.parametrize("check, options", [
+    ("validity", []),
+    ("posthoc", []),
+    ("posthoc", ["--rule", "1/2"]),
+    ("fer", []),
+])
+def test_row_checks_build_no_table_and_scale_each_row_once(tmp_path, monkeypatch, capsys, check, options):
+    """On a 256-member kernel whose outcomes are its 8 points: no per-outcome
+    table and no class is computed, and besides the 8 distributions and a
+    fixed rule's thresholds, each hypothesis's row is scaled once at most."""
+    space = helpers.power_space(8)
+    argv = _power_set_validity_argv(tmp_path / "files", 8, outcomes=space.model.points)
+    argv[argv.index("validity")] = check
+    counts = _counting_work(monkeypatch)
+    assert cli.main(argv + options) == cli.EXIT_OK
+    capsys.readouterr()
+    assert (len(counts["tables"]), len(counts["classes"])) == (0, 0)
+    assert len(counts["scaled"]) <= len(space.family) + 8 + 1
+
+
+def test_one_kernel_scales_each_row_once_across_checks(tmp_path, monkeypatch):
+    """Validity, both post-hoc rules and uniform FER on one loaded 256-member
+    kernel scale each hypothesis's row once, and the fixed rule's thresholds."""
+    points = helpers.power_space(8).model.points
+    argv = _power_set_validity_argv(tmp_path / "files", 8, outcomes=points)
+    files = {arg.split("=")[0]: arg.split("=")[1] for arg in argv if arg.startswith("--") and "=" in arg}
+    sf = fileio.load_space(files["--space"])
+    pa = fileio.load_pmfs(files["--model"], sf.space.model)
+    kernel = fileio.load_kernel(files["--kernel"], sf, pa.sample)
+    counts = _counting_work(monkeypatch)
+    rule = {x: XValue(Fraction(1, 2)) for x in points}
+    reports = [
+        kn.check_validity(kernel, pa),
+        kn.check_posthoc_validity(kernel, pa, "canonical"),
+        kn.check_posthoc_validity(kernel, pa, rule),
+        mtp.check_fer(kernel, pa),
+    ]
+    assert all(report.ok for report in reports)
+    assert (len(counts["tables"]), len(counts["classes"])) == (0, 0)
+    assert len(counts["scaled"]) <= len(sf.space.family) + 1
 
 
 def _no_class(space, values):

@@ -388,18 +388,18 @@ def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
         expect = helpers.oracle_expectation
         pairs = [(hid, pi) for hid in space.family.nonempty_ids() for pi in members[hid].indices()]
         zero_against_inf += any(
-            m == 0 and v.is_inf for hid, pi in pairs for m, v in zip(pa.pmfs[pi].mass, k.variable(hid))
+            m == 0 and v.is_inf for hid, pi in pairs for m, v in zip(pa.pmfs[pi].mass, k.rows[hid])
         )
 
         def stats(report):
             return [(e.point, e.hid, e.stat) for e in report.entries]
 
         assert stats(check_validity(k, pa)) == [
-            (points[pi], hid, expect(pa.pmfs[pi], k.variable(hid))) for hid, pi in pairs
+            (points[pi], hid, expect(pa.pmfs[pi], k.rows[hid])) for hid, pi in pairs
         ]
         levels = [XValue(r.choice(LEVELS)) for _ in points]
         cuts = [XValue(1) / level for level in levels]
-        miss = {hid: [c if v >= c else XValue(0) for v, c in zip(k.variable(hid), cuts)]
+        miss = {hid: [c if v >= c else XValue(0) for v, c in zip(k.rows[hid], cuts)]
                 for hid, _ in pairs}
         assert stats(check_posthoc_validity(k, pa, dict(zip(points, levels)))) == [
             (points[pi], hid, expect(pa.pmfs[pi], miss[hid])) for hid, pi in pairs

@@ -174,7 +174,7 @@ def test_every_report_gives_its_verdict_and_worst_entry():
             ties += len(attaining) > 1
             verdicts.add(report.ok)
         pairs = [
-            (hid, pi, helpers.oracle_expectation(pa.pmfs[pi], k.variable(hid)))
+            (hid, pi, helpers.oracle_expectation(pa.pmfs[pi], k.rows[hid]))
             for hid in space.family.nonempty_ids()
             for pi in space.family.member(hid).indices()
         ]
@@ -315,7 +315,7 @@ def test_posthoc_canonical_rule_matches_validity_statistic():
             report = check_posthoc_validity(k, pa, "canonical")
             expected = [
                 (space.model.points[pi], hid, helpers.oracle_expectation(
-                    pa.pmfs[pi], [canonical_miss_rate(v) for v in k.variable(hid)]
+                    pa.pmfs[pi], [canonical_miss_rate(v) for v in k.rows[hid]]
                 ))
                 for hid in space.family.nonempty_ids()
                 for pi in space.family.member(hid).indices()
@@ -367,7 +367,7 @@ def test_eposterior_raw_names_the_point_attaining_each_bound():
         assert [e.hid for e in report.entries] == list(space.family.nonempty_ids())
         for entry in report.entries:
             stats = [
-                (helpers.oracle_expectation(pa.pmfs[pi], post.variable(entry.hid)), pi)
+                (helpers.oracle_expectation(pa.pmfs[pi], post.rows[entry.hid]), pi)
                 for pi in space.family.member(entry.hid).indices()
             ]
             largest = max(stat for stat, _ in stats)

@@ -252,7 +252,7 @@ def test_fer_rate_and_premise_match_their_definitions():
         report = check_fer(k, pa, rule)
         assert [e.stat for e in report.entries] == [fer_stat(p, rule.at) for p in points]
         for p, entry in zip(points, report.entries, strict=True):
-            least_stat = helpers.oracle_expectation(pa.pmfs[p], k.variable(space.least_id(p)))
+            least_stat = helpers.oracle_expectation(pa.pmfs[p], k.rows[space.least_id(p)])
             assert entry.stat <= premise(p) <= least_stat
         uniform = check_fer(k, pa)
         assert uniform.worst().stat == max(
@@ -284,7 +284,7 @@ def test_fer_singleton_rules_and_uniform_equivalence():
                                 for xi in range(sample.size)]
                 singleton_rates.append(helpers.oracle_expectation(pa.pmfs[pi], feps))
         largest_validity_stat = max(
-            helpers.oracle_expectation(pa.pmfs[pi], k.variable(hid))
+            helpers.oracle_expectation(pa.pmfs[pi], k.rows[hid])
             for hid in space.family.nonempty_ids()
             for pi in space.family.member(hid).indices()
         )

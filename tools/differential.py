@@ -14,7 +14,13 @@ sides get the same inputs:
   (named `WORKLOAD/SEED/JOB`);
 - 720 seeded random `decide` inputs: spaces, models, kernels and decision
   problems with every `--bound`, with and without `--outcome` (named
-  `decide/N`).
+  `decide/N`);
+- 360 seeded random `check` inputs, run with `--check` validity, posthoc
+  (canonical and at a fixed level), fwe and fer (with and without
+  `--family`). Their kernel rows list the outcomes in order or shuffled,
+  drop an outcome, add an unknown one, or give the empty member a finite
+  value, so both ways of reading a row and the order of their errors are
+  compared (named `check/N`).
 
 A job agrees when its exit code, stdout and stderr are equal on both sides.
 The first difference that no `--expect NAME` names is printed with its argv
@@ -42,6 +48,7 @@ from typing import Callable, Iterable, Optional
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 DECIDE_INPUTS = 720  # random `decide` inputs, from the first seed
+CHECK_INPUTS = 360  # random `check` inputs, from the first seed
 
 # What one run of an argv gives: exit code, stdout and stderr.
 Result = tuple[object, str, str]
@@ -208,45 +215,54 @@ def _value(rng: random.Random, inf: object) -> object:
     return Fraction(rng.randint(1, 12), rng.randint(1, 6))
 
 
+def _random_space(rng: random.Random, orc, w):
+    """A power set, a chain space or any union-closed family, which is
+    often not intersection-closed, on two or three points."""
+    width = rng.randint(2, 3)
+    if rng.random() < 0.5:
+        return w.power_space(width)
+    if rng.random() < 0.5:
+        return w.chain_space(rng, rng.choice(((2, 1), (1, 1, 1), (3,), (2,))))
+    points = [f"p{i + 1}" for i in range(width)]
+    gens = sorted({rng.randint(1, (1 << width) - 1) for _ in range(width + 1)})
+    text = f"points: {w._yaml_list(points)}\ngenerators: " + w._yaml_list(
+        w._yaml_list(points[i] for i in orc.bits_of(g, width)) for g in gens
+    )
+    return w.SpaceSpec(points, orc.canonical(orc.union_closure(gens)), text + "\n")
+
+
+def _random_columns(rng: random.Random, orc, w, sp, outcomes, pmfs) -> list[dict]:
+    """One table per outcome: the pointwise minimum of per-point weights,
+    which are likelihood ratios against a reference (a valid capacity) or
+    random values, or one time in five any table."""
+    roll = rng.random()
+    if roll < 0.4:  # likelihood ratios against a reference: valid
+        ref = w.rand_pmf(rng, len(outcomes))
+        weights = [[r / m for r, m in zip(ref, pmf)] for pmf in pmfs]
+    else:
+        weights = [[_value(rng, orc.INF) for _ in outcomes] for _ in sp.points]
+    if roll < 0.8:
+        return [
+            {b: w.min_over(b, sp.width, lambda p: weights[p][xi]) for b in sp.family}
+            for xi in range(len(outcomes))
+        ]
+    return [{b: _value(rng, orc.INF) for b in sp.family} for _ in outcomes]
+
+
 def decide_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
-    """Random decision problems over power sets, chain spaces and random
-    union-closed spaces. The kernel is the pointwise minimum of per-point
-    weights, which are likelihood ratios against a reference (a valid
-    capacity) or random values, or one time in five any table."""
+    """Random decision problems over random spaces and kernels (see
+    `_random_space` and `_random_columns`)."""
     orc, w = _perfbench()
     rng = random.Random(f"decide/{seed}")
     inputs = inputs / f"decide-{seed}"
     inputs.mkdir()
     jobs = []
     for n in range(count):
-        width = rng.randint(2, 3)
-        if rng.random() < 0.5:
-            sp = w.power_space(width)
-        elif rng.random() < 0.5:
-            sp = w.chain_space(rng, rng.choice(((2, 1), (1, 1, 1), (3,), (2,))))
-        else:  # any union-closed family, often not intersection-closed
-            points = [f"p{i + 1}" for i in range(width)]
-            gens = sorted({rng.randint(1, (1 << width) - 1) for _ in range(width + 1)})
-            text = f"points: {w._yaml_list(points)}\ngenerators: " + w._yaml_list(
-                w._yaml_list(points[i] for i in orc.bits_of(g, width)) for g in gens
-            )
-            sp = w.SpaceSpec(points, orc.canonical(orc.union_closure(gens)), text + "\n")
-        points, width = sp.points, sp.width
+        sp = _random_space(rng, orc, w)
+        points = sp.points
         outcomes = [f"x{i + 1}" for i in range(rng.randint(2, 4))]
         pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in points]
-        roll = rng.random()
-        if roll < 0.4:  # likelihood ratios against a reference: valid
-            ref = w.rand_pmf(rng, len(outcomes))
-            weights = [[r / m for r, m in zip(ref, pmf)] for pmf in pmfs]
-        else:
-            weights = [[_value(rng, orc.INF) for _ in outcomes] for _ in points]
-        if roll < 0.8:
-            columns = [
-                {b: w.min_over(b, width, lambda p: weights[p][xi]) for b in sp.family}
-                for xi in range(len(outcomes))
-            ]
-        else:
-            columns = [{b: _value(rng, orc.INF) for b in sp.family} for _ in outcomes]
+        columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
         decisions = [f"d{i + 1}" for i in range(rng.randint(2, 4))]
         if rng.random() < 0.5:
             rows = [
@@ -287,6 +303,70 @@ def decide_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     return jobs
 
 
+# How a `check` input's kernel rows are written, one per input.
+ROW_FORMS = ("ordered", "shuffled", "drop", "unknown", "empty-finite")
+
+
+def _kernel_text(rng: random.Random, w, sp, outcomes, columns, form: str) -> str:
+    """The kernel file of `columns` with its rows written in `form`; a third
+    of the inputs that break one row also shuffle every row. The empty
+    member's row is written in half of the other inputs."""
+    rows = {b: [f"{x}: {w.fmt(col[b])}" for x, col in zip(outcomes, columns)] for b in sp.family}
+    rows[0] = [f"{x}: inf" for x in outcomes]
+    if form == "empty-finite":
+        i = rng.randrange(len(outcomes))
+        rows[0][i] = f"{outcomes[i]}: 1"
+    elif form in ("drop", "unknown"):
+        row = rows[rng.choice([b for b in sp.family if b])]
+        if form == "drop":
+            del row[rng.randrange(len(row))]
+        else:
+            row.insert(rng.randint(0, len(row)), "zz: 1")
+    if form == "shuffled" or (form != "ordered" and rng.random() < 1 / 3):
+        for row in rows.values():
+            rng.shuffle(row)
+    written = [b for b in sp.family if b or form == "empty-finite" or rng.random() < 0.5]
+    return "kernel:\n" + "".join(
+        f'  "{sp.label(b) if b else "{}"}": {{{", ".join(rows[b])}}}\n' for b in written
+    )
+
+
+def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
+    """Random `check` inputs over random spaces and kernels (see
+    `_random_space` and `_random_columns`), their rows written in one of
+    `ROW_FORMS`."""
+    orc, w = _perfbench()
+    rng = random.Random(f"check/{seed}")
+    inputs = inputs / f"check-{seed}"
+    inputs.mkdir()
+    jobs = []
+    for n in range(count):
+        sp = _random_space(rng, orc, w)
+        outcomes = [f"x{i + 1}" for i in range(rng.randint(2, 4))]
+        pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in sp.points]
+        columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
+        files = {
+            "space": sp.text,
+            "model": w.model_yaml(sp.points, outcomes, pmfs),
+            "kernel": _kernel_text(rng, w, sp, outcomes, columns, rng.choice(ROW_FORMS)),
+        }
+        argv = ["check"]
+        for kind, text in files.items():
+            path = inputs / f"c{n:04d}_{kind}.yaml"
+            path.write_text(text)
+            argv += [f"--{kind}", str(path)]
+        check = rng.choice(("validity", "posthoc", "posthoc-level", "fwe", "fer", "fer-family"))
+        argv += ["--check", check.partition("-")[0]]
+        if check == "posthoc-level":
+            argv += ["--rule", f"1/{rng.randint(1, 4)}"]
+        elif check == "fer-family":
+            members = [b for b in sp.family if b]
+            chosen = rng.sample(members, rng.randint(1, min(3, len(members))))
+            argv += ["--family", "|".join(sp.label(b) for b in chosen) + "|"]
+        jobs.append(Job(f"check/{n}", tuple(argv)))
+    return jobs
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--serve"]:
@@ -306,6 +386,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         inputs.mkdir()
         jobs = corpus_jobs() + perfbench_jobs(inputs, args.seeds, args.cycles)
         jobs += decide_jobs(inputs, args.seeds[0], DECIDE_INPUTS)
+        jobs += check_jobs(inputs, args.seeds[0], CHECK_INPUTS)
         base, change = Side(base_src, inputs), Side(ROOT / "src", inputs)
         try:
             outcome = compare(jobs, base, change, args.expect)
