@@ -3,7 +3,10 @@
 Hypotheses are subsets of a finite model, families are union-closed, and
 evidence tables over them are classified, closed into measures, weighed
 against data by exact expectation, corrected for multiplicity and turned
-into decision bounds. Everything is exact rational arithmetic.
+into decision bounds. Everything is exact rational arithmetic. The
+exports are what the command line runs, plus the E-posterior, pushforward
+and convex-merge functions that no subcommand runs yet; test fixtures and
+oracles live in the test suite.
 """
 
 from .xvalue import INF, ONE, XValue, ZERO, as_xvalue, inf_of, parse_xvalue, sup_of
@@ -16,9 +19,7 @@ from .spaces import (
     SpaceError,
     SpaceReport,
     class_from_preorder,
-    preimage_class,
     preorder_from_class,
-    space_from_generators,
     union_closure,
 )
 from .evidence import (
@@ -27,10 +28,7 @@ from .evidence import (
     EvidenceError,
     classify,
     close,
-    dirac_measure,
-    extend_to_powerset,
     merge_convex,
-    unit_measure,
 )
 from .integration import OrderMeasurableFn, shilkret_integral
 from .kernels import (
@@ -45,30 +43,19 @@ from .kernels import (
     check_predictive_validity,
     check_validity,
     close_kernel,
-    close_process,
-    confidence_set,
-    constant_kernel,
     eposterior_closed,
     eposterior_raw,
-    likelihood_kernel,
     merge_convex_kernels,
     pushforward_kernel,
-    rejection_set,
 )
 from .multiplicity import (
-    AvgOverSelection,
-    CustomPhi,
     SelectionRule,
-    SupOverTrue,
     check_fer,
     check_fwe,
-    check_phi_validity,
     closed_ebh,
     ebh,
-    familywise_evidence,
     fep_fsp,
     postprocess_efunction,
-    postprocess_selection,
     self_consistent_selection,
 )
 from .decisions import (
@@ -81,7 +68,6 @@ from .decisions import (
     check_grunwald_bound,
     check_posthoc_consequence_bound,
     e_integrated_loss,
-    evidence_against_optimality,
     hypothesis_for_bound,
     optimality_class,
 )

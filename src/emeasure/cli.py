@@ -515,9 +515,9 @@ def cmd_decide(args) -> int:
             for value, d in ranking:
                 out.text(f"  {d}: {value}")
                 out.record("eloss", decision=d, value=value)
-        # Each decision's own set, read off the family in linear time; the
-        # pushforward of evidence_against_optimality would build the power set
-        # of the decisions. Ties, or a set outside the family: no ranking.
+        # Each decision's own set, read off the family in linear time; a
+        # pushforward onto the sets of decisions would build their power set.
+        # Ties, or a set outside the family: no ranking.
         opt, family = dec.optimality_class(loss), sf.space.family
         sets = [(opt.decision_sets[d].bits, d) for d in loss.decisions]
         if opt.optimal is not None and all(bits in family for bits, _ in sets):
@@ -527,12 +527,11 @@ def cmd_decide(args) -> int:
                 out.text(f"  {d}: {value}")
                 out.record("optimality", decision=d, value=value)
 
-    try:
-        adm = dec.admissible_decisions(kernel.columns[0] if slice_fn is None else slice_fn, ctable)
-        out.text(f"admissible decisions: {', '.join(adm.admissible)}")
-        out.record("admissible", decisions="|".join(adm.admissible))
-    except dec.OrderMeasurabilityViolation as exc:
-        out.text(f"admissibility skipped: {exc}")
+    # Every bound hypothesis is an upper set of the row-dominance preorder,
+    # and the bound check above has required each of those.
+    adm = dec.admissible_decisions(kernel.columns[0] if slice_fn is None else slice_fn, ctable)
+    out.text(f"admissible decisions: {', '.join(adm.admissible)}")
+    out.record("admissible", decisions="|".join(adm.admissible))
 
     return code
 

@@ -1,6 +1,6 @@
 """Decision making under evidence: consequence tables, the hypothesis
 class they induce, consequence bounds, integrated loss, admissibility and
-evidence against optimality.
+the optimality class of a loss.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from typing import Mapping, Optional, Sequence
 from . import kernels as kn
 from .evidence import EClass, EFunction, EvidenceError
 from .integration import OrderMeasurabilityViolation, OrderMeasurableFn, shilkret_integral
-from .kernels import EKernel, Entry, ProbabilityAssignment, Report, pushforward_kernel
+from .kernels import EKernel, Entry, ProbabilityAssignment, Report
 from .spaces import (
-    HypothesisClass,
     Model,
     PointSet,
     Preorder,
@@ -99,13 +98,6 @@ class ConsequenceTable:
             rows.append(tuple(table[p][d] for d in decisions))
         return cls(model, tuple(decisions), cspace, tuple(rows))
 
-    def consequence(self, point: int | str, decision: int | str) -> str:
-        if isinstance(point, str):
-            point = self.model.index(point)
-        if isinstance(decision, str):
-            decision = self.decisions.index(decision)
-        return self.entries[point][decision]
-
     def row_dominates(self, hi: int, lo: int) -> bool:
         """Row hi is uniformly at least as bad as row lo across decisions."""
         return all(
@@ -140,9 +132,6 @@ class NumericLoss:
         for p in model.points:
             rows.append(tuple(as_xvalue(table[p][d]) for d in decisions))
         return cls(model, tuple(decisions), tuple(rows))
-
-    def loss(self, point: int, decision: int) -> XValue:
-        return self.entries[point][decision]
 
     def column(self, decision: int | str) -> tuple[XValue, ...]:
         if isinstance(decision, str):
@@ -391,21 +380,3 @@ def optimality_class(loss: NumericLoss) -> OptimalityResult:
         optimal=unique if tie_free else None,
     )
 
-
-def evidence_against_optimality(
-    k: EKernel, loss: NumericLoss, pa: Optional[ProbabilityAssignment] = None
-):
-    """Push the kernel forward along the optimal-decision map.
-
-    The resulting kernel scores, for each set of decisions, the evidence
-    against the claim that the truly optimal decision lies in the set.
-    """
-    result = optimality_class(loss)
-    if result.optimal is None:
-        raise DecisionError("optimal decisions are not unique; no pushforward map")
-    target_model = Model(tuple(loss.decisions))
-    target = Space(
-        target_model,
-        HypothesisClass(target_model.size, range(1 << target_model.size), check=False),
-    )
-    return pushforward_kernel(k, result.optimal, target, pa)

@@ -17,11 +17,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .spaces import HypothesisClass, Space
-from .xvalue import INF, ONE, ZERO, XValue, as_xvalue, order_keys
-
-POWERSET_POINT_CAP = 16
-
+from .spaces import Space
+from .xvalue import INF, ZERO, XValue, as_xvalue, order_keys
 
 class EvidenceError(Exception):
     pass
@@ -32,10 +29,6 @@ class NotAnEFunction(EvidenceError):
 
 
 class ClassMismatch(EvidenceError):
-    pass
-
-
-class CapExceeded(EvidenceError):
     pass
 
 
@@ -165,10 +158,13 @@ def _claims(space: Space, values: Sequence[XValue]) -> list[XValue]:
 
 
 def sup_over_true(space: Space, values: Sequence[XValue], point: int | str) -> XValue:
-    """Largest evidence among the hypotheses containing the point: its claim."""
+    """Largest evidence among the hypotheses containing the point: its claim,
+    and 0 when no member contains it. One pass over the members."""
     if isinstance(point, str):
         point = space.model.index(point)
-    return _claims(space, values)[point]
+    return max(
+        (v for m, v in zip(space.family.members, values) if m.bits >> point & 1), default=ZERO
+    )
 
 
 def close(e: EFunction) -> EFunction:
@@ -209,36 +205,3 @@ def merge_convex(functions: Sequence[EFunction], weights: Sequence[Fraction | in
             total = total + f.values[hid] * XValue(w)
         out.append(total)
     return from_values(space, out)
-
-
-def extend_to_powerset(e: EFunction) -> EFunction:
-    """Canonical extension of a measure to every subset of the model.
-
-    A subset's evidence is the least evidence among the least hypotheses of
-    its points; the extension coincides with ``e`` on the original family
-    and is dominated by every capacity extension.
-    """
-    if e.eclass is not EClass.MEASURE:
-        raise ClassMismatch("only measures extend canonically")
-    space = e.space
-    space.require_intersection_closed()
-    size = space.model.size
-    if size > POWERSET_POINT_CAP:
-        raise CapExceeded(f"model size {size} exceeds power-set cap {POWERSET_POINT_CAP}")
-    least = space.least_ids()
-    full = Space(space.model, HypothesisClass(size, range(1 << size), check=False))
-    return measure_from_density(full, [e.values[least[i]] for i in range(size)])
-
-
-def dirac_measure(space: Space, point: int | str) -> EFunction:
-    """Unit evidence on hypotheses containing the point, infinite elsewhere."""
-    if isinstance(point, str):
-        point = space.model.index(point)
-    return measure_from_density(
-        space, [ONE if i == point else INF for i in range(space.model.size)]
-    )
-
-
-def unit_measure(space: Space) -> EFunction:
-    """Constant evidence 1 on every nonempty hypothesis."""
-    return measure_from_density(space, [ONE] * space.model.size)

@@ -223,29 +223,6 @@ class EKernel:
         )
 
 
-def constant_kernel(space: Space, sample: SampleSpace, fn: EFunction) -> EKernel:
-    return EKernel(space, sample, [fn] * sample.size)
-
-
-def likelihood_kernel(space: Space, pa: ProbabilityAssignment, reference: Pmf) -> EKernel:
-    """Inverse-likelihood kernel relative to a reference distribution.
-
-    Each point p carries reference(x) / P_p(x) at outcome x, and a
-    hypothesis gets the least ratio among its points. Valid on every
-    union-closed space whenever the reference is a probability mass
-    function: under P_p the expectation of e(H) for H containing p is at
-    most that of p's own ratio, which sums the reference over the outcomes
-    P_p charges.
-    """
-    cols = []
-    for xi in range(reference.sample.size):
-        ref = XValue(reference.mass[xi])
-        cols.append(
-            ev.measure_from_density(space, [ref / XValue(pmf.mass[xi]) for pmf in pa.pmfs])
-        )
-    return EKernel(space, reference.sample, cols)
-
-
 # -- one report shape for every expectation held against a bound -----------
 
 
@@ -338,29 +315,6 @@ def merge_convex_kernels(kernels: Sequence[EKernel], weights: Sequence[Fraction 
 
 
 # -- confidence sets and post-hoc levels -------------------------------
-
-
-def confidence_set(k: EKernel, alpha: Fraction | int, x: int | str) -> tuple[int, ...]:
-    """Hypotheses whose evidence at x stays below 1/alpha (never the empty one)."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise KernelError("alpha must be positive")
-    threshold = ONE / XValue(alpha)
-    col = k.column(x)
-    return tuple(
-        hid for hid in range(len(k.space.family)) if col.values[hid] < threshold
-    )
-
-
-def rejection_set(k: EKernel, alpha: Fraction | int, x: int | str) -> tuple[int, ...]:
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise KernelError("alpha must be positive")
-    threshold = ONE / XValue(alpha)
-    col = k.column(x)
-    return tuple(
-        hid for hid in k.space.family.nonempty_ids() if col.values[hid] >= threshold
-    )
 
 
 LevelRule = Union[str, Mapping[str, XValue]]
@@ -675,11 +629,6 @@ def _stop_rule(
         else:
             todo.extend(kids)
     return tuple(rule)
-
-
-def close_process(proc: EProcess) -> EProcess:
-    """Close every step; the closure dominates its input, validity is untouched."""
-    return EProcess(proc.tree, [close_kernel(k) for k in proc.kernels])
 
 
 # -- predictive kernels ---------------------------------------------------

@@ -1,18 +1,19 @@
 """Cross-hypothesis validity: familywise evidence, false evidence rate,
 selection post-processing, e-value step-up rejections and their closed
-variant, and the general disutility-based notion that nests them all.
+variant. FWE and FER are the two disutilities of the paper's general
+notion, and each has its own check here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import evidence as ev
 from .evidence import EFunction, EvidenceError
 from .kernels import EKernel, Entry, ProbabilityAssignment, Report, SampleSpace, check_validity
-from .xvalue import INF, ONE, XValue, as_xvalue, inf_of
+from .xvalue import ONE, XValue, inf_of
 
 
 class MultiplicityError(EvidenceError):
@@ -38,11 +39,6 @@ class SelectionRule:
         if isinstance(x, str):
             x = self.sample.index(x)
         return self.selected[x]
-
-
-def familywise_evidence(k: EKernel, point: int | str, x: int | str) -> XValue:
-    """Largest evidence among hypotheses containing the point, at outcome x."""
-    return ev.sup_over_true(k.space, k.column(x).values, point)
 
 
 def check_fwe(k: EKernel, pa: ProbabilityAssignment) -> Report:
@@ -110,16 +106,6 @@ def selection_shares(space, selected: Sequence[int]) -> list[Fraction]:
         Fraction(sum(1 for hid in selected if pi in members.member(hid)), denom)
         for pi in range(space.model.size)
     ]
-
-
-def postprocess_selection(k: EKernel, rule: SelectionRule) -> EKernel:
-    """Trade uniform validity for selection-specific validity by inflating
-    the least-hypothesis evidence with the reciprocal selection share.
-    """
-    if not k.is_capacity:
-        raise ev.ClassMismatch("post-processing needs a capacity kernel")
-    cols = [postprocess_efunction(col, rule.at(xi)) for xi, col in enumerate(k.columns)]
-    return EKernel(k.space, k.sample, cols)
 
 
 def postprocess_efunction(e: EFunction, selected: Sequence[int]) -> EFunction:
@@ -247,130 +233,3 @@ def closed_ebh(e: EFunction, family_ids: Sequence[int], alpha: Fraction) -> Step
     """
     selected = self_consistent_selection(e, family_ids, alpha).selected
     return StepUpResult(rejected=selected, table=_binary_rejection_table(e.space, selected, Fraction(alpha)))
-
-
-# -- general disutility-based validity --------------------------------------
-
-
-class PhiFlagViolation(MultiplicityError):
-    def __init__(self, flag: str, detail: str):
-        self.flag = flag
-        super().__init__(f"disutility is not {flag}: {detail}")
-
-
-class PhiSpec:
-    """Disutility of an evidence table when a given point is the truth.
-
-    Subclasses implement ``value``; the three structural flags (local,
-    positively homogeneous, monotone) are verified on sampled tables, not
-    proved.
-    """
-
-    name = "custom"
-
-    def value(self, space, point: int, table: Sequence[XValue]) -> XValue:
-        raise NotImplementedError
-
-    def one_table(self, space, point: int) -> tuple[XValue, ...]:
-        return tuple(
-            ONE if point in m else XValue(0) for m in space.family.members
-        )
-
-    def phi_one(self, space, point: int) -> XValue:
-        return self.value(space, point, self.one_table(space, point))
-
-    def verify_flags(self, space, samples: Sequence[Sequence[XValue]]) -> None:
-        scalars = [XValue(0), XValue(Fraction(1, 3)), XValue(2)]
-        for table in samples:
-            table = tuple(as_xvalue(v) for v in table)
-            for point in range(space.model.size):
-                masked = tuple(
-                    v * w for v, w in zip(table, self.one_table(space, point))
-                )
-                if self.value(space, point, table) != self.value(space, point, masked):
-                    raise PhiFlagViolation("local", f"table {table} at point {point}")
-                base = self.value(space, point, table)
-                for c in scalars:
-                    scaled = tuple(v * c for v in table)
-                    if self.value(space, point, scaled) != base * c:
-                        raise PhiFlagViolation(
-                            "positively homogeneous",
-                            f"scale {c} of table {table} at point {point}",
-                        )
-                lowered = tuple(
-                    XValue(0) if i % 2 else v for i, v in enumerate(table)
-                )
-                if self.value(space, point, lowered) > base:
-                    raise PhiFlagViolation(
-                        "monotone", f"lowering {table} raised the value at {point}"
-                    )
-
-
-class SupOverTrue(PhiSpec):
-    """Worst evidence among true hypotheses; recovers familywise control."""
-
-    name = "sup-over-true"
-
-    def value(self, space, point, table):
-        return ev.sup_over_true(space, table, point)
-
-
-class AvgOverSelection(PhiSpec):
-    """Average evidence over the true part of a fixed selection; recovers FER."""
-
-    name = "avg-over-selection"
-
-    def __init__(self, selected: Sequence[int]):
-        self.selected = tuple(selected)
-
-    def value(self, space, point, table):
-        denom = max(len(self.selected), 1)
-        total = XValue(0)
-        for hid in self.selected:
-            if point in space.family.member(hid):
-                total = total + table[hid]
-        return total / denom
-
-
-class CustomPhi(PhiSpec):
-    def __init__(self, fn: Callable[[int, Sequence[XValue]], XValue], name: str = "custom"):
-        self._fn = fn
-        self.name = name
-
-    def value(self, space, point, table):
-        return self._fn(point, table)
-
-
-def _phi_samples(space, k: EKernel) -> list[tuple[XValue, ...]]:
-    n = len(space.family)
-    grid = [XValue(0), XValue(1), XValue(2), INF]
-    samples = [tuple(grid[(i + s) % len(grid)] for i in range(n)) for s in range(4)]
-    samples.extend(tuple(col.values) for col in k.columns)
-    return samples
-
-
-def check_phi_validity(
-    k: EKernel, pa: ProbabilityAssignment, phi: PhiSpec
-) -> tuple[Report, Report]:
-    """Disutility-based validity via the least-hypothesis bound.
-
-    The first report holds phi(e(.|x)) against e(H_P|x) * phi(1_P) for
-    every point and outcome (the outcome is each entry's case), the second
-    E_P[phi] against 1 per point. Refuses disutilities that fail a sampled
-    structural flag.
-    """
-    if not k.is_capacity:
-        raise ev.ClassMismatch("the least-hypothesis bound needs a capacity kernel")
-    k.space.require_intersection_closed()
-    phi.verify_flags(k.space, _phi_samples(k.space, k))
-    least = k.space.least_ids()
-    pointwise = []
-    general = []
-    for pi, point in enumerate(k.space.model.points):
-        factor = phi.phi_one(k.space, pi)
-        phi_var = [phi.value(k.space, pi, col.values) for col in k.columns]
-        for xi, x in enumerate(k.sample.outcomes):
-            bound = k.value(least[pi], xi) * factor
-            pointwise.append(Entry(point, phi_var[xi], bound, case=x))
-        general.append(Entry(point, pa.pmfs[pi].expectation(phi_var)))
-    return Report(tuple(pointwise)), Report(tuple(general))

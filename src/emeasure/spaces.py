@@ -424,11 +424,6 @@ class Space:
         return hash((self.model, self.family))
 
 
-def space_from_generators(model: Model, generators: Iterable[Iterable[str]]) -> Space:
-    sets = [PointSet.of(model, g) for g in generators]
-    return Space(model, union_closure(model.size, sets))
-
-
 def class_from_preorder(model: Model, pre: Preorder) -> Space:
     """Union closure of the principal upper sets of a preorder.
 
@@ -478,12 +473,3 @@ def preimages(
         for member in target.family.members
     )
 
-
-def preimage_class(
-    source_model: Model,
-    mapping: Mapping[str, str] | Callable[[str], str],
-    target: Space,
-) -> HypothesisClass:
-    """Family of preimages of the target members; union-closed for free."""
-    bitsets = preimages(source_model, mapping, target)
-    return HypothesisClass(source_model.size, bitsets, check=False)

@@ -15,7 +15,9 @@ from emeasure import (
     EKernel,
     EProcess,
     FiltrationTree,
+    HypothesisClass,
     INF,
+    ONE,
     Model,
     Pmf,
     PointSet,
@@ -28,10 +30,14 @@ from emeasure import (
     class_from_preorder,
     classify,
     inf_of,
+    optimality_class,
     postprocess_efunction,
+    pushforward_kernel,
     sup_of,
     union_closure,
 )
+from emeasure.decisions import DecisionError
+from emeasure.evidence import measure_from_density
 
 
 def rng(seed: int) -> random.Random:
@@ -76,9 +82,13 @@ def rand_uc_space(r, max_points=4, max_members=None):
 
 def power_space(n):
     model = Model(tuple(f"P{i + 1}" for i in range(n)))
-    from emeasure import HypothesisClass
-
     return Space(model, HypothesisClass(n, range(1 << n), check=False))
+
+
+def space_from_generators(model, generators):
+    """The union closure of generators given as lists of point labels."""
+    sets = [PointSet.of(model, g) for g in generators]
+    return Space(model, union_closure(model.size, sets))
 
 
 def rand_capacity(r, space, allow_inf=True):
@@ -114,6 +124,17 @@ def rand_measure(r, space, zero_chance=0):
     e = classify(space, values)
     assert e.eclass is EClass.MEASURE
     return e
+
+
+def dirac_measure(space, point):
+    """Unit evidence on hypotheses containing the point, infinite elsewhere."""
+    pi = space.model.index(point)
+    return measure_from_density(space, [ONE if i == pi else INF for i in range(space.model.size)])
+
+
+def unit_measure(space):
+    """Constant evidence 1 on every nonempty hypothesis."""
+    return measure_from_density(space, [ONE] * space.model.size)
 
 
 def rand_sample(r, max_outcomes=3, min_outcomes=1):
@@ -170,6 +191,28 @@ def valid_capacity_kernel(r, space, pa):
     k1 = valid_measure_kernel(r, space, pa)
     k2 = valid_measure_kernel(r, space, pa)
     return merge_convex_kernels([k1, k2], [Fraction(1, 3), Fraction(2, 3)])
+
+
+def constant_kernel(space, sample, fn):
+    """The same table at every outcome."""
+    return EKernel(space, sample, [fn] * sample.size)
+
+
+def likelihood_kernel(space, pa, reference):
+    """Inverse-likelihood kernel relative to a reference distribution.
+
+    Each point p carries reference(x) / P_p(x) at outcome x, and a
+    hypothesis gets the least ratio among its points. Valid on every
+    union-closed space whenever the reference is a probability mass
+    function: under P_p the expectation of e(H) for H containing p is at
+    most that of p's own ratio, which sums the reference over the outcomes
+    P_p charges.
+    """
+    cols = [
+        measure_from_density(space, [XValue(ref) / XValue(pmf.mass[xi]) for pmf in pa.pmfs])
+        for xi, ref in enumerate(reference.mass)
+    ]
+    return EKernel(space, reference.sample, cols)
 
 
 def constant_two_kernel(space, sample):
@@ -532,3 +575,20 @@ def oracle_self_consistent(e, family_ids, alpha):
     for combo, witness in oracle_fixed_points(e, family_ids, alpha):
         return combo, witness, True
     return (), {}, False
+
+
+def evidence_against_optimality(k, loss, pa=None):
+    """The kernel pushed forward along the optimal-decision map, onto the
+    power set of the decisions: for each set of decisions, the evidence
+    against the claim that the truly optimal decision lies in it. The
+    oracle of the command line's linear optimality ranking, whose values
+    are its singletons. Returns (kernel, report or None) as
+    ``pushforward_kernel`` does; ties leave no map and raise DecisionError.
+    """
+    result = optimality_class(loss)
+    if result.optimal is None:
+        raise DecisionError("optimal decisions are not unique; no pushforward map")
+    target_model = Model(tuple(loss.decisions))
+    n = target_model.size
+    target = Space(target_model, HypothesisClass(n, range(1 << n), check=False))
+    return pushforward_kernel(k, result.optimal, target, pa)

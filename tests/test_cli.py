@@ -15,7 +15,20 @@ import pytest
 import yaml
 
 import helpers
-from emeasure import XValue, cli, fileio, golden
+from emeasure import (
+    EKernel,
+    Model,
+    NumericLoss,
+    PointSet,
+    Space,
+    XValue,
+    build_consequence_class,
+    cli,
+    fileio,
+    golden,
+    optimality_class,
+    union_closure,
+)
 from emeasure import evidence as ev
 from emeasure import kernels as kn
 from emeasure import multiplicity as mtp
@@ -537,6 +550,53 @@ def test_decide_optimality_ranking_is_linear_in_the_decisions(tmp_path):
     ranked = [line for line in run.stdout.splitlines() if line.startswith("optimality")]
     assert len(ranked) == 30
     assert {line.split()[1] for line in ranked} == {f"decision={d}" for d in names}
+
+
+def test_decide_optimality_ranking_is_the_pushforward_on_singletons(capsys, tmp_path):
+    """On tie-free losses whose decision sets are all members, the linear
+    ranking prints the singleton values of the pushforward onto the sets of
+    decisions (helpers.evidence_against_optimality), in the same order."""
+    r = helpers.rng(211)
+    nowhere = 0
+    for case in range(24):
+        n = r.randint(1, 4)
+        model = Model(tuple(f"P{i + 1}" for i in range(n)))
+        decisions = tuple(f"d{i}" for i in range(r.randint(1, 4)))
+        rows = [r.sample(range(2 * len(decisions)), len(decisions)) for _ in model.points]
+        loss = NumericLoss(model, decisions, tuple(tuple(map(XValue, row)) for row in rows))
+        opt = optimality_class(loss)
+        induced = build_consequence_class(loss.to_consequence_table()).family.members
+        extra = [PointSet(n, r.randrange(1 << n)) for _ in range(r.randint(0, 2))]
+        space = Space(model, union_closure(n, [*induced, *opt.decision_sets.values(), *extra]))
+        sample = helpers.rand_sample(r)
+        pa = helpers.rand_pa(r, model, sample)
+        k = EKernel(space, sample, [helpers.rand_capacity(r, space) for _ in sample.outcomes])
+        files = {
+            "space": helpers.space_yaml(space),
+            "model": helpers.model_yaml(pa),
+            "kernel": helpers.kernel_yaml(k),
+            "decisions": f"decisions: [{', '.join(decisions)}]\nloss:\n" + "".join(
+                f"  {p}: {{{', '.join(f'{d}: {v}' for d, v in zip(decisions, row))}}}\n"
+                for p, row in zip(model.points, rows)
+            ),
+        }
+        argv = ["decide"]
+        for option, text in files.items():
+            (tmp_path / f"{option}.yaml").write_text(text)
+            argv += [f"--{option}", str(tmp_path / f"{option}.yaml")]
+        xi = r.randrange(sample.size)
+        code, out = run(capsys, [*argv, "--outcome", sample.outcomes[xi]])
+        assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION)
+        pushed, _ = helpers.evidence_against_optimality(k, loss)
+        singles = sorted(
+            (pushed.value(pushed.space.family.id_of(1 << di), xi), d)
+            for di, d in enumerate(decisions)
+        )
+        assert [line for line in out.splitlines() if line.startswith("optimality ")] == [
+            f"optimality decision={d} value={v.record()}" for v, d in singles
+        ]
+        nowhere += any(not s.bits for s in opt.decision_sets.values())
+    assert nowhere
 
 
 GOLDEN_UNREAD = {

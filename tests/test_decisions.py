@@ -30,22 +30,17 @@ from emeasure import (
     check_posthoc_validity,
     check_predictive_validity,
     check_validity,
-    constant_kernel,
-    dirac_measure,
     e_integrated_loss,
-    evidence_against_optimality,
     hypothesis_for_bound,
-    likelihood_kernel,
     optimality_class,
-    preimage_class,
     class_from_preorder,
     preorder_from_class,
     shilkret_integral,
     sup_of,
-    unit_measure,
 )
 from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
 from emeasure.evidence import from_values
+from emeasure.spaces import preimages
 from emeasure.kernels import KernelError
 
 
@@ -95,18 +90,39 @@ def test_dominated_row_strictly_widens_the_least_hypothesis():
     assert better.bits == 0b11  # the dominated point drags the other along
 
 
+def rand_explicit_table(r, model, n_decisions=2):
+    """A consequence table over 2-4 labelled consequences whose order is a
+    random preorder that leaves some pair incomparable."""
+    while True:
+        m = r.randint(2, 4)
+        pre = helpers.rand_preorder(r, m)
+        if not all(pre.holds(i, j) or pre.holds(j, i) for i in range(m) for j in range(m)):
+            break
+    cspace = ConsequenceSpace(tuple(f"c{i}" for i in range(m)), pre)
+    decisions = tuple(f"d{i + 1}" for i in range(n_decisions))
+    rows = tuple(tuple(r.choice(cspace.elements) for _ in decisions) for _ in model.points)
+    return ConsequenceTable(model, decisions, cspace, rows)
+
+
 def test_induced_class_equals_preimage_of_row_upper_sets():
+    """Every bound hypothesis, at every consequence and not only those a
+    decision takes, is a member of the induced class, on numeric losses and
+    on explicit tables with a non-total order. So admissibility never meets
+    a missing member once the bound checks have required the class."""
     r = helpers.rng(163)
-    for _ in range(15):
+    for case in range(30):
         n = r.randint(1, 4)
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
-        loss = rand_numeric_loss(r, model)
-        table = loss.to_consequence_table()
+        if case % 2:
+            table = rand_explicit_table(r, model, n_decisions=r.randint(1, 3))
+        else:
+            table = rand_numeric_loss(r, model).to_consequence_table()
         space = build_consequence_class(table)
         # every bound hypothesis is an upper set of the dominance preorder
         for d in range(len(table.decisions)):
             for c in table.cspace.elements:
                 assert hypothesis_for_bound(table, d, c).bits in space.family
+        admissible_decisions(helpers.unit_measure(space), table)
         # build the row space: one point per distinct row, uniform-dominance order
         rows = sorted({table.entries[pi] for pi in range(n)})
         row_model = Model(tuple(f"r{i}" for i in range(len(rows))))
@@ -125,7 +141,8 @@ def test_induced_class_equals_preimage_of_row_upper_sets():
         mapping = {
             model.points[pi]: f"r{idx[table.entries[pi]]}" for pi in range(n)
         }
-        assert preimage_class(model, mapping, row_space) == space.family
+        bitsets = preimages(model, mapping, row_space)
+        assert sorted(set(bitsets)) == sorted(m.bits for m in space.family.members)
 
 
 def test_hypothesis_for_bound_extremes_and_scan():
@@ -158,7 +175,7 @@ def test_integrated_loss_worked_examples():
     zero = NumericLoss(model, ("d",), ((XValue(0),), (XValue(0),)))
     assert e_integrated_loss(zero, e, "d") == XValue(0)
     for pi, p in enumerate(model.points):
-        d_meas = dirac_measure(space, p)
+        d_meas = helpers.dirac_measure(space, p)
         assert e_integrated_loss(loss, d_meas, "d") == loss.entries[pi][0]
 
 
@@ -226,10 +243,10 @@ def test_econsequence_bound_on_random_valid_instances():
 def test_order_measurability_violation_names_the_missing_hypothesis():
     model = Model(("P1", "P2"))
     loss = NumericLoss(model, ("d1",), ((XValue(3),), (XValue(1),)))
-    trivial = __import__("emeasure").space_from_generators(model, [["P1", "P2"]])
+    trivial = helpers.space_from_generators(model, [["P1", "P2"]])
     sample = SampleSpace(("x",))
     pa = ProbabilityAssignment(model, (Pmf(sample, (Fraction(1),)),) * 2)
-    k = constant_kernel(trivial, sample, unit_measure(trivial))
+    k = helpers.constant_kernel(trivial, sample, helpers.unit_measure(trivial))
     with pytest.raises(OrderMeasurabilityViolation) as err:
         check_econsequence_bound(k, pa, loss.to_consequence_table())
     assert "P1" in str(err.value)
@@ -516,7 +533,7 @@ def test_admissibility_identical_and_dominated_columns():
     )
     table = same.to_consequence_table()
     space = build_consequence_class(table)
-    e = unit_measure(space)
+    e = helpers.unit_measure(space)
     result = admissible_decisions(e, table)
     assert result.admissible == ("d1", "d2")
 
@@ -561,9 +578,9 @@ def test_admissibility_requires_measurable_bounds():
     model = Model(("P1", "P2"))
     loss = NumericLoss(model, ("d1",), ((XValue(3),), (XValue(1),)))
     table = loss.to_consequence_table()
-    trivial = __import__("emeasure").space_from_generators(model, [["P1", "P2"]])
+    trivial = helpers.space_from_generators(model, [["P1", "P2"]])
     with pytest.raises(OrderMeasurabilityViolation) as err:
-        admissible_decisions(unit_measure(trivial), table)
+        admissible_decisions(helpers.unit_measure(trivial), table)
     assert "d1" in str(err.value)
 
 
@@ -588,10 +605,10 @@ def test_optimality_ties_join_every_group():
     assert result.decision_sets["d2"].bits == 0b1
     assert result.optimal is None
     with pytest.raises(DecisionError):
-        evidence_against_optimality(
-            constant_kernel(
+        helpers.evidence_against_optimality(
+            helpers.constant_kernel(
                 helpers.power_space(1), SampleSpace(("x",)),
-                unit_measure(helpers.power_space(1)),
+                helpers.unit_measure(helpers.power_space(1)),
             ),
             loss,
         )
@@ -623,7 +640,7 @@ def mle_instance():
     )
     space = helpers.power_space(3)
     reference = Pmf(sample, (Fraction(1, 4),) * 4)
-    kernel = likelihood_kernel(space, pa, reference)
+    kernel = helpers.likelihood_kernel(space, pa, reference)
     return model, sample, pa, loss, space, kernel, masses, reference
 
 
@@ -657,7 +674,7 @@ def test_mle_energy_bound_and_pushforward():
             )
             stat = stat + XValue(pa.pmfs[pi].mass[xi]) * kernel.value(hid, xi)
         assert stat <= XValue(1)
-    pushed, report = evidence_against_optimality(kernel, loss, pa)
+    pushed, report = helpers.evidence_against_optimality(kernel, loss, pa)
     assert report.ok
     for xi in range(sample.size):
         for pi, p in enumerate(model.points):

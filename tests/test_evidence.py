@@ -13,11 +13,7 @@ from emeasure import (
     XValue,
     classify,
     close,
-    dirac_measure,
-    extend_to_powerset,
     merge_convex,
-    space_from_generators,
-    unit_measure,
 )
 from emeasure.evidence import ClassMismatch, NotAnEFunction, from_values, measure_from_density
 from emeasure import evidence as ev
@@ -37,7 +33,7 @@ def test_classify_two_point_example_is_capacity_not_measure():
 
 def test_classify_unit_table_is_measure():
     space = helpers.power_space(2)
-    assert unit_measure(space).eclass is EClass.MEASURE
+    assert helpers.unit_measure(space).eclass is EClass.MEASURE
 
 
 def test_classify_toy_family_closure_is_measure():
@@ -145,9 +141,9 @@ def test_closure_bruteforce_matches_unrestricted_cover_oracle():
 def test_closure_fast_agrees_with_bruteforce_and_examples():
     space, e = two_point_capacity()
     not_capacity = from_values(space, ["inf", 1, 1, 5])
-    for table in (e, unit_measure(space), not_capacity):
+    for table in (e, helpers.unit_measure(space), not_capacity):
         assert list(close(table).values) == helpers.oracle_closure(table)
-    assert close(unit_measure(space)).values == unit_measure(space).values
+    assert close(helpers.unit_measure(space)).values == helpers.unit_measure(space).values
 
 
 def test_closure_fast_equals_bruteforce_on_random_capacities():
@@ -196,7 +192,7 @@ def test_close_certificate_on_a_large_family_without_least_hypotheses():
     r = helpers.rng(53)
     model = Model(tuple(f"P{i + 1}" for i in range(7)))
     generators = [PointSet(7, 0b11 << i) for i in range(6)] + [PointSet(7, 0b1000001)]
-    space = space_from_generators(model, [g.labels(model) for g in generators])
+    space = helpers.space_from_generators(model, [g.labels(model) for g in generators])
     assert len(space.family) >= 40 and not space.intersection_closed
     raw = {hid: helpers.rand_xvalue(r) for hid in range(len(space.family))}
     raw[space.family.empty_id] = INF
@@ -264,79 +260,6 @@ def test_merge_validates_weights_and_classes():
         merge_convex([not_capacity], [1])
 
 
-def test_powerset_extension_on_the_toy_family():
-    base = golden.base_efunction()
-    extension = extend_to_powerset(base)
-    model = extension.space.model
-    assert extension.values[extension.space.family.empty_id] == INF
-    single_c2 = extension.space.family.id_of(PointSet.of(model, ["c2"]).bits)
-    assert extension.values[single_c2] == XValue(29)
-    everything = extension.space.family.id_of(PointSet.full(model.size).bits)
-    assert extension.values[everything] == XValue(5)
-    assert extension.eclass is EClass.MEASURE
-
-
-def test_powerset_extension_coincides_on_the_family():
-    r = helpers.rng(43)
-    for _ in range(10):
-        space = helpers.rand_ic_space(r)
-        m = helpers.rand_measure(r, space)
-        ext = extend_to_powerset(m)
-        for hid, member in enumerate(space.family.members):
-            assert ext.value_of(member.bits) == m.values[hid]
-
-
-def sample_capacity_extension(r, m, ext):
-    """Random capacity on the power set agreeing with m on the family.
-
-    Raw values are drawn between the canonical extension (the floor) and the
-    greatest extension (the smallest member evidence above the set), then a
-    downward pass restores antitonicity without leaving the interval.
-    """
-    space = m.space
-    full = ext.space
-    member_of = {mem.bits: hid for hid, mem in enumerate(space.family.members)}
-    ceil = []
-    for subset in full.family.members:
-        options = [
-            m.values[hid]
-            for bits, hid in member_of.items()
-            if bits & ~subset.bits == 0
-        ]
-        ceil.append(helpers.inf_of(options) if options else INF)
-    raw = []
-    for aid, subset in enumerate(full.family.members):
-        if subset.bits in member_of:
-            raw.append(m.values[member_of[subset.bits]])
-        elif r.random() < 0.5:
-            raw.append(ext.values[aid])
-        else:
-            raw.append(ceil[aid])
-    members = full.family.members
-    values = list(raw)
-    order = sorted(range(len(members)), key=lambda i: -members[i].popcount)
-    for i in order:
-        for j in range(len(members)):
-            if i != j and members[i].bits & ~members[j].bits == 0:
-                if values[j] > values[i]:
-                    values[i] = values[j]
-    return classify(full, dict(enumerate(values)))
-
-
-def test_powerset_extension_is_dominated_by_sampled_capacity_extensions():
-    r = helpers.rng(47)
-    for _ in range(5):
-        space = helpers.rand_ic_space(r, max_points=3)
-        m = helpers.rand_measure(r, space)
-        ext = extend_to_powerset(m)
-        for _ in range(20):
-            other = sample_capacity_extension(r, m, ext)
-            assert other.eclass >= EClass.CAPACITY
-            for hid, member in enumerate(space.family.members):
-                assert other.value_of(member.bits) == m.values[hid]
-            assert other.dominates(ext)
-
-
 def test_measure_from_density_is_the_least_density_measure():
     """e(H) is the least density among H's points and inf on the empty set;
     minimums turn unions into minimums, so the table is a measure by the
@@ -357,11 +280,27 @@ def test_measure_from_density_is_the_least_density_measure():
 def test_dirac_and_unit_tables():
     model = Model(("P1", "P2"))
     space = helpers.power_space(2)
-    d = dirac_measure(space, "P1")
+    d = helpers.dirac_measure(space, "P1")
     assert d.value_of(0b01) == XValue(1)
     assert d.value_of(0b11) == XValue(1)
     assert d.value_of(0b10) == INF
     assert d.value_of(0) == INF
-    one = unit_measure(space)
+    one = helpers.unit_measure(space)
     assert one.value_of(0) == INF
     assert all(one.values[h] == XValue(1) for h in space.family.nonempty_ids())
+
+
+def test_sup_over_true_is_the_claim_of_the_sweep():
+    """One maximum over the members holding a point gives the claim the
+    closure's sweep gives it, 0 included for a point no member holds."""
+    r = helpers.rng(59)
+    uncovered = 0
+    for case in range(60):
+        space = helpers.rand_uc_space(r, max_points=5) if case % 2 else helpers.rand_ic_space(r)
+        values = [INF] + [helpers.rand_xvalue(r) for _ in range(len(space.family) - 1)]
+        claims = ev._claims(space, values)
+        for pi, point in enumerate(space.model.points):
+            assert ev.sup_over_true(space, values, pi) == claims[pi]
+            assert ev.sup_over_true(space, values, point) == claims[pi]
+            uncovered += all(pi not in m for m in space.family.members)
+    assert uncovered

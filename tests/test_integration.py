@@ -16,12 +16,9 @@ from emeasure import (
     OrderMeasurableFn,
     XValue,
     ZERO,
-    dirac_measure,
     merge_convex,
     shilkret_integral,
-    space_from_generators,
     sup_of,
-    unit_measure,
 )
 from emeasure.evidence import EClass, from_values
 from emeasure.integration import OrderMeasurabilityViolation
@@ -63,7 +60,7 @@ def scaled(f, a):
 
 def test_order_measurability_checked_at_construction():
     model = Model(("P1", "P2"))
-    space = space_from_generators(model, [["P1", "P2"]])  # only {} and the full set
+    space = helpers.space_from_generators(model, [["P1", "P2"]])  # only {} and the full set
     with pytest.raises(OrderMeasurabilityViolation) as err:
         OrderMeasurableFn.of(space, [5, 3])
     assert err.value.level == XValue(5)
@@ -83,7 +80,7 @@ def test_dirac_integral_evaluates_the_point():
     for _ in range(20):
         f = OrderMeasurableFn.of(space, [helpers.rand_xvalue(r) for _ in range(3)])
         for pi, p in enumerate(space.model.points):
-            assert shilkret_integral(f, dirac_measure(space, p)) == f.values[pi]
+            assert shilkret_integral(f, helpers.dirac_measure(space, p)) == f.values[pi]
 
 
 def test_two_point_worked_example():
@@ -102,7 +99,7 @@ def test_zero_function_integrates_to_zero():
 def test_unit_measure_integral_is_the_sup():
     r = helpers.rng(59)
     space = helpers.power_space(3)
-    one = unit_measure(space)
+    one = helpers.unit_measure(space)
     for _ in range(20):
         f = OrderMeasurableFn.of(space, [helpers.rand_xvalue(r) for _ in range(3)])
         assert shilkret_integral(f, one) == max(f.values)

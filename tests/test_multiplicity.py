@@ -1,4 +1,5 @@
-"""Familywise evidence, false evidence rate, step-up procedures, disutilities."""
+"""Familywise evidence, false evidence rate, step-up procedures, and the
+least-hypothesis bound of the two disutilities they control."""
 
 import itertools
 import time
@@ -8,8 +9,6 @@ import pytest
 
 import helpers
 from emeasure import (
-    AvgOverSelection,
-    CustomPhi,
     EClass,
     EKernel,
     INF,
@@ -18,33 +17,27 @@ from emeasure import (
     SampleSpace,
     SelectionRule,
     Space,
-    SupOverTrue,
     XValue,
     check_fer,
     check_fwe,
-    check_phi_validity,
     check_validity,
     closed_ebh,
-    constant_kernel,
     ebh,
-    familywise_evidence,
     fep_fsp,
     postprocess_efunction,
-    postprocess_selection,
     self_consistent_selection,
     union_closure,
-    unit_measure,
 )
+from emeasure import evidence as ev
 from emeasure.evidence import from_values, measure_from_density
 from emeasure.spaces import NotIntersectionClosed
-from emeasure.multiplicity import PhiFlagViolation
 from emeasure import golden
 
 
 def toy_kernel(outcomes=("x",)):
     space = golden.toy_space()
     sample = SampleSpace(outcomes)
-    return space, constant_kernel(space, sample, golden.base_efunction(space))
+    return space, helpers.constant_kernel(space, sample, golden.base_efunction(space))
 
 
 def uniform_toy_pa(space, sample):
@@ -57,8 +50,8 @@ def uniform_toy_pa(space, sample):
 
 def test_familywise_evidence_on_toy_cells():
     space, k = toy_kernel()
-    assert familywise_evidence(k, "c123", 0) == XValue(100)
-    assert familywise_evidence(k, "cOut", 0) == XValue(5)
+    assert ev.sup_over_true(space, k.column(0).values, "c123") == XValue(100)
+    assert ev.sup_over_true(space, k.column(0).values, "cOut") == XValue(5)
 
 
 def test_familywise_evidence_equals_least_value_for_capacities():
@@ -70,7 +63,8 @@ def test_familywise_evidence_equals_least_value_for_capacities():
         k = helpers.valid_capacity_kernel(r, space, pa)
         for pi in range(space.model.size):
             for xi in range(sample.size):
-                assert familywise_evidence(k, pi, xi) == k.value(space.least_id(pi), xi)
+                sup = ev.sup_over_true(space, k.column(xi).values, pi)
+                assert sup == k.value(space.least_id(pi), xi)
 
 
 def test_familywise_evidence_can_exceed_least_without_antitonicity():
@@ -78,7 +72,7 @@ def test_familywise_evidence_can_exceed_least_without_antitonicity():
     sample = SampleSpace(("x",))
     fn = from_values(space, ["inf", 1, 1, 5])  # plain function: full set outruns atoms
     k = EKernel(space, sample, [fn])
-    assert familywise_evidence(k, 0, 0) == XValue(5)
+    assert ev.sup_over_true(space, k.column(0).values, 0) == XValue(5)
     assert k.value(space.least_id(0), 0) == XValue(1)
 
 
@@ -121,7 +115,7 @@ def test_fwe_is_the_expected_largest_true_evidence_by_definition():
                 helpers.sup_of(v for m, v in zip(space.family.members, col.values) if pi in m)
                 for col in k.columns
             ]
-            assert [familywise_evidence(k, pi, xi) for xi in range(sample.size)] == sups
+            assert [ev.sup_over_true(space, col.values, pi) for col in k.columns] == sups
             assert entry.stat == helpers.oracle_expectation(pa.pmfs[pi], sups)
             uncovered += all(pi not in m for m in space.family.members)
             least = space.least_ids()[pi]
@@ -173,7 +167,7 @@ def test_binary_kernel_fep_is_fsp_over_alpha():
     space, k = toy_kernel()
     alpha = Fraction(1, 20)
     result = ebh(golden.base_efunction(space), golden.group_ids(space), alpha)
-    binary = constant_kernel(space, k.sample, result.table)
+    binary = helpers.constant_kernel(space, k.sample, result.table)
     rule = SelectionRule.fixed(k.sample, list(golden.group_ids(space)))
     for cell in golden.CELLS:
         pair = fep_fsp(binary, cell, rule, 0)
@@ -303,12 +297,18 @@ def test_fer_first_inequality_tight_for_disjoint_least_selections():
     assert pair.fep == XValue(30)
 
 
+def postprocessed(k, rule):
+    """Each outcome's table inflated by the rule's selection at that outcome."""
+    cols = [postprocess_efunction(col, rule.at(xi)) for xi, col in enumerate(k.columns)]
+    return EKernel(k.space, k.sample, cols)
+
+
 def test_postprocess_selection_identity_when_share_is_one():
     space, k = toy_kernel()
     least_ids = sorted({space.least_id(i) for i in range(space.model.size)})
     rule = SelectionRule.fixed(k.sample, [golden.row_id(space, "H_123")])
     # every point of H_123's cell has share 1 under the singleton rule
-    processed = postprocess_selection(k, rule)
+    processed = postprocessed(k, rule)
     h123 = golden.row_id(space, "H_123")
     assert processed.value(h123, 0) == k.value(h123, 0)
 
@@ -317,7 +317,7 @@ def test_postprocess_selection_reproduces_inflated_column():
     space, k = toy_kernel()
     gids = golden.group_ids(space)
     rule = SelectionRule.fixed(k.sample, list(gids))
-    processed = postprocess_selection(k, rule)
+    processed = postprocessed(k, rule)
     expected = golden.expected_reference_table()
     for label in golden.ROW_LABELS:
         assert processed.value(golden.row_id(space, label), 0) == expected.inflated[label]
@@ -332,7 +332,7 @@ def test_postprocess_preserves_fer_under_the_rule():
         k = helpers.valid_capacity_kernel(r, space, pa)
         ids = list(space.family.nonempty_ids())
         rule = SelectionRule.fixed(sample, ids[: r.randint(1, len(ids))])
-        processed = postprocess_selection(k, rule)
+        processed = postprocessed(k, rule)
         assert check_fer(processed, pa, rule).ok
 
 
@@ -409,7 +409,7 @@ def test_self_consistent_selection_matches_the_exhaustive_oracle():
 def test_no_eligible_candidate_tries_only_the_empty_selection():
     space = helpers.power_space(4)
     fam = list(space.family.nonempty_ids())[:12]
-    result = self_consistent_selection(unit_measure(space), fam, Fraction(1, 20))
+    result = self_consistent_selection(helpers.unit_measure(space), fam, Fraction(1, 20))
     assert (result.selected, result.is_fixed_point) == ((), False)
 
 
@@ -465,7 +465,7 @@ def test_selection_needs_an_intersection_closed_space():
     # {a,b} and {b,c} meet in {b}, which is not a member.
     model = Model(("a", "b", "c"))
     tangled = Space(model, union_closure(3, [PointSet.of(model, "ab"), PointSet.of(model, "bc")]))
-    e = unit_measure(tangled)
+    e = helpers.unit_measure(tangled)
     for fam in ([], list(tangled.family.nonempty_ids())):
         with pytest.raises(NotIntersectionClosed):
             self_consistent_selection(e, fam, Fraction(1, 20))
@@ -513,19 +513,39 @@ def test_closed_stepup_on_empty_family():
     assert result.rejected == ()
 
 
+def least_hypothesis_bounds(k, rule):
+    """Per (point, outcome): the FWE statistic, the FER statistic of `rule`,
+    and their least-hypothesis bounds e(H_p|x) * phi(1_p), where phi(1_p) is
+    1 for the largest true evidence and the selection share fsp for FER."""
+    space = k.space
+    for pi in range(space.model.size):
+        for xi, col in enumerate(k.columns):
+            least = k.value(space.least_id(pi), xi)
+            pair = fep_fsp(k, pi, rule, xi)
+            yield pi, xi, ev.sup_over_true(space, col.values, pi), least, pair, least * XValue(pair.fsp)
+
+
 def test_phi_sup_over_true_recovers_familywise():
+    """The largest true evidence is at most e(H_p|x) at every point and
+    outcome, and its expectation is check_fwe's statistic."""
     r = helpers.rng(137)
     for _ in range(10):
         space = helpers.rand_ic_space(r)
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, space.model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
-        pointwise, general = check_phi_validity(k, pa, SupOverTrue())
-        assert pointwise.ok
-        assert general == check_fwe(k, pa)
+        rule = SelectionRule.fixed(sample, [])
+        sups = {}
+        for pi, xi, sup, bound, _, _ in least_hypothesis_bounds(k, rule):
+            assert sup <= bound
+            sups.setdefault(pi, []).append(sup)
+        assert [e.stat for e in check_fwe(k, pa).entries] == [
+            helpers.oracle_expectation(pa.pmfs[pi], sups[pi]) for pi in range(space.model.size)
+        ]
 
 
 def test_phi_avg_over_selection_recovers_fer():
+    """The average true evidence of a selection is at most e(H_p|x) * fsp."""
     r = helpers.rng(139)
     for _ in range(10):
         space = helpers.rand_ic_space(r)
@@ -533,16 +553,13 @@ def test_phi_avg_over_selection_recovers_fer():
         pa = helpers.rand_pa(r, space.model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
         ids = list(space.family.nonempty_ids())
-        selected = ids[: r.randint(1, len(ids))]
-        phi = AvgOverSelection(selected)
-        pointwise, _ = check_phi_validity(k, pa, phi)
-        assert pointwise.ok
-        rule = SelectionRule.fixed(sample, selected)
-        for pi in range(space.model.size):
-            for xi in range(sample.size):
-                pair = fep_fsp(k, pi, rule, xi)
-                assert phi.value(space, pi, k.columns[xi].values) == pair.fep
-                assert phi.phi_one(space, pi) == XValue(pair.fsp)
+        rule = SelectionRule.fixed(sample, ids[: r.randint(1, len(ids))])
+        for pi, xi, _, _, pair, bound in least_hypothesis_bounds(k, rule):
+            selected = rule.at(xi)
+            true_ids = [hid for hid in selected if pi in space.family.member(hid)]
+            assert pair.fsp == Fraction(len(true_ids), len(selected))
+            assert pair.fep == sum((k.value(h, xi) for h in true_ids), XValue(0)) / len(selected)
+            assert pair.fep <= bound
 
 
 def test_phi_sup_over_selections_equals_sup_over_true():
@@ -552,19 +569,21 @@ def test_phi_sup_over_selections_equals_sup_over_true():
     zeros = infs = 0
     for _ in range(12):
         space = helpers.rand_ic_space(r, max_points=3)
+        sample = SampleSpace(("x",))
         ids = list(space.family.nonempty_ids())
-        selections = [
-            AvgOverSelection(sel)
+        rules = [
+            SelectionRule.fixed(sample, sel)
             for size in range(1, len(ids) + 1)
             for sel in itertools.combinations(ids, size)
         ]
         for _ in range(3):
-            table = helpers.rand_capacity(r, space).values
-            zeros += any(v.is_zero for v in table)
-            infs += any(v.is_inf for v in table[1:])
+            table = helpers.rand_capacity(r, space)
+            zeros += any(v.is_zero for v in table.values)
+            infs += any(v.is_inf for v in table.values[1:])
+            k = EKernel(space, sample, [table])
             for pi in range(space.model.size):
-                best = max(phi.value(space, pi, table) for phi in selections)
-                assert best == SupOverTrue().value(space, pi, table)
+                best = max(fep_fsp(k, pi, rule, 0).fep for rule in rules)
+                assert best == ev.sup_over_true(space, table.values, pi)
     assert zeros and infs
 
 
@@ -572,9 +591,8 @@ def test_phi_compound_validity_sums_to_family_size():
     space, k = toy_kernel(("x1", "x2"))
     pa = uniform_toy_pa(space, k.sample)
     gids = list(golden.group_ids(space))
-    phi = AvgOverSelection(gids)
-    _, general = check_phi_validity(k, pa, phi)
-    # |G| * E[phi] equals the summed expectations over the true members
+    general = check_fer(k, pa, SelectionRule.fixed(k.sample, gids))
+    # |G| * E[FEP] equals the summed expectations over the true members
     for pi in range(space.model.size):
         total = XValue(0)
         for g in gids:
@@ -584,10 +602,10 @@ def test_phi_compound_validity_sums_to_family_size():
 
 
 def test_phi_entries_and_premise_match_their_definitions():
-    """Pointwise entries hold phi(e(.|x)) against e(H_p|x) * phi(1_p) and
-    general entries E_p[phi] against 1. The premise E_p[e(H_p|x) * phi(1_p)]
-    then bounds E_p[phi] by monotonicity of expectation, so a premise at most
-    1 implies validity, on valid and violating kernels alike."""
+    """check_fwe and check_fer entries hold E_p[statistic] against 1. The
+    premise E_p[e(H_p|x) * phi(1_p)] bounds that expectation by monotonicity
+    of expectation, so a premise at most 1 implies validity, on valid and
+    violating kernels alike."""
     r = helpers.rng(163)
     implied = violated = 0
     for case in range(30):
@@ -600,37 +618,21 @@ def test_phi_entries_and_premise_match_their_definitions():
         elif case % 3 == 2:
             k = helpers.constant_two_kernel(space, sample)
         ids = list(space.family.nonempty_ids())
-        phis = (SupOverTrue(), AvgOverSelection(r.sample(ids, r.randint(1, len(ids)))))
-        for phi in phis:
-            pointwise, general = check_phi_validity(k, pa, phi)
-            rows = [
-                (p, x, phi.value(space, pi, k.columns[xi].values),
-                 k.value(space.least_id(pi), xi) * phi.phi_one(space, pi))
-                for pi, p in enumerate(space.model.points)
-                for xi, x in enumerate(sample.outcomes)
-            ]
-            assert [(e.point, e.case, e.stat, e.bound) for e in pointwise.entries] == rows
-            assert pointwise.ok
-            for pi, entry in enumerate(general.entries):
-                phi_var = [row[2] for row in rows[pi * sample.size:(pi + 1) * sample.size]]
-                premise = helpers.oracle_expectation(
-                    pa.pmfs[pi], [row[3] for row in rows[pi * sample.size:(pi + 1) * sample.size]]
-                )
-                assert entry.stat == helpers.oracle_expectation(pa.pmfs[pi], phi_var)
+        rule = SelectionRule.fixed(sample, r.sample(ids, r.randint(1, len(ids))))
+        rows = list(least_hypothesis_bounds(k, rule))
+        for report, stat, bound in (
+            (check_fwe(k, pa), lambda row: row[2], lambda row: row[3]),
+            (check_fer(k, pa, rule), lambda row: row[4].fep, lambda row: row[5]),
+        ):
+            assert [e.point for e in report.entries] == list(space.model.points)
+            for pi, entry in enumerate(report.entries):
+                mine = [row for row in rows if row[0] == pi]
+                premise = helpers.oracle_expectation(pa.pmfs[pi], [bound(row) for row in mine])
+                assert all(stat(row) <= bound(row) for row in mine)
+                assert entry.stat == helpers.oracle_expectation(pa.pmfs[pi], [stat(row) for row in mine])
                 assert entry.stat <= premise
                 if premise <= XValue(1):
                     assert entry.ok
                     implied += 1
                 violated += not entry.ok
     assert implied and violated
-
-
-def test_phi_flag_violation_is_refused_with_detail():
-    r = helpers.rng(151)
-    space = helpers.rand_ic_space(r, max_points=2, min_points=2)
-    sample = helpers.rand_sample(r)
-    pa = helpers.rand_pa(r, space.model, sample)
-    k = helpers.valid_capacity_kernel(r, space, pa)
-    shifted = CustomPhi(lambda point, table: table[0] + XValue(1), name="shifted")
-    with pytest.raises(PhiFlagViolation):
-        check_phi_validity(k, pa, shifted)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import emeasure
 
-SOURCES = sorted(Path(emeasure.__file__).parent.glob("*.py"))
+PACKAGE = Path(emeasure.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def test_no_assert_statements_in_the_package():
@@ -143,3 +144,65 @@ def test_one_entry_shape_for_every_check():
         if name.endswith("Entry")
     ]
     assert found == ["kernels.py:Entry"]
+
+
+# Top-level definitions kept although no subcommand reaches them, each with
+# the reason it stays.
+UNREACHED_KEPT = {
+    "eposterior_raw": "the paper's E-posterior; waits for a posterior check on the command line",
+    "eposterior_closed": "the closed E-posterior; waits for the same posterior check",
+    "_product": "the prior-times-kernel product both posteriors build",
+    "close_kernel": "the closed posterior closes its product with it",
+    "pushforward_kernel": "predictive E-measures of a derived quantity; may get a --map option",
+    "preimages": "the target-member preimages the pushforward reads",
+    "merge_convex": "the convex merge of evidence tables; no closure input lists weights yet",
+    "merge_convex_kernels": "the same merge, outcome by outcome",
+    "from_values": "builds the merged table; also the tests' table constructor",
+}
+
+
+def _definitions() -> dict[str, list[ast.AST]]:
+    """Top-level functions and classes of every module but __init__ by name,
+    and each module's other top-level statements under "<module>"."""
+    found: dict[str, list[ast.AST]] = {}
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found.setdefault(node.name, []).append(node)
+            else:
+                found.setdefault(f"<{path.stem}>", []).append(node)
+    return found
+
+
+def _unreached() -> set[str]:
+    """Definitions no walk from cli.py reaches, by name.
+
+    The walk starts at every definition in cli.py and at the statements an
+    import runs, and follows every name and attribute a reached definition
+    mentions to every definition of that name. Re-exports in __init__ do
+    not count, so a name that only tests use is unreached.
+    """
+    found = _definitions()
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    todo = [name for name in found if name.startswith("<")]
+    todo += [node.name for node in cli.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    reached = set(todo)
+    while todo:
+        for node in found[todo.pop()]:
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name in found and name not in reached:
+                    reached.add(name)
+                    todo.append(name)
+    return set(found) - reached
+
+
+def test_every_definition_is_reached_from_a_subcommand_or_kept_for_a_reason():
+    """Code no subcommand reaches is deleted, or moves to tests/helpers.py
+    as a fixture or an oracle, unless the keep-list names why it stays;
+    a kept name must still exist and still be unreached."""
+    unreached = _unreached()
+    assert sorted(unreached - set(UNREACHED_KEPT)) == []
+    assert sorted(set(UNREACHED_KEPT) - unreached) == []

@@ -11,11 +11,10 @@ from emeasure import (
     Space,
     SpaceError,
     class_from_preorder,
-    preimage_class,
     preorder_from_class,
-    space_from_generators,
     union_closure,
 )
+from emeasure.spaces import preimages
 from emeasure.spaces import NotAPreorder, NotUnionClosed
 
 
@@ -73,7 +72,7 @@ def test_family_constructor_rejects_union_gaps():
 
 def test_analyze_overlap_example():
     model = Model(("P1", "P2", "P3"))
-    space = space_from_generators(model, [["P1"], ["P1", "P2"], ["P1", "P3"]])
+    space = helpers.space_from_generators(model, [["P1"], ["P1", "P2"], ["P1", "P3"]])
     report = space.analyze()
     assert report.union_closed and report.intersection_closed
     assert report.contains_full_model
@@ -92,7 +91,7 @@ def test_analyze_power_set_least_are_singletons():
 
 def test_analyze_nested_class():
     model = Model(("P1", "P2"))
-    space = space_from_generators(model, [["P1"], ["P1", "P2"]])
+    space = helpers.space_from_generators(model, [["P1"], ["P1", "P2"]])
     report = space.analyze()
     assert report.intersection_closed and report.contains_full_model
     assert space.family.member(report.least["P2"]).bits == bits_of(space, ["P1", "P2"])
@@ -100,7 +99,7 @@ def test_analyze_nested_class():
 
 def test_analyze_flags_non_intersection_closed():
     model = Model(("P1", "P2", "P3"))
-    space = space_from_generators(model, [["P1", "P2"], ["P2", "P3"]])
+    space = helpers.space_from_generators(model, [["P1", "P2"], ["P2", "P3"]])
     report = space.analyze()
     assert report.contains_full_model
     assert not report.intersection_closed
@@ -123,7 +122,7 @@ def least_cover(space, hid):
 
 def test_canonical_cover_trivial_and_overlap():
     model = Model(("P1", "P2", "P3"))
-    space = space_from_generators(model, [["P1"], ["P1", "P2"], ["P1", "P3"]])
+    space = helpers.space_from_generators(model, [["P1"], ["P1", "P2"], ["P1", "P3"]])
     assert least_cover(space, space.family.empty_id) == set()
     full = space.family.id_of(bits_of(space, ["P1", "P2", "P3"]))
     cover_bits = {space.family.member(h).bits for h in least_cover(space, full)}
@@ -201,7 +200,7 @@ def test_preorder_from_power_set_is_identity():
 
 def test_preorder_from_overlap_example():
     model = Model(("P1", "P2", "P3"))
-    space = space_from_generators(model, [["P1"], ["P1", "P2"], ["P1", "P3"]])
+    space = helpers.space_from_generators(model, [["P1"], ["P1", "P2"], ["P1", "P3"]])
     pre = preorder_from_class(space)
     # i <= j iff j is in the least hypothesis of i
     expected = {
@@ -215,7 +214,7 @@ def test_preorder_from_overlap_example():
 
 def test_preorder_from_chain_class_is_total_order():
     model = Model(("P1", "P2", "P3"))
-    space = space_from_generators(model, [["P3"], ["P2", "P3"], ["P1", "P2", "P3"]])
+    space = helpers.space_from_generators(model, [["P3"], ["P2", "P3"], ["P1", "P2", "P3"]])
     pre = preorder_from_class(space)
     for i in range(3):
         for j in range(3):
@@ -243,15 +242,14 @@ def test_round_trip_preorder_class_preorder():
 def test_preimage_identity_map_keeps_the_class():
     space = helpers.power_space(3)
     mapping = {p: p for p in space.model.points}
-    assert preimage_class(space.model, mapping, space) == space.family
+    assert preimages(space.model, mapping, space) == tuple(m.bits for m in space.family.members)
 
 
 def test_preimage_constant_map_collapses_to_trivial():
     model = Model(("a", "b", "c"))
     target = helpers.power_space(1)
     mapping = {p: "P1" for p in model.points}
-    family = preimage_class(model, mapping, target)
-    assert {m.bits for m in family.members} == {0, 0b111}
+    assert preimages(model, mapping, target) == (0, 0b111)
 
 
 def test_width_mismatch_is_reported():
