@@ -4,6 +4,12 @@ One executable, subcommand style. Exit codes are a stable contract:
 0 means every requested check passed, 1 marks a statistical violation,
 2 marks an input or schema problem. Structured output ('records' format)
 is line-delimited with exact rationals as 'p/q' strings and 'inf'.
+
+Parsing: `_OPTIONS` is the one description of each subcommand's options.
+A well-formed command line, `<subcommand> (--name value...)*` with exact
+names, is read off that table by `_read_argv` without building a parser.
+Any other command line goes to the argparse parser `build_parser` makes
+from the same table, so help, usage lines and refusals are argparse's own.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import evidence as ev
 from . import fileio, golden
@@ -77,79 +83,115 @@ def _render(value) -> str:
     return str(value)
 
 
-def _split_labels(raw: str) -> list[str]:
+def _family_ids(args, sf) -> list[int]:
+    """The ids of the --family members, in the order given. Exit 2 on a
+    member named twice, in any spelling, and on a family that names none."""
     # '|' separates labels when the labels themselves are comma point lists.
-    sep = "|" if "|" in raw else ","
-    return [part.strip() for part in raw.split(sep) if part.strip()]
+    sep = "|" if "|" in args.family else ","
+    seen: dict[int, str] = {}
+    for label in (part.strip() for part in args.family.split(sep)):
+        if not label:
+            continue
+        hid = sf.resolve(args.space, label)
+        if hid in seen:
+            raise fileio.SchemaError(
+                "<args>", f"in --family, {seen[hid]!r} and {label!r} name the same hypothesis"
+            )
+        seen[hid] = label
+    if not seen:
+        raise fileio.SchemaError("<args>", "--family names no hypothesis")
+    return list(seen)
 
 
-def _space_options(p):
-    p.add_argument("--space", required=True)
+# Which of the options that depend on --check or on --procedure each one reads.
+_CHECK_OPTIONS = ("rule", "family", "tree")
+_CHECK_READS = {"posthoc": ("rule",), "fer": ("family",), "anytime": ("tree",)}
+_MTP_OPTIONS = ("space", "evidence", "kernel", "model", "family", "alpha")
+_SELECTION_READS = ("space", "evidence", "family", "alpha")
+_MTP_READS = {
+    "ebh": _SELECTION_READS,
+    "closed-ebh": _SELECTION_READS,
+    "self-consistent": _SELECTION_READS,
+    "fer": ("space", "kernel", "model", "family"),
+    "fwe": ("space", "kernel", "model"),
+}
 
 
-def _closure_options(p):
-    p.add_argument("--space", required=True)
-    p.add_argument("--evidence", required=True)
+class _Option(NamedTuple):
+    """One option of a subcommand: `--name`, with the keywords that
+    `argparse.add_argument` takes. `name` is also the namespace attribute."""
+
+    name: str
+    required: bool = False
+    nargs: Optional[str] = None  # None for one value, "+" for one or more
+    choices: Optional[tuple[str, ...]] = None
+    default: object = None
+    type: Optional[Callable[[str], object]] = None
+    help: Optional[str] = None
 
 
-def _check_options(p):
-    p.add_argument("--space", required=True)
-    p.add_argument("--kernel", required=True, nargs="+")
-    p.add_argument("--model", required=True)
-    p.add_argument(
-        "--check",
-        choices=("validity", "fwe", "fer", "anytime", "posthoc", "predictive"),
-        default="validity",
-    )
-    p.add_argument(
-        "--rule", default=None, help="'canonical' or a fixed level, for --check posthoc"
-    )
-    p.add_argument("--tree", default=None, help="tree file for --check anytime")
-    p.add_argument(
-        "--family", default=None, help="comma-separated hypothesis labels, for --check fer"
-    )
+_FORMAT = _Option("format", choices=("text", "records"), default="text")
 
-
-def _mtp_options(p):
-    p.add_argument("--space", default=None)
-    p.add_argument("--evidence", default=None)
-    p.add_argument("--kernel", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument(
-        "--alpha", type=_level_arg, default=None,
-        help="level of ebh, closed-ebh, self-consistent and --golden (default 1/20); "
-        "fer and fwe do not read it",
-    )
-    p.add_argument("--family", default=None)
-    p.add_argument("--procedure", choices=tuple(_MTP_READS), default=None)
-    p.add_argument("--golden", choices=("table1",), default=None)
-
-
-def _decide_options(p):
-    p.add_argument("--space", default=None)
-    p.add_argument("--decisions", required=True)
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument(
-        "--alpha", type=_level_arg, default=None,
-        help="level of --bound probability (default 1/20); the other bounds do not read it",
-    )
-    p.add_argument(
-        "--bound", choices=("econsequence", "grunwald", "probability"), default="econsequence"
-    )
-    p.add_argument("--outcome", default=None)
+# Each subcommand's options, in help order: the one description of the command
+# line, which both `build_parser` and `_read_argv` read.
+_OPTIONS = {
+    "space": (_Option("space", required=True), _FORMAT),
+    "closure": (_Option("space", required=True), _Option("evidence", required=True), _FORMAT),
+    "check": (
+        _Option("space", required=True),
+        _Option("kernel", required=True, nargs="+"),
+        _Option("model", required=True),
+        _Option(
+            "check",
+            choices=("validity", "fwe", "fer", "anytime", "posthoc", "predictive"),
+            default="validity",
+        ),
+        _Option("rule", help="'canonical' or a fixed level, for --check posthoc"),
+        _Option("tree", help="tree file for --check anytime"),
+        _Option("family", help="comma-separated hypothesis labels, for --check fer"),
+        _FORMAT,
+    ),
+    "mtp": (
+        _Option("space"),
+        _Option("evidence"),
+        _Option("kernel"),
+        _Option("model"),
+        _Option(
+            "alpha", type=_level_arg,
+            help="level of ebh, closed-ebh, self-consistent and --golden (default 1/20); "
+            "fer and fwe do not read it",
+        ),
+        _Option("family"),
+        _Option("procedure", choices=tuple(_MTP_READS)),
+        _Option("golden", choices=("table1",)),
+        _FORMAT,
+    ),
+    "decide": (
+        _Option("space"),
+        _Option("decisions", required=True),
+        _Option("kernel", required=True),
+        _Option("model", required=True),
+        _Option(
+            "alpha", type=_level_arg,
+            help="level of --bound probability (default 1/20); the other bounds do not read it",
+        ),
+        _Option("bound", choices=("econsequence", "grunwald", "probability"), default="econsequence"),
+        _Option("outcome"),
+        _FORMAT,
+    ),
+}
 
 
 def _subcommands():
-    """(name, help, add_options, handler) for each subcommand, in help order.
+    """(name, help, handler) for each subcommand, in help order.
 
     Built per call, so the handlers are the module's current functions."""
     return (
-        ("space", "analyze a hypothesis space file", _space_options, cmd_space),
-        ("closure", "close an evidence table", _closure_options, cmd_closure),
-        ("check", "run validity-style checks on a kernel", _check_options, cmd_check),
-        ("mtp", "multiplicity procedures", _mtp_options, cmd_mtp),
-        ("decide", "consequence bounds and rankings", _decide_options, cmd_decide),
+        ("space", "analyze a hypothesis space file", cmd_space),
+        ("closure", "close an evidence table", cmd_closure),
+        ("check", "run validity-style checks on a kernel", cmd_check),
+        ("mtp", "multiplicity procedures", cmd_mtp),
+        ("decide", "consequence bounds and rankings", cmd_decide),
     )
 
 
@@ -172,13 +214,52 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         sub = parser.add_subparsers(
             dest="command", required=True, metavar="{" + ",".join(names) + "}"
         )
-    for name, help_text, add_options, handler in table:
+    for name, help_text, handler in table:
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
-            add_options(p)
-            p.add_argument("--format", choices=("text", "records"), default="text")
+            for option in _OPTIONS[name]:
+                keywords = option._asdict()
+                p.add_argument("--" + keywords.pop("name"), **keywords)
             p.set_defaults(handler=handler)
     return parser
+
+
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """What `build_parser(argv[0]).parse_args(argv)` returns, for an argv of
+    the one form `<subcommand> (--name value...)*`; None for any other.
+
+    Names must be exact, no value may start with '-', every value must pass
+    its option's type and choices, and every required option must be given.
+    As with argparse, the last of a repeated option wins."""
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    by_flag = {"--" + option.name: option for option in options}
+    values = {option.name: option.default for option in options}
+    given = set()
+    i, n = 1, len(argv)
+    while i < n:
+        option = by_flag.get(argv[i])
+        if option is None:
+            return None
+        start = i = i + 1
+        while i < n and not argv[i].startswith("-") and (i == start or option.nargs == "+"):
+            i += 1
+        if i == start:
+            return None
+        raw = argv[start:i]
+        try:
+            typed = raw if option.type is None else [option.type(value) for value in raw]
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if option.choices is not None and any(value not in option.choices for value in typed):
+            return None
+        values[option.name] = typed if option.nargs == "+" else typed[0]
+        given.add(option.name)
+    if any(option.required and option.name not in given for option in options):
+        return None
+    handler = next(h for name, _, h in _subcommands() if name == argv[0])
+    return argparse.Namespace(command=argv[0], **values, handler=handler)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -282,9 +363,8 @@ def _report_fer(out: Printer, args, sf, kernel, pa) -> int:
     """The rule selects the --family members at every outcome; without
     --family the rate comes from one validity pass."""
     rule = None
-    if args.family:
-        ids = [sf.resolve(args.space, lab) for lab in _split_labels(args.family)]
-        rule = mtp.SelectionRule.fixed(kernel.sample, ids)
+    if args.family is not None:
+        rule = mtp.SelectionRule.fixed(kernel.sample, _family_ids(args, sf))
     report = mtp.check_fer(kernel, pa, rule)
     rate = report.worst().stat
     out.record("fer", rate=rate, controlled=report.ok)
@@ -297,20 +377,6 @@ def _refuse_unread(args, reader: str, options: tuple[str, ...], reads: tuple[str
     for option in options:
         if getattr(args, option) is not None and option not in reads:
             raise fileio.SchemaError("<args>", f"{reader} does not read --{option}")
-
-
-# Which of the options that depend on --check or on --procedure each one reads.
-_CHECK_OPTIONS = ("rule", "family", "tree")
-_CHECK_READS = {"posthoc": ("rule",), "fer": ("family",), "anytime": ("tree",)}
-_MTP_OPTIONS = ("space", "evidence", "kernel", "model", "family", "alpha")
-_SELECTION_READS = ("space", "evidence", "family", "alpha")
-_MTP_READS = {
-    "ebh": _SELECTION_READS,
-    "closed-ebh": _SELECTION_READS,
-    "self-consistent": _SELECTION_READS,
-    "fer": ("space", "kernel", "model", "family"),
-    "fwe": ("space", "kernel", "model"),
-}
 
 
 def cmd_check(args) -> int:
@@ -387,7 +453,7 @@ def _golden_table1(alpha: Fraction, out: Printer) -> int:
     header = ("row", "e", "e_selected", "fsp", "step_up", "closed_step_up")
     out.text(
         "built-in three-circle family"
-        + ("" if is_golden else f" (recomputed at alpha={alpha}; not the golden level)")
+        + ("" if is_golden else f" (recomputed at alpha={_render(alpha)}; not the golden level)")
     )
     out.text(" | ".join(f"{h:>14}" for h in header))
     for row in computed.rows:
@@ -449,7 +515,7 @@ def cmd_mtp(args) -> int:
     e = fileio.load_evidence(args.evidence, sf)
     if args.family is None:
         raise fileio.SchemaError("<args>", "mtp needs --family")
-    gids = [sf.resolve(args.space, lab) for lab in _split_labels(args.family)]
+    gids = _family_ids(args, sf)
     alpha = args.alpha or golden.DEFAULT_ALPHA
 
     if args.procedure == "self-consistent":
@@ -539,11 +605,16 @@ def cmd_decide(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command line and return its exit code.
 
-    Only the named subcommand's parser is built; an argv that names none
-    (empty, `-h` or a typo) gets the parser of all five, for its usage text.
+    A well-formed argv is read off the option table and builds no parser.
+    argparse reads every other argv: help, abbreviations, `--name=value`,
+    unknown or missing options, bad values. Only the named subcommand's
+    parser is built then; an argv that names none (empty, `-h` or a typo)
+    gets the parser of all five, for its usage text.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except (fileio.SchemaError, SpaceError, EvidenceError) as exc:

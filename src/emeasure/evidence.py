@@ -60,9 +60,6 @@ class EFunction:
     def value_of(self, item) -> XValue:
         return self.values[self.space.family.id_of(item)]
 
-    def dominates(self, other: "EFunction") -> bool:
-        return all(a >= b for a, b in zip(self.values, other.values))
-
 
 def _strength(space: Space, values: Sequence[XValue]) -> EClass:
     """Strongest class the values satisfy, tested along the family's joins.

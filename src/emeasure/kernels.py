@@ -217,11 +217,6 @@ class EKernel:
     def expectation(self, hid: int, pmf: Pmf) -> XValue:
         return dot(pmf.scaled, self.scaled(hid))
 
-    def dominates(self, other: "EKernel") -> bool:
-        return all(
-            a >= b for mine, theirs in zip(self.rows, other.rows) for a, b in zip(mine, theirs)
-        )
-
 
 # -- one report shape for every expectation held against a bound -----------
 
@@ -527,9 +522,6 @@ class EProcess:
     @property
     def eclass(self) -> EClass:
         return min(k.eclass for k in self.kernels)
-
-    def dominates(self, other: "EProcess") -> bool:
-        return all(a.dominates(b) for a, b in zip(self.kernels, other.kernels))
 
 
 @dataclass(frozen=True)

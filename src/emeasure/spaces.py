@@ -98,10 +98,6 @@ class PointSet:
         if self.width != other.width:
             raise WidthMismatch(f"width {self.width} vs {other.width}")
 
-    def issubset(self, other: "PointSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
     def indices(self) -> tuple[int, ...]:
         out, bits = [], self.bits
         while bits:
@@ -112,14 +108,6 @@ class PointSet:
 
     def labels(self, model: Model) -> tuple[str, ...]:
         return tuple(model.points[i] for i in self.indices())
-
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bits == 0
 
 
 def _canonical(width: int, bitsets: Iterable[int]) -> tuple[PointSet, ...]:

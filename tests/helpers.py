@@ -217,7 +217,7 @@ def likelihood_kernel(space, pa, reference):
 
 def constant_two_kernel(space, sample):
     values = {
-        hid: INF if m.is_empty else XValue(2)
+        hid: XValue(2) if m.bits else INF
         for hid, m in enumerate(space.family.members)
     }
     fn = classify(space, values)
@@ -355,7 +355,7 @@ def indicator(space, hid):
 
 def space_yaml(space):
     """A space file whose generators are every nonempty member."""
-    members = [m.labels(space.model) for m in space.family.members if not m.is_empty]
+    members = [m.labels(space.model) for m in space.family.members if m.bits]
     return f"points: [{', '.join(space.model.points)}]\ngenerators: [" + ", ".join(
         f"[{', '.join(labels)}]" for labels in members
     ) + "]\n"
@@ -392,7 +392,7 @@ def member_label(space, hid):
     """A member's label by its definition: its point labels in index order
     joined by ',', and '{}' for the empty member."""
     member = space.family.member(hid)
-    if member.is_empty:
+    if not member.bits:
         return "{}"
     return ",".join(member.labels(space.model))
 
@@ -403,6 +403,15 @@ def integral_least_true(f, e):
     assert e.eclass is EClass.MEASURE and e.space.intersection_closed
     least = e.space.least_ids()
     return sup_of(f.values[i] / e.values[least[i]] for i in range(e.space.model.size))
+
+
+def dominates(a, b) -> bool:
+    """`a` is at least `b` everywhere: value by value for evidence tables,
+    row by row for kernels and kernel by kernel for e-processes."""
+    if isinstance(a, EProcess):
+        return all(map(dominates, a.kernels, b.kernels))
+    rows = zip(a.rows, b.rows) if isinstance(a, EKernel) else [(a.values, b.values)]
+    return all(x >= y for mine, theirs in rows for x, y in zip(mine, theirs))
 
 
 def oracle_union_closure(gen_bits):

@@ -1,10 +1,13 @@
 """The command line end to end: exit codes, records and text output on a fixed corpus."""
 
+import argparse
 import codecs
+import contextlib
 import dataclasses
 import io
 import locale
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -623,6 +626,17 @@ def test_mtp_alpha_defaults_to_one_twentieth_where_it_is_read(capsys):
     assert run(capsys, selection) != run(capsys, [*selection, "--alpha", "1/10"])
 
 
+def test_mtp_golden_at_a_level_past_4300_digits_renders_it_exactly(capsys):
+    argv = ["mtp", "--golden", "table1", "--alpha", "1e-5000"]
+    code, records = run(capsys, argv)
+    assert code == cli.EXIT_OK and records.startswith("table row=")
+    assert cli.main(argv) == cli.EXIT_OK
+    level = "1/1" + "0" * 5000
+    assert capsys.readouterr().out.startswith(
+        f"built-in three-circle family (recomputed at alpha={level}; not the golden level)\n"
+    )
+
+
 def test_mtp_golden_reports_each_mismatched_cell(capsys, monkeypatch):
     """An expected table off in one evidence cell and one share: 43/44 cells
     match, and each differing cell gets a MISMATCH line and a record."""
@@ -708,18 +722,121 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkey
     assert lean == outcome(capsys, argv)
 
 
-def test_each_run_builds_its_own_parser_of_its_subcommand(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", PARSER_ARGV.values(), ids=PARSER_ARGV.keys())
+def test_argparse_alone_gives_the_same_outcome(capsys, monkeypatch, argv):
+    """Same exit code, stdout and stderr with the reader declining every argv."""
+    read = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    assert read == outcome(capsys, argv)
+
+
+def test_only_a_declined_argv_builds_a_parser_and_only_of_its_subcommand(capsys, monkeypatch):
+    """A well-formed argv builds no argparse parser. One the reader declines
+    builds its subcommand's parser, or all five for a typo. The handler that
+    runs is the module's current `cmd_*` either way."""
     built = []
-    build = cli.build_parser
 
-    def counting(command=None):
-        built.append(command)
-        return build(command)
+    init = argparse.ArgumentParser.__init__
 
-    monkeypatch.setattr(cli, "build_parser", counting)
-    for argv in (["space", *SPACE_ARGS], ["space", *SPACE_ARGS], ["chek"]):
-        outcome(capsys, argv)
-    assert built == ["space", "space", "chek"]
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    ran = []
+    monkeypatch.setattr(cli, "cmd_space", lambda args: ran.append(args.space) or 7)
+    assert cli.main(["space", *SPACE_ARGS]) == 7
+    assert built == []
+    assert outcome(capsys, ["space", "--spa", "x.yaml"])[0] == 7  # an abbreviation
+    assert built == ["emeasure", "emeasure space"]
+    assert ran == [SPACE_ARGS[1], "x.yaml"]
+    built.clear()
+    assert outcome(capsys, ["chek"])[0] == cli.EXIT_INPUT
+    assert built == ["emeasure", *(f"emeasure {name}" for name in cli._OPTIONS)]
     others = ("close an evidence table", "multiplicity procedures")
-    assert not any(text in build("space").format_help() for text in others)
-    assert all(text in build("chek").format_help() for text in others)
+    assert not any(text in cli.build_parser("space").format_help() for text in others)
+    assert all(text in cli.build_parser("chek").format_help() for text in others)
+
+
+# Values for options without choices or a type: file names, labels, the
+# empty string, and words argparse reads as options or negative numbers.
+PLAIN_VALUES = ("in.yaml", "p|q", "", "-1", "-x.yaml", "--space", "1/2", "a b")
+LEVELS = ("1/3", "2", "0", "-1", "x", "1/0", "1e-3")
+
+
+def _random_value(rng, option):
+    if option.choices is not None:
+        return rng.choice(option.choices) if rng.random() < 0.8 else rng.choice(("nope", ""))
+    if option.type is not None:
+        return rng.choice(LEVELS)
+    return rng.choice(PLAIN_VALUES) if rng.random() < 0.3 else "in.yaml"
+
+
+def _random_option(rng, option) -> list[str]:
+    """One option and its values, in the exact form or, at times, abbreviated
+    or written `--name=value`, or with no value."""
+    values = [_random_value(rng, option) for _ in range(rng.randint(1, 3) if option.nargs else 1)]
+    roll = rng.random()
+    if roll < 0.06:
+        return [f"--{option.name}={values[0]}"]
+    if roll < 0.12:
+        return ["--" + option.name[: rng.randint(1, len(option.name) - 1)], *values]
+    if roll < 0.15:
+        return ["--" + option.name]
+    return ["--" + option.name, *values]
+
+
+def _random_argv(rng) -> list[str]:
+    """A command line built from one subcommand's row of the option table,
+    often well formed, otherwise with one or more faults of the kinds argparse
+    refuses or reads in forms the reader declines."""
+    command = rng.choice(list(cli._OPTIONS))
+    options = cli._OPTIONS[command]
+    groups = [
+        _random_option(rng, option)
+        for option in options
+        if rng.random() < (0.95 if option.required else 0.4)
+    ]
+    if rng.random() < 0.15:  # a repeat: the last one wins
+        groups.append(_random_option(rng, rng.choice(options)))
+    rng.shuffle(groups)
+    argv = [command, *(word for group in groups for word in group)]
+    roll = rng.random()
+    if roll < 0.04:
+        argv.insert(rng.randint(0, len(argv)), rng.choice(("-h", "--help")))
+    elif roll < 0.07:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(("--nope", "extra", "--")))
+    elif roll < 0.09 and groups:  # an option before the subcommand
+        argv = [*groups[0], command, *argv[1 + len(groups[0]):]]
+    elif roll < 0.10:
+        argv[0] = command[:-1]
+    return argv
+
+
+def _argparse_namespace(argv):
+    """What argparse returns for `argv`, or None where it exits: help or a refusal."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def test_the_reader_returns_what_argparse_returns_or_declines():
+    """On seeded command lines from every subcommand's options, whatever the
+    reader accepts parses to argparse's namespace, and every argv argparse
+    refuses or answers with help, the reader declines."""
+    rng = random.Random("argv")
+    tally = {"read": 0, "argparse only": 0, "refused": 0}
+    for _ in range(1500):
+        argv = _random_argv(rng)
+        ours, reference = cli._read_argv(argv), _argparse_namespace(argv)
+        if reference is None:
+            assert ours is None, argv
+            tally["refused"] += 1
+        elif ours is None:
+            tally["argparse only"] += 1
+        else:
+            assert vars(ours) == vars(reference), argv
+            tally["read"] += 1
+    assert min(tally.values()) > 150, tally

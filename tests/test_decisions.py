@@ -265,7 +265,7 @@ def test_binary_kernel_bound_is_exact_coverage():
     for xi in range(sample.size):
         values = {}
         for hid, m in enumerate(space.family.members):
-            if m.is_empty:
+            if not m.bits:
                 values[hid] = INF
             elif xi == 0 and space.family.member(target).bits & ~m.bits == 0:
                 # rejected set must stay an upper set for antitonicity
@@ -547,7 +547,7 @@ def test_admissibility_identical_and_dominated_columns():
     # the evidence preorder therefore puts good above bad
     e = from_values(
         space,
-        [INF if m.is_empty else XValue(4 - m.popcount) for m in space.family.members],
+        [XValue(4 - m.bits.bit_count()) if m.bits else INF for m in space.family.members],
     )
     result = admissible_decisions(e, table)
     geq = result.order
@@ -566,7 +566,7 @@ def test_admissibility_incomparable_pair_keeps_both():
     e = from_values(
         space,
         {
-            hid: INF if m.is_empty else XValue(Fraction(1, 1 + m.popcount))
+            hid: XValue(Fraction(1, 1 + m.bits.bit_count())) if m.bits else INF
             for hid, m in enumerate(space.family.members)
         }.values(),
     )

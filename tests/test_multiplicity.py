@@ -136,7 +136,7 @@ def test_binary_kernel_fwe_is_classical_familywise_error_over_alpha():
     for xi in range(2):
         values = {}
         for hid, m in enumerate(space.family.members):
-            if m.is_empty:
+            if not m.bits:
                 values[hid] = INF
             elif xi == 0 and m.bits == 0b01:
                 values[hid] = XValue(1) / XValue(alpha)

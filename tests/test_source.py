@@ -161,9 +161,18 @@ UNREACHED_KEPT = {
 }
 
 
+def _is_method(node: ast.AST) -> bool:
+    """A function in a class body that code calls by name: not a dunder,
+    which the language calls for the class."""
+    return isinstance(node, ast.FunctionDef) and not (
+        node.name.startswith("__") and node.name.endswith("__")
+    )
+
+
 def _definitions() -> dict[str, list[ast.AST]]:
-    """Top-level functions and classes of every module but __init__ by name,
-    and each module's other top-level statements under "<module>"."""
+    """Top-level functions and classes of every module but __init__, and the
+    methods in their class bodies, by name; each module's other top-level
+    statements under "<module>"."""
     found: dict[str, list[ast.AST]] = {}
     for path in SOURCES:
         if path.name == "__init__.py":
@@ -171,9 +180,28 @@ def _definitions() -> dict[str, list[ast.AST]]:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 found.setdefault(node.name, []).append(node)
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if _is_method(item):
+                        found.setdefault(item.name, []).append(item)
             else:
                 found.setdefault(f"<{path.stem}>", []).append(node)
     return found
+
+
+def _mentions(node: ast.AST):
+    """Every name and attribute under `node`; a class's own methods are
+    definitions of their own and are not walked with it."""
+    todo = [node]
+    while todo:
+        sub = todo.pop()
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        children = ast.iter_child_nodes(sub)
+        if isinstance(sub, ast.ClassDef):
+            children = [child for child in children if not _is_method(child)]
+        todo.extend(children)
 
 
 def _unreached() -> set[str]:
@@ -181,8 +209,8 @@ def _unreached() -> set[str]:
 
     The walk starts at every definition in cli.py and at the statements an
     import runs, and follows every name and attribute a reached definition
-    mentions to every definition of that name. Re-exports in __init__ do
-    not count, so a name that only tests use is unreached.
+    mentions to every definition of that name, a method's too. Re-exports in
+    __init__ do not count, so a name that only tests use is unreached.
     """
     found = _definitions()
     cli = ast.parse((PACKAGE / "cli.py").read_text())
@@ -191,8 +219,7 @@ def _unreached() -> set[str]:
     reached = set(todo)
     while todo:
         for node in found[todo.pop()]:
-            for sub in ast.walk(node):
-                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            for name in _mentions(node):
                 if name in found and name not in reached:
                     reached.add(name)
                     todo.append(name)

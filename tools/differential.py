@@ -20,7 +20,12 @@ sides get the same inputs:
   `--family`). Their kernel rows list the outcomes in order or shuffled,
   drop an outcome, add an unknown one, or give the empty member a finite
   value, so both ways of reading a row and the order of their errors are
-  compared (named `check/N`).
+  compared (named `check/N`);
+- 420 seeded mutations of the corpus command lines, which argparse reads or
+  refuses where the command line is not of the one exact form: an option
+  written `--name=value` or abbreviated, an option repeated with another
+  value, `-h` or `--help` at any position, an option dropped, a bad choice,
+  and an option moved before the subcommand (named `argv/N`).
 
 A job agrees when its exit code, stdout and stderr are equal on both sides.
 The first difference that no `--expect NAME` names is printed with its argv
@@ -49,6 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 DECIDE_INPUTS = 720  # random `decide` inputs, from the first seed
 CHECK_INPUTS = 360  # random `check` inputs, from the first seed
+ARGV_INPUTS = 420  # mutated corpus command lines, from the first seed
 
 # What one run of an argv gives: exit code, stdout and stderr.
 Result = tuple[object, str, str]
@@ -169,14 +175,79 @@ def export(rev: str, into: Path) -> Path:
 # -- the inputs ----------------------------------------------------------------
 
 
-def corpus_jobs() -> list[Job]:
+def _corpus_argv() -> list[tuple[str, tuple[str, ...]]]:
+    """(name, argv) of every corpus case, its files under tests/data."""
     import yaml
 
+    return [
+        (case["name"], tuple(str(DATA / a) if a.endswith(".yaml") else a for a in case["argv"]))
+        for case in yaml.safe_load((DATA / "cli_cases.yaml").read_text())
+    ]
+
+
+def corpus_jobs() -> list[Job]:
     jobs = []
-    for case in yaml.safe_load((DATA / "cli_cases.yaml").read_text()):
-        argv = tuple(str(DATA / a) if a.endswith(".yaml") else a for a in case["argv"])
-        name = f"corpus:{case['name']}"
-        jobs += [Job(name, argv + ("--format", "records")), Job(name, argv)]
+    for name, argv in _corpus_argv():
+        jobs += [Job(f"corpus:{name}", argv + ("--format", "records")), Job(f"corpus:{name}", argv)]
+    return jobs
+
+
+# How a corpus command line is mutated, one per `argv/N` job.
+ARGV_MUTATIONS = ("equals", "abbreviate", "repeat", "help", "drop", "bad-choice", "option-first")
+CHOICE_OPTIONS = ("--check", "--procedure", "--golden", "--bound", "--format")
+
+
+def _mutate(rng: random.Random, argv: list[str], values: dict[str, list[str]], how: str) -> list[str]:
+    """`argv` with one mutation `how`. Its options are split into groups, each
+    an option and the values after it (every corpus option has a value);
+    `values` holds every value the corpus gives each option, for a repeat."""
+    command, groups = argv[:1], []
+    for word in argv[1:]:
+        if word.startswith("--"):
+            groups.append([word])
+        else:
+            groups[-1].append(word)
+    i = rng.randrange(len(groups))
+    group = groups[i]
+    if how == "equals":
+        groups[i] = [f"{group[0]}={group[1]}", *group[2:]]
+    elif how == "abbreviate":
+        groups[i] = [group[0][: rng.randint(3, len(group[0]) - 1)], *group[1:]]
+    elif how == "repeat":
+        groups.insert(rng.randint(0, len(groups)), [group[0], rng.choice(values[group[0]])])
+    elif how == "drop":
+        del groups[i]
+    elif how == "bad-choice":
+        chosen = [g for g in groups if g[0] in CHOICE_OPTIONS and len(g) > 1]
+        if chosen:
+            chosen[0][1] = chosen[0][1][:-1]
+        else:
+            groups.append(["--format", "json"])
+    elif how == "option-first":
+        return [*groups.pop(i), *command, *(word for g in groups for word in g)]
+    words = [*command, *(word for g in groups for word in g)]
+    if how == "help":
+        words.insert(rng.randint(0, len(words)), rng.choice(("-h", "--help")))
+    return words
+
+
+def argv_jobs(seed: int, count: int) -> list[Job]:
+    """Corpus command lines, each with one of `ARGV_MUTATIONS`, in the records
+    format or in text."""
+    rng = random.Random(f"argv/{seed}")
+    corpus = _corpus_argv()
+    values = {"--format": ["text", "records"]}
+    for _, argv in corpus:
+        for option, value in zip(argv, argv[1:]):
+            if option.startswith("--") and not value.startswith("--"):
+                values.setdefault(option, []).append(value)
+    jobs = []
+    for n in range(count):
+        _, argv = rng.choice(corpus)
+        if rng.random() < 0.5:
+            argv += ("--format", "records")
+        mutated = _mutate(rng, list(argv), values, rng.choice(ARGV_MUTATIONS))
+        jobs.append(Job(f"argv/{n}", tuple(mutated)))
     return jobs
 
 
@@ -387,6 +458,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         jobs = corpus_jobs() + perfbench_jobs(inputs, args.seeds, args.cycles)
         jobs += decide_jobs(inputs, args.seeds[0], DECIDE_INPUTS)
         jobs += check_jobs(inputs, args.seeds[0], CHECK_INPUTS)
+        jobs += argv_jobs(args.seeds[0], ARGV_INPUTS)
         base, change = Side(base_src, inputs), Side(ROOT / "src", inputs)
         try:
             outcome = compare(jobs, base, change, args.expect)
