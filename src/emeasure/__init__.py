@@ -1,9 +1,11 @@
 """Evidence calculus on finite hypothesis lattices.
 
-Hypotheses are subsets of a finite model, families are union-closed, and
-evidence tables over them are classified, closed into measures, weighed
-against data by exact expectation, corrected for multiplicity and turned
-into decision bounds. Everything is exact rational arithmetic. The
+Hypotheses are subsets of a finite model, each a plain int bitset over
+the model's points (`Model.bits_of` and `Model.label` convert), families
+are union-closed and built by `union_closure` or `class_from_preorder`,
+and evidence tables over them are classified, closed into measures,
+weighed against data by exact expectation, corrected for multiplicity and
+turned into decision bounds. Everything is exact rational arithmetic. The
 exports are what the command line runs, plus the E-posterior, pushforward
 and convex-merge functions that no subcommand runs yet; test fixtures and
 oracles live in the test suite.
@@ -11,9 +13,7 @@ oracles live in the test suite.
 
 from .xvalue import INF, ONE, XValue, ZERO, as_xvalue, inf_of, parse_xvalue, sup_of
 from .spaces import (
-    HypothesisClass,
     Model,
-    PointSet,
     Preorder,
     Space,
     SpaceError,

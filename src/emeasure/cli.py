@@ -25,7 +25,7 @@ from . import kernels as kn
 from . import multiplicity as mtp
 from . import decisions as dec
 from .evidence import EClass, EvidenceError
-from .spaces import SpaceError
+from .spaces import SpaceError, preorder_from_class
 from .xvalue import XValue, decimal_text
 
 EXIT_OK = 0
@@ -167,7 +167,7 @@ _OPTIONS = {
         _FORMAT,
     ),
     "decide": (
-        _Option("space"),
+        _Option("space", required=True),
         _Option("decisions", required=True),
         _Option("kernel", required=True),
         _Option("model", required=True),
@@ -288,12 +288,10 @@ def cmd_space(args) -> int:
             hid = report.least[point]
             out.text(f"  {point}: {{{sf.space.label(hid)}}}")
             out.record("least", point=point, hypothesis=sf.space.label(hid))
-        from .spaces import preorder_from_class
-
         pre = preorder_from_class(sf.space)
         out.text("preorder matrix (row <= column):")
-        for i, p in enumerate(sf.space.model.points):
-            row = "".join("1" if pre.holds(i, j) else "0" for j in range(pre.size))
+        for p, bits in zip(sf.space.model.points, pre.rows):
+            row = f"{bits:0{pre.size}b}"[::-1]
             out.text(f"  {p}: {row}")
             out.record("preorder", point=p, row=row)
     return EXIT_OK
@@ -544,9 +542,7 @@ def cmd_decide(args) -> int:
     out = Printer(args.format)
     reads = ("alpha",) if args.bound == "probability" else ()
     _refuse_unread(args, f"--bound {args.bound}", ("alpha",), reads)
-    sf = fileio.load_space(args.space) if args.space else None
-    if sf is None:
-        raise fileio.SchemaError("<args>", "decide needs --space")
+    sf = fileio.load_space(args.space)
     pa = fileio.load_pmfs(args.model, sf.space.model)
     kernel = fileio.load_kernel(args.kernel, sf, pa.sample)
     slice_fn = kernel.column(args.outcome) if args.outcome is not None else None
@@ -585,7 +581,7 @@ def cmd_decide(args) -> int:
         # pushforward onto the sets of decisions would build their power set.
         # Ties, or a set outside the family: no ranking.
         opt, family = dec.optimality_class(loss), sf.space.family
-        sets = [(opt.decision_sets[d].bits, d) for d in loss.decisions]
+        sets = [(opt.decision_sets[d], d) for d in loss.decisions]
         if opt.optimal is not None and all(bits in family for bits, _ in sets):
             rows = sorted((slice_fn.values[family.id_of(bits)], d) for bits, d in sets)
             out.text("optimality-evidence ranking (least evidence first):")

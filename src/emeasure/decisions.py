@@ -14,7 +14,6 @@ from .integration import OrderMeasurabilityViolation, OrderMeasurableFn, shilkre
 from .kernels import EKernel, Entry, ProbabilityAssignment, Report
 from .spaces import (
     Model,
-    PointSet,
     Preorder,
     Space,
     class_from_preorder,
@@ -29,8 +28,8 @@ class DecisionError(EvidenceError):
 
 @dataclass(frozen=True)
 class ConsequenceSpace:
-    """Consequence labels with an explicit preorder; entry (i, j) reads i >= j
-    ('i is at least as bad as j')."""
+    """Consequence labels with an explicit preorder; `order.holds(i, j)`
+    reads i >= j ('i is at least as bad as j')."""
 
     elements: tuple[str, ...]
     order: Preorder
@@ -44,15 +43,11 @@ class ConsequenceSpace:
 
     @classmethod
     def numeric(cls, values: Sequence[XValue]) -> "ConsequenceSpace":
+        """The distinct values in increasing order, each at least as bad as
+        itself and every smaller one."""
         distinct = sorted(set(values), key=lambda v: (v.is_inf, 0 if v.is_inf else v.as_fraction()))
         labels = tuple(v.record() for v in distinct)
-        pairs = [
-            (i, j)
-            for i, a in enumerate(distinct)
-            for j, b in enumerate(distinct)
-            if a >= b
-        ]
-        return cls(labels, Preorder.from_pairs(len(labels), pairs))
+        return cls(labels, Preorder(tuple((1 << (i + 1)) - 1 for i in range(len(labels)))))
 
     def index(self, label: str) -> int:
         try:
@@ -164,7 +159,7 @@ def build_consequence_class(table: ConsequenceTable) -> Space:
     return class_from_preorder(table.model, pre)
 
 
-def hypothesis_for_bound(table: ConsequenceTable, decision: int | str, c: str) -> PointSet:
+def hypothesis_for_bound(table: ConsequenceTable, decision: int | str, c: str) -> int:
     """Points whose consequence of the decision is at least as bad as c."""
     if isinstance(decision, str):
         decision = table.decisions.index(decision)
@@ -173,22 +168,15 @@ def hypothesis_for_bound(table: ConsequenceTable, decision: int | str, c: str) -
     for pi in range(table.model.size):
         if table.cspace.at_least(table.entries[pi][decision], c):
             bits |= 1 << pi
-    return PointSet(table.model.size, bits)
-
-
-def _member_text(model: Model, bits: int) -> str:
-    """A set of points as ``Space.label`` prints a member: its point labels
-    in index order joined by ','."""
-    return ",".join(PointSet(model.size, bits).labels(model))
+    return bits
 
 
 def _require_order_measurable(space: Space, table: ConsequenceTable) -> Space:
     induced = build_consequence_class(table)
     for member in induced.family.members:
-        if member.bits not in space.family:
+        if member not in space.family:
             raise OrderMeasurabilityViolation(
-                "kernel space misses the bound hypothesis "
-                f"{_member_text(table.model, member.bits)}"
+                f"kernel space misses the bound hypothesis {table.model.label(member)}"
             )
     return induced
 
@@ -205,7 +193,7 @@ def _bound_ids(space: Space, table: ConsequenceTable, qi: int) -> list[int]:
     """Per decision, the id of the bound hypothesis at point qi's consequence:
     the points whose consequence is at least as bad."""
     return [
-        space.family.id_of(hypothesis_for_bound(table, d, table.entries[qi][d]).bits)
+        space.family.id_of(hypothesis_for_bound(table, d, table.entries[qi][d]))
         for d in range(len(table.decisions))
     ]
 
@@ -321,11 +309,11 @@ def admissible_decisions(e: EFunction, table: ConsequenceTable) -> Admissibility
     for d in range(n_dec):
         row = []
         for c in table.cspace.elements:
-            bits = hypothesis_for_bound(table, d, c).bits
+            bits = hypothesis_for_bound(table, d, c)
             if bits not in e.space.family:
                 raise OrderMeasurabilityViolation(
                     f"evidence is undefined on the bound hypothesis "
-                    f"{_member_text(table.model, bits)} for decision "
+                    f"{table.model.label(bits)} for decision "
                     f"{table.decisions[d]!r} at consequence {c!r}"
                 )
             row.append(e.value_of(bits))
@@ -348,7 +336,7 @@ def admissible_decisions(e: EFunction, table: ConsequenceTable) -> Admissibility
 @dataclass(frozen=True)
 class OptimalityResult:
     space: Space
-    decision_sets: dict[str, PointSet]
+    decision_sets: dict[str, int]
     optimal: Optional[dict[str, str]]  # point -> unique best decision
 
 
@@ -372,11 +360,9 @@ def optimality_class(loss: NumericLoss) -> OptimalityResult:
             unique[model.points[pi]] = winners[0]
         else:
             tie_free = False
-    generators = [PointSet(model.size, bits) for bits in sets.values()]
-    space = Space(model, union_closure(model.size, generators))
     return OptimalityResult(
-        space=space,
-        decision_sets={d: PointSet(model.size, b) for d, b in sets.items()},
+        space=Space(model, union_closure(model.size, sets.values())),
+        decision_sets=sets,
         optimal=unique if tie_free else None,
     )
 

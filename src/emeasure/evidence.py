@@ -141,7 +141,7 @@ def _claims(space: Space, values: Sequence[XValue]) -> list[XValue]:
     out = [ZERO] * space.model.size
     left = (1 << space.model.size) - 1
     for hid in sorted(range(len(members)), key=keys.__getitem__, reverse=True):
-        new = members[hid].bits & left
+        new = members[hid] & left
         if new:
             left ^= new
             value = values[hid]
@@ -160,7 +160,7 @@ def sup_over_true(space: Space, values: Sequence[XValue], point: int | str) -> X
     if isinstance(point, str):
         point = space.model.index(point)
     return max(
-        (v for m, v in zip(space.family.members, values) if m.bits >> point & 1), default=ZERO
+        (v for m, v in zip(space.family.members, values) if m >> point & 1), default=ZERO
     )
 
 

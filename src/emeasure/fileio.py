@@ -68,7 +68,6 @@ from .kernels import EKernel, FiltrationTree, Pmf, ProbabilityAssignment, Sample
 from .spaces import (
     MODEL_POINT_CAP,
     Model,
-    PointSet,
     Preorder,
     Space,
     SpaceError,
@@ -317,7 +316,7 @@ class SpaceFile:
             return hid
         parts = [p.strip() for p in str(label).split(",") if p.strip()]
         try:
-            bits = PointSet.of(self.space.model, parts).bits
+            bits = self.space.model.bits_of(parts)
         except Exception:
             raise SchemaError(path, f"unknown hypothesis label {label!r}") from None
         if bits not in self.space.family:
@@ -391,7 +390,7 @@ def load_space(path: Path | str) -> SpaceFile:
             if not isinstance(g, list):
                 raise SchemaError(path, f"generator {g!r} is not a list of point labels")
             try:
-                sets.append(PointSet.of(model, g))
+                sets.append(model.bits_of(g))
             except Exception:
                 raise SchemaError(path, f"generator {g!r} uses unknown points") from None
         space = Space(model, union_closure(model.size, sets))
@@ -414,7 +413,7 @@ def load_space(path: Path | str) -> SpaceFile:
         raise SchemaError(path, "need 'generators' or 'preorder'")
     name_ids = {}
     for name, labels in names.items():
-        name_ids[name] = space.family.id_of(PointSet.of(model, labels).bits)
+        name_ids[name] = space.family.id_of(model.bits_of(labels))
     return SpaceFile(space, name_ids)
 
 

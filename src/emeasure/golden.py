@@ -15,7 +15,7 @@ from typing import Optional
 from . import evidence as ev
 from . import multiplicity as mtp
 from .evidence import EFunction
-from .spaces import Model, PointSet, Space, union_closure
+from .spaces import Model, Space, union_closure
 from .xvalue import INF, XValue
 
 CELLS = ("c1", "c2", "c3", "c12", "c13", "c23", "c123", "cOut")
@@ -58,12 +58,12 @@ DEFAULT_ALPHA = Fraction(1, 20)
 
 def toy_space() -> Space:
     model = Model(CELLS)
-    cells = [PointSet.of(model, [c]) for c in CELLS]
+    cells = [model.bits_of([c]) for c in CELLS]
     return Space(model, union_closure(model.size, cells))
 
 
 def row_id(space: Space, label: str) -> int:
-    return space.family.id_of(PointSet.of(space.model, _ROW_CELLS[label]).bits)
+    return space.family.id_of(space.model.bits_of(_ROW_CELLS[label]))
 
 
 def group_ids(space: Space) -> tuple[int, ...]:

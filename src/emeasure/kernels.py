@@ -684,7 +684,7 @@ def pushforward_kernel(
     for member, bits in zip(target.family.members, bitsets):
         if bits not in source.family:
             raise MeasurabilityError(
-                f"preimage of {member.labels(target.model)} is not a source hypothesis"
+                f"preimage of {target.model.label(member)} is not a source hypothesis"
             )
     pushed = EKernel.from_rows(
         target, k.sample, [k.rows[source.family.id_of(bits)] for bits in bitsets]

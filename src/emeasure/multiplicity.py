@@ -64,7 +64,7 @@ def fep_fsp(k: EKernel, point: int | str, rule: SelectionRule, x: int | str) -> 
     ids = rule.at(x)
     col = k.column(x)
     denom = max(len(ids), 1)
-    true_ids = [hid for hid in ids if point in k.space.family.member(hid)]
+    true_ids = [hid for hid in ids if k.space.family.member(hid) >> point & 1]
     total = XValue(0)
     for hid in true_ids:
         total = total + col.values[hid]
@@ -103,7 +103,7 @@ def selection_shares(space, selected: Sequence[int]) -> list[Fraction]:
     denom = max(len(selected), 1)
     members = space.family
     return [
-        Fraction(sum(1 for hid in selected if pi in members.member(hid)), denom)
+        Fraction(sum(1 for hid in selected if members.member(hid) >> pi & 1), denom)
         for pi in range(space.model.size)
     ]
 

@@ -1,9 +1,10 @@
 """Finite models and union-closed hypothesis families over them.
 
-A hypothesis is a subset of the model's points, stored as a bitset. A
-family is deduplicated and kept in canonical order (popcount, then numeric
-bitset value) so hypothesis ids are stable across runs and cross-module
-references stay O(1).
+A set of points is a plain int, bit i standing for point i: a hypothesis, a
+generator, a row of a preorder. A family is deduplicated and kept in
+canonical order (popcount, then numeric bitset value) so hypothesis ids are
+stable across runs and cross-module references stay O(1); the empty
+hypothesis is always id 0.
 """
 
 from __future__ import annotations
@@ -22,16 +23,22 @@ class WidthMismatch(SpaceError):
     pass
 
 
-class NotUnionClosed(SpaceError):
-    pass
-
-
 class NotIntersectionClosed(SpaceError):
     pass
 
 
 class NotAPreorder(SpaceError):
     pass
+
+
+def _indices(bits: int) -> tuple[int, ...]:
+    """The positions of a bitset's set bits, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -56,92 +63,40 @@ class Model:
         except ValueError:
             raise SpaceError(f"unknown point label {label!r}") from None
 
-
-@dataclass(frozen=True, order=True)
-class PointSet:
-    """Subset of a model's points as a fixed-width bitset."""
-
-    width: int
-    bits: int
-
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.width:
-            raise SpaceError(f"bitset {self.bits:#x} does not fit width {self.width}")
-
-    @classmethod
-    def empty(cls, width: int) -> "PointSet":
-        return cls(width, 0)
-
-    @classmethod
-    def full(cls, width: int) -> "PointSet":
-        return cls(width, (1 << width) - 1)
-
-    @classmethod
-    def of(cls, model: Model, labels: Iterable[str]) -> "PointSet":
+    def bits_of(self, labels: Iterable[str]) -> int:
+        """The bitset of the labelled points."""
         bits = 0
-        for lab in labels:
-            bits |= 1 << model.index(lab)
-        return cls(model.size, bits)
+        for label in labels:
+            bits |= 1 << self.index(label)
+        return bits
 
-    def __contains__(self, index: int) -> bool:
-        return bool(self.bits >> index & 1)
-
-    def __or__(self, other: "PointSet") -> "PointSet":
-        self._check(other)
-        return PointSet(self.width, self.bits | other.bits)
-
-    def __and__(self, other: "PointSet") -> "PointSet":
-        self._check(other)
-        return PointSet(self.width, self.bits & other.bits)
-
-    def _check(self, other: "PointSet"):
-        if self.width != other.width:
-            raise WidthMismatch(f"width {self.width} vs {other.width}")
-
-    def indices(self) -> tuple[int, ...]:
-        out, bits = [], self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
-
-    def labels(self, model: Model) -> tuple[str, ...]:
-        return tuple(model.points[i] for i in self.indices())
-
-
-def _canonical(width: int, bitsets: Iterable[int]) -> tuple[PointSet, ...]:
-    """The distinct bitsets and the empty one, by popcount then value."""
-    uniq = sorted(set(bitsets) | {0}, key=lambda b: (b.bit_count(), b))
-    return tuple([PointSet(width, b) for b in uniq])
+    def label(self, bits: int) -> str:
+        """A bitset's point labels in index order joined by ",", and "{}"
+        for the empty set."""
+        return ",".join([self.points[i] for i in _indices(bits)]) if bits else "{}"
 
 
 class HypothesisClass:
-    """Deduplicated, union-closed family of point sets including the empty one."""
+    """Deduplicated, union-closed family of bitsets including the empty one.
 
-    def __init__(self, width: int, bitsets: Iterable[int], *, check: bool = True):
+    The constructor trusts that its bitsets are union-closed and fit the
+    width; `union_closure` and `class_from_preorder` build families."""
+
+    def __init__(self, width: int, bitsets: Iterable[int]):
         self.width = width
-        self.members = _canonical(width, bitsets)
-        self._index = {m.bits: i for i, m in enumerate(self.members)}
-        self._indices: list[Optional[tuple[int, ...]]] = [None] * len(self.members)
-        self._nonempty: Optional[tuple[int, ...]] = None
+        members = sorted(set(bitsets) | {0})
+        members.sort(key=int.bit_count)  # stable: ties stay in value order
+        self.members = tuple(members)
+        self._index = {bits: i for i, bits in enumerate(members)}
+        self._indices: list[Optional[tuple[int, ...]]] = [None] * len(members)
         self._irreducible: Optional[tuple[int, ...]] = None
         self._joins: Optional[tuple[tuple[int, int, int], ...]] = None
-        if check:
-            _, irreducible, gap = _worklist((m.bits for m in self.members), self._index)
-            if gap is not None:
-                a, b = gap
-                raise NotUnionClosed(
-                    f"family is not union-closed: {a:#x} | {b:#x} is not a member"
-                )
-            self._irreducible = tuple(irreducible)
 
     def irreducible_ids(self) -> tuple[int, ...]:
         """Ids of the join-irreducible members: the nonempty members that are
         not a union of smaller ones. Every member is a union of them."""
         if self._irreducible is None:
-            _, irreducible, _ = _worklist(m.bits for m in self.members)
-            self._irreducible = tuple(irreducible)
+            self._irreducible = tuple(_worklist(self.members)[1])
         return self._irreducible
 
     def joins(self) -> tuple[tuple[int, int, int], ...]:
@@ -152,12 +107,12 @@ class HypothesisClass:
         every member is the union of the irreducibles it contains.
         """
         if self._joins is None:
-            irreducible = [(j, self.members[j].bits) for j in self.irreducible_ids()]
+            irreducible = [(j, self.members[j]) for j in self.irreducible_ids()]
             self._joins = tuple(
-                (a, j, self._index[m.bits | bits])
+                (a, j, self._index[m | bits])
                 for a, m in enumerate(self.members)
                 for j, bits in irreducible
-                if bits & ~m.bits
+                if bits & ~m
             )
         return self._joins
 
@@ -167,8 +122,7 @@ class HypothesisClass:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, item) -> bool:
-        bits = item.bits if isinstance(item, PointSet) else item
+    def __contains__(self, bits: int) -> bool:
         return bits in self._index
 
     def __eq__(self, other: object) -> bool:
@@ -179,46 +133,38 @@ class HypothesisClass:
         )
 
     def __hash__(self) -> int:
-        return hash((self.width, tuple(m.bits for m in self.members)))
+        return hash((self.width, self.members))
 
-    def id_of(self, item) -> int:
-        bits = item.bits if isinstance(item, PointSet) else item
+    def id_of(self, bits: int) -> int:
         try:
             return self._index[bits]
         except KeyError:
             raise SpaceError(f"point set {bits:#x} is not a member") from None
 
-    def member(self, hid: int) -> PointSet:
+    def member(self, hid: int) -> int:
         return self.members[hid]
 
     def indices(self, hid: int) -> tuple[int, ...]:
         """The member's point indices in increasing order, computed once."""
         found = self._indices[hid]
         if found is None:
-            found = self._indices[hid] = self.members[hid].indices()
+            found = self._indices[hid] = _indices(self.members[hid])
         return found
 
-    @property
-    def empty_id(self) -> int:
-        return self._index[0]
+    empty_id = 0  # the empty member sorts first
 
     def nonempty_ids(self) -> tuple[int, ...]:
-        if self._nonempty is None:
-            self._nonempty = tuple(i for i, m in enumerate(self.members) if m.bits)
-        return self._nonempty
+        return tuple(range(1, len(self.members)))
 
 
-def _worklist(
-    bitsets: Iterable[int], members: Optional[Mapping[int, int]] = None
-) -> tuple[set[int], list[int], Optional[tuple[int, int]]]:
+def _worklist(bitsets: Iterable[int]) -> tuple[set[int], list[int]]:
     """Union closure of the bitsets and the empty set, in one pass.
 
     A bitset not yet generated by the earlier ones joins every set generated
-    so far. Returns the closure, the positions of those new bitsets and, when
-    ``members`` is given, the first join ``(generated, new)`` that falls
-    outside it; the pass stops there. Walked in canonical order, a family's
-    new bitsets are its join-irreducible members, since every proper subset
-    of a member comes before it.
+    so far. Returns the closure and the positions of those new bitsets.
+    Walked in canonical order, a family's new bitsets are its
+    join-irreducible members, since every proper subset of a member comes
+    before it.
     """
     generated = {0}
     new: list[int] = []
@@ -226,42 +172,39 @@ def _worklist(
         if bits in generated:
             continue
         new.append(pos)
-        for a in list(generated):
-            joined = a | bits
-            if members is not None and joined not in members:
-                return generated, new, (a, bits)
-            generated.add(joined)
-    return generated, new, None
+        generated.update([a | bits for a in generated])
+    return generated, new
 
 
-def union_closure(width: int, generators: Iterable[PointSet]) -> HypothesisClass:
+def union_closure(width: int, generators: Iterable[int]) -> HypothesisClass:
     """Smallest union-closed family containing the generators and the empty set.
 
     Each new generator joins every set generated before it, so the cost is
     O(members x generators); idempotent and monotone in the generator set.
+    A negative generator, or one with a point at or past `width`, is refused.
     """
     gens = list(generators)
     for g in gens:
-        if g.width != width:
-            raise WidthMismatch(f"generator width {g.width}, expected {width}")
-    closure, _, _ = _worklist(g.bits for g in gens)
-    return HypothesisClass(width, closure, check=False)
+        if g < 0 or g >> width:
+            raise SpaceError(f"bitset {g:#x} does not fit width {width}")
+    return HypothesisClass(width, _worklist(gens)[0])
 
 
 @dataclass(frozen=True)
 class Preorder:
-    """Reflexive transitive relation on model points; entry (i, j) reads i <= j."""
+    """Reflexive transitive relation on model points: `rows[i]` is the
+    bitset of the points j with i <= j."""
 
-    relation: tuple[tuple[bool, ...], ...]
+    rows: tuple[int, ...]
 
     @classmethod
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "Preorder":
-        mat = [[i == j for j in range(size)] for i in range(size)]
+        rows = [1 << i for i in range(size)]
         for i, j in pairs:
             if not (0 <= i < size and 0 <= j < size):
                 raise NotAPreorder(f"pair ({i}, {j}) is outside points 0..{size - 1}")
-            mat[i][j] = True
-        return cls(tuple(tuple(row) for row in mat))
+            rows[i] |= 1 << j
+        return cls(tuple(rows))
 
     @classmethod
     def identity(cls, size: int) -> "Preorder":
@@ -269,40 +212,38 @@ class Preorder:
 
     @property
     def size(self) -> int:
-        return len(self.relation)
+        return len(self.rows)
 
     def holds(self, i: int, j: int) -> bool:
-        return self.relation[i][j]
+        return bool(self.rows[i] >> j & 1)
 
     def validate(self) -> None:
-        n = self.size
-        if any(len(row) != n for row in self.relation):
+        """Refuse a row past the points, then the first point that is not
+        below itself, then the first triple i <= j <= k without i <= k."""
+        n, rows = self.size, self.rows
+        if any(row < 0 or row >> n for row in rows):
             raise NotAPreorder("relation matrix is not square")
         for i in range(n):
-            if not self.relation[i][i]:
+            if not rows[i] >> i & 1:
                 raise NotAPreorder(f"relation is not reflexive at {i}")
-        for i in range(n):
-            for j in range(n):
-                if not self.relation[i][j]:
-                    continue
-                for k in range(n):
-                    if self.relation[j][k] and not self.relation[i][k]:
-                        raise NotAPreorder(
-                            f"relation is not transitive: {i}<={j}<={k} but not {i}<={k}"
-                        )
+        for i, row in enumerate(rows):
+            for j in _indices(row):
+                missing = rows[j] & ~row
+                if missing:
+                    k = (missing & -missing).bit_length() - 1
+                    raise NotAPreorder(
+                        f"relation is not transitive: {i}<={j}<={k} but not {i}<={k}"
+                    )
 
     def transitive_closure(self) -> "Preorder":
-        n = self.size
-        mat = [list(row) for row in self.relation]
-        for k in range(n):
-            for i in range(n):
-                if mat[i][k]:
-                    row_k = mat[k]
-                    row_i = mat[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        return Preorder(tuple(tuple(row) for row in mat))
+        """Warshall's closure, one bitset row at a time."""
+        rows = list(self.rows)
+        for k in range(len(rows)):
+            bit, row_k = 1 << k, rows[k]
+            for i, row in enumerate(rows):
+                if row & bit:
+                    rows[i] = row | row_k
+        return Preorder(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -327,12 +268,10 @@ class Space:
         self._labels: list[Optional[str]] = [None] * len(family)
 
     def label(self, hid: int) -> str:
-        """The member's point labels in index order joined by ",", and "{}"
-        for the empty member; each label is built on first use."""
+        """The member's `Model.label`, built on first use."""
         label = self._labels[hid]
         if label is None:
-            points, indices = self.model.points, self.family.indices(hid)
-            label = self._labels[hid] = ",".join([points[i] for i in indices]) if indices else "{}"
+            label = self._labels[hid] = self.model.label(self.family.members[hid])
         return label
 
     # -- structure ----------------------------------------------------
@@ -359,8 +298,8 @@ class Space:
                 meet = (1 << self.model.size) - 1
                 found = False
                 for m in self.family.members:
-                    if m.bits >> i & 1:
-                        meet &= m.bits
+                    if m >> i & 1:
+                        meet &= m
                         found = True
                 if found and meet in self.family and (meet >> i & 1):
                     ids.append(self.family.id_of(meet))
@@ -413,7 +352,7 @@ class Space:
 
 
 def class_from_preorder(model: Model, pre: Preorder) -> Space:
-    """Union closure of the principal upper sets of a preorder.
+    """Union closure of the principal upper sets of a preorder, its rows.
 
     The result is intersection-closed and the least hypothesis of a point is
     its principal upper set.
@@ -421,25 +360,14 @@ def class_from_preorder(model: Model, pre: Preorder) -> Space:
     if pre.size != model.size:
         raise WidthMismatch("preorder size does not match model size")
     pre.validate()
-    uppers = []
-    for i in range(model.size):
-        bits = 0
-        for j in range(model.size):
-            if pre.holds(i, j):
-                bits |= 1 << j
-        uppers.append(PointSet(model.size, bits))
-    return Space(model, union_closure(model.size, uppers))
+    return Space(model, union_closure(model.size, pre.rows))
 
 
 def preorder_from_class(space: Space) -> Preorder:
     """Recover the preorder i <= j  iff  j lies in the least hypothesis of i."""
     space.require_intersection_closed()
-    n = space.model.size
-    rows = []
-    for i in range(n):
-        least = space.family.member(space.least_id(i))
-        rows.append(tuple(j in least for j in range(n)))
-    return Preorder(tuple(rows))
+    members = space.family.members
+    return Preorder(tuple(members[space.least_id(i)] for i in range(space.model.size)))
 
 
 def preimages(
@@ -457,7 +385,7 @@ def preimages(
             raise SpaceError(f"{img!r} is not a point of the target model")
         images.append(target_idx[img])
     return tuple(
-        sum(1 << i for i, t in enumerate(images) if t in member)
+        sum(1 << i for i, t in enumerate(images) if member >> t & 1)
         for member in target.family.members
     )
 

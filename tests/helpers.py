@@ -15,12 +15,10 @@ from emeasure import (
     EKernel,
     EProcess,
     FiltrationTree,
-    HypothesisClass,
     INF,
     ONE,
     Model,
     Pmf,
-    PointSet,
     Preorder,
     ProbabilityAssignment,
     SampleSpace,
@@ -38,6 +36,17 @@ from emeasure import (
 )
 from emeasure.decisions import DecisionError
 from emeasure.evidence import measure_from_density
+from emeasure.spaces import HypothesisClass, NotAPreorder
+
+
+def points_of(bits):
+    """The point indices of a bitset, in increasing order."""
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def labels_of(model, bits):
+    """The point labels of a bitset, in index order."""
+    return tuple(model.points[i] for i in points_of(bits))
 
 
 def rng(seed: int) -> random.Random:
@@ -74,7 +83,7 @@ def rand_uc_space(r, max_points=4, max_members=None):
     while True:
         n = r.randint(1, max_points)
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
-        gens = [PointSet(n, r.randrange(1, 1 << n)) for _ in range(r.randint(1, 4))]
+        gens = [r.randrange(1, 1 << n) for _ in range(r.randint(1, 4))]
         space = Space(model, union_closure(n, gens))
         if max_members is None or len(space.family) <= max_members:
             return space
@@ -82,12 +91,12 @@ def rand_uc_space(r, max_points=4, max_members=None):
 
 def power_space(n):
     model = Model(tuple(f"P{i + 1}" for i in range(n)))
-    return Space(model, HypothesisClass(n, range(1 << n), check=False))
+    return Space(model, HypothesisClass(n, range(1 << n)))
 
 
 def space_from_generators(model, generators):
     """The union closure of generators given as lists of point labels."""
-    sets = [PointSet.of(model, g) for g in generators]
+    sets = [model.bits_of(g) for g in generators]
     return Space(model, union_closure(model.size, sets))
 
 
@@ -98,7 +107,7 @@ def rand_capacity(r, space, allow_inf=True):
     values = {}
     for hid, m in enumerate(members):
         values[hid] = sup_of(
-            raw[j] for j, mm in enumerate(members) if m.bits & ~mm.bits == 0
+            raw[j] for j, mm in enumerate(members) if m & ~mm == 0
         )
     values[space.family.empty_id] = INF
     e = classify(space, values)
@@ -118,7 +127,7 @@ def rand_measure(r, space, zero_chance=0):
         for lid in set(least)
     }
     values = {
-        hid: inf_of(density[least[i]] for i in m.indices())
+        hid: inf_of(density[least[i]] for i in points_of(m))
         for hid, m in enumerate(space.family.members)
     }
     e = classify(space, values)
@@ -177,7 +186,7 @@ def valid_measure_kernel(r, space, pa):
     cols = []
     for xi in range(sample.size):
         values = {
-            hid: inf_of(evars[pi][xi] for pi in m.indices())
+            hid: inf_of(evars[pi][xi] for pi in points_of(m))
             for hid, m in enumerate(space.family.members)
         }
         cols.append(classify(space, values))
@@ -217,7 +226,7 @@ def likelihood_kernel(space, pa, reference):
 
 def constant_two_kernel(space, sample):
     values = {
-        hid: XValue(2) if m.bits else INF
+        hid: XValue(2) if m else INF
         for hid, m in enumerate(space.family.members)
     }
     fn = classify(space, values)
@@ -292,7 +301,7 @@ def rand_order_measurable(r, space, max_levels=3, allow_inf=True):
     current = (1 << space.model.size) - 1
     chain = []
     for _ in range(r.randint(1, max_levels)):
-        current &= members[r.randrange(len(members))].bits
+        current &= members[r.randrange(len(members))]
         chain.append(current)
     levels = []
     height = Fraction(0)
@@ -319,7 +328,7 @@ def rand_order_measurable_pair(r, space, max_levels=3):
     current = (1 << space.model.size) - 1
     chain = []
     for _ in range(r.randint(1, max_levels)):
-        current &= members[r.randrange(len(members))].bits
+        current &= members[r.randrange(len(members))]
         chain.append(current)
     g_levels = []
     f_levels = []
@@ -347,7 +356,7 @@ def indicator(space, hid):
     from emeasure import OrderMeasurableFn
 
     member = space.family.member(hid)
-    return OrderMeasurableFn.of(space, [1 if i in member else 0 for i in range(space.model.size)])
+    return OrderMeasurableFn.of(space, [member >> i & 1 for i in range(space.model.size)])
 
 
 # -- input files --------------------------------------------------------------
@@ -355,7 +364,7 @@ def indicator(space, hid):
 
 def space_yaml(space):
     """A space file whose generators are every nonempty member."""
-    members = [m.labels(space.model) for m in space.family.members if m.bits]
+    members = [labels_of(space.model, m) for m in space.family.members if m]
     return f"points: [{', '.join(space.model.points)}]\ngenerators: [" + ", ".join(
         f"[{', '.join(labels)}]" for labels in members
     ) + "]\n"
@@ -392,9 +401,9 @@ def member_label(space, hid):
     """A member's label by its definition: its point labels in index order
     joined by ',', and '{}' for the empty member."""
     member = space.family.member(hid)
-    if not member.bits:
+    if not member:
         return "{}"
-    return ",".join(member.labels(space.model))
+    return ",".join(labels_of(space.model, member))
 
 
 def integral_least_true(f, e):
@@ -427,13 +436,48 @@ def oracle_union_closure(gen_bits):
     return out
 
 
+def oracle_transitive_closure(matrix):
+    """Warshall's closure of a square bool matrix, entry by entry."""
+    n = len(matrix)
+    mat = [list(row) for row in matrix]
+    for k in range(n):
+        for i in range(n):
+            if mat[i][k]:
+                row_k = mat[k]
+                row_i = mat[i]
+                for j in range(n):
+                    if row_k[j]:
+                        row_i[j] = True
+    return tuple(tuple(row) for row in mat)
+
+
+def oracle_validate(matrix):
+    """Refuse a bool matrix (entry (i, j) reads i <= j) that is not square,
+    reflexive and transitive, naming the first failing point or triple."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise NotAPreorder("relation matrix is not square")
+    for i in range(n):
+        if not matrix[i][i]:
+            raise NotAPreorder(f"relation is not reflexive at {i}")
+    for i in range(n):
+        for j in range(n):
+            if not matrix[i][j]:
+                continue
+            for k in range(n):
+                if matrix[j][k] and not matrix[i][k]:
+                    raise NotAPreorder(
+                        f"relation is not transitive: {i}<={j}<={k} but not {i}<={k}"
+                    )
+
+
 def oracle_least_bits(space, point):
     """Brute intersection of every member containing the point."""
     acc = (1 << space.model.size) - 1
     hit = False
     for m in space.family.members:
-        if m.bits >> point & 1:
-            acc &= m.bits
+        if m >> point & 1:
+            acc &= m
             hit = True
     return acc if hit else None
 
@@ -442,16 +486,16 @@ def oracle_closure(e):
     """Unrestricted cover search: best over all subsets of the family."""
     covers = [(0, INF)]  # (union, least evidence) of each subset of the family
     for member, value in zip(e.space.family.members, e.values):
-        covers += [(u | member.bits, low if low <= value else value) for u, low in covers]
+        covers += [(u | member, low if low <= value else value) for u, low in covers]
     return [
-        sup_of(low for u, low in covers if m.bits & ~u == 0)
+        sup_of(low for u, low in covers if m & ~u == 0)
         for m in e.space.family.members
     ]
 
 
 def oracle_eclass(space, values):
     """Strongest class by the definitions, over every pair of members."""
-    members = [m.bits for m in space.family.members]
+    members = list(space.family.members)
     pairs = [(a, b) for a in range(len(members)) for b in range(len(members))]
     if any(
         members[a] & ~members[b] == 0 and values[b] > values[a] for a, b in pairs
@@ -530,7 +574,7 @@ def oracle_anytime(proc, pa):
     for rule in oracle_stopping_times(proc.tree):
         k = stopped_kernel(proc, rule)
         for hid in proc.space.family.nonempty_ids():
-            for pi in proc.space.family.member(hid).indices():
+            for pi in points_of(proc.space.family.member(hid)):
                 stat = oracle_expectation(pa.pmfs[pi], k.rows[hid])
                 if (hid, pi) not in best or stat > best[hid, pi]:
                     best[hid, pi] = stat
@@ -599,5 +643,5 @@ def evidence_against_optimality(k, loss, pa=None):
         raise DecisionError("optimal decisions are not unique; no pushforward map")
     target_model = Model(tuple(loss.decisions))
     n = target_model.size
-    target = Space(target_model, HypothesisClass(n, range(1 << n), check=False))
+    target = Space(target_model, HypothesisClass(n, range(1 << n)))
     return pushforward_kernel(k, result.optimal, target, pa)

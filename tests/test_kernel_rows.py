@@ -120,7 +120,7 @@ def test_loaded_rows_give_every_check_the_oracle_values(tmp_path):
         fwe = check_fwe(loaded, lpa)
         assert [e.stat for e in fwe.entries] == [
             helpers.oracle_expectation(pa.pmfs[pi], [
-                sup_of(col.values[hid] for hid in range(len(space.family)) if pi in space.family.member(hid))
+                sup_of(col.values[hid] for hid in range(len(space.family)) if space.family.member(hid) >> pi & 1)
                 for col in k.columns
             ])
             for pi in range(space.model.size)
@@ -139,7 +139,7 @@ def test_loaded_rows_give_every_check_the_oracle_values(tmp_path):
         fer = check_fer(loaded, lpa, SelectionRule.fixed(loaded.sample, selected))
         assert [e.stat for e in fer.entries] == [
             helpers.oracle_expectation(pa.pmfs[pi], [
-                sum((col.values[hid] for hid in selected if pi in space.family.member(hid)), ZERO)
+                sum((col.values[hid] for hid in selected if space.family.member(hid) >> pi & 1), ZERO)
                 / XValue(len(selected))
                 for col in k.columns
             ])
@@ -178,7 +178,7 @@ def test_loaded_rows_give_the_predictive_check_the_oracle_values(tmp_path):
         report = check_predictive_validity(loaded, lpa.pmfs)
         least = space.least_ids()
         sups = [
-            sup_of(col.values[hid] for hid in range(len(space.family)) if xi in space.family.member(hid))
+            sup_of(col.values[hid] for hid in range(len(space.family)) if space.family.member(hid) >> xi & 1)
             for xi, col in enumerate(k.columns)
         ]
         assert report.sup_identity == tuple(

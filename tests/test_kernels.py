@@ -169,7 +169,7 @@ def test_every_report_gives_its_verdict_and_worst_entry():
         pairs = [
             (hid, pi, helpers.oracle_expectation(pa.pmfs[pi], k.rows[hid]))
             for hid in space.family.nonempty_ids()
-            for pi in space.family.member(hid).indices()
+            for pi in space.family.indices(hid)
         ]
         hid, pi, stat = max(pairs, key=lambda pair: pair[2])
         worst = check_fer(k, pa).worst()
@@ -247,7 +247,7 @@ def test_confidence_set_thresholds():
     zero = helpers.constant_kernel(
         space, sample,
         from_values(space, [
-            0 if m.bits else "inf" for m in space.family.members
+            0 if m else "inf" for m in space.family.members
         ]),
     )
     assert confidence_set(zero, Fraction(1, 20), 0) == space.family.nonempty_ids()
@@ -263,12 +263,12 @@ def test_confidence_set_on_the_stepup_column():
     sample = SampleSpace(("x",))
     k = helpers.constant_kernel(space, sample, result.table)
     excluded = set(space.family.nonempty_ids()) - set(confidence_set(k, Fraction(1, 20), 0))
-    g1_bits = space.family.member(golden.row_id(space, "G_1")).bits
+    g1_bits = space.family.member(golden.row_id(space, "G_1"))
     # exactly the nonempty members inside the first circle are excluded
     assert excluded == {
         hid
         for hid in space.family.nonempty_ids()
-        if space.family.member(hid).bits & ~g1_bits == 0
+        if space.family.member(hid) & ~g1_bits == 0
     }
     labeled = {lab: golden.row_id(space, lab) for lab in golden.ROW_LABELS}
     assert {lab for lab, hid in labeled.items() if hid in excluded} == {
@@ -315,7 +315,7 @@ def test_posthoc_canonical_rule_matches_validity_statistic():
                     pa.pmfs[pi], [canonical_miss_rate(v) for v in k.rows[hid]]
                 ))
                 for hid in space.family.nonempty_ids()
-                for pi in space.family.member(hid).indices()
+                for pi in space.family.indices(hid)
             ]
             assert [(e.point, e.hid, e.stat) for e in report.entries] == expected
             verdicts.add(report.ok)
@@ -365,7 +365,7 @@ def test_eposterior_raw_names_the_point_attaining_each_bound():
         for entry in report.entries:
             stats = [
                 (helpers.oracle_expectation(pa.pmfs[pi], post.rows[entry.hid]), pi)
-                for pi in space.family.member(entry.hid).indices()
+                for pi in space.family.indices(entry.hid)
             ]
             largest = max(stat for stat, _ in stats)
             attaining = [pi for stat, pi in stats if stat == largest]
@@ -536,7 +536,7 @@ def test_likelihood_ratio_process_is_anytime_valid():
                 for pi in range(2)
             }
             values = {
-                hid: helpers.inf_of(density[space.family.id_of(1 << pi)] for pi in m.indices())
+                hid: helpers.inf_of(density[space.family.id_of(1 << pi)] for pi in helpers.points_of(m))
                 for hid, m in enumerate(space.family.members)
             }
             cols.append(helpers.classify(space, values))
@@ -810,7 +810,7 @@ def test_predictive_identity_fails_off_capacities():
         report = check_predictive_validity(k, pmfs)
         expected = [
             helpers.sup_of(v for m, v in zip(space.family.members, k.columns[xi].values)
-                           if xi in m) == k.value(space.least_id(xi), xi)
+                           if m >> xi & 1) == k.value(space.least_id(xi), xi)
             for xi in range(sample.size)
         ]
         assert [ok for *_, ok in report.sup_identity] == expected
@@ -827,11 +827,11 @@ def test_predictive_binary_prediction_set_coverage():
     for xi in range(sample.size):
         values = {}
         for hid, m in enumerate(space.family.members):
-            if not m.bits:
+            if not m:
                 values[hid] = INF
             else:
                 # only the claim "the outcome is P1" is rejected; the table stays antitone
-                values[hid] = XValue(1) / XValue(alpha) if m.bits == 0b001 else XValue(0)
+                values[hid] = XValue(1) / XValue(alpha) if m == 0b001 else XValue(0)
         cols.append(helpers.classify(space, values))
     k = EKernel(space, sample, cols)
     assert k.eclass >= EClass.CAPACITY
@@ -879,7 +879,7 @@ def test_pushforward_collapsing_two_points():
     for gid, member in enumerate(target.family.members):
         pre_bits = 0
         for pi, p in enumerate(space.model.points):
-            if member.bits >> target.model.index(mapping[p]) & 1:
+            if member >> target.model.index(mapping[p]) & 1:
                 pre_bits |= 1 << pi
         for xi in range(sample.size):
             assert pushed.value(gid, xi) == k.value(space.family.id_of(pre_bits), xi)

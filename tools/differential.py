@@ -13,8 +13,9 @@ sides get the same inputs:
   seed and the first cycles, imported from `perfbench/` without changing it
   (named `WORKLOAD/SEED/JOB`);
 - 720 seeded random `decide` inputs: spaces, models, kernels and decision
-  problems with every `--bound`, with and without `--outcome` (named
-  `decide/N`);
+  problems with every `--bound`, with and without `--outcome`. A quarter
+  have four to six points and numeric losses from a wide range, so their
+  consequence orders have up to 24 distinct values (named `decide/N`);
 - 360 seeded random `check` inputs, run with `--check` validity, posthoc
   (canonical and at a fixed level), fwe and fer (with and without
   `--family`). Their kernel rows list the outcomes in order or shuffled,
@@ -286,14 +287,21 @@ def _value(rng: random.Random, inf: object) -> object:
     return Fraction(rng.randint(1, 12), rng.randint(1, 6))
 
 
-def _random_space(rng: random.Random, orc, w):
+def _random_space(rng: random.Random, orc, w, width: Optional[int] = None):
     """A power set, a chain space or any union-closed family, which is
-    often not intersection-closed, on two or three points."""
-    width = rng.randint(2, 3)
+    often not intersection-closed, on `width` points or else on two or
+    three."""
+    if width is None:
+        width, profiles = rng.randint(2, 3), ((2, 1), (1, 1, 1), (3,), (2,))
+    else:  # chains of random lengths that add up to the width
+        profiles, left = [[]], width
+        while left:
+            profiles[0].append(rng.randint(1, left))
+            left -= profiles[0][-1]
     if rng.random() < 0.5:
         return w.power_space(width)
     if rng.random() < 0.5:
-        return w.chain_space(rng, rng.choice(((2, 1), (1, 1, 1), (3,), (2,))))
+        return w.chain_space(rng, rng.choice(profiles))
     points = [f"p{i + 1}" for i in range(width)]
     gens = sorted({rng.randint(1, (1 << width) - 1) for _ in range(width + 1)})
     text = f"points: {w._yaml_list(points)}\ngenerators: " + w._yaml_list(
@@ -322,22 +330,25 @@ def _random_columns(rng: random.Random, orc, w, sp, outcomes, pmfs) -> list[dict
 
 def decide_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     """Random decision problems over random spaces and kernels (see
-    `_random_space` and `_random_columns`)."""
+    `_random_space` and `_random_columns`); a wide one has more points and
+    its losses are any `_value`."""
     orc, w = _perfbench()
     rng = random.Random(f"decide/{seed}")
     inputs = inputs / f"decide-{seed}"
     inputs.mkdir()
     jobs = []
     for n in range(count):
-        sp = _random_space(rng, orc, w)
+        wide = rng.random() < 0.25
+        sp = _random_space(rng, orc, w, rng.randint(4, 6) if wide else None)
         points = sp.points
         outcomes = [f"x{i + 1}" for i in range(rng.randint(2, 4))]
         pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in points]
         columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
         decisions = [f"d{i + 1}" for i in range(rng.randint(2, 4))]
-        if rng.random() < 0.5:
+        if wide or rng.random() < 0.5:
+            loss = (lambda: orc.fmt(_value(rng, orc.INF))) if wide else (lambda: rng.randint(0, 3))
             rows = [
-                f"  {p}: {{" + ", ".join(f"{d}: {rng.randint(0, 3)}" for d in decisions) + "}"
+                f"  {p}: {{" + ", ".join(f"{d}: {loss()}" for d in decisions) + "}"
                 for p in points
             ]
             problem = f"decisions: {w._yaml_list(decisions)}\nloss:\n" + "\n".join(rows) + "\n"
