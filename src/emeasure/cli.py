@@ -560,7 +560,7 @@ def cmd_decide(args) -> int:
                 raise fileio.SchemaError(
                     args.decisions, "the integrated-loss bound needs a numeric 'loss'"
                 )
-            report = dec.check_grunwald_bound(kernel, pa, loss)
+            report = dec.check_grunwald_bound(kernel, pa, loss, ctable)
     except dec.OrderMeasurabilityViolation as exc:
         raise fileio.SchemaError(args.decisions, str(exc)) from None
 

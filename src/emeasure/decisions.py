@@ -5,7 +5,7 @@ the optimality class of a loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import kernels as kn
@@ -33,10 +33,14 @@ class ConsequenceSpace:
 
     elements: tuple[str, ...]
     order: Preorder
+    # Each element label's index; the labels alone fix it.
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        positions = {c: i for i, c in enumerate(self.elements)}
+        if len(positions) != len(self.elements):
             raise DecisionError("consequence labels must be unique")
+        object.__setattr__(self, "positions", positions)
         if self.order.size != len(self.elements):
             raise DecisionError("order matrix size must match the elements")
         self.order.validate()
@@ -51,8 +55,8 @@ class ConsequenceSpace:
 
     def index(self, label: str) -> int:
         try:
-            return self.elements.index(label)
-        except ValueError:
+            return self.positions[label]
+        except (KeyError, TypeError):
             raise DecisionError(f"unknown consequence {label!r}") from None
 
     def at_least(self, a: str, b: str) -> bool:
@@ -259,16 +263,16 @@ def e_integrated_loss(loss: NumericLoss, e: EFunction, decision: int | str) -> X
 
 
 def check_grunwald_bound(
-    k: EKernel, pa: ProbabilityAssignment, loss: NumericLoss
+    k: EKernel, pa: ProbabilityAssignment, loss: NumericLoss, table: ConsequenceTable
 ) -> Report:
-    """Integrated-loss ratio bound.
+    """Integrated-loss ratio bound; `table` is the loss's
+    ``to_consequence_table()``.
 
     Per point the expectation of the worst ratio loss/integrated-loss must
     stay at most one. By the integral's definition each ratio is at most
     the evidence against the matching bound hypothesis (Markov), which
     caps the statistic by the uniform-consequence statistic.
     """
-    table = loss.to_consequence_table()
     _require_order_measurable(k.space, table)
     n_dec = len(loss.decisions)
     model = k.space.model

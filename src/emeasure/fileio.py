@@ -5,8 +5,8 @@ fail with context. Numeric values are parsed with decimal semantics
 (97.5 -> 195/2) and 'inf' marks infinite evidence.
 
 Table, model, space and tree files share one shape, which a line reader
-(``_read_table``) reads without a YAML parser, into exactly the Python
-objects ``yaml.safe_load`` makes of it:
+(``_read_table``) reads without a YAML parser, into Python objects equal to
+those ``yaml.safe_load`` makes of it:
 
 - a top-level block mapping, its keys at column 0;
 - each value on its key's line, or a block mapping one level deeper whose
@@ -21,14 +21,23 @@ objects ``yaml.safe_load`` makes of it:
 - no key or plain scalar longer than 1000 characters;
 - lines of printable ASCII; blank lines and whole-line '#' comments.
 
-Each distinct plain scalar of a read gets its tag from the loader's resolver
-and, unless it is a string, its value from PyYAML's ``SafeConstructor``.
-Every other file, from anchors, tags, quoted values and tabs to documents
-that are no YAML at all, goes whole to ``yaml.load`` with ``_LOADER``, so
-its errors name the file. Where PyYAML has libyaml, ``_LOADER`` is libyaml's
-parser, which differs from ``yaml.safe_load`` on a few documents: it reads
-a tab after a key's colon, which safe_load refuses, and refuses
-``a: [1:]``, which safe_load reads.
+A read pays once for each distinct text. Each distinct plain scalar is
+typed once (``_Scalars``), and the reader types three kinds itself: a
+scalar whose first character starts none of the loader's implicit
+resolvers is a string, a decimal int such as ``0`` or ``17`` is an int,
+and a digit ratio such as ``3/4`` is a string. Every other plain scalar
+(``08``, ``0x1f``, ``1:30``, ``on``, ``1e3``, ``2001-12-14``, ...) gets its
+tag from the loader's resolver and, unless it is a string, its value from
+PyYAML's ``SafeConstructor``; so do all scalars when the loader has a
+resolver for any first character. A
+flat flow collection, one mapping or sequence of plain scalars such as a
+kernel or model row, is built once per distinct text: equal rows of one
+file are one object. Every other file, from anchors, tags, quoted values and
+tabs to documents that are no YAML at all, goes whole to ``yaml.load`` with
+``_LOADER``, so its errors name the file. ``_LOADER`` is PyYAML's
+pure-Python ``SafeLoader``, pinned so that a file reads as
+``yaml.safe_load`` reads it whether or not PyYAML was built with libyaml,
+whose parser reads a few documents otherwise.
 
 A hypothesis label, a key of an evidence or kernel table or an item of
 ``--family``, is a name declared under ``generators``, ``empty`` or ``{}``
@@ -37,7 +46,12 @@ point labels in any order, with or without spaces after the commas
 (``a,b`` or ``b, a``). The command line prints each member as its points in
 the order of ``points``, joined by ',' with no spaces, and ``{}`` for the
 empty member. A label naming a point the space does not declare, or a set
-of points that is not a member, is a schema error.
+of points that is not a member, is a schema error. A label is parsed, not
+looked up: the declared names, ``empty`` and ``{}`` are one small table,
+and any other label is split at its commas, each part stripped and found in
+the model's table of point indices (``Model.positions``). A label that lists
+its points exactly, in index order and without spaces, is the member's
+printed label, and ``Space.label`` takes it from the file.
 
 A table that names one hypothesis twice, a row with an outcome, point or
 decision its file does not declare, a distribution for a point outside the
@@ -45,8 +59,9 @@ space, a model or decision list naming a label twice and an evidence table
 that does not classify are schema errors, named by their file.
 
 A kernel file is read as it is laid out, one row of outcome values per
-hypothesis, into the kernel's rows in file order (``EKernel.from_rows``). A
-row that lists the outcomes in their declared order is read in one pass,
+hypothesis, into the kernel's rows in file order (``EKernel.from_rows``).
+Each row object is read once, so rows of one text are one tuple of values.
+A row that lists the outcomes in their declared order is read in one pass,
 any other row cell by cell. Its refusals come in one order: a value that is
 no evidence value as it is read, then a missing hypothesis, then the first
 row in file order that misses an outcome or names an unknown one, then a
@@ -73,7 +88,7 @@ from .spaces import (
     SpaceError,
     union_closure,
 )
-from .xvalue import XValue, parse_xvalue
+from .xvalue import XValue, parse_xvalue, rational
 
 
 class SchemaError(Exception):
@@ -82,8 +97,10 @@ class SchemaError(Exception):
         super().__init__(f"{path}: {message}")
 
 
-# libyaml's parser where PyYAML was built with it: the full-YAML path.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The full-YAML path, and the resolver of the scalars the line reader does
+# not type itself: PyYAML's pure-Python safe loader, which reads a file as
+# ``yaml.safe_load`` does however PyYAML was built.
+_LOADER = yaml.SafeLoader
 # Builds the non-string scalars of the line reader; its scalar constructors
 # keep no state.
 _CONSTRUCTOR = yaml.constructor.SafeConstructor()
@@ -94,6 +111,10 @@ _STR = "tag:yaml.org,2002:str"
 # followed by one. So in block and in flow context it holds no indicator.
 _C = r"[A-Za-z0-9_.~/+-]"
 _PLAIN = re.compile(rf"(?!-(?!{_C})){_C}+(?::{_C}+)*")
+# Plain scalars whose tag the reader decides itself, as the safe resolver
+# does: a decimal int without sign, '_' or leading zero (group 1), and a
+# ratio of two digit runs, which no resolver matches and so is a string.
+_TYPED = re.compile(r"([1-9][0-9]*|0)|[0-9]+/[0-9]+")
 # Structure is matched with this looser class; each distinct scalar is then
 # checked against `_PLAIN` when it is first typed.
 _S = r"[A-Za-z0-9_.~/+:-]+"
@@ -115,22 +136,38 @@ _NONE = object()
 
 class _Scalars(dict):
     """The value of each distinct plain scalar of one read, as safe_load
-    builds it: the tag comes from the loader's resolver and a non-string
-    is built by the safe constructor. A text that is no plain scalar of the
-    line reader raises KeyError."""
+    builds it. A text that is no plain scalar of the line reader raises
+    KeyError.
+
+    The loader's resolver picks its candidate patterns by a scalar's first
+    character, so a scalar whose first character starts none is a string.
+    A decimal int and a digit ratio (`_TYPED`) are typed here. Every other
+    scalar, and every scalar once the loader has a wildcard resolver (one
+    tried whatever the first character), gets its tag from the resolver
+    and, unless it is a string, its value from the safe constructor."""
 
     def __missing__(self, text):
         if len(text) > _KEY_MAX or not _PLAIN.fullmatch(text):
             raise KeyError(text)
-        # A safe loader's resolver reads only class attributes.
-        tag = _LOADER.resolve(_LOADER, yaml.ScalarNode, text, (True, False))
-        if tag == _STR:
+        resolvers = _LOADER.yaml_implicit_resolvers
+        if None in resolvers:
+            value = _resolved(text)
+        elif text[0] not in resolvers:
             value = text
         else:
-            node = yaml.ScalarNode(tag, text)
-            value = _CONSTRUCTOR.yaml_constructors[tag](_CONSTRUCTOR, node)
+            typed = _TYPED.fullmatch(text)
+            value = _resolved(text) if typed is None else int(text) if typed[1] else text
         self[text] = value
         return value
+
+
+def _resolved(text: str):
+    """A plain scalar as the loader's resolver and the safe constructor build it."""
+    # A safe loader's resolver reads only class attributes.
+    tag = _LOADER.resolve(_LOADER, yaml.ScalarNode, text, (True, False))
+    if tag == _STR:
+        return text
+    return _CONSTRUCTOR.yaml_constructors[tag](_CONSTRUCTOR, yaml.ScalarNode(tag, text))
 
 
 def _flow(text: str, scalars: _Scalars):
@@ -180,6 +217,9 @@ def _read_table(text: str):
     shape (see the module docstring); else None."""
     scalars = _Scalars()
     get = scalars.__getitem__
+    # Each flat flow collection's text, to the one object read from it. The
+    # text of a mapping holds ": " and that of a sequence never does.
+    flat: dict = {}
     top: dict = {}
     open_key = _NONE  # the top-level key whose value may be a nested mapping
     inner = None  # that nested mapping, once its first line is read
@@ -201,10 +241,14 @@ def _read_table(text: str):
             if plain is not None:
                 value = get(plain)
             elif pairs is not None:
-                cells = list(map(get, pairs.replace(": ", ", ").split(", ")))
-                value = dict(zip(cells[::2], cells[1::2]))
+                value = flat.get(pairs)
+                if value is None:
+                    cells = list(map(get, pairs.replace(": ", ", ").split(", ")))
+                    value = flat[pairs] = dict(zip(cells[::2], cells[1::2]))
             elif items is not None:
-                value = list(map(get, items.split(", ")))
+                value = flat.get(items)
+                if value is None:
+                    value = flat[items] = list(map(get, items.split(", ")))
             elif flow is not None:
                 value = _flow(flow, scalars)
                 if value is None:
@@ -259,7 +303,7 @@ def _fraction(path, raw) -> Fraction:
     boolean is refused, as ``parse_xvalue`` refuses it."""
     try:
         if not isinstance(raw, bool):
-            return Fraction(str(raw) if isinstance(raw, float) else raw)
+            return rational(str(raw) if isinstance(raw, float) else raw)
     except (ValueError, TypeError, ZeroDivisionError):
         pass
     raise SchemaError(path, f"not a rational number: {raw!r}")
@@ -307,38 +351,46 @@ class SpaceFile:
     def __init__(self, space: Space, names: dict[str, int]):
         self.space = space
         self.names = names
-        self._ids: Optional[dict[str, int]] = None
+        # The labels read without parsing: 'empty' and '{}', then the
+        # declared names, which override them.
+        empty = space.family.empty_id
+        self._named = {"empty": empty, "{}": empty, **names}
+        # Whether a part of a label that is a point label as it stands names
+        # that point: no point label is empty or padded, so stripping the
+        # part would change nothing.
+        self._direct = all(p and p.strip() == p for p in space.model.points)
 
     def resolve(self, path, label: str) -> int:
-        """The id of a hypothesis label (see the module docstring)."""
-        hid = self.label_ids().get(label)
+        """The id of a hypothesis label (see the module docstring). A label
+        that lists its points exactly, in index order and with no spaces,
+        is the member's printed label, and ``Space.label`` takes it."""
+        hid = self._named.get(label)
         if hid is not None:
             return hid
-        parts = [p.strip() for p in str(label).split(",") if p.strip()]
+        get = self.space.model.positions.get
+        direct = self._direct
+        bits, exact = 0, direct
+        for part in label.split(","):
+            i = get(part) if direct else None
+            if i is None:
+                exact = False
+                part = part.strip()
+                if not part:
+                    continue
+                i = get(part)
+                if i is None:
+                    raise SchemaError(path, f"unknown hypothesis label {label!r}")
+            bit = 1 << i
+            if bit <= bits:  # not past every point before it
+                exact = False
+            bits |= bit
         try:
-            bits = self.space.model.bits_of(parts)
-        except Exception:
-            raise SchemaError(path, f"unknown hypothesis label {label!r}") from None
-        if bits not in self.space.family:
-            raise SchemaError(path, f"{label!r} is not a member of the family")
-        return self.space.family.id_of(bits)
-
-    def label_ids(self) -> dict[str, int]:
-        """The labels read without parsing them, each to its id, built on
-        first use: each member's printed label (``Space.label``), then
-        ``empty`` and ``{}``, then the declared names, each overriding what
-        comes before it. Printed labels are left out when a point label is
-        empty, holds a ',' or has surrounding spaces: the comma list would
-        then be read otherwise."""
-        if self._ids is None:
-            space = self.space
-            ids = {}
-            if all(p and "," not in p and p.strip() == p for p in space.model.points):
-                ids = {space.label(hid): hid for hid in range(len(space.family))}
-            ids["empty"] = ids["{}"] = space.family.empty_id
-            ids.update(self.names)
-            self._ids = ids
-        return self._ids
+            hid = self.space.family.id_of(bits)
+        except SpaceError:
+            raise SchemaError(path, f"{label!r} is not a member of the family") from None
+        if exact:
+            self.space.seed_label(hid, label)
+        return hid
 
 
 class _LabelReader:
@@ -347,14 +399,11 @@ class _LabelReader:
     def __init__(self, path, sf: SpaceFile):
         self.path = path
         self.sf = sf
-        self.ids = sf.label_ids()
         self.seen: dict[int, str] = {}
 
     def resolve(self, label) -> int:
         label = str(label)
-        hid = self.ids.get(label)
-        if hid is None:
-            hid = self.sf.resolve(self.path, label)
+        hid = self.sf.resolve(self.path, label)
         if hid in self.seen:
             first = self.seen[hid]
             raise SchemaError(self.path, f"{first!r} and {label!r} name the same hypothesis")
@@ -493,13 +542,11 @@ def load_kernel(
     hypotheses = _LabelReader(path, sf)
     family = sf.space.family
     outcomes = sample.outcomes
-    outcome_ids = {x: xi for xi, x in enumerate(outcomes)}
     full = (1 << sample.size) - 1
-    # One row of values per hypothesis id, filled in file order; rows of the
-    # same scalars, in order, are one tuple. The key holds the scalars'
-    # types too, as YAML `true` equals 1.
+    # One row of values per hypothesis id, filled in file order. A row object
+    # is read once: the line reader makes rows of one text one object.
     rows: list = [None] * len(family)
-    read_rows: dict[tuple, tuple] = {}
+    row_values: dict[int, tuple] = {}  # by the id of a row object
     # The first row, in file order, that misses an outcome or names an unknown
     # one; it is refused after a missing hypothesis would be.
     bad_row = None
@@ -507,29 +554,27 @@ def load_kernel(
         if not isinstance(row, dict):
             raise SchemaError(path, f"row for {label!r} must be a mapping")
         hid = hypotheses.resolve(label)
-        if tuple(row) == outcomes:  # the outcomes in order: one pass
-            raws = tuple(row.values())
-            key = (raws, tuple(map(type, raws)))
-            try:
-                rows[hid] = read_rows[key]
-            except KeyError:
-                rows[hid] = read_rows[key] = tuple(map(read, raws))
-            except TypeError:  # an unhashable scalar, which `read` refuses
-                rows[hid] = tuple(map(read, raws))
+        values = row_values.get(id(row))
+        if values is not None:
+            rows[hid] = values
             continue
-        cells: list = [None] * sample.size
-        got, unknown = 0, False
-        for x, raw in row.items():
-            value = read(raw)
-            xi = outcome_ids.get(str(x))
-            if xi is None:
-                unknown = True
-            else:
-                cells[xi] = value
-                got |= 1 << xi
-        rows[hid] = tuple(cells)
-        if bad_row is None and (got != full or unknown):
-            bad_row = (hid, got, row)
+        if tuple(row) == outcomes:  # the outcomes in order: one pass
+            values = tuple(map(read, row.values()))
+        else:
+            cells: list = [None] * sample.size
+            got, unknown = 0, False
+            for x, raw in row.items():
+                value = read(raw)
+                xi = sample.positions.get(str(x))
+                if xi is None:
+                    unknown = True
+                else:
+                    cells[xi] = value
+                    got |= 1 << xi
+            values = tuple(cells)
+            if bad_row is None and (got != full or unknown):
+                bad_row = (hid, got, row)
+        rows[hid] = row_values[id(row)] = values
     empty = family.empty_id
     if empty not in hypotheses.seen:
         rows[empty] = (read("inf"),) * sample.size

@@ -37,12 +37,16 @@ class MeasurabilityError(KernelError):
 @dataclass(frozen=True)
 class SampleSpace:
     outcomes: tuple[str, ...]
+    # Each outcome label's index; the labels alone fix it.
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.outcomes:
             raise KernelError("a sample space needs at least one outcome")
-        if len(set(self.outcomes)) != len(self.outcomes):
+        positions = {x: i for i, x in enumerate(self.outcomes)}
+        if len(positions) != len(self.outcomes):
             raise KernelError("outcome labels must be unique")
+        object.__setattr__(self, "positions", positions)
 
     @property
     def size(self) -> int:
@@ -50,8 +54,8 @@ class SampleSpace:
 
     def index(self, label: str) -> int:
         try:
-            return self.outcomes.index(label)
-        except ValueError:
+            return self.positions[label]
+        except (KeyError, TypeError):
             raise KernelError(f"unknown outcome {label!r}") from None
 
 
@@ -127,10 +131,9 @@ class EKernel:
     `rows[hid]` holds one value per outcome, in outcome order, for each
     hypothesis id of one space. The rows are the stored form: a kernel file
     lists them and ``fileio.load_kernel`` fills them in file order, with one
-    tuple for the rows that list the same values. Each row is scaled once
-    per kernel, when a check first reads it (`scaled`):
-    its least common denominator, its integer numerators and the mask of
-    its infinite outcomes. The per-outcome tables (`columns`) are built on
+    tuple for the rows of one text. Each row is scaled once per kernel,
+    when a check first reads it (`scaled`): its least common denominator,
+    its integer numerators and the mask of its infinite outcomes. The per-outcome tables (`columns`) are built on
     first read, for the checks and callers that work on one outcome at a
     time. `is_capacity` tests antitonicity once per kernel, on the rows.
     """

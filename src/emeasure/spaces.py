@@ -9,7 +9,7 @@ hypothesis is always id 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 MODEL_POINT_CAP = 24
@@ -46,12 +46,16 @@ class Model:
     """Ordered collection of point labels standing in for the model."""
 
     points: tuple[str, ...]
+    # Each point label's index; the labels alone fix it.
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.points:
             raise SpaceError("a model needs at least one point")
-        if len(set(self.points)) != len(self.points):
+        positions = {p: i for i, p in enumerate(self.points)}
+        if len(positions) != len(self.points):
             raise SpaceError("model point labels must be unique")
+        object.__setattr__(self, "positions", positions)
 
     @property
     def size(self) -> int:
@@ -59,8 +63,8 @@ class Model:
 
     def index(self, label: str) -> int:
         try:
-            return self.points.index(label)
-        except ValueError:
+            return self.positions[label]
+        except (KeyError, TypeError):
             raise SpaceError(f"unknown point label {label!r}") from None
 
     def bits_of(self, labels: Iterable[str]) -> int:
@@ -273,6 +277,11 @@ class Space:
         if label is None:
             label = self._labels[hid] = self.model.label(self.family.members[hid])
         return label
+
+    def seed_label(self, hid: int, label: str) -> None:
+        """Take `label`, which the caller knows to equal the member's
+        `Model.label`, as that label, so that it is not built again."""
+        self._labels[hid] = label
 
     # -- structure ----------------------------------------------------
 

@@ -36,6 +36,7 @@ whose root value :func:`ratio` wraps. All of it is exact.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -319,6 +320,21 @@ def sup_of(values: Iterable[Rationalish]) -> XValue:
     return best
 
 
+# ASCII digits, or two runs of them around '/': the file form of a rational.
+_DIGITS = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def rational(raw) -> Fraction:
+    """``Fraction(raw)``; an ASCII-digit 'p' or 'p/q' text is read straight
+    from its two ints, without Fraction's string parser."""
+    if type(raw) is str:
+        m = _DIGITS.fullmatch(raw)
+        if m is not None:
+            p, q = m.groups()
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    return Fraction(raw)
+
+
 def parse_xvalue(raw: object) -> XValue:
     """Lenient parser for file input: ints, 'p/q' strings, 'inf', floats.
 
@@ -336,4 +352,4 @@ def parse_xvalue(raw: object) -> XValue:
         raw = str(raw)
     elif isinstance(raw, str) and raw.strip() in _INF_TEXTS:
         return INF
-    return _exact(_nonnegative(Fraction(raw)))
+    return _exact(_nonnegative(rational(raw)))

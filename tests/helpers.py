@@ -406,6 +406,32 @@ def member_label(space, hid):
     return ",".join(labels_of(space.model, member))
 
 
+def lookup_resolve(sf, path, label):
+    """`SpaceFile.resolve` by table lookup, parsing only a label the table
+    lacks. The table maps every member's `member_label`, then 'empty' and
+    '{}', then the declared names, each overriding what comes before it.
+    Member labels are left out when a point label is empty, holds a ',' or
+    has surrounding spaces, as the comma list would then be read otherwise."""
+    from emeasure.fileio import SchemaError
+
+    space = sf.space
+    ids = {}
+    if all(p and "," not in p and p.strip() == p for p in space.model.points):
+        ids = {member_label(space, hid): hid for hid in range(len(space.family))}
+    ids["empty"] = ids["{}"] = space.family.empty_id
+    ids.update(sf.names)
+    if label in ids:
+        return ids[label]
+    parts = [p.strip() for p in label.split(",") if p.strip()]
+    try:
+        bits = space.model.bits_of(parts)
+    except Exception:
+        raise SchemaError(path, f"unknown hypothesis label {label!r}") from None
+    if bits not in space.family:
+        raise SchemaError(path, f"{label!r} is not a member of the family")
+    return space.family.id_of(bits)
+
+
 def integral_least_true(f, e):
     """The integral against a measure on an intersection-closed space,
     through least hypotheses: sup over points P of f(P) / e(H_P)."""

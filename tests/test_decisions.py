@@ -454,7 +454,8 @@ def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
             ck, cpa, table, lambda values, xi: miss_rate(values, clevels[xi])
         )
         loss = rand_numeric_loss(r, table.model)
-        lspace = build_consequence_class(loss.to_consequence_table())
+        ltable = loss.to_consequence_table()
+        lspace = build_consequence_class(ltable)
         lk = EKernel(lspace, csample, [helpers.rand_capacity(r, lspace) for _ in csample.outcomes])
         integrated = [
             [shilkret_integral(OrderMeasurableFn(lspace, loss.column(d)), col) for col in lk.columns]
@@ -465,7 +466,7 @@ def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
              for xi in range(csample.size)]
             for pi in range(table.model.size)
         ]
-        assert [(e.point, e.stat) for e in check_grunwald_bound(lk, cpa, loss).entries] == [
+        assert [(e.point, e.stat) for e in check_grunwald_bound(lk, cpa, loss, ltable).entries] == [
             (p, expect(cpa.pmfs[pi], ratios[pi])) for pi, p in enumerate(table.model.points)
         ]
     assert zero_against_inf >= 5
@@ -506,10 +507,11 @@ def test_grunwald_bound_constant_losses():
     const = NumericLoss(
         model, ("d1",), tuple((XValue(3),) for _ in model.points)
     )
-    cspace = build_consequence_class(const.to_consequence_table())
+    ctable = const.to_consequence_table()
+    cspace = build_consequence_class(ctable)
     kk = helpers.valid_capacity_kernel(r, model and cspace, pa)
     assert_markov_ratios(kk, const)
-    assert check_grunwald_bound(kk, pa, const).ok
+    assert check_grunwald_bound(kk, pa, const, ctable).ok
 
 
 def test_grunwald_bound_random_and_slack():
@@ -518,12 +520,13 @@ def test_grunwald_bound_random_and_slack():
         n = r.randint(1, 3)
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
         loss = rand_numeric_loss(r, model, n_decisions=2)
-        space = build_consequence_class(loss.to_consequence_table())
+        table = loss.to_consequence_table()
+        space = build_consequence_class(table)
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
         assert_markov_ratios(k, loss)
-        assert check_grunwald_bound(k, pa, loss).ok
+        assert check_grunwald_bound(k, pa, loss, table).ok
 
 
 def test_admissibility_identical_and_dominated_columns():

@@ -46,9 +46,10 @@ def safe_load_or_error(path):
     return data if isinstance(data, dict) else None
 
 
-def test_the_libyaml_loader_is_used_where_pyyaml_has_it():
-    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-    assert fileio._LOADER is expected
+def test_the_full_yaml_path_is_the_pure_python_safe_loader():
+    """A file reads as ``yaml.safe_load`` reads it, whether or not PyYAML
+    was built with libyaml."""
+    assert fileio._LOADER is yaml.SafeLoader
 
 
 @pytest.mark.parametrize("path", DATA_FILES, ids=[p.name for p in DATA_FILES])
@@ -70,8 +71,7 @@ def test_load_yaml_keeps_every_scalar_type(tmp_path):
     assert data["evidence"]["c"] == "inf" and data["evidence"]["d"] == float("inf")
 
 
-def test_bad_yaml_exits_2_with_the_pure_python_loader(capsys, monkeypatch):
-    monkeypatch.setattr(fileio, "_LOADER", yaml.SafeLoader)
+def test_bad_yaml_exits_2_with_the_pure_python_loader(capsys):
     code = cli.main(["space", "--space", str(DATA / "bad_yaml.yaml"), "--format", "records"])
     assert (code, capsys.readouterr().out) == (cli.EXIT_INPUT, "")
 
@@ -141,6 +141,9 @@ PITFALLS = {
     "multi-document": "a: 1\n---\nb: 2\n",
     "explicit-single-document": "---\na: 1\n...\n",
     "nested": "tree: [[HH, [HT, TH]], [TT]]\nk: {'p,q': {HH: .inf, HT: -1, TH: 1e3, TT: 0o17}}\n",
+    # libyaml reads these two otherwise than safe_load.
+    "tab-after-colon": "a:\tb\n",
+    "colon-in-flow": "a: [1:]\n",
 }
 
 
@@ -171,24 +174,24 @@ def test_a_shared_anchor_is_one_object_as_in_safe_load(tmp_path):
 
 
 def test_two_reads_of_one_file_share_no_memo(tmp_path, monkeypatch):
-    """Each read resolves every distinct scalar itself and builds new objects."""
+    """Each read types every distinct scalar itself and builds new objects."""
     path = tmp_path / "doc.yaml"
-    path.write_text("k: {p: [3/4, 3/4, 1], q: [3/4, 1, o1], r: o1}\n")
-    resolved = []
-    resolve = fileio._LOADER.resolve
+    path.write_text("k: {p: [3/4, 3/4, 1], q: [3/4, 1, o1], r: o1}\ns: [3/4, 1]\nt: [3/4, 1]\n")
+    typed_texts = []
+    missing = fileio._Scalars.__missing__
 
-    def counting(self, kind, value, implicit):
-        resolved.append(value)
-        return resolve(self, kind, value, implicit)
+    def counting(self, text):
+        typed_texts.append(text)
+        return missing(self, text)
 
-    monkeypatch.setattr(fileio._LOADER, "resolve", counting)
+    monkeypatch.setattr(fileio._Scalars, "__missing__", counting)
     first = fileio._load_yaml(path)
-    per_read = list(resolved)
+    per_read = list(typed_texts)
     second = fileio._load_yaml(path)
-    assert resolved == per_read * 2
-    scalars = [v for v in per_read if v is not None]
-    assert sorted(scalars) == sorted({"k", "p", "q", "r", "3/4", "1", "o1"})
+    assert typed_texts == per_read * 2
+    assert sorted(per_read) == sorted({"k", "p", "q", "r", "s", "t", "3/4", "1", "o1"})
     assert first == second and first["k"] is not second["k"]
+    assert first["s"] is first["t"] and second["s"] is not first["s"]
 
 
 def test_a_read_leaves_nothing_for_the_cycle_collector(tmp_path):
@@ -205,6 +208,67 @@ def test_a_read_leaves_nothing_for_the_cycle_collector(tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- plain scalars typed without the resolver ---------------------------------
+
+# YAML 1.1 scalars that look like ints or strings and are not, and pieces
+# that join into more plain scalars.
+TRAPS = ["017", "08", "0x1f", "0o17", "0b101", "1_000", "1:30", "190:20:30", "on", "Off",
+         "y", "N", "yes", "true", "FALSE", "null", "~", ".inf", "-.inf", ".NaN", "1e3",
+         "1.0e+3", "6.8523015e+5", "2001-12-14", "2001-12-14t21:59:43.10-05:00", "=", "<<"]
+PIECES = TRAPS + ["0", "1", "7", "9", "12", "300", "3/4", "0/5", "12/08", "a", "Z", "p1",
+                  "o1", "x", "inf", "/", "+", "-", ".", "_", "~", ":", "e3"]
+
+
+def resolver_reading(loader, text):
+    """A plain scalar's type and value as `loader`'s resolver and PyYAML's
+    SafeConstructor build it, with a float by its repr, as nan is no nan."""
+    tag = loader.resolve(loader, yaml.ScalarNode, text, (True, False))
+    if tag == "tag:yaml.org,2002:str":
+        value = text
+    else:
+        constructor = yaml.constructor.SafeConstructor()
+        value = constructor.yaml_constructors[tag](constructor, yaml.ScalarNode(tag, text))
+    return type(value).__name__, repr(value)
+
+
+def reader_reading(text):
+    value = fileio._Scalars()[text]
+    return type(value).__name__, repr(value)
+
+
+def plain_scalars():
+    """Every plain scalar of the corpus, the traps and seeded joins of pieces."""
+    found = set(TRAPS)
+    for path in DATA_FILES:
+        found.update(re.findall(r"[A-Za-z0-9_.~/+:-]+", path.read_text(errors="replace")))
+    r = helpers.rng(29)
+    for _ in range(3000):
+        found.add(r.choice(["", ":"]).join(r.choice(PIECES) for _ in range(r.randint(1, 3))))
+    return sorted(t for t in found if fileio._PLAIN.fullmatch(t) and len(t) <= fileio._KEY_MAX)
+
+
+def test_each_plain_scalar_is_typed_as_the_resolver_types_it():
+    scalars = plain_scalars()
+    assert len(scalars) > 2000
+    for text in scalars:
+        assert reader_reading(text) == resolver_reading(yaml.SafeLoader, text), text
+
+
+class WildcardLoader(yaml.SafeLoader):
+    """A safe loader with a resolver for scalars of any first character."""
+
+
+WildcardLoader.add_implicit_resolver("tag:yaml.org,2002:null", re.compile(r"^(?:nil|1/2|0)$"), None)
+
+
+def test_a_wildcard_resolver_types_every_scalar(monkeypatch):
+    monkeypatch.setattr(fileio, "_LOADER", WildcardLoader)
+    for text in plain_scalars() + ["nil", "1/2"]:
+        assert reader_reading(text) == resolver_reading(WildcardLoader, text), text
+    assert fileio._Scalars()["1/2"] is fileio._Scalars()["nil"] is None
+    assert fileio._Scalars()["0"] == 0
 
 
 PAIR_SPACE = DATA / "space_coin.yaml"
@@ -267,6 +331,53 @@ def test_each_member_label_reads_back_as_that_member():
             assert str(exc.value) == f"t.yaml: {label!r} is not a member of the family"
 
 
+def _named_spaces():
+    """Seeded spaces, some with declared names and some with point labels
+    that hold commas or spaces."""
+    r = helpers.rng(17)
+    odd = ("a", "b,c", " d", "e f", "b", "c", "empty")
+    files = [fileio.SpaceFile(space, {}) for space in _seeded_spaces()]
+    for _ in range(12):
+        n = r.randint(2, len(odd))
+        model = Model(tuple(r.sample(odd, n)) if r.random() < 0.5 else tuple(f"P{i}" for i in range(n)))
+        space = Space(model, union_closure(n, [r.randrange(1, 1 << n) for _ in range(r.randint(1, 4))]))
+        names = {}
+        for name in ("left", "{}", model.points[0], "a,b"):
+            if r.random() < 0.5:
+                names[name] = r.randrange(len(space.family))
+        files.append(fileio.SpaceFile(space, names))
+    return files
+
+
+def _outcome(resolve, label):
+    try:
+        return resolve("t.yaml", label)
+    except fileio.SchemaError as exc:
+        return str(exc)
+
+
+def test_parsed_labels_read_as_the_label_table_reads_them():
+    """Every spelling of every member, unknown points, non-members, declared
+    names, 'empty' and '{}' resolve to the id, or fail with the message, of
+    the lookup in a table of every member's printed label."""
+    for sf in _named_spaces():
+        space = sf.space
+        spellings = ["empty", "{}", "", ",", " , ", "Z", *sf.names]
+        for hid in range(len(space.family)):
+            parts = list(helpers.labels_of(space.model, space.family.member(hid)))
+            spellings += [
+                ",".join(parts), ",".join(reversed(parts)), ", ".join(parts),
+                ",".join(parts + parts[:1]), ",".join([*parts, "Z"]), " , ".join(parts) + ",",
+            ]
+        outside = [b for b in range(1 << space.model.size) if b not in space.family]
+        spellings += [",".join(helpers.labels_of(space.model, b)) for b in outside[:3]]
+        for label in spellings:
+            expected = _outcome(lambda path, text: helpers.lookup_resolve(sf, path, text), label)
+            assert _outcome(sf.resolve, label) == expected, (space.model.points, label)
+        for hid in range(len(space.family)):
+            assert space.label(hid) == helpers.member_label(space, hid)
+
+
 # Point labels that make a comma list read as another set than the one it
 # joins: (points, generators as bitsets, label, the set it reads as).
 AMBIGUOUS_POINTS = {
@@ -288,6 +399,53 @@ def test_a_label_is_read_as_a_comma_list_of_points(points, generators, label, bi
     else:
         with pytest.raises(fileio.SchemaError, match=re.escape(f"{label!r} is not a member")):
             sf.resolve("t.yaml", label)
+
+
+ROW_TEXTS = ["{x: 1, y: 2, z: inf}", "{x: 1/2, y: 2, z: 3}", "{x: 0, y: 5/4, z: 1/2}",
+             "{x: inf, y: inf, z: inf}"]
+
+
+def test_a_kernel_read_types_and_parses_each_distinct_text_once(tmp_path, monkeypatch):
+    """On a kernel file of F rows with r distinct row texts under canonical
+    keys, each distinct scalar is typed once and each distinct value parsed
+    once, r rows are read and each of their texts is one tuple, and no
+    member's label is built, then or when it is printed."""
+    space = helpers.power_space(6)
+    r = helpers.rng(31)
+    texts = {hid: r.choice(ROW_TEXTS[:3]) for hid in space.family.nonempty_ids()}
+    texts[space.family.empty_id] = ROW_TEXTS[3]
+    keys = {hid: helpers.member_label(space, hid) for hid in texts}
+    (tmp_path / "space.yaml").write_text(helpers.space_yaml(space))
+    kernel = tmp_path / "kernel.yaml"
+    kernel.write_text("outcomes: [x, y, z]\nkernel:\n" + "".join(
+        f'  "{keys[hid]}": {text}\n' for hid, text in texts.items()
+    ))
+    sf = fileio.load_space(tmp_path / "space.yaml")
+    typed_texts, parsed, cells_read, labels_built = [], [], [], []
+    missing, parse, reader = fileio._Scalars.__missing__, fileio.parse_xvalue, fileio._xvalue_reader
+    monkeypatch.setattr(
+        fileio._Scalars, "__missing__", lambda self, text: typed_texts.append(text) or missing(self, text)
+    )
+    monkeypatch.setattr(fileio, "parse_xvalue", lambda raw: parsed.append(raw) or parse(raw))
+
+    def counting_reader(path):
+        read = reader(path)
+        return lambda raw: cells_read.append(raw) or read(raw)
+
+    monkeypatch.setattr(fileio, "_xvalue_reader", counting_reader)
+    monkeypatch.setattr(Model, "label", lambda self, bits: labels_built.append(bits))
+    k = fileio.load_kernel(kernel, sf)
+    cells = {cell.split(": ")[1] for text in ROW_TEXTS for cell in text[1:-1].split(", ")}
+    assert len(typed_texts) == len(set(typed_texts)) and cells <= set(typed_texts)
+    assert sorted(map(str, parsed)) == sorted(cells)
+    assert len(cells_read) == 3 * len(set(texts.values())) < 3 * len(texts)
+    for hid, text in texts.items():
+        first = next(h for h, t in texts.items() if t == text)
+        assert k.rows[hid] is k.rows[first]
+    assert [k.space.label(hid) for hid in space.family.nonempty_ids()] == [
+        keys[hid] for hid in space.family.nonempty_ids()
+    ]
+    assert labels_built == []
 
 
 def test_a_kernel_outcome_the_model_lacks_is_refused():
@@ -402,17 +560,11 @@ def read_or_refuse(load, path):
 
 
 def assert_reads_as_yaml(path, text):
-    """``_load_yaml`` reads `text` as libyaml reads it and, where the line
-    reader takes it, as safe_load reads it; or all of them refuse it.
-
-    Where the reader passes a document on, libyaml and the pure-Python
-    parser may differ: libyaml reads "a:\tb" as {'a': 'b'} and refuses
-    "a: [1:]", and safe_load does the opposite."""
+    """``_load_yaml`` reads `text` as safe_load reads it, or both refuse it,
+    whether the line reader takes it or passes it on."""
     path.write_text(text)
     got = read_or_refuse(fileio._load_yaml, path)
-    assert got == read_or_refuse(lambda p: yaml.load(p.read_text(), fileio._LOADER), path), text
-    if fileio._read_table(text) is not None:
-        assert got == read_or_refuse(lambda p: yaml.safe_load(p.read_text()), path), text
+    assert got == read_or_refuse(lambda p: yaml.safe_load(p.read_text()), path), text
 
 
 @settings(max_examples=400)

@@ -21,7 +21,9 @@ sides get the same inputs:
   `--family`). Their kernel rows list the outcomes in order or shuffled,
   drop an outcome, add an unknown one, or give the empty member a finite
   value, so both ways of reading a row and the order of their errors are
-  compared (named `check/N`);
+  compared. A third of the rows name their member with its points
+  reordered or ', '-spaced, and a third of the kernels repeat a few row
+  texts over all their rows (named `check/N`);
 - 420 seeded mutations of the corpus command lines, which argparse reads or
   refuses where the command line is not of the one exact form: an option
   written `--name=value` or abbreviated, an option repeated with another
@@ -389,11 +391,29 @@ def decide_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
 ROW_FORMS = ("ordered", "shuffled", "drop", "unknown", "empty-finite")
 
 
+def _key(rng: random.Random, sp, b: int) -> str:
+    """The member's label as the command line prints it, or one time in
+    three its points in a random order, joined by ',' or ', '."""
+    if not b:
+        return "{}"
+    if rng.random() >= 1 / 3:
+        return sp.label(b)
+    points = sp.label(b).split(",")
+    rng.shuffle(points)
+    return rng.choice((",", ", ")).join(points)
+
+
 def _kernel_text(rng: random.Random, w, sp, outcomes, columns, form: str) -> str:
     """The kernel file of `columns` with its rows written in `form`; a third
-    of the inputs that break one row also shuffle every row. The empty
-    member's row is written in half of the other inputs."""
+    of the inputs that break one row also shuffle every row. In a third of
+    the inputs each nonempty member takes the row of one of two members,
+    so row texts repeat. The empty member's row is written in half of the
+    other inputs, and rows are keyed as `_key` spells them."""
     rows = {b: [f"{x}: {w.fmt(col[b])}" for x, col in zip(outcomes, columns)] for b in sp.family}
+    if rng.random() < 1 / 3:
+        members = [b for b in sp.family if b]
+        pool = [rows[b] for b in rng.sample(members, min(2, len(members)))]
+        rows.update((b, list(rng.choice(pool))) for b in members)
     rows[0] = [f"{x}: inf" for x in outcomes]
     if form == "empty-finite":
         i = rng.randrange(len(outcomes))
@@ -409,7 +429,7 @@ def _kernel_text(rng: random.Random, w, sp, outcomes, columns, form: str) -> str
             rng.shuffle(row)
     written = [b for b in sp.family if b or form == "empty-finite" or rng.random() < 0.5]
     return "kernel:\n" + "".join(
-        f'  "{sp.label(b) if b else "{}"}": {{{", ".join(rows[b])}}}\n' for b in written
+        f'  "{_key(rng, sp, b)}": {{{", ".join(rows[b])}}}\n' for b in written
     )
 
 
