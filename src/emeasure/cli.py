@@ -302,18 +302,22 @@ def cmd_closure(args) -> int:
     sf = fileio.load_space(args.space)
     e = fileio.load_evidence(args.evidence, sf)
     closed = ev.close(e)
+    # The values come from the read's memo and from the claims, so a few
+    # objects repeat over every member: each object is rendered once.
+    objects = {id(value): value for value in e.values + closed.values}
+    texts = {key: value.record() for key, value in objects.items()}
     lines = []
     changed = 0
     for hid, (before, after) in enumerate(zip(e.values, closed.values)):
-        moved = before != after
+        moved = before is not after and before != after
         changed += moved
         if out.records:
             lines.append(
-                f"closure hypothesis={sf.space.label(hid)} before={before.record()} "
-                f"after={after.record()} changed={'yes' if moved else 'no'}"
+                f"closure hypothesis={sf.space.label(hid)} before={texts[id(before)]} "
+                f"after={texts[id(after)]} changed={'yes' if moved else 'no'}"
             )
         elif moved:
-            lines.append(f"  {{{sf.space.label(hid)}}}: {before} -> {after}")
+            lines.append(f"  {{{sf.space.label(hid)}}}: {texts[id(before)]} -> {texts[id(after)]}")
     _write(lines)
     if changed == 0:
         out.text("no change: table is already a measure")

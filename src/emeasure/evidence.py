@@ -88,10 +88,10 @@ def classify(space: Space, table: Mapping[int, object]) -> EFunction:
     finite value, is refused here.
     """
     n = len(space.family)
-    missing = [hid for hid in range(n) if hid not in table]
-    if missing:
-        raise NotAnEFunction(f"table misses hypothesis ids {missing}")
-    return _wrap(space, [table[hid] for hid in range(n)])
+    values = [table[hid] for hid in range(n) if hid in table]
+    if len(values) < n:
+        raise _missing(space, [hid for hid in range(n) if hid not in table])
+    return _wrap(space, values)
 
 
 def from_values(space: Space, values: Iterable[object]) -> EFunction:
@@ -99,8 +99,13 @@ def from_values(space: Space, values: Iterable[object]) -> EFunction:
     n = len(space.family)
     values = tuple(islice(values, n))
     if len(values) < n:
-        raise NotAnEFunction(f"table misses hypothesis ids {list(range(len(values), n))}")
+        raise _missing(space, range(len(values), n))
     return _wrap(space, values)
+
+
+def _missing(space: Space, hids: Iterable[int]) -> NotAnEFunction:
+    """The refusal of a table that lacks the members `hids`, named by label."""
+    return NotAnEFunction(f"table misses hypotheses: {[space.label(hid) for hid in hids]}")
 
 
 def _wrap(space: Space, values: Sequence[object]) -> EFunction:
@@ -116,15 +121,29 @@ def measure_from_density(space: Space, density: Sequence[XValue]) -> EFunction:
 
     Infimums turn unions into minimums, so the result obeys the union law
     on any union-closed family and is tagged a measure without a
-    classification pass. Each member's least point is found on the
-    density's order keys.
+    classification pass. The points are sorted once by the density's order
+    keys, ties by index; each member takes the density of the first point
+    in that order it contains, so equal least densities resolve to the
+    lowest such point's value object. One scan down that order settles, at
+    each point, every member still open that contains it, and stops when
+    none is open: the cost is the sort plus, per member, the rank of its
+    first point. Nothing is kept.
     """
     keys = order_keys(density)
-    family = space.family
-    values = []
-    for hid in range(len(family)):
-        least = min(family.indices(hid), key=keys.__getitem__, default=None)
-        values.append(INF if least is None else density[least])
+    members = space.family.members
+    values = [INF] * len(members)
+    left = range(1, len(members))  # every member but the empty one, id 0
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        bit, value = 1 << i, density[i]
+        rest = []
+        for hid in left:
+            if members[hid] & bit:
+                values[hid] = value
+            else:
+                rest.append(hid)
+        left = rest
+        if not left:
+            break
     return EFunction(space, tuple(values), EClass.MEASURE)
 
 

@@ -393,22 +393,11 @@ class SpaceFile:
         return hid
 
 
-class _LabelReader:
-    """Resolves the hypothesis labels of one table, refusing a member named twice."""
-
-    def __init__(self, path, sf: SpaceFile):
-        self.path = path
-        self.sf = sf
-        self.seen: dict[int, str] = {}
-
-    def resolve(self, label) -> int:
-        label = str(label)
-        hid = self.sf.resolve(self.path, label)
-        if hid in self.seen:
-            first = self.seen[hid]
-            raise SchemaError(self.path, f"{first!r} and {label!r} name the same hypothesis")
-        self.seen[hid] = label
-        return hid
+def _named_twice(path, sf: SpaceFile, labels, hid: int, label: str) -> SchemaError:
+    """The refusal of `label`, whose member `hid` an earlier one of the
+    table's `labels` already named; only this path looks that one up."""
+    first = next(str(l) for l in labels if sf.resolve(path, str(l)) == hid)
+    return SchemaError(path, f"{first!r} and {label!r} name the same hypothesis")
 
 
 def load_space(path: Path | str) -> SpaceFile:
@@ -485,10 +474,14 @@ def load_evidence(path: Path | str, sf: SpaceFile) -> EFunction:
     if not isinstance(table, dict):
         raise SchemaError(path, "'evidence' must map hypothesis labels to values")
     read = _xvalue_reader(path)
-    hypotheses = _LabelReader(path, sf)
+    resolve = sf.resolve
     out: dict[int, XValue] = {}
     for label, raw in table.items():
-        out[hypotheses.resolve(label)] = read(raw)
+        label = str(label)
+        hid = resolve(path, label)
+        if hid in out:
+            raise _named_twice(path, sf, table, hid, label)
+        out[hid] = read(raw)
     out.setdefault(sf.space.family.empty_id, read("inf"))
     try:
         return classify(sf.space, out)
@@ -539,7 +532,7 @@ def load_kernel(
             )
         sample = SampleSpace(tuple(str(x) for x in declared))
     read = _xvalue_reader(path)
-    hypotheses = _LabelReader(path, sf)
+    resolve = sf.resolve
     family = sf.space.family
     outcomes = sample.outcomes
     full = (1 << sample.size) - 1
@@ -553,7 +546,10 @@ def load_kernel(
     for label, row in table.items():
         if not isinstance(row, dict):
             raise SchemaError(path, f"row for {label!r} must be a mapping")
-        hid = hypotheses.resolve(label)
+        label = str(label)
+        hid = resolve(path, label)
+        if rows[hid] is not None:
+            raise _named_twice(path, sf, table, hid, label)
         values = row_values.get(id(row))
         if values is not None:
             rows[hid] = values
@@ -573,21 +569,19 @@ def load_kernel(
                     got |= 1 << xi
             values = tuple(cells)
             if bad_row is None and (got != full or unknown):
-                bad_row = (hid, got, row)
+                bad_row = (label, got, row)
         rows[hid] = row_values[id(row)] = values
     empty = family.empty_id
-    if empty not in hypotheses.seen:
+    if rows[empty] is None:
         rows[empty] = (read("inf"),) * sample.size
-    missing = [hid for hid in range(len(family)) if hid not in hypotheses.seen and hid != empty]
-    if missing:
-        labels = [sf.space.label(h) for h in missing]
+    if None in rows:
+        labels = [sf.space.label(hid) for hid, row in enumerate(rows) if row is None]
         raise SchemaError(path, f"kernel misses hypotheses: {labels}")
     if bad_row is not None:
-        hid, got, row = bad_row
+        label, got, row = bad_row
         if got != full:
             x = next(x for xi, x in enumerate(outcomes) if not got >> xi & 1)
-            raise SchemaError(path, f"hypothesis id {hid} misses outcome {x!r}")
-        label = hypotheses.seen[hid]
+            raise SchemaError(path, f"row for {label!r} misses outcome {x!r}")
         names = dict.fromkeys(str(x) for x in row)
         _refuse_unknown(path, f"row for {label!r} has unknown outcomes", names, outcomes)
     try:

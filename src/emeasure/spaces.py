@@ -84,13 +84,23 @@ class HypothesisClass:
     """Deduplicated, union-closed family of bitsets including the empty one.
 
     The constructor trusts that its bitsets are union-closed and fit the
-    width; `union_closure` and `class_from_preorder` build families."""
+    width; `union_closure` and `class_from_preorder` build families.
 
-    def __init__(self, width: int, bitsets: Iterable[int]):
+    Besides the members it keeps `generators`, bitsets of the family whose
+    unions give every member: those `union_closure` found new, or else all
+    the members. Building costs a sort of the members and one dict entry
+    each; point-index tuples, the join-irreducibles and the joins are built
+    on first use.
+    """
+
+    def __init__(
+        self, width: int, bitsets: Iterable[int], generators: Optional[tuple[int, ...]] = None
+    ):
         self.width = width
         members = sorted(set(bitsets) | {0})
         members.sort(key=int.bit_count)  # stable: ties stay in value order
         self.members = tuple(members)
+        self.generators = self.members if generators is None else generators
         self._index = {bits: i for i, bits in enumerate(members)}
         self._indices: list[Optional[tuple[int, ...]]] = [None] * len(members)
         self._irreducible: Optional[tuple[int, ...]] = None
@@ -185,13 +195,15 @@ def union_closure(width: int, generators: Iterable[int]) -> HypothesisClass:
 
     Each new generator joins every set generated before it, so the cost is
     O(members x generators); idempotent and monotone in the generator set.
+    The family keeps the new generators as its `generators`.
     A negative generator, or one with a point at or past `width`, is refused.
     """
     gens = list(generators)
     for g in gens:
         if g < 0 or g >> width:
             raise SpaceError(f"bitset {g:#x} does not fit width {width}")
-    return HypothesisClass(width, _worklist(gens)[0])
+    generated, new = _worklist(gens)
+    return HypothesisClass(width, generated, tuple([gens[pos] for pos in new]))
 
 
 @dataclass(frozen=True)
@@ -288,8 +300,8 @@ class Space:
     def _meets_closed(self) -> bool:
         # In a union-closed family this is closure under intersection: the
         # meet of two members is the union of its points' least members.
-        least = self.least_ids()
-        return all(least[i] is not None for i in self.family.indices(len(self.family) - 1))
+        top = self.family.members[-1]
+        return all(hid is not None for i, hid in enumerate(self.least_ids()) if top >> i & 1)
 
     def _has_full_model(self) -> bool:
         return (1 << self.model.size) - 1 in self.family
@@ -300,21 +312,29 @@ class Space:
         return self._has_full_model() and self._meets_closed()
 
     def least_ids(self) -> tuple[Optional[int], ...]:
-        """Per point, the id of the smallest member containing it (if any)."""
+        """Per point, the id of the smallest member containing it, or None
+        where no member does or the members containing it have no least one.
+        Computed once and kept.
+
+        The point's candidate is the meet of the generators containing it:
+        every member containing the point holds a generator that does, so
+        this is the meet of all those members. One walk over each
+        generator's points, so the cost is the sum of the generators' sizes,
+        at most generators x points; n² on a preorder's rows.
+        """
         if self._least_ids is None:
-            ids: list[Optional[int]] = []
-            for i in range(self.model.size):
-                meet = (1 << self.model.size) - 1
-                found = False
-                for m in self.family.members:
-                    if m >> i & 1:
-                        meet &= m
-                        found = True
-                if found and meet in self.family and (meet >> i & 1):
-                    ids.append(self.family.id_of(meet))
-                else:
-                    ids.append(None)
-            self._least_ids = tuple(ids)
+            n = self.model.size
+            # A point no generator reaches keeps the full set, which then
+            # is no member, since no member holds that point.
+            meets = [(1 << n) - 1] * n
+            for g in self.family.generators:
+                rest = g
+                while rest:
+                    low = rest & -rest
+                    i = low.bit_length() - 1
+                    meets[i] &= g
+                    rest ^= low
+            self._least_ids = tuple(map(self.family._index.get, meets))
         return self._least_ids
 
     def least_id(self, point: int | str) -> int:

@@ -37,6 +37,7 @@ from emeasure import (
 from emeasure.decisions import DecisionError
 from emeasure.evidence import measure_from_density
 from emeasure.spaces import HypothesisClass, NotAPreorder
+from emeasure.xvalue import order_keys
 
 
 def points_of(bits):
@@ -506,6 +507,61 @@ def oracle_least_bits(space, point):
             acc &= m
             hit = True
     return acc if hit else None
+
+
+def oracle_least_ids(space):
+    """Per point, the id of the meet of every member containing it, when
+    that meet is a member; None otherwise. The all-members walk, F x n."""
+    meets = [oracle_least_bits(space, i) for i in range(space.model.size)]
+    return tuple(space.family.id_of(m) if m in space.family else None for m in meets)
+
+
+def oracle_measure_from_density(space, density):
+    """Each member's least density, found among its point-index tuple on the
+    density's order keys (the first least point in index order), and INF on
+    the empty member."""
+    keys = order_keys(density)
+    family = space.family
+    values = []
+    for hid in range(len(family)):
+        least = min(family.indices(hid), key=keys.__getitem__, default=None)
+        values.append(INF if least is None else density[least])
+    return tuple(values)
+
+
+def rand_lattice_space(r, case):
+    """One of four kinds of family by `case`, on one to six points: the union
+    closure of generators with duplicates, the empty set and unions of
+    others among them; a tangled family, one not intersection-closed; a
+    preorder's family; and a power set built directly as a `HypothesisClass`."""
+    kind = case % 4
+    n = r.randint(2 if kind == 1 else 1, 6)  # one point has no tangled family
+    model = Model(tuple(f"P{i + 1}" for i in range(n)))
+    if kind == 2:
+        return class_from_preorder(model, rand_preorder(r, n))
+    if kind == 3:
+        return Space(model, HypothesisClass(n, range(1 << n)))
+    while True:
+        gens = [r.randrange(1, 1 << n) for _ in range(r.randint(1, n + 1))]
+        gens += [r.choice(gens), 0] + [a | b for a, b in zip(gens, gens[1:]) if r.random() < 0.5]
+        r.shuffle(gens)
+        space = Space(model, union_closure(n, gens))
+        if kind == 0 or not space.intersection_closed:
+            return space
+
+
+def rand_tied_density(r, n):
+    """One value per point, drawn from a pool of at most three, which holds
+    0 and inf half the time each: ties are the rule. Half the values are
+    fresh objects equal to their pool value, so a tie can be between two
+    objects."""
+    pool = [rand_xvalue(r, allow_inf=False) for _ in range(r.randint(1, 3))]
+    if r.random() < 0.5:
+        pool.append(ZERO)
+    if r.random() < 0.5:
+        pool.append(INF)
+    values = [r.choice(pool) for _ in range(n)]
+    return [XValue(v.record()) if r.random() < 0.5 else v for v in values]
 
 
 def oracle_closure(e):

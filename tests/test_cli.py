@@ -34,7 +34,7 @@ from emeasure import (
 from emeasure import evidence as ev
 from emeasure import kernels as kn
 from emeasure import multiplicity as mtp
-from emeasure import xvalue
+from emeasure import spaces, xvalue
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(cli.__file__).parents[1]
@@ -430,7 +430,7 @@ def test_closure_records_compute_no_class(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("argv, error", [
     (["closure", "--space", "space_gens_ic.yaml", "--evidence", "evidence_missing_member.yaml"],
-     "evidence_missing_member.yaml: table misses hypothesis ids [6]"),
+     "evidence_missing_member.yaml: table misses hypotheses: ['a,b,c']"),
     (["closure", "--space", "space_gens_ic.yaml", "--evidence", "evidence_ic_empty_finite.yaml"],
      "evidence_ic_empty_finite.yaml: the empty hypothesis must carry infinite evidence"),
 ], ids=["missing-member", "empty-finite"])
@@ -441,6 +441,78 @@ def test_a_table_is_refused_before_its_class_is_computed(monkeypatch, capsys, ar
     captured = capsys.readouterr()
     assert (code, captured.out) == (cli.EXIT_INPUT, "")
     assert captured.err == f"error: {DATA / error}\n"
+
+
+def _power_set_closure_argv(directory, n):
+    """`closure --format records` of a capacity on the power set of n points,
+    e(H) = n + 1 - |H|, each member keyed by its printed label."""
+    space = helpers.power_space(n)
+    directory.mkdir()
+    (directory / "space.yaml").write_text(
+        f"points: [{', '.join(space.model.points)}]\n"
+        f"generators: [{', '.join(f'[{p}]' for p in space.model.points)}]\n"
+    )
+    (directory / "evidence.yaml").write_text("evidence:\n" + "".join(
+        f'  "{helpers.member_label(space, hid)}": {n + 1 - m.bit_count()}\n'
+        for hid, m in enumerate(space.family.members) if m
+    ))
+    return ["closure", "--format", "records",
+            *(f"--{name}={directory / name}.yaml" for name in ("space", "evidence"))]
+
+
+def test_a_closure_renders_each_value_object_once_and_walks_no_point_tuple(tmp_path, monkeypatch, capsys):
+    """On the 1024-member power set of 10 points: `XValue.record` runs at most
+    once per distinct value object, and no member's point indices are listed."""
+    rendered, listed = [], []
+    record = XValue.record
+    monkeypatch.setattr(XValue, "record", lambda self: rendered.append(self) or record(self))
+    indices = spaces._indices
+    monkeypatch.setattr(spaces, "_indices", lambda bits: listed.append(bits) or indices(bits))
+    assert cli.main(_power_set_closure_argv(tmp_path / "files", 10)) == cli.EXIT_OK
+    assert capsys.readouterr().out.count("changed=yes") == 1013  # all but the singletons and {}
+    assert len(rendered) == len({id(value) for value in rendered}) <= 12
+    assert listed == []
+
+
+class _Touching(tuple):
+    """A tuple that counts each item handed out by iteration into `touched`."""
+
+    touched: list = []
+
+    def __iter__(self):
+        for item in tuple.__iter__(self):
+            self.touched.append(item)
+            yield item
+
+
+def test_least_hypotheses_of_a_chain_touch_at_most_n_generators_per_point(tmp_path, monkeypatch, capsys):
+    """A `space` job on a 24-point chain preorder: while its least hypotheses
+    are computed, at most n members or generators are visited per point, n²
+    in all (the all-members walk visits its n + 1 members for every point)."""
+    n = 24
+    points = [f"p{i}" for i in range(n)]
+    pairs = ", ".join(f"[{a}, {b}]" for i, a in enumerate(points) for b in points[i + 1:])
+    path = tmp_path / "chain.yaml"
+    path.write_text(f"points: [{', '.join(points)}]\npreorder: [{pairs}]\n")
+    touched = []
+    monkeypatch.setattr(_Touching, "touched", touched)
+    least_ids = spaces.Space.least_ids
+
+    def touching_least_ids(space):
+        family = space.family
+        saved = dict(vars(family))
+        family.members = _Touching(family.members)
+        family.generators = _Touching(getattr(family, "generators", ()))
+        try:
+            return least_ids(space)
+        finally:
+            vars(family).clear()
+            vars(family).update(saved)
+
+    monkeypatch.setattr(spaces.Space, "least_ids", touching_least_ids)
+    assert cli.main(["space", "--space", str(path), "--format", "records"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.count("least point=") == n
+    assert 0 < len(touched) <= n * n
 
 
 @pytest.mark.skipif(

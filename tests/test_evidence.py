@@ -100,7 +100,7 @@ def test_refusals_come_before_any_class_is_computed(monkeypatch):
 
     monkeypatch.setattr(ev, "_strength", refuse)
     space = helpers.power_space(2)
-    with pytest.raises(NotAnEFunction, match=r"table misses hypothesis ids \[3\]"):
+    with pytest.raises(NotAnEFunction, match=r"table misses hypotheses: \['P1,P2'\]"):
         classify(space, {0: INF, 1: 1, 2: 1})
     with pytest.raises(NotAnEFunction, match="the empty hypothesis must carry infinite evidence"):
         from_values(space, [5, 4, 2, 1])
@@ -274,6 +274,25 @@ def test_measure_from_density_is_the_least_density_measure():
         )
         assert m.values[space.family.empty_id] == INF
         assert m.eclass is EClass.MEASURE is helpers.oracle_eclass(space, m.values)
+
+
+def test_least_ids_and_densities_match_the_all_member_walks():
+    """On 320 seeded families of every kind (`rand_lattice_space`), the least
+    hypotheses read off the generators are those of the all-members walk,
+    and each member's least density is the same value object as the one
+    its point-index tuple gives, with ties, 0 and inf among the densities."""
+    r = helpers.rng(2604)
+    kinds = set()
+    for case in range(320):
+        space = helpers.rand_lattice_space(r, case)
+        kinds.add((case % 4, space.intersection_closed))
+        assert space.least_ids() == helpers.oracle_least_ids(space)
+        for _ in range(3):
+            density = helpers.rand_tied_density(r, space.model.size)
+            got = measure_from_density(space, density).values
+            want = helpers.oracle_measure_from_density(space, density)
+            assert all(a is b for a, b in zip(got, want)) and len(got) == len(want)
+    assert {(1, False), (2, True), (3, True)} <= kinds and {(0, False), (0, True)} <= kinds
 
 
 def test_dirac_and_unit_tables():

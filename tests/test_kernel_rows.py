@@ -242,8 +242,8 @@ COIN_ROWS = {
      "row for 'p' has unknown outcomes ['ZZ']"),
     ({"q": "{HH: 1, HT: 1, TH: 1}", "p": "{HH: 1, HT: 1, TH: 1, TT: 1, ZZ: 1}", "p,q": COIN_ROWS["p,q"],
       "{}": "{HH: 1, HT: 1, TH: 1, TT: 1}"},
-     "hypothesis id 2 misses outcome 'TT'"),
-    ({**COIN_ROWS, "p": "{TT: 1, HH: 1, HT: 1}"}, "hypothesis id 1 misses outcome 'TH'"),
+     "row for 'q' misses outcome 'TT'"),
+    ({**COIN_ROWS, "p": "{TT: 1, HH: 1, HT: 1}"}, "row for 'p' misses outcome 'TH'"),
     ({**COIN_ROWS, "p": "{TT: 1, HH: 1, HT: 1, ZZ: 2, TH: 1}"}, "row for 'p' has unknown outcomes ['ZZ']"),
     ({**COIN_ROWS, "{}": "{TT: inf, HH: inf, HT: 1, TH: inf}"},
      "the empty hypothesis must carry infinite evidence"),

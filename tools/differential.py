@@ -24,6 +24,17 @@ sides get the same inputs:
   compared. A third of the rows name their member with its points
   reordered or ', '-spaced, and a third of the kernels repeat a few row
   texts over all their rows (named `check/N`);
+- 240 seeded random `space` inputs, in the records and in the text format.
+  Half the spaces are written as `_random_space` writes them, on two to six
+  points; the other half list redundant generators: the join-irreducible
+  members shuffled with a duplicate, unions of others and at times the
+  empty set, each with its points in random order (named `space/N`);
+- 240 seeded random `closure` inputs over such spaces, in both formats,
+  with a function, capacity or measure table whose values come from a
+  pool of a few, so ties are common and 0 and inf occur. Keys are spelled
+  as the `check` inputs spell them; one input in eight names one member
+  twice in two spellings, one in eight leaves a nonempty member out, and
+  one in twenty gives the empty member a finite value (named `closure/N`);
 - 420 seeded mutations of the corpus command lines, which argparse reads or
   refuses where the command line is not of the one exact form: an option
   written `--name=value` or abbreviated, an option repeated with another
@@ -58,6 +69,7 @@ DATA = ROOT / "tests" / "data"
 DECIDE_INPUTS = 720  # random `decide` inputs, from the first seed
 CHECK_INPUTS = 360  # random `check` inputs, from the first seed
 ARGV_INPUTS = 420  # mutated corpus command lines, from the first seed
+LATTICE_INPUTS = 240  # random `space` inputs, and as many `closure` inputs
 
 # What one run of an argv gives: exit code, stdout and stderr.
 Result = tuple[object, str, str]
@@ -469,6 +481,106 @@ def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     return jobs
 
 
+def _redundant_text(rng: random.Random, sp) -> str:
+    """A space file of `sp`'s family whose generators are its join-irreducible
+    members with a duplicate, up to three unions of others and, half the
+    time, the empty set, shuffled, each listing its points in random order."""
+    irreducible = [
+        m for m in sp.family if m and _union(x for x in sp.family if x & ~m == 0 and x != m) != m
+    ]
+    unions = [m for m in sp.family if m and m not in irreducible]
+    gens = irreducible + [rng.choice(irreducible)]
+    gens += rng.sample(unions, min(len(unions), rng.randint(0, 3)))
+    if rng.random() < 0.5:
+        gens.append(0)
+    rng.shuffle(gens)
+    lists = []
+    for g in gens:
+        points = [sp.points[i] for i in range(sp.width) if g >> i & 1]
+        rng.shuffle(points)
+        lists.append("[" + ", ".join(points) + "]")
+    return f"points: [{', '.join(sp.points)}]\ngenerators: [{', '.join(lists)}]\n"
+
+
+def _union(bitsets: Iterable[int]) -> int:
+    out = 0
+    for bits in bitsets:
+        out |= bits
+    return out
+
+
+def _lattice_space(rng: random.Random, orc, w):
+    """A `_random_space` on two to six points, written as it comes or, half
+    the time, with redundant generators."""
+    sp = _random_space(rng, orc, w, None if rng.random() < 0.5 else rng.randint(2, 6))
+    if rng.random() < 0.5:
+        sp = w.SpaceSpec(sp.points, sp.family, _redundant_text(rng, sp))
+    return sp
+
+
+def space_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
+    """Random spaces (see `_lattice_space`), each in both formats."""
+    orc, w = _perfbench()
+    rng = random.Random(f"space/{seed}")
+    inputs = inputs / f"space-{seed}"
+    inputs.mkdir()
+    jobs = []
+    for n in range(count):
+        path = inputs / f"s{n:04d}_space.yaml"
+        path.write_text(_lattice_space(rng, orc, w).text)
+        argv = ("space", "--space", str(path))
+        jobs += [Job(f"space/{n}", argv + ("--format", "records")), Job(f"space/{n}", argv)]
+    return jobs
+
+
+# What a `closure` input's table is, one per input.
+TABLE_KINDS = ("function", "capacity", "measure")
+
+
+def _table(rng: random.Random, orc, w, sp, kind: str) -> dict[int, object]:
+    """A table of `kind` on the nonempty members, its values drawn from a
+    pool of one to four `_value`s."""
+    pool = [_value(rng, orc.INF) for _ in range(rng.randint(1, 4))]
+    members = [b for b in sp.family if b]
+    if kind == "measure":
+        density = [rng.choice(pool) for _ in sp.points]
+        return {b: w.min_over(b, sp.width, density.__getitem__) for b in members}
+    raw = {b: rng.choice(pool) for b in members}
+    if kind == "function":
+        return raw
+    return {b: max(v for c, v in raw.items() if b & ~c == 0) for b in members}
+
+
+def closure_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
+    """Random evidence tables over random spaces (see `_lattice_space` and
+    `_table`), keyed as `_key` spells them, each in both formats."""
+    orc, w = _perfbench()
+    rng = random.Random(f"closure/{seed}")
+    inputs = inputs / f"closure-{seed}"
+    inputs.mkdir()
+    jobs = []
+    for n in range(count):
+        sp = _lattice_space(rng, orc, w)
+        values = _table(rng, orc, w, sp, rng.choice(TABLE_KINDS))
+        entries = [(_key(rng, sp, b), orc.fmt(v)) for b, v in values.items()]
+        roll = rng.random()
+        if roll < 1 / 8:  # a member named twice
+            i = rng.randrange(len(entries))
+            entries.insert(rng.randint(0, len(entries)), (entries[i][0] + ",", entries[i][1]))
+        elif roll < 1 / 4:  # a member left out
+            del entries[rng.randrange(len(entries))]
+        if roll > 19 / 20:
+            entries.append(("{}", "1"))
+        elif rng.random() < 0.5:
+            entries.insert(rng.randint(0, len(entries)), ("{}", "inf"))
+        space, evidence = inputs / f"e{n:04d}_space.yaml", inputs / f"e{n:04d}_evidence.yaml"
+        space.write_text(sp.text)
+        evidence.write_text("evidence:\n" + "".join(f'  "{k}": {v}\n' for k, v in entries))
+        argv = ("closure", "--space", str(space), "--evidence", str(evidence))
+        jobs += [Job(f"closure/{n}", argv + ("--format", "records")), Job(f"closure/{n}", argv)]
+    return jobs
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--serve"]:
@@ -489,6 +601,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         jobs = corpus_jobs() + perfbench_jobs(inputs, args.seeds, args.cycles)
         jobs += decide_jobs(inputs, args.seeds[0], DECIDE_INPUTS)
         jobs += check_jobs(inputs, args.seeds[0], CHECK_INPUTS)
+        jobs += space_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
+        jobs += closure_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
         jobs += argv_jobs(args.seeds[0], ARGV_INPUTS)
         base, change = Side(base_src, inputs), Side(ROOT / "src", inputs)
         try:
