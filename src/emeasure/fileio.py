@@ -46,12 +46,13 @@ point labels in any order, with or without spaces after the commas
 (``a,b`` or ``b, a``). The command line prints each member as its points in
 the order of ``points``, joined by ',' with no spaces, and ``{}`` for the
 empty member. A label naming a point the space does not declare, or a set
-of points that is not a member, is a schema error. A label is parsed, not
-looked up: the declared names, ``empty`` and ``{}`` are one small table,
-and any other label is split at its commas, each part stripped and found in
-the model's table of point indices (``Model.positions``). A label that lists
-its points exactly, in index order and without spaces, is the member's
-printed label, and ``Space.label`` takes it from the file.
+of points that is not a member, is a schema error. A label is first looked
+up, in one table built on the first read: every member's printed label
+(``Space.printed_ids``, which also builds ``Space.label``), then ``empty``
+and ``{}``, then the declared names. Printed labels stay out of the table
+when a point label is empty, holds a ',' or has surrounding spaces. Any
+other label is split at its commas, each part stripped and found in the
+model's table of point indices (``Model.positions``).
 
 A table that names one hypothesis twice, a row with an outcome, point or
 decision its file does not declare, a distribution for a point outside the
@@ -70,6 +71,7 @@ finite value of the empty member.
 
 from __future__ import annotations
 
+import locale
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -277,10 +279,15 @@ def _read_table(text: str):
 
 def _load_yaml(path: Path | str) -> dict:
     try:
-        with open(path) as fh:
-            data = _read_table(fh.read())
-            if data is None:
-                fh.seek(0)
+        # One binary read, decoded once with the encoding text mode would
+        # use and its line ends translated as text mode translates them.
+        with open(path, "rb") as fh:
+            text = fh.read().decode(locale.getpreferredencoding(False))
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        data = _read_table(text)
+        if data is None:  # PyYAML reads the file itself, so its marks name it
+            with open(path) as fh:
                 data = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
@@ -351,46 +358,42 @@ class SpaceFile:
     def __init__(self, space: Space, names: dict[str, int]):
         self.space = space
         self.names = names
-        # The labels read without parsing: 'empty' and '{}', then the
-        # declared names, which override them.
-        empty = space.family.empty_id
-        self._named = {"empty": empty, "{}": empty, **names}
-        # Whether a part of a label that is a point label as it stands names
-        # that point: no point label is empty or padded, so stripping the
-        # part would change nothing.
-        self._direct = all(p and p.strip() == p for p in space.model.points)
+        self._ids: Optional[dict[str, int]] = None  # built on the first read
 
     def resolve(self, path, label: str) -> int:
-        """The id of a hypothesis label (see the module docstring). A label
-        that lists its points exactly, in index order and with no spaces,
-        is the member's printed label, and ``Space.label`` takes it."""
-        hid = self._named.get(label)
+        """The id of a hypothesis label (see the module docstring)."""
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = self._lookup_table()
+        hid = ids.get(label)
         if hid is not None:
             return hid
         get = self.space.model.positions.get
-        direct = self._direct
-        bits, exact = 0, direct
+        bits = 0
         for part in label.split(","):
-            i = get(part) if direct else None
-            if i is None:
-                exact = False
-                part = part.strip()
-                if not part:
-                    continue
+            part = part.strip()
+            if part:
                 i = get(part)
                 if i is None:
                     raise SchemaError(path, f"unknown hypothesis label {label!r}")
-            bit = 1 << i
-            if bit <= bits:  # not past every point before it
-                exact = False
-            bits |= bit
+                bits |= 1 << i
         try:
-            hid = self.space.family.id_of(bits)
+            return self.space.family.id_of(bits)
         except SpaceError:
             raise SchemaError(path, f"{label!r} is not a member of the family") from None
-        if exact:
-            self.space.seed_label(hid, label)
-        return hid
+
+    def _lookup_table(self) -> dict[str, int]:
+        """The labels read without parsing: every member's printed label,
+        then 'empty' and '{}', then the declared names, each overriding what
+        comes before it. Printed labels are left out when a point label is
+        empty, holds a ',' or is padded, as a comma list would then read as
+        another set than the one it joins."""
+        space = self.space
+        printed = all(p and "," not in p and p.strip() == p for p in space.model.points)
+        ids = space.printed_ids() if printed else {}
+        ids["empty"] = ids["{}"] = space.family.empty_id
+        ids.update(self.names)
+        return ids
 
 
 def _named_twice(path, sf: SpaceFile, labels, hid: int, label: str) -> SchemaError:

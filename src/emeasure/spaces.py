@@ -290,10 +290,27 @@ class Space:
             label = self._labels[hid] = self.model.label(self.family.members[hid])
         return label
 
-    def seed_label(self, hid: int, label: str) -> None:
-        """Take `label`, which the caller knows to equal the member's
-        `Model.label`, as that label, so that it is not built again."""
-        self._labels[hid] = label
+    def printed_ids(self) -> dict[str, int]:
+        """Each nonempty member's `label` to its id, every label built here.
+
+        Members come in id order, which puts a member after the member it
+        holds less its lowest point, so a member's label is its lowest
+        point's label before that member's label, and ``Model.label`` only
+        when that set is no member.
+        """
+        points, labels = self.model.points, self._labels
+        index, members = self.family._index, self.family.members
+        ids = {}
+        for hid in range(1, len(members)):
+            bits = members[hid]
+            low = bits & -bits
+            label = points[low.bit_length() - 1]
+            if bits != low:
+                rest = index.get(bits ^ low)
+                label = self.model.label(bits) if rest is None else label + "," + labels[rest]
+            labels[hid] = label
+            ids[label] = hid
+        return ids
 
     # -- structure ----------------------------------------------------
 

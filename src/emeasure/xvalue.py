@@ -1,9 +1,8 @@
 """Exact arithmetic on the extended half-line [0, inf].
 
 Every evidence value in this package is an :class:`XValue`: a non-negative
-rational (``fractions.Fraction``) or the distinguished infinity. All the
-extended-arithmetic conventions of the calculus are centralized here and
-nowhere else:
+rational or the distinguished infinity. All the extended-arithmetic
+conventions of the calculus are centralized here and nowhere else:
 
     inf of an empty collection -> inf
     sup of an empty collection -> 0
@@ -15,22 +14,29 @@ nowhere else:
 Floats are rejected on construction, and no value is ever turned into
 one: rendering, ordering and ranking all work on the exact value.
 
-The hot paths work on plain ints, never through ``Fraction``'s operators:
-comparisons cross-multiply numerators and denominators, and :func:`order_keys`
-scales a table to one common denominator so that its values order as
-integers. Expectations work on scaled tables: :func:`scale` turns a table
-into its least common denominator, one integer numerator per position (0
-where the value is inf) and a bit mask of the infinite positions. The
-expectation of two scaled tables is their :func:`dot`: one integer sum of
-products, one gcd when the result is wrapped, and zero mass against inf
-giving 0. :func:`dot_at_most` also holds that sum against a bound, on the
-ints, before it is wrapped. A distribution is scaled once, when it is
-built, and a kernel's row of evidence against one hypothesis once per
-kernel, the first time a check reads it. The anytime check walks its tree
-on the same scaled tables: node masses are slice sums of a scaled
-distribution, a hypothesis's step values on the nodes are scaled once, and
-each (hypothesis, point) pair is one loop of int products, sums and maxima
-whose root value :func:`ratio` wraps. All of it is exact.
+A value is two ints, a numerator and a denominator in lowest terms with the
+denominator positive; inf is the pair (1, 0). Arithmetic works on the pairs
+and reduces each result with one gcd, and comparisons cross-multiply them,
+which orders inf above every finite value without a branch. ``Fraction``
+appears only at the edges: the constructor for inputs other than ints,
+:meth:`XValue.as_fraction`, and the hash, which must equal the hash of the
+equal ``Fraction``. :func:`parse_xvalue` reads an ASCII-digit 'p' or 'p/q'
+cell straight into a reduced pair, and :func:`order_keys` keys each value by
+a fixed binary shift of its pair, so that a table's values order as ints.
+
+Expectations work on scaled tables: :func:`scale` turns a table into its
+least common denominator, one integer numerator per position (0 where the
+value is inf) and a bit mask of the infinite positions. The expectation of
+two scaled tables is their :func:`dot`: one integer sum of products, one gcd
+when the result is wrapped, and zero mass against inf giving 0.
+:func:`dot_at_most` also holds that sum against a bound, on the ints, before
+it is wrapped. A distribution is scaled once, when it is built, and a
+kernel's row of evidence against one hypothesis once per kernel, the first
+time a check reads it. The anytime check walks its tree on the same scaled
+tables: node masses are slice sums of a scaled distribution, a hypothesis's
+step values on the nodes are scaled once, and each (hypothesis, point) pair
+is one loop of int products, sums and maxima whose root value :func:`ratio`
+wraps. All of it is exact.
 """
 
 from __future__ import annotations
@@ -38,123 +44,136 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rationalish = Union[int, str, Fraction, "XValue"]
 
-_INF_MARK = object()
 _INF_TEXTS = ("inf", "Inf", "INF", "∞")
 
 
 class XValue:
-    """An exact value in [0, inf] with the calculus' conventions."""
+    """An exact value in [0, inf] with the calculus' conventions.
 
-    __slots__ = ("_frac",)
+    `_num` and `_den` hold it in lowest terms, `_den` > 0, or (1, 0) for inf.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, value: Rationalish = 0):
         if isinstance(value, XValue):
-            self._frac = value._frac
+            self._num, self._den = value._num, value._den
             return
-        if value is _INF_MARK:
-            self._frac = None
+        if type(value) is int:
+            if value < 0:
+                raise ValueError(f"evidence values are non-negative, got {value}")
+            self._num, self._den = value, 1
             return
         if isinstance(value, float):
             raise TypeError("floats are inexact; pass int, Fraction or 'p/q' string")
         if isinstance(value, str) and value.strip() in _INF_TEXTS:
-            self._frac = None
+            self._num, self._den = 1, 0
             return
-        self._frac = _nonnegative(Fraction(value))
+        frac = Fraction(value)
+        if frac._numerator < 0:
+            raise ValueError(f"evidence values are non-negative, got {frac}")
+        self._num, self._den = frac._numerator, frac._denominator
 
     # -- predicates ---------------------------------------------------
 
     @property
     def is_inf(self) -> bool:
-        return self._frac is None
+        return not self._den
 
     @property
     def is_zero(self) -> bool:
-        return self._frac == 0
+        return not self._num
 
     def as_fraction(self) -> Fraction:
-        if self._frac is None:
+        if not self._den:
             raise ValueError("infinite value has no rational representation")
-        return self._frac
+        return Fraction(self._num, self._den)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: Rationalish) -> "XValue":
-        other = _coerce(other)
-        if self._frac is None or other._frac is None:
+        if type(other) is not XValue:
+            other = _coerce(other)
+        b, d = self._den, other._den
+        if not b or not d:
             return INF
-        return _exact(self._frac + other._frac)
+        if b == d:
+            return ratio(self._num + other._num, b)
+        return ratio(self._num * d + other._num * b, b * d)
 
     __radd__ = __add__
 
     def __mul__(self, other: Rationalish) -> "XValue":
-        other = _coerce(other)
-        if self._frac == 0 or other._frac == 0:
+        if type(other) is not XValue:
+            other = _coerce(other)
+        a, c = self._num, other._num
+        if not a or not c:
             return ZERO  # 0 * inf = 0
-        if self._frac is None or other._frac is None:
+        b, d = self._den, other._den
+        if not b or not d:
             return INF
-        return _exact(self._frac * other._frac)
+        return ratio(a * c, b * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Rationalish) -> "XValue":
-        other = _coerce(other)
-        if other._frac is None:
+        if type(other) is not XValue:
+            other = _coerce(other)
+        c, d = other._num, other._den
+        if not d:
             return ZERO  # c / inf = 0, also for c = inf
-        if other._frac == 0:
-            return ZERO if self._frac == 0 else INF  # 0/0 = 0, c/0 = inf
-        if self._frac is None:
+        if not c:
+            return INF if self._num else ZERO  # 0/0 = 0, c/0 = inf
+        if not self._den:
             return INF
-        return _exact(self._frac / other._frac)
+        return ratio(self._num * d, self._den * c)
 
     def __rtruediv__(self, other: Rationalish) -> "XValue":
         return _coerce(other) / self
 
     # -- ordering -----------------------------------------------------
 
-    # A Fraction is kept in lowest terms with a positive denominator, so two
-    # are equal when both parts are, and p/q <= r/s when p*s <= r*q.
+    # Both pairs are in lowest terms with inf as (1, 0), so two values are
+    # equal when both parts are, and p/q <= r/s when p*s <= r*q: inf against
+    # a finite value compares q <= 0, and inf against inf 0 <= 0.
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not XValue:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = XValue(other)
-        a, b = self._frac, other._frac
-        if a is None or b is None:
-            return a is b
-        return a._numerator == b._numerator and a._denominator == b._denominator
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self._frac)
+        if self._den == 1:
+            return hash(self._num)
+        return hash(None) if not self._den else hash(Fraction(self._num, self._den))
 
     def __le__(self, other: Rationalish) -> bool:
-        b = _coerce(other)._frac
-        if b is None:
-            return True
-        a = self._frac
-        if a is None:
-            return False
-        return a._numerator * b._denominator <= b._numerator * a._denominator
+        if type(other) is not XValue:
+            other = _coerce(other)
+        return self._num * other._den <= other._num * self._den
 
     def __lt__(self, other: Rationalish) -> bool:
-        b = _coerce(other)._frac
-        a = self._frac
-        if a is None:
-            return False
-        if b is None:
-            return True
-        return a._numerator * b._denominator < b._numerator * a._denominator
+        if type(other) is not XValue:
+            other = _coerce(other)
+        return self._num * other._den < other._num * self._den
 
     def __ge__(self, other: Rationalish) -> bool:
-        return _coerce(other) <= self
+        if type(other) is not XValue:
+            other = _coerce(other)
+        return other._num * self._den <= self._num * other._den
 
     def __gt__(self, other: Rationalish) -> bool:
-        return _coerce(other) < self
+        if type(other) is not XValue:
+            other = _coerce(other)
+        return other._num * self._den < self._num * other._den
 
     # -- rendering ----------------------------------------------------
 
@@ -166,9 +185,9 @@ class XValue:
 
     def record(self) -> str:
         """Exact text form used by structured output: 'inf', 'n' or 'p/q'."""
-        if self._frac is None:
+        num, den = self._num, self._den
+        if not den:
             return "inf"
-        num, den = self._frac.numerator, self._frac.denominator
         try:
             return str(num) if den == 1 else f"{num}/{den}"
         except ValueError:  # str() refuses ints past 4300 digits
@@ -190,27 +209,25 @@ def decimal_text(n: int) -> str:
     return "".join(reversed(chunks))
 
 
-def _nonnegative(frac: Fraction) -> Fraction:
-    if frac._numerator < 0:
-        raise ValueError(f"evidence values are non-negative, got {frac}")
-    return frac
+_new = object.__new__
 
 
-def _exact(frac: Fraction) -> XValue:
-    """Wrap a Fraction already known to be non-negative, skipping the checks.
+def _pair(num: int, den: int) -> XValue:
+    """Wrap a pair already in lowest terms, skipping every check.
 
     Sums, products and quotients of two values in [0, inf] stay there, so
-    arithmetic results come through here, as do fractions whose sign was
-    just checked; every other construction goes through ``XValue(...)``.
+    arithmetic results come through here, by way of :func:`ratio`; every
+    other construction goes through ``XValue(...)``.
     """
-    out = object.__new__(XValue)
-    out._frac = frac
+    out = _new(XValue)
+    out._num = num
+    out._den = den
     return out
 
 
-INF = XValue(_INF_MARK)
-ZERO = XValue(0)
-ONE = XValue(1)
+INF = _pair(1, 0)
+ZERO = _pair(0, 1)
+ONE = _pair(1, 1)
 
 
 def _coerce(value: Rationalish) -> XValue:
@@ -221,32 +238,53 @@ def as_xvalue(value: Rationalish) -> XValue:
     return _coerce(value)
 
 
+def ratio(num: int, den: int) -> XValue:
+    """The exact value num/den of an int num >= 0 and an int den > 0,
+    reduced once, here; the signs are the caller's to keep."""
+    g = gcd(num, den)
+    out = _new(XValue)
+    if g == 1:
+        out._num = num
+        out._den = den
+    else:
+        out._num = num // g
+        out._den = den // g
+    return out
+
+
 # A scaled table: (common denominator, numerators, mask of infinite positions).
 Scaled = tuple[int, tuple[int, ...], int]
 
 
-def scale(table: Iterable[Rationalish]) -> Scaled:
+def _parts(value: Union[int, Fraction]) -> XValue:
+    """An int or a Fraction as a pair, its sign unchecked."""
+    frac = value if type(value) is Fraction else Fraction(value)
+    return _pair(frac._numerator, frac._denominator)
+
+
+def scale(table: Sequence[Rationalish]) -> Scaled:
     """A table of masses or values over its least common denominator.
 
     Each position gets the integer numerator of its value at that
     denominator, and 0 with its bit set in the mask where the value is inf.
+    A Fraction or an int in the table is read by its parts, unchecked, as a
+    table of masses checks its own signs.
     """
-    fracs = [
-        v._frac if type(v) is XValue else v if type(v) is Fraction else Fraction(v)
-        for v in table
-    ]
     try:
-        dens = [f._denominator for f in fracs]
-    except AttributeError:  # some value is inf, whose _frac is None
-        inf = sum(1 << i for i, f in enumerate(fracs) if f is None)
-        fracs = [ZERO._frac if f is None else f for f in fracs]
-        dens = [f._denominator for f in fracs]
-    else:
-        inf = 0
+        nums = [v._num for v in table]
+        dens = [v._den for v in table]
+    except AttributeError:
+        return scale([v if type(v) is XValue else _parts(v) for v in table])
+    inf = 0
+    if 0 in dens:
+        for i, d in enumerate(dens):
+            if not d:
+                inf |= 1 << i
+                nums[i], dens[i] = 0, 1
     common = math.lcm(*dens)
     if common == 1:
-        return 1, tuple([f._numerator for f in fracs]), inf
-    return common, tuple([f._numerator * (common // d) for f, d in zip(fracs, dens)]), inf
+        return 1, tuple(nums), inf
+    return common, tuple([n * (common // d) for n, d in zip(nums, dens)]), inf
 
 
 def dot(a: Scaled, b: Scaled) -> XValue:
@@ -264,9 +302,9 @@ def dot_at_most(a: Scaled, b: Scaled, bound: XValue = ONE) -> tuple[XValue, bool
     """``dot(a, b)`` and whether it is at most `bound`.
 
     The verdict is decided on the integer sum over its denominator,
-    num * bound_den <= bound_num * den, before the sum is wrapped.
+    num * bound_den <= bound_num * den, before the sum is wrapped; an
+    infinite bound, (1, 0), holds every finite sum.
     """
-    limit = bound._frac
     a_den, a_nums, a_inf = a
     b_den, b_nums, b_inf = b
     either = a_inf | b_inf
@@ -274,30 +312,32 @@ def dot_at_most(a: Scaled, b: Scaled, bound: XValue = ONE) -> tuple[XValue, bool
         low = either & -either
         i = low.bit_length() - 1
         if (a_nums[i] or a_inf & low) and (b_nums[i] or b_inf & low):
-            return INF, limit is None
+            return INF, not bound._den
         either ^= low
     num, den = sum(map(mul, a_nums, b_nums)), a_den * b_den
-    ok = limit is None or num * limit._denominator <= limit._numerator * den
-    return ratio(num, den), ok
-
-
-def ratio(num: int, den: int) -> XValue:
-    """The exact value num/den of an int num >= 0 and an int den > 0,
-    reduced once, here; the signs are the caller's to keep."""
-    return _exact(Fraction(num, den))
+    return ratio(num, den), num * bound._den <= bound._num * den
 
 
 def order_keys(values: Sequence[XValue]) -> list[int]:
     """One int per value that orders as the values do, equal on equal values.
 
-    Finite values are scaled to the least common denominator of the finite
-    ones; inf gets one more than the largest finite key.
+    A finite value n/d is keyed by floor(n * 2**k / d), where 2**k is at
+    least the square of the widest denominator D. Two distinct values
+    differ by at least 1/(d * d') >= 2**-k, so their keys differ in the
+    same direction, and equal values, being equal pairs, get equal keys.
+    No key is wider than its value by more than k bits; a table of ints is
+    keyed by its numerators. Inf gets one more than the largest finite key.
     """
-    fracs = [v._frac for v in values]
-    common = math.lcm(*{f._denominator for f in fracs if f is not None})
-    keys = [None if f is None else f._numerator * (common // f._denominator) for f in fracs]
-    top = max((k for k in keys if k is not None), default=0) + 1
-    return [top if k is None else k for k in keys]
+    dens = [v._den for v in values]
+    k = 2 * (max(dens, default=1) - 1).bit_length()
+    if k:
+        keys = [(v._num << k) // d if d else -1 for v, d in zip(values, dens)]
+    else:
+        keys = [v._num if d else -1 for v, d in zip(values, dens)]
+    if 0 not in dens:
+        return keys
+    top = max(max(keys), 0) + 1
+    return [top if key < 0 else key for key in keys]
 
 
 def inf_of(values: Iterable[Rationalish]) -> XValue:
@@ -338,8 +378,19 @@ def rational(raw) -> Fraction:
 def parse_xvalue(raw: object) -> XValue:
     """Lenient parser for file input: ints, 'p/q' strings, 'inf', floats.
 
+    An ASCII-digit 'p' or 'p/q' text goes straight to its reduced pair.
     Floats are read with decimal semantics (97.5 -> 195/2), never binary.
     """
+    if type(raw) is str:
+        m = _DIGITS.fullmatch(raw)
+        if m is not None:
+            p, q = m.groups()
+            if q is None:
+                return _pair(int(p), 1)
+            if q.strip("0"):
+                return ratio(int(p), int(q))
+    elif type(raw) is int:
+        return XValue(raw)
     if isinstance(raw, XValue):
         return raw
     if isinstance(raw, bool) or not isinstance(raw, (int, float, Fraction, str)):
@@ -352,4 +403,4 @@ def parse_xvalue(raw: object) -> XValue:
         raw = str(raw)
     elif isinstance(raw, str) and raw.strip() in _INF_TEXTS:
         return INF
-    return _exact(_nonnegative(rational(raw)))
+    return XValue(raw)

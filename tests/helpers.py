@@ -65,6 +65,16 @@ def rand_xvalue(r, allow_inf=True, allow_zero=True):
     return XValue(rand_fraction(r, allow_zero=allow_zero))
 
 
+def first_primes(count):
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
 def rand_preorder(r, n):
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j and r.random() < 0.4]
     return Preorder.from_pairs(n, pairs).transitive_closure()

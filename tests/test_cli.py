@@ -474,6 +474,22 @@ def test_a_closure_renders_each_value_object_once_and_walks_no_point_tuple(tmp_p
     assert listed == []
 
 
+def test_printed_labels_resolve_by_lookup_alone(tmp_path, monkeypatch, capsys):
+    """On the 1024-member power set of 10 points, whose evidence file keys
+    each member by its printed label: no label is split into its points,
+    no member is found by its bitset, and no nonempty member's label is
+    joined from its points; each is one step from the member less its
+    lowest point."""
+    argv = _power_set_closure_argv(tmp_path / "files", 10)
+    found, joined = [], []
+    id_of, label = spaces.HypothesisClass.id_of, spaces.Model.label
+    monkeypatch.setattr(spaces.HypothesisClass, "id_of", lambda self, bits: found.append(bits) or id_of(self, bits))
+    monkeypatch.setattr(spaces.Model, "label", lambda self, bits: joined.append(bits) or label(self, bits))
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.count("changed=yes") == 1013
+    assert (found, [bits for bits in joined if bits]) == ([], [])
+
+
 class _Touching(tuple):
     """A tuple that counts each item handed out by iteration into `touched`."""
 

@@ -599,6 +599,19 @@ def test_each_line_edit_of_a_table_reads_as_yaml_reads_it(tmp_path):
             assert_reads_as_yaml(tmp_path / "doc.yaml", "\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize(
+    "ends", [["\r\n"], ["\r"], ["\r\n", "\r", "\n"]], ids=["crlf", "cr", "mixed"]
+)
+def test_line_ends_other_than_newline_read_as_yaml_reads_them(tmp_path, monkeypatch, ends):
+    """A file read in binary has its '\\r\\n' and lone '\\r' line ends read as
+    text mode reads them, and a table document still takes the line reader."""
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(TABLE))
+    assert_reads_as_yaml(tmp_path / "doc.yaml", text)
+    expected = yaml.safe_load(text)
+    monkeypatch.setattr(fileio.yaml, "load", None)
+    assert fileio._load_yaml(tmp_path / "doc.yaml") == expected
+
+
 def test_each_scalar_in_each_place_reads_as_yaml_reads_it(tmp_path):
     for slot in SCALAR_SLOTS:
         for scalar in EDGE + LABELS + QUOTED + JUNK:

@@ -84,7 +84,7 @@ def test_yaml_is_read_only_through_the_fileio_loader():
     assert SOURCES and not found
 
 
-PRIVATE_PARTS = ("_frac", "_numerator", "_denominator")
+PRIVATE_PARTS = ("_num", "_den", "_numerator", "_denominator")
 
 
 def test_private_rational_parts_are_read_only_in_xvalue():

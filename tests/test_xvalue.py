@@ -1,6 +1,7 @@
 """The extended-arithmetic conventions, pinned one by one."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,15 @@ def xv(frac):
     return INF if frac is None else XValue(frac)
 
 
+def assert_stored_in_lowest_terms(value):
+    """An XValue's pair is two ints: inf's (1, 0), or a numerator and a
+    positive denominator with gcd 1."""
+    num, den = value._num, value._den
+    assert type(num) is int and type(den) is int
+    assert (num, den) == (1, 0) or (num >= 0 and den > 0 and math.gcd(num, den) == 1)
+    assert value.is_inf is (den == 0)
+
+
 def expected_sum(a, b):
     return None if a is None or b is None else a + b
 
@@ -149,7 +159,7 @@ def expected_quotient(a, b):
 def test_arithmetic_results_are_checked_values(op, expected, a, b):
     result = op(xv(a), xv(b))
     assert type(result) is XValue
-    assert result._frac is None or type(result._frac) is Fraction
+    assert_stored_in_lowest_terms(result)
     assert result == xv(expected(a, b))
 
 
@@ -172,7 +182,7 @@ def test_expectation_matches_the_termwise_sum(terms):
     values = [xv(v) for _, v in terms]
     result = expectation(masses, values)
     assert result == xvalue_sum_expectation(masses, values)
-    assert result._frac is None or type(result._frac) is Fraction
+    assert_stored_in_lowest_terms(result)
 
 
 def test_expectation_of_a_pmf_matches_the_termwise_sum():
@@ -245,6 +255,13 @@ def test_comparisons_agree_with_fraction_order(op, pair):
         assert op(fresh(a), Fraction(b.numerator, b.denominator)) is expected
 
 
+@given(finite)
+def test_a_value_hashes_as_the_equal_fraction_and_int(frac):
+    assert hash(fresh(frac)) == hash(frac)
+    if frac.denominator == 1:
+        assert hash(fresh(frac)) == hash(frac.numerator)
+
+
 @given(st.lists(extended, max_size=12).flatmap(lambda xs: st.permutations(xs + xs[:3])))
 def test_order_keys_keep_order_and_equality(values):
     xs = [fresh(v) for v in values]
@@ -257,27 +274,39 @@ def test_order_keys_keep_order_and_equality(values):
 
 def test_order_keys_put_inf_one_past_the_largest_finite_key():
     keys = order_keys([XValue(Fraction(1, 2)), INF, ZERO, XValue(3), INF])
-    assert keys == [1, 7, 0, 6, 7]
+    assert keys == [2, 13, 0, 12, 13]  # shifted by k = 2, as the widest denominator is 2
     assert order_keys([INF]) == [1] and order_keys([]) == []
-
-
-def first_primes(count):
-    primes = []
-    candidate = 2
-    while len(primes) < count:
-        if all(candidate % p for p in primes if p * p <= candidate):
-            primes.append(candidate)
-        candidate += 1
-    return primes
 
 
 def test_order_keys_over_pairwise_coprime_denominators():
     r = helpers.rng(17)
-    fracs = [Fraction(r.randint(1, max(p - 1, 1)), p) for p in first_primes(1024)]
+    fracs = [Fraction(r.randint(1, max(p - 1, 1)), p) for p in helpers.first_primes(1024)]
     xs = [XValue(f) for f in fracs] + [INF]
     keys = order_keys(xs)
     by_value = sorted(range(len(fracs)), key=fracs.__getitem__) + [len(fracs)]  # inf last
     assert all(keys[i] < keys[j] for i, j in zip(by_value, by_value[1:]))
+
+
+def test_order_keys_order_and_tie_as_a_sort_does():
+    """Seeded tables over pairwise coprime denominators and over a few
+    shared ones, with 0, inf and repeated values: sorting by the keys and
+    sorting by the values give one order, and keys tie exactly where the
+    values do."""
+    r = helpers.rng(53)
+    primes = helpers.first_primes(200)
+    for trial in range(300):
+        if trial % 2:
+            dens = r.sample(primes, r.randint(1, 40))
+        else:
+            dens = [r.choice([1, 2, 3, 4, 6, 12, 10**30]) for _ in range(r.randint(1, 40))]
+        values = [XValue(Fraction(r.randint(0, 3 * d), d)) for d in dens]
+        values += [ZERO, INF] * r.randint(0, 2) + r.sample(values, min(3, len(values)))
+        r.shuffle(values)
+        keys = order_keys(values)
+        by_value = sorted(range(len(values)), key=values.__getitem__)
+        assert sorted(range(len(values)), key=keys.__getitem__) == by_value
+        for i, j in zip(by_value, by_value[1:]):
+            assert (keys[i] == keys[j]) == (values[i] == values[j])
 
 
 mixed_masses = st.one_of(
@@ -296,11 +325,8 @@ def test_integer_expectation_equals_the_fraction_sum(terms):
     result = expectation(masses, values)
     assert result == xvalue_sum_expectation(masses, values)
     exact = sum((Fraction(m) * v for m, v in terms), Fraction(0))
-    assert type(result._frac) is Fraction
-    assert (result._frac.numerator, result._frac.denominator) == (
-        exact.numerator,
-        exact.denominator,
-    )
+    assert_stored_in_lowest_terms(result)
+    assert (result._num, result._den) == (exact.numerator, exact.denominator)
 
 
 def _rand_term(r):
@@ -334,7 +360,7 @@ def test_dot_equals_the_termwise_expectation():
         masses, values = [m for m, _ in terms], [v for _, v in terms]
         result = dot(scale(masses), scale(values))
         assert result == helpers.termwise_expectation(masses, values)
-        assert result._frac is None or type(result._frac) is Fraction
+        assert_stored_in_lowest_terms(result)
         seen["zero mass against inf"] += any(not m and v.is_inf for m, v in terms)
         seen["positive mass against inf"] += any(m and v.is_inf for m, v in terms)
         seen["int mass"] += any(type(m) is int for m in masses)
@@ -374,3 +400,27 @@ def test_rational_reads_every_text_as_fraction_does():
               "/4", "3/", "", "inf", "\u0663", "3/\u0664", 7, Fraction(3, 4), 2.5, [1]]
     for raw in texts:
         assert _fraction_or_error(rational, raw) == _fraction_or_error(Fraction, raw), raw
+
+
+def _pair_or_error(read, raw):
+    try:
+        value = read(raw)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+    assert_stored_in_lowest_terms(value)
+    return value._num, value._den
+
+
+def test_parse_reads_every_cell_as_fraction_reads_it():
+    """The digit path reads seeded 'p' and 'p/q' texts, unreduced, with
+    leading zeros, over a zero denominator or past 4300 digits, as
+    ``XValue(Fraction(raw))`` reads them, or fails as it fails."""
+    r = helpers.rng(43)
+    digits = lambda: "0" * r.randint(0, 2) + str(r.randint(0, 10**r.randint(0, 8)))
+    texts = [digits() for _ in range(200)] + [f"{digits()}/{digits()}" for _ in range(400)]
+    texts += ["0/7", "6/4", "08", "007", "3/04", "3/0", "0/0", "000/000", "1" + "0" * 4400,
+              "1" + "0" * 4400 + "/3", "3/1" + "0" * 4400, " 3/4", "3.5", "-3/4", "1e3"]
+    for raw in texts:
+        assert _pair_or_error(parse_xvalue, raw) == _pair_or_error(
+            lambda text: XValue(Fraction(text)), raw
+        ), raw

@@ -23,7 +23,12 @@ sides get the same inputs:
   value, so both ways of reading a row and the order of their errors are
   compared. A third of the rows name their member with its points
   reordered or ', '-spaced, and a third of the kernels repeat a few row
-  texts over all their rows (named `check/N`);
+  texts over all their rows. A third of the cells are spelled otherwise
+  than the package prints them: unreduced (`6/4`, `0/7`), with leading
+  zeros (`08`, `007`, `3/04`), as decimals (`0.25`, `3.0`) and inf as `inf`
+  or `.inf`; one in 300 is refused as it is read, with a numerator
+  past 4300 digits (alone or as `p/3`) or a zero denominator (`2/0`)
+  (named `check/N`);
 - 240 seeded random `space` inputs, in the records and in the text format.
   Half the spaces are written as `_random_space` writes them, on two to six
   points; the other half list redundant generators: the join-irreducible
@@ -31,8 +36,8 @@ sides get the same inputs:
   empty set, each with its points in random order (named `space/N`);
 - 240 seeded random `closure` inputs over such spaces, in both formats,
   with a function, capacity or measure table whose values come from a
-  pool of a few, so ties are common and 0 and inf occur. Keys are spelled
-  as the `check` inputs spell them; one input in eight names one member
+  pool of a few, so ties are common and 0 and inf occur. Keys and cells
+  are spelled as the `check` inputs spell them; one input in eight names one member
   twice in two spellings, one in eight leaves a nonempty member out, and
   one in twenty gives the empty member a finite value (named `closure/N`);
 - 420 seeded mutations of the corpus command lines, which argparse reads or
@@ -399,6 +404,49 @@ def decide_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     return jobs
 
 
+# A numerator past the 4300 digits int() reads from text.
+HUGE = "1" + "0" * 4400
+
+
+def _spell(rng: random.Random, v: object, inf: object) -> str:
+    """`v` as the package prints it or, one time in three, spelled otherwise:
+    unreduced (6/4, 0/7), with leading zeros (08, 007, 3/04), as a decimal
+    where it has a finite one (0.25, 3.0), and inf as inf or .inf. One cell
+    in 300 is refused as it is read: a numerator past 4300 digits,
+    alone or over a denominator, or a zero denominator."""
+    roll = rng.random()
+    if roll < 1 / 300:
+        return rng.choice((HUGE, f"{HUGE}/3", f"{rng.randint(0, 3)}/0"))
+    if v == inf:
+        return rng.choice(("inf", ".inf")) if roll < 1 / 3 else "inf"
+    f = Fraction(v)
+    num, den = f.numerator, f.denominator
+    text = str(num) if den == 1 else f"{num}/{den}"
+    if roll >= 1 / 3:
+        return text
+    form = rng.choice(("unreduced", "zeros", "decimal"))
+    if form == "unreduced":
+        k = rng.randint(2, 7)
+        return f"{num * k}/{den * k}"
+    if form == "zeros":
+        zeros = "0" * rng.randint(1, 2)
+        return zeros + text if den == 1 or rng.random() < 0.5 else f"{num}/{zeros}{den}"
+    places = max(_power_of(den, 2), _power_of(den, 5))
+    if 10**places % den:  # no finite decimal
+        return text
+    digits = str(num * 10**places // den).rjust(places + 1, "0")
+    return f"{digits[:-places]}.{digits[-places:]}" if places else f"{digits}.0"
+
+
+def _power_of(n: int, p: int) -> int:
+    """The exponent of the prime p in n."""
+    count = 0
+    while n % p == 0:
+        n //= p
+        count += 1
+    return count
+
+
 # How a `check` input's kernel rows are written, one per input.
 ROW_FORMS = ("ordered", "shuffled", "drop", "unknown", "empty-finite")
 
@@ -421,7 +469,10 @@ def _kernel_text(rng: random.Random, w, sp, outcomes, columns, form: str) -> str
     the inputs each nonempty member takes the row of one of two members,
     so row texts repeat. The empty member's row is written in half of the
     other inputs, and rows are keyed as `_key` spells them."""
-    rows = {b: [f"{x}: {w.fmt(col[b])}" for x, col in zip(outcomes, columns)] for b in sp.family}
+    rows = {
+        b: [f"{x}: {_spell(rng, col[b], w.INF)}" for x, col in zip(outcomes, columns)]
+        for b in sp.family
+    }
     if rng.random() < 1 / 3:
         members = [b for b in sp.family if b]
         pool = [rows[b] for b in rng.sample(members, min(2, len(members)))]
@@ -562,7 +613,7 @@ def closure_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     for n in range(count):
         sp = _lattice_space(rng, orc, w)
         values = _table(rng, orc, w, sp, rng.choice(TABLE_KINDS))
-        entries = [(_key(rng, sp, b), orc.fmt(v)) for b, v in values.items()]
+        entries = [(_key(rng, sp, b), _spell(rng, v, orc.INF)) for b, v in values.items()]
         roll = rng.random()
         if roll < 1 / 8:  # a member named twice
             i = rng.randrange(len(entries))
