@@ -9,14 +9,15 @@ Parsing: `_OPTIONS` is the one description of each subcommand's options.
 A well-formed command line, `<subcommand> (--name value...)*` with exact
 names, is read off that table by `_read_argv` without building a parser.
 Any other command line goes to the argparse parser `build_parser` makes
-from the same table, so help, usage lines and refusals are argparse's own.
+from the same table, so help, usage lines and refusals are argparse's own;
+only that path imports argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import evidence as ev
@@ -34,13 +35,17 @@ EXIT_INPUT = 2
 
 
 def _level_arg(raw: str) -> Fraction:
+    """A positive rational; anything else is refused in argparse's words."""
     try:
         level = Fraction(raw)
+        if level > 0:
+            return level
+        message = f"a level must be positive, got {raw!r}"
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {raw!r}")
-    if level <= 0:
-        raise argparse.ArgumentTypeError(f"a level must be positive, got {raw!r}")
-    return level
+        message = f"not a rational number: {raw!r}"
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
 
 
 class Printer:
@@ -195,11 +200,14 @@ def _subcommands():
     )
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of `command` alone when it names a subcommand, else of all five.
+def build_parser(command: Optional[str] = None):
+    """The argparse parser of `command` alone when it names a subcommand,
+    else of all five.
 
     Both print the same usage line, help and errors for an argv that starts
     with `command`."""
+    import argparse
+
     table = _subcommands()
     names = [name for name, *_ in table]
     if command not in names:
@@ -224,9 +232,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
-    """What `build_parser(argv[0]).parse_args(argv)` returns, for an argv of
-    the one form `<subcommand> (--name value...)*`; None for any other.
+def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The attributes `build_parser(argv[0]).parse_args(argv)` returns, for
+    an argv of the one form `<subcommand> (--name value...)*`; None for any
+    other.
 
     Names must be exact, no value may start with '-', every value must pass
     its option's type and choices, and every required option must be given.
@@ -250,7 +259,7 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
         raw = argv[start:i]
         try:
             typed = raw if option.type is None else [option.type(value) for value in raw]
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except Exception:  # argparse words the type's refusal
             return None
         if option.choices is not None and any(value not in option.choices for value in typed):
             return None
@@ -259,7 +268,7 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
     if any(option.required and option.name not in given for option in options):
         return None
     handler = next(h for name, _, h in _subcommands() if name == argv[0])
-    return argparse.Namespace(command=argv[0], **values, handler=handler)
+    return SimpleNamespace(command=argv[0], **values, handler=handler)
 
 
 # -- subcommands ----------------------------------------------------------

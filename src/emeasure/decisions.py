@@ -5,7 +5,6 @@ the optimality class of a loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from . import kernels as kn
@@ -26,24 +25,23 @@ class DecisionError(EvidenceError):
     pass
 
 
-@dataclass(frozen=True)
 class ConsequenceSpace:
     """Consequence labels with an explicit preorder; `order.holds(i, j)`
     reads i >= j ('i is at least as bad as j')."""
 
-    elements: tuple[str, ...]
-    order: Preorder
-    # Each element label's index; the labels alone fix it.
-    positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("elements", "order", "positions")
 
-    def __post_init__(self):
-        positions = {c: i for i, c in enumerate(self.elements)}
-        if len(positions) != len(self.elements):
+    def __init__(self, elements: tuple[str, ...], order: Preorder):
+        positions = {c: i for i, c in enumerate(elements)}
+        if len(positions) != len(elements):
             raise DecisionError("consequence labels must be unique")
-        object.__setattr__(self, "positions", positions)
-        if self.order.size != len(self.elements):
+        if order.size != len(elements):
             raise DecisionError("order matrix size must match the elements")
-        self.order.validate()
+        order.validate()
+        self.elements = elements
+        self.order = order
+        # Each element label's index; the labels alone fix it.
+        self.positions = positions
 
     @classmethod
     def numeric(cls, values: Sequence[XValue]) -> "ConsequenceSpace":
@@ -64,23 +62,26 @@ class ConsequenceSpace:
         return self.order.holds(self.index(a), self.index(b))
 
 
-@dataclass(frozen=True)
 class ConsequenceTable:
     """Total map (decision, point) -> consequence element."""
 
-    model: Model
-    decisions: tuple[str, ...]
-    cspace: ConsequenceSpace
-    entries: tuple[tuple[str, ...], ...]  # entries[point][decision]
+    __slots__ = ("model", "decisions", "cspace", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.model.size:
+    def __init__(
+        self, model: Model, decisions: tuple[str, ...], cspace: ConsequenceSpace,
+        entries: tuple[tuple[str, ...], ...],  # entries[point][decision]
+    ):
+        if len(entries) != model.size:
             raise DecisionError("one row per model point is required")
-        for row in self.entries:
-            if len(row) != len(self.decisions):
+        for row in entries:
+            if len(row) != len(decisions):
                 raise DecisionError("one consequence per decision is required")
             for c in row:
-                self.cspace.index(c)
+                cspace.index(c)
+        self.model = model
+        self.decisions = decisions
+        self.cspace = cspace
+        self.entries = entries
 
     @classmethod
     def of(
@@ -105,20 +106,23 @@ class ConsequenceTable:
         )
 
 
-@dataclass(frozen=True)
 class NumericLoss:
     """Non-negative extended losses per (point, decision)."""
 
-    model: Model
-    decisions: tuple[str, ...]
-    entries: tuple[tuple[XValue, ...], ...]  # entries[point][decision]
+    __slots__ = ("model", "decisions", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.model.size:
+    def __init__(
+        self, model: Model, decisions: tuple[str, ...],
+        entries: tuple[tuple[XValue, ...], ...],  # entries[point][decision]
+    ):
+        if len(entries) != model.size:
             raise DecisionError("one row per model point is required")
-        for row in self.entries:
-            if len(row) != len(self.decisions):
+        for row in entries:
+            if len(row) != len(decisions):
                 raise DecisionError("one loss per decision is required")
+        self.model = model
+        self.decisions = decisions
+        self.entries = entries
 
     @classmethod
     def of(
@@ -294,10 +298,16 @@ def check_grunwald_bound(
     return Report(tuple(entries))
 
 
-@dataclass(frozen=True)
 class AdmissibilityResult:
-    order: tuple[tuple[bool, ...], ...]  # order[i][j]: decision i at least as good
-    admissible: tuple[str, ...]
+    __slots__ = ("order", "admissible")
+
+    def __init__(
+        self,
+        order: tuple[tuple[bool, ...], ...],  # order[i][j]: decision i at least as good
+        admissible: tuple[str, ...],
+    ):
+        self.order = order
+        self.admissible = admissible
 
 
 def admissible_decisions(e: EFunction, table: ConsequenceTable) -> AdmissibilityResult:
@@ -337,11 +347,16 @@ def admissible_decisions(e: EFunction, table: ConsequenceTable) -> Admissibility
     return AdmissibilityResult(order=geq, admissible=admissible)
 
 
-@dataclass(frozen=True)
 class OptimalityResult:
-    space: Space
-    decision_sets: dict[str, int]
-    optimal: Optional[dict[str, str]]  # point -> unique best decision
+    __slots__ = ("space", "decision_sets", "optimal")
+
+    def __init__(
+        self, space: Space, decision_sets: dict[str, int],
+        optimal: Optional[dict[str, str]],  # point -> unique best decision
+    ):
+        self.space = space
+        self.decision_sets = decision_sets
+        self.optimal = optimal
 
 
 def optimality_class(loss: NumericLoss) -> OptimalityResult:

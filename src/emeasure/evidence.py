@@ -12,12 +12,11 @@ of maxitive measures).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .spaces import Space
+from .spaces import Record, Space
 from .xvalue import INF, ZERO, XValue, as_xvalue, order_keys
 
 class EvidenceError(Exception):
@@ -38,20 +37,23 @@ class EClass(enum.IntEnum):
     MEASURE = 2
 
 
-@dataclass(frozen=True)
-class EFunction:
+class EFunction(Record):
     """Evidence per hypothesis id and its strength, the strongest class the
     values satisfy. The strength is computed when ``eclass`` is first read,
     unless it was given; equality compares the space and the values."""
 
-    space: Space
-    values: tuple[XValue, ...]
-    _eclass: Optional[EClass] = field(default=None, repr=False, compare=False)
+    __slots__ = ("space", "values", "_eclass")
+    _compared = ("space", "values")
+
+    def __init__(self, space: Space, values: tuple[XValue, ...], _eclass: Optional[EClass] = None):
+        self.space = space
+        self.values = values
+        self._eclass = _eclass
 
     @property
     def eclass(self) -> EClass:
         if self._eclass is None:
-            object.__setattr__(self, "_eclass", _strength(self.space, self.values))
+            self._eclass = _strength(self.space, self.values)
         return self._eclass
 
     def __getitem__(self, hid: int) -> XValue:

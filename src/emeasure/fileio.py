@@ -22,22 +22,25 @@ those ``yaml.safe_load`` makes of it:
 - lines of printable ASCII; blank lines and whole-line '#' comments.
 
 A read pays once for each distinct text. Each distinct plain scalar is
-typed once (``_Scalars``), and the reader types three kinds itself: a
-scalar whose first character starts none of the loader's implicit
-resolvers is a string, a decimal int such as ``0`` or ``17`` is an int,
-and a digit ratio such as ``3/4`` is a string. Every other plain scalar
-(``08``, ``0x1f``, ``1:30``, ``on``, ``1e3``, ``2001-12-14``, ...) gets its
-tag from the loader's resolver and, unless it is a string, its value from
-PyYAML's ``SafeConstructor``; so do all scalars when the loader has a
-resolver for any first character. A
-flat flow collection, one mapping or sequence of plain scalars such as a
-kernel or model row, is built once per distinct text: equal rows of one
-file are one object. Every other file, from anchors, tags, quoted values and
-tabs to documents that are no YAML at all, goes whole to ``yaml.load`` with
-``_LOADER``, so its errors name the file. ``_LOADER`` is PyYAML's
-pure-Python ``SafeLoader``, pinned so that a file reads as
-``yaml.safe_load`` reads it whether or not PyYAML was built with libyaml,
-whose parser reads a few documents otherwise.
+typed once (``_Scalars``) by the safe loader's implicit resolvers: the live
+``yaml.SafeLoader`` table once yaml is imported, else a copy of PyYAML's
+(``_IMPLICIT``), which nothing can have changed. The reader types three
+kinds itself: a scalar whose first character starts no resolver is a
+string, a decimal int such as ``0`` or ``17`` is an int, and a digit ratio
+such as ``3/4`` is a string. Every other plain scalar (``08``, ``0x1f``,
+``1:30``, ``on``, ``1e3``, ``2001-12-14``, ``o1``, ...) takes the tag of
+the first resolver that matches it, or is a string when none does; so do
+all scalars when the table has a resolver for any first character. Only a
+scalar that is no string is built by PyYAML's ``SafeConstructor``, which
+imports yaml. A flat flow collection, one mapping or sequence of plain
+scalars such as a kernel or model row, is built once per distinct text:
+equal rows of one file are one object. Every other file, from anchors,
+tags, quoted values and tabs to documents that are no YAML at all, goes
+whole to ``yaml.load`` with PyYAML's pure-Python ``SafeLoader``, so its
+errors name the file and it reads as ``yaml.safe_load`` reads it whether
+or not PyYAML was built with libyaml, whose parser reads a few documents
+otherwise. So a run whose files all have the table shape and whose
+scalars are strings and decimal ints never imports yaml.
 
 A hypothesis label, a key of an evidence or kernel table or an item of
 ``--family``, is a name declared under ``generators``, ``empty`` or ``{}``
@@ -71,13 +74,13 @@ finite value of the empty member.
 
 from __future__ import annotations
 
+import functools
 import locale
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
-
-import yaml
 
 from .decisions import ConsequenceSpace, ConsequenceTable, NumericLoss
 from .evidence import EFunction, EvidenceError, classify
@@ -99,14 +102,82 @@ class SchemaError(Exception):
         super().__init__(f"{path}: {message}")
 
 
-# The full-YAML path, and the resolver of the scalars the line reader does
-# not type itself: PyYAML's pure-Python safe loader, which reads a file as
-# ``yaml.safe_load`` does however PyYAML was built.
-_LOADER = yaml.SafeLoader
-# Builds the non-string scalars of the line reader; its scalar constructors
-# keep no state.
-_CONSTRUCTOR = yaml.constructor.SafeConstructor()
-_STR = "tag:yaml.org,2002:str"
+def _yaml():
+    """PyYAML, imported where a read first needs it: for a file the line
+    reader does not read, or for a plain scalar that is no string."""
+    import yaml
+
+    return yaml
+
+
+_TAG = "tag:yaml.org,2002:"
+_STR = _TAG + "str"
+# PyYAML's implicit resolvers, as yaml/resolver.py (PyYAML 6) adds them to
+# its safe loader: the tag, the pattern and its flags, and the first
+# characters of the scalars it is tried on ('' for the empty scalar). A test
+# holds the copy equal to the live table.
+_IMPLICIT = (
+    ("bool", r'''^(?:yes|Yes|YES|no|No|NO
+                    |true|True|TRUE|false|False|FALSE
+                    |on|On|ON|off|Off|OFF)$''', re.X, "yYnNtTfFoO"),
+    ("float", r'''^(?:[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?
+                    |\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
+                    |[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*
+                    |[-+]?\.(?:inf|Inf|INF)
+                    |\.(?:nan|NaN|NAN))$''', re.X, "-+0123456789."),
+    ("int", r'''^(?:[-+]?0b[0-1_]+
+                    |[-+]?0[0-7_]+
+                    |[-+]?(?:0|[1-9][0-9_]*)
+                    |[-+]?0x[0-9a-fA-F_]+
+                    |[-+]?[1-9][0-9_]*(?::[0-5]?[0-9])+)$''', re.X, "-+0123456789"),
+    ("merge", r'^(?:<<)$', 0, "<"),
+    ("null", r'''^(?: ~
+                    |null|Null|NULL
+                    | )$''', re.X, ("~", "n", "N", "")),
+    ("timestamp", r'''^(?:[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]
+                    |[0-9][0-9][0-9][0-9] -[0-9][0-9]? -[0-9][0-9]?
+                     (?:[Tt]|[ \t]+)[0-9][0-9]?
+                     :[0-9][0-9] :[0-9][0-9] (?:\.[0-9]*)?
+                     (?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?)$''', re.X, "0123456789"),
+    ("value", r'^(?:=)$', 0, "="),
+    ("yaml", r'^(?:!|&|\*)$', 0, "!&*"),
+)
+
+
+class _Pattern:
+    """A copied resolver pattern, compiled (and kept in `re`'s cache) when a
+    scalar is first matched against it, so a run compiles only the patterns
+    its scalars try."""
+
+    __slots__ = ("pattern", "flags")
+
+    def __init__(self, pattern: str, flags: int):
+        self.pattern = pattern
+        self.flags = flags
+
+    def match(self, text: str):
+        return re.match(self.pattern, text, self.flags)
+
+
+@functools.cache
+def _copied_resolvers() -> dict:
+    """`_IMPLICIT` as PyYAML keeps it: by first character, a list of (tag,
+    pattern) in the order they are tried."""
+    table: dict = {}
+    for tag, pattern, flags, first in _IMPLICIT:
+        regexp = _Pattern(pattern, flags)
+        for ch in first:
+            table.setdefault(ch, []).append((_TAG + tag, regexp))
+    return table
+
+
+def _resolvers() -> dict:
+    """The safe loader's implicit resolvers: the live table once yaml is
+    imported, as a program may add to it, else the copy, since nothing can
+    have changed the table before yaml is imported."""
+    yaml = sys.modules.get("yaml")
+    return _copied_resolvers() if yaml is None else yaml.SafeLoader.yaml_implicit_resolvers
+
 
 # A plain scalar here has no spaces: one or more of the characters of `_C`,
 # where a ':' may sit only between two of them and a leading '-' must be
@@ -141,35 +212,45 @@ class _Scalars(dict):
     builds it. A text that is no plain scalar of the line reader raises
     KeyError.
 
-    The loader's resolver picks its candidate patterns by a scalar's first
-    character, so a scalar whose first character starts none is a string.
-    A decimal int and a digit ratio (`_TYPED`) are typed here. Every other
-    scalar, and every scalar once the loader has a wildcard resolver (one
-    tried whatever the first character), gets its tag from the resolver
-    and, unless it is a string, its value from the safe constructor."""
+    The resolvers (`_resolvers`, read once per read) are picked by a
+    scalar's first character, so a scalar whose first character starts
+    none is a string. A decimal int and a digit ratio (`_TYPED`) are typed
+    here. Every other scalar, and every scalar once the table has a
+    wildcard resolver (one tried whatever the first character), gets the
+    tag of the first resolver that matches it and, unless it is a string,
+    its value from the safe constructor."""
+
+    def __init__(self):
+        self.resolvers = _resolvers()
 
     def __missing__(self, text):
         if len(text) > _KEY_MAX or not _PLAIN.fullmatch(text):
             raise KeyError(text)
-        resolvers = _LOADER.yaml_implicit_resolvers
+        resolvers = self.resolvers
         if None in resolvers:
-            value = _resolved(text)
+            value = _resolved(text, resolvers)
         elif text[0] not in resolvers:
             value = text
         else:
             typed = _TYPED.fullmatch(text)
-            value = _resolved(text) if typed is None else int(text) if typed[1] else text
+            value = _resolved(text, resolvers) if typed is None else int(text) if typed[1] else text
         self[text] = value
         return value
 
 
-def _resolved(text: str):
-    """A plain scalar as the loader's resolver and the safe constructor build it."""
-    # A safe loader's resolver reads only class attributes.
-    tag = _LOADER.resolve(_LOADER, yaml.ScalarNode, text, (True, False))
+def _resolved(text: str, resolvers: dict):
+    """A plain scalar as a safe loader with these resolvers and the safe
+    constructor build it; a string needs no yaml import."""
+    for tag, regexp in resolvers.get(text[0], []) + resolvers.get(None, []):
+        if regexp.match(text):
+            break
+    else:
+        return text
     if tag == _STR:
         return text
-    return _CONSTRUCTOR.yaml_constructors[tag](_CONSTRUCTOR, yaml.ScalarNode(tag, text))
+    yaml = _yaml()
+    constructor = yaml.constructor.SafeConstructor()
+    return constructor.yaml_constructors[tag](constructor, yaml.ScalarNode(tag, text))
 
 
 def _flow(text: str, scalars: _Scalars):
@@ -286,13 +367,10 @@ def _load_yaml(path: Path | str) -> dict:
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         data = _read_table(text)
-        if data is None:  # PyYAML reads the file itself, so its marks name it
-            with open(path) as fh:
-                data = yaml.load(fh, Loader=_LOADER)
+        if data is None:
+            data = _load_full(path)
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
-    except yaml.YAMLError as exc:
-        raise SchemaError(path, f"not valid YAML: {exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(path, f"not text: {exc}") from None
     except ValueError as exc:
@@ -303,6 +381,18 @@ def _load_yaml(path: Path | str) -> dict:
     if not isinstance(data, dict):
         raise SchemaError(path, "top level must be a mapping")
     return data
+
+
+def _load_full(path: Path | str):
+    """The file as PyYAML's pure-Python safe loader reads it, which reads a
+    file as ``yaml.safe_load`` does whether or not PyYAML was built with
+    libyaml. PyYAML reads the file itself, so its marks name it."""
+    yaml = _yaml()
+    try:
+        with open(path) as fh:
+            return yaml.load(fh, Loader=yaml.SafeLoader)
+    except yaml.YAMLError as exc:
+        raise SchemaError(path, f"not valid YAML: {exc}") from None
 
 
 def _fraction(path, raw) -> Fraction:
@@ -343,6 +433,25 @@ def _xvalue_reader(path) -> Callable[[object], XValue]:
             return _xvalue(path, raw)
 
     return read
+
+
+def _mass_reader(path) -> Callable[[object], object]:
+    """A model file's mass cells, read once per distinct text by
+    `_xvalue_reader` into finite XValues. A cell no evidence value reads is
+    read as a rational, so that a negative mass reaches ``Pmf``'s refusal;
+    every other refusal, inf and booleans among them, is made here."""
+    read = _xvalue_reader(path)
+
+    def mass(raw):
+        try:
+            value = read(raw)
+        except SchemaError:
+            return _fraction(path, raw)
+        if value.is_inf:
+            raise SchemaError(path, f"not a rational number: {raw!r}")
+        return value
+
+    return mass
 
 
 def _refuse_unknown(path, message: str, names, known) -> None:
@@ -499,10 +608,11 @@ def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
         raise SchemaError(path, "'pmf' must map point labels to outcome masses")
     outcomes: Optional[tuple[str, ...]] = None
     pmfs = {}
+    mass = _mass_reader(path)
     for point, masses in table.items():
         if not isinstance(masses, dict):
             raise SchemaError(path, f"masses for {point!r} must be a mapping")
-        row = {str(x): _fraction(path, m) for x, m in masses.items()}
+        row = {str(x): mass(m) for x, m in masses.items()}
         if outcomes is None:
             outcomes = tuple(row)
             sample = SampleSpace(outcomes)

@@ -8,7 +8,6 @@ the golden comparison needs no input files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -76,17 +75,23 @@ def base_efunction(space: Optional[Space] = None) -> EFunction:
     return ev.measure_from_density(space, [CELL_EVIDENCE[c] for c in space.model.points])
 
 
-@dataclass(frozen=True)
 class ReferenceTable:
     """One row per labeled hypothesis; the selection share is absent on G rows."""
 
-    alpha: Fraction
-    rows: tuple[str, ...]
-    base: dict[str, XValue]
-    inflated: dict[str, XValue]
-    fsp: dict[str, Optional[Fraction]]
-    stepup: dict[str, XValue]
-    closed_stepup: dict[str, XValue]
+    __slots__ = ("alpha", "rows", "base", "inflated", "fsp", "stepup", "closed_stepup")
+
+    def __init__(
+        self, alpha: Fraction, rows: tuple[str, ...], base: dict[str, XValue],
+        inflated: dict[str, XValue], fsp: dict[str, Optional[Fraction]],
+        stepup: dict[str, XValue], closed_stepup: dict[str, XValue],
+    ):
+        self.alpha = alpha
+        self.rows = rows
+        self.base = base
+        self.inflated = inflated
+        self.fsp = fsp
+        self.stepup = stepup
+        self.closed_stepup = closed_stepup
 
     def cell(self, row: str, column: str):
         return getattr(self, column)[row]
@@ -158,12 +163,14 @@ def expected_reference_table() -> ReferenceTable:
 EVIDENCE_COLUMNS = ("base", "inflated", "stepup", "closed_stepup")
 
 
-@dataclass(frozen=True)
 class CellDiff:
-    row: str
-    column: str
-    computed: object
-    expected: object
+    __slots__ = ("row", "column", "computed", "expected")
+
+    def __init__(self, row: str, column: str, computed: object, expected: object):
+        self.row = row
+        self.column = column
+        self.computed = computed
+        self.expected = expected
 
 
 def diff_reference_tables(computed: ReferenceTable, expected: ReferenceTable) -> list[CellDiff]:

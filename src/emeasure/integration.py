@@ -8,7 +8,6 @@ computed exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .evidence import EFunction, EvidenceError
@@ -25,7 +24,6 @@ class OrderMeasurabilityViolation(EvidenceError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
 class OrderMeasurableFn:
     """Function on model points whose super-level sets are hypotheses.
 
@@ -33,11 +31,12 @@ class OrderMeasurableFn:
     offending level instead of surfacing mid-integration.
     """
 
-    space: Space
-    values: tuple[XValue, ...]
+    __slots__ = ("space", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.space.model.size:
+    def __init__(self, space: Space, values: tuple[XValue, ...]):
+        self.space = space
+        self.values = values
+        if len(values) != space.model.size:
             raise EvidenceError("one value per model point is required")
         for level in self.positive_levels():
             if self.superlevel_bits(level) not in self.space.family:

@@ -13,16 +13,15 @@ tables are built only for the checks that read one outcome at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import le, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
-from .spaces import Model, Space, SpaceError, preimages
+from .spaces import Model, Record, Space, SpaceError, preimages
 from .xvalue import (
-    INF, ONE, Scaled, XValue, as_xvalue, dot, dot_at_most, order_keys, ratio, scale,
+    INF, ONE, ZERO, Scaled, XValue, as_xvalue, dot, dot_at_most, order_keys, ratio, scale,
 )
 
 
@@ -34,19 +33,19 @@ class MeasurabilityError(KernelError):
     pass
 
 
-@dataclass(frozen=True)
-class SampleSpace:
-    outcomes: tuple[str, ...]
-    # Each outcome label's index; the labels alone fix it.
-    positions: dict[str, int] = field(init=False, repr=False, compare=False)
+class SampleSpace(Record):
+    __slots__ = ("outcomes", "positions")
+    _compared = ("outcomes",)
 
-    def __post_init__(self):
-        if not self.outcomes:
+    def __init__(self, outcomes: tuple[str, ...]):
+        if not outcomes:
             raise KernelError("a sample space needs at least one outcome")
-        positions = {x: i for i, x in enumerate(self.outcomes)}
-        if len(positions) != len(self.outcomes):
+        positions = {x: i for i, x in enumerate(outcomes)}
+        if len(positions) != len(outcomes):
             raise KernelError("outcome labels must be unique")
-        object.__setattr__(self, "positions", positions)
+        self.outcomes = outcomes
+        # Each outcome label's index; the labels alone fix it.
+        self.positions = positions
 
     @property
     def size(self) -> int:
@@ -59,33 +58,40 @@ class SampleSpace:
             raise KernelError(f"unknown outcome {label!r}") from None
 
 
-@dataclass(frozen=True)
-class Pmf:
+class Pmf(Record):
     """Probability mass function over a sample space; masses sum to one exactly.
 
-    The masses are scaled to their common denominator once, here (`scaled`),
-    and every expectation is a dot product with that scaled table.
+    The masses, XValues, Fractions or ints, are scaled to their common
+    denominator once, here (`scaled`); that is the stored form, and every
+    expectation is a dot product with it. Equal masses give equal scaled
+    tables, so they are what a Pmf is compared by.
     """
 
-    sample: SampleSpace
-    mass: tuple[Fraction, ...]
-    scaled: Scaled = field(init=False, repr=False, compare=False)
+    __slots__ = _compared = ("sample", "scaled")
 
-    def __post_init__(self):
-        if len(self.mass) != self.sample.size:
+    def __init__(self, sample: SampleSpace, mass: Sequence[XValue | Fraction | int]):
+        if len(mass) != sample.size:
             raise KernelError("one mass per outcome is required")
-        scaled = scale(self.mass)
-        den, nums, _ = scaled
+        scaled = scale(mass)
+        den, nums, inf = scaled
+        if inf:
+            raise KernelError("masses must be finite")
         if any(n < 0 for n in nums):
             raise KernelError("masses must be non-negative")
         if sum(nums) != den:
             raise KernelError(f"masses sum to {Fraction(sum(nums), den)}, expected 1")
-        object.__setattr__(self, "scaled", scaled)
+        self.sample = sample
+        self.scaled = scaled
 
     @classmethod
     def of(cls, sample: SampleSpace, table: Mapping[str, object]) -> "Pmf":
-        masses = (table.get(x, 0) for x in sample.outcomes)
-        return cls(sample, tuple(m if type(m) is Fraction else Fraction(m) for m in masses))
+        masses = (table.get(x, ZERO) for x in sample.outcomes)
+        return cls(sample, [m if type(m) in (Fraction, XValue) else Fraction(m) for m in masses])
+
+    @property
+    def mass(self) -> tuple[Fraction, ...]:
+        den, nums, _ = self.scaled
+        return tuple([Fraction(n, den) for n in nums])
 
     def __call__(self, x: int | str) -> Fraction:
         if isinstance(x, str):
@@ -97,16 +103,16 @@ class Pmf:
         return dot(self.scaled, scale(values))
 
 
-@dataclass(frozen=True)
-class ProbabilityAssignment:
+class ProbabilityAssignment(Record):
     """One distribution per model point."""
 
-    model: Model
-    pmfs: tuple[Pmf, ...]
+    __slots__ = _compared = ("model", "pmfs")
 
-    def __post_init__(self):
-        if len(self.pmfs) != self.model.size:
+    def __init__(self, model: Model, pmfs: tuple[Pmf, ...]):
+        if len(pmfs) != model.size:
             raise KernelError("one distribution per model point is required")
+        self.model = model
+        self.pmfs = pmfs
 
     @classmethod
     def of(cls, model: Model, table: Mapping[str, Pmf]) -> "ProbabilityAssignment":
@@ -224,32 +230,34 @@ class EKernel:
 # -- one report shape for every expectation held against a bound -----------
 
 
-@dataclass(slots=True)
-class Entry:
+class Entry(Record):
     """One statistic held against its bound at a point (None for a statistic
     per distribution). Pair checks name the hypothesis id, others may name a
-    case such as a benchmark row or an outcome. One is built per pair, so
-    the class is slotted and not frozen, which makes it cheaper to build.
-    `ok` is whether the statistic is at most the bound; a check that has
-    decided it on integers passes it in."""
+    case such as a benchmark row or an outcome. `ok` is whether the
+    statistic is at most the bound; a check that has decided it on integers
+    passes it in."""
 
-    point: Optional[str]
-    stat: XValue
-    bound: XValue = ONE
-    hid: Optional[int] = None
-    case: Optional[str] = None
-    ok: Optional[bool] = None
+    __slots__ = _compared = ("point", "stat", "bound", "hid", "case", "ok")
 
-    def __post_init__(self):
-        if self.ok is None:
-            self.ok = self.stat <= self.bound
+    def __init__(
+        self, point: Optional[str], stat: XValue, bound: XValue = ONE,
+        hid: Optional[int] = None, case: Optional[str] = None, ok: Optional[bool] = None,
+    ):
+        self.point = point
+        self.stat = stat
+        self.bound = bound
+        self.hid = hid
+        self.case = case
+        self.ok = stat <= bound if ok is None else ok
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """A check's entries; it holds when every entry does."""
 
-    entries: tuple[Entry, ...]
+    __slots__ = _compared = ("entries",)
+
+    def __init__(self, entries: tuple[Entry, ...]):
+        self.entries = entries
 
     @property
     def ok(self) -> bool:
@@ -527,16 +535,18 @@ class EProcess:
         return min(k.eclass for k in self.kernels)
 
 
-@dataclass(frozen=True)
 class AnytimeReport:
     """Per pair, the largest expected stopped evidence over the
     `rules_checked` stopping rules, computed by one integer walk of the
     tree; `rule` attains it at the first violating pair, as a stop depth per
     outcome (None when every pair holds). Only that pair's rule is built."""
 
-    rules_checked: int
-    stats: Report
-    rule: Optional[tuple[int, ...]]
+    __slots__ = ("rules_checked", "stats", "rule")
+
+    def __init__(self, rules_checked: int, stats: Report, rule: Optional[tuple[int, ...]]):
+        self.rules_checked = rules_checked
+        self.stats = stats
+        self.rule = rule
 
 
 def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> AnytimeReport:
@@ -629,13 +639,15 @@ def _stop_rule(
 # -- predictive kernels ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PredictiveReport:
     """Per outcome, (outcome, sup over true hypotheses, least-hypothesis
     value, whether they agree); per distribution, the expected sup."""
 
-    sup_identity: tuple[tuple[str, XValue, XValue, bool], ...]
-    stats: Report
+    __slots__ = ("sup_identity", "stats")
+
+    def __init__(self, sup_identity: tuple[tuple[str, XValue, XValue, bool], ...], stats: Report):
+        self.sup_identity = sup_identity
+        self.stats = stats
 
     @property
     def identity_holds(self) -> bool:

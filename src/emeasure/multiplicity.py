@@ -6,30 +6,29 @@ notion, and each has its own check here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import evidence as ev
 from .evidence import EFunction, EvidenceError
 from .kernels import EKernel, Entry, ProbabilityAssignment, Report, SampleSpace, check_validity
-from .xvalue import ONE, XValue, inf_of
+from .xvalue import ONE, ZERO, XValue, inf_of
 
 
 class MultiplicityError(EvidenceError):
     pass
 
 
-@dataclass(frozen=True)
 class SelectionRule:
     """Finitely many selected hypothesis ids per outcome, fixed in advance."""
 
-    sample: SampleSpace
-    selected: tuple[tuple[int, ...], ...]
+    __slots__ = ("sample", "selected")
 
-    def __post_init__(self):
-        if len(self.selected) != self.sample.size:
+    def __init__(self, sample: SampleSpace, selected: tuple[tuple[int, ...], ...]):
+        if len(selected) != sample.size:
             raise MultiplicityError("one selection per outcome is required")
+        self.sample = sample
+        self.selected = selected
 
     @classmethod
     def fixed(cls, sample: SampleSpace, ids: Sequence[int]) -> "SelectionRule":
@@ -51,24 +50,34 @@ def check_fwe(k: EKernel, pa: ProbabilityAssignment) -> Report:
     ))
 
 
-@dataclass(frozen=True)
 class FepFsp:
-    fep: XValue
-    fsp: Fraction
+    __slots__ = ("fep", "fsp")
+
+    def __init__(self, fep: XValue, fsp: Fraction):
+        self.fep = fep
+        self.fsp = fsp
 
 
 def fep_fsp(k: EKernel, point: int | str, rule: SelectionRule, x: int | str) -> FepFsp:
     """Average evidence against selected true hypotheses, and their share."""
     if isinstance(point, str):
         point = k.space.model.index(point)
+    if isinstance(x, str):
+        x = k.sample.index(x)
     ids = rule.at(x)
-    col = k.column(x)
-    denom = max(len(ids), 1)
-    true_ids = [hid for hid in ids if k.space.family.member(hid) >> point & 1]
-    total = XValue(0)
-    for hid in true_ids:
-        total = total + col.values[hid]
-    return FepFsp(fep=total / denom, fsp=Fraction(len(true_ids), denom))
+    true = sum(k.space.family.member(hid) >> point & 1 for hid in ids)
+    return FepFsp(fep=_fep(k, point, ids, x), fsp=Fraction(true, max(len(ids), 1)))
+
+
+def _fep(k: EKernel, point: int, ids: Sequence[int], xi: int) -> XValue:
+    """The FEP at outcome `xi`: the evidence against the selected `ids`
+    that hold `point`, summed and divided by how many are selected."""
+    member, rows = k.space.family.member, k.rows
+    total = ZERO
+    for hid in ids:
+        if member(hid) >> point & 1:
+            total = total + rows[hid][xi]
+    return total / max(len(ids), 1)
 
 
 def check_fer(
@@ -89,7 +98,7 @@ def check_fer(
         return check_validity(k, pa)
     return Report(tuple(
         Entry(point, pa.pmfs[pi].expectation(
-            [fep_fsp(k, pi, rule, xi).fep for xi in range(k.sample.size)]
+            [_fep(k, pi, ids, xi) for xi, ids in enumerate(rule.selected)]
         ))
         for pi, point in enumerate(k.space.model.points)
     ))
@@ -122,11 +131,15 @@ def postprocess_efunction(e: EFunction, selected: Sequence[int]) -> EFunction:
     )
 
 
-@dataclass(frozen=True)
 class SelectionResult:
-    selected: tuple[int, ...]
-    witness: dict[int, XValue]
-    is_fixed_point: bool
+    __slots__ = ("selected", "witness", "is_fixed_point")
+
+    def __init__(
+        self, selected: tuple[int, ...], witness: dict[int, XValue], is_fixed_point: bool
+    ):
+        self.selected = selected
+        self.witness = witness
+        self.is_fixed_point = is_fixed_point
 
 
 def self_consistent_selection(
@@ -181,10 +194,12 @@ def self_consistent_selection(
 # -- e-value step-up rejections --------------------------------------------
 
 
-@dataclass(frozen=True)
 class StepUpResult:
-    rejected: tuple[int, ...]
-    table: EFunction
+    __slots__ = ("rejected", "table")
+
+    def __init__(self, rejected: tuple[int, ...], table: EFunction):
+        self.rejected = rejected
+        self.table = table
 
 
 def _binary_rejection_table(space, rejected_g: Sequence[int], alpha: Fraction) -> EFunction:

@@ -9,7 +9,6 @@ hypothesis is always id 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 MODEL_POINT_CAP = 24
@@ -41,21 +40,41 @@ def _indices(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Model:
+class Record:
+    """Equality and hashing by the fields named in `_compared`, for the
+    slotted records that are compared by value. Records that do not derive
+    from it compare by identity."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Model(Record):
     """Ordered collection of point labels standing in for the model."""
 
-    points: tuple[str, ...]
-    # Each point label's index; the labels alone fix it.
-    positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("points", "positions")
+    _compared = ("points",)
 
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, points: tuple[str, ...]):
+        if not points:
             raise SpaceError("a model needs at least one point")
-        positions = {p: i for i, p in enumerate(self.points)}
-        if len(positions) != len(self.points):
+        positions = {p: i for i, p in enumerate(points)}
+        if len(positions) != len(points):
             raise SpaceError("model point labels must be unique")
-        object.__setattr__(self, "positions", positions)
+        self.points = points
+        # Each point label's index; the labels alone fix it.
+        self.positions = positions
 
     @property
     def size(self) -> int:
@@ -206,12 +225,14 @@ def union_closure(width: int, generators: Iterable[int]) -> HypothesisClass:
     return HypothesisClass(width, generated, tuple([gens[pos] for pos in new]))
 
 
-@dataclass(frozen=True)
-class Preorder:
+class Preorder(Record):
     """Reflexive transitive relation on model points: `rows[i]` is the
     bitset of the points j with i <= j."""
 
-    rows: tuple[int, ...]
+    __slots__ = _compared = ("rows",)
+
+    def __init__(self, rows: tuple[int, ...]):
+        self.rows = rows
 
     @classmethod
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "Preorder":
@@ -262,12 +283,17 @@ class Preorder:
         return Preorder(tuple(rows))
 
 
-@dataclass(frozen=True)
 class SpaceReport:
-    union_closed: bool
-    intersection_closed: bool
-    contains_full_model: bool
-    least: Optional[dict[str, int]] = None
+    __slots__ = ("union_closed", "intersection_closed", "contains_full_model", "least")
+
+    def __init__(
+        self, union_closed: bool, intersection_closed: bool, contains_full_model: bool,
+        least: Optional[dict[str, int]] = None,
+    ):
+        self.union_closed = union_closed
+        self.intersection_closed = intersection_closed
+        self.contains_full_model = contains_full_model
+        self.least = least
 
 
 class Space:

@@ -3,7 +3,6 @@
 import argparse
 import codecs
 import contextlib
-import dataclasses
 import io
 import locale
 import os
@@ -731,10 +730,14 @@ def test_mtp_golden_reports_each_mismatched_cell(capsys, monkeypatch):
     """An expected table off in one evidence cell and one share: 43/44 cells
     match, and each differing cell gets a MISMATCH line and a record."""
     expected = golden.expected_reference_table()
-    altered = dataclasses.replace(
-        expected,
+    altered = golden.ReferenceTable(
+        alpha=expected.alpha,
+        rows=expected.rows,
         base={**expected.base, "H_C": XValue(6)},
+        inflated=expected.inflated,
         fsp={**expected.fsp, "H_1": Fraction(1, 2)},
+        stepup=expected.stepup,
+        closed_stepup=expected.closed_stepup,
     )
     monkeypatch.setattr(golden, "expected_reference_table", lambda: altered)
     code, records = run(capsys, ["mtp", "--golden", "table1"])

@@ -46,10 +46,15 @@ def safe_load_or_error(path):
     return data if isinstance(data, dict) else None
 
 
-def test_the_full_yaml_path_is_the_pure_python_safe_loader():
+def test_the_full_yaml_path_is_the_pure_python_safe_loader(tmp_path, monkeypatch):
     """A file reads as ``yaml.safe_load`` reads it, whether or not PyYAML
     was built with libyaml."""
-    assert fileio._LOADER is yaml.SafeLoader
+    loaders = []
+    monkeypatch.setattr(yaml, "load", lambda stream, Loader: loaders.append(Loader) or {})
+    path = tmp_path / "doc.yaml"
+    path.write_text(PITFALLS["shared-anchor"])
+    fileio._load_yaml(path)
+    assert loaders == [yaml.SafeLoader]
 
 
 @pytest.mark.parametrize("path", DATA_FILES, ids=[p.name for p in DATA_FILES])
@@ -249,11 +254,88 @@ def plain_scalars():
     return sorted(t for t in found if fileio._PLAIN.fullmatch(t) and len(t) <= fileio._KEY_MAX)
 
 
-def test_each_plain_scalar_is_typed_as_the_resolver_types_it():
-    scalars = plain_scalars()
-    assert len(scalars) > 2000
-    for text in scalars:
-        assert reader_reading(text) == resolver_reading(yaml.SafeLoader, text), text
+def resolver_forms():
+    """Seeded scalars of each implicit resolver's forms, in the reader's
+    grammar, and one-character edits of them that may fall outside it."""
+    r = helpers.rng(31)
+
+    def digits(alphabet="0123456789", most=4):
+        return r.choice(alphabet) + "".join(r.choice(alphabet + "_") for _ in range(r.randint(0, most)))
+
+    def sign():
+        return r.choice(["", "", "+", "-"])
+
+    def sexagesimal():
+        return "".join(f":{r.choice(['', '0', '1', '5'])}{r.randint(0, 9)}" for _ in range(r.randint(1, 3)))
+
+    def exponent():
+        return r.choice(["", f"{r.choice('eE')}{r.choice('+-')}{r.randint(0, 400)}"])
+
+    words = ["yes", "no", "true", "false", "on", "off", "null", "y", "n", "nil"]
+    makers = [
+        lambda: "".join(c.upper() if r.random() < 0.5 else c for c in r.choice(words)),
+        lambda: r.choice(["yes", "No", "TRUE", "off", "On", "FALSE", "~", "null", "Null", "NULL"]),
+        lambda: sign() + "0b" + digits("01"),
+        lambda: sign() + "0" + digits("01234567"),
+        lambda: sign() + r.choice("123456789") + digits(most=6),
+        lambda: sign() + "0x" + digits("0123456789abcdefABCDEF"),
+        lambda: sign() + r.choice("123456789") + digits() + sexagesimal(),
+        lambda: sign() + digits() + "." + r.choice(["", digits()]) + exponent(),
+        lambda: "." + r.choice("0123456789") + r.choice(["", digits()]) + exponent(),
+        lambda: sign() + digits() + sexagesimal() + "." + r.choice(["", digits()]),
+        lambda: sign() + "." + r.choice(["inf", "Inf", "INF", "iNf"]),
+        lambda: "." + r.choice(["nan", "NaN", "NAN", "Nan"]),
+        lambda: f"{r.randint(1000, 2999)}-{r.randint(1, 12):02}-{r.randint(1, 28):02}",
+        lambda: (
+            f"{r.randint(1000, 2999)}-{r.randint(1, 12)}-{r.randint(1, 28)}{r.choice('Tt')}"
+            f"{r.randint(0, 23)}:{r.randint(0, 59):02}:{r.randint(0, 59):02}"
+            f"{r.choice(['', '.', '.5', '.10'])}"
+            f"{r.choice(['', 'Z', '-5', '+05:30'])}"
+        ),
+    ]
+    forms = {"yes", "No", "TRUE", "off", "~", "null", "0b1_0", "017", "0x1F", "1_000",
+             "190:20:30", "1.5e+3", ".5", "-.inf", ".NaN", "2001-12-14"}
+    for _ in range(4000):
+        text = r.choice(makers)()
+        forms.add(text)
+        i = r.randrange(len(text))
+        forms.add(text[:i] + r.choice("0189aeEx_.:-+") + text[i + 1:])
+    return sorted(t for t in forms if fileio._PLAIN.fullmatch(t))
+
+
+def test_each_plain_scalar_is_typed_as_the_resolver_types_it(monkeypatch):
+    """Through the live safe loader's table, and through the copy the reader
+    types with before yaml is imported."""
+
+    def or_refusal(read, *args):
+        try:
+            return read(*args)
+        except ValueError as exc:  # a form such as 0x_ that no int is
+            return "refused", str(exc)
+
+    scalars = plain_scalars() + resolver_forms()
+    assert len(scalars) > 6000
+    expected = [or_refusal(resolver_reading, yaml.SafeLoader, text) for text in scalars]
+    kinds = {"str", "bool", "NoneType", "int", "float", "date", "datetime", "refused"}
+    assert {kind for kind, _ in expected} == kinds
+    for table in (yaml.SafeLoader.yaml_implicit_resolvers, fileio._copied_resolvers()):
+        monkeypatch.setattr(fileio, "_resolvers", lambda: table)
+        for text, reading in zip(scalars, expected):
+            assert or_refusal(reader_reading, text) == reading, text
+
+
+def test_the_copied_resolvers_are_the_safe_loaders():
+    """The reader's copy of PyYAML's implicit resolvers, which it types
+    with until yaml is imported, has the safe loader's first characters,
+    tags and patterns, in its order; a PyYAML that changes them fails here."""
+
+    def spelled(table):
+        return {
+            ch: [(tag, re.compile(rx.pattern, rx.flags)) for tag, rx in pairs]
+            for ch, pairs in table.items()
+        }
+
+    assert spelled(fileio._copied_resolvers()) == spelled(yaml.SafeLoader.yaml_implicit_resolvers)
 
 
 class WildcardLoader(yaml.SafeLoader):
@@ -264,7 +346,10 @@ WildcardLoader.add_implicit_resolver("tag:yaml.org,2002:null", re.compile(r"^(?:
 
 
 def test_a_wildcard_resolver_types_every_scalar(monkeypatch):
-    monkeypatch.setattr(fileio, "_LOADER", WildcardLoader)
+    """A resolver a program adds to the live safe loader types the scalars
+    of every later read."""
+    resolvers = WildcardLoader.yaml_implicit_resolvers
+    monkeypatch.setattr(yaml.SafeLoader, "yaml_implicit_resolvers", resolvers)
     for text in plain_scalars() + ["nil", "1/2"]:
         assert reader_reading(text) == resolver_reading(WildcardLoader, text), text
     assert fileio._Scalars()["1/2"] is fileio._Scalars()["nil"] is None
@@ -608,7 +693,7 @@ def test_line_ends_other_than_newline_read_as_yaml_reads_them(tmp_path, monkeypa
     text = "".join(line + ends[i % len(ends)] for i, line in enumerate(TABLE))
     assert_reads_as_yaml(tmp_path / "doc.yaml", text)
     expected = yaml.safe_load(text)
-    monkeypatch.setattr(fileio.yaml, "load", None)
+    monkeypatch.setattr(yaml, "load", None)
     assert fileio._load_yaml(tmp_path / "doc.yaml") == expected
 
 
@@ -632,7 +717,7 @@ def test_no_table_file_takes_the_full_yaml_path(monkeypatch, path):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{path.name} went to yaml.load")
 
-    monkeypatch.setattr(fileio.yaml, "load", refuse)
+    monkeypatch.setattr(yaml, "load", refuse)
     fileio._load_yaml(path)
 
 

@@ -293,25 +293,30 @@ def test_equal_rows_are_read_and_scaled_once(tmp_path, monkeypatch):
             assert entry.stat == helpers.oracle_expectation(pa.pmf(entry.point), values)
 
 
-def test_checks_on_a_loaded_kernel_build_no_fraction(monkeypatch):
-    """Validity, both post-hoc levels and FWE on a 256-member kernel work on
-    the values' integer pairs: once the kernel and the distributions are
-    built, no check constructs a Fraction."""
+def test_checks_on_a_loaded_kernel_build_no_fraction(tmp_path, monkeypatch):
+    """Loading a seeded model file, and validity, both post-hoc levels, FWE
+    and FER of a fixed rule on a 256-member kernel, work on the values'
+    integer pairs: once the kernel is built, none constructs a Fraction."""
     r = helpers.rng(29)
     space = helpers.power_space(8)
     sample = helpers.rand_sample(r, max_outcomes=4, min_outcomes=3)
     pa = helpers.rand_pa(r, space.model, sample, full_support=False)
     k = EKernel.from_rows(space, sample, helpers.valid_capacity_kernel(r, space, pa).rows)
     rule = {x: XValue(Fraction(i + 1, 3)) for i, x in enumerate(sample.outcomes)}
+    selection = SelectionRule(sample, tuple(tuple(r.sample(range(1, 256), 6)) for _ in sample.outcomes))
+    (tmp_path / "model.yaml").write_text(helpers.model_yaml(pa))
     built = []
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: built.append(a) or new(cls, *a, **kw))
+    loaded = fileio.load_pmfs(tmp_path / "model.yaml", space.model)
     reports = [
-        check_validity(k, pa),
-        check_posthoc_validity(k, pa, "canonical"),
-        check_posthoc_validity(k, pa, rule),
-        check_fwe(k, pa),
+        check_validity(k, loaded),
+        check_posthoc_validity(k, loaded, "canonical"),
+        check_posthoc_validity(k, loaded, rule),
+        check_fwe(k, loaded),
+        check_fer(k, loaded, selection),
     ]
     monkeypatch.undo()
-    assert len(space.family) == 256 and [len(rep.entries) for rep in reports] == [1024] * 3 + [8]
+    assert loaded == pa
+    assert len(space.family) == 256 and [len(rep.entries) for rep in reports] == [1024] * 3 + [8] * 2
     assert built == []

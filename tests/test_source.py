@@ -1,12 +1,17 @@
 """Properties of the package source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import emeasure
 
 PACKAGE = Path(emeasure.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+DATA = Path(__file__).parent / "data"
 
 
 def test_no_assert_statements_in_the_package():
@@ -44,19 +49,25 @@ def test_every_imported_name_is_used_in_its_module():
     assert SOURCES and not found
 
 
-def _yaml_uses(tree: ast.Module) -> tuple[bool, list[str]]:
-    """Whether the module imports yaml, and the safe_load names it touches."""
-    imports = False
-    loads = []
-    for node in ast.walk(tree):
+def _yaml_uses(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """Where the module imports yaml, by the name of the innermost function
+    around each import ("<module>" outside any), and the safe_load names it
+    touches."""
+    sites, loads = [], []
+    todo = [(tree, "<module>")]
+    while todo:
+        node, where = todo.pop()
         if isinstance(node, ast.Import):
-            imports |= any(a.name.split(".")[0] == "yaml" for a in node.names)
+            sites += [where for a in node.names if a.name.split(".")[0] == "yaml"]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "yaml":
-            imports = True
+            sites.append(where)
             loads += [a.name for a in node.names if a.name.startswith("safe_load")]
         elif isinstance(node, ast.Attribute) and node.attr.startswith("safe_load"):
             loads.append(f"{node.attr}:{node.lineno}")
-    return imports, loads
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        todo += [(child, where) for child in ast.iter_child_nodes(node)]
+    return sites, loads
 
 
 def _private_loader_uses(tree: ast.Module) -> list[int]:
@@ -71,17 +82,54 @@ def _private_loader_uses(tree: ast.Module) -> list[int]:
 
 def test_yaml_is_read_only_through_the_fileio_loader():
     """One loader for every file read: fileio's, never the pure-Python
-    safe_load, and other modules read files through the public fileio.load_*."""
+    safe_load, and other modules read files through the public fileio.load_*.
+    yaml is imported in one place, fileio's accessor `_yaml`, so that only
+    a read that needs it pays for the import."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
-        imports, loads = _yaml_uses(tree)
-        if imports and path.name != "fileio.py":
-            found.append(f"{path.name} imports yaml")
+        sites, loads = _yaml_uses(tree)
+        if sites != (["_yaml"] if path.name == "fileio.py" else []):
+            found.append(f"{path.name} imports yaml in {sites}")
         found += [f"{path.name} calls {name}" for name in loads]
         if path.name != "fileio.py":
             found += [f"{path.name}:{line} calls fileio._load_yaml" for line in _private_loader_uses(tree)]
     assert SOURCES and not found
+
+
+# Runs argv in DATA in a fresh interpreter, then the corpus case whose file
+# the line reader declines; prints both exit codes and the modules loaded
+# after each run.
+_START_UP = """
+import contextlib, io, json, os, sys
+import emeasure, emeasure.cli
+os.chdir(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [emeasure.cli.main(sys.argv[2:])]
+    after_run = sorted(sys.modules)
+    codes.append(emeasure.cli.main(["space", "--space", "bad_yaml.yaml"]))
+print(json.dumps([codes, after_run, sorted(sys.modules)]))
+"""
+
+
+def test_a_table_shaped_run_loads_the_package_and_nothing_it_does_not_need():
+    """The start-up contract: a fresh interpreter that imports the CLI and
+    runs a `check` on table-shaped files has loaded every package module and
+    none of dataclasses, inspect, yaml and argparse; a document that needs
+    the full YAML path is what loads yaml."""
+    argv = ["check", "--space", "space_coin.yaml", "--model", "model_coin.yaml",
+            "--kernel", "kernel_coin_t2.yaml", "--format", "records"]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _START_UP, str(DATA), *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    codes, after_run, after_fallback = json.loads(done.stdout)
+    assert codes == [0, 2]
+    package = {f"emeasure.{path.stem}" for path in SOURCES if path.stem != "__init__"}
+    assert package <= set(after_run)
+    assert {"dataclasses", "inspect", "yaml", "argparse"}.isdisjoint(after_run)
+    assert "yaml" in after_fallback
 
 
 PRIVATE_PARTS = ("_num", "_den", "_numerator", "_denominator")
@@ -122,26 +170,14 @@ def test_no_module_turns_a_value_into_a_float():
     assert SOURCES and not found
 
 
-def _dataclass_names(tree: ast.Module) -> list[str]:
-    def is_dataclass(decorator) -> bool:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        return isinstance(target, ast.Name) and target.id == "dataclass"
-
-    return [
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
-    ]
-
-
 def test_one_entry_shape_for_every_check():
     """Every statistic held against a bound is a kernels.Entry; no check
-    defines its own entry dataclass."""
+    defines its own entry class."""
     found = [
-        f"{path.name}:{name}"
+        f"{path.name}:{node.name}"
         for path in SOURCES
-        for name in _dataclass_names(ast.parse(path.read_text()))
-        if name.endswith("Entry")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Entry")
     ]
     assert found == ["kernels.py:Entry"]
 
@@ -158,6 +194,9 @@ UNREACHED_KEPT = {
     "merge_convex": "the convex merge of evidence tables; no closure input lists weights yet",
     "merge_convex_kernels": "the same merge, outcome by outcome",
     "from_values": "builds the merged table; also the tests' table constructor",
+    "fep_fsp": "the FEP with the selected true share, for library callers; check_fer reads the FEP alone",
+    "FepFsp": "the result of fep_fsp",
+    "at": "a rule's selection at an outcome by label or index, which fep_fsp reads",
 }
 
 
