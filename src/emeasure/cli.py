@@ -341,19 +341,34 @@ def _report_entries(
     out: Printer, kind: str, report: kn.Report, space, text: Optional[str] = None
 ) -> None:
     """One record per entry; with `text`, also one `  point: text stat` line.
-    The report's lines go out in one write."""
+    The report's lines go out in one write.
+
+    A record is a head, which names the entry's hypothesis or case, and a
+    ` point=… stat=… ok=…` tail. Pair checks share one statistic object
+    among the entries of one (row, point), so each statistic object is
+    rendered once, each tail once per statistic object, point and verdict,
+    and each head once per run of entries with one hypothesis and case."""
     if out.records:
         lines = []
+        stats: dict[int, str] = {}
+        tails: dict[tuple[int, Optional[str], bool], str] = {}
+        hid = case = head = None
         for entry in report.entries:
-            head = kind
-            if entry.hid is not None:
-                head += " hypothesis=" + space.label(entry.hid)
-            if entry.case is not None:
-                head += " benchmark=" + entry.case
-            lines.append(
-                f"{head} point={entry.point} stat={entry.stat.record()} "
-                f"ok={'yes' if entry.ok else 'no'}"
-            )
+            if head is None or entry.hid != hid or entry.case != case:
+                hid, case, head = entry.hid, entry.case, kind
+                if hid is not None:
+                    head += " hypothesis=" + space.label(hid)
+                if case is not None:
+                    head += " benchmark=" + case
+            key = id(entry.stat), entry.point, entry.ok
+            tail = tails.get(key)
+            if tail is None:
+                stat = stats.get(key[0])
+                if stat is None:
+                    stat = stats[key[0]] = entry.stat.record()
+                verdict = "yes" if entry.ok else "no"
+                tail = tails[key] = f" point={entry.point} stat={stat} ok={verdict}"
+            lines.append(head + tail)
         _write(lines)
     elif text is not None:
         _write([f"  {entry.point}: {text} {entry.stat}" for entry in report.entries])

@@ -149,23 +149,24 @@ def measure_from_density(space: Space, density: Sequence[XValue]) -> EFunction:
     return EFunction(space, tuple(values), EClass.MEASURE)
 
 
-def _claims(space: Space, values: Sequence[XValue]) -> list[XValue]:
-    """Per point, the most evidence of a member containing it (its claim);
-    0 for a point no member contains.
+def _claims(size: int, covers: Sequence[int], values: Sequence[XValue]) -> list[XValue]:
+    """Per point of a model of `size` points, the largest of the `values`
+    whose bitset in `covers` holds it (its claim); 0 for a point no bitset
+    holds. The covers are a family's members for a table, or the unions
+    of the members that share one row of a kernel.
 
-    Members are visited from the largest value down, on the table's order
-    keys, and each point takes the first one that contains it; the visit
-    stops once every point has its claim.
+    Values are visited from the largest down, on their order keys, and each
+    point takes the first one that covers it; the visit stops once every
+    point has its claim.
     """
     keys = order_keys(values)
-    members = space.family.members
-    out = [ZERO] * space.model.size
-    left = (1 << space.model.size) - 1
-    for hid in sorted(range(len(members)), key=keys.__getitem__, reverse=True):
-        new = members[hid] & left
+    out = [ZERO] * size
+    left = (1 << size) - 1
+    for i in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):
+        new = covers[i] & left
         if new:
             left ^= new
-            value = values[hid]
+            value = values[i]
             while new:
                 low = new & -new
                 out[low.bit_length() - 1] = value
@@ -173,16 +174,6 @@ def _claims(space: Space, values: Sequence[XValue]) -> list[XValue]:
             if not left:
                 break
     return out
-
-
-def sup_over_true(space: Space, values: Sequence[XValue], point: int | str) -> XValue:
-    """Largest evidence among the hypotheses containing the point: its claim,
-    and 0 when no member contains it. One pass over the members."""
-    if isinstance(point, str):
-        point = space.model.index(point)
-    return max(
-        (v for m, v in zip(space.family.members, values) if m >> point & 1), default=ZERO
-    )
 
 
 def close(e: EFunction) -> EFunction:
@@ -195,7 +186,9 @@ def close(e: EFunction) -> EFunction:
     member behind its claim. On an intersection-closed space a capacity's
     claims sit on the least hypotheses, which the closure leaves untouched.
     """
-    return measure_from_density(e.space, _claims(e.space, e.values))
+    return measure_from_density(
+        e.space, _claims(e.space.model.size, e.space.family.members, e.values)
+    )
 
 
 def merge_convex(functions: Sequence[EFunction], weights: Sequence[Fraction | int]) -> EFunction:

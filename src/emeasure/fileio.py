@@ -145,18 +145,23 @@ _IMPLICIT = (
 
 
 class _Pattern:
-    """A copied resolver pattern, compiled (and kept in `re`'s cache) when a
-    scalar is first matched against it, so a run compiles only the patterns
-    its scalars try."""
+    """A copied resolver pattern, compiled when a scalar is first matched
+    against it, so a run compiles only the patterns its scalars try. The
+    compiled pattern's `match` is then kept in the `match` slot, and later
+    scalars call it without a lookup in `re`'s cache."""
 
-    __slots__ = ("pattern", "flags")
+    __slots__ = ("pattern", "flags", "match")
 
     def __init__(self, pattern: str, flags: int):
         self.pattern = pattern
         self.flags = flags
 
-    def match(self, text: str):
-        return re.match(self.pattern, text, self.flags)
+    def __getattr__(self, name: str):
+        # Reached only while the `match` slot is unset.
+        if name != "match":
+            raise AttributeError(name)
+        self.match = re.compile(self.pattern, self.flags).match
+        return self.match
 
 
 @functools.cache

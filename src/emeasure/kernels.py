@@ -7,14 +7,17 @@ evidence against it as a function of the outcome. Validity of a kernel
 is decided by exact rational expectations of those rows; nothing here is
 simulated. Each row is scaled to integers once per kernel
 (``EKernel.scaled``), and every (hypothesis, point) pair's verdict is
-decided on integers before its one exact value is built. The per-outcome
-tables are built only for the checks that read one outcome at a time.
+decided on integers before its one exact value is built. Rows with equal
+text in a kernel file are one object, and the checks work once per
+distinct row object or (row, point), not once per hypothesis or pair.
+The per-outcome tables are built only for the checks that read one
+outcome at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import le, mul
+from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import evidence as ev
@@ -139,9 +142,11 @@ class EKernel:
     lists them and ``fileio.load_kernel`` fills them in file order, with one
     tuple for the rows of one text. Each row is scaled once per kernel,
     when a check first reads it (`scaled`): its least common denominator,
-    its integer numerators and the mask of its infinite outcomes. The per-outcome tables (`columns`) are built on
-    first read, for the checks and callers that work on one outcome at a
-    time. `is_capacity` tests antitonicity once per kernel, on the rows.
+    its integer numerators and the mask of its infinite outcomes. The
+    per-outcome tables (`columns`) are built on first read, for the checks
+    and callers that work on one outcome at a time. `is_capacity` tests
+    antitonicity once per kernel and `claims` gives each point's largest
+    evidence per outcome; both key the distinct row objects only.
     """
 
     def __init__(self, space: Space, sample: SampleSpace, columns: Sequence[EFunction]):
@@ -197,21 +202,66 @@ class EKernel:
     def eclass(self) -> EClass:
         return min(col.eclass for col in self.columns)
 
+    def _distinct(self) -> tuple[list[tuple[XValue, ...]], list[int]]:
+        """The distinct row objects, in first-use order, and each
+        hypothesis's position among them."""
+        position: dict[int, int] = {}
+        distinct, slots = [], []
+        for row in self.rows:
+            slot = position.get(id(row))
+            if slot is None:
+                slot = position[id(row)] = len(distinct)
+                distinct.append(row)
+            slots.append(slot)
+        return distinct, slots
+
     @property
     def is_capacity(self) -> bool:
         """Whether every outcome's table is antitone, tested once per kernel.
 
         Every inclusion between members is a chain of the family's joins,
         so it is enough that at each join the row of the union is at most
-        the row of the member it extends, outcome by outcome. The rows are
-        compared on each outcome's order keys.
+        the row of the member it extends, outcome by outcome. The keys are
+        built once per distinct row object: each outcome is order-keyed
+        over those rows only, and each row's keys are packed into one int
+        of w+1 bits per outcome, the key in the low w bits and a guard bit
+        on top (the guards together are G). Then (packed[a] | G) -
+        packed[b] keeps every guard exactly when each of a's keys is at
+        least b's, since a field that would go negative borrows its own
+        guard and no other: one subtraction and one mask per join.
         """
         if self._capacity is None:
-            keys = list(zip(*(order_keys(values) for values in zip(*self.rows))))
+            distinct, slots = self._distinct()
+            columns = [order_keys(values) for values in zip(*distinct)]
+            w = max(max(keys) for keys in columns).bit_length()
+            packed, guard = [0] * len(distinct), 0
+            for x, keys in enumerate(columns):
+                shift = x * (w + 1)
+                guard |= 1 << (shift + w)
+                for r, key in enumerate(keys):
+                    packed[r] |= key << shift
+            guarded = [packed[slot] | guard for slot in slots]
+            packed = [packed[slot] for slot in slots]
             self._capacity = all(
-                all(map(le, keys[joined], keys[a])) for a, _, joined in self.space.family.joins()
+                (guarded[a] - packed[joined]) & guard == guard
+                for a, _, joined in self.space.family.joins()
             )
         return self._capacity
+
+    def claims(self) -> list[list[XValue]]:
+        """Per outcome, per point, the most evidence of a member containing
+        the point (its claim at that outcome), and 0 where none does.
+
+        The work is per distinct row object: each gets the union of its
+        members' points, and per outcome `evidence._claims` sweeps those
+        rows, largest value first, in place of the members.
+        """
+        distinct, slots = self._distinct()
+        covers = [0] * len(distinct)
+        for bits, slot in zip(self.space.family.members, slots):
+            covers[slot] |= bits
+        n = self.space.model.size
+        return [ev._claims(n, covers, values) for values in zip(*distinct)]
 
     def column(self, x: int | str) -> EFunction:
         if isinstance(x, str):
@@ -267,8 +317,17 @@ class Report(Record):
         return next((e for e in self.entries if not e.ok), None)
 
     def worst(self) -> Optional[Entry]:
-        """The entry with the largest statistic, the first one on ties."""
-        return max(self.entries, key=lambda e: e.stat, default=None)
+        """The entry with the largest statistic, the first one on ties.
+
+        Each statistic object is compared once: entries that share one, as
+        pair checks' entries do, cannot beat its first entry."""
+        best, seen = None, set()
+        for entry in self.entries:
+            if id(entry.stat) not in seen:
+                seen.add(id(entry.stat))
+                if best is None or entry.stat > best.stat:
+                    best = entry
+        return best
 
 
 # -- hypothesis-wise validity ------------------------------------------
@@ -282,28 +341,41 @@ def check_validity(k: EKernel, pa: ProbabilityAssignment) -> Report:
 def _pair_report(
     k: EKernel, pa: ProbabilityAssignment, variable: Callable[[int], Scaled]
 ) -> Report:
-    """One entry per (nonempty hypothesis, contained point) pair: the
-    expectation of the hypothesis's scaled `variable` under the point's
-    distribution, held against 1.
+    """One entry per (nonempty hypothesis, contained point) pair, in
+    (hypothesis, point) order: the expectation of the scaled `variable` of
+    the hypothesis's row under the point's distribution, held against 1.
 
-    Hypotheses whose variables are equal, such as the members of a measure
-    that share their least point at every outcome, share their statistics:
-    each is computed once per (variable, point).
+    The work is per distinct row, not per pair. `variable`, a function of
+    the row, is called once per row object; rows whose variables are equal
+    share one statistic per point; each (variable, point) statistic is
+    computed once, and every entry that reads it holds that one object. So
+    a kernel of r distinct rows over n points costs at most r·n
+    expectations, and a renderer keyed by statistic object renders at most
+    that many. tests/test_growth.py holds both counts to a log-log slope of
+    at most 2.2 in n on power sets with at most n distinct rows, where the
+    pairs number n·2^(n-1).
     """
-    points, family = k.space.model.points, k.space.family
+    points, members, rows = k.space.model.points, k.space.family.members, k.rows
     masses = [pmf.scaled for pmf in pa.pmfs]
-    held: dict[Scaled, dict[int, tuple[XValue, bool]]] = {}
+    by_row: dict[int, tuple[Scaled, list]] = {}  # by the id of a row object
+    by_var: dict[Scaled, tuple[Scaled, list]] = {}
     entries = []
-    for hid in family.nonempty_ids():
-        var = variable(hid)
-        by_point = held.get(var)
-        if by_point is None:
-            by_point = held[var] = {}
-        for pi in family.indices(hid):
-            found = by_point.get(pi)
+    append = entries.append
+    for hid in range(1, len(members)):
+        held = by_row.get(id(rows[hid]))
+        if held is None:
+            var = variable(hid)
+            held = by_row[id(rows[hid])] = by_var.setdefault(var, (var, [None] * len(points)))
+        var, stats = held
+        bits = members[hid]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            pi = low.bit_length() - 1
+            found = stats[pi]
             if found is None:
-                found = by_point[pi] = dot_at_most(masses[pi], var)
-            entries.append(Entry(points[pi], found[0], hid=hid, ok=found[1]))
+                found = stats[pi] = dot_at_most(masses[pi], var)
+            append(Entry(points[pi], found[0], ONE, hid, None, found[1]))
     return Report(tuple(entries))
 
 
@@ -363,8 +435,8 @@ def check_posthoc_validity(
     1{e(H|X) >= 1/level(X)} / level(X). At the canonical level 1/e(H|x) the
     integrand is e(H|x) itself, 0 and inf included, so the canonical rule is
     the plain validity pass. At a fixed rule the integrand depends only on
-    the outcomes where H misses, so hypotheses with one miss mask share
-    their statistics.
+    the outcomes where H misses: it is built once per row object, and
+    hypotheses with one miss mask share their statistics.
     """
     if rule == "canonical":
         return check_validity(k, pa)
@@ -660,18 +732,19 @@ def check_predictive_validity(k: EKernel, pmfs: Iterable[Pmf]) -> PredictiveRepo
     Per outcome, the largest evidence among true hypotheses must match the
     evidence against the outcome's least hypothesis; where it does, the sup
     variable is that single variable, so its statistics decide both
-    criteria.
+    criteria. The sups are the kernel's claims (`EKernel.claims`), one
+    sweep per outcome over the distinct rows.
     """
     if k.space.model.points != k.sample.outcomes:
         raise SpaceError("predictive checks need the model to be the sample space")
     k.space.require_intersection_closed()
     least = k.space.least_ids()
+    claims = k.claims()
     identity = []
     sup_var = []
     for xi, x in enumerate(k.sample.outcomes):
-        col = k.columns[xi]
-        sup_val = ev.sup_over_true(k.space, col.values, xi)
-        least_val = col.values[least[xi]]
+        sup_val = claims[xi][xi]
+        least_val = k.rows[least[xi]][xi]
         identity.append((x, sup_val, least_val, sup_val == least_val))
         sup_var.append(sup_val)
     stats = Report(tuple(Entry(None, p.expectation(sup_var)) for p in pmfs))

@@ -41,11 +41,14 @@ class SelectionRule:
 
 
 def check_fwe(k: EKernel, pa: ProbabilityAssignment) -> Report:
-    """Expected familywise evidence per point; each outcome's familywise
-    evidence of every point comes from one sweep, as in the closure."""
-    sups = [ev._claims(k.space, col.values) for col in k.columns]
+    """Expected familywise evidence per point. Each point's familywise
+    evidence at each outcome is its claim there, the largest evidence
+    against a member that holds it (`EKernel.claims`): one sweep per
+    outcome over the kernel's distinct rows, as the closure sweeps its
+    members, and no per-outcome table is built."""
+    claims = k.claims()
     return Report(tuple(
-        Entry(point, pa.pmfs[pi].expectation([sup[pi] for sup in sups]))
+        Entry(point, pa.pmfs[pi].expectation([claim[pi] for claim in claims]))
         for pi, point in enumerate(k.space.model.points)
     ))
 

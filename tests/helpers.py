@@ -213,6 +213,33 @@ def valid_capacity_kernel(r, space, pa):
     return merge_convex_kernels([k1, k2], [Fraction(1, 3), Fraction(2, 3)])
 
 
+def least_point_kernel(r, space, sample, infinite=True):
+    """A measure kernel in which each nonempty member's row is one object:
+    the row of its least-density point, so there are at most as many
+    distinct rows as points.
+
+    The points are ranked at random and their rows rise with the rank,
+    outcome by outcome, from a first row that is all zeros a quarter of
+    the time. Each rise is positive, and to inf one time in eight when
+    `infinite` is set; without inf every point has its own row. So a
+    member's least point at every outcome is its lowest-ranked point."""
+    rank = list(range(space.model.size))
+    r.shuffle(rank)
+    row = [ZERO if r.random() < 0.25 else rand_xvalue(r, allow_inf=False) for _ in sample.outcomes]
+    point_rows = [None] * len(rank)
+    for p in rank:
+        point_rows[p] = tuple(row)
+        row = [
+            INF if infinite and r.random() < 0.125 else v + rand_xvalue(r, False, False)
+            for v in row
+        ]
+    inf_row = tuple([INF] * sample.size)
+    rows = [inf_row] + [
+        point_rows[min(points_of(m), key=rank.index)] for m in space.family.members[1:]
+    ]
+    return EKernel.from_rows(space, sample, rows)
+
+
 def constant_kernel(space, sample, fn):
     """The same table at every outcome."""
     return EKernel(space, sample, [fn] * sample.size)
@@ -598,6 +625,39 @@ def oracle_eclass(space, values):
         for a, b in pairs
     )
     return EClass.MEASURE if union_law else EClass.CAPACITY
+
+
+def sup_over_true(space, values, point):
+    """Largest evidence among the hypotheses containing the point, and 0
+    when no member contains it: one maximum over the members, by the
+    definition of a point's claim."""
+    if isinstance(point, str):
+        point = space.model.index(point)
+    return max(
+        (v for m, v in zip(space.family.members, values) if m >> point & 1), default=ZERO
+    )
+
+
+def oracle_is_capacity(k):
+    """Antitonicity by the definition: e(B|x) <= e(A|x) for every pair of
+    members A strictly inside B and every outcome x, compared on XValues."""
+    members, rows = k.space.family.members, k.rows
+    return all(
+        all(map(XValue.__le__, rows[b], rows[a]))
+        for a, inner in enumerate(members)
+        for b, outer in enumerate(members)
+        if inner != outer and inner & ~outer == 0
+    )
+
+
+def oracle_claims(k):
+    """Per outcome and point, the largest value of a member containing the
+    point, and 0 where no member does: `sup_over_true` on each row column."""
+    columns = list(zip(*k.rows))
+    return [
+        [sup_over_true(k.space, column, pi) for pi in range(k.space.model.size)]
+        for column in columns
+    ]
 
 
 def oracle_expectation(pmf, values):

@@ -380,6 +380,58 @@ def test_row_checks_build_no_table_and_scale_each_row_once(tmp_path, monkeypatch
     assert len(counts["scaled"]) <= len(space.family) + 8 + 1
 
 
+def _least_point_files(directory, n, seed):
+    """Space, model and kernel files of `helpers.least_point_kernel` on the
+    power set of n points, three outcomes; the kernel as it loads."""
+    r = helpers.rng(seed)
+    space = helpers.power_space(n)
+    sample = kn.SampleSpace(("x", "y", "z"))
+    pa = helpers.rand_pa(r, space.model, sample)
+    k = helpers.least_point_kernel(r, space, sample)
+    directory.mkdir()
+    for name, text in (("space", helpers.space_yaml(space)), ("model", helpers.model_yaml(pa)),
+                       ("kernel", helpers.kernel_yaml(k))):
+        (directory / f"{name}.yaml").write_text(text)
+    sf = fileio.load_space(directory / "space.yaml")
+    loaded_pa = fileio.load_pmfs(directory / "model.yaml", sf.space.model)
+    argv = ["check", "--format", "records"]
+    for name in ("space", "model", "kernel"):
+        argv += [f"--{name}", str(directory / f"{name}.yaml")]
+    return argv, fileio.load_kernel(directory / "kernel.yaml", sf, loaded_pa.sample)
+
+
+def _counting_records(monkeypatch):
+    """The statistics `dot_at_most` returns to the kernel checks, and a
+    count of `XValue.record` calls."""
+    counts = {"stats": [], "records": []}
+    dot_at_most, record = kn.dot_at_most, XValue.record
+
+    def counted_dot(*args):
+        counts["stats"].append(dot_at_most(*args))
+        return counts["stats"][-1]
+
+    monkeypatch.setattr(kn, "dot_at_most", counted_dot)
+    monkeypatch.setattr(XValue, "record", lambda self: counts["records"].append(1) or record(self))
+    return counts
+
+
+@pytest.mark.parametrize("options", [["--check", "validity"], ["--check", "posthoc", "--rule", "1/2"]])
+def test_pair_records_render_once_per_statistic(tmp_path, monkeypatch, capsys, options):
+    """On the 256-member power set with a measure kernel of at most 8
+    distinct rows: the records of the 1024 pairs call `XValue.record` at
+    most once per distinct statistic object, and the check calls
+    `dot_at_most` at most once per distinct (row, point) pair."""
+    argv, k = _least_point_files(tmp_path / "files", 8, 1811)
+    members = k.space.family.members
+    shared = {(id(k.rows[hid]), pi) for hid in range(1, 256) for pi in range(8)
+              if members[hid] >> pi & 1}
+    counts = _counting_records(monkeypatch)
+    assert cli.main(argv + options) in (cli.EXIT_OK, cli.EXIT_VIOLATION)
+    assert len(capsys.readouterr().out.splitlines()) >= 1024
+    assert len(counts["stats"]) <= len(shared) < 1024
+    assert len(counts["records"]) <= len({id(stat) for stat, _ in counts["stats"]}) + 2
+
+
 def test_one_kernel_scales_each_row_once_across_checks(tmp_path, monkeypatch):
     """Validity, both post-hoc rules and uniform FER on one loaded 256-member
     kernel scale each hypothesis's row once, and the fixed rule's thresholds."""

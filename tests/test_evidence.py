@@ -316,9 +316,9 @@ def test_sup_over_true_is_the_claim_of_the_sweep():
     for case in range(60):
         space = helpers.rand_uc_space(r, max_points=5) if case % 2 else helpers.rand_ic_space(r)
         values = [INF] + [helpers.rand_xvalue(r) for _ in range(len(space.family) - 1)]
-        claims = ev._claims(space, values)
+        claims = ev._claims(space.model.size, space.family.members, values)
         for pi, point in enumerate(space.model.points):
-            assert ev.sup_over_true(space, values, pi) == claims[pi]
-            assert ev.sup_over_true(space, values, point) == claims[pi]
+            assert helpers.sup_over_true(space, values, pi) == claims[pi]
+            assert helpers.sup_over_true(space, values, point) == claims[pi]
             uncovered += all(not m >> pi & 1 for m in space.family.members)
     assert uncovered

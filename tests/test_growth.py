@@ -9,7 +9,8 @@ import math
 from fractions import Fraction
 
 import helpers
-from emeasure import INF, XValue
+from emeasure import INF, SampleSpace, XValue, cli
+from emeasure import kernels as kn
 from emeasure.xvalue import order_keys
 
 
@@ -33,3 +34,42 @@ def test_order_key_bits_grow_about_linearly_in_coprime_denominators():
         keys = order_keys(values + [INF])
         bits.append(sum(key.bit_length() for key in keys))
     assert slope(sizes, bits) <= 1.3, bits
+
+
+def test_pair_checks_grow_with_distinct_rows_not_with_pairs(monkeypatch, capsys):
+    """L3 `kernels._pair_report`: the statistics, and the records that render
+    them, are computed once per distinct (row, point), not once per pair.
+    On power sets of n points whose members take the row of their
+    least-density point there are at most n distinct rows and n(n+1)/2
+    such (row, point) pairs, while the (member, point) pairs number
+    n·2^(n-1). Both counts must grow as about n², far below the slope
+    of 6.4 that one statistic and one record per pair would give."""
+    sizes, pairs, stats, records = [6, 8, 10], [], [], []
+    calls = {"stats": 0, "records": 0}
+    dot_at_most, record = kn.dot_at_most, XValue.record
+
+    def counted_dot(*args):
+        calls["stats"] += 1
+        return dot_at_most(*args)
+
+    def counted_record(self):
+        calls["records"] += 1
+        return record(self)
+
+    monkeypatch.setattr(kn, "dot_at_most", counted_dot)
+    monkeypatch.setattr(XValue, "record", counted_record)
+    for n in sizes:
+        r = helpers.rng(n)
+        space = helpers.power_space(n)
+        sample = SampleSpace(("x", "y", "z"))
+        pa = helpers.rand_pa(r, space.model, sample)
+        k = helpers.least_point_kernel(r, space, sample, infinite=False)
+        calls.update(stats=0, records=0)
+        report = kn.check_validity(k, pa)
+        stats.append(calls["stats"])
+        cli._report_entries(cli.Printer("records"), "validity", report, space)
+        records.append(calls["records"])
+        pairs.append(len(capsys.readouterr().out.splitlines()))
+    assert pairs == [n << (n - 1) for n in sizes]
+    assert slope(sizes, stats) <= 2.2, stats
+    assert slope(sizes, records) <= 2.2, records

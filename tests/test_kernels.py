@@ -852,6 +852,119 @@ def test_predictive_requires_matching_spaces():
         check_predictive_validity(k, [helpers.rand_pmf(r, sample)])
 
 
+# -- work per distinct row: the capacity test and the claims ----------------
+
+
+def _violating_pairs(k):
+    """The (member, union) id pairs of the family's joins whose union has
+    more evidence than the member at some outcome, compared on XValues."""
+    rows = k.rows
+    return {
+        (a, joined)
+        for a, _, joined in k.space.family.joins()
+        if any(u > v for u, v in zip(rows[joined], rows[a]))
+    }
+
+
+def _broken_at_one_join(r, k, shared):
+    """`k` with one union's row raised at one outcome, into a fresh row
+    object, just above the row of one member it joins, so that exactly
+    that (member, union) pair of the joins breaks antitonicity. The
+    member's row is one shared with another member when `shared`, and
+    otherwise a fresh copy of its own. None if no join allows it."""
+    rows = list(k.rows)
+    counts = {}
+    for row in rows:
+        counts[id(row)] = counts.get(id(row), 0) + 1
+    joins = list(k.space.family.joins())
+    r.shuffle(joins)
+    for a, _, u in joins:
+        if shared and counts[id(rows[a])] < 2:
+            continue
+        for x in r.sample(range(k.sample.size), k.sample.size):
+            low = rows[a][x]
+            others = [rows[b][x] for b, _, w in joins if w == u and b != a]
+            if low.is_inf or any(v <= low for v in others):
+                continue
+            above = [v for v in others if not v.is_inf] + [low + XValue(1)]
+            raised = list(rows[u])
+            raised[x] = (low + min(above)) / XValue(2)
+            rows[u] = tuple(raised)
+            if not shared:
+                rows[a] = tuple(XValue(v.record()) for v in rows[a])
+            return EKernel.from_rows(k.space, k.sample, rows)
+    return None
+
+
+def _row_kernel_cases(seed, count):
+    """Seeded kernels whose rows share objects, on intersection-closed,
+    tangled and power-set spaces with the points as the outcomes: least-point
+    measures, with zero rows and inf cells; the same with some rows
+    replaced by equal-valued distinct objects; those broken at exactly one
+    join, between two unshared rows or between a shared and an unshared
+    row; and tables whose rows are drawn from a small pool of objects."""
+    r = helpers.rng(seed)
+    made = tries = 0
+    while made < count:
+        tries += 1
+        space = (
+            helpers.rand_lattice_space(r, tries % 4)
+            if tries % 3
+            else helpers.rand_ic_space(r, max_points=5)
+        )
+        sample = SampleSpace(space.model.points)
+        kind = ("measure", "copies", "unshared", "shared", "pool")[made % 5]
+        k = helpers.least_point_kernel(r, space, sample)
+        if kind == "copies":
+            k = EKernel.from_rows(space, sample, [
+                tuple(XValue(v.record()) for v in row) if r.random() < 0.5 else row
+                for row in k.rows
+            ])
+        elif kind in ("unshared", "shared"):
+            k = _broken_at_one_join(r, k, kind == "shared")
+        elif kind == "pool":
+            pool = [
+                tuple(helpers.rand_xvalue(r) if r.random() < 0.8 else XValue(0) for _ in sample.outcomes)
+                for _ in range(r.randint(1, 3))
+            ]
+            inf_row = tuple([INF] * sample.size)
+            k = EKernel.from_rows(
+                space, sample, [inf_row] + [r.choice(pool) for _ in space.family.members[1:]]
+            )
+        if k is not None:
+            made += 1
+            yield kind, k, helpers.rand_pa(r, space.model, sample, full_support=made % 2 == 0)
+
+
+def test_capacity_test_and_claims_on_distinct_rows_match_their_definitions():
+    """`is_capacity`, `claims`, the statistics of `check_fwe` and the sups of
+    `check_predictive_validity`, all computed once per distinct row, against
+    the definitions on 250 seeded kernels of shared row objects."""
+    kinds, verdicts, cells = {}, set(), set()
+    for kind, k, pa in _row_kernel_cases(1709, 250):
+        capacity = helpers.oracle_is_capacity(k)
+        assert k.is_capacity == capacity, kind
+        if kind in ("unshared", "shared"):
+            assert not capacity and len(_violating_pairs(k)) == 1
+        elif kind != "pool":
+            assert capacity
+        verdicts.add(capacity)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        for row in k.rows[1:]:
+            cells.add("zero-row" if all(v.is_zero for v in row) else "inf" if INF in row else "value")
+        claims = helpers.oracle_claims(k)
+        assert k.claims() == claims
+        assert [e.stat for e in check_fwe(k, pa).entries] == [
+            helpers.oracle_expectation(pa.pmfs[pi], [claim[pi] for claim in claims])
+            for pi in range(k.space.model.size)
+        ]
+        if k.space.intersection_closed:
+            sups = [sup for _, sup, _, _ in check_predictive_validity(k, pa.pmfs).sup_identity]
+            assert sups == [claim[xi] for xi, claim in enumerate(claims)]
+    assert verdicts == {True, False} and cells == {"inf", "zero-row", "value"}
+    assert min(kinds.values()) >= 40 and len(kinds) == 5
+
+
 # -- pushforward -------------------------------------------------------
 
 

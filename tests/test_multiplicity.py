@@ -27,7 +27,6 @@ from emeasure import (
     self_consistent_selection,
     union_closure,
 )
-from emeasure import evidence as ev
 from emeasure.evidence import from_values, measure_from_density
 from emeasure.spaces import NotIntersectionClosed
 from emeasure import golden
@@ -49,8 +48,8 @@ def uniform_toy_pa(space, sample):
 
 def test_familywise_evidence_on_toy_cells():
     space, k = toy_kernel()
-    assert ev.sup_over_true(space, k.column(0).values, "c123") == XValue(100)
-    assert ev.sup_over_true(space, k.column(0).values, "cOut") == XValue(5)
+    assert helpers.sup_over_true(space, k.column(0).values, "c123") == XValue(100)
+    assert helpers.sup_over_true(space, k.column(0).values, "cOut") == XValue(5)
 
 
 def test_familywise_evidence_equals_least_value_for_capacities():
@@ -62,7 +61,7 @@ def test_familywise_evidence_equals_least_value_for_capacities():
         k = helpers.valid_capacity_kernel(r, space, pa)
         for pi in range(space.model.size):
             for xi in range(sample.size):
-                sup = ev.sup_over_true(space, k.column(xi).values, pi)
+                sup = helpers.sup_over_true(space, k.column(xi).values, pi)
                 assert sup == k.value(space.least_id(pi), xi)
 
 
@@ -71,7 +70,7 @@ def test_familywise_evidence_can_exceed_least_without_antitonicity():
     sample = SampleSpace(("x",))
     fn = from_values(space, ["inf", 1, 1, 5])  # plain function: full set outruns atoms
     k = EKernel(space, sample, [fn])
-    assert ev.sup_over_true(space, k.column(0).values, 0) == XValue(5)
+    assert helpers.sup_over_true(space, k.column(0).values, 0) == XValue(5)
     assert k.value(space.least_id(0), 0) == XValue(1)
 
 
@@ -114,7 +113,7 @@ def test_fwe_is_the_expected_largest_true_evidence_by_definition():
                 helpers.sup_of(v for m, v in zip(space.family.members, col.values) if m >> pi & 1)
                 for col in k.columns
             ]
-            assert [ev.sup_over_true(space, col.values, pi) for col in k.columns] == sups
+            assert [helpers.sup_over_true(space, col.values, pi) for col in k.columns] == sups
             assert entry.stat == helpers.oracle_expectation(pa.pmfs[pi], sups)
             uncovered += all(not m >> pi & 1 for m in space.family.members)
             least = space.least_ids()[pi]
@@ -521,7 +520,7 @@ def least_hypothesis_bounds(k, rule):
         for xi, col in enumerate(k.columns):
             least = k.value(space.least_id(pi), xi)
             pair = fep_fsp(k, pi, rule, xi)
-            yield pi, xi, ev.sup_over_true(space, col.values, pi), least, pair, least * XValue(pair.fsp)
+            yield pi, xi, helpers.sup_over_true(space, col.values, pi), least, pair, least * XValue(pair.fsp)
 
 
 def test_phi_sup_over_true_recovers_familywise():
@@ -582,7 +581,7 @@ def test_phi_sup_over_selections_equals_sup_over_true():
             k = EKernel(space, sample, [table])
             for pi in range(space.model.size):
                 best = max(fep_fsp(k, pi, rule, 0).fep for rule in rules)
-                assert best == ev.sup_over_true(space, table.values, pi)
+                assert best == helpers.sup_over_true(space, table.values, pi)
     assert zeros and infs
 
 

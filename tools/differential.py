@@ -12,16 +12,21 @@ sides get the same inputs:
 - the jobs that perfbench's generators write for every workload, for each
   seed and the first cycles, imported from `perfbench/` without changing it
   (named `WORKLOAD/SEED/JOB`);
-- 720 seeded random `decide` inputs: spaces, models, kernels and decision
-  problems with every `--bound`, with and without `--outcome`. A quarter
-  have four to six points and numeric losses from a wide range, so their
-  consequence orders have up to 24 distinct values (named `decide/N`);
-- 360 seeded random `check` inputs, run with `--check` validity, posthoc
-  (canonical and at a fixed level), fwe and fer (with and without
-  `--family`). Their kernel rows list the outcomes in order or shuffled,
-  drop an outcome, add an unknown one, or give the empty member a finite
-  value, so both ways of reading a row and the order of their errors are
-  compared. A third of the rows name their member with its points
+- 720 seeded random `decide` inputs, in the records and in the text
+  format: spaces, models, kernels and decision problems with every
+  `--bound`, with and without `--outcome`. A quarter have four to six
+  points and numeric losses from a wide range, so their consequence orders
+  have up to 24 distinct values. The records hold every `bound` entry
+  (named `decide/N`);
+- 360 seeded random `check` inputs, in the records and in the text format,
+  run with `--check` validity, posthoc (canonical and at a fixed level),
+  fwe and fer (with and without `--family`). The records hold every
+  (member, point) pair's statistic, so rows shared by several members,
+  violations and both post-hoc rules are compared entry by entry, and so
+  are the FWE statistics. Their kernel rows list the outcomes in order or
+  shuffled, drop an outcome, add an unknown one, or give the empty member
+  a finite value, so both ways of reading a row and the order of their
+  errors are compared. A third of the rows name their member with its points
   reordered or ', '-spaced, and a third of the kernels repeat a few row
   texts over all their rows. A third of the cells are spelled otherwise
   than the package prints them: unreduced (`6/4`, `0/7`), with leading
@@ -400,7 +405,8 @@ def decide_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
             argv += ["--alpha", f"1/{rng.randint(2, 20)}"]
         if rng.random() < 0.5:
             argv += ["--outcome", rng.choice(outcomes)]
-        jobs.append(Job(f"decide/{n}", tuple(argv)))
+        argv = tuple(argv)
+        jobs += [Job(f"decide/{n}", argv + ("--format", "records")), Job(f"decide/{n}", argv)]
     return jobs
 
 
@@ -528,7 +534,8 @@ def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
             members = [b for b in sp.family if b]
             chosen = rng.sample(members, rng.randint(1, min(3, len(members))))
             argv += ["--family", "|".join(sp.label(b) for b in chosen) + "|"]
-        jobs.append(Job(f"check/{n}", tuple(argv)))
+        argv = tuple(argv)
+        jobs += [Job(f"check/{n}", argv + ("--format", "records")), Job(f"check/{n}", argv)]
     return jobs
 
 
