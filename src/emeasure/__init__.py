@@ -54,7 +54,6 @@ from .multiplicity import (
     check_fwe,
     closed_ebh,
     ebh,
-    fep_fsp,
     postprocess_efunction,
     self_consistent_selection,
 )
@@ -63,12 +62,10 @@ from .decisions import (
     ConsequenceTable,
     NumericLoss,
     admissible_decisions,
-    build_consequence_class,
     check_econsequence_bound,
     check_grunwald_bound,
     check_posthoc_consequence_bound,
     e_integrated_loss,
-    hypothesis_for_bound,
     optimality_class,
 )
 

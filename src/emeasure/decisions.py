@@ -1,6 +1,13 @@
 """Decision making under evidence: consequence tables, the hypothesis
 class they induce, consequence bounds, integrated loss, admissibility and
 the optimality class of a loss.
+
+The induced class is the upper sets of row dominance (point q is above p
+when q's consequence is at least as bad under every decision). It is
+checked at its generators, the principal upper sets, and never built: each
+is read off one table of bound hypotheses per decision
+(`ConsequenceTable.bounds`), and a union-closed kernel space that holds
+every generator holds the whole class.
 """
 
 from __future__ import annotations
@@ -11,13 +18,7 @@ from . import kernels as kn
 from .evidence import EClass, EFunction, EvidenceError
 from .integration import OrderMeasurabilityViolation, OrderMeasurableFn, shilkret_integral
 from .kernels import EKernel, Entry, ProbabilityAssignment, Report
-from .spaces import (
-    Model,
-    Preorder,
-    Space,
-    class_from_preorder,
-    union_closure,
-)
+from .spaces import Model, Preorder, Space
 from .xvalue import XValue, as_xvalue, dot_at_most, scale, sup_of
 
 
@@ -26,8 +27,8 @@ class DecisionError(EvidenceError):
 
 
 class ConsequenceSpace:
-    """Consequence labels with an explicit preorder; `order.holds(i, j)`
-    reads i >= j ('i is at least as bad as j')."""
+    """Consequence labels with an explicit preorder: `order.rows[i]` holds
+    the consequences j that i is at least as bad as."""
 
     __slots__ = ("elements", "order", "positions")
 
@@ -37,7 +38,7 @@ class ConsequenceSpace:
             raise DecisionError("consequence labels must be unique")
         if order.size != len(elements):
             raise DecisionError("order matrix size must match the elements")
-        order.validate()
+        order.validate()  # the meets of bound hypotheses are upper sets only on a preorder
         self.elements = elements
         self.order = order
         # Each element label's index; the labels alone fix it.
@@ -57,15 +58,11 @@ class ConsequenceSpace:
         except (KeyError, TypeError):
             raise DecisionError(f"unknown consequence {label!r}") from None
 
-    def at_least(self, a: str, b: str) -> bool:
-        """True when consequence a is at least as bad as b."""
-        return self.order.holds(self.index(a), self.index(b))
-
 
 class ConsequenceTable:
     """Total map (decision, point) -> consequence element."""
 
-    __slots__ = ("model", "decisions", "cspace", "entries")
+    __slots__ = ("model", "decisions", "cspace", "entries", "_bounds")
 
     def __init__(
         self, model: Model, decisions: tuple[str, ...], cspace: ConsequenceSpace,
@@ -82,6 +79,7 @@ class ConsequenceTable:
         self.decisions = decisions
         self.cspace = cspace
         self.entries = entries
+        self._bounds: Optional[tuple[dict[str, int], ...]] = None
 
     @classmethod
     def of(
@@ -98,12 +96,31 @@ class ConsequenceTable:
             rows.append(tuple(table[p][d] for d in decisions))
         return cls(model, tuple(decisions), cspace, tuple(rows))
 
-    def row_dominates(self, hi: int, lo: int) -> bool:
-        """Row hi is uniformly at least as bad as row lo across decisions."""
-        return all(
-            self.cspace.at_least(self.entries[hi][d], self.entries[lo][d])
-            for d in range(len(self.decisions))
-        )
+    def bounds(self) -> tuple[dict[str, int], ...]:
+        """Per decision, each consequence's bound hypothesis: the bitset of
+        the points whose consequence is at least as bad. Built once.
+
+        One pass per decision groups the points by consequence, and each
+        group joins the bounds of the consequences below its own.
+        """
+        if self._bounds is None:
+            elements, rows = self.cspace.elements, self.cspace.order.rows
+            below: dict[str, list[str]] = {}
+            table = []
+            for d in range(len(self.decisions)):
+                groups: dict[str, int] = {}
+                for pi, row in enumerate(self.entries):
+                    groups[row[d]] = groups.get(row[d], 0) | 1 << pi
+                bounds = dict.fromkeys(elements, 0)
+                for c, group in groups.items():
+                    if c not in below:  # read off the row's binary digits, lowest first
+                        digits = bin(rows[self.cspace.positions[c]])[:1:-1]
+                        below[c] = [e for e, bit in zip(elements, digits) if bit == "1"]
+                    for e in below[c]:
+                        bounds[e] |= group
+                table.append(bounds)
+            self._bounds = tuple(table)
+        return self._bounds
 
 
 class NumericLoss:
@@ -148,45 +165,29 @@ class NumericLoss:
         return ConsequenceTable(self.model, self.decisions, cspace, rows)
 
 
-def build_consequence_class(table: ConsequenceTable) -> Space:
-    """Smallest intersection-closed family exposing every lower-bound claim.
+def _require_order_measurable(space: Space, table: ConsequenceTable) -> list[int]:
+    """Per point, its upper set under row dominance, the meet of its bound
+    hypotheses; each must be a member of `space`.
 
-    Points are preordered by uniform dominance of their consequence rows;
-    the class of upper sets of that preorder is returned. Every bound
-    hypothesis is such an upper set: a point whose row dominates another's
-    is at least as bad under every decision.
+    These generate the induced class, so a union-closed space holding them
+    all holds it. A missing member is the union of the upper sets inside
+    it, so some one of them is missing too: the first missing upper set in
+    canonical order (popcount, then value) is the first missing member.
     """
-    n = table.model.size
-    pairs = [
-        (lo, hi)
-        for lo in range(n)
-        for hi in range(n)
-        if table.row_dominates(hi, lo)
-    ]
-    pre = Preorder.from_pairs(n, pairs).transitive_closure()
-    return class_from_preorder(table.model, pre)
-
-
-def hypothesis_for_bound(table: ConsequenceTable, decision: int | str, c: str) -> int:
-    """Points whose consequence of the decision is at least as bad as c."""
-    if isinstance(decision, str):
-        decision = table.decisions.index(decision)
-    table.cspace.index(c)
-    bits = 0
-    for pi in range(table.model.size):
-        if table.cspace.at_least(table.entries[pi][decision], c):
-            bits |= 1 << pi
-    return bits
-
-
-def _require_order_measurable(space: Space, table: ConsequenceTable) -> Space:
-    induced = build_consequence_class(table)
-    for member in induced.family.members:
-        if member not in space.family:
-            raise OrderMeasurabilityViolation(
-                f"kernel space misses the bound hypothesis {table.model.label(member)}"
-            )
-    return induced
+    bounds, full = table.bounds(), (1 << table.model.size) - 1
+    ups = []
+    for row in table.entries:
+        up = full
+        for bound, c in zip(bounds, row):
+            up &= bound[c]
+        ups.append(up)
+    missing = [up for up in set(ups) if up not in space.family]
+    if missing:
+        first = min(missing, key=lambda bits: (bits.bit_count(), bits))
+        raise OrderMeasurabilityViolation(
+            f"kernel space misses the bound hypothesis {table.model.label(first)}"
+        )
+    return ups
 
 
 def _distinct_rows(table: ConsequenceTable) -> list[tuple[str, int]]:
@@ -195,15 +196,6 @@ def _distinct_rows(table: ConsequenceTable) -> list[tuple[str, int]]:
     for pi in range(table.model.size):
         seen.setdefault(table.entries[pi], pi)
     return [(table.model.points[pi], pi) for pi in seen.values()]
-
-
-def _bound_ids(space: Space, table: ConsequenceTable, qi: int) -> list[int]:
-    """Per decision, the id of the bound hypothesis at point qi's consequence:
-    the points whose consequence is at least as bad."""
-    return [
-        space.family.id_of(hypothesis_for_bound(table, d, table.entries[qi][d]))
-        for d in range(len(table.decisions))
-    ]
 
 
 def check_econsequence_bound(
@@ -238,16 +230,17 @@ def _consequence_report(
 ) -> Report:
     """Per benchmark row, the worst evidence across its bound hypotheses, or
     with a fixed `rule` its miss rate, in expectation at each dominating point."""
-    induced = _require_order_measurable(k.space, table)
+    ups = _require_order_measurable(k.space, table)
     thresholds = None if rule is None else kn.outcome_thresholds(k, rule)
-    points = k.space.model.points
+    points, family, bounds = k.space.model.points, k.space.family, table.bounds()
     entries = []
     for label, qi in _distinct_rows(table):
-        bound_rows = [k.rows[hid] for hid in _bound_ids(k.space, table, qi)]
+        row = table.entries[qi]
+        bound_rows = [k.rows[family.id_of(bound[c])] for bound, c in zip(bounds, row)]
         var = scale([sup_of(values) for values in zip(*bound_rows)])
         if thresholds is not None:
             var = kn.miss_variable(kn.miss_mask(var, thresholds), thresholds)
-        for pi in induced.family.indices(induced.least_id(qi)):
+        for pi in family.indices(family.id_of(ups[qi])):
             stat, ok = dot_at_most(pa.pmfs[pi].scaled, var)
             entries.append(Entry(points[pi], stat, case=label, ok=ok))
     return Report(tuple(entries))
@@ -320,10 +313,9 @@ def admissible_decisions(e: EFunction, table: ConsequenceTable) -> Admissibility
     """
     n_dec = len(table.decisions)
     evidence_at: list[list[XValue]] = []
-    for d in range(n_dec):
+    for d, bounds in enumerate(table.bounds()):
         row = []
-        for c in table.cspace.elements:
-            bits = hypothesis_for_bound(table, d, c)
+        for c, bits in bounds.items():
             if bits not in e.space.family:
                 raise OrderMeasurabilityViolation(
                     f"evidence is undefined on the bound hypothesis "
@@ -348,13 +340,12 @@ def admissible_decisions(e: EFunction, table: ConsequenceTable) -> Admissibility
 
 
 class OptimalityResult:
-    __slots__ = ("space", "decision_sets", "optimal")
+    __slots__ = ("decision_sets", "optimal")
 
     def __init__(
-        self, space: Space, decision_sets: dict[str, int],
+        self, decision_sets: dict[str, int],
         optimal: Optional[dict[str, str]],  # point -> unique best decision
     ):
-        self.space = space
         self.decision_sets = decision_sets
         self.optimal = optimal
 
@@ -379,9 +370,5 @@ def optimality_class(loss: NumericLoss) -> OptimalityResult:
             unique[model.points[pi]] = winners[0]
         else:
             tie_free = False
-    return OptimalityResult(
-        space=Space(model, union_closure(model.size, sets.values())),
-        decision_sets=sets,
-        optimal=unique if tie_free else None,
-    )
+    return OptimalityResult(decision_sets=sets, optimal=unique if tie_free else None)
 

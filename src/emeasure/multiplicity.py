@@ -34,11 +34,6 @@ class SelectionRule:
     def fixed(cls, sample: SampleSpace, ids: Sequence[int]) -> "SelectionRule":
         return cls(sample, tuple(tuple(ids) for _ in sample.outcomes))
 
-    def at(self, x: int | str) -> tuple[int, ...]:
-        if isinstance(x, str):
-            x = self.sample.index(x)
-        return self.selected[x]
-
 
 def check_fwe(k: EKernel, pa: ProbabilityAssignment) -> Report:
     """Expected familywise evidence per point. Each point's familywise
@@ -51,25 +46,6 @@ def check_fwe(k: EKernel, pa: ProbabilityAssignment) -> Report:
         Entry(point, pa.pmfs[pi].expectation([claim[pi] for claim in claims]))
         for pi, point in enumerate(k.space.model.points)
     ))
-
-
-class FepFsp:
-    __slots__ = ("fep", "fsp")
-
-    def __init__(self, fep: XValue, fsp: Fraction):
-        self.fep = fep
-        self.fsp = fsp
-
-
-def fep_fsp(k: EKernel, point: int | str, rule: SelectionRule, x: int | str) -> FepFsp:
-    """Average evidence against selected true hypotheses, and their share."""
-    if isinstance(point, str):
-        point = k.space.model.index(point)
-    if isinstance(x, str):
-        x = k.sample.index(x)
-    ids = rule.at(x)
-    true = sum(k.space.family.member(hid) >> point & 1 for hid in ids)
-    return FepFsp(fep=_fep(k, point, ids, x), fsp=Fraction(true, max(len(ids), 1)))
 
 
 def _fep(k: EKernel, point: int, ids: Sequence[int], xi: int) -> XValue:

@@ -251,9 +251,6 @@ class Preorder(Record):
     def size(self) -> int:
         return len(self.rows)
 
-    def holds(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
     def validate(self) -> None:
         """Refuse a row past the points, then the first point that is not
         below itself, then the first triple i <= j <= k without i <= k."""

@@ -660,6 +660,30 @@ def oracle_claims(k):
     ]
 
 
+class FepFsp:
+    """The false evidence proportion and the selected true share at one
+    (point, outcome) of a selection rule."""
+
+    def __init__(self, fep, fsp):
+        self.fep = fep
+        self.fsp = fsp
+
+
+def fep_fsp(k, point, rule, x):
+    """The FER oracle: the evidence against the selected hypotheses that
+    hold the point, summed and divided by how many are selected, and the
+    share of the selection that holds it (0/0 reads 0)."""
+    if isinstance(point, str):
+        point = k.space.model.index(point)
+    if isinstance(x, str):
+        x = k.sample.index(x)
+    selected = rule.selected[x]
+    true = [hid for hid in selected if k.space.family.member(hid) >> point & 1]
+    size = max(len(selected), 1)
+    fep = sum((k.value(hid, x) for hid in true), ZERO) / XValue(size)
+    return FepFsp(fep, Fraction(len(true), size))
+
+
 def oracle_expectation(pmf, values):
     """Plain Fraction expectation, infinite terms tracked by hand."""
     total = Fraction(0)
@@ -797,3 +821,37 @@ def evidence_against_optimality(k, loss, pa=None):
     n = target_model.size
     target = Space(target_model, HypothesisClass(n, range(1 << n)))
     return pushforward_kernel(k, result.optimal, target, pa)
+
+
+def at_least(cspace, a, b):
+    """Consequence label a is at least as bad as label b."""
+    return bool(cspace.order.rows[cspace.index(a)] >> cspace.index(b) & 1)
+
+
+def row_dominates(table, hi, lo):
+    """Point hi's consequence row is at least as bad as point lo's under
+    every decision."""
+    return all(
+        at_least(table.cspace, a, b) for a, b in zip(table.entries[hi], table.entries[lo])
+    )
+
+
+def hypothesis_for_bound(table, decision, c):
+    """The bound hypothesis of a decision at consequence c, point by point:
+    the points whose consequence is at least as bad as c."""
+    if isinstance(decision, str):
+        decision = table.decisions.index(decision)
+    table.cspace.index(c)
+    return sum(
+        1 << pi
+        for pi, row in enumerate(table.entries)
+        if at_least(table.cspace, row[decision], c)
+    )
+
+
+def build_consequence_class(table):
+    """The whole class the table induces: the union closure of the upper
+    sets of row dominance, built from every dominating pair."""
+    n = table.model.size
+    pairs = [(lo, hi) for lo in range(n) for hi in range(n) if row_dominates(table, hi, lo)]
+    return class_from_preorder(table.model, Preorder.from_pairs(n, pairs).transitive_closure())

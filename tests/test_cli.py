@@ -23,7 +23,6 @@ from emeasure import (
     NumericLoss,
     Space,
     XValue,
-    build_consequence_class,
     cli,
     fileio,
     golden,
@@ -709,7 +708,7 @@ def test_decide_optimality_ranking_is_the_pushforward_on_singletons(capsys, tmp_
         rows = [r.sample(range(2 * len(decisions)), len(decisions)) for _ in model.points]
         loss = NumericLoss(model, decisions, tuple(tuple(map(XValue, row)) for row in rows))
         opt = optimality_class(loss)
-        induced = build_consequence_class(loss.to_consequence_table()).family.members
+        induced = helpers.build_consequence_class(loss.to_consequence_table()).family.members
         extra = [r.randrange(1 << n) for _ in range(r.randint(0, 2))]
         space = Space(model, union_closure(n, [*induced, *opt.decision_sets.values(), *extra]))
         sample = helpers.rand_sample(r)

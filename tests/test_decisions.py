@@ -19,9 +19,9 @@ from emeasure import (
     ProbabilityAssignment,
     SampleSpace,
     SelectionRule,
+    Space,
     XValue,
     admissible_decisions,
-    build_consequence_class,
     check_econsequence_bound,
     check_fer,
     check_fwe,
@@ -31,13 +31,14 @@ from emeasure import (
     check_predictive_validity,
     check_validity,
     e_integrated_loss,
-    hypothesis_for_bound,
     optimality_class,
     class_from_preorder,
     preorder_from_class,
     shilkret_integral,
     sup_of,
+    union_closure,
 )
+from emeasure import decisions
 from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
 from emeasure.evidence import from_values
 from emeasure.spaces import preimages
@@ -56,7 +57,7 @@ def rand_numeric_loss(r, model, n_decisions=2, allow_inf=False):
 def test_identical_rows_induce_the_trivial_class():
     model = Model(("P1", "P2", "P3"))
     loss = NumericLoss(model, ("d1",), ((XValue(2),), (XValue(2),), (XValue(2),)))
-    space = build_consequence_class(loss.to_consequence_table())
+    space = helpers.build_consequence_class(loss.to_consequence_table())
     assert set(space.family.members) == {0, 0b111}
 
 
@@ -72,7 +73,7 @@ def test_incomparable_rows_induce_the_power_set():
             (XValue(2), XValue(2)),
         ),
     )
-    space = build_consequence_class(loss.to_consequence_table())
+    space = helpers.build_consequence_class(loss.to_consequence_table())
     assert len(space.family) == 8
     for pi in range(3):
         assert space.family.member(space.least_id(pi)) == 1 << pi
@@ -83,7 +84,7 @@ def test_dominated_row_strictly_widens_the_least_hypothesis():
     loss = NumericLoss(
         model, ("d1", "d2"), ((XValue(5), XValue(4)), (XValue(1), XValue(2)))
     )
-    space = build_consequence_class(loss.to_consequence_table())
+    space = helpers.build_consequence_class(loss.to_consequence_table())
     worse = space.family.member(space.least_id(0))
     better = space.family.member(space.least_id(1))
     assert worse == 0b01  # only the dominating point
@@ -96,7 +97,7 @@ def rand_explicit_table(r, model, n_decisions=2):
     while True:
         m = r.randint(2, 4)
         pre = helpers.rand_preorder(r, m)
-        if not all(pre.holds(i, j) or pre.holds(j, i) for i in range(m) for j in range(m)):
+        if not all(pre.rows[i] >> j & 1 or pre.rows[j] >> i & 1 for i in range(m) for j in range(m)):
             break
     cspace = ConsequenceSpace(tuple(f"c{i}" for i in range(m)), pre)
     decisions = tuple(f"d{i + 1}" for i in range(n_decisions))
@@ -117,11 +118,11 @@ def test_induced_class_equals_preimage_of_row_upper_sets():
             table = rand_explicit_table(r, model, n_decisions=r.randint(1, 3))
         else:
             table = rand_numeric_loss(r, model).to_consequence_table()
-        space = build_consequence_class(table)
+        space = helpers.build_consequence_class(table)
         # every bound hypothesis is an upper set of the dominance preorder
         for d in range(len(table.decisions)):
             for c in table.cspace.elements:
-                assert hypothesis_for_bound(table, d, c) in space.family
+                assert helpers.hypothesis_for_bound(table, d, c) in space.family
         admissible_decisions(helpers.unit_measure(space), table)
         # build the row space: one point per distinct row, uniform-dominance order
         rows = sorted({table.entries[pi] for pi in range(n)})
@@ -132,7 +133,7 @@ def test_induced_class_equals_preimage_of_row_upper_sets():
             for i, a in enumerate(rows)
             for j, b in enumerate(rows)
             if all(
-                table.cspace.at_least(b[d], a[d]) for d in range(len(table.decisions))
+                helpers.at_least(table.cspace, b[d], a[d]) for d in range(len(table.decisions))
             )
         ]
         row_space = class_from_preorder(
@@ -145,6 +146,72 @@ def test_induced_class_equals_preimage_of_row_upper_sets():
         assert sorted(set(bitsets)) == sorted(space.family.members)
 
 
+def rand_decision_table(r, case, max_points=6):
+    """Alternately a numeric loss and an explicit table whose consequence
+    order is a non-total preorder, on one to `max_points` points."""
+    n = r.randint(1, max_points)
+    model = Model(tuple(f"P{i + 1}" for i in range(n)))
+    if case % 2:
+        return rand_explicit_table(r, model, n_decisions=r.randint(1, 3))
+    return rand_numeric_loss(r, model, n_decisions=r.randint(1, 3)).to_consequence_table()
+
+
+def test_bound_table_and_upper_sets_match_the_per_pair_oracles():
+    """`ConsequenceTable.bounds` is `helpers.hypothesis_for_bound` at every
+    (decision, consequence), and the upper sets the bound check reads off it
+    are the least members of the whole induced class
+    (`helpers.build_consequence_class`)."""
+    r = helpers.rng(223)
+    for case in range(60):
+        table = rand_decision_table(r, case)
+        assert [list(bounds) for bounds in table.bounds()] == [
+            list(table.cspace.elements) for _ in table.decisions
+        ]
+        for d, bounds in enumerate(table.bounds()):
+            for c, bits in bounds.items():
+                assert bits == helpers.hypothesis_for_bound(table, d, c)
+        induced = helpers.build_consequence_class(table)
+        assert decisions._require_order_measurable(induced, table) == [
+            induced.family.member(induced.least_id(pi)) for pi in range(table.model.size)
+        ]
+
+
+def full_class_walk(space, table):
+    """The label of the first member of the whole induced class, in
+    canonical order, that the space misses; None when it holds them all."""
+    for member in helpers.build_consequence_class(table).family.members:
+        if member not in space.family:
+            return table.model.label(member)
+    return None
+
+
+def test_generator_check_matches_the_full_class_walk():
+    """On seeded union-closed spaces that hold some of the induced upper
+    sets and some other sets, checking the upper sets alone accepts and
+    refuses as the walk over the whole induced class does, and a refusal
+    names the same member."""
+    r = helpers.rng(227)
+    accepted = refused = 0
+    for case in range(80):
+        table = rand_decision_table(r, case)
+        n = table.model.size
+        induced = helpers.build_consequence_class(table)
+        ups = {induced.family.member(induced.least_id(pi)) for pi in range(n)}
+        gens = [bits for bits in sorted(ups) if r.random() < 0.8]
+        gens += [r.randrange(1, 1 << n) for _ in range(r.randint(0, 2))]
+        space = Space(table.model, union_closure(n, gens))
+        missing = full_class_walk(space, table)
+        if missing is None:
+            decisions._require_order_measurable(space, table)
+            accepted += 1
+        else:
+            with pytest.raises(OrderMeasurabilityViolation) as err:
+                decisions._require_order_measurable(space, table)
+            assert str(err.value) == f"kernel space misses the bound hypothesis {missing}"
+            refused += 1
+    assert accepted >= 10 and refused >= 10, (accepted, refused)
+
+
 def test_hypothesis_for_bound_extremes_and_scan():
     model = Model(("P1", "P2", "P3"))
     loss = NumericLoss(
@@ -153,17 +220,18 @@ def test_hypothesis_for_bound_extremes_and_scan():
         ((XValue(0),), (XValue(2),), (XValue(5),)),
     )
     table = loss.to_consequence_table()
-    assert hypothesis_for_bound(table, "d1", "0") == 0b111
-    assert hypothesis_for_bound(table, "d1", "5") == 0b100
+    assert table.bounds() == ({"0": 0b111, "2": 0b110, "5": 0b100},)
+    assert helpers.hypothesis_for_bound(table, "d1", "0") == 0b111
+    assert helpers.hypothesis_for_bound(table, "d1", "5") == 0b100
     with pytest.raises(DecisionError):
-        hypothesis_for_bound(table, "d1", "7")
+        helpers.hypothesis_for_bound(table, "d1", "7")
     for c in ("0", "2", "5"):
-        bits = hypothesis_for_bound(table, "d1", c)
+        bits = helpers.hypothesis_for_bound(table, "d1", c)
         scan = 0
         for pi in range(3):
-            if table.cspace.at_least(table.entries[pi][0], c):
+            if helpers.at_least(table.cspace, table.entries[pi][0], c):
                 scan |= 1 << pi
-        assert bits == scan
+        assert bits == scan == table.bounds()[0][c]
 
 
 def test_integrated_loss_worked_examples():
@@ -187,7 +255,7 @@ def test_integrated_loss_forms_agree_on_random_instances():
         n = r.randint(1, 4)
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
         loss = rand_numeric_loss(r, model, n_decisions=r.randint(1, 3))
-        space = build_consequence_class(loss.to_consequence_table())
+        space = helpers.build_consequence_class(loss.to_consequence_table())
         e = helpers.rand_measure(r, space)
         for d in loss.decisions:
             column = loss.column(d)
@@ -204,7 +272,7 @@ def one_decision_setup(seed):
     n = r.randint(2, 3)
     model = Model(tuple(f"P{i + 1}" for i in range(n)))
     loss = rand_numeric_loss(r, model, n_decisions=1)
-    space = build_consequence_class(loss.to_consequence_table())
+    space = helpers.build_consequence_class(loss.to_consequence_table())
     sample = helpers.rand_sample(r)
     pa = helpers.rand_pa(r, model, sample)
     k = helpers.valid_capacity_kernel(r, space, pa)
@@ -223,7 +291,7 @@ def test_single_decision_bound_reduces_to_plain_validity():
     stats = {(e.hid, e.point): e.stat for e in validity.entries}
     for entry in report.entries:
         qi = model.index(entry.case)
-        hid = k.space.family.id_of(hypothesis_for_bound(table, 0, table.entries[qi][0]))
+        hid = k.space.family.id_of(helpers.hypothesis_for_bound(table, 0, table.entries[qi][0]))
         assert entry.stat == stats[(hid, entry.point)]
 
 
@@ -233,7 +301,7 @@ def test_econsequence_bound_on_random_valid_instances():
         n = r.randint(1, 3)
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
         loss = rand_numeric_loss(r, model, n_decisions=3)
-        space = build_consequence_class(loss.to_consequence_table())
+        space = helpers.build_consequence_class(loss.to_consequence_table())
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
@@ -259,7 +327,7 @@ def test_binary_kernel_bound_is_exact_coverage():
     table = loss.to_consequence_table()
     worst_qi = max(range(model.size), key=lambda pi: loss.entries[pi][0])
     target = space.family.id_of(
-        hypothesis_for_bound(table, 0, table.entries[worst_qi][0])
+        helpers.hypothesis_for_bound(table, 0, table.entries[worst_qi][0])
     )
     cols = []
     for xi in range(sample.size):
@@ -290,7 +358,7 @@ def test_binary_kernel_bound_is_exact_coverage():
         miss = Fraction(0)
         for xi in range(sample.size):
             hid = space.family.id_of(
-                hypothesis_for_bound(table, 0, table.entries[qi][0])
+                helpers.hypothesis_for_bound(table, 0, table.entries[qi][0])
             )
             if k.value(hid, xi) >= XValue(1) / XValue(alpha):
                 miss += pa.pmfs[pi].mass[xi]
@@ -312,13 +380,13 @@ def consequence_entries(k, pa, table, integrand):
         bound_ids = [
             k.space.family.id_of(sum(
                 1 << pj for pj in range(n)
-                if table.cspace.at_least(table.entries[pj][d], table.entries[qi][d])
+                if helpers.at_least(table.cspace, table.entries[pj][d], table.entries[qi][d])
             ))
             for d in range(len(table.decisions))
         ]
         var = [integrand([k.value(h, xi) for h in bound_ids], xi) for xi in range(k.sample.size)]
         for pi in range(n):
-            if table.row_dominates(pi, qi):
+            if helpers.row_dominates(table, pi, qi):
                 stat = helpers.oracle_expectation(pa.pmfs[pi], var)
                 out.append((model.points[qi], model.points[pi], stat))
     return out
@@ -334,7 +402,7 @@ def consequence_instance(r, n_decisions=2):
     n = r.randint(1, 3)
     model = Model(tuple(f"P{i + 1}" for i in range(n)))
     table = rand_numeric_loss(r, model, n_decisions=n_decisions).to_consequence_table()
-    space = build_consequence_class(table)
+    space = helpers.build_consequence_class(table)
     sample = helpers.rand_sample(r)
     return table, space, sample
 
@@ -455,7 +523,7 @@ def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
         )
         loss = rand_numeric_loss(r, table.model)
         ltable = loss.to_consequence_table()
-        lspace = build_consequence_class(ltable)
+        lspace = helpers.build_consequence_class(ltable)
         lk = EKernel(lspace, csample, [helpers.rand_capacity(r, lspace) for _ in csample.outcomes])
         integrated = [
             [shilkret_integral(OrderMeasurableFn(lspace, loss.column(d)), col) for col in lk.columns]
@@ -477,7 +545,7 @@ def test_posthoc_consequence_bound_catches_invalid_kernels():
     model = Model(("P1", "P2"))
     loss = rand_numeric_loss(r, model, n_decisions=2)
     table = loss.to_consequence_table()
-    space = build_consequence_class(table)
+    space = helpers.build_consequence_class(table)
     sample = helpers.rand_sample(r)
     pa = helpers.rand_pa(r, model, sample)
     bad = helpers.constant_two_kernel(space, sample)
@@ -497,7 +565,7 @@ def assert_markov_ratios(k, loss):
         for xi in range(k.sample.size):
             integrated = shilkret_integral(fn, k.columns[xi])
             for pi in range(space.model.size):
-                bound = hypothesis_for_bound(table, d, table.entries[pi][d])
+                bound = helpers.hypothesis_for_bound(table, d, table.entries[pi][d])
                 ratio = loss.entries[pi][d] / integrated
                 assert ratio <= k.value(space.family.id_of(bound), xi)
 
@@ -508,7 +576,7 @@ def test_grunwald_bound_constant_losses():
         model, ("d1",), tuple((XValue(3),) for _ in model.points)
     )
     ctable = const.to_consequence_table()
-    cspace = build_consequence_class(ctable)
+    cspace = helpers.build_consequence_class(ctable)
     kk = helpers.valid_capacity_kernel(r, model and cspace, pa)
     assert_markov_ratios(kk, const)
     assert check_grunwald_bound(kk, pa, const, ctable).ok
@@ -521,7 +589,7 @@ def test_grunwald_bound_random_and_slack():
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
         loss = rand_numeric_loss(r, model, n_decisions=2)
         table = loss.to_consequence_table()
-        space = build_consequence_class(table)
+        space = helpers.build_consequence_class(table)
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
@@ -535,7 +603,7 @@ def test_admissibility_identical_and_dominated_columns():
         model, ("d1", "d2"), ((XValue(1), XValue(1)), (XValue(4), XValue(4)))
     )
     table = same.to_consequence_table()
-    space = build_consequence_class(table)
+    space = helpers.build_consequence_class(table)
     e = helpers.unit_measure(space)
     result = admissible_decisions(e, table)
     assert result.admissible == ("d1", "d2")
@@ -544,7 +612,7 @@ def test_admissibility_identical_and_dominated_columns():
         model, ("good", "bad"), ((XValue(1), XValue(4)), (XValue(2), XValue(5)))
     )
     table = skewed.to_consequence_table()
-    space = build_consequence_class(table)
+    space = helpers.build_consequence_class(table)
     # 'bad' has pointwise higher losses, so each of its bound hypotheses
     # contains the matching one of 'good' and carries at most its evidence;
     # the evidence preorder therefore puts good above bad
@@ -565,7 +633,7 @@ def test_admissibility_incomparable_pair_keeps_both():
         model, ("d1", "d2"), ((XValue(0), XValue(5)), (XValue(5), XValue(0)))
     )
     table = loss.to_consequence_table()
-    space = build_consequence_class(table)
+    space = helpers.build_consequence_class(table)
     e = from_values(
         space,
         {
@@ -652,7 +720,6 @@ def test_mle_instance_groups_are_singletons_and_argmax_matches():
     result = optimality_class(loss)
     for pi, p in enumerate(model.points):
         assert result.decision_sets[p] == 1 << pi
-    assert len(result.space.family) == 8
     for xi, x in enumerate(sample.outcomes):
         best_by_evidence = min(
             model.points, key=lambda p: kernel.value(space.least_id(p), xi)
@@ -673,7 +740,7 @@ def test_mle_energy_bound_and_pushforward():
             picked = max(model.points, key=lambda q: masses[q][xi])
             d = loss.decisions.index(picked)
             hid = space.family.id_of(
-                hypothesis_for_bound(table, d, table.entries[pi][d])
+                helpers.hypothesis_for_bound(table, d, table.entries[pi][d])
             )
             stat = stat + XValue(pa.pmfs[pi].mass[xi]) * kernel.value(hid, xi)
         assert stat <= XValue(1)

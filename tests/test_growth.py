@@ -6,11 +6,13 @@ exponent its layer's docstring claims, with a slack, next to that claim.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import helpers
 from emeasure import INF, SampleSpace, XValue, cli
 from emeasure import kernels as kn
+from emeasure import spaces
 from emeasure.xvalue import order_keys
 
 
@@ -73,3 +75,65 @@ def test_pair_checks_grow_with_distinct_rows_not_with_pairs(monkeypatch, capsys)
     assert pairs == [n << (n - 1) for n in sizes]
     assert slope(sizes, stats) <= 2.2, stats
     assert slope(sizes, records) <= 2.2, records
+
+
+def write_decide_files(path, n):
+    """Two `decide` inputs on the n-point suffix chain p1..pn (members the
+    suffixes), with a constant kernel: `incomparable.yaml`, two decisions
+    whose loss rows are pairwise incomparable, so the induced class is the
+    power set and the check refuses its first member {p1}; and
+    `unique.yaml`, n decisions each uniquely best at one point (loss
+    2i + [d != d_i]), whose upper sets are the suffixes and whose decision
+    sets are n disjoint singletons."""
+    points = [f"p{i}" for i in range(1, n + 1)]
+    suffixes = [points[i:] for i in range(n)]
+    decisions = [f"d{i}" for i in range(1, n + 1)]
+    files = {
+        "space": f"points: [{', '.join(points)}]\ngenerators: ["
+        + ", ".join(f"[{', '.join(s)}]" for s in suffixes) + "]\n",
+        "model": "pmf:\n" + "".join(f"  {p}: {{x: 1/2, y: 1/2}}\n" for p in points),
+        "kernel": "kernel:\n" + "".join(f'  "{",".join(s)}": {{x: 1, y: 1}}\n' for s in suffixes),
+        "incomparable": "decisions: [a, b]\nloss:\n" + "".join(
+            f"  {p}: {{a: {i}, b: {n - i}}}\n" for i, p in enumerate(points, 1)
+        ),
+        "unique": f"decisions: [{', '.join(decisions)}]\nloss:\n" + "".join(
+            f"  {p}: {{{', '.join(f'{d}: {2 * i + (d != decisions[i])}' for d in decisions)}}}\n"
+            for i, p in enumerate(points)
+        ),
+    }
+    for name, text in files.items():
+        (path / f"{name}.yaml").write_text(text)
+
+
+def test_decide_builds_no_family_past_the_space_file(monkeypatch, capsys, tmp_path):
+    """L5 `decide`: the class a consequence table induces is checked at its
+    n generators and never built, and the optimality groups are read off
+    the space file's family, so on both instances of `write_decide_files`
+    at n = 8, 12 and 16 the largest family any `union_closure` call builds
+    is the space file's own n + 1 members. Building the induced class, or
+    the union closure of the n disjoint decision sets, builds 2^n."""
+    largest = []
+    original = spaces.union_closure
+
+    def counted(*args, **kwargs):
+        family = original(*args, **kwargs)
+        largest[-1] = max(largest[-1], len(family))
+        return family
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "emeasure" and getattr(module, "union_closure", None) is original:
+            monkeypatch.setattr(module, "union_closure", counted)
+    for n in (8, 12, 16):
+        write_decide_files(tmp_path, n)
+        argv = ["decide"]
+        for name in ("space", "model", "kernel"):
+            argv += [f"--{name}", str(tmp_path / f"{name}.yaml")]
+        for decisions, extra, code in (
+            ("incomparable", [], cli.EXIT_INPUT),
+            ("unique", ["--outcome", "x"], cli.EXIT_OK),
+        ):
+            largest.append(0)
+            got = cli.main([*argv, "--decisions", str(tmp_path / f"{decisions}.yaml"), *extra])
+            err = capsys.readouterr().err
+            assert (got, largest[-1]) == (code, n + 1), (n, decisions)
+            assert err.endswith("misses the bound hypothesis p1\n" if code else "")

@@ -22,7 +22,6 @@ from emeasure import (
     check_validity,
     closed_ebh,
     ebh,
-    fep_fsp,
     postprocess_efunction,
     self_consistent_selection,
     union_closure,
@@ -151,12 +150,12 @@ def test_binary_kernel_fwe_is_classical_familywise_error_over_alpha():
 def test_fep_fsp_guard_and_toy_values():
     space, k = toy_kernel()
     empty_rule = SelectionRule.fixed(k.sample, [])
-    pair = fep_fsp(k, "c12", empty_rule, 0)
+    pair = helpers.fep_fsp(k, "c12", empty_rule, 0)
     assert pair.fep == XValue(0) and pair.fsp == 0
     g1 = golden.row_id(space, "G_1")
     g2 = golden.row_id(space, "G_2")
     rule = SelectionRule.fixed(k.sample, [g1, g2])
-    pair = fep_fsp(k, "c12", rule, 0)
+    pair = helpers.fep_fsp(k, "c12", rule, 0)
     assert pair.fep == XValue(Fraction(89, 2))
     assert pair.fsp == 1
 
@@ -168,7 +167,7 @@ def test_binary_kernel_fep_is_fsp_over_alpha():
     binary = helpers.constant_kernel(space, k.sample, result.table)
     rule = SelectionRule.fixed(k.sample, list(golden.group_ids(space)))
     for cell in golden.CELLS:
-        pair = fep_fsp(binary, cell, rule, 0)
+        pair = helpers.fep_fsp(binary, cell, rule, 0)
         rejected_true = [
             g for g in golden.group_ids(space)
             if space.family.member(g) >> space.model.index(cell) & 1
@@ -198,7 +197,7 @@ def test_fer_pointwise_bound_and_rate():
         )
         for pi in range(space.model.size):
             for xi in range(sample.size):
-                pair = fep_fsp(k, pi, rule, xi)
+                pair = helpers.fep_fsp(k, pi, rule, xi)
                 least_value = k.value(space.least_id(pi), xi)
                 assert pair.fep <= XValue(pair.fsp) * least_value <= least_value
         if case % 3 != 2:
@@ -235,14 +234,14 @@ def test_fer_rate_and_premise_match_their_definitions():
 
         def premise(p):
             return helpers.oracle_expectation(pa.pmfs[p], [
-                XValue(Fraction(sum(space.family.member(g) >> p & 1 for g in rule.at(x)),
-                                max(len(rule.at(x)), 1)))
+                XValue(Fraction(sum(space.family.member(g) >> p & 1 for g in rule.selected[x]),
+                                max(len(rule.selected[x]), 1)))
                 * k.value(space.least_id(p), x)
                 for x in range(sample.size)
             ])
 
         report = check_fer(k, pa, rule)
-        assert [e.stat for e in report.entries] == [fer_stat(p, rule.at) for p in points]
+        assert [e.stat for e in report.entries] == [fer_stat(p, rule.selected.__getitem__) for p in points]
         for p, entry in zip(points, report.entries, strict=True):
             least_stat = helpers.oracle_expectation(pa.pmfs[p], k.rows[space.least_id(p)])
             assert entry.stat <= premise(p) <= least_stat
@@ -271,7 +270,7 @@ def test_fer_singleton_rules_and_uniform_equivalence():
             rule = SelectionRule.fixed(sample, [hid])
             member = space.family.member(hid)
             for pi in range(space.model.size):
-                feps = [fep_fsp(k, pi, rule, xi).fep for xi in range(sample.size)]
+                feps = [helpers.fep_fsp(k, pi, rule, xi).fep for xi in range(sample.size)]
                 assert feps == [k.value(hid, xi) if member >> pi & 1 else XValue(0)
                                 for xi in range(sample.size)]
                 singleton_rates.append(helpers.oracle_expectation(pa.pmfs[pi], feps))
@@ -289,7 +288,7 @@ def test_fer_first_inequality_tight_for_disjoint_least_selections():
     space, k = toy_kernel()
     cells = [golden.row_id(space, lab) for lab in ("H_1", "H_2")]
     rule = SelectionRule.fixed(k.sample, cells)
-    pair = fep_fsp(k, "c1", rule, 0)
+    pair = helpers.fep_fsp(k, "c1", rule, 0)
     least_val = k.value(space.least_id(space.model.index("c1")), 0)
     assert pair.fep == XValue(pair.fsp) * least_val  # 30 = (1/2) * 60
     assert pair.fep == XValue(30)
@@ -297,7 +296,7 @@ def test_fer_first_inequality_tight_for_disjoint_least_selections():
 
 def postprocessed(k, rule):
     """Each outcome's table inflated by the rule's selection at that outcome."""
-    cols = [postprocess_efunction(col, rule.at(xi)) for xi, col in enumerate(k.columns)]
+    cols = [postprocess_efunction(col, rule.selected[xi]) for xi, col in enumerate(k.columns)]
     return EKernel(k.space, k.sample, cols)
 
 
@@ -519,7 +518,7 @@ def least_hypothesis_bounds(k, rule):
     for pi in range(space.model.size):
         for xi, col in enumerate(k.columns):
             least = k.value(space.least_id(pi), xi)
-            pair = fep_fsp(k, pi, rule, xi)
+            pair = helpers.fep_fsp(k, pi, rule, xi)
             yield pi, xi, helpers.sup_over_true(space, col.values, pi), least, pair, least * XValue(pair.fsp)
 
 
@@ -553,7 +552,7 @@ def test_phi_avg_over_selection_recovers_fer():
         ids = list(space.family.nonempty_ids())
         rule = SelectionRule.fixed(sample, ids[: r.randint(1, len(ids))])
         for pi, xi, _, _, pair, bound in least_hypothesis_bounds(k, rule):
-            selected = rule.at(xi)
+            selected = rule.selected[xi]
             true_ids = [hid for hid in selected if space.family.member(hid) >> pi & 1]
             assert pair.fsp == Fraction(len(true_ids), len(selected))
             assert pair.fep == sum((k.value(h, xi) for h in true_ids), XValue(0)) / len(selected)
@@ -580,7 +579,7 @@ def test_phi_sup_over_selections_equals_sup_over_true():
             infs += any(v.is_inf for v in table.values[1:])
             k = EKernel(space, sample, [table])
             for pi in range(space.model.size):
-                best = max(fep_fsp(k, pi, rule, 0).fep for rule in rules)
+                best = max(helpers.fep_fsp(k, pi, rule, 0).fep for rule in rules)
                 assert best == helpers.sup_over_true(space, table.values, pi)
     assert zeros and infs
 
