@@ -29,8 +29,8 @@ from .evidence import (
     classify,
     close,
     merge_convex,
+    shilkret_integral,
 )
-from .integration import OrderMeasurableFn, shilkret_integral
 from .kernels import (
     EKernel,
     EProcess,

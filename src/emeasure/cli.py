@@ -599,7 +599,7 @@ def cmd_decide(args) -> int:
     if loss is not None and slice_fn is not None:
         if slice_fn.eclass is EClass.MEASURE and sf.space.intersection_closed:
             ranking = sorted(
-                (dec.e_integrated_loss(loss, slice_fn, d), d) for d in loss.decisions
+                (dec.e_integrated_loss(ctable, slice_fn, d), d) for d in loss.decisions
             )
             out.text("integrated-loss ranking (best first):")
             for value, d in ranking:

@@ -2,12 +2,16 @@
 class they induce, consequence bounds, integrated loss, admissibility and
 the optimality class of a loss.
 
-The induced class is the upper sets of row dominance (point q is above p
-when q's consequence is at least as bad under every decision). It is
-checked at its generators, the principal upper sets, and never built: each
-is read off one table of bound hypotheses per decision
-(`ConsequenceTable.bounds`), and a union-closed kernel space that holds
-every generator holds the whole class.
+Everything reads one table of bound hypotheses per decision
+(`ConsequenceTable.bounds`): at each consequence, the points whose
+consequence is at least as bad. The induced class is the upper sets of row
+dominance (point q is above p when q's consequence is at least as bad
+under every decision). It is checked at its generators, the principal
+upper sets, each the meet of a point's bounds, and never built: a
+union-closed kernel space that holds every generator holds the whole
+class. For a numeric loss the bounds are its super-level sets, so the
+integrated loss is read off them too, and admissibility compares
+decisions on the evidence against their bounds.
 """
 
 from __future__ import annotations
@@ -15,22 +19,26 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from . import kernels as kn
-from .evidence import EClass, EFunction, EvidenceError
-from .integration import OrderMeasurabilityViolation, OrderMeasurableFn, shilkret_integral
+from .evidence import EClass, EFunction, EvidenceError, shilkret_integral
 from .kernels import EKernel, Entry, ProbabilityAssignment, Report
 from .spaces import Model, Preorder, Space
-from .xvalue import XValue, as_xvalue, dot_at_most, scale, sup_of
+from .xvalue import XValue, as_xvalue, dot_at_most, order_keys, packed_keys, scale, sup_of
 
 
 class DecisionError(EvidenceError):
     pass
 
 
+class OrderMeasurabilityViolation(EvidenceError):
+    """A bound hypothesis the computation needs is not a member of the space."""
+
+
 class ConsequenceSpace:
     """Consequence labels with an explicit preorder: `order.rows[i]` holds
-    the consequences j that i is at least as bad as."""
+    the consequences j that i is at least as bad as. A numeric space keeps
+    each label's value in `values`; any other holds None there."""
 
-    __slots__ = ("elements", "order", "positions")
+    __slots__ = ("elements", "order", "positions", "values")
 
     def __init__(self, elements: tuple[str, ...], order: Preorder):
         positions = {c: i for i, c in enumerate(elements)}
@@ -43,14 +51,22 @@ class ConsequenceSpace:
         self.order = order
         # Each element label's index; the labels alone fix it.
         self.positions = positions
+        self.values: Optional[tuple[XValue, ...]] = None
 
     @classmethod
     def numeric(cls, values: Sequence[XValue]) -> "ConsequenceSpace":
-        """The distinct values in increasing order, each at least as bad as
-        itself and every smaller one."""
-        distinct = sorted(set(values), key=lambda v: (v.is_inf, 0 if v.is_inf else v.as_fraction()))
-        labels = tuple(v.record() for v in distinct)
-        return cls(labels, Preorder(tuple((1 << (i + 1)) - 1 for i in range(len(labels)))))
+        """The distinct values in increasing order of their order keys, each
+        at least as bad as itself and every smaller one. The labels are
+        distinct and the order is total by construction, so ``__init__``
+        and its checks are skipped, as ``EKernel.from_rows`` skips
+        ``EKernel.__init__``."""
+        distinct = dict(zip(order_keys(values), values))
+        space = cls.__new__(cls)
+        space.values = tuple(distinct[key] for key in sorted(distinct))
+        space.elements = tuple(v.record() for v in space.values)
+        space.order = Preorder(tuple((1 << (i + 1)) - 1 for i in range(len(space.values))))
+        space.positions = {c: i for i, c in enumerate(space.elements)}
+        return space
 
     def index(self, label: str) -> int:
         try:
@@ -153,11 +169,6 @@ class NumericLoss:
             rows.append(tuple(as_xvalue(table[p][d]) for d in decisions))
         return cls(model, tuple(decisions), tuple(rows))
 
-    def column(self, decision: int | str) -> tuple[XValue, ...]:
-        if isinstance(decision, str):
-            decision = self.decisions.index(decision)
-        return tuple(row[decision] for row in self.entries)
-
     def to_consequence_table(self) -> ConsequenceTable:
         values = [v for row in self.entries for v in row]
         cspace = ConsequenceSpace.numeric(values)
@@ -246,17 +257,32 @@ def _consequence_report(
     return Report(tuple(entries))
 
 
-def e_integrated_loss(loss: NumericLoss, e: EFunction, decision: int | str) -> XValue:
+def _levels(table: ConsequenceTable, d: int) -> list[tuple[XValue, int]]:
+    """The positive losses decision d takes in a numeric table, each with
+    its bound hypothesis there: the super-level sets of its loss."""
+    values, positions, bounds = table.cspace.values, table.cspace.positions, table.bounds()[d]
+    if values is None:
+        raise DecisionError("the integrated loss needs a numeric loss table")
+    levels = []
+    for c in dict.fromkeys(row[d] for row in table.entries):
+        value = values[positions[c]]
+        if not value.is_zero:
+            levels.append((value, bounds[c]))
+    return levels
+
+
+def e_integrated_loss(table: ConsequenceTable, e: EFunction, decision: int | str) -> XValue:
     """Evidence-weighted worst loss of a decision: the Shilkret integral of
-    its loss column. On a measure over an intersection-closed space it
-    equals the sup over points of loss / e(least hypothesis).
+    its loss column, from a numeric loss's ``to_consequence_table()``. On a
+    measure over an intersection-closed space it equals the sup over points
+    of loss / e(least hypothesis).
     """
     if isinstance(decision, str):
-        decision = loss.decisions.index(decision)
+        decision = table.decisions.index(decision)
     if e.eclass is not EClass.MEASURE:
         raise DecisionError("integrated loss needs a measure")
     e.space.require_intersection_closed()
-    return shilkret_integral(OrderMeasurableFn(e.space, loss.column(decision)), e)
+    return shilkret_integral(e, _levels(table, decision))
 
 
 def check_grunwald_bound(
@@ -275,11 +301,8 @@ def check_grunwald_bound(
     model = k.space.model
     integrated: list[list[XValue]] = []  # [decision][outcome]
     for d in range(n_dec):
-        column = loss.column(d)
-        fn = OrderMeasurableFn(k.space, column)
-        integrated.append(
-            [shilkret_integral(fn, k.columns[xi]) for xi in range(k.sample.size)]
-        )
+        levels = _levels(table, d)
+        integrated.append([shilkret_integral(col, levels) for col in k.columns])
 
     entries = []
     for pi in range(model.size):
@@ -309,26 +332,26 @@ def admissible_decisions(e: EFunction, table: ConsequenceTable) -> Admissibility
     A decision is preferred when, against every benchmark consequence, it
     carries at least as much evidence that the truth is at least that bad.
     Every bound hypothesis must be measurable; a missing one is reported by
-    name instead of guessed around.
+    name instead of guessed around. Each decision's evidence against its
+    bounds is packed into one int of order keys (`packed_keys`), so one
+    subtraction compares two decisions at every consequence.
     """
-    n_dec = len(table.decisions)
-    evidence_at: list[list[XValue]] = []
+    n_dec, family, keys = len(table.decisions), e.space.family, order_keys(e.values)
+    rows = []
     for d, bounds in enumerate(table.bounds()):
         row = []
         for c, bits in bounds.items():
-            if bits not in e.space.family:
+            if bits not in family:
                 raise OrderMeasurabilityViolation(
                     f"evidence is undefined on the bound hypothesis "
                     f"{table.model.label(bits)} for decision "
                     f"{table.decisions[d]!r} at consequence {c!r}"
                 )
-            row.append(e.value_of(bits))
-        evidence_at.append(row)
+            row.append(keys[family.id_of(bits)])
+        rows.append(row)
+    packed, guard = packed_keys(list(zip(*rows)))
     geq = tuple(
-        tuple(
-            all(evidence_at[i][ci] >= evidence_at[j][ci] for ci in range(len(table.cspace.elements)))
-            for j in range(n_dec)
-        )
+        tuple(((packed[i] | guard) - packed[j]) & guard == guard for j in range(n_dec))
         for i in range(n_dec)
     )
     admissible = tuple(

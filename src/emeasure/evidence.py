@@ -1,4 +1,5 @@
-"""Evidence tables over a hypothesis family and the closure operator.
+"""Evidence tables over a hypothesis family, the closure operator and the
+Shilkret integral.
 
 Three strengths of table are distinguished: a bare evidence function only
 assigns maximal evidence to the empty hypothesis; a capacity is also
@@ -17,7 +18,7 @@ from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .spaces import Record, Space
-from .xvalue import INF, ZERO, XValue, as_xvalue, order_keys
+from .xvalue import INF, ZERO, XValue, as_xvalue, order_keys, sup_of
 
 class EvidenceError(Exception):
     pass
@@ -189,6 +190,15 @@ def close(e: EFunction) -> EFunction:
     return measure_from_density(
         e.space, _claims(e.space.model.size, e.space.family.members, e.values)
     )
+
+
+def shilkret_integral(e: EFunction, levels: Iterable[tuple[XValue, int]]) -> XValue:
+    """The Shilkret integral against `e` of a non-negative function given by
+    its levels: each positive value c it takes, with its super-level set
+    {f >= c} as bits. It is the sup over c > 0 of c / e({f >= c}); between
+    two levels the set is constant while c grows, so the sup is attained at
+    a level, and a level inf stands for the limit c -> inf."""
+    return sup_of(c / e.value_of(bits) for c, bits in levels)
 
 
 def merge_convex(functions: Sequence[EFunction], weights: Sequence[Fraction | int]) -> EFunction:

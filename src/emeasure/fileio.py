@@ -734,7 +734,9 @@ def _tree_shape(path, shape):
 
 def _decision_rows(path, table: dict, model: Model, decisions) -> dict[str, dict]:
     """The rows of a `loss` or `table` entry by point label, each keyed by
-    decision; a point outside the space or an undeclared decision is refused."""
+    decision; a point outside the space or an undeclared decision is
+    refused, and then, in point order, a point without a row or a row
+    without an entry for some decision."""
     rows = {}
     for point, row in table.items():
         if not isinstance(row, dict):
@@ -742,6 +744,12 @@ def _decision_rows(path, table: dict, model: Model, decisions) -> dict[str, dict
         rows[str(point)] = cells = {str(d): v for d, v in row.items()}
         _refuse_unknown(path, f"row for {point!r} has unknown decisions", cells, decisions)
     _refuse_unknown(path, "rows for points not in the space:", rows, model.points)
+    for point in model.points:
+        if point not in rows:
+            raise SchemaError(path, f"no row for point {point!r}")
+        for d in decisions:
+            if d not in rows[point]:
+                raise SchemaError(path, f"row for {point!r} misses decision {d!r}")
     return rows
 
 
@@ -759,14 +767,11 @@ def load_decision_problem(path: Path | str, model: Model):
         if not isinstance(table, dict):
             raise SchemaError(path, "'loss' must map points to decision losses")
         rows = _decision_rows(path, table, model, decisions)
-        try:
-            loss = NumericLoss.of(
-                model,
-                decisions,
-                {p: {d: _xvalue(path, v) for d, v in row.items()} for p, row in rows.items()},
-            )
-        except KeyError as exc:
-            raise SchemaError(path, f"loss table misses entry {exc}") from None
+        loss = NumericLoss.of(
+            model,
+            decisions,
+            {p: {d: _xvalue(path, v) for d, v in row.items()} for p, row in rows.items()},
+        )
         return loss.to_consequence_table(), loss
     cons = data.get("consequences")
     table = data.get("table")

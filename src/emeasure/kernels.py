@@ -24,7 +24,8 @@ from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
 from .spaces import Model, Record, Space, SpaceError, preimages
 from .xvalue import (
-    INF, ONE, ZERO, Scaled, XValue, as_xvalue, dot, dot_at_most, order_keys, ratio, scale,
+    INF, ONE, ZERO, Scaled, XValue, as_xvalue, dot, dot_at_most, order_keys, packed_keys,
+    ratio, scale,
 )
 
 
@@ -224,22 +225,12 @@ class EKernel:
         the row of the member it extends, outcome by outcome. The keys are
         built once per distinct row object: each outcome is order-keyed
         over those rows only, and each row's keys are packed into one int
-        of w+1 bits per outcome, the key in the low w bits and a guard bit
-        on top (the guards together are G). Then (packed[a] | G) -
-        packed[b] keeps every guard exactly when each of a's keys is at
-        least b's, since a field that would go negative borrows its own
-        guard and no other: one subtraction and one mask per join.
+        (`packed_keys`), so that one subtraction and one mask test a join.
         """
         if self._capacity is None:
             distinct, slots = self._distinct()
             columns = [order_keys(values) for values in zip(*distinct)]
-            w = max(max(keys) for keys in columns).bit_length()
-            packed, guard = [0] * len(distinct), 0
-            for x, keys in enumerate(columns):
-                shift = x * (w + 1)
-                guard |= 1 << (shift + w)
-                for r, key in enumerate(keys):
-                    packed[r] |= key << shift
+            packed, guard = packed_keys(columns)
             guarded = [packed[slot] | guard for slot in slots]
             packed = [packed[slot] for slot in slots]
             self._capacity = all(

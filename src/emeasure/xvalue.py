@@ -19,10 +19,11 @@ denominator positive; inf is the pair (1, 0). Arithmetic works on the pairs
 and reduces each result with one gcd, and comparisons cross-multiply them,
 which orders inf above every finite value without a branch. ``Fraction``
 appears only at the edges: the constructor for inputs other than ints,
-:meth:`XValue.as_fraction`, and the hash, which must equal the hash of the
-equal ``Fraction``. :func:`parse_xvalue` reads an ASCII-digit 'p' or 'p/q'
-cell straight into a reduced pair, and :func:`order_keys` keys each value by
-a fixed binary shift of its pair, so that a table's values order as ints.
+and the hash, which must equal the hash of the equal ``Fraction``.
+:func:`parse_xvalue` reads an ASCII-digit 'p' or 'p/q' cell straight into a
+reduced pair, and :func:`order_keys` keys each value by a fixed binary shift
+of its pair, so that a table's values order as ints; :func:`packed_keys`
+packs rows of such keys so that one subtraction compares two rows.
 
 Expectations work on scaled tables: :func:`scale` turns a table into its
 least common denominator, one integer numerator per position (0 where the
@@ -90,16 +91,11 @@ class XValue:
     def is_zero(self) -> bool:
         return not self._num
 
-    def as_fraction(self) -> Fraction:
-        if not self._den:
-            raise ValueError("infinite value has no rational representation")
-        return Fraction(self._num, self._den)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: Rationalish) -> "XValue":
         if type(other) is not XValue:
-            other = _coerce(other)
+            other = as_xvalue(other)
         b, d = self._den, other._den
         if not b or not d:
             return INF
@@ -111,7 +107,7 @@ class XValue:
 
     def __mul__(self, other: Rationalish) -> "XValue":
         if type(other) is not XValue:
-            other = _coerce(other)
+            other = as_xvalue(other)
         a, c = self._num, other._num
         if not a or not c:
             return ZERO  # 0 * inf = 0
@@ -124,7 +120,7 @@ class XValue:
 
     def __truediv__(self, other: Rationalish) -> "XValue":
         if type(other) is not XValue:
-            other = _coerce(other)
+            other = as_xvalue(other)
         c, d = other._num, other._den
         if not d:
             return ZERO  # c / inf = 0, also for c = inf
@@ -135,7 +131,7 @@ class XValue:
         return ratio(self._num * d, self._den * c)
 
     def __rtruediv__(self, other: Rationalish) -> "XValue":
-        return _coerce(other) / self
+        return as_xvalue(other) / self
 
     # -- ordering -----------------------------------------------------
 
@@ -157,22 +153,22 @@ class XValue:
 
     def __le__(self, other: Rationalish) -> bool:
         if type(other) is not XValue:
-            other = _coerce(other)
+            other = as_xvalue(other)
         return self._num * other._den <= other._num * self._den
 
     def __lt__(self, other: Rationalish) -> bool:
         if type(other) is not XValue:
-            other = _coerce(other)
+            other = as_xvalue(other)
         return self._num * other._den < other._num * self._den
 
     def __ge__(self, other: Rationalish) -> bool:
         if type(other) is not XValue:
-            other = _coerce(other)
+            other = as_xvalue(other)
         return other._num * self._den <= self._num * other._den
 
     def __gt__(self, other: Rationalish) -> bool:
         if type(other) is not XValue:
-            other = _coerce(other)
+            other = as_xvalue(other)
         return other._num * self._den < self._num * other._den
 
     # -- rendering ----------------------------------------------------
@@ -230,12 +226,8 @@ ZERO = _pair(0, 1)
 ONE = _pair(1, 1)
 
 
-def _coerce(value: Rationalish) -> XValue:
-    return value if isinstance(value, XValue) else XValue(value)
-
-
 def as_xvalue(value: Rationalish) -> XValue:
-    return _coerce(value)
+    return value if isinstance(value, XValue) else XValue(value)
 
 
 def ratio(num: int, den: int) -> XValue:
@@ -340,11 +332,30 @@ def order_keys(values: Sequence[XValue]) -> list[int]:
     return [top if key < 0 else key for key in keys]
 
 
+def packed_keys(columns: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Per row, its non-negative int keys packed into one int, and the mask
+    G of the guard bits; `columns` holds each field's keys over the rows.
+
+    Each field takes w+1 bits, w the bit length of the largest key: the key
+    in the low w bits and a guard bit on top. Then (packed[a] | G) -
+    packed[b] keeps every guard exactly when each of a's keys is at least
+    b's, since a field that would go negative borrows its own guard and no
+    other: one subtraction and one mask compare two rows.
+    """
+    w = max(map(max, columns), default=0).bit_length()
+    packed, guard = [0] * len(columns[0] if columns else ()), 0
+    for x, keys in enumerate(columns):
+        shift = x * (w + 1)
+        guard |= 1 << (shift + w)
+        packed = [row | key << shift for row, key in zip(packed, keys)]
+    return packed, guard
+
+
 def inf_of(values: Iterable[Rationalish]) -> XValue:
     """Infimum with the empty-collection convention inf {} = inf."""
     best = INF
     for v in values:
-        v = _coerce(v)
+        v = as_xvalue(v)
         if v < best:
             best = v
     return best
@@ -354,7 +365,7 @@ def sup_of(values: Iterable[Rationalish]) -> XValue:
     """Supremum with the empty-collection convention sup {} = 0."""
     best = ZERO
     for v in values:
-        v = _coerce(v)
+        v = as_xvalue(v)
         if v > best:
             best = v
     return best

@@ -25,6 +25,7 @@ from emeasure import (
     Space,
     XValue,
     ZERO,
+    as_xvalue,
     class_from_preorder,
     classify,
     inf_of,
@@ -34,10 +35,10 @@ from emeasure import (
     sup_of,
     union_closure,
 )
-from emeasure.decisions import DecisionError
+from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
 from emeasure.evidence import measure_from_density
 from emeasure.spaces import HypothesisClass, NotAPreorder
-from emeasure.xvalue import order_keys
+from emeasure.xvalue import order_keys, scale
 
 
 def points_of(bits):
@@ -327,14 +328,67 @@ def rand_process(r, space, tree, allow_inf=True):
     return EProcess(tree, kernels)
 
 
+def as_fraction(v):
+    """A finite value as a Fraction, read off its scaled form."""
+    den, (num,), inf = scale([v])
+    if inf:
+        raise ValueError("infinite value has no rational representation")
+    return Fraction(num, den)
+
+
+class OrderMeasurableFn:
+    """A function on model points whose super-level sets are members: the
+    oracle that builds a function's levels point by point, for
+    ``shilkret_integral(e, f.levels())``.
+
+    Every positive level is checked at construction, so a failure names
+    the offending level.
+    """
+
+    __slots__ = ("space", "values")
+
+    def __init__(self, space, values):
+        self.space = space
+        self.values = tuple(values)
+        if len(self.values) != space.model.size:
+            raise ValueError("one value per model point is required")
+        for level in self.positive_levels():
+            if self.superlevel_bits(level) not in space.family:
+                raise OrderMeasurabilityViolation(f"super-level set at {level} is not a hypothesis")
+
+    @classmethod
+    def of(cls, space, values):
+        return cls(space, [as_xvalue(v) for v in values])
+
+    def positive_levels(self):
+        """Distinct positive values taken by the function, ascending: the
+        finite ones sorted as Fractions, then inf."""
+        levels = {v for v in self.values if not v.is_zero}
+        finite = sorted((v for v in levels if not v.is_inf), key=as_fraction)
+        return tuple(finite + [INF] if INF in levels else finite)
+
+    def superlevel_bits(self, level):
+        """The bitset of {f >= level}."""
+        return sum(1 << i for i, v in enumerate(self.values) if v >= level)
+
+    def levels(self):
+        """Each positive level with its super-level set."""
+        return [(c, self.superlevel_bits(c)) for c in self.positive_levels()]
+
+
+def loss_column(loss, decision):
+    """A numeric loss's values under one decision (index or label), point by point."""
+    if isinstance(decision, str):
+        decision = loss.decisions.index(decision)
+    return tuple(row[decision] for row in loss.entries)
+
+
 def rand_order_measurable(r, space, max_levels=3, allow_inf=True):
     """Random order-measurable function: levels stacked on a member chain.
 
     Intersecting random members yields a descending chain (the space is
     intersection-closed), so every super-level set is a chain member.
     """
-    from emeasure import OrderMeasurableFn
-
     members = space.family.members
     current = (1 << space.model.size) - 1
     chain = []
@@ -360,8 +414,6 @@ def rand_order_measurable(r, space, max_levels=3, allow_inf=True):
 
 def rand_order_measurable_pair(r, space, max_levels=3):
     """Two order-measurable functions with f >= g pointwise, on one chain."""
-    from emeasure import OrderMeasurableFn
-
     members = space.family.members
     current = (1 << space.model.size) - 1
     chain = []
@@ -391,8 +443,6 @@ def rand_order_measurable_pair(r, space, max_levels=3):
 
 def indicator(space, hid):
     """The indicator of one member, as an order-measurable function."""
-    from emeasure import OrderMeasurableFn
-
     member = space.family.member(hid)
     return OrderMeasurableFn.of(space, [member >> i & 1 for i in range(space.model.size)])
 
@@ -692,7 +742,7 @@ def oracle_expectation(pmf, values):
             continue
         if v.is_inf:
             return INF
-        total += mass * v.as_fraction()
+        total += mass * as_fraction(v)
     return XValue(total)
 
 
@@ -705,7 +755,7 @@ def termwise_expectation(masses, values):
         if m:
             if v.is_inf:
                 return INF
-            m, f = Fraction(m), v.as_fraction()
+            m, f = Fraction(m), as_fraction(v)
             term_num = m.numerator * f.numerator
             term_den = m.denominator * f.denominator
             if term_den == den:

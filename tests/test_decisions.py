@@ -13,7 +13,6 @@ from emeasure import (
     INF,
     Model,
     NumericLoss,
-    OrderMeasurableFn,
     Pmf,
     Preorder,
     ProbabilityAssignment,
@@ -40,7 +39,7 @@ from emeasure import (
 )
 from emeasure import decisions
 from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
-from emeasure.evidence import from_values
+from emeasure.evidence import from_values, measure_from_density
 from emeasure.spaces import preimages
 from emeasure.kernels import KernelError
 
@@ -238,13 +237,14 @@ def test_integrated_loss_worked_examples():
     space = helpers.power_space(2)
     model = space.model
     loss = NumericLoss(model, ("d",), ((XValue(8),), (XValue(2),)))
+    table = loss.to_consequence_table()
     e = from_values(space, ["inf", 4, 2, 2])
-    assert e_integrated_loss(loss, e, "d") == XValue(2)
+    assert e_integrated_loss(table, e, "d") == XValue(2)
     zero = NumericLoss(model, ("d",), ((XValue(0),), (XValue(0),)))
-    assert e_integrated_loss(zero, e, "d") == XValue(0)
+    assert e_integrated_loss(zero.to_consequence_table(), e, "d") == XValue(0)
     for pi, p in enumerate(model.points):
         d_meas = helpers.dirac_measure(space, p)
-        assert e_integrated_loss(loss, d_meas, "d") == loss.entries[pi][0]
+        assert e_integrated_loss(table, d_meas, "d") == loss.entries[pi][0]
 
 
 def test_integrated_loss_forms_agree_on_random_instances():
@@ -255,16 +255,66 @@ def test_integrated_loss_forms_agree_on_random_instances():
         n = r.randint(1, 4)
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
         loss = rand_numeric_loss(r, model, n_decisions=r.randint(1, 3))
-        space = helpers.build_consequence_class(loss.to_consequence_table())
+        table = loss.to_consequence_table()
+        space = helpers.build_consequence_class(table)
         e = helpers.rand_measure(r, space)
         for d in loss.decisions:
-            column = loss.column(d)
-            by_least = helpers.integral_least_true(OrderMeasurableFn(space, column), e)
+            column = helpers.loss_column(loss, d)
+            by_least = helpers.integral_least_true(helpers.OrderMeasurableFn(space, column), e)
             bound_bits = [
                 sum(1 << qi for qi in range(n) if column[qi] >= column[pi]) for pi in range(n)
             ]
             by_bounds = helpers.sup_of(column[pi] / e.value_of(bound_bits[pi]) for pi in range(n))
-            assert e_integrated_loss(loss, e, d) == by_least == by_bounds
+            assert e_integrated_loss(table, e, d) == by_least == by_bounds
+
+
+def test_integral_off_the_bound_table_matches_the_function_form():
+    """Each decision's integral at the levels read off the bound table
+    equals the integral at the levels `helpers.OrderMeasurableFn` builds
+    from its loss column, point by point, on seeded numeric losses with 0
+    and inf, whose consequence order is their values sorted as Fractions,
+    inf last. The spaces are union-closed, hold most induced upper sets and
+    some other sets, and are kept where the bound check passes; there the
+    oracle's own measurability check passes too. The evidence is a
+    measure, a capacity or an arbitrary table."""
+    r = helpers.rng(229)
+    kinds = ("measure", "capacity", "table")
+    seen = dict.fromkeys(kinds + ("zero loss", "inf loss", "refused"), 0)
+    for case in range(300):
+        n = r.randint(1, 5)
+        model = Model(tuple(f"P{i + 1}" for i in range(n)))
+        loss = rand_numeric_loss(r, model, n_decisions=r.randint(1, 3), allow_inf=True)
+        table = loss.to_consequence_table()
+        by_fraction = sorted(
+            {v for row in loss.entries for v in row},
+            key=lambda v: (v.is_inf, 0 if v.is_inf else helpers.as_fraction(v)),
+        )
+        assert table.cspace.values == tuple(by_fraction)
+        assert table.cspace.elements == tuple(v.record() for v in by_fraction)
+        induced = helpers.build_consequence_class(table)
+        ups = {induced.family.member(induced.least_id(pi)) for pi in range(n)}
+        gens = [bits for bits in sorted(ups) if r.random() < 0.9]
+        gens += [r.randrange(1, 1 << n) for _ in range(r.randint(0, 2))]
+        space = Space(model, union_closure(n, gens))
+        try:
+            decisions._require_order_measurable(space, table)
+        except OrderMeasurabilityViolation:
+            seen["refused"] += 1
+            continue
+        kind = kinds[case % 3]
+        if kind == "measure":
+            e = measure_from_density(space, [helpers.rand_xvalue(r) for _ in range(n)])
+        elif kind == "capacity":
+            e = helpers.rand_capacity(r, space)
+        else:
+            e = from_values(space, [INF] + [helpers.rand_xvalue(r) for _ in space.family.members[1:]])
+        for d in range(len(table.decisions)):
+            levels = helpers.OrderMeasurableFn(space, helpers.loss_column(loss, d)).levels()
+            assert shilkret_integral(e, decisions._levels(table, d)) == shilkret_integral(e, levels)
+        seen[kind] += 1
+        seen["zero loss"] += any(v.is_zero for row in loss.entries for v in row)
+        seen["inf loss"] += any(v.is_inf for row in loss.entries for v in row)
+    assert min(seen.values()) >= 20, seen
 
 
 def one_decision_setup(seed):
@@ -525,10 +575,11 @@ def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
         ltable = loss.to_consequence_table()
         lspace = helpers.build_consequence_class(ltable)
         lk = EKernel(lspace, csample, [helpers.rand_capacity(r, lspace) for _ in csample.outcomes])
-        integrated = [
-            [shilkret_integral(OrderMeasurableFn(lspace, loss.column(d)), col) for col in lk.columns]
+        loss_levels = [
+            helpers.OrderMeasurableFn(lspace, helpers.loss_column(loss, d)).levels()
             for d in range(len(loss.decisions))
         ]
+        integrated = [[shilkret_integral(col, lv) for col in lk.columns] for lv in loss_levels]
         ratios = [
             [sup_of(loss.entries[pi][d] / integrated[d][xi] for d in range(len(loss.decisions)))
              for xi in range(csample.size)]
@@ -561,9 +612,9 @@ def assert_markov_ratios(k, loss):
     table = loss.to_consequence_table()
     space = k.space
     for d in range(len(loss.decisions)):
-        fn = OrderMeasurableFn(space, loss.column(d))
+        levels = helpers.OrderMeasurableFn(space, helpers.loss_column(loss, d)).levels()
         for xi in range(k.sample.size):
-            integrated = shilkret_integral(fn, k.columns[xi])
+            integrated = shilkret_integral(k.columns[xi], levels)
             for pi in range(space.model.size):
                 bound = helpers.hypothesis_for_bound(table, d, table.entries[pi][d])
                 ratio = loss.entries[pi][d] / integrated
@@ -607,6 +658,8 @@ def test_admissibility_identical_and_dominated_columns():
     e = helpers.unit_measure(space)
     result = admissible_decisions(e, table)
     assert result.admissible == ("d1", "d2")
+    none = NumericLoss(model, (), ((), ())).to_consequence_table()
+    assert admissible_decisions(e, none).admissible == ()
 
     skewed = NumericLoss(
         model, ("good", "bad"), ((XValue(1), XValue(4)), (XValue(2), XValue(5)))

@@ -9,6 +9,8 @@ import math
 import sys
 from fractions import Fraction
 
+import pytest
+
 import helpers
 from emeasure import INF, SampleSpace, XValue, cli
 from emeasure import kernels as kn
@@ -137,3 +139,86 @@ def test_decide_builds_no_family_past_the_space_file(monkeypatch, capsys, tmp_pa
             err = capsys.readouterr().err
             assert (got, largest[-1]) == (code, n + 1), (n, decisions)
             assert err.endswith("misses the bound hypothesis p1\n" if code else "")
+
+
+def write_chain_files(path, n, decisions):
+    """A `decide` input on the n-point prefix chain p1..pn (members the
+    prefixes), with two outcomes H and T, a constant kernel 1 and a loss
+    (n - i)·D + j for point p_i and decision d_j of D: all n·D losses are
+    distinct and each column falls along the chain, so every bound
+    hypothesis is a prefix."""
+    points = [f"p{i}" for i in range(1, n + 1)]
+    prefixes = [points[:i] for i in range(1, n + 1)]
+    labels = [f"d{j}" for j in range(1, decisions + 1)]
+    files = {
+        "space": f"points: [{', '.join(points)}]\ngenerators: ["
+        + ", ".join(f"[{', '.join(p)}]" for p in prefixes) + "]\n",
+        "model": "pmf:\n" + "".join(f"  {p}: {{H: 1/2, T: 1/2}}\n" for p in points),
+        "kernel": "kernel:\n" + "".join(f'  "{",".join(p)}": {{H: 1, T: 1}}\n' for p in prefixes),
+        "decisions": f"decisions: [{', '.join(labels)}]\nloss:\n" + "".join(
+            f"  {p}: {{{', '.join(f'{d}: {(n - i) * decisions + j}' for j, d in enumerate(labels, 1))}}}\n"
+            for i, p in enumerate(points, 1)
+        ),
+    }
+    argv = ["decide"]
+    for name, text in files.items():
+        (path / f"{name}.yaml").write_text(text)
+        argv += [f"--{name}", str(path / f"{name}.yaml")]
+    return argv
+
+
+def test_decide_comparisons_grow_linearly_in_the_decisions(monkeypatch, capsys, tmp_path):
+    """L5 `decide --bound grunwald --outcome H`: the integrals read each
+    decision's levels off its bound table, each point's ratio compares its
+    D ratios, and admissibility compares decisions on packed order keys, so
+    on the 12-point prefix chain with D = 6, 12 and 24 decisions (12·D
+    distinct losses) the `XValue` comparisons grow as D. Comparing the D²
+    pairs of decisions at all 12·D consequences on `XValue`s gives a slope
+    of 2.3 (7,310 / 29,813 / 180,873 comparisons)."""
+    calls = [0]
+    for name in ("__ge__", "__gt__", "__le__", "__lt__"):
+        original = getattr(XValue, name)
+
+        def counted(self, other, original=original):
+            calls[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(XValue, name, counted)
+    sizes, counts = [6, 12, 24], []
+    for decisions in sizes:
+        argv = write_chain_files(tmp_path, 12, decisions)
+        calls[0] = 0
+        assert cli.main([*argv, "--bound", "grunwald", "--outcome", "H"]) == cli.EXIT_OK
+        counts.append(calls[0])
+    capsys.readouterr()
+    assert slope(sizes, counts) <= 1.3, counts
+
+
+@pytest.mark.parametrize("bound", ["econsequence", "grunwald"])
+@pytest.mark.parametrize("outcome", [[], ["--outcome", "H"]], ids=["all", "slice"])
+def test_a_numeric_decide_builds_no_fraction_and_validates_no_order(
+    monkeypatch, capsys, tmp_path, bound, outcome
+):
+    """The numeric consequence order is sorted on order keys, built total
+    and not validated, and the integral reads its levels off the bound
+    table, so a `decide` run on integer losses builds no `Fraction` and
+    walks no `Preorder.validate` (the 12-point prefix chain with 12
+    decisions; sorting the losses as Fractions built 144 to 864, and
+    validating the order of 144 losses walks its 10,440 pairs)."""
+    calls = {"Fraction": 0, "validate": 0}
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls["Fraction"] += 1
+        return original(cls, *args, **kwargs)
+
+    def validate(self):
+        calls["validate"] += 1
+
+    argv = write_chain_files(tmp_path, 12, 12)
+    monkeypatch.setattr(spaces.Preorder, "validate", validate)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    code = cli.main([*argv, "--bound", bound, *outcome])
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert (code, calls) == (cli.EXIT_OK, {"Fraction": 0, "validate": 0})

@@ -2,8 +2,10 @@
 
 The Markov bound, the four readings of the integral and the sup
 interchange are identities of the paper; each is checked here on seeded
-instances against the library's one integral, with the super-level sets,
-pointwise sups and scaled indicators built by their definitions.
+instances against the library's one integral, ``shilkret_integral(e,
+levels)``. The levels, super-level sets, pointwise sups and scaled
+indicators are built by their definitions, the levels by the oracle
+``helpers.OrderMeasurableFn``.
 """
 
 from fractions import Fraction
@@ -11,17 +13,10 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from emeasure import (
-    Model,
-    OrderMeasurableFn,
-    XValue,
-    ZERO,
-    merge_convex,
-    shilkret_integral,
-    sup_of,
-)
+from emeasure import Model, XValue, ZERO, merge_convex, shilkret_integral, sup_of
+from emeasure.decisions import OrderMeasurabilityViolation
 from emeasure.evidence import EClass, from_values
-from emeasure.integration import OrderMeasurabilityViolation
+from helpers import OrderMeasurableFn
 
 
 def two_point_measure():
@@ -61,9 +56,8 @@ def scaled(f, a):
 def test_order_measurability_checked_at_construction():
     model = Model(("P1", "P2"))
     space = helpers.space_from_generators(model, [["P1", "P2"]])  # only {} and the full set
-    with pytest.raises(OrderMeasurabilityViolation) as err:
+    with pytest.raises(OrderMeasurabilityViolation, match="super-level set at 5 is"):
         OrderMeasurableFn.of(space, [5, 3])
-    assert err.value.level == XValue(5)
     OrderMeasurableFn.of(space, [3, 3])  # constant functions are fine
 
 
@@ -71,7 +65,7 @@ def test_indicator_integral_is_reciprocal_evidence():
     space, e, _ = two_point_measure()
     for hid in range(len(space.family)):
         f = helpers.indicator(space, hid)
-        assert shilkret_integral(f, e) == XValue(1) / e.values[hid]
+        assert shilkret_integral(e, f.levels()) == XValue(1) / e.values[hid]
 
 
 def test_dirac_integral_evaluates_the_point():
@@ -80,19 +74,19 @@ def test_dirac_integral_evaluates_the_point():
     for _ in range(20):
         f = OrderMeasurableFn.of(space, [helpers.rand_xvalue(r) for _ in range(3)])
         for pi, p in enumerate(space.model.points):
-            assert shilkret_integral(f, helpers.dirac_measure(space, p)) == f.values[pi]
+            assert shilkret_integral(helpers.dirac_measure(space, p), f.levels()) == f.values[pi]
 
 
 def test_two_point_worked_example():
     _, e, f = two_point_measure()
-    assert shilkret_integral(f, e) == XValue(2)
+    assert shilkret_integral(e, f.levels()) == XValue(2)
     assert helpers.integral_least_true(f, e) == XValue(2)
 
 
 def test_zero_function_integrates_to_zero():
     space, e, _ = two_point_measure()
     zero = OrderMeasurableFn.of(space, [0, 0])
-    assert shilkret_integral(zero, e) == ZERO
+    assert shilkret_integral(e, zero.levels()) == ZERO
     assert helpers.integral_least_true(zero, e) == ZERO  # uses 0/0 = 0
 
 
@@ -102,7 +96,7 @@ def test_unit_measure_integral_is_the_sup():
     one = helpers.unit_measure(space)
     for _ in range(20):
         f = OrderMeasurableFn.of(space, [helpers.rand_xvalue(r) for _ in range(3)])
-        assert shilkret_integral(f, one) == max(f.values)
+        assert shilkret_integral(one, f.levels()) == max(f.values)
 
 
 def test_positive_homogeneity():
@@ -112,7 +106,7 @@ def test_positive_homogeneity():
         e = helpers.rand_capacity(r, space)
         f = helpers.rand_order_measurable(r, space)
         a = XValue(helpers.rand_fraction(r, allow_zero=False))
-        assert shilkret_integral(scaled(f, a), e) == a * shilkret_integral(f, e)
+        assert shilkret_integral(e, scaled(f, a).levels()) == a * shilkret_integral(e, f.levels())
 
 
 def test_monotonicity_under_capacities():
@@ -121,7 +115,7 @@ def test_monotonicity_under_capacities():
         space = helpers.rand_ic_space(r)
         e = helpers.rand_capacity(r, space)
         f, g = helpers.rand_order_measurable_pair(r, space)
-        assert shilkret_integral(f, e) >= shilkret_integral(g, e)
+        assert shilkret_integral(e, f.levels()) >= shilkret_integral(e, g.levels())
 
 
 def test_least_true_form_equals_threshold_form():
@@ -130,8 +124,8 @@ def test_least_true_form_equals_threshold_form():
         space = helpers.rand_ic_space(r)
         e = helpers.rand_measure(r, space)
         f = helpers.rand_order_measurable(r, space)
-        assert helpers.integral_least_true(f, e) == shilkret_integral(f, e)
-        assert shilkret_integral(f, e) == oracle_threshold_sweep(f, e)
+        assert helpers.integral_least_true(f, e) == shilkret_integral(e, f.levels())
+        assert shilkret_integral(e, f.levels()) == oracle_threshold_sweep(f, e)
 
 
 def test_markov_trivial_and_tight_cases():
@@ -139,7 +133,8 @@ def test_markov_trivial_and_tight_cases():
     right side is c / inf = 0, and at f's maximum 8 it is attained."""
     _, e, f = two_point_measure()
     assert XValue(100) / e.value_of(superlevel(f, XValue(100))) == ZERO
-    assert shilkret_integral(f, e) == XValue(8) / e.value_of(superlevel(f, XValue(8))) == XValue(2)
+    top = XValue(8) / e.value_of(superlevel(f, XValue(8)))
+    assert shilkret_integral(e, f.levels()) == top == XValue(2)
 
 
 def test_markov_holds_on_random_sweeps():
@@ -153,7 +148,7 @@ def test_markov_holds_on_random_sweeps():
         space = helpers.rand_ic_space(r)
         e = helpers.rand_capacity(r, space)
         f = helpers.rand_order_measurable(r, space)
-        integral = shilkret_integral(f, e)
+        integral = shilkret_integral(e, f.levels())
         levels = attained_levels(f)
         between = [(lo + hi) / XValue(2) for lo, hi in zip(levels, levels[1:]) if not hi.is_inf]
         ratios = [c / e.value_of(superlevel(f, c)) for c in grid + levels + between]
@@ -181,9 +176,9 @@ def test_posthoc_identity_on_examples_and_random():
             for c in levels
         ]
         forms = {
-            shilkret_integral(f, e),
-            shilkret_integral(pointwise_sup(indicators), e) if levels else ZERO,
-            sup_of(shilkret_integral(g, e) for g in indicators),
+            shilkret_integral(e, f.levels()),
+            shilkret_integral(e, pointwise_sup(indicators).levels()) if levels else ZERO,
+            sup_of(shilkret_integral(e, g.levels()) for g in indicators),
             oracle_threshold_sweep(f, e),
         }
         assert len(forms) == 1, forms
@@ -191,7 +186,8 @@ def test_posthoc_identity_on_examples_and_random():
 
 def test_sup_interchange_singleton_is_equality():
     _, e, f = two_point_measure()
-    assert shilkret_integral(pointwise_sup([f]), e) == shilkret_integral(f, e) == XValue(2)
+    whole = shilkret_integral(e, f.levels())
+    assert shilkret_integral(e, pointwise_sup([f]).levels()) == whole == XValue(2)
 
 
 def test_sup_interchange_at_least_on_capacities():
@@ -210,8 +206,8 @@ def test_sup_interchange_at_least_on_capacities():
         fns = [helpers.indicator(space, r.randrange(len(space.family))) for _ in range(2)]
         if case % 3 == 0:
             fns[1] = helpers.rand_order_measurable(r, space)
-        lhs = shilkret_integral(pointwise_sup(fns), e)
-        rhs = sup_of(shilkret_integral(f, e) for f in fns)
+        lhs = shilkret_integral(e, pointwise_sup(fns).levels())
+        rhs = sup_of(shilkret_integral(e, f.levels()) for f in fns)
         assert lhs >= rhs
         strict += lhs != rhs
     assert strict
@@ -223,8 +219,8 @@ def test_sup_interchange_equality_for_measures():
         space = helpers.rand_ic_space(r)
         e = helpers.rand_measure(r, space)
         fns = [helpers.rand_order_measurable(r, space) for _ in range(r.randint(1, 3))]
-        assert shilkret_integral(pointwise_sup(fns), e) == sup_of(
-            shilkret_integral(f, e) for f in fns
+        assert shilkret_integral(e, pointwise_sup(fns).levels()) == sup_of(
+            shilkret_integral(e, f.levels()) for f in fns
         )
 
 
@@ -236,8 +232,8 @@ def test_sup_interchange_strict_for_a_capacity_witness():
     assert e.eclass is EClass.CAPACITY
     f1 = helpers.indicator(space, space.family.id_of(0b01))
     f2 = helpers.indicator(space, space.family.id_of(0b10))
-    assert shilkret_integral(pointwise_sup([f1, f2]), e) == XValue(1)
-    assert sup_of(shilkret_integral(f, e) for f in (f1, f2)) == XValue(Fraction(1, 2))
+    assert shilkret_integral(e, pointwise_sup([f1, f2]).levels()) == XValue(1)
+    assert sup_of(shilkret_integral(e, f.levels()) for f in (f1, f2)) == XValue(Fraction(1, 2))
 
 
 def test_pointwise_sup_is_order_measurable_by_construction():

@@ -18,6 +18,9 @@ sides get the same inputs:
   points and numeric losses from a wide range, so their consequence orders
   have up to 24 distinct values. The records hold every `bound` entry
   (named `decide/N`);
+- `decide` on the 24-point prefix chain with 12 and with 48 decisions and
+  all losses distinct (24·D consequences), with every `--bound`, with and
+  without `--outcome`, in both formats (named `chain/D`);
 - 360 seeded random `check` inputs, in the records and in the text format,
   run with `--check` validity, posthoc (canonical and at a fixed level),
   fwe and fer (with and without `--family`). The records hold every
@@ -79,6 +82,7 @@ DATA = ROOT / "tests" / "data"
 DECIDE_INPUTS = 720  # random `decide` inputs, from the first seed
 CHECK_INPUTS = 360  # random `check` inputs, from the first seed
 ARGV_INPUTS = 420  # mutated corpus command lines, from the first seed
+CHAIN_DECISIONS = (12, 48)  # decisions D on the 24-point prefix chain
 LATTICE_INPUTS = 240  # random `space` inputs, and as many `closure` inputs
 
 # What one run of an argv gives: exit code, stdout and stderr.
@@ -410,6 +414,39 @@ def decide_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     return jobs
 
 
+def chain_jobs(inputs: Path, n: int = 24) -> list[Job]:
+    """`decide` on the n-point prefix chain p1..pn (members the prefixes),
+    two outcomes and a constant kernel 1, with D decisions for each D in
+    `CHAIN_DECISIONS`. Point p_i loses (n - i)·D + j under decision d_j, so
+    all losses are distinct and each column falls along the chain: every
+    bound hypothesis is a prefix and every bound check passes."""
+    points = [f"p{i}" for i in range(1, n + 1)]
+    prefixes = [points[:i] for i in range(1, n + 1)]
+    files = {
+        "space": f"points: [{', '.join(points)}]\ngenerators: ["
+        + ", ".join(f"[{', '.join(p)}]" for p in prefixes) + "]\n",
+        "model": "pmf:\n" + "".join(f"  {p}: {{H: 1/2, T: 1/2}}\n" for p in points),
+        "kernel": "kernel:\n" + "".join(f'  "{",".join(p)}": {{H: 1, T: 1}}\n' for p in prefixes),
+    }
+    jobs = []
+    for count in CHAIN_DECISIONS:
+        labels = [f"d{j}" for j in range(1, count + 1)]
+        files["decisions"] = f"decisions: [{', '.join(labels)}]\nloss:\n" + "".join(
+            f"  {p}: {{{', '.join(f'{d}: {(n - i) * count + j}' for j, d in enumerate(labels, 1))}}}\n"
+            for i, p in enumerate(points, 1)
+        )
+        argv = ["decide"]
+        for kind, text in files.items():
+            path = inputs / f"chain{count}_{kind}.yaml"
+            path.write_text(text)
+            argv += [f"--{kind}", str(path)]
+        for bound in ("econsequence", "probability", "grunwald"):
+            for extra in ((), ("--outcome", "H")):
+                run = (*argv, "--bound", bound, *extra)
+                jobs += [Job(f"chain/{count}", run + ("--format", "records")), Job(f"chain/{count}", run)]
+    return jobs
+
+
 # A numerator past the 4300 digits int() reads from text.
 HUGE = "1" + "0" * 4400
 
@@ -658,6 +695,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         inputs.mkdir()
         jobs = corpus_jobs() + perfbench_jobs(inputs, args.seeds, args.cycles)
         jobs += decide_jobs(inputs, args.seeds[0], DECIDE_INPUTS)
+        jobs += chain_jobs(inputs)
         jobs += check_jobs(inputs, args.seeds[0], CHECK_INPUTS)
         jobs += space_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
         jobs += closure_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
