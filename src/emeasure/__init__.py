@@ -60,7 +60,6 @@ from .multiplicity import (
 from .decisions import (
     ConsequenceSpace,
     ConsequenceTable,
-    NumericLoss,
     admissible_decisions,
     check_econsequence_bound,
     check_grunwald_bound,

@@ -574,7 +574,7 @@ def cmd_decide(args) -> int:
     pa = fileio.load_pmfs(args.model, sf.space.model)
     kernel = fileio.load_kernel(args.kernel, sf, pa.sample)
     slice_fn = kernel.column(args.outcome) if args.outcome is not None else None
-    ctable, loss = fileio.load_decision_problem(args.decisions, sf.space.model)
+    ctable = fileio.load_decision_problem(args.decisions, sf.space.model)
 
     try:
         if args.bound == "econsequence":
@@ -584,11 +584,11 @@ def cmd_decide(args) -> int:
             rule = {x: alpha for x in kernel.sample.outcomes}
             report = dec.check_posthoc_consequence_bound(kernel, pa, ctable, rule)
         else:
-            if loss is None:
+            if ctable.cspace.values is None:
                 raise fileio.SchemaError(
                     args.decisions, "the integrated-loss bound needs a numeric 'loss'"
                 )
-            report = dec.check_grunwald_bound(kernel, pa, loss, ctable)
+            report = dec.check_grunwald_bound(kernel, pa, ctable)
     except dec.OrderMeasurabilityViolation as exc:
         raise fileio.SchemaError(args.decisions, str(exc)) from None
 
@@ -596,10 +596,10 @@ def cmd_decide(args) -> int:
     _report_entries(out, "bound", report, sf.space, text=ratio)
     code = _verdict(out, "bound holds", report.ok)
 
-    if loss is not None and slice_fn is not None:
+    if ctable.cspace.values is not None and slice_fn is not None:
         if slice_fn.eclass is EClass.MEASURE and sf.space.intersection_closed:
             ranking = sorted(
-                (dec.e_integrated_loss(ctable, slice_fn, d), d) for d in loss.decisions
+                (dec.e_integrated_loss(ctable, slice_fn, d), d) for d in ctable.decisions
             )
             out.text("integrated-loss ranking (best first):")
             for value, d in ranking:
@@ -608,8 +608,8 @@ def cmd_decide(args) -> int:
         # Each decision's own set, read off the family in linear time; a
         # pushforward onto the sets of decisions would build their power set.
         # Ties, or a set outside the family: no ranking.
-        opt, family = dec.optimality_class(loss), sf.space.family
-        sets = [(opt.decision_sets[d], d) for d in loss.decisions]
+        opt, family = dec.optimality_class(ctable), sf.space.family
+        sets = [(opt.decision_sets[d], d) for d in ctable.decisions]
         if opt.optimal is not None and all(bits in family for bits, _ in sets):
             rows = sorted((slice_fn.values[family.id_of(bits)], d) for bits, d in sets)
             out.text("optimality-evidence ranking (least evidence first):")

@@ -2,6 +2,11 @@
 class they induce, consequence bounds, integrated loss, admissibility and
 the optimality class of a loss.
 
+A decision problem is one `ConsequenceTable`, whose cells are indices into
+its consequence space. A numeric loss is the table `ConsequenceTable.numeric`
+builds: its consequences are the distinct losses, ranked, so its cells
+compare as the losses do and index their values.
+
 Everything reads one table of bound hypotheses per decision
 (`ConsequenceTable.bounds`): at each consequence, the points whose
 consequence is at least as bad. The induced class is the upper sets of row
@@ -22,7 +27,7 @@ from . import kernels as kn
 from .evidence import EClass, EFunction, EvidenceError, shilkret_integral
 from .kernels import EKernel, Entry, ProbabilityAssignment, Report
 from .spaces import Model, Preorder, Space
-from .xvalue import XValue, as_xvalue, dot_at_most, order_keys, packed_keys, scale, sup_of
+from .xvalue import XValue, dot_at_most, order_keys, packed_keys, scale, sup_of
 
 
 class DecisionError(EvidenceError):
@@ -36,7 +41,7 @@ class OrderMeasurabilityViolation(EvidenceError):
 class ConsequenceSpace:
     """Consequence labels with an explicit preorder: `order.rows[i]` holds
     the consequences j that i is at least as bad as. A numeric space keeps
-    each label's value in `values`; any other holds None there."""
+    each consequence's loss in `values`; any other holds None there."""
 
     __slots__ = ("elements", "order", "positions", "values")
 
@@ -53,21 +58,6 @@ class ConsequenceSpace:
         self.positions = positions
         self.values: Optional[tuple[XValue, ...]] = None
 
-    @classmethod
-    def numeric(cls, values: Sequence[XValue]) -> "ConsequenceSpace":
-        """The distinct values in increasing order of their order keys, each
-        at least as bad as itself and every smaller one. The labels are
-        distinct and the order is total by construction, so ``__init__``
-        and its checks are skipped, as ``EKernel.from_rows`` skips
-        ``EKernel.__init__``."""
-        distinct = dict(zip(order_keys(values), values))
-        space = cls.__new__(cls)
-        space.values = tuple(distinct[key] for key in sorted(distinct))
-        space.elements = tuple(v.record() for v in space.values)
-        space.order = Preorder(tuple((1 << (i + 1)) - 1 for i in range(len(space.values))))
-        space.positions = {c: i for i, c in enumerate(space.elements)}
-        return space
-
     def index(self, label: str) -> int:
         try:
             return self.positions[label]
@@ -76,104 +66,83 @@ class ConsequenceSpace:
 
 
 class ConsequenceTable:
-    """Total map (decision, point) -> consequence element."""
+    """Total map (point, decision) -> consequence, each cell an index into
+    `cspace.elements`. A numeric table (`numeric`) ranks its losses, so
+    its cells compare as its losses do."""
 
     __slots__ = ("model", "decisions", "cspace", "entries", "_bounds")
 
     def __init__(
         self, model: Model, decisions: tuple[str, ...], cspace: ConsequenceSpace,
-        entries: tuple[tuple[str, ...], ...],  # entries[point][decision]
+        entries: Sequence[Sequence[int]],  # entries[point][decision]
     ):
-        if len(entries) != model.size:
-            raise DecisionError("one row per model point is required")
-        for row in entries:
-            if len(row) != len(decisions):
-                raise DecisionError("one consequence per decision is required")
-            for c in row:
-                cspace.index(c)
+        size, width = len(cspace.elements), len(decisions)
+        if len(entries) > model.size:
+            raise DecisionError(f"{len(entries)} consequence rows for {model.size} points")
+        for pi, p in enumerate(model.points):
+            if pi == len(entries):
+                raise DecisionError(f"no consequences for point {p!r}")
+            if len(entries[pi]) != width:
+                raise DecisionError(f"row {p!r} has length {len(entries[pi])}, not {width}")
+            for d, c in zip(decisions, entries[pi]):
+                if type(c) is not int or not 0 <= c < size:  # bool is an int subclass
+                    raise DecisionError(
+                        f"cell {c!r} of {p!r} under {d!r} is not an index below {size}"
+                    )
         self.model = model
         self.decisions = decisions
         self.cspace = cspace
-        self.entries = entries
-        self._bounds: Optional[tuple[dict[str, int], ...]] = None
+        self.entries = tuple(map(tuple, entries))
+        self._bounds: Optional[tuple[list[int], ...]] = None
 
     @classmethod
-    def of(
-        cls,
-        model: Model,
-        decisions: Sequence[str],
-        cspace: ConsequenceSpace,
-        table: Mapping[str, Mapping[str, str]],
+    def numeric(
+        cls, model: Model, decisions: tuple[str, ...],
+        losses: Sequence[Sequence[XValue]],  # losses[point][decision]
     ) -> "ConsequenceTable":
-        rows = []
-        for p in model.points:
-            if p not in table:
-                raise DecisionError(f"no consequences for point {p!r}")
-            rows.append(tuple(table[p][d] for d in decisions))
-        return cls(model, tuple(decisions), cspace, tuple(rows))
+        """The table of non-negative extended losses: its consequences are the
+        distinct losses, ranked on their order keys, each at least as bad as
+        itself and every smaller one; each cell is its loss's rank. Labels
+        and order are right by construction, so ``ConsequenceSpace.__init__``
+        and its checks are skipped, as ``EKernel.from_rows`` skips
+        ``EKernel.__init__``."""
+        flat = [v for row in losses for v in row]
+        keys = order_keys(flat)
+        distinct = dict(zip(keys, flat))
+        rank = {key: i for i, key in enumerate(sorted(distinct))}
+        cspace = ConsequenceSpace.__new__(ConsequenceSpace)
+        cspace.values = tuple(distinct[key] for key in rank)
+        cspace.elements = tuple(v.record() for v in cspace.values)
+        cspace.order = Preorder(tuple((1 << (i + 1)) - 1 for i in range(len(rank))))
+        cspace.positions = {c: i for i, c in enumerate(cspace.elements)}
+        cells = iter(keys)
+        entries = tuple(tuple(rank[next(cells)] for _ in row) for row in losses)
+        return cls(model, decisions, cspace, entries)
 
-    def bounds(self) -> tuple[dict[str, int], ...]:
-        """Per decision, each consequence's bound hypothesis: the bitset of
-        the points whose consequence is at least as bad. Built once.
+    def bounds(self) -> tuple[list[int], ...]:
+        """Per decision, the bound hypothesis at each consequence index: the
+        bitset of the points whose consequence is at least as bad. Built once.
 
         One pass per decision groups the points by consequence, and each
         group joins the bounds of the consequences below its own.
         """
         if self._bounds is None:
-            elements, rows = self.cspace.elements, self.cspace.order.rows
-            below: dict[str, list[str]] = {}
+            rows, size = self.cspace.order.rows, len(self.cspace.elements)
+            below: dict[int, list[int]] = {}
             table = []
             for d in range(len(self.decisions)):
-                groups: dict[str, int] = {}
+                groups: dict[int, int] = {}
                 for pi, row in enumerate(self.entries):
                     groups[row[d]] = groups.get(row[d], 0) | 1 << pi
-                bounds = dict.fromkeys(elements, 0)
+                bounds = [0] * size
                 for c, group in groups.items():
                     if c not in below:  # read off the row's binary digits, lowest first
-                        digits = bin(rows[self.cspace.positions[c]])[:1:-1]
-                        below[c] = [e for e, bit in zip(elements, digits) if bit == "1"]
+                        below[c] = [e for e, bit in enumerate(bin(rows[c])[:1:-1]) if bit == "1"]
                     for e in below[c]:
                         bounds[e] |= group
                 table.append(bounds)
             self._bounds = tuple(table)
         return self._bounds
-
-
-class NumericLoss:
-    """Non-negative extended losses per (point, decision)."""
-
-    __slots__ = ("model", "decisions", "entries")
-
-    def __init__(
-        self, model: Model, decisions: tuple[str, ...],
-        entries: tuple[tuple[XValue, ...], ...],  # entries[point][decision]
-    ):
-        if len(entries) != model.size:
-            raise DecisionError("one row per model point is required")
-        for row in entries:
-            if len(row) != len(decisions):
-                raise DecisionError("one loss per decision is required")
-        self.model = model
-        self.decisions = decisions
-        self.entries = entries
-
-    @classmethod
-    def of(
-        cls,
-        model: Model,
-        decisions: Sequence[str],
-        table: Mapping[str, Mapping[str, object]],
-    ) -> "NumericLoss":
-        rows = []
-        for p in model.points:
-            rows.append(tuple(as_xvalue(table[p][d]) for d in decisions))
-        return cls(model, tuple(decisions), tuple(rows))
-
-    def to_consequence_table(self) -> ConsequenceTable:
-        values = [v for row in self.entries for v in row]
-        cspace = ConsequenceSpace.numeric(values)
-        rows = tuple(tuple(v.record() for v in row) for row in self.entries)
-        return ConsequenceTable(self.model, self.decisions, cspace, rows)
 
 
 def _require_order_measurable(space: Space, table: ConsequenceTable) -> list[int]:
@@ -260,20 +229,16 @@ def _consequence_report(
 def _levels(table: ConsequenceTable, d: int) -> list[tuple[XValue, int]]:
     """The positive losses decision d takes in a numeric table, each with
     its bound hypothesis there: the super-level sets of its loss."""
-    values, positions, bounds = table.cspace.values, table.cspace.positions, table.bounds()[d]
+    values, bounds = table.cspace.values, table.bounds()[d]
     if values is None:
         raise DecisionError("the integrated loss needs a numeric loss table")
-    levels = []
-    for c in dict.fromkeys(row[d] for row in table.entries):
-        value = values[positions[c]]
-        if not value.is_zero:
-            levels.append((value, bounds[c]))
-    return levels
+    taken = dict.fromkeys(row[d] for row in table.entries)
+    return [(values[c], bounds[c]) for c in taken if not values[c].is_zero]
 
 
 def e_integrated_loss(table: ConsequenceTable, e: EFunction, decision: int | str) -> XValue:
     """Evidence-weighted worst loss of a decision: the Shilkret integral of
-    its loss column, from a numeric loss's ``to_consequence_table()``. On a
+    its loss column in a numeric table (``ConsequenceTable.numeric``). On a
     measure over an intersection-closed space it equals the sup over points
     of loss / e(least hypothesis).
     """
@@ -285,11 +250,8 @@ def e_integrated_loss(table: ConsequenceTable, e: EFunction, decision: int | str
     return shilkret_integral(e, _levels(table, decision))
 
 
-def check_grunwald_bound(
-    k: EKernel, pa: ProbabilityAssignment, loss: NumericLoss, table: ConsequenceTable
-) -> Report:
-    """Integrated-loss ratio bound; `table` is the loss's
-    ``to_consequence_table()``.
+def check_grunwald_bound(k: EKernel, pa: ProbabilityAssignment, table: ConsequenceTable) -> Report:
+    """Integrated-loss ratio bound of a numeric table.
 
     Per point the expectation of the worst ratio loss/integrated-loss must
     stay at most one. By the integral's definition each ratio is at most
@@ -297,8 +259,7 @@ def check_grunwald_bound(
     caps the statistic by the uniform-consequence statistic.
     """
     _require_order_measurable(k.space, table)
-    n_dec = len(loss.decisions)
-    model = k.space.model
+    n_dec, model, values = len(table.decisions), k.space.model, table.cspace.values
     integrated: list[list[XValue]] = []  # [decision][outcome]
     for d in range(n_dec):
         levels = _levels(table, d)
@@ -307,7 +268,7 @@ def check_grunwald_bound(
     entries = []
     for pi in range(model.size):
         ratio_var = [
-            sup_of(loss.entries[pi][d] / integrated[d][xi] for d in range(n_dec))
+            sup_of(values[table.entries[pi][d]] / integrated[d][xi] for d in range(n_dec))
             for xi in range(k.sample.size)
         ]
         entries.append(Entry(model.points[pi], pa.pmfs[pi].expectation(ratio_var)))
@@ -340,12 +301,12 @@ def admissible_decisions(e: EFunction, table: ConsequenceTable) -> Admissibility
     rows = []
     for d, bounds in enumerate(table.bounds()):
         row = []
-        for c, bits in bounds.items():
+        for c, bits in enumerate(bounds):
             if bits not in family:
                 raise OrderMeasurabilityViolation(
                     f"evidence is undefined on the bound hypothesis "
                     f"{table.model.label(bits)} for decision "
-                    f"{table.decisions[d]!r} at consequence {c!r}"
+                    f"{table.decisions[d]!r} at consequence {table.cspace.elements[c]!r}"
                 )
             row.append(keys[family.id_of(bits)])
         rows.append(row)
@@ -373,20 +334,23 @@ class OptimalityResult:
         self.optimal = optimal
 
 
-def optimality_class(loss: NumericLoss) -> OptimalityResult:
-    """Group points by which decisions are best for them.
+def optimality_class(table: ConsequenceTable) -> OptimalityResult:
+    """Group points by which decisions are best for them in a numeric table.
 
-    Argmin ties put the point into every tying group, so the map back to a
-    single optimal decision exists only in the tie-free case.
+    Its cells rank its losses, so the argmin runs on them. Argmin ties put
+    the point into every tying group, so the map back to a single optimal
+    decision exists only in the tie-free case.
     """
-    model = loss.model
-    sets: dict[str, int] = {d: 0 for d in loss.decisions}
+    if table.cspace.values is None:
+        raise DecisionError("the optimality class needs a numeric loss table")
+    model = table.model
+    sets: dict[str, int] = {d: 0 for d in table.decisions}
     unique: dict[str, str] = {}
     tie_free = True
     for pi in range(model.size):
-        row = loss.entries[pi]
+        row = table.entries[pi]
         best = min(row)
-        winners = [d for d, v in zip(loss.decisions, row) if v == best]
+        winners = [d for d, c in zip(table.decisions, row) if c == best]
         for d in winners:
             sets[d] |= 1 << pi
         if len(winners) == 1:

@@ -82,7 +82,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
 
-from .decisions import ConsequenceSpace, ConsequenceTable, NumericLoss
+from .decisions import ConsequenceSpace, ConsequenceTable
 from .evidence import EFunction, EvidenceError, classify
 from .kernels import EKernel, FiltrationTree, Pmf, ProbabilityAssignment, SampleSpace
 from .spaces import (
@@ -753,8 +753,12 @@ def _decision_rows(path, table: dict, model: Model, decisions) -> dict[str, dict
     return rows
 
 
-def load_decision_problem(path: Path | str, model: Model):
-    """Returns (ConsequenceTable, NumericLoss or None)."""
+def load_decision_problem(path: Path | str, model: Model) -> ConsequenceTable:
+    """The decision problem of a file as one consequence table: a numeric
+    table (`ConsequenceTable.numeric`) from a 'loss', or the labelled
+    'consequences' with their order and a 'table' of labels, each mapped to
+    its index in point order, then decision order, so the first unknown
+    label is the one named."""
     data = _load_yaml(path)
     decisions = data.get("decisions")
     if not isinstance(decisions, list) or not decisions:
@@ -767,12 +771,10 @@ def load_decision_problem(path: Path | str, model: Model):
         if not isinstance(table, dict):
             raise SchemaError(path, "'loss' must map points to decision losses")
         rows = _decision_rows(path, table, model, decisions)
-        loss = NumericLoss.of(
-            model,
-            decisions,
-            {p: {d: _xvalue(path, v) for d, v in row.items()} for p, row in rows.items()},
+        losses = {p: {d: _xvalue(path, v) for d, v in row.items()} for p, row in rows.items()}
+        return ConsequenceTable.numeric(
+            model, decisions, [[losses[p][d] for d in decisions] for p in model.points]
         )
-        return loss.to_consequence_table(), loss
     cons = data.get("consequences")
     table = data.get("table")
     if not isinstance(cons, dict) or not isinstance(table, dict):
@@ -797,12 +799,7 @@ def load_decision_problem(path: Path | str, model: Model):
     rows = _decision_rows(path, table, model, decisions)
     try:
         cspace = ConsequenceSpace(elements, pre)
-        ctable = ConsequenceTable.of(
-            model,
-            decisions,
-            cspace,
-            {p: {d: str(c) for d, c in row.items()} for p, row in rows.items()},
-        )
+        cells = [[cspace.index(str(rows[p][d])) for d in decisions] for p in model.points]
+        return ConsequenceTable(model, decisions, cspace, cells)
     except Exception as exc:
         raise SchemaError(path, str(exc)) from None
-    return ctable, None

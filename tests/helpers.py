@@ -376,11 +376,11 @@ class OrderMeasurableFn:
         return [(c, self.superlevel_bits(c)) for c in self.positive_levels()]
 
 
-def loss_column(loss, decision):
-    """A numeric loss's values under one decision (index or label), point by point."""
+def loss_column(table, decision):
+    """A numeric table's losses under one decision (index or label), point by point."""
     if isinstance(decision, str):
-        decision = loss.decisions.index(decision)
-    return tuple(row[decision] for row in loss.entries)
+        decision = table.decisions.index(decision)
+    return tuple(table.cspace.values[row[decision]] for row in table.entries)
 
 
 def rand_order_measurable(r, space, max_levels=3, allow_inf=True):
@@ -856,7 +856,7 @@ def oracle_self_consistent(e, family_ids, alpha):
     return (), {}, False
 
 
-def evidence_against_optimality(k, loss, pa=None):
+def evidence_against_optimality(k, table, pa=None):
     """The kernel pushed forward along the optimal-decision map, onto the
     power set of the decisions: for each set of decisions, the evidence
     against the claim that the truly optimal decision lies in it. The
@@ -864,18 +864,18 @@ def evidence_against_optimality(k, loss, pa=None):
     are its singletons. Returns (kernel, report or None) as
     ``pushforward_kernel`` does; ties leave no map and raise DecisionError.
     """
-    result = optimality_class(loss)
+    result = optimality_class(table)
     if result.optimal is None:
         raise DecisionError("optimal decisions are not unique; no pushforward map")
-    target_model = Model(tuple(loss.decisions))
+    target_model = Model(tuple(table.decisions))
     n = target_model.size
     target = Space(target_model, HypothesisClass(n, range(1 << n)))
     return pushforward_kernel(k, result.optimal, target, pa)
 
 
 def at_least(cspace, a, b):
-    """Consequence label a is at least as bad as label b."""
-    return bool(cspace.order.rows[cspace.index(a)] >> cspace.index(b) & 1)
+    """Consequence a is at least as bad as consequence b (indices)."""
+    return bool(cspace.order.rows[a] >> b & 1)
 
 
 def row_dominates(table, hi, lo):
@@ -887,11 +887,13 @@ def row_dominates(table, hi, lo):
 
 
 def hypothesis_for_bound(table, decision, c):
-    """The bound hypothesis of a decision at consequence c, point by point:
-    the points whose consequence is at least as bad as c."""
+    """The bound hypothesis of a decision at consequence c (index or
+    label), point by point: the points whose consequence is at least as bad
+    as c."""
     if isinstance(decision, str):
         decision = table.decisions.index(decision)
-    table.cspace.index(c)
+    if isinstance(c, str):
+        c = table.cspace.index(c)
     return sum(
         1 << pi
         for pi, row in enumerate(table.entries)

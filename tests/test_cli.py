@@ -18,9 +18,9 @@ import yaml
 
 import helpers
 from emeasure import (
+    ConsequenceTable,
     EKernel,
     Model,
-    NumericLoss,
     Space,
     XValue,
     cli,
@@ -706,9 +706,9 @@ def test_decide_optimality_ranking_is_the_pushforward_on_singletons(capsys, tmp_
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
         decisions = tuple(f"d{i}" for i in range(r.randint(1, 4)))
         rows = [r.sample(range(2 * len(decisions)), len(decisions)) for _ in model.points]
-        loss = NumericLoss(model, decisions, tuple(tuple(map(XValue, row)) for row in rows))
-        opt = optimality_class(loss)
-        induced = helpers.build_consequence_class(loss.to_consequence_table()).family.members
+        table = ConsequenceTable.numeric(model, decisions, tuple(tuple(map(XValue, row)) for row in rows))
+        opt = optimality_class(table)
+        induced = helpers.build_consequence_class(table).family.members
         extra = [r.randrange(1 << n) for _ in range(r.randint(0, 2))]
         space = Space(model, union_closure(n, [*induced, *opt.decision_sets.values(), *extra]))
         sample = helpers.rand_sample(r)
@@ -730,7 +730,7 @@ def test_decide_optimality_ranking_is_the_pushforward_on_singletons(capsys, tmp_
         xi = r.randrange(sample.size)
         code, out = run(capsys, [*argv, "--outcome", sample.outcomes[xi]])
         assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION)
-        pushed, _ = helpers.evidence_against_optimality(k, loss)
+        pushed, _ = helpers.evidence_against_optimality(k, table)
         singles = sorted(
             (pushed.value(pushed.space.family.id_of(1 << di), xi), d)
             for di, d in enumerate(decisions)

@@ -12,7 +12,6 @@ from emeasure import (
     EKernel,
     INF,
     Model,
-    NumericLoss,
     Pmf,
     Preorder,
     ProbabilityAssignment,
@@ -44,26 +43,31 @@ from emeasure.spaces import preimages
 from emeasure.kernels import KernelError
 
 
-def rand_numeric_loss(r, model, n_decisions=2, allow_inf=False):
+def rand_losses(r, model, n_decisions=2, allow_inf=False):
+    """Seeded loss rows and their numeric table, decisions d1, d2, ..."""
     decisions = tuple(f"d{i + 1}" for i in range(n_decisions))
     rows = tuple(
         tuple(helpers.rand_xvalue(r, allow_inf=allow_inf) for _ in decisions)
         for _ in model.points
     )
-    return NumericLoss(model, decisions, rows)
+    return rows, ConsequenceTable.numeric(model, decisions, rows)
+
+
+def rand_numeric_table(r, model, n_decisions=2, allow_inf=False):
+    return rand_losses(r, model, n_decisions, allow_inf)[1]
 
 
 def test_identical_rows_induce_the_trivial_class():
     model = Model(("P1", "P2", "P3"))
-    loss = NumericLoss(model, ("d1",), ((XValue(2),), (XValue(2),), (XValue(2),)))
-    space = helpers.build_consequence_class(loss.to_consequence_table())
+    table = ConsequenceTable.numeric(model, ("d1",), ((XValue(2),), (XValue(2),), (XValue(2),)))
+    space = helpers.build_consequence_class(table)
     assert set(space.family.members) == {0, 0b111}
 
 
 def test_incomparable_rows_induce_the_power_set():
     model = Model(("P1", "P2", "P3"))
     # three rows, pairwise incomparable under coordinatewise order
-    loss = NumericLoss(
+    table = ConsequenceTable.numeric(
         model,
         ("d1", "d2"),
         (
@@ -72,7 +76,7 @@ def test_incomparable_rows_induce_the_power_set():
             (XValue(2), XValue(2)),
         ),
     )
-    space = helpers.build_consequence_class(loss.to_consequence_table())
+    space = helpers.build_consequence_class(table)
     assert len(space.family) == 8
     for pi in range(3):
         assert space.family.member(space.least_id(pi)) == 1 << pi
@@ -80,10 +84,10 @@ def test_incomparable_rows_induce_the_power_set():
 
 def test_dominated_row_strictly_widens_the_least_hypothesis():
     model = Model(("P1", "P2"))
-    loss = NumericLoss(
+    table = ConsequenceTable.numeric(
         model, ("d1", "d2"), ((XValue(5), XValue(4)), (XValue(1), XValue(2)))
     )
-    space = helpers.build_consequence_class(loss.to_consequence_table())
+    space = helpers.build_consequence_class(table)
     worse = space.family.member(space.least_id(0))
     better = space.family.member(space.least_id(1))
     assert worse == 0b01  # only the dominating point
@@ -100,8 +104,115 @@ def rand_explicit_table(r, model, n_decisions=2):
             break
     cspace = ConsequenceSpace(tuple(f"c{i}" for i in range(m)), pre)
     decisions = tuple(f"d{i + 1}" for i in range(n_decisions))
-    rows = tuple(tuple(r.choice(cspace.elements) for _ in decisions) for _ in model.points)
+    rows = tuple(tuple(r.randrange(m) for _ in decisions) for _ in model.points)
     return ConsequenceTable(model, decisions, cspace, rows)
+
+
+def test_a_table_refuses_a_missing_row_a_row_of_the_wrong_length_and_a_bad_cell_by_name():
+    """Cells are int indices into the consequence space; `True` is refused
+    although it is an int."""
+    model = Model(("P1", "P2"))
+    cspace = ConsequenceSpace(("lo", "hi"), Preorder.from_pairs(2, [(1, 0)]))
+    cases = [
+        (((0, 1),), "no consequences for point 'P2'"),
+        (((0, 1), (0, 1), (0, 1)), "3 consequence rows for 2 points"),
+        (((0, 1), (0,)), "row 'P2' has length 1, not 2"),
+        (((0, 1), (1, 0, 1)), "row 'P2' has length 3, not 2"),
+        (((0, 1), (1, 2)), "cell 2 of 'P2' under 'd2' is not an index below 2"),
+        (((-1, 0), (0, 0)), "cell -1 of 'P1' under 'd1' is not an index below 2"),
+        (((0, True), (0, 0)), "cell True of 'P1' under 'd2' is not an index below 2"),
+        (((0, 1), ("hi", 0)), "cell 'hi' of 'P2' under 'd1' is not an index below 2"),
+        (((0, 1.0), (0, 0)), "cell 1.0 of 'P1' under 'd2' is not an index below 2"),
+    ]
+    for entries, message in cases:
+        with pytest.raises(DecisionError) as err:
+            ConsequenceTable(model, ("d1", "d2"), cspace, entries)
+        assert str(err.value) == message
+    table = ConsequenceTable(model, ("d1", "d2"), cspace, [[0, 1], [1, 1]])
+    assert table.entries == ((0, 1), (1, 1))
+    with pytest.raises(DecisionError, match="the optimality class needs a numeric loss table"):
+        optimality_class(table)
+    with pytest.raises(DecisionError, match="the integrated loss needs a numeric loss table"):
+        decisions._levels(table, 0)
+
+
+def by_fraction(v):
+    """A loss's place in the value order, read as a Fraction; inf last."""
+    return (v.is_inf, 0 if v.is_inf else helpers.as_fraction(v))
+
+
+def labelled_twin(r, model, decision_labels, losses):
+    """The table of `losses` built as a labelled one: the labels are the
+    losses' records, listed in a seeded order, and i is at least as bad as j
+    when loss i >= loss j as Fractions."""
+    values = list({v.record(): v for row in losses for v in row}.values())
+    r.shuffle(values)
+    order = Preorder(tuple(
+        sum(1 << j for j, w in enumerate(values) if by_fraction(v) >= by_fraction(w)) for v in values
+    ))
+    cspace = ConsequenceSpace(tuple(v.record() for v in values), order)
+    cells = tuple(tuple(cspace.index(v.record()) for v in row) for row in losses)
+    return ConsequenceTable(model, decision_labels, cspace, cells)
+
+
+def test_the_numeric_table_agrees_with_its_labelled_twin():
+    """`ConsequenceTable.numeric` ranks the losses on order keys; the twin
+    orders labels by comparing Fractions. On seeded losses with 0, inf and
+    ties the two give the same bound hypothesis at each labelled
+    consequence, the same upper sets or refusal, the same consequence-bound
+    entries and the same admissible decisions, and the optimality class is
+    the argmin over Fractions."""
+    r = helpers.rng(233)
+    seen = dict.fromkeys(("zero", "inf", "tie", "refused", "dominated"), 0)
+    for _ in range(120):
+        n = r.randint(1, 5)
+        model = Model(tuple(f"P{i + 1}" for i in range(n)))
+        losses, table = rand_losses(r, model, n_decisions=r.randint(1, 3), allow_inf=True)
+        twin = labelled_twin(r, model, table.decisions, losses)
+
+        def labelled_bounds(t):
+            return [{t.cspace.elements[c]: bits for c, bits in enumerate(b)} for b in t.bounds()]
+
+        assert labelled_bounds(table) == labelled_bounds(twin)
+        induced = helpers.build_consequence_class(twin)
+        ups = {induced.family.member(induced.least_id(pi)) for pi in range(n)}
+        gens = [bits for bits in sorted(ups) if r.random() < 0.8]
+        space = Space(model, union_closure(n, gens + [r.randrange(1, 1 << n)]))
+        try:
+            expected = decisions._require_order_measurable(space, twin)
+        except OrderMeasurabilityViolation as err:
+            seen["refused"] += 1
+            with pytest.raises(OrderMeasurabilityViolation) as again:
+                decisions._require_order_measurable(space, table)
+            assert str(again.value) == str(err)
+        else:
+            assert decisions._require_order_measurable(space, table) == expected
+        sample = helpers.rand_sample(r)
+        pa = helpers.rand_pa(r, model, sample, full_support=False)
+        k = EKernel(induced, sample, [helpers.rand_capacity(r, induced) for _ in sample.outcomes])
+
+        def entries(t):
+            return [(e.case, e.point, e.stat, e.ok) for e in check_econsequence_bound(k, pa, t).entries]
+
+        assert entries(table) == entries(twin)
+        adm, twin_adm = admissible_decisions(k.columns[0], table), admissible_decisions(k.columns[0], twin)
+        assert (adm.order, adm.admissible) == (twin_adm.order, twin_adm.admissible)
+        seen["dominated"] += len(adm.admissible) < len(table.decisions)
+
+        sets, unique = dict.fromkeys(table.decisions, 0), {}
+        for pi, row in enumerate(losses):
+            best = min(map(by_fraction, row))
+            winners = [d for d, v in zip(table.decisions, row) if by_fraction(v) == best]
+            for d in winners:
+                sets[d] |= 1 << pi
+            unique[model.points[pi]] = winners[0] if len(winners) == 1 else None
+        result = optimality_class(table)
+        tie_free = None not in unique.values()
+        assert (result.decision_sets, result.optimal) == (sets, unique if tie_free else None)
+        seen["tie"] += not tie_free
+        seen["zero"] += any(v.is_zero for row in losses for v in row)
+        seen["inf"] += any(v.is_inf for row in losses for v in row)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_induced_class_equals_preimage_of_row_upper_sets():
@@ -116,11 +227,11 @@ def test_induced_class_equals_preimage_of_row_upper_sets():
         if case % 2:
             table = rand_explicit_table(r, model, n_decisions=r.randint(1, 3))
         else:
-            table = rand_numeric_loss(r, model).to_consequence_table()
+            table = rand_numeric_table(r, model)
         space = helpers.build_consequence_class(table)
         # every bound hypothesis is an upper set of the dominance preorder
         for d in range(len(table.decisions)):
-            for c in table.cspace.elements:
+            for c in range(len(table.cspace.elements)):
                 assert helpers.hypothesis_for_bound(table, d, c) in space.family
         admissible_decisions(helpers.unit_measure(space), table)
         # build the row space: one point per distinct row, uniform-dominance order
@@ -152,7 +263,7 @@ def rand_decision_table(r, case, max_points=6):
     model = Model(tuple(f"P{i + 1}" for i in range(n)))
     if case % 2:
         return rand_explicit_table(r, model, n_decisions=r.randint(1, 3))
-    return rand_numeric_loss(r, model, n_decisions=r.randint(1, 3)).to_consequence_table()
+    return rand_numeric_table(r, model, n_decisions=r.randint(1, 3))
 
 
 def test_bound_table_and_upper_sets_match_the_per_pair_oracles():
@@ -163,11 +274,11 @@ def test_bound_table_and_upper_sets_match_the_per_pair_oracles():
     r = helpers.rng(223)
     for case in range(60):
         table = rand_decision_table(r, case)
-        assert [list(bounds) for bounds in table.bounds()] == [
-            list(table.cspace.elements) for _ in table.decisions
+        assert [len(bounds) for bounds in table.bounds()] == [
+            len(table.cspace.elements) for _ in table.decisions
         ]
         for d, bounds in enumerate(table.bounds()):
-            for c, bits in bounds.items():
+            for c, bits in enumerate(bounds):
                 assert bits == helpers.hypothesis_for_bound(table, d, c)
         induced = helpers.build_consequence_class(table)
         assert decisions._require_order_measurable(induced, table) == [
@@ -213,13 +324,13 @@ def test_generator_check_matches_the_full_class_walk():
 
 def test_hypothesis_for_bound_extremes_and_scan():
     model = Model(("P1", "P2", "P3"))
-    loss = NumericLoss(
+    table = ConsequenceTable.numeric(
         model,
         ("d1",),
         ((XValue(0),), (XValue(2),), (XValue(5),)),
     )
-    table = loss.to_consequence_table()
-    assert table.bounds() == ({"0": 0b111, "2": 0b110, "5": 0b100},)
+    assert table.cspace.elements == ("0", "2", "5")
+    assert table.bounds() == ([0b111, 0b110, 0b100],)
     assert helpers.hypothesis_for_bound(table, "d1", "0") == 0b111
     assert helpers.hypothesis_for_bound(table, "d1", "5") == 0b100
     with pytest.raises(DecisionError):
@@ -228,23 +339,23 @@ def test_hypothesis_for_bound_extremes_and_scan():
         bits = helpers.hypothesis_for_bound(table, "d1", c)
         scan = 0
         for pi in range(3):
-            if helpers.at_least(table.cspace, table.entries[pi][0], c):
+            if helpers.at_least(table.cspace, table.entries[pi][0], table.cspace.index(c)):
                 scan |= 1 << pi
-        assert bits == scan == table.bounds()[0][c]
+        assert bits == scan == table.bounds()[0][table.cspace.index(c)]
 
 
 def test_integrated_loss_worked_examples():
     space = helpers.power_space(2)
     model = space.model
-    loss = NumericLoss(model, ("d",), ((XValue(8),), (XValue(2),)))
-    table = loss.to_consequence_table()
+    losses = ((XValue(8),), (XValue(2),))
+    table = ConsequenceTable.numeric(model, ("d",), losses)
     e = from_values(space, ["inf", 4, 2, 2])
     assert e_integrated_loss(table, e, "d") == XValue(2)
-    zero = NumericLoss(model, ("d",), ((XValue(0),), (XValue(0),)))
-    assert e_integrated_loss(zero.to_consequence_table(), e, "d") == XValue(0)
+    zero = ConsequenceTable.numeric(model, ("d",), ((XValue(0),), (XValue(0),)))
+    assert e_integrated_loss(zero, e, "d") == XValue(0)
     for pi, p in enumerate(model.points):
         d_meas = helpers.dirac_measure(space, p)
-        assert e_integrated_loss(table, d_meas, "d") == loss.entries[pi][0]
+        assert e_integrated_loss(table, d_meas, "d") == losses[pi][0]
 
 
 def test_integrated_loss_forms_agree_on_random_instances():
@@ -254,12 +365,11 @@ def test_integrated_loss_forms_agree_on_random_instances():
     for _ in range(20):
         n = r.randint(1, 4)
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
-        loss = rand_numeric_loss(r, model, n_decisions=r.randint(1, 3))
-        table = loss.to_consequence_table()
+        table = rand_numeric_table(r, model, n_decisions=r.randint(1, 3))
         space = helpers.build_consequence_class(table)
         e = helpers.rand_measure(r, space)
-        for d in loss.decisions:
-            column = helpers.loss_column(loss, d)
+        for d in table.decisions:
+            column = helpers.loss_column(table, d)
             by_least = helpers.integral_least_true(helpers.OrderMeasurableFn(space, column), e)
             bound_bits = [
                 sum(1 << qi for qi in range(n) if column[qi] >= column[pi]) for pi in range(n)
@@ -283,10 +393,9 @@ def test_integral_off_the_bound_table_matches_the_function_form():
     for case in range(300):
         n = r.randint(1, 5)
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
-        loss = rand_numeric_loss(r, model, n_decisions=r.randint(1, 3), allow_inf=True)
-        table = loss.to_consequence_table()
+        losses, table = rand_losses(r, model, n_decisions=r.randint(1, 3), allow_inf=True)
         by_fraction = sorted(
-            {v for row in loss.entries for v in row},
+            {v for row in losses for v in row},
             key=lambda v: (v.is_inf, 0 if v.is_inf else helpers.as_fraction(v)),
         )
         assert table.cspace.values == tuple(by_fraction)
@@ -309,11 +418,11 @@ def test_integral_off_the_bound_table_matches_the_function_form():
         else:
             e = from_values(space, [INF] + [helpers.rand_xvalue(r) for _ in space.family.members[1:]])
         for d in range(len(table.decisions)):
-            levels = helpers.OrderMeasurableFn(space, helpers.loss_column(loss, d)).levels()
+            levels = helpers.OrderMeasurableFn(space, [row[d] for row in losses]).levels()
             assert shilkret_integral(e, decisions._levels(table, d)) == shilkret_integral(e, levels)
         seen[kind] += 1
-        seen["zero loss"] += any(v.is_zero for row in loss.entries for v in row)
-        seen["inf loss"] += any(v.is_inf for row in loss.entries for v in row)
+        seen["zero loss"] += any(v.is_zero for row in losses for v in row)
+        seen["inf loss"] += any(v.is_inf for row in losses for v in row)
     assert min(seen.values()) >= 20, seen
 
 
@@ -321,19 +430,18 @@ def one_decision_setup(seed):
     r = helpers.rng(seed)
     n = r.randint(2, 3)
     model = Model(tuple(f"P{i + 1}" for i in range(n)))
-    loss = rand_numeric_loss(r, model, n_decisions=1)
-    space = helpers.build_consequence_class(loss.to_consequence_table())
+    table = rand_numeric_table(r, model, n_decisions=1)
+    space = helpers.build_consequence_class(table)
     sample = helpers.rand_sample(r)
     pa = helpers.rand_pa(r, model, sample)
     k = helpers.valid_capacity_kernel(r, space, pa)
-    return r, model, loss, space, sample, pa, k
+    return r, model, table, space, sample, pa, k
 
 
 def test_single_decision_bound_reduces_to_plain_validity():
     from emeasure import check_validity
 
-    _, model, loss, space, sample, pa, k = one_decision_setup(173)
-    table = loss.to_consequence_table()
+    _, model, table, space, sample, pa, k = one_decision_setup(173)
     report = check_econsequence_bound(k, pa, table)
     assert report.ok
     validity = check_validity(k, pa)
@@ -350,32 +458,31 @@ def test_econsequence_bound_on_random_valid_instances():
     for _ in range(15):
         n = r.randint(1, 3)
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
-        loss = rand_numeric_loss(r, model, n_decisions=3)
-        space = helpers.build_consequence_class(loss.to_consequence_table())
+        table = rand_numeric_table(r, model, n_decisions=3)
+        space = helpers.build_consequence_class(table)
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
-        assert check_econsequence_bound(k, pa, loss.to_consequence_table()).ok
+        assert check_econsequence_bound(k, pa, table).ok
 
 
 def test_order_measurability_violation_names_the_missing_hypothesis():
     model = Model(("P1", "P2"))
-    loss = NumericLoss(model, ("d1",), ((XValue(3),), (XValue(1),)))
+    table = ConsequenceTable.numeric(model, ("d1",), ((XValue(3),), (XValue(1),)))
     trivial = helpers.space_from_generators(model, [["P1", "P2"]])
     sample = SampleSpace(("x",))
     pa = ProbabilityAssignment(model, (Pmf(sample, (Fraction(1),)),) * 2)
     k = helpers.constant_kernel(trivial, sample, helpers.unit_measure(trivial))
     with pytest.raises(OrderMeasurabilityViolation) as err:
-        check_econsequence_bound(k, pa, loss.to_consequence_table())
+        check_econsequence_bound(k, pa, table)
     assert "P1" in str(err.value)
 
 
 def test_binary_kernel_bound_is_exact_coverage():
-    r, model, loss, space, sample, pa, _ = one_decision_setup(181)
+    r, model, table, space, sample, pa, _ = one_decision_setup(181)
     alpha = Fraction(1, 4)
     # binary kernel: reject the bound hypothesis of the worst row on one outcome
-    table = loss.to_consequence_table()
-    worst_qi = max(range(model.size), key=lambda pi: loss.entries[pi][0])
+    worst_qi = max(range(model.size), key=lambda pi: helpers.loss_column(table, 0)[pi])
     target = space.family.id_of(
         helpers.hypothesis_for_bound(table, 0, table.entries[worst_qi][0])
     )
@@ -451,7 +558,7 @@ def miss_rate(values, level):
 def consequence_instance(r, n_decisions=2):
     n = r.randint(1, 3)
     model = Model(tuple(f"P{i + 1}" for i in range(n)))
-    table = rand_numeric_loss(r, model, n_decisions=n_decisions).to_consequence_table()
+    table = rand_numeric_table(r, model, n_decisions=n_decisions)
     space = helpers.build_consequence_class(table)
     sample = helpers.rand_sample(r)
     return table, space, sample
@@ -571,21 +678,20 @@ def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
         assert [(e.case, e.point, e.stat) for e in report.entries] == consequence_entries(
             ck, cpa, table, lambda values, xi: miss_rate(values, clevels[xi])
         )
-        loss = rand_numeric_loss(r, table.model)
-        ltable = loss.to_consequence_table()
+        losses, ltable = rand_losses(r, table.model)
         lspace = helpers.build_consequence_class(ltable)
         lk = EKernel(lspace, csample, [helpers.rand_capacity(r, lspace) for _ in csample.outcomes])
         loss_levels = [
-            helpers.OrderMeasurableFn(lspace, helpers.loss_column(loss, d)).levels()
-            for d in range(len(loss.decisions))
+            helpers.OrderMeasurableFn(lspace, [row[d] for row in losses]).levels()
+            for d in range(len(ltable.decisions))
         ]
         integrated = [[shilkret_integral(col, lv) for col in lk.columns] for lv in loss_levels]
         ratios = [
-            [sup_of(loss.entries[pi][d] / integrated[d][xi] for d in range(len(loss.decisions)))
+            [sup_of(losses[pi][d] / integrated[d][xi] for d in range(len(ltable.decisions)))
              for xi in range(csample.size)]
             for pi in range(table.model.size)
         ]
-        assert [(e.point, e.stat) for e in check_grunwald_bound(lk, cpa, loss, ltable).entries] == [
+        assert [(e.point, e.stat) for e in check_grunwald_bound(lk, cpa, ltable).entries] == [
             (p, expect(cpa.pmfs[pi], ratios[pi])) for pi, p in enumerate(table.model.points)
         ]
     assert zero_against_inf >= 5
@@ -594,8 +700,7 @@ def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
 def test_posthoc_consequence_bound_catches_invalid_kernels():
     r = helpers.rng(193)
     model = Model(("P1", "P2"))
-    loss = rand_numeric_loss(r, model, n_decisions=2)
-    table = loss.to_consequence_table()
+    table = rand_numeric_table(r, model, n_decisions=2)
     space = helpers.build_consequence_class(table)
     sample = helpers.rand_sample(r)
     pa = helpers.rand_pa(r, model, sample)
@@ -606,31 +711,30 @@ def test_posthoc_consequence_bound_catches_invalid_kernels():
         check_posthoc_consequence_bound(bad, pa, table, {x: XValue(0) for x in sample.outcomes})
 
 
-def assert_markov_ratios(k, loss):
+def assert_markov_ratios(k, table):
     """loss / integrated loss <= e(bound hypothesis | x) at every (point,
     outcome, decision): the integral is a sup over levels of c / e({f >= c})."""
-    table = loss.to_consequence_table()
     space = k.space
-    for d in range(len(loss.decisions)):
-        levels = helpers.OrderMeasurableFn(space, helpers.loss_column(loss, d)).levels()
+    for d in range(len(table.decisions)):
+        column = helpers.loss_column(table, d)
+        levels = helpers.OrderMeasurableFn(space, column).levels()
         for xi in range(k.sample.size):
             integrated = shilkret_integral(k.columns[xi], levels)
             for pi in range(space.model.size):
                 bound = helpers.hypothesis_for_bound(table, d, table.entries[pi][d])
-                ratio = loss.entries[pi][d] / integrated
+                ratio = column[pi] / integrated
                 assert ratio <= k.value(space.family.id_of(bound), xi)
 
 
 def test_grunwald_bound_constant_losses():
-    r, model, loss, space, sample, pa, k = one_decision_setup(197)
-    const = NumericLoss(
+    r, model, table, space, sample, pa, k = one_decision_setup(197)
+    const = ConsequenceTable.numeric(
         model, ("d1",), tuple((XValue(3),) for _ in model.points)
     )
-    ctable = const.to_consequence_table()
-    cspace = helpers.build_consequence_class(ctable)
+    cspace = helpers.build_consequence_class(const)
     kk = helpers.valid_capacity_kernel(r, model and cspace, pa)
     assert_markov_ratios(kk, const)
-    assert check_grunwald_bound(kk, pa, const, ctable).ok
+    assert check_grunwald_bound(kk, pa, const).ok
 
 
 def test_grunwald_bound_random_and_slack():
@@ -638,33 +742,30 @@ def test_grunwald_bound_random_and_slack():
     for _ in range(15):
         n = r.randint(1, 3)
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
-        loss = rand_numeric_loss(r, model, n_decisions=2)
-        table = loss.to_consequence_table()
+        table = rand_numeric_table(r, model, n_decisions=2)
         space = helpers.build_consequence_class(table)
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, model, sample)
         k = helpers.valid_capacity_kernel(r, space, pa)
-        assert_markov_ratios(k, loss)
-        assert check_grunwald_bound(k, pa, loss, table).ok
+        assert_markov_ratios(k, table)
+        assert check_grunwald_bound(k, pa, table).ok
 
 
 def test_admissibility_identical_and_dominated_columns():
     model = Model(("P1", "P2"))
-    same = NumericLoss(
+    table = ConsequenceTable.numeric(
         model, ("d1", "d2"), ((XValue(1), XValue(1)), (XValue(4), XValue(4)))
     )
-    table = same.to_consequence_table()
     space = helpers.build_consequence_class(table)
     e = helpers.unit_measure(space)
     result = admissible_decisions(e, table)
     assert result.admissible == ("d1", "d2")
-    none = NumericLoss(model, (), ((), ())).to_consequence_table()
+    none = ConsequenceTable.numeric(model, (), ((), ()))
     assert admissible_decisions(e, none).admissible == ()
 
-    skewed = NumericLoss(
+    table = ConsequenceTable.numeric(
         model, ("good", "bad"), ((XValue(1), XValue(4)), (XValue(2), XValue(5)))
     )
-    table = skewed.to_consequence_table()
     space = helpers.build_consequence_class(table)
     # 'bad' has pointwise higher losses, so each of its bound hypotheses
     # contains the matching one of 'good' and carries at most its evidence;
@@ -682,10 +783,9 @@ def test_admissibility_identical_and_dominated_columns():
 
 def test_admissibility_incomparable_pair_keeps_both():
     model = Model(("P1", "P2"))
-    loss = NumericLoss(
+    table = ConsequenceTable.numeric(
         model, ("d1", "d2"), ((XValue(0), XValue(5)), (XValue(5), XValue(0)))
     )
-    table = loss.to_consequence_table()
     space = helpers.build_consequence_class(table)
     e = from_values(
         space,
@@ -700,8 +800,7 @@ def test_admissibility_incomparable_pair_keeps_both():
 
 def test_admissibility_requires_measurable_bounds():
     model = Model(("P1", "P2"))
-    loss = NumericLoss(model, ("d1",), ((XValue(3),), (XValue(1),)))
-    table = loss.to_consequence_table()
+    table = ConsequenceTable.numeric(model, ("d1",), ((XValue(3),), (XValue(1),)))
     trivial = helpers.space_from_generators(model, [["P1", "P2"]])
     with pytest.raises(OrderMeasurabilityViolation) as err:
         admissible_decisions(helpers.unit_measure(trivial), table)
@@ -710,12 +809,12 @@ def test_admissibility_requires_measurable_bounds():
 
 def test_optimality_dominant_decision_owns_the_model():
     model = Model(("P1", "P2", "P3"))
-    loss = NumericLoss(
+    table = ConsequenceTable.numeric(
         model,
         ("win", "lose"),
         tuple((XValue(0), XValue(1)) for _ in model.points),
     )
-    result = optimality_class(loss)
+    result = optimality_class(table)
     assert result.decision_sets["win"] == 0b111
     assert result.decision_sets["lose"] == 0
     assert result.optimal == {p: "win" for p in model.points}
@@ -723,8 +822,8 @@ def test_optimality_dominant_decision_owns_the_model():
 
 def test_optimality_ties_join_every_group():
     model = Model(("P1",))
-    loss = NumericLoss(model, ("d1", "d2"), ((XValue(1), XValue(1)),))
-    result = optimality_class(loss)
+    table = ConsequenceTable.numeric(model, ("d1", "d2"), ((XValue(1), XValue(1)),))
+    result = optimality_class(table)
     assert result.decision_sets["d1"] == 0b1
     assert result.decision_sets["d2"] == 0b1
     assert result.optimal is None
@@ -734,7 +833,7 @@ def test_optimality_ties_join_every_group():
                 helpers.power_space(1), SampleSpace(("x",)),
                 helpers.unit_measure(helpers.power_space(1)),
             ),
-            loss,
+            table,
         )
 
 
@@ -755,7 +854,7 @@ def mle_instance():
             sum((a - b) * (a - b) / b for a, b in zip(masses[p], masses[q]))
         )
 
-    loss = NumericLoss(
+    table = ConsequenceTable.numeric(
         model,
         model.points,
         tuple(
@@ -765,12 +864,12 @@ def mle_instance():
     space = helpers.power_space(3)
     reference = Pmf(sample, (Fraction(1, 4),) * 4)
     kernel = helpers.likelihood_kernel(space, pa, reference)
-    return model, sample, pa, loss, space, kernel, masses, reference
+    return model, sample, pa, table, space, kernel, masses, reference
 
 
 def test_mle_instance_groups_are_singletons_and_argmax_matches():
-    model, sample, pa, loss, space, kernel, masses, reference = mle_instance()
-    result = optimality_class(loss)
+    model, sample, pa, table, space, kernel, masses, reference = mle_instance()
+    result = optimality_class(table)
     for pi, p in enumerate(model.points):
         assert result.decision_sets[p] == 1 << pi
     for xi, x in enumerate(sample.outcomes):
@@ -782,22 +881,21 @@ def test_mle_instance_groups_are_singletons_and_argmax_matches():
 
 
 def test_mle_energy_bound_and_pushforward():
-    model, sample, pa, loss, space, kernel, masses, reference = mle_instance()
+    model, sample, pa, table, space, kernel, masses, reference = mle_instance()
     # E-consequence bound on the divergence to the data-picked decision
-    report = check_econsequence_bound(kernel, pa, loss.to_consequence_table())
+    report = check_econsequence_bound(kernel, pa, table)
     assert report.ok
-    table = loss.to_consequence_table()
     for pi, p in enumerate(model.points):
         stat = XValue(0)
         for xi in range(sample.size):
             picked = max(model.points, key=lambda q: masses[q][xi])
-            d = loss.decisions.index(picked)
+            d = table.decisions.index(picked)
             hid = space.family.id_of(
                 helpers.hypothesis_for_bound(table, d, table.entries[pi][d])
             )
             stat = stat + XValue(pa.pmfs[pi].mass[xi]) * kernel.value(hid, xi)
         assert stat <= XValue(1)
-    pushed, report = helpers.evidence_against_optimality(kernel, loss, pa)
+    pushed, report = helpers.evidence_against_optimality(kernel, table, pa)
     assert report.ok
     for xi in range(sample.size):
         for pi, p in enumerate(model.points):

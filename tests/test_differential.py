@@ -58,3 +58,19 @@ def test_a_side_runs_the_cli_as_in_process(capsys):
         assert side(("mtp", "--nonsense"))[0] == 2
     finally:
         side.close()
+
+
+def test_appending_a_corpus_case_adds_its_argv_jobs_and_changes_no_other(monkeypatch):
+    """Each `argv:CASE/K` job is drawn from its own case's rng and the repeat
+    values of the cases up to it, so the jobs without the last case are the
+    full list less that case's jobs, with the same names and argvs."""
+    corpus = differential._corpus_argv()
+    full = differential.argv_jobs(11, differential.ARGV_PER_CASE)
+    monkeypatch.setattr(differential, "_corpus_argv", lambda: corpus[:-1])
+    shorter = differential.argv_jobs(11, differential.ARGV_PER_CASE)
+    last = [job for job in full if job.name.startswith(f"argv:{corpus[-1][0]}/")]
+    assert [job for job in full if job not in last] == shorter
+    assert [job.name for job in last] == [
+        f"argv:{corpus[-1][0]}/{k}" for k in range(differential.ARGV_PER_CASE)
+    ]
+    assert len({job.name for job in full}) == len(full) == len(corpus) * differential.ARGV_PER_CASE

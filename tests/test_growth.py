@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from emeasure import INF, SampleSpace, XValue, cli
+from emeasure import INF, SampleSpace, XValue, cli, fileio
 from emeasure import kernels as kn
 from emeasure import spaces
 from emeasure.xvalue import order_keys
@@ -222,3 +222,30 @@ def test_a_numeric_decide_builds_no_fraction_and_validates_no_order(
     monkeypatch.undo()
     capsys.readouterr()
     assert (code, calls) == (cli.EXIT_OK, {"Fraction": 0, "validate": 0})
+
+
+def test_a_numeric_decision_problem_renders_each_distinct_loss_once(monkeypatch, tmp_path):
+    """L5 `fileio.load_decision_problem`: a numeric table's cells are the
+    ranks of its losses, so loading renders each distinct loss once, as its
+    consequence label, and no cell. On the 12-point prefix chain with D = 6,
+    12 and 24 decisions that is 72, 144 and 288 `XValue.record` calls;
+    rendering every cell and looking each label up again made 144, 288 and
+    576."""
+    calls = [0]
+    record = XValue.record
+
+    def counted(self):
+        calls[0] += 1
+        return record(self)
+
+    counts = []
+    for decisions in (6, 12, 24):
+        write_chain_files(tmp_path, 12, decisions)
+        model = fileio.load_space(tmp_path / "space.yaml").space.model
+        monkeypatch.setattr(XValue, "record", counted)
+        calls[0] = 0
+        table = fileio.load_decision_problem(tmp_path / "decisions.yaml", model)
+        monkeypatch.undo()
+        counts.append(calls[0])
+        assert len(table.cspace.elements) == 12 * decisions
+    assert counts == [72, 144, 288]

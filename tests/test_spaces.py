@@ -4,7 +4,7 @@ import pytest
 
 import helpers
 from emeasure import (
-    ConsequenceSpace,
+    ConsequenceTable,
     INF,
     Model,
     Preorder,
@@ -338,13 +338,19 @@ def test_bitset_preorder_matches_the_matrix_oracles():
     }
 
 
+def numeric_space(values):
+    """The consequence space of a one-point numeric table over `values`."""
+    decisions = tuple(f"d{i}" for i in range(len(values)))
+    return ConsequenceTable.numeric(Model(("p",)), decisions, [values]).cspace
+
+
 def test_numeric_consequence_order_is_the_value_order():
     """The distinct values in increasing order, i at least as bad as j
     exactly when value i >= value j, on seeded lists with inf and 0."""
     r = helpers.rng(31)
     for _ in range(60):
         values = [helpers.rand_xvalue(r) for _ in range(r.randint(1, 30))]
-        cs = ConsequenceSpace.numeric(values)
+        cs = numeric_space(values)
         by_label = {v.record(): v for v in values}
         ordered = [by_label[label] for label in cs.elements]
         assert set(ordered) == set(values) and len(ordered) == len(set(values))
@@ -352,4 +358,4 @@ def test_numeric_consequence_order_is_the_value_order():
         for i, a in enumerate(ordered):
             for j, b in enumerate(ordered):
                 assert bool(cs.order.rows[i] >> j & 1) == (a >= b)
-    assert ConsequenceSpace.numeric([INF, INF]).elements == ("inf",)
+    assert numeric_space([INF, INF]).elements == ("inf",)

@@ -48,11 +48,14 @@ sides get the same inputs:
   are spelled as the `check` inputs spell them; one input in eight names one member
   twice in two spellings, one in eight leaves a nonempty member out, and
   one in twenty gives the empty member a finite value (named `closure/N`);
-- 420 seeded mutations of the corpus command lines, which argparse reads or
-  refuses where the command line is not of the one exact form: an option
+- five seeded mutations of each corpus command line, which argparse reads
+  or refuses where the command line is not of the one exact form: an option
   written `--name=value` or abbreviated, an option repeated with another
   value, `-h` or `--help` at any position, an option dropped, a bad choice,
-  and an option moved before the subcommand (named `argv/N`).
+  and an option moved before the subcommand (named `argv:CASE/K`, K from
+  0). Each case draws from an rng seeded with its name, and a repeated
+  option takes a value from the cases up to that one, so appending a
+  corpus case adds its five jobs and leaves every other job unchanged.
 
 A job agrees when its exit code, stdout and stderr are equal on both sides.
 The first difference that no `--expect NAME` names is printed with its argv
@@ -81,7 +84,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 DECIDE_INPUTS = 720  # random `decide` inputs, from the first seed
 CHECK_INPUTS = 360  # random `check` inputs, from the first seed
-ARGV_INPUTS = 420  # mutated corpus command lines, from the first seed
+ARGV_PER_CASE = 5  # mutated command lines per corpus case, from the first seed
 CHAIN_DECISIONS = (12, 48)  # decisions D on the 24-point prefix chain
 LATTICE_INPUTS = 240  # random `space` inputs, and as many `closure` inputs
 
@@ -221,7 +224,7 @@ def corpus_jobs() -> list[Job]:
     return jobs
 
 
-# How a corpus command line is mutated, one per `argv/N` job.
+# How a corpus command line is mutated, one per `argv:CASE/K` job.
 ARGV_MUTATIONS = ("equals", "abbreviate", "repeat", "help", "drop", "bad-choice", "option-first")
 CHOICE_OPTIONS = ("--check", "--procedure", "--golden", "--bound", "--format")
 
@@ -260,23 +263,21 @@ def _mutate(rng: random.Random, argv: list[str], values: dict[str, list[str]], h
     return words
 
 
-def argv_jobs(seed: int, count: int) -> list[Job]:
-    """Corpus command lines, each with one of `ARGV_MUTATIONS`, in the records
-    format or in text."""
-    rng = random.Random(f"argv/{seed}")
-    corpus = _corpus_argv()
+def argv_jobs(seed: int, per_case: int) -> list[Job]:
+    """Each corpus command line `per_case` times, each time with one of
+    `ARGV_MUTATIONS`, in the records format or in text. A case draws from
+    its own rng, and a repeat from the values of the cases up to it."""
     values = {"--format": ["text", "records"]}
-    for _, argv in corpus:
+    jobs = []
+    for name, argv in _corpus_argv():
         for option, value in zip(argv, argv[1:]):
             if option.startswith("--") and not value.startswith("--"):
                 values.setdefault(option, []).append(value)
-    jobs = []
-    for n in range(count):
-        _, argv = rng.choice(corpus)
-        if rng.random() < 0.5:
-            argv += ("--format", "records")
-        mutated = _mutate(rng, list(argv), values, rng.choice(ARGV_MUTATIONS))
-        jobs.append(Job(f"argv/{n}", tuple(mutated)))
+        rng = random.Random(f"argv/{seed}/{name}")
+        for k in range(per_case):
+            words = argv + ("--format", "records") if rng.random() < 0.5 else argv
+            mutated = _mutate(rng, list(words), values, rng.choice(ARGV_MUTATIONS))
+            jobs.append(Job(f"argv:{name}/{k}", tuple(mutated)))
     return jobs
 
 
@@ -699,7 +700,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         jobs += check_jobs(inputs, args.seeds[0], CHECK_INPUTS)
         jobs += space_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
         jobs += closure_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
-        jobs += argv_jobs(args.seeds[0], ARGV_INPUTS)
+        jobs += argv_jobs(args.seeds[0], ARGV_PER_CASE)
         base, change = Side(base_src, inputs), Side(ROOT / "src", inputs)
         try:
             outcome = compare(jobs, base, change, args.expect)
