@@ -65,16 +65,29 @@ that does not classify are schema errors, named by their file.
 A kernel file is read as it is laid out, one row of outcome values per
 hypothesis, into the kernel's rows in file order (``EKernel.from_rows``).
 Each row object is read once, so rows of one text are one tuple of values.
-A row that lists the outcomes in their declared order is read in one pass,
-any other row cell by cell. Its refusals come in one order: a value that is
-no evidence value as it is read, then a missing hypothesis, then the first
-row in file order that misses an outcome or names an unknown one, then a
-finite value of the empty member.
+Its refusals come in one order: a value that is no evidence value as it is
+read, then a missing hypothesis, then the first row in file order that
+misses an outcome or names an unknown one, then a finite value of the
+empty member.
+
+Kernel, model and evidence files mostly have the row shape, which the
+command line prints: a ``kernel:``, ``pmf:`` or ``evidence:`` line, then
+only rows indented by two spaces, ``KEY: {x1: v, ..., xk: v}`` or
+``KEY: v``, their keys as above, with no blank, comment or padding. A row
+reader (`_rows`) matches all rows of such a file with one pattern, types
+each distinct key and cell as the line reader does and builds each
+distinct row's tuple and cell's XValue once. It takes the file only when
+every row reads as the general path reads it: a label of the label table,
+each member once, keys typed to the outcomes in order (a model's first
+row's keys), evidence values and finite masses summing to 1. Every other
+file, and every refusal, goes from the same read to the general path
+(`_read_table`, else PyYAML), which is also the row reader's oracle.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import locale
 import re
 import sys
@@ -83,7 +96,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .decisions import ConsequenceSpace, ConsequenceTable
-from .evidence import EFunction, EvidenceError, classify
+from .evidence import EFunction, EvidenceError, classify, from_values
 from .kernels import EKernel, FiltrationTree, Pmf, ProbabilityAssignment, SampleSpace
 from .spaces import (
     MODEL_POINT_CAP,
@@ -93,7 +106,7 @@ from .spaces import (
     SpaceError,
     union_closure,
 )
-from .xvalue import XValue, parse_xvalue, rational
+from .xvalue import INF, XValue, parse_xvalue, rational
 
 
 class SchemaError(Exception):
@@ -363,21 +376,25 @@ def _read_table(text: str):
     return top or None
 
 
-def _load_yaml(path: Path | str) -> dict:
+def _read_text(path: Path | str) -> str:
+    """The file's text: one binary read, decoded once with the encoding text
+    mode would use, its line ends translated as text mode translates them."""
     try:
-        # One binary read, decoded once with the encoding text mode would
-        # use and its line ends translated as text mode translates them.
         with open(path, "rb") as fh:
             text = fh.read().decode(locale.getpreferredencoding(False))
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        data = _read_table(text)
-        if data is None:
-            data = _load_full(path)
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(path, f"not text: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _parse(path: Path | str, text: str) -> dict:
+    """The document of a file's text, by the line reader or else PyYAML."""
+    try:
+        data = _read_table(text)
+        if data is None:
+            data = _load_full(path, text)
     except ValueError as exc:
         # PyYAML's constructors refuse a scalar they cannot build, such as an
         # int of more than 4300 digits or a date that does not exist; the
@@ -388,16 +405,76 @@ def _load_yaml(path: Path | str) -> dict:
     return data
 
 
-def _load_full(path: Path | str):
-    """The file as PyYAML's pure-Python safe loader reads it, which reads a
+def _load_yaml(path: Path | str) -> dict:
+    return _parse(path, _read_text(path))
+
+
+def _load_full(path: Path | str, text: str):
+    """The text as PyYAML's pure-Python safe loader reads it, which reads a
     file as ``yaml.safe_load`` does whether or not PyYAML was built with
-    libyaml. PyYAML reads the file itself, so its marks name it."""
+    libyaml. It reads the text as a stream named by the file, in chunks as
+    it reads a file, so its marks name the file."""
     yaml = _yaml()
+    stream = io.StringIO(text)
+    stream.name = str(path)
     try:
-        with open(path) as fh:
-            return yaml.load(fh, Loader=yaml.SafeLoader)
+        return yaml.load(stream, Loader=yaml.SafeLoader)
     except yaml.YAMLError as exc:
         raise SchemaError(path, f"not valid YAML: {exc}") from None
+
+
+@functools.cache
+def _row_pattern(flat: bool) -> re.Pattern:
+    """The pattern of one row line: two spaces, a key (escape-free
+    double-quoted, or plain as the line reader's scalars are), and a plain
+    value, or a flat flow mapping of plain scalars one ": " or ", " apart."""
+    key = rf'("[ !#-\[\]-~]{{0,{_KEY_MAX}}}"|{_S})'
+    value = rf"\{{({_S}: {_S}(?:, {_S}: {_S})*)\}}" if flat else f"({_S})"
+    return re.compile(rf"^  {key}: {value}$", re.M)
+
+
+def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes=None):
+    """A file of the row shape (module docstring), matched by one pattern:
+    the values of the `size` ids, in id order, of the rows whose labels
+    `ids` maps to them, and the outcomes their keys name. A flat row's
+    value is one tuple of XValues per distinct row text, keyed by
+    `outcomes` (else the first row's keys) in order; `empty`, if given, is
+    the empty member's value, written or not. None for any other file, a
+    missing id, or a label, key or cell the general reader would read
+    otherwise or refuse."""
+    flat = head != "evidence"
+    body = text[len(head) + 2 :]
+    found = text.startswith(head + ":\n") and _row_pattern(flat).findall(body)
+    if not found or len(found) != body.count("\n") + (body[-1] != "\n"):
+        return None  # a line the pattern does not match
+    typed = _Scalars().__getitem__
+    cell = functools.cache(lambda text: _xvalue(path, typed(text)))  # once per distinct text
+    slots: list = [None] * size
+    rows: dict = {}  # by row text
+    try:
+        for key, value in found:
+            i = ids.get(key[1:-1] if key[0] == '"' else typed(key))
+            if i is None or slots[i] is not None:
+                return None
+            if not flat:
+                slots[i] = cell(value)
+            elif value in rows:
+                slots[i] = rows[value]
+            else:
+                parts = value.replace(": ", ", ").split(", ")
+                names = tuple(parts[::2])
+                if outcomes is None and len(set(names)) == len(names):
+                    outcomes = names
+                if tuple(map(typed, names)) != outcomes:
+                    return None
+                slots[i] = rows[value] = tuple(map(cell, parts[1::2]))
+    except (KeyError, ValueError, SchemaError):
+        return None
+    filled = len(found)
+    if empty is not None and slots[0] is None:  # the empty member sorts first
+        slots[0], filled = empty, filled + 1
+    declined = filled != size or (empty is not None and slots[0] != empty)
+    return None if declined else (slots, outcomes)
 
 
 def _fraction(path, raw) -> Fraction:
@@ -476,10 +553,7 @@ class SpaceFile:
 
     def resolve(self, path, label: str) -> int:
         """The id of a hypothesis label (see the module docstring)."""
-        ids = self._ids
-        if ids is None:
-            ids = self._ids = self._lookup_table()
-        hid = ids.get(label)
+        hid = self._labels().get(label)
         if hid is not None:
             return hid
         get = self.space.model.positions.get
@@ -496,18 +570,20 @@ class SpaceFile:
         except SpaceError:
             raise SchemaError(path, f"{label!r} is not a member of the family") from None
 
-    def _lookup_table(self) -> dict[str, int]:
-        """The labels read without parsing: every member's printed label,
-        then 'empty' and '{}', then the declared names, each overriding what
-        comes before it. Printed labels are left out when a point label is
-        empty, holds a ',' or is padded, as a comma list would then read as
-        another set than the one it joins."""
-        space = self.space
-        printed = all(p and "," not in p and p.strip() == p for p in space.model.points)
-        ids = space.printed_ids() if printed else {}
-        ids["empty"] = ids["{}"] = space.family.empty_id
-        ids.update(self.names)
-        return ids
+    def _labels(self) -> dict[str, int]:
+        """The labels read without parsing, built on the first call: every
+        member's printed label, then 'empty' and '{}', then the declared
+        names, each overriding what comes before it. Printed labels are left
+        out when a point label is empty, holds a ',' or is padded, as a comma
+        list would then read as another set than the one it joins."""
+        if self._ids is None:
+            space = self.space
+            printed = all(p and "," not in p and p.strip() == p for p in space.model.points)
+            ids = space.printed_ids() if printed else {}
+            ids["empty"] = ids["{}"] = space.family.empty_id
+            ids.update(self.names)
+            self._ids = ids
+        return self._ids
 
 
 def _named_twice(path, sf: SpaceFile, labels, hid: int, label: str) -> SchemaError:
@@ -586,8 +662,11 @@ def _point_index(path, model: Model, raw) -> int:
 
 def load_evidence(path: Path | str, sf: SpaceFile) -> EFunction:
     """The evidence table, classified; the empty hypothesis defaults to inf."""
-    data = _load_yaml(path)
-    table = data.get("evidence")
+    text = _read_text(path)
+    found = _rows(path, text, "evidence", sf._labels(), len(sf.space.family), INF)
+    if found:
+        return from_values(sf.space, found[0])
+    table = _parse(path, text).get("evidence")
     if not isinstance(table, dict):
         raise SchemaError(path, "'evidence' must map hypothesis labels to values")
     read = _xvalue_reader(path)
@@ -607,8 +686,15 @@ def load_evidence(path: Path | str, sf: SpaceFile) -> EFunction:
 
 
 def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
-    data = _load_yaml(path)
-    table = data.get("pmf")
+    text = _read_text(path)
+    found = _rows(path, text, "pmf", model.positions, model.size)
+    if found:
+        sample = SampleSpace(found[1])
+        try:
+            return ProbabilityAssignment(model, tuple(Pmf(sample, row) for row in found[0]))
+        except EvidenceError:  # an infinite mass, or masses that do not sum to 1
+            pass
+    table = _parse(path, text).get("pmf")
     if not isinstance(table, dict):
         raise SchemaError(path, "'pmf' must map point labels to outcome masses")
     outcomes: Optional[tuple[str, ...]] = None
@@ -638,7 +724,13 @@ def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
 def load_kernel(
     path: Path | str, sf: SpaceFile, sample: Optional[SampleSpace] = None
 ) -> EKernel:
-    data = _load_yaml(path)
+    text = _read_text(path)
+    if sample is not None:
+        n = len(sf.space.family)
+        found = _rows(path, text, "kernel", sf._labels(), n, (INF,) * sample.size, sample.outcomes)
+        if found:
+            return EKernel.from_rows(sf.space, sample, found[0])
+    data = _parse(path, text)
     table = data.get("kernel")
     if not isinstance(table, dict):
         raise SchemaError(path, "'kernel' must map hypothesis labels to outcome rows")
@@ -672,23 +764,19 @@ def load_kernel(
         if values is not None:
             rows[hid] = values
             continue
-        if tuple(row) == outcomes:  # the outcomes in order: one pass
-            values = tuple(map(read, row.values()))
-        else:
-            cells: list = [None] * sample.size
-            got, unknown = 0, False
-            for x, raw in row.items():
-                value = read(raw)
-                xi = sample.positions.get(str(x))
-                if xi is None:
-                    unknown = True
-                else:
-                    cells[xi] = value
-                    got |= 1 << xi
-            values = tuple(cells)
-            if bad_row is None and (got != full or unknown):
-                bad_row = (label, got, row)
-        rows[hid] = row_values[id(row)] = values
+        cells: list = [None] * sample.size
+        got, unknown = 0, False
+        for x, raw in row.items():
+            value = read(raw)
+            xi = sample.positions.get(str(x))
+            if xi is None:
+                unknown = True
+            else:
+                cells[xi] = value
+                got |= 1 << xi
+        if bad_row is None and (got != full or unknown):
+            bad_row = (label, got, row)
+        rows[hid] = row_values[id(row)] = tuple(cells)
     empty = family.empty_id
     if rows[empty] is None:
         rows[empty] = (read("inf"),) * sample.size

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from emeasure import Model, Space, cli, fileio, union_closure
+from emeasure import EvidenceError, Model, SampleSpace, Space, XValue, cli, fileio, union_closure
 
 DATA = Path(__file__).parent / "data"
 DATA_FILES = sorted(DATA.glob("*.yaml"))
@@ -742,3 +742,195 @@ def test_a_decision_row_outside_the_space_or_the_decisions_is_refused(name, mess
     model = fileio.load_space(PAIR_SPACE).space.model
     with pytest.raises(fileio.SchemaError, match=message):
         fileio.load_decision_problem(DATA / name, model)
+
+
+# -- the row reader against the general reader --------------------------------
+
+# Cells a reader that skipped the YAML typing would misread, and cells that
+# no evidence value or mass reads.
+ROW_CELLS = ["1", "3/4", "0", "2", "inf", "010", "0x1f", "1_000", "08", "6/4", ".inf"]
+BAD_CELLS = ["yes", "-1", "1/0", "-.inf", "x"]
+MASSES = [["1/2", "1/4", "1/4"], ["0", "6/8", "1/4"], ["1", "0", "0"], ["08/16", "0.25", "1/4"]]
+BAD_MASSES = [["1/2", "inf", "1/4"], ["1", "-1/4", "1/4"], ["1/2", "1/2", "1/2"], ["1", ".inf", "0"]]
+# Keys of the last spaces' points, spelled as plain scalars that YAML types
+# to something else whose text is the label. A point 'yes' and an outcome
+# 'no', written plain, read as the labels True and False.
+KEY_SPELLINGS = {"8": ["010", "8"], "31": ["0x1f"], "1000": ["1_000"], "True": ["yes", "on"],
+                 "inf": [".inf"]}
+ROW_SPACES = [
+    (helpers.power_space(3), ("x", "y", "z")),
+    (helpers.space_from_generators(Model(("a", "b", "c")), [["a"], ["a", "b"], ["a", "b", "c"]]),
+     ("x", "y", "z")),
+    (helpers.power_space(2), ("x", "y", "z")),
+    (Space(Model(("8", "31", "1000", "inf")), union_closure(4, [1, 2, 4, 8])), ("no", "x", "y")),
+    (Space(Model(("True", "yes")), union_closure(2, [1, 2])), ("x", "y", "z")),
+]
+
+
+def spelled_key(r, name, quoted=0.5):
+    """A label or an outcome as a row key: one of its `KEY_SPELLINGS` a
+    third of the time, else plain where it can be, or double-quoted with
+    chance `quoted`."""
+    if name in KEY_SPELLINGS and r.random() < 1 / 3:
+        return r.choice(KEY_SPELLINGS[name])
+    plain = re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", name) and r.random() >= quoted
+    return name if plain else f'"{name}"'
+
+
+def member_key(r, space, hid):
+    """A member's label as a key: printed, its points reordered or
+    ', '-spaced, 'empty' or '{}' for the empty member."""
+    points = list(helpers.labels_of(space.model, space.family.member(hid)))
+    if not points:
+        return spelled_key(r, r.choice(["{}", "empty"]))
+    if r.random() < 0.1:
+        r.shuffle(points)
+    return spelled_key(r, (", " if r.random() < 0.05 else ",").join(points))
+
+
+def flat_row(r, outcomes, cells):
+    """A flow-mapping row, at times with its outcomes shuffled, one dropped,
+    an unknown one added or the first repeated."""
+    pairs = [f"{spelled_key(r, x, 0.02)}: {c}" for x, c in zip(outcomes, cells)]
+    roll = r.random()
+    if roll < 0.05:
+        r.shuffle(pairs)
+    elif roll < 0.1:
+        del pairs[r.randrange(len(pairs))]
+    elif roll < 0.15:
+        pairs.insert(r.randint(0, len(pairs)), "w: 1")
+    elif roll < 0.2:
+        pairs.append(pairs[0])
+    return "{" + ", ".join(pairs) + "}"
+
+
+def cell(r, pool):
+    return r.choice(BAD_CELLS) if r.random() < 0.01 else r.choice(pool)
+
+
+def row_file(r, head, rows):
+    """`head:` and one `  KEY: VALUE` line per row, then a few line edits:
+    a line repeated, dropped or written over another, trailing spaces, a
+    blank or comment line, rows indented by four, another top-level key
+    that takes the rows after it, '\\r\\n' ends, no final newline."""
+    lines = [f"{head}:"] + [f"  {key}: {value}" for key, value in rows]
+    edits = [
+        lambda: lines.insert(r.randint(1, len(lines)), r.choice(lines[1:])),
+        lambda: lines.pop(r.randrange(1, len(lines))),
+        lambda: lines.__setitem__(r.randrange(1, len(lines)), r.choice(lines[1:])),
+        lambda: lines.insert(r.randrange(len(lines)), lines.pop(r.randrange(len(lines))) + " "),
+        lambda: lines.insert(r.randint(0, len(lines)), ""),
+        lambda: lines.insert(r.randint(1, len(lines)), r.choice(["# note", "  # note"])),
+        lambda: lines.__setitem__(slice(1, None), ["  " + line for line in lines[1:]]),
+        lambda: lines.insert(r.randint(2, len(lines)), "other:"),
+    ]
+    for edit in edits:
+        if r.random() < 0.05 and len(lines) > 2:
+            edit()
+    text = "\n".join(lines) + r.choice(["\n", "\n", "\n", ""])
+    return text.replace("\n", "\r\n") if r.random() < 0.05 else text
+
+
+def row_files(r, space, outcomes):
+    """A kernel, a model and an evidence file over `space`, mostly in the
+    row shape. Rows repeat a few texts, and the empty member is written with
+    an inf or a finite row at times, or left out."""
+    members = list(space.family.nonempty_ids())
+    if r.random() < 0.3:
+        members.append(space.family.empty_id)
+    pool = [flat_row(r, outcomes, [cell(r, ROW_CELLS) for _ in outcomes]) for _ in range(3)]
+    finite = r.random() < 0.3
+    kernel = [(member_key(r, space, hid), r.choice(pool) if hid else flat_row(
+        r, outcomes, [r.choice(["1", "0"] if finite else ["inf", ".inf"]) for _ in outcomes]
+    )) for hid in members]
+    values = [(member_key(r, space, hid), cell(r, ROW_CELLS) if hid else "1" if finite else "inf")
+              for hid in members]
+    masses = [flat_row(r, outcomes, r.choice(BAD_MASSES if r.random() < 0.03 else MASSES))
+              for _ in range(2)]
+    model = [(spelled_key(r, p), r.choice(masses)) for p in space.model.points]
+    return {"kernel": row_file(r, "kernel", kernel), "pmf": row_file(r, "pmf", model),
+            "evidence": row_file(r, "evidence", values)}
+
+
+def kernel_view(k):
+    """The sample, the rows, and for each hypothesis the first one that
+    shares its row object."""
+    return k.sample, k.rows, [next(j for j, row in enumerate(k.rows) if row is mine) for mine in k.rows]
+
+
+LOADS = {
+    "kernel": (lambda path, sf, sample: fileio.load_kernel(path, sf, sample), kernel_view),
+    "pmf": (lambda path, sf, sample: fileio.load_pmfs(path, sf.space.model),
+            lambda pa: (pa.sample, [pmf.scaled for pmf in pa.pmfs])),
+    "evidence": (lambda path, sf, sample: fileio.load_evidence(path, sf), lambda e: (e.values, e.eclass)),
+}
+
+
+def read_both_ways(monkeypatch, kind, path, sf, sample):
+    """What the loader of `kind` gives as shipped, then with the row reader
+    declining every file: a view of its result, or its refusal's class and
+    text; and whether the row reader took the file."""
+    load, view = LOADS[kind]
+    rows, taken = fileio._rows, []
+    readers = [lambda *args: taken.append(rows(*args)) or taken[-1], lambda *args: None]
+    results = []
+    for reader in readers:
+        with monkeypatch.context() as patch:
+            patch.setattr(fileio, "_rows", reader)
+            try:
+                results.append(view(load(path, sf, sample)))
+            except (fileio.SchemaError, EvidenceError) as exc:
+                results.append((type(exc), str(exc)))
+    return results, taken[0] is not None
+
+
+def test_the_row_reader_reads_as_the_general_reader(tmp_path, monkeypatch):
+    """Seeded kernel, model and evidence files, most in the row shape and
+    the rest one edit away from it, load as the general reader alone loads
+    them, or are refused in the same words: equal rows shared by the same
+    hypotheses, equal scaled masses, equal values and class. The row reader
+    takes some files of each kind and declines others."""
+    sfs = []
+    quoted = lambda labels: "[" + ", ".join(f"'{label}'" for label in labels) + "]"
+    for i, (space, _) in enumerate(ROW_SPACES):
+        (tmp_path / f"space{i}.yaml").write_text(
+            f"points: {quoted(space.model.points)}\ngenerators: ["
+            + ", ".join(quoted(helpers.labels_of(space.model, m)) for m in space.family.members if m)
+            + "]\n"
+        )
+        sfs.append(fileio.load_space(tmp_path / f"space{i}.yaml"))
+    taken = {(kind, took): 0 for kind in LOADS for took in (True, False)}
+    for seed in range(240):
+        r = helpers.rng(seed)
+        i = seed % len(ROW_SPACES)
+        sample = SampleSpace(ROW_SPACES[i][1])
+        for kind, text in row_files(r, sfs[i].space, sample.outcomes).items():
+            path = tmp_path / f"{kind}.yaml"
+            path.write_bytes(text.encode())
+            (shipped, general), took = read_both_ways(monkeypatch, kind, path, sfs[i], sample)
+            assert shipped == general, text
+            taken[kind, took] += 1
+    assert min(taken.values()) > 0, taken
+
+
+def test_a_plain_yes_is_no_quoted_yes_outcome(tmp_path, monkeypatch):
+    """Beside a model whose outcome is the quoted string "yes", a kernel
+    that writes yes plain, which YAML reads as true, is refused both ways,
+    and one that quotes it is read both ways."""
+    sf = fileio.load_space(PAIR_SPACE)
+    model = tmp_path / "model.yaml"
+    model.write_text('pmf:\n  p: {"yes": 1/2, no2: 1/2}\n  q: {"yes": 1, no2: 0}\n')
+    sample = fileio.load_pmfs(model, sf.space.model).sample
+    assert sample.outcomes == ("yes", "no2")
+    kernel = tmp_path / "kernel.yaml"
+    results = []
+    for key in ("yes", '"yes"'):
+        kernel.write_text("kernel:\n" + "".join(
+            f'  "{label}": {{{key}: 1, no2: 1}}\n' for label in ("p", "q", "p,q")
+        ))
+        (shipped, general), _ = read_both_ways(monkeypatch, "kernel", kernel, sf, sample)
+        assert shipped == general
+        results.append(shipped)
+    assert results[0] == (fileio.SchemaError, f"{kernel}: row for 'p' misses outcome 'yes'")
+    _, rows, _ = results[1]
+    assert rows[1:] == ((XValue(1), XValue(1)),) * 3

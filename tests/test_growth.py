@@ -6,8 +6,10 @@ exponent its layer's docstring claims, with a slack, next to that claim.
 """
 
 import math
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +251,34 @@ def test_a_numeric_decision_problem_renders_each_distinct_loss_once(monkeypatch,
         counts.append(calls[0])
         assert len(table.cspace.elements) == 12 * decisions
     assert counts == [72, 144, 288]
+
+
+def test_a_check_reads_its_table_files_in_one_pass(monkeypatch, capsys, tmp_path):
+    """L5 input: perfbench's `check` inputs on the 32-, 64-, 128- and
+    256-member chain spaces have kernel and model files of the row shape,
+    which the row reader reads: per job `fileio._read_table` runs once, for
+    the space file, `SpaceFile.resolve` never runs, and `_xvalue` runs once
+    per distinct cell text of the kernel and the model file. Reading them
+    with the general reader runs `_read_table` three times and `resolve`
+    once per kernel row."""
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
+    import workloads
+
+    calls = {"_read_table": 0, "resolve": 0, "_xvalue": 0}
+    for owner, name in ((fileio, "_read_table"), (fileio.SpaceFile, "resolve"), (fileio, "_xvalue")):
+        def counted(*args, name=name, original=getattr(owner, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    for members in (32, 64, 128, 256):
+        corpus = workloads.Corpus(tmp_path, "checks", members)
+        argv = list(workloads.checks_job(corpus, "validity", members, 3, False).argv)
+        cells = sum(
+            len(set(re.findall(r": ([^ ,{}]+)[,}]", Path(argv[argv.index(option) + 1]).read_text())))
+            for option in ("--kernel", "--model")
+        )
+        calls.update(dict.fromkeys(calls, 0))
+        assert cli.main(argv) == cli.EXIT_OK
+        assert calls == {"_read_table": 1, "resolve": 0, "_xvalue": cells}, members
+    capsys.readouterr()

@@ -193,7 +193,6 @@ UNREACHED_KEPT = {
     "preimages": "the target-member preimages the pushforward reads",
     "merge_convex": "the convex merge of evidence tables; no closure input lists weights yet",
     "merge_convex_kernels": "the same merge, outcome by outcome",
-    "from_values": "builds the merged table; also the tests' table constructor",
 }
 
 
@@ -272,7 +271,7 @@ def test_every_definition_is_reached_from_a_subcommand_or_kept_for_a_reason():
 
 
 # The lines of src/emeasure/*.py, as `wc -l` counts them.
-LINE_BUDGET = 4190
+LINE_BUDGET = 4278
 
 
 def test_the_package_stays_within_its_line_budget():

@@ -35,8 +35,12 @@ sides get the same inputs:
   than the package prints them: unreduced (`6/4`, `0/7`), with leading
   zeros (`08`, `007`, `3/04`), as decimals (`0.25`, `3.0`) and inf as `inf`
   or `.inf`; one in 300 is refused as it is read, with a numerator
-  past 4300 digits (alone or as `p/3`) or a zero denominator (`2/0`)
-  (named `check/N`);
+  past 4300 digits (alone or as `p/3`) or a zero denominator (`2/0`).
+  Their model rows are written as perfbench writes them, with the
+  outcomes shuffled in each row, with quoted point keys, or with the
+  masses spelled as the kernel cells are; one model in 100 has a row with
+  a negative mass, an inf mass or an unknown outcome (inputs 50, 150 and
+  250) (named `check/N`);
 - 240 seeded random `space` inputs, in the records and in the text format.
   Half the spaces are written as `_random_space` writes them, on two to six
   points; the other half list redundant generators: the join-irreducible
@@ -493,6 +497,10 @@ def _power_of(n: int, p: int) -> int:
 
 # How a `check` input's kernel rows are written, one per input.
 ROW_FORMS = ("ordered", "shuffled", "drop", "unknown", "empty-finite")
+# How its model rows are written, one per input: as perfbench writes them,
+# with each row's outcomes shuffled, with quoted point keys, or with masses
+# spelled by `_spell`.
+MODEL_FORMS = ("printed", "shuffled", "quoted", "spelled")
 
 
 def _key(rng: random.Random, sp, b: int) -> str:
@@ -540,10 +548,34 @@ def _kernel_text(rng: random.Random, w, sp, outcomes, columns, form: str) -> str
     )
 
 
+def _model_text(rng: random.Random, orc, points, outcomes, pmfs, form: str, n: int) -> str:
+    """The model file of `pmfs` with its rows written in `form`. Input n
+    breaks one row when n is 50 past a multiple of 100: with a negative
+    mass, an inf mass and an unknown outcome in turn."""
+    rows = [
+        [f"{x}: {_spell(rng, m, orc.INF) if form == 'spelled' else orc.fmt(m)}" for x, m in zip(outcomes, pmf)]
+        for pmf in pmfs
+    ]
+    if n % 100 == 50:
+        row, kind = rng.choice(rows), n // 100 % 3
+        i = rng.randrange(len(row))
+        if kind == 2:
+            row.insert(i, "zz: 0")
+        else:
+            row[i] = f"{outcomes[i]}: {('-1/2', 'inf')[kind]}"
+    if form == "shuffled":
+        for row in rows:
+            rng.shuffle(row)
+    key = '"{}"' if form == "quoted" else "{}"
+    return "pmf:\n" + "".join(
+        f"  {key.format(p)}: {{{', '.join(row)}}}\n" for p, row in zip(points, rows)
+    )
+
+
 def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     """Random `check` inputs over random spaces and kernels (see
-    `_random_space` and `_random_columns`), their rows written in one of
-    `ROW_FORMS`."""
+    `_random_space` and `_random_columns`), their kernel rows written in
+    one of `ROW_FORMS` and their model rows in one of `MODEL_FORMS`."""
     orc, w = _perfbench()
     rng = random.Random(f"check/{seed}")
     inputs = inputs / f"check-{seed}"
@@ -556,7 +588,7 @@ def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
         columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
         files = {
             "space": sp.text,
-            "model": w.model_yaml(sp.points, outcomes, pmfs),
+            "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(MODEL_FORMS), n),
             "kernel": _kernel_text(rng, w, sp, outcomes, columns, rng.choice(ROW_FORMS)),
         }
         argv = ["check"]
