@@ -447,11 +447,11 @@ def cmd_check(args) -> int:
 
     if args.check == "predictive":
         report = kn.check_predictive_validity(kernel, pa.pmfs)
-        for x, sup_val, least_val, ok in report.sup_identity:
-            out.record("predictive", outcome=x, sup=sup_val, least=least_val, ok=ok)
-        out.text(f"sup identity holds: {_render(report.identity_holds)}")
+        for e in report.identity.entries:
+            out.record("predictive", outcome=e.point, sup=e.stat, least=e.bound, ok=e.ok)
+        out.text(f"sup identity holds: {_render(report.identity.ok)}")
         code = _verdict(out, "predictively valid", report.stats.ok)
-        return code if report.identity_holds else EXIT_VIOLATION
+        return code if report.identity.ok else EXIT_VIOLATION
 
     if args.check == "anytime":
         if args.tree is None:

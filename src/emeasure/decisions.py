@@ -104,8 +104,7 @@ class ConsequenceTable:
         distinct losses, ranked on their order keys, each at least as bad as
         itself and every smaller one; each cell is its loss's rank. Labels
         and order are right by construction, so ``ConsequenceSpace.__init__``
-        and its checks are skipped, as ``EKernel.from_rows`` skips
-        ``EKernel.__init__``."""
+        and its checks are skipped."""
         flat = [v for row in losses for v in row]
         keys = order_keys(flat)
         distinct = dict(zip(keys, flat))

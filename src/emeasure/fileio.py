@@ -63,8 +63,9 @@ space, a model or decision list naming a label twice and an evidence table
 that does not classify are schema errors, named by their file.
 
 A kernel file is read as it is laid out, one row of outcome values per
-hypothesis, into the kernel's rows in file order (``EKernel.from_rows``).
-Each row object is read once, so rows of one text are one tuple of values.
+hypothesis over the model's outcomes, into the kernel's rows in file order
+(``EKernel``). Each row object is read once, so rows of one text are one
+tuple of values.
 Its refusals come in one order: a value that is no evidence value as it is
 read, then a missing hypothesis, then the first row in file order that
 misses an outcome or names an unknown one, then a finite value of the
@@ -721,26 +722,18 @@ def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
         raise SchemaError(path, str(exc)) from None
 
 
-def load_kernel(
-    path: Path | str, sf: SpaceFile, sample: Optional[SampleSpace] = None
-) -> EKernel:
+def load_kernel(path: Path | str, sf: SpaceFile, sample: SampleSpace) -> EKernel:
+    """The kernel of a 'kernel' table over the space's hypotheses, with one
+    row per hypothesis over the model's outcomes `sample`."""
     text = _read_text(path)
-    if sample is not None:
-        n = len(sf.space.family)
-        found = _rows(path, text, "kernel", sf._labels(), n, (INF,) * sample.size, sample.outcomes)
-        if found:
-            return EKernel.from_rows(sf.space, sample, found[0])
+    n = len(sf.space.family)
+    found = _rows(path, text, "kernel", sf._labels(), n, (INF,) * sample.size, sample.outcomes)
+    if found:
+        return EKernel(sf.space, sample, found[0])
     data = _parse(path, text)
     table = data.get("kernel")
     if not isinstance(table, dict):
         raise SchemaError(path, "'kernel' must map hypothesis labels to outcome rows")
-    if sample is None:
-        declared = data.get("outcomes")
-        if not isinstance(declared, list):
-            raise SchemaError(
-                path, "'outcomes' list is required when no model file fixes them"
-            )
-        sample = SampleSpace(tuple(str(x) for x in declared))
     read = _xvalue_reader(path)
     resolve = sf.resolve
     family = sf.space.family
@@ -791,7 +784,7 @@ def load_kernel(
         names = dict.fromkeys(str(x) for x in row)
         _refuse_unknown(path, f"row for {label!r} has unknown outcomes", names, outcomes)
     try:
-        return EKernel.from_rows(sf.space, sample, rows)
+        return EKernel(sf.space, sample, rows)
     except EvidenceError as exc:
         raise SchemaError(path, str(exc)) from None
 

@@ -10,14 +10,17 @@ simulated. Each row is scaled to integers once per kernel
 decided on integers before its one exact value is built. Rows with equal
 text in a kernel file are one object, and the checks work once per
 distinct row object or (row, point), not once per hypothesis or pair.
-The per-outcome tables are built only for the checks that read one
-outcome at a time.
+Every check that holds an expectation of a per-hypothesis variable
+against a bound (validity, post-hoc levels, the E-posteriors, the
+pushforward re-check) is one walk, `_pair_report`. The per-outcome
+tables are built only for the checks that read one outcome at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from itertools import groupby
+from operator import attrgetter, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import evidence as ev
@@ -92,16 +95,6 @@ class Pmf(Record):
         masses = (table.get(x, ZERO) for x in sample.outcomes)
         return cls(sample, [m if type(m) in (Fraction, XValue) else Fraction(m) for m in masses])
 
-    @property
-    def mass(self) -> tuple[Fraction, ...]:
-        den, nums, _ = self.scaled
-        return tuple([Fraction(n, den) for n in nums])
-
-    def __call__(self, x: int | str) -> Fraction:
-        if isinstance(x, str):
-            x = self.sample.index(x)
-        return self.mass[x]
-
     def expectation(self, values: Sequence[XValue]) -> XValue:
         """Exact expectation; infinite values against zero mass contribute 0."""
         return dot(self.scaled, scale(values))
@@ -125,11 +118,6 @@ class ProbabilityAssignment(Record):
             raise KernelError(f"no distribution for points {missing}")
         return cls(model, tuple(table[p] for p in model.points))
 
-    def pmf(self, point: int | str) -> Pmf:
-        if isinstance(point, str):
-            point = self.model.index(point)
-        return self.pmfs[point]
-
     @property
     def sample(self) -> SampleSpace:
         return self.pmfs[0].sample
@@ -139,42 +127,25 @@ class EKernel:
     """Evidence against each hypothesis as a function of the outcome.
 
     `rows[hid]` holds one value per outcome, in outcome order, for each
-    hypothesis id of one space. The rows are the stored form: a kernel file
-    lists them and ``fileio.load_kernel`` fills them in file order, with one
+    hypothesis id of one space, and the empty hypothesis carries inf at
+    every outcome. The rows are the only stored form: a kernel file lists
+    them and ``fileio.load_kernel`` fills them in file order, with one
     tuple for the rows of one text. Each row is scaled once per kernel,
     when a check first reads it (`scaled`): its least common denominator,
     its integer numerators and the mask of its infinite outcomes. The
     per-outcome tables (`columns`) are built on first read, for the checks
     and callers that work on one outcome at a time. `is_capacity` tests
-    antitonicity once per kernel and `claims` gives each point's largest
-    evidence per outcome; both key the distinct row objects only.
+    antitonicity once per kernel, and is the kernel class the checks read;
+    `claims` gives each point's largest evidence per outcome. Both key the
+    distinct row objects only.
     """
 
-    def __init__(self, space: Space, sample: SampleSpace, columns: Sequence[EFunction]):
-        if len(columns) != sample.size:
-            raise KernelError("one evidence table per outcome is required")
-        for col in columns:
-            if col.space != space:
-                raise KernelError("all outcome tables must share the space")
-        self._set(space, sample, tuple(zip(*(col.values for col in columns))))
-        self._columns = tuple(columns)
-
-    @classmethod
-    def from_rows(
-        cls, space: Space, sample: SampleSpace, rows: Sequence[Sequence[XValue]]
-    ) -> "EKernel":
-        """The kernel of one row of values per hypothesis id, in id order;
-        the empty hypothesis must carry inf at every outcome."""
+    def __init__(self, space: Space, sample: SampleSpace, rows: Sequence[Sequence[XValue]]):
         rows = tuple(map(tuple, rows))
         if len(rows) != len(space.family) or {*map(len, rows)} != {sample.size}:
             raise KernelError("one row of one value per outcome per hypothesis is required")
         if not all(v.is_inf for v in rows[space.family.empty_id]):
             raise ev.NotAnEFunction("the empty hypothesis must carry infinite evidence")
-        k = cls.__new__(cls)
-        k._set(space, sample, rows)
-        return k
-
-    def _set(self, space: Space, sample: SampleSpace, rows: tuple[tuple[XValue, ...], ...]):
         self.space = space
         self.sample = sample
         self.rows = rows
@@ -198,10 +169,6 @@ class EKernel:
         if self._columns is None:
             self._columns = tuple(EFunction(self.space, values) for values in zip(*self.rows))
         return self._columns
-
-    @property
-    def eclass(self) -> EClass:
-        return min(col.eclass for col in self.columns)
 
     def _distinct(self) -> tuple[list[tuple[XValue, ...]], list[int]]:
         """The distinct row objects, in first-use order, and each
@@ -258,14 +225,6 @@ class EKernel:
         if isinstance(x, str):
             x = self.sample.index(x)
         return self.columns[x]
-
-    def value(self, hid: int, x: int | str) -> XValue:
-        if isinstance(x, str):
-            x = self.sample.index(x)
-        return self.rows[hid][x]
-
-    def expectation(self, hid: int, pmf: Pmf) -> XValue:
-        return dot(pmf.scaled, self.scaled(hid))
 
 
 # -- one report shape for every expectation held against a bound -----------
@@ -330,11 +289,16 @@ def check_validity(k: EKernel, pa: ProbabilityAssignment) -> Report:
 
 
 def _pair_report(
-    k: EKernel, pa: ProbabilityAssignment, variable: Callable[[int], Scaled]
+    k: EKernel, pa: ProbabilityAssignment, variable: Callable[[int], Scaled],
+    members: Optional[Sequence[int]] = None, bounds: Optional[Sequence[XValue]] = None,
 ) -> Report:
     """One entry per (nonempty hypothesis, contained point) pair, in
     (hypothesis, point) order: the expectation of the scaled `variable` of
-    the hypothesis's row under the point's distribution, held against 1.
+    the hypothesis's row under the point's distribution, held against the
+    point's bound. The points are those of `pa`'s model; `members` gives
+    each hypothesis id's points as a bitset over them (by default the
+    kernel's family's members), and `bounds` each point's bound (by
+    default 1).
 
     The work is per distinct row, not per pair. `variable`, a function of
     the row, is called once per row object; rows whose variables are equal
@@ -346,7 +310,9 @@ def _pair_report(
     at most 2.2 in n on power sets with at most n distinct rows, where the
     pairs number n·2^(n-1).
     """
-    points, members, rows = k.space.model.points, k.space.family.members, k.rows
+    points, rows = pa.model.points, k.rows
+    members = k.space.family.members if members is None else members
+    bounds = [ONE] * len(points) if bounds is None else bounds
     masses = [pmf.scaled for pmf in pa.pmfs]
     by_row: dict[int, tuple[Scaled, list]] = {}  # by the id of a row object
     by_var: dict[Scaled, tuple[Scaled, list]] = {}
@@ -365,22 +331,29 @@ def _pair_report(
             pi = low.bit_length() - 1
             found = stats[pi]
             if found is None:
-                found = stats[pi] = dot_at_most(masses[pi], var)
-            append(Entry(points[pi], found[0], ONE, hid, None, found[1]))
+                found = stats[pi] = dot_at_most(masses[pi], var, bounds[pi])
+            append(Entry(points[pi], found[0], bounds[pi], hid, None, found[1]))
     return Report(tuple(entries))
 
 
 def close_kernel(k: EKernel) -> EKernel:
-    """Close every outcome's table; validity is neither gained nor lost."""
-    return EKernel(k.space, k.sample, [ev.close(col) for col in k.columns])
+    """Close every outcome's table. The closure dominates the kernel, so
+    validity is never gained. On an intersection-closed space a valid
+    capacity kernel stays valid: each point's claim sits on its least
+    hypothesis, which bounds the closure of every member holding the point.
+    Elsewhere validity can be lost, since a claim is an outcome-wise max
+    over several members holding the point, and the closure can raise a
+    member to it at every outcome."""
+    return EKernel(k.space, k.sample, zip(*(ev.close(col).values for col in k.columns)))
 
 
 def merge_convex_kernels(kernels: Sequence[EKernel], weights: Sequence[Fraction | int]) -> EKernel:
     first = kernels[0]
-    cols = []
-    for xi in range(first.sample.size):
-        cols.append(ev.merge_convex([k.columns[xi] for k in kernels], weights))
-    return EKernel(first.space, first.sample, cols)
+    merged = [
+        ev.merge_convex([k.columns[xi] for k in kernels], weights).values
+        for xi in range(first.sample.size)
+    ]
+    return EKernel(first.space, first.sample, zip(*merged))
 
 
 # -- confidence sets and post-hoc levels -------------------------------
@@ -443,7 +416,7 @@ def check_posthoc_validity(
 def _product(prior: EFunction, k: EKernel) -> EKernel:
     """The kernel of prior(H) * e(H|x), one row per hypothesis."""
     rows = [tuple(p * v for v in row) for p, row in zip(prior.values, k.rows)]
-    return EKernel.from_rows(k.space, k.sample, rows)
+    return EKernel(k.space, k.sample, rows)
 
 
 def eposterior_raw(
@@ -454,40 +427,31 @@ def eposterior_raw(
     The product stays a capacity, and the worst expectation over the
     points of each hypothesis is bounded by the prior's evidence there;
     each entry names the point attaining it, the first in member order on
-    ties.
+    ties. The expectations are the product's pair walk, whose entries come
+    grouped by hypothesis.
     """
     if prior.eclass < EClass.CAPACITY or not k.is_capacity:
         raise ev.ClassMismatch("updating needs capacities")
     post = _product(prior, k)
     entries = []
-    for hid in k.space.family.nonempty_ids():
-        var = post.scaled(hid)
-        stats = {pi: dot(pa.pmfs[pi].scaled, var) for pi in k.space.family.indices(hid)}
-        pi = max(stats, key=stats.__getitem__)
-        entries.append(
-            Entry(k.space.model.points[pi], stats[pi], bound=prior.values[hid], hid=hid)
-        )
+    for hid, pairs in groupby(_pair_report(post, pa, post.scaled).entries, attrgetter("hid")):
+        worst = max(pairs, key=attrgetter("stat"))
+        entries.append(Entry(worst.point, worst.stat, prior.values[hid], hid))
     return post, Report(tuple(entries))
 
 
 def eposterior_closed(
     prior: EFunction, k: EKernel, pa: ProbabilityAssignment
 ) -> tuple[EKernel, Report]:
-    """Product followed by per-outcome closure; bounds go through least hypotheses."""
+    """Product followed by per-outcome closure; each pair is the closed
+    product's pair walk, held against the prior at its point's least
+    hypothesis."""
     if prior.eclass < EClass.CAPACITY or not k.is_capacity:
         raise ev.ClassMismatch("updating needs capacities")
     k.space.require_intersection_closed()
     post = close_kernel(_product(prior, k))
-    least = k.space.least_ids()
-    points = k.space.model.points
-    entries = []
-    for hid in k.space.family.nonempty_ids():
-        var = post.scaled(hid)
-        for pi in k.space.family.indices(hid):
-            bound = prior.values[least[pi]]
-            stat, ok = dot_at_most(pa.pmfs[pi].scaled, var, bound)
-            entries.append(Entry(points[pi], stat, bound, hid, ok=ok))
-    return post, Report(tuple(entries))
+    bounds = [prior.values[hid] for hid in k.space.least_ids()]
+    return post, _pair_report(post, pa, post.scaled, bounds=bounds)
 
 
 # -- finite-horizon processes -------------------------------------------
@@ -592,10 +556,6 @@ class EProcess:
                         f"values at outcomes {outcomes[lo]} and {outcomes[xi]}, "
                         f"which share one atom at that step"
                     )
-
-    @property
-    def eclass(self) -> EClass:
-        return min(k.eclass for k in self.kernels)
 
 
 class AnytimeReport:
@@ -703,43 +663,38 @@ def _stop_rule(
 
 
 class PredictiveReport:
-    """Per outcome, (outcome, sup over true hypotheses, least-hypothesis
-    value, whether they agree); per distribution, the expected sup."""
+    """Per outcome, the sup over true hypotheses held against the least
+    hypothesis's value (`identity`); per distribution, the expected sup
+    (`stats`). The sup is never below the least value, so an identity
+    entry holds exactly where the two agree."""
 
-    __slots__ = ("sup_identity", "stats")
+    __slots__ = ("identity", "stats")
 
-    def __init__(self, sup_identity: tuple[tuple[str, XValue, XValue, bool], ...], stats: Report):
-        self.sup_identity = sup_identity
+    def __init__(self, identity: Report, stats: Report):
+        self.identity = identity
         self.stats = stats
-
-    @property
-    def identity_holds(self) -> bool:
-        return all(ok for *_, ok in self.sup_identity)
 
 
 def check_predictive_validity(k: EKernel, pmfs: Iterable[Pmf]) -> PredictiveReport:
     """Prediction-style validity when hypotheses are sets of outcomes.
 
     Per outcome, the largest evidence among true hypotheses must match the
-    evidence against the outcome's least hypothesis; where it does, the sup
-    variable is that single variable, so its statistics decide both
-    criteria. The sups are the kernel's claims (`EKernel.claims`), one
-    sweep per outcome over the distinct rows.
+    evidence against the outcome's least hypothesis, which it is never
+    below; where it does, the sup variable is that single variable, so its
+    statistics decide both criteria. The sups are the kernel's claims
+    (`EKernel.claims`), one sweep per outcome over the distinct rows.
     """
     if k.space.model.points != k.sample.outcomes:
         raise SpaceError("predictive checks need the model to be the sample space")
     k.space.require_intersection_closed()
     least = k.space.least_ids()
     claims = k.claims()
-    identity = []
-    sup_var = []
-    for xi, x in enumerate(k.sample.outcomes):
-        sup_val = claims[xi][xi]
-        least_val = k.rows[least[xi]][xi]
-        identity.append((x, sup_val, least_val, sup_val == least_val))
-        sup_var.append(sup_val)
+    sup_var = [claims[xi][xi] for xi in range(k.sample.size)]
+    identity = Report(tuple(
+        Entry(x, sup_var[xi], k.rows[least[xi]][xi]) for xi, x in enumerate(k.sample.outcomes)
+    ))
     stats = Report(tuple(Entry(None, p.expectation(sup_var)) for p in pmfs))
-    return PredictiveReport(tuple(identity), stats)
+    return PredictiveReport(identity, stats)
 
 
 # -- pushforwards ----------------------------------------------------------
@@ -756,7 +711,8 @@ def pushforward_kernel(
     Fails if some target hypothesis has a preimage outside the source
     family. When distributions are supplied, validity is re-checked in the
     pushed-forward sense: points are charged only to hypotheses containing
-    their image.
+    their image. That is the pair walk over the pushed kernel with each
+    target member's points read off its preimage.
     """
     source = k.space
     bitsets = preimages(source.model, mapping, target)
@@ -765,17 +721,6 @@ def pushforward_kernel(
             raise MeasurabilityError(
                 f"preimage of {target.model.label(member)} is not a source hypothesis"
             )
-    pushed = EKernel.from_rows(
-        target, k.sample, [k.rows[source.family.id_of(bits)] for bits in bitsets]
-    )
-    report = None
-    if pa is not None:
-        entries = []
-        for gid in target.family.nonempty_ids():
-            var = pushed.scaled(gid)
-            for pi, p in enumerate(source.model.points):
-                if bitsets[gid] >> pi & 1:
-                    stat, ok = dot_at_most(pa.pmfs[pi].scaled, var)
-                    entries.append(Entry(p, stat, hid=gid, ok=ok))
-        report = Report(tuple(entries))
+    pushed = EKernel(target, k.sample, [k.rows[source.family.id_of(bits)] for bits in bitsets])
+    report = None if pa is None else _pair_report(pushed, pa, pushed.scaled, members=bitsets)
     return pushed, report

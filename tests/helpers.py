@@ -41,6 +41,31 @@ from emeasure.spaces import HypothesisClass, NotAPreorder
 from emeasure.xvalue import order_keys, scale
 
 
+# -- the per-outcome view of kernels and distributions ----------------------
+
+
+def kernel_of(space, sample, columns):
+    """The kernel of one evidence table per outcome, in outcome order."""
+    assert len(columns) == sample.size and all(col.space == space for col in columns)
+    return EKernel(space, sample, zip(*(col.values for col in columns)))
+
+
+def kernel_value(k, hid, x):
+    """The evidence against hypothesis `hid` at outcome `x`, an index or a label."""
+    return k.rows[hid][k.sample.index(x) if isinstance(x, str) else x]
+
+
+def kernel_eclass(k):
+    """The weakest class among a kernel's per-outcome tables."""
+    return min(col.eclass for col in k.columns)
+
+
+def pmf_mass(pmf):
+    """A distribution's masses as Fractions, in outcome order."""
+    den, nums, _ = pmf.scaled
+    return tuple(Fraction(n, den) for n in nums)
+
+
 def points_of(bits):
     """The point indices of a bitset, in increasing order."""
     return [i for i in range(bits.bit_length()) if bits >> i & 1]
@@ -193,7 +218,7 @@ def valid_measure_kernel(r, space, pa):
         slack = 1 if r.random() < 0.7 else 2
         denom = max(sum(qs), 1) * slack
         evars.append(
-            [XValue(Fraction(q, denom)) / XValue(pmf.mass[xi]) for xi, q in enumerate(qs)]
+            [XValue(Fraction(q, denom)) / XValue(pmf_mass(pmf)[xi]) for xi, q in enumerate(qs)]
         )
     cols = []
     for xi in range(sample.size):
@@ -202,7 +227,7 @@ def valid_measure_kernel(r, space, pa):
             for hid, m in enumerate(space.family.members)
         }
         cols.append(classify(space, values))
-    return EKernel(space, sample, cols)
+    return kernel_of(space, sample, cols)
 
 
 def valid_capacity_kernel(r, space, pa):
@@ -238,12 +263,12 @@ def least_point_kernel(r, space, sample, infinite=True):
     rows = [inf_row] + [
         point_rows[min(points_of(m), key=rank.index)] for m in space.family.members[1:]
     ]
-    return EKernel.from_rows(space, sample, rows)
+    return EKernel(space, sample, rows)
 
 
 def constant_kernel(space, sample, fn):
     """The same table at every outcome."""
-    return EKernel(space, sample, [fn] * sample.size)
+    return kernel_of(space, sample, [fn] * sample.size)
 
 
 def likelihood_kernel(space, pa, reference):
@@ -257,10 +282,10 @@ def likelihood_kernel(space, pa, reference):
     P_p charges.
     """
     cols = [
-        measure_from_density(space, [XValue(ref) / XValue(pmf.mass[xi]) for pmf in pa.pmfs])
-        for xi, ref in enumerate(reference.mass)
+        measure_from_density(space, [XValue(ref) / XValue(pmf_mass(pmf)[xi]) for pmf in pa.pmfs])
+        for xi, ref in enumerate(pmf_mass(reference))
     ]
-    return EKernel(space, reference.sample, cols)
+    return kernel_of(space, reference.sample, cols)
 
 
 def constant_two_kernel(space, sample):
@@ -269,7 +294,7 @@ def constant_two_kernel(space, sample):
         for hid, m in enumerate(space.family.members)
     }
     fn = classify(space, values)
-    return EKernel(space, sample, [fn] * sample.size)
+    return kernel_of(space, sample, [fn] * sample.size)
 
 
 def scaled_kernel(k, factor):
@@ -277,7 +302,7 @@ def scaled_kernel(k, factor):
     for col in k.columns:
         values = {hid: v * XValue(factor) for hid, v in enumerate(col.values)}
         cols.append(classify(k.space, values))
-    return EKernel(k.space, k.sample, cols)
+    return kernel_of(k.space, k.sample, cols)
 
 
 def rand_tree(r, max_depth=3, max_branching=3, max_rules=200):
@@ -324,7 +349,7 @@ def rand_process(r, space, tree, allow_inf=True):
             fn = classify(space, {hid: v * scale for hid, v in enumerate(fn.values)})
             for xi in atom:
                 cols[xi] = fn
-        kernels.append(EKernel(space, tree.sample, cols))
+        kernels.append(kernel_of(space, tree.sample, cols))
     return EProcess(tree, kernels)
 
 
@@ -462,7 +487,9 @@ def model_yaml(pa):
     """A model file of one distribution per point."""
     rows = []
     for point, pmf in zip(pa.model.points, pa.pmfs):
-        masses = ", ".join(f"{x}: {XValue(m).record()}" for x, m in zip(pmf.sample.outcomes, pmf.mass))
+        masses = ", ".join(
+            f"{x}: {XValue(m).record()}" for x, m in zip(pmf.sample.outcomes, pmf_mass(pmf))
+        )
         rows.append(f"  {point}: {{{masses}}}\n")
     return "pmf:\n" + "".join(rows)
 
@@ -603,6 +630,52 @@ def oracle_least_ids(space):
     return tuple(space.family.id_of(m) if m in space.family else None for m in meets)
 
 
+def oracle_union_closed_families(n):
+    """Every union-closed family on n points that holds the empty set, each
+    as a set of bitsets, by testing every set of nonempty subsets: 1, 2, 7,
+    61 and 2480 of them for n = 0 to 4 (OEIS A102896)."""
+    subsets = range(1, 1 << n)
+    found = []
+    for mask in range(1 << len(subsets)):
+        family = {0} | {s for i, s in enumerate(subsets) if mask >> i & 1}
+        if all(a | b in family for a in family for b in family):
+            found.append(family)
+    return found
+
+
+def oracle_irreducibles(members):
+    """The nonempty members that are not the union of the members strictly
+    inside them."""
+    found = set()
+    for m in members:
+        below = 0
+        for s in members:
+            if s != m and s & ~m == 0:
+                below |= s
+        if m and below != m:
+            found.add(m)
+    return found
+
+
+def oracle_intersection_closed(n, members):
+    """Whether the members hold the full set of n points and every pairwise
+    intersection."""
+    return (1 << n) - 1 in members and all(a & b in members for a in members for b in members)
+
+
+def oracle_preorders(n):
+    """Every preorder on n points, by testing every relation that holds the
+    diagonal for transitivity: 1, 4, 29 and 355 of them for n = 1 to 4."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    found = []
+    for mask in range(1 << len(pairs)):
+        pre = Preorder.from_pairs(n, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
+        matrix = tuple(tuple(bool(row >> j & 1) for j in range(n)) for row in pre.rows)
+        if oracle_transitive_closure(matrix) == matrix:
+            found.append(pre)
+    return found
+
+
 def oracle_measure_from_density(space, density):
     """Each member's least density, found among its point-index tuple on the
     density's order keys (the first least point in index order), and INF on
@@ -730,14 +803,14 @@ def fep_fsp(k, point, rule, x):
     selected = rule.selected[x]
     true = [hid for hid in selected if k.space.family.member(hid) >> point & 1]
     size = max(len(selected), 1)
-    fep = sum((k.value(hid, x) for hid in true), ZERO) / XValue(size)
+    fep = sum((kernel_value(k, hid, x) for hid in true), ZERO) / XValue(size)
     return FepFsp(fep, Fraction(len(true), size))
 
 
 def oracle_expectation(pmf, values):
     """Plain Fraction expectation, infinite terms tracked by hand."""
     total = Fraction(0)
-    for mass, v in zip(pmf.mass, values):
+    for mass, v in zip(pmf_mass(pmf), values):
         if mass == 0:
             continue
         if v.is_inf:
@@ -791,7 +864,7 @@ def oracle_stopping_times(tree):
 def stopped_kernel(proc, rule):
     """The kernel that reads each outcome's table at its stop depth."""
     cols = [proc.kernels[t].columns[xi] for xi, t in enumerate(rule)]
-    return EKernel(proc.space, proc.tree.sample, cols)
+    return kernel_of(proc.space, proc.tree.sample, cols)
 
 
 def oracle_anytime(proc, pa):

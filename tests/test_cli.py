@@ -19,7 +19,6 @@ import yaml
 import helpers
 from emeasure import (
     ConsequenceTable,
-    EKernel,
     Model,
     Space,
     XValue,
@@ -713,7 +712,7 @@ def test_decide_optimality_ranking_is_the_pushforward_on_singletons(capsys, tmp_
         space = Space(model, union_closure(n, [*induced, *opt.decision_sets.values(), *extra]))
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, model, sample)
-        k = EKernel(space, sample, [helpers.rand_capacity(r, space) for _ in sample.outcomes])
+        k = helpers.kernel_of(space, sample, [helpers.rand_capacity(r, space) for _ in sample.outcomes])
         files = {
             "space": helpers.space_yaml(space),
             "model": helpers.model_yaml(pa),
@@ -732,7 +731,7 @@ def test_decide_optimality_ranking_is_the_pushforward_on_singletons(capsys, tmp_
         assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION)
         pushed, _ = helpers.evidence_against_optimality(k, table)
         singles = sorted(
-            (pushed.value(pushed.space.family.id_of(1 << di), xi), d)
+            (helpers.kernel_value(pushed, pushed.space.family.id_of(1 << di), xi), d)
             for di, d in enumerate(decisions)
         )
         assert [line for line in out.splitlines() if line.startswith("optimality ")] == [

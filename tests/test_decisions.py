@@ -9,7 +9,6 @@ from emeasure import (
     ConsequenceSpace,
     ConsequenceTable,
     EClass,
-    EKernel,
     INF,
     Model,
     Pmf,
@@ -189,7 +188,7 @@ def test_the_numeric_table_agrees_with_its_labelled_twin():
             assert decisions._require_order_measurable(space, table) == expected
         sample = helpers.rand_sample(r)
         pa = helpers.rand_pa(r, model, sample, full_support=False)
-        k = EKernel(induced, sample, [helpers.rand_capacity(r, induced) for _ in sample.outcomes])
+        k = helpers.kernel_of(induced, sample, [helpers.rand_capacity(r, induced) for _ in sample.outcomes])
 
         def entries(t):
             return [(e.case, e.point, e.stat, e.ok) for e in check_econsequence_bound(k, pa, t).entries]
@@ -503,10 +502,8 @@ def test_binary_kernel_bound_is_exact_coverage():
             cols.append(helpers.classify(space, values))
         except Exception:
             return  # degenerate family; coverage identity tested elsewhere
-    from emeasure import EKernel
-
-    k = EKernel(space, sample, cols)
-    if k.eclass < EClass.CAPACITY:
+    k = helpers.kernel_of(space, sample, cols)
+    if helpers.kernel_eclass(k) < EClass.CAPACITY:
         return
     report = check_econsequence_bound(k, pa, table)
     for entry in report.entries:
@@ -517,8 +514,8 @@ def test_binary_kernel_bound_is_exact_coverage():
             hid = space.family.id_of(
                 helpers.hypothesis_for_bound(table, 0, table.entries[qi][0])
             )
-            if k.value(hid, xi) >= XValue(1) / XValue(alpha):
-                miss += pa.pmfs[pi].mass[xi]
+            if helpers.kernel_value(k, hid, xi) >= XValue(1) / XValue(alpha):
+                miss += helpers.pmf_mass(pa.pmfs[pi])[xi]
         assert entry.stat == XValue(miss / alpha)
 
 
@@ -541,7 +538,10 @@ def consequence_entries(k, pa, table, integrand):
             ))
             for d in range(len(table.decisions))
         ]
-        var = [integrand([k.value(h, xi) for h in bound_ids], xi) for xi in range(k.sample.size)]
+        var = [
+            integrand([helpers.kernel_value(k, h, xi) for h in bound_ids], xi)
+            for xi in range(k.sample.size)
+        ]
         for pi in range(n):
             if helpers.row_dominates(table, pi, qi):
                 stat = helpers.oracle_expectation(pa.pmfs[pi], var)
@@ -597,7 +597,7 @@ def test_fixed_level_consequence_bound_matches_its_definition():
     for _ in range(30):
         table, space, sample = consequence_instance(r, n_decisions=r.randint(1, 3))
         pa = helpers.rand_pa(r, table.model, sample, full_support=False)
-        k = EKernel(space, sample, [helpers.rand_capacity(r, space) for _ in sample.outcomes])
+        k = helpers.kernel_of(space, sample, [helpers.rand_capacity(r, space) for _ in sample.outcomes])
         levels = [XValue(r.choice(grid)) for _ in sample.outcomes]
         rule = dict(zip(sample.outcomes, levels))
         report = check_posthoc_consequence_bound(k, pa, table, rule)
@@ -626,11 +626,12 @@ def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
         members, points = space.family.members, space.model.points
         sample = SampleSpace(points)  # predictive checks read points as outcomes
         pa = helpers.rand_pa(r, space.model, sample, full_support=False)
-        k = EKernel(space, sample, [helpers.rand_capacity(r, space) for _ in points])
+        k = helpers.kernel_of(space, sample, [helpers.rand_capacity(r, space) for _ in points])
         expect = helpers.oracle_expectation
         pairs = [(hid, pi) for hid in space.family.nonempty_ids() for pi in space.family.indices(hid)]
         zero_against_inf += any(
-            m == 0 and v.is_inf for hid, pi in pairs for m, v in zip(pa.pmfs[pi].mass, k.rows[hid])
+            m == 0 and v.is_inf
+            for hid, pi in pairs for m, v in zip(helpers.pmf_mass(pa.pmfs[pi]), k.rows[hid])
         )
 
         def stats(report):
@@ -668,7 +669,7 @@ def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
 
         table, cspace, csample = consequence_instance(r)
         cpa = helpers.rand_pa(r, table.model, csample, full_support=False)
-        ck = EKernel(cspace, csample, [helpers.rand_capacity(r, cspace) for _ in csample.outcomes])
+        ck = helpers.kernel_of(cspace, csample, [helpers.rand_capacity(r, cspace) for _ in csample.outcomes])
         report = check_econsequence_bound(ck, cpa, table)
         assert [(e.case, e.point, e.stat) for e in report.entries] == consequence_entries(
             ck, cpa, table, lambda values, xi: sup_of(values)
@@ -680,7 +681,7 @@ def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
         )
         losses, ltable = rand_losses(r, table.model)
         lspace = helpers.build_consequence_class(ltable)
-        lk = EKernel(lspace, csample, [helpers.rand_capacity(r, lspace) for _ in csample.outcomes])
+        lk = helpers.kernel_of(lspace, csample, [helpers.rand_capacity(r, lspace) for _ in csample.outcomes])
         loss_levels = [
             helpers.OrderMeasurableFn(lspace, [row[d] for row in losses]).levels()
             for d in range(len(ltable.decisions))
@@ -723,7 +724,7 @@ def assert_markov_ratios(k, table):
             for pi in range(space.model.size):
                 bound = helpers.hypothesis_for_bound(table, d, table.entries[pi][d])
                 ratio = column[pi] / integrated
-                assert ratio <= k.value(space.family.id_of(bound), xi)
+                assert ratio <= helpers.kernel_value(k, space.family.id_of(bound), xi)
 
 
 def test_grunwald_bound_constant_losses():
@@ -874,7 +875,7 @@ def test_mle_instance_groups_are_singletons_and_argmax_matches():
         assert result.decision_sets[p] == 1 << pi
     for xi, x in enumerate(sample.outcomes):
         best_by_evidence = min(
-            model.points, key=lambda p: kernel.value(space.least_id(p), xi)
+            model.points, key=lambda p: helpers.kernel_value(kernel, space.least_id(p), xi)
         )
         best_by_likelihood = max(model.points, key=lambda p: masses[p][xi])
         assert best_by_evidence == best_by_likelihood
@@ -893,11 +894,14 @@ def test_mle_energy_bound_and_pushforward():
             hid = space.family.id_of(
                 helpers.hypothesis_for_bound(table, d, table.entries[pi][d])
             )
-            stat = stat + XValue(pa.pmfs[pi].mass[xi]) * kernel.value(hid, xi)
+            mass = XValue(helpers.pmf_mass(pa.pmfs[pi])[xi])
+            stat = stat + mass * helpers.kernel_value(kernel, hid, xi)
         assert stat <= XValue(1)
     pushed, report = helpers.evidence_against_optimality(kernel, table, pa)
     assert report.ok
     for xi in range(sample.size):
         for pi, p in enumerate(model.points):
             target_hid = pushed.space.family.id_of(1 << pi)
-            assert pushed.value(target_hid, xi) == kernel.value(space.family.id_of(1 << pi), xi)
+            assert helpers.kernel_value(pushed, target_hid, xi) == helpers.kernel_value(
+                kernel, space.family.id_of(1 << pi), xi
+            )

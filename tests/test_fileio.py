@@ -95,7 +95,7 @@ def test_scalar_memo_refuses_what_follows_a_cached_int_one(tmp_path, late):
     rows = "".join(f'  "{h}": {{x: 1, y: {late}}}\n' for h in ("a", "c", "a,b", "a,c"))
     kernel.write_text(f"outcomes: [x, y]\nkernel:\n{rows}")
     with pytest.raises(fileio.SchemaError, match="not an evidence value"):
-        fileio.load_kernel(kernel, sf)
+        fileio.load_kernel(kernel, sf, SampleSpace(("x", "y")))
 
 
 def test_scalar_memo_parses_each_distinct_scalar_once_per_file(tmp_path):
@@ -372,7 +372,7 @@ def test_a_hypothesis_given_twice_is_refused_naming_both_labels(tmp_path, first,
     rows = "".join(f'  "{h}": {{x: 1, y: 1}}\n' for h in ("p", "q", first, second))
     kernel.write_text(f"outcomes: [x, y]\nkernel:\n{rows}")
     with pytest.raises(fileio.SchemaError, match=message):
-        fileio.load_kernel(kernel, sf)
+        fileio.load_kernel(kernel, sf, SampleSpace(("x", "y")))
 
 
 def test_a_declared_name_and_its_point_list_are_one_hypothesis(tmp_path):
@@ -519,7 +519,7 @@ def test_a_kernel_read_types_and_parses_each_distinct_text_once(tmp_path, monkey
 
     monkeypatch.setattr(fileio, "_xvalue_reader", counting_reader)
     monkeypatch.setattr(Model, "label", lambda self, bits: labels_built.append(bits))
-    k = fileio.load_kernel(kernel, sf)
+    k = fileio.load_kernel(kernel, sf, SampleSpace(("x", "y", "z")))
     cells = {cell.split(": ")[1] for text in ROW_TEXTS for cell in text[1:-1].split(", ")}
     assert len(typed_texts) == len(set(typed_texts)) and cells <= set(typed_texts)
     assert sorted(map(str, parsed)) == sorted(cells)
@@ -543,9 +543,9 @@ def test_a_kernel_outcome_the_model_lacks_is_refused():
 def test_a_declared_outcome_list_bounds_the_kernel_rows_too(tmp_path):
     sf = fileio.load_space(PAIR_SPACE)
     kernel = tmp_path / "kernel.yaml"
-    kernel.write_text('outcomes: [x]\nkernel:\n  p: {x: 1}\n  q: {x: 1, y: 2}\n  "p,q": {x: 1}\n')
+    kernel.write_text('kernel:\n  p: {x: 1}\n  q: {x: 1, y: 2}\n  "p,q": {x: 1}\n')
     with pytest.raises(fileio.SchemaError, match=r"row for 'q' has unknown outcomes \['y'\]"):
-        fileio.load_kernel(kernel, sf)
+        fileio.load_kernel(kernel, sf, SampleSpace(("x",)))
 
 
 def test_a_distribution_for_a_point_outside_the_space_is_refused():

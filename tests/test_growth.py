@@ -49,8 +49,10 @@ def test_pair_checks_grow_with_distinct_rows_not_with_pairs(monkeypatch, capsys)
     least-density point there are at most n distinct rows and n(n+1)/2
     such (row, point) pairs, while the (member, point) pairs number
     n·2^(n-1). Both counts must grow as about n², far below the slope
-    of 6.4 that one statistic and one record per pair would give."""
-    sizes, pairs, stats, records = [6, 8, 10], [], [], []
+    of 6.4 that one statistic and one record per pair would give. The
+    identity-map pushforward re-check is the same walk: it gives
+    `check_validity`'s entries at the same growth."""
+    sizes, pairs, stats, records, pushed = [6, 8, 10], [], [], [], []
     calls = {"stats": 0, "records": 0}
     dot_at_most, record = kn.dot_at_most, XValue.record
 
@@ -76,9 +78,14 @@ def test_pair_checks_grow_with_distinct_rows_not_with_pairs(monkeypatch, capsys)
         cli._report_entries(cli.Printer("records"), "validity", report, space)
         records.append(calls["records"])
         pairs.append(len(capsys.readouterr().out.splitlines()))
+        calls.update(stats=0)
+        _, again = kn.pushforward_kernel(k, {p: p for p in space.model.points}, space, pa)
+        pushed.append(calls["stats"])
+        assert again == report
     assert pairs == [n << (n - 1) for n in sizes]
     assert slope(sizes, stats) <= 2.2, stats
     assert slope(sizes, records) <= 2.2, records
+    assert slope(sizes, pushed) <= 2.2, pushed
 
 
 def write_decide_files(path, n):

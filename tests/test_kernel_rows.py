@@ -80,7 +80,7 @@ def kernel_cases(seed, count):
                 from_values(space, [INF] + [helpers.rand_xvalue(r) for _ in space.family.members[1:]])
                 for _ in sample.outcomes
             ]
-            k = EKernel(space, sample, cols)
+            k = helpers.kernel_of(space, sample, cols)
         else:
             k = (helpers.valid_measure_kernel if n % 2 else helpers.valid_capacity_kernel)(r, space, pa)
             if n % 4 == 2:
@@ -173,7 +173,7 @@ def test_loaded_rows_give_the_predictive_check_the_oracle_values(tmp_path):
         space = helpers.rand_ic_space(r, max_points=4, max_members=12)
         sample = SampleSpace(space.model.points)
         pa = helpers.rand_pa(r, space.model, sample, full_support=n % 2 == 0)
-        k = EKernel(space, sample, [helpers.rand_capacity(r, space) for _ in sample.outcomes])
+        k = helpers.kernel_of(space, sample, [helpers.rand_capacity(r, space) for _ in sample.outcomes])
         _, lpa, (loaded,) = written(tmp_path / str(n), space, pa, [k])
         report = check_predictive_validity(loaded, lpa.pmfs)
         least = space.least_ids()
@@ -181,14 +181,14 @@ def test_loaded_rows_give_the_predictive_check_the_oracle_values(tmp_path):
             sup_of(col.values[hid] for hid in range(len(space.family)) if space.family.member(hid) >> xi & 1)
             for xi, col in enumerate(k.columns)
         ]
-        assert report.sup_identity == tuple(
+        assert tuple((e.point, e.stat, e.bound, e.ok) for e in report.identity.entries) == tuple(
             (x, sup, col.values[least[xi]], sup == col.values[least[xi]])
             for xi, (x, sup, col) in enumerate(zip(sample.outcomes, sups, k.columns))
         )
         assert [e.stat for e in report.stats.entries] == [
             helpers.oracle_expectation(pmf, sups) for pmf in pa.pmfs
         ]
-        identities.add(report.identity_holds)
+        identities.add(report.identity.ok)
     assert True in identities
 
 
@@ -290,7 +290,8 @@ def test_equal_rows_are_read_and_scaled_once(tmp_path, monkeypatch):
             values = variable(kernel, entry.hid)
             if cut is not None:
                 values = [cut if v >= cut else ZERO for v in values]
-            assert entry.stat == helpers.oracle_expectation(pa.pmf(entry.point), values)
+            pmf = pa.pmfs[pa.model.index(entry.point)]
+            assert entry.stat == helpers.oracle_expectation(pmf, values)
 
 
 def test_checks_on_a_loaded_kernel_build_no_fraction(tmp_path, monkeypatch):
@@ -301,7 +302,7 @@ def test_checks_on_a_loaded_kernel_build_no_fraction(tmp_path, monkeypatch):
     space = helpers.power_space(8)
     sample = helpers.rand_sample(r, max_outcomes=4, min_outcomes=3)
     pa = helpers.rand_pa(r, space.model, sample, full_support=False)
-    k = EKernel.from_rows(space, sample, helpers.valid_capacity_kernel(r, space, pa).rows)
+    k = EKernel(space, sample, helpers.valid_capacity_kernel(r, space, pa).rows)
     rule = {x: XValue(Fraction(i + 1, 3)) for i, x in enumerate(sample.outcomes)}
     selection = SelectionRule(sample, tuple(tuple(r.sample(range(1, 256), 6)) for _ in sample.outcomes))
     (tmp_path / "model.yaml").write_text(helpers.model_yaml(pa))

@@ -72,13 +72,13 @@ def test_likelihood_kernel_is_valid_with_equality_on_singletons():
     pa = helpers.rand_pa(r, space.model, sample, full_support=True)
     reference = helpers.rand_pmf(r, sample, full_support=True)
     k = helpers.likelihood_kernel(space, pa, reference)
-    assert k.eclass is EClass.MEASURE
+    assert helpers.kernel_eclass(k) is EClass.MEASURE
     report = check_validity(k, pa)
     assert report.ok
     # On a singleton the expectation telescopes to the reference total mass.
     for pi, p in enumerate(space.model.points):
         hid = space.family.id_of(1 << pi)
-        assert k.expectation(hid, pa.pmfs[pi]) == XValue(1)
+        assert pa.pmfs[pi].expectation(k.rows[hid]) == XValue(1)
 
 
 def test_likelihood_kernel_is_valid_when_points_share_a_least_hypothesis():
@@ -117,7 +117,7 @@ def test_likelihood_kernel_is_valid_on_spaces_that_are_not_intersection_closed()
         pa = helpers.rand_pa(r, space.model, sample, full_support=seed % 2 == 0)
         reference = helpers.rand_pmf(r, sample, full_support=seed % 3 == 0)
         k = helpers.likelihood_kernel(space, pa, reference)
-        assert k.eclass is EClass.MEASURE
+        assert helpers.kernel_eclass(k) is EClass.MEASURE
         assert check_validity(k, pa).ok
         tested += 1
     assert tested >= 100
@@ -205,7 +205,7 @@ def test_close_kernel_dominates_any_input():
             raw = {hid: helpers.rand_xvalue(r) for hid in range(len(space.family))}
             raw[space.family.empty_id] = INF
             cols.append(helpers.classify(space, raw))
-        k = EKernel(space, sample, cols)
+        k = helpers.kernel_of(space, sample, cols)
         closed = close_kernel(k)
         assert helpers.dominates(closed, k)
         for col, before in zip(closed.columns, k.columns):
@@ -217,10 +217,40 @@ def test_close_kernel_preserves_validity_verdict():
     for _ in range(20):
         k = helpers.valid_capacity_kernel(r, space, pa)
         closed = close_kernel(k)
-        assert closed.eclass is EClass.MEASURE
+        assert helpers.kernel_eclass(closed) is EClass.MEASURE
         assert check_validity(closed, pa).ok == check_validity(k, pa).ok
     bad = helpers.constant_two_kernel(space, sample)
     assert check_validity(close_kernel(bad), pa).ok == check_validity(bad, pa).ok
+    # On seeded intersection-closed spaces, closing a valid capacity kernel
+    # keeps it valid and dominates it.
+    for seed in range(40):
+        r, space, sample, pa = small_setup(1300 + seed, max_points=4, full_support=seed % 2 == 0)
+        k = helpers.valid_capacity_kernel(r, space, pa)
+        closed = close_kernel(k)
+        assert k.is_capacity and check_validity(k, pa).ok
+        assert check_validity(closed, pa).ok and helpers.dominates(closed, k)
+
+
+def test_close_kernel_can_lose_validity_off_intersection_closed_spaces():
+    """On points a, b, c with generators {a,b}, {a,c} and {b,c}, a valid
+    capacity kernel whose closure raises {a,b} to (2, 2): each point's
+    claim is a max over two members holding it."""
+    model = Model(("a", "b", "c"))
+    space = helpers.space_from_generators(model, [["a", "b"], ["a", "c"], ["b", "c"]])
+    sample = SampleSpace(("x1", "x2"))
+    half = Pmf(sample, (Fraction(1, 2), Fraction(1, 2)))
+    pa = ProbabilityAssignment(model, (half, half, half))
+    rows = {0b011: (0, 2), 0b101: (2, 0), 0b110: (2, 0), 0b111: (0, 0)}
+    k = EKernel(space, sample, [
+        tuple(map(XValue, rows[m])) if m else (INF, INF) for m in space.family.members
+    ])
+    assert not space.intersection_closed and k.is_capacity
+    assert check_validity(k, pa).ok
+    report = check_validity(close_kernel(k), pa)
+    ab = space.family.id_of(0b011)
+    assert [(e.hid, e.point, e.stat) for e in report.entries if not e.ok] == [
+        (ab, "a", XValue(2)), (ab, "b", XValue(2))
+    ]
 
 
 def test_merged_valid_kernels_stay_valid():
@@ -229,7 +259,7 @@ def test_merged_valid_kernels_stay_valid():
         k1 = helpers.valid_measure_kernel(r, space, pa)
         k2 = helpers.valid_measure_kernel(r, space, pa)
         merged = merge_convex_kernels([k1, k2], [Fraction(1, 4), Fraction(3, 4)])
-        assert merged.eclass >= EClass.CAPACITY
+        assert helpers.kernel_eclass(merged) >= EClass.CAPACITY
         assert check_validity(merged, pa).ok
 
 
@@ -288,8 +318,8 @@ def test_posthoc_constant_rule_reduces_to_coverage():
         pi = space.model.index(entry.point)
         miss = Fraction(0)
         for xi in range(sample.size):
-            if k.value(entry.hid, xi) >= XValue(1) / XValue(alpha):
-                miss += pa.pmfs[pi].mass[xi]
+            if helpers.kernel_value(k, entry.hid, xi) >= XValue(1) / XValue(alpha):
+                miss += helpers.pmf_mass(pa.pmfs[pi])[xi]
         assert entry.stat == XValue(miss / alpha)
 
 
@@ -540,7 +570,7 @@ def test_likelihood_ratio_process_is_anytime_valid():
                 for hid, m in enumerate(space.family.members)
             }
             cols.append(helpers.classify(space, values))
-        kernels.append(EKernel(space, sample, cols))
+        kernels.append(helpers.kernel_of(space, sample, cols))
     proc = EProcess(tree, kernels)
     proc.require_measurable()
     report = check_anytime_validity(proc, pa)
@@ -556,7 +586,7 @@ def test_peeking_process_fails_measurability_before_validity():
     # time-0 kernel that already distinguishes outcomes
     peek_cols = [helpers.unit_measure(space) for _ in tree.sample.outcomes]
     peek_cols[0] = from_values(space, ["inf", 2, 1, 1])
-    peeking = EKernel(space, tree.sample, peek_cols)
+    peeking = helpers.kernel_of(space, tree.sample, peek_cols)
     proc = EProcess(tree, [peeking, one, one])
     message = "step 0 gives hypothesis P1 different values at outcomes HH and HT"
     with pytest.raises(MeasurabilityError, match=message):
@@ -597,7 +627,7 @@ def test_envelope_equals_the_max_over_every_stopping_rule():
         assert report.rules_checked == len(helpers.oracle_stopping_times(proc.tree))
         verdicts.add(report.stats.ok)
         uneven += len(set(leaf_depths(proc.tree.shape))) > 1
-        zero_mass += any(0 in pmf.mass for pmf in pa.pmfs)
+        zero_mass += any(0 in helpers.pmf_mass(pmf) for pmf in pa.pmfs)
     assert verdicts == {True, False} and uneven and zero_mass
 
 
@@ -644,7 +674,7 @@ def test_witness_rule_reproduces_the_first_violating_pair():
         first = next(key for key, stat in best.items() if stat > 1)
         pi = proc.space.model.index(entry.point)
         assert (entry.hid, pi) == first and entry.stat == best[first] and not entry.ok
-        mass = pa.pmfs[pi].mass
+        mass = helpers.pmf_mass(pa.pmfs[pi])
         assert rule == helpers.oracle_stop_rule(proc, entry.hid, mass)
         stopped = check_validity(helpers.stopped_kernel(proc, rule), pa)
         assert any(
@@ -697,7 +727,7 @@ def ternary_ratio_process(depth, scale_at=None):
                     v *= Fraction(1, 3) / step["HMT".index(s)]
                 ratios.append(v)
             cols.append(from_values(space, ["inf", ratios[0], ratios[1], min(ratios)]))
-        kernels.append(EKernel(space, tree.sample, cols))
+        kernels.append(helpers.kernel_of(space, tree.sample, cols))
     return EProcess(tree, kernels), pa
 
 
@@ -734,11 +764,11 @@ def test_close_process_keeps_measures_and_verdicts():
             for xi in range(tree.sample.size):
                 atom = next(a for a in levels[t] if xi in a)
                 cols.append(fn_by_atom[atom])
-            kernels.append(EKernel(space, tree.sample, cols))
+            kernels.append(helpers.kernel_of(space, tree.sample, cols))
         proc = EProcess(tree, kernels)
         closed = EProcess(tree, [close_kernel(k) for k in proc.kernels])
         assert helpers.dominates(closed, proc)
-        assert closed.eclass is EClass.MEASURE
+        assert min(map(helpers.kernel_eclass, closed.kernels)) is EClass.MEASURE
         before = check_anytime_validity(proc, pa)
         after = check_anytime_validity(closed, pa)
         assert before.stats.ok == after.stats.ok
@@ -758,16 +788,16 @@ def test_closed_process_equals_pointwise_infimum_family():
         for xi in range(tree.sample.size):
             atom = next(a for a in levels[t] if xi in a)
             cols.append(fn_by_atom[atom])
-        kernels.append(EKernel(space, tree.sample, cols))
+        kernels.append(helpers.kernel_of(space, tree.sample, cols))
     proc = EProcess(tree, kernels)
     closed = EProcess(tree, [close_kernel(k) for k in proc.kernels])
     full = space.family.id_of(0b11)
     for t in range(3):
         for xi in range(tree.sample.size):
             singles = [
-                proc.kernels[t].value(space.family.id_of(1 << pi), xi) for pi in range(2)
+                helpers.kernel_value(proc.kernels[t], space.family.id_of(1 << pi), xi) for pi in range(2)
             ]
-            assert closed.kernels[t].value(full, xi) == min(singles)
+            assert helpers.kernel_value(closed.kernels[t], full, xi) == min(singles)
 
 
 # -- predictive --------------------------------------------------------
@@ -786,13 +816,13 @@ def test_predictive_identity_reduces_to_diagonal_on_power_set():
     r, space, sample, pmfs = predictive_setup(71)
     for _ in range(10):
         cols = [helpers.rand_capacity(r, space) for _ in sample.outcomes]
-        k = EKernel(space, sample, cols)
+        k = helpers.kernel_of(space, sample, cols)
         report = check_predictive_validity(k, pmfs)
-        assert report.identity_holds
-        for xi, (x, sup_val, least_val, ok) in enumerate(report.sup_identity):
-            assert ok and least_val == k.value(space.family.id_of(1 << xi), xi)
+        assert report.identity.ok
+        for xi, entry in enumerate(report.identity.entries):
+            assert entry.ok and entry.bound == helpers.kernel_value(k, space.family.id_of(1 << xi), xi)
         # the identity makes the sup variable the least-hypothesis variable
-        least_var = [k.value(space.least_id(xi), xi) for xi in range(sample.size)]
+        least_var = [helpers.kernel_value(k, space.least_id(xi), xi) for xi in range(sample.size)]
         least_stats = tuple(helpers.oracle_expectation(pmf, least_var) for pmf in pmfs)
         assert tuple(e.stat for e in report.stats.entries) == least_stats
         assert report.stats.ok == all(s <= XValue(1) for s in least_stats)
@@ -806,16 +836,16 @@ def test_predictive_identity_fails_off_capacities():
     for _ in range(20):
         raw = {hid: helpers.rand_xvalue(r) for hid in range(len(space.family))}
         raw[space.family.empty_id] = INF
-        k = EKernel(space, sample, [helpers.classify(space, raw)] * sample.size)
+        k = helpers.kernel_of(space, sample, [helpers.classify(space, raw)] * sample.size)
         report = check_predictive_validity(k, pmfs)
         expected = [
             helpers.sup_of(v for m, v in zip(space.family.members, k.columns[xi].values)
-                           if m >> xi & 1) == k.value(space.least_id(xi), xi)
+                           if m >> xi & 1) == helpers.kernel_value(k, space.least_id(xi), xi)
             for xi in range(sample.size)
         ]
-        assert [ok for *_, ok in report.sup_identity] == expected
-        assert report.identity_holds == all(expected)
-        failures += not report.identity_holds
+        assert [e.ok for e in report.identity.entries] == expected
+        assert report.identity.ok == all(expected)
+        failures += not report.identity.ok
     assert failures
 
 
@@ -833,14 +863,14 @@ def test_predictive_binary_prediction_set_coverage():
                 # only the claim "the outcome is P1" is rejected; the table stays antitone
                 values[hid] = XValue(1) / XValue(alpha) if m == 0b001 else XValue(0)
         cols.append(helpers.classify(space, values))
-    k = EKernel(space, sample, cols)
-    assert k.eclass >= EClass.CAPACITY
+    k = helpers.kernel_of(space, sample, cols)
+    assert helpers.kernel_eclass(k) >= EClass.CAPACITY
     report = check_predictive_validity(k, pmfs)
     # the sup variable is 1/alpha exactly when the true outcome is P1
-    assert report.identity_holds
+    assert report.identity.ok
     for pmf, entry in zip(pmfs, report.stats.entries, strict=True):
-        assert entry.stat == XValue(pmf.mass[0] / alpha)
-    assert report.stats.ok == all(pmf.mass[0] <= alpha for pmf in pmfs)
+        assert entry.stat == XValue(helpers.pmf_mass(pmf)[0] / alpha)
+    assert report.stats.ok == all(helpers.pmf_mass(pmf)[0] <= alpha for pmf in pmfs)
 
 
 def test_predictive_requires_matching_spaces():
@@ -892,7 +922,7 @@ def _broken_at_one_join(r, k, shared):
             rows[u] = tuple(raised)
             if not shared:
                 rows[a] = tuple(XValue(v.record()) for v in rows[a])
-            return EKernel.from_rows(k.space, k.sample, rows)
+            return EKernel(k.space, k.sample, rows)
     return None
 
 
@@ -916,7 +946,7 @@ def _row_kernel_cases(seed, count):
         kind = ("measure", "copies", "unshared", "shared", "pool")[made % 5]
         k = helpers.least_point_kernel(r, space, sample)
         if kind == "copies":
-            k = EKernel.from_rows(space, sample, [
+            k = EKernel(space, sample, [
                 tuple(XValue(v.record()) for v in row) if r.random() < 0.5 else row
                 for row in k.rows
             ])
@@ -928,7 +958,7 @@ def _row_kernel_cases(seed, count):
                 for _ in range(r.randint(1, 3))
             ]
             inf_row = tuple([INF] * sample.size)
-            k = EKernel.from_rows(
+            k = EKernel(
                 space, sample, [inf_row] + [r.choice(pool) for _ in space.family.members[1:]]
             )
         if k is not None:
@@ -959,7 +989,7 @@ def test_capacity_test_and_claims_on_distinct_rows_match_their_definitions():
             for pi in range(k.space.model.size)
         ]
         if k.space.intersection_closed:
-            sups = [sup for _, sup, _, _ in check_predictive_validity(k, pa.pmfs).sup_identity]
+            sups = [e.stat for e in check_predictive_validity(k, pa.pmfs).identity.entries]
             assert sups == [claim[xi] for xi, claim in enumerate(claims)]
     assert verdicts == {True, False} and cells == {"inf", "zero-row", "value"}
     assert min(kinds.values()) >= 40 and len(kinds) == 5
@@ -995,8 +1025,10 @@ def test_pushforward_collapsing_two_points():
             if member >> target.model.index(mapping[p]) & 1:
                 pre_bits |= 1 << pi
         for xi in range(sample.size):
-            assert pushed.value(gid, xi) == k.value(space.family.id_of(pre_bits), xi)
-    assert pushed.eclass is EClass.MEASURE
+            assert helpers.kernel_value(pushed, gid, xi) == helpers.kernel_value(
+                k, space.family.id_of(pre_bits), xi
+            )
+    assert helpers.kernel_eclass(pushed) is EClass.MEASURE
 
 
 def test_pushforward_rejects_unmeasurable_maps():

@@ -271,16 +271,48 @@ def test_irreducible_members_are_not_unions_of_smaller_ones():
         width = r.randint(1, 5)
         gens = [r.randrange(1 << width) for _ in range(r.randint(0, 5))]
         bits = helpers.oracle_union_closure(gens)
-        expect = set()
-        for m in bits:
-            below = 0
-            for s in bits:
-                if s != m and s & ~m == 0:
-                    below |= s
-            if m and below != m:
-                expect.add(m)
         family = HypothesisClass(width, bits)
+        expect = helpers.oracle_irreducibles(bits)
         assert {family.member(j) for j in family.irreducible_ids()} == expect
+
+
+def test_every_union_closed_family_on_up_to_four_points_matches_the_oracles():
+    """L1 on every small world: each union-closed family on one to four
+    points, built by `union_closure` from its join-irreducible members, has
+    the oracles' members, irreducible members, intersection-closure flag and
+    least hypotheses."""
+    counts = []
+    for n in range(1, 5):
+        model = Model(tuple(f"P{i + 1}" for i in range(n)))
+        families = helpers.oracle_union_closed_families(n)
+        counts.append(len(families))
+        for members in families:
+            irreducible = helpers.oracle_irreducibles(members)
+            space = Space(model, union_closure(n, sorted(irreducible)))
+            family = space.family
+            assert set(family.members) == members
+            assert {family.member(j) for j in family.irreducible_ids()} == irreducible
+            assert space.intersection_closed == helpers.oracle_intersection_closed(n, members)
+            assert space.least_ids() == helpers.oracle_least_ids(space)
+    assert counts == [2, 7, 61, 2480]
+
+
+def test_every_preorder_on_up_to_four_points_round_trips_through_its_class():
+    """`class_from_preorder` against `preorder_from_class` on every preorder
+    of one to four points: the class is the union closure of the principal
+    upper sets, each point's least hypothesis is its own, and the class
+    gives the preorder back."""
+    counts = []
+    for n in range(1, 5):
+        model = Model(tuple(f"P{i + 1}" for i in range(n)))
+        preorders = helpers.oracle_preorders(n)
+        counts.append(len(preorders))
+        for pre in preorders:
+            space = class_from_preorder(model, pre)
+            assert set(space.family.members) == helpers.oracle_union_closure(pre.rows)
+            assert space.least_ids() == tuple(map(space.family.id_of, pre.rows))
+            assert preorder_from_class(space) == pre
+    assert counts == [1, 4, 29, 355]
 
 
 def _matrix(rows, n):

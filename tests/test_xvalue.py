@@ -192,8 +192,8 @@ def test_expectation_of_a_pmf_matches_the_termwise_sum():
         sample = helpers.rand_sample(r, max_outcomes=4)
         pmf = helpers.rand_pmf(r, sample, full_support=False)
         values = [helpers.rand_xvalue(r) for _ in sample.outcomes]
-        seen_zero_against_inf += any(m == 0 and v.is_inf for m, v in zip(pmf.mass, values))
-        assert pmf.expectation(values) == xvalue_sum_expectation(pmf.mass, values)
+        seen_zero_against_inf += any(m == 0 and v.is_inf for m, v in zip(helpers.pmf_mass(pmf), values))
+        assert pmf.expectation(values) == xvalue_sum_expectation(helpers.pmf_mass(pmf), values)
     assert seen_zero_against_inf >= 10
 
 
