@@ -446,7 +446,7 @@ def cmd_check(args) -> int:
         return _verdict(out, "post-hoc bound holds", report.ok)
 
     if args.check == "predictive":
-        report = kn.check_predictive_validity(kernel, pa.pmfs)
+        report = kn.check_predictive_validity(kernel, pa)
         for e in report.identity.entries:
             out.record("predictive", outcome=e.point, sup=e.stat, least=e.bound, ok=e.ok)
         out.text(f"sup identity holds: {_render(report.identity.ok)}")

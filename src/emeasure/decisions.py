@@ -17,6 +17,11 @@ union-closed kernel space that holds every generator holds the whole
 class. For a numeric loss the bounds are its super-level sets, so the
 integrated loss is read off them too, and admissibility compares
 decisions on the evidence against their bounds.
+
+The bound checks are the kernels' one expectation walk,
+``kernels._pair_report``: per distinct benchmark row, its upper set with
+the row's worst evidence or miss rate, and for the Grünwald bound each
+point alone with its worst loss ratio.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from typing import Mapping, Optional, Sequence
 
 from . import kernels as kn
 from .evidence import EClass, EFunction, EvidenceError, shilkret_integral
-from .kernels import EKernel, Entry, ProbabilityAssignment, Report
+from .kernels import EKernel, ProbabilityAssignment, Report
 from .spaces import Model, Preorder, Space
-from .xvalue import XValue, dot_at_most, order_keys, packed_keys, scale, sup_of
+from .xvalue import XValue, order_keys, packed_keys, scale, sup_of
 
 
 class DecisionError(EvidenceError):
@@ -169,14 +174,6 @@ def _require_order_measurable(space: Space, table: ConsequenceTable) -> list[int
     return ups
 
 
-def _distinct_rows(table: ConsequenceTable) -> list[tuple[str, int]]:
-    """One representative point per distinct consequence row."""
-    seen: dict[tuple[str, ...], int] = {}
-    for pi in range(table.model.size):
-        seen.setdefault(table.entries[pi], pi)
-    return [(table.model.points[pi], pi) for pi in seen.values()]
-
-
 def check_econsequence_bound(
     k: EKernel, pa: ProbabilityAssignment, table: ConsequenceTable
 ) -> Report:
@@ -211,18 +208,17 @@ def _consequence_report(
     with a fixed `rule` its miss rate, in expectation at each dominating point."""
     ups = _require_order_measurable(k.space, table)
     thresholds = None if rule is None else kn.outcome_thresholds(k, rule)
-    points, family, bounds = k.space.model.points, k.space.family, table.bounds()
-    entries = []
-    for label, qi in _distinct_rows(table):
-        row = table.entries[qi]
+    family, bounds = k.space.family, table.bounds()
+    first: dict[tuple[int, ...], int] = {}  # each distinct row's first point
+    for qi, row in enumerate(table.entries):
+        first.setdefault(row, qi)
+    variables = []
+    for row in first:
         bound_rows = [k.rows[family.id_of(bound[c])] for bound, c in zip(bounds, row)]
         var = scale([sup_of(values) for values in zip(*bound_rows)])
-        if thresholds is not None:
-            var = kn.miss_variable(kn.miss_mask(var, thresholds), thresholds)
-        for pi in family.indices(family.id_of(ups[qi])):
-            stat, ok = dot_at_most(pa.pmfs[pi].scaled, var)
-            entries.append(Entry(points[pi], stat, case=label, ok=ok))
-    return Report(tuple(entries))
+        variables.append(var if thresholds is None else kn.miss_variable(var, thresholds))
+    cases = [table.model.points[qi] for qi in first.values()]
+    return kn._pair_report(pa, [ups[qi] for qi in first.values()], variables, cases)
 
 
 def _levels(table: ConsequenceTable, d: int) -> list[tuple[XValue, int]]:
@@ -258,20 +254,17 @@ def check_grunwald_bound(k: EKernel, pa: ProbabilityAssignment, table: Consequen
     caps the statistic by the uniform-consequence statistic.
     """
     _require_order_measurable(k.space, table)
-    n_dec, model, values = len(table.decisions), k.space.model, table.cspace.values
+    n_dec, n, values = len(table.decisions), k.space.model.size, table.cspace.values
     integrated: list[list[XValue]] = []  # [decision][outcome]
     for d in range(n_dec):
         levels = _levels(table, d)
         integrated.append([shilkret_integral(col, levels) for col in k.columns])
-
-    entries = []
-    for pi in range(model.size):
-        ratio_var = [
-            sup_of(values[table.entries[pi][d]] / integrated[d][xi] for d in range(n_dec))
-            for xi in range(k.sample.size)
-        ]
-        entries.append(Entry(model.points[pi], pa.pmfs[pi].expectation(ratio_var)))
-    return Report(tuple(entries))
+    variables = [
+        scale([sup_of(values[table.entries[pi][d]] / integrated[d][xi] for d in range(n_dec))
+               for xi in range(k.sample.size)])
+        for pi in range(n)
+    ]
+    return kn._pair_report(pa, [1 << pi for pi in range(n)], variables, [None] * n)
 
 
 class AdmissibilityResult:

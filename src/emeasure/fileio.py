@@ -385,6 +385,8 @@ def _read_text(path: Path | str) -> str:
             text = fh.read().decode(locale.getpreferredencoding(False))
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
+    except OSError as exc:  # a directory, or a file it may not read
+        raise SchemaError(path, exc.strerror or str(exc)) from None
     except UnicodeDecodeError as exc:
         raise SchemaError(path, f"not text: {exc}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
@@ -701,15 +703,18 @@ def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
     outcomes: Optional[tuple[str, ...]] = None
     pmfs = {}
     mass = _mass_reader(path)
-    for point, masses in table.items():
-        if not isinstance(masses, dict):
-            raise SchemaError(path, f"masses for {point!r} must be a mapping")
-        row = {str(x): mass(m) for x, m in masses.items()}
-        if outcomes is None:
-            outcomes = tuple(row)
-            sample = SampleSpace(outcomes)
-        _refuse_unknown(path, f"row for {point!r} has unknown outcomes", row, outcomes)
-        pmfs[str(point)] = Pmf.of(sample, row)
+    try:
+        for point, masses in table.items():
+            if not isinstance(masses, dict):
+                raise SchemaError(path, f"masses for {point!r} must be a mapping")
+            row = {str(x): mass(m) for x, m in masses.items()}
+            if outcomes is None:
+                outcomes = tuple(row)
+                sample = SampleSpace(outcomes)
+            _refuse_unknown(path, f"row for {point!r} has unknown outcomes", row, outcomes)
+            pmfs[str(point)] = Pmf.of(sample, row)
+    except EvidenceError as exc:  # no outcome, or masses no distribution has
+        raise SchemaError(path, str(exc)) from None
     if outcomes is None:
         raise SchemaError(path, "'pmf' is empty")
     _refuse_unknown(path, "distributions for points not in the space:", pmfs, model.points)
@@ -794,7 +799,10 @@ def load_tree(path: Path | str, sample: SampleSpace) -> FiltrationTree:
     shape = _load_yaml(path).get("tree")
     if shape is None:
         raise SchemaError(path, "need a 'tree' entry")
-    return FiltrationTree(sample, _tree_shape(path, shape))
+    try:
+        return FiltrationTree(sample, _tree_shape(path, shape))
+    except EvidenceError as exc:  # leaves that are not the outcomes in order
+        raise SchemaError(path, str(exc)) from None
 
 
 def _tree_shape(path, shape):

@@ -6,29 +6,34 @@ evidence against it as a function of the outcome. Validity of a kernel
 (and of stopped processes, posteriors, pushforwards, predictive kernels)
 is decided by exact rational expectations of those rows; nothing here is
 simulated. Each row is scaled to integers once per kernel
-(``EKernel.scaled``), and every (hypothesis, point) pair's verdict is
+(``EKernel.scaled``), and every (member, point) pair's verdict is
 decided on integers before its one exact value is built. Rows with equal
 text in a kernel file are one object, and the checks work once per
 distinct row object or (row, point), not once per hypothesis or pair.
-Every check that holds an expectation of a per-hypothesis variable
-against a bound (validity, post-hoc levels, the E-posteriors, the
-pushforward re-check) is one walk, `_pair_report`. The per-outcome
-tables are built only for the checks that read one outcome at a time.
+
+Every expectation the package holds against a bound is one walk,
+`_pair_report`, over members (point bitsets) each with a scaled variable:
+the hypotheses for validity, post-hoc levels, the E-posteriors and the
+pushforward; each point alone for FWE, FER with a rule and the Grünwald
+bound; each distinct benchmark row's upper set for decide's bounds; all
+points at once for the predictive check. Only the anytime check walks its
+own tree. The per-outcome tables are built only for the checks that read
+one outcome at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import attrgetter, mul
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
 from .spaces import Model, Record, Space, SpaceError, preimages
 from .xvalue import (
-    INF, ONE, ZERO, Scaled, XValue, as_xvalue, dot, dot_at_most, order_keys, packed_keys,
-    ratio, scale,
+    INF, ONE, ZERO, Scaled, XValue, as_xvalue, dot_at_most, order_keys, packed_keys, ratio,
+    scale,
 )
 
 
@@ -70,8 +75,8 @@ class Pmf(Record):
 
     The masses, XValues, Fractions or ints, are scaled to their common
     denominator once, here (`scaled`); that is the stored form, and every
-    expectation is a dot product with it. Equal masses give equal scaled
-    tables, so they are what a Pmf is compared by.
+    expectation (`_pair_report`) is a dot product with it. Equal masses
+    give equal scaled tables, so they are what a Pmf is compared by.
     """
 
     __slots__ = _compared = ("sample", "scaled")
@@ -94,10 +99,6 @@ class Pmf(Record):
     def of(cls, sample: SampleSpace, table: Mapping[str, object]) -> "Pmf":
         masses = (table.get(x, ZERO) for x in sample.outcomes)
         return cls(sample, [m if type(m) in (Fraction, XValue) else Fraction(m) for m in masses])
-
-    def expectation(self, values: Sequence[XValue]) -> XValue:
-        """Exact expectation; infinite values against zero mass contribute 0."""
-        return dot(self.scaled, scale(values))
 
 
 class ProbabilityAssignment(Record):
@@ -130,14 +131,14 @@ class EKernel:
     hypothesis id of one space, and the empty hypothesis carries inf at
     every outcome. The rows are the only stored form: a kernel file lists
     them and ``fileio.load_kernel`` fills them in file order, with one
-    tuple for the rows of one text. Each row is scaled once per kernel,
-    when a check first reads it (`scaled`): its least common denominator,
-    its integer numerators and the mask of its infinite outcomes. The
-    per-outcome tables (`columns`) are built on first read, for the checks
-    and callers that work on one outcome at a time. `is_capacity` tests
-    antitonicity once per kernel, and is the kernel class the checks read;
-    `claims` gives each point's largest evidence per outcome. Both key the
-    distinct row objects only.
+    tuple for the rows of one text. Each row object is scaled once per
+    kernel, when a check first reads the rows (`scaled`): its least common
+    denominator, its integer numerators and the mask of its infinite
+    outcomes. The per-outcome tables (`columns`) are built on first read,
+    for the checks and callers that work on one outcome at a time.
+    `is_capacity` tests antitonicity once per kernel, and is the kernel
+    class the checks read; `claims` gives each point's largest evidence per
+    outcome. Both key the distinct row objects only.
     """
 
     def __init__(self, space: Space, sample: SampleSpace, rows: Sequence[Sequence[XValue]]):
@@ -149,19 +150,20 @@ class EKernel:
         self.space = space
         self.sample = sample
         self.rows = rows
-        self._scaled: dict[int, Scaled] = {}  # by the id of a row object
+        self._scaled: Optional[list[Optional[Scaled]]] = None
         self._columns: Optional[tuple[EFunction, ...]] = None
         self._capacity: Optional[bool] = None
 
-    def scaled(self, hid: int) -> Scaled:
-        """The row of one hypothesis as a scaled table, scaled on first use.
-        Rows that are one object, as equal rows of a kernel file are, are
-        scaled once."""
-        row = self.rows[hid]
-        found = self._scaled.get(id(row))
-        if found is None:
-            found = self._scaled[id(row)] = scale(row)
-        return found
+    def scaled(self) -> list[Optional[Scaled]]:
+        """Per hypothesis id, its row as a scaled table, built on first use:
+        rows that are one object, as equal rows of a kernel file are, share
+        one. None for the empty hypothesis, whose row is never scaled."""
+        if self._scaled is None:
+            made: dict[int, Scaled] = {}  # by the id of a row object
+            self._scaled = [None] + [
+                made.get(id(row)) or made.setdefault(id(row), scale(row)) for row in self.rows[1:]
+            ]
+        return self._scaled
 
     @property
     def columns(self) -> tuple[EFunction, ...]:
@@ -285,46 +287,49 @@ class Report(Record):
 
 def check_validity(k: EKernel, pa: ProbabilityAssignment) -> Report:
     """Exact expectation of every (nonempty hypothesis, contained point) pair."""
-    return _pair_report(k, pa, k.scaled)
+    return _pair_report(pa, k.space.family.members, k.scaled())
 
 
 def _pair_report(
-    k: EKernel, pa: ProbabilityAssignment, variable: Callable[[int], Scaled],
-    members: Optional[Sequence[int]] = None, bounds: Optional[Sequence[XValue]] = None,
+    pa: ProbabilityAssignment, members: Sequence[int], variables: Sequence[Optional[Scaled]],
+    cases: Optional[Sequence[Optional[str]]] = None, bounds: Optional[Sequence[XValue]] = None,
 ) -> Report:
-    """One entry per (nonempty hypothesis, contained point) pair, in
-    (hypothesis, point) order: the expectation of the scaled `variable` of
-    the hypothesis's row under the point's distribution, held against the
-    point's bound. The points are those of `pa`'s model; `members` gives
-    each hypothesis id's points as a bitset over them (by default the
-    kernel's family's members), and `bounds` each point's bound (by
-    default 1).
+    """The package's one expectation walk. Each member is a bitset over
+    `pa`'s model points with a scaled variable, and each of its points, in
+    point order, gets one entry: the expectation of the variable under the
+    point's distribution, held against the point's bound (by default 1).
+    An entry names its member by its index, a hypothesis id, or, given
+    `cases`, by the member's case, which may be None. An empty member gives
+    no entry, and its variable is never read.
 
-    The work is per distinct row, not per pair. `variable`, a function of
-    the row, is called once per row object; rows whose variables are equal
-    share one statistic per point; each (variable, point) statistic is
-    computed once, and every entry that reads it holds that one object. So
-    a kernel of r distinct rows over n points costs at most r·n
-    expectations, and a renderer keyed by statistic object renders at most
-    that many. tests/test_growth.py holds both counts to a log-log slope of
-    at most 2.2 in n on power sets with at most n distinct rows, where the
-    pairs number n·2^(n-1).
+    The work is per distinct variable, not per pair. Members whose
+    variables are equal share one statistic per point; each (variable,
+    point) statistic is computed once, and every entry that reads it holds
+    that one object. So a walk of v distinct variables over n points costs
+    at most v·n expectations, and a renderer keyed by statistic object
+    renders at most that many: r·n for a kernel of r distinct rows,
+    tests/test_growth.py holding both counts to a log-log slope of at most
+    2.2 in n on power sets with at most n distinct rows, where the pairs
+    number n·2^(n-1). A walk of one singleton member per point (FWE, FER
+    with a rule, the Grünwald bound) or of one member of every point (the
+    predictive check) costs exactly n, one per point, which
+    tests/test_growth.py also holds; decide's walk of one member per
+    distinct benchmark row costs at most that many times n.
     """
-    points, rows = pa.model.points, k.rows
-    members = k.space.family.members if members is None else members
+    points = pa.model.points
     bounds = [ONE] * len(points) if bounds is None else bounds
     masses = [pmf.scaled for pmf in pa.pmfs]
-    by_row: dict[int, tuple[Scaled, list]] = {}  # by the id of a row object
-    by_var: dict[Scaled, tuple[Scaled, list]] = {}
+    names = zip(range(len(members)), repeat(None)) if cases is None else zip(repeat(None), cases)
+    by_id: dict[int, list] = {}  # by the id of a variable object
+    by_var: dict[Scaled, list] = {}
     entries = []
     append = entries.append
-    for hid in range(1, len(members)):
-        held = by_row.get(id(rows[hid]))
-        if held is None:
-            var = variable(hid)
-            held = by_row[id(rows[hid])] = by_var.setdefault(var, (var, [None] * len(points)))
-        var, stats = held
-        bits = members[hid]
+    for bits, var, (hid, case) in zip(members, variables, names):
+        if not bits:
+            continue
+        stats = by_id.get(id(var))
+        if stats is None:
+            stats = by_id[id(var)] = by_var.setdefault(var, [None] * len(points))
         while bits:
             low = bits & -bits
             bits ^= low
@@ -332,7 +337,7 @@ def _pair_report(
             found = stats[pi]
             if found is None:
                 found = stats[pi] = dot_at_most(masses[pi], var, bounds[pi])
-            append(Entry(points[pi], found[0], bounds[pi], hid, None, found[1]))
+            append(Entry(points[pi], found[0], bounds[pi], hid, case, found[1]))
     return Report(tuple(entries))
 
 
@@ -372,22 +377,14 @@ def outcome_thresholds(k: EKernel, rule: Mapping[str, object]) -> Scaled:
     return scale([ONE / table[x] for x in k.sample.outcomes])
 
 
-def miss_mask(var: Scaled, thresholds: Scaled) -> int:
-    """The outcomes where a scaled variable reaches its threshold 1/level:
-    where the level's confidence set misses."""
-    den, nums, mask = var
+def miss_variable(var: Scaled, thresholds: Scaled) -> Scaled:
+    """1{miss} / level as a scaled table: the threshold 1/level at each
+    outcome where the scaled variable reaches it, where the level's
+    confidence set misses, and 0 elsewhere."""
+    den, nums, inf = var
     t_den, t_nums, _ = thresholds
-    for i, (n, t) in enumerate(zip(nums, t_nums)):
-        if n * t_den >= t * den:
-            mask |= 1 << i
-    return mask
-
-
-def miss_variable(mask: int, thresholds: Scaled) -> Scaled:
-    """1{miss} / level as a scaled table: the threshold where `mask` misses
-    and 0 elsewhere."""
-    den, nums, _ = thresholds
-    return den, tuple(n if mask >> i & 1 else 0 for i, n in enumerate(nums)), 0
+    missed = (inf >> i & 1 or n * t_den >= t * den for i, (n, t) in enumerate(zip(nums, t_nums)))
+    return t_den, tuple(t if miss else 0 for t, miss in zip(t_nums, missed)), 0
 
 
 def check_posthoc_validity(
@@ -404,10 +401,10 @@ def check_posthoc_validity(
     """
     if rule == "canonical":
         return check_validity(k, pa)
-    thresholds = outcome_thresholds(k, rule)
-    return _pair_report(
-        k, pa, lambda hid: miss_variable(miss_mask(k.scaled(hid), thresholds), thresholds)
-    )
+    thresholds, rows = outcome_thresholds(k, rule), k.scaled()
+    distinct = {id(var): var for var in rows[1:]}  # one per row object
+    misses = {key: miss_variable(var, thresholds) for key, var in distinct.items()}
+    return _pair_report(pa, k.space.family.members, [misses.get(id(var)) for var in rows])
 
 
 # -- updating -----------------------------------------------------------
@@ -434,7 +431,8 @@ def eposterior_raw(
         raise ev.ClassMismatch("updating needs capacities")
     post = _product(prior, k)
     entries = []
-    for hid, pairs in groupby(_pair_report(post, pa, post.scaled).entries, attrgetter("hid")):
+    walk = _pair_report(pa, k.space.family.members, post.scaled())
+    for hid, pairs in groupby(walk.entries, attrgetter("hid")):
         worst = max(pairs, key=attrgetter("stat"))
         entries.append(Entry(worst.point, worst.stat, prior.values[hid], hid))
     return post, Report(tuple(entries))
@@ -451,7 +449,7 @@ def eposterior_closed(
     k.space.require_intersection_closed()
     post = close_kernel(_product(prior, k))
     bounds = [prior.values[hid] for hid in k.space.least_ids()]
-    return post, _pair_report(post, pa, post.scaled, bounds=bounds)
+    return post, _pair_report(pa, k.space.family.members, post.scaled(), bounds=bounds)
 
 
 # -- finite-horizon processes -------------------------------------------
@@ -675,14 +673,15 @@ class PredictiveReport:
         self.stats = stats
 
 
-def check_predictive_validity(k: EKernel, pmfs: Iterable[Pmf]) -> PredictiveReport:
+def check_predictive_validity(k: EKernel, pa: ProbabilityAssignment) -> PredictiveReport:
     """Prediction-style validity when hypotheses are sets of outcomes.
 
     Per outcome, the largest evidence among true hypotheses must match the
     evidence against the outcome's least hypothesis, which it is never
     below; where it does, the sup variable is that single variable, so its
     statistics decide both criteria. The sups are the kernel's claims
-    (`EKernel.claims`), one sweep per outcome over the distinct rows.
+    (`EKernel.claims`), one sweep per outcome over the distinct rows, and
+    the statistics are the pair walk of one member holding every point.
     """
     if k.space.model.points != k.sample.outcomes:
         raise SpaceError("predictive checks need the model to be the sample space")
@@ -693,8 +692,8 @@ def check_predictive_validity(k: EKernel, pmfs: Iterable[Pmf]) -> PredictiveRepo
     identity = Report(tuple(
         Entry(x, sup_var[xi], k.rows[least[xi]][xi]) for xi, x in enumerate(k.sample.outcomes)
     ))
-    stats = Report(tuple(Entry(None, p.expectation(sup_var)) for p in pmfs))
-    return PredictiveReport(identity, stats)
+    stats = _pair_report(pa, [(1 << pa.model.size) - 1], [scale(sup_var)], [None]).entries
+    return PredictiveReport(identity, Report(tuple(Entry(None, e.stat, ok=e.ok) for e in stats)))
 
 
 # -- pushforwards ----------------------------------------------------------
@@ -722,5 +721,5 @@ def pushforward_kernel(
                 f"preimage of {target.model.label(member)} is not a source hypothesis"
             )
     pushed = EKernel(target, k.sample, [k.rows[source.family.id_of(bits)] for bits in bitsets])
-    report = None if pa is None else _pair_report(pushed, pa, pushed.scaled, members=bitsets)
+    report = None if pa is None else _pair_report(pa, bitsets, pushed.scaled())
     return pushed, report

@@ -1,7 +1,10 @@
 """Cross-hypothesis validity: familywise evidence, false evidence rate,
 selection post-processing, e-value step-up rejections and their closed
 variant. FWE and FER are the two disutilities of the paper's general
-notion, and each has its own check here.
+notion, and each has its own check here. Each builds one variable per
+point, and the kernels' one expectation walk, ``kernels._pair_report``,
+takes its expectation under that point's distribution as one singleton
+member.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ from typing import Optional, Sequence
 
 from . import evidence as ev
 from .evidence import EFunction, EvidenceError
-from .kernels import EKernel, Entry, ProbabilityAssignment, Report, SampleSpace, check_validity
-from .xvalue import ONE, ZERO, XValue, inf_of
+from .kernels import (
+    EKernel, ProbabilityAssignment, Report, SampleSpace, _pair_report, check_validity,
+)
+from .xvalue import ONE, ZERO, XValue, inf_of, scale
 
 
 class MultiplicityError(EvidenceError):
@@ -41,11 +46,9 @@ def check_fwe(k: EKernel, pa: ProbabilityAssignment) -> Report:
     against a member that holds it (`EKernel.claims`): one sweep per
     outcome over the kernel's distinct rows, as the closure sweeps its
     members, and no per-outcome table is built."""
-    claims = k.claims()
-    return Report(tuple(
-        Entry(point, pa.pmfs[pi].expectation([claim[pi] for claim in claims]))
-        for pi, point in enumerate(k.space.model.points)
-    ))
+    claims, n = k.claims(), k.space.model.size
+    variables = [scale([claim[pi] for claim in claims]) for pi in range(n)]
+    return _pair_report(pa, [1 << pi for pi in range(n)], variables, [None] * n)
 
 
 def _fep(k: EKernel, point: int, ids: Sequence[int], xi: int) -> XValue:
@@ -75,12 +78,11 @@ def check_fer(
     k.space.require_intersection_closed()
     if rule is None:
         return check_validity(k, pa)
-    return Report(tuple(
-        Entry(point, pa.pmfs[pi].expectation(
-            [_fep(k, pi, ids, xi) for xi, ids in enumerate(rule.selected)]
-        ))
-        for pi, point in enumerate(k.space.model.points)
-    ))
+    n = k.space.model.size
+    variables = [
+        scale([_fep(k, pi, ids, xi) for xi, ids in enumerate(rule.selected)]) for pi in range(n)
+    ]
+    return _pair_report(pa, [1 << pi for pi in range(n)], variables, [None] * n)
 
 
 # -- selection post-processing -------------------------------------------

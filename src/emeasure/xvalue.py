@@ -28,16 +28,16 @@ packs rows of such keys so that one subtraction compares two rows.
 Expectations work on scaled tables: :func:`scale` turns a table into its
 least common denominator, one integer numerator per position (0 where the
 value is inf) and a bit mask of the infinite positions. The expectation of
-two scaled tables is their :func:`dot`: one integer sum of products, one gcd
-when the result is wrapped, and zero mass against inf giving 0.
-:func:`dot_at_most` also holds that sum against a bound, on the ints, before
-it is wrapped. A distribution is scaled once, when it is built, and a
-kernel's row of evidence against one hypothesis once per kernel, the first
-time a check reads it. The anytime check walks its tree on the same scaled
-tables: node masses are slice sums of a scaled distribution, a hypothesis's
-step values on the nodes are scaled once, and each (hypothesis, point) pair
-is one loop of int products, sums and maxima whose root value :func:`ratio`
-wraps. All of it is exact.
+two scaled tables is :func:`dot_at_most`: one integer sum of products, held
+against a bound on the ints, then one gcd when the result is wrapped, and
+zero mass against inf giving 0. Its one caller is the package's one
+expectation walk, ``kernels._pair_report``. A distribution is scaled once,
+when it is built, and a kernel's row of evidence against one hypothesis
+once per kernel, the first time a check reads it. The anytime check walks
+its tree on the same scaled tables: node masses are slice sums of a scaled
+distribution, a hypothesis's step values on the nodes are scaled once, and
+each (hypothesis, point) pair is one loop of int products, sums and maxima
+whose root value :func:`ratio` wraps. All of it is exact.
 """
 
 from __future__ import annotations
@@ -279,23 +279,15 @@ def scale(table: Sequence[Rationalish]) -> Scaled:
     return common, tuple([n * (common // d) for n, d in zip(nums, dens)]), inf
 
 
-def dot(a: Scaled, b: Scaled) -> XValue:
+def dot_at_most(a: Scaled, b: Scaled, bound: XValue = ONE) -> tuple[XValue, bool]:
     """Exact sum of the products of two scaled tables of one length,
-    position by position.
+    position by position, and whether it is at most `bound`.
 
     A product of 0 and inf is 0; a positive value against inf makes the sum
-    inf. The finite products are summed as integers and the sum is reduced
-    once, when it is wrapped.
-    """
-    return dot_at_most(a, b)[0]
-
-
-def dot_at_most(a: Scaled, b: Scaled, bound: XValue = ONE) -> tuple[XValue, bool]:
-    """``dot(a, b)`` and whether it is at most `bound`.
-
-    The verdict is decided on the integer sum over its denominator,
-    num * bound_den <= bound_num * den, before the sum is wrapped; an
-    infinite bound, (1, 0), holds every finite sum.
+    inf. The finite products are summed as integers, and the verdict is
+    decided on that sum over its denominator, num * bound_den <= bound_num
+    * den, before the sum is reduced and wrapped; an infinite bound, (1, 0),
+    holds every finite sum.
     """
     a_den, a_nums, a_inf = a
     b_den, b_nums, b_inf = b

@@ -38,7 +38,7 @@ from emeasure import (
 from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
 from emeasure.evidence import measure_from_density
 from emeasure.spaces import HypothesisClass, NotAPreorder
-from emeasure.xvalue import order_keys, scale
+from emeasure.xvalue import dot_at_most, order_keys, scale
 
 
 # -- the per-outcome view of kernels and distributions ----------------------
@@ -64,6 +64,14 @@ def pmf_mass(pmf):
     """A distribution's masses as Fractions, in outcome order."""
     den, nums, _ = pmf.scaled
     return tuple(Fraction(n, den) for n in nums)
+
+
+def expectation(masses, values):
+    """The package's exact expectation of `values` under `masses`, a Pmf or
+    a table of masses: the value `dot_at_most` gives the pair walk on the
+    two scaled tables."""
+    scaled = masses.scaled if isinstance(masses, Pmf) else scale(masses)
+    return dot_at_most(scaled, scale(values))[0]
 
 
 def points_of(bits):

@@ -663,7 +663,7 @@ def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
             (p, None, expect(pa.pmfs[pi], fep[pi])) for pi, p in enumerate(points)
         ]
         sup_at_outcome = [sup_true[xi][xi] for xi in range(len(points))]
-        assert stats(check_predictive_validity(k, pa.pmfs).stats) == [
+        assert stats(check_predictive_validity(k, pa).stats) == [
             (None, None, expect(pmf, sup_at_outcome)) for pmf in pa.pmfs
         ]
 

@@ -289,3 +289,31 @@ def test_a_check_reads_its_table_files_in_one_pass(monkeypatch, capsys, tmp_path
         assert cli.main(argv) == cli.EXIT_OK
         assert calls == {"_read_table": 1, "resolve": 0, "_xvalue": cells}, members
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["fwe", "fer-family", "predictive"])
+def test_point_checks_make_one_expectation_per_point(monkeypatch, capsys, tmp_path, kind):
+    """L3 FWE, FER with a rule and the predictive sup: each is the pair walk
+    of one variable per point, or of one variable over all points, so on
+    perfbench's `check` inputs on the 32-, 64-, 128- and 256-member chain
+    spaces `kernels.dot_at_most` runs exactly once per model point, however
+    many members the space has."""
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
+    import workloads
+
+    calls = [0]
+    dot_at_most = kn.dot_at_most
+
+    def counted(*args):
+        calls[0] += 1
+        return dot_at_most(*args)
+
+    monkeypatch.setattr(kn, "dot_at_most", counted)
+    for members in (32, 64, 128, 256):
+        corpus = workloads.Corpus(tmp_path, "checks", members)
+        argv = list(workloads.checks_job(corpus, kind, members, 3, False).argv)
+        points = fileio.load_space(argv[argv.index("--space") + 1]).space.model.size
+        calls[0] = 0
+        assert cli.main(argv) == cli.EXIT_OK
+        assert calls[0] == points, (kind, members)
+    capsys.readouterr()

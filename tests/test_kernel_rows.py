@@ -175,7 +175,7 @@ def test_loaded_rows_give_the_predictive_check_the_oracle_values(tmp_path):
         pa = helpers.rand_pa(r, space.model, sample, full_support=n % 2 == 0)
         k = helpers.kernel_of(space, sample, [helpers.rand_capacity(r, space) for _ in sample.outcomes])
         _, lpa, (loaded,) = written(tmp_path / str(n), space, pa, [k])
-        report = check_predictive_validity(loaded, lpa.pmfs)
+        report = check_predictive_validity(loaded, lpa)
         least = space.least_ids()
         sups = [
             sup_of(col.values[hid] for hid in range(len(space.family)) if space.family.member(hid) >> xi & 1)

@@ -53,8 +53,8 @@ def test_pmf_must_sum_to_one():
 def test_expectation_uses_zero_times_infinity():
     sample = SampleSpace(("a", "b"))
     pmf = Pmf(sample, (Fraction(1), Fraction(0)))
-    assert pmf.expectation([XValue(2), INF]) == XValue(2)
-    assert pmf.expectation([INF, XValue(0)]) == INF
+    assert helpers.expectation(pmf, [XValue(2), INF]) == XValue(2)
+    assert helpers.expectation(pmf, [INF, XValue(0)]) == INF
 
 
 def test_constant_one_kernel_is_valid():
@@ -78,7 +78,7 @@ def test_likelihood_kernel_is_valid_with_equality_on_singletons():
     # On a singleton the expectation telescopes to the reference total mass.
     for pi, p in enumerate(space.model.points):
         hid = space.family.id_of(1 << pi)
-        assert pa.pmfs[pi].expectation(k.rows[hid]) == XValue(1)
+        assert helpers.expectation(pa.pmfs[pi], k.rows[hid]) == XValue(1)
 
 
 def test_likelihood_kernel_is_valid_when_points_share_a_least_hypothesis():
@@ -808,22 +808,22 @@ def predictive_setup(seed, n=3):
     space = helpers.power_space(n)
     # rename outcomes to match the model points
     sample = SampleSpace(space.model.points)
-    pmfs = [helpers.rand_pmf(r, sample) for _ in range(r.randint(1, 3))]
-    return r, space, sample, pmfs
+    pa = helpers.rand_pa(r, space.model, sample)
+    return r, space, sample, pa
 
 
 def test_predictive_identity_reduces_to_diagonal_on_power_set():
-    r, space, sample, pmfs = predictive_setup(71)
+    r, space, sample, pa = predictive_setup(71)
     for _ in range(10):
         cols = [helpers.rand_capacity(r, space) for _ in sample.outcomes]
         k = helpers.kernel_of(space, sample, cols)
-        report = check_predictive_validity(k, pmfs)
+        report = check_predictive_validity(k, pa)
         assert report.identity.ok
         for xi, entry in enumerate(report.identity.entries):
             assert entry.ok and entry.bound == helpers.kernel_value(k, space.family.id_of(1 << xi), xi)
         # the identity makes the sup variable the least-hypothesis variable
         least_var = [helpers.kernel_value(k, space.least_id(xi), xi) for xi in range(sample.size)]
-        least_stats = tuple(helpers.oracle_expectation(pmf, least_var) for pmf in pmfs)
+        least_stats = tuple(helpers.oracle_expectation(pmf, least_var) for pmf in pa.pmfs)
         assert tuple(e.stat for e in report.stats.entries) == least_stats
         assert report.stats.ok == all(s <= XValue(1) for s in least_stats)
 
@@ -831,13 +831,13 @@ def test_predictive_identity_reduces_to_diagonal_on_power_set():
 def test_predictive_identity_fails_off_capacities():
     """A table that is not antitone can put more evidence on a true superset
     than on the outcome's least hypothesis; the identity then reports it."""
-    r, space, sample, pmfs = predictive_setup(77)
+    r, space, sample, pa = predictive_setup(77)
     failures = 0
     for _ in range(20):
         raw = {hid: helpers.rand_xvalue(r) for hid in range(len(space.family))}
         raw[space.family.empty_id] = INF
         k = helpers.kernel_of(space, sample, [helpers.classify(space, raw)] * sample.size)
-        report = check_predictive_validity(k, pmfs)
+        report = check_predictive_validity(k, pa)
         expected = [
             helpers.sup_of(v for m, v in zip(space.family.members, k.columns[xi].values)
                            if m >> xi & 1) == helpers.kernel_value(k, space.least_id(xi), xi)
@@ -851,7 +851,7 @@ def test_predictive_identity_fails_off_capacities():
 
 def test_predictive_binary_prediction_set_coverage():
     # reject outcome 'P1' only: the prediction set is {P2, P3}
-    r, space, sample, pmfs = predictive_setup(73)
+    r, space, sample, pa = predictive_setup(73)
     alpha = Fraction(1, 4)
     cols = []
     for xi in range(sample.size):
@@ -865,12 +865,12 @@ def test_predictive_binary_prediction_set_coverage():
         cols.append(helpers.classify(space, values))
     k = helpers.kernel_of(space, sample, cols)
     assert helpers.kernel_eclass(k) >= EClass.CAPACITY
-    report = check_predictive_validity(k, pmfs)
+    report = check_predictive_validity(k, pa)
     # the sup variable is 1/alpha exactly when the true outcome is P1
     assert report.identity.ok
-    for pmf, entry in zip(pmfs, report.stats.entries, strict=True):
+    for pmf, entry in zip(pa.pmfs, report.stats.entries, strict=True):
         assert entry.stat == XValue(helpers.pmf_mass(pmf)[0] / alpha)
-    assert report.stats.ok == all(helpers.pmf_mass(pmf)[0] <= alpha for pmf in pmfs)
+    assert report.stats.ok == all(helpers.pmf_mass(pmf)[0] <= alpha for pmf in pa.pmfs)
 
 
 def test_predictive_requires_matching_spaces():
@@ -879,7 +879,7 @@ def test_predictive_requires_matching_spaces():
     sample = SampleSpace(("a", "b"))
     k = helpers.constant_kernel(space, sample, helpers.unit_measure(space))
     with pytest.raises(Exception):
-        check_predictive_validity(k, [helpers.rand_pmf(r, sample)])
+        check_predictive_validity(k, helpers.rand_pa(r, space.model, sample))
 
 
 # -- work per distinct row: the capacity test and the claims ----------------
@@ -989,7 +989,7 @@ def test_capacity_test_and_claims_on_distinct_rows_match_their_definitions():
             for pi in range(k.space.model.size)
         ]
         if k.space.intersection_closed:
-            sups = [e.stat for e in check_predictive_validity(k, pa.pmfs).identity.entries]
+            sups = [e.stat for e in check_predictive_validity(k, pa).identity.entries]
             assert sups == [claim[xi] for xi, claim in enumerate(claims)]
     assert verdicts == {True, False} and cells == {"inf", "zero-row", "value"}
     assert min(kinds.values()) >= 40 and len(kinds) == 5

@@ -594,7 +594,7 @@ def test_phi_compound_validity_sums_to_family_size():
         total = XValue(0)
         for g in gids:
             if space.family.member(g) >> pi & 1:
-                total = total + pa.pmfs[pi].expectation(k.rows[g])
+                total = total + helpers.expectation(pa.pmfs[pi], k.rows[g])
         assert general.entries[pi].stat * XValue(len(gids)) == total
 
 

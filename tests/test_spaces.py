@@ -280,7 +280,9 @@ def test_every_union_closed_family_on_up_to_four_points_matches_the_oracles():
     """L1 on every small world: each union-closed family on one to four
     points, built by `union_closure` from its join-irreducible members, has
     the oracles' members, irreducible members, intersection-closure flag and
-    least hypotheses."""
+    least hypotheses; `analyze` gives the oracles' full-model and
+    meet-closure flags and least map, and `joins` pairs every member with
+    every irreducible member outside it, once."""
     counts = []
     for n in range(1, 5):
         model = Model(tuple(f"P{i + 1}" for i in range(n)))
@@ -293,7 +295,19 @@ def test_every_union_closed_family_on_up_to_four_points_matches_the_oracles():
             assert set(family.members) == members
             assert {family.member(j) for j in family.irreducible_ids()} == irreducible
             assert space.intersection_closed == helpers.oracle_intersection_closed(n, members)
-            assert space.least_ids() == helpers.oracle_least_ids(space)
+            least = helpers.oracle_least_ids(space)
+            assert space.least_ids() == least
+            full = (1 << n) - 1 in members
+            meets = all(a & b in members for a in members for b in members)
+            report = space.analyze()
+            assert (report.contains_full_model, report.intersection_closed) == (full, meets)
+            assert report.least == (dict(zip(model.points, least)) if full and meets else None)
+            joins = family.joins()
+            assert len(joins) == len(set(joins))
+            assert set(joins) == {
+                (family.id_of(m), family.id_of(g), family.id_of(m | g))
+                for m in members for g in irreducible if g & ~m
+            }
     assert counts == [2, 7, 61, 2480]
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from emeasure import INF, ONE, XValue, ZERO, as_xvalue, inf_of, parse_xvalue, sup_of
-from emeasure.xvalue import dot, order_keys, rational, scale
+from emeasure.xvalue import order_keys, rational, scale
 
 fractions = st.fractions(min_value=0, max_value=100)
 
@@ -165,7 +165,7 @@ def test_arithmetic_results_are_checked_values(op, expected, a, b):
 
 def expectation(masses, values):
     """The package's expectation: the dot product of the two scaled tables."""
-    return dot(scale(masses), scale(values))
+    return helpers.expectation(masses, values)
 
 
 def xvalue_sum_expectation(masses, values):
@@ -193,7 +193,7 @@ def test_expectation_of_a_pmf_matches_the_termwise_sum():
         pmf = helpers.rand_pmf(r, sample, full_support=False)
         values = [helpers.rand_xvalue(r) for _ in sample.outcomes]
         seen_zero_against_inf += any(m == 0 and v.is_inf for m, v in zip(helpers.pmf_mass(pmf), values))
-        assert pmf.expectation(values) == xvalue_sum_expectation(helpers.pmf_mass(pmf), values)
+        assert helpers.expectation(pmf, values) == xvalue_sum_expectation(helpers.pmf_mass(pmf), values)
     assert seen_zero_against_inf >= 10
 
 
@@ -358,7 +358,7 @@ def test_dot_equals_the_termwise_expectation():
     for _ in range(600):
         terms = [_rand_term(r) for _ in range(r.randint(0, 6))]
         masses, values = [m for m, _ in terms], [v for _, v in terms]
-        result = dot(scale(masses), scale(values))
+        result = helpers.expectation(masses, values)
         assert result == helpers.termwise_expectation(masses, values)
         assert_stored_in_lowest_terms(result)
         seen["zero mass against inf"] += any(not m and v.is_inf for m, v in terms)
