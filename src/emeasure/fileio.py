@@ -21,26 +21,22 @@ those ``yaml.safe_load`` makes of it:
 - no key or plain scalar longer than 1000 characters;
 - lines of printable ASCII; blank lines and whole-line '#' comments.
 
-A read pays once for each distinct text. Each distinct plain scalar is
-typed once (``_Scalars``) by the safe loader's implicit resolvers: the live
-``yaml.SafeLoader`` table once yaml is imported, else a copy of PyYAML's
-(``_IMPLICIT``), which nothing can have changed. The reader types three
-kinds itself: a scalar whose first character starts no resolver is a
-string, a decimal int such as ``0`` or ``17`` is an int, and a digit ratio
-such as ``3/4`` is a string. Every other plain scalar (``08``, ``0x1f``,
-``1:30``, ``on``, ``1e3``, ``2001-12-14``, ``o1``, ...) takes the tag of
-the first resolver that matches it, or is a string when none does; so do
-all scalars when the table has a resolver for any first character. Only a
-scalar that is no string is built by PyYAML's ``SafeConstructor``, which
-imports yaml. A flat flow collection, one mapping or sequence of plain
-scalars such as a kernel or model row, is built once per distinct text:
-equal rows of one file are one object. Every other file, from anchors,
-tags, quoted values and tabs to documents that are no YAML at all, goes
-whole to ``yaml.load`` with PyYAML's pure-Python ``SafeLoader``, so its
-errors name the file and it reads as ``yaml.safe_load`` reads it whether
-or not PyYAML was built with libyaml, whose parser reads a few documents
-otherwise. So a run whose files all have the table shape and whose
-scalars are strings and decimal ints never imports yaml.
+Each distinct plain scalar of a read is typed once (``_Scalars``) by a
+copy of the safe loader's implicit resolvers (``_IMPLICIT``), which a test
+holds equal to PyYAML's table. The reader types three kinds itself: a
+scalar whose first character starts no resolver is a string, a decimal int
+such as ``0`` or ``17`` is an int, and a digit ratio such as ``3/4`` is a
+string. Every other plain scalar (``08``, ``0x1f``, ``1:30``, ``on``,
+``1e3``, ``2001-12-14``, ``o1``, ...) takes the tag of the first resolver
+that matches it, or is a string when none does. Only a scalar that is no
+string is built by PyYAML's ``SafeConstructor``, which imports yaml. Every
+other file, from anchors, tags, quoted values and tabs to documents that
+are no YAML at all, goes whole to ``yaml.load`` with PyYAML's pure-Python
+``SafeLoader``, so its errors name the file and it reads as
+``yaml.safe_load`` reads it whether or not PyYAML was built with libyaml,
+whose parser reads a few documents otherwise. So a run whose files all
+have the table shape and whose scalars are strings and decimal ints never
+imports yaml.
 
 A hypothesis label, a key of an evidence or kernel table or an item of
 ``--family``, is a name declared under ``generators``, ``empty`` or ``{}``
@@ -64,12 +60,10 @@ that does not classify are schema errors, named by their file.
 
 A kernel file is read as it is laid out, one row of outcome values per
 hypothesis over the model's outcomes, into the kernel's rows in file order
-(``EKernel``). Each row object is read once, so rows of one text are one
-tuple of values.
-Its refusals come in one order: a value that is no evidence value as it is
-read, then a missing hypothesis, then the first row in file order that
-misses an outcome or names an unknown one, then a finite value of the
-empty member.
+(``EKernel``). Its refusals come in one order: a value that is no evidence
+value as it is read, then a missing hypothesis, then the first row in file
+order that misses an outcome or names an unknown one, then a finite value
+of the empty member.
 
 Kernel, model and evidence files mostly have the row shape, which the
 command line prints: a ``kernel:``, ``pmf:`` or ``evidence:`` line, then
@@ -77,11 +71,12 @@ only rows indented by two spaces, ``KEY: {x1: v, ..., xk: v}`` or
 ``KEY: v``, their keys as above, with no blank, comment or padding. A row
 reader (`_rows`) matches all rows of such a file with one pattern, types
 each distinct key and cell as the line reader does and builds each
-distinct row's tuple and cell's XValue once. It takes the file only when
-every row reads as the general path reads it: a label of the label table,
-each member once, keys typed to the outcomes in order (a model's first
-row's keys), evidence values and finite masses summing to 1. Every other
-file, and every refusal, goes from the same read to the general path
+distinct row's tuple and cell's XValue once, so equal rows of one file are
+one object; the general path builds each row anew. It takes the file only
+when every row reads as the general path reads it: a label of the label
+table, each member once, keys typed to the outcomes in order (a model's
+first row's keys), evidence values and finite masses summing to 1. Every
+other file, and every refusal, goes from the same read to the general path
 (`_read_table`, else PyYAML), which is also the row reader's oracle.
 """
 
@@ -91,10 +86,9 @@ import functools
 import io
 import locale
 import re
-import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .decisions import ConsequenceSpace, ConsequenceTable
 from .evidence import EFunction, EvidenceError, classify, from_values
@@ -107,7 +101,7 @@ from .spaces import (
     SpaceError,
     union_closure,
 )
-from .xvalue import INF, XValue, parse_xvalue, rational
+from .xvalue import INF, XValue, parse_xvalue
 
 
 class SchemaError(Exception):
@@ -190,14 +184,6 @@ def _copied_resolvers() -> dict:
     return table
 
 
-def _resolvers() -> dict:
-    """The safe loader's implicit resolvers: the live table once yaml is
-    imported, as a program may add to it, else the copy, since nothing can
-    have changed the table before yaml is imported."""
-    yaml = sys.modules.get("yaml")
-    return _copied_resolvers() if yaml is None else yaml.SafeLoader.yaml_implicit_resolvers
-
-
 # A plain scalar here has no spaces: one or more of the characters of `_C`,
 # where a ':' may sit only between two of them and a leading '-' must be
 # followed by one. So in block and in flow context it holds no indicator.
@@ -231,24 +217,17 @@ class _Scalars(dict):
     builds it. A text that is no plain scalar of the line reader raises
     KeyError.
 
-    The resolvers (`_resolvers`, read once per read) are picked by a
-    scalar's first character, so a scalar whose first character starts
-    none is a string. A decimal int and a digit ratio (`_TYPED`) are typed
-    here. Every other scalar, and every scalar once the table has a
-    wildcard resolver (one tried whatever the first character), gets the
-    tag of the first resolver that matches it and, unless it is a string,
-    its value from the safe constructor."""
-
-    def __init__(self):
-        self.resolvers = _resolvers()
+    The copied resolvers (`_copied_resolvers`) are picked by a scalar's
+    first character, so a scalar whose first character starts none is a
+    string. A decimal int and a digit ratio (`_TYPED`) are typed here. Every
+    other scalar gets the tag of the first resolver that matches it and,
+    unless it is a string, its value from the safe constructor."""
 
     def __missing__(self, text):
         if len(text) > _KEY_MAX or not _PLAIN.fullmatch(text):
             raise KeyError(text)
-        resolvers = self.resolvers
-        if None in resolvers:
-            value = _resolved(text, resolvers)
-        elif text[0] not in resolvers:
+        resolvers = _copied_resolvers().get(text[0])
+        if resolvers is None:
             value = text
         else:
             typed = _TYPED.fullmatch(text)
@@ -257,10 +236,11 @@ class _Scalars(dict):
         return value
 
 
-def _resolved(text: str, resolvers: dict):
-    """A plain scalar as a safe loader with these resolvers and the safe
-    constructor build it; a string needs no yaml import."""
-    for tag, regexp in resolvers.get(text[0], []) + resolvers.get(None, []):
+def _resolved(text: str, resolvers: list):
+    """A plain scalar tagged by the first of `resolvers`, those of its first
+    character, that matches it, and built by the safe constructor; a string
+    needs no yaml import."""
+    for tag, regexp in resolvers:
         if regexp.match(text):
             break
     else:
@@ -319,9 +299,6 @@ def _read_table(text: str):
     shape (see the module docstring); else None."""
     scalars = _Scalars()
     get = scalars.__getitem__
-    # Each flat flow collection's text, to the one object read from it. The
-    # text of a mapping holds ": " and that of a sequence never does.
-    flat: dict = {}
     top: dict = {}
     open_key = _NONE  # the top-level key whose value may be a nested mapping
     inner = None  # that nested mapping, once its first line is read
@@ -343,14 +320,10 @@ def _read_table(text: str):
             if plain is not None:
                 value = get(plain)
             elif pairs is not None:
-                value = flat.get(pairs)
-                if value is None:
-                    cells = list(map(get, pairs.replace(": ", ", ").split(", ")))
-                    value = flat[pairs] = dict(zip(cells[::2], cells[1::2]))
+                cells = list(map(get, pairs.replace(": ", ", ").split(", ")))
+                value = dict(zip(cells[::2], cells[1::2]))
             elif items is not None:
-                value = flat.get(items)
-                if value is None:
-                    value = flat[items] = list(map(get, items.split(", ")))
+                value = list(map(get, items.split(", ")))
             elif flow is not None:
                 value = _flow(flow, scalars)
                 if value is None:
@@ -480,17 +453,6 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
     return None if declined else (slots, outcomes)
 
 
-def _fraction(path, raw) -> Fraction:
-    """A rational from an int, a 'p/q' string or a decimal float; a YAML
-    boolean is refused, as ``parse_xvalue`` refuses it."""
-    try:
-        if not isinstance(raw, bool):
-            return rational(str(raw) if isinstance(raw, float) else raw)
-    except (ValueError, TypeError, ZeroDivisionError):
-        pass
-    raise SchemaError(path, f"not a rational number: {raw!r}")
-
-
 def _xvalue(path, raw) -> XValue:
     try:
         return parse_xvalue(raw)
@@ -498,45 +460,22 @@ def _xvalue(path, raw) -> XValue:
         raise SchemaError(path, f"not an evidence value: {raw!r}") from None
 
 
-def _xvalue_reader(path) -> Callable[[object], XValue]:
-    """``_xvalue`` for one file read, parsing each distinct scalar once.
-
-    The memo is keyed by type as well as value: YAML ``true`` equals and
-    hashes like ``1``, and must still be refused. Unhashable values skip the
-    memo and are refused by ``_xvalue``.
-    """
-    memo: dict[tuple[type, object], XValue] = {}
-
-    def read(raw) -> XValue:
-        key = (type(raw), raw)
-        try:
-            return memo[key]
-        except KeyError:
-            value = memo[key] = _xvalue(path, raw)
+def _mass(path, raw):
+    """A model file's mass cell as a finite XValue. A cell no evidence value
+    reads is read as a rational (a decimal float by its text), so that a
+    negative mass reaches ``Pmf``'s refusal; every other refusal, inf and
+    booleans among them, is made here."""
+    try:
+        value = parse_xvalue(raw)
+        if not value.is_inf:
             return value
-        except TypeError:
-            return _xvalue(path, raw)
-
-    return read
-
-
-def _mass_reader(path) -> Callable[[object], object]:
-    """A model file's mass cells, read once per distinct text by
-    `_xvalue_reader` into finite XValues. A cell no evidence value reads is
-    read as a rational, so that a negative mass reaches ``Pmf``'s refusal;
-    every other refusal, inf and booleans among them, is made here."""
-    read = _xvalue_reader(path)
-
-    def mass(raw):
+    except (ValueError, TypeError, ZeroDivisionError):
         try:
-            value = read(raw)
-        except SchemaError:
-            return _fraction(path, raw)
-        if value.is_inf:
-            raise SchemaError(path, f"not a rational number: {raw!r}")
-        return value
-
-    return mass
+            if not isinstance(raw, bool):
+                return Fraction(str(raw) if isinstance(raw, float) else raw)
+        except (ValueError, TypeError, ZeroDivisionError):
+            pass
+    raise SchemaError(path, f"not a rational number: {raw!r}")
 
 
 def _refuse_unknown(path, message: str, names, known) -> None:
@@ -672,7 +611,6 @@ def load_evidence(path: Path | str, sf: SpaceFile) -> EFunction:
     table = _parse(path, text).get("evidence")
     if not isinstance(table, dict):
         raise SchemaError(path, "'evidence' must map hypothesis labels to values")
-    read = _xvalue_reader(path)
     resolve = sf.resolve
     out: dict[int, XValue] = {}
     for label, raw in table.items():
@@ -680,8 +618,8 @@ def load_evidence(path: Path | str, sf: SpaceFile) -> EFunction:
         hid = resolve(path, label)
         if hid in out:
             raise _named_twice(path, sf, table, hid, label)
-        out[hid] = read(raw)
-    out.setdefault(sf.space.family.empty_id, read("inf"))
+        out[hid] = _xvalue(path, raw)
+    out.setdefault(sf.space.family.empty_id, INF)
     try:
         return classify(sf.space, out)
     except EvidenceError as exc:
@@ -702,12 +640,11 @@ def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
         raise SchemaError(path, "'pmf' must map point labels to outcome masses")
     outcomes: Optional[tuple[str, ...]] = None
     pmfs = {}
-    mass = _mass_reader(path)
     try:
         for point, masses in table.items():
             if not isinstance(masses, dict):
                 raise SchemaError(path, f"masses for {point!r} must be a mapping")
-            row = {str(x): mass(m) for x, m in masses.items()}
+            row = {str(x): _mass(path, m) for x, m in masses.items()}
             if outcomes is None:
                 outcomes = tuple(row)
                 sample = SampleSpace(outcomes)
@@ -729,7 +666,9 @@ def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
 
 def load_kernel(path: Path | str, sf: SpaceFile, sample: SampleSpace) -> EKernel:
     """The kernel of a 'kernel' table over the space's hypotheses, with one
-    row per hypothesis over the model's outcomes `sample`."""
+    row per hypothesis over the model's outcomes `sample`. Rows of one text
+    are one tuple when the row reader takes the file; the general path
+    reads every row anew."""
     text = _read_text(path)
     n = len(sf.space.family)
     found = _rows(path, text, "kernel", sf._labels(), n, (INF,) * sample.size, sample.outcomes)
@@ -739,15 +678,12 @@ def load_kernel(path: Path | str, sf: SpaceFile, sample: SampleSpace) -> EKernel
     table = data.get("kernel")
     if not isinstance(table, dict):
         raise SchemaError(path, "'kernel' must map hypothesis labels to outcome rows")
-    read = _xvalue_reader(path)
     resolve = sf.resolve
     family = sf.space.family
     outcomes = sample.outcomes
     full = (1 << sample.size) - 1
-    # One row of values per hypothesis id, filled in file order. A row object
-    # is read once: the line reader makes rows of one text one object.
+    # One row of values per hypothesis id, filled in file order.
     rows: list = [None] * len(family)
-    row_values: dict[int, tuple] = {}  # by the id of a row object
     # The first row, in file order, that misses an outcome or names an unknown
     # one; it is refused after a missing hypothesis would be.
     bad_row = None
@@ -758,14 +694,10 @@ def load_kernel(path: Path | str, sf: SpaceFile, sample: SampleSpace) -> EKernel
         hid = resolve(path, label)
         if rows[hid] is not None:
             raise _named_twice(path, sf, table, hid, label)
-        values = row_values.get(id(row))
-        if values is not None:
-            rows[hid] = values
-            continue
         cells: list = [None] * sample.size
         got, unknown = 0, False
         for x, raw in row.items():
-            value = read(raw)
+            value = _xvalue(path, raw)
             xi = sample.positions.get(str(x))
             if xi is None:
                 unknown = True
@@ -774,10 +706,10 @@ def load_kernel(path: Path | str, sf: SpaceFile, sample: SampleSpace) -> EKernel
                 got |= 1 << xi
         if bad_row is None and (got != full or unknown):
             bad_row = (label, got, row)
-        rows[hid] = row_values[id(row)] = tuple(cells)
+        rows[hid] = tuple(cells)
     empty = family.empty_id
     if rows[empty] is None:
-        rows[empty] = (read("inf"),) * sample.size
+        rows[empty] = (INF,) * sample.size
     if None in rows:
         labels = [sf.space.label(hid) for hid, row in enumerate(rows) if row is None]
         raise SchemaError(path, f"kernel misses hypotheses: {labels}")
@@ -842,6 +774,15 @@ def _decision_rows(path, table: dict, model: Model, decisions) -> dict[str, dict
     return rows
 
 
+def _entry_labels(path, key: str, entries: list) -> tuple[str, ...]:
+    """The entries of a `decisions` or `elements` list as labels; a null,
+    list or mapping entry is refused."""
+    for entry in entries:
+        if entry is None or isinstance(entry, (list, dict)):
+            raise SchemaError(path, f"{key} entry {entry!r} is not a label")
+    return tuple(map(str, entries))
+
+
 def load_decision_problem(path: Path | str, model: Model) -> ConsequenceTable:
     """The decision problem of a file as one consequence table: a numeric
     table (`ConsequenceTable.numeric`) from a 'loss', or the labelled
@@ -852,7 +793,7 @@ def load_decision_problem(path: Path | str, model: Model) -> ConsequenceTable:
     decisions = data.get("decisions")
     if not isinstance(decisions, list) or not decisions:
         raise SchemaError(path, "'decisions' must be a non-empty list")
-    decisions = tuple(str(d) for d in decisions)
+    decisions = _entry_labels(path, "'decisions'", decisions)
     if len(set(decisions)) != len(decisions):
         raise SchemaError(path, "decision labels must be unique")
     if "loss" in data:
@@ -874,7 +815,7 @@ def load_decision_problem(path: Path | str, model: Model) -> ConsequenceTable:
         raise SchemaError(path, "'consequences.elements' must be a non-empty list")
     if not isinstance(order_pairs, list):
         raise SchemaError(path, "'consequences.order' must be a list of pairs")
-    elements = tuple(str(e) for e in elements)
+    elements = _entry_labels(path, "'consequences.elements'", elements)
     idx = {e: i for i, e in enumerate(elements)}
     pairs = []
     for pair in order_pairs:

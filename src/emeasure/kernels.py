@@ -535,11 +535,11 @@ class EProcess:
         self.kernels = tuple(kernels)
         self.space = space
 
-    def require_measurable(self) -> None:
-        """Raise MeasurabilityError at the first step, in time and then
-        outcome order, whose tables differ inside one of its atoms."""
+    def require_measurable(self) -> list[tuple[tuple[XValue, ...], ...]]:
+        """Per step, the values at each outcome by hypothesis, one transpose
+        of its rows. Raise MeasurabilityError at the first step, in time and
+        then outcome order, whose tables differ inside one of its atoms."""
         outcomes = self.tree.sample.outcomes
-        # Per step, the values at each outcome: one transpose of the rows.
         by_outcome = [tuple(zip(*k.rows)) for k in self.kernels]
         for t, lo, hi, children in sorted(self.tree.nodes):
             if not children:
@@ -554,6 +554,7 @@ class EProcess:
                         f"values at outcomes {outcomes[lo]} and {outcomes[xi]}, "
                         f"which share one atom at that step"
                     )
+        return by_outcome
 
 
 class AnytimeReport:
@@ -588,11 +589,10 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
     (ties stop); it is built only for the first violating pair, in
     check_validity order.
     """
-    proc.require_measurable()
+    by_outcome = proc.require_measurable()
     nodes = proc.tree.nodes
     children = [c for _, _, _, c in nodes]
     # Per node, the values of its step at its first outcome, by hypothesis.
-    by_outcome = [tuple(zip(*k.rows)) for k in proc.kernels]
     steps = [by_outcome[t][lo] for t, lo, _, _ in nodes]
     # Per point: its distribution's denominator, its node mass numerators and
     # the bit mask of the nodes it charges.
@@ -662,8 +662,8 @@ def _stop_rule(
 
 class PredictiveReport:
     """Per outcome, the sup over true hypotheses held against the least
-    hypothesis's value (`identity`); per distribution, the expected sup
-    (`stats`). The sup is never below the least value, so an identity
+    hypothesis's value (`identity`); per distribution, named by its point,
+    the expected sup (`stats`). The sup is never below the least value, so an identity
     entry holds exactly where the two agree."""
 
     __slots__ = ("identity", "stats")
@@ -692,8 +692,8 @@ def check_predictive_validity(k: EKernel, pa: ProbabilityAssignment) -> Predicti
     identity = Report(tuple(
         Entry(x, sup_var[xi], k.rows[least[xi]][xi]) for xi, x in enumerate(k.sample.outcomes)
     ))
-    stats = _pair_report(pa, [(1 << pa.model.size) - 1], [scale(sup_var)], [None]).entries
-    return PredictiveReport(identity, Report(tuple(Entry(None, e.stat, ok=e.ok) for e in stats)))
+    stats = _pair_report(pa, [(1 << pa.model.size) - 1], [scale(sup_var)], [None])
+    return PredictiveReport(identity, stats)
 
 
 # -- pushforwards ----------------------------------------------------------

@@ -243,10 +243,6 @@ class Preorder(Record):
             rows[i] |= 1 << j
         return cls(tuple(rows))
 
-    @classmethod
-    def identity(cls, size: int) -> "Preorder":
-        return cls.from_pairs(size, [])
-
     @property
     def size(self) -> int:
         return len(self.rows)

@@ -367,17 +367,6 @@ def sup_of(values: Iterable[Rationalish]) -> XValue:
 _DIGITS = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
-def rational(raw) -> Fraction:
-    """``Fraction(raw)``; an ASCII-digit 'p' or 'p/q' text is read straight
-    from its two ints, without Fraction's string parser."""
-    if type(raw) is str:
-        m = _DIGITS.fullmatch(raw)
-        if m is not None:
-            p, q = m.groups()
-            return Fraction(int(p), int(q)) if q else Fraction(int(p))
-    return Fraction(raw)
-
-
 def parse_xvalue(raw: object) -> XValue:
     """Lenient parser for file input: ints, 'p/q' strings, 'inf', floats.
 

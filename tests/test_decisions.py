@@ -664,7 +664,7 @@ def test_every_check_entry_is_the_oracle_expectation_of_its_variable():
         ]
         sup_at_outcome = [sup_true[xi][xi] for xi in range(len(points))]
         assert stats(check_predictive_validity(k, pa).stats) == [
-            (None, None, expect(pmf, sup_at_outcome)) for pmf in pa.pmfs
+            (p, None, expect(pmf, sup_at_outcome)) for p, pmf in zip(points, pa.pmfs)
         ]
 
         table, cspace, csample = consequence_instance(r)

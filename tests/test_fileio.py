@@ -196,7 +196,7 @@ def test_two_reads_of_one_file_share_no_memo(tmp_path, monkeypatch):
     assert typed_texts == per_read * 2
     assert sorted(per_read) == sorted({"k", "p", "q", "r", "s", "t", "3/4", "1", "o1"})
     assert first == second and first["k"] is not second["k"]
-    assert first["s"] is first["t"] and second["s"] is not first["s"]
+    assert second["s"] is not first["s"]
 
 
 def test_a_read_leaves_nothing_for_the_cycle_collector(tmp_path):
@@ -303,9 +303,9 @@ def resolver_forms():
     return sorted(t for t in forms if fileio._PLAIN.fullmatch(t))
 
 
-def test_each_plain_scalar_is_typed_as_the_resolver_types_it(monkeypatch):
-    """Through the live safe loader's table, and through the copy the reader
-    types with before yaml is imported."""
+def test_each_plain_scalar_is_typed_as_the_resolver_types_it():
+    """The reader types through its copy of the resolvers as the live safe
+    loader's table types."""
 
     def or_refusal(read, *args):
         try:
@@ -318,16 +318,14 @@ def test_each_plain_scalar_is_typed_as_the_resolver_types_it(monkeypatch):
     expected = [or_refusal(resolver_reading, yaml.SafeLoader, text) for text in scalars]
     kinds = {"str", "bool", "NoneType", "int", "float", "date", "datetime", "refused"}
     assert {kind for kind, _ in expected} == kinds
-    for table in (yaml.SafeLoader.yaml_implicit_resolvers, fileio._copied_resolvers()):
-        monkeypatch.setattr(fileio, "_resolvers", lambda: table)
-        for text, reading in zip(scalars, expected):
-            assert or_refusal(reader_reading, text) == reading, text
+    for text, reading in zip(scalars, expected):
+        assert or_refusal(reader_reading, text) == reading, text
 
 
 def test_the_copied_resolvers_are_the_safe_loaders():
     """The reader's copy of PyYAML's implicit resolvers, which it types
-    with until yaml is imported, has the safe loader's first characters,
-    tags and patterns, in its order; a PyYAML that changes them fails here."""
+    with, has the safe loader's first characters, tags and patterns, in its
+    order; a PyYAML that changes them fails here."""
 
     def spelled(table):
         return {
@@ -336,24 +334,6 @@ def test_the_copied_resolvers_are_the_safe_loaders():
         }
 
     assert spelled(fileio._copied_resolvers()) == spelled(yaml.SafeLoader.yaml_implicit_resolvers)
-
-
-class WildcardLoader(yaml.SafeLoader):
-    """A safe loader with a resolver for scalars of any first character."""
-
-
-WildcardLoader.add_implicit_resolver("tag:yaml.org,2002:null", re.compile(r"^(?:nil|1/2|0)$"), None)
-
-
-def test_a_wildcard_resolver_types_every_scalar(monkeypatch):
-    """A resolver a program adds to the live safe loader types the scalars
-    of every later read."""
-    resolvers = WildcardLoader.yaml_implicit_resolvers
-    monkeypatch.setattr(yaml.SafeLoader, "yaml_implicit_resolvers", resolvers)
-    for text in plain_scalars() + ["nil", "1/2"]:
-        assert reader_reading(text) == resolver_reading(WildcardLoader, text), text
-    assert fileio._Scalars()["1/2"] is fileio._Scalars()["nil"] is None
-    assert fileio._Scalars()["0"] == 0
 
 
 PAIR_SPACE = DATA / "space_coin.yaml"
@@ -490,11 +470,10 @@ ROW_TEXTS = ["{x: 1, y: 2, z: inf}", "{x: 1/2, y: 2, z: 3}", "{x: 0, y: 5/4, z: 
              "{x: inf, y: inf, z: inf}"]
 
 
-def test_a_kernel_read_types_and_parses_each_distinct_text_once(tmp_path, monkeypatch):
+def test_a_kernel_read_types_each_distinct_text_once(tmp_path, monkeypatch):
     """On a kernel file of F rows with r distinct row texts under canonical
-    keys, each distinct scalar is typed once and each distinct value parsed
-    once, r rows are read and each of their texts is one tuple, and no
-    member's label is built, then or when it is printed."""
+    keys, which the general reader reads, each distinct scalar is typed
+    once, and no member's label is built, then or when it is printed."""
     space = helpers.power_space(6)
     r = helpers.rng(31)
     texts = {hid: r.choice(ROW_TEXTS[:3]) for hid in space.family.nonempty_ids()}
@@ -506,27 +485,16 @@ def test_a_kernel_read_types_and_parses_each_distinct_text_once(tmp_path, monkey
         f'  "{keys[hid]}": {text}\n' for hid, text in texts.items()
     ))
     sf = fileio.load_space(tmp_path / "space.yaml")
-    typed_texts, parsed, cells_read, labels_built = [], [], [], []
-    missing, parse, reader = fileio._Scalars.__missing__, fileio.parse_xvalue, fileio._xvalue_reader
+    typed_texts, labels_built = [], []
+    missing = fileio._Scalars.__missing__
     monkeypatch.setattr(
         fileio._Scalars, "__missing__", lambda self, text: typed_texts.append(text) or missing(self, text)
     )
-    monkeypatch.setattr(fileio, "parse_xvalue", lambda raw: parsed.append(raw) or parse(raw))
-
-    def counting_reader(path):
-        read = reader(path)
-        return lambda raw: cells_read.append(raw) or read(raw)
-
-    monkeypatch.setattr(fileio, "_xvalue_reader", counting_reader)
+    monkeypatch.setattr(fileio, "_rows", lambda *args: None)
     monkeypatch.setattr(Model, "label", lambda self, bits: labels_built.append(bits))
     k = fileio.load_kernel(kernel, sf, SampleSpace(("x", "y", "z")))
     cells = {cell.split(": ")[1] for text in ROW_TEXTS for cell in text[1:-1].split(", ")}
     assert len(typed_texts) == len(set(typed_texts)) and cells <= set(typed_texts)
-    assert sorted(map(str, parsed)) == sorted(cells)
-    assert len(cells_read) == 3 * len(set(texts.values())) < 3 * len(texts)
-    for hid, text in texts.items():
-        first = next(h for h, t in texts.items() if t == text)
-        assert k.rows[hid] is k.rows[first]
     assert [k.space.label(hid) for hid in space.family.nonempty_ids()] == [
         keys[hid] for hid in space.family.nonempty_ids()
     ]
@@ -852,14 +820,8 @@ def row_files(r, space, outcomes):
             "evidence": row_file(r, "evidence", values)}
 
 
-def kernel_view(k):
-    """The sample, the rows, and for each hypothesis the first one that
-    shares its row object."""
-    return k.sample, k.rows, [next(j for j, row in enumerate(k.rows) if row is mine) for mine in k.rows]
-
-
 LOADS = {
-    "kernel": (lambda path, sf, sample: fileio.load_kernel(path, sf, sample), kernel_view),
+    "kernel": (lambda path, sf, sample: fileio.load_kernel(path, sf, sample), lambda k: (k.sample, k.rows)),
     "pmf": (lambda path, sf, sample: fileio.load_pmfs(path, sf.space.model),
             lambda pa: (pa.sample, [pmf.scaled for pmf in pa.pmfs])),
     "evidence": (lambda path, sf, sample: fileio.load_evidence(path, sf), lambda e: (e.values, e.eclass)),
@@ -887,9 +849,10 @@ def read_both_ways(monkeypatch, kind, path, sf, sample):
 def test_the_row_reader_reads_as_the_general_reader(tmp_path, monkeypatch):
     """Seeded kernel, model and evidence files, most in the row shape and
     the rest one edit away from it, load as the general reader alone loads
-    them, or are refused in the same words: equal rows shared by the same
-    hypotheses, equal scaled masses, equal values and class. The row reader
-    takes some files of each kind and declines others."""
+    them, or are refused in the same words: equal rows, equal scaled
+    masses, equal values and class. The row reader takes some files of
+    each kind and declines others; its sharing of equal rows is held by
+    tests/test_kernel_rows.py."""
     sfs = []
     quoted = lambda labels: "[" + ", ".join(f"'{label}'" for label in labels) + "]"
     for i, (space, _) in enumerate(ROW_SPACES):
@@ -932,5 +895,5 @@ def test_a_plain_yes_is_no_quoted_yes_outcome(tmp_path, monkeypatch):
         assert shipped == general
         results.append(shipped)
     assert results[0] == (fileio.SchemaError, f"{kernel}: row for 'p' misses outcome 'yes'")
-    _, rows, _ = results[1]
+    _, rows = results[1]
     assert rows[1:] == ((XValue(1), XValue(1)),) * 3

@@ -260,14 +260,33 @@ def test_a_numeric_decision_problem_renders_each_distinct_loss_once(monkeypatch,
     assert counts == [72, 144, 288]
 
 
+def _one_pass(argv) -> dict[str, int]:
+    """What a job's reads cost when each table file is read in one pass:
+    `fileio._read_table` once per space and tree file, `SpaceFile.resolve`
+    once per `--family` label and never for a table row, and `_xvalue` once
+    per distinct cell text of each kernel, model and evidence file."""
+    kinds = {Path(arg): Path(arg).stem.rpartition("_")[2].rstrip("0123456789")
+             for arg in argv if arg.endswith(".yaml")}
+    cells = sum(
+        len(set(re.findall(r": ([^ ,{}\n]+)(?=[,}\n])", path.read_text())))
+        for path, kind in kinds.items() if kind in ("kernel", "model", "evidence")
+    )
+    family = argv[argv.index("--family") + 1].split("|") if "--family" in argv else []
+    return {
+        "_read_table": sum(kind in ("space", "tree") for kind in kinds.values()),
+        "resolve": sum(1 for label in family if label),
+        "_xvalue": cells,
+    }
+
+
 def test_a_check_reads_its_table_files_in_one_pass(monkeypatch, capsys, tmp_path):
     """L5 input: perfbench's `check` inputs on the 32-, 64-, 128- and
-    256-member chain spaces have kernel and model files of the row shape,
-    which the row reader reads: per job `fileio._read_table` runs once, for
-    the space file, `SpaceFile.resolve` never runs, and `_xvalue` runs once
-    per distinct cell text of the kernel and the model file. Reading them
-    with the general reader runs `_read_table` three times and `resolve`
-    once per kernel row."""
+    256-member chain spaces, its `closure` inputs, and its anytime and
+    selection searches have kernel, model and evidence files of the row
+    shape, which the row reader reads (`_one_pass`): `fileio._read_table`
+    runs only for the space and tree files, and `SpaceFile.resolve` never
+    runs for a row. Reading a check's files with the general reader runs
+    `_read_table` three times and `resolve` once per kernel row."""
     monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
     import workloads
 
@@ -278,16 +297,24 @@ def test_a_check_reads_its_table_files_in_one_pass(monkeypatch, capsys, tmp_path
             return original(*args)
 
         monkeypatch.setattr(owner, name, counted)
-    for members in (32, 64, 128, 256):
-        corpus = workloads.Corpus(tmp_path, "checks", members)
-        argv = list(workloads.checks_job(corpus, "validity", members, 3, False).argv)
-        cells = sum(
-            len(set(re.findall(r": ([^ ,{}]+)[,}]", Path(argv[argv.index(option) + 1]).read_text())))
-            for option in ("--kernel", "--model")
-        )
+    makers = [
+        ("checks", members, lambda c, m=members: workloads.checks_job(c, "validity", m, 3, False))
+        for members in (32, 64, 128, 256)
+    ]
+    makers += [
+        ("lattice", 11, lambda c: workloads.closure_job(c, ("blocks", 9, 7), "measure")),
+        ("lattice", 23, lambda c: workloads.closure_job(c, ("tangled", 8, 12), "capacity")),
+        ("search", 11, lambda c: workloads.anytime_job(c, 2, 3, 3, True)),
+        ("search", 23, lambda c: workloads.anytime_job(c, 3, 2, 2, False)),
+        ("search", 11, lambda c: workloads.selection_job(c, "self-consistent", 8, "half")),
+        ("search", 23, lambda c: workloads.selection_job(c, "closed-ebh", 7, "none")),
+    ]
+    for n, (workload, seed, make) in enumerate(makers):
+        (tmp_path / str(n)).mkdir()
+        job = make(workloads.Corpus(tmp_path / str(n), workload, seed))
         calls.update(dict.fromkeys(calls, 0))
-        assert cli.main(argv) == cli.EXIT_OK
-        assert calls == {"_read_table": 1, "resolve": 0, "_xvalue": cells}, members
+        assert cli.main(list(job.argv)) == job.expect, job.kind
+        assert calls == _one_pass(job.argv), job.kind
     capsys.readouterr()
 
 

@@ -277,7 +277,10 @@ def _unreached() -> set[str]:
     The walk starts at every definition in cli.py and at the statements an
     import runs, and follows every name and attribute a reached definition
     mentions to every definition of that name, a method's too. Re-exports in
-    __init__ do not count, so a name that only tests use is unreached.
+    __init__ do not count, so a name that only tests use is unreached. The
+    walk matches attributes by name, not by owner: a method that only
+    tests call is reached when cli.py reads an attribute of the same name
+    on another object.
     """
     found = _definitions()
     cli = ast.parse((PACKAGE / "cli.py").read_text())
@@ -303,7 +306,7 @@ def test_every_definition_is_reached_from_a_subcommand_or_kept_for_a_reason():
 
 
 # The lines of src/emeasure/*.py, as `wc -l` counts them.
-LINE_BUDGET = 4209
+LINE_BUDGET = 4135
 
 
 def test_the_package_stays_within_its_line_budget():

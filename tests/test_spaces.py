@@ -161,7 +161,7 @@ def test_class_from_preorder_least_is_the_principal_upper_set():
 
 def test_class_from_identity_preorder_is_power_set():
     model = Model(("P1", "P2", "P3"))
-    space = class_from_preorder(model, Preorder.identity(3))
+    space = class_from_preorder(model, Preorder.from_pairs(3, []))
     assert len(space.family) == 8
 
 
@@ -196,7 +196,7 @@ def test_preorder_validation():
 def test_preorder_from_power_set_is_identity():
     space = helpers.power_space(3)
     pre = preorder_from_class(space)
-    assert pre == Preorder.identity(3)
+    assert pre == Preorder.from_pairs(3, [])
 
 
 def test_preorder_from_overlap_example():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from emeasure import INF, ONE, XValue, ZERO, as_xvalue, inf_of, parse_xvalue, sup_of
-from emeasure.xvalue import order_keys, rational, scale
+from emeasure.xvalue import order_keys, scale
 
 fractions = st.fractions(min_value=0, max_value=100)
 
@@ -380,26 +380,6 @@ def test_parse_refuses_negative_infinity():
     assert parse_xvalue(float("inf")) == INF
     with pytest.raises(ValueError):
         parse_xvalue(float("-inf"))
-
-
-def _fraction_or_error(read, raw):
-    try:
-        value = read(raw)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        return type(exc).__name__, str(exc)
-    return type(value).__name__, value.numerator, value.denominator
-
-
-def test_rational_reads_every_text_as_fraction_does():
-    """The digit fast path gives Fraction's value, or its error, on seeded
-    'p' and 'p/q' texts and on texts it leaves to Fraction."""
-    r = helpers.rng(41)
-    digits = lambda: "".join(r.choice("0123456789") for _ in range(r.randint(1, 6)))
-    texts = [digits() for _ in range(200)] + [f"{digits()}/{digits()}" for _ in range(300)]
-    texts += ["0/0", "3/0", "007/2", " 3", "3 ", "1_0", "+3", "-3/4", "3.5", "1e3", "3/4/5",
-              "/4", "3/", "", "inf", "\u0663", "3/\u0664", 7, Fraction(3, 4), 2.5, [1]]
-    for raw in texts:
-        assert _fraction_or_error(rational, raw) == _fraction_or_error(Fraction, raw), raw
 
 
 def _pair_or_error(read, raw):

@@ -18,7 +18,7 @@ sides get the same inputs:
   points and numeric losses from a wide range, so their consequence orders
   have up to 24 distinct values. The records hold every `bound` entry
   (named `decide/N`);
-- `decide` on the 24-point prefix chain with 12 and with 48 decisions and
+- `decide` on the 24-point prefix chain with 12, 48 and 96 decisions and
   all losses distinct (24·D consequences), with every `--bound`, with and
   without `--outcome`, in both formats (named `chain/D`);
 - 360 seeded random `check` inputs, in the records and in the text format,
@@ -89,7 +89,7 @@ DATA = ROOT / "tests" / "data"
 DECIDE_INPUTS = 720  # random `decide` inputs, from the first seed
 CHECK_INPUTS = 360  # random `check` inputs, from the first seed
 ARGV_PER_CASE = 5  # mutated command lines per corpus case, from the first seed
-CHAIN_DECISIONS = (12, 48)  # decisions D on the 24-point prefix chain
+CHAIN_DECISIONS = (12, 48, 96)  # decisions D on the 24-point prefix chain
 LATTICE_INPUTS = 240  # random `space` inputs, and as many `closure` inputs
 
 # What one run of an argv gives: exit code, stdout and stderr.
