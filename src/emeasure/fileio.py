@@ -21,22 +21,22 @@ those ``yaml.safe_load`` makes of it:
 - no key or plain scalar longer than 1000 characters;
 - lines of printable ASCII; blank lines and whole-line '#' comments.
 
-Each distinct plain scalar of a read is typed once (``_Scalars``) by a
-copy of the safe loader's implicit resolvers (``_IMPLICIT``), which a test
-holds equal to PyYAML's table. The reader types three kinds itself: a
-scalar whose first character starts no resolver is a string, a decimal int
-such as ``0`` or ``17`` is an int, and a digit ratio such as ``3/4`` is a
-string. Every other plain scalar (``08``, ``0x1f``, ``1:30``, ``on``,
-``1e3``, ``2001-12-14``, ``o1``, ...) takes the tag of the first resolver
-that matches it, or is a string when none does. Only a scalar that is no
-string is built by PyYAML's ``SafeConstructor``, which imports yaml. Every
-other file, from anchors, tags, quoted values and tabs to documents that
-are no YAML at all, goes whole to ``yaml.load`` with PyYAML's pure-Python
-``SafeLoader``, so its errors name the file and it reads as
-``yaml.safe_load`` reads it whether or not PyYAML was built with libyaml,
-whose parser reads a few documents otherwise. So a run whose files all
-have the table shape and whose scalars are strings and decimal ints never
-imports yaml.
+Each distinct plain scalar of a read is typed once (``_Scalars``). On
+these characters the safe loader's implicit resolvers can make no string
+of a scalar unless it is one of its 22 bool and null words (``_WORDS``) or
+starts with a sign, a '.' or a digit (``_NUMERIC``); a test holds that
+against PyYAML's table. So the reader types a decimal int such as ``0`` or
+``17`` as an int, a digit ratio such as ``3/4`` and every scalar that is
+neither a word nor so led (``o1``, ``x``, ``inf``) as a string, and leaves
+the rest (``on``, ``~``, ``08``, ``0x1f``, ``1:30``, ``2001-12-14``,
+``1st``, ...) to PyYAML's safe resolver and ``SafeConstructor``
+(``_safe_scalar``), which imports yaml. Every other file, from anchors,
+tags, quoted values and tabs to documents that are no YAML at all, goes
+whole to ``yaml.load`` with PyYAML's pure-Python ``SafeLoader``, so its
+errors name the file and it reads as ``yaml.safe_load`` reads it whether or
+not PyYAML was built with libyaml, whose parser reads a few documents
+otherwise. So a run whose files all have the table shape imports yaml only
+for a scalar of the rest.
 
 A hypothesis label, a key of an evidence or kernel table or an item of
 ``--family``, is a name declared under ``generators``, ``empty`` or ``{}``
@@ -112,76 +112,11 @@ class SchemaError(Exception):
 
 def _yaml():
     """PyYAML, imported where a read first needs it: for a file the line
-    reader does not read, or for a plain scalar that is no string."""
+    reader does not read (`_load_full`), or for a plain scalar that the
+    safe resolver may type as no string (`_safe_scalar`)."""
     import yaml
 
     return yaml
-
-
-_TAG = "tag:yaml.org,2002:"
-_STR = _TAG + "str"
-# PyYAML's implicit resolvers, as yaml/resolver.py (PyYAML 6) adds them to
-# its safe loader: the tag, the pattern and its flags, and the first
-# characters of the scalars it is tried on ('' for the empty scalar). A test
-# holds the copy equal to the live table.
-_IMPLICIT = (
-    ("bool", r'''^(?:yes|Yes|YES|no|No|NO
-                    |true|True|TRUE|false|False|FALSE
-                    |on|On|ON|off|Off|OFF)$''', re.X, "yYnNtTfFoO"),
-    ("float", r'''^(?:[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?
-                    |\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
-                    |[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*
-                    |[-+]?\.(?:inf|Inf|INF)
-                    |\.(?:nan|NaN|NAN))$''', re.X, "-+0123456789."),
-    ("int", r'''^(?:[-+]?0b[0-1_]+
-                    |[-+]?0[0-7_]+
-                    |[-+]?(?:0|[1-9][0-9_]*)
-                    |[-+]?0x[0-9a-fA-F_]+
-                    |[-+]?[1-9][0-9_]*(?::[0-5]?[0-9])+)$''', re.X, "-+0123456789"),
-    ("merge", r'^(?:<<)$', 0, "<"),
-    ("null", r'''^(?: ~
-                    |null|Null|NULL
-                    | )$''', re.X, ("~", "n", "N", "")),
-    ("timestamp", r'''^(?:[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]
-                    |[0-9][0-9][0-9][0-9] -[0-9][0-9]? -[0-9][0-9]?
-                     (?:[Tt]|[ \t]+)[0-9][0-9]?
-                     :[0-9][0-9] :[0-9][0-9] (?:\.[0-9]*)?
-                     (?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?)$''', re.X, "0123456789"),
-    ("value", r'^(?:=)$', 0, "="),
-    ("yaml", r'^(?:!|&|\*)$', 0, "!&*"),
-)
-
-
-class _Pattern:
-    """A copied resolver pattern, compiled when a scalar is first matched
-    against it, so a run compiles only the patterns its scalars try. The
-    compiled pattern's `match` is then kept in the `match` slot, and later
-    scalars call it without a lookup in `re`'s cache."""
-
-    __slots__ = ("pattern", "flags", "match")
-
-    def __init__(self, pattern: str, flags: int):
-        self.pattern = pattern
-        self.flags = flags
-
-    def __getattr__(self, name: str):
-        # Reached only while the `match` slot is unset.
-        if name != "match":
-            raise AttributeError(name)
-        self.match = re.compile(self.pattern, self.flags).match
-        return self.match
-
-
-@functools.cache
-def _copied_resolvers() -> dict:
-    """`_IMPLICIT` as PyYAML keeps it: by first character, a list of (tag,
-    pattern) in the order they are tried."""
-    table: dict = {}
-    for tag, pattern, flags, first in _IMPLICIT:
-        regexp = _Pattern(pattern, flags)
-        for ch in first:
-            table.setdefault(ch, []).append((_TAG + tag, regexp))
-    return table
 
 
 # A plain scalar here has no spaces: one or more of the characters of `_C`,
@@ -193,6 +128,14 @@ _PLAIN = re.compile(rf"(?!-(?!{_C})){_C}+(?::{_C}+)*")
 # does: a decimal int without sign, '_' or leading zero (group 1), and a
 # ratio of two digit runs, which no resolver matches and so is a string.
 _TYPED = re.compile(r"([1-9][0-9]*|0)|[0-9]+/[0-9]+")
+# The plain scalars of `_PLAIN` that the safe resolver may type as no
+# string: its bool and null words, and any that starts with a character of
+# `_NUMERIC`, as floats, ints and timestamps do. Every other one is a
+# string; a test holds both against PyYAML's table.
+_WORDS = frozenset(
+    "yes Yes YES no No NO true True TRUE false False FALSE on On ON off Off OFF ~ null Null NULL".split()
+)
+_NUMERIC = "-+.0123456789"
 # Structure is matched with this looser class; each distinct scalar is then
 # checked against `_PLAIN` when it is first typed.
 _S = r"[A-Za-z0-9_.~/+:-]+"
@@ -217,37 +160,31 @@ class _Scalars(dict):
     builds it. A text that is no plain scalar of the line reader raises
     KeyError.
 
-    The copied resolvers (`_copied_resolvers`) are picked by a scalar's
-    first character, so a scalar whose first character starts none is a
-    string. A decimal int and a digit ratio (`_TYPED`) are typed here. Every
-    other scalar gets the tag of the first resolver that matches it and,
-    unless it is a string, its value from the safe constructor."""
+    A decimal int and a digit ratio (`_TYPED`) are typed here, as are the
+    scalars that are no word of `_WORDS` and start with no character of
+    `_NUMERIC`: all strings. The rest, such as ``on``, ``~``, ``08``,
+    ``1:30`` or ``1st``, are typed by `_safe_scalar`."""
 
     def __missing__(self, text):
         if len(text) > _KEY_MAX or not _PLAIN.fullmatch(text):
             raise KeyError(text)
-        resolvers = _copied_resolvers().get(text[0])
-        if resolvers is None:
-            value = text
+        typed = _TYPED.fullmatch(text)
+        if typed is not None:
+            value = int(text) if typed[1] else text
+        elif text in _WORDS or text[0] in _NUMERIC:
+            value = _safe_scalar(text)
         else:
-            typed = _TYPED.fullmatch(text)
-            value = _resolved(text, resolvers) if typed is None else int(text) if typed[1] else text
+            value = text
         self[text] = value
         return value
 
 
-def _resolved(text: str, resolvers: list):
-    """A plain scalar tagged by the first of `resolvers`, those of its first
-    character, that matches it, and built by the safe constructor; a string
-    needs no yaml import."""
-    for tag, regexp in resolvers:
-        if regexp.match(text):
-            break
-    else:
-        return text
-    if tag == _STR:
-        return text
+def _safe_scalar(text: str):
+    """A plain scalar as `_load_full`'s loader reads it: tagged by the safe
+    loader's implicit resolvers and built by its constructor. `resolve`
+    reads only tables of the class, so it needs no loader of a stream."""
     yaml = _yaml()
+    tag = yaml.SafeLoader.resolve(yaml.SafeLoader, yaml.ScalarNode, text, (True, False))
     constructor = yaml.constructor.SafeConstructor()
     return constructor.yaml_constructors[tag](constructor, yaml.ScalarNode(tag, text))
 
@@ -732,25 +669,9 @@ def load_tree(path: Path | str, sample: SampleSpace) -> FiltrationTree:
     if shape is None:
         raise SchemaError(path, "need a 'tree' entry")
     try:
-        return FiltrationTree(sample, _tree_shape(path, shape))
-    except EvidenceError as exc:  # leaves that are not the outcomes in order
+        return FiltrationTree(sample, shape)
+    except EvidenceError as exc:  # a node of no tree, or leaves out of order
         raise SchemaError(path, str(exc)) from None
-
-
-def _tree_shape(path, shape):
-    """The shape, once each of its nodes, visited in pre-order without
-    recursion, is an outcome label or a non-empty list of nodes."""
-    todo = [shape]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, str):
-            continue
-        if not isinstance(node, list) or not node:
-            raise SchemaError(
-                path, f"tree node {node!r} is neither an outcome label nor a non-empty list of nodes"
-            )
-        todo.extend(reversed(node))
-    return shape
 
 
 def _decision_rows(path, table: dict, model: Model, decisions) -> dict[str, dict]:
@@ -775,8 +696,8 @@ def _decision_rows(path, table: dict, model: Model, decisions) -> dict[str, dict
 
 
 def _entry_labels(path, key: str, entries: list) -> tuple[str, ...]:
-    """The entries of a `decisions` or `elements` list as labels; a null,
-    list or mapping entry is refused."""
+    """The entries of a `decisions` or `elements` list, an order pair or a
+    table row as labels; a null, list or mapping entry is refused."""
     for entry in entries:
         if entry is None or isinstance(entry, (list, dict)):
             raise SchemaError(path, f"{key} entry {entry!r} is not a label")
@@ -821,15 +742,16 @@ def load_decision_problem(path: Path | str, model: Model) -> ConsequenceTable:
     for pair in order_pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(path, f"order entry {pair!r} is not a pair")
-        a, b = (str(pair[0]), str(pair[1]))
+        a, b = _entry_labels(path, "'consequences.order'", pair)
         if a not in idx or b not in idx:
             raise SchemaError(path, f"order pair {pair!r} uses unknown elements")
         pairs.append((idx[a], idx[b]))
     pre = Preorder.from_pairs(len(elements), pairs).transitive_closure()
     rows = _decision_rows(path, table, model, decisions)
+    labels = [_entry_labels(path, "'table'", [rows[p][d] for d in decisions]) for p in model.points]
     try:
         cspace = ConsequenceSpace(elements, pre)
-        cells = [[cspace.index(str(rows[p][d])) for d in decisions] for p in model.points]
+        cells = [list(map(cspace.index, row)) for row in labels]
         return ConsequenceTable(model, decisions, cspace, cells)
     except Exception as exc:
         raise SchemaError(path, str(exc)) from None

@@ -454,7 +454,7 @@ def eposterior_closed(
 
 # -- finite-horizon processes -------------------------------------------
 
-TreeShape = Union[str, Sequence["TreeShape"]]
+TreeShape = Union[str, list["TreeShape"]]
 
 # A tree node: its depth t, its outcomes lo..hi-1 and its children's indices
 # in the node list.
@@ -494,7 +494,9 @@ _CLOSE = object()
 
 
 def _flatten(shape: TreeShape) -> tuple[list[TreeNode], list[str]]:
-    """The post-order nodes of a tree shape and its leaves, left to right."""
+    """The post-order nodes of a tree shape and its leaves, left to right.
+    The nodes are visited in pre-order, and the first that is neither an
+    outcome label nor a non-empty list is refused."""
     nodes: list[TreeNode] = []
     leaves: list[str] = []
     # The internal nodes not yet closed, as (depth, first leaf, child
@@ -509,8 +511,10 @@ def _flatten(shape: TreeShape) -> tuple[list[TreeNode], list[str]]:
         elif isinstance(node, str):
             leaves.append(node)
             node = (t, len(leaves) - 1, len(leaves), ())
-        elif not node:
-            raise KernelError("a tree node needs an outcome label or at least one child")
+        elif not isinstance(node, list) or not node:
+            raise KernelError(
+                f"tree node {node!r} is neither an outcome label nor a non-empty list of nodes"
+            )
         else:
             opened.append((t, len(leaves), []))
             todo.append((_CLOSE, t))

@@ -215,7 +215,7 @@ def test_a_read_leaves_nothing_for_the_cycle_collector(tmp_path):
         gc.enable()
 
 
-# -- plain scalars typed without the resolver ---------------------------------
+# -- plain scalars typed as the safe resolver types them ----------------------
 
 # YAML 1.1 scalars that look like ints or strings and are not, and pieces
 # that join into more plain scalars.
@@ -303,9 +303,11 @@ def resolver_forms():
     return sorted(t for t in forms if fileio._PLAIN.fullmatch(t))
 
 
-def test_each_plain_scalar_is_typed_as_the_resolver_types_it():
-    """The reader types through its copy of the resolvers as the live safe
-    loader's table types."""
+def test_each_plain_scalar_is_typed_as_the_resolver_types_it(monkeypatch):
+    """The reader types each plain scalar as the live safe loader's resolver
+    and constructor type it, and hands to PyYAML (`_safe_scalar`) only the
+    words of `_WORDS` and the scalars led by a character of `_NUMERIC` that
+    are no decimal int or digit ratio."""
 
     def or_refusal(read, *args):
         try:
@@ -318,22 +320,33 @@ def test_each_plain_scalar_is_typed_as_the_resolver_types_it():
     expected = [or_refusal(resolver_reading, yaml.SafeLoader, text) for text in scalars]
     kinds = {"str", "bool", "NoneType", "int", "float", "date", "datetime", "refused"}
     assert {kind for kind, _ in expected} == kinds
+    handed = []
+    safe_scalar = fileio._safe_scalar
+    monkeypatch.setattr(fileio, "_safe_scalar", lambda text: handed.append(text) or safe_scalar(text))
     for text, reading in zip(scalars, expected):
         assert or_refusal(reader_reading, text) == reading, text
+    int_or_ratio = re.compile(r"0|[1-9][0-9]*|[0-9]+/[0-9]+")
+    assert handed == [
+        text for text in scalars
+        if text in fileio._WORDS or (text[0] in fileio._NUMERIC and not int_or_ratio.fullmatch(text))
+    ]
 
 
-def test_the_copied_resolvers_are_the_safe_loaders():
-    """The reader's copy of PyYAML's implicit resolvers, which it types
-    with, has the safe loader's first characters, tags and patterns, in its
-    order; a PyYAML that changes them fails here."""
-
-    def spelled(table):
-        return {
-            ch: [(tag, re.compile(rx.pattern, rx.flags)) for tag, rx in pairs]
-            for ch, pairs in table.items()
-        }
-
-    assert spelled(fileio._copied_resolvers()) == spelled(yaml.SafeLoader.yaml_implicit_resolvers)
+def test_only_the_words_and_numeric_starts_can_read_as_no_string():
+    """The premise of the reader's typing, on the live safe loader's table:
+    of the characters a plain scalar of the reader starts with, those that
+    start an implicit resolver are exactly `_NUMERIC` and the first
+    characters of `_WORDS`, no resolver is tried on every scalar, and each
+    word resolves to a tag other than str. A PyYAML that adds a resolver
+    for another first character fails here."""
+    resolvers = yaml.SafeLoader.yaml_implicit_resolvers
+    assert None not in resolvers
+    starts = {ch for ch in resolvers if ch and re.fullmatch(fileio._C, ch)}
+    assert starts == set(fileio._NUMERIC) | {word[0] for word in fileio._WORDS}
+    assert len(fileio._WORDS) == 22
+    for word in fileio._WORDS:
+        tag = yaml.SafeLoader.resolve(yaml.SafeLoader, yaml.ScalarNode, word, (True, False))
+        assert tag != "tag:yaml.org,2002:str", word
 
 
 PAIR_SPACE = DATA / "space_coin.yaml"

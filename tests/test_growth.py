@@ -264,7 +264,8 @@ def _one_pass(argv) -> dict[str, int]:
     """What a job's reads cost when each table file is read in one pass:
     `fileio._read_table` once per space and tree file, `SpaceFile.resolve`
     once per `--family` label and never for a table row, and `_xvalue` once
-    per distinct cell text of each kernel, model and evidence file."""
+    per distinct cell text of each kernel, model and evidence file. No
+    scalar of perfbench's files needs PyYAML to be typed (`_safe_scalar`)."""
     kinds = {Path(arg): Path(arg).stem.rpartition("_")[2].rstrip("0123456789")
              for arg in argv if arg.endswith(".yaml")}
     cells = sum(
@@ -276,6 +277,7 @@ def _one_pass(argv) -> dict[str, int]:
         "_read_table": sum(kind in ("space", "tree") for kind in kinds.values()),
         "resolve": sum(1 for label in family if label),
         "_xvalue": cells,
+        "_safe_scalar": 0,
     }
 
 
@@ -285,13 +287,16 @@ def test_a_check_reads_its_table_files_in_one_pass(monkeypatch, capsys, tmp_path
     selection searches have kernel, model and evidence files of the row
     shape, which the row reader reads (`_one_pass`): `fileio._read_table`
     runs only for the space and tree files, and `SpaceFile.resolve` never
-    runs for a row. Reading a check's files with the general reader runs
-    `_read_table` three times and `resolve` once per kernel row."""
+    runs for a row; no scalar is typed by PyYAML. Reading a check's files
+    with the general reader runs `_read_table` three times and `resolve`
+    once per kernel row."""
     monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
     import workloads
 
-    calls = {"_read_table": 0, "resolve": 0, "_xvalue": 0}
-    for owner, name in ((fileio, "_read_table"), (fileio.SpaceFile, "resolve"), (fileio, "_xvalue")):
+    hooks = ((fileio, "_read_table"), (fileio.SpaceFile, "resolve"), (fileio, "_xvalue"),
+             (fileio, "_safe_scalar"))
+    calls = {name: 0 for _, name in hooks}
+    for owner, name in hooks:
         def counted(*args, name=name, original=getattr(owner, name)):
             calls[name] += 1
             return original(*args)

@@ -492,7 +492,7 @@ def test_uneven_tree_keeps_shallow_leaves_as_atoms():
     rules = helpers.oracle_stopping_times(tree)
     assert set(rules) == {(0, 0, 0), (1, 1, 1), (1, 2, 2)}
     assert len(rules) == tree.count_stopping_times() == 3
-    with pytest.raises(KernelError, match="at least one child"):
+    with pytest.raises(KernelError, match="neither an outcome label nor a non-empty list"):
         FiltrationTree(sample, ["a", ["b", "c", []]])
 
 

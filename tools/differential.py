@@ -40,7 +40,11 @@ sides get the same inputs:
   outcomes shuffled in each row, with quoted point keys, or with the
   masses spelled as the kernel cells are; one model in 100 has a row with
   a negative mass, an inf mass or an unknown outcome (inputs 50, 150 and
-  250) (named `check/N`);
+  250). One input in ten names its outcomes with YAML 1.1 words (`yes`,
+  `off`, `~`) and with labels led by a sign, a '.' or a digit (`010`,
+  `1.5`, `1st`, `-x`), which the reader hands to PyYAML's safe resolver,
+  as the row reader's keys and the general reader's alike (named
+  `check/N`);
 - 240 seeded random `space` inputs, in the records and in the text format.
   Half the spaces are written as `_random_space` writes them, on two to six
   points; the other half list redundant generators: the join-irreducible
@@ -501,6 +505,11 @@ ROW_FORMS = ("ordered", "shuffled", "drop", "unknown", "empty-finite")
 # with each row's outcomes shuffled, with quoted point keys, or with masses
 # spelled by `_spell`.
 MODEL_FORMS = ("printed", "shuffled", "quoted", "spelled")
+# Outcome labels of one `check` input in ten, which PyYAML's safe resolver
+# types: YAML 1.1 words, which read as True, False and None, and labels led
+# by a sign, a '.' or a digit, which read as 8, 1.5 or the label itself. No
+# two read as one value, so the labels stay distinct once typed.
+TYPED_OUTCOMES = ("yes", "off", "~", "010", "1.5", "1st", "-x", ".y", "+z")
 
 
 def _key(rng: random.Random, sp, b: int) -> str:
@@ -584,6 +593,8 @@ def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     for n in range(count):
         sp = _random_space(rng, orc, w)
         outcomes = [f"x{i + 1}" for i in range(rng.randint(2, 4))]
+        if rng.random() < 0.1:
+            outcomes = rng.sample(TYPED_OUTCOMES, len(outcomes))
         pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in sp.points]
         columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
         files = {
