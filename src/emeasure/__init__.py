@@ -28,7 +28,6 @@ from .evidence import (
     EvidenceError,
     classify,
     close,
-    merge_convex,
     shilkret_integral,
 )
 from .kernels import (
@@ -45,7 +44,7 @@ from .kernels import (
     close_kernel,
     eposterior_closed,
     eposterior_raw,
-    merge_convex_kernels,
+    merge_convex,
     pushforward_kernel,
 )
 from .multiplicity import (

@@ -181,7 +181,9 @@ _OPTIONS = {
             help="level of --bound probability (default 1/20); the other bounds do not read it",
         ),
         _Option("bound", choices=("econsequence", "grunwald", "probability"), default="econsequence"),
-        _Option("outcome"),
+        _Option("outcome", help="outcome at which to rank decisions and judge admissibility; "
+                "without it no ranking is printed and admissibility reads the first "
+                "outcome's table"),
         _FORMAT,
     ),
 }

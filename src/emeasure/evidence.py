@@ -4,21 +4,23 @@ Shilkret integral.
 Three strengths of table are distinguished: a bare evidence function only
 assigns maximal evidence to the empty hypothesis; a capacity is also
 antitone under inclusion; a measure additionally turns unions into
-infimums. Both laws are tested against the family's join-irreducible
-members only. Closing a table upgrades it to the smallest dominating
+infimums. `table_class`, the one test of both laws, takes one table or all
+of a kernel's at once. Closing upgrades a table to the smallest dominating
 measure, read off the most evidence each point can claim (the min/max form
-of maxitive measures).
+of maxitive measures): `_claims`, then `measure_from_density`, for one
+table in `close` and per outcome in `kernels.close_kernel`. The convex
+merge is `kernels.merge_convex`, on kernel rows.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .spaces import Record, Space
-from .xvalue import INF, ZERO, XValue, as_xvalue, order_keys, sup_of
+from .spaces import HypothesisClass, Record, Space
+from .xvalue import INF, ZERO, XValue, as_xvalue, order_keys, packed_keys, sup_of
+
 
 class EvidenceError(Exception):
     pass
@@ -39,9 +41,9 @@ class EClass(enum.IntEnum):
 
 
 class EFunction(Record):
-    """Evidence per hypothesis id and its strength, the strongest class the
-    values satisfy. The strength is computed when ``eclass`` is first read,
-    unless it was given; equality compares the space and the values."""
+    """Evidence per hypothesis id and its class, the strongest the values
+    satisfy. The class is computed when ``eclass`` is first read, unless it
+    was given; equality compares the space and the values."""
 
     __slots__ = ("space", "values", "_eclass")
     _compared = ("space", "values")
@@ -54,7 +56,7 @@ class EFunction(Record):
     @property
     def eclass(self) -> EClass:
         if self._eclass is None:
-            self._eclass = _strength(self.space, self.values)
+            self._eclass = table_class(self.space.family, [self.values])
         return self._eclass
 
     def __getitem__(self, hid: int) -> XValue:
@@ -64,24 +66,45 @@ class EFunction(Record):
         return self.values[self.space.family.id_of(item)]
 
 
-def _strength(space: Space, values: Sequence[XValue]) -> EClass:
-    """Strongest class the values satisfy, tested along the family's joins.
+def table_class(
+    family: HypothesisClass, columns: Sequence[Sequence[XValue]], slots: Sequence[int] = ()
+) -> EClass:
+    """The strongest class all tables of `columns` satisfy, each column one
+    table's values by row; `slots` gives each member's row (else row i).
 
-    A join adds a join-irreducible J to a member A. Inclusions are chains of
-    joins, so e(A | J) <= e(A) on every join gives antitonicity; unions are
-    built from joins, so e(A | J) = min(e(A), e(J)) gives the union law.
-    Both laws only compare values, so the walk runs on their order keys.
+    A join adds a join-irreducible J to a member A missing part of it.
+    Inclusions are chains of joins and unions are built from them, so
+    e(A | J) <= e(A) at every join gives antitonicity, and e(A | J) =
+    min(e(A), e(J)) the union law. Each row's order keys are packed into one
+    int P, a lane of w key bits per table under guard mask G (`packed_keys`):
+    one subtraction and one mask test antitonicity on every lane. For the
+    union law, g = ((P[J] | G) - P[A]) & G marks the lanes where e(J) >=
+    e(A), and g - (g >> w) widens the marks to key bits: P[A | J] must be
+    P[A] on them and P[J] elsewhere. A join that keeps the union law is
+    antitone, so the walk tests antitonicity only from the first join that
+    breaks the law on, and returns FUNCTION at the first that fails it.
     """
-    keys = order_keys(values)
-    eclass = EClass.MEASURE
-    for a, j, joined in space.family.joins():
-        ka, kj, ku = keys[a], keys[j], keys[joined]
-        if ku == (ka if ka <= kj else kj):
-            continue
-        if ku > ka:
-            return EClass.FUNCTION
-        eclass = EClass.CAPACITY
-    return eclass
+    packed, guard = packed_keys([order_keys(column) for column in columns])
+    if slots:
+        packed = [packed[slot] for slot in slots]
+    members = family.members
+    key_of = dict(zip(members, packed))
+    w = (guard & -guard).bit_length() - 1
+    irreducible = [(members[j], packed[j], packed[j] | guard) for j in family.irreducible_ids()]
+    union_law = True
+    for bits, pa in zip(members, packed):
+        guarded, missing = pa | guard, ~bits
+        for j_bits, pj, pj_guarded in irreducible:
+            if j_bits & missing:
+                pu = key_of[bits | j_bits]
+                if union_law:
+                    g = (pj_guarded - pa) & guard
+                    if pu == pj ^ ((pa ^ pj) & (g - (g >> w))):
+                        continue
+                    union_law = False
+                if (guarded - pu) & guard != guard:
+                    return EClass.FUNCTION
+    return EClass.MEASURE if union_law else EClass.CAPACITY
 
 
 def classify(space: Space, table: Mapping[int, object]) -> EFunction:
@@ -199,30 +222,3 @@ def shilkret_integral(e: EFunction, levels: Iterable[tuple[XValue, int]]) -> XVa
     two levels the set is constant while c grows, so the sup is attained at
     a level, and a level inf stands for the limit c -> inf."""
     return sup_of(c / e.value_of(bits) for c, bits in levels)
-
-
-def merge_convex(functions: Sequence[EFunction], weights: Sequence[Fraction | int]) -> EFunction:
-    """Pointwise convex combination of capacities; the result is a capacity."""
-    if len(functions) != len(weights):
-        raise EvidenceError("need one weight per input")
-    if not functions:
-        raise EvidenceError("nothing to merge")
-    ws = [Fraction(w) for w in weights]
-    if any(w < 0 for w in ws):
-        raise EvidenceError("weights must be non-negative")
-    if sum(ws) != 1:
-        raise EvidenceError(f"weights sum to {sum(ws)}, expected 1")
-    space = functions[0].space
-    for f in functions:
-        if f.space is not space and f.space != space:
-            raise EvidenceError("all inputs must share one space")
-        if f.eclass < EClass.CAPACITY:
-            raise ClassMismatch("merging needs capacities")
-    n = len(space.family)
-    out = []
-    for hid in range(n):
-        total = XValue(0)
-        for f, w in zip(functions, ws):
-            total = total + f.values[hid] * XValue(w)
-        out.append(total)
-    return from_values(space, out)

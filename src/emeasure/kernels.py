@@ -31,10 +31,7 @@ from typing import Mapping, Optional, Sequence, Union
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
 from .spaces import Model, Record, Space, SpaceError, preimages
-from .xvalue import (
-    INF, ONE, ZERO, Scaled, XValue, as_xvalue, dot_at_most, order_keys, packed_keys, ratio,
-    scale,
-)
+from .xvalue import INF, ONE, ZERO, Scaled, XValue, as_xvalue, dot_at_most, ratio, scale
 
 
 class KernelError(EvidenceError):
@@ -136,9 +133,10 @@ class EKernel:
     denominator, its integer numerators and the mask of its infinite
     outcomes. The per-outcome tables (`columns`) are built on first read,
     for the checks and callers that work on one outcome at a time.
-    `is_capacity` tests antitonicity once per kernel, and is the kernel
-    class the checks read; `claims` gives each point's largest evidence per
-    outcome. Both key the distinct row objects only.
+    `eclass` is the weakest class among the outcomes' tables, from one
+    `evidence.table_class` walk; `claims` gives each point's largest
+    evidence per outcome, from which `close_kernel` closes the kernel. Both
+    key the distinct row objects only.
     """
 
     def __init__(self, space: Space, sample: SampleSpace, rows: Sequence[Sequence[XValue]]):
@@ -152,7 +150,7 @@ class EKernel:
         self.rows = rows
         self._scaled: Optional[list[Optional[Scaled]]] = None
         self._columns: Optional[tuple[EFunction, ...]] = None
-        self._capacity: Optional[bool] = None
+        self._eclass: Optional[EClass] = None
 
     def scaled(self) -> list[Optional[Scaled]]:
         """Per hypothesis id, its row as a scaled table, built on first use:
@@ -175,38 +173,19 @@ class EKernel:
     def _distinct(self) -> tuple[list[tuple[XValue, ...]], list[int]]:
         """The distinct row objects, in first-use order, and each
         hypothesis's position among them."""
-        position: dict[int, int] = {}
-        distinct, slots = [], []
-        for row in self.rows:
-            slot = position.get(id(row))
-            if slot is None:
-                slot = position[id(row)] = len(distinct)
-                distinct.append(row)
-            slots.append(slot)
-        return distinct, slots
+        position: dict[int, int] = {}  # by the id of a row object
+        slots = [position.setdefault(id(row), len(position)) for row in self.rows]
+        return list({id(row): row for row in self.rows}.values()), slots
 
     @property
-    def is_capacity(self) -> bool:
-        """Whether every outcome's table is antitone, tested once per kernel.
-
-        Every inclusion between members is a chain of the family's joins,
-        so it is enough that at each join the row of the union is at most
-        the row of the member it extends, outcome by outcome. The keys are
-        built once per distinct row object: each outcome is order-keyed
-        over those rows only, and each row's keys are packed into one int
-        (`packed_keys`), so that one subtraction and one mask test a join.
-        """
-        if self._capacity is None:
+    def eclass(self) -> EClass:
+        """The weakest class among the outcomes' tables, computed on first
+        read: one `evidence.table_class` walk, with one lane per outcome,
+        over the keys of the distinct row objects."""
+        if self._eclass is None:
             distinct, slots = self._distinct()
-            columns = [order_keys(values) for values in zip(*distinct)]
-            packed, guard = packed_keys(columns)
-            guarded = [packed[slot] | guard for slot in slots]
-            packed = [packed[slot] for slot in slots]
-            self._capacity = all(
-                (guarded[a] - packed[joined]) & guard == guard
-                for a, _, joined in self.space.family.joins()
-            )
-        return self._capacity
+            self._eclass = ev.table_class(self.space.family, list(zip(*distinct)), slots)
+        return self._eclass
 
     def claims(self) -> list[list[XValue]]:
         """Per outcome, per point, the most evidence of a member containing
@@ -342,23 +321,45 @@ def _pair_report(
 
 
 def close_kernel(k: EKernel) -> EKernel:
-    """Close every outcome's table. The closure dominates the kernel, so
-    validity is never gained. On an intersection-closed space a valid
-    capacity kernel stays valid: each point's claim sits on its least
-    hypothesis, which bounds the closure of every member holding the point.
-    Elsewhere validity can be lost, since a claim is an outcome-wise max
-    over several members holding the point, and the closure can raise a
-    member to it at every outcome."""
-    return EKernel(k.space, k.sample, zip(*(ev.close(col).values for col in k.columns)))
+    """Close every outcome's table: the measure of its claims (`claims`, one
+    sweep of the distinct rows), as `evidence.close` closes one table. The
+    closure dominates the kernel, so validity is never gained. On an
+    intersection-closed space a valid capacity kernel stays valid: each
+    point's claim sits on its least hypothesis, which bounds the closure of
+    every member holding the point. Elsewhere validity can be lost, since a
+    claim is an outcome-wise max over several members holding the point,
+    and the closure can raise a member to it at every outcome."""
+    closed = [ev.measure_from_density(k.space, claims).values for claims in k.claims()]
+    return EKernel(k.space, k.sample, zip(*closed))
 
 
-def merge_convex_kernels(kernels: Sequence[EKernel], weights: Sequence[Fraction | int]) -> EKernel:
-    first = kernels[0]
-    merged = [
-        ev.merge_convex([k.columns[xi] for k in kernels], weights).values
-        for xi in range(first.sample.size)
+def merge_convex(kernels: Sequence[EKernel], weights: Sequence[Fraction | int]) -> EKernel:
+    """Convex combination of capacity kernels over one space and one sample
+    space, row by row; the result is a capacity kernel."""
+    if len(kernels) != len(weights):
+        raise EvidenceError("need one weight per input")
+    if not kernels:
+        raise EvidenceError("nothing to merge")
+    ws = [Fraction(w) for w in weights]
+    if any(w < 0 for w in ws):
+        raise EvidenceError("weights must be non-negative")
+    if sum(ws) != 1:
+        raise EvidenceError(f"weights sum to {sum(ws)}, expected 1")
+    space, sample = kernels[0].space, kernels[0].sample
+    for k in kernels:
+        if k.space != space:
+            raise EvidenceError("all inputs must share one space")
+        if k.sample != sample:
+            outcomes = f"{list(sample.outcomes)} and {list(k.sample.outcomes)}"
+            raise EvidenceError(f"all inputs must share one sample space, not outcomes {outcomes}")
+        if k.eclass < EClass.CAPACITY:
+            raise ev.ClassMismatch("merging needs capacities")
+    xs = [XValue(w) for w in ws]
+    rows = [
+        tuple(sum(map(mul, cells, xs), ZERO) for cells in zip(*hid_rows))
+        for hid_rows in zip(*(k.rows for k in kernels))
     ]
-    return EKernel(first.space, first.sample, zip(*merged))
+    return EKernel(space, sample, rows)
 
 
 # -- confidence sets and post-hoc levels -------------------------------
@@ -427,7 +428,7 @@ def eposterior_raw(
     ties. The expectations are the product's pair walk, whose entries come
     grouped by hypothesis.
     """
-    if prior.eclass < EClass.CAPACITY or not k.is_capacity:
+    if prior.eclass < EClass.CAPACITY or k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("updating needs capacities")
     post = _product(prior, k)
     entries = []
@@ -444,7 +445,7 @@ def eposterior_closed(
     """Product followed by per-outcome closure; each pair is the closed
     product's pair walk, held against the prior at its point's least
     hypothesis."""
-    if prior.eclass < EClass.CAPACITY or not k.is_capacity:
+    if prior.eclass < EClass.CAPACITY or k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("updating needs capacities")
     k.space.require_intersection_closed()
     post = close_kernel(_product(prior, k))

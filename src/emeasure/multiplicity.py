@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import evidence as ev
-from .evidence import EFunction, EvidenceError
+from .evidence import EClass, EFunction, EvidenceError
 from .kernels import (
     EKernel, ProbabilityAssignment, Report, SampleSpace, _pair_report, check_validity,
 )
@@ -73,7 +73,7 @@ def check_fer(
     the report is one validity pass: the rate is the largest validity
     statistic and it is controlled exactly when the kernel is valid.
     """
-    if not k.is_capacity:
+    if k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("the false-evidence bound needs a capacity kernel")
     k.space.require_intersection_closed()
     if rule is None:

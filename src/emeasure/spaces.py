@@ -108,8 +108,8 @@ class HypothesisClass:
     Besides the members it keeps `generators`, bitsets of the family whose
     unions give every member: those `union_closure` found new, or else all
     the members. Building costs a sort of the members and one dict entry
-    each; point-index tuples, the join-irreducibles and the joins are built
-    on first use.
+    each; point-index tuples and the join-irreducibles are built on first
+    use.
     """
 
     def __init__(
@@ -123,7 +123,6 @@ class HypothesisClass:
         self._index = {bits: i for i, bits in enumerate(members)}
         self._indices: list[Optional[tuple[int, ...]]] = [None] * len(members)
         self._irreducible: Optional[tuple[int, ...]] = None
-        self._joins: Optional[tuple[tuple[int, int, int], ...]] = None
 
     def irreducible_ids(self) -> tuple[int, ...]:
         """Ids of the join-irreducible members: the nonempty members that are
@@ -131,23 +130,6 @@ class HypothesisClass:
         if self._irreducible is None:
             self._irreducible = tuple(_worklist(self.members)[1])
         return self._irreducible
-
-    def joins(self) -> tuple[tuple[int, int, int], ...]:
-        """(member id, irreducible id, id of their union) for every member and
-        every join-irreducible member not inside it.
-
-        Every strict inclusion between members is a chain of such joins, and
-        every member is the union of the irreducibles it contains.
-        """
-        if self._joins is None:
-            irreducible = [(j, self.members[j]) for j in self.irreducible_ids()]
-            self._joins = tuple(
-                (a, j, self._index[m | bits])
-                for a, m in enumerate(self.members)
-                for j, bits in irreducible
-                if bits & ~m
-            )
-        return self._joins
 
     def __len__(self) -> int:
         return len(self.members)

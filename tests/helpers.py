@@ -29,6 +29,7 @@ from emeasure import (
     class_from_preorder,
     classify,
     inf_of,
+    merge_convex,
     optimality_class,
     postprocess_efunction,
     pushforward_kernel,
@@ -55,9 +56,13 @@ def kernel_value(k, hid, x):
     return k.rows[hid][k.sample.index(x) if isinstance(x, str) else x]
 
 
-def kernel_eclass(k):
-    """The weakest class among a kernel's per-outcome tables."""
-    return min(col.eclass for col in k.columns)
+def merge_tables(functions, weights):
+    """The convex merge of evidence tables over one space: each table is
+    wrapped as a kernel of one outcome, the kernels are merged row by row,
+    and the merged kernel's one table is returned."""
+    sample = SampleSpace(("x",))
+    kernels = [EKernel(f.space, sample, [(v,) for v in f.values]) for f in functions]
+    return merge_convex(kernels, weights).columns[0]
 
 
 def pmf_mass(pmf):
@@ -240,11 +245,9 @@ def valid_measure_kernel(r, space, pa):
 
 def valid_capacity_kernel(r, space, pa):
     """Convex mixture of two valid measure kernels; valid, often not a measure."""
-    from emeasure import merge_convex_kernels
-
     k1 = valid_measure_kernel(r, space, pa)
     k2 = valid_measure_kernel(r, space, pa)
-    return merge_convex_kernels([k1, k2], [Fraction(1, 3), Fraction(2, 3)])
+    return merge_convex([k1, k2], [Fraction(1, 3), Fraction(2, 3)])
 
 
 def least_point_kernel(r, space, sample, infinite=True):

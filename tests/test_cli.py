@@ -316,37 +316,37 @@ def test_a_date_that_does_not_exist_is_a_schema_error_naming_its_file(tmp_path, 
     assert captured.err == f"error: {path}: value out of range: month must be in 1..12\n"
 
 
-def _counting_strength(monkeypatch):
-    """Count the calls of `evidence._strength`, the class computation."""
+def _counting_walks(monkeypatch):
+    """Count the calls of `evidence.table_class`, the one class walk."""
     calls = []
-    strength = ev._strength
-    monkeypatch.setattr(ev, "_strength", lambda space, values: calls.append(1) or strength(space, values))
+    walk = ev.table_class
+    monkeypatch.setattr(ev, "table_class", lambda *args: calls.append(1) or walk(*args))
     return calls
 
 
-@pytest.mark.parametrize("check, options, most", [
+@pytest.mark.parametrize("check, options, walks", [
     ("validity", [], 0),
     ("posthoc", [], 0),
     ("posthoc", ["--rule", "1/2"], 0),
     ("fwe", [], 0),
     ("predictive", [], 0),
-    ("fer", [], 8),  # at most once per outcome's column
+    ("fer", [], 1),  # the kernel's class, all outcomes in one walk
 ])
-def test_checks_classify_only_the_columns_they_read(tmp_path, monkeypatch, capsys, check, options, most):
+def test_checks_classify_only_the_columns_they_read(tmp_path, monkeypatch, capsys, check, options, walks):
     """On a 256-member kernel whose outcomes are its 8 points."""
     points = helpers.power_space(8).model.points
     argv = _power_set_validity_argv(tmp_path / "files", 8, outcomes=points)
     argv[argv.index("validity")] = check
-    calls = _counting_strength(monkeypatch)
+    calls = _counting_walks(monkeypatch)
     assert cli.main(argv + options) == cli.EXIT_OK
     capsys.readouterr()
-    assert len(calls) <= most
+    assert len(calls) == walks
 
 
 def _counting_work(monkeypatch):
     """Count the per-outcome tables built, the class computations and the
     tables scaled to integers."""
-    counts = {"tables": [], "classes": _counting_strength(monkeypatch), "scaled": []}
+    counts = {"tables": [], "classes": _counting_walks(monkeypatch), "scaled": []}
     init = ev.EFunction.__init__
     monkeypatch.setattr(
         ev.EFunction, "__init__", lambda self, *args: counts["tables"].append(1) or init(self, *args)
@@ -366,15 +366,16 @@ def _counting_work(monkeypatch):
 ])
 def test_row_checks_build_no_table_and_scale_each_row_once(tmp_path, monkeypatch, capsys, check, options):
     """On a 256-member kernel whose outcomes are its 8 points: no per-outcome
-    table and no class is computed, and besides the 8 distributions and a
-    fixed rule's thresholds, each hypothesis's row is scaled once at most."""
+    table is built, no class is computed but FER's one walk for the kernel,
+    and besides the 8 distributions and a fixed rule's thresholds, each
+    hypothesis's row is scaled once at most."""
     space = helpers.power_space(8)
     argv = _power_set_validity_argv(tmp_path / "files", 8, outcomes=space.model.points)
     argv[argv.index("validity")] = check
     counts = _counting_work(monkeypatch)
     assert cli.main(argv + options) == cli.EXIT_OK
     capsys.readouterr()
-    assert (len(counts["tables"]), len(counts["classes"])) == (0, 0)
+    assert (len(counts["tables"]), len(counts["classes"])) == (0, int(check == "fer"))
     assert len(counts["scaled"]) <= len(space.family) + 8 + 1
 
 
@@ -432,7 +433,8 @@ def test_pair_records_render_once_per_statistic(tmp_path, monkeypatch, capsys, o
 
 def test_one_kernel_scales_each_row_once_across_checks(tmp_path, monkeypatch):
     """Validity, both post-hoc rules and uniform FER on one loaded 256-member
-    kernel scale each hypothesis's row once, and the fixed rule's thresholds."""
+    kernel scale each hypothesis's row once, and the fixed rule's thresholds;
+    the kernel's class is one walk, for FER."""
     points = helpers.power_space(8).model.points
     argv = _power_set_validity_argv(tmp_path / "files", 8, outcomes=points)
     files = {arg.split("=")[0]: arg.split("=")[1] for arg in argv if arg.startswith("--") and "=" in arg}
@@ -448,11 +450,11 @@ def test_one_kernel_scales_each_row_once_across_checks(tmp_path, monkeypatch):
         mtp.check_fer(kernel, pa),
     ]
     assert all(report.ok for report in reports)
-    assert (len(counts["tables"]), len(counts["classes"])) == (0, 0)
+    assert (len(counts["tables"]), len(counts["classes"])) == (0, 1)
     assert len(counts["scaled"]) <= len(sf.space.family) + 1
 
 
-def _no_class(space, values):
+def _no_class(*args):
     raise AssertionError("the class was computed")
 
 
@@ -472,7 +474,7 @@ def test_closure_records_compute_no_class(monkeypatch, capsys, argv):
     argv = argv + ["--format", "records"]
     assert cli.main(argv) == cli.EXIT_OK
     expected = capsys.readouterr()
-    monkeypatch.setattr(ev, "_strength", _no_class)
+    monkeypatch.setattr(ev, "table_class", _no_class)
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr() == expected
 
@@ -484,7 +486,7 @@ def test_closure_records_compute_no_class(monkeypatch, capsys, argv):
      "evidence_ic_empty_finite.yaml: the empty hypothesis must carry infinite evidence"),
 ], ids=["missing-member", "empty-finite"])
 def test_a_table_is_refused_before_its_class_is_computed(monkeypatch, capsys, argv, error):
-    monkeypatch.setattr(ev, "_strength", _no_class)
+    monkeypatch.setattr(ev, "table_class", _no_class)
     argv = [str(DATA / arg) if arg.endswith(".yaml") else arg for arg in argv]
     code = cli.main(argv)
     captured = capsys.readouterr()

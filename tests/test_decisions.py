@@ -503,7 +503,7 @@ def test_binary_kernel_bound_is_exact_coverage():
         except Exception:
             return  # degenerate family; coverage identity tested elsewhere
     k = helpers.kernel_of(space, sample, cols)
-    if helpers.kernel_eclass(k) < EClass.CAPACITY:
+    if k.eclass < EClass.CAPACITY:
         return
     report = check_econsequence_bound(k, pa, table)
     for entry in report.entries:

@@ -12,7 +12,6 @@ from emeasure import (
     XValue,
     classify,
     close,
-    merge_convex,
 )
 from emeasure.evidence import ClassMismatch, NotAnEFunction, from_values, measure_from_density
 from emeasure import evidence as ev
@@ -72,8 +71,8 @@ def test_the_class_is_computed_when_first_read_and_matches_the_definitions(monke
     union-closed spaces: wrapping one computes no class, and the class read
     later is the one the pairwise definitions give."""
     calls = []
-    strength = ev._strength
-    monkeypatch.setattr(ev, "_strength", lambda space, values: calls.append(1) or strength(space, values))
+    walk = ev.table_class
+    monkeypatch.setattr(ev, "table_class", lambda *args: calls.append(1) or walk(*args))
     r = helpers.rng(23)
     seen = set()
     for i in range(60):
@@ -95,10 +94,10 @@ def test_the_class_is_computed_when_first_read_and_matches_the_definitions(monke
 
 
 def test_refusals_come_before_any_class_is_computed(monkeypatch):
-    def refuse(space, values):
+    def refuse(*args):
         raise AssertionError("the class was computed")
 
-    monkeypatch.setattr(ev, "_strength", refuse)
+    monkeypatch.setattr(ev, "table_class", refuse)
     space = helpers.power_space(2)
     with pytest.raises(NotAnEFunction, match=r"table misses hypotheses: \['P1,P2'\]"):
         classify(space, {0: INF, 1: 1, 2: 1})
@@ -209,7 +208,7 @@ def test_close_certificate_on_a_large_family_without_least_hypotheses():
 
 def test_merge_single_input_is_identity():
     space, e = two_point_capacity()
-    assert merge_convex([e], [1]).values == e.values
+    assert helpers.merge_tables([e], [1]).values == e.values
 
 
 def test_merge_of_capacities_is_a_capacity():
@@ -223,7 +222,7 @@ def test_merge_of_capacities_is_a_capacity():
         if not sum(weights):
             weights[0] = Fraction(1)
         weights = [w / sum(weights) for w in weights]
-        merged = merge_convex(inputs, weights)
+        merged = helpers.merge_tables(inputs, weights)
         assert merged.values == tuple(
             sum((f.values[hid] * XValue(w) for f, w in zip(inputs, weights)), XValue(0))
             for hid in range(len(space.family))
@@ -236,7 +235,7 @@ def test_merge_of_measures_can_break_the_union_law():
     m1 = from_values(space, ["inf", 4, 2, 2])
     m2 = from_values(space, ["inf", 2, 4, 2])
     assert m1.eclass is EClass.MEASURE and m2.eclass is EClass.MEASURE
-    merged = merge_convex([m1, m2], [Fraction(1, 2), Fraction(1, 2)])
+    merged = helpers.merge_tables([m1, m2], [Fraction(1, 2), Fraction(1, 2)])
     assert merged.eclass is EClass.CAPACITY
     assert merged.values[space.family.id_of(0b11)] == XValue(2)
     assert merged.values[space.family.id_of(0b01)] == XValue(3)
@@ -246,17 +245,17 @@ def test_merge_then_close_restores_the_measure_law():
     space = helpers.power_space(2)
     m1 = from_values(space, ["inf", 4, 2, 2])
     m2 = from_values(space, ["inf", 2, 4, 2])
-    merged = merge_convex([m1, m2], [Fraction(1, 2), Fraction(1, 2)])
+    merged = helpers.merge_tables([m1, m2], [Fraction(1, 2), Fraction(1, 2)])
     assert close(merged).eclass is EClass.MEASURE
 
 
 def test_merge_validates_weights_and_classes():
     space, e = two_point_capacity()
     with pytest.raises(Exception):
-        merge_convex([e, e], [Fraction(1, 2), Fraction(1, 3)])
+        helpers.merge_tables([e, e], [Fraction(1, 2), Fraction(1, 3)])
     not_capacity = from_values(space, ["inf", 1, 1, 5])
     with pytest.raises(ClassMismatch):
-        merge_convex([not_capacity], [1])
+        helpers.merge_tables([not_capacity], [1])
 
 
 def test_measure_from_density_is_the_least_density_measure():

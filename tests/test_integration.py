@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from emeasure import Model, XValue, ZERO, merge_convex, shilkret_integral, sup_of
+from emeasure import Model, XValue, ZERO, shilkret_integral, sup_of
 from emeasure.decisions import OrderMeasurabilityViolation
 from emeasure.evidence import EClass, from_values
 from helpers import OrderMeasurableFn
@@ -202,7 +202,7 @@ def test_sup_interchange_at_least_on_capacities():
             e = helpers.rand_capacity(r, space)
         else:
             pair = [helpers.rand_measure(r, space) for _ in range(2)]
-            e = merge_convex(pair, [Fraction(1, 3), Fraction(2, 3)])
+            e = helpers.merge_tables(pair, [Fraction(1, 3), Fraction(2, 3)])
         fns = [helpers.indicator(space, r.randrange(len(space.family))) for _ in range(2)]
         if case % 3 == 0:
             fns[1] = helpers.rand_order_measurable(r, space)

@@ -62,10 +62,6 @@ def pairs(space):
     return [(hid, pi) for hid in space.family.nonempty_ids() for pi in space.family.indices(hid)]
 
 
-def is_capacity(k):
-    return all(helpers.oracle_eclass(k.space, col.values) >= EClass.CAPACITY for col in k.columns)
-
-
 def kernel_cases(seed, count):
     """Seeded (space, distributions, kernel) triples on intersection-closed
     spaces: valid measure and capacity kernels, scaled copies that violate,
@@ -126,8 +122,9 @@ def test_loaded_rows_give_every_check_the_oracle_values(tmp_path):
             for pi in range(space.model.size)
         ]
 
-        capacity = is_capacity(k)
-        assert loaded.is_capacity == capacity
+        eclass = min(helpers.oracle_eclass(space, column) for column in zip(*k.rows))
+        assert loaded.eclass is eclass
+        capacity = eclass >= EClass.CAPACITY
         capacities.add(capacity)
         nonempty = space.family.nonempty_ids()
         selected = r.sample(nonempty, min(len(nonempty), r.randint(1, 3)))
@@ -221,7 +218,7 @@ def test_rows_listing_outcomes_out_of_order_read_as_ordered_rows(tmp_path):
         assert check_validity(shuffled, lpa) == check_validity(ordered, lpa)
         rule = {x: XValue(Fraction(1, 2)) for x in k.sample.outcomes}
         assert check_posthoc_validity(shuffled, lpa, rule) == check_posthoc_validity(ordered, lpa, rule)
-        assert shuffled.is_capacity == ordered.is_capacity
+        assert shuffled.eclass is ordered.eclass
     assert shuffled_rows
 
 

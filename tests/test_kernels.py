@@ -26,10 +26,10 @@ from emeasure import (
     close_kernel,
     eposterior_closed,
     eposterior_raw,
-    merge_convex_kernels,
+    merge_convex,
     pushforward_kernel,
 )
-from emeasure.evidence import from_values
+from emeasure.evidence import EvidenceError, from_values
 from emeasure import kernels as kn
 from emeasure.kernels import Entry, KernelError, MeasurabilityError, Report
 from emeasure import golden
@@ -72,7 +72,7 @@ def test_likelihood_kernel_is_valid_with_equality_on_singletons():
     pa = helpers.rand_pa(r, space.model, sample, full_support=True)
     reference = helpers.rand_pmf(r, sample, full_support=True)
     k = helpers.likelihood_kernel(space, pa, reference)
-    assert helpers.kernel_eclass(k) is EClass.MEASURE
+    assert k.eclass is EClass.MEASURE
     report = check_validity(k, pa)
     assert report.ok
     # On a singleton the expectation telescopes to the reference total mass.
@@ -117,7 +117,7 @@ def test_likelihood_kernel_is_valid_on_spaces_that_are_not_intersection_closed()
         pa = helpers.rand_pa(r, space.model, sample, full_support=seed % 2 == 0)
         reference = helpers.rand_pmf(r, sample, full_support=seed % 3 == 0)
         k = helpers.likelihood_kernel(space, pa, reference)
-        assert helpers.kernel_eclass(k) is EClass.MEASURE
+        assert k.eclass is EClass.MEASURE
         assert check_validity(k, pa).ok
         tested += 1
     assert tested >= 100
@@ -217,7 +217,7 @@ def test_close_kernel_preserves_validity_verdict():
     for _ in range(20):
         k = helpers.valid_capacity_kernel(r, space, pa)
         closed = close_kernel(k)
-        assert helpers.kernel_eclass(closed) is EClass.MEASURE
+        assert closed.eclass is EClass.MEASURE
         assert check_validity(closed, pa).ok == check_validity(k, pa).ok
     bad = helpers.constant_two_kernel(space, sample)
     assert check_validity(close_kernel(bad), pa).ok == check_validity(bad, pa).ok
@@ -227,7 +227,7 @@ def test_close_kernel_preserves_validity_verdict():
         r, space, sample, pa = small_setup(1300 + seed, max_points=4, full_support=seed % 2 == 0)
         k = helpers.valid_capacity_kernel(r, space, pa)
         closed = close_kernel(k)
-        assert k.is_capacity and check_validity(k, pa).ok
+        assert k.eclass >= EClass.CAPACITY and check_validity(k, pa).ok
         assert check_validity(closed, pa).ok and helpers.dominates(closed, k)
 
 
@@ -244,7 +244,7 @@ def test_close_kernel_can_lose_validity_off_intersection_closed_spaces():
     k = EKernel(space, sample, [
         tuple(map(XValue, rows[m])) if m else (INF, INF) for m in space.family.members
     ])
-    assert not space.intersection_closed and k.is_capacity
+    assert not space.intersection_closed and k.eclass is EClass.CAPACITY
     assert check_validity(k, pa).ok
     report = check_validity(close_kernel(k), pa)
     ab = space.family.id_of(0b011)
@@ -258,9 +258,28 @@ def test_merged_valid_kernels_stay_valid():
     for _ in range(10):
         k1 = helpers.valid_measure_kernel(r, space, pa)
         k2 = helpers.valid_measure_kernel(r, space, pa)
-        merged = merge_convex_kernels([k1, k2], [Fraction(1, 4), Fraction(3, 4)])
-        assert helpers.kernel_eclass(merged) >= EClass.CAPACITY
+        merged = merge_convex([k1, k2], [Fraction(1, 4), Fraction(3, 4)])
+        assert merged.eclass >= EClass.CAPACITY
         assert check_validity(merged, pa).ok
+
+
+def _constant_kernel_on(outcomes):
+    space = helpers.power_space(2)
+    return helpers.constant_kernel(space, SampleSpace(outcomes), helpers.unit_measure(space))
+
+
+@pytest.mark.parametrize("first, second", [
+    (("H", "T"), ("x", "y")),  # the same size, other labels
+    (("H", "T"), ("H", "T", "Z")),  # a third outcome
+    (("H", "T", "Z"), ("H", "T")),  # the longer kernel first
+], ids=["relabelled", "extra-outcome", "longer-first"])
+def test_merge_refuses_kernels_on_different_sample_spaces(first, second):
+    """Rows are merged outcome by outcome, so the inputs must list the same
+    outcomes; the refusal names both lists."""
+    kernels = [_constant_kernel_on(first), _constant_kernel_on(second)]
+    with pytest.raises(EvidenceError, match="share one sample space") as refused:
+        merge_convex(kernels, [Fraction(1, 2), Fraction(1, 2)])
+    assert str(list(first)) in str(refused.value) and str(list(second)) in str(refused.value)
 
 
 def confidence_set(k, alpha, x):
@@ -768,7 +787,7 @@ def test_close_process_keeps_measures_and_verdicts():
         proc = EProcess(tree, kernels)
         closed = EProcess(tree, [close_kernel(k) for k in proc.kernels])
         assert helpers.dominates(closed, proc)
-        assert min(map(helpers.kernel_eclass, closed.kernels)) is EClass.MEASURE
+        assert min(k.eclass for k in closed.kernels) is EClass.MEASURE
         before = check_anytime_validity(proc, pa)
         after = check_anytime_validity(closed, pa)
         assert before.stats.ok == after.stats.ok
@@ -864,7 +883,7 @@ def test_predictive_binary_prediction_set_coverage():
                 values[hid] = XValue(1) / XValue(alpha) if m == 0b001 else XValue(0)
         cols.append(helpers.classify(space, values))
     k = helpers.kernel_of(space, sample, cols)
-    assert helpers.kernel_eclass(k) >= EClass.CAPACITY
+    assert k.eclass >= EClass.CAPACITY
     report = check_predictive_validity(k, pa)
     # the sup variable is 1/alpha exactly when the true outcome is P1
     assert report.identity.ok
@@ -885,13 +904,25 @@ def test_predictive_requires_matching_spaces():
 # -- work per distinct row: the capacity test and the claims ----------------
 
 
+def _joins(family):
+    """(member id, id of its union with a join-irreducible member it misses
+    part of) for every such pair, once each."""
+    members = family.members
+    return [
+        (a, family.id_of(m | members[j]))
+        for a, m in enumerate(members)
+        for j in family.irreducible_ids()
+        if members[j] & ~m
+    ]
+
+
 def _violating_pairs(k):
     """The (member, union) id pairs of the family's joins whose union has
     more evidence than the member at some outcome, compared on XValues."""
     rows = k.rows
     return {
         (a, joined)
-        for a, _, joined in k.space.family.joins()
+        for a, joined in _joins(k.space.family)
         if any(u > v for u, v in zip(rows[joined], rows[a]))
     }
 
@@ -906,14 +937,14 @@ def _broken_at_one_join(r, k, shared):
     counts = {}
     for row in rows:
         counts[id(row)] = counts.get(id(row), 0) + 1
-    joins = list(k.space.family.joins())
+    joins = _joins(k.space.family)
     r.shuffle(joins)
-    for a, _, u in joins:
+    for a, u in joins:
         if shared and counts[id(rows[a])] < 2:
             continue
         for x in r.sample(range(k.sample.size), k.sample.size):
             low = rows[a][x]
-            others = [rows[b][x] for b, _, w in joins if w == u and b != a]
+            others = [rows[b][x] for b, w in joins if w == u and b != a]
             if low.is_inf or any(v <= low for v in others):
                 continue
             above = [v for v in others if not v.is_inf] + [low + XValue(1)]
@@ -967,13 +998,14 @@ def _row_kernel_cases(seed, count):
 
 
 def test_capacity_test_and_claims_on_distinct_rows_match_their_definitions():
-    """`is_capacity`, `claims`, the statistics of `check_fwe` and the sups of
-    `check_predictive_validity`, all computed once per distinct row, against
-    the definitions on 250 seeded kernels of shared row objects."""
+    """The capacity verdict of `eclass`, `claims`, the statistics of
+    `check_fwe` and the sups of `check_predictive_validity`, all computed
+    once per distinct row, against the definitions on 250 seeded kernels of
+    shared row objects."""
     kinds, verdicts, cells = {}, set(), set()
     for kind, k, pa in _row_kernel_cases(1709, 250):
         capacity = helpers.oracle_is_capacity(k)
-        assert k.is_capacity == capacity, kind
+        assert (k.eclass >= EClass.CAPACITY) == capacity, kind
         if kind in ("unshared", "shared"):
             assert not capacity and len(_violating_pairs(k)) == 1
         elif kind != "pool":
@@ -1028,7 +1060,7 @@ def test_pushforward_collapsing_two_points():
             assert helpers.kernel_value(pushed, gid, xi) == helpers.kernel_value(
                 k, space.family.id_of(pre_bits), xi
             )
-    assert helpers.kernel_eclass(pushed) is EClass.MEASURE
+    assert pushed.eclass is EClass.MEASURE
 
 
 def test_pushforward_rejects_unmeasurable_maps():

@@ -189,7 +189,7 @@ def test_fer_pointwise_bound_and_rate():
         k = helpers.valid_capacity_kernel(r, space, pa)
         if case % 3 == 2:
             k = helpers.scaled_kernel(k, XValue(3))
-        assert helpers.kernel_eclass(k) >= EClass.CAPACITY
+        assert k.eclass >= EClass.CAPACITY
         ids = list(space.family.nonempty_ids())
         rule = SelectionRule(
             sample, tuple(tuple(r.sample(ids, r.randint(0, len(ids)))) for _ in range(sample.size))

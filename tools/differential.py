@@ -23,7 +23,11 @@ sides get the same inputs:
   without `--outcome`, in both formats (named `chain/D`);
 - 360 seeded random `check` inputs, in the records and in the text format,
   run with `--check` validity, posthoc (canonical and at a fixed level),
-  fwe and fer (with and without `--family`). The records hold every
+  fwe and fer (with and without `--family`). Their kernels, as the
+  `decide` inputs' are, are measures (pointwise minimums of per-point
+  weights, valid three times in ten), convex mixtures of two such kernels
+  (capacities, often not measures, which reach `--check fer`) or arbitrary
+  tables, one time in five each of the last two. The records hold every
   (member, point) pair's statistic, so rows shared by several members,
   violations and both post-hoc rules are compared entry by entry, and so
   are the FWE statistics. Their kernel rows list the outcomes in order or
@@ -349,18 +353,30 @@ def _random_space(rng: random.Random, orc, w, width: Optional[int] = None):
 
 def _random_columns(rng: random.Random, orc, w, sp, outcomes, pmfs) -> list[dict]:
     """One table per outcome: the pointwise minimum of per-point weights,
-    which are likelihood ratios against a reference (a valid capacity) or
-    random values, or one time in five any table."""
-    roll = rng.random()
-    if roll < 0.4:  # likelihood ratios against a reference: valid
-        ref = w.rand_pmf(rng, len(outcomes))
-        weights = [[r / m for r, m in zip(ref, pmf)] for pmf in pmfs]
-    else:
-        weights = [[_value(rng, orc.INF) for _ in outcomes] for _ in sp.points]
-    if roll < 0.8:
+    which are likelihood ratios against a reference (a valid measure) or
+    random values; one time in five the convex mixture of two such column
+    sets (a capacity, often not a measure); or one time in five any table."""
+
+    def min_over_columns(valid: bool) -> list[dict]:
+        if valid:  # likelihood ratios against a reference: valid
+            ref = w.rand_pmf(rng, len(outcomes))
+            weights = [[r / m for r, m in zip(ref, pmf)] for pmf in pmfs]
+        else:
+            weights = [[_value(rng, orc.INF) for _ in outcomes] for _ in sp.points]
         return [
             {b: w.min_over(b, sp.width, lambda p: weights[p][xi]) for b in sp.family}
             for xi in range(len(outcomes))
+        ]
+
+    roll = rng.random()
+    if roll < 0.6:
+        return min_over_columns(roll < 0.3)
+    if roll < 0.8:
+        first, second = (min_over_columns(rng.random() < 0.5) for _ in range(2))
+        # inf when either value is: the weights are positive
+        return [
+            {b: Fraction(1, 3) * one[b] + Fraction(2, 3) * two[b] for b in sp.family}
+            for one, two in zip(first, second)
         ]
     return [{b: _value(rng, orc.INF) for b in sp.family} for _ in outcomes]
 
