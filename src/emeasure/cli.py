@@ -340,40 +340,50 @@ def cmd_closure(args) -> int:
 
 
 def _report_entries(
-    out: Printer, kind: str, report: kn.Report, space, text: Optional[str] = None
+    out: Printer, kind: str, report: kn.PairReport, space, text: Optional[str] = None
 ) -> None:
-    """One record per entry; with `text`, also one `  point: text stat` line.
-    The report's lines go out in one write.
+    """One record per pair of a pair walk (`kernels._pair_report`), in walk
+    order; with `text`, one `  point: text stat` line per pair instead. The
+    report's lines go out in one write.
 
-    A record is a head, which names the entry's hypothesis or case, and a
-    ` point=… stat=… ok=…` tail. Pair checks share one statistic object
-    among the entries of one (row, point), so each statistic object is
-    rendered once, each tail once per statistic object, point and verdict,
-    and each head once per run of entries with one hypothesis and case."""
-    if out.records:
-        lines = []
-        stats: dict[int, str] = {}
-        tails: dict[tuple[int, Optional[str], bool], str] = {}
-        hid = case = head = None
-        for entry in report.entries:
-            if head is None or entry.hid != hid or entry.case != case:
-                hid, case, head = entry.hid, entry.case, kind
-                if hid is not None:
-                    head += " hypothesis=" + space.label(hid)
-                if case is not None:
-                    head += " benchmark=" + case
-            key = id(entry.stat), entry.point, entry.ok
-            tail = tails.get(key)
-            if tail is None:
-                stat = stats.get(key[0])
+    A record is a head, which names the member's hypothesis or case, and a
+    ` point=… stat=… ok=…` tail. Both are read off the walk, which builds
+    no entry: one head per member, one tail per slot (distinct variable)
+    and point, and one `XValue.record` per statistic object, so a pair
+    costs one concatenation."""
+    if not out.records and text is None:
+        return
+    points, stats, failed, cases = report.points, report.stats, report.failed, report.cases
+    rendered: dict[int, str] = {}  # by the id of a statistic object
+    tails: list[Optional[dict[int, str]]] = [None] * len(stats)  # per slot, by point bit
+    lines: list[str] = []
+    append = lines.append
+    for m, (bits, slot) in enumerate(zip(report.members, report.slots)):
+        if not bits:
+            continue
+        tail = tails[slot]
+        if tail is None:
+            tail = tails[slot] = {}
+            for pi, stat in enumerate(stats[slot]):
                 if stat is None:
-                    stat = stats[key[0]] = entry.stat.record()
-                verdict = "yes" if entry.ok else "no"
-                tail = tails[key] = f" point={entry.point} stat={stat} ok={verdict}"
-            lines.append(head + tail)
-        _write(lines)
-    elif text is not None:
-        _write([f"  {entry.point}: {text} {entry.stat}" for entry in report.entries])
+                    continue
+                if out.records:
+                    shown = rendered.get(id(stat)) or rendered.setdefault(id(stat), stat.record())
+                    verdict = "no" if failed[slot] >> pi & 1 else "yes"
+                    tail[1 << pi] = f" point={points[pi]} stat={shown} ok={verdict}"
+                else:
+                    tail[1 << pi] = f"  {points[pi]}: {text} {stat}"
+        if not out.records:
+            head = ""
+        elif cases is None:
+            head = f"{kind} hypothesis={space.label(m)}"
+        else:
+            head = kind if cases[m] is None else f"{kind} benchmark={cases[m]}"
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            append(head + tail[low])
+    _write(lines)
 
 
 def _verdict(out: Printer, label: str, ok: bool) -> int:
@@ -394,7 +404,7 @@ def _report_fer(out: Printer, args, sf, kernel, pa) -> int:
     if args.family is not None:
         rule = mtp.SelectionRule.fixed(kernel.sample, _family_ids(args, sf))
     report = mtp.check_fer(kernel, pa, rule)
-    rate = report.worst().stat
+    rate = report.largest()
     out.record("fer", rate=rate, controlled=report.ok)
     out.text(f"false evidence rate: {_render(rate)}")
     return _verdict(out, "controlled", report.ok)

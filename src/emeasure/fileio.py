@@ -349,12 +349,12 @@ def _row_pattern(flat: bool) -> re.Pattern:
 def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes=None):
     """A file of the row shape (module docstring), matched by one pattern:
     the values of the `size` ids, in id order, of the rows whose labels
-    `ids` maps to them, and the outcomes their keys name. A flat row's
-    value is one tuple of XValues per distinct row text, keyed by
-    `outcomes` (else the first row's keys) in order; `empty`, if given, is
-    the empty member's value, written or not. None for any other file, a
-    missing id, or a label, key or cell the general reader would read
-    otherwise or refuse."""
+    `ids` maps to them, the outcomes their keys name, and the distinct
+    flat rows in file order. A flat row's value is one tuple of XValues per
+    distinct row text, keyed by `outcomes` (else the first row's keys) in
+    order; `empty`, if given, is the empty member's value, written or not.
+    None for any other file, a missing id, or a label, key or cell the
+    general reader would read otherwise or refuse."""
     flat = head != "evidence"
     body = text[len(head) + 2 :]
     found = text.startswith(head + ":\n") and _row_pattern(flat).findall(body)
@@ -387,7 +387,7 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
     if empty is not None and slots[0] is None:  # the empty member sorts first
         slots[0], filled = empty, filled + 1
     declined = filled != size or (empty is not None and slots[0] != empty)
-    return None if declined else (slots, outcomes)
+    return None if declined else (slots, outcomes, rows.values())
 
 
 def _xvalue(path, raw) -> XValue:
@@ -564,14 +564,26 @@ def load_evidence(path: Path | str, sf: SpaceFile) -> EFunction:
 
 
 def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
+    """The distributions of a 'pmf' table, one per model point. The row
+    reader builds one `Pmf` per distinct row and refuses the first row, in
+    file order, whose masses do not sum to 1, as the general path does; a
+    row with an infinite mass goes to the general path, which words that
+    refusal."""
     text = _read_text(path)
     found = _rows(path, text, "pmf", model.positions, model.size)
     if found:
-        sample = SampleSpace(found[1])
-        try:
-            return ProbabilityAssignment(model, tuple(Pmf(sample, row) for row in found[0]))
-        except EvidenceError:  # an infinite mass, or masses that do not sum to 1
-            pass
+        slots, outcomes, distinct = found
+        sample = SampleSpace(outcomes)
+        pmfs: dict[int, Pmf] = {}  # by the id of a row object
+        for row in distinct:
+            try:
+                pmfs[id(row)] = Pmf(sample, row)
+            except EvidenceError as exc:
+                if any(mass.is_inf for mass in row):
+                    break
+                raise SchemaError(path, str(exc)) from None
+        else:
+            return ProbabilityAssignment(model, tuple(pmfs[id(row)] for row in slots))
     table = _parse(path, text).get("pmf")
     if not isinstance(table, dict):
         raise SchemaError(path, "'pmf' must map point labels to outcome masses")

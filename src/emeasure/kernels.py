@@ -6,31 +6,34 @@ evidence against it as a function of the outcome. Validity of a kernel
 (and of stopped processes, posteriors, pushforwards, predictive kernels)
 is decided by exact rational expectations of those rows; nothing here is
 simulated. Each row is scaled to integers once per kernel
-(``EKernel.scaled``), and every (member, point) pair's verdict is
-decided on integers before its one exact value is built. Rows with equal
-text in a kernel file are one object, and the checks work once per
-distinct row object or (row, point), not once per hypothesis or pair.
+(``EKernel.scaled``). Rows with equal text in a kernel file are one
+object, and the checks work once per distinct row object or (row, point),
+not once per hypothesis or pair.
 
 Every expectation the package holds against a bound is one walk,
 `_pair_report`, over members (point bitsets) each with a scaled variable:
 the hypotheses for validity, post-hoc levels, the E-posteriors and the
 pushforward; each point alone for FWE, FER with a rule and the Grünwald
 bound; each distinct benchmark row's upper set for decide's bounds; all
-points at once for the predictive check. Only the anytime check walks its
-own tree. The per-outcome tables are built only for the checks that read
-one outcome at a time.
+points at once for the predictive check. The walk keeps one statistic per
+distinct (variable, point), decided on integers before its one exact value
+is built, and a mask of the points where each variable fails; its
+`PairReport` builds an `Entry` only where one is read, and the command
+line renders its records from the walk itself. Only the anytime check
+walks its own tree. The per-outcome tables are built only for the checks
+that read one outcome at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import attrgetter, mul
 from typing import Mapping, Optional, Sequence, Union
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
-from .spaces import Model, Record, Space, SpaceError, preimages
+from .spaces import Model, Record, Space, SpaceError, _indices, preimages
 from .xvalue import INF, ONE, ZERO, Scaled, XValue, as_xvalue, dot_at_most, ratio, scale
 
 
@@ -233,7 +236,9 @@ class Entry(Record):
 
 
 class Report(Record):
-    """A check's entries; it holds when every entry does."""
+    """A check's entries; it holds when every entry does. The anytime check
+    and the predictive identity build theirs; a pair walk's report
+    (`PairReport`) builds entries only where they are read."""
 
     __slots__ = _compared = ("entries",)
 
@@ -247,18 +252,13 @@ class Report(Record):
     def first_violation(self) -> Optional[Entry]:
         return next((e for e in self.entries if not e.ok), None)
 
-    def worst(self) -> Optional[Entry]:
-        """The entry with the largest statistic, the first one on ties.
+    def largest(self) -> Optional[XValue]:
+        """The largest statistic, None when there is none."""
+        return max((e.stat for e in self.entries), default=None)
 
-        Each statistic object is compared once: entries that share one, as
-        pair checks' entries do, cannot beat its first entry."""
-        best, seen = None, set()
-        for entry in self.entries:
-            if id(entry.stat) not in seen:
-                seen.add(id(entry.stat))
-                if best is None or entry.stat > best.stat:
-                    best = entry
-        return best
+    def worst(self) -> Optional[Entry]:
+        """The entry with the largest statistic, the first one on ties."""
+        return max(self.entries, key=attrgetter("stat"), default=None)
 
 
 # -- hypothesis-wise validity ------------------------------------------
@@ -272,52 +272,129 @@ def check_validity(k: EKernel, pa: ProbabilityAssignment) -> Report:
 def _pair_report(
     pa: ProbabilityAssignment, members: Sequence[int], variables: Sequence[Optional[Scaled]],
     cases: Optional[Sequence[Optional[str]]] = None, bounds: Optional[Sequence[XValue]] = None,
-) -> Report:
+) -> PairReport:
     """The package's one expectation walk. Each member is a bitset over
     `pa`'s model points with a scaled variable, and each of its points, in
-    point order, gets one entry: the expectation of the variable under the
+    point order, makes one pair: the expectation of the variable under the
     point's distribution, held against the point's bound (by default 1).
-    An entry names its member by its index, a hypothesis id, or, given
-    `cases`, by the member's case, which may be None. An empty member gives
-    no entry, and its variable is never read.
+    A pair names its member by its index, a hypothesis id, or, given
+    `cases`, by the member's case, which may be None. An empty member makes
+    no pair, and its variable is never read.
 
-    The work is per distinct variable, not per pair. Members whose
-    variables are equal share one statistic per point; each (variable,
-    point) statistic is computed once, and every entry that reads it holds
-    that one object. So a walk of v distinct variables over n points costs
-    at most v·n expectations, and a renderer keyed by statistic object
-    renders at most that many: r·n for a kernel of r distinct rows,
-    tests/test_growth.py holding both counts to a log-log slope of at most
-    2.2 in n on power sets with at most n distinct rows, where the pairs
-    number n·2^(n-1). A walk of one singleton member per point (FWE, FER
-    with a rule, the Grünwald bound) or of one member of every point (the
-    predictive check) costs exactly n, one per point, which
-    tests/test_growth.py also holds; decide's walk of one member per
-    distinct benchmark row costs at most that many times n.
+    The work is per distinct variable (a slot), not per pair: members whose
+    variables are equal share a slot, each (slot, point) statistic is
+    computed once, and a member's pairs are read off its slot's masks of
+    computed and failed points, so no pair costs a step of its own. A walk
+    of v distinct variables over n points costs at most v·n expectations:
+    r·n for a kernel of r distinct rows, where the pairs of a power set
+    number n·2^(n-1); tests/test_growth.py holds that count, and the
+    records that render it, to a log-log slope of at most 2.2 in n. A walk
+    of one singleton member per point (FWE, FER with a rule, the Grünwald
+    bound) or of one member of every point (the predictive check) costs
+    exactly n, which tests/test_growth.py also holds; decide's walk of one
+    member per distinct benchmark row costs at most that many times n.
     """
-    points = pa.model.points
-    bounds = [ONE] * len(points) if bounds is None else bounds
+    n = pa.model.size
+    bounds = [ONE] * n if bounds is None else bounds
     masses = [pmf.scaled for pmf in pa.pmfs]
-    names = zip(range(len(members)), repeat(None)) if cases is None else zip(repeat(None), cases)
-    by_id: dict[int, list] = {}  # by the id of a variable object
-    by_var: dict[Scaled, list] = {}
-    entries = []
-    append = entries.append
-    for bits, var, (hid, case) in zip(members, variables, names):
+    by_id: dict[int, int] = {}  # slot by the id of a variable object
+    by_var: dict[Scaled, int] = {}
+    slots: list[Optional[int]] = []
+    stats: list[list[Optional[XValue]]] = []
+    computed: list[int] = []
+    failed: list[int] = []
+    for bits, var in zip(members, variables):
         if not bits:
+            slots.append(None)
             continue
-        stats = by_id.get(id(var))
-        if stats is None:
-            stats = by_id[id(var)] = by_var.setdefault(var, [None] * len(points))
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            pi = low.bit_length() - 1
-            found = stats[pi]
-            if found is None:
-                found = stats[pi] = dot_at_most(masses[pi], var, bounds[pi])
-            append(Entry(points[pi], found[0], bounds[pi], hid, case, found[1]))
-    return Report(tuple(entries))
+        slot = by_id.get(id(var))
+        if slot is None:
+            slot = by_id[id(var)] = by_var.setdefault(var, len(stats))
+            if slot == len(stats):
+                stats.append([None] * n)
+                computed.append(0)
+                failed.append(0)
+        slots.append(slot)
+        todo = bits & ~computed[slot]
+        if todo:
+            computed[slot] |= todo
+            row = stats[slot]
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                pi = low.bit_length() - 1
+                row[pi], ok = dot_at_most(masses[pi], var, bounds[pi])
+                if not ok:
+                    failed[slot] |= low
+    return PairReport(pa.model.points, bounds, members, cases, slots, stats, failed)
+
+
+class PairReport(Report):
+    """A pair walk (`_pair_report`) as it left off: per slot, its statistic
+    at each point it read and the mask of the points where that statistic
+    fails its bound; per member, its bitset, slot and name (its index, or
+    its case). It holds when no slot fails. `largest()` compares each
+    statistic once; `worst()` and `first_violation()` each build the one
+    entry they name, the first pair in walk order (members, then points, in
+    order) that attains the largest statistic or fails; `entries`, one per
+    pair in walk order, are built when first read."""
+
+    __slots__ = ("points", "bounds", "members", "cases", "slots", "stats", "failed", "_entries")
+
+    def __init__(
+        self, points: tuple[str, ...], bounds: Sequence[XValue], members: Sequence[int],
+        cases: Optional[Sequence[Optional[str]]], slots: list[Optional[int]],
+        stats: list[list[Optional[XValue]]], failed: list[int],
+    ):
+        self.points = points
+        self.bounds = bounds
+        self.members = members
+        self.cases = cases
+        self.slots = slots
+        self.stats = stats
+        self.failed = failed
+        self._entries: Optional[tuple[Entry, ...]] = None
+
+    @property
+    def entries(self) -> tuple[Entry, ...]:
+        if self._entries is None:
+            self._entries = tuple(
+                self._entry(m, pi) for m, bits in enumerate(self.members) for pi in _indices(bits)
+            )
+        return self._entries
+
+    def _entry(self, m: int, pi: int) -> Entry:
+        """The entry of member m at point pi."""
+        slot = self.slots[m]
+        hid, case = (m, None) if self.cases is None else (None, self.cases[m])
+        ok = not self.failed[slot] >> pi & 1
+        return Entry(self.points[pi], self.stats[slot][pi], self.bounds[pi], hid, case, ok)
+
+    def _first(self, masks: Sequence[int]) -> Optional[Entry]:
+        """The entry of the first pair in walk order whose point is in its
+        slot's mask."""
+        for m, (bits, slot) in enumerate(zip(self.members, self.slots)):
+            hit = bits and bits & masks[slot]
+            if hit:
+                return self._entry(m, (hit & -hit).bit_length() - 1)
+        return None
+
+    @property
+    def ok(self) -> bool:
+        return not any(self.failed)
+
+    def first_violation(self) -> Optional[Entry]:
+        return self._first(self.failed) if any(self.failed) else None
+
+    def largest(self) -> Optional[XValue]:
+        return max((stat for row in self.stats for stat in row if stat is not None), default=None)
+
+    def worst(self) -> Optional[Entry]:
+        top = self.largest()
+        if top is None:
+            return None
+        tops = [sum(1 << pi for pi, stat in enumerate(row) if stat == top) for row in self.stats]
+        return self._first(tops)
 
 
 def close_kernel(k: EKernel) -> EKernel:

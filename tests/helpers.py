@@ -38,6 +38,7 @@ from emeasure import (
 )
 from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
 from emeasure.evidence import measure_from_density
+from emeasure.kernels import Entry, Report
 from emeasure.spaces import HypothesisClass, NotAPreorder
 from emeasure.xvalue import dot_at_most, order_keys, scale
 
@@ -828,6 +829,23 @@ def oracle_expectation(pmf, values):
             return INF
         total += mass * as_fraction(v)
     return XValue(total)
+
+
+def eager_pair_report(pa, members, variables, cases=None, bounds=None):
+    """The pair walk (`kernels._pair_report`) built eagerly, pair by pair:
+    one `Entry` per point of each member, in member and then point order,
+    with its own expectation and its verdict from comparing the two exact
+    values. Nothing is shared between pairs; the walk must give the same
+    entries, verdict, worst entry and first violation."""
+    points = pa.model.points
+    bounds = [ONE] * len(points) if bounds is None else bounds
+    entries = []
+    for m, (bits, var) in enumerate(zip(members, variables)):
+        hid, case = (m, None) if cases is None else (None, cases[m])
+        for pi in points_of(bits):
+            stat = dot_at_most(pa.pmfs[pi].scaled, var)[0]
+            entries.append(Entry(points[pi], stat, bounds[pi], hid, case))
+    return Report(tuple(entries))
 
 
 def termwise_expectation(masses, values):

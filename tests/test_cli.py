@@ -419,7 +419,9 @@ def test_pair_records_render_once_per_statistic(tmp_path, monkeypatch, capsys, o
     """On the 256-member power set with a measure kernel of at most 8
     distinct rows: the records of the 1024 pairs call `XValue.record` at
     most once per distinct statistic object, and the check calls
-    `dot_at_most` at most once per distinct (row, point) pair."""
+    `dot_at_most` at most once per distinct (row, point) pair. Every
+    infinite statistic is the one `INF` object, so rendering once per
+    (row, point) instead renders it many times over, and fails."""
     argv, k = _least_point_files(tmp_path / "files", 8, 1811)
     members = k.space.family.members
     shared = {(id(k.rows[hid]), pi) for hid in range(1, 256) for pi in range(8)

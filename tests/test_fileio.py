@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from emeasure import EvidenceError, Model, SampleSpace, Space, XValue, cli, fileio, union_closure
+from emeasure import (
+    EvidenceError, Model, Pmf, SampleSpace, Space, XValue, cli, fileio, union_closure,
+)
 
 DATA = Path(__file__).parent / "data"
 DATA_FILES = sorted(DATA.glob("*.yaml"))
@@ -910,3 +912,63 @@ def test_a_plain_yes_is_no_quoted_yes_outcome(tmp_path, monkeypatch):
     assert results[0] == (fileio.SchemaError, f"{kernel}: row for 'p' misses outcome 'yes'")
     _, rows = results[1]
     assert rows[1:] == ((XValue(1), XValue(1)),) * 3
+
+
+def _counting_pmfs(monkeypatch):
+    """Count the `Pmf` builds."""
+    builds = []
+    init = Pmf.__init__
+    monkeypatch.setattr(Pmf, "__init__", lambda self, *args: builds.append(1) or init(self, *args))
+    return builds
+
+
+@pytest.mark.parametrize("text, builds, total", [
+    ("pmf:\n  p: {x: 1/2, y: 1/2}\n  q: {x: 3/4, y: 1/2}\n", 2, "5/4"),
+    ("pmf:\n  q: {x: 1/2, y: 1}\n  p: {x: 3/4, y: 1/2}\n", 1, "3/2"),
+], ids=["second-row", "first-in-file-order"])
+def test_a_refused_row_model_builds_each_distribution_once(tmp_path, monkeypatch, text, builds, total):
+    """The row reader refuses a model whose masses do not sum to 1 from its
+    own distributions, at the first refused row in file order, in the
+    general path's words: the file whose second row sums to 5/4 builds two
+    `Pmf`s, where rereading it with the general path built four."""
+    path = tmp_path / "model.yaml"
+    path.write_text(text)
+    sf = fileio.load_space(PAIR_SPACE)
+    with monkeypatch.context() as patch:
+        counted = _counting_pmfs(patch)
+        with pytest.raises(fileio.SchemaError) as refusal:
+            fileio.load_pmfs(path, sf.space.model)
+    assert (str(refusal.value), len(counted)) == (f"{path}: masses sum to {total}, expected 1", builds)
+    (shipped, general), took = read_both_ways(monkeypatch, "pmf", path, sf, None)
+    assert took and shipped == general == (fileio.SchemaError, str(refusal.value))
+
+
+def test_a_refused_row_model_is_refused_as_the_general_path_refuses_it(tmp_path, monkeypatch):
+    """Seeded row-shaped models on four points, rows in a random order, each
+    row summing to 1, to another total, or holding an infinite mass: every
+    file with a refused row is refused in the general path's words, from
+    the row reader's distributions where the first refused row in file
+    order sums wrong, and by the general path where it holds an inf."""
+    points = ("a", "b", "c", "d")
+    (tmp_path / "space.yaml").write_text("points: [a, b, c, d]\ngenerators: [[a], [b], [c], [d]]\n")
+    sf = fileio.load_space(tmp_path / "space.yaml")
+    rows = [["1/2", "1/2"], ["1/4", "3/4"], ["1", "0"], ["1/2", "1"], ["0", "0"], ["3/4", "1/2"],
+            ["inf", "0"], ["1/2", ".inf"]]
+    path = tmp_path / "model.yaml"
+    seen = set()
+    for seed in range(80):
+        r = helpers.rng(seed)
+        order = r.sample(points, len(points))
+        cells = [r.choice(rows) for _ in points]
+        if all(row in rows[:3] for row in cells):
+            cells[r.randrange(len(points))] = r.choice(rows[3:])
+        path.write_text("pmf:\n" + "".join(
+            f"  {p}: {{x: {x}, y: {y}}}\n" for p, (x, y) in zip(order, cells)
+        ))
+        (shipped, general), took = read_both_ways(monkeypatch, "pmf", path, sf, None)
+        assert took and shipped == general and shipped[0] is fileio.SchemaError, path.read_text()
+        first = next(row for row in cells if row not in rows[:3])
+        fell_through = "inf" in "".join(first)
+        seen.add(fell_through)
+        assert ("not a rational number" in shipped[1]) == fell_through
+    assert seen == {True, False}

@@ -349,3 +349,52 @@ def test_point_checks_make_one_expectation_per_point(monkeypatch, capsys, tmp_pa
         assert cli.main(argv) == cli.EXIT_OK
         assert calls[0] == points, (kind, members)
     capsys.readouterr()
+
+
+def _power_set_argv(path, violate):
+    """`check` files of a valid measure kernel on the 256-member power set
+    of 8 points with three outcomes, or of that kernel tripled, which
+    violates validity."""
+    r = helpers.rng(3707)
+    space = helpers.power_space(8)
+    pa = helpers.rand_pa(r, space.model, SampleSpace(("x", "y", "z")))
+    k = helpers.valid_measure_kernel(r, space, pa)
+    if violate:
+        k = helpers.scaled_kernel(k, XValue(3))
+    path.mkdir()
+    for name, text in (("space", helpers.space_yaml(space)), ("model", helpers.model_yaml(pa)),
+                       ("kernel", helpers.kernel_yaml(k))):
+        (path / f"{name}.yaml").write_text(text)
+    return ["check", *(arg for name in ("space", "model", "kernel")
+                       for arg in (f"--{name}", str(path / f"{name}.yaml")))]
+
+
+@pytest.mark.parametrize("options, violate, entries", [
+    (["--check", "validity", "--format", "records"], False, 0),
+    (["--check", "posthoc", "--format", "records"], False, 0),
+    (["--check", "posthoc", "--rule", "1/2", "--format", "records"], False, 0),
+    (["--check", "fer"], False, 0),
+    (["--check", "fer", "--format", "records"], True, 0),
+    (["--check", "validity"], True, 1),
+], ids=["validity", "posthoc", "posthoc-level", "fer", "fer-violated", "validity-witness"])
+def test_pair_checks_build_only_the_entries_they_print(
+    monkeypatch, capsys, tmp_path, options, violate, entries
+):
+    """L3/L5: a pair walk builds no `kernels.Entry`; the records render from
+    the walk and the FER rate is its largest statistic. So on the
+    256-member power set (1,024 pairs) `check` builds no entry for the
+    records of validity and post-hoc validity, nor for FER's rate, and a
+    violated validity check in text builds one, the witness it prints.
+    Building the entries eagerly makes 1,024 per run."""
+    argv = _power_set_argv(tmp_path / "files", violate) + options
+    built = []
+    init = kn.Entry.__init__
+    monkeypatch.setattr(kn.Entry, "__init__", lambda self, *args, **kwargs: (
+        built.append(1) or init(self, *args, **kwargs)
+    ))
+    code = cli.main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert (code, len(built)) == (cli.EXIT_VIOLATION if violate else cli.EXIT_OK, entries)
+    if "fer" not in options and "records" in options:
+        assert len(lines) == 1024
+    assert sum(line.startswith("first violation: {") for line in lines) == entries

@@ -163,7 +163,7 @@ def test_every_report_gives_its_verdict_and_worst_entry():
             assert report.first_violation() == next((e for e in report.entries if not e.ok), None)
             largest = max(e.stat for e in report.entries)
             attaining = [e for e in report.entries if e.stat == largest]
-            assert report.worst() is attaining[0]
+            assert report.worst() == attaining[0]
             ties += len(attaining) > 1
             verdicts.add(report.ok)
         pairs = [
