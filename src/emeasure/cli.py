@@ -16,7 +16,6 @@ only that path imports argparse.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -27,19 +26,19 @@ from . import multiplicity as mtp
 from . import decisions as dec
 from .evidence import EClass, EvidenceError
 from .spaces import SpaceError, preorder_from_class
-from .xvalue import XValue, decimal_text
+from .xvalue import XValue, decimal_text, ratio, read_rational
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 
-def _level_arg(raw: str) -> Fraction:
+def _level_arg(raw: str) -> XValue:
     """A positive rational; anything else is refused in argparse's words."""
     try:
-        level = Fraction(raw)
-        if level > 0:
-            return level
+        num, den = read_rational(raw)
+        if num > 0:
+            return ratio(num, den)
         message = f"a level must be positive, got {raw!r}"
     except (ValueError, ZeroDivisionError):
         message = f"not a rational number: {raw!r}"
@@ -76,9 +75,6 @@ def _write(lines: list[str]) -> None:
 def _render(value) -> str:
     if isinstance(value, XValue):
         return value.record()
-    if isinstance(value, Fraction):
-        text = decimal_text(value.numerator)
-        return f"{text}/{decimal_text(value.denominator)}" if value.denominator > 1 else text
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, int):
@@ -485,7 +481,7 @@ def cmd_check(args) -> int:
     raise fileio.SchemaError("<args>", f"unknown check {args.check!r}")
 
 
-def _golden_table1(alpha: Fraction, out: Printer) -> int:
+def _golden_table1(alpha: XValue, out: Printer) -> int:
     computed = golden.compute_reference_table(alpha)
     is_golden = alpha == golden.DEFAULT_ALPHA
     header = ("row", "e", "e_selected", "fsp", "step_up", "closed_step_up")
@@ -592,7 +588,7 @@ def cmd_decide(args) -> int:
         if args.bound == "econsequence":
             report = dec.check_econsequence_bound(kernel, pa, ctable)
         elif args.bound == "probability":
-            alpha = XValue(args.alpha or golden.DEFAULT_ALPHA)
+            alpha = args.alpha or golden.DEFAULT_ALPHA
             rule = {x: alpha for x in kernel.sample.outcomes}
             report = dec.check_posthoc_consequence_bound(kernel, pa, ctable, rule)
         else:
@@ -604,8 +600,8 @@ def cmd_decide(args) -> int:
     except dec.OrderMeasurabilityViolation as exc:
         raise fileio.SchemaError(args.decisions, str(exc)) from None
 
-    ratio = "ratio expectation" if args.bound == "grunwald" else None
-    _report_entries(out, "bound", report, sf.space, text=ratio)
+    text = "ratio expectation" if args.bound == "grunwald" else None
+    _report_entries(out, "bound", report, sf.space, text=text)
     code = _verdict(out, "bound holds", report.ok)
 
     if ctable.cspace.values is not None and slice_fn is not None:

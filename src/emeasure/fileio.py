@@ -86,7 +86,6 @@ import functools
 import io
 import locale
 import re
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -101,7 +100,7 @@ from .spaces import (
     SpaceError,
     union_closure,
 )
-from .xvalue import INF, XValue, parse_xvalue
+from .xvalue import INF, XValue, parse_xvalue, ratio, read_rational
 
 
 class SchemaError(Exception):
@@ -398,20 +397,17 @@ def _xvalue(path, raw) -> XValue:
 
 
 def _mass(path, raw):
-    """A model file's mass cell as a finite XValue. A cell no evidence value
-    reads is read as a rational (a decimal float by its text), so that a
-    negative mass reaches ``Pmf``'s refusal; every other refusal, inf and
-    booleans among them, is made here."""
-    try:
-        value = parse_xvalue(raw)
-        if not value.is_inf:
-            return value
-    except (ValueError, TypeError, ZeroDivisionError):
+    """A model file's mass cell, an int or a rational text (a float by its
+    decimal text), as a finite XValue, or -1 when it is negative, which
+    ``Pmf`` refuses once the row's outcomes are checked; every other
+    refusal, inf and booleans among them, is made here."""
+    if type(raw) in (int, float, str):
         try:
-            if not isinstance(raw, bool):
-                return Fraction(str(raw) if isinstance(raw, float) else raw)
-        except (ValueError, TypeError, ZeroDivisionError):
+            num, den = (raw, 1) if type(raw) is int else read_rational(str(raw))
+        except (ValueError, ZeroDivisionError):
             pass
+        else:
+            return ratio(num, den) if num >= 0 else -1
     raise SchemaError(path, f"not a rational number: {raw!r}")
 
 

@@ -8,27 +8,17 @@ the golden comparison needs no input files.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import evidence as ev
 from . import multiplicity as mtp
 from .evidence import EFunction
 from .spaces import Model, Space, union_closure
-from .xvalue import INF, XValue
+from .xvalue import INF, XValue, ratio
 
 CELLS = ("c1", "c2", "c3", "c12", "c13", "c23", "c123", "cOut")
 
-CELL_EVIDENCE = {
-    "c1": XValue(60),
-    "c2": XValue(29),
-    "c3": XValue(11),
-    "c12": XValue(70),
-    "c13": XValue(65),
-    "c23": XValue(40),
-    "c123": XValue(100),
-    "cOut": XValue(5),
-}
+CELL_EVIDENCE = dict(zip(CELLS, map(XValue, (60, 29, 11, 70, 65, 40, 100, 5))))
 
 GROUPS = {
     "G1": ("c1", "c12", "c13", "c123"),
@@ -52,7 +42,7 @@ _ROW_CELLS = {
     "G_3": GROUPS["G3"],
 }
 
-DEFAULT_ALPHA = Fraction(1, 20)
+DEFAULT_ALPHA = ratio(1, 20)
 
 
 def toy_space() -> Space:
@@ -75,29 +65,19 @@ def base_efunction(space: Optional[Space] = None) -> EFunction:
     return ev.measure_from_density(space, [CELL_EVIDENCE[c] for c in space.model.points])
 
 
-class ReferenceTable:
+class ReferenceTable(NamedTuple):
     """One row per labeled hypothesis; the selection share is absent on G rows."""
 
-    __slots__ = ("alpha", "rows", "base", "inflated", "fsp", "stepup", "closed_stepup")
-
-    def __init__(
-        self, alpha: Fraction, rows: tuple[str, ...], base: dict[str, XValue],
-        inflated: dict[str, XValue], fsp: dict[str, Optional[Fraction]],
-        stepup: dict[str, XValue], closed_stepup: dict[str, XValue],
-    ):
-        self.alpha = alpha
-        self.rows = rows
-        self.base = base
-        self.inflated = inflated
-        self.fsp = fsp
-        self.stepup = stepup
-        self.closed_stepup = closed_stepup
-
-    def cell(self, row: str, column: str):
-        return getattr(self, column)[row]
+    alpha: XValue
+    rows: tuple[str, ...]
+    base: dict[str, XValue]
+    inflated: dict[str, XValue]
+    fsp: dict[str, Optional[XValue]]
+    stepup: dict[str, XValue]
+    closed_stepup: dict[str, XValue]
 
 
-def compute_reference_table(alpha: Fraction = DEFAULT_ALPHA) -> ReferenceTable:
+def compute_reference_table(alpha: XValue = DEFAULT_ALPHA) -> ReferenceTable:
     """Recompute every column from the eight cell values alone."""
     space = toy_space()
     base = base_efunction(space)
@@ -109,7 +89,7 @@ def compute_reference_table(alpha: Fraction = DEFAULT_ALPHA) -> ReferenceTable:
 
     ids = {label: row_id(space, label) for label in ROW_LABELS}
     shares = mtp.selection_shares(space, closed.rejected)
-    fsp: dict[str, Optional[Fraction]] = {
+    fsp: dict[str, Optional[XValue]] = {
         label: None if label.startswith("G") else shares[space.model.index(_ROW_CELLS[label][0])]
         for label in ROW_LABELS
     }
@@ -127,8 +107,7 @@ def compute_reference_table(alpha: Fraction = DEFAULT_ALPHA) -> ReferenceTable:
 
 def expected_reference_table() -> ReferenceTable:
     """The embedded golden values at the default level 1/20."""
-    x = XValue
-    f = Fraction
+    x, f = XValue, ratio
     return ReferenceTable(
         alpha=DEFAULT_ALPHA,
         rows=ROW_LABELS,
@@ -139,12 +118,12 @@ def expected_reference_table() -> ReferenceTable:
         },
         inflated={
             "H_C": INF, "H_1": x(180), "H_2": x(87), "H_3": x(33),
-            "H_12": x(105), "H_13": x(f(195, 2)), "H_23": x(60), "H_123": x(100),
-            "G_1": x(f(195, 2)), "G_2": x(60), "G_3": x(33),
+            "H_12": x(105), "H_13": f(195, 2), "H_23": x(60), "H_123": x(100),
+            "G_1": f(195, 2), "G_2": x(60), "G_3": x(33),
         },
         fsp={
-            "H_C": f(0), "H_1": f(1, 3), "H_2": f(1, 3), "H_3": f(1, 3),
-            "H_12": f(2, 3), "H_13": f(2, 3), "H_23": f(2, 3), "H_123": f(1),
+            "H_C": x(0), "H_1": f(1, 3), "H_2": f(1, 3), "H_3": f(1, 3),
+            "H_12": f(2, 3), "H_13": f(2, 3), "H_23": f(2, 3), "H_123": x(1),
             "G_1": None, "G_2": None, "G_3": None,
         },
         stepup={
@@ -163,22 +142,18 @@ def expected_reference_table() -> ReferenceTable:
 EVIDENCE_COLUMNS = ("base", "inflated", "stepup", "closed_stepup")
 
 
-class CellDiff:
-    __slots__ = ("row", "column", "computed", "expected")
-
-    def __init__(self, row: str, column: str, computed: object, expected: object):
-        self.row = row
-        self.column = column
-        self.computed = computed
-        self.expected = expected
+class CellDiff(NamedTuple):
+    row: str
+    column: str
+    computed: object
+    expected: object
 
 
 def diff_reference_tables(computed: ReferenceTable, expected: ReferenceTable) -> list[CellDiff]:
     diffs = []
     for row in expected.rows:
         for column in EVIDENCE_COLUMNS + ("fsp",):
-            got = computed.cell(row, column)
-            want = expected.cell(row, column)
+            got, want = getattr(computed, column)[row], getattr(expected, column)[row]
             if got != want:
-                diffs.append(CellDiff(row=row, column=column, computed=got, expected=want))
+                diffs.append(CellDiff(row, column, got, want))
     return diffs

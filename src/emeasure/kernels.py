@@ -26,7 +26,6 @@ that read one outcome at a time.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter, mul
 from typing import Mapping, Optional, Sequence, Union
@@ -73,15 +72,16 @@ class SampleSpace(Record):
 class Pmf(Record):
     """Probability mass function over a sample space; masses sum to one exactly.
 
-    The masses, XValues, Fractions or ints, are scaled to their common
-    denominator once, here (`scaled`); that is the stored form, and every
+    The masses, XValues or any other rationals (ints, Fractions), are
+    scaled to their common denominator once, here (`scaled`), their signs
+    checked on the scaled table; that is the stored form, and every
     expectation (`_pair_report`) is a dot product with it. Equal masses
     give equal scaled tables, so they are what a Pmf is compared by.
     """
 
     __slots__ = _compared = ("sample", "scaled")
 
-    def __init__(self, sample: SampleSpace, mass: Sequence[XValue | Fraction | int]):
+    def __init__(self, sample: SampleSpace, mass: Sequence[XValue | int]):
         if len(mass) != sample.size:
             raise KernelError("one mass per outcome is required")
         scaled = scale(mass)
@@ -91,14 +91,13 @@ class Pmf(Record):
         if any(n < 0 for n in nums):
             raise KernelError("masses must be non-negative")
         if sum(nums) != den:
-            raise KernelError(f"masses sum to {Fraction(sum(nums), den)}, expected 1")
+            raise KernelError(f"masses sum to {ratio(sum(nums), den)}, expected 1")
         self.sample = sample
         self.scaled = scaled
 
     @classmethod
     def of(cls, sample: SampleSpace, table: Mapping[str, object]) -> "Pmf":
-        masses = (table.get(x, ZERO) for x in sample.outcomes)
-        return cls(sample, [m if type(m) in (Fraction, XValue) else Fraction(m) for m in masses])
+        return cls(sample, [table.get(x, ZERO) for x in sample.outcomes])
 
 
 class ProbabilityAssignment(Record):
@@ -410,18 +409,20 @@ def close_kernel(k: EKernel) -> EKernel:
     return EKernel(k.space, k.sample, zip(*closed))
 
 
-def merge_convex(kernels: Sequence[EKernel], weights: Sequence[Fraction | int]) -> EKernel:
+def merge_convex(kernels: Sequence[EKernel], weights: Sequence[XValue | int]) -> EKernel:
     """Convex combination of capacity kernels over one space and one sample
-    space, row by row; the result is a capacity kernel."""
+    space, row by row; the result is a capacity kernel. The weights are
+    XValues or any other rationals (ints, Fractions) summing to 1."""
     if len(kernels) != len(weights):
         raise EvidenceError("need one weight per input")
     if not kernels:
         raise EvidenceError("nothing to merge")
-    ws = [Fraction(w) for w in weights]
-    if any(w < 0 for w in ws):
-        raise EvidenceError("weights must be non-negative")
-    if sum(ws) != 1:
-        raise EvidenceError(f"weights sum to {sum(ws)}, expected 1")
+    try:
+        ws = [as_xvalue(w) for w in weights]
+    except ValueError:  # a negative weight
+        raise EvidenceError("weights must be non-negative") from None
+    if sum(ws, ZERO) != ONE:
+        raise EvidenceError(f"weights sum to {sum(ws, ZERO)}, expected 1")
     space, sample = kernels[0].space, kernels[0].sample
     for k in kernels:
         if k.space != space:
@@ -431,9 +432,8 @@ def merge_convex(kernels: Sequence[EKernel], weights: Sequence[Fraction | int]) 
             raise EvidenceError(f"all inputs must share one sample space, not outcomes {outcomes}")
         if k.eclass < EClass.CAPACITY:
             raise ev.ClassMismatch("merging needs capacities")
-    xs = [XValue(w) for w in ws]
     rows = [
-        tuple(sum(map(mul, cells, xs), ZERO) for cells in zip(*hid_rows))
+        tuple(sum(map(mul, cells, ws), ZERO) for cells in zip(*hid_rows))
         for hid_rows in zip(*(k.rows for k in kernels))
     ]
     return EKernel(space, sample, rows)

@@ -9,7 +9,6 @@ member.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import evidence as ev
@@ -17,7 +16,7 @@ from .evidence import EClass, EFunction, EvidenceError
 from .kernels import (
     EKernel, ProbabilityAssignment, Report, SampleSpace, _pair_report, check_validity,
 )
-from .xvalue import ONE, ZERO, XValue, inf_of, scale
+from .xvalue import ONE, ZERO, Rationalish, XValue, as_xvalue, inf_of, ratio, scale
 
 
 class MultiplicityError(EvidenceError):
@@ -88,12 +87,12 @@ def check_fer(
 # -- selection post-processing -------------------------------------------
 
 
-def selection_shares(space, selected: Sequence[int]) -> list[Fraction]:
+def selection_shares(space, selected: Sequence[int]) -> list[XValue]:
     """Per point, the share of the selected hypotheses that contain it."""
     denom = max(len(selected), 1)
     members = space.family
     return [
-        Fraction(sum(1 for hid in selected if members.member(hid) >> pi & 1), denom)
+        ratio(sum(1 for hid in selected if members.member(hid) >> pi & 1), denom)
         for pi in range(space.model.size)
     ]
 
@@ -108,7 +107,7 @@ def postprocess_efunction(e: EFunction, selected: Sequence[int]) -> EFunction:
     shares = selection_shares(space, selected)
     return ev.measure_from_density(
         space,
-        [e.values[least[pi]] / XValue(share) for pi, share in enumerate(shares)],
+        [e.values[least[pi]] / share for pi, share in enumerate(shares)],
     )
 
 
@@ -124,7 +123,7 @@ class SelectionResult:
 
 
 def self_consistent_selection(
-    e: EFunction, family_ids: Sequence[int], alpha: Fraction
+    e: EFunction, family_ids: Sequence[int], alpha: Rationalish
 ) -> SelectionResult:
     """The selection that equals its own post-processed rejection set.
 
@@ -146,9 +145,7 @@ def self_consistent_selection(
     otherwise no selection is a fixed point, and the empty selection is
     returned and flagged.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise MultiplicityError("alpha must be positive")
+    alpha = _level(alpha)
     space = e.space
     space.require_intersection_closed()
     ids = sorted(family_ids)
@@ -160,9 +157,9 @@ def self_consistent_selection(
         for p in points[i]:
             count[p] += 1
     size = max(len(chosen), 1)
-    term = [v / XValue(Fraction(c, size)) for v, c in zip(least_value, count)]
+    term = [v / ratio(c, size) for v, c in zip(least_value, count)]
     inflated = [inf_of(term[p] for p in pts) for pts in points]
-    threshold = ONE / XValue(alpha)
+    threshold = ONE / alpha
     if any(inflated[i] < threshold for i in chosen):
         return SelectionResult(selected=(), witness={}, is_fixed_point=False)
     return SelectionResult(
@@ -183,7 +180,18 @@ class StepUpResult:
         self.table = table
 
 
-def _binary_rejection_table(space, rejected_g: Sequence[int], alpha: Fraction) -> EFunction:
+def _level(alpha: Rationalish) -> XValue:
+    """A level alpha as an XValue; one at most 0, or inf, is refused."""
+    try:
+        level = as_xvalue(alpha)
+    except ValueError:  # a negative level
+        level = ZERO
+    if level.is_zero or level.is_inf:
+        raise MultiplicityError("alpha must be positive and finite")
+    return level
+
+
+def _binary_rejection_table(space, rejected_g: Sequence[int], alpha: XValue) -> EFunction:
     """Binary table implied by G-level rejections.
 
     The least hypothesis of a point lies in a member exactly when the point
@@ -191,7 +199,7 @@ def _binary_rejection_table(space, rejected_g: Sequence[int], alpha: Fraction) -
     rest of the family follows by closure.
     """
     space.require_intersection_closed()
-    level = ONE / XValue(alpha)
+    level = ONE / alpha
     rejected = set()
     for g in rejected_g:
         rejected.update(space.family.indices(g))
@@ -199,33 +207,32 @@ def _binary_rejection_table(space, rejected_g: Sequence[int], alpha: Fraction) -
     return ev.measure_from_density(space, density)
 
 
-def ebh(e: EFunction, family_ids: Sequence[int], alpha: Fraction) -> StepUpResult:
+def ebh(e: EFunction, family_ids: Sequence[int], alpha: Rationalish) -> StepUpResult:
     """Step-up rejection over a finite family of e-values.
 
     With K candidates sorted by decreasing evidence, keep the largest k
     whose k-th value reaches K/(alpha*k); the rejections are rendered as a
     binary table over the whole space.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise MultiplicityError("alpha must be positive")
+    alpha = _level(alpha)
     e.space.require_intersection_closed()
     ids = sorted(family_ids)
     ranked = sorted(ids, key=lambda g: (e.values[g], -g), reverse=True)
     big_k = len(ids)
     best_k = 0
     for kth, g in enumerate(ranked, start=1):
-        if e.values[g] >= XValue(Fraction(big_k, 1)) / XValue(alpha * kth):
+        if e.values[g] >= XValue(big_k) / (alpha * kth):
             best_k = kth
     rejected = tuple(sorted(ranked[:best_k]))
     return StepUpResult(rejected=rejected, table=_binary_rejection_table(e.space, rejected, alpha))
 
 
-def closed_ebh(e: EFunction, family_ids: Sequence[int], alpha: Fraction) -> StepUpResult:
+def closed_ebh(e: EFunction, family_ids: Sequence[int], alpha: Rationalish) -> StepUpResult:
     """Reject the self-consistent selection instead of the step-up set.
 
     The rejections are the fixed point of ``self_consistent_selection``, or
     nothing when there is none, rendered as a binary table like ``ebh``'s.
     """
+    alpha = _level(alpha)
     selected = self_consistent_selection(e, family_ids, alpha).selected
-    return StepUpResult(rejected=selected, table=_binary_rejection_table(e.space, selected, Fraction(alpha)))
+    return StepUpResult(rejected=selected, table=_binary_rejection_table(e.space, selected, alpha))

@@ -17,13 +17,15 @@ one: rendering, ordering and ranking all work on the exact value.
 A value is two ints, a numerator and a denominator in lowest terms with the
 denominator positive; inf is the pair (1, 0). Arithmetic works on the pairs
 and reduces each result with one gcd, and comparisons cross-multiply them,
-which orders inf above every finite value without a branch. ``Fraction``
-appears only at the edges: the constructor for inputs other than ints,
-and the hash, which must equal the hash of the equal ``Fraction``.
-:func:`parse_xvalue` reads an ASCII-digit 'p' or 'p/q' cell straight into a
-reduced pair, and :func:`order_keys` keys each value by a fixed binary shift
-of its pair, so that a table's values order as ints; :func:`packed_keys`
-packs rows of such keys so that one subtraction compares two rows.
+which orders inf above every finite value without a branch. It is the
+package's one number type: any other rational, a ``Fraction`` among them,
+is read by its ``numerator`` and ``denominator``, and equal values compare
+and hash alike. Every text is read by :func:`read_rational`, on the
+grammar and to the value ``fractions.Fraction`` reads, except that an
+exponent past 10000 is refused before its power of ten is built.
+:func:`order_keys` keys each value by a fixed binary shift of its pair, so
+that a table's values order as ints; :func:`packed_keys` packs rows of such
+keys so that one subtraction compares two rows.
 
 Expectations work on scaled tables: :func:`scale` turns a table into its
 least common denominator, one integer numerator per position (0 where the
@@ -44,14 +46,17 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
+import sys
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-Rationalish = Union[int, str, Fraction, "XValue"]
+# What a value is built from; a Fraction, or any other value with a
+# numerator and a denominator, is read too.
+Rationalish = Union[int, str, "XValue"]
 
 _INF_TEXTS = ("inf", "Inf", "INF", "∞")
+_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 class XValue:
@@ -63,23 +68,18 @@ class XValue:
     __slots__ = ("_num", "_den")
 
     def __init__(self, value: Rationalish = 0):
+        if isinstance(value, str):
+            value = parse_xvalue(value)
         if isinstance(value, XValue):
             self._num, self._den = value._num, value._den
             return
-        if type(value) is int:
-            if value < 0:
-                raise ValueError(f"evidence values are non-negative, got {value}")
-            self._num, self._den = value, 1
-            return
-        if isinstance(value, float):
-            raise TypeError("floats are inexact; pass int, Fraction or 'p/q' string")
-        if isinstance(value, str) and value.strip() in _INF_TEXTS:
-            self._num, self._den = 1, 0
-            return
-        frac = Fraction(value)
-        if frac._numerator < 0:
-            raise ValueError(f"evidence values are non-negative, got {frac}")
-        self._num, self._den = frac._numerator, frac._denominator
+        try:  # an int, a Fraction or any other rational; a float has no parts
+            num, den = value.numerator, value.denominator
+        except AttributeError:
+            raise TypeError(f"not an int, a rational or a text: {value!r}") from None
+        if num < 0:
+            raise ValueError(f"evidence values are non-negative, got {value}")
+        self._num, self._den = num, den
 
     # -- predicates ---------------------------------------------------
 
@@ -140,16 +140,23 @@ class XValue:
     # a finite value compares q <= 0, and inf against inf 0 <= 0.
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is not XValue:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = XValue(other)
-        return self._num == other._num and self._den == other._den
+        if type(other) is XValue:
+            return self._num == other._num and self._den == other._den
+        try:  # any rational, its parts in lowest terms
+            return self._num == other.numerator and self._den == other.denominator
+        except AttributeError:
+            return NotImplemented
 
     def __hash__(self) -> int:
-        if self._den == 1:
-            return hash(self._num)
-        return hash(None) if not self._den else hash(Fraction(self._num, self._den))
+        """Python's hash of the rational num/den, as ints and Fractions hash."""
+        num, den = self._num, self._den
+        if den == 1:
+            return hash(num)
+        if not den:
+            return hash(None)
+        if not den % _MODULUS:
+            return _HASH_INF
+        return hash(hash(num) * pow(den, -1, _MODULUS))
 
     def __le__(self, other: Rationalish) -> bool:
         if type(other) is not XValue:
@@ -211,9 +218,9 @@ _new = object.__new__
 def _pair(num: int, den: int) -> XValue:
     """Wrap a pair already in lowest terms, skipping every check.
 
-    Sums, products and quotients of two values in [0, inf] stay there, so
-    arithmetic results come through here, by way of :func:`ratio`; every
-    other construction goes through ``XValue(...)``.
+    Sums, products and quotients of values in [0, inf] stay there, and a
+    read text is checked for its sign, so both come through :func:`ratio`;
+    every other construction goes through ``XValue(...)``.
     """
     out = _new(XValue)
     out._num = num
@@ -248,25 +255,19 @@ def ratio(num: int, den: int) -> XValue:
 Scaled = tuple[int, tuple[int, ...], int]
 
 
-def _parts(value: Union[int, Fraction]) -> XValue:
-    """An int or a Fraction as a pair, its sign unchecked."""
-    frac = value if type(value) is Fraction else Fraction(value)
-    return _pair(frac._numerator, frac._denominator)
-
-
 def scale(table: Sequence[Rationalish]) -> Scaled:
     """A table of masses or values over its least common denominator.
 
     Each position gets the integer numerator of its value at that
     denominator, and 0 with its bit set in the mask where the value is inf.
-    A Fraction or an int in the table is read by its parts, unchecked, as a
-    table of masses checks its own signs.
+    Any other rational in the table, an int or a Fraction, is read by its
+    parts, unchecked, as a table of masses checks its own signs.
     """
     try:
         nums = [v._num for v in table]
         dens = [v._den for v in table]
     except AttributeError:
-        return scale([v if type(v) is XValue else _parts(v) for v in table])
+        return scale([v if type(v) is XValue else _pair(v.numerator, v.denominator) for v in table])
     inf = 0
     if 0 in dens:
         for i, d in enumerate(dens):
@@ -363,36 +364,58 @@ def sup_of(values: Iterable[Rationalish]) -> XValue:
     return best
 
 
-# ASCII digits, or two runs of them around '/': the file form of a rational.
-_DIGITS = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+# A rational as ``fractions.Fraction`` reads it: a sign, then digits ('_'
+# between two; any Unicode decimal digit, as int() reads it) over a
+# denominator, or with a decimal part and an exponent; spaces around.
+_RATIONAL = re.compile(
+    r"\s*([-+]?)(?=\.?\d)((?:\d+(?:_\d+)*)?)"
+    r"(?:/(\d+(?:_\d+)*)|(?:\.(\d+(?:_\d+)*)?)?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*"
+)
+# 10**10000 costs about what int() pays for the 4300 digits it reads at
+# most; the cost of a power of ten grows faster than its exponent.
+_MAX_EXPONENT = 10_000
+
+
+def read_rational(text: str) -> tuple[int, int]:
+    """A rational text as a signed numerator and a positive denominator, not
+    reduced, with the value ``fractions.Fraction`` reads from it; like it,
+    refused with ValueError, or ZeroDivisionError for 'p/0'. An exponent
+    past 10000 in magnitude is refused before its power of ten is built."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not a rational number: {text!r}")
+    sign, whole, den, frac, exp = m.groups()
+    if den is not None:
+        num, den = int(whole), int(den)
+        if not den:
+            raise ZeroDivisionError(f"zero denominator: {text!r}")
+    else:
+        num, den = int(whole or "0"), 1
+        if frac:
+            den = 10 ** len(frac.replace("_", ""))
+            num = num * den + int(frac)
+        if exp:
+            exp = int(exp)
+            if abs(exp) > _MAX_EXPONENT:
+                raise ValueError(f"an exponent past {_MAX_EXPONENT}: {text!r}")
+            num, den = (num * 10**exp, den) if exp >= 0 else (num, den * 10**-exp)
+    return (-num, den) if sign == "-" else (num, den)
 
 
 def parse_xvalue(raw: object) -> XValue:
-    """Lenient parser for file input: ints, 'p/q' strings, 'inf', floats.
+    """Lenient parser for file input: ints, rational texts, 'inf', floats.
 
-    An ASCII-digit 'p' or 'p/q' text goes straight to its reduced pair.
-    Floats are read with decimal semantics (97.5 -> 195/2), never binary.
+    A text is read by :func:`read_rational`, and a float by its decimal
+    text (97.5 -> 195/2), never by its binary value; a bool is refused.
     """
-    if type(raw) is str:
-        m = _DIGITS.fullmatch(raw)
-        if m is not None:
-            p, q = m.groups()
-            if q is None:
-                return _pair(int(p), 1)
-            if q.strip("0"):
-                return ratio(int(p), int(q))
-    elif type(raw) is int:
-        return XValue(raw)
-    if isinstance(raw, XValue):
-        return raw
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, Fraction, str)):
-        raise ValueError(f"not an evidence value: {raw!r}")
-    if isinstance(raw, float):
-        if math.isinf(raw):
-            if raw < 0:
-                raise ValueError(f"evidence values are non-negative, got {raw}")
+    if isinstance(raw, (str, float)):
+        text = str(raw)
+        if text.strip() in _INF_TEXTS:
             return INF
-        raw = str(raw)
-    elif isinstance(raw, str) and raw.strip() in _INF_TEXTS:
-        return INF
-    return XValue(raw)
+        num, den = read_rational(text)
+        if num < 0:
+            raise ValueError(f"evidence values are non-negative, got -{ratio(-num, den)}")
+        return ratio(num, den)
+    if isinstance(raw, bool):
+        raise ValueError(f"not an evidence value: {raw!r}")
+    return as_xvalue(raw)

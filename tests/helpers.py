@@ -6,6 +6,7 @@ intersection, unions by subset enumeration. They were written against the
 definitions, not against the implementation.
 """
 
+import argparse
 import itertools
 import random
 from fractions import Fraction
@@ -41,6 +42,24 @@ from emeasure.evidence import measure_from_density
 from emeasure.kernels import Entry, Report
 from emeasure.spaces import HypothesisClass, NotAPreorder
 from emeasure.xvalue import dot_at_most, order_keys, scale
+
+
+# -- the rational reader's oracle ---------------------------------------------
+
+
+def fraction_level_arg(raw):
+    """The command line's level reader as it was on ``fractions.Fraction``:
+    a positive rational, anything else refused in argparse's words. The
+    oracle of ``cli._level_arg`` and of the reader under it,
+    ``xvalue.read_rational``."""
+    try:
+        level = Fraction(raw)
+        if level > 0:
+            return level
+        message = f"a level must be positive, got {raw!r}"
+    except (ValueError, ZeroDivisionError):
+        message = f"not a rational number: {raw!r}"
+    raise argparse.ArgumentTypeError(message)
 
 
 # -- the per-outcome view of kernels and distributions ----------------------

@@ -10,6 +10,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -767,6 +768,47 @@ def test_mtp_alpha_defaults_to_one_twentieth_where_it_is_read(capsys):
                  "--evidence", str(DATA / "evidence_ic_large.yaml"), "--family", "a|c|a,b|c,d"]
     assert run(capsys, selection) == run(capsys, [*selection, "--alpha", "1/20"])
     assert run(capsys, selection) != run(capsys, [*selection, "--alpha", "1/10"])
+
+
+# An exponent that Fraction would take unbounded time to apply.
+HUGE_EXPONENT = "1e-999999999"
+
+
+def _huge_exponent_argv(tmp_path, where):
+    """A command line that reads HUGE_EXPONENT at `where`, and the words
+    of its refusal."""
+    check = ["check", "--check", "posthoc", *COIN, "--kernel", COIN_KERNELS[2]]
+    if where == "rule":
+        return [*check, "--rule", HUGE_EXPONENT], f"--rule: not an evidence value: {HUGE_EXPONENT!r}"
+    if where == "alpha":
+        return ["mtp", "--golden", "table1", "--alpha", HUGE_EXPONENT], (
+            f"argument --alpha: not a rational number: {HUGE_EXPONENT!r}")
+    path = tmp_path / f"{where}.yaml"
+    if where == "cell":
+        path.write_text((DATA / "kernel_coin_t2.yaml").read_text().replace("4/9", HUGE_EXPONENT, 1))
+        check[check.index(COIN_KERNELS[2])] = str(path)
+        return check, f"{path}: not an evidence value: {HUGE_EXPONENT!r}"
+    path.write_text((DATA / "model_coin.yaml").read_text().replace("1/16", HUGE_EXPONENT, 1))
+    check[check.index(str(DATA / "model_coin.yaml"))] = str(path)
+    return check, f"{path}: not a rational number: {HUGE_EXPONENT!r}"
+
+
+@pytest.mark.parametrize("where", ["rule", "alpha", "cell", "mass"])
+def test_a_huge_exponent_is_refused_within_a_second(tmp_path, capsys, where):
+    """A `--rule`, an `--alpha`, a kernel cell and a model mass with an
+    exponent past the reader's bound exit 2 at once, each in its reader's
+    words, where Fraction would build a power of ten of 10**9 digits."""
+    argv, words = _huge_exponent_argv(tmp_path, where)
+    start = time.perf_counter()
+    try:
+        code = cli.main([*argv, "--format", "records"])
+    except SystemExit as exc:  # argparse refusing --alpha
+        code = exc.code
+    seconds = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INPUT, "")
+    assert words in captured.err
+    assert seconds < 1.0, seconds
 
 
 def test_mtp_golden_at_a_level_past_4300_digits_renders_it_exactly(capsys):

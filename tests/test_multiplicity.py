@@ -27,7 +27,8 @@ from emeasure import (
 )
 from emeasure.evidence import from_values, measure_from_density
 from emeasure.spaces import NotIntersectionClosed
-from emeasure import golden
+from emeasure import ZERO, golden
+from emeasure import multiplicity as mtp
 
 
 def toy_kernel(outcomes=("x",)):
@@ -633,3 +634,17 @@ def test_phi_entries_and_premise_match_their_definitions():
                     implied += 1
                 violated += not entry.ok
     assert implied and violated
+
+
+@pytest.mark.parametrize("procedure", [mtp.ebh, mtp.closed_ebh, mtp.self_consistent_selection])
+def test_a_level_is_any_positive_rational_and_nothing_else(procedure):
+    """A procedure reads alpha as an XValue, a Fraction, an int or a text
+    alike, and refuses a level at most 0, or inf, with MultiplicityError."""
+    e = golden.base_efunction()
+    gids = golden.group_ids(e.space)
+    results = [procedure(e, gids, alpha) for alpha in (XValue("1/20"), Fraction(1, 20), "1/20", "5e-2")]
+    fields = [[getattr(r, name) for name in type(r).__slots__] for r in results]
+    assert fields[1:] == fields[:-1]
+    for alpha in (0, ZERO, Fraction(-1, 20), -1, "-1/20", INF):
+        with pytest.raises(mtp.MultiplicityError):
+            procedure(e, gids, alpha)

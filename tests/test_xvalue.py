@@ -1,7 +1,9 @@
 """The extended-arithmetic conventions, pinned one by one."""
 
+import argparse
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from emeasure import INF, ONE, XValue, ZERO, as_xvalue, inf_of, parse_xvalue, sup_of
+from emeasure import INF, ONE, XValue, ZERO, as_xvalue, cli, fileio, inf_of, parse_xvalue, sup_of
 from emeasure.xvalue import order_keys, scale
 
 fractions = st.fractions(min_value=0, max_value=100)
@@ -262,6 +264,27 @@ def test_a_value_hashes_as_the_equal_fraction_and_int(frac):
         assert hash(fresh(frac)) == hash(frac.numerator)
 
 
+def test_a_value_hashes_as_python_hashes_the_rational():
+    """Seeded values, denominators that the hash modulus divides and values
+    past 4300 digits hash as the equal Fraction, so a dict keyed by either
+    finds the other."""
+    r = helpers.rng(59)
+    modulus = sys.hash_info.modulus
+    fracs = [Fraction(r.randint(0, 10 ** r.randint(0, 40)), r.randint(1, 10 ** r.randint(0, 40)))
+             for _ in range(400)]
+    fracs += [Fraction(r.randint(1, 10**6), modulus * r.randint(1, 9)) for _ in range(20)]
+    fracs += [Fraction(1, modulus**2), Fraction(modulus, 3), Fraction(modulus + 1, modulus)]
+    fracs += [Fraction(10**4400 + 1, 3), Fraction(7, 10**4400 + 3), Fraction(10**5000 + 7)]
+    assert sum(f.denominator % modulus == 0 for f in fracs) >= 20
+    for frac in fracs:
+        assert hash(XValue(frac)) == hash(frac), frac
+    by_fraction = {frac: i for i, frac in enumerate(fracs)}
+    by_value = {XValue(frac): i for i, frac in enumerate(fracs)}
+    assert [by_fraction[XValue(f)] for f in fracs] == [by_value[f] for f in fracs] == [
+        by_fraction[f] for f in fracs
+    ]
+
+
 @given(st.lists(extended, max_size=12).flatmap(lambda xs: st.permutations(xs + xs[:3])))
 def test_order_keys_keep_order_and_equality(values):
     xs = [fresh(v) for v in values]
@@ -404,3 +427,91 @@ def test_parse_reads_every_cell_as_fraction_reads_it():
         assert _pair_or_error(parse_xvalue, raw) == _pair_or_error(
             lambda text: XValue(Fraction(text)), raw
         ), raw
+
+
+# -- one reader for every rational text -------------------------------------
+
+# A text is PAD + SIGN + BODY + PAD. The bodies: digit runs with leading zeros
+# and '_', non-ASCII digits, decimals with and without digits around the
+# point, exponents, ratios, inf spellings and texts off the grammar, among
+# them runs at 4300 digits and exponents at the bound.
+PADS = ("", " ", "\t", "\u3000")
+SIGNS = ("", "+", "-", "--", "- ")
+BODIES = (
+    "", "0", "5", "05", "007", "1_000", "1__0", "_1", "1_", "٣", "３", "١٢/٣", "٣.٥e١", ".5", "5.",
+    "5.25", "0.0", "00.0", "1.5e3", "1.5E-3", "2.5e+2", "25e-2", "2.5E-1", "5e0", "0e0", "1_0e1_0",
+    "1e1_", "5._5", "5.5_", ".e5", "e5", "5e", "5e-", "5.e3", ".5e-3", "3/4", "6/4", "0/7", "3/0", "0/0", "3/04",
+    "3.5/2", "3/2.5", "1/2e3", "1/", "/2", ".", "5..5", "5.5.5", "5.d", "5.dE2", "0x10", "1,5",
+    "1 5", "½", "²", "inf", "Inf", "INF", ".inf", "∞", "nan", "1" * 4300, "1" * 4301,
+    f"{'1' * 4300}.{'2' * 4300}", f"1/{'3' * 4301}", "1e10000", "1e-10000", ".5e-10000",
+)
+PARITY_TEXTS = [pad + sign + body + pad for pad in PADS for sign in SIGNS for body in BODIES]
+INF_TEXTS = ("inf", "Inf", "INF", "∞")
+# Texts that Fraction reads and the reader refuses: an exponent past 10000.
+PAST_THE_BOUND = ("1e10001", "1e-10001", " -2.5E+20000 ", "0e-99999", "٣e١٠٠٠١")
+
+
+def _read(read, text):
+    """`read(text)`, or the type and words of its refusal."""
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError, fileio.SchemaError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _fraction(text):
+    """Fraction(text), or the name of the type of its refusal."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+def test_every_text_is_read_as_fraction_reads_it():
+    """`cli._level_arg` takes or refuses each text with the value and the
+    words of its Fraction-based oracle; `parse_xvalue` and `XValue(text)`
+    read inf texts as inf and every other text as Fraction does, refusing
+    where it refuses, by the same exception type, and refusing a negative
+    value in their own words; a cell or `--rule` refused says `not an
+    evidence value`, and a model mass `not a rational number`, while a
+    negative mass reads as a negative number for `Pmf` to refuse."""
+    seen = set()
+    for text in PARITY_TEXTS:
+        frac = _fraction(text)
+        assert _read(cli._level_arg, text) == _read(helpers.fraction_level_arg, text), text
+        cell = f"--rule: not an evidence value: {text!r}"
+        mass = f"m: not a rational number: {text!r}"
+        if text.strip() in INF_TEXTS:
+            value, cell_value, mass_value, kind = INF, INF, ("SchemaError", mass), "inf"
+        elif isinstance(frac, str):
+            value, cell_value, mass_value, kind = frac, ("SchemaError", cell), ("SchemaError", mass), frac
+        elif frac < 0:
+            # -frac's exact digits: str(frac) refuses a part past 4300 digits.
+            value = ("ValueError", f"evidence values are non-negative, got -{XValue(-frac)}")
+            cell_value, mass_value, kind = ("SchemaError", cell), -1, "negative"
+        else:
+            value = cell_value = mass_value = frac
+            kind = "value"
+        for read in (parse_xvalue, XValue):
+            got = _read(read, text)
+            if kind in ("ValueError", "ZeroDivisionError"):  # a refusal, compared by its type
+                got = got[0]
+            assert got == value, text
+        assert _read(lambda t: fileio._xvalue("--rule", t), text) == cell_value, text
+        assert _read(lambda t: fileio._mass("m", t), text) == mass_value, text
+        seen.add(kind)
+    assert seen == {"inf", "ValueError", "ZeroDivisionError", "negative", "value"}
+
+
+def test_an_exponent_past_the_bound_is_refused_before_it_is_built():
+    """The one difference from Fraction: an exponent past 10000 in magnitude
+    is refused, in each entry point's words, and the cost of a refusal does
+    not grow with the exponent."""
+    assert all(isinstance(_fraction(text), Fraction) for text in PAST_THE_BOUND)
+    for text in PAST_THE_BOUND + ("1e-999999999", "1e" + "9" * 4300):
+        assert _read(cli._level_arg, text) == ("ArgumentTypeError", f"not a rational number: {text!r}")
+        assert _read(parse_xvalue, text)[0] == _read(XValue, text)[0] == "ValueError"
+        assert _read(lambda t: fileio._xvalue("--rule", t), text) == (
+            "SchemaError", f"--rule: not an evidence value: {text!r}")
+        assert _read(lambda t: fileio._mass("m", t), text) == (
+            "SchemaError", f"m: not a rational number: {text!r}")

@@ -38,9 +38,10 @@ sides get the same inputs:
   reordered or ', '-spaced, and a third of the kernels repeat a few row
   texts over all their rows. A third of the cells are spelled otherwise
   than the package prints them: unreduced (`6/4`, `0/7`), with leading
-  zeros (`08`, `007`, `3/04`), as decimals (`0.25`, `3.0`) and inf as `inf`
-  or `.inf`; one in 300 is refused as it is read, with a numerator
-  past 4300 digits (alone or as `p/3`) or a zero denominator (`2/0`).
+  zeros (`08`, `007`, `3/04`), as decimals (`0.25`, `3.0`), with an
+  exponent (`25e-2`, `2.5E-1`), led by a `+` and inf as `inf` or `.inf`;
+  one in 300 is refused as it is read, with a numerator past 4300 digits
+  (alone or as `p/3`) or a zero denominator (`2/0`).
   Their model rows are written as perfbench writes them, with the
   outcomes shuffled in each row, with quoted point keys, or with the
   masses spelled as the kernel cells are; one model in 100 has a row with
@@ -61,6 +62,13 @@ sides get the same inputs:
   are spelled as the `check` inputs spell them; one input in eight names one member
   twice in two spellings, one in eight leaves a nonempty member out, and
   one in twenty gives the empty member a finite value (named `closure/N`);
+- 120 seeded levels, in the records and in the text format, each given
+  as `--alpha` to `mtp --golden table1`, `mtp --procedure ebh` or `decide
+  --bound probability`, or as `--rule` to `check --check posthoc`, on
+  files of `tests/data`. Three in four are random rationals spelled as the
+  cells are; the rest are drawn from `LEVEL_TEXTS`: signs, '_', non-ASCII
+  digits, spaces, small exponents and texts that no reader takes (named
+  `level/N`);
 - five seeded mutations of each corpus command line, which argparse reads
   or refuses where the command line is not of the one exact form: an option
   written `--name=value` or abbreviated, an option repeated with another
@@ -100,6 +108,7 @@ CHECK_INPUTS = 360  # random `check` inputs, from the first seed
 ARGV_PER_CASE = 5  # mutated command lines per corpus case, from the first seed
 CHAIN_DECISIONS = (12, 48, 96)  # decisions D on the 24-point prefix chain
 LATTICE_INPUTS = 240  # random `space` inputs, and as many `closure` inputs
+LEVEL_INPUTS = 120  # `--alpha` and `--rule` spellings, from the first seed
 
 # What one run of an argv gives: exit code, stdout and stderr.
 Result = tuple[object, str, str]
@@ -479,10 +488,11 @@ HUGE = "1" + "0" * 4400
 
 def _spell(rng: random.Random, v: object, inf: object) -> str:
     """`v` as the package prints it or, one time in three, spelled otherwise:
-    unreduced (6/4, 0/7), with leading zeros (08, 007, 3/04), as a decimal
-    where it has a finite one (0.25, 3.0), and inf as inf or .inf. One cell
-    in 300 is refused as it is read: a numerator past 4300 digits,
-    alone or over a denominator, or a zero denominator."""
+    unreduced (6/4, 0/7), with leading zeros (08, 007, 3/04), led by a '+',
+    as a decimal where it has a finite one (0.25, 3.0) or with an exponent
+    (25e-2, 2.5E-1), and inf as inf or .inf. One cell in 300 is refused as
+    it is read: a numerator past 4300 digits, alone or over a denominator,
+    or a zero denominator."""
     roll = rng.random()
     if roll < 1 / 300:
         return rng.choice((HUGE, f"{HUGE}/3", f"{rng.randint(0, 3)}/0"))
@@ -493,7 +503,9 @@ def _spell(rng: random.Random, v: object, inf: object) -> str:
     text = str(num) if den == 1 else f"{num}/{den}"
     if roll >= 1 / 3:
         return text
-    form = rng.choice(("unreduced", "zeros", "decimal"))
+    form = rng.choice(("unreduced", "zeros", "signed", "decimal", "exponent"))
+    if form == "signed":
+        return f"+{text}"
     if form == "unreduced":
         k = rng.randint(2, 7)
         return f"{num * k}/{den * k}"
@@ -503,6 +515,12 @@ def _spell(rng: random.Random, v: object, inf: object) -> str:
     places = max(_power_of(den, 2), _power_of(den, 5))
     if 10**places % den:  # no finite decimal
         return text
+    if form == "exponent":  # the digits times 10**-places, the point at will
+        digits, e = str(num * 10**places // den), rng.choice("eE")
+        shift = rng.randint(0, len(digits) - 1)
+        head = f"{digits[:-shift]}.{digits[-shift:]}" if shift else digits
+        sign = "+" if rng.random() < 0.5 and shift >= places else ""
+        return f"{head}{e}{sign}{shift - places}"
     digits = str(num * 10**places // den).rjust(places + 1, "0")
     return f"{digits[:-places]}.{digits[-places:]}" if places else f"{digits}.0"
 
@@ -640,6 +658,43 @@ def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     return jobs
 
 
+# The command lines that read a level, each to be followed by one. The
+# decide kernel is invalid, so that its bound fails at some levels.
+_COIN = ("--space", str(DATA / "space_coin.yaml"), "--model", str(DATA / "model_coin.yaml"))
+LEVEL_READERS = (
+    ("mtp", "--golden", "table1", "--alpha"),
+    ("mtp", "--procedure", "ebh", "--space", str(DATA / "space_gens_ic.yaml"),
+     "--evidence", str(DATA / "evidence_ic_large.yaml"), "--family", "a|c|a,b|c,d", "--alpha"),
+    ("decide", *_COIN, "--kernel", str(DATA / "kernel_coin_t1_inflated.yaml"),
+     "--decisions", str(DATA / "decisions_coin.yaml"), "--bound", "probability", "--alpha"),
+    ("check", "--check", "posthoc", *_COIN, "--kernel", str(DATA / "kernel_coin_t2.yaml"), "--rule"),
+)
+# Levels past `_spell`'s: signs, '_', non-ASCII digits, spaces, small
+# exponents, three at which the `decide` kernel fails its bound (4/5, 0.9,
+# 85e-2) and texts that a level reader refuses.
+LEVEL_TEXTS = (
+    "+1/20", "1_0/200", "١/٢٠", "３/４", " 1/4 ", "0.5E-1", ".05", "5.e-2", "5e-2", "1e-4", "2E+0",
+    "4/5", "0.9", "85e-2", "-1", "-0", "0", "0/0", "1/0", "inf", ".inf", "∞", "nan", "x", "1/2/3",
+    "1__0", "", "+",
+)
+
+
+def level_jobs(seed: int, count: int) -> list[Job]:
+    """`count` levels, each given to one of `LEVEL_READERS`: a random rational
+    spelled by `_spell` three times in four, else one of `LEVEL_TEXTS`."""
+    rng = random.Random(f"level/{seed}")
+    jobs = []
+    for n in range(count):
+        if rng.random() < 0.75:
+            level = Fraction(rng.randint(1, 30), rng.choice((1, 2, 4, 5, 10, 20, 40, 100, 1000)))
+            text = _spell(rng, level, None)
+        else:
+            text = rng.choice(LEVEL_TEXTS)
+        argv = (*rng.choice(LEVEL_READERS), text)
+        jobs += [Job(f"level/{n}", argv + ("--format", "records")), Job(f"level/{n}", argv)]
+    return jobs
+
+
 def _redundant_text(rng: random.Random, sp) -> str:
     """A space file of `sp`'s family whose generators are its join-irreducible
     members with a duplicate, up to three unions of others and, half the
@@ -763,6 +818,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         jobs += check_jobs(inputs, args.seeds[0], CHECK_INPUTS)
         jobs += space_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
         jobs += closure_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
+        jobs += level_jobs(args.seeds[0], LEVEL_INPUTS)
         jobs += argv_jobs(args.seeds[0], ARGV_PER_CASE)
         base, change = Side(base_src, inputs), Side(ROOT / "src", inputs)
         try:
