@@ -26,7 +26,7 @@ point alone with its worst loss ratio.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import kernels as kn
 from .evidence import EClass, EFunction, EvidenceError, shilkret_integral
@@ -267,16 +267,9 @@ def check_grunwald_bound(k: EKernel, pa: ProbabilityAssignment, table: Consequen
     return kn._pair_report(pa, [1 << pi for pi in range(n)], variables, [None] * n)
 
 
-class AdmissibilityResult:
-    __slots__ = ("order", "admissible")
-
-    def __init__(
-        self,
-        order: tuple[tuple[bool, ...], ...],  # order[i][j]: decision i at least as good
-        admissible: tuple[str, ...],
-    ):
-        self.order = order
-        self.admissible = admissible
+class AdmissibilityResult(NamedTuple):
+    order: tuple[tuple[bool, ...], ...]  # order[i][j]: decision i at least as good
+    admissible: tuple[str, ...]
 
 
 def admissible_decisions(e: EFunction, table: ConsequenceTable) -> AdmissibilityResult:
@@ -315,15 +308,9 @@ def admissible_decisions(e: EFunction, table: ConsequenceTable) -> Admissibility
     return AdmissibilityResult(order=geq, admissible=admissible)
 
 
-class OptimalityResult:
-    __slots__ = ("decision_sets", "optimal")
-
-    def __init__(
-        self, decision_sets: dict[str, int],
-        optimal: Optional[dict[str, str]],  # point -> unique best decision
-    ):
-        self.decision_sets = decision_sets
-        self.optimal = optimal
+class OptimalityResult(NamedTuple):
+    decision_sets: dict[str, int]
+    optimal: Optional[dict[str, str]]  # point -> unique best decision
 
 
 def optimality_class(table: ConsequenceTable) -> OptimalityResult:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from itertools import groupby
 from operator import attrgetter, mul
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
@@ -573,8 +573,9 @@ _CLOSE = object()
 
 def _flatten(shape: TreeShape) -> tuple[list[TreeNode], list[str]]:
     """The post-order nodes of a tree shape and its leaves, left to right.
-    The nodes are visited in pre-order, and the first that is neither an
-    outcome label nor a non-empty list is refused."""
+    The nodes are visited in pre-order. A node that is neither a list nor a
+    mapping is the outcome `str(node)`, as the file readers label outcome
+    keys; the first mapping or empty list is refused."""
     nodes: list[TreeNode] = []
     leaves: list[str] = []
     # The internal nodes not yet closed, as (depth, first leaf, child
@@ -586,10 +587,10 @@ def _flatten(shape: TreeShape) -> tuple[list[TreeNode], list[str]]:
         if node is _CLOSE:
             t, lo, kids = opened.pop()
             node = (t, lo, len(leaves), tuple(kids))
-        elif isinstance(node, str):
-            leaves.append(node)
+        elif not isinstance(node, (list, dict)):
+            leaves.append(str(node))
             node = (t, len(leaves) - 1, len(leaves), ())
-        elif not isinstance(node, list) or not node:
+        elif isinstance(node, dict) or not node:
             raise KernelError(
                 f"tree node {node!r} is neither an outcome label nor a non-empty list of nodes"
             )
@@ -639,18 +640,15 @@ class EProcess:
         return by_outcome
 
 
-class AnytimeReport:
+class AnytimeReport(NamedTuple):
     """Per pair, the largest expected stopped evidence over the
     `rules_checked` stopping rules, computed by one integer walk of the
     tree; `rule` attains it at the first violating pair, as a stop depth per
     outcome (None when every pair holds). Only that pair's rule is built."""
 
-    __slots__ = ("rules_checked", "stats", "rule")
-
-    def __init__(self, rules_checked: int, stats: Report, rule: Optional[tuple[int, ...]]):
-        self.rules_checked = rules_checked
-        self.stats = stats
-        self.rule = rule
+    rules_checked: int
+    stats: Report
+    rule: Optional[tuple[int, ...]]
 
 
 def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> AnytimeReport:
@@ -742,17 +740,14 @@ def _stop_rule(
 # -- predictive kernels ---------------------------------------------------
 
 
-class PredictiveReport:
+class PredictiveReport(NamedTuple):
     """Per outcome, the sup over true hypotheses held against the least
     hypothesis's value (`identity`); per distribution, named by its point,
     the expected sup (`stats`). The sup is never below the least value, so an identity
     entry holds exactly where the two agree."""
 
-    __slots__ = ("identity", "stats")
-
-    def __init__(self, identity: Report, stats: Report):
-        self.identity = identity
-        self.stats = stats
+    identity: Report
+    stats: Report
 
 
 def check_predictive_validity(k: EKernel, pa: ProbabilityAssignment) -> PredictiveReport:

@@ -9,7 +9,7 @@ member.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
@@ -111,15 +111,10 @@ def postprocess_efunction(e: EFunction, selected: Sequence[int]) -> EFunction:
     )
 
 
-class SelectionResult:
-    __slots__ = ("selected", "witness", "is_fixed_point")
-
-    def __init__(
-        self, selected: tuple[int, ...], witness: dict[int, XValue], is_fixed_point: bool
-    ):
-        self.selected = selected
-        self.witness = witness
-        self.is_fixed_point = is_fixed_point
+class SelectionResult(NamedTuple):
+    selected: tuple[int, ...]
+    witness: dict[int, XValue]
+    is_fixed_point: bool
 
 
 def self_consistent_selection(
@@ -172,12 +167,9 @@ def self_consistent_selection(
 # -- e-value step-up rejections --------------------------------------------
 
 
-class StepUpResult:
-    __slots__ = ("rejected", "table")
-
-    def __init__(self, rejected: tuple[int, ...], table: EFunction):
-        self.rejected = rejected
-        self.table = table
+class StepUpResult(NamedTuple):
+    rejected: tuple[int, ...]
+    table: EFunction
 
 
 def _level(alpha: Rationalish) -> XValue:

@@ -9,7 +9,7 @@ hypothesis is always id 0.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 MODEL_POINT_CAP = 24
 
@@ -42,8 +42,8 @@ def _indices(bits: int) -> tuple[int, ...]:
 
 class Record:
     """Equality and hashing by the fields named in `_compared`, for the
-    slotted records that are compared by value. Records that do not derive
-    from it compare by identity."""
+    records that are compared by value. Records that do not derive from it
+    compare by identity, and result records are `NamedTuple`s."""
 
     __slots__ = ()
     _compared: tuple[str, ...] = ()
@@ -99,7 +99,7 @@ class Model(Record):
         return ",".join([self.points[i] for i in _indices(bits)]) if bits else "{}"
 
 
-class HypothesisClass:
+class HypothesisClass(Record):
     """Deduplicated, union-closed family of bitsets including the empty one.
 
     The constructor trusts that its bitsets are union-closed and fit the
@@ -111,6 +111,8 @@ class HypothesisClass:
     each; point-index tuples and the join-irreducibles are built on first
     use.
     """
+
+    _compared = ("width", "members")
 
     def __init__(
         self, width: int, bitsets: Iterable[int], generators: Optional[tuple[int, ...]] = None
@@ -139,16 +141,6 @@ class HypothesisClass:
 
     def __contains__(self, bits: int) -> bool:
         return bits in self._index
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HypothesisClass)
-            and self.width == other.width
-            and self.members == other.members
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.members))
 
     def id_of(self, bits: int) -> int:
         try:
@@ -258,21 +250,17 @@ class Preorder(Record):
         return Preorder(tuple(rows))
 
 
-class SpaceReport:
-    __slots__ = ("union_closed", "intersection_closed", "contains_full_model", "least")
-
-    def __init__(
-        self, union_closed: bool, intersection_closed: bool, contains_full_model: bool,
-        least: Optional[dict[str, int]] = None,
-    ):
-        self.union_closed = union_closed
-        self.intersection_closed = intersection_closed
-        self.contains_full_model = contains_full_model
-        self.least = least
+class SpaceReport(NamedTuple):
+    union_closed: bool
+    intersection_closed: bool
+    contains_full_model: bool
+    least: Optional[dict[str, int]] = None
 
 
-class Space:
+class Space(Record):
     """A model together with a union-closed hypothesis family over it."""
+
+    _compared = ("model", "family")
 
     def __init__(self, model: Model, family: HypothesisClass):
         if family.width != model.size:
@@ -386,16 +374,6 @@ class Space:
             raise NotIntersectionClosed(
                 "operation needs an intersection-closed hypothesis space"
             )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Space)
-            and self.model == other.model
-            and self.family == other.family
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.model, self.family))
 
 
 def class_from_preorder(model: Model, pre: Preorder) -> Space:

@@ -24,13 +24,16 @@ from emeasure import (
     check_fwe,
     check_grunwald_bound,
     check_posthoc_consequence_bound,
+    check_anytime_validity,
     check_posthoc_validity,
     check_predictive_validity,
     check_validity,
     e_integrated_loss,
     optimality_class,
     class_from_preorder,
+    ebh,
     preorder_from_class,
+    self_consistent_selection,
     shilkret_integral,
     sup_of,
     union_closure,
@@ -905,3 +908,38 @@ def test_mle_energy_bound_and_pushforward():
             assert helpers.kernel_value(pushed, target_hid, xi) == helpers.kernel_value(
                 kernel, space.family.id_of(1 << pi), xi
             )
+
+
+def _every_result(seed):
+    """Each result record of the package, computed on inputs built anew
+    from `seed`: the space report, the anytime and predictive reports, the
+    self-consistent and eBH selections, admissibility and the optimality
+    class."""
+    r = helpers.rng(seed)
+    space = helpers.power_space(r.randint(2, 3))
+    tree = helpers.rand_tree(r)
+    proc = helpers.rand_process(r, space, tree)
+    sample = SampleSpace(space.model.points)
+    e = helpers.rand_measure(r, space)
+    ids, alpha = space.family.nonempty_ids(), Fraction(1, 2)
+    table = rand_numeric_table(r, space.model)
+    return (
+        space.analyze(),
+        check_anytime_validity(proc, helpers.rand_pa(r, space.model, tree.sample)),
+        check_predictive_validity(
+            helpers.least_point_kernel(r, space, sample), helpers.rand_pa(r, space.model, sample)
+        ),
+        self_consistent_selection(e, ids, alpha),
+        ebh(e, ids, alpha),
+        admissible_decisions(e, table),
+        optimality_class(table),
+    )
+
+
+def test_every_result_compares_by_value():
+    """Two computations on equal inputs give equal results, each a record
+    compared field by field."""
+    for seed in range(5):
+        first, second = _every_result(seed), _every_result(seed)
+        for a, b in zip(first, second):
+            assert a is not b and a == b, type(a).__name__

@@ -515,6 +515,16 @@ def test_uneven_tree_keeps_shallow_leaves_as_atoms():
         FiltrationTree(sample, ["a", ["b", "c", []]])
 
 
+def test_a_leaf_that_is_no_list_or_mapping_names_its_outcome_by_its_text():
+    """YAML types leaves such as 1, yes or ~; the tree reads them with str,
+    as the file readers read outcome keys. A mapping is no node."""
+    sample = SampleSpace(("1", "True", "None", "1.5"))
+    tree = FiltrationTree(sample, [[1, True], [None, 1.5]])
+    assert tree.depth == 2 and tree.count_stopping_times() == 5
+    with pytest.raises(KernelError, match="tree node {'b': 'c'} is neither"):
+        FiltrationTree(SampleSpace(("a", "b")), ["a", {"b": "c"}])
+
+
 def test_a_5000_deep_chain_flattens_and_counts_without_recursion():
     shape = "x"
     for _ in range(5000):

@@ -17,7 +17,20 @@ a capacity on an intersection-closed space. Each walk's verdict, largest
 statistic, worst entry, first violation and entries match the eager
 per-pair construction (`helpers.eager_pair_report`) on the same arguments,
 and each statistic its definition (`helpers.oracle_expectation` of the
-row, the miss rate, the claim, or the FEP of `helpers.fep_fsp`).
+row, the miss rate, the claim, or the FEP of `helpers.fep_fsp`). On every
+intersection-closed family, a seeded kernel whose outcomes are the points
+goes through the predictive check: each identity entry holds the sup over
+true hypotheses (`helpers.sup_over_true`) against the least hypothesis's
+value, and each statistic is the expectation of that sup.
+
+L5: every numeric table of two decisions with losses in {0, 1, 2} on one
+to three points, and on four FOUR_POINT_TABLES per family, drawn from
+FOUR_POINT_POOL seeded ones.
+The bound hypotheses match `helpers.hypothesis_for_bound`, the optimality
+class the per-point argmin, the order-measurability check refuses exactly
+when some point's upper set under `helpers.row_dominates` is no member,
+and admissibility under a seeded measure is the dominance order of the
+evidence against the bounds, or refused exactly when a bound is no member.
 """
 
 import functools
@@ -26,9 +39,11 @@ from fractions import Fraction
 
 import helpers
 from emeasure import (
-    EClass, EKernel, INF, Model, ONE, Pmf, ProbabilityAssignment, SampleSpace, Space, XValue,
-    ZERO, close, close_kernel,
+    ConsequenceTable, EClass, EKernel, INF, Model, ONE, Pmf, ProbabilityAssignment, SampleSpace,
+    Space, XValue, ZERO, admissible_decisions, check_predictive_validity, close, close_kernel,
+    optimality_class,
 )
+from emeasure import decisions as dec
 from emeasure import kernels as kn
 from emeasure import multiplicity as mtp
 from emeasure.evidence import from_values, measure_from_density
@@ -43,6 +58,11 @@ PAIR_CHECKED = 1  # kernels per family that go through the pair checks
 HALF = XValue(Fraction(1, 2))
 LEVEL = HALF  # the post-hoc check's fixed level
 MASSES = ((HALF, HALF), (ONE, ZERO), (ZERO, ONE))  # each point's distribution is one of these
+LOSSES = (ZERO, ONE, XValue(2))
+DECISIONS = ("d1", "d2")
+FOUR_POINT_POOL = 256  # seeded loss tables on four points
+FOUR_POINT_TABLES = 4  # of them, seeded, per family on four points
+MEASURES = 4  # seeded measures per family, taken by the tables in turn
 
 
 def _worlds():
@@ -181,3 +201,119 @@ def test_every_small_world_agrees_with_the_definitions(monkeypatch):
         worlds += 1
     assert worlds == 2550 and seen == set(EClass)
     assert verdicts == {True, False, "tie"}
+
+
+def test_the_predictive_sup_agrees_with_its_definition_on_every_small_world():
+    r = helpers.rng(4012)
+    worlds, verdicts = 0, set()
+    for space in _worlds():
+        if not space.intersection_closed:
+            continue
+        model, n = space.model, space.model.size
+        sample = SampleSpace(model.points)
+        tables = _tables(r, space)
+        columns = [tables[r.randrange(len(tables))] for _ in range(n)]
+        k = EKernel(space, sample, list(zip(*columns)))
+        pa = helpers.rand_pa(r, model, sample, full_support=False)
+        report = check_predictive_validity(k, pa)
+        least = helpers.oracle_least_ids(space)
+        sups = tuple(helpers.sup_over_true(space, columns[xi], xi) for xi in range(n))
+        want = [(x, sups[xi], columns[xi][least[xi]]) for xi, x in enumerate(model.points)]
+        got = [(e.point, e.stat, e.bound) for e in report.identity.entries]
+        assert got == want, (space.family.members, columns)
+        assert [e.ok for e in report.identity.entries] == [s <= b for _, s, b in want]
+        expected = [(x, helpers.oracle_expectation(pmf, sups)) for x, pmf in zip(model.points, pa.pmfs)]
+        assert [(e.point, e.stat) for e in report.stats.entries] == expected
+        verdicts.add((report.identity.ok, report.stats.ok))
+        worlds += 1
+    assert worlds == 1 + 4 + 29 + 355  # the preorders on one to four points
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _loss_tables(r, model, count=None):
+    """Each numeric table of DECISIONS over LOSSES on the model's points, or
+    `count` seeded ones, with its loss rows."""
+    rows = list(itertools.product(LOSSES, repeat=len(DECISIONS)))
+    if count is None:
+        chosen = itertools.product(rows, repeat=model.size)
+    else:
+        chosen = ([r.choice(rows) for _ in model.points] for _ in range(count))
+    return [(losses, ConsequenceTable.numeric(model, DECISIONS, losses)) for losses in chosen]
+
+
+def _check_table(table, losses):
+    """The bounds against `helpers.hypothesis_for_bound` and the optimality
+    class against the per-point argmin; each point's upper set under row
+    dominance."""
+    n, width = table.model.size, len(table.cspace.elements)
+    bounds = tuple(
+        [helpers.hypothesis_for_bound(table, d, c) for c in range(width)] for d in range(len(DECISIONS))
+    )
+    assert table.bounds() == bounds
+    best = [min(row) for row in losses]
+    ties = any(row.count(low) > 1 for row, low in zip(losses, best))
+    assert optimality_class(table) == dec.OptimalityResult(
+        {d: sum(1 << pi for pi in range(n) if losses[pi][di] == best[pi]) for di, d in enumerate(DECISIONS)},
+        None if ties else {
+            p: DECISIONS[row.index(low)] for p, row, low in zip(table.model.points, losses, best)
+        },
+    )
+    ups = [sum(1 << q for q in range(n) if helpers.row_dominates(table, q, p)) for p in range(n)]
+    return table, bounds, ups
+
+
+def _oracle_admissibility(e, bounds):
+    """The dominance order of the evidence against each decision's bounds
+    and the undominated decisions, from the definition; None when some
+    bound is no member."""
+    value = dict(zip(e.space.family.members, e.values))
+    if any(b not in value for row in bounds for b in row):
+        return None
+    evidence = [[value[b] for b in row] for row in bounds]
+    order = tuple(
+        tuple(all(a >= b for a, b in zip(mine, theirs)) for theirs in evidence) for mine in evidence
+    )
+    n_dec = len(DECISIONS)
+    return dec.AdmissibilityResult(order, tuple(
+        DECISIONS[i] for i in range(n_dec)
+        if not any(order[j][i] and not order[i][j] for j in range(n_dec))
+    ))
+
+
+def _refused(call, *args):
+    """What `call` returns, or None where it refuses a bound hypothesis."""
+    try:
+        return call(*args)
+    except dec.OrderMeasurabilityViolation:
+        return None
+
+
+def test_every_small_decision_world_agrees_with_the_definitions():
+    r = helpers.rng(4123)
+    # Per point count, the tables its families take, each checked once.
+    tables = {n: [_check_table(t, losses) for losses, t in _loss_tables(r, Model(points))]
+              for n, points in ((1, ("P1",)), (2, ("P1", "P2")), (3, ("P1", "P2", "P3")))}
+    four = Model(("P1", "P2", "P3", "P4"))
+    tables[4] = [_check_table(t, losses) for losses, t in _loss_tables(r, four, FOUR_POINT_POOL)]
+    refused, admissible, worlds = set(), set(), 0
+    for space in _worlds():
+        model, family = space.model, space.family
+        checked = tables[model.size]
+        if model.size == 4:
+            checked = r.sample(checked, FOUR_POINT_TABLES)
+        measures = [
+            measure_from_density(space, [r.choice(ALPHABET) for _ in model.points])
+            for _ in range(MEASURES)
+        ]
+        for i, (table, bounds, ups) in enumerate(checked):
+            missing = any(up not in family for up in ups)
+            assert _refused(dec._require_order_measurable, space, table) == (None if missing else ups)
+            refused.add(missing)
+            e = measures[i % MEASURES]
+            want = _oracle_admissibility(e, bounds)
+            assert _refused(admissible_decisions, e, table) == want, (family.members, table.entries)
+            admissible.add(want and want.admissible)
+            worlds += 1
+    assert worlds == 2 * 9 + 7 * 81 + 61 * 729 + 2480 * FOUR_POINT_TABLES
+    assert refused == {True, False}
+    assert admissible == {None, ("d1",), ("d2",), DECISIONS}

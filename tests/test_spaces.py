@@ -398,3 +398,19 @@ def test_numeric_consequence_order_is_the_value_order():
             for j, b in enumerate(ordered):
                 assert bool(cs.order.rows[i] >> j & 1) == (a >= b)
     assert numeric_space([INF, INF]).elements == ("inf",)
+
+
+def test_spaces_and_families_compare_and_hash_by_their_fields():
+    """A space compares by its model and family, and a family by its width
+    and members; each hashes as the tuple of those fields."""
+    r = helpers.rng(4040)
+    for _ in range(20):
+        space = helpers.rand_uc_space(r)
+        family = space.family
+        twin = Space(Model(space.model.points), HypothesisClass(family.width, reversed(family.members)))
+        assert twin is not space and twin == space and twin.family == family
+        assert hash(space) == hash((space.model, family)) == hash(twin)
+        assert hash(family) == hash((family.width, family.members)) == hash(twin.family)
+        assert space != family and family != family.members
+        wider = HypothesisClass(family.width + 1, family.members)
+        assert wider != family and Space(Model((*space.model.points, "Q")), wider) != space

@@ -51,6 +51,21 @@ sides get the same inputs:
   `1.5`, `1st`, `-x`), which the reader hands to PyYAML's safe resolver,
   as the row reader's keys and the general reader's alike (named
   `check/N`);
+- 120 seeded random `check --check anytime` inputs, in the records and in
+  the text format: a random space, a random tree of depth one to three
+  whose two to eight leaves are the outcomes, and one kernel per step,
+  constant on each atom of its step, so most inputs reach the check. Half
+  the processes are likelihood-ratio martingales, valid where no step
+  kernel shares rows (`_kernel_text`), a quarter scale one step by 3/2 and
+  a quarter take any values; one input in ten redraws one value inside an
+  atom, which the check refuses. One input in ten takes
+  its outcome labels from `TYPED_OUTCOMES`, in the tree's leaves too
+  (named `anytime/N`);
+- 120 seeded random `check --check predictive` inputs, in both formats: a
+  power set or chain space on two to four points, which is
+  intersection-closed, whose points are the outcomes, with kernels and
+  kernel rows as the `check` inputs make them and model rows in outcome
+  order (named `predictive/N`);
 - 240 seeded random `space` inputs, in the records and in the text format.
   Half the spaces are written as `_random_space` writes them, on two to six
   points; the other half list redundant generators: the join-irreducible
@@ -105,6 +120,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 DECIDE_INPUTS = 720  # random `decide` inputs, from the first seed
 CHECK_INPUTS = 360  # random `check` inputs, from the first seed
+ANYTIME_INPUTS = 120  # random `check --check anytime` inputs, from the first seed
+PREDICTIVE_INPUTS = 120  # random `check --check predictive` inputs, from the first seed
 ARGV_PER_CASE = 5  # mutated command lines per corpus case, from the first seed
 CHAIN_DECISIONS = (12, 48, 96)  # decisions D on the 24-point prefix chain
 LATTICE_INPUTS = 240  # random `space` inputs, and as many `closure` inputs
@@ -658,6 +675,166 @@ def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     return jobs
 
 
+# How the step kernels of an `anytime` input are valued, drawn with these
+# weights: a likelihood-ratio process (a martingale under each point, so
+# valid), the same with one step scaled by 3/2, or any values, constant on
+# each atom of the step.
+PROCESS_KINDS = ("martingale", "inflated", "random")
+PROCESS_WEIGHTS = (2, 1, 1)
+# The forms an `anytime` input writes its model rows in: each keeps the
+# outcomes in tree order, which the tree's leaves must enumerate.
+ORDERED_MODEL_FORMS = ("printed", "quoted", "spelled")
+
+
+def _random_tree(rng: random.Random) -> tuple[list, list[tuple[int, ...]]]:
+    """A tree shape of depth one to three with two to eight leaves, each leaf
+    None, and each leaf's path of child positions from the root, left to
+    right. An internal node has one to three children, and below the root a
+    node is a leaf one time in four."""
+    depth = rng.randint(1, 3)
+
+    def grow(t: int):
+        if t == depth or (t and rng.random() < 0.25):
+            return None
+        return [grow(t + 1) for _ in range(rng.randint(1, 3))]
+
+    while True:
+        shape = grow(0)
+        paths, todo = [], [(shape, ())]
+        while todo:
+            node, path = todo.pop()
+            if node is None:
+                paths.append(path)
+            else:
+                todo += [(child, path + (i,)) for i, child in reversed(list(enumerate(node)))]
+        if 2 <= len(paths) <= 8:
+            return shape, paths
+
+
+def _tree_text(w, shape, labels: Iterable[str]) -> str:
+    """The tree file of `shape` with its leaves named by `labels` in order."""
+    names = iter(labels)
+
+    def text(node) -> str:
+        return next(names) if node is None else w._yaml_list(text(child) for child in node)
+
+    return f"tree: {text(shape)}\n"
+
+
+def _step_columns(rng: random.Random, orc, w, sp, paths, pmfs, ref, t: int, scale) -> list[dict]:
+    """The step-t kernel as one table per outcome, the same table on every
+    outcome of a depth-t atom: the outcomes whose paths share their first t
+    positions. With `ref`, a reference distribution, the value at an atom is
+    its likelihood ratio against each point, the least over a member's
+    points, times `scale`; without, any `_value` per member."""
+    columns: list = [None] * len(paths)
+    for atom in dict.fromkeys(path[:t] for path in paths):
+        leaves = [i for i, path in enumerate(paths) if path[:t] == atom]
+        if ref is None:
+            col = {b: _value(rng, orc.INF) for b in sp.family}
+        else:
+            weights = [scale * sum(ref[i] for i in leaves) / sum(pmf[i] for i in leaves) for pmf in pmfs]
+            col = {b: w.min_over(b, sp.width, weights.__getitem__) for b in sp.family}
+        for i in leaves:
+            columns[i] = col
+    return columns
+
+
+def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
+    """Random `check --check anytime` inputs: a random space (see
+    `_random_space`), a random tree (`_random_tree`) whose leaves are the
+    outcomes, and one kernel per step valued as one of `PROCESS_KINDS`
+    (`_step_columns`), its rows written as `_kernel_text` writes them, in
+    order or shuffled. One input in ten redraws one member's value at one
+    outcome of a step whose atom holds others, which the check refuses
+    where the value changes; one in ten takes its outcome labels from
+    `TYPED_OUTCOMES`."""
+    orc, w = _perfbench()
+    rng = random.Random(f"anytime/{seed}")
+    inputs = inputs / f"anytime-{seed}"
+    inputs.mkdir()
+    jobs = []
+    for n in range(count):
+        sp = _random_space(rng, orc, w)
+        shape, paths = _random_tree(rng)
+        outcomes = [f"x{i + 1}" for i in range(len(paths))]
+        if rng.random() < 0.1:
+            outcomes = rng.sample(TYPED_OUTCOMES, len(outcomes))
+        pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in sp.points]
+        process, depth = rng.choices(PROCESS_KINDS, PROCESS_WEIGHTS)[0], max(map(len, paths))
+        ref = None if process == "random" else w.rand_pmf(rng, len(outcomes))
+        bad_t = rng.randint(0, depth) if process == "inflated" else None
+        steps = [
+            _step_columns(rng, orc, w, sp, paths, pmfs, ref, t, Fraction(3, 2) if t == bad_t else 1)
+            for t in range(depth + 1)
+        ]
+        if rng.random() < 0.1:  # one outcome's table differs from its atom's
+            shared = [
+                [i for i, path in enumerate(paths) if sum(o[:t] == path[:t] for o in paths) > 1]
+                for t in range(depth)
+            ]
+            t = rng.choice([t for t in range(depth) if shared[t]])
+            i = rng.choice(shared[t])
+            b = rng.choice([b for b in sp.family if b])
+            steps[t][i] = {**steps[t][i], b: _value(rng, orc.INF)}
+        files = {
+            "space": sp.text,
+            "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(ORDERED_MODEL_FORMS), n),
+            "tree": _tree_text(w, shape, outcomes),
+        }
+        argv = ["check", "--check", "anytime"]
+        for kind, text in files.items():
+            path = inputs / f"a{n:04d}_{kind}.yaml"
+            path.write_text(text)
+            argv += [f"--{kind}", str(path)]
+        argv.append("--kernel")
+        for t, columns in enumerate(steps):
+            path = inputs / f"a{n:04d}_kernel{t}.yaml"
+            path.write_text(_kernel_text(rng, w, sp, outcomes, columns, rng.choice(("ordered", "shuffled"))))
+            argv.append(str(path))
+        argv = tuple(argv)
+        jobs += [Job(f"anytime/{n}", argv + ("--format", "records")), Job(f"anytime/{n}", argv)]
+    return jobs
+
+
+def predictive_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
+    """Random `check --check predictive` inputs: a power set or a chain
+    space on two to four points, which are intersection-closed, whose
+    points are the outcomes, with kernels as `_random_columns` makes them
+    and rows as `_kernel_text` writes them in one of `ROW_FORMS`."""
+    orc, w = _perfbench()
+    rng = random.Random(f"predictive/{seed}")
+    inputs = inputs / f"predictive-{seed}"
+    inputs.mkdir()
+    jobs = []
+    for n in range(count):
+        width = rng.randint(2, 4)
+        if rng.random() < 0.5:
+            sp = w.power_space(width)
+        else:
+            profile, left = [], width
+            while left:
+                profile.append(rng.randint(1, left))
+                left -= profile[-1]
+            sp = w.chain_space(rng, profile, rng.choice(("preorder", "generators")))
+        outcomes = sp.points
+        pmfs = [w.rand_pmf(rng, width) for _ in outcomes]
+        columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
+        files = {
+            "space": sp.text,
+            "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(ORDERED_MODEL_FORMS), n),
+            "kernel": _kernel_text(rng, w, sp, outcomes, columns, rng.choices(ROW_FORMS, ROW_WEIGHTS)[0]),
+        }
+        argv = ["check", "--check", "predictive"]
+        for kind, text in files.items():
+            path = inputs / f"p{n:04d}_{kind}.yaml"
+            path.write_text(text)
+            argv += [f"--{kind}", str(path)]
+        argv = tuple(argv)
+        jobs += [Job(f"predictive/{n}", argv + ("--format", "records")), Job(f"predictive/{n}", argv)]
+    return jobs
+
+
 # The command lines that read a level, each to be followed by one. The
 # decide kernel is invalid, so that its bound fails at some levels.
 _COIN = ("--space", str(DATA / "space_coin.yaml"), "--model", str(DATA / "model_coin.yaml"))
@@ -816,6 +993,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         jobs += decide_jobs(inputs, args.seeds[0], DECIDE_INPUTS)
         jobs += chain_jobs(inputs)
         jobs += check_jobs(inputs, args.seeds[0], CHECK_INPUTS)
+        jobs += anytime_jobs(inputs, args.seeds[0], ANYTIME_INPUTS)
+        jobs += predictive_jobs(inputs, args.seeds[0], PREDICTIVE_INPUTS)
         jobs += space_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
         jobs += closure_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
         jobs += level_jobs(args.seeds[0], LEVEL_INPUTS)
