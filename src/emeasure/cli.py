@@ -336,7 +336,7 @@ def cmd_closure(args) -> int:
 
 
 def _report_entries(
-    out: Printer, kind: str, report: kn.PairReport, space, text: Optional[str] = None
+    out: Printer, kind: str, report: kn.Report, space, text: Optional[str] = None
 ) -> None:
     """One record per pair of a pair walk (`kernels._pair_report`), in walk
     order; with `text`, one `  point: text stat` line per pair instead. The

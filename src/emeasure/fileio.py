@@ -497,7 +497,7 @@ def load_space(path: Path | str) -> SpaceFile:
                 raise SchemaError(path, f"generator {g!r} is not a list of point labels")
             try:
                 sets.append(model.bits_of(g))
-            except Exception:
+            except SpaceError:
                 raise SchemaError(path, f"generator {g!r} uses unknown points") from None
         space = Space(model, union_closure(model.size, sets))
     elif "preorder" in data:
@@ -513,7 +513,7 @@ def load_space(path: Path | str) -> SpaceFile:
 
         try:
             space = class_from_preorder(model, Preorder.from_pairs(model.size, pairs))
-        except Exception as exc:
+        except SpaceError as exc:
             raise SchemaError(path, str(exc)) from None
     else:
         raise SchemaError(path, "need 'generators' or 'preorder'")
@@ -603,10 +603,7 @@ def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
     missing = [p for p in model.points if p not in pmfs]
     if missing:
         raise SchemaError(path, f"no distribution for points {missing}")
-    try:
-        return ProbabilityAssignment.of(model, pmfs)
-    except Exception as exc:
-        raise SchemaError(path, str(exc)) from None
+    return ProbabilityAssignment(model, tuple(pmfs[p] for p in model.points))
 
 
 def load_kernel(path: Path | str, sf: SpaceFile, sample: SampleSpace) -> EKernel:
@@ -761,5 +758,5 @@ def load_decision_problem(path: Path | str, model: Model) -> ConsequenceTable:
         cspace = ConsequenceSpace(elements, pre)
         cells = [list(map(cspace.index, row)) for row in labels]
         return ConsequenceTable(model, decisions, cspace, cells)
-    except Exception as exc:
+    except (SpaceError, EvidenceError) as exc:
         raise SchemaError(path, str(exc)) from None

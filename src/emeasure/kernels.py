@@ -17,17 +17,16 @@ pushforward; each point alone for FWE, FER with a rule and the Grünwald
 bound; each distinct benchmark row's upper set for decide's bounds; all
 points at once for the predictive check. The walk keeps one statistic per
 distinct (variable, point), decided on integers before its one exact value
-is built, and a mask of the points where each variable fails; its
-`PairReport` builds an `Entry` only where one is read, and the command
-line renders its records from the walk itself. Only the anytime check
-walks its own tree. The per-outcome tables are built only for the checks
-that read one outcome at a time.
+is built, and a mask of the points where each variable fails. That is
+the one `Report`, which the anytime envelope and the predictive identity
+fill too; it builds an `Entry` only where one is read, and the command
+line renders its records from the walk itself. The per-outcome tables are
+built only for the checks that read one outcome at a time.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import attrgetter, mul
+from operator import mul
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import evidence as ev
@@ -110,13 +109,6 @@ class ProbabilityAssignment(Record):
             raise KernelError("one distribution per model point is required")
         self.model = model
         self.pmfs = pmfs
-
-    @classmethod
-    def of(cls, model: Model, table: Mapping[str, Pmf]) -> "ProbabilityAssignment":
-        missing = [p for p in model.points if p not in table]
-        if missing:
-            raise KernelError(f"no distribution for points {missing}")
-        return cls(model, tuple(table[p] for p in model.points))
 
     @property
     def sample(self) -> SampleSpace:
@@ -234,32 +226,6 @@ class Entry(Record):
         self.ok = stat <= bound if ok is None else ok
 
 
-class Report(Record):
-    """A check's entries; it holds when every entry does. The anytime check
-    and the predictive identity build theirs; a pair walk's report
-    (`PairReport`) builds entries only where they are read."""
-
-    __slots__ = _compared = ("entries",)
-
-    def __init__(self, entries: tuple[Entry, ...]):
-        self.entries = entries
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def first_violation(self) -> Optional[Entry]:
-        return next((e for e in self.entries if not e.ok), None)
-
-    def largest(self) -> Optional[XValue]:
-        """The largest statistic, None when there is none."""
-        return max((e.stat for e in self.entries), default=None)
-
-    def worst(self) -> Optional[Entry]:
-        """The entry with the largest statistic, the first one on ties."""
-        return max(self.entries, key=attrgetter("stat"), default=None)
-
-
 # -- hypothesis-wise validity ------------------------------------------
 
 
@@ -271,7 +237,7 @@ def check_validity(k: EKernel, pa: ProbabilityAssignment) -> Report:
 def _pair_report(
     pa: ProbabilityAssignment, members: Sequence[int], variables: Sequence[Optional[Scaled]],
     cases: Optional[Sequence[Optional[str]]] = None, bounds: Optional[Sequence[XValue]] = None,
-) -> PairReport:
+) -> Report:
     """The package's one expectation walk. Each member is a bitset over
     `pa`'s model points with a scaled variable, and each of its points, in
     point order, makes one pair: the expectation of the variable under the
@@ -325,20 +291,22 @@ def _pair_report(
                 row[pi], ok = dot_at_most(masses[pi], var, bounds[pi])
                 if not ok:
                     failed[slot] |= low
-    return PairReport(pa.model.points, bounds, members, cases, slots, stats, failed)
+    return Report(pa.model.points, bounds, members, cases, slots, stats, failed)
 
 
-class PairReport(Report):
-    """A pair walk (`_pair_report`) as it left off: per slot, its statistic
-    at each point it read and the mask of the points where that statistic
+class Report(Record):
+    """The one report shape, a walk as it left off (`_pair_report`, the
+    anytime envelope, the predictive identity): per slot, its statistic at
+    each point it read and the mask of the points where that statistic
     fails its bound; per member, its bitset, slot and name (its index, or
     its case). It holds when no slot fails. `largest()` compares each
     statistic once; `worst()` and `first_violation()` each build the one
     entry they name, the first pair in walk order (members, then points, in
     order) that attains the largest statistic or fails; `entries`, one per
-    pair in walk order, are built when first read."""
+    pair in walk order, are built when first read, and compared."""
 
     __slots__ = ("points", "bounds", "members", "cases", "slots", "stats", "failed", "_entries")
+    _compared = ("entries",)
 
     def __init__(
         self, points: tuple[str, ...], bounds: Sequence[XValue], members: Sequence[int],
@@ -499,21 +467,16 @@ def eposterior_raw(
 ) -> tuple[EKernel, Report]:
     """Hypothesis-wise product of a prior table with a kernel.
 
-    The product stays a capacity, and the worst expectation over the
-    points of each hypothesis is bounded by the prior's evidence there;
-    each entry names the point attaining it, the first in member order on
-    ties. The expectations are the product's pair walk, whose entries come
-    grouped by hypothesis.
+    The product stays a capacity, and its expectation at each point of a
+    hypothesis is bounded by the prior's evidence there. That bound,
+    prior(H)·E_p[e(H|X)] <= prior(H), holds exactly where E_p[e(H|X)] <= 1
+    or prior(H) is 0 or inf, so the report is the kernel's own pair walk
+    over the hypotheses of finite positive prior, held against 1.
     """
     if prior.eclass < EClass.CAPACITY or k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("updating needs capacities")
-    post = _product(prior, k)
-    entries = []
-    walk = _pair_report(pa, k.space.family.members, post.scaled())
-    for hid, pairs in groupby(walk.entries, attrgetter("hid")):
-        worst = max(pairs, key=attrgetter("stat"))
-        entries.append(Entry(worst.point, worst.stat, prior.values[hid], hid))
-    return post, Report(tuple(entries))
+    members = [0 if p.is_zero or p.is_inf else m for p, m in zip(prior.values, k.space.family.members)]
+    return _product(prior, k), _pair_report(pa, members, k.scaled())
 
 
 def eposterior_closed(
@@ -683,20 +646,28 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
         charged = sum(1 << i for i, m in enumerate(mass) if m)
         masses.append((den, mass, charged))
     points, family = proc.space.model.points, proc.space.family
-    entries = []
+    stats: list[list[Optional[XValue]]] = []  # one slot per nonempty hypothesis
+    failed: list[int] = []
     witness = None
     for hid in family.nonempty_ids():
         vden, values, inf = scale([step[hid] for step in steps])
+        row: list[Optional[XValue]] = [None] * len(points)
+        fails = 0
         for pi in family.indices(hid):
             mden, mass, charged = masses[pi]
             stop = list(map(mul, mass, values))
             w = _snell(children, stop)
             blown = inf & charged
-            stat = INF if blown else ratio(w[-1], mden * vden)
-            entries.append(Entry(points[pi], stat, hid=hid))
-            if witness is None and not entries[-1].ok:
-                witness = _stop_rule(nodes, stop, w, blown)
-    return AnytimeReport(proc.tree.count_stopping_times(), Report(tuple(entries)), witness)
+            row[pi] = INF if blown else ratio(w[-1], mden * vden)
+            if blown or w[-1] > mden * vden:
+                fails |= 1 << pi
+                if witness is None:
+                    witness = _stop_rule(nodes, stop, w, blown)
+        stats.append(row)
+        failed.append(fails)
+    slots = [None, *range(len(stats))]  # the empty hypothesis, id 0, has none
+    report = Report(points, [ONE] * len(points), family.members, None, slots, stats, failed)
+    return AnytimeReport(proc.tree.count_stopping_times(), report, witness)
 
 
 def _snell(children: Sequence[tuple[int, ...]], stop: Sequence[int]) -> list[int]:
@@ -765,10 +736,12 @@ def check_predictive_validity(k: EKernel, pa: ProbabilityAssignment) -> Predicti
     k.space.require_intersection_closed()
     least = k.space.least_ids()
     claims = k.claims()
-    sup_var = [claims[xi][xi] for xi in range(k.sample.size)]
-    identity = Report(tuple(
-        Entry(x, sup_var[xi], k.rows[least[xi]][xi]) for xi, x in enumerate(k.sample.outcomes)
-    ))
+    n = k.sample.size
+    sup_var = [claims[xi][xi] for xi in range(n)]
+    bounds = [k.rows[least[xi]][xi] for xi in range(n)]
+    failed = sum(1 << xi for xi in range(n) if sup_var[xi] > bounds[xi])
+    singletons = [1 << xi for xi in range(n)]
+    identity = Report(k.sample.outcomes, bounds, singletons, [None] * n, [0] * n, [sup_var], [failed])
     stats = _pair_report(pa, [(1 << pa.model.size) - 1], [scale(sup_var)], [None])
     return PredictiveReport(identity, stats)
 

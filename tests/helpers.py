@@ -10,6 +10,7 @@ import argparse
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from emeasure import (
     EClass,
@@ -39,7 +40,7 @@ from emeasure import (
 )
 from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
 from emeasure.evidence import measure_from_density
-from emeasure.kernels import Entry, Report
+from emeasure.kernels import Entry
 from emeasure.spaces import HypothesisClass, NotAPreorder
 from emeasure.xvalue import dot_at_most, order_keys, scale
 
@@ -850,12 +851,34 @@ def oracle_expectation(pmf, values):
     return XValue(total)
 
 
+class EagerReport(NamedTuple):
+    """A report as a plain tuple of entries, the reference `kernels.Report`
+    is held to: it holds when every entry does, its first violation is the
+    first failing entry, and its worst entry the first with the largest
+    statistic."""
+
+    entries: tuple
+
+    @property
+    def ok(self):
+        return all(e.ok for e in self.entries)
+
+    def first_violation(self):
+        return next((e for e in self.entries if not e.ok), None)
+
+    def largest(self):
+        return max((e.stat for e in self.entries), default=None)
+
+    def worst(self):
+        return max(self.entries, key=lambda e: e.stat, default=None)
+
+
 def eager_pair_report(pa, members, variables, cases=None, bounds=None):
     """The pair walk (`kernels._pair_report`) built eagerly, pair by pair:
     one `Entry` per point of each member, in member and then point order,
     with its own expectation and its verdict from comparing the two exact
-    values. Nothing is shared between pairs; the walk must give the same
-    entries, verdict, worst entry and first violation."""
+    values, in an `EagerReport`. Nothing is shared between pairs; the walk
+    must give the same entries, verdict, worst entry and first violation."""
     points = pa.model.points
     bounds = [ONE] * len(points) if bounds is None else bounds
     entries = []
@@ -864,7 +887,7 @@ def eager_pair_report(pa, members, variables, cases=None, bounds=None):
         for pi in points_of(bits):
             stat = dot_at_most(pa.pmfs[pi].scaled, var)[0]
             entries.append(Entry(points[pi], stat, bounds[pi], hid, case))
-    return Report(tuple(entries))
+    return EagerReport(tuple(entries))
 
 
 def termwise_expectation(masses, values):

@@ -188,6 +188,28 @@ def test_unexpected_errors_exit_2_with_one_line(capsys, monkeypatch):
     assert captured.err == "error: unexpected RuntimeError: handler failed\n"
 
 
+def _boom(*args):
+    raise TypeError("boom")
+
+
+@pytest.mark.parametrize("owner, name, argv", [
+    (spaces, "class_from_preorder", ["space", "--space", "space_preorder.yaml"]),
+    (spaces.Model, "bits_of", ["space", "--space", "space_gens_ic.yaml"]),
+    (fileio, "ConsequenceSpace", [
+        "decide", "--space", "space_coin.yaml", "--model", "model_coin.yaml", "--kernel",
+        "kernel_coin_t2.yaml", "--decisions", "decisions_coin_table.yaml", "--bound", "econsequence",
+    ]),
+], ids=["preorder", "generators", "consequences"])
+def test_a_fault_under_a_file_reader_is_unexpected_not_an_input_error(
+    capsys, monkeypatch, owner, name, argv
+):
+    """The readers word only the package's input errors as the file's;
+    any other exception in what they call is a fault, named as one."""
+    monkeypatch.setattr(owner, name, _boom)
+    code = cli.main([str(DATA / a) if a.endswith(".yaml") else a for a in argv])
+    assert (code, capsys.readouterr().err) == (cli.EXIT_INPUT, "error: unexpected TypeError: boom\n")
+
+
 def _records_then_refusal(args):
     out = cli.Printer(args.format)
     out.record("first", n=1)

@@ -351,22 +351,60 @@ def test_point_checks_make_one_expectation_per_point(monkeypatch, capsys, tmp_pa
     capsys.readouterr()
 
 
-def _power_set_argv(path, violate):
+def test_anytime_walks_every_tree_node_once_per_pair(monkeypatch):
+    """L3 anytime: one backward pass (`kernels._snell`) per (nonempty
+    hypothesis, contained point) pair, each over every tree node, so the
+    work is pairs × tree nodes. Checked on seeded processes over the power
+    sets of 2, 3 and 4 points and random trees."""
+    walks = {"calls": 0, "nodes": 0}
+    snell = kn._snell
+
+    def counted(children, stop):
+        w = snell(children, stop)
+        walks["calls"] += 1
+        walks["nodes"] += len(w)
+        return w
+
+    monkeypatch.setattr(kn, "_snell", counted)
+    for n in (2, 3, 4):
+        r = helpers.rng(4100 + n)
+        space = helpers.power_space(n)
+        tree = helpers.rand_tree(r, max_depth=n)
+        proc = helpers.rand_process(r, space, tree, allow_inf=n % 2 == 1)
+        pa = helpers.rand_pa(r, space.model, tree.sample, full_support=n != 3)
+        walks.update(calls=0, nodes=0)
+        kn.check_anytime_validity(proc, pa)
+        pairs = n << (n - 1)
+        assert walks == {"calls": pairs, "nodes": pairs * len(tree.nodes)}, n
+
+
+def _power_set_argv(path, violate, anytime=False):
     """`check` files of a valid measure kernel on the 256-member power set
     of 8 points with three outcomes, or of that kernel tripled, which
-    violates validity."""
+    violates validity. With `anytime`, the kernel is step 1 of a process
+    on the one-level tree [x, y, z] whose step 0 is the constant 1."""
     r = helpers.rng(3707)
     space = helpers.power_space(8)
-    pa = helpers.rand_pa(r, space.model, SampleSpace(("x", "y", "z")))
+    sample = SampleSpace(("x", "y", "z"))
+    pa = helpers.rand_pa(r, space.model, sample)
     k = helpers.valid_measure_kernel(r, space, pa)
     if violate:
         k = helpers.scaled_kernel(k, XValue(3))
     path.mkdir()
-    for name, text in (("space", helpers.space_yaml(space)), ("model", helpers.model_yaml(pa)),
-                       ("kernel", helpers.kernel_yaml(k))):
+    files = {"space": helpers.space_yaml(space), "model": helpers.model_yaml(pa)}
+    kernels = [k]
+    if anytime:
+        files["tree"] = "tree: [x, y, z]\n"
+        kernels.insert(0, helpers.constant_kernel(space, sample, helpers.unit_measure(space)))
+    argv = ["check"]
+    for name, text in files.items():
         (path / f"{name}.yaml").write_text(text)
-    return ["check", *(arg for name in ("space", "model", "kernel")
-                       for arg in (f"--{name}", str(path / f"{name}.yaml")))]
+        argv += [f"--{name}", str(path / f"{name}.yaml")]
+    argv.append("--kernel")
+    for t, kernel in enumerate(kernels):
+        (path / f"kernel_{t}.yaml").write_text(helpers.kernel_yaml(kernel))
+        argv.append(str(path / f"kernel_{t}.yaml"))
+    return argv
 
 
 @pytest.mark.parametrize("options, violate, entries", [
@@ -376,7 +414,10 @@ def _power_set_argv(path, violate):
     (["--check", "fer"], False, 0),
     (["--check", "fer", "--format", "records"], True, 0),
     (["--check", "validity"], True, 1),
-], ids=["validity", "posthoc", "posthoc-level", "fer", "fer-violated", "validity-witness"])
+    (["--check", "anytime"], False, 0),
+    (["--check", "anytime"], True, 1),
+], ids=["validity", "posthoc", "posthoc-level", "fer", "fer-violated", "validity-witness",
+        "anytime", "anytime-witness"])
 def test_pair_checks_build_only_the_entries_they_print(
     monkeypatch, capsys, tmp_path, options, violate, entries
 ):
@@ -385,8 +426,10 @@ def test_pair_checks_build_only_the_entries_they_print(
     256-member power set (1,024 pairs) `check` builds no entry for the
     records of validity and post-hoc validity, nor for FER's rate, and a
     violated validity check in text builds one, the witness it prints.
-    Building the entries eagerly makes 1,024 per run."""
-    argv = _power_set_argv(tmp_path / "files", violate) + options
+    The anytime envelope fills the same report: a valid process builds no
+    entry and a violated one builds its witness. Building the entries
+    eagerly makes 1,024 per run."""
+    argv = _power_set_argv(tmp_path / "files", violate, "anytime" in options) + options
     built = []
     init = kn.Entry.__init__
     monkeypatch.setattr(kn.Entry, "__init__", lambda self, *args, **kwargs: (
@@ -397,4 +440,4 @@ def test_pair_checks_build_only_the_entries_they_print(
     assert (code, len(built)) == (cli.EXIT_VIOLATION if violate else cli.EXIT_OK, entries)
     if "fer" not in options and "records" in options:
         assert len(lines) == 1024
-    assert sum(line.startswith("first violation: {") for line in lines) == entries
+    assert sum(line.startswith("first violation") for line in lines) == entries

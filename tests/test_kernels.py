@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from emeasure import (
+    ConsequenceTable,
     EClass,
     EKernel,
     EProcess,
@@ -18,8 +19,11 @@ from emeasure import (
     Space,
     XValue,
     check_anytime_validity,
+    check_econsequence_bound,
     check_fer,
     check_fwe,
+    check_grunwald_bound,
+    check_posthoc_consequence_bound,
     check_posthoc_validity,
     check_predictive_validity,
     check_validity,
@@ -32,6 +36,7 @@ from emeasure import (
 from emeasure.evidence import EvidenceError, from_values
 from emeasure import kernels as kn
 from emeasure.kernels import Entry, KernelError, MeasurabilityError, Report
+from emeasure.multiplicity import SelectionRule
 from emeasure import golden
 
 
@@ -135,7 +140,47 @@ def test_constant_two_kernel_is_invalid_with_witness():
 def test_entry_holds_its_statistic_against_its_bound():
     assert Entry("p", XValue(1)).ok and not Entry("p", XValue(Fraction(3, 2))).ok
     assert Entry("p", XValue(2), bound=XValue(2)).ok and not Entry("p", INF, bound=XValue(9)).ok
-    assert Report(()).ok and Report(()).worst() is None and Report(()).first_violation() is None
+    _, _, _, pa = small_setup(11)
+    empty = kn._pair_report(pa, [], [])
+    assert empty.ok and empty.entries == () and empty.largest() is None
+    assert empty.worst() is None and empty.first_violation() is None
+
+
+def test_every_check_returns_the_one_report_class():
+    """On one seeded instance, the power set of three points that are also
+    the outcomes, every check's pairs come back as a `kernels.Report`:
+    validity, post-hoc, FWE, FER with and without a rule, both posteriors,
+    decide's three bounds, and the reports inside the predictive and the
+    anytime results."""
+    r = helpers.rng(4201)
+    space = helpers.power_space(3)
+    sample = SampleSpace(space.model.points)
+    pa = helpers.rand_pa(r, space.model, sample)
+    k = helpers.valid_capacity_kernel(r, space, pa)
+    prior = helpers.rand_capacity(r, space, allow_inf=False)
+    table = ConsequenceTable.numeric(
+        space.model, ("a", "b"), [[XValue(r.randint(0, 3)) for _ in "ab"] for _ in space.model.points]
+    )
+    unit = helpers.constant_kernel(space, sample, helpers.unit_measure(space))
+    anytime = check_anytime_validity(EProcess(FiltrationTree(sample, list(sample.outcomes)), [unit, k]), pa)
+    predictive = check_predictive_validity(k, pa)
+    reports = [
+        check_validity(k, pa),
+        check_posthoc_validity(k, pa, "canonical"),
+        check_posthoc_validity(k, pa, {x: XValue(Fraction(1, 2)) for x in sample.outcomes}),
+        check_fwe(k, pa),
+        check_fer(k, pa),
+        check_fer(k, pa, SelectionRule.fixed(sample, [1, 2])),
+        eposterior_raw(prior, k, pa)[1],
+        eposterior_closed(prior, k, pa)[1],
+        check_econsequence_bound(k, pa, table),
+        check_posthoc_consequence_bound(k, pa, table, {x: XValue(Fraction(1, 2)) for x in sample.outcomes}),
+        check_grunwald_bound(k, pa, table),
+        anytime.stats,
+        predictive.identity,
+        predictive.stats,
+    ]
+    assert all(type(report) is Report for report in reports)
 
 
 def test_every_report_gives_its_verdict_and_worst_entry():
@@ -399,47 +444,40 @@ def test_eposterior_raw_with_unit_prior_is_plain_validity():
     assert report.ok
 
 
-def test_eposterior_raw_names_the_point_attaining_each_bound():
-    """Each entry's statistic is the largest expectation of the product over
-    its hypothesis' points, and its point the first one attaining it."""
-    ties = 0
-    for seed in range(20):
+def test_eposterior_raw_holds_each_pair_of_the_prior_support_against_one():
+    """prior(H)·E_p[e(H|X)] <= prior(H) holds exactly where E_p[e(H|X)] <= 1
+    or prior(H) is 0 or inf. So the raw report is the kernel's pair walk
+    over the hypotheses of finite positive prior, each E_p[e(H|X)] against
+    1, and its verdict is the product held against the prior at every
+    pair. The priors are random capacities, with 0 and inf values, and
+    the unit prior with a minimal member scaled by 3."""
+    verdicts, unbounded = set(), 0
+    for seed in range(24):
         r, space, sample, pa = small_setup(500 + seed, full_support=seed % 2 == 0)
         k = helpers.valid_capacity_kernel(r, space, pa)
-        if seed % 2:
+        if seed % 3 == 1:
             k = helpers.constant_two_kernel(space, sample)
-        prior = helpers.rand_capacity(r, space, allow_inf=False)
+        if seed % 4 == 3:
+            # antitonicity survives: canonical order puts minimal members first
+            atom = space.family.nonempty_ids()[0]
+            unit = helpers.unit_measure(space).values
+            prior = from_values(space, [XValue(3) if hid == atom else v for hid, v in enumerate(unit)])
+        else:
+            prior = helpers.rand_capacity(r, space, allow_inf=seed % 2 == 1)
         post, report = eposterior_raw(prior, k, pa)
-        assert [e.hid for e in report.entries] == list(space.family.nonempty_ids())
-        for entry in report.entries:
-            stats = [
-                (helpers.oracle_expectation(pa.pmfs[pi], post.rows[entry.hid]), pi)
-                for pi in space.family.indices(entry.hid)
-            ]
-            largest = max(stat for stat, _ in stats)
-            attaining = [pi for stat, pi in stats if stat == largest]
-            assert (entry.point, entry.stat) == (space.model.points[attaining[0]], largest)
-            assert entry.bound == prior.values[entry.hid]
-            ties += len(attaining) > 1
-    assert ties
-
-
-def test_eposterior_raw_scaled_atom_prior():
-    r, space, sample, pa = small_setup(41)
-    k = helpers.valid_capacity_kernel(r, space, pa)
-    # scale a minimal nonempty member by 3; antitonicity survives because
-    # canonical order puts minimal members first
-    atom = space.family.nonempty_ids()[0]
-    values = [
-        XValue(3) if hid == atom else v
-        for hid, v in enumerate(helpers.unit_measure(space).values)
-    ]
-    prior = from_values(space, values)
-    assert prior.eclass >= EClass.CAPACITY
-    post, report = eposterior_raw(prior, k, pa)
-    assert report.ok
-    entry = next(e for e in report.entries if e.hid == atom)
-    assert entry.bound == XValue(3)
+        points, pairs, holds = space.model.points, [], True
+        for hid, pi in ((hid, pi) for hid in space.family.nonempty_ids() for pi in space.family.indices(hid)):
+            p, stat = prior.values[hid], helpers.oracle_expectation(pa.pmfs[pi], k.rows[hid])
+            holds &= helpers.oracle_expectation(pa.pmfs[pi], post.rows[hid]) <= p
+            if p.is_zero or p.is_inf:
+                unbounded += stat > XValue(1)
+                continue
+            assert p * stat == helpers.oracle_expectation(pa.pmfs[pi], post.rows[hid])
+            pairs.append((hid, points[pi], stat, XValue(1), stat <= XValue(1)))
+        assert [(e.hid, e.point, e.stat, e.bound, e.ok) for e in report.entries] == pairs
+        assert report.ok == holds
+        verdicts.add(holds)
+    assert verdicts == {True, False} and unbounded
 
 
 def test_raw_product_of_measures_can_lose_the_measure_law():
