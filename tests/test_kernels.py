@@ -444,6 +444,60 @@ def test_eposterior_raw_with_unit_prior_is_plain_validity():
     assert report.ok
 
 
+def test_eposterior_raw_names_the_point_attaining_each_bound():
+    """A finite positive prior scales a hypothesis' expectations alike, so
+    the first of its entries attaining its largest statistic names the
+    first point where the product's expectation is largest, and the prior
+    times that statistic is that expectation. `worst()` is the first pair
+    in walk order attaining the largest statistic of all."""
+    ties = 0
+    for seed in range(20):
+        r, space, sample, pa = small_setup(500 + seed, full_support=seed % 2 == 0)
+        k = helpers.valid_capacity_kernel(r, space, pa)
+        if seed % 2:
+            k = helpers.constant_two_kernel(space, sample)
+        prior = helpers.rand_capacity(r, space, allow_inf=False)
+        post, report = eposterior_raw(prior, k, pa)
+        held = [hid for hid in space.family.nonempty_ids() if not prior.values[hid].is_zero]
+        assert list(dict.fromkeys(e.hid for e in report.entries)) == held
+        for hid in held:
+            entries = [e for e in report.entries if e.hid == hid]
+            worst = max(entries, key=lambda e: e.stat)
+            stats = [
+                (helpers.oracle_expectation(pa.pmfs[pi], post.rows[hid]), pi)
+                for pi in space.family.indices(hid)
+            ]
+            largest = max(stat for stat, _ in stats)
+            attaining = [pi for stat, pi in stats if stat == largest]
+            assert worst.point == space.model.points[attaining[0]]
+            assert prior.values[hid] * worst.stat == largest
+            ties += len(attaining) > 1
+        top = max(e.stat for e in report.entries)
+        assert report.worst() == next(e for e in report.entries if e.stat == top)
+    assert ties
+
+
+def test_eposterior_raw_scaled_atom_prior():
+    r, space, sample, pa = small_setup(41)
+    k = helpers.valid_capacity_kernel(r, space, pa)
+    # scale a minimal nonempty member by 3; antitonicity survives because
+    # canonical order puts minimal members first
+    atom = space.family.nonempty_ids()[0]
+    values = [
+        XValue(3) if hid == atom else v
+        for hid, v in enumerate(helpers.unit_measure(space).values)
+    ]
+    prior = from_values(space, values)
+    assert prior.eclass >= EClass.CAPACITY
+    post, report = eposterior_raw(prior, k, pa)
+    assert report.ok
+    entries = [e for e in report.entries if e.hid == atom]
+    assert [e.point for e in entries] == [space.model.points[pi] for pi in space.family.indices(atom)]
+    for e in entries:
+        product = helpers.oracle_expectation(pa.pmfs[space.model.points.index(e.point)], post.rows[atom])
+        assert e.bound == XValue(1) and XValue(3) * e.stat == product <= XValue(3)
+
+
 def test_eposterior_raw_holds_each_pair_of_the_prior_support_against_one():
     """prior(H)·E_p[e(H|X)] <= prior(H) holds exactly where E_p[e(H|X)] <= 1
     or prior(H) is 0 or inf. So the raw report is the kernel's pair walk
