@@ -10,16 +10,16 @@ simulated. Each row is scaled to integers once per kernel
 object, and the checks work once per distinct row object or (row, point),
 not once per hypothesis or pair.
 
-Every expectation the package holds against a bound is one walk,
+Every statistic the package holds against a bound is one walk,
 `_pair_report`, over members (point bitsets) each with a scaled variable:
-the hypotheses for validity, post-hoc levels, the E-posteriors and the
-pushforward; each point alone for FWE, FER with a rule and the Grünwald
-bound; each distinct benchmark row's upper set for decide's bounds; all
-points at once for the predictive check. The walk keeps one statistic per
-distinct (variable, point), decided on integers before its one exact value
-is built, and a mask of the points where each variable fails. That is
-the one `Report`, which the anytime envelope and the predictive identity
-fill too; it builds an `Entry` only where one is read, and the command
+the hypotheses for validity, post-hoc levels, the E-posteriors, the
+pushforward and the anytime envelope; each point alone for FWE, FER with a
+rule and the Grünwald bound; each distinct benchmark row's upper set for
+decide's bounds; all points at once for the predictive check. The walk
+keeps one statistic per distinct (variable, point), decided on integers
+before its one exact value is built, and a mask of the points where each
+variable fails. That is the one `Report`, which the predictive identity
+fills too; it builds an `Entry` only where one is read, and the command
 line renders its records from the walk itself. The per-outcome tables are
 built only for the checks that read one outcome at a time.
 """
@@ -27,7 +27,7 @@ built only for the checks that read one outcome at a time.
 from __future__ import annotations
 
 from operator import mul
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import evidence as ev
 from .evidence import EClass, EFunction, EvidenceError
@@ -209,21 +209,20 @@ class Entry(Record):
     """One statistic held against its bound at a point (None for a statistic
     per distribution). Pair checks name the hypothesis id, others may name a
     case such as a benchmark row or an outcome. `ok` is whether the
-    statistic is at most the bound; a check that has decided it on integers
-    passes it in."""
+    statistic is at most the bound, as the walk decided it on integers."""
 
     __slots__ = _compared = ("point", "stat", "bound", "hid", "case", "ok")
 
     def __init__(
-        self, point: Optional[str], stat: XValue, bound: XValue = ONE,
-        hid: Optional[int] = None, case: Optional[str] = None, ok: Optional[bool] = None,
+        self, point: Optional[str], stat: XValue, bound: XValue,
+        hid: Optional[int], case: Optional[str], ok: bool,
     ):
         self.point = point
         self.stat = stat
         self.bound = bound
         self.hid = hid
         self.case = case
-        self.ok = stat <= bound if ok is None else ok
+        self.ok = ok
 
 
 # -- hypothesis-wise validity ------------------------------------------
@@ -237,27 +236,29 @@ def check_validity(k: EKernel, pa: ProbabilityAssignment) -> Report:
 def _pair_report(
     pa: ProbabilityAssignment, members: Sequence[int], variables: Sequence[Optional[Scaled]],
     cases: Optional[Sequence[Optional[str]]] = None, bounds: Optional[Sequence[XValue]] = None,
+    statistic: Optional[Callable[[Scaled, int], tuple[XValue, bool]]] = None,
 ) -> Report:
-    """The package's one expectation walk. Each member is a bitset over
-    `pa`'s model points with a scaled variable, and each of its points, in
-    point order, makes one pair: the expectation of the variable under the
-    point's distribution, held against the point's bound (by default 1).
-    A pair names its member by its index, a hypothesis id, or, given
-    `cases`, by the member's case, which may be None. An empty member makes
-    no pair, and its variable is never read.
+    """The package's one walk of statistics held against a bound. Each
+    member is a bitset over `pa`'s model points with a scaled variable, and
+    each of its points, in point order, makes one pair: the expectation of
+    the variable under the point's distribution against the point's bound
+    (by default 1), or `statistic(variable, point index)`, a (value, holds)
+    pair (the anytime envelope). A pair names its member by its index, a
+    hypothesis id, or its case in `cases`; an empty member makes none.
 
     The work is per distinct variable (a slot), not per pair: members whose
     variables are equal share a slot, each (slot, point) statistic is
     computed once, and a member's pairs are read off its slot's masks of
-    computed and failed points, so no pair costs a step of its own. A walk
-    of v distinct variables over n points costs at most v·n expectations:
-    r·n for a kernel of r distinct rows, where the pairs of a power set
-    number n·2^(n-1); tests/test_growth.py holds that count, and the
-    records that render it, to a log-log slope of at most 2.2 in n. A walk
-    of one singleton member per point (FWE, FER with a rule, the Grünwald
-    bound) or of one member of every point (the predictive check) costs
-    exactly n, which tests/test_growth.py also holds; decide's walk of one
-    member per distinct benchmark row costs at most that many times n.
+    computed and failed points, so no pair costs a step of its own, and an
+    empty member's variable is never read. A walk of v distinct variables
+    over n points costs at most v·n statistics (an anytime one walks the
+    tree once): r·n for a kernel of r distinct rows, where the pairs of a
+    power set number n·2^(n-1); tests/test_growth.py holds that count, and
+    the records that render it, to a log-log slope of at most 2.2 in n. A
+    walk of one singleton member per point (FWE, FER with a rule, the
+    Grünwald bound) or of one member of every point (the predictive check)
+    costs exactly n, which tests/test_growth.py also holds; decide's walk of
+    one member per distinct benchmark row costs at most that many times n.
     """
     n = pa.model.size
     bounds = [ONE] * n if bounds is None else bounds
@@ -288,22 +289,25 @@ def _pair_report(
                 low = todo & -todo
                 todo ^= low
                 pi = low.bit_length() - 1
-                row[pi], ok = dot_at_most(masses[pi], var, bounds[pi])
+                if statistic is None:
+                    row[pi], ok = dot_at_most(masses[pi], var, bounds[pi])
+                else:
+                    row[pi], ok = statistic(var, pi)
                 if not ok:
                     failed[slot] |= low
     return Report(pa.model.points, bounds, members, cases, slots, stats, failed)
 
 
 class Report(Record):
-    """The one report shape, a walk as it left off (`_pair_report`, the
-    anytime envelope, the predictive identity): per slot, its statistic at
-    each point it read and the mask of the points where that statistic
-    fails its bound; per member, its bitset, slot and name (its index, or
-    its case). It holds when no slot fails. `largest()` compares each
-    statistic once; `worst()` and `first_violation()` each build the one
-    entry they name, the first pair in walk order (members, then points, in
-    order) that attains the largest statistic or fails; `entries`, one per
-    pair in walk order, are built when first read, and compared."""
+    """The one report shape, a walk as it left off (`_pair_report`, or the
+    predictive identity): per slot, its statistic at each point it read and
+    the mask of the points where that statistic fails its bound; per
+    member, its bitset, slot and name (its index, or its case). It holds
+    when no slot fails. `largest()` compares each statistic once;
+    `worst()` and `first_violation()` each build the one entry they name,
+    the first pair in walk order (members, then points) that attains the
+    largest statistic or fails; `entries`, one per pair in walk order, are
+    built when first read, and compared."""
 
     __slots__ = ("points", "bounds", "members", "cases", "slots", "stats", "failed", "_entries")
     _compared = ("entries",)
@@ -337,13 +341,13 @@ class Report(Record):
         ok = not self.failed[slot] >> pi & 1
         return Entry(self.points[pi], self.stats[slot][pi], self.bounds[pi], hid, case, ok)
 
-    def _first(self, masks: Sequence[int]) -> Optional[Entry]:
-        """The entry of the first pair in walk order whose point is in its
-        slot's mask."""
+    def _first(self, masks: Sequence[int]) -> Optional[tuple[int, int]]:
+        """The first pair in walk order, as (member, point index), whose
+        point is in its slot's mask."""
         for m, (bits, slot) in enumerate(zip(self.members, self.slots)):
             hit = bits and bits & masks[slot]
             if hit:
-                return self._entry(m, (hit & -hit).bit_length() - 1)
+                return m, (hit & -hit).bit_length() - 1
         return None
 
     @property
@@ -351,7 +355,8 @@ class Report(Record):
         return not any(self.failed)
 
     def first_violation(self) -> Optional[Entry]:
-        return self._first(self.failed) if any(self.failed) else None
+        first = None if self.ok else self._first(self.failed)
+        return first and self._entry(*first)
 
     def largest(self) -> Optional[XValue]:
         return max((stat for row in self.stats for stat in row if stat is not None), default=None)
@@ -361,7 +366,7 @@ class Report(Record):
         if top is None:
             return None
         tops = [sum(1 << pi for pi, stat in enumerate(row) if stat == top) for row in self.stats]
-        return self._first(tops)
+        return self._entry(*self._first(tops))
 
 
 def close_kernel(k: EKernel) -> EKernel:
@@ -571,8 +576,9 @@ class EProcess:
     """A kernel per time step, measurable against a filtration tree."""
 
     def __init__(self, tree: FiltrationTree, kernels: Sequence[EKernel]):
-        if len(kernels) != tree.depth + 1:
-            raise KernelError("one kernel per time step 0..T is required")
+        t, given = tree.depth, len(kernels)
+        if given != t + 1:
+            raise KernelError(f"a tree of depth {t} needs one kernel per step 0..{t}, got {given}")
         space = kernels[0].space
         for k in kernels:
             if k.space != space or k.sample != tree.sample:
@@ -605,9 +611,8 @@ class EProcess:
 
 class AnytimeReport(NamedTuple):
     """Per pair, the largest expected stopped evidence over the
-    `rules_checked` stopping rules, computed by one integer walk of the
-    tree; `rule` attains it at the first violating pair, as a stop depth per
-    outcome (None when every pair holds). Only that pair's rule is built."""
+    `rules_checked` stopping rules; `rule` attains it at the first violating
+    pair, as a stop depth per outcome (None when every pair holds)."""
 
     rules_checked: int
     stats: Report
@@ -622,52 +627,46 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
     the root, in unnormalised masses: W(node) = max(P(node) e_t(H | node),
     sum of W over the children), and a leaf's W is its own stop value.
 
-    The walk is in ints: node masses are slice sums of each point's scaled
-    distribution, and each hypothesis's step values on the nodes are scaled
-    once (measurability makes e_t constant on a depth-t node, so its first
-    outcome stands in). A stop value is the product of two numerators, and
-    the root's W over the two denominators is the pair's one exact value.
-    Zero mass against inf gives 0; positive mass against inf makes the
-    pair's value inf. The maximising rule stops wherever stopping attains W
-    (ties stop); it is built only for the first violating pair, in
-    check_validity order.
+    The envelope is the pair walk's statistic (`_pair_report`) on ints: node
+    masses are slice sums of each point's scaled distribution, and each
+    hypothesis's step values on the nodes are one scaled vector
+    (measurability makes e_t constant on a depth-t node, so its first
+    outcome stands in). Equal vectors share a slot, so the tree is walked
+    once per distinct (step vector, point). A stop value is the product of
+    two numerators, and the root's W over the two denominators is the
+    pair's one exact value. Zero mass against inf gives 0; positive mass
+    against inf makes it inf. The maximising rule stops wherever stopping
+    attains W (ties stop); it is built after the walk, for the first
+    violating pair only.
     """
     by_outcome = proc.require_measurable()
     nodes = proc.tree.nodes
     children = [c for _, _, _, c in nodes]
-    # Per node, the values of its step at its first outcome, by hypothesis.
-    steps = [by_outcome[t][lo] for t, lo, _, _ in nodes]
-    # Per point: its distribution's denominator, its node mass numerators and
-    # the bit mask of the nodes it charges.
+    # Per point: its denominator, its node mass numerators, the nodes it charges.
     masses = []
     for pmf in pa.pmfs:
         den, nums, _ = pmf.scaled
         mass = [sum(nums[lo:hi]) for _, lo, hi, _ in nodes]
         charged = sum(1 << i for i, m in enumerate(mass) if m)
         masses.append((den, mass, charged))
-    points, family = proc.space.model.points, proc.space.family
-    stats: list[list[Optional[XValue]]] = []  # one slot per nonempty hypothesis
-    failed: list[int] = []
-    witness = None
-    for hid in family.nonempty_ids():
-        vden, values, inf = scale([step[hid] for step in steps])
-        row: list[Optional[XValue]] = [None] * len(points)
-        fails = 0
-        for pi in family.indices(hid):
-            mden, mass, charged = masses[pi]
-            stop = list(map(mul, mass, values))
-            w = _snell(children, stop)
-            blown = inf & charged
-            row[pi] = INF if blown else ratio(w[-1], mden * vden)
-            if blown or w[-1] > mden * vden:
-                fails |= 1 << pi
-                if witness is None:
-                    witness = _stop_rule(nodes, stop, w, blown)
-        stats.append(row)
-        failed.append(fails)
-    slots = [None, *range(len(stats))]  # the empty hypothesis, id 0, has none
-    report = Report(points, [ONE] * len(points), family.members, None, slots, stats, failed)
-    return AnytimeReport(proc.tree.count_stopping_times(), report, witness)
+
+    def stops(var: Scaled, pi: int) -> tuple[list[int], int]:
+        """A pair's stop values, and its nodes where mass meets inf."""
+        _, mass, charged = masses[pi]
+        return list(map(mul, mass, var[1])), var[2] & charged
+
+    def envelope(var: Scaled, pi: int) -> tuple[XValue, bool]:
+        stop, blown = stops(var, pi)
+        w, den = _snell(children, stop)[-1], masses[pi][0] * var[0]
+        return (INF, False) if blown else (ratio(w, den), w <= den)
+
+    steps = [by_outcome[t][lo] for t, lo, _, _ in nodes]
+    family = proc.space.family  # the empty hypothesis, id 0, has no variable
+    variables = [None, *(scale([step[hid] for step in steps]) for hid in family.nonempty_ids())]
+    report = _pair_report(pa, family.members, variables, statistic=envelope)
+    first = None if report.ok else report._first(report.failed)
+    rule = first and _stop_rule(nodes, children, *stops(variables[first[0]], first[1]))
+    return AnytimeReport(proc.tree.count_stopping_times(), report, rule)
 
 
 def _snell(children: Sequence[tuple[int, ...]], stop: Sequence[int]) -> list[int]:
@@ -684,7 +683,7 @@ def _snell(children: Sequence[tuple[int, ...]], stop: Sequence[int]) -> list[int
 
 
 def _stop_rule(
-    nodes: Sequence[TreeNode], stop: Sequence[int], w: Sequence[int], blown: int
+    nodes: Sequence[TreeNode], children: Sequence[tuple[int, ...]], stop: Sequence[int], blown: int
 ) -> tuple[int, ...]:
     """The rule that stops where stopping attains W, as a stop depth per outcome.
 
@@ -692,8 +691,9 @@ def _stop_rule(
     Their stop value and every W above them is inf, which the int arrays do
     not hold: such a node stops, and a node with one below it continues.
     """
+    w = _snell(children, stop)
     inf_below = []  # per node, whether it or a node below it is blown
-    for i, (_, _, _, kids) in enumerate(nodes):
+    for i, kids in enumerate(children):
         inf_below.append(bool(blown >> i & 1) or any(inf_below[k] for k in kids))
     rule = [0] * nodes[-1][2]
     todo = [len(nodes) - 1]

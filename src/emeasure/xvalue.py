@@ -32,14 +32,14 @@ least common denominator, one integer numerator per position (0 where the
 value is inf) and a bit mask of the infinite positions. The expectation of
 two scaled tables is :func:`dot_at_most`: one integer sum of products, held
 against a bound on the ints, then one gcd when the result is wrapped, and
-zero mass against inf giving 0. Its one caller is the package's one
-expectation walk, ``kernels._pair_report``. A distribution is scaled once,
-when it is built, and a kernel's row of evidence against one hypothesis
-once per kernel, the first time a check reads it. The anytime check walks
-its tree on the same scaled tables: node masses are slice sums of a scaled
-distribution, a hypothesis's step values on the nodes are scaled once, and
-each (hypothesis, point) pair is one loop of int products, sums and maxima
-whose root value :func:`ratio` wraps. All of it is exact.
+zero mass against inf giving 0. Its one caller is the package's one walk of
+bounded statistics, ``kernels._pair_report``. A distribution is scaled
+once, when it is built, and a kernel's row of evidence against one
+hypothesis once per kernel, the first time a check reads it. That walk's
+anytime envelope uses the same tables: node masses are slice sums of a
+scaled distribution, a hypothesis's step values on the nodes one scaled
+vector, and each distinct (vector, point) one loop of int products, sums
+and maxima whose root value :func:`ratio` wraps. All of it is exact.
 """
 
 from __future__ import annotations

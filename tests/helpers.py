@@ -886,7 +886,7 @@ def eager_pair_report(pa, members, variables, cases=None, bounds=None):
         hid, case = (m, None) if cases is None else (None, cases[m])
         for pi in points_of(bits):
             stat = dot_at_most(pa.pmfs[pi].scaled, var)[0]
-            entries.append(Entry(points[pi], stat, bounds[pi], hid, case))
+            entries.append(Entry(points[pi], stat, bounds[pi], hid, case, stat <= bounds[pi]))
     return EagerReport(tuple(entries))
 
 

@@ -351,13 +351,30 @@ def test_point_checks_make_one_expectation_per_point(monkeypatch, capsys, tmp_pa
     capsys.readouterr()
 
 
-def test_anytime_walks_every_tree_node_once_per_pair(monkeypatch):
-    """L3 anytime: one backward pass (`kernels._snell`) per (nonempty
-    hypothesis, contained point) pair, each over every tree node, so the
-    work is pairs × tree nodes. Checked on seeded processes over the power
-    sets of 2, 3 and 4 points and random trees."""
+def _distinct_step_pairs(proc):
+    """How many distinct (step values on the tree's nodes, contained point)
+    pairs a process's nonempty hypotheses make; equal values scale to one
+    vector."""
+    family, nodes = proc.space.family, proc.tree.nodes
+    return len({
+        (tuple(proc.kernels[t].rows[hid][lo] for t, lo, _, _ in nodes), pi)
+        for hid in family.nonempty_ids() for pi in helpers.points_of(family.member(hid))
+    })
+
+
+def test_anytime_walks_every_tree_node_once_per_pair(monkeypatch, capsys, tmp_path):
+    """L3 anytime: the envelope is the pair walk's statistic, so it makes
+    one backward pass (`kernels._snell`) per distinct (step vector,
+    contained point) pair, each over every tree node, and one more to
+    build the witness rule of a violated process; so at most pairs × tree
+    nodes. Checked on seeded processes over the power sets of 2, 3 and 4
+    points and random trees, and through `check` on the 256-member
+    power-set process (1,024 pairs, 33 distinct step vectors): 107 passes
+    when it is valid and 108 when it is violated, where a pass per pair
+    makes 1,024."""
     walks = {"calls": 0, "nodes": 0}
-    snell = kn._snell
+    snell, check = kn._snell, kn.check_anytime_validity
+    checked = []
 
     def counted(children, stop):
         w = snell(children, stop)
@@ -365,7 +382,16 @@ def test_anytime_walks_every_tree_node_once_per_pair(monkeypatch):
         walks["nodes"] += len(w)
         return w
 
+    def recorded(proc, pa):
+        checked.append((proc, check(proc, pa)))
+        return checked[-1][1]
+
+    def expected(proc, report):
+        calls = _distinct_step_pairs(proc) + (not report.stats.ok)
+        return {"calls": calls, "nodes": calls * len(proc.tree.nodes)}
+
     monkeypatch.setattr(kn, "_snell", counted)
+    monkeypatch.setattr(kn, "check_anytime_validity", recorded)
     for n in (2, 3, 4):
         r = helpers.rng(4100 + n)
         space = helpers.power_space(n)
@@ -373,9 +399,16 @@ def test_anytime_walks_every_tree_node_once_per_pair(monkeypatch):
         proc = helpers.rand_process(r, space, tree, allow_inf=n % 2 == 1)
         pa = helpers.rand_pa(r, space.model, tree.sample, full_support=n != 3)
         walks.update(calls=0, nodes=0)
-        kn.check_anytime_validity(proc, pa)
-        pairs = n << (n - 1)
-        assert walks == {"calls": pairs, "nodes": pairs * len(tree.nodes)}, n
+        assert walks == expected(proc, kn.check_anytime_validity(proc, pa)), n
+    for violate in (False, True):
+        argv = _power_set_argv(tmp_path / str(violate), violate, anytime=True)
+        walks.update(calls=0, nodes=0)
+        code = cli.main(argv + ["--check", "anytime"])
+        assert code == (cli.EXIT_VIOLATION if violate else cli.EXIT_OK)
+        proc, report = checked[-1]
+        assert walks["calls"] == 107 + violate
+        assert walks == expected(proc, report)
+    capsys.readouterr()
 
 
 def _power_set_argv(path, violate, anytime=False):
@@ -426,8 +459,9 @@ def test_pair_checks_build_only_the_entries_they_print(
     256-member power set (1,024 pairs) `check` builds no entry for the
     records of validity and post-hoc validity, nor for FER's rate, and a
     violated validity check in text builds one, the witness it prints.
-    The anytime envelope fills the same report: a valid process builds no
-    entry and a violated one builds its witness. Building the entries
+    The anytime envelope is a statistic of the same walk, whose first
+    violation names the pair its rule is built for: a valid process builds
+    no entry and a violated one builds its witness. Building the entries
     eagerly makes 1,024 per run."""
     argv = _power_set_argv(tmp_path / "files", violate, "anytime" in options) + options
     built = []

@@ -21,7 +21,15 @@ row, the miss rate, the claim, or the FEP of `helpers.fep_fsp`). On every
 intersection-closed family, a seeded kernel whose outcomes are the points
 goes through the predictive check: each identity entry holds the sup over
 true hypotheses (`helpers.sup_over_true`) against the least hypothesis's
-value, and each statistic is the expectation of that sup.
+value, and each statistic is the expectation of that sup. On every family
+on one to three points, ANYTIME_TREES seeded trees of depth at most 2 each
+carry three processes through the anytime check: a random one, a
+likelihood-ratio martingale, and one whose nonempty members each take the
+step rows of one of two members, so that hypotheses share the walk's
+slots. Each pair's statistic is the largest expected stopped evidence over
+every stopping rule (`helpers.oracle_anytime`), and a violated process's
+rule is the one that attains it at its first violating pair
+(`helpers.oracle_stop_rule`).
 
 L5: every numeric table of two decisions with losses in {0, 1, 2} on one
 to three points, and on four FOUR_POINT_TABLES per family, drawn from
@@ -39,9 +47,9 @@ from fractions import Fraction
 
 import helpers
 from emeasure import (
-    ConsequenceTable, EClass, EKernel, INF, Model, ONE, Pmf, ProbabilityAssignment, SampleSpace,
-    Space, XValue, ZERO, admissible_decisions, check_predictive_validity, close, close_kernel,
-    optimality_class,
+    ConsequenceTable, EClass, EKernel, EProcess, INF, Model, ONE, Pmf, ProbabilityAssignment,
+    SampleSpace, Space, XValue, ZERO, admissible_decisions, check_anytime_validity,
+    check_predictive_validity, close, close_kernel, optimality_class,
 )
 from emeasure import decisions as dec
 from emeasure import kernels as kn
@@ -63,6 +71,7 @@ DECISIONS = ("d1", "d2")
 FOUR_POINT_POOL = 256  # seeded loss tables on four points
 FOUR_POINT_TABLES = 4  # of them, seeded, per family on four points
 MEASURES = 4  # seeded measures per family, taken by the tables in turn
+ANYTIME_TREES = 2  # seeded trees per family on one to three points
 
 
 def _worlds():
@@ -228,6 +237,73 @@ def test_the_predictive_sup_agrees_with_its_definition_on_every_small_world():
         worlds += 1
     assert worlds == 1 + 4 + 29 + 355  # the preorders on one to four points
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _ratio_process(r, space, tree, pa):
+    """At each step's atoms, the likelihood ratio of a seeded reference
+    distribution against each point's, the least over a member's points: a
+    martingale under each point, whose ratio is inf on an atom it does not
+    charge."""
+    q = helpers.pmf_mass(helpers.rand_pmf(r, tree.sample))
+    masses = [helpers.pmf_mass(pmf) for pmf in pa.pmfs]
+    kernels = []
+    for atoms in helpers.tree_levels(tree):
+        columns = [None] * tree.sample.size
+        for atom in atoms:
+            ratios = [XValue(sum(q[x] for x in atom)) / XValue(sum(m[x] for x in atom)) for m in masses]
+            column = [INF] + [min(ratios[pi] for pi in helpers.points_of(bits))
+                              for bits in space.family.members[1:]]
+            for x in atom:
+                columns[x] = column
+        kernels.append(EKernel(space, tree.sample, list(zip(*columns))))
+    return EProcess(tree, kernels)
+
+
+def _shared_process(r, proc):
+    """`proc` with each nonempty member taking the step rows of one of two
+    seeded members at every step."""
+    nonempty = proc.space.family.nonempty_ids()
+    two = [r.choice(nonempty) for _ in range(2)] if nonempty else []
+    source = [0] + [r.choice(two) for _ in nonempty]
+    return EProcess(proc.tree, [
+        EKernel(proc.space, k.sample, [k.rows[hid] for hid in source]) for k in proc.kernels
+    ])
+
+
+def test_the_anytime_envelope_and_its_rule_agree_with_every_stopping_rule_on_small_worlds():
+    r = helpers.rng(4213)
+    seen = set()
+    for space in _worlds():
+        if space.model.size > 3:
+            break
+        for _ in range(ANYTIME_TREES):
+            tree = helpers.rand_tree(r, max_depth=2)
+            pa = helpers.rand_pa(r, space.model, tree.sample, full_support=r.random() < 0.5)
+            drawn = helpers.rand_process(r, space, tree, allow_inf=r.random() < 0.4)
+            processes = {
+                "random": drawn, "martingale": _ratio_process(r, space, tree, pa),
+                "shared": _shared_process(r, drawn),
+            }
+            for kind, proc in processes.items():
+                report = check_anytime_validity(proc, pa)
+                best = helpers.oracle_anytime(proc, pa)
+                points = space.model.points
+                got = {(e.hid, points.index(e.point)): e.stat for e in report.stats.entries}
+                assert got == best, (kind, space.family.members, tree.shape)
+                violations = [pair for pair, stat in best.items() if stat > 1]
+                assert report.stats.ok == (not violations)
+                if violations:
+                    hid, pi = violations[0]
+                    entry = report.stats.first_violation()
+                    assert (entry.hid, entry.point) == (hid, points[pi])
+                    want = helpers.oracle_stop_rule(proc, hid, helpers.pmf_mass(pa.pmfs[pi]))
+                    assert report.rule == want, (kind, space.family.members, tree.shape)
+                else:
+                    assert report.rule is None
+                shared = len(report.stats.stats) < len(space.family) - 1
+                seen.add((kind, report.stats.ok, shared))
+    assert {("martingale", True, False), ("shared", True, True), ("shared", False, True),
+            ("random", False, False)} <= seen
 
 
 def _loss_tables(r, model, count=None):

@@ -227,14 +227,14 @@ def test_one_report_class_for_every_check():
     assert found == ["kernels.py:Report"]
 
 
-def _dot_at_most_calls(tree: ast.Module) -> list[str]:
-    """The innermost function around each call of `dot_at_most`, by name or
-    as an attribute: "<module>" outside any, "<lambda>" in a lambda."""
+def _calls(tree: ast.Module, name: str) -> list[str]:
+    """The innermost function around each call of `name`, by name or as an
+    attribute: "<module>" outside any, "<lambda>" in a lambda."""
     found = []
     todo = [(tree, "<module>")]
     while todo:
         node, where = todo.pop()
-        if isinstance(node, ast.Call) and "dot_at_most" in (
+        if isinstance(node, ast.Call) and name in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None)
         ):
             found.append(where)
@@ -249,14 +249,28 @@ def _dot_at_most_calls(tree: ast.Module) -> list[str]:
 def test_one_pair_walk_computes_every_bounded_expectation():
     """Validity, post-hoc levels, the E-posteriors, the pushforward
     re-check, FWE, FER, the predictive sup and decide's bounds are one
-    (member, point) walk: in every module, the one call of `dot_at_most` is
-    in `kernels._pair_report`."""
+    (member, point) walk, and the anytime envelope is that walk's other
+    statistic: in every module, the one call of `dot_at_most` is in
+    `kernels._pair_report`."""
     calls = [
         f"{path.stem}.{where}"
         for path in SOURCES
-        for where in _dot_at_most_calls(ast.parse(path.read_text()))
+        for where in _calls(ast.parse(path.read_text()), "dot_at_most")
     ]
     assert calls == ["kernels._pair_report"]
+
+
+def test_only_the_pair_walk_and_the_predictive_identity_build_a_report():
+    """Every statistic held against a bound fills its `kernels.Report` in
+    `kernels._pair_report`, the anytime envelope included; the predictive
+    identity, which compares two tables and takes no expectation, is the
+    one other place a `Report` is built."""
+    calls = sorted(
+        f"{path.stem}.{where}"
+        for path in SOURCES
+        for where in _calls(ast.parse(path.read_text()), "Report")
+    )
+    assert calls == ["kernels._pair_report", "kernels.check_predictive_validity"]
 
 
 # Top-level definitions kept although no subcommand reaches them, each with

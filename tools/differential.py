@@ -57,10 +57,12 @@ sides get the same inputs:
   constant on each atom of its step, so most inputs reach the check. Half
   the processes are likelihood-ratio martingales, valid where no step
   kernel shares rows (`_kernel_text`), a quarter scale one step by 3/2 and
-  a quarter take any values; one input in ten redraws one value inside an
-  atom, which the check refuses. One input in ten takes
-  its outcome labels from `TYPED_OUTCOMES`, in the tree's leaves too
-  (named `anytime/N`);
+  a quarter take any values. In a third of the inputs every nonempty
+  member takes the step rows of one of two members at every step, so the
+  check's shared slots, and witnesses taken from them, are compared too.
+  One input in ten redraws one value inside an atom, which the check
+  refuses. One input in ten takes its outcome labels from
+  `TYPED_OUTCOMES`, in the tree's leaves too (named `anytime/N`);
 - 120 seeded random `check --check predictive` inputs, in both formats: a
   power set or chain space on two to four points, which is
   intersection-closed, whose points are the outcomes, with kernels and
@@ -740,15 +742,30 @@ def _step_columns(rng: random.Random, orc, w, sp, paths, pmfs, ref, t: int, scal
     return columns
 
 
+def _shared_steps(rng: random.Random, sp, steps: list[list[dict]]) -> list[list[dict]]:
+    """`steps` with each nonempty member given the values of one of two
+    members at every step and outcome, so that members share whole step
+    rows and the check walks them once."""
+    nonempty = [b for b in sp.family if b]
+    two = [rng.choice(nonempty) for _ in range(2)]
+    source = {b: rng.choice(two) for b in nonempty}
+    shared: dict[int, dict] = {}  # by the id of an atom's column, which its outcomes share
+    return [
+        [shared.setdefault(id(col), {**col, **{b: col[s] for b, s in source.items()}}) for col in columns]
+        for columns in steps
+    ]
+
+
 def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     """Random `check --check anytime` inputs: a random space (see
     `_random_space`), a random tree (`_random_tree`) whose leaves are the
     outcomes, and one kernel per step valued as one of `PROCESS_KINDS`
     (`_step_columns`), its rows written as `_kernel_text` writes them, in
-    order or shuffled. One input in ten redraws one member's value at one
-    outcome of a step whose atom holds others, which the check refuses
-    where the value changes; one in ten takes its outcome labels from
-    `TYPED_OUTCOMES`."""
+    order or shuffled. One input in three gives every nonempty member the
+    step rows of one of two members (`_shared_steps`). One input in ten
+    redraws one member's value at one outcome of a step whose atom holds
+    others, which the check refuses where the value changes; one in ten
+    takes its outcome labels from `TYPED_OUTCOMES`."""
     orc, w = _perfbench()
     rng = random.Random(f"anytime/{seed}")
     inputs = inputs / f"anytime-{seed}"
@@ -768,6 +785,8 @@ def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
             _step_columns(rng, orc, w, sp, paths, pmfs, ref, t, Fraction(3, 2) if t == bad_t else 1)
             for t in range(depth + 1)
         ]
+        if rng.random() < 1 / 3:
+            steps = _shared_steps(rng, sp, steps)
         if rng.random() < 0.1:  # one outcome's table differs from its atom's
             shared = [
                 [i for i, path in enumerate(paths) if sum(o[:t] == path[:t] for o in paths) > 1]
