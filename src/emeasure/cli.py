@@ -183,6 +183,7 @@ _OPTIONS = {
         _FORMAT,
     ),
 }
+_FLAGS = {name: {"--" + o.name: o for o in options} for name, options in _OPTIONS.items()}
 
 
 def _subcommands():
@@ -238,11 +239,10 @@ def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
     Names must be exact, no value may start with '-', every value must pass
     its option's type and choices, and every required option must be given.
     As with argparse, the last of a repeated option wins."""
-    options = _OPTIONS.get(argv[0]) if argv else None
-    if options is None:
+    by_flag = _FLAGS.get(argv[0]) if argv else None
+    if by_flag is None:
         return None
-    by_flag = {"--" + option.name: option for option in options}
-    values = {option.name: option.default for option in options}
+    values = {option.name: option.default for option in by_flag.values()}
     given = set()
     i, n = 1, len(argv)
     while i < n:
@@ -263,7 +263,7 @@ def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
             return None
         values[option.name] = typed if option.nargs == "+" else typed[0]
         given.add(option.name)
-    if any(option.required and option.name not in given for option in options):
+    if any(option.required and option.name not in given for option in by_flag.values()):
         return None
     handler = next(h for name, _, h in _subcommands() if name == argv[0])
     return SimpleNamespace(command=argv[0], **values, handler=handler)

@@ -21,22 +21,23 @@ those ``yaml.safe_load`` makes of it:
 - no key or plain scalar longer than 1000 characters;
 - lines of printable ASCII; blank lines and whole-line '#' comments.
 
-Each distinct plain scalar of a read is typed once (``_Scalars``). On
-these characters the safe loader's implicit resolvers can make no string
-of a scalar unless it is one of its 22 bool and null words (``_WORDS``) or
+Each distinct plain scalar of a read is typed once (``_Scalars``). On these
+characters the safe loader's implicit resolvers can make no string of a
+scalar unless it is one of its 22 bool and null words (``_WORDS``) or
 starts with a sign, a '.' or a digit (``_NUMERIC``); a test holds that
-against PyYAML's table. So the reader types a decimal int such as ``0`` or
+against PyYAML's table. So the reader types a name of ASCII letters and
+digits led by a letter that is no word (``o1``, ``x``) as a string in one
+step, with no pattern; of the other scalars, a decimal int such as ``0`` or
 ``17`` as an int, a digit ratio such as ``3/4`` and every scalar that is
-neither a word nor so led (``o1``, ``x``, ``inf``) as a string, and leaves
-the rest (``on``, ``~``, ``08``, ``0x1f``, ``1:30``, ``2001-12-14``,
-``1st``, ...) to PyYAML's safe resolver and ``SafeConstructor``
-(``_safe_scalar``), which imports yaml. Every other file, from anchors,
-tags, quoted values and tabs to documents that are no YAML at all, goes
-whole to ``yaml.load`` with PyYAML's pure-Python ``SafeLoader``, so its
-errors name the file and it reads as ``yaml.safe_load`` reads it whether or
-not PyYAML was built with libyaml, whose parser reads a few documents
-otherwise. So a run whose files all have the table shape imports yaml only
-for a scalar of the rest.
+neither a word nor so led (``inf``, ``a:b``) as a string; and leaves the
+rest (``on``, ``~``, ``08``, ``0x1f``, ``1:30``, ``2001-12-14``, ``1st``,
+...) to PyYAML's safe resolver and ``SafeConstructor`` (``_safe_scalar``),
+which imports yaml. Every other file, from anchors, tags, quoted values and
+tabs to documents that are no YAML at all, goes whole to ``yaml.load`` with
+PyYAML's pure-Python ``SafeLoader``, so its errors name the file and it
+reads as ``yaml.safe_load`` reads it whether or not PyYAML was built with
+libyaml, whose parser reads a few documents otherwise. So a run whose files
+all have the table shape imports yaml only for a scalar of the rest.
 
 A hypothesis label, a key of an evidence or kernel table or an item of
 ``--family``, is a name declared under ``generators``, ``empty`` or ``{}``
@@ -70,13 +71,16 @@ command line prints: a ``kernel:``, ``pmf:`` or ``evidence:`` line, then
 only rows indented by two spaces, ``KEY: {x1: v, ..., xk: v}`` or
 ``KEY: v``, their keys as above, with no blank, comment or padding. A row
 reader (`_rows`) matches all rows of such a file with one pattern, types
-each distinct key and cell as the line reader does and builds each
-distinct row's tuple and cell's XValue once, so equal rows of one file are
-one object; the general path builds each row anew. It takes the file only
-when every row reads as the general path reads it: a label of the label
-table, each member once, keys typed to the outcomes in order (a model's
-first row's keys), evidence values and finite masses summing to 1. Every
-other file, and every refusal, goes from the same read to the general path
+each distinct key and outcome-name tuple once and builds each distinct row
+text's tuple and cell's XValue once, so equal rows of one file are one
+object; the general path builds each row anew. A cell the command line
+prints, a decimal int or a digit ratio with a nonzero denominator, is an
+XValue in one step (`_cell`); any other is read as the general path reads
+it, the one step's oracle. The row reader takes the file only when every
+row reads as the general path reads it: a label of the label table, each
+member once, keys typed to the outcomes in order (a model's first row's
+keys), evidence values and finite masses summing to 1. Every other file,
+and every refusal, goes from the same read to the general path
 (`_read_table`, else PyYAML), which is also the row reader's oracle.
 """
 
@@ -138,13 +142,15 @@ _NUMERIC = "-+.0123456789"
 # Structure is matched with this looser class; each distinct scalar is then
 # checked against `_PLAIN` when it is first typed.
 _S = r"[A-Za-z0-9_.~/+:-]+"
-# A block-mapping line: indentation, a plain or escape-free double-quoted
-# key, and an optional value. The value is a plain scalar, a flat flow
-# mapping or sequence (plain scalars one ": " or ", " apart: kernel and model
-# rows, split without the tokenizer), or any other flow collection.
+# A block-mapping line: indentation, a plain or escape-free double-quoted key
+# and an optional value: a plain scalar, a flat flow mapping or sequence (plain
+# scalars one ": " or ", " apart: rows), an empty sequence or one of flat ones
+# (generators, preorders, two-level trees), split without the tokenizer, or
+# any other flow collection.
 _ENTRY = re.compile(
     rf'( *)(?:({_S})|"([ !#-\[\]-~]*)"):(?: +(?:({_S})'
-    rf"|\{{({_S}: {_S}(?:, {_S}: {_S})*)\}}|\[({_S}(?:, {_S})*)\]|([\[{{].*[\]}}])))? *"
+    rf"|\{{({_S}: {_S}(?:, {_S}: {_S})*)\}}|\[({_S}(?:, {_S})*)\]"
+    rf"|\[((?:\[{_S}(?:, {_S})*\](?:, \[{_S}(?:, {_S})*\])*)?)\]|([\[{{].*[\]}}])))? *"
 )
 _BLANK = re.compile(r" *(?:#[ -~]*)?")
 # One token of a flow collection; group 4 is a character no token starts with.
@@ -165,10 +171,13 @@ class _Scalars(dict):
     ``1:30`` or ``1st``, are typed by `_safe_scalar`."""
 
     def __missing__(self, text):
-        if len(text) > _KEY_MAX or not _PLAIN.fullmatch(text):
+        if len(text) > _KEY_MAX:
             raise KeyError(text)
-        typed = _TYPED.fullmatch(text)
-        if typed is not None:
+        if text.isalnum() and text.isascii() and text[0].isalpha() and text not in _WORDS:
+            value = text  # a name such as ``o1``, its own value with no pattern
+        elif not _PLAIN.fullmatch(text):
+            raise KeyError(text)
+        elif typed := _TYPED.fullmatch(text):
             value = int(text) if typed[1] else text
         elif text in _WORDS or text[0] in _NUMERIC:
             value = _safe_scalar(text)
@@ -246,7 +255,7 @@ def _read_table(text: str):
                 if _BLANK.fullmatch(line):
                     continue
                 return None
-            indent, plain_key, quoted_key, plain, pairs, items, flow = m.groups()
+            indent, plain_key, quoted_key, plain, pairs, items, lists, flow = m.groups()
             if plain_key is not None:
                 key = get(plain_key)
             elif len(quoted_key) > _KEY_MAX:
@@ -260,6 +269,8 @@ def _read_table(text: str):
                 value = dict(zip(cells[::2], cells[1::2]))
             elif items is not None:
                 value = list(map(get, items.split(", ")))
+            elif lists is not None:  # '' for []
+                value = [list(map(get, p.split(", "))) for p in lists[1:-1].split("], [") if p]
             elif flow is not None:
                 value = _flow(flow, scalars)
                 if value is None:
@@ -287,10 +298,10 @@ def _read_table(text: str):
 
 
 def _read_text(path: Path | str) -> str:
-    """The file's text: one binary read, decoded once with the encoding text
-    mode would use, its line ends translated as text mode translates them."""
+    """The file's text: one unbuffered binary read, decoded with the encoding
+    text mode would use, its line ends translated as text mode does."""
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
             text = fh.read().decode(locale.getpreferredencoding(False))
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
@@ -359,27 +370,30 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
     found = text.startswith(head + ":\n") and _row_pattern(flat).findall(body)
     if not found or len(found) != body.count("\n") + (body[-1] != "\n"):
         return None  # a line the pattern does not match
-    typed = _Scalars().__getitem__
-    cell = functools.cache(lambda text: _xvalue(path, typed(text)))  # once per distinct text
+    scalars = _Scalars()
+    cell = functools.cache(functools.partial(_cell, path, scalars))  # once per distinct text
+    rows = dict.fromkeys(value for _, value in found)  # each distinct row text, in file order
+    checked = set()  # the outcome-name tuples whose typing matched `outcomes`
     slots: list = [None] * size
-    rows: dict = {}  # by row text
     try:
-        for key, value in found:
-            i = ids.get(key[1:-1] if key[0] == '"' else typed(key))
-            if i is None or slots[i] is not None:
-                return None
+        for value in rows:
             if not flat:
-                slots[i] = cell(value)
-            elif value in rows:
-                slots[i] = rows[value]
-            else:
-                parts = value.replace(": ", ", ").split(", ")
-                names = tuple(parts[::2])
+                rows[value] = cell(value)
+                continue
+            parts = value.replace(": ", ", ").split(", ")
+            names = tuple(parts[::2])
+            if names not in checked:
                 if outcomes is None and len(set(names)) == len(names):
                     outcomes = names
-                if tuple(map(typed, names)) != outcomes:
+                if tuple(map(scalars.__getitem__, names)) != outcomes:
                     return None
-                slots[i] = rows[value] = tuple(map(cell, parts[1::2]))
+                checked.add(names)
+            rows[value] = tuple(map(cell, parts[1::2]))
+        for key, value in found:
+            i = ids.get(key[1:-1] if key[0] == '"' else scalars[key])
+            if i is None or slots[i] is not None:
+                return None
+            slots[i] = rows[value]
     except (KeyError, ValueError, SchemaError):
         return None
     filled = len(found)
@@ -387,6 +401,17 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
         slots[0], filled = empty, filled + 1
     declined = filled != size or (empty is not None and slots[0] != empty)
     return None if declined else (slots, outcomes, rows.values())
+
+
+def _cell(path, scalars: _Scalars, text: str) -> XValue:
+    """A row cell's XValue: in one step for a decimal int or a digit ratio of
+    `_TYPED` with a nonzero denominator and at most `_KEY_MAX` characters,
+    else as the general path, this one's oracle, reads the text."""
+    if len(text) <= _KEY_MAX and _TYPED.fullmatch(text):
+        num, _, den = text.partition("/")
+        if den := int(den or 1):
+            return ratio(int(num), den)
+    return _xvalue(path, scalars[text])
 
 
 def _xvalue(path, raw) -> XValue:

@@ -304,10 +304,9 @@ class Report(Record):
     the mask of the points where that statistic fails its bound; per
     member, its bitset, slot and name (its index, or its case). It holds
     when no slot fails. `largest()` compares each statistic once;
-    `worst()` and `first_violation()` each build the one entry they name,
-    the first pair in walk order (members, then points) that attains the
-    largest statistic or fails; `entries`, one per pair in walk order, are
-    built when first read, and compared."""
+    `first_violation()` builds the one entry it names, the first pair in
+    walk order (members, then points) whose statistic fails; `entries`, one
+    per pair in walk order, are built when first read, and compared."""
 
     __slots__ = ("points", "bounds", "members", "cases", "slots", "stats", "failed", "_entries")
     _compared = ("entries",)
@@ -360,13 +359,6 @@ class Report(Record):
 
     def largest(self) -> Optional[XValue]:
         return max((stat for row in self.stats for stat in row if stat is not None), default=None)
-
-    def worst(self) -> Optional[Entry]:
-        top = self.largest()
-        if top is None:
-            return None
-        tops = [sum(1 << pi for pi, stat in enumerate(row) if stat == top) for row in self.stats]
-        return self._entry(*self._first(tops))
 
 
 def close_kernel(k: EKernel) -> EKernel:
@@ -631,13 +623,14 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
     masses are slice sums of each point's scaled distribution, and each
     hypothesis's step values on the nodes are one scaled vector
     (measurability makes e_t constant on a depth-t node, so its first
-    outcome stands in). Equal vectors share a slot, so the tree is walked
-    once per distinct (step vector, point). A stop value is the product of
-    two numerators, and the root's W over the two denominators is the
-    pair's one exact value. Zero mass against inf gives 0; positive mass
-    against inf makes it inf. The maximising rule stops wherever stopping
-    attains W (ties stop); it is built after the walk, for the first
-    violating pair only.
+    outcome stands in). A vector is scaled once per distinct tuple of its
+    hypothesis's step-row objects, and equal vectors share a slot, so the
+    tree is walked once per distinct (step vector, point). A stop value is
+    the product of two numerators, and the root's W over the two
+    denominators is the pair's one exact value. Zero mass against inf gives
+    0; positive mass against inf makes it inf. The maximising rule stops
+    wherever stopping attains W (ties stop); it is built after the walk, for
+    the first violating pair only.
     """
     by_outcome = proc.require_measurable()
     nodes = proc.tree.nodes
@@ -662,7 +655,11 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
 
     steps = [by_outcome[t][lo] for t, lo, _, _ in nodes]
     family = proc.space.family  # the empty hypothesis, id 0, has no variable
-    variables = [None, *(scale([step[hid] for step in steps]) for hid in family.nonempty_ids())]
+    variables: list = [None]
+    scaled: dict = {}  # by the ids of a hypothesis's step rows, which fix its vector
+    for hid in family.nonempty_ids():
+        key = tuple(id(k.rows[hid]) for k in proc.kernels)
+        variables.append(scaled.get(key) or scaled.setdefault(key, scale([step[hid] for step in steps])))
     report = _pair_report(pa, family.members, variables, statistic=envelope)
     first = None if report.ok else report._first(report.failed)
     rule = first and _stop_rule(nodes, children, *stops(variables[first[0]], first[1]))

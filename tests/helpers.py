@@ -851,6 +851,18 @@ def oracle_expectation(pmf, values):
     return XValue(total)
 
 
+def worst(report):
+    """The entry of a `kernels.Report` that attains its largest statistic,
+    the first such pair in walk order (members, then points), built alone;
+    None when the report read no pair. It is the witness a sup-type check
+    would name."""
+    top = report.largest()
+    if top is None:
+        return None
+    tops = [sum(1 << pi for pi, stat in enumerate(row) if stat == top) for row in report.stats]
+    return report._entry(*report._first(tops))
+
+
 class EagerReport(NamedTuple):
     """A report as a plain tuple of entries, the reference `kernels.Report`
     is held to: it holds when every entry does, its first violation is the

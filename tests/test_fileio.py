@@ -972,3 +972,108 @@ def test_a_refused_row_model_is_refused_as_the_general_path_refuses_it(tmp_path,
         seen.add(fell_through)
         assert ("not a rational number" in shipped[1]) == fell_through
     assert seen == {True, False}
+
+
+# -- one-step typing against the general path ---------------------------------
+
+# Cell texts around the one-step typing's edges: leading zeros, which YAML
+# reads as octal or as a string, '_', a non-ASCII digit, unreduced ratios, a
+# zero denominator, the 1000-character limit, signs, decimals and inf.
+CELL_EDGES = ["0", "00", "007", "08", "010", "1_000", "\u0663", "3/04", "6/4", "0/7", "2/0",
+              "1" * 1000, "1" * 1001, "+5", ".5", "5.", "1e3", "inf", ".inf"]
+
+
+def spelled_cell(r):
+    """A seeded cell text, typed in one step or not, and near 1000 characters
+    at times."""
+    num, den = r.randint(0, 99), r.randint(0, 12)
+    return r.choice([
+        f"{num}", f"{num}/{den}", f"0{num}", f"{num}/0{den}", f"{num * 3}/{den * 3}", f"+{num}",
+        f"{num}.{den}", f"{num}e{den}", f"{num}_{den}", "9" * r.randint(995, 1005),
+        f"{num}/{'7' * r.randint(995, 1000)}",
+    ])
+
+
+def cell_both_ways(text):
+    """A row cell as `_cell` types it and as the general path types it,
+    `_xvalue` of its scalar: each as (num, den), or 'refused'."""
+    results = []
+    for read in (lambda: fileio._cell("t.yaml", fileio._Scalars(), text),
+                 lambda: fileio._xvalue("t.yaml", fileio._Scalars()[text])):
+        try:
+            value = read()
+        except (KeyError, ValueError, fileio.SchemaError):
+            results.append("refused")
+        else:
+            results.append((value._num, value._den))
+    return results
+
+
+def test_a_row_cell_is_typed_in_one_step_as_the_general_path_types_it(monkeypatch):
+    """Every cell of seeded row-shaped files, seeded spellings and the edge
+    texts is typed by the row reader's `_cell` as the general path types
+    it, or refused by both. A decimal int or a digit ratio with a nonzero
+    denominator of at most 1000 characters never reaches the general path;
+    '010' (octal to YAML, 8), '2/0' and a 1001-digit int do."""
+    texts = set(CELL_EDGES)
+    for seed in range(120):
+        r = helpers.rng(seed)
+        space, outcomes = ROW_SPACES[seed % len(ROW_SPACES)]
+        for text in row_files(r, space, outcomes).values():
+            texts.update(re.findall(r"(?<=: )[^ ,{}\r\n]+(?=[,}\r\n]|$)", text, re.M))
+        texts.update(spelled_cell(r) for _ in range(10))
+    kinds = set()
+    for text in sorted(texts):
+        fast, general = cell_both_ways(text)
+        assert fast == general, text
+        kinds.add((fileio._TYPED.fullmatch(text) is not None, general == "refused"))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}, kinds
+    monkeypatch.setattr(fileio, "_xvalue", None)  # the general path, which one-step cells skip
+    for text in ("0", "17", "3/04", "6/4", "0/7", "1" * 1000):
+        fileio._cell("t.yaml", fileio._Scalars(), text)
+    for text in ("010", "2/0"):
+        with pytest.raises(TypeError):
+            fileio._cell("t.yaml", fileio._Scalars(), text)
+    with pytest.raises(KeyError):  # no scalar of the line reader
+        fileio._cell("t.yaml", fileio._Scalars(), "1" * 1001)
+
+
+# Scalars of the lists of lists: names, ints, words and texts that PyYAML types.
+NEST_SCALARS = ["p1", "a", "HH", "0", "1", "010", "yes", "~", "3/4", "a:b", "1.5", "-x"]
+NESTED = ["[]", "[[]]", "[[a], []]", "[[], [a]]", "[[a, b], [c]]", "[[[a]]]", "[[a], [[b]]]",
+          "[[[a, b], [c]], [[d]]]", "[[a,b]]", "[[a] , [b]]"]
+
+
+# A flat flow list of plain scalars, ', '-separated.
+FLAT = r"\[[^][, ]+(?:, [^][, ]+)*\]"
+
+
+def nested_list(r, depth):
+    """A flow list `depth` deep, its items ', '-separated; an inner list is
+    empty one time in ten."""
+    if depth == 0:
+        return r.choice(NEST_SCALARS)
+    size = 0 if r.random() < 0.1 else r.randint(1, 3)
+    return "[" + ", ".join(nested_list(r, depth - 1) for _ in range(size)) + "]"
+
+
+def test_a_list_of_lists_reads_as_safe_load_reads_it(monkeypatch):
+    """`generators`, `preorder` and `tree` entries, seeded and edge texts,
+    read as safe_load reads them. A flat list, a list of nonempty flat
+    lists or an empty one, with ', ' between items, is split without the
+    flow tokenizer (`_flow`); an empty inner list, three-level nesting and
+    other spacing still reach it."""
+    flows = [0]
+    tokenize = fileio._flow
+    monkeypatch.setattr(fileio, "_flow", lambda *args: flows.append(1) or tokenize(*args))
+    r = helpers.rng(43)
+    values = NESTED + [nested_list(r, r.randint(1, 3)) for _ in range(300)]
+    split = 0
+    for n, value in enumerate(values):
+        text = f"points: [a, b]\n{('generators', 'preorder', 'tree')[n % 3]}: {value}\n"
+        del flows[1:]
+        assert typed(fileio._read_table(text)) == typed(yaml.safe_load(text)), text
+        flat = re.fullmatch(rf"{FLAT}|\[(?:{FLAT}(?:, {FLAT})*)?\]", value) is not None
+        assert len(flows) == 1 + (not flat), text
+        split += flat
+    assert 0 < split < len(values)

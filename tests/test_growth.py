@@ -12,11 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import yaml
 
 import helpers
 from emeasure import INF, SampleSpace, XValue, cli, fileio
 from emeasure import kernels as kn
-from emeasure import spaces
+from emeasure import spaces, xvalue
 from emeasure.xvalue import order_keys
 
 
@@ -260,24 +261,43 @@ def test_a_numeric_decision_problem_renders_each_distinct_loss_once(monkeypatch,
     assert counts == [72, 144, 288]
 
 
+def _nests_three_deep(value) -> bool:
+    """Whether `value` is a list holding a list that holds a list."""
+    return isinstance(value, list) and any(
+        isinstance(item, list) for inner in value if isinstance(inner, list) for item in inner
+    )
+
+
 def _one_pass(argv) -> dict[str, int]:
     """What a job's reads cost when each table file is read in one pass:
     `fileio._read_table` once per space and tree file, `SpaceFile.resolve`
-    once per `--family` label and never for a table row, and `_xvalue` once
-    per distinct cell text of each kernel, model and evidence file. No
-    scalar of perfbench's files needs PyYAML to be typed (`_safe_scalar`)."""
+    once per `--family` label and never for a table row, and the row
+    reader's `_cell` once per distinct cell text of each kernel, model and
+    evidence file. Every such cell is a decimal int or a digit ratio, which
+    `_cell` types in one step: neither `_xvalue` nor `xvalue.read_rational`
+    runs. No scalar needs PyYAML to be typed (`_safe_scalar`), and the flow
+    tokenizer (`_flow`) reads only a list nested three deep, as a tree of
+    depth three is; a space's lists of lists are split without it."""
     kinds = {Path(arg): Path(arg).stem.rpartition("_")[2].rstrip("0123456789")
              for arg in argv if arg.endswith(".yaml")}
     cells = sum(
         len(set(re.findall(r": ([^ ,{}\n]+)(?=[,}\n])", path.read_text())))
         for path, kind in kinds.items() if kind in ("kernel", "model", "evidence")
     )
+    deep = sum(
+        _nests_three_deep(value)
+        for path, kind in kinds.items() if kind in ("space", "tree")
+        for value in yaml.safe_load(path.read_text()).values()
+    )
     family = argv[argv.index("--family") + 1].split("|") if "--family" in argv else []
     return {
         "_read_table": sum(kind in ("space", "tree") for kind in kinds.values()),
         "resolve": sum(1 for label in family if label),
-        "_xvalue": cells,
+        "_cell": cells,
+        "_xvalue": 0,
+        "read_rational": 0,
         "_safe_scalar": 0,
+        "_flow": deep,
     }
 
 
@@ -287,14 +307,16 @@ def test_a_check_reads_its_table_files_in_one_pass(monkeypatch, capsys, tmp_path
     selection searches have kernel, model and evidence files of the row
     shape, which the row reader reads (`_one_pass`): `fileio._read_table`
     runs only for the space and tree files, and `SpaceFile.resolve` never
-    runs for a row; no scalar is typed by PyYAML. Reading a check's files
-    with the general reader runs `_read_table` three times and `resolve`
-    once per kernel row."""
+    runs for a row; each distinct cell text is typed once and in one step,
+    no scalar is typed by PyYAML, and no space list goes through the flow
+    tokenizer. Reading a check's files with the general reader runs
+    `_read_table` three times and `resolve` once per kernel row."""
     monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
     import workloads
 
-    hooks = ((fileio, "_read_table"), (fileio.SpaceFile, "resolve"), (fileio, "_xvalue"),
-             (fileio, "_safe_scalar"))
+    hooks = ((fileio, "_read_table"), (fileio.SpaceFile, "resolve"), (fileio, "_cell"),
+             (fileio, "_xvalue"), (xvalue, "read_rational"), (fileio, "_safe_scalar"),
+             (fileio, "_flow"))
     calls = {name: 0 for _, name in hooks}
     for owner, name in hooks:
         def counted(*args, name=name, original=getattr(owner, name)):
@@ -371,10 +393,17 @@ def test_anytime_walks_every_tree_node_once_per_pair(monkeypatch, capsys, tmp_pa
     points and random trees, and through `check` on the 256-member
     power-set process (1,024 pairs, 33 distinct step vectors): 107 passes
     when it is valid and 108 when it is violated, where a pass per pair
-    makes 1,024."""
+    makes 1,024. There the step vectors are scaled (`kernels.scale`) once
+    per distinct tuple of a hypothesis's step-row objects, 33 times, where
+    scaling one per nonempty hypothesis made 255."""
     walks = {"calls": 0, "nodes": 0}
-    snell, check = kn._snell, kn.check_anytime_validity
+    snell, check, scale = kn._snell, kn.check_anytime_validity, kn.scale
     checked = []
+    scales = [0]
+
+    def counted_scale(table):
+        scales[0] += 1
+        return scale(table)
 
     def counted(children, stop):
         w = snell(children, stop)
@@ -383,6 +412,7 @@ def test_anytime_walks_every_tree_node_once_per_pair(monkeypatch, capsys, tmp_pa
         return w
 
     def recorded(proc, pa):
+        scales[0] = 0
         checked.append((proc, check(proc, pa)))
         return checked[-1][1]
 
@@ -400,6 +430,7 @@ def test_anytime_walks_every_tree_node_once_per_pair(monkeypatch, capsys, tmp_pa
         pa = helpers.rand_pa(r, space.model, tree.sample, full_support=n != 3)
         walks.update(calls=0, nodes=0)
         assert walks == expected(proc, kn.check_anytime_validity(proc, pa)), n
+    monkeypatch.setattr(kn, "scale", counted_scale)
     for violate in (False, True):
         argv = _power_set_argv(tmp_path / str(violate), violate, anytime=True)
         walks.update(calls=0, nodes=0)
@@ -407,6 +438,7 @@ def test_anytime_walks_every_tree_node_once_per_pair(monkeypatch, capsys, tmp_pa
         assert code == (cli.EXIT_VIOLATION if violate else cli.EXIT_OK)
         proc, report = checked[-1]
         assert walks["calls"] == 107 + violate
+        assert scales[0] == 33
         assert walks == expected(proc, report)
     capsys.readouterr()
 

@@ -141,7 +141,7 @@ def test_entry_holds_its_statistic_against_its_bound():
     _, _, _, pa = small_setup(11)
     empty = kn._pair_report(pa, [], [])
     assert empty.ok and empty.entries == () and empty.largest() is None
-    assert empty.worst() is None and empty.first_violation() is None
+    assert helpers.worst(empty) is None and empty.first_violation() is None
 
 
 def test_every_check_returns_the_one_report_class():
@@ -183,7 +183,7 @@ def test_every_check_returns_the_one_report_class():
 
 def test_every_report_gives_its_verdict_and_worst_entry():
     """On valid, scaled x3 and constant-two kernels: the verdict is every
-    entry's, worst() is the first entry with the largest statistic, and the
+    entry's, `helpers.worst` is the first entry with the largest statistic, and the
     rate of uniform FER names the (H, p) pair of the largest validity
     statistic, found here by the definition."""
     verdicts, ties = set(), 0
@@ -206,7 +206,7 @@ def test_every_report_gives_its_verdict_and_worst_entry():
             assert report.first_violation() == next((e for e in report.entries if not e.ok), None)
             largest = max(e.stat for e in report.entries)
             attaining = [e for e in report.entries if e.stat == largest]
-            assert report.worst() == attaining[0]
+            assert helpers.worst(report) == attaining[0]
             ties += len(attaining) > 1
             verdicts.add(report.ok)
         pairs = [
@@ -215,7 +215,7 @@ def test_every_report_gives_its_verdict_and_worst_entry():
             for pi in space.family.indices(hid)
         ]
         hid, pi, stat = max(pairs, key=lambda pair: pair[2])
-        worst = check_fer(k, pa).worst()
+        worst = helpers.worst(check_fer(k, pa))
         assert (worst.hid, worst.point, worst.stat) == (hid, space.model.points[pi], stat)
     assert verdicts == {True, False} and ties
 
@@ -446,7 +446,7 @@ def test_eposterior_raw_names_the_point_attaining_each_bound():
     """A finite positive prior scales a hypothesis' expectations alike, so
     the first of its entries attaining its largest statistic names the
     first point where the product's expectation is largest, and the prior
-    times that statistic is that expectation. `worst()` is the first pair
+    times that statistic is that expectation. `helpers.worst` is the first pair
     in walk order attaining the largest statistic of all."""
     ties = 0
     for seed in range(20):
@@ -471,7 +471,7 @@ def test_eposterior_raw_names_the_point_attaining_each_bound():
             assert prior.values[hid] * worst.stat == largest
             ties += len(attaining) > 1
         top = max(e.stat for e in report.entries)
-        assert report.worst() == next(e for e in report.entries if e.stat == top)
+        assert helpers.worst(report) == next(e for e in report.entries if e.stat == top)
     assert ties
 
 

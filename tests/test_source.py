@@ -283,8 +283,6 @@ UNREACHED_KEPT = {
     "pushforward_kernel": "predictive E-measures of a derived quantity; may get a --map option",
     "preimages": "the target-member preimages the pushforward reads",
     "merge_convex": "the convex merge of kernels, row by row; no closure input lists weights yet",
-    "worst": "the entry attaining a report's largest statistic, the witness a sup-type check "
-    "names; FER prints only the rate, `largest()`",
 }
 
 
@@ -366,7 +364,7 @@ def test_every_definition_is_reached_from_a_subcommand_or_kept_for_a_reason():
 
 
 # The lines of src/emeasure/*.py, as `wc -l` counts them.
-LINE_BUDGET = 4059
+LINE_BUDGET = 4081
 
 
 def test_the_package_stays_within_its_line_budget():

@@ -16,8 +16,10 @@ sides get the same inputs:
   format: spaces, models, kernels and decision problems with every
   `--bound`, with and without `--outcome`. A quarter have four to six
   points and numeric losses from a wide range, so their consequence orders
-  have up to 24 distinct values. The records hold every `bound` entry
-  (named `decide/N`);
+  have up to 24 distinct values. One in ten names its outcomes from
+  `TYPED_OUTCOMES` and ranks at one of them with `--outcome`, so a fault in
+  typing keys shows in a ranking, not only in a refusal. The records hold
+  every `bound` entry (named `decide/N`);
 - `decide` on the 24-point prefix chain with 12, 48 and 96 decisions and
   all losses distinct (24·D consequences), with every `--bound`, with and
   without `--outcome`, in both formats (named `chain/D`);
@@ -38,10 +40,12 @@ sides get the same inputs:
   reordered or ', '-spaced, and a third of the kernels repeat a few row
   texts over all their rows. A third of the cells are spelled otherwise
   than the package prints them: unreduced (`6/4`, `0/7`), with leading
-  zeros (`08`, `007`, `3/04`), as decimals (`0.25`, `3.0`), with an
-  exponent (`25e-2`, `2.5E-1`), led by a `+` and inf as `inf` or `.inf`;
-  one in 300 is refused as it is read, with a numerator past 4300 digits
-  (alone or as `p/3`) or a zero denominator (`2/0`).
+  zeros (`08`, `007`, `3/04`), with a '_' between digits (`1_000`), as
+  decimals (`0.25`, `3.0`), with an exponent (`25e-2`, `2.5E-1`), led by
+  a `+` and inf as `inf` or `.inf`; one in 300 is refused as it is read,
+  with a numerator past 4300 digits (alone or as `p/3`) or a zero
+  denominator (`2/0`), and one in 300 is unreduced to more than 1000
+  digits, which sends its file to PyYAML.
   Their model rows are written as perfbench writes them, with the
   outcomes shuffled in each row, with quoted point keys, or with the
   masses spelled as the kernel cells are; one model in 100 has a row with
@@ -413,7 +417,8 @@ def _random_columns(rng: random.Random, orc, w, sp, outcomes, pmfs) -> list[dict
 def decide_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     """Random decision problems over random spaces and kernels (see
     `_random_space` and `_random_columns`); a wide one has more points and
-    its losses are any `_value`."""
+    its losses are any `_value`. One in ten names its outcomes from
+    `TYPED_OUTCOMES` and always ranks at one of them with `--outcome`."""
     orc, w = _perfbench()
     rng = random.Random(f"decide/{seed}")
     inputs = inputs / f"decide-{seed}"
@@ -423,7 +428,8 @@ def decide_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
         wide = rng.random() < 0.25
         sp = _random_space(rng, orc, w, rng.randint(4, 6) if wide else None)
         points = sp.points
-        outcomes = [f"x{i + 1}" for i in range(rng.randint(2, 4))]
+        size, typed = rng.randint(2, 4), rng.random() < 0.1
+        outcomes = rng.sample(TYPED_OUTCOMES, size) if typed else [f"x{i + 1}" for i in range(size)]
         pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in points]
         columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
         decisions = [f"d{i + 1}" for i in range(rng.randint(2, 4))]
@@ -461,7 +467,7 @@ def decide_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
         ]
         if bound == "probability" and rng.random() < 0.5:
             argv += ["--alpha", f"1/{rng.randint(2, 20)}"]
-        if rng.random() < 0.5:
+        if typed or rng.random() < 0.5:
             argv += ["--outcome", rng.choice(outcomes)]
         argv = tuple(argv)
         jobs += [Job(f"decide/{n}", argv + ("--format", "records")), Job(f"decide/{n}", argv)]
@@ -507,11 +513,13 @@ HUGE = "1" + "0" * 4400
 
 def _spell(rng: random.Random, v: object, inf: object) -> str:
     """`v` as the package prints it or, one time in three, spelled otherwise:
-    unreduced (6/4, 0/7), with leading zeros (08, 007, 3/04), led by a '+',
-    as a decimal where it has a finite one (0.25, 3.0) or with an exponent
+    unreduced (6/4, 0/7), with leading zeros (08, 007, 3/04), with a '_'
+    between two digits of the numerator (1_000, 1_5/4), led by a '+', as a
+    decimal where it has a finite one (0.25, 3.0) or with an exponent
     (25e-2, 2.5E-1), and inf as inf or .inf. One cell in 300 is refused as
     it is read: a numerator past 4300 digits, alone or over a denominator,
-    or a zero denominator."""
+    or a zero denominator. One finite cell in 300 is unreduced by 10**1000,
+    more than 1000 digits, which no line reader takes."""
     roll = rng.random()
     if roll < 1 / 300:
         return rng.choice((HUGE, f"{HUGE}/3", f"{rng.randint(0, 3)}/0"))
@@ -519,12 +527,17 @@ def _spell(rng: random.Random, v: object, inf: object) -> str:
         return rng.choice(("inf", ".inf")) if roll < 1 / 3 else "inf"
     f = Fraction(v)
     num, den = f.numerator, f.denominator
+    if roll < 2 / 300:
+        return f"{num}{'0' * 1000}/{den}{'0' * 1000}"
     text = str(num) if den == 1 else f"{num}/{den}"
     if roll >= 1 / 3:
         return text
-    form = rng.choice(("unreduced", "zeros", "signed", "decimal", "exponent"))
+    form = rng.choice(("unreduced", "zeros", "underscore", "signed", "decimal", "exponent"))
     if form == "signed":
         return f"+{text}"
+    if form == "underscore":
+        at = rng.randint(1, len(str(num)) - 1) if num >= 10 else 0
+        return f"{text[:at]}_{text[at:]}" if at else text
     if form == "unreduced":
         k = rng.randint(2, 7)
         return f"{num * k}/{den * k}"
