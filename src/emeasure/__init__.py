@@ -6,9 +6,10 @@ are union-closed and built by `union_closure` or `class_from_preorder`,
 and evidence tables over them are classified, closed into measures,
 weighed against data by exact expectation, corrected for multiplicity and
 turned into decision bounds. Everything is exact rational arithmetic. The
-exports are what the command line runs, plus the E-posterior, pushforward
-and convex-merge functions that no subcommand runs yet; test fixtures and
-oracles live in the test suite.
+exports are what the command line runs, plus the functions that no
+subcommand runs yet: `eposterior`, the E-posterior whose form the space
+chooses, the pushforward and the convex merge. Test fixtures and oracles
+live in the test suite.
 """
 
 from .xvalue import INF, ONE, XValue, ZERO, as_xvalue, inf_of, parse_xvalue, sup_of
@@ -42,8 +43,7 @@ from .kernels import (
     check_predictive_validity,
     check_validity,
     close_kernel,
-    eposterior_closed,
-    eposterior_raw,
+    eposterior,
     merge_convex,
     pushforward_kernel,
 )

@@ -3,16 +3,16 @@
 An E-kernel assigns an evidence table to each outcome of a finite sample
 space. It is stored as a kernel file lists it: one row per hypothesis, the
 evidence against it as a function of the outcome. Validity of a kernel
-(and of stopped processes, posteriors, pushforwards, predictive kernels)
-is decided by exact rational expectations of those rows; nothing here is
-simulated. Each row is scaled to integers once per kernel
-(``EKernel.scaled``). Rows with equal text in a kernel file are one
-object, and the checks work once per distinct row object or (row, point),
-not once per hypothesis or pair.
+(and of stopped processes, the E-posterior `eposterior`, pushforwards,
+predictive kernels) is decided by exact rational expectations of those
+rows; nothing here is simulated. Rows with equal text in a kernel file are
+one object; a kernel indexes and scales its distinct row objects once
+(`EKernel`), and the checks work once per distinct row object or (row,
+point), not once per hypothesis or pair.
 
 Every statistic the package holds against a bound is one walk,
 `_pair_report`, over members (point bitsets) each with a scaled variable:
-the hypotheses for validity, post-hoc levels, the E-posteriors, the
+the hypotheses for validity, post-hoc levels, the E-posterior, the
 pushforward and the anytime envelope; each point alone for FWE, FER with a
 rule and the Grünwald bound; each distinct benchmark row's upper set for
 decide's bounds; all points at once for the predictive check. The walk
@@ -65,7 +65,7 @@ class SampleSpace(Record):
         try:
             return self.positions[label]
         except (KeyError, TypeError):
-            raise KernelError(f"unknown outcome {label!r}") from None
+            raise KernelError(f"unknown outcome {label!r}; the outcomes are {list(self.outcomes)}") from None
 
 
 class Pmf(Record):
@@ -122,15 +122,16 @@ class EKernel:
     hypothesis id of one space, and the empty hypothesis carries inf at
     every outcome. The rows are the only stored form: a kernel file lists
     them and ``fileio.load_kernel`` fills them in file order, with one
-    tuple for the rows of one text. Each row object is scaled once per
-    kernel, when a check first reads the rows (`scaled`): its least common
+    tuple for the rows of one text. The distinct row objects (`distinct`)
+    and each hypothesis's slot among them (`slots`) are found once, here;
+    each is scaled once, when first read (`tables`), to its least common
     denominator, its integer numerators and the mask of its infinite
     outcomes. The per-outcome tables (`columns`) are built on first read,
     for the checks and callers that work on one outcome at a time.
     `eclass` is the weakest class among the outcomes' tables, from one
     `evidence.table_class` walk; `claims` gives each point's largest
-    evidence per outcome, from which `close_kernel` closes the kernel. Both
-    key the distinct row objects only.
+    evidence per outcome, from which `close_kernel` closes the kernel.
+    Both key the distinct row objects only.
     """
 
     def __init__(self, space: Space, sample: SampleSpace, rows: Sequence[Sequence[XValue]]):
@@ -142,20 +143,26 @@ class EKernel:
         self.space = space
         self.sample = sample
         self.rows = rows
-        self._scaled: Optional[list[Optional[Scaled]]] = None
+        slot_of: dict[int, int] = {}  # by the id of a row object
+        self.slots = [slot_of.setdefault(id(row), len(slot_of)) for row in rows]
+        self.distinct = list(dict(zip(self.slots, rows)).values())
+        self._tables: Optional[list[Optional[Scaled]]] = None
         self._columns: Optional[tuple[EFunction, ...]] = None
         self._eclass: Optional[EClass] = None
 
+    def tables(self) -> list[Optional[Scaled]]:
+        """Per distinct row object, its scaled table, built on first use;
+        None for the empty hypothesis's row unless another shares it."""
+        if self._tables is None:
+            read = set(self.slots[1:])
+            self._tables = [scale(row) if s in read else None for s, row in enumerate(self.distinct)]
+        return self._tables
+
     def scaled(self) -> list[Optional[Scaled]]:
-        """Per hypothesis id, its row as a scaled table, built on first use:
-        rows that are one object, as equal rows of a kernel file are, share
-        one. None for the empty hypothesis, whose row is never scaled."""
-        if self._scaled is None:
-            made: dict[int, Scaled] = {}  # by the id of a row object
-            self._scaled = [None] + [
-                made.get(id(row)) or made.setdefault(id(row), scale(row)) for row in self.rows[1:]
-            ]
-        return self._scaled
+        """Per hypothesis id, its row's scaled table (`tables`); None for
+        the empty hypothesis."""
+        tables = self.tables()
+        return [None] + [tables[s] for s in self.slots[1:]]
 
     @property
     def columns(self) -> tuple[EFunction, ...]:
@@ -164,21 +171,13 @@ class EKernel:
             self._columns = tuple(EFunction(self.space, values) for values in zip(*self.rows))
         return self._columns
 
-    def _distinct(self) -> tuple[list[tuple[XValue, ...]], list[int]]:
-        """The distinct row objects, in first-use order, and each
-        hypothesis's position among them."""
-        position: dict[int, int] = {}  # by the id of a row object
-        slots = [position.setdefault(id(row), len(position)) for row in self.rows]
-        return list({id(row): row for row in self.rows}.values()), slots
-
     @property
     def eclass(self) -> EClass:
         """The weakest class among the outcomes' tables, computed on first
         read: one `evidence.table_class` walk, with one lane per outcome,
         over the keys of the distinct row objects."""
         if self._eclass is None:
-            distinct, slots = self._distinct()
-            self._eclass = ev.table_class(self.space.family, list(zip(*distinct)), slots)
+            self._eclass = ev.table_class(self.space.family, list(zip(*self.distinct)), self.slots)
         return self._eclass
 
     def claims(self) -> list[list[XValue]]:
@@ -189,12 +188,11 @@ class EKernel:
         members' points, and per outcome `evidence._claims` sweeps those
         rows, largest value first, in place of the members.
         """
-        distinct, slots = self._distinct()
-        covers = [0] * len(distinct)
-        for bits, slot in zip(self.space.family.members, slots):
+        covers = [0] * len(self.distinct)
+        for bits, slot in zip(self.space.family.members, self.slots):
             covers[slot] |= bits
         n = self.space.model.size
-        return [ev._claims(n, covers, values) for values in zip(*distinct)]
+        return [ev._claims(n, covers, values) for values in zip(*self.distinct)]
 
     def column(self, x: int | str) -> EFunction:
         if isinstance(x, str):
@@ -444,50 +442,34 @@ def check_posthoc_validity(
     """
     if rule == "canonical":
         return check_validity(k, pa)
-    thresholds, rows = outcome_thresholds(k, rule), k.scaled()
-    distinct = {id(var): var for var in rows[1:]}  # one per row object
-    misses = {key: miss_variable(var, thresholds) for key, var in distinct.items()}
-    return _pair_report(pa, k.space.family.members, [misses.get(id(var)) for var in rows])
+    thresholds = outcome_thresholds(k, rule)
+    misses = [var and miss_variable(var, thresholds) for var in k.tables()]
+    return _pair_report(pa, k.space.family.members, [None] + [misses[s] for s in k.slots[1:]])
 
 
 # -- updating -----------------------------------------------------------
 
 
-def _product(prior: EFunction, k: EKernel) -> EKernel:
-    """The kernel of prior(H) * e(H|x), one row per hypothesis."""
-    rows = [tuple(p * v for v in row) for p, row in zip(prior.values, k.rows)]
-    return EKernel(k.space, k.sample, rows)
-
-
-def eposterior_raw(
-    prior: EFunction, k: EKernel, pa: ProbabilityAssignment
-) -> tuple[EKernel, Report]:
-    """Hypothesis-wise product of a prior table with a kernel.
-
-    The product stays a capacity, and its expectation at each point of a
-    hypothesis is bounded by the prior's evidence there. That bound,
-    prior(H)·E_p[e(H|X)] <= prior(H), holds exactly where E_p[e(H|X)] <= 1
-    or prior(H) is 0 or inf, so the report is the kernel's own pair walk
-    over the hypotheses of finite positive prior, held against 1.
+def eposterior(prior: EFunction, k: EKernel, pa: ProbabilityAssignment) -> tuple[EKernel, Report]:
+    """The E-posterior of a prior table and a kernel, and its report; the
+    space chooses the object. On an intersection-closed space it is the
+    hypothesis-wise product prior(H)·e(H|x) closed outcome by outcome
+    (`close_kernel`), each pair held against the prior at its point's least
+    hypothesis. Elsewhere it is the product, a capacity whose bound
+    prior(H)·E_p[e(H|X)] <= prior(H) holds exactly where E_p[e(H|X)] <= 1
+    or prior(H) is 0 or inf: its report is the kernel's own pair walk over
+    the hypotheses of finite positive prior, held against 1.
     """
     if prior.eclass < EClass.CAPACITY or k.eclass < EClass.CAPACITY:
         raise ev.ClassMismatch("updating needs capacities")
-    members = [0 if p.is_zero or p.is_inf else m for p, m in zip(prior.values, k.space.family.members)]
-    return _product(prior, k), _pair_report(pa, members, k.scaled())
-
-
-def eposterior_closed(
-    prior: EFunction, k: EKernel, pa: ProbabilityAssignment
-) -> tuple[EKernel, Report]:
-    """Product followed by per-outcome closure; each pair is the closed
-    product's pair walk, held against the prior at its point's least
-    hypothesis."""
-    if prior.eclass < EClass.CAPACITY or k.eclass < EClass.CAPACITY:
-        raise ev.ClassMismatch("updating needs capacities")
-    k.space.require_intersection_closed()
-    post = close_kernel(_product(prior, k))
-    bounds = [prior.values[hid] for hid in k.space.least_ids()]
-    return post, _pair_report(pa, k.space.family.members, post.scaled(), bounds=bounds)
+    space = k.space
+    post = EKernel(space, k.sample, [tuple(p * v for v in row) for p, row in zip(prior.values, k.rows)])
+    if space.intersection_closed:
+        post = close_kernel(post)
+        bounds = [prior.values[hid] for hid in space.least_ids()]
+        return post, _pair_report(pa, space.family.members, post.scaled(), bounds=bounds)
+    members = [0 if p.is_zero or p.is_inf else m for p, m in zip(prior.values, space.family.members)]
+    return post, _pair_report(pa, members, k.scaled())
 
 
 # -- finite-horizon processes -------------------------------------------
@@ -505,15 +487,18 @@ class FiltrationTree:
     The tree is flattened once, without recursion, into `nodes` in
     post-order: every child comes before its parent and the root is last.
     At step t the filtration's atoms are the depth-t nodes; a leaf shallower
-    than t stays its own atom from its depth onward.
+    than t stays its own atom from its depth onward. The leaves may list
+    the outcomes in any order; the checks read them in leaf order, each
+    leaf at its outcome's index in the sample (`order`).
     """
 
     def __init__(self, sample: SampleSpace, shape: TreeShape):
         self.sample = sample
         self.shape = shape
-        self.nodes, leaves = _flatten(shape)
-        if tuple(leaves) != sample.outcomes:
+        self.nodes, self.leaves = _flatten(shape)
+        if sorted(self.leaves) != sorted(sample.outcomes):
             raise KernelError("tree leaves must enumerate the outcomes in order")
+        self.order = [sample.positions[x] for x in self.leaves]
         self.depth = max(t for t, _, _, _ in self.nodes)
 
     def count_stopping_times(self) -> int:
@@ -579,12 +564,13 @@ class EProcess:
         self.kernels = tuple(kernels)
         self.space = space
 
-    def require_measurable(self) -> list[tuple[tuple[XValue, ...], ...]]:
-        """Per step, the values at each outcome by hypothesis, one transpose
-        of its rows. Raise MeasurabilityError at the first step, in time and
-        then outcome order, whose tables differ inside one of its atoms."""
-        outcomes = self.tree.sample.outcomes
-        by_outcome = [tuple(zip(*k.rows)) for k in self.kernels]
+    def require_measurable(self) -> list[list[tuple[XValue, ...]]]:
+        """Per step, the values at each outcome by hypothesis, in leaf
+        order, one transpose of its rows. Raise MeasurabilityError at the
+        first step, in time and then leaf order, whose tables differ inside
+        one of its atoms."""
+        outcomes, order = self.tree.leaves, self.tree.order
+        by_outcome = [[columns[o] for o in order] for columns in (tuple(zip(*k.rows)) for k in self.kernels)]
         for t, lo, hi, children in sorted(self.tree.nodes):
             if not children:
                 continue  # a leaf is a one-outcome atom
@@ -604,7 +590,8 @@ class EProcess:
 class AnytimeReport(NamedTuple):
     """Per pair, the largest expected stopped evidence over the
     `rules_checked` stopping rules; `rule` attains it at the first violating
-    pair, as a stop depth per outcome (None when every pair holds)."""
+    pair, as a stop depth per outcome in the tree's leaf order (None when
+    every pair holds)."""
 
     rules_checked: int
     stats: Report
@@ -624,7 +611,7 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
     hypothesis's step values on the nodes are one scaled vector
     (measurability makes e_t constant on a depth-t node, so its first
     outcome stands in). A vector is scaled once per distinct tuple of its
-    hypothesis's step-row objects, and equal vectors share a slot, so the
+    hypothesis's step-row slots, and equal vectors share a slot, so the
     tree is walked once per distinct (step vector, point). A stop value is
     the product of two numerators, and the root's W over the two
     denominators is the pair's one exact value. Zero mass against inf gives
@@ -636,9 +623,10 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
     nodes = proc.tree.nodes
     children = [c for _, _, _, c in nodes]
     # Per point: its denominator, its node mass numerators, the nodes it charges.
-    masses = []
+    masses, order = [], proc.tree.order
     for pmf in pa.pmfs:
         den, nums, _ = pmf.scaled
+        nums = [nums[o] for o in order]
         mass = [sum(nums[lo:hi]) for _, lo, hi, _ in nodes]
         charged = sum(1 << i for i, m in enumerate(mass) if m)
         masses.append((den, mass, charged))
@@ -656,9 +644,9 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
     steps = [by_outcome[t][lo] for t, lo, _, _ in nodes]
     family = proc.space.family  # the empty hypothesis, id 0, has no variable
     variables: list = [None]
-    scaled: dict = {}  # by the ids of a hypothesis's step rows, which fix its vector
+    scaled: dict = {}  # by the slots of a hypothesis's step rows, which fix its vector
     for hid in family.nonempty_ids():
-        key = tuple(id(k.rows[hid]) for k in proc.kernels)
+        key = tuple(k.slots[hid] for k in proc.kernels)
         variables.append(scaled.get(key) or scaled.setdefault(key, scale([step[hid] for step in steps])))
     report = _pair_report(pa, family.members, variables, statistic=envelope)
     first = None if report.ok else report._first(report.failed)
@@ -727,19 +715,23 @@ def check_predictive_validity(k: EKernel, pa: ProbabilityAssignment) -> Predicti
     statistics decide both criteria. The sups are the kernel's claims
     (`EKernel.claims`), one sweep per outcome over the distinct rows, and
     the statistics are the pair walk of one member holding every point.
+    The identity entries come in the space's point order, whatever order
+    the sample lists the outcomes in.
     """
-    if k.space.model.points != k.sample.outcomes:
+    positions, outcomes = k.space.model.positions, k.sample.outcomes
+    if sorted(positions) != sorted(outcomes):
         raise SpaceError("predictive checks need the model to be the sample space")
     k.space.require_intersection_closed()
     least = k.space.least_ids()
     claims = k.claims()
-    n = k.sample.size
-    sup_var = [claims[xi][xi] for xi in range(n)]
-    bounds = [k.rows[least[xi]][xi] for xi in range(n)]
+    n = len(outcomes)
+    at = [positions[x] for x in outcomes]  # each outcome's point index
+    sup_var = [claims[xi][pi] for xi, pi in enumerate(at)]
+    bounds = [k.rows[least[pi]][xi] for xi, pi in enumerate(at)]
     failed = sum(1 << xi for xi in range(n) if sup_var[xi] > bounds[xi])
-    singletons = [1 << xi for xi in range(n)]
-    identity = Report(k.sample.outcomes, bounds, singletons, [None] * n, [0] * n, [sup_var], [failed])
-    stats = _pair_report(pa, [(1 << pa.model.size) - 1], [scale(sup_var)], [None])
+    singletons = [1 << k.sample.positions[p] for p in positions]  # in the space's point order
+    identity = Report(outcomes, bounds, singletons, [None] * n, [0] * n, [sup_var], [failed])
+    stats = _pair_report(pa, [(1 << n) - 1], [scale(sup_var)], [None])
     return PredictiveReport(identity, stats)
 
 
@@ -747,18 +739,15 @@ def check_predictive_validity(k: EKernel, pa: ProbabilityAssignment) -> Predicti
 
 
 def pushforward_kernel(
-    k: EKernel,
-    mapping: Mapping[str, str],
-    target: Space,
-    pa: Optional[ProbabilityAssignment] = None,
-) -> tuple[EKernel, Optional[Report]]:
-    """Evidence on a coarser space via preimages of its hypotheses.
+    k: EKernel, mapping: Mapping[str, str], target: Space, pa: ProbabilityAssignment
+) -> tuple[EKernel, Report]:
+    """Evidence on a coarser space via preimages of its hypotheses, with
+    its validity re-checked in the pushed-forward sense.
 
     Fails if some target hypothesis has a preimage outside the source
-    family. When distributions are supplied, validity is re-checked in the
-    pushed-forward sense: points are charged only to hypotheses containing
-    their image. That is the pair walk over the pushed kernel with each
-    target member's points read off its preimage.
+    family. Points are charged only to hypotheses containing their image:
+    the report is the pair walk over the pushed kernel with each target
+    member's points read off its preimage.
     """
     source = k.space
     bitsets = preimages(source.model, mapping, target)
@@ -768,5 +757,4 @@ def pushforward_kernel(
                 f"preimage of {target.model.label(member)} is not a source hypothesis"
             )
     pushed = EKernel(target, k.sample, [k.rows[source.family.id_of(bits)] for bits in bitsets])
-    report = None if pa is None else _pair_report(pa, bitsets, pushed.scaled())
-    return pushed, report
+    return pushed, _pair_report(pa, bitsets, pushed.scaled())

@@ -9,7 +9,7 @@ hypothesis is always id 0.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 MODEL_POINT_CAP = 24
 
@@ -395,22 +395,18 @@ def preorder_from_class(space: Space) -> Preorder:
     return Preorder(tuple(members[space.least_id(i)] for i in range(space.model.size)))
 
 
-def preimages(
-    source_model: Model,
-    mapping: Mapping[str, str] | Callable[[str], str],
-    target: Space,
-) -> tuple[int, ...]:
-    """Bitset of the source points mapped into each target member, in target id order."""
-    get = mapping.__getitem__ if isinstance(mapping, Mapping) else mapping
-    target_idx = {lab: i for i, lab in enumerate(target.model.points)}
+def preimages(source_model: Model, mapping: Mapping[str, str], target: Space) -> tuple[int, ...]:
+    """Bitset of the source points mapped into each target member, in target
+    id order. A source point the map leaves out, or an image that is no
+    target point, is refused."""
     images = []
     for p in source_model.points:
-        img = get(p)
-        if img not in target_idx:
-            raise SpaceError(f"{img!r} is not a point of the target model")
-        images.append(target_idx[img])
+        if p not in mapping:
+            raise SpaceError(f"source point {p!r} has no image")
+        if mapping[p] not in target.model.positions:
+            raise SpaceError(f"{mapping[p]!r} is not a point of the target model")
+        images.append(target.model.positions[mapping[p]])
     return tuple(
         sum(1 << i for i, t in enumerate(images) if member >> t & 1)
         for member in target.family.members
     )
-

@@ -329,6 +329,11 @@ def constant_two_kernel(space, sample):
     return kernel_of(space, sample, [fn] * sample.size)
 
 
+def product_kernel(prior, k):
+    """The hypothesis-wise product prior(H)·e(H|x), one row per hypothesis."""
+    return EKernel(k.space, k.sample, [tuple(p * v for v in row) for p, row in zip(prior.values, k.rows)])
+
+
 def scaled_kernel(k, factor):
     cols = []
     for col in k.columns:
@@ -1012,12 +1017,12 @@ def oracle_self_consistent(e, family_ids, alpha):
     return (), {}, False
 
 
-def evidence_against_optimality(k, table, pa=None):
+def evidence_against_optimality(k, table, pa):
     """The kernel pushed forward along the optimal-decision map, onto the
     power set of the decisions: for each set of decisions, the evidence
     against the claim that the truly optimal decision lies in it. The
     oracle of the command line's linear optimality ranking, whose values
-    are its singletons. Returns (kernel, report or None) as
+    are its singletons. Returns (kernel, report) as
     ``pushforward_kernel`` does; ties leave no map and raise DecisionError.
     """
     result = optimality_class(table)

@@ -756,7 +756,7 @@ def test_decide_optimality_ranking_is_the_pushforward_on_singletons(capsys, tmp_
         xi = r.randrange(sample.size)
         code, out = run(capsys, [*argv, "--outcome", sample.outcomes[xi]])
         assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION)
-        pushed, _ = helpers.evidence_against_optimality(k, table)
+        pushed, _ = helpers.evidence_against_optimality(k, table, pa)
         singles = sorted(
             (helpers.kernel_value(pushed, pushed.space.family.id_of(1 << di), xi), d)
             for di, d in enumerate(decisions)

@@ -831,13 +831,12 @@ def test_optimality_ties_join_every_group():
     assert result.decision_sets["d1"] == 0b1
     assert result.decision_sets["d2"] == 0b1
     assert result.optimal is None
+    space, sample = helpers.power_space(1), SampleSpace(("x",))
     with pytest.raises(DecisionError):
         helpers.evidence_against_optimality(
-            helpers.constant_kernel(
-                helpers.power_space(1), SampleSpace(("x",)),
-                helpers.unit_measure(helpers.power_space(1)),
-            ),
+            helpers.constant_kernel(space, sample, helpers.unit_measure(space)),
             table,
+            helpers.rand_pa(helpers.rng(1), space.model, sample),
         )
 
 

@@ -26,8 +26,7 @@ from emeasure import (
     check_posthoc_validity,
     check_predictive_validity,
     check_validity,
-    eposterior_closed,
-    eposterior_raw,
+    eposterior,
     sup_of,
 )
 from emeasure import fileio
@@ -143,17 +142,12 @@ def test_loaded_rows_give_every_check_the_oracle_values(tmp_path):
             for pi in range(space.model.size)
         ]
 
+        # The spaces are intersection-closed, so the posterior is the closed product.
         prior = helpers.rand_capacity(r, space, allow_inf=False)
         products = [from_values(space, [p * v for p, v in zip(prior.values, col.values)]) for col in k.columns]
-        _, raw = eposterior_raw(prior, loaded, lpa)
-        assert [(e.hid, e.point, e.stat, e.bound) for e in raw.entries] == [
-            (hid, points[pi], stat, XValue(1))
-            for hid, pi, stat in expected
-            if not (prior.values[hid].is_zero or prior.values[hid].is_inf)
-        ]
         closed_cols = [helpers.oracle_closure(col) for col in products]
         least = space.least_ids()
-        _, closed = eposterior_closed(prior, loaded, lpa)
+        _, closed = eposterior(prior, loaded, lpa)
         assert [(e.hid, e.point, e.stat, e.bound) for e in closed.entries] == [
             (hid, points[pi], helpers.oracle_expectation(pa.pmfs[pi], [col[hid] for col in closed_cols]),
              prior.values[least[pi]])

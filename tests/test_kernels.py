@@ -28,8 +28,7 @@ from emeasure import (
     check_predictive_validity,
     check_validity,
     close_kernel,
-    eposterior_closed,
-    eposterior_raw,
+    eposterior,
     merge_convex,
     pushforward_kernel,
 )
@@ -43,6 +42,18 @@ from emeasure import golden
 def small_setup(seed=101, max_points=3, full_support=True):
     r = helpers.rng(seed)
     space = helpers.rand_ic_space(r, max_points=max_points)
+    sample = helpers.rand_sample(r)
+    pa = helpers.rand_pa(r, space.model, sample, full_support)
+    return r, space, sample, pa
+
+
+def raw_setup(seed, full_support=True):
+    """`small_setup` on a union-closed space that is not intersection-closed,
+    where `eposterior` keeps the raw product."""
+    r = helpers.rng(seed)
+    space = helpers.rand_uc_space(r, max_points=3)
+    while space.intersection_closed:
+        space = helpers.rand_uc_space(r, max_points=3)
     sample = helpers.rand_sample(r)
     pa = helpers.rand_pa(r, space.model, sample, full_support)
     return r, space, sample, pa
@@ -147,9 +158,10 @@ def test_entry_holds_its_statistic_against_its_bound():
 def test_every_check_returns_the_one_report_class():
     """On one seeded instance, the power set of three points that are also
     the outcomes, every check's pairs come back as a `kernels.Report`:
-    validity, post-hoc, FWE, FER with and without a rule, both posteriors,
-    decide's three bounds, and the reports inside the predictive and the
-    anytime results."""
+    validity, post-hoc, FWE, FER with and without a rule, the posterior on
+    an intersection-closed space and off one, the pushforward, decide's
+    three bounds, and the reports inside the predictive and the anytime
+    results."""
     r = helpers.rng(4201)
     space = helpers.power_space(3)
     sample = SampleSpace(space.model.points)
@@ -162,6 +174,7 @@ def test_every_check_returns_the_one_report_class():
     unit = helpers.constant_kernel(space, sample, helpers.unit_measure(space))
     anytime = check_anytime_validity(EProcess(FiltrationTree(sample, list(sample.outcomes)), [unit, k]), pa)
     predictive = check_predictive_validity(k, pa)
+    r2, space2, _, pa2 = raw_setup(4202)
     reports = [
         check_validity(k, pa),
         check_posthoc_validity(k, pa, "canonical"),
@@ -169,8 +182,9 @@ def test_every_check_returns_the_one_report_class():
         check_fwe(k, pa),
         check_fer(k, pa),
         check_fer(k, pa, SelectionRule.fixed(sample, [1, 2])),
-        eposterior_raw(prior, k, pa)[1],
-        eposterior_closed(prior, k, pa)[1],
+        eposterior(prior, k, pa)[1],
+        eposterior(helpers.rand_capacity(r2, space2), helpers.valid_capacity_kernel(r2, space2, pa2), pa2)[1],
+        pushforward_kernel(k, {p: p for p in space.model.points}, space, pa)[1],
         check_econsequence_bound(k, pa, table),
         check_posthoc_consequence_bound(k, pa, table, {x: XValue(Fraction(1, 2)) for x in sample.outcomes}),
         check_grunwald_bound(k, pa, table),
@@ -199,7 +213,7 @@ def test_every_report_gives_its_verdict_and_worst_entry():
             check_posthoc_validity(k, pa, "canonical"),
             check_fwe(k, pa),
             check_fer(k, pa),
-            eposterior_closed(helpers.rand_capacity(r, space, allow_inf=False), k, pa)[1],
+            eposterior(helpers.rand_capacity(r, space, allow_inf=False), k, pa)[1],
         ]
         for report in reports:
             assert report.ok == all(e.ok for e in report.entries)
@@ -433,29 +447,30 @@ def test_posthoc_fixed_level_must_lie_strictly_between_0_and_inf(level):
 
 
 def test_eposterior_raw_with_unit_prior_is_plain_validity():
-    r, space, sample, pa = small_setup(37)
+    r, space, sample, pa = raw_setup(37)
     k = helpers.valid_capacity_kernel(r, space, pa)
     prior = helpers.unit_measure(space)
-    post, report = eposterior_raw(prior, k, pa)
+    post, report = eposterior(prior, k, pa)
     for a, b in zip(post.columns, k.columns):
         assert a.values == b.values
-    assert report.ok
+    assert report.ok and report == check_validity(k, pa)
 
 
 def test_eposterior_raw_names_the_point_attaining_each_bound():
-    """A finite positive prior scales a hypothesis' expectations alike, so
-    the first of its entries attaining its largest statistic names the
-    first point where the product's expectation is largest, and the prior
-    times that statistic is that expectation. `helpers.worst` is the first pair
-    in walk order attaining the largest statistic of all."""
+    """Off intersection-closed spaces, a finite positive prior scales a
+    hypothesis' expectations alike, so the first of its entries attaining
+    its largest statistic names the first point where the product's
+    expectation is largest, and the prior times that statistic is that
+    expectation. `helpers.worst` is the first pair in walk order attaining
+    the largest statistic of all."""
     ties = 0
     for seed in range(20):
-        r, space, sample, pa = small_setup(500 + seed, full_support=seed % 2 == 0)
+        r, space, sample, pa = raw_setup(500 + seed, full_support=seed % 2 == 0)
         k = helpers.valid_capacity_kernel(r, space, pa)
         if seed % 2:
             k = helpers.constant_two_kernel(space, sample)
         prior = helpers.rand_capacity(r, space, allow_inf=False)
-        post, report = eposterior_raw(prior, k, pa)
+        post, report = eposterior(prior, k, pa)
         held = [hid for hid in space.family.nonempty_ids() if not prior.values[hid].is_zero]
         assert list(dict.fromkeys(e.hid for e in report.entries)) == held
         for hid in held:
@@ -470,13 +485,13 @@ def test_eposterior_raw_names_the_point_attaining_each_bound():
             assert worst.point == space.model.points[attaining[0]]
             assert prior.values[hid] * worst.stat == largest
             ties += len(attaining) > 1
-        top = max(e.stat for e in report.entries)
-        assert helpers.worst(report) == next(e for e in report.entries if e.stat == top)
+        top = max((e.stat for e in report.entries), default=None)
+        assert helpers.worst(report) == next((e for e in report.entries if e.stat == top), None)
     assert ties
 
 
 def test_eposterior_raw_scaled_atom_prior():
-    r, space, sample, pa = small_setup(41)
+    r, space, sample, pa = raw_setup(41)
     k = helpers.valid_capacity_kernel(r, space, pa)
     # scale a minimal nonempty member by 3; antitonicity survives because
     # canonical order puts minimal members first
@@ -487,7 +502,7 @@ def test_eposterior_raw_scaled_atom_prior():
     ]
     prior = from_values(space, values)
     assert prior.eclass >= EClass.CAPACITY
-    post, report = eposterior_raw(prior, k, pa)
+    post, report = eposterior(prior, k, pa)
     assert report.ok
     entries = [e for e in report.entries if e.hid == atom]
     assert [e.point for e in entries] == [space.model.points[pi] for pi in space.family.indices(atom)]
@@ -498,14 +513,15 @@ def test_eposterior_raw_scaled_atom_prior():
 
 def test_eposterior_raw_holds_each_pair_of_the_prior_support_against_one():
     """prior(H)·E_p[e(H|X)] <= prior(H) holds exactly where E_p[e(H|X)] <= 1
-    or prior(H) is 0 or inf. So the raw report is the kernel's pair walk
-    over the hypotheses of finite positive prior, each E_p[e(H|X)] against
-    1, and its verdict is the product held against the prior at every
-    pair. The priors are random capacities, with 0 and inf values, and
-    the unit prior with a minimal member scaled by 3."""
+    or prior(H) is 0 or inf. So off intersection-closed spaces the report
+    is the kernel's pair walk over the hypotheses of finite positive prior,
+    each E_p[e(H|X)] against 1, and its verdict is the product held
+    against the prior at every pair. The priors are random capacities,
+    with 0 and inf values, and the unit prior with a minimal member scaled
+    by 3."""
     verdicts, unbounded = set(), 0
     for seed in range(24):
-        r, space, sample, pa = small_setup(500 + seed, full_support=seed % 2 == 0)
+        r, space, sample, pa = raw_setup(500 + seed, full_support=seed % 2 == 0)
         k = helpers.valid_capacity_kernel(r, space, pa)
         if seed % 3 == 1:
             k = helpers.constant_two_kernel(space, sample)
@@ -516,7 +532,7 @@ def test_eposterior_raw_holds_each_pair_of_the_prior_support_against_one():
             prior = from_values(space, [XValue(3) if hid == atom else v for hid, v in enumerate(unit)])
         else:
             prior = helpers.rand_capacity(r, space, allow_inf=seed % 2 == 1)
-        post, report = eposterior_raw(prior, k, pa)
+        post, report = eposterior(prior, k, pa)
         points, pairs, holds = space.model.points, [], True
         for hid, pi in ((hid, pi) for hid in space.family.nonempty_ids() for pi in space.family.indices(hid)):
             p, stat = prior.values[hid], helpers.oracle_expectation(pa.pmfs[pi], k.rows[hid])
@@ -533,6 +549,9 @@ def test_eposterior_raw_holds_each_pair_of_the_prior_support_against_one():
 
 
 def test_raw_product_of_measures_can_lose_the_measure_law():
+    """On the power set of two points the product of a measure prior and a
+    measure kernel is a capacity but no measure; the posterior is its
+    closure, a measure."""
     space = helpers.power_space(2)
     sample = SampleSpace(("x",))
     prior = from_values(space, ["inf", 4, 2, 2])
@@ -541,11 +560,13 @@ def test_raw_product_of_measures_can_lose_the_measure_law():
     pa = ProbabilityAssignment(
         space.model, tuple(Pmf(sample, (Fraction(1),)) for _ in space.model.points)
     )
-    post, _ = eposterior_raw(prior, k, pa)
-    assert post.columns[0].eclass is EClass.CAPACITY
-    assert post.columns[0].values[space.family.id_of(0b11)] == XValue(2)
-    assert min(post.columns[0].values[space.family.id_of(0b01)],
-               post.columns[0].values[space.family.id_of(0b10)]) == XValue(4)
+    product = helpers.product_kernel(prior, k).columns[0]
+    assert product.eclass is EClass.CAPACITY
+    assert product.values[space.family.id_of(0b11)] == XValue(2)
+    assert min(product.values[space.family.id_of(0b01)], product.values[space.family.id_of(0b10)]) == XValue(4)
+    post, _ = eposterior(prior, k, pa)
+    assert post.columns[0].eclass is EClass.MEASURE
+    assert list(post.columns[0].values) == helpers.oracle_closure(product)
 
 
 def test_eposterior_closed_bounds_and_domination():
@@ -553,11 +574,10 @@ def test_eposterior_closed_bounds_and_domination():
     for _ in range(10):
         k = helpers.valid_capacity_kernel(r, space, pa)
         prior = helpers.rand_capacity(r, space, allow_inf=False)
-        raw, _ = eposterior_raw(prior, k, pa)
-        closed, report = eposterior_closed(prior, k, pa)
+        closed, report = eposterior(prior, k, pa)
         assert report.ok
         assert all(col.eclass is EClass.MEASURE for col in closed.columns)
-        assert helpers.dominates(closed, raw)
+        assert helpers.dominates(closed, helpers.product_kernel(prior, k))
 
 
 def test_eposterior_closed_on_toy_space_with_nonuniform_prior():
@@ -567,7 +587,7 @@ def test_eposterior_closed_on_toy_space_with_nonuniform_prior():
     pa = helpers.rand_pa(r, space.model, sample)
     k = helpers.valid_measure_kernel(r, space, pa)
     prior = golden.base_efunction(space)
-    closed, report = eposterior_closed(prior, k, pa)
+    closed, report = eposterior(prior, k, pa)
     assert report.ok
 
 
@@ -613,6 +633,49 @@ def test_a_leaf_that_is_no_list_or_mapping_names_its_outcome_by_its_text():
     assert tree.depth == 2 and tree.count_stopping_times() == 5
     with pytest.raises(KernelError, match="tree node {'b': 'c'} is neither"):
         FiltrationTree(SampleSpace(("a", "b")), ["a", {"b": "c"}])
+
+
+def _reordered(order, pa, kernels):
+    """The distributions and kernels over the sample that lists their
+    outcomes in `order`, as positions in their own sample."""
+    sample = SampleSpace(tuple(pa.sample.outcomes[o] for o in order))
+    pmfs = tuple(Pmf(sample, [helpers.pmf_mass(pmf)[o] for o in order]) for pmf in pa.pmfs)
+    moved = [EKernel(k.space, sample, [tuple(row[o] for o in order) for row in k.rows]) for k in kernels]
+    return sample, ProbabilityAssignment(pa.model, pmfs), moved
+
+
+def test_a_sample_in_another_order_gives_the_anytime_and_predictive_reports_unchanged():
+    """The anytime check reads the outcomes in the tree's leaf order and the
+    predictive check in the space's point order, so listing the sample's
+    outcomes in another order, as a model file's first row may, changes
+    no entry, verdict or stop rule. A tree whose leaves miss an outcome is
+    still refused."""
+    moved_any = 0
+    for seed in range(16):
+        r = helpers.rng(4400 + seed)
+        space = helpers.power_space(r.randint(1, 3))
+        tree = helpers.rand_tree(r, max_depth=2)
+        pa = helpers.rand_pa(r, space.model, tree.sample, full_support=seed % 2 == 0)
+        proc = helpers.rand_process(r, space, tree, allow_inf=seed % 3 == 0)
+        order = list(range(tree.sample.size))
+        r.shuffle(order)
+        moved_any += order != sorted(order)
+        sample, moved_pa, kernels = _reordered(order, pa, proc.kernels)
+        moved = EProcess(FiltrationTree(sample, tree.shape), kernels)
+        assert check_anytime_validity(moved, moved_pa) == check_anytime_validity(proc, pa)
+
+        outcomes = SampleSpace(space.model.points)
+        pa = helpers.rand_pa(r, space.model, outcomes, full_support=seed % 2 == 1)
+        k = helpers.valid_measure_kernel(r, space, pa)
+        if seed % 2:
+            k = helpers.scaled_kernel(k, XValue(3))
+        order = list(range(outcomes.size))
+        r.shuffle(order)
+        _, moved_pa, (moved_k,) = _reordered(order, pa, [k])
+        assert check_predictive_validity(moved_k, moved_pa) == check_predictive_validity(k, pa)
+    assert moved_any
+    with pytest.raises(KernelError, match="tree leaves must enumerate the outcomes in order"):
+        FiltrationTree(SampleSpace(("a", "b", "c")), ["a", ["b", "b"]])
 
 
 def test_a_5000_deep_chain_flattens_and_counts_without_recursion():
@@ -1138,6 +1201,16 @@ def test_pushforward_identity_is_the_same_kernel():
     for a, b in zip(pushed.columns, k.columns):
         assert a.values == b.values
     assert report.ok == check_validity(k, pa).ok
+
+
+def test_pushforward_needs_distributions_and_returns_its_report_as_the_posterior_does():
+    r, space, sample, pa = small_setup(83)
+    k = helpers.valid_measure_kernel(r, space, pa)
+    identity = {p: p for p in space.model.points}
+    with pytest.raises(TypeError):
+        pushforward_kernel(k, identity, space)
+    pushed, report = pushforward_kernel(k, identity, space, pa)
+    assert type(pushed) is EKernel and type(report) is Report
 
 
 def test_pushforward_collapsing_two_points():

@@ -29,7 +29,11 @@ step rows of one of two members, so that hypotheses share the walk's
 slots. Each pair's statistic is the largest expected stopped evidence over
 every stopping rule (`helpers.oracle_anytime`), and a violated process's
 rule is the one that attains it at its first violating pair
-(`helpers.oracle_stop_rule`).
+(`helpers.oracle_stop_rule`). On the same families, `eposterior` of a
+seeded capacity prior and of the unit prior, against a valid kernel and
+that kernel tripled, is the closed product held against the prior at each
+point's least hypothesis on an intersection-closed family, and the raw
+product, its finite-prior pairs held against 1, on any other.
 
 L5: every numeric table of two decisions with losses in {0, 1, 2} on one
 to three points, and on four FOUR_POINT_TABLES per family, drawn from
@@ -304,6 +308,62 @@ def test_the_anytime_envelope_and_its_rule_agree_with_every_stopping_rule_on_sma
                 seen.add((kind, report.stats.ok, shared))
     assert {("martingale", True, False), ("shared", True, True), ("shared", False, True),
             ("random", False, False)} <= seen
+
+
+def test_the_eposterior_agrees_with_its_definitions_on_small_worlds():
+    """On every union-closed family on one to three points, a seeded capacity
+    prior with 0 and inf values and the unit prior, each against a valid
+    kernel and that kernel tripled. On an intersection-closed family the
+    posterior is the product closed outcome by outcome by the cover search
+    (`helpers.oracle_closure`), each pair held against the prior at its
+    point's least hypothesis (`helpers.oracle_least_ids`). Off one it is
+    the product itself, each pair of a hypothesis of finite positive prior
+    holding E_p[e(H|X)] against 1, and the verdict is the product held
+    against the prior at every pair."""
+    r = helpers.rng(4414)
+    sample = SampleSpace(("x", "y"))
+    seen = set()
+    for space in _worlds():
+        if space.model.size > 3:
+            break
+        n, family = space.model.size, space.family
+        pa = ProbabilityAssignment(space.model, tuple(Pmf(sample, r.choice(MASSES)) for _ in range(n)))
+        valid = helpers.valid_capacity_kernel(r, space, pa)
+        priors = {"capacity": helpers.rand_capacity(r, space), "unit": helpers.unit_measure(space)}
+        kernels = {"valid": valid, "tripled": helpers.scaled_kernel(valid, XValue(3))}
+        least = helpers.oracle_least_ids(space)
+        pairs = [(hid, pi) for hid in family.nonempty_ids() for pi in helpers.points_of(family.member(hid))]
+        for (pname, prior), (kname, k) in itertools.product(priors.items(), kernels.items()):
+            post, report = kn.eposterior(prior, k, pa)
+            product = [from_values(space, column) for column in zip(*helpers.product_kernel(prior, k).rows)]
+            got = [(e.hid, space.model.index(e.point), e.stat, e.bound, e.ok) for e in report.entries]
+            if space.intersection_closed:
+                closed = list(zip(*map(helpers.oracle_closure, product)))
+                assert post.rows == tuple(closed), (space.family.members, pname, kname)
+                want = [
+                    (hid, pi, stat, prior.values[least[pi]], stat <= prior.values[least[pi]])
+                    for hid, pi in pairs
+                    for stat in [helpers.oracle_expectation(pa.pmfs[pi], closed[hid])]
+                ]
+            else:
+                assert post.rows == tuple(zip(*(column.values for column in product)))
+                finite = [(hid, pi) for hid, pi in pairs
+                          if not (prior.values[hid].is_zero or prior.values[hid].is_inf)]
+                want = [
+                    (hid, pi, stat, ONE, stat <= ONE)
+                    for hid, pi in finite for stat in [helpers.oracle_expectation(pa.pmfs[pi], k.rows[hid])]
+                ]
+                assert report.ok == all(
+                    helpers.oracle_expectation(pa.pmfs[pi], post.rows[hid]) <= prior.values[hid]
+                    for hid, pi in pairs
+                )
+                seen.add(("zero-or-inf prior", len(finite) < len(pairs)))
+            assert got == want, (space.family.members, pname, kname)
+            assert report.ok == all(ok for *_, ok in want)
+            seen.add((space.intersection_closed, kname, report.ok))
+    assert {(closed, "valid", True) for closed in (True, False)} <= seen
+    assert {(closed, "tripled", False) for closed in (True, False)} <= seen
+    assert ("zero-or-inf prior", True) in seen
 
 
 def _loss_tables(r, model, count=None):

@@ -276,10 +276,8 @@ def test_only_the_pair_walk_and_the_predictive_identity_build_a_report():
 # Top-level definitions kept although no subcommand reaches them, each with
 # the reason it stays.
 UNREACHED_KEPT = {
-    "eposterior_raw": "the paper's E-posterior; waits for a posterior check on the command line",
-    "eposterior_closed": "the closed E-posterior; waits for the same posterior check",
-    "_product": "the prior-times-kernel product both posteriors build",
-    "close_kernel": "the closed posterior closes its product with it",
+    "eposterior": "the paper's E-posterior; waits for a posterior check on the command line",
+    "close_kernel": "the posterior closes its product with it on intersection-closed spaces",
     "pushforward_kernel": "predictive E-measures of a derived quantity; may get a --map option",
     "preimages": "the target-member preimages the pushforward reads",
     "merge_convex": "the convex merge of kernels, row by row; no closure input lists weights yet",
@@ -364,7 +362,7 @@ def test_every_definition_is_reached_from_a_subcommand_or_kept_for_a_reason():
 
 
 # The lines of src/emeasure/*.py, as `wc -l` counts them.
-LINE_BUDGET = 4081
+LINE_BUDGET = 4065
 
 
 def test_the_package_stays_within_its_line_budget():

@@ -253,6 +253,14 @@ def test_preimage_constant_map_collapses_to_trivial():
     assert preimages(model, mapping, target) == (0, 0b111)
 
 
+def test_preimages_refuse_a_source_point_without_an_image_or_an_image_outside_the_target():
+    model, target = Model(("a", "b")), helpers.power_space(1)
+    with pytest.raises(SpaceError, match="source point 'b' has no image"):
+        preimages(model, {"a": "P1"}, target)
+    with pytest.raises(SpaceError, match="'zz' is not a point of the target model"):
+        preimages(model, {"a": "P1", "b": "zz"}, target)
+
+
 def test_width_mismatch_is_reported():
     model = Model(("P1", "P2"))
     with pytest.raises(SpaceError):

@@ -66,12 +66,16 @@ sides get the same inputs:
   check's shared slots, and witnesses taken from them, are compared too.
   One input in ten redraws one value inside an atom, which the check
   refuses. One input in ten takes its outcome labels from
-  `TYPED_OUTCOMES`, in the tree's leaves too (named `anytime/N`);
+  `TYPED_OUTCOMES`, in the tree's leaves too. Their model rows are written
+  in one of `MODEL_FORMS`, a quarter with the outcomes shuffled in each
+  row, which the check reads in the tree's leaf order (named
+  `anytime/N`);
 - 120 seeded random `check --check predictive` inputs, in both formats: a
   power set or chain space on two to four points, which is
   intersection-closed, whose points are the outcomes, with kernels and
-  kernel rows as the `check` inputs make them and model rows in outcome
-  order (named `predictive/N`);
+  kernel rows as the `check` inputs make them and model rows in one of
+  `MODEL_FORMS`, a quarter shuffled, which the check reads in the space's
+  point order (named `predictive/N`);
 - 240 seeded random `space` inputs, in the records and in the text format.
   Half the spaces are written as `_random_space` writes them, on two to six
   points; the other half list redundant generators: the join-irreducible
@@ -696,9 +700,6 @@ def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
 # each atom of the step.
 PROCESS_KINDS = ("martingale", "inflated", "random")
 PROCESS_WEIGHTS = (2, 1, 1)
-# The forms an `anytime` input writes its model rows in: each keeps the
-# outcomes in tree order, which the tree's leaves must enumerate.
-ORDERED_MODEL_FORMS = ("printed", "quoted", "spelled")
 
 
 def _random_tree(rng: random.Random) -> tuple[list, list[tuple[int, ...]]]:
@@ -778,7 +779,8 @@ def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     step rows of one of two members (`_shared_steps`). One input in ten
     redraws one member's value at one outcome of a step whose atom holds
     others, which the check refuses where the value changes; one in ten
-    takes its outcome labels from `TYPED_OUTCOMES`."""
+    takes its outcome labels from `TYPED_OUTCOMES`. The model rows are
+    written in one of `MODEL_FORMS`."""
     orc, w = _perfbench()
     rng = random.Random(f"anytime/{seed}")
     inputs = inputs / f"anytime-{seed}"
@@ -811,7 +813,7 @@ def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
             steps[t][i] = {**steps[t][i], b: _value(rng, orc.INF)}
         files = {
             "space": sp.text,
-            "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(ORDERED_MODEL_FORMS), n),
+            "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(MODEL_FORMS), n),
             "tree": _tree_text(w, shape, outcomes),
         }
         argv = ["check", "--check", "anytime"]
@@ -832,8 +834,9 @@ def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
 def predictive_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     """Random `check --check predictive` inputs: a power set or a chain
     space on two to four points, which are intersection-closed, whose
-    points are the outcomes, with kernels as `_random_columns` makes them
-    and rows as `_kernel_text` writes them in one of `ROW_FORMS`."""
+    points are the outcomes, with kernels as `_random_columns` makes them,
+    rows as `_kernel_text` writes them in one of `ROW_FORMS` and model rows
+    in one of `MODEL_FORMS`."""
     orc, w = _perfbench()
     rng = random.Random(f"predictive/{seed}")
     inputs = inputs / f"predictive-{seed}"
@@ -854,7 +857,7 @@ def predictive_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
         columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
         files = {
             "space": sp.text,
-            "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(ORDERED_MODEL_FORMS), n),
+            "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(MODEL_FORMS), n),
             "kernel": _kernel_text(rng, w, sp, outcomes, columns, rng.choices(ROW_FORMS, ROW_WEIGHTS)[0]),
         }
         argv = ["check", "--check", "predictive"]
