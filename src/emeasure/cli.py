@@ -482,45 +482,27 @@ def cmd_check(args) -> int:
 
 
 def _golden_table1(alpha: XValue, out: Printer) -> int:
-    computed = golden.compute_reference_table(alpha)
+    table = golden.compute_reference_table(alpha)
     is_golden = alpha == golden.DEFAULT_ALPHA
-    header = ("row", "e", "e_selected", "fsp", "step_up", "closed_step_up")
     out.text(
         "built-in three-circle family"
         + ("" if is_golden else f" (recomputed at alpha={_render(alpha)}; not the golden level)")
     )
-    out.text(" | ".join(f"{h:>14}" for h in header))
-    for row in computed.rows:
-        cells = [
-            row,
-            computed.base[row].record(),
-            computed.inflated[row].record(),
-            _render(computed.fsp[row]),
-            computed.stepup[row].record(),
-            computed.closed_stepup[row].record(),
-        ]
-        out.text(" | ".join(f"{c:>14}" for c in cells))
-        out.record(
-            "table",
-            row=row,
-            e=computed.base[row],
-            e_selected=computed.inflated[row],
-            fsp=computed.fsp[row],
-            step_up=computed.stepup[row],
-            closed_step_up=computed.closed_stepup[row],
-        )
+    out.text(" | ".join(f"{c:>14}" for c in ("row", *golden.COLUMNS)))
+    for row, cells in table.items():
+        out.text(" | ".join(f"{c:>14}" for c in (row, *map(_render, cells))))
+        out.record("table", row=row, **dict(zip(golden.COLUMNS, cells)))
     if not is_golden:
         return EXIT_OK
-    expected = golden.expected_reference_table()
-    diffs = golden.diff_reference_tables(computed, expected)
-    total = len(expected.rows) * len(golden.EVIDENCE_COLUMNS)
-    mismatched_cells = {(d.row, d.column) for d in diffs if d.column != "fsp"}
-    matched = total - len(mismatched_cells)
+    diffs = golden.diff_reference_tables(table, golden.EXPECTED)
+    fsp_diffs = sum(column == "fsp" for _, column, _, _ in diffs)
+    total = len(golden.EXPECTED) * (len(golden.COLUMNS) - 1)  # every column but fsp is evidence
+    matched = total - len(diffs) + fsp_diffs
     out.text(f"golden diff: {matched}/{total} evidence cells match")
-    out.record("golden", matched=matched, total=total, fsp_diffs=len(diffs) - len(mismatched_cells))
-    for d in diffs:
-        out.text(f"  MISMATCH {d.row}.{d.column}: computed {_render(d.computed)}, expected {_render(d.expected)}")
-        out.record("mismatch", row=d.row, column=d.column, computed=d.computed, expected=d.expected)
+    out.record("golden", matched=matched, total=total, fsp_diffs=fsp_diffs)
+    for row, column, got, want in diffs:
+        out.text(f"  MISMATCH {row}.{column}: computed {_render(got)}, expected {_render(want)}")
+        out.record("mismatch", row=row, column=column, computed=got, expected=want)
     return EXIT_OK if not diffs else EXIT_VIOLATION
 
 

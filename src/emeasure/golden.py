@@ -1,46 +1,42 @@
-"""Built-in worked example: a three-circle family over eight cells.
+"""Built-in worked example: the paper's Table 1 over a three-circle family
+of eight cells.
 
 The model has one point per cell of the Venn diagram of the baseline
-hypotheses G1, G2, G3 plus the outside cell. The bundled cell evidence and
-the reference columns for the multiplicity procedures are embedded here so
-the golden comparison needs no input files.
+hypotheses G1, G2, G3 plus the outside cell. Table 1 is one row table:
+per labeled hypothesis, in `ROW_LABELS` order, one cell per column of
+`COLUMNS`, the names the command line prints. `compute_reference_table`
+recomputes it from the bundled cell evidence alone, and `EXPECTED` embeds
+it at the default level, so the golden comparison needs no input files.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import evidence as ev
 from . import multiplicity as mtp
 from .evidence import EFunction
 from .spaces import Model, Space, union_closure
-from .xvalue import INF, XValue, ratio
+from .xvalue import INF, ONE, ZERO, XValue, ratio
 
 CELLS = ("c1", "c2", "c3", "c12", "c13", "c23", "c123", "cOut")
 
 CELL_EVIDENCE = dict(zip(CELLS, map(XValue, (60, 29, 11, 70, 65, 40, 100, 5))))
 
-GROUPS = {
-    "G1": ("c1", "c12", "c13", "c123"),
-    "G2": ("c2", "c12", "c23", "c123"),
-    "G3": ("c3", "c13", "c23", "c123"),
-}
-
-ROW_LABELS = ("H_C", "H_1", "H_2", "H_3", "H_12", "H_13", "H_23", "H_123", "G_1", "G_2", "G_3")
-
+# The cells of each row's hypothesis, in print order.
 _ROW_CELLS = {
-    "H_C": ("cOut",),
-    "H_1": ("c1",),
-    "H_2": ("c2",),
-    "H_3": ("c3",),
-    "H_12": ("c12",),
-    "H_13": ("c13",),
-    "H_23": ("c23",),
-    "H_123": ("c123",),
-    "G_1": GROUPS["G1"],
-    "G_2": GROUPS["G2"],
-    "G_3": GROUPS["G3"],
+    "H_C": ("cOut",), "H_1": ("c1",), "H_2": ("c2",), "H_3": ("c3",),
+    "H_12": ("c12",), "H_13": ("c13",), "H_23": ("c23",), "H_123": ("c123",),
+    "G_1": ("c1", "c12", "c13", "c123"),
+    "G_2": ("c2", "c12", "c23", "c123"),
+    "G_3": ("c3", "c13", "c23", "c123"),
 }
+
+ROW_LABELS = tuple(_ROW_CELLS)
+
+# The e-value, the value inflated by the selection, the selection share
+# (none on a G row), and the e-BH and closed step-up tables.
+COLUMNS = ("e", "e_selected", "fsp", "step_up", "closed_step_up")
 
 DEFAULT_ALPHA = ratio(1, 20)
 
@@ -65,95 +61,49 @@ def base_efunction(space: Optional[Space] = None) -> EFunction:
     return ev.measure_from_density(space, [CELL_EVIDENCE[c] for c in space.model.points])
 
 
-class ReferenceTable(NamedTuple):
-    """One row per labeled hypothesis; the selection share is absent on G rows."""
+# Table 1 at the default level, per row label its cells in `COLUMNS` order.
+EXPECTED = {
+    "H_C": (XValue(5), INF, ZERO, ZERO, ZERO),
+    "H_1": (XValue(60), XValue(180), ratio(1, 3), XValue(20), XValue(20)),
+    "H_2": (XValue(29), XValue(87), ratio(1, 3), ZERO, XValue(20)),
+    "H_3": (XValue(11), XValue(33), ratio(1, 3), ZERO, XValue(20)),
+    "H_12": (XValue(70), XValue(105), ratio(2, 3), XValue(20), XValue(20)),
+    "H_13": (XValue(65), ratio(195, 2), ratio(2, 3), XValue(20), XValue(20)),
+    "H_23": (XValue(40), XValue(60), ratio(2, 3), ZERO, XValue(20)),
+    "H_123": (XValue(100), XValue(100), ONE, XValue(20), XValue(20)),
+    "G_1": (XValue(60), ratio(195, 2), None, XValue(20), XValue(20)),
+    "G_2": (XValue(29), XValue(60), None, ZERO, XValue(20)),
+    "G_3": (XValue(11), XValue(33), None, ZERO, XValue(20)),
+}
 
-    alpha: XValue
-    rows: tuple[str, ...]
-    base: dict[str, XValue]
-    inflated: dict[str, XValue]
-    fsp: dict[str, Optional[XValue]]
-    stepup: dict[str, XValue]
-    closed_stepup: dict[str, XValue]
 
-
-def compute_reference_table(alpha: XValue = DEFAULT_ALPHA) -> ReferenceTable:
-    """Recompute every column from the eight cell values alone."""
+def compute_reference_table(alpha: XValue) -> dict[str, tuple[Optional[XValue], ...]]:
+    """Table 1 at level `alpha`, recomputed from the eight cell values
+    alone: per row label, in `ROW_LABELS` order, its cells in `COLUMNS`
+    order. A G row has no selection share (None)."""
     space = toy_space()
     base = base_efunction(space)
     gids = group_ids(space)
-
-    stepup = mtp.ebh(base, gids, alpha)
+    stepup = mtp.ebh(base, gids, alpha).table.values
     closed = mtp.closed_ebh(base, gids, alpha)
-    inflated = mtp.postprocess_efunction(base, closed.rejected)
-
-    ids = {label: row_id(space, label) for label in ROW_LABELS}
+    inflated = mtp.postprocess_efunction(base, closed.rejected).values
     shares = mtp.selection_shares(space, closed.rejected)
-    fsp: dict[str, Optional[XValue]] = {
-        label: None if label.startswith("G") else shares[space.model.index(_ROW_CELLS[label][0])]
-        for label in ROW_LABELS
-    }
-
-    return ReferenceTable(
-        alpha=alpha,
-        rows=ROW_LABELS,
-        base={lab: base.values[ids[lab]] for lab in ROW_LABELS},
-        inflated={lab: inflated.values[ids[lab]] for lab in ROW_LABELS},
-        fsp=fsp,
-        stepup={lab: stepup.table.values[ids[lab]] for lab in ROW_LABELS},
-        closed_stepup={lab: closed.table.values[ids[lab]] for lab in ROW_LABELS},
-    )
+    table = {}
+    for label, cells in _ROW_CELLS.items():
+        hid = row_id(space, label)
+        share = None if label.startswith("G") else shares[space.model.index(cells[0])]
+        table[label] = (base.values[hid], inflated[hid], share, stepup[hid], closed.table.values[hid])
+    return table
 
 
-def expected_reference_table() -> ReferenceTable:
-    """The embedded golden values at the default level 1/20."""
-    x, f = XValue, ratio
-    return ReferenceTable(
-        alpha=DEFAULT_ALPHA,
-        rows=ROW_LABELS,
-        base={
-            "H_C": x(5), "H_1": x(60), "H_2": x(29), "H_3": x(11),
-            "H_12": x(70), "H_13": x(65), "H_23": x(40), "H_123": x(100),
-            "G_1": x(60), "G_2": x(29), "G_3": x(11),
-        },
-        inflated={
-            "H_C": INF, "H_1": x(180), "H_2": x(87), "H_3": x(33),
-            "H_12": x(105), "H_13": f(195, 2), "H_23": x(60), "H_123": x(100),
-            "G_1": f(195, 2), "G_2": x(60), "G_3": x(33),
-        },
-        fsp={
-            "H_C": x(0), "H_1": f(1, 3), "H_2": f(1, 3), "H_3": f(1, 3),
-            "H_12": f(2, 3), "H_13": f(2, 3), "H_23": f(2, 3), "H_123": x(1),
-            "G_1": None, "G_2": None, "G_3": None,
-        },
-        stepup={
-            "H_C": x(0), "H_1": x(20), "H_2": x(0), "H_3": x(0),
-            "H_12": x(20), "H_13": x(20), "H_23": x(0), "H_123": x(20),
-            "G_1": x(20), "G_2": x(0), "G_3": x(0),
-        },
-        closed_stepup={
-            "H_C": x(0), "H_1": x(20), "H_2": x(20), "H_3": x(20),
-            "H_12": x(20), "H_13": x(20), "H_23": x(20), "H_123": x(20),
-            "G_1": x(20), "G_2": x(20), "G_3": x(20),
-        },
-    )
-
-
-EVIDENCE_COLUMNS = ("base", "inflated", "stepup", "closed_stepup")
-
-
-class CellDiff(NamedTuple):
-    row: str
-    column: str
-    computed: object
-    expected: object
-
-
-def diff_reference_tables(computed: ReferenceTable, expected: ReferenceTable) -> list[CellDiff]:
-    diffs = []
-    for row in expected.rows:
-        for column in EVIDENCE_COLUMNS + ("fsp",):
-            got, want = getattr(computed, column)[row], getattr(expected, column)[row]
-            if got != want:
-                diffs.append(CellDiff(row, column, got, want))
-    return diffs
+def diff_reference_tables(
+    computed: dict[str, tuple], expected: dict[str, tuple]
+) -> list[tuple[str, str, object, object]]:
+    """Every cell where the tables differ, as (row, column, computed,
+    expected), in print order: rows, then `COLUMNS`."""
+    return [
+        (row, column, got, want)
+        for row, cells in expected.items()
+        for column, got, want in zip(COLUMNS, computed[row], cells)
+        if got != want
+    ]

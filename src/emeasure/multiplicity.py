@@ -88,13 +88,14 @@ def check_fer(
 
 
 def selection_shares(space, selected: Sequence[int]) -> list[XValue]:
-    """Per point, the share of the selected hypotheses that contain it."""
-    denom = max(len(selected), 1)
-    members = space.family
-    return [
-        ratio(sum(1 for hid in selected if members.member(hid) >> pi & 1), denom)
-        for pi in range(space.model.size)
-    ]
+    """Per point, the share of the selected hypotheses that contain it:
+    one walk of each selected member's points."""
+    count = [0] * space.model.size
+    for hid in selected:
+        for p in space.family.indices(hid):
+            count[p] += 1
+    size = max(len(selected), 1)
+    return [ratio(c, size) for c in count]
 
 
 def postprocess_efunction(e: EFunction, selected: Sequence[int]) -> EFunction:
@@ -135,8 +136,8 @@ def self_consistent_selection(
       has the same term as in that member, which S rejects, so the term is
       at least 1/alpha.
 
-    One pass counts c_{S*} and computes every candidate's inflated value,
-    the witness. If each member of S* reaches 1/alpha it is returned;
+    The shares c_{S*}(p) / |S*| (`selection_shares`) give every
+    candidate's inflated value, the witness. If each member of S* reaches 1/alpha it is returned;
     otherwise no selection is a fixed point, and the empty selection is
     returned and flagged.
     """
@@ -147,12 +148,8 @@ def self_consistent_selection(
     points = [space.family.indices(g) for g in ids]
     least_value = [e.values[hid] for hid in space.least_ids()]
     chosen = [i for i, pts in enumerate(points) if not any(least_value[p].is_zero for p in pts)]
-    count = [0] * space.model.size
-    for i in chosen:
-        for p in points[i]:
-            count[p] += 1
-    size = max(len(chosen), 1)
-    term = [v / ratio(c, size) for v, c in zip(least_value, count)]
+    shares = selection_shares(space, [ids[i] for i in chosen])
+    term = [v / share for v, share in zip(least_value, shares)]
     inflated = [inf_of(term[p] for p in pts) for pts in points]
     threshold = ONE / alpha
     if any(inflated[i] < threshold for i in chosen):

@@ -845,31 +845,24 @@ def test_mtp_golden_at_a_level_past_4300_digits_renders_it_exactly(capsys):
 
 
 def test_mtp_golden_reports_each_mismatched_cell(capsys, monkeypatch):
-    """An expected table off in one evidence cell and one share: 43/44 cells
-    match, and each differing cell gets a MISMATCH line and a record."""
-    expected = golden.expected_reference_table()
-    altered = golden.ReferenceTable(
-        alpha=expected.alpha,
-        rows=expected.rows,
-        base={**expected.base, "H_C": XValue(6)},
-        inflated=expected.inflated,
-        fsp={**expected.fsp, "H_1": Fraction(1, 2)},
-        stepup=expected.stepup,
-        closed_stepup=expected.closed_stepup,
-    )
-    monkeypatch.setattr(golden, "expected_reference_table", lambda: altered)
+    """An expected table off in one evidence cell and one share of one row:
+    43/44 cells match, and each differing cell gets a MISMATCH line and a
+    record, named by its printed column, in print order."""
+    e, e_selected, _, _, closed_step_up = golden.EXPECTED["H_1"]
+    altered = {**golden.EXPECTED, "H_1": (e, e_selected, Fraction(1, 2), XValue(6), closed_step_up)}
+    monkeypatch.setattr(golden, "EXPECTED", altered)
     code, records = run(capsys, ["mtp", "--golden", "table1"])
     assert code == cli.EXIT_VIOLATION
     assert records.splitlines()[-3:] == [
         "golden matched=43 total=44 fsp_diffs=1",
-        "mismatch row=H_C column=base computed=5 expected=6",
         "mismatch row=H_1 column=fsp computed=1/3 expected=1/2",
+        "mismatch row=H_1 column=step_up computed=20 expected=6",
     ]
     assert cli.main(["mtp", "--golden", "table1"]) == cli.EXIT_VIOLATION
     assert capsys.readouterr().out.splitlines()[-3:] == [
         "golden diff: 43/44 evidence cells match",
-        "  MISMATCH H_C.base: computed 5, expected 6",
         "  MISMATCH H_1.fsp: computed 1/3, expected 1/2",
+        "  MISMATCH H_1.step_up: computed 20, expected 6",
     ]
 
 
