@@ -15,13 +15,13 @@ Every statistic the package holds against a bound is one walk,
 the hypotheses for validity, post-hoc levels, the E-posterior, the
 pushforward and the anytime envelope; each point alone for FWE, FER with a
 rule and the Grünwald bound; each distinct benchmark row's upper set for
-decide's bounds; all points at once for the predictive check. The walk
-keeps one statistic per distinct (variable, point), decided on integers
-before its one exact value is built, and a mask of the points where each
-variable fails. That is the one `Report`, which the predictive identity
-fills too; it builds an `Entry` only where one is read, and the command
-line renders its records from the walk itself. The per-outcome tables are
-built only for the checks that read one outcome at a time.
+decide's bounds; all points at once for the predictive sup and its
+identity. The walk keeps one statistic per distinct (variable, point),
+decided on integers before its one exact value is built, and a mask of the
+points where each variable fails. That is the one `Report`; it builds an
+`Entry` only where one is read, and the command line renders its records
+from the walk itself. The per-outcome tables are built only for the checks
+that read one outcome at a time.
 """
 
 from __future__ import annotations
@@ -241,8 +241,9 @@ def _pair_report(
     each of its points, in point order, makes one pair: the expectation of
     the variable under the point's distribution against the point's bound
     (by default 1), or `statistic(variable, point index)`, a (value, holds)
-    pair (the anytime envelope). A pair names its member by its index, a
-    hypothesis id, or its case in `cases`; an empty member makes none.
+    pair (the anytime envelope, the predictive identity). A pair names its
+    member by its index, a hypothesis id, or its case in `cases`; an empty
+    member makes none.
 
     The work is per distinct variable (a slot), not per pair: members whose
     variables are equal share a slot, each (slot, point) statistic is
@@ -297,14 +298,14 @@ def _pair_report(
 
 
 class Report(Record):
-    """The one report shape, a walk as it left off (`_pair_report`, or the
-    predictive identity): per slot, its statistic at each point it read and
-    the mask of the points where that statistic fails its bound; per
-    member, its bitset, slot and name (its index, or its case). It holds
-    when no slot fails. `largest()` compares each statistic once;
-    `first_violation()` builds the one entry it names, the first pair in
-    walk order (members, then points) whose statistic fails; `entries`, one
-    per pair in walk order, are built when first read, and compared."""
+    """The one report shape, a walk as it left off (`_pair_report`): per
+    slot, its statistic at each point it read and the mask of the points
+    where that statistic fails its bound; per member, its bitset, slot and
+    name (its index, or its case). It holds when no slot fails. `largest()`
+    compares each statistic once; `first_violation()` builds the one entry
+    it names, the first pair in walk order (members, then points) whose
+    statistic fails; `entries`, one per pair in walk order, are built when
+    first read, and compared."""
 
     __slots__ = ("points", "bounds", "members", "cases", "slots", "stats", "failed", "_entries")
     _compared = ("entries",)
@@ -496,8 +497,9 @@ class FiltrationTree:
         self.sample = sample
         self.shape = shape
         self.nodes, self.leaves = _flatten(shape)
-        if sorted(self.leaves) != sorted(sample.outcomes):
-            raise KernelError("tree leaves must enumerate the outcomes in order")
+        faults = _leaf_faults(self.leaves, sample)
+        if faults:
+            raise KernelError(f"tree leaves must name each outcome once; they {' and '.join(faults)}")
         self.order = [sample.positions[x] for x in self.leaves]
         self.depth = max(t for t, _, _, _ in self.nodes)
 
@@ -511,6 +513,20 @@ class FiltrationTree:
                 prod *= counts[c]
             counts.append(1 + prod if children else 1)
         return counts[-1]
+
+
+def _leaf_faults(leaves: list[str], sample: SampleSpace) -> list[str]:
+    """What the leaves get wrong, as clauses: the outcomes they miss, the
+    ones they repeat and the ones they add, which the sample lacks."""
+    count: dict[str, int] = {}
+    for x in leaves:
+        count[x] = count.get(x, 0) + 1
+    found = (
+        ("miss", [x for x in sample.outcomes if x not in count], ""),
+        ("repeat", [x for x, c in count.items() if c > 1], ""),
+        ("add", [x for x in count if x not in sample.positions], ", which the sample lacks"),
+    )
+    return [f"{verb} {xs}{note}" for verb, xs, note in found if xs]
 
 
 _CLOSE = object()
@@ -713,10 +729,11 @@ def check_predictive_validity(k: EKernel, pa: ProbabilityAssignment) -> Predicti
     evidence against the outcome's least hypothesis, which it is never
     below; where it does, the sup variable is that single variable, so its
     statistics decide both criteria. The sups are the kernel's claims
-    (`EKernel.claims`), one sweep per outcome over the distinct rows, and
-    the statistics are the pair walk of one member holding every point.
-    The identity entries come in the space's point order, whatever order
-    the sample lists the outcomes in.
+    (`EKernel.claims`), one sweep per outcome over the distinct rows. Both
+    reports are the pair walk of one member holding every point: the
+    identity's statistic is the sup at the point's outcome, against the
+    least hypothesis's value there, so its entries come in the space's
+    point order, whatever order the sample lists the outcomes in.
     """
     positions, outcomes = k.space.model.positions, k.sample.outcomes
     if sorted(positions) != sorted(outcomes):
@@ -724,15 +741,15 @@ def check_predictive_validity(k: EKernel, pa: ProbabilityAssignment) -> Predicti
     k.space.require_intersection_closed()
     least = k.space.least_ids()
     claims = k.claims()
-    n = len(outcomes)
-    at = [positions[x] for x in outcomes]  # each outcome's point index
-    sup_var = [claims[xi][pi] for xi, pi in enumerate(at)]
-    bounds = [k.rows[least[pi]][xi] for xi, pi in enumerate(at)]
-    failed = sum(1 << xi for xi in range(n) if sup_var[xi] > bounds[xi])
-    singletons = [1 << k.sample.positions[p] for p in positions]  # in the space's point order
-    identity = Report(outcomes, bounds, singletons, [None] * n, [0] * n, [sup_var], [failed])
-    stats = _pair_report(pa, [(1 << n) - 1], [scale(sup_var)], [None])
-    return PredictiveReport(identity, stats)
+    at = [k.sample.positions[p] for p in positions]  # each point's outcome index
+    sup = [claims[xi][pi] for pi, xi in enumerate(at)]
+    least_value = [k.rows[least[pi]][xi] for pi, xi in enumerate(at)]
+    sup_var = scale([sup[positions[x]] for x in outcomes])
+    every = [(1 << len(at)) - 1]
+    identity = _pair_report(
+        pa, every, [sup_var], [None], least_value, lambda _, pi: (sup[pi], sup[pi] <= least_value[pi])
+    )
+    return PredictiveReport(identity, _pair_report(pa, every, [sup_var], [None]))
 
 
 # -- pushforwards ----------------------------------------------------------

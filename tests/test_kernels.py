@@ -674,8 +674,12 @@ def test_a_sample_in_another_order_gives_the_anytime_and_predictive_reports_unch
         _, moved_pa, (moved_k,) = _reordered(order, pa, [k])
         assert check_predictive_validity(moved_k, moved_pa) == check_predictive_validity(k, pa)
     assert moved_any
-    with pytest.raises(KernelError, match="tree leaves must enumerate the outcomes in order"):
+    with pytest.raises(KernelError) as refused:
         FiltrationTree(SampleSpace(("a", "b", "c")), ["a", ["b", "b"]])
+    assert str(refused.value) == "tree leaves must name each outcome once; they miss ['c'] and repeat ['b']"
+    with pytest.raises(KernelError) as refused:
+        FiltrationTree(SampleSpace(("a", "b")), ["a", ["b", "d"]])
+    assert str(refused.value) == "tree leaves must name each outcome once; they add ['d'], which the sample lacks"
 
 
 def test_a_5000_deep_chain_flattens_and_counts_without_recursion():
