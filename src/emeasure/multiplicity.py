@@ -137,9 +137,9 @@ def self_consistent_selection(
       at least 1/alpha.
 
     The shares c_{S*}(p) / |S*| (`selection_shares`) give every
-    candidate's inflated value, the witness. If each member of S* reaches 1/alpha it is returned;
-    otherwise no selection is a fixed point, and the empty selection is
-    returned and flagged.
+    candidate's inflated value, the witness. If each member of S* reaches
+    1/alpha it is returned; otherwise no selection is a fixed point, and
+    the empty selection is returned and flagged.
     """
     alpha = _level(alpha)
     space = e.space
