@@ -310,21 +310,22 @@ def cmd_closure(args) -> int:
     e = fileio.load_evidence(args.evidence, sf)
     closed = ev.close(e)
     # The values come from the read's memo and from the claims, so a few
-    # objects repeat over every member: each object is rendered once.
+    # objects repeat over every member: each object is rendered once. A
+    # record is canonical (lowest terms, inf): equal texts are equal values.
     objects = {id(value): value for value in e.values + closed.values}
     texts = {key: value.record() for key, value in objects.items()}
-    lines = []
-    changed = 0
+    label, lines, changed = sf.space.label, [], 0
     for hid, (before, after) in enumerate(zip(e.values, closed.values)):
-        moved = before is not after and before != after
+        before, after = texts[id(before)], texts[id(after)]
+        moved = before != after
         changed += moved
         if out.records:
             lines.append(
-                f"closure hypothesis={sf.space.label(hid)} before={texts[id(before)]} "
-                f"after={texts[id(after)]} changed={'yes' if moved else 'no'}"
+                f"closure hypothesis={label(hid)} before={before} "
+                f"after={after} changed={'yes' if moved else 'no'}"
             )
         elif moved:
-            lines.append(f"  {{{sf.space.label(hid)}}}: {texts[id(before)]} -> {texts[id(after)]}")
+            lines.append(f"  {{{label(hid)}}}: {before} -> {after}")
     _write(lines)
     if changed == 0:
         out.text("no change: table is already a measure")

@@ -15,7 +15,6 @@ merge is `kernels.merge_convex`, on kernel rows.
 from __future__ import annotations
 
 import enum
-from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .spaces import HypothesisClass, Record, Space
@@ -116,25 +115,8 @@ def classify(space: Space, table: Mapping[int, object]) -> EFunction:
     n = len(space.family)
     values = [table[hid] for hid in range(n) if hid in table]
     if len(values) < n:
-        raise _missing(space, [hid for hid in range(n) if hid not in table])
-    return _wrap(space, values)
-
-
-def from_values(space: Space, values: Iterable[object]) -> EFunction:
-    """``classify`` of a table given as one value per hypothesis id, in order."""
-    n = len(space.family)
-    values = tuple(islice(values, n))
-    if len(values) < n:
-        raise _missing(space, range(len(values), n))
-    return _wrap(space, values)
-
-
-def _missing(space: Space, hids: Iterable[int]) -> NotAnEFunction:
-    """The refusal of a table that lacks the members `hids`, named by label."""
-    return NotAnEFunction(f"table misses hypotheses: {[space.label(hid) for hid in hids]}")
-
-
-def _wrap(space: Space, values: Sequence[object]) -> EFunction:
+        missing = [space.label(hid) for hid in range(n) if hid not in table]
+        raise NotAnEFunction(f"table misses hypotheses: {missing}")
     values = tuple(map(as_xvalue, values))
     if not values[space.family.empty_id].is_inf:
         raise NotAnEFunction("the empty hypothesis must carry infinite evidence")

@@ -76,12 +76,16 @@ text's tuple and cell's XValue once, so equal rows of one file are one
 object; the general path builds each row anew. A cell the command line
 prints, a decimal int or a digit ratio with a nonzero denominator, is an
 XValue in one step (`_cell`); any other is read as the general path reads
-it, the one step's oracle. The row reader takes the file only when every
-row reads as the general path reads it: a label of the label table, each
-member once, keys typed to the outcomes in order (a model's first row's
-keys), evidence values and finite masses summing to 1. Every other file,
-and every refusal, goes from the same read to the general path
-(`_read_table`, else PyYAML), which is also the row reader's oracle.
+it, the one step's oracle. Evidence and kernel rows keyed, as the command
+line lists them, by the quoted printed labels of members 1, 2, ... in id
+order fill the table by position, unless a name or 'empty' takes a printed
+label (`SpaceFile._order`); the evidence table so read is the `EFunction`.
+The row reader takes the file only when every row reads as the general
+path reads it: a label of the label table, each member once, keys typed to
+the outcomes in order (a model's first row's keys), evidence values and
+finite masses summing to 1. Every other file, and every refusal, goes from
+the same read to the general path (`_read_table`, else PyYAML), which is
+also the row reader's oracle.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ from pathlib import Path
 from typing import Optional
 
 from .decisions import ConsequenceSpace, ConsequenceTable
-from .evidence import EFunction, EvidenceError, classify, from_values
+from .evidence import EFunction, EvidenceError, classify
 from .kernels import EKernel, FiltrationTree, Pmf, ProbabilityAssignment, SampleSpace
 from .spaces import (
     MODEL_POINT_CAP,
@@ -348,21 +352,24 @@ def _load_full(path: Path | str, text: str):
 
 @functools.cache
 def _row_pattern(flat: bool) -> re.Pattern:
-    """The pattern of one row line: two spaces, a key (escape-free
-    double-quoted, or plain as the line reader's scalars are), and a plain
-    value, or a flat flow mapping of plain scalars one ": " or ", " apart."""
-    key = rf'("[ !#-\[\]-~]{{0,{_KEY_MAX}}}"|{_S})'
+    """The pattern of one row line: two spaces, a key (the inside of an
+    escape-free double-quoted one, else a plain one as the line reader's
+    scalars are), and a plain value, or a flat flow mapping of plain scalars
+    one ": " or ", " apart."""
+    key = rf'(?:"([ !#-\[\]-~]{{0,{_KEY_MAX}}})"|({_S}))'
     value = rf"\{{({_S}: {_S}(?:, {_S}: {_S})*)\}}" if flat else f"({_S})"
     return re.compile(rf"^  {key}: {value}$", re.M)
 
 
-def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes=None):
+def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes=None, order=None):
     """A file of the row shape (module docstring), matched by one pattern:
     the values of the `size` ids, in id order, of the rows whose labels
     `ids` maps to them, the outcomes their keys name, and the distinct
     flat rows in file order. A flat row's value is one tuple of XValues per
     distinct row text, keyed by `outcomes` (else the first row's keys) in
     order; `empty`, if given, is the empty member's value, written or not.
+    Rows whose quoted keys are `order`, the labels of ids 1, 2, ... in
+    order, fill those ids by position, with no lookup.
     None for any other file, a missing id, or a label, key or cell the
     general reader would read otherwise or refuse."""
     flat = head != "evidence"
@@ -370,9 +377,10 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
     found = text.startswith(head + ":\n") and _row_pattern(flat).findall(body)
     if not found or len(found) != body.count("\n") + (body[-1] != "\n"):
         return None  # a line the pattern does not match
+    quoted, _, values = zip(*found)
     scalars = _Scalars()
     cell = functools.cache(functools.partial(_cell, path, scalars))  # once per distinct text
-    rows = dict.fromkeys(value for _, value in found)  # each distinct row text, in file order
+    rows = dict.fromkeys(values)  # each distinct row text, in file order
     checked = set()  # the outcome-name tuples whose typing matched `outcomes`
     slots: list = [None] * size
     try:
@@ -389,11 +397,14 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
                     return None
                 checked.add(names)
             rows[value] = tuple(map(cell, parts[1::2]))
-        for key, value in found:
-            i = ids.get(key[1:-1] if key[0] == '"' else scalars[key])
-            if i is None or slots[i] is not None:
-                return None
-            slots[i] = rows[value]
+        if quoted == order:
+            slots[1:] = map(rows.__getitem__, values)
+        else:
+            for key, name, value in found:
+                i = ids.get(scalars[name] if name else key)
+                if i is None or slots[i] is not None:
+                    return None
+                slots[i] = rows[value]
     except (KeyError, ValueError, SchemaError):
         return None
     filled = len(found)
@@ -450,6 +461,7 @@ class SpaceFile:
         self.space = space
         self.names = names
         self._ids: Optional[dict[str, int]] = None  # built on the first read
+        self._order: Optional[tuple[str, ...]] = None  # ids 1, 2, ... by their own printed labels
 
     def resolve(self, path, label: str) -> int:
         """The id of a hypothesis label (see the module docstring)."""
@@ -480,6 +492,8 @@ class SpaceFile:
             space = self.space
             printed = all(p and "," not in p and p.strip() == p for p in space.model.points)
             ids = space.printed_ids() if printed else {}
+            if printed and ids.keys().isdisjoint(["empty", "{}", *self.names]):
+                self._order = tuple(ids)
             ids["empty"] = ids["{}"] = space.family.empty_id
             ids.update(self.names)
             self._ids = ids
@@ -563,9 +577,10 @@ def _point_index(path, model: Model, raw) -> int:
 def load_evidence(path: Path | str, sf: SpaceFile) -> EFunction:
     """The evidence table, classified; the empty hypothesis defaults to inf."""
     text = _read_text(path)
-    found = _rows(path, text, "evidence", sf._labels(), len(sf.space.family), INF)
-    if found:
-        return from_values(sf.space, found[0])
+    ids = sf._labels()
+    found = _rows(path, text, "evidence", ids, len(sf.space.family), INF, None, sf._order)
+    if found:  # XValues, inf on the empty member
+        return EFunction(sf.space, tuple(found[0]))
     table = _parse(path, text).get("evidence")
     if not isinstance(table, dict):
         raise SchemaError(path, "'evidence' must map hypothesis labels to values")
@@ -637,8 +652,8 @@ def load_kernel(path: Path | str, sf: SpaceFile, sample: SampleSpace) -> EKernel
     are one tuple when the row reader takes the file; the general path
     reads every row anew."""
     text = _read_text(path)
-    n = len(sf.space.family)
-    found = _rows(path, text, "kernel", sf._labels(), n, (INF,) * sample.size, sample.outcomes)
+    n, ids = len(sf.space.family), sf._labels()
+    found = _rows(path, text, "kernel", ids, n, (INF,) * sample.size, sample.outcomes, sf._order)
     if found:
         return EKernel(sf.space, sample, found[0])
     data = _parse(path, text)

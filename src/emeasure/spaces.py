@@ -118,11 +118,12 @@ class HypothesisClass(Record):
         self, width: int, bitsets: Iterable[int], generators: Optional[tuple[int, ...]] = None
     ):
         self.width = width
-        members = sorted(set(bitsets) | {0})
+        # A set that holds 0, as `union_closure`'s fresh one does, is sorted as it is.
+        members = sorted(bitsets if type(bitsets) is set and 0 in bitsets else {0, *bitsets})
         members.sort(key=int.bit_count)  # stable: ties stay in value order
         self.members = tuple(members)
         self.generators = self.members if generators is None else generators
-        self._index = {bits: i for i, bits in enumerate(members)}
+        self._index = dict(zip(members, range(len(members))))
         self._indices: list[Optional[tuple[int, ...]]] = [None] * len(members)
         self._irreducible: Optional[tuple[int, ...]] = None
 

@@ -66,6 +66,12 @@ def fraction_level_arg(raw):
 # -- the per-outcome view of kernels and distributions ----------------------
 
 
+def from_values(space, values):
+    """``classify`` of a table given as one value per hypothesis id, in order;
+    values past the family's size are ignored."""
+    return classify(space, dict(zip(range(len(space.family)), values)))
+
+
 def kernel_of(space, sample, columns):
     """The kernel of one evidence table per outcome, in outcome order."""
     assert len(columns) == sample.size and all(col.space == space for col in columns)

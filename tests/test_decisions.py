@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import from_values
 from emeasure import (
     ConsequenceSpace,
     ConsequenceTable,
@@ -40,7 +41,7 @@ from emeasure import (
 )
 from emeasure import decisions
 from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
-from emeasure.evidence import from_values, measure_from_density
+from emeasure.evidence import measure_from_density
 from emeasure.spaces import preimages
 from emeasure.kernels import KernelError
 

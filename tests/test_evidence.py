@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import from_values
 from emeasure import (
     EClass,
     INF,
@@ -13,7 +14,7 @@ from emeasure import (
     classify,
     close,
 )
-from emeasure.evidence import ClassMismatch, NotAnEFunction, from_values, measure_from_density
+from emeasure.evidence import ClassMismatch, NotAnEFunction, measure_from_density
 from emeasure import evidence as ev
 from emeasure import golden
 

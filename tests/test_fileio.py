@@ -891,6 +891,58 @@ def test_the_row_reader_reads_as_the_general_reader(tmp_path, monkeypatch):
     assert min(taken.values()) > 0, taken
 
 
+class _Lookups(dict):
+    """A label table that counts the lookups the row reader makes in it."""
+
+    made = 0
+
+    def get(self, key, default=None):
+        self.made += 1
+        return dict.get(self, key, default)
+
+
+def test_rows_in_id_order_are_placed_by_position(tmp_path, monkeypatch):
+    """Evidence and kernel files whose quoted keys are the printed labels
+    of members 1, 2, ... in id order fill their table by position: the row
+    reader takes them and looks up no label. With the rows reversed it looks
+    each one up. Both read as the general reader reads them. A space whose
+    declared names leave every printed label its own member keeps the
+    positional path; a name or a point 'empty' that takes a printed label
+    drops it."""
+    quoted = lambda labels: "[" + ", ".join(f"'{label}'" for label in labels) + "]"
+    texts = [
+        f"points: {quoted(space.model.points)}\ngenerators: ["
+        + ", ".join(quoted(helpers.labels_of(space.model, m)) for m in space.family.members if m)
+        + "]\n"
+        for space, _ in ROW_SPACES
+    ]
+    texts += ["points: [a, b]\ngenerators: {H1: [a], H2: [b]}\n",
+              "points: [a, b]\ngenerators: {b: [a], c: [b]}\n",
+              "points: [empty, b]\ngenerators: [[empty], [b]]\n"]
+    sfs = []
+    for i, text in enumerate(texts):
+        (tmp_path / f"space{i}.yaml").write_text(text)
+        sfs.append(fileio.load_space(tmp_path / f"space{i}.yaml"))
+    assert [sf._labels() and sf._order for sf in sfs[-3:]] == [("a", "b", "a,b"), None, None]
+    r = helpers.rng(46)
+    for i, sf in enumerate(sfs[:-2]):
+        sf._ids = table = _Lookups(sf._labels())
+        sample = SampleSpace(("x", "y"))
+        labels = [f'"{sf.space.label(hid)}"' for hid in sf.space.family.nonempty_ids()]
+        for kind in ("evidence", "kernel"):
+            values = [str(r.randint(0, 9)) if kind == "evidence"
+                      else f"{{x: {r.randint(0, 9)}, y: {r.randint(0, 9)}}}" for _ in labels]
+            for swapped in (False, True):
+                keys = labels[::-1] if swapped else labels
+                path = tmp_path / f"{kind}.yaml"
+                path.write_text(f"{kind}:\n" + "".join(f"  {k}: {v}\n" for k, v in zip(keys, values)))
+                table.made = 0
+                LOADS[kind][0](path, sf, sample)
+                assert table.made == (len(labels) if swapped else 0), (i, kind, swapped)
+                (shipped, general), took = read_both_ways(monkeypatch, kind, path, sf, sample)
+                assert shipped == general and took, (i, kind, swapped)
+
+
 def test_a_plain_yes_is_no_quoted_yes_outcome(tmp_path, monkeypatch):
     """Beside a model whose outcome is the quoted string "yes", a kernel
     that writes yes plain, which YAML reads as true, is refused both ways,

@@ -17,7 +17,7 @@ import yaml
 import helpers
 from emeasure import INF, SampleSpace, XValue, cli, fileio
 from emeasure import kernels as kn
-from emeasure import spaces, xvalue
+from emeasure import evidence, spaces, xvalue
 from emeasure.xvalue import order_keys
 
 
@@ -391,6 +391,48 @@ def test_a_check_reads_its_table_files_in_one_pass(monkeypatch, capsys, tmp_path
         assert cli.main(list(job.argv)) == job.expect, job.kind
         assert calls == _one_pass(job.argv), job.kind
     capsys.readouterr()
+
+
+def test_a_closure_compares_and_wraps_no_value_per_member(monkeypatch, capsys, tmp_path):
+    """L5 `closure`, records format, on perfbench's capacity inputs over the
+    64-, 256- and 1,024-member chain families: the row reader's table is
+    the closure's input as read, and each line is rendered from its
+    values' texts, so neither `XValue.__eq__` nor `xvalue.as_xvalue` runs
+    once per member. Each runs at most once per distinct value of the
+    table, and its count (plus one, so that none counts 0) grows with a
+    log-log slope of at most 0.2 in members; once per member is a slope
+    of 1."""
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
+    import workloads
+
+    calls = {"__eq__": 0, "as_xvalue": 0}
+    eq, as_xvalue = XValue.__eq__, xvalue.as_xvalue
+
+    def counted_eq(self, other):
+        calls["__eq__"] += 1
+        return eq(self, other)
+
+    def counted_as_xvalue(value):
+        calls["as_xvalue"] += 1
+        return as_xvalue(value)
+
+    monkeypatch.setattr(XValue, "__eq__", counted_eq)
+    for module in (xvalue, evidence, kn, fileio, cli):
+        if getattr(module, "as_xvalue", None) is as_xvalue:
+            monkeypatch.setattr(module, "as_xvalue", counted_as_xvalue)
+    sizes, counts = [64, 256, 1024], {name: [] for name in calls}
+    for points in (6, 8, 10):
+        corpus = workloads.Corpus(tmp_path / str(points), "lattice", 11)
+        corpus.dir.mkdir()
+        job = workloads.closure_job(corpus, ("chains", (1,) * points, "preorder"), "capacity")
+        calls.update(dict.fromkeys(calls, 0))
+        assert cli.main(list(job.argv)) == cli.EXIT_OK
+        distinct = len(set(re.findall(r" before=(\S+)", capsys.readouterr().out)))
+        assert max(calls.values()) <= distinct, (points, calls, distinct)
+        for name, count in calls.items():
+            counts[name].append(count + 1)
+    for name, series in counts.items():
+        assert slope(sizes, series) <= 0.2, (name, series)
 
 
 @pytest.mark.parametrize("kind", ["fwe", "fer-family", "predictive"])

@@ -15,8 +15,8 @@ import pytest
 import helpers
 from emeasure import Model, XValue, ZERO, shilkret_integral, sup_of
 from emeasure.decisions import OrderMeasurabilityViolation
-from emeasure.evidence import EClass, from_values
-from helpers import OrderMeasurableFn
+from emeasure.evidence import EClass
+from helpers import OrderMeasurableFn, from_values
 
 
 def two_point_measure():

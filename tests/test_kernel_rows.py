@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import helpers
+from helpers import from_values
 from emeasure import (
     EClass,
     EKernel,
@@ -31,7 +32,7 @@ from emeasure import (
 )
 from emeasure import fileio
 from emeasure import kernels as kn
-from emeasure.evidence import ClassMismatch, from_values
+from emeasure.evidence import ClassMismatch
 from emeasure.multiplicity import SelectionRule
 
 DATA = Path(__file__).parent / "data"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import from_values
 from emeasure import (
     ConsequenceTable,
     EClass,
@@ -32,7 +33,7 @@ from emeasure import (
     merge_convex,
     pushforward_kernel,
 )
-from emeasure.evidence import EvidenceError, from_values
+from emeasure.evidence import EvidenceError
 from emeasure import kernels as kn
 from emeasure.kernels import Entry, KernelError, MeasurabilityError, Report
 from emeasure.multiplicity import SelectionRule

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import from_values
 from emeasure import (
     EClass,
     INF,
@@ -25,7 +26,7 @@ from emeasure import (
     self_consistent_selection,
     union_closure,
 )
-from emeasure.evidence import from_values, measure_from_density
+from emeasure.evidence import measure_from_density
 from emeasure.spaces import NotIntersectionClosed
 from emeasure import ZERO, golden
 from emeasure import multiplicity as mtp

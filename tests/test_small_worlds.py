@@ -50,6 +50,7 @@ import itertools
 from fractions import Fraction
 
 import helpers
+from helpers import from_values
 from emeasure import (
     ConsequenceTable, EClass, EKernel, EProcess, INF, Model, ONE, Pmf, ProbabilityAssignment,
     SampleSpace, Space, XValue, ZERO, admissible_decisions, check_anytime_validity,
@@ -58,7 +59,7 @@ from emeasure import (
 from emeasure import decisions as dec
 from emeasure import kernels as kn
 from emeasure import multiplicity as mtp
-from emeasure.evidence import from_values, measure_from_density
+from emeasure.evidence import measure_from_density
 from emeasure.spaces import HypothesisClass
 
 ALPHABET = (ZERO, XValue(Fraction(1, 2)), ONE, INF)

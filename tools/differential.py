@@ -68,8 +68,9 @@ sides get the same inputs:
   refuses. One input in ten takes its outcome labels from
   `TYPED_OUTCOMES`, in the tree's leaves too. Their model rows are written
   in one of `MODEL_FORMS`, a quarter with the outcomes shuffled in each
-  row, which the check reads in the tree's leaf order (named
-  `anytime/N`);
+  row, which the check reads in the tree's leaf order. One tree in twenty,
+  drawn apart from the rest, has leaves that miss, repeat or add an
+  outcome (named `anytime/N`);
 - 120 seeded random `check --check predictive` inputs, in both formats: a
   power set or chain space on two to four points, which is
   intersection-closed, whose points are the outcomes, with kernels and
@@ -87,6 +88,14 @@ sides get the same inputs:
   are spelled as the `check` inputs spell them; one input in eight names one member
   twice in two spellings, one in eight leaves a nonempty member out, and
   one in twenty gives the empty member a finite value (named `closure/N`);
+- 120 seeded random `closure` and `check` inputs, in both formats, whose
+  evidence or kernel rows are keyed by the quoted printed labels of the
+  nonempty members in id order, as the command line lists them, over
+  spaces written as they come, with their generators declared by name
+  (at times a name that is another member's printed label) or with a
+  point named `empty`; one in six swaps two rows, so the row reader's
+  positional placement and its lookup are both compared (named
+  `printed/N`);
 - 120 seeded levels, in the records and in the text format, each given
   as `--alpha` to `mtp --golden table1`, `mtp --procedure ebh` or `decide
   --bound probability`, or as `--rule` to `check --check posthoc`, on
@@ -136,6 +145,7 @@ ARGV_PER_CASE = 5  # mutated command lines per corpus case, from the first seed
 CHAIN_DECISIONS = (12, 48, 96)  # decisions D on the 24-point prefix chain
 LATTICE_INPUTS = 240  # random `space` inputs, and as many `closure` inputs
 LEVEL_INPUTS = 120  # `--alpha` and `--rule` spellings, from the first seed
+PRINTED_INPUTS = 120  # `closure` and `check` inputs keyed in id order, from the first seed
 
 # What one run of an argv gives: exit code, stdout and stderr.
 Result = tuple[object, str, str]
@@ -737,6 +747,42 @@ def _tree_text(w, shape, labels: Iterable[str]) -> str:
     return f"tree: {text(shape)}\n"
 
 
+# How `_bad_leaves` breaks a tree's leaves: a leaf renamed to another
+# outcome or to an unknown one, a leaf added under the root named either
+# way, or a leaf dropped.
+TREE_FAULTS = ("repeat", "unknown", "extra-repeat", "extra-unknown", "drop")
+
+
+def _bad_leaves(rng: random.Random, shape, paths, outcomes) -> tuple[list, list[str]]:
+    """A copy of the tree `shape` whose leaves, named in order by the labels
+    returned, miss, repeat or add an outcome: a renamed leaf misses one and
+    repeats or adds one, an added leaf repeats or adds one, and a leaf
+    dropped from a node that keeps another child misses one."""
+    shape, labels = json.loads(json.dumps(shape)), list(outcomes)
+    fault = rng.choice(TREE_FAULTS)
+    drops = [k for k, path in enumerate(paths) if len(_node(shape, path[:-1])) > 1]
+    if fault == "drop" and drops:
+        k = rng.choice(drops)
+        del _node(shape, paths[k][:-1])[paths[k][-1]]
+        del labels[k]
+        return shape, labels
+    i = rng.randrange(len(labels))
+    name = rng.choice([x for x in outcomes if x != labels[i]]) if "repeat" in fault else "zz"
+    if fault.startswith("extra"):
+        shape.append(None)
+        labels.append(name)
+    else:
+        labels[i] = name
+    return shape, labels
+
+
+def _node(shape, path: tuple[int, ...]):
+    """The node of `shape` at `path`, its child positions from the root."""
+    for i in path:
+        shape = shape[i]
+    return shape
+
+
 def _step_columns(rng: random.Random, orc, w, sp, paths, pmfs, ref, t: int, scale) -> list[dict]:
     """The step-t kernel as one table per outcome, the same table on every
     outcome of a depth-t atom: the outcomes whose paths share their first t
@@ -780,9 +826,12 @@ def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     redraws one member's value at one outcome of a step whose atom holds
     others, which the check refuses where the value changes; one in ten
     takes its outcome labels from `TYPED_OUTCOMES`. The model rows are
-    written in one of `MODEL_FORMS`."""
+    written in one of `MODEL_FORMS`. One tree in twenty names its leaves
+    wrong (`_bad_leaves`), which the check refuses once the kernels are
+    read."""
     orc, w = _perfbench()
     rng = random.Random(f"anytime/{seed}")
+    faults = random.Random(f"anytime-tree/{seed}")  # apart, so the other draws stay as they were
     inputs = inputs / f"anytime-{seed}"
     inputs.mkdir()
     jobs = []
@@ -811,10 +860,13 @@ def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
             i = rng.choice(shared[t])
             b = rng.choice([b for b in sp.family if b])
             steps[t][i] = {**steps[t][i], b: _value(rng, orc.INF)}
+        leaves = outcomes
+        if faults.random() < 0.05:
+            shape, leaves = _bad_leaves(faults, shape, paths, outcomes)
         files = {
             "space": sp.text,
             "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(MODEL_FORMS), n),
-            "tree": _tree_text(w, shape, outcomes),
+            "tree": _tree_text(w, shape, leaves),
         }
         argv = ["check", "--check", "anytime"]
         for kind, text in files.items():
@@ -1007,6 +1059,77 @@ def closure_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     return jobs
 
 
+def _printed_space(rng: random.Random, orc, w):
+    """A `_random_space` written with its join-irreducible members as
+    generators, in one of three ways: as they come, declared by name, or
+    with one point named `empty`. A declared name is fresh two times in
+    three, else the printed label of some member, which it then takes
+    over."""
+    sp = _random_space(rng, orc, w, None if rng.random() < 0.5 else rng.randint(2, 4))
+    points, form = list(sp.points), rng.choice(("plain", "named", "empty-point"))
+    if form == "empty-point":
+        points[rng.randrange(len(points))] = "empty"
+    sp = w.SpaceSpec(points, sp.family, "")
+    gens = [m for m in sp.family if m and _union(x for x in sp.family if x & ~m == 0 and x != m) != m]
+    lists = [w._yaml_list(points[i] for i in orc.bits_of(g, sp.width)) for g in gens]
+    text = f"points: {w._yaml_list(points)}\n"
+    if form != "named":
+        return w.SpaceSpec(points, sp.family, text + f"generators: {w._yaml_list(lists)}\n")
+    names: dict[str, str] = {}
+    for i, generator in enumerate(lists):
+        name = sp.label(rng.choice(sp.family[1:])) if rng.random() < 1 / 3 else f"h{i}"
+        names[name if name not in names else f"h{i}"] = generator
+    return w.SpaceSpec(points, sp.family, text + "generators:\n" + "".join(
+        f'  "{name}": {generator}\n' for name, generator in names.items()
+    ))
+
+
+def printed_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
+    """Random `closure` and `check` inputs over `_printed_space`s whose
+    evidence or kernel rows are keyed by the quoted printed labels of
+    members 1, 2, ... in id order, as the command line lists them, with no
+    row for the empty member: the row reader places such rows by position
+    unless a name or a point `empty` takes a printed label, and then looks
+    each key up, which reads the table otherwise or refuses it. One input
+    in six swaps two rows. Evidence cells are spelled as `_spell` spells
+    them; kernels are drawn as `_random_columns` draws them, with
+    `--check` validity, fwe or fer. Each input runs in both formats (named
+    `printed/N`)."""
+    orc, w = _perfbench()
+    rng = random.Random(f"printed/{seed}")
+    inputs = inputs / f"printed-{seed}"
+    inputs.mkdir()
+    jobs = []
+    for n in range(count):
+        sp = _printed_space(rng, orc, w)
+        files = {"space": sp.text}
+        if rng.random() < 0.5:
+            values = _table(rng, orc, w, sp, rng.choice(TABLE_KINDS))
+            rows = [_spell(rng, values[b], orc.INF) for b in sp.family[1:]]
+            argv = ["closure"]
+        else:
+            outcomes = [f"x{i + 1}" for i in range(rng.randint(2, 3))]
+            pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in sp.points]
+            columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
+            files["model"] = _model_text(rng, orc, sp.points, outcomes, pmfs, "printed", n)
+            rows = ["{" + ", ".join(f"{x}: {orc.fmt(col[b])}" for x, col in zip(outcomes, columns)) + "}"
+                    for b in sp.family[1:]]
+            argv = ["check", "--check", rng.choice(("validity", "fwe", "fer"))]
+        keys = [sp.label(b) for b in sp.family[1:]]
+        if rng.random() < 1 / 6 and len(keys) > 1:
+            i, j = rng.sample(range(len(keys)), 2)
+            keys[i], keys[j] = keys[j], keys[i]
+        kind = "evidence" if argv[0] == "closure" else "kernel"
+        files[kind] = f"{kind}:\n" + "".join(f'  "{key}": {row}\n' for key, row in zip(keys, rows))
+        for name, text in files.items():
+            path = inputs / f"p{n:04d}_{name}.yaml"
+            path.write_text(text)
+            argv += [f"--{name}", str(path)]
+        argv = tuple(argv)
+        jobs += [Job(f"printed/{n}", argv + ("--format", "records")), Job(f"printed/{n}", argv)]
+    return jobs
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--serve"]:
@@ -1032,6 +1155,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         jobs += predictive_jobs(inputs, args.seeds[0], PREDICTIVE_INPUTS)
         jobs += space_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
         jobs += closure_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
+        jobs += printed_jobs(inputs, args.seeds[0], PRINTED_INPUTS)
         jobs += level_jobs(args.seeds[0], LEVEL_INPUTS)
         jobs += argv_jobs(args.seeds[0], ARGV_PER_CASE)
         base, change = Side(base_src, inputs), Side(ROOT / "src", inputs)
