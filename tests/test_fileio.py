@@ -1,7 +1,10 @@
 """YAML input: the fast loader reads exactly what the safe pure-Python loader reads."""
 
 import gc
+import os
 import re
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -941,6 +944,81 @@ def test_rows_in_id_order_are_placed_by_position(tmp_path, monkeypatch):
                 assert table.made == (len(labels) if swapped else 0), (i, kind, swapped)
                 (shipped, general), took = read_both_ways(monkeypatch, kind, path, sf, sample)
                 assert shipped == general and took, (i, kind, swapped)
+
+
+def _ab_files(tmp_path, kernel_rows):
+    """A two-coin space over points a and b, a model over outcomes o1 and
+    o2, and a kernel of `kernel_rows`; the paths, in `check`'s order."""
+    (tmp_path / "space.yaml").write_text("points: [a, b]\ngenerators: [[a], [b]]\n")
+    (tmp_path / "model.yaml").write_text("pmf:\n  a: {o1: 1/2, o2: 1/2}\n  b: {o1: 1/4, o2: 3/4}\n")
+    (tmp_path / "kernel.yaml").write_text("kernel:\n" + "".join(f"  {row}\n" for row in kernel_rows))
+    return [tmp_path / name for name in ("space.yaml", "model.yaml", "kernel.yaml")]
+
+
+def test_rows_of_unequal_width_are_declined_and_refused_by_the_general_path(tmp_path, monkeypatch, capsys):
+    """Rows {o1, o2}, {o1, o2, o1} and {o2} name o1, o2 three times over in
+    twelve cells, so only the count of each row's cells tells them from
+    three rows of two: the row reader declines the file, and the general
+    path reads the repeated key's last value and refuses the short row."""
+    space, model, kernel = _ab_files(
+        tmp_path, ['"a": {o1: 1, o2: 1}', '"b": {o1: 1, o2: 1, o1: 2}', '"a,b": {o2: 3}']
+    )
+    rows, taken = fileio._rows, {}
+    monkeypatch.setattr(fileio, "_rows", lambda *args: taken.setdefault(args[2], rows(*args)))
+    argv = ["check", "--check", "validity", "--space", str(space), "--model", str(model),
+            "--kernel", str(kernel)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {kernel}: row for 'a,b' misses outcome 'o1'\n"
+    assert taken["pmf"] is not None and taken["kernel"] is None
+
+
+@pytest.mark.parametrize("kernel_rows", [
+    ['"a": {o1: 1, o2: 2}', '"b": {o2: 3, o1: 4}', '"a,b": {o1: 1, o2: 2}'],
+    ['"a": {o2: 1, o1: 2}', '"b": {o2: 3, o1: 4}', '"a,b": {o2: 1, o1: 2}'],
+    ['"a": {o1: 1, o2: 2}', '"b": {o1: 3, o2: 4}', '"a,b": {o2: 1, o1: 2}'],
+], ids=["middle", "all", "last"])
+def test_rows_naming_outcomes_in_another_order_read_as_the_general_reader(tmp_path, monkeypatch, kernel_rows):
+    """Kernel rows that name the model's outcomes in another order, some or
+    all of them, and a model whose second row does, read as the general
+    reader reads them."""
+    space, model, kernel = _ab_files(tmp_path, kernel_rows)
+    model.write_text("pmf:\n  a: {o1: 1/2, o2: 1/2}\n  b: {o2: 3/4, o1: 1/4}\n")
+    sf = fileio.load_space(space)
+    sample = fileio.load_pmfs(model, sf.space.model).sample
+    for kind, path in (("kernel", kernel), ("pmf", model)):
+        (shipped, general), _ = read_both_ways(monkeypatch, kind, path, sf, sample)
+        assert shipped == general and type(shipped[0]) is SampleSpace, kind
+
+
+def test_a_fifo_written_in_two_chunks_reads_whole(tmp_path):
+    """A space file read from a FIFO whose writer sends half, waits 0.3 s
+    and sends the rest is read whole, not up to the first pause."""
+    path = tmp_path / "space.fifo"
+    os.mkfifo(path)
+    text = "points: [a, b]\ngenerators: [[a], [b]]\n"
+
+    def write():
+        with open(path, "wb", buffering=0) as fh:
+            fh.write(text[:20].encode())
+            time.sleep(0.3)
+            fh.write(text[20:].encode())
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        assert fileio._read_text(path) == text
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_a_directory_is_refused_with_the_os_words(tmp_path, capsys):
+    """A directory given as a space file exits 2 naming it, in the OS's
+    words."""
+    with pytest.raises(fileio.SchemaError, match=f"^{re.escape(str(tmp_path))}: Is a directory$"):
+        fileio._read_text(tmp_path)
+    assert cli.main(["space", "--space", str(tmp_path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {tmp_path}: Is a directory\n")
 
 
 def test_a_plain_yes_is_no_quoted_yes_outcome(tmp_path, monkeypatch):
