@@ -68,12 +68,16 @@ of the empty member.
 
 Kernel, model and evidence files mostly have the row shape, which the
 command line prints: a ``kernel:``, ``pmf:`` or ``evidence:`` line, then
-only rows indented by two spaces, ``KEY: {x1: v, ..., xk: v}`` or
-``KEY: v``, their keys as above, with no blank, comment or padding. A row
-reader (`_rows`) matches all rows of such a file with one pattern, types
-each distinct key and outcome-name tuple once and builds each distinct row
-text's tuple and cell's XValue once, so equal rows of one file are one
-object; the general path builds each row anew. A cell the command line
+only rows indented by two spaces, ``KEY: {x1: v, ..., xk: v}`` (flat)
+or ``KEY: v``, their keys as above, with no blank, comment or padding. A
+row reader (`_rows`) matches all rows of such a file with one pattern of
+a key and a value, a flat row's inside its braces. Each distinct inside
+is checked once against the flat-row pattern; the distinct insides are
+joined and split once, and taken when every one has the first's width
+and names, typed once, in order. Each distinct key is typed once, and
+each distinct row text's tuple and cell's XValue built once, the cells in
+a memo of the file (`_Cells`), so equal rows of one file are one object;
+the general path builds each row anew. A cell the command line
 prints, a decimal int or a digit ratio with a nonzero denominator, is an
 XValue in one step (`_cell`); any other is read as the general path reads
 it, the one step's oracle. Evidence and kernel rows keyed, as the command
@@ -85,7 +89,8 @@ path reads it: a label of the label table, each member once, keys typed to
 the outcomes in order (a model's first row's keys), evidence values and
 finite masses summing to 1. Every other file, and every refusal, goes from
 the same read to the general path (`_read_table`, else PyYAML), which is
-also the row reader's oracle.
+also the row reader's oracle. Every file is read by raw reads until one
+comes back empty, as a FIFO may deliver less at a time (`_read_text`).
 """
 
 from __future__ import annotations
@@ -93,6 +98,7 @@ from __future__ import annotations
 import functools
 import io
 import locale
+import os
 import re
 from pathlib import Path
 from typing import Optional
@@ -302,11 +308,18 @@ def _read_table(text: str):
 
 
 def _read_text(path: Path | str) -> str:
-    """The file's text: one unbuffered binary read, decoded with the encoding
-    text mode would use, its line ends translated as text mode does."""
+    """The file's text: raw reads of up to 64 KiB until one comes back
+    empty, decoded with the encoding text mode would use, its line ends
+    translated as text mode does."""
     try:
-        with open(path, "rb", buffering=0) as fh:
-            text = fh.read().decode(locale.getpreferredencoding(False))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode(locale.getpreferredencoding(False))
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
     except OSError as exc:  # a directory, or a file it may not read
@@ -351,52 +364,69 @@ def _load_full(path: Path | str, text: str):
 
 
 @functools.cache
-def _row_pattern(flat: bool) -> re.Pattern:
+def _row_pattern(flat: bool) -> tuple[re.Pattern, Optional[re.Pattern]]:
     """The pattern of one row line: two spaces, a key (the inside of an
     escape-free double-quoted one, else a plain one as the line reader's
-    scalars are), and a plain value, or a flat flow mapping of plain scalars
-    one ": " or ", " apart."""
+    scalars are), and a plain value, or the inside of a flow mapping; and
+    for that inside, the pattern of a flat one, plain scalars one ": " or
+    ", " apart."""
     key = rf'(?:"([ !#-\[\]-~]{{0,{_KEY_MAX}}})"|({_S}))'
-    value = rf"\{{({_S}: {_S}(?:, {_S}: {_S})*)\}}" if flat else f"({_S})"
-    return re.compile(rf"^  {key}: {value}$", re.M)
+    if not flat:
+        return re.compile(rf"^  {key}: ({_S})$", re.M), None
+    inside = re.compile(rf"{_S}: {_S}(?:, {_S}: {_S})*")
+    return re.compile(rf"^  {key}: \{{(.*)\}}$", re.M), inside
+
+
+class _Cells(dict):
+    """The XValue of each distinct cell text of one row file (`_cell`)."""
+
+    def __init__(self, path, scalars: _Scalars):
+        self.path = path
+        self.scalars = scalars
+
+    def __missing__(self, text):
+        self[text] = value = _cell(self.path, self.scalars, text)
+        return value
 
 
 def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes=None, order=None):
     """A file of the row shape (module docstring), matched by one pattern:
     the values of the `size` ids, in id order, of the rows whose labels
     `ids` maps to them, the outcomes their keys name, and the distinct
-    flat rows in file order. A flat row's value is one tuple of XValues per
+    rows in file order. A flat row's value is one tuple of XValues per
     distinct row text, keyed by `outcomes` (else the first row's keys) in
     order; `empty`, if given, is the empty member's value, written or not.
-    Rows whose quoted keys are `order`, the labels of ids 1, 2, ... in
-    order, fill those ids by position, with no lookup.
+    The distinct flat rows are split at once, and taken when each names
+    the first row's keys, typed once, in its order. Rows whose quoted keys
+    are `order`, the labels of ids 1, 2, ... in order, fill those ids by
+    position, with no lookup.
     None for any other file, a missing id, or a label, key or cell the
     general reader would read otherwise or refuse."""
-    flat = head != "evidence"
+    line, inside = _row_pattern(head != "evidence")
     body = text[len(head) + 2 :]
-    found = text.startswith(head + ":\n") and _row_pattern(flat).findall(body)
+    found = text.startswith(head + ":\n") and line.findall(body)
     if not found or len(found) != body.count("\n") + (body[-1] != "\n"):
         return None  # a line the pattern does not match
     quoted, _, values = zip(*found)
     scalars = _Scalars()
-    cell = functools.cache(functools.partial(_cell, path, scalars))  # once per distinct text
-    rows = dict.fromkeys(values)  # each distinct row text, in file order
-    checked = set()  # the outcome-name tuples whose typing matched `outcomes`
+    cells = _Cells(path, scalars)  # once per distinct text
+    texts = list(dict.fromkeys(values))  # each distinct row text, in file order
     slots: list = [None] * size
     try:
-        for value in rows:
-            if not flat:
-                rows[value] = cell(value)
-                continue
-            parts = value.replace(": ", ", ").split(", ")
-            names = tuple(parts[::2])
-            if names not in checked:
-                if outcomes is None and len(set(names)) == len(names):
-                    outcomes = names
-                if tuple(map(scalars.__getitem__, names)) != outcomes:
-                    return None
-                checked.add(names)
-            rows[value] = tuple(map(cell, parts[1::2]))
+        if inside is None:
+            rows = dict(zip(texts, map(cells.__getitem__, texts)))
+        else:
+            width = texts[0].count(", ")  # of each row: its outcomes less one
+            if not all(map(inside.fullmatch, texts)) or any(t.count(", ") != width for t in texts):
+                return None
+            parts = ", ".join(texts).replace(": ", ", ").split(", ")
+            names = parts[: 2 * width + 1 : 2]
+            if outcomes is None and len(set(names)) == len(names):
+                outcomes = tuple(names)
+            if parts[::2] != names * len(texts) or tuple(map(scalars.__getitem__, names)) != outcomes:
+                return None
+            row_cells = map(cells.__getitem__, parts[1::2])
+            rows = dict(zip(texts, zip(*[row_cells] * (width + 1))))
         if quoted == order:
             slots[1:] = map(rows.__getitem__, values)
         else:

@@ -285,11 +285,26 @@ class Space(Record):
 
         Members come in id order, which puts a member after the member it
         holds less its lowest point, so a member's label is its lowest
-        point's label before that member's label, and ``Model.label`` only
-        when that set is no member.
+        point's label before that member's label. When that set is no
+        member, its label is built the same way, once per call.
         """
         points, labels = self.model.points, self._labels
         index, members = self.family._index, self.family.members
+        others: dict[int, str] = {}  # the labels of the sets that are no member
+
+        def tail(bits: int) -> str:
+            hid = index.get(bits)
+            if hid is not None:
+                return labels[hid]
+            label = others.get(bits)
+            if label is None:
+                low = bits & -bits
+                label = points[low.bit_length() - 1]
+                if bits != low:
+                    label += "," + tail(bits ^ low)
+                others[bits] = label
+            return label
+
         ids = {}
         for hid in range(1, len(members)):
             bits = members[hid]
@@ -297,7 +312,7 @@ class Space(Record):
             label = points[low.bit_length() - 1]
             if bits != low:
                 rest = index.get(bits ^ low)
-                label = self.model.label(bits) if rest is None else label + "," + labels[rest]
+                label += "," + (labels[rest] if rest is not None else tail(bits ^ low))
             labels[hid] = label
             ids[label] = hid
         return ids

@@ -312,6 +312,36 @@ def test_every_union_closed_family_on_up_to_four_points_matches_the_oracles():
     assert counts == [2, 7, 61, 2480]
 
 
+def test_printed_labels_are_the_model_labels_built_without_them(monkeypatch):
+    """On every union-closed family on one to four points and on a block
+    family of 128 members, whose members less their lowest point are mostly
+    no member, `printed_ids` maps each nonempty member's `Model.label` to its
+    id, and builds every label, the non-members' too, without calling
+    `Model.label` or walking a member's points (`spaces._indices`)."""
+    from emeasure import spaces
+
+    worlds = [
+        Space(Model(tuple(f"P{i + 1}" for i in range(n))), HypothesisClass(n, members))
+        for n in range(1, 5)
+        for members in helpers.oracle_union_closed_families(n)
+    ]
+    r = helpers.rng(15)
+    owner = list(range(7)) + [r.randrange(7) for _ in range(2)]
+    r.shuffle(owner)
+    blocks = [sum(1 << p for p in range(9) if owner[p] == b) for b in range(7)]
+    worlds.append(Space(Model(tuple("abcdefghi")), union_closure(9, blocks)))
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(Model, "label", lambda *args: calls.append("label"))
+        patch.setattr(spaces, "_indices", lambda *args: calls.append("_indices"))
+        printed = [space.printed_ids() for space in worlds]
+    assert calls == []
+    assert len(worlds[-1].family) == 128
+    for space, ids in zip(worlds, printed):
+        members = space.family.members
+        assert ids == {space.model.label(members[hid]): hid for hid in range(1, len(members))}
+
+
 def test_every_preorder_on_up_to_four_points_round_trips_through_its_class():
     """`class_from_preorder` against `preorder_from_class` on every preorder
     of one to four points: the class is the union closure of the principal

@@ -53,7 +53,10 @@ sides get the same inputs:
   250). One input in ten names its outcomes with YAML 1.1 words (`yes`,
   `off`, `~`) and with labels led by a sign, a '.' or a digit (`010`,
   `1.5`, `1st`, `-x`), which the reader hands to PyYAML's safe resolver,
-  as the row reader's keys and the general reader's alike (named
+  as the row reader's keys and the general reader's alike. One kernel or
+  model file in thirty, drawn apart from the rest, has one flat row that
+  repeats, adds or drops a name (`_uneven`), so files whose rows differ
+  in width or in names from the first row are compared too (named
   `check/N`);
 - 120 seeded random `check --check anytime` inputs, in the records and in
   the text format: a random space, a random tree of depth one to three
@@ -70,13 +73,15 @@ sides get the same inputs:
   in one of `MODEL_FORMS`, a quarter with the outcomes shuffled in each
   row, which the check reads in the tree's leaf order. One tree in twenty,
   drawn apart from the rest, has leaves that miss, repeat or add an
-  outcome (named `anytime/N`);
+  outcome. Kernel and model files are made uneven as the `check` inputs'
+  are (named `anytime/N`);
 - 120 seeded random `check --check predictive` inputs, in both formats: a
   power set or chain space on two to four points, which is
   intersection-closed, whose points are the outcomes, with kernels and
   kernel rows as the `check` inputs make them and model rows in one of
   `MODEL_FORMS`, a quarter shuffled, which the check reads in the space's
-  point order (named `predictive/N`);
+  point order. Kernel and model files are made uneven as the `check`
+  inputs' are (named `predictive/N`);
 - 240 seeded random `space` inputs, in the records and in the text format.
   Half the spaces are written as `_random_space` writes them, on two to six
   points; the other half list redundant generators: the join-irreducible
@@ -665,12 +670,38 @@ def _model_text(rng: random.Random, orc, points, outcomes, pmfs, form: str, n: i
     )
 
 
+# How `_uneven` changes one flat row: a name of the row written again
+# with another of its values, an unknown name added, or a name dropped.
+UNEVEN_FAULTS = ("repeat", "add", "drop")
+
+
+def _uneven(rng: random.Random, text: str) -> str:
+    """The kernel or model file `text`, but one time in thirty with one flat
+    row that repeats, adds or drops a name (`UNEVEN_FAULTS`), so its width
+    or its names differ from the other rows'."""
+    if rng.random() >= 1 / 30:
+        return text
+    lines = text.split("\n")
+    i = rng.choice([i for i, line in enumerate(lines) if line.endswith("}")])
+    key, _, inside = lines[i].partition(": {")
+    pairs = inside[:-1].split(", ")
+    fault = rng.choice(UNEVEN_FAULTS)
+    if fault == "drop":
+        del pairs[rng.randrange(len(pairs))]
+    else:
+        name = rng.choice(pairs).partition(": ")[0] if fault == "repeat" else "zz"
+        pairs.insert(rng.randint(0, len(pairs)), f"{name}: {rng.choice(pairs).partition(': ')[2]}")
+    lines[i] = f"{key}: {{{', '.join(pairs)}}}"
+    return "\n".join(lines)
+
+
 def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     """Random `check` inputs over random spaces and kernels (see
     `_random_space` and `_random_columns`), their kernel rows written in
     one of `ROW_FORMS` and their model rows in one of `MODEL_FORMS`."""
     orc, w = _perfbench()
     rng = random.Random(f"check/{seed}")
+    uneven = random.Random(f"check-uneven/{seed}")  # apart, so the other draws stay as they were
     inputs = inputs / f"check-{seed}"
     inputs.mkdir()
     jobs = []
@@ -689,7 +720,7 @@ def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
         argv = ["check"]
         for kind, text in files.items():
             path = inputs / f"c{n:04d}_{kind}.yaml"
-            path.write_text(text)
+            path.write_text(text if kind == "space" else _uneven(uneven, text))
             argv += [f"--{kind}", str(path)]
         check = rng.choice(("validity", "posthoc", "posthoc-level", "fwe", "fer", "fer-family"))
         argv += ["--check", check.partition("-")[0]]
@@ -832,6 +863,7 @@ def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     orc, w = _perfbench()
     rng = random.Random(f"anytime/{seed}")
     faults = random.Random(f"anytime-tree/{seed}")  # apart, so the other draws stay as they were
+    uneven = random.Random(f"anytime-uneven/{seed}")  # so are these
     inputs = inputs / f"anytime-{seed}"
     inputs.mkdir()
     jobs = []
@@ -871,12 +903,13 @@ def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
         argv = ["check", "--check", "anytime"]
         for kind, text in files.items():
             path = inputs / f"a{n:04d}_{kind}.yaml"
-            path.write_text(text)
+            path.write_text(_uneven(uneven, text) if kind == "model" else text)
             argv += [f"--{kind}", str(path)]
         argv.append("--kernel")
         for t, columns in enumerate(steps):
             path = inputs / f"a{n:04d}_kernel{t}.yaml"
-            path.write_text(_kernel_text(rng, w, sp, outcomes, columns, rng.choice(("ordered", "shuffled"))))
+            text = _kernel_text(rng, w, sp, outcomes, columns, rng.choice(("ordered", "shuffled")))
+            path.write_text(_uneven(uneven, text))
             argv.append(str(path))
         argv = tuple(argv)
         jobs += [Job(f"anytime/{n}", argv + ("--format", "records")), Job(f"anytime/{n}", argv)]
@@ -891,6 +924,7 @@ def predictive_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     in one of `MODEL_FORMS`."""
     orc, w = _perfbench()
     rng = random.Random(f"predictive/{seed}")
+    uneven = random.Random(f"predictive-uneven/{seed}")  # apart, so the other draws stay as they were
     inputs = inputs / f"predictive-{seed}"
     inputs.mkdir()
     jobs = []
@@ -915,7 +949,7 @@ def predictive_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
         argv = ["check", "--check", "predictive"]
         for kind, text in files.items():
             path = inputs / f"p{n:04d}_{kind}.yaml"
-            path.write_text(text)
+            path.write_text(text if kind == "space" else _uneven(uneven, text))
             argv += [f"--{kind}", str(path)]
         argv = tuple(argv)
         jobs += [Job(f"predictive/{n}", argv + ("--format", "records")), Job(f"predictive/{n}", argv)]
