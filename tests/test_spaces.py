@@ -313,11 +313,13 @@ def test_every_union_closed_family_on_up_to_four_points_matches_the_oracles():
 
 
 def test_printed_labels_are_the_model_labels_built_without_them(monkeypatch):
-    """On every union-closed family on one to four points and on a block
-    family of 128 members, whose members less their lowest point are mostly
-    no member, `printed_ids` maps each nonempty member's `Model.label` to its
-    id, and builds every label, the non-members' too, without calling
-    `Model.label` or walking a member's points (`spaces._indices`)."""
+    """On every union-closed family on one to four points and on the 128
+    unions of the blocks {a, b, c}, {d, e}, {f}, ..., {j}, where most
+    members less their lowest point are no member and so are some of those
+    sets less theirs, `printed_ids` maps each nonempty member's
+    `Model.label` to its id, and builds every label, the non-members' too,
+    without calling `Model.label` or walking a member's points
+    (`spaces._indices`)."""
     from emeasure import spaces
 
     worlds = [
@@ -325,11 +327,8 @@ def test_printed_labels_are_the_model_labels_built_without_them(monkeypatch):
         for n in range(1, 5)
         for members in helpers.oracle_union_closed_families(n)
     ]
-    r = helpers.rng(15)
-    owner = list(range(7)) + [r.randrange(7) for _ in range(2)]
-    r.shuffle(owner)
-    blocks = [sum(1 << p for p in range(9) if owner[p] == b) for b in range(7)]
-    worlds.append(Space(Model(tuple("abcdefghi")), union_closure(9, blocks)))
+    blocks = [0b111, 0b11000, *(1 << p for p in range(5, 10))]
+    worlds.append(Space(Model(tuple("abcdefghij")), union_closure(10, blocks)))
     calls = []
     with monkeypatch.context() as patch:
         patch.setattr(Model, "label", lambda *args: calls.append("label"))
