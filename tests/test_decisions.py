@@ -943,3 +943,20 @@ def test_every_result_compares_by_value():
         first, second = _every_result(seed), _every_result(seed)
         for a, b in zip(first, second):
             assert a is not b and a == b, type(a).__name__
+
+
+def test_a_consequence_space_refuses_an_order_of_another_size():
+    for size in (1, 3):
+        with pytest.raises(DecisionError, match="^order matrix size must match the elements$"):
+            ConsequenceSpace(("good", "bad"), Preorder.from_pairs(size, []))
+
+
+def test_integrated_loss_refuses_a_table_that_is_no_measure():
+    """A capacity and a function that is no capacity are both refused."""
+    space = helpers.power_space(2)
+    table = ConsequenceTable.numeric(space.model, ("d",), ((XValue(8),), (XValue(2),)))
+    for values in (["inf", 4, 2, 1], ["inf", 1, 2, 4]):
+        e = from_values(space, values)
+        assert e.eclass is not EClass.MEASURE
+        with pytest.raises(DecisionError, match="^integrated loss needs a measure$"):
+            e_integrated_loss(table, e, "d")

@@ -1207,3 +1207,32 @@ def test_a_list_of_lists_reads_as_safe_load_reads_it(monkeypatch):
         assert len(flows) == 1 + (not flat), text
         split += flat
     assert 0 < split < len(values)
+
+
+# -- the quoted-key bound -----------------------------------------------------
+
+
+@pytest.mark.parametrize("length", [1000, 1001])
+def test_a_quoted_key_past_1000_characters_goes_to_pyyaml(monkeypatch, tmp_path, length):
+    """A double-quoted key of 1000 characters, at the top level or as a
+    row key, takes the line reader or the row reader; one of 1001 takes
+    neither and goes to PyYAML. Both read as ``yaml.safe_load`` reads them."""
+    key = ("h " * length)[:length]
+    text = f'points: [p]\n"{key}": 1\n'
+    assert typed(fileio._parse("t.yaml", text)) == typed(yaml.safe_load(text))
+    assert (fileio._read_table(text) is not None) == (length <= 1000)
+
+    rows_found = []
+    rows = fileio._rows
+    monkeypatch.setattr(fileio, "_rows", lambda *args: rows_found.append(rows(*args)) or rows_found[-1])
+    space, evidence = tmp_path / "space.yaml", tmp_path / "evidence.yaml"
+    space.write_text(f'points: [p, q]\ngenerators:\n  "{key}": [p]\n  r: [q]\n')
+    evidence.write_text(f'evidence:\n  "{key}": 2\n  r: 3\n  "p,q": 2\n')
+    sf = fileio.load_space(space)
+    e = fileio.load_evidence(evidence, sf)
+    assert (rows_found[0] is not None) == (length <= 1000)
+    assert (fileio._read_table(evidence.read_text()) is not None) == (length <= 1000)
+    table = yaml.safe_load(evidence.read_text())["evidence"]
+    assert {sf.resolve(evidence, label): XValue(v) for label, v in table.items()} == {
+        hid: v for hid, v in enumerate(e.values) if hid != sf.space.family.empty_id
+    }

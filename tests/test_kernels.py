@@ -1252,3 +1252,57 @@ def test_pushforward_rejects_unmeasurable_maps():
     mapping = {"P1": "P1", "P2": "P2", "P3": "P2"}  # preimage of {P1} is {P1}, missing
     with pytest.raises(MeasurabilityError):
         pushforward_kernel(k, mapping, target, pa)
+
+
+# -- invariants the file readers pre-empt -------------------------------------
+
+
+def test_a_sample_space_refuses_a_repeated_outcome():
+    with pytest.raises(KernelError, match="^outcome labels must be unique$"):
+        SampleSpace(("a", "b", "a"))
+
+
+def test_a_pmf_refuses_a_mass_count_other_than_the_outcome_count():
+    sample = SampleSpace(("a", "b"))
+    for masses in ((Fraction(1),), (Fraction(1, 3),) * 3):
+        with pytest.raises(KernelError, match="^one mass per outcome is required$"):
+            Pmf(sample, masses)
+
+
+def test_an_assignment_refuses_a_distribution_count_other_than_the_point_count():
+    sample = SampleSpace(("a", "b"))
+    pmf = Pmf(sample, (Fraction(1, 2), Fraction(1, 2)))
+    model = Model(("P1", "P2"))
+    for pmfs in ((pmf,), (pmf,) * 3):
+        with pytest.raises(KernelError, match="^one distribution per model point is required$"):
+            ProbabilityAssignment(model, pmfs)
+
+
+def test_a_kernel_refuses_rows_of_the_wrong_shape():
+    """Too few rows, too many, and a row one value short or long."""
+    space = helpers.power_space(2)
+    sample = SampleSpace(("a", "b"))
+    rows = [(INF, INF)] + [(XValue(1), XValue(1))] * 3
+    short, long = (XValue(1),), (XValue(1),) * 3
+    for bad in (rows[:3], rows + rows[1:2], rows[:3] + [short], rows[:3] + [long]):
+        with pytest.raises(KernelError, match="^one row of one value per outcome per hypothesis is required$"):
+            EKernel(space, sample, bad)
+    EKernel(space, sample, rows)
+
+
+def test_a_process_refuses_kernels_of_another_space():
+    """Kernels over equal samples but two spaces, or over one space but two
+    samples, make no process."""
+    sample = SampleSpace(("a", "b"))
+    tree = FiltrationTree(sample, ["a", "b"])
+    unit = helpers.unit_measure
+    two, three = helpers.power_space(2), helpers.power_space(3)
+    other = SampleSpace(("b", "a"))
+    for first, second in (
+        (helpers.constant_kernel(two, sample, unit(two)), helpers.constant_kernel(three, sample, unit(three))),
+        (helpers.constant_kernel(two, sample, unit(two)), helpers.constant_kernel(two, other, unit(two))),
+    ):
+        with pytest.raises(KernelError, match="^kernels must share the space and sample$"):
+            EProcess(tree, [first, second])
+    k = helpers.constant_kernel(two, sample, unit(two))
+    EProcess(tree, [k, k])

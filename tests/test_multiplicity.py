@@ -650,3 +650,10 @@ def test_a_level_is_any_positive_rational_and_nothing_else(procedure):
     for alpha in (0, ZERO, Fraction(-1, 20), -1, "-1/20", INF):
         with pytest.raises(mtp.MultiplicityError):
             procedure(e, gids, alpha)
+
+
+def test_a_selection_rule_refuses_a_selection_count_other_than_the_outcome_count():
+    sample = SampleSpace(("x", "y"))
+    for selected in (((1,),), ((1,), (2,), (1, 2))):
+        with pytest.raises(mtp.MultiplicityError, match="^one selection per outcome is required$"):
+            mtp.SelectionRule(sample, selected)

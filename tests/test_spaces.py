@@ -451,3 +451,12 @@ def test_spaces_and_families_compare_and_hash_by_their_fields():
         assert space != family and family != family.members
         wider = HypothesisClass(family.width + 1, family.members)
         assert wider != family and Space(Model((*space.model.points, "Q")), wider) != space
+
+
+def test_a_class_from_a_preorder_refuses_a_preorder_of_another_size():
+    from emeasure.spaces import WidthMismatch, class_from_preorder
+
+    model = Model(("a", "b", "c"))
+    for size in (2, 4):
+        with pytest.raises(WidthMismatch, match="^preorder size does not match model size$"):
+            class_from_preorder(model, Preorder.from_pairs(size, []))
