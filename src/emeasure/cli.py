@@ -199,40 +199,26 @@ def _subcommands():
     )
 
 
-def build_parser(command: Optional[str] = None):
-    """The argparse parser of `command` alone when it names a subcommand,
-    else of all five.
-
-    Both print the same usage line, help and errors for an argv that starts
-    with `command`."""
+def build_parser():
+    """The argparse parser of all five subcommands."""
     import argparse
 
-    table = _subcommands()
-    names = [name for name, *_ in table]
-    if command not in names:
-        command = None
     parser = argparse.ArgumentParser(
         prog="emeasure",
         description="Evidence calculus over finite hypothesis lattices",
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:  # the usage line still lists every subcommand
-        sub = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(names) + "}"
-        )
-    for name, help_text, handler in table:
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for option in _OPTIONS[name]:
-                keywords = option._asdict()
-                p.add_argument("--" + keywords.pop("name"), **keywords)
-            p.set_defaults(handler=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler in _subcommands():
+        p = sub.add_parser(name, help=help_text)
+        for option in _OPTIONS[name]:
+            keywords = option._asdict()
+            p.add_argument("--" + keywords.pop("name"), **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
-    """The attributes `build_parser(argv[0]).parse_args(argv)` returns, for
+    """The attributes `build_parser().parse_args(argv)` returns, for
     an argv of the one form `<subcommand> (--name value...)*`; None for any
     other.
 
@@ -462,24 +448,22 @@ def cmd_check(args) -> int:
         code = _verdict(out, "predictively valid", report.stats.ok)
         return code if report.identity.ok else EXIT_VIOLATION
 
-    if args.check == "anytime":
-        if args.tree is None:
-            raise fileio.SchemaError("<args>", "--check anytime needs --tree")
-        tree = fileio.load_tree(args.tree, pa.sample)
-        proc = kn.EProcess(tree, kernels)
-        report = kn.check_anytime_validity(proc, pa)
-        out.record("anytime", rules=report.rules_checked, valid=report.stats.ok)
-        out.text(f"stopping rules checked: {_render(report.rules_checked)}")
-        code = _verdict(out, "anytime valid", report.stats.ok)
-        witness = report.stats.first_violation()
-        if witness is not None:
-            out.text(
-                f"first violation at stop depths {report.rule}: "
-                f"{{{sf.space.label(witness.hid)}}} under {witness.point}"
-            )
-        return code
-
-    raise fileio.SchemaError("<args>", f"unknown check {args.check!r}")
+    # anytime, the last of the choices
+    if args.tree is None:
+        raise fileio.SchemaError("<args>", "--check anytime needs --tree")
+    tree = fileio.load_tree(args.tree, pa.sample)
+    proc = kn.EProcess(tree, kernels)
+    report = kn.check_anytime_validity(proc, pa)
+    out.record("anytime", rules=report.rules_checked, valid=report.stats.ok)
+    out.text(f"stopping rules checked: {_render(report.rules_checked)}")
+    code = _verdict(out, "anytime valid", report.stats.ok)
+    witness = report.stats.first_violation()
+    if witness is not None:
+        out.text(
+            f"first violation at stop depths {report.rule}: "
+            f"{{{sf.space.label(witness.hid)}}} under {witness.point}"
+        )
+    return code
 
 
 def _golden_table1(alpha: XValue, out: Printer) -> int:
@@ -621,15 +605,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command line and return its exit code.
 
     A well-formed argv is read off the option table and builds no parser.
-    argparse reads every other argv: help, abbreviations, `--name=value`,
-    unknown or missing options, bad values. Only the named subcommand's
-    parser is built then; an argv that names none (empty, `-h` or a typo)
-    gets the parser of all five, for its usage text.
+    The parser of all five subcommands, `build_parser()`, reads every other
+    argv: help, abbreviations, `--name=value`, unknown or missing options,
+    bad values.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv)
     if args is None:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (fileio.SchemaError, SpaceError, EvidenceError) as exc:

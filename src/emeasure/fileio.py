@@ -68,29 +68,31 @@ of the empty member.
 
 Kernel, model and evidence files mostly have the row shape, which the
 command line prints: a ``kernel:``, ``pmf:`` or ``evidence:`` line, then
-only rows indented by two spaces, ``KEY: {x1: v, ..., xk: v}`` (flat)
-or ``KEY: v``, their keys as above, with no blank, comment or padding. A
-row reader (`_rows`) matches all rows of such a file with one pattern of
-a key and a value, a flat row's inside its braces. Each distinct inside
-is checked once against the flat-row pattern; the distinct insides are
-joined and split once, and taken when every one has the first's width
-and names, typed once, in order. Each distinct key is typed once, and
-each distinct row text's tuple and cell's XValue built once, the cells in
-a memo of the file (`_Cells`), so equal rows of one file are one object;
-the general path builds each row anew. A cell the command line
-prints, a decimal int or a digit ratio with a nonzero denominator, is an
-XValue in one step (`_cell`); any other is read as the general path reads
-it, the one step's oracle. Evidence and kernel rows keyed, as the command
-line lists them, by the quoted printed labels of members 1, 2, ... in id
-order fill the table by position, unless a name or 'empty' takes a printed
-label (`SpaceFile._order`); the evidence table so read is the `EFunction`.
-The row reader takes the file only when every row reads as the general
-path reads it: a label of the label table, each member once, keys typed to
-the outcomes in order (a model's first row's keys), evidence values and
-finite masses summing to 1. Every other file, and every refusal, goes from
-the same read to the general path (`_read_table`, else PyYAML), which is
-also the row reader's oracle. Every file is read by raw reads until one
-comes back empty, as a FIFO may deliver less at a time (`_read_text`).
+only rows indented by two spaces, ``KEY: {x1: v, ..., xk: v}`` (flat) or
+``KEY: v``, their keys as above, with no blank, comment or padding. A row
+reader (`_rows`) matches all rows of such a file with one pattern of a key
+and a value, a flat row's inside its braces. It and the line reader spell
+a key and a flat row's inside with one grammar (`_KEY`, `_PAIRS`), so a
+quoted key past 1000 characters leaves both for PyYAML. Each distinct
+inside is checked once against the flat-row pattern; the distinct insides
+are joined and split once, and taken when every one has the first's width
+and names, typed once, in order. Each distinct key is typed once, and each
+distinct row text's tuple and cell's XValue built once, the cells in a
+memo of the file (`_Cells`), so equal rows of one file are one object; the
+general path builds each row anew. A cell the command line prints, a
+decimal int or a digit ratio with a nonzero denominator, is an XValue in
+one step in that memo; any other is read as the general path reads it, the
+one step's oracle. Evidence and kernel rows keyed, as the command line
+lists them, by the quoted printed labels of members 1, 2, ... in id order
+fill the table by position, unless a name or 'empty' takes a printed label
+(`SpaceFile._order`); the evidence table so read is the `EFunction`. The
+row reader takes the file only when every row reads as the general path
+reads it: a label of the label table, each member once, keys typed to the
+outcomes in order (a model's first row's keys), evidence values and finite
+masses summing to 1. Every other file, and every refusal, goes from the
+same read to the general path (`_read_table`, else PyYAML), which is also
+the row reader's oracle. Every file is read by raw reads until one comes
+back empty, as a FIFO may deliver less at a time (`_read_text`).
 """
 
 from __future__ import annotations
@@ -152,21 +154,24 @@ _NUMERIC = "-+.0123456789"
 # Structure is matched with this looser class; each distinct scalar is then
 # checked against `_PLAIN` when it is first typed.
 _S = r"[A-Za-z0-9_.~/+:-]+"
-# A block-mapping line: indentation, a plain or escape-free double-quoted key
-# and an optional value: a plain scalar, a flat flow mapping or sequence (plain
-# scalars one ": " or ", " apart: rows), an empty sequence or one of flat ones
-# (generators, preorders, two-level trees), split without the tokenizer, or
-# any other flow collection.
+# A longer implicit key is no key to a YAML scanner, which gives up at 1024.
+_KEY_MAX = 1000
+# The key grammar of both readers: the inside of an escape-free double-quoted
+# key of at most `_KEY_MAX` characters (group 1), else a plain one (group 2);
+# and a flat flow mapping's inside, plain scalars one ": " or ", " apart.
+_KEY = rf'(?:"([ !#-\[\]-~]{{0,{_KEY_MAX}}})"|({_S}))'
+_PAIRS = rf"{_S}: {_S}(?:, {_S}: {_S})*"
+# A block-mapping line: indentation, a key and an optional value: a plain
+# scalar, a flat flow mapping or sequence (rows), an empty sequence or one of
+# flat ones (generators, preorders, two-level trees), split without the
+# tokenizer, or any other flow collection.
 _ENTRY = re.compile(
-    rf'( *)(?:({_S})|"([ !#-\[\]-~]*)"):(?: +(?:({_S})'
-    rf"|\{{({_S}: {_S}(?:, {_S}: {_S})*)\}}|\[({_S}(?:, {_S})*)\]"
+    rf"( *){_KEY}:(?: +(?:({_S})|\{{({_PAIRS})\}}|\[({_S}(?:, {_S})*)\]"
     rf"|\[((?:\[{_S}(?:, {_S})*\](?:, \[{_S}(?:, {_S})*\])*)?)\]|([\[{{].*[\]}}])))? *"
 )
 _BLANK = re.compile(r" *(?:#[ -~]*)?")
 # One token of a flow collection; group 4 is a character no token starts with.
 _FLOW_TOKEN = re.compile(rf" *(?:([\[\]{{}},])|({_C}+(?::{_C}+)*)(: )?|(.))")
-# A longer implicit key is no key to a YAML scanner, which gives up at 1024.
-_KEY_MAX = 1000
 _NONE = object()
 
 
@@ -265,13 +270,8 @@ def _read_table(text: str):
                 if _BLANK.fullmatch(line):
                     continue
                 return None
-            indent, plain_key, quoted_key, plain, pairs, items, lists, flow = m.groups()
-            if plain_key is not None:
-                key = get(plain_key)
-            elif len(quoted_key) > _KEY_MAX:
-                return None
-            else:
-                key = quoted_key
+            indent, quoted_key, plain_key, plain, pairs, items, lists, flow = m.groups()
+            key = quoted_key if plain_key is None else get(plain_key)
             if plain is not None:
                 value = get(plain)
             elif pairs is not None:
@@ -365,27 +365,31 @@ def _load_full(path: Path | str, text: str):
 
 @functools.cache
 def _row_pattern(flat: bool) -> tuple[re.Pattern, Optional[re.Pattern]]:
-    """The pattern of one row line: two spaces, a key (the inside of an
-    escape-free double-quoted one, else a plain one as the line reader's
-    scalars are), and a plain value, or the inside of a flow mapping; and
-    for that inside, the pattern of a flat one, plain scalars one ": " or
-    ", " apart."""
-    key = rf'(?:"([ !#-\[\]-~]{{0,{_KEY_MAX}}})"|({_S}))'
+    """The pattern of one row line: two spaces, a key (`_KEY`, as the line
+    reader's), and a plain value, or the inside of a flow mapping; and for
+    that inside, the pattern of a flat one (`_PAIRS`)."""
     if not flat:
-        return re.compile(rf"^  {key}: ({_S})$", re.M), None
-    inside = re.compile(rf"{_S}: {_S}(?:, {_S}: {_S})*")
-    return re.compile(rf"^  {key}: \{{(.*)\}}$", re.M), inside
+        return re.compile(rf"^  {_KEY}: ({_S})$", re.M), None
+    return re.compile(rf"^  {_KEY}: \{{(.*)\}}$", re.M), re.compile(_PAIRS)
 
 
 class _Cells(dict):
-    """The XValue of each distinct cell text of one row file (`_cell`)."""
+    """The XValue of each distinct cell text of one row file: in one step
+    for a decimal int or a digit ratio of `_TYPED` with a nonzero
+    denominator and at most `_KEY_MAX` characters, else as the general
+    path, this one's oracle, reads the text."""
 
     def __init__(self, path, scalars: _Scalars):
         self.path = path
         self.scalars = scalars
 
     def __missing__(self, text):
-        self[text] = value = _cell(self.path, self.scalars, text)
+        if len(text) <= _KEY_MAX and _TYPED.fullmatch(text):
+            num, _, den = text.partition("/")
+            if den := int(den or 1):
+                self[text] = value = ratio(int(num), den)
+                return value
+        self[text] = value = _xvalue(self.path, self.scalars[text])
         return value
 
 
@@ -442,17 +446,6 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
         slots[0], filled = empty, filled + 1
     declined = filled != size or (empty is not None and slots[0] != empty)
     return None if declined else (slots, outcomes, rows.values())
-
-
-def _cell(path, scalars: _Scalars, text: str) -> XValue:
-    """A row cell's XValue: in one step for a decimal int or a digit ratio of
-    `_TYPED` with a nonzero denominator and at most `_KEY_MAX` characters,
-    else as the general path, this one's oracle, reads the text."""
-    if len(text) <= _KEY_MAX and _TYPED.fullmatch(text):
-        num, _, den = text.partition("/")
-        if den := int(den or 1):
-            return ratio(int(num), den)
-    return _xvalue(path, scalars[text])
 
 
 def _xvalue(path, raw) -> XValue:
@@ -691,11 +684,9 @@ def load_kernel(path: Path | str, sf: SpaceFile, sample: SampleSpace) -> EKernel
     if not isinstance(table, dict):
         raise SchemaError(path, "'kernel' must map hypothesis labels to outcome rows")
     resolve = sf.resolve
-    family = sf.space.family
     outcomes = sample.outcomes
-    full = (1 << sample.size) - 1
     # One row of values per hypothesis id, filled in file order.
-    rows: list = [None] * len(family)
+    rows: list = [None] * len(sf.space.family)
     # The first row, in file order, that misses an outcome or names an unknown
     # one; it is refused after a missing hypothesis would be.
     bad_row = None
@@ -706,32 +697,22 @@ def load_kernel(path: Path | str, sf: SpaceFile, sample: SampleSpace) -> EKernel
         hid = resolve(path, label)
         if rows[hid] is not None:
             raise _named_twice(path, sf, table, hid, label)
-        cells: list = [None] * sample.size
-        got, unknown = 0, False
-        for x, raw in row.items():
-            value = _xvalue(path, raw)
-            xi = sample.positions.get(str(x))
-            if xi is None:
-                unknown = True
-            else:
-                cells[xi] = value
-                got |= 1 << xi
-        if bad_row is None and (got != full or unknown):
-            bad_row = (label, got, row)
-        rows[hid] = tuple(cells)
-    empty = family.empty_id
+        cells = {str(x): _xvalue(path, raw) for x, raw in row.items()}
+        if bad_row is None and cells.keys() != sample.positions.keys():
+            bad_row = (label, cells)
+        rows[hid] = tuple(map(cells.get, outcomes))
+    empty = sf.space.family.empty_id
     if rows[empty] is None:
         rows[empty] = (INF,) * sample.size
     if None in rows:
         labels = [sf.space.label(hid) for hid, row in enumerate(rows) if row is None]
         raise SchemaError(path, f"kernel misses hypotheses: {labels}")
     if bad_row is not None:
-        label, got, row = bad_row
-        if got != full:
-            x = next(x for xi, x in enumerate(outcomes) if not got >> xi & 1)
-            raise SchemaError(path, f"row for {label!r} misses outcome {x!r}")
-        names = dict.fromkeys(str(x) for x in row)
-        _refuse_unknown(path, f"row for {label!r} has unknown outcomes", names, outcomes)
+        label, cells = bad_row
+        for x in outcomes:
+            if x not in cells:
+                raise SchemaError(path, f"row for {label!r} misses outcome {x!r}")
+        _refuse_unknown(path, f"row for {label!r} has unknown outcomes", cells, outcomes)
     try:
         return EKernel(sf.space, sample, rows)
     except EvidenceError as exc:

@@ -1125,10 +1125,11 @@ def spelled_cell(r):
 
 
 def cell_both_ways(text):
-    """A row cell as `_cell` types it and as the general path types it,
-    `_xvalue` of its scalar: each as (num, den), or 'refused'."""
+    """A row cell as the row reader's cell memo (`_Cells`) types it and as
+    the general path types it, `_xvalue` of its scalar: each as (num, den),
+    or 'refused'."""
     results = []
-    for read in (lambda: fileio._cell("t.yaml", fileio._Scalars(), text),
+    for read in (lambda: fileio._Cells("t.yaml", fileio._Scalars())[text],
                  lambda: fileio._xvalue("t.yaml", fileio._Scalars()[text])):
         try:
             value = read()
@@ -1141,7 +1142,7 @@ def cell_both_ways(text):
 
 def test_a_row_cell_is_typed_in_one_step_as_the_general_path_types_it(monkeypatch):
     """Every cell of seeded row-shaped files, seeded spellings and the edge
-    texts is typed by the row reader's `_cell` as the general path types
+    texts is typed by the row reader's `_Cells` as the general path types
     it, or refused by both. A decimal int or a digit ratio with a nonzero
     denominator of at most 1000 characters never reaches the general path;
     '010' (octal to YAML, 8), '2/0' and a 1001-digit int do."""
@@ -1159,13 +1160,14 @@ def test_a_row_cell_is_typed_in_one_step_as_the_general_path_types_it(monkeypatc
         kinds.add((fileio._TYPED.fullmatch(text) is not None, general == "refused"))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}, kinds
     monkeypatch.setattr(fileio, "_xvalue", None)  # the general path, which one-step cells skip
+    cells = fileio._Cells("t.yaml", fileio._Scalars())
     for text in ("0", "17", "3/04", "6/4", "0/7", "1" * 1000):
-        fileio._cell("t.yaml", fileio._Scalars(), text)
+        cells[text]
     for text in ("010", "2/0"):
         with pytest.raises(TypeError):
-            fileio._cell("t.yaml", fileio._Scalars(), text)
+            cells[text]
     with pytest.raises(KeyError):  # no scalar of the line reader
-        fileio._cell("t.yaml", fileio._Scalars(), "1" * 1001)
+        cells["1" * 1001]
 
 
 # Scalars of the lists of lists: names, ints, words and texts that PyYAML types.

@@ -320,12 +320,13 @@ def _one_pass(argv) -> dict[str, int]:
     """What a job's reads cost when each table file is read in one pass:
     `fileio._read_table` once per space and tree file, `SpaceFile.resolve`
     once per `--family` label and never for a table row, and the row
-    reader's `_cell` once per distinct cell text of each kernel, model and
-    evidence file. Every such cell is a decimal int or a digit ratio, which
-    `_cell` types in one step: neither `_xvalue` nor `xvalue.read_rational`
-    runs. No scalar needs PyYAML to be typed (`_safe_scalar`), and the flow
-    tokenizer (`_flow`) reads only a list nested three deep, as a tree of
-    depth three is; a space's lists of lists are split without it."""
+    reader's cell memo (`_Cells.__missing__`) once per distinct cell text of
+    each kernel, model and evidence file. Every such cell is a decimal int or
+    a digit ratio, which the memo types in one step: neither `_xvalue` nor
+    `xvalue.read_rational` runs. No scalar needs PyYAML to be typed
+    (`_safe_scalar`), and the flow tokenizer (`_flow`) reads only a list
+    nested three deep, as a tree of depth three is; a space's lists of
+    lists are split without it."""
     kinds = {Path(arg): Path(arg).stem.rpartition("_")[2].rstrip("0123456789")
              for arg in argv if arg.endswith(".yaml")}
     cells = sum(
@@ -341,7 +342,7 @@ def _one_pass(argv) -> dict[str, int]:
     return {
         "_read_table": sum(kind in ("space", "tree") for kind in kinds.values()),
         "resolve": sum(1 for label in family if label),
-        "_cell": cells,
+        "__missing__": cells,
         "_xvalue": 0,
         "read_rational": 0,
         "_safe_scalar": 0,
@@ -362,7 +363,7 @@ def test_a_check_reads_its_table_files_in_one_pass(monkeypatch, capsys, tmp_path
     monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
     import workloads
 
-    hooks = ((fileio, "_read_table"), (fileio.SpaceFile, "resolve"), (fileio, "_cell"),
+    hooks = ((fileio, "_read_table"), (fileio.SpaceFile, "resolve"), (fileio._Cells, "__missing__"),
              (fileio, "_xvalue"), (xvalue, "read_rational"), (fileio, "_safe_scalar"),
              (fileio, "_flow"))
     calls = {name: 0 for _, name in hooks}

@@ -56,8 +56,11 @@ sides get the same inputs:
   as the row reader's keys and the general reader's alike. One kernel or
   model file in thirty, drawn apart from the rest, has one flat row that
   repeats, adds or drops a name (`_uneven`), so files whose rows differ
-  in width or in names from the first row are compared too (named
-  `check/N`);
+  in width or in names from the first row are compared too. One kernel
+  file in forty, drawn apart again, has one row that only the general
+  path reads (`_general_row`): a scalar, which it refuses, or a row that
+  names one outcome twice, plainly and quoted as `str()` makes its typed
+  label, so that the later value stands (named `check/N`);
 - 120 seeded random `check --check anytime` inputs, in the records and in
   the text format: a random space, a random tree of depth one to three
   whose two to eight leaves are the outcomes, and one kernel per step,
@@ -73,15 +76,16 @@ sides get the same inputs:
   in one of `MODEL_FORMS`, a quarter with the outcomes shuffled in each
   row, which the check reads in the tree's leaf order. One tree in twenty,
   drawn apart from the rest, has leaves that miss, repeat or add an
-  outcome. Kernel and model files are made uneven as the `check` inputs'
-  are (named `anytime/N`);
+  outcome. Kernel and model files are made uneven, and kernel rows read
+  by the general path, as the `check` inputs' are (named `anytime/N`);
 - 120 seeded random `check --check predictive` inputs, in both formats: a
   power set or chain space on two to four points, which is
   intersection-closed, whose points are the outcomes, with kernels and
   kernel rows as the `check` inputs make them and model rows in one of
   `MODEL_FORMS`, a quarter shuffled, which the check reads in the space's
-  point order. Kernel and model files are made uneven as the `check`
-  inputs' are (named `predictive/N`);
+  point order. Kernel and model files are made uneven, and kernel rows
+  read by the general path, as the `check` inputs' are (named
+  `predictive/N`);
 - 240 seeded random `space` inputs, in the records and in the text format.
   Half the spaces are written as `_random_space` writes them, on two to six
   points; the other half list redundant generators: the join-irreducible
@@ -695,6 +699,34 @@ def _uneven(rng: random.Random, text: str) -> str:
     return "\n".join(lines)
 
 
+# How `_general_row` changes one flat row of a kernel file: written as a
+# scalar, or naming one of its outcomes again, quoted.
+GENERAL_FAULTS = ("scalar", "respelled")
+
+
+def _general_row(rng: random.Random, text: str) -> str:
+    """The kernel file `text`, but one time in forty with one flat row that
+    the row reader declines and the general path reads (`GENERAL_FAULTS`):
+    a scalar, or the row with one of its outcomes named again, quoted as
+    `str()` makes its typed label (`"x1"`, `"True"` for `yes`), with
+    another of the row's values."""
+    if rng.random() >= 1 / 40:
+        return text
+    import yaml
+
+    lines = text.split("\n")
+    i = rng.choice([i for i, line in enumerate(lines) if line.endswith("}")])
+    key, _, inside = lines[i].partition(": {")
+    pairs = inside[:-1].split(", ")
+    if rng.choice(GENERAL_FAULTS) == "scalar":
+        lines[i] = f"{key}: {rng.choice(('1', 'inf'))}"
+    else:
+        name = str(yaml.safe_load(rng.choice(pairs).partition(": ")[0]))
+        pairs.insert(rng.randint(0, len(pairs)), f'"{name}": {rng.choice(pairs).partition(": ")[2]}')
+        lines[i] = f"{key}: {{{', '.join(pairs)}}}"
+    return "\n".join(lines)
+
+
 def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     """Random `check` inputs over random spaces and kernels (see
     `_random_space` and `_random_columns`), their kernel rows written in
@@ -702,6 +734,7 @@ def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     orc, w = _perfbench()
     rng = random.Random(f"check/{seed}")
     uneven = random.Random(f"check-uneven/{seed}")  # apart, so the other draws stay as they were
+    general = random.Random(f"check-general/{seed}")  # so are these
     inputs = inputs / f"check-{seed}"
     inputs.mkdir()
     jobs = []
@@ -720,7 +753,9 @@ def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
         argv = ["check"]
         for kind, text in files.items():
             path = inputs / f"c{n:04d}_{kind}.yaml"
-            path.write_text(text if kind == "space" else _uneven(uneven, text))
+            if kind != "space":
+                text = _uneven(uneven, text)
+            path.write_text(_general_row(general, text) if kind == "kernel" else text)
             argv += [f"--{kind}", str(path)]
         check = rng.choice(("validity", "posthoc", "posthoc-level", "fwe", "fer", "fer-family"))
         argv += ["--check", check.partition("-")[0]]
@@ -864,6 +899,7 @@ def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     rng = random.Random(f"anytime/{seed}")
     faults = random.Random(f"anytime-tree/{seed}")  # apart, so the other draws stay as they were
     uneven = random.Random(f"anytime-uneven/{seed}")  # so are these
+    general = random.Random(f"anytime-general/{seed}")  # and these
     inputs = inputs / f"anytime-{seed}"
     inputs.mkdir()
     jobs = []
@@ -909,7 +945,7 @@ def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
         for t, columns in enumerate(steps):
             path = inputs / f"a{n:04d}_kernel{t}.yaml"
             text = _kernel_text(rng, w, sp, outcomes, columns, rng.choice(("ordered", "shuffled")))
-            path.write_text(_uneven(uneven, text))
+            path.write_text(_general_row(general, _uneven(uneven, text)))
             argv.append(str(path))
         argv = tuple(argv)
         jobs += [Job(f"anytime/{n}", argv + ("--format", "records")), Job(f"anytime/{n}", argv)]
@@ -925,6 +961,7 @@ def predictive_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     orc, w = _perfbench()
     rng = random.Random(f"predictive/{seed}")
     uneven = random.Random(f"predictive-uneven/{seed}")  # apart, so the other draws stay as they were
+    general = random.Random(f"predictive-general/{seed}")  # so are these
     inputs = inputs / f"predictive-{seed}"
     inputs.mkdir()
     jobs = []
@@ -949,7 +986,9 @@ def predictive_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
         argv = ["check", "--check", "predictive"]
         for kind, text in files.items():
             path = inputs / f"p{n:04d}_{kind}.yaml"
-            path.write_text(text if kind == "space" else _uneven(uneven, text))
+            if kind != "space":
+                text = _uneven(uneven, text)
+            path.write_text(_general_row(general, text) if kind == "kernel" else text)
             argv += [f"--{kind}", str(path)]
         argv = tuple(argv)
         jobs += [Job(f"predictive/{n}", argv + ("--format", "records")), Job(f"predictive/{n}", argv)]
