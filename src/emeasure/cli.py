@@ -448,7 +448,7 @@ def cmd_check(args) -> int:
         code = _verdict(out, "predictively valid", report.stats.ok)
         return code if report.identity.ok else EXIT_VIOLATION
 
-    # anytime, the last of the choices
+    # anytime: the reader and argparse refuse a --check outside the choices
     if args.tree is None:
         raise fileio.SchemaError("<args>", "--check anytime needs --tree")
     tree = fileio.load_tree(args.tree, pa.sample)

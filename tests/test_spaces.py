@@ -460,3 +460,14 @@ def test_a_class_from_a_preorder_refuses_a_preorder_of_another_size():
     for size in (2, 4):
         with pytest.raises(WidthMismatch, match="^preorder size does not match model size$"):
             class_from_preorder(model, Preorder.from_pairs(size, []))
+
+
+def test_least_id_refuses_a_point_without_a_least_hypothesis():
+    """On {a,b}, {b,c} and their union, b lies in two members whose
+    intersection is no member; a has {a,b}."""
+    from emeasure.spaces import NotIntersectionClosed
+
+    space = helpers.space_from_generators(Model(("a", "b", "c")), [["a", "b"], ["b", "c"]])
+    assert space.family.member(space.least_id("a")) == 0b011
+    with pytest.raises(NotIntersectionClosed, match="^point 'b' has no least hypothesis$"):
+        space.least_id("b")
