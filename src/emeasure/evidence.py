@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .spaces import HypothesisClass, Record, Space
+from .spaces import Record, Space, _indices
 from .xvalue import INF, ZERO, XValue, as_xvalue, order_keys, packed_keys, sup_of
 
 
@@ -55,7 +55,7 @@ class EFunction(Record):
     @property
     def eclass(self) -> EClass:
         if self._eclass is None:
-            self._eclass = table_class(self.space.family, [self.values])
+            self._eclass = table_class(self.space, [self.values])
         return self._eclass
 
     def __getitem__(self, hid: int) -> XValue:
@@ -66,29 +66,70 @@ class EFunction(Record):
 
 
 def table_class(
-    family: HypothesisClass, columns: Sequence[Sequence[XValue]], slots: Sequence[int] = ()
+    space: Space, columns: Sequence[Sequence[XValue]], slots: Sequence[int] = ()
 ) -> EClass:
     """The strongest class all tables of `columns` satisfy, each column one
     table's values by row; `slots` gives each member's row (else row i).
 
-    A join adds a join-irreducible J to a member A missing part of it.
-    Inclusions are chains of joins and unions are built from them, so
-    e(A | J) <= e(A) at every join gives antitonicity, and e(A | J) =
-    min(e(A), e(J)) the union law. Each row's order keys are packed into one
-    int P, a lane of w key bits per table under guard mask G (`packed_keys`):
-    one subtraction and one mask test antitonicity on every lane. For the
-    union law, g = ((P[J] | G) - P[A]) & G marks the lanes where e(J) >=
-    e(A), and g - (g >> w) widens the marks to key bits: P[A | J] must be
-    P[A] on them and P[J] elsewhere. A join that keeps the union law is
-    antitone, so the walk tests antitonicity only from the first join that
-    breaks the law on, and returns FUNCTION at the first that fails it.
+    Each row's order keys are packed into one int P, a lane of w key bits
+    per table under guard mask G (`packed_keys`): one subtraction and one
+    mask test antitonicity on every lane. For the union law e(A | B) =
+    min(e(A), e(B)), g = ((P[B] | G) - P[A]) & G marks the lanes where e(B)
+    >= e(A), and g - (g >> w) widens the marks to key bits: P[A | B] must be
+    P[A] on them and P[B] elsewhere.
+
+    On an intersection-closed space every point q has a least member H_q,
+    and the points whose least member is H_q make q's class. Every nonempty
+    member H holds a point q that lies in the least member of no point of H
+    outside q's class (a minimal point of H). Removing q's whole class from
+    H leaves a member A, and H = A | H_q; removing q alone need not, as in
+    the family of {} and {a,b}. So the walk tests e(H) = min(e(A), e(H_q))
+    once per nonempty member, in id order. If every test holds, then by
+    induction on |H| each e(H) is the least of e(H_p) over H's points p and
+    e({}), so the union law holds everywhere and the table is a measure:
+    one test per member, and no join.
+
+    Otherwise, or on any other space, joins decide. A join adds a
+    join-irreducible J to a member A missing part of it. Inclusions are
+    chains of joins and unions are built from them, so e(A | J) <= e(A) at
+    every join gives antitonicity, and e(A | J) = min(e(A), e(J)) the union
+    law. A join that keeps the union law is antitone, so the walk tests
+    antitonicity only from the first join that breaks the law on, and
+    returns FUNCTION at the first that fails it.
     """
     packed, guard = packed_keys([order_keys(column) for column in columns])
     if slots:
         packed = [packed[slot] for slot in slots]
+    family = space.family
     members = family.members
-    key_of = dict(zip(members, packed))
     w = (guard & -guard).bit_length() - 1
+    if space.intersection_closed:
+        least_ids = space.least_ids()
+        least = [members[hid] for hid in least_ids]
+        holders = [0] * len(least)  # per point q, the points whose least member holds q
+        for p, bits in enumerate(least):
+            for q in _indices(bits):
+                holders[q] |= 1 << p
+        # Per point q: the points of other classes below it, the mask that
+        # removes q's class, and the keys of q's least member.
+        below = [held & ~bits for held, bits in zip(holders, least)]
+        keep = [~(held & bits) for held, bits in zip(holders, least)]
+        keys = [packed[hid] for hid in least_ids]
+        index = family._index
+        for bits, pu in zip(members[1:], packed[1:]):
+            rest = bits
+            while True:  # to a minimal point q of H
+                q = (rest & -rest).bit_length() - 1
+                if not below[q] & bits:
+                    break
+                rest &= rest - 1
+            pa, pj = packed[index[bits & keep[q]]], keys[q]
+            g = ((pj | guard) - pa) & guard
+            if pu != pj ^ ((pa ^ pj) & (g - (g >> w))):
+                break
+        else:
+            return EClass.MEASURE
+    key_of = dict(zip(members, packed))
     irreducible = [(members[j], packed[j], packed[j] | guard) for j in family.irreducible_ids()]
     union_law = True
     for bits, pa in zip(members, packed):

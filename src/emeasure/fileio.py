@@ -93,6 +93,10 @@ masses summing to 1. Every other file, and every refusal, goes from the
 same read to the general path (`_read_table`, else PyYAML), which is also
 the row reader's oracle. Every file is read by raw reads until one comes
 back empty, as a FIFO may deliver less at a time (`_read_text`).
+
+The row reader hands a kernel the index it read, the distinct rows and
+each member's slot among them (`EKernel.from_index`), and builds a model's
+`Pmf` once per distinct row.
 """
 
 from __future__ import annotations
@@ -395,11 +399,13 @@ class _Cells(dict):
 
 def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes=None, order=None):
     """A file of the row shape (module docstring), matched by one pattern:
-    the values of the `size` ids, in id order, of the rows whose labels
-    `ids` maps to them, the outcomes their keys name, and the distinct
-    rows in file order. A flat row's value is one tuple of XValues per
-    distinct row text, keyed by `outcomes` (else the first row's keys) in
-    order; `empty`, if given, is the empty member's value, written or not.
+    per id of the `size` ids, in id order, the value of the row whose label
+    `ids` maps to it, the outcomes their keys name, and the distinct flat
+    rows in file order. A flat row is one tuple of XValues per distinct row
+    text, keyed by `outcomes` (else the first row's keys) in order, and an
+    id gets its index among those rows (its slot); a plain row's value is
+    its XValue. `empty`, if given, is the empty member's value, written or
+    not; unwritten, a flat one is a row of its own.
     The distinct flat rows are split at once, and taken when each names
     the first row's keys, typed once, in its order. Rows whose quoted keys
     are `order`, the labels of ids 1, 2, ... in order, fill those ids by
@@ -416,6 +422,7 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
     cells = _Cells(path, scalars)  # once per distinct text
     texts = list(dict.fromkeys(values))  # each distinct row text, in file order
     slots: list = [None] * size
+    distinct = None
     try:
         if inside is None:
             rows = dict(zip(texts, map(cells.__getitem__, texts)))
@@ -430,7 +437,8 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
             if parts[::2] != names * len(texts) or tuple(map(scalars.__getitem__, names)) != outcomes:
                 return None
             row_cells = map(cells.__getitem__, parts[1::2])
-            rows = dict(zip(texts, zip(*[row_cells] * (width + 1))))
+            distinct = list(zip(*[row_cells] * (width + 1)))
+            rows = dict(zip(texts, range(len(texts))))
         if quoted == order:
             slots[1:] = map(rows.__getitem__, values)
         else:
@@ -442,10 +450,17 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
     except (KeyError, ValueError, SchemaError):
         return None
     filled = len(found)
-    if empty is not None and slots[0] is None:  # the empty member sorts first
-        slots[0], filled = empty, filled + 1
-    declined = filled != size or (empty is not None and slots[0] != empty)
-    return None if declined else (slots, outcomes, rows.values())
+    if empty is not None:  # the empty member sorts first
+        if slots[0] is None:
+            filled += 1
+            if distinct is None:
+                slots[0] = empty
+            else:  # a row of its own
+                slots[0] = len(distinct)
+                distinct.append(empty)
+        elif (slots[0] if distinct is None else distinct[slots[0]]) != empty:
+            return None
+    return None if filled != size else (slots, outcomes, distinct)
 
 
 def _xvalue(path, raw) -> XValue:
@@ -633,16 +648,16 @@ def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
     if found:
         slots, outcomes, distinct = found
         sample = SampleSpace(outcomes)
-        pmfs: dict[int, Pmf] = {}  # by the id of a row object
+        pmfs: list[Pmf] = []  # per distinct row
         for row in distinct:
             try:
-                pmfs[id(row)] = Pmf(sample, row)
+                pmfs.append(Pmf(sample, row))
             except EvidenceError as exc:
                 if any(mass.is_inf for mass in row):
                     break
                 raise SchemaError(path, str(exc)) from None
         else:
-            return ProbabilityAssignment(model, tuple(pmfs[id(row)] for row in slots))
+            return ProbabilityAssignment(model, tuple(map(pmfs.__getitem__, slots)))
     table = _parse(path, text).get("pmf")
     if not isinstance(table, dict):
         raise SchemaError(path, "'pmf' must map point labels to outcome masses")
@@ -671,14 +686,15 @@ def load_pmfs(path: Path | str, model: Model) -> ProbabilityAssignment:
 
 def load_kernel(path: Path | str, sf: SpaceFile, sample: SampleSpace) -> EKernel:
     """The kernel of a 'kernel' table over the space's hypotheses, with one
-    row per hypothesis over the model's outcomes `sample`. Rows of one text
-    are one tuple when the row reader takes the file; the general path
-    reads every row anew."""
+    row per hypothesis over the model's outcomes `sample`. When the row
+    reader takes the file, rows of one text are one tuple and the kernel is
+    built from the reader's row index; the general path reads every row
+    anew."""
     text = _read_text(path)
     n, ids = len(sf.space.family), sf._labels()
     found = _rows(path, text, "kernel", ids, n, (INF,) * sample.size, sample.outcomes, sf._order)
     if found:
-        return EKernel(sf.space, sample, found[0])
+        return EKernel.from_index(sf.space, sample, found[2], found[0])
     data = _parse(path, text)
     table = data.get("kernel")
     if not isinstance(table, dict):

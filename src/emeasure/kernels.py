@@ -1,17 +1,20 @@
 """Data-indexed evidence tables and every expectation-based check.
 
 An E-kernel assigns an evidence table to each outcome of a finite sample
-space. It is stored as a kernel file lists it: one row per hypothesis, the
-evidence against it as a function of the outcome. Validity of a kernel
-(and of stopped processes, the E-posterior `eposterior`, pushforwards,
-predictive kernels) is decided by exact rational expectations of those
-rows; nothing here is simulated. Rows with equal text in a kernel file are
-one object; a kernel indexes and scales its distinct row objects once
-(`EKernel`), and the checks work once per distinct row object or (row,
-point), not once per hypothesis or pair.
+space: one row per hypothesis, the evidence against it as a function of
+the outcome. Validity of a kernel (and of stopped processes, the
+E-posterior `eposterior`, pushforwards, predictive kernels) is decided by
+exact rational expectations of those rows; nothing here is simulated. A
+kernel is stored as its row index, its distinct row objects and each
+hypothesis's slot among them (`EKernel`). The row reader of a kernel file
+hands over the index it read, one row per distinct row text; a kernel
+built from rows finds it once. Each distinct row is scaled once, and the
+checks work once per slot or (slot, point), not once per hypothesis or
+pair.
 
 Every statistic the package holds against a bound is one walk,
-`_pair_report`, over members (point bitsets) each with a scaled variable:
+`_pair_report`, over members (point bitsets), each with a slot among
+scaled variables:
 the hypotheses for validity, post-hoc levels, the E-posterior, the
 pushforward and the anytime envelope; each point alone for FWE, FER with a
 rule and the Grünwald bound; each distinct benchmark row's upper set for
@@ -120,35 +123,58 @@ class EKernel:
 
     `rows[hid]` holds one value per outcome, in outcome order, for each
     hypothesis id of one space, and the empty hypothesis carries inf at
-    every outcome. The rows are the only stored form: a kernel file lists
-    them and ``fileio.load_kernel`` fills them in file order, with one
-    tuple for the rows of one text. The distinct row objects (`distinct`)
-    and each hypothesis's slot among them (`slots`) are found once, here;
-    each is scaled once, when first read (`tables`), to its least common
+    every outcome. A kernel is stored as its row index: the distinct row
+    objects (`distinct`) and each hypothesis's slot among them (`slots`).
+    ``fileio.load_kernel``'s row reader has that index as it reads and
+    hands it over (`from_index`); a kernel built from rows (the general
+    reader, library callers) finds it here, by the identity of the row
+    objects. `rows` is built from the index when first read. Each distinct
+    row is scaled once, when first read (`tables`), to its least common
     denominator, its integer numerators and the mask of its infinite
-    outcomes. The per-outcome tables (`columns`) are built on first read,
-    for the checks and callers that work on one outcome at a time.
+    outcomes. The per-outcome tables (`columns`) are built on first read.
     `eclass` is the weakest class among the outcomes' tables, from one
     `evidence.table_class` walk; `claims` gives each point's largest
     evidence per outcome, from which `close_kernel` closes the kernel.
-    Both key the distinct row objects only.
+    Both read the distinct rows only.
     """
 
     def __init__(self, space: Space, sample: SampleSpace, rows: Sequence[Sequence[XValue]]):
         rows = tuple(map(tuple, rows))
-        if len(rows) != len(space.family) or {*map(len, rows)} != {sample.size}:
+        slot_of: dict[int, int] = {}  # by the id of a row object
+        slots = [slot_of.setdefault(id(row), len(slot_of)) for row in rows]
+        self._store(space, sample, list(dict(zip(slots, rows)).values()), slots)
+        self._rows = rows
+
+    @classmethod
+    def from_index(
+        cls, space: Space, sample: SampleSpace, distinct: list[tuple[XValue, ...]], slots: list[int]
+    ) -> "EKernel":
+        """The kernel whose hypothesis `hid` has the row `distinct[slots[hid]]`,
+        with no pass over the rows; each distinct row is checked once."""
+        k = cls.__new__(cls)
+        k._store(space, sample, distinct, slots)
+        return k
+
+    def _store(self, space, sample, distinct, slots) -> None:
+        if len(slots) != len(space.family) or {*map(len, distinct)} != {sample.size}:
             raise KernelError("one row of one value per outcome per hypothesis is required")
-        if not all(v.is_inf for v in rows[space.family.empty_id]):
+        if not all(v.is_inf for v in distinct[slots[space.family.empty_id]]):
             raise ev.NotAnEFunction("the empty hypothesis must carry infinite evidence")
         self.space = space
         self.sample = sample
-        self.rows = rows
-        slot_of: dict[int, int] = {}  # by the id of a row object
-        self.slots = [slot_of.setdefault(id(row), len(slot_of)) for row in rows]
-        self.distinct = list(dict(zip(self.slots, rows)).values())
+        self.distinct = distinct
+        self.slots = slots
+        self._rows: Optional[tuple[tuple[XValue, ...], ...]] = None
         self._tables: Optional[list[Optional[Scaled]]] = None
         self._columns: Optional[tuple[EFunction, ...]] = None
         self._eclass: Optional[EClass] = None
+
+    @property
+    def rows(self) -> tuple[tuple[XValue, ...], ...]:
+        """Each hypothesis's row, in id order, built on first read."""
+        if self._rows is None:
+            self._rows = tuple(map(self.distinct.__getitem__, self.slots))
+        return self._rows
 
     def tables(self) -> list[Optional[Scaled]]:
         """Per distinct row object, its scaled table, built on first use;
@@ -157,12 +183,6 @@ class EKernel:
             read = set(self.slots[1:])
             self._tables = [scale(row) if s in read else None for s, row in enumerate(self.distinct)]
         return self._tables
-
-    def scaled(self) -> list[Optional[Scaled]]:
-        """Per hypothesis id, its row's scaled table (`tables`); None for
-        the empty hypothesis."""
-        tables = self.tables()
-        return [None] + [tables[s] for s in self.slots[1:]]
 
     @property
     def columns(self) -> tuple[EFunction, ...]:
@@ -177,7 +197,7 @@ class EKernel:
         read: one `evidence.table_class` walk, with one lane per outcome,
         over the keys of the distinct row objects."""
         if self._eclass is None:
-            self._eclass = ev.table_class(self.space.family, list(zip(*self.distinct)), self.slots)
+            self._eclass = ev.table_class(self.space, list(zip(*self.distinct)), self.slots)
         return self._eclass
 
     def claims(self) -> list[list[XValue]]:
@@ -228,62 +248,69 @@ class Entry(Record):
 
 def check_validity(k: EKernel, pa: ProbabilityAssignment) -> Report:
     """Exact expectation of every (nonempty hypothesis, contained point) pair."""
-    return _pair_report(pa, k.space.family.members, k.scaled())
+    return _pair_report(pa, k.space.family.members, k.tables(), slots=k.slots)
 
 
 def _pair_report(
     pa: ProbabilityAssignment, members: Sequence[int], variables: Sequence[Optional[Scaled]],
     cases: Optional[Sequence[Optional[str]]] = None, bounds: Optional[Sequence[XValue]] = None,
     statistic: Optional[Callable[[Scaled, int], tuple[XValue, bool]]] = None,
+    slots: Optional[Sequence[int]] = None,
 ) -> Report:
     """The package's one walk of statistics held against a bound. Each
-    member is a bitset over `pa`'s model points with a scaled variable, and
-    each of its points, in point order, makes one pair: the expectation of
-    the variable under the point's distribution against the point's bound
-    (by default 1), or `statistic(variable, point index)`, a (value, holds)
-    pair (the anytime envelope, the predictive identity). A pair names its
-    member by its index, a hypothesis id, or its case in `cases`; an empty
-    member makes none.
+    member is a bitset over `pa`'s model points with a scaled variable,
+    `variables[slots[m]]` (by default member m has slot m), and each of its
+    points, in point order, makes one pair: the expectation of the variable
+    under the point's distribution against the point's bound (by default
+    1), or `statistic(variable, point index)`, a (value, holds) pair (the
+    anytime envelope, the predictive identity). A pair names its member by
+    its index, a hypothesis id, or its case in `cases`; an empty member
+    makes none.
 
-    The work is per distinct variable (a slot), not per pair: members whose
-    variables are equal share a slot, each (slot, point) statistic is
-    computed once, and a member's pairs are read off its slot's masks of
-    computed and failed points, so no pair costs a step of its own, and an
-    empty member's variable is never read. A walk of v distinct variables
-    over n points costs at most v·n statistics (an anytime one walks the
-    tree once): r·n for a kernel of r distinct rows, where the pairs of a
-    power set number n·2^(n-1); tests/test_growth.py holds that count, and
-    the records that render it, to a log-log slope of at most 2.2 in n. A
-    walk of one singleton member per point (FWE, FER with a rule, the
-    Grünwald bound) or of one member of every point (the predictive check)
-    costs exactly n, which tests/test_growth.py also holds; decide's walk of
-    one member per distinct benchmark row costs at most that many times n.
+    The work is per slot, not per pair: a slot's members are ORed into one
+    cover, one step per member, and the slot's statistics are computed over
+    its cover's points. Slots of equal variables share them, so each
+    (variable, point) statistic is computed once; the `Report` keeps them,
+    and the mask of points where they fail, once per distinct variable, and
+    each member's index among those. A member's pairs are read off them, so
+    no pair costs a step of its own, and a variable whose cover is empty
+    (the empty member's) is never read. A kernel's checks pass its row
+    index (`EKernel.slots`, `EKernel.tables`). A walk of v distinct
+    variables over n points costs at most v·n statistics (an anytime one
+    walks the tree once): r·n for a kernel of r distinct rows, where the
+    pairs of a power set number n·2^(n-1); tests/test_growth.py holds that
+    count, and the records that render it, to a log-log slope of at most
+    2.2 in n. A walk of one singleton member per point (FWE, FER with a
+    rule, the Grünwald bound) or of one member of every point (the
+    predictive check) costs exactly n, which tests/test_growth.py also
+    holds; decide's walk of one member per distinct benchmark row costs at
+    most that many times n.
     """
     n = pa.model.size
     bounds = [ONE] * n if bounds is None else bounds
     masses = [pmf.scaled for pmf in pa.pmfs]
-    by_id: dict[int, int] = {}  # slot by the id of a variable object
-    by_var: dict[Scaled, int] = {}
-    slots: list[Optional[int]] = []
-    stats: list[list[Optional[XValue]]] = []
+    covers = [0] * len(variables)
+    for bits, slot in zip(members, range(len(members)) if slots is None else slots):
+        covers[slot] |= bits
+    group: dict[Scaled, int] = {}  # each distinct variable read, by value
+    stats: list[list[Optional[XValue]]] = []  # per group, its statistics by point
     computed: list[int] = []
     failed: list[int] = []
-    for bits, var in zip(members, variables):
-        if not bits:
-            slots.append(None)
+    of_slot: list[Optional[int]] = []
+    for var, cover in zip(variables, covers):
+        if not cover:
+            of_slot.append(None)
             continue
-        slot = by_id.get(id(var))
-        if slot is None:
-            slot = by_id[id(var)] = by_var.setdefault(var, len(stats))
-            if slot == len(stats):
-                stats.append([None] * n)
-                computed.append(0)
-                failed.append(0)
-        slots.append(slot)
-        todo = bits & ~computed[slot]
+        g = group.setdefault(var, len(stats))
+        if g == len(stats):
+            stats.append([None] * n)
+            computed.append(0)
+            failed.append(0)
+        of_slot.append(g)
+        todo = cover & ~computed[g]
         if todo:
-            computed[slot] |= todo
-            row = stats[slot]
+            computed[g] |= todo
+            row = stats[g]
             while todo:
                 low = todo & -todo
                 todo ^= low
@@ -293,15 +320,17 @@ def _pair_report(
                 else:
                     row[pi], ok = statistic(var, pi)
                 if not ok:
-                    failed[slot] |= low
-    return Report(pa.model.points, bounds, members, cases, slots, stats, failed)
+                    failed[g] |= low
+    groups = of_slot if slots is None else list(map(of_slot.__getitem__, slots))
+    return Report(pa.model.points, bounds, members, cases, groups, stats, failed)
 
 
 class Report(Record):
     """The one report shape, a walk as it left off (`_pair_report`): per
-    slot, its statistic at each point it read and the mask of the points
-    where that statistic fails its bound; per member, its bitset, slot and
-    name (its index, or its case). It holds when no slot fails. `largest()`
+    slot (a distinct variable), its statistic at each point it read and the
+    mask of the points where that statistic fails its bound; per member,
+    its bitset, slot and name (its index, or its case). It holds when no
+    slot fails. `largest()`
     compares each statistic once; `first_violation()` builds the one entry
     it names, the first pair in walk order (members, then points) whose
     statistic fails; `entries`, one per pair in walk order, are built when
@@ -445,7 +474,7 @@ def check_posthoc_validity(
         return check_validity(k, pa)
     thresholds = outcome_thresholds(k, rule)
     misses = [var and miss_variable(var, thresholds) for var in k.tables()]
-    return _pair_report(pa, k.space.family.members, [None] + [misses[s] for s in k.slots[1:]])
+    return _pair_report(pa, k.space.family.members, misses, slots=k.slots)
 
 
 # -- updating -----------------------------------------------------------
@@ -468,9 +497,10 @@ def eposterior(prior: EFunction, k: EKernel, pa: ProbabilityAssignment) -> tuple
     if space.intersection_closed:
         post = close_kernel(post)
         bounds = [prior.values[hid] for hid in space.least_ids()]
-        return post, _pair_report(pa, space.family.members, post.scaled(), bounds=bounds)
+        report = _pair_report(pa, space.family.members, post.tables(), bounds=bounds, slots=post.slots)
+        return post, report
     members = [0 if p.is_zero or p.is_inf else m for p, m in zip(prior.values, space.family.members)]
-    return post, _pair_report(pa, members, k.scaled())
+    return post, _pair_report(pa, members, k.tables(), slots=k.slots)
 
 
 # -- finite-horizon processes -------------------------------------------
@@ -660,13 +690,18 @@ def check_anytime_validity(proc: EProcess, pa: ProbabilityAssignment) -> Anytime
     steps = [by_outcome[t][lo] for t, lo, _, _ in nodes]
     family = proc.space.family  # the empty hypothesis, id 0, has no variable
     variables: list = [None]
-    scaled: dict = {}  # by the slots of a hypothesis's step rows, which fix its vector
+    slots = [0]
+    slot_of: dict = {}  # by the slots of a hypothesis's step rows, which fix its vector
     for hid in family.nonempty_ids():
         key = tuple(k.slots[hid] for k in proc.kernels)
-        variables.append(scaled.get(key) or scaled.setdefault(key, scale([step[hid] for step in steps])))
-    report = _pair_report(pa, family.members, variables, statistic=envelope)
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = slot_of[key] = len(variables)
+            variables.append(scale([step[hid] for step in steps]))
+        slots.append(slot)
+    report = _pair_report(pa, family.members, variables, statistic=envelope, slots=slots)
     first = None if report.ok else report._first(report.failed)
-    rule = first and _stop_rule(nodes, children, *stops(variables[first[0]], first[1]))
+    rule = first and _stop_rule(nodes, children, *stops(variables[slots[first[0]]], first[1]))
     return AnytimeReport(proc.tree.count_stopping_times(), report, rule)
 
 
@@ -743,7 +778,7 @@ def check_predictive_validity(k: EKernel, pa: ProbabilityAssignment) -> Predicti
     claims = k.claims()
     at = [k.sample.positions[p] for p in positions]  # each point's outcome index
     sup = [claims[xi][pi] for pi, xi in enumerate(at)]
-    least_value = [k.rows[least[pi]][xi] for pi, xi in enumerate(at)]
+    least_value = [k.distinct[k.slots[least[pi]]][xi] for pi, xi in enumerate(at)]
     sup_var = scale([sup[positions[x]] for x in outcomes])
     every = [(1 << len(at)) - 1]
     identity = _pair_report(
@@ -774,4 +809,4 @@ def pushforward_kernel(
                 f"preimage of {target.model.label(member)} is not a source hypothesis"
             )
     pushed = EKernel(target, k.sample, [k.rows[source.family.id_of(bits)] for bits in bitsets])
-    return pushed, _pair_report(pa, bitsets, pushed.scaled())
+    return pushed, _pair_report(pa, bitsets, pushed.tables(), slots=pushed.slots)

@@ -42,8 +42,9 @@ def _indices(bits: int) -> tuple[int, ...]:
 
 class Record:
     """Equality and hashing by the fields named in `_compared`, for the
-    records that are compared by value. Records that do not derive from it
-    compare by identity, and result records are `NamedTuple`s."""
+    records that are compared by value; a record equals itself with no
+    field read. Records that do not derive from it compare by identity, and
+    result records are `NamedTuple`s."""
 
     __slots__ = ()
     _compared: tuple[str, ...] = ()
@@ -52,6 +53,8 @@ class Record:
         return tuple([getattr(self, name) for name in self._compared])
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key() == other._key()

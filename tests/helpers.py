@@ -896,14 +896,17 @@ class EagerReport(NamedTuple):
         return max(self.entries, key=lambda e: e.stat, default=None)
 
 
-def eager_pair_report(pa, members, variables, cases=None, bounds=None):
+def eager_pair_report(pa, members, variables, cases=None, bounds=None, slots=None):
     """The pair walk (`kernels._pair_report`) built eagerly, pair by pair:
     one `Entry` per point of each member, in member and then point order,
-    with its own expectation and its verdict from comparing the two exact
+    with its own expectation of the member's variable `variables[slots[m]]`
+    (else `variables[m]`) and its verdict from comparing the two exact
     values, in an `EagerReport`. Nothing is shared between pairs; the walk
     must give the same entries, verdict, worst entry and first violation."""
     points = pa.model.points
     bounds = [ONE] * len(points) if bounds is None else bounds
+    if slots is not None:
+        variables = [variables[slot] for slot in slots]
     entries = []
     for m, (bits, var) in enumerate(zip(members, variables)):
         hid, case = (m, None) if cases is None else (None, cases[m])

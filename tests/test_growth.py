@@ -89,19 +89,21 @@ def test_pair_checks_grow_with_distinct_rows_not_with_pairs(monkeypatch, capsys)
     assert slope(sizes, pushed) <= 2.2, pushed
 
 
-def test_fer_walks_a_kernels_row_identities_once_and_scales_each_row_object_once(
+def test_fer_takes_no_row_identity_on_the_reader_path_and_scales_each_row_object_once(
     monkeypatch, capsys, tmp_path
 ):
-    """L3 `EKernel`: one walk of a kernel's row identities finds its distinct
-    row objects and each hypothesis's slot among them, and the class walk,
-    the claims, the scaled rows and the post-hoc miss variables all read
-    that index; each distinct row object that a nonempty hypothesis holds
-    is scaled (`kernels.scale`) once. `check --check fer` reads the class
-    and the scaled rows. On the 256-member power set of 8 points, with
-    each member taking the row of its least point, the kernel file has 9
-    row texts: `id` is taken of a row 256 times, once per hypothesis, and
-    8 rows are scaled. Walking the identities once for the class and once
-    for the scaled rows took `id` of a row 1,022 times."""
+    """L3 `EKernel`: the row reader hands the kernel its row index, the
+    distinct rows and each hypothesis's slot among them
+    (`EKernel.from_index`), so no pass over the rows runs and `id` is taken
+    of no row; the class walk, the claims, the scaled rows and the post-hoc
+    miss variables all read that index, and each distinct row object that a
+    nonempty hypothesis holds is scaled (`kernels.scale`) once. `check
+    --check fer` reads the class and the scaled rows. On the 256-member
+    power set of 8 points, with each member taking the row of its least
+    point, the kernel file has 9 row texts: 8 rows are scaled. Deriving the
+    index from the rows took `id` of a row 256 times, once per hypothesis,
+    and walking the identities once for the class and once for the scaled
+    rows took it 1,022 times."""
     r = helpers.rng(4404)
     space = helpers.power_space(8)
     sample = SampleSpace(("x", "y", "z"))
@@ -112,29 +114,65 @@ def test_fer_walks_a_kernels_row_identities_once_and_scales_each_row_object_once
     for name, text in files.items():
         (tmp_path / f"{name}.yaml").write_text(text)
         argv += [f"--{name}", str(tmp_path / f"{name}.yaml")]
-    kernels, identities, scaled = [], [], []
-    init, scale = kn.EKernel.__init__, kn.scale
-
-    def recorded_init(self, *args):
-        init(self, *args)
-        kernels.append(self)
+    kernels, inits, identities, scaled = [], [], [], []
+    init, from_index, scale = kn.EKernel.__init__, kn.EKernel.from_index, kn.scale
 
     def counted_id(obj):
         if type(obj) is tuple and obj and type(obj[0]) is XValue:  # a row, not a scaled table
             identities.append(obj)
         return id(obj)
 
-    monkeypatch.setattr(kn.EKernel, "__init__", recorded_init)
+    monkeypatch.setattr(kn.EKernel, "__init__", lambda self, *args: inits.append(args) or init(self, *args))
+    monkeypatch.setattr(
+        kn.EKernel, "from_index", lambda *args: kernels.append(from_index(*args)) or kernels[-1]
+    )
     monkeypatch.setattr(kn, "id", counted_id, raising=False)
     monkeypatch.setattr(kn, "scale", lambda table: scaled.append(table) or scale(table))
     assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_VIOLATION)
     capsys.readouterr()
     (loaded,) = kernels
+    assert inits == [] and identities == []
     distinct = {id(row): row for row in loaded.rows}
-    assert len(distinct) == 9
-    assert len(identities) == len(loaded.rows) == 256
+    assert len(distinct) == len(loaded.distinct) == 9 and len(loaded.rows) == 256
     rows = [table for table in scaled if id(table) in distinct]
     assert len(rows) == len({id(row) for row in rows}) == 8
+
+
+def test_the_class_test_makes_one_union_law_test_per_member_on_intersection_closed_spaces(
+    monkeypatch,
+):
+    """L2/L3 `evidence.table_class`: on an intersection-closed space a
+    measure is found by one union-law test per nonempty member, each of
+    which looks up once, in `HypothesisClass._index`, the member its point
+    class leaves, and no join is walked. On power sets of 6, 8 and 10
+    points (64, 256 and 1,024 members), for a measure table and for a
+    three-outcome measure kernel, the tests number F - 1, a log-log slope
+    of 1 in members F. The join walk tested F × n joins."""
+
+    class Counted(dict):
+        def __getitem__(self, bits):
+            tests.append(bits)
+            return dict.__getitem__(self, bits)
+
+    def no_join_walk():
+        raise AssertionError("the join walk ran")
+
+    sizes, counts = [6, 8, 10], []
+    sample = SampleSpace(("x", "y", "z"))
+    for n in sizes:
+        r = helpers.rng(n)
+        space = helpers.power_space(n)
+        family = space.family
+        values = helpers.rand_measure(r, space).values
+        k = helpers.least_point_kernel(r, space, sample)
+        monkeypatch.setattr(family, "_index", Counted(family._index))
+        monkeypatch.setattr(family, "irreducible_ids", no_join_walk)
+        for table in (lambda: evidence.EFunction(space, values), lambda: k):
+            tests = []
+            assert table().eclass is evidence.EClass.MEASURE
+            assert len(tests) == len(family) - 1 == (1 << n) - 1
+        counts.append(len(tests))
+    assert abs(slope([1 << n for n in sizes], counts) - 1) < 0.01, counts
 
 
 def write_decide_files(path, n):

@@ -14,6 +14,7 @@ from emeasure import (
     FiltrationTree,
     INF,
     Model,
+    ONE,
     Pmf,
     ProbabilityAssignment,
     SampleSpace,
@@ -33,7 +34,7 @@ from emeasure import (
     merge_convex,
     pushforward_kernel,
 )
-from emeasure.evidence import EvidenceError
+from emeasure.evidence import ClassMismatch, EvidenceError
 from emeasure import kernels as kn
 from emeasure.kernels import Entry, KernelError, MeasurabilityError, Report
 from emeasure.multiplicity import SelectionRule
@@ -568,6 +569,26 @@ def test_raw_product_of_measures_can_lose_the_measure_law():
     post, _ = eposterior(prior, k, pa)
     assert post.columns[0].eclass is EClass.MEASURE
     assert list(post.columns[0].values) == helpers.oracle_closure(product)
+
+
+@pytest.mark.parametrize("function", ["prior", "kernel"])
+def test_eposterior_refuses_a_prior_or_a_kernel_that_is_no_capacity(function):
+    """Updating needs capacities: a prior or a kernel of the function class,
+    here one whose full member carries more evidence than a singleton, is
+    refused before any product is built."""
+    space = helpers.power_space(2)
+    sample = SampleSpace(("x",))
+    pa = ProbabilityAssignment(space.model, tuple(Pmf(sample, (ONE,)) for _ in space.model.points))
+    values = [INF, ONE, ONE, XValue(5)]
+    capacity = EKernel(space, sample, [(INF,), (ONE,), (ONE,), (ONE,)])
+    prior, k = helpers.unit_measure(space), capacity
+    if function == "prior":
+        prior = from_values(space, values)
+    else:
+        k = EKernel(space, sample, [(v,) for v in values])
+    assert min(prior.eclass, k.eclass) is EClass.FUNCTION
+    with pytest.raises(ClassMismatch, match="^updating needs capacities$"):
+        eposterior(prior, k, pa)
 
 
 def test_eposterior_closed_bounds_and_domination():
@@ -1306,3 +1327,20 @@ def test_a_process_refuses_kernels_of_another_space():
             EProcess(tree, [first, second])
     k = helpers.constant_kernel(two, sample, unit(two))
     EProcess(tree, [k, k])
+
+
+def test_a_process_of_one_space_and_sample_object_builds_no_record_key(monkeypatch):
+    """A record equals itself with no field read (`Record.__eq__`): a
+    process whose step kernels share one space and one sample object
+    compares them without building a key, while equal records that are
+    distinct objects still compare by their fields."""
+    keys = []
+    key = kn.Record._key
+    monkeypatch.setattr(kn.Record, "_key", lambda self: keys.append(self) or key(self))
+    sample = SampleSpace(("a", "b"))
+    two = helpers.power_space(2)
+    k = helpers.constant_kernel(two, sample, helpers.unit_measure(two))
+    del keys[:]
+    EProcess(FiltrationTree(sample, ["a", "b"]), [k, EKernel(two, sample, k.rows)])
+    assert keys == []
+    assert SampleSpace(("a", "b")) == sample and len(keys) == 2

@@ -217,6 +217,58 @@ def test_every_small_world_agrees_with_the_definitions(monkeypatch):
     assert verdicts == {True, False, "tie"}
 
 
+def _raised(r, space, values, antitone):
+    """`values` with one seeded nonempty member raised: to the least value
+    of the members strictly inside it, which keeps an antitone table
+    antitone, or else to inf past that value, which does not. None when no
+    member can be so raised."""
+    members = space.family.members
+    hids = list(space.family.nonempty_ids())
+    r.shuffle(hids)
+    for hid in hids:
+        bits = members[hid]
+        inside = min(v for m, v in zip(members, values) if m != bits and m & ~bits == 0)
+        new = inside if antitone else INF
+        if values[hid] < new and (antitone or inside < INF):
+            return (*values[:hid], new, *values[hid + 1 :])
+    return None
+
+
+def test_the_class_walk_agrees_with_the_definitions_on_raised_measures_on_every_small_world():
+    """L2 `evidence.table_class` on every small world, where the
+    intersection-closed ones take the one-test-per-member decomposition:
+    two seeded measures, the first with one member raised so that it stays
+    antitone and so that it does not, and an arbitrary table, each alone
+    and as the two outcome lanes of a kernel, against the pairwise
+    definitions. The worlds include families whose points share every
+    member, as {} and {P1,P2} do, which the decomposition must remove as
+    one class."""
+    r = helpers.rng(5002)
+    sample = SampleSpace(("x", "y"))
+    seen, shared = set(), set()
+    for space in _worlds():
+        density = [[r.choice(ALPHABET) for _ in space.model.points] for _ in range(2)]
+        measure, other = (measure_from_density(space, d).values for d in density)
+        arbitrary = (INF, *(r.choice(ALPHABET) for _ in space.family.nonempty_ids()))
+        raised = [_raised(r, space, measure, antitone) for antitone in (True, False)]
+        tables = [measure, other, *raised, arbitrary]
+        classes = [t and helpers.oracle_eclass(space, t) for t in tables]
+        for values, eclass in zip(tables, classes):
+            if values is not None:
+                assert from_values(space, values).eclass is eclass, (space.family.members, values)
+                seen.add((space.intersection_closed, eclass))
+        for i, j in ((0, 1), (1, 2), (0, 3), (2, 4)):
+            if tables[i] is not None and tables[j] is not None:
+                k = EKernel(space, sample, list(zip(tables[i], tables[j])))
+                want = min(classes[i], classes[j])
+                assert k.eclass is want, (space.family.members, tables[i], tables[j])
+        least = space.intersection_closed and space.least_ids()
+        if least and len(set(least)) < len(least):
+            shared.add(space.family.members)
+    assert seen == {(ic, eclass) for ic in (False, True) for eclass in EClass}
+    assert {(0, 0b11), (0, 0b11, 0b111)} <= shared
+
+
 def test_the_predictive_sup_agrees_with_its_definition_on_every_small_world():
     r = helpers.rng(4012)
     worlds, verdicts = 0, set()

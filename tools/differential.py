@@ -60,7 +60,12 @@ sides get the same inputs:
   file in forty, drawn apart again, has one row that only the general
   path reads (`_general_row`): a scalar, which it refuses, or a row that
   names one outcome twice, plainly and quoted as `str()` makes its typed
-  label, so that the later value stands (named `check/N`);
+  label, so that the later value stands. One input in ten is drawn again,
+  from an rng of its own, over an intersection-closed space whose first
+  two points share every member, and one `--check fer` kernel in twenty
+  on an intersection-closed space is a measure with one late member's row
+  raised, kept antitone, so the class test's decomposition and its
+  fall-through are compared (named `check/N`);
 - 120 seeded random `check --check anytime` inputs, in the records and in
   the text format: a random space, a random tree of depth one to three
   whose two to eight leaves are the outcomes, and one kernel per step,
@@ -727,45 +732,97 @@ def _general_row(rng: random.Random, text: str) -> str:
     return "\n".join(lines)
 
 
+def _shared_space(rng: random.Random, orc, w):
+    """An intersection-closed space on two to four points whose first two
+    share every member: a chain space on one point fewer, its first point
+    written as p1 and p2, with each point's least member as a generator."""
+    base = w.chain_space(rng, rng.choice(((1,), (2,), (1, 1), (3,), (2, 1))))
+    points = [f"p{i + 1}" for i in range(base.width + 1)]
+    gens = sorted({(b & 1) * 0b11 | (b >> 1) << 2 for b in map(base.least, range(base.width))})
+    text = f"points: {w._yaml_list(points)}\ngenerators: " + w._yaml_list(
+        w._yaml_list(points[i] for i in orc.bits_of(g, len(points))) for g in gens
+    )
+    return w.SpaceSpec(points, orc.canonical(orc.union_closure(gens)), text + "\n")
+
+
+def _raised_measure(rng: random.Random, w, sp, outcomes, pmfs) -> list[dict]:
+    """Measure columns of likelihood ratios against a reference, with the
+    row of the latest member that can be raised raised, at each outcome, to
+    the least value of the members strictly inside it: still antitone, but
+    no measure."""
+    ref = w.rand_pmf(rng, len(outcomes))
+    weights = [[r / m for r, m in zip(ref, pmf)] for pmf in pmfs]
+    columns = [
+        {b: w.min_over(b, sp.width, lambda p: weights[p][xi]) for b in sp.family}
+        for xi in range(len(outcomes))
+    ]
+    for b in reversed(sp.family[1:]):
+        inside = [min(col[a] for a in sp.family if a != b and a & ~b == 0) for col in columns]
+        if any(v > col[b] for v, col in zip(inside, columns)):
+            for v, col in zip(inside, columns):
+                col[b] = v
+            break
+    return columns
+
+
+def _check_job(inputs: Path, n: int, rng, uneven, general, raised, orc, w, sp) -> tuple[str, ...]:
+    """The argv of one `check` input over the space `sp`, its files written
+    under `inputs`; see `check_jobs`."""
+    outcomes = [f"x{i + 1}" for i in range(rng.randint(2, 4))]
+    if rng.random() < 0.1:
+        outcomes = rng.sample(TYPED_OUTCOMES, len(outcomes))
+    pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in sp.points]
+    columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
+    files = {
+        "space": sp.text,
+        "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(MODEL_FORMS), n),
+        "kernel": _kernel_text(rng, w, sp, outcomes, columns, rng.choices(ROW_FORMS, ROW_WEIGHTS)[0]),
+    }
+    argv = ["check"]
+    for kind, text in files.items():
+        path = inputs / f"c{n:04d}_{kind}.yaml"
+        if kind != "space":
+            text = _uneven(uneven, text)
+        path.write_text(_general_row(general, text) if kind == "kernel" else text)
+        argv += [f"--{kind}", str(path)]
+    check = rng.choice(("validity", "posthoc", "posthoc-level", "fwe", "fer", "fer-family"))
+    argv += ["--check", check.partition("-")[0]]
+    if check == "posthoc-level":
+        argv += ["--rule", f"1/{rng.randint(1, 4)}"]
+    elif check == "fer-family":
+        members = [b for b in sp.family if b]
+        chosen = rng.sample(members, rng.randint(1, min(3, len(members))))
+        argv += ["--family", "|".join(sp.label(b) for b in chosen) + "|"]
+    closed = orc.intersection_closed(set(sp.family), sp.width)
+    if check.startswith("fer") and closed and raised.random() < 1 / 20:
+        columns = _raised_measure(raised, w, sp, outcomes, pmfs)
+        text = _kernel_text(raised, w, sp, outcomes, columns, "ordered")
+        (inputs / f"c{n:04d}_kernel.yaml").write_text(text)
+    return tuple(argv)
+
+
 def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
     """Random `check` inputs over random spaces and kernels (see
     `_random_space` and `_random_columns`), their kernel rows written in
-    one of `ROW_FORMS` and their model rows in one of `MODEL_FORMS`."""
+    one of `ROW_FORMS` and their model rows in one of `MODEL_FORMS`. One
+    input in ten is drawn again, from an rng of its own, over a space whose
+    first two points share every member (`_shared_space`); one `--check
+    fer` kernel in twenty on an intersection-closed space is a measure with
+    one late member's row raised (`_raised_measure`)."""
     orc, w = _perfbench()
     rng = random.Random(f"check/{seed}")
     uneven = random.Random(f"check-uneven/{seed}")  # apart, so the other draws stay as they were
     general = random.Random(f"check-general/{seed}")  # so are these
+    shared = random.Random(f"check-shared/{seed}")  # and these
+    raised = random.Random(f"check-raised/{seed}")  # and these
     inputs = inputs / f"check-{seed}"
     inputs.mkdir()
     jobs = []
     for n in range(count):
-        sp = _random_space(rng, orc, w)
-        outcomes = [f"x{i + 1}" for i in range(rng.randint(2, 4))]
-        if rng.random() < 0.1:
-            outcomes = rng.sample(TYPED_OUTCOMES, len(outcomes))
-        pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in sp.points]
-        columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
-        files = {
-            "space": sp.text,
-            "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(MODEL_FORMS), n),
-            "kernel": _kernel_text(rng, w, sp, outcomes, columns, rng.choices(ROW_FORMS, ROW_WEIGHTS)[0]),
-        }
-        argv = ["check"]
-        for kind, text in files.items():
-            path = inputs / f"c{n:04d}_{kind}.yaml"
-            if kind != "space":
-                text = _uneven(uneven, text)
-            path.write_text(_general_row(general, text) if kind == "kernel" else text)
-            argv += [f"--{kind}", str(path)]
-        check = rng.choice(("validity", "posthoc", "posthoc-level", "fwe", "fer", "fer-family"))
-        argv += ["--check", check.partition("-")[0]]
-        if check == "posthoc-level":
-            argv += ["--rule", f"1/{rng.randint(1, 4)}"]
-        elif check == "fer-family":
-            members = [b for b in sp.family if b]
-            chosen = rng.sample(members, rng.randint(1, min(3, len(members))))
-            argv += ["--family", "|".join(sp.label(b) for b in chosen) + "|"]
-        argv = tuple(argv)
+        argv = _check_job(inputs, n, rng, uneven, general, raised, orc, w, _random_space(rng, orc, w))
+        if shared.random() < 0.1:
+            space = _shared_space(shared, orc, w)
+            argv = _check_job(inputs, n, shared, shared, shared, raised, orc, w, space)
         jobs += [Job(f"check/{n}", argv + ("--format", "records")), Job(f"check/{n}", argv)]
     return jobs
 
