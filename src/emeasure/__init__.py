@@ -8,8 +8,8 @@ weighed against data by exact expectation, corrected for multiplicity and
 turned into decision bounds. Everything is exact rational arithmetic. The
 exports are what the command line runs, plus the functions that no
 subcommand runs yet: `eposterior`, the E-posterior whose form the space
-chooses, the pushforward and the convex merge. Test fixtures and oracles
-live in the test suite.
+chooses, and the pushforward. Test fixtures and oracles live in the test
+suite.
 """
 
 from .xvalue import INF, ONE, XValue, ZERO, as_xvalue, inf_of, parse_xvalue, sup_of
@@ -44,7 +44,6 @@ from .kernels import (
     check_validity,
     close_kernel,
     eposterior,
-    merge_convex,
     pushforward_kernel,
 )
 from .multiplicity import (

@@ -8,8 +8,7 @@ infimums. `table_class`, the one test of both laws, takes one table or all
 of a kernel's at once. Closing upgrades a table to the smallest dominating
 measure, read off the most evidence each point can claim (the min/max form
 of maxitive measures): `_claims`, then `measure_from_density`, for one
-table in `close` and per outcome in `kernels.close_kernel`. The convex
-merge is `kernels.merge_convex`, on kernel rows.
+table in `close` and per outcome in `kernels.close_kernel`.
 """
 
 from __future__ import annotations

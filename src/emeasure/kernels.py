@@ -402,36 +402,6 @@ def close_kernel(k: EKernel) -> EKernel:
     return EKernel(k.space, k.sample, zip(*closed))
 
 
-def merge_convex(kernels: Sequence[EKernel], weights: Sequence[XValue | int]) -> EKernel:
-    """Convex combination of capacity kernels over one space and one sample
-    space, row by row; the result is a capacity kernel. The weights are
-    XValues or any other rationals (ints, Fractions) summing to 1."""
-    if len(kernels) != len(weights):
-        raise EvidenceError("need one weight per input")
-    if not kernels:
-        raise EvidenceError("nothing to merge")
-    try:
-        ws = [as_xvalue(w) for w in weights]
-    except ValueError:  # a negative weight
-        raise EvidenceError("weights must be non-negative") from None
-    if sum(ws, ZERO) != ONE:
-        raise EvidenceError(f"weights sum to {sum(ws, ZERO)}, expected 1")
-    space, sample = kernels[0].space, kernels[0].sample
-    for k in kernels:
-        if k.space != space:
-            raise EvidenceError("all inputs must share one space")
-        if k.sample != sample:
-            outcomes = f"{list(sample.outcomes)} and {list(k.sample.outcomes)}"
-            raise EvidenceError(f"all inputs must share one sample space, not outcomes {outcomes}")
-        if k.eclass < EClass.CAPACITY:
-            raise ev.ClassMismatch("merging needs capacities")
-    rows = [
-        tuple(sum(map(mul, cells, ws), ZERO) for cells in zip(*hid_rows))
-        for hid_rows in zip(*(k.rows for k in kernels))
-    ]
-    return EKernel(space, sample, rows)
-
-
 # -- confidence sets and post-hoc levels -------------------------------
 
 

@@ -10,6 +10,7 @@ import argparse
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from emeasure import (
@@ -31,7 +32,6 @@ from emeasure import (
     class_from_preorder,
     classify,
     inf_of,
-    merge_convex,
     optimality_class,
     postprocess_efunction,
     pushforward_kernel,
@@ -39,7 +39,7 @@ from emeasure import (
     union_closure,
 )
 from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
-from emeasure.evidence import measure_from_density
+from emeasure.evidence import ClassMismatch, EvidenceError, measure_from_density
 from emeasure.kernels import Entry
 from emeasure.spaces import HypothesisClass, NotAPreorder
 from emeasure.xvalue import dot_at_most, order_keys, scale
@@ -81,6 +81,23 @@ def kernel_of(space, sample, columns):
 def kernel_value(k, hid, x):
     """The evidence against hypothesis `hid` at outcome `x`, an index or a label."""
     return k.rows[hid][k.sample.index(x) if isinstance(x, str) else x]
+
+
+def merge_convex(kernels, weights):
+    """The convex combination of capacity kernels over one space and one
+    sample space, row by row, with rational weights: a capacity kernel.
+    Weights that do not sum to 1 and kernels that are no capacities are
+    refused."""
+    ws = [as_xvalue(w) for w in weights]
+    if sum(ws, ZERO) != ONE:
+        raise EvidenceError(f"weights sum to {sum(ws, ZERO)}, expected 1")
+    if any(k.eclass < EClass.CAPACITY for k in kernels):
+        raise ClassMismatch("merging needs capacities")
+    rows = [
+        tuple(sum(map(mul, cells, ws), ZERO) for cells in zip(*hid_rows))
+        for hid_rows in zip(*(k.rows for k in kernels))
+    ]
+    return EKernel(kernels[0].space, kernels[0].sample, rows)
 
 
 def merge_tables(functions, weights):

@@ -917,33 +917,6 @@ PARSER_ARGV = {
 }
 
 
-def one_subcommand_parser(build_parser, command):
-    """The parser of `command` alone, its usage line listing every
-    subcommand, as the command line once built it for a declined argv that
-    names one; for any other argv, the full parser `build_parser` builds."""
-    full = build_parser()
-    if command not in cli._OPTIONS:
-        return full
-    parser = argparse.ArgumentParser(prog=full.prog, description=full.description)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(cli._OPTIONS) + "}")
-    name, help_text, handler = next(row for row in cli._subcommands() if row[0] == command)
-    p = sub.add_parser(name, help=help_text)
-    for option in cli._OPTIONS[name]:
-        keywords = option._asdict()
-        p.add_argument("--" + keywords.pop("name"), **keywords)
-    p.set_defaults(handler=handler)
-    return parser
-
-
-@pytest.mark.parametrize("argv", PARSER_ARGV.values(), ids=PARSER_ARGV.keys())
-def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
-    """Same exit code, stdout and stderr from the full parser, the one the
-    command line builds, as from the parser of the named subcommand alone."""
-    full, build = outcome(capsys, argv), cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: one_subcommand_parser(build, argv[0] if argv else None))
-    assert full == outcome(capsys, argv)
-
-
 @pytest.mark.parametrize("argv", PARSER_ARGV.values(), ids=PARSER_ARGV.keys())
 def test_argparse_alone_gives_the_same_outcome(capsys, monkeypatch, argv):
     """Same exit code, stdout and stderr with the reader declining every argv."""

