@@ -295,14 +295,16 @@ def cmd_closure(args) -> int:
     sf = fileio.load_space(args.space)
     e = fileio.load_evidence(args.evidence, sf)
     closed = ev.close(e)
-    # The values come from the read's memo and from the claims, so a few
-    # objects repeat over every member: each object is rendered once. A
-    # record is canonical (lowest terms, inf): equal texts are equal values.
-    objects = {id(value): value for value in e.values + closed.values}
-    texts = {key: value.record() for key, value in objects.items()}
+    # Both tables are indices over a few value objects, from the read's memo
+    # and the claims: each object is rendered once. A record is canonical
+    # (lowest terms, inf): equal texts are equal values.
+    (old, old_slots), (new, new_slots) = e.index(), closed.index()
+    texts = {id(value): value for value in old + new}
+    texts = {key: value.record() for key, value in texts.items()}
+    old, new = ([texts[id(value)] for value in values] for values in (old, new))
     label, lines, changed = sf.space.label, [], 0
-    for hid, (before, after) in enumerate(zip(e.values, closed.values)):
-        before, after = texts[id(before)], texts[id(after)]
+    for hid, (before, after) in enumerate(zip(old_slots, new_slots)):
+        before, after = old[before], new[after]
         moved = before != after
         changed += moved
         if out.records:
@@ -532,11 +534,11 @@ def cmd_mtp(args) -> int:
     result = procedure(e, gids, alpha)
     names = [sf.space.label(g) for g in result.rejected]
     out.text(f"rejected: {names or 'nothing'}")
-    for g in gids:
+    for g, value in zip(gids, result.table.at(gids)):
         out.record(
             "rejection", hypothesis=sf.space.label(g),
             rejected=g in result.rejected,
-            value=result.table.values[g],
+            value=value,
         )
     return EXIT_OK
 

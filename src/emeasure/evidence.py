@@ -8,7 +8,10 @@ infimums. `table_class`, the one test of both laws, takes one table or all
 of a kernel's at once. Closing upgrades a table to the smallest dominating
 measure, read off the most evidence each point can claim (the min/max form
 of maxitive measures): `_claims`, then `measure_from_density`, for one
-table in `close` and per outcome in `kernels.close_kernel`.
+table in `close` and per outcome in `kernels.close_kernel`. A table is its
+row index (`EFunction`): `close` takes the claims over its distinct value
+objects, each covering its members' union (`slot_covers`), and
+`measure_from_density` gives each member the slot of its least point.
 """
 
 from __future__ import annotations
@@ -40,28 +43,82 @@ class EClass(enum.IntEnum):
 
 class EFunction(Record):
     """Evidence per hypothesis id and its class, the strongest the values
-    satisfy. The class is computed when ``eclass`` is first read, unless it
-    was given; equality compares the space and the values."""
+    satisfy. Stored as its row index, as `kernels.EKernel` stores its rows:
+    its distinct value objects and each hypothesis's slot among them
+    (`index`). The row reader and `measure_from_density` hand it over
+    (`from_index`) and `values` is built on first read; a table built from
+    values finds it, by identity, on first use. The class is computed when
+    ``eclass`` is first read, unless it was given; equality compares the
+    space and the values."""
 
-    __slots__ = ("space", "values", "_eclass")
+    __slots__ = ("space", "_values", "_index", "_eclass")
     _compared = ("space", "values")
 
     def __init__(self, space: Space, values: tuple[XValue, ...], _eclass: Optional[EClass] = None):
         self.space = space
-        self.values = values
+        self._values: Optional[tuple[XValue, ...]] = values
+        self._index: Optional[tuple[list[XValue], list[int]]] = None
         self._eclass = _eclass
+
+    @classmethod
+    def from_index(
+        cls, space: Space, distinct: list[XValue], slots: list[int], _eclass: Optional[EClass] = None
+    ) -> "EFunction":
+        """The table whose hypothesis `hid` has the value `distinct[slots[hid]]`,
+        with no pass over the members."""
+        e = cls.__new__(cls)
+        e.space, e._values, e._index, e._eclass = space, None, (distinct, slots), _eclass
+        return e
+
+    @property
+    def values(self) -> tuple[XValue, ...]:
+        if self._values is None:
+            distinct, slots = self._index
+            self._values = tuple(map(distinct.__getitem__, slots))
+        return self._values
+
+    def index(self) -> tuple[list[XValue], list[int]]:
+        """The distinct value objects and each hypothesis's slot among them."""
+        if self._index is None:
+            self._index = identity_index(self.values)
+        return self._index
 
     @property
     def eclass(self) -> EClass:
         if self._eclass is None:
-            self._eclass = table_class(self.space, [self.values])
+            distinct, slots = self.index()
+            self._eclass = table_class(self.space, [distinct], slots)
         return self._eclass
 
     def __getitem__(self, hid: int) -> XValue:
         return self.values[hid]
 
+    def at(self, hids: Iterable[int]) -> list[XValue]:
+        """The values of the members `hids`, read off the index when there is
+        one, so that reading a few members builds no `values`."""
+        if self._index is None:
+            return list(map(self.values.__getitem__, hids))
+        distinct, slots = self._index
+        return [distinct[slots[hid]] for hid in hids]
+
     def value_of(self, item) -> XValue:
         return self.values[self.space.family.id_of(item)]
+
+
+def identity_index(items: Sequence) -> tuple[list, list[int]]:
+    """The distinct objects of `items`, by identity and in first-seen order,
+    and each item's slot among them."""
+    slot_of: dict[int, int] = {}
+    slots = [slot_of.setdefault(id(item), len(slot_of)) for item in items]
+    return list(dict(zip(slots, items)).values()), slots
+
+
+def slot_covers(members: Sequence[int], slots: Iterable[int], size: int) -> list[int]:
+    """Per slot of `size`, the union of the members (bitsets) that hold it."""
+    covers = [0] * size
+    for bits, slot in zip(members, slots):
+        covers[slot] |= bits
+    return covers
 
 
 def table_class(
@@ -169,37 +226,37 @@ def measure_from_density(space: Space, density: Sequence[XValue]) -> EFunction:
 
     Infimums turn unions into minimums, so the result obeys the union law
     on any union-closed family and is tagged a measure without a
-    classification pass. The points are sorted once by the density's order
-    keys, ties by index; each member takes the density of the first point
-    in that order it contains, so equal least densities resolve to the
-    lowest such point's value object. One scan down that order settles, at
-    each point, every member still open that contains it, and stops when
-    none is open: the cost is the sort plus, per member, the rank of its
-    first point. Nothing is kept.
+    classification pass. Its index is the density and INF. The points are
+    sorted once by the density's order keys, ties by index; each member's
+    slot is the first point in that order it contains, so equal least
+    densities resolve to the lowest such point's value object. One scan
+    down that order settles, at each point, every member still open that
+    contains it, and stops when none is open: the cost is the sort plus,
+    per member, the rank of its first point.
     """
     keys = order_keys(density)
     members = space.family.members
-    values = [INF] * len(members)
-    left = range(1, len(members))  # every member but the empty one, id 0
+    slots = [len(keys)] * len(members)  # INF's, which the empty member, id 0, keeps
+    left = range(1, len(members))
     for i in sorted(range(len(keys)), key=keys.__getitem__):
-        bit, value = 1 << i, density[i]
+        bit = 1 << i
         rest = []
         for hid in left:
             if members[hid] & bit:
-                values[hid] = value
+                slots[hid] = i
             else:
                 rest.append(hid)
         left = rest
         if not left:
             break
-    return EFunction(space, tuple(values), EClass.MEASURE)
+    return EFunction.from_index(space, [*density, INF], slots, EClass.MEASURE)
 
 
 def _claims(size: int, covers: Sequence[int], values: Sequence[XValue]) -> list[XValue]:
     """Per point of a model of `size` points, the largest of the `values`
     whose bitset in `covers` holds it (its claim); 0 for a point no bitset
-    holds. The covers are a family's members for a table, or the unions
-    of the members that share one row of a kernel.
+    holds. The covers are the unions of the members that share one value
+    object of a table (`slot_covers`), or one row of a kernel.
 
     Values are visited from the largest down, on their order keys, and each
     point takes the first one that covers it; the visit stops once every
@@ -231,10 +288,11 @@ def close(e: EFunction) -> EFunction:
     cover of H by members can do no better than pick, for each point, the
     member behind its claim. On an intersection-closed space a capacity's
     claims sit on the least hypotheses, which the closure leaves untouched.
+    The claims are taken over the distinct value objects, not the members.
     """
-    return measure_from_density(
-        e.space, _claims(e.space.model.size, e.space.family.members, e.values)
-    )
+    distinct, slots = e.index()
+    covers = slot_covers(e.space.family.members, slots, len(distinct))
+    return measure_from_density(e.space, _claims(e.space.model.size, covers, distinct))
 
 
 def shilkret_integral(e: EFunction, levels: Iterable[tuple[XValue, int]]) -> XValue:

@@ -85,7 +85,7 @@ one step in that memo; any other is read as the general path reads it, the
 one step's oracle. Evidence and kernel rows keyed, as the command line
 lists them, by the quoted printed labels of members 1, 2, ... in id order
 fill the table by position, unless a name or 'empty' takes a printed label
-(`SpaceFile._order`); the evidence table so read is the `EFunction`. The
+(`SpaceFile._order`). The
 row reader takes the file only when every row reads as the general path
 reads it: a label of the label table, each member once, keys typed to the
 outcomes in order (a model's first row's keys), evidence values and finite
@@ -94,9 +94,10 @@ same read to the general path (`_read_table`, else PyYAML), which is also
 the row reader's oracle. Every file is read by raw reads until one comes
 back empty, as a FIFO may deliver less at a time (`_read_text`).
 
-The row reader hands a kernel the index it read, the distinct rows and
-each member's slot among them (`EKernel.from_index`), and builds a model's
-`Pmf` once per distinct row.
+The row reader hands a kernel or an evidence table the index it read, the
+distinct rows (value objects) and each member's slot among them
+(`EKernel.from_index`, `EFunction.from_index`), and builds a model's `Pmf`
+once per distinct row.
 """
 
 from __future__ import annotations
@@ -118,6 +119,7 @@ from .spaces import (
     Preorder,
     Space,
     SpaceError,
+    class_from_preorder,
     union_closure,
 )
 from .xvalue import INF, XValue, parse_xvalue, ratio, read_rational
@@ -398,14 +400,13 @@ class _Cells(dict):
 
 
 def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes=None, order=None):
-    """A file of the row shape (module docstring), matched by one pattern:
-    per id of the `size` ids, in id order, the value of the row whose label
-    `ids` maps to it, the outcomes their keys name, and the distinct flat
-    rows in file order. A flat row is one tuple of XValues per distinct row
-    text, keyed by `outcomes` (else the first row's keys) in order, and an
-    id gets its index among those rows (its slot); a plain row's value is
-    its XValue. `empty`, if given, is the empty member's value, written or
-    not; unwritten, a flat one is a row of its own.
+    """A file of the row shape (module docstring), matched by one pattern,
+    as its row index: per id of the `size` ids, in id order, the slot of
+    the row whose label `ids` maps to it, the outcomes their keys name, and
+    the distinct rows in file order, one per distinct row text. A flat
+    row is one tuple of XValues, keyed by `outcomes` (else the first row's
+    keys) in order; a plain row is its XValue. `empty`, if given, is the
+    empty member's row, written or not; unwritten, it is a row of its own.
     The distinct flat rows are split at once, and taken when each names
     the first row's keys, typed once, in its order. Rows whose quoted keys
     are `order`, the labels of ids 1, 2, ... in order, fill those ids by
@@ -422,10 +423,9 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
     cells = _Cells(path, scalars)  # once per distinct text
     texts = list(dict.fromkeys(values))  # each distinct row text, in file order
     slots: list = [None] * size
-    distinct = None
     try:
         if inside is None:
-            rows = dict(zip(texts, map(cells.__getitem__, texts)))
+            distinct = list(map(cells.__getitem__, texts))
         else:
             width = texts[0].count(", ")  # of each row: its outcomes less one
             if not all(map(inside.fullmatch, texts)) or any(t.count(", ") != width for t in texts):
@@ -438,7 +438,7 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
                 return None
             row_cells = map(cells.__getitem__, parts[1::2])
             distinct = list(zip(*[row_cells] * (width + 1)))
-            rows = dict(zip(texts, range(len(texts))))
+        rows = dict(zip(texts, range(len(texts))))
         if quoted == order:
             slots[1:] = map(rows.__getitem__, values)
         else:
@@ -453,12 +453,9 @@ def _rows(path, text: str, head: str, ids: dict, size: int, empty=None, outcomes
     if empty is not None:  # the empty member sorts first
         if slots[0] is None:
             filled += 1
-            if distinct is None:
-                slots[0] = empty
-            else:  # a row of its own
-                slots[0] = len(distinct)
-                distinct.append(empty)
-        elif (slots[0] if distinct is None else distinct[slots[0]]) != empty:
+            slots[0] = len(distinct)
+            distinct.append(empty)
+        elif distinct[slots[0]] != empty:
             return None
     return None if filled != size else (slots, outcomes, distinct)
 
@@ -586,8 +583,6 @@ def load_space(path: Path | str) -> SpaceFile:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SchemaError(path, f"preorder entry {pair!r} is not a pair")
             pairs.append(tuple(_point_index(path, model, p) for p in pair))
-        from .spaces import class_from_preorder
-
         try:
             space = class_from_preorder(model, Preorder.from_pairs(model.size, pairs))
         except SpaceError as exc:
@@ -617,8 +612,8 @@ def load_evidence(path: Path | str, sf: SpaceFile) -> EFunction:
     text = _read_text(path)
     ids = sf._labels()
     found = _rows(path, text, "evidence", ids, len(sf.space.family), INF, None, sf._order)
-    if found:  # XValues, inf on the empty member
-        return EFunction(sf.space, tuple(found[0]))
+    if found:  # inf on the empty member
+        return EFunction.from_index(sf.space, found[2], found[0])
     table = _parse(path, text).get("evidence")
     if not isinstance(table, dict):
         raise SchemaError(path, "'evidence' must map hypothesis labels to values")

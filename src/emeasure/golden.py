@@ -84,15 +84,17 @@ def compute_reference_table(alpha: XValue) -> dict[str, tuple[Optional[XValue], 
     space = toy_space()
     base = base_efunction(space)
     gids = group_ids(space)
-    stepup = mtp.ebh(base, gids, alpha).table.values
-    closed = mtp.closed_ebh(base, gids, alpha)
-    inflated = mtp.postprocess_efunction(base, closed.rejected).values
-    shares = mtp.selection_shares(space, closed.rejected)
+    stepup = mtp.ebh(base, gids, alpha).table
+    selection = mtp.self_consistent_selection(base, gids, alpha)  # its shares, counted once
+    closed = mtp.closed_ebh(base, gids, alpha, selection).table
+    shares = selection.shares
+    inflated = mtp.postprocess_efunction(base, selection.selected, shares)
+    hids = [row_id(space, label) for label in _ROW_CELLS]
+    base, inflated, stepup, closed = (e.at(hids) for e in (base, inflated, stepup, closed))
     table = {}
-    for label, cells in _ROW_CELLS.items():
-        hid = row_id(space, label)
+    for i, (label, cells) in enumerate(_ROW_CELLS.items()):
         share = None if label.startswith("G") else shares[space.model.index(cells[0])]
-        table[label] = (base.values[hid], inflated[hid], share, stepup[hid], closed.table.values[hid])
+        table[label] = (base[i], inflated[i], share, stepup[i], closed[i])
     return table
 
 

@@ -140,9 +140,7 @@ class EKernel:
 
     def __init__(self, space: Space, sample: SampleSpace, rows: Sequence[Sequence[XValue]]):
         rows = tuple(map(tuple, rows))
-        slot_of: dict[int, int] = {}  # by the id of a row object
-        slots = [slot_of.setdefault(id(row), len(slot_of)) for row in rows]
-        self._store(space, sample, list(dict(zip(slots, rows)).values()), slots)
+        self._store(space, sample, *ev.identity_index(rows))
         self._rows = rows
 
     @classmethod
@@ -186,9 +184,11 @@ class EKernel:
 
     @property
     def columns(self) -> tuple[EFunction, ...]:
-        """One evidence table per outcome, built on first read."""
+        """One evidence table per outcome, built on first read as an index:
+        the distinct rows' values at the outcome, and the kernel's slots."""
         if self._columns is None:
-            self._columns = tuple(EFunction(self.space, values) for values in zip(*self.rows))
+            space, slots = self.space, self.slots
+            self._columns = tuple(EFunction.from_index(space, [*col], slots) for col in zip(*self.distinct))
         return self._columns
 
     @property
@@ -208,9 +208,7 @@ class EKernel:
         members' points, and per outcome `evidence._claims` sweeps those
         rows, largest value first, in place of the members.
         """
-        covers = [0] * len(self.distinct)
-        for bits, slot in zip(self.space.family.members, self.slots):
-            covers[slot] |= bits
+        covers = ev.slot_covers(self.space.family.members, self.slots, len(self.distinct))
         n = self.space.model.size
         return [ev._claims(n, covers, values) for values in zip(*self.distinct)]
 
@@ -289,9 +287,7 @@ def _pair_report(
     n = pa.model.size
     bounds = [ONE] * n if bounds is None else bounds
     masses = [pmf.scaled for pmf in pa.pmfs]
-    covers = [0] * len(variables)
-    for bits, slot in zip(members, range(len(members)) if slots is None else slots):
-        covers[slot] |= bits
+    covers = ev.slot_covers(members, range(len(members)) if slots is None else slots, len(variables))
     group: dict[Scaled, int] = {}  # each distinct variable read, by value
     stats: list[list[Optional[XValue]]] = []  # per group, its statistics by point
     computed: list[int] = []
@@ -466,7 +462,7 @@ def eposterior(prior: EFunction, k: EKernel, pa: ProbabilityAssignment) -> tuple
     post = EKernel(space, k.sample, [tuple(p * v for v in row) for p, row in zip(prior.values, k.rows)])
     if space.intersection_closed:
         post = close_kernel(post)
-        bounds = [prior.values[hid] for hid in space.least_ids()]
+        bounds = prior.at(space.least_ids())
         report = _pair_report(pa, space.family.members, post.tables(), bounds=bounds, slots=post.slots)
         return post, report
     members = [0 if p.is_zero or p.is_inf else m for p, m in zip(prior.values, space.family.members)]

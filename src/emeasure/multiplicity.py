@@ -98,17 +98,19 @@ def selection_shares(space, selected: Sequence[int]) -> list[XValue]:
     return [ratio(c, size) for c in count]
 
 
-def postprocess_efunction(e: EFunction, selected: Sequence[int]) -> EFunction:
+def postprocess_efunction(
+    e: EFunction, selected: Sequence[int], shares: Optional[Sequence[XValue]] = None
+) -> EFunction:
     """Single-table version of the selection inflation (data already fixed):
     each point's least-hypothesis evidence divided by its selection share,
-    spread by the union law."""
+    spread by the union law. `shares`, if given, are `selected`'s."""
     space = e.space
     space.require_intersection_closed()
     least = space.least_ids()
-    shares = selection_shares(space, selected)
+    shares = selection_shares(space, selected) if shares is None else shares
     return ev.measure_from_density(
         space,
-        [e.values[least[pi]] / share for pi, share in enumerate(shares)],
+        [value / share for value, share in zip(e.at(least), shares)],
     )
 
 
@@ -116,6 +118,7 @@ class SelectionResult(NamedTuple):
     selected: tuple[int, ...]
     witness: dict[int, XValue]
     is_fixed_point: bool
+    shares: tuple[XValue, ...]  # per point, its share of the selection
 
 
 def self_consistent_selection(
@@ -138,27 +141,24 @@ def self_consistent_selection(
 
     The shares c_{S*}(p) / |S*| (`selection_shares`) give every
     candidate's inflated value, the witness. If each member of S* reaches
-    1/alpha it is returned; otherwise no selection is a fixed point, and
-    the empty selection is returned and flagged.
+    1/alpha it is returned with its shares; otherwise no selection is a
+    fixed point, and the empty selection, all of whose shares are 0, is
+    returned and flagged.
     """
     alpha = _level(alpha)
     space = e.space
     space.require_intersection_closed()
     ids = sorted(family_ids)
     points = [space.family.indices(g) for g in ids]
-    least_value = [e.values[hid] for hid in space.least_ids()]
+    least_value = e.at(space.least_ids())
     chosen = [i for i, pts in enumerate(points) if not any(least_value[p].is_zero for p in pts)]
     shares = selection_shares(space, [ids[i] for i in chosen])
     term = [v / share for v, share in zip(least_value, shares)]
     inflated = [inf_of(term[p] for p in pts) for pts in points]
     threshold = ONE / alpha
     if any(inflated[i] < threshold for i in chosen):
-        return SelectionResult(selected=(), witness={}, is_fixed_point=False)
-    return SelectionResult(
-        selected=tuple(ids[i] for i in chosen),
-        witness=dict(zip(ids, inflated)),
-        is_fixed_point=True,
-    )
+        return SelectionResult((), {}, False, (ZERO,) * len(shares))
+    return SelectionResult(tuple(ids[i] for i in chosen), dict(zip(ids, inflated)), True, tuple(shares))
 
 
 # -- e-value step-up rejections --------------------------------------------
@@ -206,22 +206,26 @@ def ebh(e: EFunction, family_ids: Sequence[int], alpha: Rationalish) -> StepUpRe
     alpha = _level(alpha)
     e.space.require_intersection_closed()
     ids = sorted(family_ids)
-    ranked = sorted(ids, key=lambda g: (e.values[g], -g), reverse=True)
+    value = dict(zip(ids, e.at(ids)))
+    ranked = sorted(ids, key=lambda g: (value[g], -g), reverse=True)
     big_k = len(ids)
     best_k = 0
     for kth, g in enumerate(ranked, start=1):
-        if e.values[g] >= XValue(big_k) / (alpha * kth):
+        if value[g] >= XValue(big_k) / (alpha * kth):
             best_k = kth
     rejected = tuple(sorted(ranked[:best_k]))
     return StepUpResult(rejected=rejected, table=_binary_rejection_table(e.space, rejected, alpha))
 
 
-def closed_ebh(e: EFunction, family_ids: Sequence[int], alpha: Rationalish) -> StepUpResult:
+def closed_ebh(
+    e: EFunction, family_ids: Sequence[int], alpha: Rationalish, selection: Optional[SelectionResult] = None
+) -> StepUpResult:
     """Reject the self-consistent selection instead of the step-up set.
 
     The rejections are the fixed point of ``self_consistent_selection``, or
     nothing when there is none, rendered as a binary table like ``ebh``'s.
+    `selection`, if given, is that selection on the same arguments.
     """
     alpha = _level(alpha)
-    selected = self_consistent_selection(e, family_ids, alpha).selected
+    selected = (selection or self_consistent_selection(e, family_ids, alpha)).selected
     return StepUpResult(rejected=selected, table=_binary_rejection_table(e.space, selected, alpha))

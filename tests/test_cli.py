@@ -193,7 +193,7 @@ def _boom(*args):
 
 
 @pytest.mark.parametrize("owner, name, argv", [
-    (spaces, "class_from_preorder", ["space", "--space", "space_preorder.yaml"]),
+    (fileio, "class_from_preorder", ["space", "--space", "space_preorder.yaml"]),
     (spaces.Model, "bits_of", ["space", "--space", "space_gens_ic.yaml"]),
     (fileio, "ConsequenceSpace", [
         "decide", "--space", "space_coin.yaml", "--model", "model_coin.yaml", "--kernel",

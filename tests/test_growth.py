@@ -474,6 +474,34 @@ def test_a_closure_compares_and_wraps_no_value_per_member(monkeypatch, capsys, t
         assert slope(sizes, series) <= 0.2, (name, series)
 
 
+def test_a_closure_sorts_its_claims_per_distinct_value_not_per_member(monkeypatch, capsys, tmp_path):
+    """L2 `evidence.close` through L5 `closure`, records format, on
+    perfbench's capacity inputs over the 64-, 256- and 1,024-member chain
+    families: the claims are taken over the table's distinct value objects,
+    so the values whose order keys the closure builds, to sort them, number
+    at most the table's distinct values plus the points (the closed
+    measure's density), and grow with a log-log slope of at most 0.2 in
+    members. Sorting every member's value, as a claim per member does, is
+    a slope of 1."""
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
+    import workloads
+
+    keyed = []
+    keys = evidence.order_keys
+    monkeypatch.setattr(evidence, "order_keys", lambda values: keyed.append(len(values)) or keys(values))
+    sizes, counts = [64, 256, 1024], []
+    for points in (6, 8, 10):
+        corpus = workloads.Corpus(tmp_path / str(points), "lattice", 11)
+        corpus.dir.mkdir()
+        job = workloads.closure_job(corpus, ("chains", (1,) * points, "preorder"), "capacity")
+        del keyed[:]
+        assert cli.main(list(job.argv)) == cli.EXIT_OK
+        distinct = len(set(re.findall(r" before=(\S+)", capsys.readouterr().out)))
+        assert sum(keyed) <= distinct + points, (points, keyed, distinct)
+        counts.append(sum(keyed))
+    assert slope(sizes, counts) <= 0.2, counts
+
+
 @pytest.mark.parametrize("kind", ["fwe", "fer-family", "predictive"])
 def test_point_checks_make_one_expectation_per_point(monkeypatch, capsys, tmp_path, kind):
     """L3 FWE, FER with a rule and the predictive sup: each is the pair walk

@@ -512,6 +512,27 @@ def test_closed_stepup_on_empty_family():
     assert result.rejected == ()
 
 
+@pytest.mark.parametrize("alpha", [Fraction(1, 20), Fraction(1, 10 ** 6)], ids=["fixed-point", "none"])
+def test_the_golden_table_counts_the_selection_shares_once(monkeypatch, alpha):
+    """`golden.compute_reference_table` walks the selected members' points
+    once (`selection_shares`): the self-consistent selection's shares are
+    the ones closed eBH, the inflated column and the fsp column read, also
+    at a level with no fixed point, whose empty selection has shares 0."""
+    calls = []
+    shares = mtp.selection_shares
+    monkeypatch.setattr(mtp, "selection_shares", lambda *args: calls.append(args) or shares(*args))
+    table = golden.compute_reference_table(XValue(alpha))
+    assert len(calls) == 1
+    space = golden.toy_space()
+    base, gids = golden.base_efunction(space), golden.group_ids(space)
+    rejected = closed_ebh(base, gids, alpha).rejected
+    inflated = postprocess_efunction(base, rejected)
+    for label, cells in golden._ROW_CELLS.items():
+        hid = golden.row_id(space, label)
+        share = None if label.startswith("G") else shares(space, rejected)[space.model.index(cells[0])]
+        assert table[label][1:3] == (inflated[hid], share), label
+
+
 def least_hypothesis_bounds(k, rule):
     """Per (point, outcome): the FWE statistic, the FER statistic of `rule`,
     and their least-hypothesis bounds e(H_p|x) * phi(1_p), where phi(1_p) is

@@ -47,6 +47,7 @@ evidence against the bounds, or refused exactly when a bound is no member.
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
 import helpers
@@ -57,6 +58,7 @@ from emeasure import (
     check_predictive_validity, close, close_kernel, optimality_class,
 )
 from emeasure import decisions as dec
+from emeasure import fileio
 from emeasure import kernels as kn
 from emeasure import multiplicity as mtp
 from emeasure.evidence import measure_from_density
@@ -215,6 +217,62 @@ def test_every_small_world_agrees_with_the_definitions(monkeypatch):
         worlds += 1
     assert worlds == 2550 and seen == set(EClass)
     assert verdicts == {True, False, "tie"}
+
+
+def _assert_indexed(e):
+    """`e`'s values, and the members' values read by `at`, are read off its
+    index."""
+    distinct, slots = e.index()
+    assert e.values == tuple(distinct[s] for s in slots) and len(slots) == len(e.space.family)
+    assert all(map(operator.is_, e.at(reversed(range(len(slots)))), reversed(e.values)))
+
+
+def test_every_way_of_building_a_table_keeps_its_row_index_on_every_small_world(tmp_path, monkeypatch):
+    """L2 and L5 `EFunction` on every small world and a seeded table each,
+    built every way: read from an evidence file by the row reader and by
+    the general path, with or without the empty member's row,
+    `measure_from_density` of a seeded density, `close`
+    of both reads, and the columns of a seeded two-outcome kernel
+    (`EKernel.columns`). Each table's values are read off its index; the
+    two reads are equal and close to equal tables, `close` matches the
+    cover search `helpers.oracle_closure` where its 2^F covers are few, and
+    `measure_from_density` matches `helpers.oracle_measure_from_density`
+    object for object."""
+    r = helpers.rng(5204)
+    space_path, row_path, general_path = (tmp_path / f"{name}.yaml" for name in ("space", "row", "general"))
+    rows, taken = fileio._rows, []
+    monkeypatch.setattr(fileio, "_rows", lambda *args: taken.append(rows(*args)) or taken[-1])
+    sample = SampleSpace(("x", "y"))
+    for space in _worlds():
+        nonempty = space.family.nonempty_ids()
+        tables = [(INF, *(r.choice(ALPHABET) for _ in nonempty)) for _ in sample.outcomes]
+        space_path.write_text(helpers.space_yaml(space))
+        written = nonempty if nonempty and r.random() < 0.5 else range(len(space.family))
+        text = "evidence:\n" + "".join(
+            f'  "{helpers.member_label(space, hid)}": {tables[0][hid].record()}\n' for hid in written
+        )
+        row_path.write_text(text)
+        general_path.write_text(text + "# a comment, which only the general path reads\n")
+        sf = fileio.load_space(space_path)
+        assert sf.space.family.members == space.family.members
+        read, general = (fileio.load_evidence(path, sf) for path in (row_path, general_path))
+        assert taken[-2] is not None and taken[-1] is None
+        closed = close(read)
+        for e in (read, general, closed, close(general)):
+            _assert_indexed(e)
+        assert read == general == from_values(sf.space, tables[0]) and close(general) == closed
+        if len(space.family) <= COVERED:
+            assert list(closed.values) == helpers.oracle_closure(read)
+        density = [r.choice(ALPHABET) for _ in space.model.points]
+        measure = measure_from_density(space, density)
+        _assert_indexed(measure)
+        want = helpers.oracle_measure_from_density(space, density)
+        assert len(measure.values) == len(want) and all(map(operator.is_, measure.values, want))
+        shared = {}  # equal rows become one object, as a kernel file makes them
+        k = EKernel(space, sample, [shared.setdefault(row, row) for row in zip(*tables)])
+        for column, values in zip(k.columns, tables):
+            _assert_indexed(column)
+            assert column.values == values
 
 
 def _raised(r, space, values, antitone):

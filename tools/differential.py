@@ -310,7 +310,9 @@ class Draw:
     one from the first seed, input n's files named `letter` + n in four
     digits. It draws from the kind's own rng, labelled `KIND/SEED`, and
     edits with one rng per family of `FAMILIES` that edits the kind,
-    labelled `KIND-FAMILY/SEED`, so that no family moves another's draws."""
+    labelled `KIND-FAMILY/SEED`, so that no family moves another's draws.
+    The file families' edits inside a `shared` redraw have rngs of their
+    own, labelled `KIND-shared-FAMILY/SEED` (`redrawn`)."""
 
     def __init__(self, letter: str, make: Callable):
         self.letter, self.make = letter, make
@@ -320,6 +322,9 @@ class Draw:
         self.stem = str(inputs / f"{kind}-{seeds[0]}" / self.letter)
         self.rng = random.Random(f"{kind}/{seeds[0]}")
         self.families = {f: random.Random(f"{kind}-{f.name}/{seeds[0]}") for f in FAMILIES if kind in f.jobs}
+        self.redrawn = {
+            f: random.Random(f"{kind}-shared-{f.name}/{seeds[0]}") for f in self.families if not f.when
+        }
         jobs = []
         for n in range(count):
             argv = self.input(self.make, n)
@@ -848,11 +853,12 @@ def _raise(draw: Draw, family: Family, argv: list[str]) -> list[str]:
 
 
 def _redraw_shared(draw: Draw, family: Family, argv: list[str]) -> list[str]:
-    """The input drawn again over a `_shared_space`, its draws and its file
-    edits from this family's rng, the other input families from theirs."""
+    """The input drawn again over a `_shared_space` from this family's rng,
+    its files edited by the file families with their `redrawn` rngs; no
+    input family rolls on it again."""
     rng, redraw = draw.families[family], copy.copy(draw)
     redraw.rng = rng
-    redraw.families = {f: r if f.when else rng for f, r in draw.families.items() if f is not family}
+    redraw.families = draw.redrawn
     argv = redraw.input(lambda d, n: _check(d, n, _shared_space(rng)), draw.n)
     draw.edits = {path: [family, *fs] for path, fs in redraw.edits.items()}
     return argv
