@@ -534,11 +534,11 @@ def cmd_mtp(args) -> int:
     result = procedure(e, gids, alpha)
     names = [sf.space.label(g) for g in result.rejected]
     out.text(f"rejected: {names or 'nothing'}")
-    for g, value in zip(gids, result.table.at(gids)):
+    for g in gids:
         out.record(
             "rejection", hypothesis=sf.space.label(g),
             rejected=g in result.rejected,
-            value=value,
+            value=result.table.values[g],
         )
     return EXIT_OK
 

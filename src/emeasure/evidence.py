@@ -9,7 +9,7 @@ of a kernel's at once. Closing upgrades a table to the smallest dominating
 measure, read off the most evidence each point can claim (the min/max form
 of maxitive measures): `_claims`, then `measure_from_density`, for one
 table in `close` and per outcome in `kernels.close_kernel`. A table is its
-row index (`EFunction`): `close` takes the claims over its distinct value
+row index (`EFunction`): `close` takes the claims over its index's value
 objects, each covering its members' union (`slot_covers`), and
 `measure_from_density` gives each member the slot of its least point.
 """
@@ -44,19 +44,19 @@ class EClass(enum.IntEnum):
 class EFunction(Record):
     """Evidence per hypothesis id and its class, the strongest the values
     satisfy. Stored as its row index, as `kernels.EKernel` stores its rows:
-    its distinct value objects and each hypothesis's slot among them
-    (`index`). The row reader and `measure_from_density` hand it over
-    (`from_index`) and `values` is built on first read; a table built from
-    values finds it, by identity, on first use. The class is computed when
-    ``eclass`` is first read, unless it was given; equality compares the
-    space and the values."""
+    a list of value objects, which may repeat, and each hypothesis's slot
+    in it (`index`). The row reader and `measure_from_density` hand it over
+    (`from_index`), and `values` is built on its first read; a table built
+    from values finds its index, by identity, on first use. The class is
+    computed when ``eclass`` is first read, unless it was given; equality
+    compares the space and the values."""
 
-    __slots__ = ("space", "_values", "_index", "_eclass")
+    __slots__ = ("space", "values", "_index", "_eclass")
     _compared = ("space", "values")
 
     def __init__(self, space: Space, values: tuple[XValue, ...], _eclass: Optional[EClass] = None):
         self.space = space
-        self._values: Optional[tuple[XValue, ...]] = values
+        self.values = values
         self._index: Optional[tuple[list[XValue], list[int]]] = None
         self._eclass = _eclass
 
@@ -65,20 +65,23 @@ class EFunction(Record):
         cls, space: Space, distinct: list[XValue], slots: list[int], _eclass: Optional[EClass] = None
     ) -> "EFunction":
         """The table whose hypothesis `hid` has the value `distinct[slots[hid]]`,
-        with no pass over the members."""
+        with no pass over the members; `values` stays unset until read."""
         e = cls.__new__(cls)
-        e.space, e._values, e._index, e._eclass = space, None, (distinct, slots), _eclass
+        e.space, e._index, e._eclass = space, (distinct, slots), _eclass
         return e
 
-    @property
-    def values(self) -> tuple[XValue, ...]:
-        if self._values is None:
-            distinct, slots = self._index
-            self._values = tuple(map(distinct.__getitem__, slots))
-        return self._values
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: `from_index` leaves `values` unset,
+        # and its first read fills the slot, which later reads find directly.
+        if name != "values":
+            raise AttributeError(name)
+        distinct, slots = self._index
+        self.values = values = tuple(map(distinct.__getitem__, slots))
+        return values
 
     def index(self) -> tuple[list[XValue], list[int]]:
-        """The distinct value objects and each hypothesis's slot among them."""
+        """A list of value objects, which may repeat, and each hypothesis's
+        slot in it."""
         if self._index is None:
             self._index = identity_index(self.values)
         return self._index
@@ -92,14 +95,6 @@ class EFunction(Record):
 
     def __getitem__(self, hid: int) -> XValue:
         return self.values[hid]
-
-    def at(self, hids: Iterable[int]) -> list[XValue]:
-        """The values of the members `hids`, read off the index when there is
-        one, so that reading a few members builds no `values`."""
-        if self._index is None:
-            return list(map(self.values.__getitem__, hids))
-        distinct, slots = self._index
-        return [distinct[slots[hid]] for hid in hids]
 
     def value_of(self, item) -> XValue:
         return self.values[self.space.family.id_of(item)]
@@ -288,7 +283,7 @@ def close(e: EFunction) -> EFunction:
     cover of H by members can do no better than pick, for each point, the
     member behind its claim. On an intersection-closed space a capacity's
     claims sit on the least hypotheses, which the closure leaves untouched.
-    The claims are taken over the distinct value objects, not the members.
+    The claims are taken over the index's value objects, not the members.
     """
     distinct, slots = e.index()
     covers = slot_covers(e.space.family.members, slots, len(distinct))

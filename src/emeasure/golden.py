@@ -84,17 +84,18 @@ def compute_reference_table(alpha: XValue) -> dict[str, tuple[Optional[XValue], 
     space = toy_space()
     base = base_efunction(space)
     gids = group_ids(space)
-    stepup = mtp.ebh(base, gids, alpha).table
-    selection = mtp.self_consistent_selection(base, gids, alpha)  # its shares, counted once
-    closed = mtp.closed_ebh(base, gids, alpha, selection).table
+    stepup = mtp.ebh(base, gids, alpha).table.values
+    # closed_ebh's table from one selection, whose shares serve the
+    # inflated and fsp columns too: they are counted once.
+    selection = mtp.self_consistent_selection(base, gids, alpha)
+    closed = mtp._binary_rejection_table(space, selection.selected, alpha).values
     shares = selection.shares
-    inflated = mtp.postprocess_efunction(base, selection.selected, shares)
-    hids = [row_id(space, label) for label in _ROW_CELLS]
-    base, inflated, stepup, closed = (e.at(hids) for e in (base, inflated, stepup, closed))
+    inflated = mtp.postprocess_efunction(base, shares).values
     table = {}
-    for i, (label, cells) in enumerate(_ROW_CELLS.items()):
+    for label, cells in _ROW_CELLS.items():
+        hid = row_id(space, label)
         share = None if label.startswith("G") else shares[space.model.index(cells[0])]
-        table[label] = (base[i], inflated[i], share, stepup[i], closed[i])
+        table[label] = (base.values[hid], inflated[hid], share, stepup[hid], closed[hid])
     return table
 
 

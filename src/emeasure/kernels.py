@@ -462,7 +462,7 @@ def eposterior(prior: EFunction, k: EKernel, pa: ProbabilityAssignment) -> tuple
     post = EKernel(space, k.sample, [tuple(p * v for v in row) for p, row in zip(prior.values, k.rows)])
     if space.intersection_closed:
         post = close_kernel(post)
-        bounds = prior.at(space.least_ids())
+        bounds = [prior.values[hid] for hid in space.least_ids()]
         report = _pair_report(pa, space.family.members, post.tables(), bounds=bounds, slots=post.slots)
         return post, report
     members = [0 if p.is_zero or p.is_inf else m for p, m in zip(prior.values, space.family.members)]

@@ -98,19 +98,16 @@ def selection_shares(space, selected: Sequence[int]) -> list[XValue]:
     return [ratio(c, size) for c in count]
 
 
-def postprocess_efunction(
-    e: EFunction, selected: Sequence[int], shares: Optional[Sequence[XValue]] = None
-) -> EFunction:
+def postprocess_efunction(e: EFunction, shares: Sequence[XValue]) -> EFunction:
     """Single-table version of the selection inflation (data already fixed):
-    each point's least-hypothesis evidence divided by its selection share,
-    spread by the union law. `shares`, if given, are `selected`'s."""
+    each point's least-hypothesis evidence divided by its share of the
+    selection (`selection_shares`), spread by the union law."""
     space = e.space
     space.require_intersection_closed()
     least = space.least_ids()
-    shares = selection_shares(space, selected) if shares is None else shares
     return ev.measure_from_density(
         space,
-        [value / share for value, share in zip(e.at(least), shares)],
+        [e.values[least[pi]] / share for pi, share in enumerate(shares)],
     )
 
 
@@ -129,9 +126,9 @@ def self_consistent_selection(
     A selection S rejects the candidate g when its inflated value
     inf over p in g of e(H_p) / (c_S(p) / |S|) reaches 1/alpha, where c_S(p)
     counts the members of S containing p (0/0 = 0, c/0 = inf); this is g's
-    value in ``postprocess_efunction(e, S)``. Such a fixed point S = R(S) is
-    unique when it exists, and is S*, the candidates with no point p of
-    e(H_p) = 0:
+    value in ``postprocess_efunction(e, selection_shares(space, S))``. Such
+    a fixed point S = R(S) is unique when it exists, and is S*, the
+    candidates with no point p of e(H_p) = 0:
     - a candidate with such a point has inflated value 0 under every S, so
       no fixed point holds it;
     - every other candidate is rejected by any fixed point S. A point in no
@@ -150,15 +147,20 @@ def self_consistent_selection(
     space.require_intersection_closed()
     ids = sorted(family_ids)
     points = [space.family.indices(g) for g in ids]
-    least_value = e.at(space.least_ids())
+    least_value = [e.values[hid] for hid in space.least_ids()]
     chosen = [i for i, pts in enumerate(points) if not any(least_value[p].is_zero for p in pts)]
     shares = selection_shares(space, [ids[i] for i in chosen])
     term = [v / share for v, share in zip(least_value, shares)]
     inflated = [inf_of(term[p] for p in pts) for pts in points]
     threshold = ONE / alpha
     if any(inflated[i] < threshold for i in chosen):
-        return SelectionResult((), {}, False, (ZERO,) * len(shares))
-    return SelectionResult(tuple(ids[i] for i in chosen), dict(zip(ids, inflated)), True, tuple(shares))
+        return SelectionResult(selected=(), witness={}, is_fixed_point=False, shares=(ZERO,) * len(shares))
+    return SelectionResult(
+        selected=tuple(ids[i] for i in chosen),
+        witness=dict(zip(ids, inflated)),
+        is_fixed_point=True,
+        shares=tuple(shares),
+    )
 
 
 # -- e-value step-up rejections --------------------------------------------
@@ -206,26 +208,22 @@ def ebh(e: EFunction, family_ids: Sequence[int], alpha: Rationalish) -> StepUpRe
     alpha = _level(alpha)
     e.space.require_intersection_closed()
     ids = sorted(family_ids)
-    value = dict(zip(ids, e.at(ids)))
-    ranked = sorted(ids, key=lambda g: (value[g], -g), reverse=True)
+    ranked = sorted(ids, key=lambda g: (e.values[g], -g), reverse=True)
     big_k = len(ids)
     best_k = 0
     for kth, g in enumerate(ranked, start=1):
-        if value[g] >= XValue(big_k) / (alpha * kth):
+        if e.values[g] >= XValue(big_k) / (alpha * kth):
             best_k = kth
     rejected = tuple(sorted(ranked[:best_k]))
     return StepUpResult(rejected=rejected, table=_binary_rejection_table(e.space, rejected, alpha))
 
 
-def closed_ebh(
-    e: EFunction, family_ids: Sequence[int], alpha: Rationalish, selection: Optional[SelectionResult] = None
-) -> StepUpResult:
+def closed_ebh(e: EFunction, family_ids: Sequence[int], alpha: Rationalish) -> StepUpResult:
     """Reject the self-consistent selection instead of the step-up set.
 
     The rejections are the fixed point of ``self_consistent_selection``, or
     nothing when there is none, rendered as a binary table like ``ebh``'s.
-    `selection`, if given, is that selection on the same arguments.
     """
     alpha = _level(alpha)
-    selected = (selection or self_consistent_selection(e, family_ids, alpha)).selected
+    selected = self_consistent_selection(e, family_ids, alpha).selected
     return StepUpResult(rejected=selected, table=_binary_rejection_table(e.space, selected, alpha))

@@ -41,6 +41,7 @@ from emeasure import (
 from emeasure.decisions import DecisionError, OrderMeasurabilityViolation
 from emeasure.evidence import ClassMismatch, EvidenceError, measure_from_density
 from emeasure.kernels import Entry
+from emeasure.multiplicity import selection_shares
 from emeasure.spaces import HypothesisClass, NotAPreorder
 from emeasure.xvalue import dot_at_most, order_keys, scale
 
@@ -1028,7 +1029,7 @@ def oracle_fixed_points(e, family_ids, alpha):
     threshold = XValue(1) / XValue(alpha)
     for size in range(len(ids), -1, -1):
         for combo in itertools.combinations(ids, size):
-            inflated = postprocess_efunction(e, combo)
+            inflated = postprocess_efunction(e, selection_shares(e.space, combo))
             rejected = tuple(g for g in ids if inflated.values[g] >= threshold)
             if rejected == combo:
                 yield combo, {g: inflated.values[g] for g in ids}

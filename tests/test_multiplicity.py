@@ -297,7 +297,10 @@ def test_fer_first_inequality_tight_for_disjoint_least_selections():
 
 def postprocessed(k, rule):
     """Each outcome's table inflated by the rule's selection at that outcome."""
-    cols = [postprocess_efunction(col, rule.selected[xi]) for xi, col in enumerate(k.columns)]
+    cols = [
+        postprocess_efunction(col, mtp.selection_shares(k.space, rule.selected[xi]))
+        for xi, col in enumerate(k.columns)
+    ]
     return helpers.kernel_of(k.space, k.sample, cols)
 
 
@@ -367,8 +370,9 @@ def test_self_consistent_fixed_point_property_on_random_instances():
         fam = ids[: min(len(ids), 4)]
         alpha = Fraction(r.randint(1, 4), 20)
         result = self_consistent_selection(e, fam, alpha)
+        assert result.shares == tuple(mtp.selection_shares(space, result.selected))
         if result.is_fixed_point:
-            inflated = postprocess_efunction(e, result.selected)
+            inflated = postprocess_efunction(e, result.shares)
             rejected = tuple(
                 g for g in sorted(fam) if inflated.values[g] >= XValue(1) / XValue(alpha)
             )
@@ -516,8 +520,9 @@ def test_closed_stepup_on_empty_family():
 def test_the_golden_table_counts_the_selection_shares_once(monkeypatch, alpha):
     """`golden.compute_reference_table` walks the selected members' points
     once (`selection_shares`): the self-consistent selection's shares are
-    the ones closed eBH, the inflated column and the fsp column read, also
-    at a level with no fixed point, whose empty selection has shares 0."""
+    the ones the inflated and fsp columns read, and its members are closed
+    eBH's rejections, also at a level with no fixed point, whose empty
+    selection has shares 0."""
     calls = []
     shares = mtp.selection_shares
     monkeypatch.setattr(mtp, "selection_shares", lambda *args: calls.append(args) or shares(*args))
@@ -525,12 +530,14 @@ def test_the_golden_table_counts_the_selection_shares_once(monkeypatch, alpha):
     assert len(calls) == 1
     space = golden.toy_space()
     base, gids = golden.base_efunction(space), golden.group_ids(space)
-    rejected = closed_ebh(base, gids, alpha).rejected
-    inflated = postprocess_efunction(base, rejected)
+    closed = closed_ebh(base, gids, alpha)
+    fsp = shares(space, closed.rejected)
+    inflated = postprocess_efunction(base, fsp)
     for label, cells in golden._ROW_CELLS.items():
         hid = golden.row_id(space, label)
-        share = None if label.startswith("G") else shares(space, rejected)[space.model.index(cells[0])]
+        share = None if label.startswith("G") else fsp[space.model.index(cells[0])]
         assert table[label][1:3] == (inflated[hid], share), label
+        assert table[label][4] == closed.table[hid], label
 
 
 def least_hypothesis_bounds(k, rule):

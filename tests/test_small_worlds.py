@@ -220,11 +220,9 @@ def test_every_small_world_agrees_with_the_definitions(monkeypatch):
 
 
 def _assert_indexed(e):
-    """`e`'s values, and the members' values read by `at`, are read off its
-    index."""
+    """`e`'s values are read off its index."""
     distinct, slots = e.index()
     assert e.values == tuple(distinct[s] for s in slots) and len(slots) == len(e.space.family)
-    assert all(map(operator.is_, e.at(reversed(range(len(slots)))), reversed(e.values)))
 
 
 def test_every_way_of_building_a_table_keeps_its_row_index_on_every_small_world(tmp_path, monkeypatch):

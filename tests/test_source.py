@@ -360,7 +360,7 @@ def test_every_definition_is_reached_from_a_subcommand_or_kept_for_a_reason():
 
 
 # The lines of src/emeasure/*.py, as `wc -l` counts them.
-LINE_BUDGET = 4139
+LINE_BUDGET = 4133
 
 
 def test_the_package_stays_within_its_line_budget():
