@@ -298,7 +298,7 @@ def cmd_closure(args) -> int:
     # Both tables are indices over a few value objects, from the read's memo
     # and the claims: each object is rendered once. A record is canonical
     # (lowest terms, inf): equal texts are equal values.
-    (old, old_slots), (new, new_slots) = e.index(), closed.index()
+    (old, old_slots), (new, new_slots) = e.index, closed.index
     texts = {id(value): value for value in old + new}
     texts = {key: value.record() for key, value in texts.items()}
     old, new = ([texts[id(value)] for value in values] for values in (old, new))

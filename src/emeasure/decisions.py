@@ -26,6 +26,7 @@ point alone with its worst loss ratio.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import kernels as kn
@@ -75,8 +76,6 @@ class ConsequenceTable:
     `cspace.elements`. A numeric table (`numeric`) ranks its losses, so
     its cells compare as its losses do."""
 
-    __slots__ = ("model", "decisions", "cspace", "entries", "_bounds")
-
     def __init__(
         self, model: Model, decisions: tuple[str, ...], cspace: ConsequenceSpace,
         entries: Sequence[Sequence[int]],  # entries[point][decision]
@@ -98,7 +97,6 @@ class ConsequenceTable:
         self.decisions = decisions
         self.cspace = cspace
         self.entries = tuple(map(tuple, entries))
-        self._bounds: Optional[tuple[list[int], ...]] = None
 
     @classmethod
     def numeric(
@@ -123,6 +121,7 @@ class ConsequenceTable:
         entries = tuple(tuple(rank[next(cells)] for _ in row) for row in losses)
         return cls(model, decisions, cspace, entries)
 
+    @cached_property
     def bounds(self) -> tuple[list[int], ...]:
         """Per decision, the bound hypothesis at each consequence index: the
         bitset of the points whose consequence is at least as bad. Built once.
@@ -130,23 +129,21 @@ class ConsequenceTable:
         One pass per decision groups the points by consequence, and each
         group joins the bounds of the consequences below its own.
         """
-        if self._bounds is None:
-            rows, size = self.cspace.order.rows, len(self.cspace.elements)
-            below: dict[int, list[int]] = {}
-            table = []
-            for d in range(len(self.decisions)):
-                groups: dict[int, int] = {}
-                for pi, row in enumerate(self.entries):
-                    groups[row[d]] = groups.get(row[d], 0) | 1 << pi
-                bounds = [0] * size
-                for c, group in groups.items():
-                    if c not in below:  # read off the row's binary digits, lowest first
-                        below[c] = [e for e, bit in enumerate(bin(rows[c])[:1:-1]) if bit == "1"]
-                    for e in below[c]:
-                        bounds[e] |= group
-                table.append(bounds)
-            self._bounds = tuple(table)
-        return self._bounds
+        rows, size = self.cspace.order.rows, len(self.cspace.elements)
+        below: dict[int, list[int]] = {}
+        table = []
+        for d in range(len(self.decisions)):
+            groups: dict[int, int] = {}
+            for pi, row in enumerate(self.entries):
+                groups[row[d]] = groups.get(row[d], 0) | 1 << pi
+            bounds = [0] * size
+            for c, group in groups.items():
+                if c not in below:  # read off the row's binary digits, lowest first
+                    below[c] = [e for e, bit in enumerate(bin(rows[c])[:1:-1]) if bit == "1"]
+                for e in below[c]:
+                    bounds[e] |= group
+            table.append(bounds)
+        return tuple(table)
 
 
 def _require_order_measurable(space: Space, table: ConsequenceTable) -> list[int]:
@@ -158,7 +155,7 @@ def _require_order_measurable(space: Space, table: ConsequenceTable) -> list[int
     it, so some one of them is missing too: the first missing upper set in
     canonical order (popcount, then value) is the first missing member.
     """
-    bounds, full = table.bounds(), (1 << table.model.size) - 1
+    bounds, full = table.bounds, (1 << table.model.size) - 1
     ups = []
     for row in table.entries:
         up = full
@@ -208,7 +205,7 @@ def _consequence_report(
     with a fixed `rule` its miss rate, in expectation at each dominating point."""
     ups = _require_order_measurable(k.space, table)
     thresholds = None if rule is None else kn.outcome_thresholds(k, rule)
-    family, bounds = k.space.family, table.bounds()
+    family, bounds = k.space.family, table.bounds
     first: dict[tuple[int, ...], int] = {}  # each distinct row's first point
     for qi, row in enumerate(table.entries):
         first.setdefault(row, qi)
@@ -224,7 +221,7 @@ def _consequence_report(
 def _levels(table: ConsequenceTable, d: int) -> list[tuple[XValue, int]]:
     """The positive losses decision d takes in a numeric table, each with
     its bound hypothesis there: the super-level sets of its loss."""
-    values, bounds = table.cspace.values, table.bounds()[d]
+    values, bounds = table.cspace.values, table.bounds[d]
     if values is None:
         raise DecisionError("the integrated loss needs a numeric loss table")
     taken = dict.fromkeys(row[d] for row in table.entries)
@@ -284,7 +281,7 @@ def admissible_decisions(e: EFunction, table: ConsequenceTable) -> Admissibility
     """
     n_dec, family, keys = len(table.decisions), e.space.family, order_keys(e.values)
     rows = []
-    for d, bounds in enumerate(table.bounds()):
+    for d, bounds in enumerate(table.bounds):
         row = []
         for c, bits in enumerate(bounds):
             if bits not in family:

@@ -17,6 +17,7 @@ objects, each covering its members' union (`slot_covers`), and
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .spaces import Record, Space, _indices
@@ -47,51 +48,43 @@ class EFunction(Record):
     a list of value objects, which may repeat, and each hypothesis's slot
     in it (`index`). The row reader and `measure_from_density` hand it over
     (`from_index`), and `values` is built on its first read; a table built
-    from values finds its index, by identity, on first use. The class is
+    from values finds its index, by identity, on first read. The class is
     computed when ``eclass`` is first read, unless it was given; equality
     compares the space and the values."""
 
-    __slots__ = ("space", "values", "_index", "_eclass")
     _compared = ("space", "values")
 
-    def __init__(self, space: Space, values: tuple[XValue, ...], _eclass: Optional[EClass] = None):
+    def __init__(self, space: Space, values: tuple[XValue, ...]):
         self.space = space
         self.values = values
-        self._index: Optional[tuple[list[XValue], list[int]]] = None
-        self._eclass = _eclass
 
     @classmethod
     def from_index(
-        cls, space: Space, distinct: list[XValue], slots: list[int], _eclass: Optional[EClass] = None
+        cls, space: Space, distinct: list[XValue], slots: list[int], eclass: Optional[EClass] = None
     ) -> "EFunction":
         """The table whose hypothesis `hid` has the value `distinct[slots[hid]]`,
-        with no pass over the members; `values` stays unset until read."""
+        with no pass over the members; `values` is built when first read."""
         e = cls.__new__(cls)
-        e.space, e._index, e._eclass = space, (distinct, slots), _eclass
+        e.space, e.index = space, (distinct, slots)
+        if eclass is not None:
+            e.eclass = eclass
         return e
 
-    def __getattr__(self, name: str):
-        # Reached only for an unset slot: `from_index` leaves `values` unset,
-        # and its first read fills the slot, which later reads find directly.
-        if name != "values":
-            raise AttributeError(name)
-        distinct, slots = self._index
-        self.values = values = tuple(map(distinct.__getitem__, slots))
-        return values
+    @cached_property
+    def values(self) -> tuple[XValue, ...]:
+        distinct, slots = self.index
+        return tuple(map(distinct.__getitem__, slots))
 
+    @cached_property
     def index(self) -> tuple[list[XValue], list[int]]:
         """A list of value objects, which may repeat, and each hypothesis's
         slot in it."""
-        if self._index is None:
-            self._index = identity_index(self.values)
-        return self._index
+        return identity_index(self.values)
 
-    @property
+    @cached_property
     def eclass(self) -> EClass:
-        if self._eclass is None:
-            distinct, slots = self.index()
-            self._eclass = table_class(self.space, [distinct], slots)
-        return self._eclass
+        distinct, slots = self.index
+        return table_class(self.space, [distinct], slots)
 
     def __getitem__(self, hid: int) -> XValue:
         return self.values[hid]
@@ -116,11 +109,9 @@ def slot_covers(members: Sequence[int], slots: Iterable[int], size: int) -> list
     return covers
 
 
-def table_class(
-    space: Space, columns: Sequence[Sequence[XValue]], slots: Sequence[int] = ()
-) -> EClass:
+def table_class(space: Space, columns: Sequence[Sequence[XValue]], slots: Sequence[int]) -> EClass:
     """The strongest class all tables of `columns` satisfy, each column one
-    table's values by row; `slots` gives each member's row (else row i).
+    table's values by row; `slots` gives each member's row.
 
     Each row's order keys are packed into one int P, a lane of w key bits
     per table under guard mask G (`packed_keys`): one subtraction and one
@@ -149,8 +140,7 @@ def table_class(
     returns FUNCTION at the first that fails it.
     """
     packed, guard = packed_keys([order_keys(column) for column in columns])
-    if slots:
-        packed = [packed[slot] for slot in slots]
+    packed = [packed[slot] for slot in slots]
     family = space.family
     members = family.members
     w = (guard & -guard).bit_length() - 1
@@ -181,7 +171,7 @@ def table_class(
         else:
             return EClass.MEASURE
     key_of = dict(zip(members, packed))
-    irreducible = [(members[j], packed[j], packed[j] | guard) for j in family.irreducible_ids()]
+    irreducible = [(members[j], packed[j], packed[j] | guard) for j in family.irreducible_ids]
     union_law = True
     for bits, pa in zip(members, packed):
         guarded, missing = pa | guard, ~bits
@@ -244,7 +234,7 @@ def measure_from_density(space: Space, density: Sequence[XValue]) -> EFunction:
         left = rest
         if not left:
             break
-    return EFunction.from_index(space, [*density, INF], slots, EClass.MEASURE)
+    return EFunction.from_index(space, [*density, INF], slots, eclass=EClass.MEASURE)
 
 
 def _claims(size: int, covers: Sequence[int], values: Sequence[XValue]) -> list[XValue]:
@@ -285,7 +275,7 @@ def close(e: EFunction) -> EFunction:
     claims sit on the least hypotheses, which the closure leaves untouched.
     The claims are taken over the index's value objects, not the members.
     """
-    distinct, slots = e.index()
+    distinct, slots = e.index
     covers = slot_covers(e.space.family.members, slots, len(distinct))
     return measure_from_density(e.space, _claims(e.space.model.size, covers, distinct))
 

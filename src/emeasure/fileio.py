@@ -495,12 +495,11 @@ class SpaceFile:
     def __init__(self, space: Space, names: dict[str, int]):
         self.space = space
         self.names = names
-        self._ids: Optional[dict[str, int]] = None  # built on the first read
         self._order: Optional[tuple[str, ...]] = None  # ids 1, 2, ... by their own printed labels
 
     def resolve(self, path, label: str) -> int:
         """The id of a hypothesis label (see the module docstring)."""
-        hid = self._labels().get(label)
+        hid = self._labels.get(label)
         if hid is not None:
             return hid
         get = self.space.model.positions.get
@@ -517,22 +516,21 @@ class SpaceFile:
         except SpaceError:
             raise SchemaError(path, f"{label!r} is not a member of the family") from None
 
+    @functools.cached_property
     def _labels(self) -> dict[str, int]:
-        """The labels read without parsing, built on the first call: every
+        """The labels read without parsing, built on the first read: every
         member's printed label, then 'empty' and '{}', then the declared
         names, each overriding what comes before it. Printed labels are left
         out when a point label is empty, holds a ',' or is padded, as a comma
         list would then read as another set than the one it joins."""
-        if self._ids is None:
-            space = self.space
-            printed = all(p and "," not in p and p.strip() == p for p in space.model.points)
-            ids = space.printed_ids() if printed else {}
-            if printed and ids.keys().isdisjoint(["empty", "{}", *self.names]):
-                self._order = tuple(ids)
-            ids["empty"] = ids["{}"] = space.family.empty_id
-            ids.update(self.names)
-            self._ids = ids
-        return self._ids
+        space = self.space
+        printed = all(p and "," not in p and p.strip() == p for p in space.model.points)
+        ids = space.printed_ids() if printed else {}
+        if printed and ids.keys().isdisjoint(["empty", "{}", *self.names]):
+            self._order = tuple(ids)
+        ids["empty"] = ids["{}"] = space.family.empty_id
+        ids.update(self.names)
+        return ids
 
 
 def _named_twice(path, sf: SpaceFile, labels, hid: int, label: str) -> SchemaError:
@@ -555,7 +553,7 @@ def load_space(path: Path | str) -> SpaceFile:
         model = Model(tuple(points))
     except SpaceError as exc:
         raise SchemaError(path, str(exc)) from None
-    names: dict[str, list[str]] = {}
+    names: dict = {}  # each declared name: its generator's labels, then its bitset
     if "generators" in data:
         gens = data["generators"]
         if isinstance(gens, dict):
@@ -573,6 +571,7 @@ def load_space(path: Path | str) -> SpaceFile:
                 sets.append(model.bits_of(g))
             except SpaceError:
                 raise SchemaError(path, f"generator {g!r} uses unknown points") from None
+        names = dict(zip(names, sets))
         space = Space(model, union_closure(model.size, sets))
     elif "preorder" in data:
         entries = data["preorder"]
@@ -589,10 +588,7 @@ def load_space(path: Path | str) -> SpaceFile:
             raise SchemaError(path, str(exc)) from None
     else:
         raise SchemaError(path, "need 'generators' or 'preorder'")
-    name_ids = {}
-    for name, labels in names.items():
-        name_ids[name] = space.family.id_of(model.bits_of(labels))
-    return SpaceFile(space, name_ids)
+    return SpaceFile(space, {name: space.family.id_of(bits) for name, bits in names.items()})
 
 
 def _point_index(path, model: Model, raw) -> int:
@@ -610,7 +606,7 @@ def _point_index(path, model: Model, raw) -> int:
 def load_evidence(path: Path | str, sf: SpaceFile) -> EFunction:
     """The evidence table, classified; the empty hypothesis defaults to inf."""
     text = _read_text(path)
-    ids = sf._labels()
+    ids = sf._labels
     found = _rows(path, text, "evidence", ids, len(sf.space.family), INF, None, sf._order)
     if found:  # inf on the empty member
         return EFunction.from_index(sf.space, found[2], found[0])
@@ -686,7 +682,7 @@ def load_kernel(path: Path | str, sf: SpaceFile, sample: SampleSpace) -> EKernel
     built from the reader's row index; the general path reads every row
     anew."""
     text = _read_text(path)
-    n, ids = len(sf.space.family), sf._labels()
+    n, ids = len(sf.space.family), sf._labels
     found = _rows(path, text, "kernel", ids, n, (INF,) * sample.size, sample.outcomes, sf._order)
     if found:
         return EKernel.from_index(sf.space, sample, found[2], found[0])

@@ -29,6 +29,7 @@ that read one outcome at a time.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -139,9 +140,8 @@ class EKernel:
     """
 
     def __init__(self, space: Space, sample: SampleSpace, rows: Sequence[Sequence[XValue]]):
-        rows = tuple(map(tuple, rows))
+        self.rows = rows = tuple(map(tuple, rows))
         self._store(space, sample, *ev.identity_index(rows))
-        self._rows = rows
 
     @classmethod
     def from_index(
@@ -162,43 +162,32 @@ class EKernel:
         self.sample = sample
         self.distinct = distinct
         self.slots = slots
-        self._rows: Optional[tuple[tuple[XValue, ...], ...]] = None
-        self._tables: Optional[list[Optional[Scaled]]] = None
-        self._columns: Optional[tuple[EFunction, ...]] = None
-        self._eclass: Optional[EClass] = None
 
-    @property
+    @cached_property
     def rows(self) -> tuple[tuple[XValue, ...], ...]:
         """Each hypothesis's row, in id order, built on first read."""
-        if self._rows is None:
-            self._rows = tuple(map(self.distinct.__getitem__, self.slots))
-        return self._rows
+        return tuple(map(self.distinct.__getitem__, self.slots))
 
+    @cached_property
     def tables(self) -> list[Optional[Scaled]]:
-        """Per distinct row object, its scaled table, built on first use;
+        """Per distinct row object, its scaled table, built on first read;
         None for the empty hypothesis's row unless another shares it."""
-        if self._tables is None:
-            read = set(self.slots[1:])
-            self._tables = [scale(row) if s in read else None for s, row in enumerate(self.distinct)]
-        return self._tables
+        read = set(self.slots[1:])
+        return [scale(row) if s in read else None for s, row in enumerate(self.distinct)]
 
-    @property
+    @cached_property
     def columns(self) -> tuple[EFunction, ...]:
         """One evidence table per outcome, built on first read as an index:
         the distinct rows' values at the outcome, and the kernel's slots."""
-        if self._columns is None:
-            space, slots = self.space, self.slots
-            self._columns = tuple(EFunction.from_index(space, [*col], slots) for col in zip(*self.distinct))
-        return self._columns
+        space, slots = self.space, self.slots
+        return tuple(EFunction.from_index(space, [*col], slots) for col in zip(*self.distinct))
 
-    @property
+    @cached_property
     def eclass(self) -> EClass:
         """The weakest class among the outcomes' tables, computed on first
         read: one `evidence.table_class` walk, with one lane per outcome,
         over the keys of the distinct row objects."""
-        if self._eclass is None:
-            self._eclass = ev.table_class(self.space, list(zip(*self.distinct)), self.slots)
-        return self._eclass
+        return ev.table_class(self.space, list(zip(*self.distinct)), self.slots)
 
     def claims(self) -> list[list[XValue]]:
         """Per outcome, per point, the most evidence of a member containing
@@ -246,7 +235,7 @@ class Entry(Record):
 
 def check_validity(k: EKernel, pa: ProbabilityAssignment) -> Report:
     """Exact expectation of every (nonempty hypothesis, contained point) pair."""
-    return _pair_report(pa, k.space.family.members, k.tables(), slots=k.slots)
+    return _pair_report(pa, k.space.family.members, k.tables, slots=k.slots)
 
 
 def _pair_report(
@@ -332,7 +321,6 @@ class Report(Record):
     statistic fails; `entries`, one per pair in walk order, are built when
     first read, and compared."""
 
-    __slots__ = ("points", "bounds", "members", "cases", "slots", "stats", "failed", "_entries")
     _compared = ("entries",)
 
     def __init__(
@@ -347,15 +335,10 @@ class Report(Record):
         self.slots = slots
         self.stats = stats
         self.failed = failed
-        self._entries: Optional[tuple[Entry, ...]] = None
 
-    @property
+    @cached_property
     def entries(self) -> tuple[Entry, ...]:
-        if self._entries is None:
-            self._entries = tuple(
-                self._entry(m, pi) for m, bits in enumerate(self.members) for pi in _indices(bits)
-            )
-        return self._entries
+        return tuple(self._entry(m, pi) for m, bits in enumerate(self.members) for pi in _indices(bits))
 
     def _entry(self, m: int, pi: int) -> Entry:
         """The entry of member m at point pi."""
@@ -439,7 +422,7 @@ def check_posthoc_validity(
     if rule == "canonical":
         return check_validity(k, pa)
     thresholds = outcome_thresholds(k, rule)
-    misses = [var and miss_variable(var, thresholds) for var in k.tables()]
+    misses = [var and miss_variable(var, thresholds) for var in k.tables]
     return _pair_report(pa, k.space.family.members, misses, slots=k.slots)
 
 
@@ -463,10 +446,10 @@ def eposterior(prior: EFunction, k: EKernel, pa: ProbabilityAssignment) -> tuple
     if space.intersection_closed:
         post = close_kernel(post)
         bounds = [prior.values[hid] for hid in space.least_ids()]
-        report = _pair_report(pa, space.family.members, post.tables(), bounds=bounds, slots=post.slots)
+        report = _pair_report(pa, space.family.members, post.tables, bounds=bounds, slots=post.slots)
         return post, report
     members = [0 if p.is_zero or p.is_inf else m for p, m in zip(prior.values, space.family.members)]
-    return post, _pair_report(pa, members, k.tables(), slots=k.slots)
+    return post, _pair_report(pa, members, k.tables, slots=k.slots)
 
 
 # -- finite-horizon processes -------------------------------------------
@@ -775,4 +758,4 @@ def pushforward_kernel(
                 f"preimage of {target.model.label(member)} is not a source hypothesis"
             )
     pushed = EKernel(target, k.sample, [k.rows[source.family.id_of(bits)] for bits in bitsets])
-    return pushed, _pair_report(pa, bitsets, pushed.tables(), slots=pushed.slots)
+    return pushed, _pair_report(pa, bitsets, pushed.tables, slots=pushed.slots)

@@ -9,6 +9,7 @@ hypothesis is always id 0.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 MODEL_POINT_CAP = 24
@@ -128,14 +129,12 @@ class HypothesisClass(Record):
         self.generators = self.members if generators is None else generators
         self._index = dict(zip(members, range(len(members))))
         self._indices: list[Optional[tuple[int, ...]]] = [None] * len(members)
-        self._irreducible: Optional[tuple[int, ...]] = None
 
+    @cached_property
     def irreducible_ids(self) -> tuple[int, ...]:
         """Ids of the join-irreducible members: the nonempty members that are
         not a union of smaller ones. Every member is a union of them."""
-        if self._irreducible is None:
-            self._irreducible = tuple(_worklist(self.members)[1])
-        return self._irreducible
+        return tuple(_worklist(self.members)[1])
 
     def __len__(self) -> int:
         return len(self.members)

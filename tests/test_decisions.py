@@ -174,7 +174,7 @@ def test_the_numeric_table_agrees_with_its_labelled_twin():
         twin = labelled_twin(r, model, table.decisions, losses)
 
         def labelled_bounds(t):
-            return [{t.cspace.elements[c]: bits for c, bits in enumerate(b)} for b in t.bounds()]
+            return [{t.cspace.elements[c]: bits for c, bits in enumerate(b)} for b in t.bounds]
 
         assert labelled_bounds(table) == labelled_bounds(twin)
         induced = helpers.build_consequence_class(twin)
@@ -277,10 +277,10 @@ def test_bound_table_and_upper_sets_match_the_per_pair_oracles():
     r = helpers.rng(223)
     for case in range(60):
         table = rand_decision_table(r, case)
-        assert [len(bounds) for bounds in table.bounds()] == [
+        assert [len(bounds) for bounds in table.bounds] == [
             len(table.cspace.elements) for _ in table.decisions
         ]
-        for d, bounds in enumerate(table.bounds()):
+        for d, bounds in enumerate(table.bounds):
             for c, bits in enumerate(bounds):
                 assert bits == helpers.hypothesis_for_bound(table, d, c)
         induced = helpers.build_consequence_class(table)
@@ -333,7 +333,7 @@ def test_hypothesis_for_bound_extremes_and_scan():
         ((XValue(0),), (XValue(2),), (XValue(5),)),
     )
     assert table.cspace.elements == ("0", "2", "5")
-    assert table.bounds() == ([0b111, 0b110, 0b100],)
+    assert table.bounds == ([0b111, 0b110, 0b100],)
     assert helpers.hypothesis_for_bound(table, "d1", "0") == 0b111
     assert helpers.hypothesis_for_bound(table, "d1", "5") == 0b100
     with pytest.raises(DecisionError):
@@ -344,7 +344,7 @@ def test_hypothesis_for_bound_extremes_and_scan():
         for pi in range(3):
             if helpers.at_least(table.cspace, table.entries[pi][0], table.cspace.index(c)):
                 scan |= 1 << pi
-        assert bits == scan == table.bounds()[0][table.cspace.index(c)]
+        assert bits == scan == table.bounds[0][table.cspace.index(c)]
 
 
 def test_integrated_loss_worked_examples():

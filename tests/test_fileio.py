@@ -926,10 +926,10 @@ def test_rows_in_id_order_are_placed_by_position(tmp_path, monkeypatch):
     for i, text in enumerate(texts):
         (tmp_path / f"space{i}.yaml").write_text(text)
         sfs.append(fileio.load_space(tmp_path / f"space{i}.yaml"))
-    assert [sf._labels() and sf._order for sf in sfs[-3:]] == [("a", "b", "a,b"), None, None]
+    assert [sf._labels and sf._order for sf in sfs[-3:]] == [("a", "b", "a,b"), None, None]
     r = helpers.rng(46)
     for i, sf in enumerate(sfs[:-2]):
-        sf._ids = table = _Lookups(sf._labels())
+        sf._labels = table = _Lookups(sf._labels)
         sample = SampleSpace(("x", "y"))
         labels = [f'"{sf.space.label(hid)}"' for hid in sf.space.family.nonempty_ids()]
         for kind in ("evidence", "kernel"):

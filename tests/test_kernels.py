@@ -1080,7 +1080,7 @@ def _joins(family):
     return [
         (a, family.id_of(m | members[j]))
         for a, m in enumerate(members)
-        for j in family.irreducible_ids()
+        for j in family.irreducible_ids
         if members[j] & ~m
     ]
 

@@ -359,8 +359,43 @@ def test_every_definition_is_reached_from_a_subcommand_or_kept_for_a_reason():
     assert sorted(set(UNREACHED_KEPT) - unreached) == []
 
 
+def _hand_written_caches(tree: ast.Module) -> list[str]:
+    """Methods, as Class.method, that compare `self._<name> is None`, and
+    classes that define `__getattr__`."""
+    found = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            if method.name == "__getattr__":
+                found.append(f"{cls.name}.__getattr__")
+            elif any(
+                isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Attribute)
+                and isinstance(node.left.value, ast.Name)
+                and node.left.value.id == "self"
+                and node.left.attr.startswith("_")
+                and isinstance(node.ops[0], ast.Is)
+                and isinstance(node.comparators[0], ast.Constant)
+                and node.comparators[0].value is None
+                for node in ast.walk(method)
+            ):
+                found.append(f"{cls.name}.{method.name}")
+    return found
+
+
+def test_derived_state_is_a_cached_property():
+    """An attribute an object derives once from its own fields is a
+    `functools.cached_property`, not a sentinel field checked on each read
+    or a `__getattr__` hook. `Space.least_ids` keeps its cache field, which
+    perfbench's tracer reads to time the method only when it computes."""
+    found = [name for path in SOURCES for name in _hand_written_caches(ast.parse(path.read_text()))]
+    assert SOURCES
+    assert [name for name in found if name != "Space.least_ids"] == []
+
+
 # The lines of src/emeasure/*.py, as `wc -l` counts them.
-LINE_BUDGET = 4133
+LINE_BUDGET = 4098
 
 
 def test_the_package_stays_within_its_line_budget():

@@ -281,7 +281,7 @@ def test_irreducible_members_are_not_unions_of_smaller_ones():
         bits = helpers.oracle_union_closure(gens)
         family = HypothesisClass(width, bits)
         expect = helpers.oracle_irreducibles(bits)
-        assert {family.member(j) for j in family.irreducible_ids()} == expect
+        assert {family.member(j) for j in family.irreducible_ids} == expect
 
 
 def test_every_union_closed_family_on_up_to_four_points_matches_the_oracles():
@@ -300,7 +300,7 @@ def test_every_union_closed_family_on_up_to_four_points_matches_the_oracles():
             space = Space(model, union_closure(n, sorted(irreducible)))
             family = space.family
             assert set(family.members) == members
-            assert {family.member(j) for j in family.irreducible_ids()} == irreducible
+            assert {family.member(j) for j in family.irreducible_ids} == irreducible
             assert space.intersection_closed == helpers.oracle_intersection_closed(n, members)
             least = helpers.oracle_least_ids(space)
             assert space.least_ids() == least
