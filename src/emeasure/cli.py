@@ -10,7 +10,9 @@ A well-formed command line, `<subcommand> (--name value...)*` with exact
 names, is read off that table by `_read_argv` without building a parser.
 Any other command line goes to the argparse parser `build_parser` makes
 from the same table, so help, usage lines and refusals are argparse's own;
-only that path imports argparse.
+only that path imports argparse. An option's `reads` names the values of
+its subcommand's `--check`, `--procedure`, `--golden` or `--bound` that
+read it, and `_refuse_unread` refuses it, with exit 2, under any other.
 """
 
 from __future__ import annotations
@@ -104,23 +106,10 @@ def _family_ids(args, sf) -> list[int]:
     return list(seen)
 
 
-# Which of the options that depend on --check or on --procedure each one reads.
-_CHECK_OPTIONS = ("rule", "family", "tree")
-_CHECK_READS = {"posthoc": ("rule",), "fer": ("family",), "anytime": ("tree",)}
-_MTP_OPTIONS = ("space", "evidence", "kernel", "model", "family", "alpha")
-_SELECTION_READS = ("space", "evidence", "family", "alpha")
-_MTP_READS = {
-    "ebh": _SELECTION_READS,
-    "closed-ebh": _SELECTION_READS,
-    "self-consistent": _SELECTION_READS,
-    "fer": ("space", "kernel", "model", "family"),
-    "fwe": ("space", "kernel", "model"),
-}
-
-
 class _Option(NamedTuple):
     """One option of a subcommand: `--name`, with the keywords that
-    `argparse.add_argument` takes. `name` is also the namespace attribute."""
+    `argparse.add_argument` takes, and `reads`. `name` is also the
+    namespace attribute."""
 
     name: str
     required: bool = False
@@ -129,9 +118,14 @@ class _Option(NamedTuple):
     default: object = None
     type: Optional[Callable[[str], object]] = None
     help: Optional[str] = None
+    # The values of --check, --procedure, --golden or --bound that read the
+    # option; None when it is read whatever those are.
+    reads: Optional[tuple[str, ...]] = None
 
 
 _FORMAT = _Option("format", choices=("text", "records"), default="text")
+_SELECTIONS = ("ebh", "closed-ebh", "self-consistent")
+_PROCEDURES = (*_SELECTIONS, "fer", "fwe")
 
 # Each subcommand's options, in help order: the one description of the command
 # line, which both `build_parser` and `_read_argv` read.
@@ -147,23 +141,24 @@ _OPTIONS = {
             choices=("validity", "fwe", "fer", "anytime", "posthoc", "predictive"),
             default="validity",
         ),
-        _Option("rule", help="'canonical' or a fixed level, for --check posthoc"),
-        _Option("tree", help="tree file for --check anytime"),
-        _Option("family", help="comma-separated hypothesis labels, for --check fer"),
+        _Option("rule", help="'canonical' or a fixed level, for --check posthoc", reads=("posthoc",)),
+        _Option("tree", help="tree file for --check anytime", reads=("anytime",)),
+        _Option("family", help="comma-separated hypothesis labels, for --check fer", reads=("fer",)),
         _FORMAT,
     ),
     "mtp": (
-        _Option("space"),
-        _Option("evidence"),
-        _Option("kernel"),
-        _Option("model"),
+        _Option("space", reads=_PROCEDURES),
+        _Option("evidence", reads=_SELECTIONS),
+        _Option("kernel", reads=("fer", "fwe")),
+        _Option("model", reads=("fer", "fwe")),
         _Option(
             "alpha", type=_level_arg,
             help="level of ebh, closed-ebh, self-consistent and --golden (default 1/20); "
             "fer and fwe do not read it",
+            reads=(*_SELECTIONS, "table1"),
         ),
-        _Option("family"),
-        _Option("procedure", choices=tuple(_MTP_READS)),
+        _Option("family", reads=(*_SELECTIONS, "fer")),
+        _Option("procedure", choices=_PROCEDURES, reads=_PROCEDURES),
         _Option("golden", choices=("table1",)),
         _FORMAT,
     ),
@@ -175,6 +170,7 @@ _OPTIONS = {
         _Option(
             "alpha", type=_level_arg,
             help="level of --bound probability (default 1/20); the other bounds do not read it",
+            reads=("probability",),
         ),
         _Option("bound", choices=("econsequence", "grunwald", "probability"), default="econsequence"),
         _Option("outcome", help="outcome at which to rank decisions and judge admissibility; "
@@ -212,6 +208,7 @@ def build_parser():
         p = sub.add_parser(name, help=help_text)
         for option in _OPTIONS[name]:
             keywords = option._asdict()
+            del keywords["reads"]
             p.add_argument("--" + keywords.pop("name"), **keywords)
         p.set_defaults(handler=handler)
     return parser
@@ -298,12 +295,11 @@ def cmd_closure(args) -> int:
     # Both tables are indices over a few value objects, from the read's memo
     # and the claims: each object is rendered once. A record is canonical
     # (lowest terms, inf): equal texts are equal values.
-    (old, old_slots), (new, new_slots) = e.index, closed.index
-    texts = {id(value): value for value in old + new}
+    texts = {id(value): value for value in e.distinct + closed.distinct}
     texts = {key: value.record() for key, value in texts.items()}
-    old, new = ([texts[id(value)] for value in values] for values in (old, new))
+    old, new = ([texts[id(value)] for value in t.distinct] for t in (e, closed))
     label, lines, changed = sf.space.label, [], 0
-    for hid, (before, after) in enumerate(zip(old_slots, new_slots)):
+    for hid, (before, after) in enumerate(zip(e.slots, closed.slots)):
         before, after = old[before], new[after]
         moved = before != after
         changed += moved
@@ -395,11 +391,13 @@ def _report_fer(out: Printer, args, sf, kernel, pa) -> int:
     return _verdict(out, "controlled", report.ok)
 
 
-def _refuse_unread(args, reader: str, options: tuple[str, ...], reads: tuple[str, ...]) -> None:
-    """Exit 2 on the first of `options` that is given but that `reader` does not read."""
-    for option in options:
-        if getattr(args, option) is not None and option not in reads:
-            raise fileio.SchemaError("<args>", f"{reader} does not read --{option}")
+def _refuse_unread(args, reader: str, value: str) -> None:
+    """Exit 2 on the first option of the subcommand, in `_OPTIONS` order,
+    that is given but that `value` does not read; `reader` names it."""
+    for option in _OPTIONS[args.command]:
+        if option.reads is not None and value not in option.reads:
+            if getattr(args, option.name) is not None:
+                raise fileio.SchemaError("<args>", f"{reader} does not read --{option.name}")
 
 
 def cmd_check(args) -> int:
@@ -408,7 +406,7 @@ def cmd_check(args) -> int:
         raise fileio.SchemaError(
             "<args>", f"--check {args.check} reads one --kernel, got {len(args.kernel)}"
         )
-    _refuse_unread(args, f"--check {args.check}", _CHECK_OPTIONS, _CHECK_READS.get(args.check, ()))
+    _refuse_unread(args, f"--check {args.check}", args.check)
     sf = fileio.load_space(args.space)
     pa = fileio.load_pmfs(args.model, sf.space.model)
     kernels = [fileio.load_kernel(p, sf, pa.sample) for p in args.kernel]
@@ -496,12 +494,11 @@ def _golden_table1(alpha: XValue, out: Printer) -> int:
 def cmd_mtp(args) -> int:
     out = Printer(args.format)
     if args.golden == "table1":
-        _refuse_unread(args, "--golden", ("procedure", *_MTP_OPTIONS), ("alpha",))
+        _refuse_unread(args, "--golden", args.golden)
         return _golden_table1(args.alpha or golden.DEFAULT_ALPHA, out)
     if args.procedure is None:
         raise fileio.SchemaError("<args>", "mtp needs --procedure (or --golden)")
-    reader = f"--procedure {args.procedure}"
-    _refuse_unread(args, reader, _MTP_OPTIONS, _MTP_READS[args.procedure])
+    _refuse_unread(args, f"--procedure {args.procedure}", args.procedure)
     if args.space is None:
         raise fileio.SchemaError("<args>", "mtp needs --space (or --golden)")
     sf = fileio.load_space(args.space)
@@ -545,8 +542,7 @@ def cmd_mtp(args) -> int:
 
 def cmd_decide(args) -> int:
     out = Printer(args.format)
-    reads = ("alpha",) if args.bound == "probability" else ()
-    _refuse_unread(args, f"--bound {args.bound}", ("alpha",), reads)
+    _refuse_unread(args, f"--bound {args.bound}", args.bound)
     sf = fileio.load_space(args.space)
     pa = fileio.load_pmfs(args.model, sf.space.model)
     kernel = fileio.load_kernel(args.kernel, sf, pa.sample)

@@ -9,9 +9,10 @@ of a kernel's at once. Closing upgrades a table to the smallest dominating
 measure, read off the most evidence each point can claim (the min/max form
 of maxitive measures): `_claims`, then `measure_from_density`, for one
 table in `close` and per outcome in `kernels.close_kernel`. A table is its
-row index (`EFunction`): `close` takes the claims over its index's value
-objects, each covering its members' union (`slot_covers`), and
-`measure_from_density` gives each member the slot of its least point.
+row index (`EFunction`), its value objects (`distinct`) and each member's
+slot among them (`slots`): `close` takes the claims over `distinct`, each
+covering its members' union (`slot_covers`), and `measure_from_density`
+gives each member the slot of its least point.
 """
 
 from __future__ import annotations
@@ -45,46 +46,38 @@ class EClass(enum.IntEnum):
 class EFunction(Record):
     """Evidence per hypothesis id and its class, the strongest the values
     satisfy. Stored as its row index, as `kernels.EKernel` stores its rows:
-    a list of value objects, which may repeat, and each hypothesis's slot
-    in it (`index`). The row reader and `measure_from_density` hand it over
-    (`from_index`), and `values` is built on its first read; a table built
-    from values finds its index, by identity, on first read. The class is
-    computed when ``eclass`` is first read, unless it was given; equality
-    compares the space and the values."""
+    a list of value objects, which may repeat (`distinct`), and each
+    hypothesis's slot in it (`slots`). The row reader and
+    `measure_from_density` hand the index over (`from_index`); a table
+    built from values finds it by identity. `values` is built from the
+    index on its first read. The class is computed when ``eclass`` is first
+    read, unless it was given; equality compares the space and the values."""
 
     _compared = ("space", "values")
 
-    def __init__(self, space: Space, values: tuple[XValue, ...]):
+    def __init__(self, space: Space, values: Sequence[XValue]):
         self.space = space
-        self.values = values
+        self.distinct, self.slots = identity_index(values)
 
     @classmethod
     def from_index(
         cls, space: Space, distinct: list[XValue], slots: list[int], eclass: Optional[EClass] = None
     ) -> "EFunction":
         """The table whose hypothesis `hid` has the value `distinct[slots[hid]]`,
-        with no pass over the members; `values` is built when first read."""
+        with no pass over the members."""
         e = cls.__new__(cls)
-        e.space, e.index = space, (distinct, slots)
+        e.space, e.distinct, e.slots = space, distinct, slots
         if eclass is not None:
             e.eclass = eclass
         return e
 
     @cached_property
     def values(self) -> tuple[XValue, ...]:
-        distinct, slots = self.index
-        return tuple(map(distinct.__getitem__, slots))
-
-    @cached_property
-    def index(self) -> tuple[list[XValue], list[int]]:
-        """A list of value objects, which may repeat, and each hypothesis's
-        slot in it."""
-        return identity_index(self.values)
+        return tuple(map(self.distinct.__getitem__, self.slots))
 
     @cached_property
     def eclass(self) -> EClass:
-        distinct, slots = self.index
-        return table_class(self.space, [distinct], slots)
+        return table_class(self.space, [self.distinct], self.slots)
 
     def __getitem__(self, hid: int) -> XValue:
         return self.values[hid]
@@ -209,15 +202,15 @@ def measure_from_density(space: Space, density: Sequence[XValue]) -> EFunction:
     """The measure fixed by one value per model point: e(H) is the least
     density among H's points, and INF on the empty set.
 
-    Infimums turn unions into minimums, so the result obeys the union law
-    on any union-closed family and is tagged a measure without a
-    classification pass. Its index is the density and INF. The points are
-    sorted once by the density's order keys, ties by index; each member's
-    slot is the first point in that order it contains, so equal least
-    densities resolve to the lowest such point's value object. One scan
-    down that order settles, at each point, every member still open that
-    contains it, and stops when none is open: the cost is the sort plus,
-    per member, the rank of its first point.
+    Infimums turn unions into minimums, so the result obeys the union law on
+    any union-closed family and is tagged a measure without a classification
+    pass. Its `distinct` are the density and INF. The points are sorted once
+    by the density's order keys, ties by index; each member's slot is the
+    first point in that order it contains, so equal least densities resolve
+    to the lowest such point's value object. One scan down that order
+    settles, at each point, every member still open that contains it, and
+    stops when none is open: the cost is the sort plus, per member, the rank
+    of its first point.
     """
     keys = order_keys(density)
     members = space.family.members
@@ -273,11 +266,11 @@ def close(e: EFunction) -> EFunction:
     cover of H by members can do no better than pick, for each point, the
     member behind its claim. On an intersection-closed space a capacity's
     claims sit on the least hypotheses, which the closure leaves untouched.
-    The claims are taken over the index's value objects, not the members.
+    The claims are taken over the table's distinct value objects, not the
+    members.
     """
-    distinct, slots = e.index
-    covers = slot_covers(e.space.family.members, slots, len(distinct))
-    return measure_from_density(e.space, _claims(e.space.model.size, covers, distinct))
+    covers = slot_covers(e.space.family.members, e.slots, len(e.distinct))
+    return measure_from_density(e.space, _claims(e.space.model.size, covers, e.distinct))
 
 
 def shilkret_integral(e: EFunction, levels: Iterable[tuple[XValue, int]]) -> XValue:

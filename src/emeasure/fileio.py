@@ -94,10 +94,10 @@ same read to the general path (`_read_table`, else PyYAML), which is also
 the row reader's oracle. Every file is read by raw reads until one comes
 back empty, as a FIFO may deliver less at a time (`_read_text`).
 
-The row reader hands a kernel or an evidence table the index it read, the
-distinct rows (value objects) and each member's slot among them
-(`EKernel.from_index`, `EFunction.from_index`), and builds a model's `Pmf`
-once per distinct row.
+The row reader hands a kernel or an evidence table the index it read, its
+distinct rows (value objects, `distinct`) and each member's slot among them
+(`slots`), through `EKernel.from_index` and `EFunction.from_index`, and
+builds a model's `Pmf` once per distinct row.
 """
 
 from __future__ import annotations
@@ -502,15 +502,10 @@ class SpaceFile:
         hid = self._labels.get(label)
         if hid is not None:
             return hid
-        get = self.space.model.positions.get
-        bits = 0
-        for part in label.split(","):
-            part = part.strip()
-            if part:
-                i = get(part)
-                if i is None:
-                    raise SchemaError(path, f"unknown hypothesis label {label!r}")
-                bits |= 1 << i
+        try:
+            bits = self.space.model.bits_of(filter(None, map(str.strip, label.split(","))))
+        except SpaceError:
+            raise SchemaError(path, f"unknown hypothesis label {label!r}") from None
         try:
             return self.space.family.id_of(bits)
         except SpaceError:

@@ -5,12 +5,12 @@ space: one row per hypothesis, the evidence against it as a function of
 the outcome. Validity of a kernel (and of stopped processes, the
 E-posterior `eposterior`, pushforwards, predictive kernels) is decided by
 exact rational expectations of those rows; nothing here is simulated. A
-kernel is stored as its row index, its distinct row objects and each
-hypothesis's slot among them (`EKernel`). The row reader of a kernel file
-hands over the index it read, one row per distinct row text; a kernel
-built from rows finds it once. Each distinct row is scaled once, and the
-checks work once per slot or (slot, point), not once per hypothesis or
-pair.
+kernel is stored as its row index, its distinct row objects (`distinct`)
+and each hypothesis's slot among them (`slots`), as an evidence table is.
+The row reader of a kernel file hands over the index it read, one row per
+distinct row text; a kernel built from rows finds it once. Each distinct
+row is scaled once, and the checks work once per slot or (slot, point),
+not once per hypothesis or pair.
 
 Every statistic the package holds against a bound is one walk,
 `_pair_report`, over members (point bitsets), each with a slot among
@@ -177,8 +177,9 @@ class EKernel:
 
     @cached_property
     def columns(self) -> tuple[EFunction, ...]:
-        """One evidence table per outcome, built on first read as an index:
-        the distinct rows' values at the outcome, and the kernel's slots."""
+        """One evidence table per outcome, built on first read: its
+        `distinct` are the distinct rows' values at the outcome, its `slots`
+        the kernel's."""
         space, slots = self.space, self.slots
         return tuple(EFunction.from_index(space, [*col], slots) for col in zip(*self.distinct))
 

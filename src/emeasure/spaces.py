@@ -139,9 +139,6 @@ class HypothesisClass(Record):
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self):
-        return iter(self.members)
-
     def __contains__(self, bits: int) -> bool:
         return bits in self._index
 

@@ -130,9 +130,6 @@ class XValue:
             return INF
         return ratio(self._num * d, self._den * c)
 
-    def __rtruediv__(self, other: Rationalish) -> "XValue":
-        return as_xvalue(other) / self
-
     # -- ordering -----------------------------------------------------
 
     # Both pairs are in lowest terms with inf as (1, 0), so two values are
@@ -201,9 +198,7 @@ _DIGIT_CHUNK = 10 ** 1000
 
 
 def decimal_text(n: int) -> str:
-    """Exact decimal digits of any int; str() refuses ints past 4300 digits."""
-    if n < 0:
-        return "-" + decimal_text(-n)
+    """Exact decimal digits of a non-negative int; str() refuses ints past 4300 digits."""
     chunks = []
     while n >= _DIGIT_CHUNK:
         n, low = divmod(n, _DIGIT_CHUNK)

@@ -642,13 +642,28 @@ UNREAD_OPTIONS = {
     "validity-rule": (["check", "--check", "validity", "--rule", "1/2"], "rule"),
     "validity-family": (["check", "--check", "validity", "--family", "p"], "family"),
     "validity-tree": (["check", "--check", "validity", "--tree", "tree_coin.yaml"], "tree"),
+    # of two unread options, the refusal names the first in `cli._OPTIONS` order
+    "validity-tree-family": (
+        ["check", "--check", "validity", "--tree", "tree_coin.yaml", "--family", "p"], "tree"
+    ),
+    "fwe-rule": (["check", "--check", "fwe", "--rule", "1/2"], "rule"),
+    "fwe-tree": (["check", "--check", "fwe", "--tree", "tree_coin.yaml"], "tree"),
     "fwe-family": (["check", "--check", "fwe", "--family", "p"], "family"),
     "fer-rule": (["check", "--check", "fer", "--rule", "canonical"], "rule"),
+    "fer-tree": (["check", "--check", "fer", "--tree", "tree_coin.yaml"], "tree"),
     "posthoc-tree": (["check", "--check", "posthoc", "--tree", "tree_coin.yaml"], "tree"),
+    "posthoc-family": (["check", "--check", "posthoc", "--family", "p"], "family"),
+    "anytime-rule": (["check", "--check", "anytime", "--tree", "tree_coin.yaml", "--rule", "1/2"],
+                     "rule"),
     "anytime-family": (["check", "--check", "anytime", "--tree", "tree_coin.yaml", "--family", "p"],
                        "family"),
+    "predictive-rule": (["check", "--check", "predictive", "--rule", "canonical"], "rule"),
+    "predictive-tree": (["check", "--check", "predictive", "--tree", "tree_coin.yaml"], "tree"),
+    "predictive-family": (["check", "--check", "predictive", "--family", "p"], "family"),
     "mtp-fwe-family": (["mtp", "--procedure", "fwe", "--family", "p"], "family"),
     "mtp-fwe-evidence": (["mtp", "--procedure", "fwe", "--evidence", "e.yaml"], "evidence"),
+    "mtp-fwe-alpha": (["mtp", "--procedure", "fwe", "--alpha", "1/2"], "alpha"),
+    "mtp-fer-evidence": (["mtp", "--procedure", "fer", "--evidence", "e.yaml"], "evidence"),
     "mtp-fer-alpha": (["mtp", "--procedure", "fer", "--alpha", "1/2"], "alpha"),
     "mtp-ebh-kernel": (["mtp", "--procedure", "ebh", "--evidence", "e.yaml"], "kernel"),
     "mtp-closed-ebh-kernel": (["mtp", "--procedure", "closed-ebh"], "kernel"),

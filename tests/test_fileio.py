@@ -658,7 +658,7 @@ TABLE = [
 ]
 SCALAR_SLOTS = [
     "{}: 1", "a: {}", "a: [x, {}]", "a: {{{}: 1}}", "a: {{x: {}}}", "a: [[{}], y]",
-    "a:\n  {}: 1", "a:\n  b: {}",
+    "a:\n  {}: 1", "a:\n  b: {}", "a: [{}: 1]",
 ]
 
 

@@ -221,8 +221,7 @@ def test_every_small_world_agrees_with_the_definitions(monkeypatch):
 
 def _assert_indexed(e):
     """`e`'s values are read off its index."""
-    distinct, slots = e.index
-    assert e.values == tuple(distinct[s] for s in slots) and len(slots) == len(e.space.family)
+    assert e.values == tuple(e.distinct[s] for s in e.slots) and len(e.slots) == len(e.space.family)
 
 
 def test_every_way_of_building_a_table_keeps_its_row_index_on_every_small_world(tmp_path, monkeypatch):

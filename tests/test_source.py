@@ -395,7 +395,7 @@ def test_derived_state_is_a_cached_property():
 
 
 # The lines of src/emeasure/*.py, as `wc -l` counts them.
-LINE_BUDGET = 4098
+LINE_BUDGET = 4075
 
 
 def test_the_package_stays_within_its_line_budget():
